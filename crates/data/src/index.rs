@@ -2,17 +2,30 @@
 //!
 //! * [`SortedView`]: a relation's rows re-sorted under a column
 //!   permutation, supporting prefix-range lookups — the workhorse of the
-//!   join-tree algorithms (semijoins, counting DP, direct access).
+//!   join-tree algorithms (semijoins, counting DP, direct access) — plus
+//!   the same rows as a trie over the key columns, one contiguous value
+//!   slice per level, which is what generic join intersects.
 //! * [`HashIndex`]: key-columns → row-id lists, used where hash probes
 //!   beat binary search (e.g. the light part of degree splits).
 
 use crate::hasher::FxHashMap;
 use crate::relation::Relation;
 use crate::value::Val;
+use std::sync::OnceLock;
 
 /// A relation's rows re-sorted so that the columns `key_cols` come first
 /// (in the given order), followed by the remaining columns in original
 /// order. Supports binary-search prefix lookups on the key columns.
+///
+/// The key columns are also offered as a trie in CSR form: level `d`
+/// holds, for every distinct key prefix of length `d + 1` in sorted
+/// order, the prefix's last value ([`SortedView::level`]), so the
+/// distinct values under one parent prefix are a contiguous, strictly
+/// increasing slice; [`SortedView::level_offsets`] maps each node to
+/// its children in level `d + 1`. The trie is built from the sorted
+/// rows the first time a level is asked for and then lives and dies
+/// with the view — views that only ever serve `row`/`key_range` (the
+/// join-tree algorithms) never pay for it.
 #[derive(Clone, Debug)]
 pub struct SortedView {
     /// New column order: `key_cols` then the rest.
@@ -25,6 +38,19 @@ pub struct SortedView {
     /// Explicit row count: for arity 0 the data buffer carries no
     /// information, yet the view of `{()}` has one row, not zero.
     n_rows: usize,
+    /// One trie level per key column, built on first use.
+    levels: OnceLock<Vec<TrieLevel>>,
+}
+
+/// One level of a [`SortedView`]'s key trie.
+#[derive(Clone, Debug, Default)]
+struct TrieLevel {
+    /// Last value of each distinct key prefix ending at this level.
+    vals: Vec<Val>,
+    /// `child[i]..child[i + 1]`: node `i`'s children in the next level.
+    /// One entry per node plus the end sentinel; empty for the last key
+    /// level, which has no next one.
+    child: Vec<u32>,
 }
 
 impl SortedView {
@@ -44,39 +70,94 @@ impl SortedView {
                 data.push(row[c]);
             }
         }
-        // sort rows
+        assert!(u32::try_from(rel.len()).is_ok(), "views index rows with u32");
         let mut view = SortedView {
             col_order,
             n_key: key_cols.len(),
             data,
             arity,
             n_rows: rel.len(),
+            levels: OnceLock::new(),
         };
         view.sort();
         view
     }
 
     fn sort(&mut self) {
-        let arity = self.arity;
-        if arity == 0 || self.data.is_empty() {
-            return;
+        // rows of a small fixed width sort in place as arrays (a sorted
+        // input — the key columns are often a prefix of the relation's
+        // own order — costs one scan); wider rows go through an index
+        match self.arity {
+            0 => {}
+            1 => self.data.sort_unstable(),
+            2 => self.data.as_chunks_mut::<2>().0.sort_unstable(),
+            3 => self.data.as_chunks_mut::<3>().0.sort_unstable(),
+            arity => {
+                let data = &self.data;
+                let row = |i: u32| &data[i as usize * arity..(i as usize + 1) * arity];
+                let mut idx: Vec<u32> = (0..self.n_rows as u32).collect();
+                idx.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+                let mut out = Vec::with_capacity(data.len());
+                for &i in &idx {
+                    out.extend_from_slice(row(i));
+                }
+                self.data = out;
+            }
         }
-        let n = self.data.len() / arity;
-        // Already sorted — the common case when the key columns are a
-        // prefix of the relation's own (sorted) column order: skip the
-        // index sort and the permutation copy entirely.
-        let data = &self.data;
-        let row = |i: usize| &data[i * arity..(i + 1) * arity];
-        if (1..n).all(|i| row(i - 1) <= row(i)) {
-            return;
+    }
+
+    /// One pass over the sorted rows: a row whose key first differs from
+    /// its predecessor's at column `c` opens one new node on every level
+    /// from `c` down.
+    fn build_levels(&self) -> Vec<TrieLevel> {
+        let n_key = self.n_key;
+        let mut levels = vec![TrieLevel::default(); n_key];
+        let mut prev: Option<&[Val]> = None;
+        for row in self.data.chunks_exact(self.arity.max(1)) {
+            let key = &row[..n_key];
+            let first_new = match prev {
+                None => 0,
+                Some(p) => p.iter().zip(key).position(|(a, b)| a != b).unwrap_or(n_key),
+            };
+            for d in first_new..n_key {
+                // the node's first child is the one about to be pushed
+                if let Some(next) = levels.get(d + 1) {
+                    let first_child = next.vals.len() as u32;
+                    levels[d].child.push(first_child);
+                }
+                levels[d].vals.push(key[d]);
+            }
+            prev = Some(key);
         }
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        idx.sort_unstable_by(|&a, &b| (row(a as usize)).cmp(row(b as usize)));
-        let mut out = Vec::with_capacity(self.data.len());
-        for &i in &idx {
-            out.extend_from_slice(row(i as usize));
+        for d in 1..n_key {
+            let end = levels[d].vals.len() as u32;
+            levels[d - 1].child.push(end);
         }
-        self.data = out;
+        for level in &mut levels {
+            level.vals.shrink_to_fit();
+            level.child.shrink_to_fit();
+        }
+        levels
+    }
+
+    fn levels(&self) -> &[TrieLevel] {
+        self.levels.get_or_init(|| self.build_levels())
+    }
+
+    /// The values of trie level `d < n_key`: for every distinct key
+    /// prefix of length `d + 1`, in sorted order, its last value. The
+    /// children of one parent are contiguous and strictly increasing;
+    /// level 0 is the sorted distinct values of the first key column.
+    pub fn level(&self, d: usize) -> &[Val] {
+        &self.levels()[d].vals
+    }
+
+    /// CSR child offsets of level `d < n_key - 1`: node `i` of
+    /// [`SortedView::level`] `d` has children
+    /// `offsets[i]..offsets[i + 1]` in level `d + 1`.
+    pub fn level_offsets(&self, d: usize) -> &[u32] {
+        assert!(d + 1 < self.n_key, "the last key level has no children");
+        &self.levels()[d].child
     }
 
     /// Number of rows (explicitly tracked — correct even for views of
@@ -260,6 +341,78 @@ mod tests {
         assert_eq!(v.key_range(&[10]).len(), 3);
         // remaining column order: the leftover col 2
         assert_eq!(v.col_order(), &[1, 0, 2]);
+    }
+
+    #[test]
+    fn levels_are_the_key_trie_in_csr_form() {
+        // rows by (col 1, col 0): (10,1) (10,2) (10,3) (20,1)
+        let v = SortedView::new(&rel(), &[1, 0]);
+        assert_eq!(v.level(0), &[10, 20]);
+        assert_eq!(v.level_offsets(0), &[0, 3, 4]);
+        assert_eq!(v.level(1), &[1, 2, 3, 1]);
+        // fully keyed: the last level is the last key column, row by row
+        for (i, &b) in v.level(1).iter().enumerate() {
+            assert_eq!(v.row(i)[1], b);
+        }
+        // a partial key: one level of distinct values
+        let v = SortedView::new(&rel(), &[1]);
+        assert_eq!(v.level(0), &[10, 20]);
+        // an empty view has empty levels and the end sentinel only
+        let v = SortedView::new(&Relation::new(2), &[1, 0]);
+        assert!(v.level(0).is_empty() && v.level(1).is_empty());
+        assert_eq!(v.level_offsets(0), &[0]);
+    }
+
+    #[test]
+    fn levels_agree_with_groups_on_every_prefix() {
+        let mut r = Relation::new(3);
+        for i in 0..200u64 {
+            r.push_row(&[i % 7, (i * 5) % 11, i % 3]);
+        }
+        // not normalized: the view sorts, and equal rows share one node
+        for key_cols in [vec![0], vec![2, 0], vec![1, 2, 0], vec![0, 1, 2]] {
+            let v = SortedView::new(&r, &key_cols);
+            let groups: Vec<_> = v.groups().collect();
+            let last = key_cols.len() - 1;
+            assert_eq!(v.level(last).len(), groups.len(), "{key_cols:?}");
+            for (i, (key, _)) in groups.iter().enumerate() {
+                assert_eq!(v.level(last)[i], key[last]);
+            }
+            // each level's children partition the next level, and
+            // siblings are strictly increasing
+            for d in 0..last {
+                let offsets = v.level_offsets(d);
+                assert_eq!(offsets.len(), v.level(d).len() + 1);
+                assert_eq!(*offsets.last().unwrap() as usize, v.level(d + 1).len());
+                for w in offsets.windows(2) {
+                    let kids = &v.level(d + 1)[w[0] as usize..w[1] as usize];
+                    assert!(!kids.is_empty());
+                    assert!(kids.windows(2).all(|p| p[0] < p[1]));
+                }
+            }
+            assert!(v.level(0).windows(2).all(|p| p[0] < p[1]));
+        }
+    }
+
+    #[test]
+    fn rows_sort_under_the_permutation_at_every_width() {
+        for arity in 1..=5usize {
+            let mut r = Relation::new(arity);
+            for i in 0..97u64 {
+                let row: Vec<Val> =
+                    (0..arity as u64).map(|c| (i * (c + 3)) % (5 + c)).collect();
+                r.push_row(&row);
+            }
+            r.normalize();
+            let key_cols: Vec<usize> = (0..arity).rev().collect();
+            let v = SortedView::new(&r, &key_cols);
+            assert_eq!(v.len(), r.len());
+            assert!((1..v.len()).all(|i| v.row(i - 1) < v.row(i)), "arity {arity}");
+            for i in 0..v.len() {
+                let original: Vec<Val> = (0..arity).rev().map(|c| v.row(i)[c]).collect();
+                assert!(r.contains(&original));
+            }
+        }
     }
 
     #[test]

@@ -84,7 +84,12 @@ pub fn count_dp_cancel(
             }
             keybuf.clear();
             keybuf.extend(key_cols.iter().map(|&cc| row[cc]));
-            *msg.entry(keybuf.as_slice().into()).or_insert(0) += w;
+            // box the key only the first time it is seen
+            if let Some(sum) = msg.get_mut(keybuf.as_slice()) {
+                *sum += w;
+            } else {
+                msg.insert(keybuf.as_slice().into(), w);
+            }
         }
         if u == tree.root() {
             total = msg.values().sum();

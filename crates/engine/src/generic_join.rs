@@ -1,10 +1,13 @@
 //! Worst-case optimal generic join (paper §2.1's AGM / WCOJ background).
 //!
 //! The leapfrog-style variable-elimination join: fix a global variable
-//! order; at each level intersect, by galloping binary search, the
-//! candidate values offered by every atom containing the variable. The
-//! runtime is bounded by the AGM fractional-edge-cover bound of the query
-//! — e.g. m^{3/2} for the triangle query and m^{1+1/(k−1)} for
+//! order; at each depth intersect the candidate values offered by every
+//! atom containing the variable. Each atom offers them as one contiguous
+//! sorted slice — a level of its [`SortedView`]'s key trie, narrowed to
+//! the children of the prefix bound so far — so the intersection is a
+//! merge of slices (a gallop where one is much longer), and descending
+//! reads the child range from the trie's offsets. The runtime is
+//! bounded by the AGM fractional-edge-cover bound of the query — e.g. m^{3/2} for the triangle query and m^{1+1/(k−1)} for
 //! Loomis–Whitney q^LW_k (Example 3.4), which is why this single
 //! algorithm is both the m^{3/2} triangle baseline of Thm 3.2 and the
 //! *optimal* LW algorithm of Thm 3.5.
@@ -55,31 +58,319 @@ fn atom_layout(vars: &[Var], pos: &[usize]) -> (Vec<usize>, Vec<usize>) {
     (cols, depths)
 }
 
-/// Run the prepared join: intersect per depth, visit full assignments.
+/// What the join does with the full assignments it finds.
+enum Sink<'v> {
+    /// Call the visitor with each one (in `order`-order); `false` stops.
+    Visit(&'v mut dyn FnMut(&[Val]) -> bool),
+    /// Only count them ([`JoinWork::count`]): the last depth adds up
+    /// intersection sizes.
+    Count,
+}
+
+/// What one join run did, for the `op.generic-join.*` spans.
+#[derive(Clone, Copy, Default)]
+struct JoinWork {
+    /// Did the enumeration run to completion (no visitor stop)?
+    completed: bool,
+    /// Full assignments found, when run with [`Sink::Count`].
+    count: u64,
+    /// Cursor movements — gallop seeks and single merge steps alike:
+    /// the deterministic work measure the AGM bound is checked against.
+    seeks: u64,
+}
+
+/// One trie level an atom contributes to a depth's intersection.
+struct LevelRef<'a> {
+    vals: &'a [Val],
+    /// Child offsets of the level; `None` for the atom's last column.
+    child: Option<&'a [u32]>,
+    /// Index into [`JoinState::ranges`] of this (atom, column); the
+    /// range of the atom's next column is at `slot + 1`.
+    slot: usize,
+}
+
+/// A cursor into one level slice: `rest` is what is left of the slice,
+/// whose end sits at index `end` of the level.
+#[derive(Clone, Copy)]
+struct Cursor<'a> {
+    rest: &'a [Val],
+    end: usize,
+    /// Seek by galloping instead of stepping (fixed per intersection).
+    gallop: bool,
+}
+
+impl<'a> Cursor<'a> {
+    /// Level index of the cursor's current element.
+    #[inline]
+    fn pos(&self) -> usize {
+        self.end - self.rest.len()
+    }
+
+    /// Gallop to the first element `>= target`, given `rest[0] < target`.
+    fn gallop_to(&mut self, target: Val) {
+        let rest: &'a [Val] = self.rest;
+        // rest[prev] < target holds throughout
+        let (mut prev, mut step) = (0usize, 1usize);
+        let hi = loop {
+            let probe = prev + step;
+            if probe < rest.len() && rest[probe] < target {
+                prev = probe;
+                step <<= 1;
+            } else {
+                break probe.min(rest.len());
+            }
+        };
+        let n = prev + 1 + rest[prev + 1..hi].partition_point(|&v| v < target);
+        self.rest = &rest[n..];
+    }
+}
+
+/// A slice this many times longer than the shortest one of its
+/// intersection is sought by galloping; shorter ones by stepping. A step
+/// is one dependent compare; a gallop seek is about `2·log₂(gap)` poorly
+/// predicted probes, and the expected gap is the length ratio. Counting
+/// a 4 096-element slice against one `g` times longer, galloping the long
+/// side ties with stepping at `g = 2` and wins from `g = 4` on — a
+/// property of the two loops, not of the data, so there is no knob.
+const GALLOP_RATIO: usize = 4;
+
+/// The immutable half of a running join.
+struct JoinPlan<'a> {
+    /// Per depth, the levels to intersect.
+    depths: Vec<Vec<LevelRef<'a>>>,
+    /// Per depth, where its cursors start in [`JoinState::cursors`].
+    cursor_base: Vec<usize>,
+    cancel: &'a CancelToken,
+}
+
+/// The mutable half: every per-depth buffer, allocated once per join.
+struct JoinState<'a> {
+    /// Per (atom, column) slot, the level range the bound prefix leaves.
+    ranges: Vec<(usize, usize)>,
+    cursors: Vec<Cursor<'a>>,
+    assignment: Vec<Val>,
+    count: u64,
+    seeks: u64,
+}
+
+/// Run the prepared join: intersect per depth, feed `sink`.
 fn run_prepared(
     prepared: &[PreparedAtom],
     n_depths: usize,
     cancel: &CancelToken,
-    visit: &mut dyn FnMut(&[Val]) -> bool,
-) -> Result<bool, EvalError> {
-    // for each global depth: (atom index, local column) of involved atoms
-    let mut involved: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n_depths];
-    for (ai, p) in prepared.iter().enumerate() {
+    mut sink: Sink<'_>,
+) -> Result<JoinWork, EvalError> {
+    let mut depths: Vec<Vec<LevelRef<'_>>> = Vec::new();
+    depths.resize_with(n_depths, Vec::new);
+    let mut ranges: Vec<(usize, usize)> = Vec::new();
+    for p in prepared {
+        let base = ranges.len();
         for (lc, &d) in p.depths.iter().enumerate() {
-            involved[d].push((ai, lc));
+            let vals = p.view.level(lc);
+            let child = (lc + 1 < p.depths.len()).then(|| p.view.level_offsets(lc));
+            depths[d].push(LevelRef { vals, child, slot: base + lc });
+            // only the first column's range is known before the join
+            ranges.push((0, if lc == 0 { vals.len() } else { 0 }));
         }
     }
     // every variable must be constrained by some atom
     assert!(
-        involved.iter().all(|v| !v.is_empty()),
+        depths.iter().all(|v| !v.is_empty()),
         "every variable in the order must occur in some atom"
     );
+    let mut cursor_base = Vec::with_capacity(n_depths);
+    let mut n_cursors = 0;
+    for its in &depths {
+        cursor_base.push(n_cursors);
+        n_cursors += its.len();
+    }
+    let plan = JoinPlan { depths, cursor_base, cancel };
+    let mut st = JoinState {
+        ranges,
+        cursors: vec![Cursor { rest: &[], end: 0, gallop: false }; n_cursors],
+        assignment: vec![0; n_depths],
+        count: 0,
+        seeks: 0,
+    };
+    let completed = if n_depths == 0 {
+        // no variables: the one (empty) assignment satisfies every atom
+        cancel.check()?;
+        match &mut sink {
+            Sink::Visit(visit) => visit(&st.assignment),
+            Sink::Count => {
+                st.count += 1;
+                true
+            }
+        }
+    } else {
+        descend(&plan, &mut st, 0, &mut sink)?
+    };
+    Ok(JoinWork { completed, count: st.count, seeks: st.seeks })
+}
 
-    let mut assignment: Vec<Val> = vec![0; n_depths];
-    let mut ranges: Vec<std::ops::Range<usize>> =
-        prepared.iter().map(|p| 0..p.view.len()).collect();
+/// Leapfrog, in rounds: every cursor behind the largest current value
+/// moves towards it — a galloping cursor seeks it, a stepping cursor
+/// moves one element, without a branch on the comparison — until a round
+/// moves nothing: all cursors then sit on one common value. Returns it,
+/// or `None` once a cursor runs out. Every cursor must be non-empty.
+#[inline]
+fn align(cursors: &mut [Cursor<'_>], seeks: &mut u64) -> Option<Val> {
+    if let [a, b] = cursors {
+        if !a.gallop && !b.gallop {
+            return align_pair(a, b, seeks);
+        }
+    }
+    loop {
+        let target = cursors.iter().map(|c| c.rest[0]).max()?;
+        let mut moved = 0;
+        for c in cursors.iter_mut() {
+            let behind = c.rest[0] < target;
+            if c.gallop {
+                if behind {
+                    c.gallop_to(target);
+                }
+            } else {
+                c.rest = &c.rest[usize::from(behind)..];
+            }
+            moved += u64::from(behind);
+            if c.rest.is_empty() {
+                *seeks += moved;
+                return None;
+            }
+        }
+        if moved == 0 {
+            return Some(target);
+        }
+        *seeks += moved;
+    }
+}
 
-    search(prepared, &involved, 0, &mut assignment, &mut ranges, cancel, visit)
+/// [`align`] for two stepping cursors — the shape of every intersection
+/// over binary relations of similar fan-out — with both slices held in
+/// locals for the whole merge instead of re-read through the cursors.
+#[inline]
+fn align_pair(a: &mut Cursor<'_>, b: &mut Cursor<'_>, seeks: &mut u64) -> Option<Val> {
+    let (mut x, mut y) = (a.rest, b.rest);
+    let mut steps = 0;
+    let found = loop {
+        let (Some(&u), Some(&v)) = (x.first(), y.first()) else {
+            break None;
+        };
+        if u == v {
+            break Some(u);
+        }
+        x = &x[usize::from(u < v)..];
+        y = &y[usize::from(v < u)..];
+        steps += 1;
+    };
+    (a.rest, b.rest) = (x, y);
+    *seeks += steps;
+    found
+}
+
+/// Step every (aligned) cursor past the common value — values are
+/// distinct within a slice, so that is one element each. `false` once a
+/// cursor runs out.
+#[inline]
+fn advance(cursors: &mut [Cursor<'_>], seeks: &mut u64) -> bool {
+    let mut live = true;
+    for c in cursors.iter_mut() {
+        c.rest = &c.rest[1..];
+        live &= !c.rest.is_empty();
+    }
+    *seeks += cursors.len() as u64;
+    live
+}
+
+/// Expand one search node: leapfrog-intersect the level slices that the
+/// bound prefix leaves at `depth`, and for every common value descend
+/// (or, at the last depth, feed the sink). `Ok(false)` = visitor stop.
+fn descend<'a>(
+    plan: &JoinPlan<'a>,
+    st: &mut JoinState<'a>,
+    depth: usize,
+    sink: &mut Sink<'_>,
+) -> Result<bool, EvalError> {
+    // poll per expanded node, not in the visitor: joins that produce no
+    // results still descend here constantly, so this is the live site
+    plan.cancel.check()?;
+    let its = plan.depths[depth].as_slice();
+    let base = plan.cursor_base[depth];
+    let span = base..base + its.len();
+    let last = depth + 1 == plan.depths.len();
+
+    // open one cursor per slice; the seek mode is fixed here, from the
+    // slice lengths alone
+    let mut shortest = usize::MAX;
+    for (c, it) in st.cursors[span.clone()].iter_mut().zip(its) {
+        let (lo, hi) = st.ranges[it.slot];
+        *c = Cursor { rest: &it.vals[lo..hi], end: hi, gallop: false };
+        shortest = shortest.min(hi - lo);
+    }
+    if shortest == 0 {
+        return Ok(true);
+    }
+    for c in &mut st.cursors[span.clone()] {
+        c.gallop = c.rest.len() / GALLOP_RATIO >= shortest;
+    }
+
+    if last && its.len() == 1 && matches!(sink, Sink::Count) {
+        // nothing to intersect: the slice's length is the count
+        st.count += shortest as u64;
+        return Ok(true);
+    }
+
+    while let Some(value) = align(&mut st.cursors[span.clone()], &mut st.seeks) {
+        if !last {
+            st.assignment[depth] = value;
+            for (c, it) in st.cursors[span.clone()].iter().zip(its) {
+                if let Some(child) = it.child {
+                    let p = c.pos();
+                    st.ranges[it.slot + 1] = (child[p] as usize, child[p + 1] as usize);
+                }
+            }
+            if !descend(plan, st, depth + 1, sink)? {
+                return Ok(false);
+            }
+        } else {
+            match sink {
+                Sink::Count => st.count += 1,
+                Sink::Visit(visit) => {
+                    plan.cancel.check()?;
+                    st.assignment[depth] = value;
+                    if !visit(&st.assignment) {
+                        return Ok(false);
+                    }
+                }
+            }
+        }
+        if !advance(&mut st.cursors[span.clone()], &mut st.seeks) {
+            break;
+        }
+    }
+    Ok(true)
+}
+
+/// The cold entry point behind every non-catalog function: fresh views
+/// over already bound atoms.
+fn run_cold(
+    atoms: &[BoundAtom],
+    order: &[Var],
+    cancel: &CancelToken,
+    sink: Sink<'_>,
+) -> Result<JoinWork, EvalError> {
+    if atoms.iter().any(|a| a.rel.is_empty()) {
+        return Ok(JoinWork { completed: true, ..JoinWork::default() });
+    }
+    let pos = position_map(order);
+    let prepared: Vec<PreparedAtom> = atoms
+        .iter()
+        .map(|a| {
+            let (cols, depths) = atom_layout(&a.vars, &pos);
+            PreparedAtom { view: Arc::new(SortedView::new(&a.rel, &cols)), depths }
+        })
+        .collect();
+    run_prepared(&prepared, order.len(), cancel, sink)
 }
 
 /// Run the generic join over `atoms` with the given global variable
@@ -98,7 +389,7 @@ pub fn generic_join_visit(
         .expect("a never-token cannot cancel")
 }
 
-/// [`generic_join_visit`] polling `cancel` at every search level: a
+/// [`generic_join_visit`] polling `cancel` at every search node: a
 /// tripped token aborts the join mid-descent with
 /// [`EvalError::Cancelled`], discarding whatever the visitor saw.
 pub fn generic_join_visit_cancel(
@@ -107,19 +398,7 @@ pub fn generic_join_visit_cancel(
     cancel: &CancelToken,
     visit: &mut dyn FnMut(&[Val]) -> bool,
 ) -> Result<bool, EvalError> {
-    if atoms.iter().any(|a| a.rel.is_empty()) {
-        return Ok(true);
-    }
-    let pos = position_map(order);
-    let prepared: Vec<PreparedAtom> = atoms
-        .iter()
-        .map(|a| {
-            let (cols, depths) = atom_layout(&a.vars, &pos);
-            let view = Arc::new(SortedView::new(&a.rel, &cols));
-            PreparedAtom { view, depths }
-        })
-        .collect();
-    run_prepared(&prepared, order.len(), cancel, visit)
+    Ok(run_cold(atoms, order, cancel, Sink::Visit(visit))?.completed)
 }
 
 /// [`generic_join_visit`] with all index acquisition routed through the
@@ -139,7 +418,7 @@ pub fn generic_join_visit_catalog(
 }
 
 /// [`generic_join_visit_catalog`] polling `cancel` at every search
-/// level.
+/// node.
 pub fn generic_join_visit_catalog_cancel(
     q: &ConjunctiveQuery,
     db: &Database,
@@ -148,6 +427,18 @@ pub fn generic_join_visit_catalog_cancel(
     cancel: &CancelToken,
     visit: &mut dyn FnMut(&[Val]) -> bool,
 ) -> Result<bool, EvalError> {
+    Ok(run_catalog(q, db, order, catalog, cancel, Sink::Visit(visit))?.completed)
+}
+
+/// The catalog entry point behind every `*_catalog_cancel` function.
+fn run_catalog(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    order: &[Var],
+    catalog: &IndexCatalog,
+    cancel: &CancelToken,
+    sink: Sink<'_>,
+) -> Result<JoinWork, EvalError> {
     // validate every atom first (error parity with `bind`), and return
     // before building any view if some relation is empty
     let mut rels: Vec<&cq_data::Relation> = Vec::with_capacity(q.atoms().len());
@@ -155,7 +446,7 @@ pub fn generic_join_visit_catalog_cancel(
         rels.push(validate_atom(&atom.relation, &atom.vars, db)?);
     }
     if rels.iter().any(|r| r.is_empty()) {
-        return Ok(true);
+        return Ok(JoinWork { completed: true, ..JoinWork::default() });
     }
     let pos = position_map(order);
     let mut prepared: Vec<PreparedAtom> = Vec::with_capacity(q.atoms().len());
@@ -177,140 +468,94 @@ pub fn generic_join_visit_catalog_cancel(
         };
         prepared.push(PreparedAtom { view, depths });
     }
-    run_prepared(&prepared, order.len(), cancel, visit)
-}
-
-/// Position of the first row in `view[range]` whose column `col` is
-/// `>= value`, by galloping (exponential) search from the range start
-/// (rows in the range share their first `col` columns, so the column is
-/// sorted within the range). Callers pass ranges starting at the
-/// current leapfrog cursor, so successive seeks pay O(log gap) in the
-/// distance actually advanced rather than O(log |range|) each.
-fn lower_bound(
-    view: &SortedView,
-    range: &std::ops::Range<usize>,
-    col: usize,
-    value: Val,
-) -> usize {
-    let (start, end) = (range.start, range.end);
-    if start >= end || view.row(start)[col] >= value {
-        return start;
-    }
-    // gallop: view.row(prev)[col] < value holds throughout
-    let mut prev = start;
-    let mut step = 1usize;
-    loop {
-        let probe = prev.saturating_add(step).min(end);
-        if probe < end && view.row(probe)[col] < value {
-            prev = probe;
-            step <<= 1;
-            continue;
-        }
-        // binary search in (prev, probe]
-        let (mut lo, mut hi) = (prev + 1, probe);
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if view.row(mid)[col] < value {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        return lo;
-    }
-}
-
-fn search(
-    prepared: &[PreparedAtom],
-    involved: &[Vec<(usize, usize)>],
-    depth: usize,
-    assignment: &mut Vec<Val>,
-    ranges: &mut Vec<std::ops::Range<usize>>,
-    cancel: &CancelToken,
-    visit: &mut dyn FnMut(&[Val]) -> bool,
-) -> Result<bool, EvalError> {
-    // poll on entry, not in the visitor: joins that produce no results
-    // still descend here constantly, so this is the live check site
-    cancel.check()?;
-    if depth == involved.len() {
-        return Ok(visit(assignment));
-    }
-    let inv = &involved[depth];
-    // leapfrog: maintain a candidate value; every involved atom must
-    // offer it.
-    let mut cursors: Vec<usize> = inv.iter().map(|&(ai, _)| ranges[ai].start).collect();
-    // initial candidate: max of first values
-    let mut candidate: Val = 0;
-    for (ci, &(ai, lc)) in inv.iter().enumerate() {
-        if cursors[ci] >= ranges[ai].end {
-            return Ok(true); // some atom has no rows left
-        }
-        candidate = candidate.max(prepared[ai].view.row(cursors[ci])[lc]);
-    }
-    'outer: loop {
-        // align all cursors to candidate
-        for (ci, &(ai, lc)) in inv.iter().enumerate() {
-            let pos = lower_bound(
-                &prepared[ai].view,
-                &(cursors[ci]..ranges[ai].end),
-                lc,
-                candidate,
-            );
-            cursors[ci] = pos;
-            if pos >= ranges[ai].end {
-                return Ok(true); // exhausted
-            }
-            let v = prepared[ai].view.row(pos)[lc];
-            if v > candidate {
-                candidate = v;
-                continue 'outer; // realign from the first atom
-            }
-        }
-        // all atoms agree on `candidate`: narrow ranges to the value group
-        assignment[depth] = candidate;
-        let saved: Vec<std::ops::Range<usize>> =
-            inv.iter().map(|&(ai, _)| ranges[ai].clone()).collect();
-        for (ci, &(ai, lc)) in inv.iter().enumerate() {
-            let start = cursors[ci];
-            let end = lower_bound(
-                &prepared[ai].view,
-                &(start..ranges[ai].end),
-                lc,
-                candidate + 1,
-            );
-            ranges[ai] = start..end;
-        }
-        let deeper =
-            search(prepared, involved, depth + 1, assignment, ranges, cancel, visit);
-        // restore ranges
-        for (ci, &(ai, _)) in inv.iter().enumerate() {
-            ranges[ai] = saved[ci].clone();
-        }
-        if !deeper? {
-            return Ok(false);
-        }
-        // advance past `candidate`
-        let mut new_candidate = candidate;
-        for (ci, &(ai, lc)) in inv.iter().enumerate() {
-            let pos = lower_bound(
-                &prepared[ai].view,
-                &(cursors[ci]..ranges[ai].end),
-                lc,
-                candidate + 1,
-            );
-            cursors[ci] = pos;
-            if pos >= ranges[ai].end {
-                return Ok(true);
-            }
-            new_candidate = new_candidate.max(prepared[ai].view.row(pos)[lc]);
-        }
-        candidate = new_candidate.max(candidate + 1);
-    }
+    run_prepared(&prepared, order.len(), cancel, sink)
 }
 
 /// Default variable order: interning order.
 pub fn default_order(q: &ConjunctiveQuery) -> Vec<Var> {
     q.vars().collect()
+}
+
+/// Positions in `order` of the free variables (interning order).
+fn free_positions(q: &ConjunctiveQuery, order: &[Var]) -> Vec<usize> {
+    q.free_vars()
+        .iter()
+        .map(|f| {
+            order.iter().position(|v| v == f).expect("order must cover all variables")
+        })
+        .collect()
+}
+
+/// Write a finished join's counters to its span.
+fn close_span(
+    span: &mut cq_obs::trace::SpanGuard,
+    rows: u64,
+    work: &JoinWork,
+    cancel: &CancelToken,
+) {
+    span.attr("rows", rows);
+    span.attr("cancel-polls", cancel.polls());
+    span.attr("seeks", work.seeks);
+}
+
+/// All answers of `q`, with `run` executing the join into a sink.
+fn answers_by(
+    q: &ConjunctiveQuery,
+    order: &[Var],
+    run: impl FnOnce(Sink<'_>) -> Result<JoinWork, EvalError>,
+) -> Result<(Relation, JoinWork), EvalError> {
+    let free_pos = free_positions(q, order);
+    let mut out = Relation::new(free_pos.len());
+    let mut buf: Vec<Val> = vec![0; free_pos.len()];
+    let work = run(Sink::Visit(&mut |assignment| {
+        for (b, &p) in buf.iter_mut().zip(&free_pos) {
+            *b = assignment[p];
+        }
+        out.push_row(&buf);
+        true
+    }))?;
+    out.normalize();
+    Ok((out, work))
+}
+
+/// Is there an answer, with `run` executing the join into a sink.
+fn decide_by(
+    run: impl FnOnce(Sink<'_>) -> Result<JoinWork, EvalError>,
+) -> Result<(bool, JoinWork), EvalError> {
+    let mut found = false;
+    let work = run(Sink::Visit(&mut |_| {
+        found = true;
+        false
+    }))?;
+    Ok((found, work))
+}
+
+/// Number of distinct free-variable projections, with `run` executing
+/// the join into a sink. The full assignments of a join query are its
+/// answers, distinct by construction, so they are counted where the last
+/// intersection finds them; only a projection needs the set.
+fn count_by(
+    q: &ConjunctiveQuery,
+    order: &[Var],
+    run: impl FnOnce(Sink<'_>) -> Result<JoinWork, EvalError>,
+) -> Result<JoinWork, EvalError> {
+    if q.is_join_query() {
+        return run(Sink::Count);
+    }
+    let free_pos = free_positions(q, order);
+    let mut set: FxHashSet<Box<[Val]>> = FxHashSet::default();
+    let mut buf: Vec<Val> = vec![0; free_pos.len()];
+    let mut work = run(Sink::Visit(&mut |assignment| {
+        for (b, &p) in buf.iter_mut().zip(&free_pos) {
+            *b = assignment[p];
+        }
+        if !set.contains(buf.as_slice()) {
+            set.insert(buf.as_slice().into());
+        }
+        true
+    }))?;
+    work.count = set.len() as u64;
+    Ok(work)
 }
 
 /// All answers of `q` (distinct projections onto the free variables),
@@ -329,20 +574,8 @@ pub fn answers_with_order(
     order: &[Var],
 ) -> Result<Relation, EvalError> {
     let atoms = bind(q, db)?;
-    let free = q.free_vars();
-    let free_pos: Vec<usize> =
-        free.iter().map(|f| order.iter().position(|v| v == f).unwrap()).collect();
-    let mut out = Relation::new(free.len());
-    let mut buf: Vec<Val> = vec![0; free.len()];
-    generic_join_visit(&atoms, order, &mut |assignment| {
-        for (b, &p) in buf.iter_mut().zip(&free_pos) {
-            *b = assignment[p];
-        }
-        out.push_row(&buf);
-        true
-    });
-    out.normalize();
-    Ok(out)
+    let never = CancelToken::never();
+    Ok(answers_by(q, order, |sink| run_cold(&atoms, order, &never, sink))?.0)
 }
 
 /// [`answers_with_order`] acquiring all indexes through the catalog: on
@@ -365,28 +598,9 @@ pub fn answers_with_order_catalog_cancel(
     cancel: &CancelToken,
 ) -> Result<Relation, EvalError> {
     let mut span = cq_obs::trace::span("op.generic-join.answers");
-    let free = q.free_vars();
-    let free_pos: Vec<usize> =
-        free.iter().map(|f| order.iter().position(|v| v == f).unwrap()).collect();
-    let mut out = Relation::new(free.len());
-    let mut buf: Vec<Val> = vec![0; free.len()];
-    generic_join_visit_catalog_cancel(
-        q,
-        db,
-        order,
-        catalog,
-        cancel,
-        &mut |assignment| {
-            for (b, &p) in buf.iter_mut().zip(&free_pos) {
-                *b = assignment[p];
-            }
-            out.push_row(&buf);
-            true
-        },
-    )?;
-    out.normalize();
-    span.attr("rows", out.len() as u64);
-    span.attr("cancel-polls", cancel.polls());
+    let (out, work) =
+        answers_by(q, order, |sink| run_catalog(q, db, order, catalog, cancel, sink))?;
+    close_span(&mut span, out.len() as u64, &work, cancel);
     Ok(out)
 }
 
@@ -403,12 +617,8 @@ pub fn decide_with_order(
     order: &[Var],
 ) -> Result<bool, EvalError> {
     let atoms = bind(q, db)?;
-    let mut found = false;
-    generic_join_visit(&atoms, order, &mut |_| {
-        found = true;
-        false
-    });
-    Ok(found)
+    let never = CancelToken::never();
+    Ok(decide_by(|sink| run_cold(&atoms, order, &never, sink))?.0)
 }
 
 /// [`decide_with_order`] acquiring all indexes through the catalog.
@@ -430,17 +640,14 @@ pub fn decide_with_order_catalog_cancel(
     cancel: &CancelToken,
 ) -> Result<bool, EvalError> {
     let mut span = cq_obs::trace::span("op.generic-join.decide");
-    let mut found = false;
-    generic_join_visit_catalog_cancel(q, db, order, catalog, cancel, &mut |_| {
-        found = true;
-        false
-    })?;
-    span.attr("rows", u64::from(found));
-    span.attr("cancel-polls", cancel.polls());
+    let (found, work) =
+        decide_by(|sink| run_catalog(q, db, order, catalog, cancel, sink))?;
+    close_span(&mut span, u64::from(found), &work, cancel);
     Ok(found)
 }
 
-/// Count *distinct free-variable projections* by materializing the
+/// Count *distinct free-variable projections*: for a join query the
+/// number of full assignments, for a projection by materializing the
 /// projection set during the join — the generic counting baseline
 /// (m^k-shaped for q*_k; Lemma 3.9 says this is essentially optimal).
 pub fn count_distinct(q: &ConjunctiveQuery, db: &Database) -> Result<u64, EvalError> {
@@ -454,19 +661,8 @@ pub fn count_distinct_with_order(
     order: &[Var],
 ) -> Result<u64, EvalError> {
     let atoms = bind(q, db)?;
-    let free = q.free_vars();
-    let free_pos: Vec<usize> =
-        free.iter().map(|f| order.iter().position(|v| v == f).unwrap()).collect();
-    let mut set: FxHashSet<Box<[Val]>> = FxHashSet::default();
-    let mut buf: Vec<Val> = vec![0; free.len()];
-    generic_join_visit(&atoms, order, &mut |assignment| {
-        for (b, &p) in buf.iter_mut().zip(&free_pos) {
-            *b = assignment[p];
-        }
-        set.insert(buf.as_slice().into());
-        true
-    });
-    Ok(set.len() as u64)
+    let never = CancelToken::never();
+    Ok(count_by(q, order, |sink| run_cold(&atoms, order, &never, sink))?.count)
 }
 
 /// [`count_distinct_with_order`] acquiring all indexes through the
@@ -489,28 +685,10 @@ pub fn count_distinct_with_order_catalog_cancel(
     cancel: &CancelToken,
 ) -> Result<u64, EvalError> {
     let mut span = cq_obs::trace::span("op.generic-join.count");
-    let free = q.free_vars();
-    let free_pos: Vec<usize> =
-        free.iter().map(|f| order.iter().position(|v| v == f).unwrap()).collect();
-    let mut set: FxHashSet<Box<[Val]>> = FxHashSet::default();
-    let mut buf: Vec<Val> = vec![0; free.len()];
-    generic_join_visit_catalog_cancel(
-        q,
-        db,
-        order,
-        catalog,
-        cancel,
-        &mut |assignment| {
-            for (b, &p) in buf.iter_mut().zip(&free_pos) {
-                *b = assignment[p];
-            }
-            set.insert(buf.as_slice().into());
-            true
-        },
-    )?;
-    span.attr("rows", set.len() as u64);
-    span.attr("cancel-polls", cancel.polls());
-    Ok(set.len() as u64)
+    let work =
+        count_by(q, order, |sink| run_catalog(q, db, order, catalog, cancel, sink))?;
+    close_span(&mut span, work.count, &work, cancel);
+    Ok(work.count)
 }
 
 #[cfg(test)]

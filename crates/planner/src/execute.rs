@@ -293,6 +293,8 @@ fn count_task(
         PlanOp::ProjectionEliminationDp => {
             count::count_free_connex_with_catalog_cancel(q, db, catalog, cancel)
         }
+        // a join query's count never materializes an answer: the engine
+        // adds up last-depth intersection sizes
         PlanOp::CountDistinctProject { order } => {
             generic_join::count_distinct_with_order_catalog_cancel(
                 q, db, order, catalog, cancel,

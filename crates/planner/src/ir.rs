@@ -56,8 +56,10 @@ pub enum PlanOp {
     /// Projection elimination along a join tree of `H ∪ {free}`, then
     /// the counting DP — free-connex counting (Thm 3.13).
     ProjectionEliminationDp,
-    /// Generic join materializing the distinct free-variable
-    /// projections, for counting on the hard side (Lemma 3.9 baseline).
+    /// Generic join counting the distinct free-variable projections, for
+    /// counting on the hard side (Lemma 3.9 baseline): a join query's
+    /// full assignments are counted as found, a projection's answers
+    /// through a materialized set.
     CountDistinctProject {
         /// Planner-chosen global variable order.
         order: Vec<Var>,

@@ -127,10 +127,15 @@ fn cyclic_hypotheses(kind: WitnessKind) -> Vec<Hypothesis> {
 }
 
 /// The planner's variable-order heuristic for generic-join operators:
-/// ascending estimated candidate count, where a variable's estimate is
+/// greedy by estimated candidate count, where a variable's estimate is
 /// the minimum distinct-value count over the atom columns it occurs in.
-/// Smallest-first minimizes the branching at the top of the leapfrog
-/// search; ties break on interning order so planning is deterministic.
+/// The cheapest variable goes first — smallest-first minimizes the
+/// branching at the top of the leapfrog search — and every later pick is
+/// the cheapest variable sharing an atom with one already chosen: a
+/// variable no atom ties to the prefix is constrained by nothing yet,
+/// and the join would enumerate its cross product with the prefix. Only
+/// a disconnected query ever falls back to the cheapest variable
+/// overall. Ties break on interning order so planning is deterministic.
 fn variable_order(q: &ConjunctiveQuery, stats: &DataStats) -> Vec<Var> {
     let n = q.n_vars();
     let mut est: Vec<u64> = vec![u64::MAX; n];
@@ -144,8 +149,27 @@ fn variable_order(q: &ConjunctiveQuery, stats: &DataStats) -> Vec<Var> {
             est[v.index()] = est[v.index()].min(d);
         }
     }
-    let mut order: Vec<Var> = q.vars().collect();
-    order.sort_by_key(|v| (est[v.index()], v.0));
+    let mut order: Vec<Var> = Vec::with_capacity(n);
+    let mut chosen: u64 = 0;
+    while order.len() < n {
+        // variables in some atom that touches the chosen prefix
+        let adjacent = q
+            .atoms()
+            .iter()
+            .map(|a| a.scope())
+            .filter(|scope| scope & chosen != 0)
+            .fold(0, |m, scope| m | scope);
+        let cheapest = |among: u64| {
+            q.vars()
+                .filter(|v| v.mask() & among & !chosen != 0)
+                .min_by_key(|v| (est[v.index()], v.0))
+        };
+        let next = cheapest(adjacent)
+            .or_else(|| cheapest(u64::MAX))
+            .expect("fewer than n variables chosen");
+        chosen |= next.mask();
+        order.push(next);
+    }
     order
 }
 
@@ -576,6 +600,111 @@ mod tests {
         let order = variable_order(&q, &stats_for(&db));
         let x = q.var_by_name("x").unwrap();
         assert_eq!(order[0], x, "cheapest column first, got {order:?}");
+    }
+
+    /// A database with one random relation per relation symbol of `q`,
+    /// each with its own row count and domain, so column estimates differ.
+    fn random_stats(q: &ConjunctiveQuery, seed: u64) -> DataStats {
+        use rand::Rng;
+        let mut rng = seeded_rng(seed);
+        let mut db = Database::new();
+        for atom in q.atoms() {
+            let domain = rng.gen_range(4..40u64);
+            let rows = rng.gen_range(1..=domain as usize);
+            let rel =
+                cq_data::generate::random_relation(atom.arity(), rows, domain, &mut rng);
+            db.insert(&atom.relation, rel);
+        }
+        stats_for(&db)
+    }
+
+    #[test]
+    fn variable_order_keeps_every_prefix_connected() {
+        // the regression: near-tied end columns used to sort first, and
+        // generic join enumerated a × d before touching b or c
+        let mut db = Database::new();
+        db.insert("R1", Relation::from_pairs((0..100).map(|i| (i % 5, i))));
+        db.insert("R2", Relation::from_pairs((0..100).map(|i| (i, i))));
+        db.insert("R3", Relation::from_pairs((0..100).map(|i| (i, i % 6))));
+        let q = zoo::path_join(3);
+        let names = |order: &[Var]| -> Vec<String> {
+            order.iter().map(|&v| q.var_name(v).to_string()).collect()
+        };
+        let order = variable_order(&q, &stats_for(&db));
+        assert_eq!(names(&order), ["x0", "x1", "x2", "x3"]);
+
+        // every zoo query with a connected hypergraph, under many
+        // different column estimates
+        let mut connected =
+            vec![zoo::triangle_join(), zoo::triangle_boolean(), zoo::matmul_projection()];
+        for k in 2..=5 {
+            connected.push(zoo::path_join(k));
+            connected.push(zoo::path_boolean(k));
+            connected.push(zoo::star_selfjoin(k));
+            connected.push(zoo::star_selfjoin_free(k));
+            connected.push(zoo::star_full(k));
+        }
+        for k in 3..=5 {
+            connected.push(zoo::cycle_join(k));
+            connected.push(zoo::cycle_boolean(k));
+            connected.push(zoo::loomis_whitney_boolean(k));
+            connected.push(zoo::clique_join(k));
+        }
+        for q in &connected {
+            let h = q.hypergraph();
+            assert!(h.is_connected_within(q.all_vars_mask()), "{q} is in the wrong list");
+            for seed in 0..20 {
+                let order = variable_order(q, &random_stats(q, seed));
+                assert_eq!(order.len(), q.n_vars());
+                let mut prefix = 0u64;
+                for v in &order {
+                    prefix |= v.mask();
+                    assert!(
+                        h.is_connected_within(prefix),
+                        "{q} (seed {seed}): prefix of {order:?} is disconnected"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn variable_order_is_plain_cheapest_first_when_all_variables_are_adjacent() {
+        // triangle and Loomis–Whitney: every two variables share an atom,
+        // so connectivity never restricts the choice
+        let qs = [
+            zoo::triangle_join(),
+            zoo::loomis_whitney_boolean(3),
+            zoo::loomis_whitney_boolean(4),
+        ];
+        for q in &qs {
+            for seed in 0..20 {
+                let stats = random_stats(q, seed);
+                let order = variable_order(q, &stats);
+                let mut sorted: Vec<Var> = q.vars().collect();
+                sorted.sort_by_key(|&v| {
+                    let est = q
+                        .atoms()
+                        .iter()
+                        .flat_map(|a| {
+                            let rel = stats.relation(&a.relation).unwrap();
+                            (a.vars.iter().enumerate())
+                                .filter(move |(_, &u)| u == v)
+                                .map(move |(c, _)| rel.distinct(c))
+                        })
+                        .min();
+                    (est, v.0)
+                });
+                assert_eq!(order, sorted, "{q} (seed {seed})");
+            }
+        }
+        // a disconnected query still gets a full order
+        let q = cq_core::parse_query("q(x, y) :- R1(x), R2(y)").unwrap();
+        let mut db = Database::new();
+        db.insert("R1", Relation::from_values(0..9));
+        db.insert("R2", Relation::from_values(0..3));
+        let order = variable_order(&q, &stats_for(&db));
+        assert_eq!(order, vec![q.var_by_name("y").unwrap(), q.var_by_name("x").unwrap()]);
     }
 
     #[test]

@@ -1,0 +1,322 @@
+//! The generic-join kernel against brute force.
+//!
+//! Every other oracle in the repository that sees a generic-join answer
+//! (the planner consistency tests' zoo, cqbench's mirror) runs the same
+//! engine in-process, so only brute force can catch a kernel bug. Random
+//! queries here have up to 4 atoms of arity up to 3 over up to 4
+//! variables, with self-joins and repeated variables; relations are
+//! empty, singletons, uniform or skewed onto one heavy key, so the
+//! level slices an intersection meets are sometimes of similar length
+//! (merge steps) and sometimes wildly different (gallop seeks); and the
+//! join runs under *every* variable order.
+//!
+//! The second half checks the kernel's work counter against the AGM
+//! bound — the theorem the algorithm is named for — and cancellation.
+
+use cq_engine::bind::{bind, brute_force_answers, brute_force_count};
+use cq_engine::{generic_join, CancelToken};
+use cq_lower_bounds::prelude::*;
+use cq_obs::trace::{self, TraceSink};
+use cq_reductions::hyperclique_to_lw::permutations;
+use proptest::prelude::*;
+use std::time::{Duration, Instant};
+
+/// The tests' own random source, so a case is a function of one `u64`.
+struct Lcg(u64);
+
+impl Lcg {
+    fn below(&mut self, n: usize) -> usize {
+        self.0 =
+            self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        ((self.0 >> 33) % n as u64) as usize
+    }
+}
+
+/// A random join query: 1–4 atoms of arity 1–3 over at most 4 variables.
+/// Two relation symbols per arity, so self-joins are common; variables
+/// are drawn with repetition, so `R(x, x)` patterns are too.
+fn random_join_query(rng: &mut Lcg) -> ConjunctiveQuery {
+    let n_vars = 1 + rng.below(4);
+    let n_atoms = 1 + rng.below(4);
+    let mut b = QueryBuilder::new("q");
+    for _ in 0..n_atoms {
+        let arity = 1 + rng.below(3);
+        let vars: Vec<Var> =
+            (0..arity).map(|_| b.var(&format!("v{}", rng.below(n_vars)))).collect();
+        b.atom(&format!("R{arity}{}", ["a", "b"][rng.below(2)]), &vars);
+    }
+    b.build().expect("every interned variable occurs in an atom")
+}
+
+/// One relation per symbol of `q`: empty, tiny or up to 60 rows, over a
+/// small or larger domain, uniform or with three rows in four sharing
+/// the first column's value 0.
+fn random_database(q: &ConjunctiveQuery, rng: &mut Lcg) -> Database {
+    let mut db = Database::new();
+    for atom in q.atoms() {
+        if db.get(&atom.relation).is_some() {
+            continue;
+        }
+        let rows = [0, 1, 1, 3, 8, 20, 60, 60][rng.below(8)];
+        let domain = [3, 6, 12][rng.below(3)];
+        let skewed = rng.below(2) == 1;
+        let mut rel = Relation::new(atom.arity());
+        for _ in 0..rows {
+            let mut row: Vec<Val> =
+                (0..atom.arity()).map(|_| rng.below(domain) as Val).collect();
+            if skewed && rng.below(4) != 0 {
+                row[0] = 0;
+            }
+            rel.push_row(&row);
+        }
+        rel.normalize();
+        db.insert(&atom.relation, rel);
+    }
+    db
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Count, answers and the raw visitor agree with brute force under
+    /// every variable order, cold and through a catalog; projections of
+    /// the same join count their distinct projections; a visitor that
+    /// stops is never called again.
+    #[test]
+    fn every_order_matches_brute_force(bits in any::<u64>()) {
+        let mut rng = Lcg(bits);
+        let q = random_join_query(&mut rng);
+        let db = random_database(&q, &mut rng);
+        let projection = q.with_free_mask(rng.below(1 << q.n_vars()) as u64);
+        let stop_after = 1 + rng.below(5);
+
+        let want = brute_force_answers(&q, &db).unwrap();
+        let want_n = brute_force_count(&q, &db).unwrap();
+        prop_assert_eq!(want.len() as u64, want_n);
+        let want_projected = brute_force_count(&projection, &db).unwrap();
+
+        let atoms = bind(&q, &db).unwrap();
+        let catalog = IndexCatalog::new();
+        let vars: Vec<Var> = q.vars().collect();
+        let positions: Vec<Val> = (0..vars.len() as Val).collect();
+        for order in permutations(&positions) {
+            let order: Vec<Var> = order.iter().map(|&i| vars[i as usize]).collect();
+            let got = generic_join::answers_with_order(&q, &db, &order).unwrap();
+            prop_assert_eq!(&got, &want, "answers of {} under {:?}", q, order);
+            let n = generic_join::count_distinct_with_order(&q, &db, &order).unwrap();
+            prop_assert_eq!(n, want_n, "count of {} under {:?}", q, order);
+            let n = generic_join::count_distinct_with_order_catalog(&q, &db, &order, &catalog)
+                .unwrap();
+            prop_assert_eq!(n, want_n, "catalog count of {} under {:?}", q, order);
+            let n = generic_join::count_distinct_with_order_catalog(
+                &projection, &db, &order, &catalog,
+            )
+            .unwrap();
+            prop_assert_eq!(n, want_projected, "count of {} under {:?}", projection, order);
+
+            // the raw visitor: assignments arrive in `order`, each one
+            // satisfies every atom, and `false` ends the join at once
+            let mut visits = 0;
+            let completed = generic_join::generic_join_visit(&atoms, &order, &mut |a| {
+                visits += 1;
+                let mut row = vec![0; order.len()];
+                for (v, &val) in order.iter().zip(a) {
+                    row[v.index()] = val;
+                }
+                assert!(want.contains(&row), "{row:?} is not an answer of {q}");
+                visits < stop_after
+            });
+            prop_assert_eq!(visits, stop_after.min(want.len()), "visits of {} under {:?}", q, order);
+            prop_assert_eq!(completed, want.len() < stop_after);
+        }
+    }
+}
+
+/// The `seeks` attribute of the one `op.generic-join.count` span a
+/// catalog count of `q` records, and the count itself.
+fn traced_count(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    catalog: &IndexCatalog,
+) -> (u64, u64) {
+    let sink = TraceSink::enabled();
+    let order = generic_join::default_order(q);
+    let n = trace::with(&sink, || {
+        generic_join::count_distinct_with_order_catalog(q, db, &order, catalog).unwrap()
+    });
+    let trace = sink.finish("test", &q.to_string()).expect("the sink is enabled");
+    let mut seeks = None;
+    trace.visit(|_, span| {
+        if span.name == "op.generic-join.count" {
+            assert_eq!(span.attr("rows"), Some(n));
+            seeks = span.attr("seeks");
+        }
+    });
+    (n, seeks.expect("the count span carries a `seeks` attribute"))
+}
+
+/// The work counter is a theorem check: generic join's seeks stay within
+/// a constant times the AGM bound m^ρ* (Thm 3.2's m^{3/2} for the
+/// triangle; optimal for Loomis–Whitney by Thm 3.5), with one constant
+/// across sizes, on sparse, dense and worst-case (full) instances — and
+/// the counter is exact, so it repeats.
+#[test]
+fn seeks_stay_within_the_agm_bound() {
+    const C: f64 = 4.0;
+    let shapes = [
+        (
+            "triangle",
+            cq_core::parse_query("q(x, y, z) :- E(x, y), E(y, z), E(z, x)").unwrap(),
+        ),
+        ("lw3", zoo::loomis_whitney_boolean(3).join_version()),
+    ];
+    for (name, q) in &shapes {
+        let rho = cq_core::agm::agm_exponent(q).expect("no isolated variables");
+        assert!((rho - 1.5).abs() < 1e-9, "{name}: ρ* = {rho}");
+        for m in [1000usize, 2000, 4000] {
+            let side = (m as f64).sqrt();
+            // domain √m is the full relation, where the join has m^{3/2}
+            // answers and the bound is tight
+            for domain in [side.ceil() as u64, (2.0 * side) as u64, (6.0 * side) as u64] {
+                let mut rng = cq_data::generate::seeded_rng(m as u64 + domain);
+                let rows = m.min((domain * domain) as usize);
+                let rel = cq_data::generate::random_pairs(rows, domain, &mut rng);
+                let mut db = Database::new();
+                for atom in q.atoms() {
+                    db.insert(&atom.relation, rel.clone());
+                }
+                let catalog = IndexCatalog::new();
+                let (n, seeks) = traced_count(q, &db, &catalog);
+                assert_eq!(
+                    n,
+                    brute_force_triangles(&rel, q),
+                    "{name} m={m} domain={domain}"
+                );
+                let agm = (rows as f64).powf(rho);
+                assert!(
+                    (seeks as f64) <= C * agm,
+                    "{name} m={m} domain={domain}: {seeks} seeks > {C} · m^{rho} = {}",
+                    C * agm
+                );
+                let again = traced_count(q, &db, &catalog);
+                assert_eq!(
+                    again,
+                    (n, seeks),
+                    "{name} m={m}: the counter must repeat exactly"
+                );
+            }
+        }
+    }
+}
+
+/// Triangles of `rel` as both shapes above see them, by adjacency lists:
+/// the cyclic `E(x,y), E(y,z), E(z,x)` and Loomis–Whitney's
+/// `R1(x2,x3), R2(x1,x3), R3(x1,x2)` over the same pairs.
+fn brute_force_triangles(rel: &Relation, q: &ConjunctiveQuery) -> u64 {
+    let cyclic = q.atoms()[0].relation == "E";
+    let mut n = 0;
+    for ab in rel.iter() {
+        for i in rel.prefix_range(&[ab[1]]) {
+            let bc = rel.row(i);
+            let closing = if cyclic { [bc[1], ab[0]] } else { [ab[0], bc[1]] };
+            n += u64::from(rel.contains(&closing));
+        }
+    }
+    n
+}
+
+#[test]
+fn an_expired_deadline_trips_before_any_work() {
+    let q = zoo::triangle_join();
+    let db = cq_data::generate::triangle_database(&cq_data::generate::random_pairs(
+        200,
+        30,
+        &mut cq_data::generate::seeded_rng(1),
+    ));
+    let order = generic_join::default_order(&q);
+    let catalog = IndexCatalog::new();
+    // a fresh token per call: only a token's first poll is unstrided
+    let expired = || CancelToken::with_timeout(Duration::ZERO);
+    let token = expired();
+    let mut visits = 0;
+    let got = generic_join::generic_join_visit_catalog_cancel(
+        &q,
+        &db,
+        &order,
+        &catalog,
+        &token,
+        &mut |_| {
+            visits += 1;
+            true
+        },
+    );
+    assert_eq!(got, Err(EvalError::Cancelled));
+    assert_eq!(visits, 0);
+    assert_eq!(token.polls(), 1, "the join's first poll is a real one");
+    assert_eq!(
+        generic_join::count_distinct_with_order_catalog_cancel(
+            &q,
+            &db,
+            &order,
+            &catalog,
+            &expired()
+        ),
+        Err(EvalError::Cancelled)
+    );
+    assert_eq!(
+        generic_join::decide_with_order_catalog_cancel(
+            &q,
+            &db,
+            &order,
+            &catalog,
+            &expired()
+        ),
+        Err(EvalError::Cancelled)
+    );
+}
+
+#[test]
+fn a_deadline_passing_mid_join_aborts_lw4() {
+    // LW4 over the full [12]^3: 12^4 = 20 736 answers, far more than one
+    // poll stride, so the join cannot finish before it notices
+    let q = zoo::loomis_whitney_boolean(4).join_version();
+    let db = cq_data::generate::lw_database(4, &cq_data::generate::full_relation(3, 12));
+    let order = generic_join::default_order(&q);
+    let catalog = IndexCatalog::new();
+    // build the views first: the deadline is to pass inside the join
+    assert!(generic_join::decide_with_order_catalog(&q, &db, &order, &catalog).unwrap());
+
+    let deadline = Instant::now() + Duration::from_millis(250);
+    let token = CancelToken::with_deadline(deadline);
+    let mut visits = 0u32;
+    let got = generic_join::generic_join_visit_catalog_cancel(
+        &q,
+        &db,
+        &order,
+        &catalog,
+        &token,
+        &mut |_| {
+            if visits == 0 {
+                // sit on the first answer until the deadline has passed
+                std::thread::sleep(
+                    deadline.saturating_duration_since(Instant::now())
+                        + Duration::from_millis(2),
+                );
+            }
+            visits += 1;
+            true
+        },
+    );
+    assert_eq!(got, Err(EvalError::Cancelled));
+    assert!(visits >= 1, "the token must trip inside the join, not before it");
+    assert!(
+        visits <= cq_engine::cancel::STRIDE + 1,
+        "{visits} answers after the deadline: the join polls at least once per answer"
+    );
+    assert!(token.is_cancelled());
+    // the counting sink takes the same exit
+    let count = generic_join::count_distinct_with_order_catalog_cancel(
+        &q, &db, &order, &catalog, &token,
+    );
+    assert_eq!(count, Err(EvalError::Cancelled));
+}

@@ -22,7 +22,8 @@ use cq_core::query::zoo;
 use cq_core::ConjunctiveQuery;
 use cq_data::generate as gen;
 use cq_data::{Database, IndexCatalog};
-use cq_planner::{build_lex_access_with_catalog, EvalCtx, Planner, Task};
+use cq_engine::ExecCtx;
+use cq_planner::{build_lex_access, EvalCtx, Planner, Task};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
 fn run(
@@ -108,16 +109,16 @@ fn bench_access_reuse(c: &mut Criterion) {
 
     g.bench_function("star2_lex_build_and_probe/cold", |b| {
         b.iter(|| {
-            let cat = IndexCatalog::new();
-            let da = build_lex_access_with_catalog(&plan, &q, &db, &cat).unwrap();
+            let da = build_lex_access(&ExecCtx::cold(), &plan, &q, &db).unwrap();
             black_box(da.access(da.len() / 2))
         })
     });
-    let warm = IndexCatalog::new();
-    build_lex_access_with_catalog(&plan, &q, &db, &warm).unwrap();
+    let catalog = IndexCatalog::new();
+    let warm = ExecCtx::warm(&catalog);
+    build_lex_access(&warm, &plan, &q, &db).unwrap();
     g.bench_function("star2_lex_build_and_probe/warm", |b| {
         b.iter(|| {
-            let da = build_lex_access_with_catalog(&plan, &q, &db, &warm).unwrap();
+            let da = build_lex_access(&warm, &plan, &q, &db).unwrap();
             black_box(da.access(da.len() / 2))
         })
     });

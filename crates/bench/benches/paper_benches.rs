@@ -6,10 +6,9 @@
 //! every algorithm the paper credits.
 
 use cq_core::query::zoo;
-use cq_core::Var;
 use cq_data::generate as gen;
 use cq_data::{Database, Relation, Val};
-use cq_engine::direct_access::DirectAccess;
+use cq_engine::{generic_join, DirectAccess, ExecCtx};
 use cq_problems::Graph;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::Rng;
@@ -21,7 +20,9 @@ fn bench_e01_yannakakis(c: &mut Criterion) {
         let db = gen::path_database(3, m / 3, &mut gen::seeded_rng(m as u64));
         let q = zoo::path_boolean(3);
         g.bench_with_input(BenchmarkId::new("path3_decide", m), &m, |b, _| {
-            b.iter(|| cq_engine::yannakakis::decide_acyclic(&q, &db).unwrap())
+            b.iter(|| {
+                cq_engine::yannakakis::decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap()
+            })
         });
     }
     g.finish();
@@ -47,10 +48,16 @@ fn bench_e02_triangle(c: &mut Criterion) {
     let edges = cq_reductions::triangle_to_testing::edge_relation(&graph);
     let db = gen::triangle_database(&edges);
     g.bench_function("query_ayz", |b| {
-        b.iter(|| cq_engine::triangle_query::decide_triangle_ayz(&db, delta).unwrap())
+        b.iter(|| {
+            cq_engine::triangle_query::decide_triangle_ayz(&ExecCtx::cold(), &db, delta)
+                .unwrap()
+        })
     });
     g.bench_function("query_generic_join", |b| {
-        b.iter(|| cq_engine::triangle_query::decide_triangle_generic(&db).unwrap())
+        b.iter(|| {
+            cq_engine::triangle_query::decide_triangle_generic(&ExecCtx::cold(), &db)
+                .unwrap()
+        })
     });
     g.finish();
 }
@@ -66,8 +73,9 @@ fn bench_e03_cyclic(c: &mut Criterion) {
         b.iter(|| cq_reductions::triangle_to_query::build(&q, &graph).unwrap())
     });
     let db = cq_reductions::triangle_to_query::build(&q, &graph).unwrap();
+    let order = generic_join::default_order(&q);
     g.bench_function("evaluate_c4", |b| {
-        b.iter(|| cq_engine::generic_join::decide(&q, &db).unwrap())
+        b.iter(|| generic_join::decide(&ExecCtx::cold(), &q, &db, &order).unwrap())
     });
     g.finish();
 }
@@ -79,15 +87,15 @@ fn bench_e04_lw(c: &mut Criterion) {
         let rel = gen::full_relation(k - 1, d);
         let db = gen::lw_database(k, &rel);
         let q = zoo::loomis_whitney_boolean(k).join_version();
-        let atoms = cq_engine::bind::bind(&q, &db).unwrap();
-        let order: Vec<Var> = q.vars().collect();
+        let order = generic_join::default_order(&q);
         g.bench_with_input(BenchmarkId::new("enumerate_all", k), &k, |b, _| {
             b.iter(|| {
                 let mut count = 0u64;
-                cq_engine::generic_join::generic_join_visit(&atoms, &order, &mut |_| {
+                generic_join::visit(&ExecCtx::cold(), &q, &db, &order, &mut |_| {
                     count += 1;
                     true
-                });
+                })
+                .unwrap();
                 count
             })
         });
@@ -100,8 +108,11 @@ fn bench_e05_star_count(c: &mut Criterion) {
     let mut g = c.benchmark_group("e05_star_counting");
     let q = zoo::star_selfjoin(2);
     let db = gen::star_database(2, 1_000, 1, &mut gen::seeded_rng(3));
+    let order = generic_join::default_order(&q);
     g.bench_function("count_qstar2_m1000", |b| {
-        b.iter(|| cq_engine::generic_join::count_distinct(&q, &db).unwrap())
+        b.iter(|| {
+            generic_join::count_distinct(&ExecCtx::cold(), &q, &db, &order).unwrap()
+        })
     });
     g.finish();
 }
@@ -112,12 +123,16 @@ fn bench_e06_count(c: &mut Criterion) {
     let db = gen::path_database(3, 50_000, &mut gen::seeded_rng(4));
     let join = zoo::path_join(3);
     g.bench_function("acyclic_join_dp", |b| {
-        b.iter(|| cq_engine::count::count_acyclic_join(&join, &db).unwrap())
+        b.iter(|| {
+            cq_engine::count::count_acyclic_join(&ExecCtx::cold(), &join, &db).unwrap()
+        })
     });
     let fc =
         cq_core::parse_query("q(x0, x1) :- R1(x0,x1), R2(x1,x2), R3(x2,x3)").unwrap();
     g.bench_function("free_connex", |b| {
-        b.iter(|| cq_engine::count::count_free_connex(&fc, &db).unwrap())
+        b.iter(|| {
+            cq_engine::count::count_free_connex(&ExecCtx::cold(), &fc, &db).unwrap()
+        })
     });
     let qmm = zoo::matmul_projection();
     let mut rng = gen::seeded_rng(5);
@@ -130,8 +145,11 @@ fn bench_e06_count(c: &mut Criterion) {
         "R2",
         Relation::from_pairs((0..2_000).map(|i| (rng.gen_range(0..4u64), i as Val))),
     );
+    let order = generic_join::default_order(&qmm);
     g.bench_function("materialization_qmm", |b| {
-        b.iter(|| cq_engine::generic_join::count_distinct(&qmm, &db2).unwrap())
+        b.iter(|| {
+            generic_join::count_distinct(&ExecCtx::cold(), &qmm, &db2, &order).unwrap()
+        })
     });
     g.finish();
 }
@@ -142,11 +160,12 @@ fn bench_e07_enumeration(c: &mut Criterion) {
     let q = zoo::star_full(2);
     let db = gen::star_database(2, 100_000, 64, &mut gen::seeded_rng(6));
     g.bench_function("preprocess_qhat2", |b| {
-        b.iter(|| cq_engine::Enumerator::preprocess(&q, &db).unwrap())
+        b.iter(|| cq_engine::Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap())
     });
     g.bench_function("enumerate_100k_answers", |b| {
         b.iter(|| {
-            let mut e = cq_engine::Enumerator::preprocess(&q, &db).unwrap();
+            let mut e =
+                cq_engine::Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
             let mut count = 0u64;
             e.for_each(|_| {
                 count += 1;
@@ -168,9 +187,11 @@ fn bench_e08_e09_direct_access(c: &mut Criterion) {
     let x2 = q.var_by_name("x2").unwrap();
     let good = vec![z, x1, x2];
     g.bench_function("build_trio_free", |b| {
-        b.iter(|| cq_engine::LexDirectAccess::build(&q, &db, &good).unwrap())
+        b.iter(|| {
+            cq_engine::LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &good).unwrap()
+        })
     });
-    let da = cq_engine::LexDirectAccess::build(&q, &db, &good).unwrap();
+    let da = cq_engine::LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &good).unwrap();
     let n = da.len();
     g.bench_function("access_random", |b| {
         let mut rng = gen::seeded_rng(8);
@@ -179,7 +200,10 @@ fn bench_e08_e09_direct_access(c: &mut Criterion) {
     let small = gen::star_database(2, 2_000, 16, &mut gen::seeded_rng(9));
     let bad = vec![x1, x2, z];
     g.bench_function("build_disrupted_materialize", |b| {
-        b.iter(|| cq_engine::MaterializedDirectAccess::build(&q, &small, &bad).unwrap())
+        b.iter(|| {
+            cq_engine::MaterializedDirectAccess::build(&ExecCtx::cold(), &q, &small, &bad)
+                .unwrap()
+        })
     });
     g.finish();
 }
@@ -195,7 +219,10 @@ fn bench_e10_sum_order(c: &mut Criterion) {
     let ws: Vec<i64> = (0..400_000).map(|_| rng.gen_range(0..1000)).collect();
     let wf = |v: Val| ws[v as usize];
     g.bench_function("covering_atom_build", |b| {
-        b.iter(|| cq_engine::SumOrderAccess::build_covering_atom(&q, &db, &wf).unwrap())
+        b.iter(|| {
+            cq_engine::SumOrderAccess::build_covering_atom(&ExecCtx::cold(), &q, &db, &wf)
+                .unwrap()
+        })
     });
     let inst =
         cq_problems::three_sum::ThreeSumInstance::random(400, 1_000_000, false, &mut rng);

@@ -17,6 +17,7 @@ use cq_core::query::zoo;
 use cq_core::ConjunctiveQuery;
 use cq_data::generate as gen;
 use cq_data::{DataStats, Database};
+use cq_engine::ExecCtx;
 use cq_planner::{execute, Planner, Task};
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -90,7 +91,9 @@ fn bench_dispatch_end_to_end(c: &mut Criterion) {
         })
     });
     g.bench_function("path3_decide/direct_engine", |b| {
-        b.iter(|| cq_engine::yannakakis::decide_acyclic(&q, &db).unwrap())
+        b.iter(|| {
+            cq_engine::yannakakis::decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap()
+        })
     });
 
     // acyclic join counting: planner vs. counting DP directly
@@ -105,7 +108,9 @@ fn bench_dispatch_end_to_end(c: &mut Criterion) {
         })
     });
     g.bench_function("path3_count/direct_engine", |b| {
-        b.iter(|| cq_engine::count::count_acyclic_join(&q, &db).unwrap())
+        b.iter(|| {
+            cq_engine::count::count_acyclic_join(&ExecCtx::cold(), &q, &db).unwrap()
+        })
     });
 
     // cyclic decision: planner vs. generic join directly
@@ -119,8 +124,11 @@ fn bench_dispatch_end_to_end(c: &mut Criterion) {
             execute(&plan, &q, &db).unwrap()
         })
     });
+    let order = cq_engine::generic_join::default_order(&q);
     g.bench_function("triangle_decide/direct_engine", |b| {
-        b.iter(|| cq_engine::generic_join::decide(&q, &db).unwrap())
+        b.iter(|| {
+            cq_engine::generic_join::decide(&ExecCtx::cold(), &q, &db, &order).unwrap()
+        })
     });
 
     // statistics collection, the per-database planning input

@@ -7,11 +7,12 @@
 
 use crate::table::{fmt_exp, fmt_secs, Table};
 use cq_core::query::zoo;
-use cq_core::Var;
 use cq_data::generate as gen;
 use cq_data::{Database, Relation, Val};
 use cq_engine::direct_access::{test_prefix, DirectAccess};
-use cq_engine::{LexDirectAccess, MaterializedDirectAccess, SumOrderAccess};
+use cq_engine::{
+    generic_join, ExecCtx, LexDirectAccess, MaterializedDirectAccess, SumOrderAccess,
+};
 use cq_matrix::omega::{ayz_delta, ayz_exponent, fit_exponent, time_secs};
 use cq_problems::Graph;
 use rand::Rng;
@@ -66,8 +67,9 @@ pub fn e01_yannakakis(quick: bool) -> Table {
         let mut pts = Vec::new();
         for &m in &sizes {
             let db = gen::path_database(k, m / k, &mut gen::seeded_rng(m as u64));
-            let (dt, res) =
-                time_secs(|| cq_engine::yannakakis::decide_acyclic(&q, &db).unwrap());
+            let (dt, res) = time_secs(|| {
+                cq_engine::yannakakis::decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap()
+            });
             pts.push((db.size() as f64, dt.max(1e-9)));
             t.row(vec![
                 name.into(),
@@ -159,14 +161,16 @@ pub fn e03_cyclic_embedding(quick: bool) -> Table {
             sweep(quick, &[2_000, 4_000, 8_000], &[1_000, 2_000, 4_000])
         };
         let q = zoo::cycle_boolean(cyc);
+        let order = generic_join::default_order(&q);
         let mut pts = Vec::new();
         for &m in &sizes {
             let n = 2 * (m as f64).sqrt() as usize + 2;
             let g = Graph::random_bipartite(n, m, &mut gen::seeded_rng(m as u64));
             let (t_build, db) =
                 time_secs(|| cq_reductions::triangle_to_query::build(&q, &g).unwrap());
-            let (t_eval, res) =
-                time_secs(|| cq_engine::generic_join::decide(&q, &db).unwrap());
+            let (t_eval, res) = time_secs(|| {
+                generic_join::decide(&ExecCtx::cold(), &q, &db, &order).unwrap()
+            });
             assert!(!res, "bipartite graphs are triangle-free");
             pts.push((db.size() as f64, t_eval.max(1e-9)));
             t.row(vec![
@@ -208,14 +212,14 @@ pub fn e04_loomis_whitney(quick: bool) -> Table {
         for &d in &ds {
             let rel = gen::full_relation(k - 1, d as Val);
             let db = gen::lw_database(k, &rel);
-            let atoms = cq_engine::bind::bind(&q, &db).unwrap();
-            let order: Vec<Var> = q.vars().collect();
+            let order = generic_join::default_order(&q);
             let (dt, count) = time_secs(|| {
                 let mut c = 0u64;
-                cq_engine::generic_join::generic_join_visit(&atoms, &order, &mut |_| {
+                generic_join::visit(&ExecCtx::cold(), &q, &db, &order, &mut |_| {
                     c += 1;
                     true
-                });
+                })
+                .unwrap();
                 c
             });
             assert_eq!(count, (d as u64).pow(k as u32), "AGM-tight instance");
@@ -253,17 +257,18 @@ pub fn e05_star_counting(quick: bool) -> Table {
         (3, vec![60, 120, 240], vec![30, 60, 120]),
     ] {
         let q = zoo::star_selfjoin(k);
+        let order = generic_join::default_order(&q);
         let mut pts = Vec::new();
         for &m in if quick { &ms_quick } else { &ms_full } {
             // single hub: every pair/triple of left values is an answer
             let db = gen::star_database(k, m, 1, &mut gen::seeded_rng(m as u64));
             // warmup run: the first execution after a large drop pays
             // allocator/page-reclaim costs that would pollute the fit
-            std::hint::black_box(
-                cq_engine::generic_join::count_distinct(&q, &db).unwrap(),
-            );
-            let (dt, count) =
-                time_secs(|| cq_engine::generic_join::count_distinct(&q, &db).unwrap());
+            let count_cold = || {
+                generic_join::count_distinct(&ExecCtx::cold(), &q, &db, &order).unwrap()
+            };
+            std::hint::black_box(count_cold());
+            let (dt, count) = time_secs(count_cold);
             pts.push((db.size() as f64, dt.max(1e-9)));
             t.row(vec![
                 k.to_string(),
@@ -377,8 +382,9 @@ pub fn e07_enumeration(quick: bool) -> Table {
     let mut prep_pts = Vec::new();
     for &m in &sizes {
         let db = gen::star_database(2, m, 64, &mut gen::seeded_rng(m as u64));
-        let (t_prep, mut e) =
-            time_secs(|| cq_engine::Enumerator::preprocess(&q, &db).unwrap());
+        let (t_prep, mut e) = time_secs(|| {
+            cq_engine::Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap()
+        });
         let mut max_delay = 0f64;
         let mut last = std::time::Instant::now();
         let mut count = 0u64;
@@ -409,11 +415,14 @@ pub fn e07_enumeration(quick: bool) -> Table {
 
     // hard side: q̄*_2 through materialization
     let qh = zoo::star_selfjoin_free(2);
+    let order = generic_join::default_order(&qh);
     let sizes = sweep(quick, &[1_000, 2_000, 4_000, 8_000], &[500, 1_000, 2_000]);
     let mut pts = Vec::new();
     for &m in &sizes {
         let db = gen::star_database(2, m, 8, &mut gen::seeded_rng(m as u64));
-        let (dt, rel) = time_secs(|| cq_engine::generic_join::answers(&qh, &db).unwrap());
+        let (dt, rel) = time_secs(|| {
+            generic_join::answers(&ExecCtx::cold(), &qh, &db, &order).unwrap()
+        });
         pts.push((db.size() as f64, dt.max(1e-9)));
         t.row(vec![
             "q̄*_2 (not free-connex)".into(),
@@ -452,8 +461,9 @@ pub fn e08_direct_access(quick: bool) -> Table {
     let mut build_pts = Vec::new();
     for &m in &sizes {
         let db = gen::star_database(2, m, 256, &mut gen::seeded_rng(m as u64));
-        let (t_build, da) =
-            time_secs(|| LexDirectAccess::build(&q, &db, &order).unwrap());
+        let (t_build, da) = time_secs(|| {
+            LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap()
+        });
         let n = da.len();
         let probes = 1_000u64;
         let mut rng = gen::seeded_rng(m as u64 + 1);
@@ -521,10 +531,15 @@ pub fn e09_disruptive_trio(quick: bool) -> Table {
     let (mut p_good, mut p_bad) = (Vec::new(), Vec::new());
     for &m in &sizes {
         let db = gen::star_database(2, m, 16, &mut gen::seeded_rng(m as u64));
-        let (t_good, da) = time_secs(|| LexDirectAccess::build(&q, &db, &good).unwrap());
-        assert!(LexDirectAccess::build(&q, &db, &bad).is_err(), "trio must be rejected");
+        let ctx = ExecCtx::cold();
+        let (t_good, da) =
+            time_secs(|| LexDirectAccess::build(&ctx, &q, &db, &good).unwrap());
+        assert!(
+            LexDirectAccess::build(&ctx, &q, &db, &bad).is_err(),
+            "trio must be rejected"
+        );
         let (t_bad, mat) =
-            time_secs(|| MaterializedDirectAccess::build(&q, &db, &bad).unwrap());
+            time_secs(|| MaterializedDirectAccess::build(&ctx, &q, &db, &bad).unwrap());
         assert_eq!(da.len(), mat.len());
         p_good.push((db.size() as f64, t_good.max(1e-9)));
         p_bad.push((db.size() as f64, t_bad.max(1e-9)));
@@ -565,8 +580,9 @@ pub fn e10_sum_order(quick: bool) -> Table {
         db.insert("R", rel);
         let ws: Vec<i64> = (0..4 * m).map(|_| rng.gen_range(0..1000)).collect();
         let wf = |v: Val| ws[v as usize];
-        let (dt, da) =
-            time_secs(|| SumOrderAccess::build_covering_atom(&q1, &db, &wf).unwrap());
+        let (dt, da) = time_secs(|| {
+            SumOrderAccess::build_covering_atom(&ExecCtx::cold(), &q1, &db, &wf).unwrap()
+        });
         p_easy.push((m as f64, dt.max(1e-9)));
         t.row(vec![
             "covering atom".into(),
@@ -588,7 +604,8 @@ pub fn e10_sum_order(quick: bool) -> Table {
         let red = cq_reductions::three_sum_to_sum_da::build(&inst);
         let wf = |v: Val| red.weights[v as usize];
         let (dt, da) = time_secs(|| {
-            SumOrderAccess::build_materialized(&red.query, &red.db, &wf).unwrap()
+            SumOrderAccess::build_materialized(&ExecCtx::cold(), &red.query, &red.db, &wf)
+                .unwrap()
         });
         p_hard.push((n as f64, dt.max(1e-9)));
         t.row(vec![

@@ -16,8 +16,9 @@
 //!   (runtime = AGM bound; the embedding says m^{5/4} is a conditional
 //!   floor, so no algorithm here can be linear).
 
-use crate::bind::{bind, BoundAtom, EvalError};
-use crate::generic_join::generic_join_visit;
+use crate::bind::{bind, distinct_vars, BoundAtom, EvalError};
+use crate::ctx::ExecCtx;
+use crate::generic_join;
 use crate::yannakakis::join_tree_of;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, Var};
@@ -158,18 +159,17 @@ pub fn aggregate_generic<S: Semiring>(
     if !q.is_join_query() {
         return Err(EvalError::NotJoinQuery);
     }
-    let atoms = bind(q, db)?;
-    let order: Vec<Var> = q.vars().collect();
-    // per atom: projection of the global assignment onto its vars
-    let projections: Vec<Vec<usize>> = atoms
+    let order = generic_join::default_order(q);
+    // per atom: projection of the global assignment onto its distinct
+    // vars (the interning order puts `Var(i)` at position `i`)
+    let projections: Vec<Vec<usize>> = q
+        .atoms()
         .iter()
-        .map(|a| {
-            a.vars.iter().map(|v| order.iter().position(|u| u == v).unwrap()).collect()
-        })
+        .map(|a| distinct_vars(&a.vars).iter().map(|v| v.index()).collect())
         .collect();
     let mut total = sr.zero();
     let mut rowbuf: Vec<Val> = Vec::new();
-    generic_join_visit(&atoms, &order, &mut |assignment| {
+    generic_join::visit(&ExecCtx::cold(), q, db, &order, &mut |assignment| {
         let mut w = sr.one();
         for (ai, proj) in projections.iter().enumerate() {
             rowbuf.clear();
@@ -178,7 +178,7 @@ pub fn aggregate_generic<S: Semiring>(
         }
         total = sr.add(&total, &w);
         true
-    });
+    })?;
     Ok(total)
 }
 
@@ -208,7 +208,10 @@ mod tests {
         let q = zoo::path_join(3);
         let ones: WeightFn<u64> = &|_, _| 1u64;
         let agg = aggregate_acyclic_join(&q, &db, ones, &CountingSemiring).unwrap();
-        assert_eq!(agg, crate::count::count_acyclic_join(&q, &db).unwrap());
+        assert_eq!(
+            agg,
+            crate::count::count_acyclic_join(&ExecCtx::cold(), &q, &db).unwrap()
+        );
         let agg2 = aggregate_generic(&q, &db, ones, &CountingSemiring).unwrap();
         assert_eq!(agg2, agg);
     }

@@ -35,6 +35,10 @@ pub enum EvalError {
     /// estimated cost breaks the caller's evaluation budget. The
     /// message carries the violated cap.
     OverBudget(String),
+    /// The answer count does not fit the `u64` every counting surface
+    /// reports (e.g. a five-way star over 10⁴-row relations sharing one
+    /// hub value has 10²⁰ answers).
+    CountOverflow,
 }
 
 impl fmt::Display for EvalError {
@@ -51,6 +55,7 @@ impl fmt::Display for EvalError {
             EvalError::Unsupported(s) => write!(f, "unsupported: {s}"),
             EvalError::Cancelled => write!(f, "evaluation cancelled before completion"),
             EvalError::OverBudget(s) => write!(f, "over budget: {s}"),
+            EvalError::CountOverflow => write!(f, "answer count exceeds u64"),
         }
     }
 }
@@ -162,17 +167,6 @@ pub fn brute_force_answers(
     q: &ConjunctiveQuery,
     db: &Database,
 ) -> Result<Relation, EvalError> {
-    brute_force_answers_cancel(q, db, &crate::cancel::CancelToken::never())
-}
-
-/// [`brute_force_answers`] polling `cancel` once per candidate value —
-/// the backtracking search is exponential, so even the oracle must be
-/// interruptible.
-pub fn brute_force_answers_cancel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    cancel: &crate::cancel::CancelToken,
-) -> Result<Relation, EvalError> {
     let atoms = bind(q, db)?;
     let n = q.n_vars();
     // candidate values per variable: intersection of column values
@@ -202,16 +196,14 @@ pub fn brute_force_answers_cancel(
         free: &[Var],
         out: &mut Relation,
         buf: &mut Vec<Val>,
-        cancel: &crate::cancel::CancelToken,
-    ) -> Result<(), EvalError> {
+    ) {
         if v == n {
             buf.clear();
             buf.extend(free.iter().map(|f| assignment[f.index()]));
             out.push_row(buf);
-            return Ok(());
+            return;
         }
         'vals: for &val in &domains[v] {
-            cancel.check()?;
             assignment[v] = val;
             // check all atoms fully within assigned prefix 0..=v
             for a in atoms {
@@ -226,12 +218,11 @@ pub fn brute_force_answers_cancel(
                     }
                 }
             }
-            rec(v + 1, n, domains, atoms, assignment, free, out, buf, cancel)?;
+            rec(v + 1, n, domains, atoms, assignment, free, out, buf);
         }
-        Ok(())
     }
     let mut buf = Vec::with_capacity(free.len());
-    rec(0, n, &domains, &atoms, &mut assignment, &free, &mut out, &mut buf, cancel)?;
+    rec(0, n, &domains, &atoms, &mut assignment, &free, &mut out, &mut buf);
     out.normalize();
     Ok(out)
 }

@@ -68,8 +68,7 @@ impl std::fmt::Debug for CancelToken {
 }
 
 impl CancelToken {
-    /// A token that never cancels — the default for every legacy entry
-    /// point.
+    /// A token that never cancels.
     pub fn never() -> Self {
         CancelToken {
             deadline: None,

@@ -15,6 +15,7 @@
 //! from the query's classification.
 
 use crate::bind::{bind, BoundAtom, EvalError};
+use crate::ctx::ExecCtx;
 use crate::semijoin::semijoin;
 use crate::yannakakis;
 use cq_core::hypergraph::mask_vertices;
@@ -24,22 +25,20 @@ use cq_data::{Database, FxHashMap, Val};
 /// The counting DP over a join tree: each node aggregates, per parent
 /// key, the semiring-weighted count of its subtree's joinable tuples.
 /// Tuples that fail to join get weight 0 automatically, so no prior
-/// semijoin reduction is required.
+/// semijoin reduction is required. The token is polled once per
+/// aggregated row: the DP is O(m) per node, so the row loop is where a
+/// deadline must be able to interrupt it.
 ///
-/// Counts are accumulated in u128 and must fit u64 at the root.
-pub fn count_dp(atoms: &[BoundAtom], tree: &JoinTree) -> u64 {
-    count_dp_cancel(atoms, tree, &crate::cancel::CancelToken::never())
-        .expect("a never-token cannot cancel")
-}
-
-/// [`count_dp`] polling `cancel` once per aggregated row: the DP is
-/// O(m) per node, so the row loop is where a deadline must be able to
-/// interrupt it.
-pub fn count_dp_cancel(
+/// Weights are u128 and saturate: every weight is a count, so a
+/// saturated one stays "at least 2¹²⁸ − 1" through further products and
+/// sums, a dangling row drops it with weight 0, and a total that does
+/// not fit u64 — saturated or not — is [`EvalError::CountOverflow`].
+pub fn count_dp(
+    ctx: &ExecCtx,
     atoms: &[BoundAtom],
     tree: &JoinTree,
-    cancel: &crate::cancel::CancelToken,
 ) -> Result<u64, EvalError> {
+    let cancel = ctx.cancel();
     // per node: map from parent-key values to summed subtree weights
     let mut msgs: Vec<Option<FxHashMap<Box<[Val]>, u128>>> = vec![None; atoms.len()];
     let mut total: u128 = 1;
@@ -86,62 +85,38 @@ pub fn count_dp_cancel(
             keybuf.extend(key_cols.iter().map(|&cc| row[cc]));
             // box the key only the first time it is seen
             if let Some(sum) = msg.get_mut(keybuf.as_slice()) {
-                *sum += w;
+                *sum = sum.saturating_add(w);
             } else {
                 msg.insert(keybuf.as_slice().into(), w);
             }
         }
         if u == tree.root() {
-            total = msg.values().sum();
+            total = msg.values().fold(0, |t, &w| t.saturating_add(w));
         }
         msgs[u] = Some(msg);
     }
-    Ok(u64::try_from(total).expect("answer count exceeds u64"))
+    u64::try_from(total).map_err(|_| EvalError::CountOverflow)
 }
 
-/// Count answers of an acyclic *join* query in O(m) (Theorem 3.8).
-pub fn count_acyclic_join(q: &ConjunctiveQuery, db: &Database) -> Result<u64, EvalError> {
-    if !q.is_join_query() {
-        return Err(EvalError::NotJoinQuery);
-    }
-    let atoms = bind(q, db)?;
-    let tree = yannakakis::join_tree_of(q)?;
-    Ok(count_dp(&atoms, &tree))
-}
-
-/// [`count_acyclic_join`] with the bound atoms memoized in the catalog:
-/// repeated counts of the same query skip the bind (relation clones and
-/// repeated-variable collapsing) and pay for the DP only.
-pub fn count_acyclic_join_with_catalog(
+/// Count answers of an acyclic *join* query in O(m) (Theorem 3.8). The
+/// bound atoms are memoized in the catalog: repeated counts of the same
+/// query skip the bind (relation clones and repeated-variable
+/// collapsing) and pay for the DP only.
+pub fn count_acyclic_join(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
-    catalog: &cq_data::IndexCatalog,
-) -> Result<u64, EvalError> {
-    count_acyclic_join_with_catalog_cancel(
-        q,
-        db,
-        catalog,
-        &crate::cancel::CancelToken::never(),
-    )
-}
-
-/// [`count_acyclic_join_with_catalog`] under a
-/// [`CancelToken`](crate::cancel::CancelToken).
-pub fn count_acyclic_join_with_catalog_cancel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &cq_data::IndexCatalog,
-    cancel: &crate::cancel::CancelToken,
 ) -> Result<u64, EvalError> {
     if !q.is_join_query() {
         return Err(EvalError::NotJoinQuery);
     }
     let mut span = cq_obs::trace::span("op.count-acyclic");
-    let atoms = catalog.artifact(db, "bound_atoms", &q.to_string(), || bind(q, db))?;
+    let atoms =
+        ctx.catalog().artifact(db, "bound_atoms", &q.to_string(), || bind(q, db))?;
     let tree = yannakakis::join_tree_of(q)?;
-    let n = count_dp_cancel(&atoms, &tree, cancel)?;
+    let n = count_dp(ctx, &atoms, &tree)?;
     span.attr("rows", n);
-    span.attr("cancel-polls", cancel.polls());
+    span.attr("cancel-polls", ctx.cancel().polls());
     Ok(n)
 }
 
@@ -153,21 +128,14 @@ pub fn count_acyclic_join_with_catalog_cancel(
 /// Construction: join tree of `H ∪ {free}` rooted at the virtual free
 /// edge; bottom-up, each node is semijoined with its children's messages
 /// and projected onto its parent key. The root's children's messages are
-/// the new atoms (the "q' is an acyclic join query" of [14, §4.1]).
+/// the new atoms (the "q' is an acyclic join query" of [14, §4.1]). The
+/// token is polled between the per-node semijoin/projection passes.
 pub fn eliminate_projections(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
 ) -> Result<Option<Vec<BoundAtom>>, EvalError> {
-    eliminate_projections_cancel(q, db, &crate::cancel::CancelToken::never())
-}
-
-/// [`eliminate_projections`] polling `cancel` between per-node
-/// semijoin/projection passes.
-pub fn eliminate_projections_cancel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    cancel: &crate::cancel::CancelToken,
-) -> Result<Option<Vec<BoundAtom>>, EvalError> {
+    let cancel = ctx.cancel();
     let atoms = bind(q, db)?;
     let free = q.free_mask();
     assert!(free != 0, "projection elimination needs free variables");
@@ -246,80 +214,39 @@ pub fn eliminate_projections_cancel(
     Ok(Some(out))
 }
 
-/// Count answers of a free-connex query in O(m) (Theorem 3.13).
-pub fn count_free_connex(q: &ConjunctiveQuery, db: &Database) -> Result<u64, EvalError> {
-    if q.is_boolean() {
-        return Ok(if yannakakis::decide_acyclic(q, db)? { 1 } else { 0 });
-    }
-    let msgs = match eliminate_projections(q, db)? {
-        Some(m) => m,
-        None => return Ok(0),
-    };
-    count_eliminated(q, &msgs)
-}
-
-/// [`count_free_connex`] with the projection-elimination messages
-/// memoized in the catalog: the semijoin/projection phase (the bulk of
-/// the linear-time preprocessing) runs once per database state, and
-/// repeated counts pay for the DP over the (typically smaller) messages
-/// only.
-pub fn count_free_connex_with_catalog(
+/// Count answers of a free-connex query in O(m) (Theorem 3.13). The
+/// projection-elimination messages are memoized in the catalog: the
+/// semijoin/projection phase (the bulk of the linear-time
+/// preprocessing) runs once per database state, and repeated counts pay
+/// for the DP over the (typically smaller) messages only. Both phases
+/// poll the token.
+pub fn count_free_connex(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
-    catalog: &cq_data::IndexCatalog,
-) -> Result<u64, EvalError> {
-    count_free_connex_with_catalog_cancel(
-        q,
-        db,
-        catalog,
-        &crate::cancel::CancelToken::never(),
-    )
-}
-
-/// [`count_free_connex_with_catalog`] under a
-/// [`CancelToken`](crate::cancel::CancelToken): both the
-/// projection-elimination preprocessing (when cold) and the DP poll it.
-pub fn count_free_connex_with_catalog_cancel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &cq_data::IndexCatalog,
-    cancel: &crate::cancel::CancelToken,
 ) -> Result<u64, EvalError> {
     if q.is_boolean() {
-        let res = yannakakis::decide_acyclic_with_catalog_cancel(q, db, catalog, cancel)?;
-        return Ok(u64::from(res));
+        return Ok(u64::from(yannakakis::decide_acyclic(ctx, q, db)?));
     }
     let mut span = cq_obs::trace::span("op.count-free-connex");
     let mut cold = false;
-    let msgs = catalog.artifact(db, "elim_msgs", &q.to_string(), || {
+    let msgs = ctx.catalog().artifact(db, "elim_msgs", &q.to_string(), || {
         cold = true;
-        eliminate_projections_cancel(q, db, cancel)
+        eliminate_projections(ctx, q, db)
     })?;
     span.attr("cold-build", u64::from(cold));
     let n = match &*msgs {
-        Some(m) => count_eliminated_cancel(q, m, cancel)?,
+        // `q'` is an acyclic join query over the free variables
+        Some(m) => {
+            let tree = yannakakis::join_tree_of_atoms(m, q.n_vars())
+                .ok_or(EvalError::NotFreeConnex)?;
+            count_dp(ctx, m, &tree)?
+        }
         None => 0,
     };
     span.attr("rows", n);
-    span.attr("cancel-polls", cancel.polls());
+    span.attr("cancel-polls", ctx.cancel().polls());
     Ok(n)
-}
-
-/// The shared DP over projection-elimination messages: `q'` is an
-/// acyclic join query over the free variables.
-fn count_eliminated(q: &ConjunctiveQuery, msgs: &[BoundAtom]) -> Result<u64, EvalError> {
-    count_eliminated_cancel(q, msgs, &crate::cancel::CancelToken::never())
-}
-
-fn count_eliminated_cancel(
-    q: &ConjunctiveQuery,
-    msgs: &[BoundAtom],
-    cancel: &crate::cancel::CancelToken,
-) -> Result<u64, EvalError> {
-    let scopes: Vec<u64> = msgs.iter().map(BoundAtom::scope).collect();
-    let h = cq_core::Hypergraph::new(q.n_vars(), scopes);
-    let tree = cq_core::gyo::join_tree(&h).ok_or(EvalError::NotFreeConnex)?;
-    count_dp_cancel(msgs, &tree, cancel)
 }
 
 #[cfg(test)]
@@ -333,13 +260,19 @@ mod tests {
     };
     use cq_data::Relation;
 
+    /// The materialization baseline, one-shot in interning order.
+    fn count_distinct(q: &ConjunctiveQuery, db: &Database) -> u64 {
+        let order = crate::generic_join::default_order(q);
+        crate::generic_join::count_distinct(&ExecCtx::cold(), q, db, &order).unwrap()
+    }
+
     #[test]
     fn count_path_join_matches_brute_force() {
         for k in 2..=4 {
             let db = path_database(k, 60, &mut seeded_rng(k as u64));
             let q = zoo::path_join(k);
             assert_eq!(
-                count_acyclic_join(&q, &db).unwrap(),
+                count_acyclic_join(&ExecCtx::cold(), &q, &db).unwrap(),
                 brute_force_count(&q, &db).unwrap(),
                 "k={k}"
             );
@@ -351,7 +284,7 @@ mod tests {
         let db = star_database(3, 100, 6, &mut seeded_rng(9));
         let q = zoo::star_full(3);
         assert_eq!(
-            count_acyclic_join(&q, &db).unwrap(),
+            count_acyclic_join(&ExecCtx::cold(), &q, &db).unwrap(),
             brute_force_count(&q, &db).unwrap()
         );
     }
@@ -360,7 +293,8 @@ mod tests {
     fn count_join_rejects_projection() {
         let db = star_database(2, 10, 2, &mut seeded_rng(1));
         assert_eq!(
-            count_acyclic_join(&zoo::star_selfjoin(2), &db).unwrap_err(),
+            count_acyclic_join(&ExecCtx::cold(), &zoo::star_selfjoin(2), &db)
+                .unwrap_err(),
             EvalError::NotJoinQuery
         );
     }
@@ -372,7 +306,7 @@ mod tests {
         let q = parse_query("q(x0, x1) :- R1(x0, x1), R2(x1, x2)").unwrap();
         assert!(cq_core::free_connex::is_free_connex(&q));
         assert_eq!(
-            count_free_connex(&q, &db).unwrap(),
+            count_free_connex(&ExecCtx::cold(), &q, &db).unwrap(),
             brute_force_count(&q, &db).unwrap()
         );
     }
@@ -386,7 +320,7 @@ mod tests {
                 .unwrap();
         assert!(cq_core::free_connex::is_free_connex(&q));
         assert_eq!(
-            count_free_connex(&q, &db).unwrap(),
+            count_free_connex(&ExecCtx::cold(), &q, &db).unwrap(),
             brute_force_count(&q, &db).unwrap()
         );
     }
@@ -395,7 +329,7 @@ mod tests {
     fn count_boolean_query() {
         let db = path_database(3, 40, &mut seeded_rng(4));
         let q = zoo::path_boolean(3);
-        let c = count_free_connex(&q, &db).unwrap();
+        let c = count_free_connex(&ExecCtx::cold(), &q, &db).unwrap();
         assert!(c <= 1);
         assert_eq!(c == 1, crate::bind::brute_force_decide(&q, &db).unwrap());
     }
@@ -405,8 +339,7 @@ mod tests {
         // the materialization baseline the planner falls back to on the
         // hard side of the counting dichotomy
         let db2 = star_database(2, 50, 4, &mut seeded_rng(6));
-        let c =
-            crate::generic_join::count_distinct(&zoo::star_selfjoin(2), &db2).unwrap();
+        let c = count_distinct(&zoo::star_selfjoin(2), &db2);
         assert_eq!(c, brute_force_count(&zoo::star_selfjoin(2), &db2).unwrap());
     }
 
@@ -415,8 +348,7 @@ mod tests {
         let edges = random_pairs(50, 12, &mut seeded_rng(7));
         let db = triangle_database(&edges);
         let q = zoo::triangle_join();
-        let c = crate::generic_join::count_distinct(&q, &db).unwrap();
-        assert_eq!(c, brute_force_count(&q, &db).unwrap());
+        assert_eq!(count_distinct(&q, &db), brute_force_count(&q, &db).unwrap());
     }
 
     #[test]
@@ -426,10 +358,10 @@ mod tests {
         db.insert("R", Relation::from_values(vec![1, 2]));
         db.insert("S", Relation::new(2));
         let q = parse_query("q(x) :- R(x), S(y, z)").unwrap();
-        assert_eq!(count_free_connex(&q, &db).unwrap(), 0);
+        assert_eq!(count_free_connex(&ExecCtx::cold(), &q, &db).unwrap(), 0);
         // S nonempty → |R| answers
         db.insert("S", Relation::from_pairs(vec![(7, 8)]));
-        assert_eq!(count_free_connex(&q, &db).unwrap(), 2);
+        assert_eq!(count_free_connex(&ExecCtx::cold(), &q, &db).unwrap(), 2);
     }
 
     #[test]
@@ -439,39 +371,50 @@ mod tests {
             let q = zoo::star_selfjoin_free(k);
             // k = 1 is free-connex; k ≥ 2 takes the materialization baseline
             let c = if cq_core::free_connex::is_free_connex(&q) {
-                count_free_connex(&q, &db).unwrap()
+                count_free_connex(&ExecCtx::cold(), &q, &db).unwrap()
             } else {
-                crate::generic_join::count_distinct(&q, &db).unwrap()
+                count_distinct(&q, &db)
             };
             assert_eq!(c, brute_force_count(&q, &db).unwrap(), "k={k}");
         }
     }
 
     #[test]
-    fn catalog_counting_matches_plain() {
-        let cat = cq_data::IndexCatalog::new();
-        let db = path_database(3, 60, &mut seeded_rng(21));
-        let q = zoo::path_join(3);
-        let want = count_acyclic_join(&q, &db).unwrap();
-        assert_eq!(count_acyclic_join_with_catalog(&q, &db, &cat).unwrap(), want);
-        let before = cat.snapshot();
-        assert_eq!(count_acyclic_join_with_catalog(&q, &db, &cat).unwrap(), want);
-        assert_eq!(cat.snapshot().misses, before.misses, "bound atoms memoized");
-
-        let fc = parse_query("q(x0, x1) :- R1(x0, x1), R2(x1, x2)").unwrap();
-        let db = path_database(2, 80, &mut seeded_rng(22));
-        let want = count_free_connex(&fc, &db).unwrap();
-        assert_eq!(count_free_connex_with_catalog(&fc, &db, &cat).unwrap(), want);
-        let before = cat.snapshot();
-        assert_eq!(count_free_connex_with_catalog(&fc, &db, &cat).unwrap(), want);
-        assert_eq!(cat.snapshot().misses, before.misses, "messages memoized");
-
-        // boolean routes through the catalog decide
-        let qb = zoo::path_boolean(2);
-        assert_eq!(
-            count_free_connex_with_catalog(&qb, &db, &cat).unwrap(),
-            count_free_connex(&qb, &db).unwrap()
-        );
+    fn count_overflow_is_an_error_not_a_panic() {
+        // five relations sharing one hub value: (2^13)^5 = 2^65 answers
+        let n: Val = 1 << 13;
+        let spokes = Relation::from_pairs((0..n).map(|a| (a, 0)));
+        let mut db = Database::new();
+        for i in 1..=5 {
+            db.insert(&format!("R{i}"), spokes.clone());
+        }
+        let q =
+            parse_query("q(a,b,c,d,e,z) :- R1(a,z), R2(b,z), R3(c,z), R4(d,z), R5(e,z)")
+                .unwrap();
+        let ctx = ExecCtx::cold();
+        assert_eq!(count_acyclic_join(&ctx, &q, &db), Err(EvalError::CountOverflow));
+        // one spoke fewer fits: 2^52
+        let q4 =
+            parse_query("q(a,b,c,d,z) :- R1(a,z), R2(b,z), R3(c,z), R4(d,z)").unwrap();
+        assert_eq!(count_acyclic_join(&ctx, &q4, &db), Ok(1 << 52));
+        // ten spokes saturate the u128 accumulator itself (2^130): still
+        // an error, and a dangling hub above the saturated subtree still
+        // counts zero
+        let body: Vec<String> = (1..=10).map(|i| format!("S{i}(x{i}, z)")).collect();
+        let head: Vec<String> = (1..=10).map(|i| format!("x{i}")).collect();
+        let q10 = parse_query(&format!(
+            "q({}, z, w) :- {}, T(z, w)",
+            head.join(", "),
+            body.join(", ")
+        ))
+        .unwrap();
+        for i in 1..=10 {
+            db.insert(&format!("S{i}"), spokes.clone());
+        }
+        db.insert("T", Relation::from_pairs(vec![(0, 7)]));
+        assert_eq!(count_acyclic_join(&ctx, &q10, &db), Err(EvalError::CountOverflow));
+        db.insert("T", Relation::from_pairs(vec![(1, 7)]));
+        assert_eq!(count_acyclic_join(&ctx, &q10, &db), Ok(0));
     }
 
     #[test]
@@ -481,7 +424,7 @@ mod tests {
         db.insert("R1", Relation::from_pairs(vec![(1, 2), (9, 9)]));
         db.insert("R2", Relation::from_pairs(vec![(2, 3)]));
         let q = zoo::path_join(2);
-        assert_eq!(count_acyclic_join(&q, &db).unwrap(), 1);
+        assert_eq!(count_acyclic_join(&ExecCtx::cold(), &q, &db).unwrap(), 1);
     }
 
     #[test]
@@ -489,7 +432,7 @@ mod tests {
         let db = star_database(1, 30, 3, &mut seeded_rng(11));
         let q = zoo::star_selfjoin(1); // q(x1) :- R(x1, z): free-connex
         assert_eq!(
-            count_free_connex(&q, &db).unwrap(),
+            count_free_connex(&ExecCtx::cold(), &q, &db).unwrap(),
             brute_force_count(&q, &db).unwrap()
         );
     }

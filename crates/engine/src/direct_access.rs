@@ -22,11 +22,13 @@
 //! array.
 
 use crate::bind::{bind, BoundAtom, EvalError};
+use crate::cancel::CancelToken;
+use crate::ctx::ExecCtx;
 use crate::generic_join;
-use crate::yannakakis::{downward_sweep, upward_sweep};
+use crate::yannakakis::{downward_sweep, join_tree_of_atoms, upward_sweep};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::{Database, IndexCatalog, SortedView, Val};
+use cq_data::{Database, SortedView, Val};
 use std::sync::Arc;
 
 /// Uniform interface for direct-access structures: a simulated sorted
@@ -74,33 +76,26 @@ pub struct MaterializedDirectAccess {
 }
 
 impl MaterializedDirectAccess {
-    /// Materialize `q(D)` by generic join and sort by `order`.
+    /// Materialize `q(D)` by generic join and sort by `order`,
+    /// memoized in the catalog: repeated `access` workloads on an
+    /// unchanged database pay the Θ(|q(D)|) materialization once.
     pub fn build(
+        ctx: &ExecCtx,
         q: &ConjunctiveQuery,
         db: &Database,
         order: &[Var],
-    ) -> Result<Self, EvalError> {
+    ) -> Result<Arc<Self>, EvalError> {
         if !q.is_join_query() {
             return Err(EvalError::NotJoinQuery);
         }
-        let rel = generic_join::answers(q, db)?;
-        // rel columns are the free vars in interning order = all vars
-        let mut rows: Vec<Vec<Val>> = rel.iter().map(|r| r.to_vec()).collect();
-        rows.sort_by(|a, b| lex_cmp(a, b, order));
-        Ok(MaterializedDirectAccess { rows })
-    }
-
-    /// [`MaterializedDirectAccess::build`] memoized in the catalog:
-    /// repeated `access` workloads on an unchanged database pay the
-    /// Θ(|q(D)|) materialization once.
-    pub fn build_with_catalog(
-        q: &ConjunctiveQuery,
-        db: &Database,
-        order: &[Var],
-        catalog: &IndexCatalog,
-    ) -> Result<Arc<Self>, EvalError> {
         let key = format!("{q}|{order:?}");
-        catalog.artifact(db, "mat_da", &key, || Self::build(q, db, order))
+        ctx.catalog().artifact(db, "mat_da", &key, || {
+            let rel = generic_join::answers(ctx, q, db, &generic_join::default_order(q))?;
+            // rel columns are the free vars in interning order = all vars
+            let mut rows: Vec<Vec<Val>> = rel.iter().map(|r| r.to_vec()).collect();
+            rows.sort_by(|a, b| lex_cmp(a, b, order));
+            Ok(MaterializedDirectAccess { rows })
+        })
     }
 }
 
@@ -132,7 +127,7 @@ pub struct LexDirectAccess {
     nodes: Vec<Node>,
     root: usize,
     n_vars: usize,
-    total: u128,
+    total: u64,
 }
 
 /// Check the two compatibility conditions of a rooted tree w.r.t. an
@@ -212,61 +207,56 @@ impl LexDirectAccess {
     /// Try to build the efficient structure for join query `q` and the
     /// lexicographic order `order`. Fails with `Unsupported` when no
     /// ⪯-compatible tree is found (disrupted orders; fall back to
-    /// [`MaterializedDirectAccess`]).
+    /// [`MaterializedDirectAccess`]), and with `CountOverflow` when the
+    /// simulated array would have more than `u64::MAX` positions.
+    ///
+    /// Memoized in the catalog: the O(m log m) preprocessing (tree
+    /// search, reduction, views, prefix sums) runs once per database
+    /// state; repeated `access` calls pay Õ(log m) each and nothing else.
     pub fn build(
+        ctx: &ExecCtx,
         q: &ConjunctiveQuery,
         db: &Database,
         order: &[Var],
-    ) -> Result<Self, EvalError> {
+    ) -> Result<Arc<Self>, EvalError> {
         if !q.is_join_query() {
             return Err(EvalError::NotJoinQuery);
         }
         assert_eq!(order.len(), q.n_vars(), "order must cover all variables");
-        let atoms = bind(q, db)?;
-        Self::build_from_atoms(atoms, q.n_vars(), order).map_err(|e| match e {
-            EvalError::Unsupported(_) => EvalError::Unsupported(format!(
-                "no ⪯-compatible join tree for order {:?} (disruptive trio: {:?})",
-                order.iter().map(|&v| q.var_name(v).to_string()).collect::<Vec<_>>(),
-                cq_core::disruptive_trio::find_disruptive_trio(q, order).map(
-                    |t| format!(
-                        "({}, {}, {})",
-                        q.var_name(t.y1),
-                        q.var_name(t.y2),
-                        q.var_name(t.y3)
-                    )
-                )
-            )),
-            other => other,
-        })
-    }
-
-    /// [`LexDirectAccess::build`] memoized in the catalog: the
-    /// O(m log m) preprocessing (tree search, reduction, views, prefix
-    /// sums) runs once per database state; repeated `access` calls pay
-    /// Õ(log m) each and nothing else.
-    pub fn build_with_catalog(
-        q: &ConjunctiveQuery,
-        db: &Database,
-        order: &[Var],
-        catalog: &IndexCatalog,
-    ) -> Result<Arc<Self>, EvalError> {
         let key = format!("{q}|{order:?}");
-        catalog.artifact(db, "lex_da", &key, || Self::build(q, db, order))
+        ctx.catalog().artifact(db, "lex_da", &key, || {
+            let atoms = bind(q, db)?;
+            Self::build_from_atoms(ctx, atoms, q.n_vars(), order).map_err(|e| match e {
+                EvalError::Unsupported(_) => EvalError::Unsupported(format!(
+                    "no ⪯-compatible join tree for order {:?} (disruptive trio: {:?})",
+                    order.iter().map(|&v| q.var_name(v).to_string()).collect::<Vec<_>>(),
+                    cq_core::disruptive_trio::find_disruptive_trio(q, order).map(|t| {
+                        format!(
+                            "({}, {}, {})",
+                            q.var_name(t.y1),
+                            q.var_name(t.y2),
+                            q.var_name(t.y3)
+                        )
+                    })
+                )),
+                other => other,
+            })
+        })
     }
 
     /// Build directly from bound atoms (the entry point used by
     /// [`crate::fc_direct_access::FreeConnexDirectAccess`], whose atoms are projection-elimination
     /// messages rather than database relations). `order` must cover
     /// exactly the variables occurring in the atoms; other variable
-    /// indices `< n_vars` stay 0 in the output.
+    /// indices `< n_vars` stay 0 in the output. Unshared; the token is
+    /// polled per tree node and per weighted row.
     pub fn build_from_atoms(
+        ctx: &ExecCtx,
         mut atoms: Vec<BoundAtom>,
         n_vars: usize,
         order: &[Var],
     ) -> Result<Self, EvalError> {
-        let scopes: Vec<u64> = atoms.iter().map(BoundAtom::scope).collect();
-        let h = cq_core::Hypergraph::new(n_vars, scopes);
-        let base = cq_core::gyo::join_tree(&h).ok_or(EvalError::NotAcyclic)?;
+        let base = join_tree_of_atoms(&atoms, n_vars).ok_or(EvalError::NotAcyclic)?;
         // search: every reroot, plain and flattened
         let mut chosen: Option<JoinTree> = None;
         'search: for r in 0..base.n_nodes() {
@@ -285,13 +275,15 @@ impl LexDirectAccess {
         })?;
 
         // full reduction → every tuple participates in an answer
+        ctx.cancel().check_now()?;
         upward_sweep(&mut atoms, &tree);
         downward_sweep(&mut atoms, &tree);
 
-        Self::from_reduced(&atoms, n_vars, &tree, order)
+        Self::from_reduced(ctx.cancel(), &atoms, n_vars, &tree, order)
     }
 
     fn from_reduced(
+        cancel: &CancelToken,
         atoms: &[BoundAtom],
         n_vars: usize,
         tree: &JoinTree,
@@ -313,6 +305,7 @@ impl LexDirectAccess {
 
         let mut nodes: Vec<Option<Node>> = (0..n).map(|_| None).collect();
         for &u in &tree.bottom_up() {
+            cancel.check_now()?;
             let a = &atoms[u];
             let key_vars: Vec<Var> =
                 mask_vertices(tree.key_mask(u)).map(|v| Var(v as u32)).collect();
@@ -342,6 +335,7 @@ impl LexDirectAccess {
             cumw.push(0);
             let mut keybuf: Vec<Val> = Vec::new();
             for i in 0..view.len() {
+                cancel.check()?;
                 let row = view.row(i);
                 // need values by variable: view columns are permuted
                 let mut w: u128 = 1;
@@ -361,8 +355,9 @@ impl LexDirectAccess {
                     let s = cnode.cumw[r.end] - cnode.cumw[r.start];
                     w = w.saturating_mul(s);
                 }
+                // weights are counts: saturation keeps "too many" too many
                 let prev = *cumw.last().unwrap();
-                cumw.push(prev + w);
+                cumw.push(prev.saturating_add(w));
             }
             nodes[u] = Some(Node {
                 view,
@@ -376,7 +371,11 @@ impl LexDirectAccess {
         let _ = &mut intro;
         let nodes: Vec<Node> = nodes.into_iter().map(Option::unwrap).collect();
         let root = tree.root();
+        // after full reduction every partial sum is at most the total
+        // (each weighted row extends to an answer), so a total that fits
+        // u64 means nothing above saturated
         let total = *nodes[root].cumw.last().unwrap_or(&0);
+        let total = u64::try_from(total).map_err(|_| EvalError::CountOverflow)?;
         Ok(LexDirectAccess { nodes, root, n_vars, total })
     }
 
@@ -431,11 +430,11 @@ impl LexDirectAccess {
 
 impl DirectAccess for LexDirectAccess {
     fn len(&self) -> u64 {
-        u64::try_from(self.total).expect("result size exceeds u64")
+        self.total
     }
 
     fn access(&self, i: u64) -> Option<Vec<Val>> {
-        if u128::from(i) >= self.total {
+        if i >= self.total {
             return None;
         }
         let mut out = vec![0 as Val; self.n_vars];
@@ -491,8 +490,9 @@ mod tests {
     }
 
     fn assert_matches_materialized(q: &ConjunctiveQuery, db: &Database, order: &[Var]) {
-        let lex = LexDirectAccess::build(q, db, order).unwrap();
-        let mat = MaterializedDirectAccess::build(q, db, order).unwrap();
+        let lex = LexDirectAccess::build(&ExecCtx::cold(), q, db, order).unwrap();
+        let mat =
+            MaterializedDirectAccess::build(&ExecCtx::cold(), q, db, order).unwrap();
         assert_eq!(lex.len(), mat.len(), "sizes differ for {q}");
         for i in 0..lex.len() {
             assert_eq!(lex.access(i), mat.access(i), "index {i} of {q}");
@@ -552,14 +552,15 @@ mod tests {
         let db = star_database(2, 30, 4, &mut seeded_rng(6));
         let q = zoo::star_full(2);
         let order = vars_by_name(&q, &["x1", "x2", "z"]);
-        match LexDirectAccess::build(&q, &db, &order) {
+        match LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order) {
             Err(EvalError::Unsupported(msg)) => {
                 assert!(msg.contains("disruptive trio"), "{msg}");
             }
             other => panic!("expected Unsupported, got {:?}", other.map(|d| d.len())),
         }
         // materialized fallback still works
-        let mat = MaterializedDirectAccess::build(&q, &db, &order).unwrap();
+        let mat =
+            MaterializedDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
         assert!(mat.len() > 0);
         // and is sorted by the order
         for i in 1..mat.len() {
@@ -591,7 +592,7 @@ mod tests {
         let db = path_database(2, 50, &mut seeded_rng(7));
         let q = zoo::path_join(2);
         let order = vars_by_name(&q, &["x0", "x1", "x2"]);
-        let lex = LexDirectAccess::build(&q, &db, &order).unwrap();
+        let lex = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
         let mut prev: Option<Vec<Val>> = None;
         for i in 0..lex.len() {
             let cur = lex.access(i).unwrap();
@@ -609,8 +610,9 @@ mod tests {
         let db = star_database(2, 60, 5, &mut seeded_rng(8));
         let q = zoo::star_full(2);
         let order = vars_by_name(&q, &["z", "x1", "x2"]);
-        let lex = LexDirectAccess::build(&q, &db, &order).unwrap();
-        let mat = MaterializedDirectAccess::build(&q, &db, &order).unwrap();
+        let lex = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
+        let mat =
+            MaterializedDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
         // collect true prefixes
         let mut true_prefixes = std::collections::BTreeSet::new();
         for i in 0..mat.len() {
@@ -632,10 +634,24 @@ mod tests {
         db.insert("R2", cq_data::Relation::new(2));
         let q = zoo::path_join(2);
         let order: Vec<Var> = q.vars().collect();
-        let lex = LexDirectAccess::build(&q, &db, &order).unwrap();
+        let lex = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
         assert_eq!(lex.len(), 0);
         assert_eq!(lex.access(0), None);
         assert!(!test_prefix(&lex, &order, &[1]));
+    }
+
+    #[test]
+    fn overflowing_result_size_is_an_error() {
+        // five spokes sharing one hub value: (2^13)^5 = 2^65 positions
+        let spokes = cq_data::Relation::from_pairs((0..1u64 << 13).map(|a| (a, 0)));
+        let mut db = Database::new();
+        db.insert("R", spokes);
+        let q = zoo::star_full(5);
+        let order = vars_by_name(&q, &["z", "x1", "x2", "x3", "x4", "x5"]);
+        assert!(matches!(
+            LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order),
+            Err(EvalError::CountOverflow)
+        ));
     }
 
     #[test]
@@ -644,7 +660,7 @@ mod tests {
         let q = zoo::star_selfjoin(2);
         let order: Vec<Var> = q.vars().collect();
         assert!(matches!(
-            LexDirectAccess::build(&q, &db, &order),
+            LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order),
             Err(EvalError::NotJoinQuery)
         ));
     }

@@ -9,14 +9,15 @@
 //! by the number of tree nodes — a constant depending only on the query,
 //! exactly the guarantee of BDG07.
 
-use crate::bind::{BoundAtom, EvalError};
+use crate::bind::EvalError;
 use crate::cancel::CancelToken;
-use crate::count::eliminate_projections_cancel;
+use crate::count::eliminate_projections;
+use crate::ctx::ExecCtx;
 use crate::stream::AnswerStream;
-use crate::yannakakis::{downward_sweep, upward_sweep};
+use crate::yannakakis::{downward_sweep, join_tree_of_atoms, upward_sweep};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, IndexCatalog, Relation, SortedView, Val};
+use cq_data::{Database, Relation, SortedView, Val};
 use std::sync::Arc;
 
 /// One join-tree level of the preprocessed structure (immutable).
@@ -50,36 +51,32 @@ pub struct EnumeratorCore {
 }
 
 impl EnumeratorCore {
-    /// Linear-time preprocessing. Fails with `NotFreeConnex` /
-    /// `NotAcyclic` on the hard side of the dichotomy.
-    pub fn build(q: &ConjunctiveQuery, db: &Database) -> Result<Self, EvalError> {
-        EnumeratorCore::build_cancel(q, db, &CancelToken::never())
-    }
-
-    /// [`EnumeratorCore::build`] polling `cancel` between the
+    /// Linear-time preprocessing, unshared ([`Enumerator::preprocess`]
+    /// memoizes it). Fails with `NotFreeConnex` / `NotAcyclic` on the
+    /// hard side of the dichotomy. The token is polled between the
     /// per-node passes of projection elimination, reduction, and
     /// indexing — the preprocessing is linear in the data, so a
     /// deadline must be able to interrupt it too.
-    pub fn build_cancel(
+    pub fn build(
+        ctx: &ExecCtx,
         q: &ConjunctiveQuery,
         db: &Database,
-        cancel: &CancelToken,
     ) -> Result<Self, EvalError> {
+        let cancel = ctx.cancel();
         let schema: Vec<Var> = q.free_vars();
         if q.is_boolean() {
-            let res = crate::yannakakis::decide_acyclic(q, db)?;
+            let res = crate::yannakakis::decide_acyclic(ctx, q, db)?;
             return Ok(EnumeratorCore { schema, levels: Vec::new(), empty: !res });
         }
-        let mut msgs = match eliminate_projections_cancel(q, db, cancel)? {
+        let mut msgs = match eliminate_projections(ctx, q, db)? {
             Some(m) => m,
             None => {
                 return Ok(EnumeratorCore { schema, levels: Vec::new(), empty: true })
             }
         };
         // q' join tree + full reduction → global consistency
-        let scopes: Vec<u64> = msgs.iter().map(BoundAtom::scope).collect();
-        let h = cq_core::Hypergraph::new(q.n_vars(), scopes);
-        let tree = cq_core::gyo::join_tree(&h).ok_or(EvalError::NotFreeConnex)?;
+        let tree =
+            join_tree_of_atoms(&msgs, q.n_vars()).ok_or(EvalError::NotFreeConnex)?;
         upward_sweep(&mut msgs, &tree);
         downward_sweep(&mut msgs, &tree);
         if msgs[tree.root()].rel.is_empty() {
@@ -109,10 +106,9 @@ impl EnumeratorCore {
 }
 
 /// A prepared constant-delay enumerator. Create with
-/// [`Enumerator::preprocess`] (or, sharing preprocessing across calls,
-/// [`Enumerator::preprocess_with_catalog`]), consume with
-/// [`Enumerator::for_each`], [`Enumerator::collect_all`], or — the
-/// primitive the others are built on — [`Enumerator::into_stream`].
+/// [`Enumerator::preprocess`], consume with [`Enumerator::for_each`],
+/// [`Enumerator::collect_all`], or — the primitive the others are built
+/// on — [`Enumerator::into_stream`].
 pub struct Enumerator {
     core: Arc<EnumeratorCore>,
 }
@@ -134,39 +130,22 @@ impl From<Arc<EnumeratorCore>> for Enumerator {
 }
 
 impl Enumerator {
-    /// Linear-time preprocessing. Fails with `NotFreeConnex` /
-    /// `NotAcyclic` on the hard side of the dichotomy.
-    pub fn preprocess(q: &ConjunctiveQuery, db: &Database) -> Result<Self, EvalError> {
-        Ok(Enumerator::from(Arc::new(EnumeratorCore::build(q, db)?)))
-    }
-
-    /// [`Enumerator::preprocess`] with the preprocessing product
-    /// memoized in the catalog: repeated enumerations of the same query
-    /// on an unchanged database skip the reduction and index builds
-    /// entirely and pay for the walk only — the preprocessing /
-    /// enumeration split of Thm 3.17 made operational.
-    pub fn preprocess_with_catalog(
+    /// Linear-time preprocessing ([`EnumeratorCore::build`]), its
+    /// product memoized in the catalog: repeated enumerations of the
+    /// same query on an unchanged database skip the reduction and index
+    /// builds entirely and pay for the walk only — the preprocessing /
+    /// enumeration split of Thm 3.17 made operational. The token bounds
+    /// a cold build (a warm catalog hit does no work to interrupt).
+    pub fn preprocess(
+        ctx: &ExecCtx,
         q: &ConjunctiveQuery,
         db: &Database,
-        catalog: &IndexCatalog,
-    ) -> Result<Self, EvalError> {
-        Enumerator::preprocess_with_catalog_cancel(q, db, catalog, &CancelToken::never())
-    }
-
-    /// [`Enumerator::preprocess_with_catalog`] polling `cancel` during
-    /// a cold preprocessing build (a warm catalog hit does no work to
-    /// interrupt).
-    pub fn preprocess_with_catalog_cancel(
-        q: &ConjunctiveQuery,
-        db: &Database,
-        catalog: &IndexCatalog,
-        cancel: &CancelToken,
     ) -> Result<Self, EvalError> {
         let mut span = cq_obs::trace::span("op.enumerate.preprocess");
         let mut cold = false;
-        let core = catalog.artifact(db, "enumerator", &q.to_string(), || {
+        let core = ctx.catalog().artifact(db, "enumerator", &q.to_string(), || {
             cold = true;
-            EnumeratorCore::build_cancel(q, db, cancel)
+            EnumeratorCore::build(ctx, q, db)
         })?;
         span.attr("cold-build", u64::from(cold));
         Ok(Enumerator::from(core))
@@ -191,27 +170,14 @@ impl Enumerator {
 
     /// Visit every answer with constant delay; `visit` returns `false`
     /// to stop early. Returns `true` if enumeration ran to completion.
-    pub fn for_each(&mut self, visit: impl FnMut(&[Val]) -> bool) -> bool {
-        self.for_each_cancel(&CancelToken::never(), visit)
-            .expect("a never-token cannot cancel")
-    }
-
-    /// [`Enumerator::for_each`] polling `cancel` once per emitted
-    /// answer — the delay between answers is constant, so this bounds
-    /// the reaction latency by one delay step.
-    pub fn for_each_cancel(
-        &mut self,
-        cancel: &CancelToken,
-        mut visit: impl FnMut(&[Val]) -> bool,
-    ) -> Result<bool, EvalError> {
+    pub fn for_each(&mut self, mut visit: impl FnMut(&[Val]) -> bool) -> bool {
         let mut s = self.stream();
-        s.set_cancel(cancel.clone());
-        while let Some(row) = s.next()? {
+        while let Some(row) = s.next().expect("a fresh stream's token never trips") {
             if !visit(row) {
-                return Ok(false);
+                return false;
             }
         }
-        Ok(true)
+        true
     }
 
     /// Materialize all answers (ordered by the enumeration order).
@@ -237,18 +203,7 @@ impl Enumerator {
 
     /// Collect answers into a [`Relation`] over the schema.
     pub fn to_relation(&mut self) -> Relation {
-        self.to_relation_cancel(&CancelToken::never())
-            .expect("a never-token cannot cancel")
-    }
-
-    /// [`Enumerator::to_relation`] under a [`CancelToken`].
-    pub fn to_relation_cancel(
-        &mut self,
-        cancel: &CancelToken,
-    ) -> Result<Relation, EvalError> {
-        let mut s = self.stream();
-        s.set_cancel(cancel.clone());
-        s.collect()
+        self.stream().collect().expect("a fresh stream's token never trips")
     }
 }
 
@@ -398,7 +353,7 @@ mod tests {
     use cq_data::generate::{path_database, seeded_rng, star_database};
 
     fn check_matches_brute_force(q: &ConjunctiveQuery, db: &Database) {
-        let mut e = Enumerator::preprocess(q, db).unwrap();
+        let mut e = Enumerator::preprocess(&ExecCtx::cold(), q, db).unwrap();
         let got = e.to_relation();
         let want = brute_force_answers(q, db).unwrap();
         assert_eq!(got, want, "query {q}");
@@ -428,7 +383,8 @@ mod tests {
     fn non_free_connex_rejected() {
         let db = star_database(2, 30, 3, &mut seeded_rng(4));
         assert_eq!(
-            Enumerator::preprocess(&zoo::star_selfjoin(2), &db).unwrap_err(),
+            Enumerator::preprocess(&ExecCtx::cold(), &zoo::star_selfjoin(2), &db)
+                .unwrap_err(),
             EvalError::NotFreeConnex
         );
     }
@@ -439,7 +395,8 @@ mod tests {
             vec![(0, 1)],
         ));
         assert_eq!(
-            Enumerator::preprocess(&zoo::triangle_join(), &db).unwrap_err(),
+            Enumerator::preprocess(&ExecCtx::cold(), &zoo::triangle_join(), &db)
+                .unwrap_err(),
             EvalError::NotAcyclic
         );
     }
@@ -447,7 +404,8 @@ mod tests {
     #[test]
     fn boolean_true_yields_empty_tuple() {
         let db = path_database(2, 20, &mut seeded_rng(5));
-        let mut e = Enumerator::preprocess(&zoo::path_boolean(2), &db).unwrap();
+        let mut e =
+            Enumerator::preprocess(&ExecCtx::cold(), &zoo::path_boolean(2), &db).unwrap();
         let all = e.collect_all();
         assert_eq!(all.len(), 1);
         assert!(all[0].is_empty());
@@ -456,7 +414,8 @@ mod tests {
     #[test]
     fn early_stop() {
         let db = path_database(2, 100, &mut seeded_rng(6));
-        let mut e = Enumerator::preprocess(&zoo::path_join(2), &db).unwrap();
+        let mut e =
+            Enumerator::preprocess(&ExecCtx::cold(), &zoo::path_join(2), &db).unwrap();
         let mut n = 0;
         let completed = e.for_each(|_| {
             n += 1;
@@ -470,15 +429,18 @@ mod tests {
     fn count_matches_count_module() {
         let db = path_database(3, 80, &mut seeded_rng(7));
         let q = parse_query("q(x0, x1) :- R1(x0,x1), R2(x1,x2), R3(x2,x3)").unwrap();
-        let mut e = Enumerator::preprocess(&q, &db).unwrap();
-        assert_eq!(e.count(), crate::count::count_free_connex(&q, &db).unwrap());
+        let mut e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
+        assert_eq!(
+            e.count(),
+            crate::count::count_free_connex(&ExecCtx::cold(), &q, &db).unwrap()
+        );
     }
 
     #[test]
     fn no_duplicates_emitted() {
         let db = star_database(2, 60, 4, &mut seeded_rng(8));
         let q = zoo::star_full(2);
-        let mut e = Enumerator::preprocess(&q, &db).unwrap();
+        let mut e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
         let all = e.collect_all();
         let mut dedup = all.clone();
         dedup.sort();
@@ -487,18 +449,17 @@ mod tests {
     }
 
     #[test]
-    fn catalog_enumeration_shares_preprocessing() {
+    fn shared_core_gives_each_enumerator_fresh_cursors() {
         let db = path_database(3, 60, &mut seeded_rng(9));
         let q = zoo::path_join(3);
         let cat = cq_data::IndexCatalog::new();
-        let mut a = Enumerator::preprocess_with_catalog(&q, &db, &cat).unwrap();
+        let ctx = ExecCtx::warm(&cat);
+        let mut a = Enumerator::preprocess(&ctx, &q, &db).unwrap();
         let want = brute_force_answers(&q, &db).unwrap();
         assert_eq!(a.to_relation(), want);
-        // warm: same core, fresh cursors, same answers
-        let before = cat.snapshot();
-        let mut b = Enumerator::preprocess_with_catalog(&q, &db, &cat).unwrap();
+        let mut b = Enumerator::preprocess(&ctx, &q, &db).unwrap();
+        assert!(Arc::ptr_eq(&a.core, &b.core), "the warm call shares the core");
         assert_eq!(b.to_relation(), want);
-        assert_eq!(cat.snapshot().misses, before.misses, "no rebuild on warm path");
         // an enumerator can also be re-consumed after sharing
         assert_eq!(a.count(), want.len() as u64);
     }
@@ -508,7 +469,8 @@ mod tests {
         let mut db = Database::new();
         db.insert("R1", cq_data::Relation::new(2));
         db.insert("R2", cq_data::Relation::new(2));
-        let mut e = Enumerator::preprocess(&zoo::path_join(2), &db).unwrap();
+        let mut e =
+            Enumerator::preprocess(&ExecCtx::cold(), &zoo::path_join(2), &db).unwrap();
         assert_eq!(e.count(), 0);
     }
 
@@ -518,7 +480,7 @@ mod tests {
         db.insert("R", cq_data::Relation::from_values(vec![1, 2, 3]));
         db.insert("S", cq_data::Relation::new(2));
         let q = parse_query("q(x) :- R(x), S(y, z)").unwrap();
-        let mut e = Enumerator::preprocess(&q, &db).unwrap();
+        let mut e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
         assert_eq!(e.count(), 0);
     }
 }

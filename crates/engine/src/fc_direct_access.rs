@@ -15,10 +15,11 @@
 
 use crate::bind::{BoundAtom, EvalError};
 use crate::count::eliminate_projections;
+use crate::ctx::ExecCtx;
 use crate::direct_access::{DirectAccess, LexDirectAccess};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, IndexCatalog, Val};
+use cq_data::{Database, Val};
 use std::sync::Arc;
 
 /// Direct access to the answers of a free-connex query, in a
@@ -36,9 +37,8 @@ pub struct FreeConnexDirectAccess {
 /// Such an order always satisfies the compatibility conditions of
 /// [`LexDirectAccess`] for that same tree.
 fn dfs_order(atoms: &[BoundAtom], n_vars: usize) -> Result<Vec<Var>, EvalError> {
-    let scopes: Vec<u64> = atoms.iter().map(BoundAtom::scope).collect();
-    let h = cq_core::Hypergraph::new(n_vars, scopes);
-    let tree = cq_core::gyo::join_tree(&h).ok_or(EvalError::NotFreeConnex)?;
+    let tree = crate::yannakakis::join_tree_of_atoms(atoms, n_vars)
+        .ok_or(EvalError::NotFreeConnex)?;
     let mut seen = 0u64;
     let mut order = Vec::new();
     for u in tree.top_down() {
@@ -50,41 +50,33 @@ fn dfs_order(atoms: &[BoundAtom], n_vars: usize) -> Result<Vec<Var>, EvalError> 
 }
 
 impl FreeConnexDirectAccess {
-    /// Linear-time preprocessing (Thm 3.18). Fails with `NotFreeConnex`
-    /// / `NotAcyclic` on the hard side of the dichotomy, and with
-    /// `Unsupported` for Boolean queries (no variables to access).
-    pub fn build(q: &ConjunctiveQuery, db: &Database) -> Result<Self, EvalError> {
+    /// Linear-time preprocessing (Thm 3.18), memoized in the catalog:
+    /// it runs once per database state, and repeated `access` calls
+    /// share the structure. Fails with `NotFreeConnex` / `NotAcyclic` on
+    /// the hard side of the dichotomy, and with `Unsupported` for
+    /// Boolean queries (no variables to access).
+    pub fn build(
+        ctx: &ExecCtx,
+        q: &ConjunctiveQuery,
+        db: &Database,
+    ) -> Result<Arc<Self>, EvalError> {
         if q.is_boolean() {
             return Err(EvalError::Unsupported(
                 "Boolean queries have no output positions to access".into(),
             ));
         }
-        let schema: Vec<Var> = q.free_vars();
-        let msgs = match eliminate_projections(q, db)? {
-            Some(m) => m,
-            None => {
-                return Ok(FreeConnexDirectAccess {
-                    inner: None,
-                    schema: schema.clone(),
-                    order: schema,
-                })
-            }
-        };
-        let order = dfs_order(&msgs, q.n_vars())?;
-        let inner = LexDirectAccess::build_from_atoms(msgs, q.n_vars(), &order)
-            .expect("DFS orders of the q' join tree are always compatible");
-        Ok(FreeConnexDirectAccess { inner: Some(inner), schema, order })
-    }
-
-    /// [`FreeConnexDirectAccess::build`] memoized in the catalog: the
-    /// Õ(m) preprocessing runs once per database state, repeated
-    /// `access` calls share the structure.
-    pub fn build_with_catalog(
-        q: &ConjunctiveQuery,
-        db: &Database,
-        catalog: &IndexCatalog,
-    ) -> Result<Arc<Self>, EvalError> {
-        catalog.artifact(db, "fc_da", &q.to_string(), || Self::build(q, db))
+        ctx.catalog().artifact(db, "fc_da", &q.to_string(), || {
+            let schema: Vec<Var> = q.free_vars();
+            let Some(msgs) = eliminate_projections(ctx, q, db)? else {
+                let order = schema.clone();
+                return Ok(FreeConnexDirectAccess { inner: None, schema, order });
+            };
+            let order = dfs_order(&msgs, q.n_vars())?;
+            // a DFS order of the q' join tree is compatible by
+            // construction, so only cancellation or overflow fails here
+            let inner = LexDirectAccess::build_from_atoms(ctx, msgs, q.n_vars(), &order)?;
+            Ok(FreeConnexDirectAccess { inner: Some(inner), schema, order })
+        })
     }
 
     /// The query-chosen lexicographic order (over the free variables).
@@ -123,7 +115,7 @@ mod tests {
     /// All accesses together must be exactly the brute-force answers,
     /// sorted by the structure's chosen order.
     fn check(q: &ConjunctiveQuery, db: &Database) {
-        let da = FreeConnexDirectAccess::build(q, db).unwrap();
+        let da = FreeConnexDirectAccess::build(&ExecCtx::cold(), q, db).unwrap();
         let mut got: Vec<Vec<Val>> =
             (0..da.len()).map(|i| da.access(i).unwrap()).collect();
         let want = brute_force_answers(q, db).unwrap();
@@ -176,7 +168,7 @@ mod tests {
     fn non_free_connex_rejected() {
         let db = star_database(2, 30, 4, &mut seeded_rng(5));
         assert!(matches!(
-            FreeConnexDirectAccess::build(&zoo::star_selfjoin(2), &db),
+            FreeConnexDirectAccess::build(&ExecCtx::cold(), &zoo::star_selfjoin(2), &db),
             Err(EvalError::NotFreeConnex)
         ));
     }
@@ -186,7 +178,7 @@ mod tests {
         let db =
             cq_data::generate::triangle_database(&Relation::from_pairs(vec![(0, 1)]));
         assert!(matches!(
-            FreeConnexDirectAccess::build(&zoo::triangle_join(), &db),
+            FreeConnexDirectAccess::build(&ExecCtx::cold(), &zoo::triangle_join(), &db),
             Err(EvalError::NotAcyclic)
         ));
     }
@@ -195,7 +187,7 @@ mod tests {
     fn boolean_rejected() {
         let db = path_database(2, 10, &mut seeded_rng(6));
         assert!(matches!(
-            FreeConnexDirectAccess::build(&zoo::path_boolean(2), &db),
+            FreeConnexDirectAccess::build(&ExecCtx::cold(), &zoo::path_boolean(2), &db),
             Err(EvalError::Unsupported(_))
         ));
     }
@@ -206,7 +198,7 @@ mod tests {
         db.insert("R", Relation::from_values(vec![1, 2]));
         db.insert("S", Relation::new(2));
         let q = parse_query("q(x) :- R(x), S(y, z)").unwrap();
-        let da = FreeConnexDirectAccess::build(&q, &db).unwrap();
+        let da = FreeConnexDirectAccess::build(&ExecCtx::cold(), &q, &db).unwrap();
         assert_eq!(da.len(), 0);
         assert_eq!(da.access(0), None);
     }
@@ -216,7 +208,7 @@ mod tests {
         // Lemma 3.20 on the free-connex structure
         let db = star_database(2, 60, 5, &mut seeded_rng(7));
         let q = parse_query("q(z, x1) :- R1(x1, z), R2(x2, z)").unwrap();
-        let da = FreeConnexDirectAccess::build(&q, &db).unwrap();
+        let da = FreeConnexDirectAccess::build(&ExecCtx::cold(), &q, &db).unwrap();
         // prefix var: first of the chosen order; collect true values
         let first = da.order()[0];
         let sch_pos = da.schema().iter().position(|v| *v == first).unwrap();

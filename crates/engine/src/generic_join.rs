@@ -12,12 +12,11 @@
 //! algorithm is both the m^{3/2} triangle baseline of Thm 3.2 and the
 //! *optimal* LW algorithm of Thm 3.5.
 
-use crate::bind::{
-    bind, collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError,
-};
+use crate::bind::{collapse_rel, distinct_vars, validate_atom, EvalError};
 use crate::cancel::CancelToken;
+use crate::ctx::ExecCtx;
 use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, FxHashSet, IndexCatalog, Relation, SortedView, Val};
+use cq_data::{Database, FxHashSet, Relation, SortedView, Val};
 use std::sync::Arc;
 
 /// One atom prepared for the join: its view is sorted with columns in
@@ -351,92 +350,17 @@ fn descend<'a>(
     Ok(true)
 }
 
-/// The cold entry point behind every non-catalog function: fresh views
-/// over already bound atoms.
-fn run_cold(
-    atoms: &[BoundAtom],
-    order: &[Var],
-    cancel: &CancelToken,
-    sink: Sink<'_>,
-) -> Result<JoinWork, EvalError> {
-    if atoms.iter().any(|a| a.rel.is_empty()) {
-        return Ok(JoinWork { completed: true, ..JoinWork::default() });
-    }
-    let pos = position_map(order);
-    let prepared: Vec<PreparedAtom> = atoms
-        .iter()
-        .map(|a| {
-            let (cols, depths) = atom_layout(&a.vars, &pos);
-            PreparedAtom { view: Arc::new(SortedView::new(&a.rel, &cols)), depths }
-        })
-        .collect();
-    run_prepared(&prepared, order.len(), cancel, sink)
-}
-
-/// Run the generic join over `atoms` with the given global variable
-/// `order` (must cover every variable of the atoms). `visit` is called
-/// with the full assignment in `order`-order for every satisfying
-/// assignment; returning `false` stops the join early.
-///
-/// Returns `true` if the enumeration ran to completion, `false` if it was
-/// stopped by the visitor.
-pub fn generic_join_visit(
-    atoms: &[BoundAtom],
-    order: &[Var],
-    visit: &mut dyn FnMut(&[Val]) -> bool,
-) -> bool {
-    generic_join_visit_cancel(atoms, order, &CancelToken::never(), visit)
-        .expect("a never-token cannot cancel")
-}
-
-/// [`generic_join_visit`] polling `cancel` at every search node: a
-/// tripped token aborts the join mid-descent with
-/// [`EvalError::Cancelled`], discarding whatever the visitor saw.
-pub fn generic_join_visit_cancel(
-    atoms: &[BoundAtom],
-    order: &[Var],
-    cancel: &CancelToken,
-    visit: &mut dyn FnMut(&[Val]) -> bool,
-) -> Result<bool, EvalError> {
-    Ok(run_cold(atoms, order, cancel, Sink::Visit(visit))?.completed)
-}
-
-/// [`generic_join_visit`] with all index acquisition routed through the
-/// per-database [`IndexCatalog`]: atoms with distinct variables use the
-/// memoized `(relation, permutation)` view of the base relation; atoms
-/// with repeated variables memoize their collapsed view as a catalog
-/// artifact. On a warm catalog no sort or copy happens at all — the
-/// call costs only the leapfrog search itself.
-pub fn generic_join_visit_catalog(
+/// Prepare every atom's view through the catalog and run the join into
+/// `sink`: atoms with distinct variables use the memoized
+/// `(relation, permutation)` view of the base relation; atoms with
+/// repeated variables memoize their collapsed view as a catalog
+/// artifact. On a warm catalog no sort or copy happens at all — the call
+/// costs only the leapfrog search itself.
+fn run(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
     order: &[Var],
-    catalog: &IndexCatalog,
-    visit: &mut dyn FnMut(&[Val]) -> bool,
-) -> Result<bool, EvalError> {
-    generic_join_visit_catalog_cancel(q, db, order, catalog, &CancelToken::never(), visit)
-}
-
-/// [`generic_join_visit_catalog`] polling `cancel` at every search
-/// node.
-pub fn generic_join_visit_catalog_cancel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[Var],
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
-    visit: &mut dyn FnMut(&[Val]) -> bool,
-) -> Result<bool, EvalError> {
-    Ok(run_catalog(q, db, order, catalog, cancel, Sink::Visit(visit))?.completed)
-}
-
-/// The catalog entry point behind every `*_catalog_cancel` function.
-fn run_catalog(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[Var],
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
     sink: Sink<'_>,
 ) -> Result<JoinWork, EvalError> {
     // validate every atom first (error parity with `bind`), and return
@@ -454,21 +378,40 @@ fn run_catalog(
         let vars = distinct_vars(&atom.vars);
         let (cols, depths) = atom_layout(&vars, &pos);
         let view = if vars.len() == atom.vars.len() {
-            catalog
+            ctx.catalog()
                 .sorted_view(db, &atom.relation, &cols)
                 .expect("relation validated above")
         } else {
             // repeated variables: the view is over the collapsed
             // relation, memoized per (relation, pattern, permutation)
             let key = format!("{}|{:?}|{cols:?}", atom.relation, atom.vars);
-            catalog.artifact(db, "bound_view", &key, || {
+            ctx.catalog().artifact(db, "bound_view", &key, || {
                 let bound = collapse_rel(&atom.vars, &vars, rel);
                 Ok::<_, EvalError>(SortedView::new(&bound, &cols))
             })?
         };
         prepared.push(PreparedAtom { view, depths });
     }
-    run_prepared(&prepared, order.len(), cancel, sink)
+    run_prepared(&prepared, order.len(), ctx.cancel(), sink)
+}
+
+/// Run the generic join of `q` on `db` with the given global variable
+/// `order` (must cover every variable of the query). `visit` is called
+/// with the full assignment in `order`-order for every satisfying
+/// assignment; returning `false` stops the join early. The token is
+/// polled at every search node: a trip aborts the join mid-descent with
+/// [`EvalError::Cancelled`], discarding whatever the visitor saw.
+///
+/// Returns `true` if the enumeration ran to completion, `false` if it was
+/// stopped by the visitor.
+pub fn visit(
+    ctx: &ExecCtx,
+    q: &ConjunctiveQuery,
+    db: &Database,
+    order: &[Var],
+    visit: &mut dyn FnMut(&[Val]) -> bool,
+) -> Result<bool, EvalError> {
+    Ok(run(ctx, q, db, order, Sink::Visit(visit))?.completed)
 }
 
 /// Default variable order: interning order.
@@ -486,6 +429,14 @@ fn free_positions(q: &ConjunctiveQuery, order: &[Var]) -> Vec<usize> {
         .collect()
 }
 
+/// Project a full assignment onto the free variables' positions.
+#[inline]
+fn project(assignment: &[Val], free_pos: &[usize], buf: &mut [Val]) {
+    for (b, &p) in buf.iter_mut().zip(free_pos) {
+        *b = assignment[p];
+    }
+}
+
 /// Write a finished join's counters to its span.
 fn close_span(
     span: &mut cq_obs::trace::SpanGuard,
@@ -498,209 +449,100 @@ fn close_span(
     span.attr("seeks", work.seeks);
 }
 
-/// All answers of `q`, with `run` executing the join into a sink.
-fn answers_by(
+/// All answers of `q` (distinct projections onto the free variables),
+/// computed by generic join + projection under the caller-chosen (e.g.
+/// planner-chosen) global variable `order`. Worst-case optimal for join
+/// queries; for projections this is the *materialization baseline* the
+/// paper's counting/enumeration lower bounds are about.
+pub fn answers(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
+    db: &Database,
     order: &[Var],
-    run: impl FnOnce(Sink<'_>) -> Result<JoinWork, EvalError>,
-) -> Result<(Relation, JoinWork), EvalError> {
+) -> Result<Relation, EvalError> {
+    let mut span = cq_obs::trace::span("op.generic-join.answers");
     let free_pos = free_positions(q, order);
     let mut out = Relation::new(free_pos.len());
     let mut buf: Vec<Val> = vec![0; free_pos.len()];
-    let work = run(Sink::Visit(&mut |assignment| {
-        for (b, &p) in buf.iter_mut().zip(&free_pos) {
-            *b = assignment[p];
-        }
+    let mut push = |assignment: &[Val]| {
+        project(assignment, &free_pos, &mut buf);
         out.push_row(&buf);
         true
-    }))?;
+    };
+    let work = run(ctx, q, db, order, Sink::Visit(&mut push))?;
     out.normalize();
-    Ok((out, work))
-}
-
-/// Is there an answer, with `run` executing the join into a sink.
-fn decide_by(
-    run: impl FnOnce(Sink<'_>) -> Result<JoinWork, EvalError>,
-) -> Result<(bool, JoinWork), EvalError> {
-    let mut found = false;
-    let work = run(Sink::Visit(&mut |_| {
-        found = true;
-        false
-    }))?;
-    Ok((found, work))
-}
-
-/// Number of distinct free-variable projections, with `run` executing
-/// the join into a sink. The full assignments of a join query are its
-/// answers, distinct by construction, so they are counted where the last
-/// intersection finds them; only a projection needs the set.
-fn count_by(
-    q: &ConjunctiveQuery,
-    order: &[Var],
-    run: impl FnOnce(Sink<'_>) -> Result<JoinWork, EvalError>,
-) -> Result<JoinWork, EvalError> {
-    if q.is_join_query() {
-        return run(Sink::Count);
-    }
-    let free_pos = free_positions(q, order);
-    let mut set: FxHashSet<Box<[Val]>> = FxHashSet::default();
-    let mut buf: Vec<Val> = vec![0; free_pos.len()];
-    let mut work = run(Sink::Visit(&mut |assignment| {
-        for (b, &p) in buf.iter_mut().zip(&free_pos) {
-            *b = assignment[p];
-        }
-        if !set.contains(buf.as_slice()) {
-            set.insert(buf.as_slice().into());
-        }
-        true
-    }))?;
-    work.count = set.len() as u64;
-    Ok(work)
-}
-
-/// All answers of `q` (distinct projections onto the free variables),
-/// computed by generic join + projection. Worst-case optimal for join
-/// queries; for projections this is the *materialization baseline* the
-/// paper's counting/enumeration lower bounds are about.
-pub fn answers(q: &ConjunctiveQuery, db: &Database) -> Result<Relation, EvalError> {
-    answers_with_order(q, db, &default_order(q))
-}
-
-/// [`answers`] with a caller-chosen (e.g. planner-chosen) global
-/// variable order. The order must cover every variable of the query.
-pub fn answers_with_order(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[Var],
-) -> Result<Relation, EvalError> {
-    let atoms = bind(q, db)?;
-    let never = CancelToken::never();
-    Ok(answers_by(q, order, |sink| run_cold(&atoms, order, &never, sink))?.0)
-}
-
-/// [`answers_with_order`] acquiring all indexes through the catalog: on
-/// a warm catalog the call pays for the join and the output only.
-pub fn answers_with_order_catalog(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[Var],
-    catalog: &IndexCatalog,
-) -> Result<Relation, EvalError> {
-    answers_with_order_catalog_cancel(q, db, order, catalog, &CancelToken::never())
-}
-
-/// [`answers_with_order_catalog`] under a [`CancelToken`].
-pub fn answers_with_order_catalog_cancel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[Var],
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
-) -> Result<Relation, EvalError> {
-    let mut span = cq_obs::trace::span("op.generic-join.answers");
-    let (out, work) =
-        answers_by(q, order, |sink| run_catalog(q, db, order, catalog, cancel, sink))?;
-    close_span(&mut span, out.len() as u64, &work, cancel);
+    close_span(&mut span, out.len() as u64, &work, ctx.cancel());
     Ok(out)
 }
 
 /// Boolean decision by generic join with early stop — the fallback for
 /// cyclic queries (runtime = AGM bound of the query).
-pub fn decide(q: &ConjunctiveQuery, db: &Database) -> Result<bool, EvalError> {
-    decide_with_order(q, db, &default_order(q))
-}
-
-/// [`decide`] with a caller-chosen global variable order.
-pub fn decide_with_order(
+pub fn decide(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
     order: &[Var],
-) -> Result<bool, EvalError> {
-    let atoms = bind(q, db)?;
-    let never = CancelToken::never();
-    Ok(decide_by(|sink| run_cold(&atoms, order, &never, sink))?.0)
-}
-
-/// [`decide_with_order`] acquiring all indexes through the catalog.
-pub fn decide_with_order_catalog(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[Var],
-    catalog: &IndexCatalog,
-) -> Result<bool, EvalError> {
-    decide_with_order_catalog_cancel(q, db, order, catalog, &CancelToken::never())
-}
-
-/// [`decide_with_order_catalog`] under a [`CancelToken`].
-pub fn decide_with_order_catalog_cancel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[Var],
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
 ) -> Result<bool, EvalError> {
     let mut span = cq_obs::trace::span("op.generic-join.decide");
-    let (found, work) =
-        decide_by(|sink| run_catalog(q, db, order, catalog, cancel, sink))?;
-    close_span(&mut span, u64::from(found), &work, cancel);
+    let mut found = false;
+    let mut stop_at_first = |_: &[Val]| {
+        found = true;
+        false
+    };
+    let work = run(ctx, q, db, order, Sink::Visit(&mut stop_at_first))?;
+    close_span(&mut span, u64::from(found), &work, ctx.cancel());
     Ok(found)
 }
 
 /// Count *distinct free-variable projections*: for a join query the
-/// number of full assignments, for a projection by materializing the
-/// projection set during the join — the generic counting baseline
-/// (m^k-shaped for q*_k; Lemma 3.9 says this is essentially optimal).
-pub fn count_distinct(q: &ConjunctiveQuery, db: &Database) -> Result<u64, EvalError> {
-    count_distinct_with_order(q, db, &default_order(q))
-}
-
-/// [`count_distinct`] with a caller-chosen global variable order.
-pub fn count_distinct_with_order(
+/// number of full assignments — its answers, distinct by construction,
+/// counted where the last intersection finds them — and for a
+/// projection by materializing the projection set during the join: the
+/// generic counting baseline (m^k-shaped for q*_k; Lemma 3.9 says this
+/// is essentially optimal).
+pub fn count_distinct(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
     order: &[Var],
-) -> Result<u64, EvalError> {
-    let atoms = bind(q, db)?;
-    let never = CancelToken::never();
-    Ok(count_by(q, order, |sink| run_cold(&atoms, order, &never, sink))?.count)
-}
-
-/// [`count_distinct_with_order`] acquiring all indexes through the
-/// catalog.
-pub fn count_distinct_with_order_catalog(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[Var],
-    catalog: &IndexCatalog,
-) -> Result<u64, EvalError> {
-    count_distinct_with_order_catalog_cancel(q, db, order, catalog, &CancelToken::never())
-}
-
-/// [`count_distinct_with_order_catalog`] under a [`CancelToken`].
-pub fn count_distinct_with_order_catalog_cancel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    order: &[Var],
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
 ) -> Result<u64, EvalError> {
     let mut span = cq_obs::trace::span("op.generic-join.count");
-    let work =
-        count_by(q, order, |sink| run_catalog(q, db, order, catalog, cancel, sink))?;
-    close_span(&mut span, work.count, &work, cancel);
+    let work = if q.is_join_query() {
+        run(ctx, q, db, order, Sink::Count)?
+    } else {
+        let free_pos = free_positions(q, order);
+        let mut set: FxHashSet<Box<[Val]>> = FxHashSet::default();
+        let mut buf: Vec<Val> = vec![0; free_pos.len()];
+        let mut collect = |assignment: &[Val]| {
+            project(assignment, &free_pos, &mut buf);
+            if !set.contains(buf.as_slice()) {
+                set.insert(buf.as_slice().into());
+            }
+            true
+        };
+        let mut work = run(ctx, q, db, order, Sink::Visit(&mut collect))?;
+        work.count = set.len() as u64;
+        work
+    };
+    close_span(&mut span, work.count, &work, ctx.cancel());
     Ok(work.count)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::brute_force_answers;
+    use crate::bind::{bind, brute_force_answers};
     use cq_core::parse_query;
     use cq_core::query::zoo;
     use cq_data::generate::{
         full_relation, lw_database, path_database, random_pairs, seeded_rng,
         triangle_database,
     };
+
+    /// One-shot evaluation in interning order.
+    fn answers(q: &ConjunctiveQuery, db: &Database) -> Result<Relation, EvalError> {
+        super::answers(&ExecCtx::cold(), q, db, &default_order(q))
+    }
 
     #[test]
     fn triangle_join_matches_brute_force() {
@@ -719,7 +561,7 @@ mod tests {
             let db = triangle_database(&edges);
             let q = zoo::triangle_boolean();
             assert_eq!(
-                decide(&q, &db).unwrap(),
+                decide(&ExecCtx::cold(), &q, &db, &default_order(&q)).unwrap(),
                 crate::bind::brute_force_decide(&q, &db).unwrap(),
                 "trial={trial}"
             );
@@ -758,7 +600,7 @@ mod tests {
         let db = cq_data::generate::star_database(2, 100, 5, &mut seeded_rng(5));
         let q = zoo::star_selfjoin(2);
         assert_eq!(
-            count_distinct(&q, &db).unwrap(),
+            count_distinct(&ExecCtx::cold(), &q, &db, &default_order(&q)).unwrap(),
             brute_force_answers(&q, &db).unwrap().len() as u64
         );
     }
@@ -766,13 +608,13 @@ mod tests {
     #[test]
     fn early_stop_works() {
         let db = path_database(2, 100, &mut seeded_rng(6));
-        let atoms = bind(&zoo::path_join(2), &db).unwrap();
-        let order = default_order(&zoo::path_join(2));
+        let q = zoo::path_join(2);
         let mut count = 0;
-        let completed = generic_join_visit(&atoms, &order, &mut |_| {
+        let completed = visit(&ExecCtx::cold(), &q, &db, &default_order(&q), &mut |_| {
             count += 1;
             count < 3
-        });
+        })
+        .unwrap();
         assert!(!completed);
         assert_eq!(count, 3);
     }
@@ -790,8 +632,8 @@ mod tests {
         let edges = random_pairs(40, 12, &mut rng);
         let db = triangle_database(&edges);
         let q = zoo::triangle_join();
-        let atoms = bind(&q, &db).unwrap();
         let want = answers(&q, &db).unwrap();
+        let ctx = ExecCtx::cold();
         // try all 6 variable orders
         let vars: Vec<Var> = q.vars().collect();
         let orders = [
@@ -804,7 +646,7 @@ mod tests {
         ];
         for order in orders {
             let mut got: Vec<Vec<Val>> = Vec::new();
-            generic_join_visit(&atoms, &order, &mut |a| {
+            visit(&ctx, &q, &db, &order, &mut |a| {
                 // re-sort into interning order
                 let mut row = vec![0; 3];
                 for (i, &v) in order.iter().enumerate() {
@@ -812,7 +654,8 @@ mod tests {
                 }
                 got.push(row);
                 true
-            });
+            })
+            .unwrap();
             let rel = Relation::from_rows(3, got);
             assert_eq!(rel, want, "order {order:?}");
         }
@@ -829,63 +672,38 @@ mod tests {
     }
 
     #[test]
-    fn catalog_join_matches_plain_and_reuses_indexes() {
-        let mut rng = seeded_rng(20);
-        let edges = random_pairs(60, 15, &mut rng);
-        let db = triangle_database(&edges);
-        let q = zoo::triangle_join();
-        let order = default_order(&q);
-        let cat = cq_data::IndexCatalog::new();
-        let cold = answers_with_order_catalog(&q, &db, &order, &cat).unwrap();
-        assert_eq!(cold, answers(&q, &db).unwrap());
-        let before = cat.snapshot();
-        let warm = answers_with_order_catalog(&q, &db, &order, &cat).unwrap();
-        assert_eq!(cold, warm);
-        let after = cat.snapshot();
-        assert_eq!(after.misses, before.misses, "warm run must build nothing");
-        assert!(after.hits > before.hits);
-        assert_eq!(
-            decide_with_order_catalog(&q, &db, &order, &cat).unwrap(),
-            decide(&q, &db).unwrap()
-        );
-        assert_eq!(
-            count_distinct_with_order_catalog(&q, &db, &order, &cat).unwrap(),
-            count_distinct(&q, &db).unwrap()
-        );
-    }
-
-    #[test]
-    fn catalog_join_handles_repeated_variable_atoms() {
+    fn repeated_variable_atoms_memoize_their_collapsed_view() {
         let q = parse_query("q(x, y) :- R(x, x), S(x, y)").unwrap();
         let mut db = Database::new();
         db.insert("R", Relation::from_pairs(vec![(1, 1), (2, 3), (4, 4)]));
         db.insert("S", Relation::from_pairs(vec![(1, 9), (4, 8), (2, 7)]));
         let order = default_order(&q);
         let cat = cq_data::IndexCatalog::new();
-        let got = answers_with_order_catalog(&q, &db, &order, &cat).unwrap();
+        let ctx = ExecCtx::warm(&cat);
+        let got = super::answers(&ctx, &q, &db, &order).unwrap();
         assert_eq!(got, brute_force_answers(&q, &db).unwrap());
         // the collapsed view is an artifact: a second run reuses it
         let before = cat.snapshot();
-        let again = answers_with_order_catalog(&q, &db, &order, &cat).unwrap();
+        let again = super::answers(&ctx, &q, &db, &order).unwrap();
         assert_eq!(got, again);
         assert_eq!(cat.snapshot().misses, before.misses);
     }
 
     #[test]
-    fn catalog_join_error_parity_with_bind() {
+    fn error_parity_with_bind() {
         let q = parse_query("q(x, y) :- R(x, y), T(y)").unwrap();
         let mut db = Database::new();
         db.insert("R", Relation::from_pairs(vec![(1, 2)]));
         let order = default_order(&q);
-        let cat = cq_data::IndexCatalog::new();
+        let ctx = ExecCtx::cold();
         assert_eq!(
-            decide_with_order_catalog(&q, &db, &order, &cat).unwrap_err(),
-            decide(&q, &db).unwrap_err()
+            decide(&ctx, &q, &db, &order).unwrap_err(),
+            bind(&q, &db).unwrap_err()
         );
         db.insert("T", Relation::from_pairs(vec![(1, 2)])); // wrong arity
         assert_eq!(
-            decide_with_order_catalog(&q, &db, &order, &cat).unwrap_err(),
-            decide(&q, &db).unwrap_err()
+            decide(&ctx, &q, &db, &order).unwrap_err(),
+            bind(&q, &db).unwrap_err()
         );
     }
 }

@@ -3,31 +3,38 @@
 //! The upper-bound half of the reproduction: every algorithm the paper's
 //! dichotomies credit appears here, matched one-to-one to its theorem.
 //!
-//! | Task | Algorithm | Paper | Module |
+//! | Task | Algorithm | Paper | Entry point |
 //! |---|---|---|---|
-//! | Boolean decision | Yannakakis semijoin sweeps | Thm 3.1 | [`yannakakis`] |
-//! | Boolean decision (cyclic) | worst-case optimal generic join | §2.1 / Ex 3.4 | [`generic_join`] |
-//! | Triangle query | AYZ degree split + BMM | Thm 3.2 | [`triangle_query`] |
-//! | Counting (acyclic join) | counting DP over join tree | Thm 3.8 | [`count`] |
-//! | Counting (free-connex) | projection elimination + DP | Thm 3.13 | [`count`] |
-//! | Enumeration | constant delay after linear preprocessing | Thm 3.17 | [`enumerate`] |
-//! | Direct access, lex order | ⪯-compatible tree + mixed radix | Thm 3.24 | [`direct_access`] |
-//! | Direct access, free-connex + projections | projection elimination + DFS order | Thm 3.18 | [`fc_direct_access`] |
-//! | Direct access, sum order | covering-atom sort | Thm 3.26 | [`sum_order`] |
-//! | Testing | star tester, testing-via-DA | Lem 3.20/3.21 | [`testing`], [`direct_access`] |
+//! | Boolean decision | Yannakakis semijoin sweeps | Thm 3.1 | [`yannakakis::decide_acyclic`] |
+//! | Boolean decision (cyclic) | worst-case optimal generic join | §2.1 / Ex 3.4 | [`generic_join::decide`] |
+//! | Triangle query | AYZ degree split + BMM | Thm 3.2 | [`triangle_query::decide_triangle_ayz`] |
+//! | Counting (acyclic join) | counting DP over join tree | Thm 3.8 | [`count::count_acyclic_join`] |
+//! | Counting (free-connex) | projection elimination + DP | Thm 3.13 | [`count::count_free_connex`] |
+//! | Counting / answers (hard side) | generic join + projection | Lem 3.9 | [`generic_join::count_distinct`], [`generic_join::answers`] |
+//! | Enumeration | constant delay after linear preprocessing | Thm 3.17 | [`Enumerator::preprocess`] |
+//! | Direct access, lex order | ⪯-compatible tree + mixed radix | Thm 3.24 | [`LexDirectAccess::build`] |
+//! | Direct access, free-connex + projections | projection elimination + DFS order | Thm 3.18 | [`FreeConnexDirectAccess::build`] |
+//! | Direct access, sum order | covering-atom sort | Thm 3.26 | [`SumOrderAccess::build_covering_atom`] |
+//! | Testing | star tester, testing-via-DA | Lem 3.20/3.21 | [`testing`], [`direct_access::test_prefix`] |
 //! | Semiring aggregation | FAQ-style DP / generic fold | §4.1.2, Ex 4.3 | [`aggregate`] |
+//!
+//! Each entry point is the *only* way to run its algorithm, and takes an
+//! [`ExecCtx`] first: the [`cq_data::IndexCatalog`] its indexes and
+//! preprocessing products are memoized in and the [`CancelToken`] its
+//! loops poll. One-shot evaluation is [`ExecCtx::cold`] — a throwaway
+//! catalog under the same code, not a second implementation.
 //!
 //! All algorithms are validated against the brute-force oracle in
 //! [`mod@bind`] and against each other. Cross-algorithm *dispatch* — picking
-//! the dichotomy-optimal algorithm for a query — lives one layer up, in
-//! `cq-planner`: this crate exposes the per-theorem entry points
-//! (including the `*_with_order` generic-join variants the planner's
-//! variable-order choice drives) and stays policy-free.
+//! the dichotomy-optimal algorithm for a query, and the generic-join
+//! variable order — lives one layer up, in `cq-planner`: this crate
+//! stays policy-free.
 
 pub mod aggregate;
 pub mod bind;
 pub mod cancel;
 pub mod count;
+pub mod ctx;
 pub mod direct_access;
 pub mod enumerate;
 pub mod fc_direct_access;
@@ -41,9 +48,9 @@ pub mod yannakakis;
 
 pub use bind::{bind, BoundAtom, EvalError};
 pub use cancel::CancelToken;
+pub use ctx::ExecCtx;
 pub use direct_access::{DirectAccess, LexDirectAccess, MaterializedDirectAccess};
-pub use enumerate::EnumeratorStream;
-pub use enumerate::{Enumerator, EnumeratorCore};
+pub use enumerate::{Enumerator, EnumeratorCore, EnumeratorStream};
 pub use fc_direct_access::FreeConnexDirectAccess;
 pub use stream::{AnswerStream, DirectAccessStream, RelationStream};
 pub use sum_order::SumOrderAccess;

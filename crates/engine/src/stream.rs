@@ -292,7 +292,8 @@ mod tests {
     fn direct_access_stream_matches_access_and_seek_skips_prefix() {
         let (db, q) = db_and_query();
         let order: Vec<Var> = q.free_vars();
-        let da = LexDirectAccess::build(&q, &db, &order).unwrap();
+        let da =
+            LexDirectAccess::build(&crate::ExecCtx::cold(), &q, &db, &order).unwrap();
         let n = da.len();
         assert!(n > 10, "need a non-trivial result");
         let want_k = da.access(n - 1).unwrap();

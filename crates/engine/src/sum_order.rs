@@ -11,12 +11,14 @@
 //! the superlinear shape the hypothesis says is unavoidable).
 
 use crate::bind::{bind, EvalError};
+use crate::cancel::CancelToken;
+use crate::ctx::ExecCtx;
 use crate::direct_access::DirectAccess;
 use crate::generic_join;
 use crate::semijoin::semijoin;
 use crate::yannakakis::shared_cols;
 use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, IndexCatalog, Relation, Val};
+use cq_data::{Database, Relation, Val};
 
 /// Direct access by ascending tuple weight (ties broken by value for
 /// determinism). Answers are full assignments in variable interning
@@ -33,6 +35,7 @@ pub struct SumOrderAccess {
 fn reduced_covering_atom(
     q: &ConjunctiveQuery,
     db: &Database,
+    cancel: &CancelToken,
 ) -> Result<(Vec<Var>, Relation), EvalError> {
     let atoms = bind(q, db)?;
     let all = q.all_vars_mask();
@@ -48,6 +51,7 @@ fn reduced_covering_atom(
         if i == cover {
             continue;
         }
+        cancel.check_now()?;
         let covering = crate::bind::BoundAtom { vars: atoms[cover].vars.clone(), rel };
         let (cc, co) = shared_cols(&covering, other);
         rel = semijoin(&covering.rel, &cc, &other.rel, &co);
@@ -80,8 +84,11 @@ impl SumOrderAccess {
 
     /// The easy side of Theorem 3.26: the query has an atom covering all
     /// variables. Preprocessing: semijoin the covering atom by every
-    /// other atom, weigh, sort — Õ(m).
+    /// other atom, weigh, sort — Õ(m). The weight-independent reduction
+    /// is memoized in the catalog: repeated builds (e.g. re-weighings,
+    /// or the same ranking re-requested) pay only the weigh-and-sort.
     pub fn build_covering_atom(
+        ctx: &ExecCtx,
         q: &ConjunctiveQuery,
         db: &Database,
         weight: &dyn Fn(Val) -> i64,
@@ -89,25 +96,10 @@ impl SumOrderAccess {
         if !q.is_join_query() {
             return Err(EvalError::NotJoinQuery);
         }
-        let (vars, rel) = reduced_covering_atom(q, db)?;
-        Ok(Self::weigh(&vars, &rel, q.n_vars(), weight))
-    }
-
-    /// [`SumOrderAccess::build_covering_atom`] with the
-    /// weight-independent reduction memoized in the catalog: repeated
-    /// builds (e.g. re-weighings, or the same ranking re-requested) pay
-    /// only the weigh-and-sort.
-    pub fn build_covering_atom_with_catalog(
-        q: &ConjunctiveQuery,
-        db: &Database,
-        weight: &dyn Fn(Val) -> i64,
-        catalog: &IndexCatalog,
-    ) -> Result<Self, EvalError> {
-        if !q.is_join_query() {
-            return Err(EvalError::NotJoinQuery);
-        }
-        let reduced = catalog
-            .artifact(db, "sum_cover", &q.to_string(), || reduced_covering_atom(q, db))?;
+        ctx.cancel().check_now()?;
+        let reduced = ctx.catalog().artifact(db, "sum_cover", &q.to_string(), || {
+            reduced_covering_atom(q, db, ctx.cancel())
+        })?;
         let (vars, rel) = &*reduced;
         Ok(Self::weigh(vars, rel, q.n_vars(), weight))
     }
@@ -116,6 +108,7 @@ impl SumOrderAccess {
     /// sort. Θ(|q(D)| log |q(D)|) preprocessing — the cost Lemma 3.25
     /// says cannot be avoided in general.
     pub fn build_materialized(
+        ctx: &ExecCtx,
         q: &ConjunctiveQuery,
         db: &Database,
         weight: &dyn Fn(Val) -> i64,
@@ -123,7 +116,7 @@ impl SumOrderAccess {
         if !q.is_join_query() {
             return Err(EvalError::NotJoinQuery);
         }
-        let rel = generic_join::answers(q, db)?;
+        let rel = generic_join::answers(ctx, q, db, &generic_join::default_order(q))?;
         let mut rows: Vec<(i64, Vec<Val>)> = rel
             .iter()
             .map(|row| (row.iter().map(|&v| weight(v)).sum(), row.to_vec()))
@@ -166,6 +159,16 @@ mod tests {
         move |v: Val| ws[v as usize]
     }
 
+    type Built = Result<SumOrderAccess, EvalError>;
+
+    fn covering_atom(q: &ConjunctiveQuery, db: &Database, ws: &[i64]) -> Built {
+        SumOrderAccess::build_covering_atom(&ExecCtx::cold(), q, db, &weights_fn(ws))
+    }
+
+    fn materialized(q: &ConjunctiveQuery, db: &Database, ws: &[i64]) -> Built {
+        SumOrderAccess::build_materialized(&ExecCtx::cold(), q, db, &weights_fn(ws))
+    }
+
     #[test]
     fn covering_atom_sorted_by_weight() {
         let mut db = Database::new();
@@ -174,7 +177,7 @@ mod tests {
         // q(a, b) :- R(a, b), S(a): covering atom R
         let q = parse_query("q(a, b) :- R(a, b), S(a)").unwrap();
         let ws = vec![0i64, 10, 100, 1000];
-        let da = SumOrderAccess::build_covering_atom(&q, &db, &weights_fn(&ws)).unwrap();
+        let da = covering_atom(&q, &db, &ws).unwrap();
         // S filters out nothing (a ∈ {0,1,2} all present)
         assert_eq!(da.len(), 3);
         // weights: (0,1)=10, (1,1)=20, (2,3)=1100 → ascending
@@ -192,7 +195,7 @@ mod tests {
         db.insert("S", Relation::from_values(vec![0]));
         let q = parse_query("q(a, b) :- R(a, b), S(a)").unwrap();
         let ws = vec![1i64, 1, 1, 1];
-        let da = SumOrderAccess::build_covering_atom(&q, &db, &weights_fn(&ws)).unwrap();
+        let da = covering_atom(&q, &db, &ws).unwrap();
         assert_eq!(da.len(), 1);
         assert_eq!(da.access(0), Some(vec![0, 1]));
     }
@@ -204,38 +207,28 @@ mod tests {
         db.insert("R2", Relation::from_pairs(vec![(1, 2)]));
         let q = parse_query("q(x,y,z) :- R1(x,y), R2(y,z)").unwrap();
         let ws = vec![0i64; 4];
-        assert!(matches!(
-            SumOrderAccess::build_covering_atom(&q, &db, &weights_fn(&ws)),
-            Err(EvalError::Unsupported(_))
-        ));
+        assert!(matches!(covering_atom(&q, &db, &ws), Err(EvalError::Unsupported(_))));
         // materialized fallback works
-        let da = SumOrderAccess::build_materialized(&q, &db, &weights_fn(&ws)).unwrap();
+        let da = materialized(&q, &db, &ws).unwrap();
         assert_eq!(da.len(), 1);
         assert_eq!(da.access(0), Some(vec![0, 1, 2]));
     }
 
     #[test]
-    fn catalog_covering_atom_matches_plain() {
+    fn reweighing_reuses_the_memoized_reduction() {
         let mut rng = seeded_rng(7);
         let mut db = Database::new();
         db.insert("R", cq_data::generate::random_pairs(60, 20, &mut rng));
         db.insert("S", Relation::from_values((0..20).collect::<Vec<_>>()));
         let q = parse_query("q(a, b) :- R(a, b), S(a)").unwrap();
-        let ws = random_weights(20, 100, &mut rng);
         let cat = cq_data::IndexCatalog::new();
-        let plain =
-            SumOrderAccess::build_covering_atom(&q, &db, &weights_fn(&ws)).unwrap();
-        for _ in 0..2 {
-            let cataloged = SumOrderAccess::build_covering_atom_with_catalog(
-                &q,
-                &db,
-                &weights_fn(&ws),
-                &cat,
-            )
-            .unwrap();
-            assert_eq!(plain.len(), cataloged.len());
-            for i in 0..plain.len() {
-                assert_eq!(plain.access(i), cataloged.access(i));
+        let ctx = ExecCtx::warm(&cat);
+        for seed in 0..3 {
+            let ws = random_weights(20, 100, &mut seeded_rng(seed));
+            let da = SumOrderAccess::build_covering_atom(&ctx, &q, &db, &weights_fn(&ws))
+                .unwrap();
+            for i in 1..da.len() {
+                assert!(da.weight_at(i - 1).unwrap() <= da.weight_at(i).unwrap());
             }
         }
         // the reduction was built exactly once
@@ -249,8 +242,8 @@ mod tests {
         db.insert("R", cq_data::generate::random_pairs(50, 20, &mut rng));
         let q = parse_query("q(a, b) :- R(a, b)").unwrap();
         let ws = random_weights(20, 100, &mut rng);
-        let a = SumOrderAccess::build_covering_atom(&q, &db, &weights_fn(&ws)).unwrap();
-        let b = SumOrderAccess::build_materialized(&q, &db, &weights_fn(&ws)).unwrap();
+        let a = covering_atom(&q, &db, &ws).unwrap();
+        let b = materialized(&q, &db, &ws).unwrap();
         assert_eq!(a.len(), b.len());
         for i in 0..a.len() {
             assert_eq!(a.access(i), b.access(i), "i={i}");
@@ -264,7 +257,7 @@ mod tests {
         db.insert("R", cq_data::generate::random_pairs(80, 30, &mut rng));
         let q = parse_query("q(a, b) :- R(a, b)").unwrap();
         let ws = random_weights(30, 50, &mut rng);
-        let da = SumOrderAccess::build_covering_atom(&q, &db, &weights_fn(&ws)).unwrap();
+        let da = covering_atom(&q, &db, &ws).unwrap();
         for i in 1..da.len() {
             assert!(da.weight_at(i - 1).unwrap() <= da.weight_at(i).unwrap());
         }
@@ -276,7 +269,7 @@ mod tests {
         db.insert("R", Relation::from_pairs(vec![(0, 1), (1, 0)]));
         let q = parse_query("q(a, b) :- R(a, b)").unwrap();
         let ws = vec![-5i64, 3];
-        let da = SumOrderAccess::build_covering_atom(&q, &db, &weights_fn(&ws)).unwrap();
+        let da = covering_atom(&q, &db, &ws).unwrap();
         // both tuples weigh -2; has_weight works on duplicates
         assert!(da.has_weight(-2));
         assert!(!da.has_weight(0));

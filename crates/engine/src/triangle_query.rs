@@ -10,7 +10,8 @@
 //! the Triangle Hypothesis says is close to optimal.
 
 use crate::bind::EvalError;
-use cq_data::{Database, FxHashMap, IndexCatalog, Relation, SortedView, Val};
+use crate::ctx::ExecCtx;
+use cq_data::{Database, FxHashMap, Relation, Val};
 use cq_matrix::dense::multiply_rowwise;
 use cq_matrix::BitMatrix;
 
@@ -49,99 +50,52 @@ fn degree_map(r1: &Relation, r2: &Relation, r3: &Relation) -> FxHashMap<Val, usi
 }
 
 /// Decide `q△` with the degree-split algorithm. `delta` is the
-/// light/heavy threshold (use `cq_matrix::omega::ayz_delta`).
-pub fn decide_triangle_ayz(db: &Database, delta: usize) -> Result<bool, EvalError> {
-    let (r1, r2, r3) = triangle_relations(db)?;
-    let degree = degree_map(r1, r2, r3);
-    // indexes: R2 by y (col 0), R3 by z (col 0), R1 by x (col 0)
-    let r2_by_y = SortedView::new(r2, &[0]);
-    let r3_by_z = SortedView::new(r3, &[0]);
-    let r1_by_x = SortedView::new(r1, &[0]);
-    Ok(ayz_phases(r1, r2, r3, &degree, &r1_by_x, &r2_by_y, &r3_by_z, delta))
-}
-
-/// [`decide_triangle_ayz`] with the degree map and the three sorted
-/// views acquired through the catalog: repeated triangle decisions on
-/// an unchanged database pay the light/heavy scans only.
-pub fn decide_triangle_ayz_with_catalog(
+/// light/heavy threshold (use `cq_matrix::omega::ayz_delta`). The degree
+/// map and the three sorted views come from the catalog: repeated
+/// triangle decisions on an unchanged database pay the light/heavy scans
+/// only. The token is consulted between the phases.
+pub fn decide_triangle_ayz(
+    ctx: &ExecCtx,
     db: &Database,
     delta: usize,
-    catalog: &IndexCatalog,
 ) -> Result<bool, EvalError> {
+    let (catalog, cancel) = (ctx.catalog(), ctx.cancel());
     let (r1, r2, r3) = triangle_relations(db)?;
     let degree = catalog
         .artifact(db, "ayz_degree", "", || Ok::<_, EvalError>(degree_map(r1, r2, r3)))?;
-    let r2_by_y = catalog.sorted_view(db, "R2", &[0]).expect("validated");
-    let r3_by_z = catalog.sorted_view(db, "R3", &[0]).expect("validated");
-    let r1_by_x = catalog.sorted_view(db, "R1", &[0]).expect("validated");
-    Ok(ayz_phases(r1, r2, r3, &degree, &r1_by_x, &r2_by_y, &r3_by_z, delta))
-}
-
-/// The light expansions + heavy matrix phase shared by both entries.
-#[allow(clippy::too_many_arguments)]
-fn ayz_phases(
-    r1: &Relation,
-    r2: &Relation,
-    r3: &Relation,
-    degree: &FxHashMap<Val, usize>,
-    r1_by_x: &SortedView,
-    r2_by_y: &SortedView,
-    r3_by_z: &SortedView,
-    delta: usize,
-) -> bool {
     let delta = delta.max(1);
     let light = |v: Val| degree.get(&v).copied().unwrap_or(0) <= delta;
 
-    // --- light phases ---
-    // light y: (x,y) ∈ R1, y light: expand y's R2-tuples, check R3(z,x)
-    for row in r1.iter() {
-        let (x, y) = (row[0], row[1]);
-        if !light(y) {
-            continue;
-        }
-        let range = r2_by_y.key_range(&[y]);
-        for i in range {
-            let z = r2_by_y.row(i)[1];
-            if r3.contains(&[z, x]) {
-                return true;
+    // --- light phases: for (a,b) ∈ `from` with b light, expand b's
+    // tuples (b,c) in `via` (indexed on its first column) and check
+    // `close`(c,a). Light y: R1(x,y) → R2(y,z) → R3(z,x); light z:
+    // R2 → R3 → R1; light x: R3 → R1 → R2 ---
+    let by_first = |name| catalog.sorted_view(db, name, &[0]).expect("validated");
+    let phases =
+        [(r1, by_first("R2"), r3), (r2, by_first("R3"), r1), (r3, by_first("R1"), r2)];
+    for (from, via, close) in &phases {
+        cancel.check_now()?;
+        for row in from.iter() {
+            let (a, b) = (row[0], row[1]);
+            if !light(b) {
+                continue;
             }
-        }
-    }
-    // light z: (y,z) ∈ R2, z light: expand z's R3-tuples, check R1(x,y)
-    for row in r2.iter() {
-        let (y, z) = (row[0], row[1]);
-        if !light(z) {
-            continue;
-        }
-        let range = r3_by_z.key_range(&[z]);
-        for i in range {
-            let x = r3_by_z.row(i)[1];
-            if r1.contains(&[x, y]) {
-                return true;
-            }
-        }
-    }
-    // light x: (z,x) ∈ R3, x light: expand x's R1-tuples, check R2(y,z)
-    for row in r3.iter() {
-        let (z, x) = (row[0], row[1]);
-        if !light(x) {
-            continue;
-        }
-        let range = r1_by_x.key_range(&[x]);
-        for i in range {
-            let y = r1_by_x.row(i)[1];
-            if r2.contains(&[y, z]) {
-                return true;
+            for i in via.key_range(&[b]) {
+                let c = via.row(i)[1];
+                if close.contains(&[c, a]) {
+                    return Ok(true);
+                }
             }
         }
     }
 
     // --- heavy phase: all three values heavy ---
+    cancel.check_now()?;
     let mut heavy: Vec<Val> =
         degree.iter().filter(|&(_, &d)| d > delta).map(|(&v, _)| v).collect();
     heavy.sort_unstable();
     if heavy.is_empty() {
-        return false;
+        return Ok(false);
     }
     let idx_of = |v: Val| -> Option<usize> { heavy.binary_search(&v).ok() };
     let h = heavy.len();
@@ -161,17 +115,18 @@ fn ayz_phases(
     for row in r3.iter() {
         if let (Some(zi), Some(xi)) = (idx_of(row[0]), idx_of(row[1])) {
             if c.get(xi, zi) {
-                return true;
+                return Ok(true);
             }
         }
     }
-    false
+    Ok(false)
 }
 
 /// The generic-join baseline for `q△` (the m^{3/2} algorithm the paper
 /// contrasts Theorem 3.2 against).
-pub fn decide_triangle_generic(db: &Database) -> Result<bool, EvalError> {
-    crate::generic_join::decide(&cq_core::query::zoo::triangle_boolean(), db)
+pub fn decide_triangle_generic(ctx: &ExecCtx, db: &Database) -> Result<bool, EvalError> {
+    let q = cq_core::query::zoo::triangle_boolean();
+    crate::generic_join::decide(ctx, &q, db, &crate::generic_join::default_order(&q))
 }
 
 /// Build a `q△` database directly from three relations.
@@ -196,7 +151,10 @@ mod tests {
             Relation::from_pairs(vec![(3, 1)]),
         );
         for delta in [1usize, 2, 100] {
-            assert!(decide_triangle_ayz(&db, delta).unwrap(), "delta={delta}");
+            assert!(
+                decide_triangle_ayz(&ExecCtx::cold(), &db, delta).unwrap(),
+                "delta={delta}"
+            );
         }
     }
 
@@ -208,7 +166,10 @@ mod tests {
             Relation::from_pairs(vec![(1, 3)]), // wrong direction
         );
         for delta in [1usize, 2, 100] {
-            assert!(!decide_triangle_ayz(&db, delta).unwrap(), "delta={delta}");
+            assert!(
+                !decide_triangle_ayz(&ExecCtx::cold(), &db, delta).unwrap(),
+                "delta={delta}"
+            );
         }
     }
 
@@ -217,10 +178,10 @@ mod tests {
         let mut rng = seeded_rng(1);
         for trial in 0..20 {
             let db = triangle_database(&random_pairs(40 + trial, 12, &mut rng));
-            let want = decide_triangle_generic(&db).unwrap();
+            let want = decide_triangle_generic(&ExecCtx::cold(), &db).unwrap();
             for delta in [1usize, 3, 7, 1000] {
                 assert_eq!(
-                    decide_triangle_ayz(&db, delta).unwrap(),
+                    decide_triangle_ayz(&ExecCtx::cold(), &db, delta).unwrap(),
                     want,
                     "trial={trial} delta={delta}"
                 );
@@ -237,10 +198,10 @@ mod tests {
             let r2 = skewed_pairs(150, 40, 2, &mut rng);
             let r3 = skewed_pairs(150, 40, 2, &mut rng);
             let db = triangle_db(r1, r2, r3);
-            let want = decide_triangle_generic(&db).unwrap();
+            let want = decide_triangle_generic(&ExecCtx::cold(), &db).unwrap();
             for delta in [1usize, 5, 20] {
                 assert_eq!(
-                    decide_triangle_ayz(&db, delta).unwrap(),
+                    decide_triangle_ayz(&ExecCtx::cold(), &db, delta).unwrap(),
                     want,
                     "trial={trial} delta={delta}"
                 );
@@ -249,24 +210,17 @@ mod tests {
     }
 
     #[test]
-    fn catalog_ayz_matches_plain_and_reuses() {
+    fn other_thresholds_reuse_the_degree_map_and_views() {
         let mut rng = seeded_rng(5);
         let cat = cq_data::IndexCatalog::new();
-        for trial in 0..10 {
-            let db = triangle_database(&random_pairs(40 + trial, 12, &mut rng));
-            for delta in [1usize, 3, 1000] {
-                let want = decide_triangle_ayz(&db, delta).unwrap();
-                assert_eq!(
-                    decide_triangle_ayz_with_catalog(&db, delta, &cat).unwrap(),
-                    want,
-                    "trial={trial} delta={delta}"
-                );
-            }
-            // two more deltas on the same db: degree map + views reused
-            let before = cat.snapshot();
-            decide_triangle_ayz_with_catalog(&db, 2, &cat).unwrap();
-            assert_eq!(cat.snapshot().misses, before.misses);
+        let ctx = ExecCtx::warm(&cat);
+        let db = triangle_database(&random_pairs(50, 12, &mut rng));
+        let want = decide_triangle_ayz(&ctx, &db, 1).unwrap();
+        let before = cat.snapshot();
+        for delta in [2usize, 3, 1000] {
+            assert_eq!(decide_triangle_ayz(&ctx, &db, delta).unwrap(), want);
         }
+        assert_eq!(cat.snapshot().misses, before.misses);
     }
 
     #[test]
@@ -278,8 +232,8 @@ mod tests {
             Relation::from_pairs(vec![(20, 30)]),
             Relation::from_pairs(vec![(30, 10), (2, 2)]),
         );
-        assert!(decide_triangle_ayz(&db, 1).unwrap());
-        assert!(decide_triangle_ayz(&db, 100).unwrap());
+        assert!(decide_triangle_ayz(&ExecCtx::cold(), &db, 1).unwrap());
+        assert!(decide_triangle_ayz(&ExecCtx::cold(), &db, 100).unwrap());
     }
 
     #[test]
@@ -287,7 +241,7 @@ mod tests {
         let mut db = Database::new();
         db.insert("R1", Relation::from_pairs(vec![(1, 2)]));
         assert!(matches!(
-            decide_triangle_ayz(&db, 2),
+            decide_triangle_ayz(&ExecCtx::cold(), &db, 2),
             Err(EvalError::MissingRelation(_))
         ));
     }
@@ -297,6 +251,6 @@ mod tests {
         // x=y=z=5: R1(5,5), R2(5,5), R3(5,5)
         let r = Relation::from_pairs(vec![(5, 5)]);
         let db = triangle_db(r.clone(), r.clone(), r);
-        assert!(decide_triangle_ayz(&db, 3).unwrap());
+        assert!(decide_triangle_ayz(&ExecCtx::cold(), &db, 3).unwrap());
     }
 }

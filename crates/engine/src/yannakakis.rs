@@ -10,10 +10,11 @@
 use crate::bind::{
     bind, collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError,
 };
+use crate::ctx::ExecCtx;
 use crate::semijoin::{semijoin, semijoin_indexed};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::{Database, HashIndex, IndexCatalog, Relation};
+use cq_data::{Database, HashIndex, Relation};
 use std::sync::Arc;
 
 /// Shared key columns between two variable lists (each distinct): for
@@ -42,6 +43,14 @@ pub fn join_tree_of(q: &ConjunctiveQuery) -> Result<JoinTree, EvalError> {
     cq_core::gyo::join_tree(&q.hypergraph()).ok_or(EvalError::NotAcyclic)
 }
 
+/// The join tree of bound atoms over `n_vars` variables — how the
+/// messages of projection elimination (an acyclic join query over the
+/// free variables) get theirs. `None` if their hypergraph is cyclic.
+pub(crate) fn join_tree_of_atoms(atoms: &[BoundAtom], n_vars: usize) -> Option<JoinTree> {
+    let scopes: Vec<u64> = atoms.iter().map(BoundAtom::scope).collect();
+    cq_core::gyo::join_tree(&cq_core::Hypergraph::new(n_vars, scopes))
+}
+
 /// Upward semijoin sweep: each parent is filtered by each child,
 /// children first (bottom-up). Afterwards the root is non-empty iff the
 /// query has an answer.
@@ -68,45 +77,20 @@ pub fn downward_sweep(atoms: &mut [BoundAtom], tree: &JoinTree) {
 
 /// Decide a Boolean acyclic query in O(m) (Theorem 3.1). Works for any
 /// acyclic query (free variables are irrelevant to decision).
-pub fn decide_acyclic(q: &ConjunctiveQuery, db: &Database) -> Result<bool, EvalError> {
-    let mut atoms = bind(q, db)?;
-    if atoms.iter().any(|a| a.rel.is_empty()) {
-        return Ok(false);
-    }
-    let tree = join_tree_of(q)?;
-    upward_sweep(&mut atoms, &tree);
-    Ok(!atoms[tree.root()].rel.is_empty())
-}
-
-/// [`decide_acyclic`] with all index acquisition routed through the
-/// per-database [`IndexCatalog`]: base relations are never cloned, and
-/// the semijoins against *pristine* atoms (leaves, whose relations are
-/// exactly the stored ones) probe the catalog's memoized hash indexes
-/// instead of rebuilding a key set per call. Only the relations that
-/// the sweep actually filters are materialized.
-pub fn decide_acyclic_with_catalog(
+///
+/// Base relations are never cloned: the semijoins against *pristine*
+/// atoms (leaves, whose relations are exactly the stored ones) probe the
+/// catalog's memoized hash indexes instead of rebuilding a key set per
+/// call, and only the relations the sweep actually filters are
+/// materialized. The sweep is one O(m) semijoin per tree edge; the token
+/// is consulted before each, so a tripped deadline aborts at the next
+/// edge boundary.
+pub fn decide_acyclic(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
-    catalog: &IndexCatalog,
 ) -> Result<bool, EvalError> {
-    decide_acyclic_with_catalog_cancel(
-        q,
-        db,
-        catalog,
-        &crate::cancel::CancelToken::never(),
-    )
-}
-
-/// [`decide_acyclic_with_catalog`] polling `cancel` between semijoin
-/// passes: the sweep is one O(m) semijoin per tree edge, so the token
-/// is consulted before each pass and a tripped deadline aborts the
-/// sweep at the next edge boundary.
-pub fn decide_acyclic_with_catalog_cancel(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &IndexCatalog,
-    cancel: &crate::cancel::CancelToken,
-) -> Result<bool, EvalError> {
+    let (catalog, cancel) = (ctx.catalog(), ctx.cancel());
     let _span = cq_obs::trace::span("op.yannakakis.decide");
     /// A node's current relation during the sweep.
     enum Rel<'a> {
@@ -207,7 +191,7 @@ mod tests {
         let db = path_database(3, 200, &mut seeded_rng(1));
         let q = zoo::path_boolean(3);
         assert_eq!(
-            decide_acyclic(&q, &db).unwrap(),
+            decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap(),
             brute_force_decide(&q, &db).unwrap()
         );
     }
@@ -216,14 +200,14 @@ mod tests {
     fn decide_empty_relation_false() {
         let mut db = path_database(2, 50, &mut seeded_rng(2));
         db.insert("R2", Relation::new(2));
-        assert!(!decide_acyclic(&zoo::path_boolean(2), &db).unwrap());
+        assert!(!decide_acyclic(&ExecCtx::cold(), &zoo::path_boolean(2), &db).unwrap());
     }
 
     #[test]
     fn decide_star_queries() {
         let db = star_database(3, 300, 4, &mut seeded_rng(3));
         let q = zoo::star_selfjoin_free(3).boolean_version();
-        assert!(decide_acyclic(&q, &db).unwrap());
+        assert!(decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap());
     }
 
     #[test]
@@ -231,7 +215,7 @@ mod tests {
         let db =
             cq_data::generate::triangle_database(&Relation::from_pairs(vec![(0, 1)]));
         assert_eq!(
-            decide_acyclic(&zoo::triangle_boolean(), &db).unwrap_err(),
+            decide_acyclic(&ExecCtx::cold(), &zoo::triangle_boolean(), &db).unwrap_err(),
             EvalError::NotAcyclic
         );
     }
@@ -243,7 +227,7 @@ mod tests {
         db.insert("R", Relation::from_pairs(vec![(1, 2), (5, 6)]));
         db.insert("S", Relation::from_pairs(vec![(2, 3), (9, 9)]));
         let q = parse_query("q() :- R(x,y), S(y,z)").unwrap();
-        assert!(decide_acyclic(&q, &db).unwrap());
+        assert!(decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap());
         let (atoms, _) =
             full_reduce(&q, db.clone().insert("T", Relation::new(1))).unwrap();
         // after full reduction: R keeps (1,2) only; S keeps (2,3) only
@@ -283,9 +267,9 @@ mod tests {
         db.insert("R", Relation::from_pairs(vec![(1, 1)]));
         db.insert("S", Relation::from_pairs(vec![(2, 2)]));
         let q = parse_query("q() :- R(x,y), S(u,v)").unwrap();
-        assert!(decide_acyclic(&q, &db).unwrap());
+        assert!(decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap());
         db.insert("S", Relation::new(2));
-        assert!(!decide_acyclic(&q, &db).unwrap());
+        assert!(!decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap());
     }
 
     #[test]
@@ -295,43 +279,32 @@ mod tests {
         let mut db = Database::new();
         db.insert("R", Relation::from_pairs(vec![(1, 2), (3, 4), (4, 3)]));
         let q = parse_query("q() :- R(x,y), R(y,x)").unwrap();
-        assert!(decide_acyclic(&q, &db).unwrap());
+        assert!(decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap());
         db.insert("R", Relation::from_pairs(vec![(1, 2), (3, 4)]));
-        assert!(!decide_acyclic(&q, &db).unwrap());
+        assert!(!decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap());
     }
 
     #[test]
-    fn catalog_decide_matches_plain() {
-        let mut rng = seeded_rng(11);
+    fn repeated_variable_atoms_memoize_their_collapsed_relation() {
         let cat = cq_data::IndexCatalog::new();
-        for trial in 0..8 {
-            let db = path_database(3, 25 + trial, &mut rng);
-            let q = zoo::path_boolean(3);
-            let want = decide_acyclic(&q, &db).unwrap();
-            let cold = decide_acyclic_with_catalog(&q, &db, &cat).unwrap();
-            let warm = decide_acyclic_with_catalog(&q, &db, &cat).unwrap();
-            assert_eq!(cold, want, "trial {trial}");
-            assert_eq!(warm, want, "trial {trial} (warm)");
-        }
-        // self-join with repeated variables in one atom
+        let ctx = ExecCtx::warm(&cat);
         let q = parse_query("q() :- R(x, x), R(x, y)").unwrap();
         let mut db = Database::new();
         db.insert("R", Relation::from_pairs(vec![(1, 2), (3, 3)]));
-        assert!(decide_acyclic_with_catalog(&q, &db, &cat).unwrap());
+        assert!(decide_acyclic(&ctx, &q, &db).unwrap());
+        let before = cat.snapshot();
+        assert!(decide_acyclic(&ctx, &q, &db).unwrap());
+        assert_eq!(cat.snapshot().misses, before.misses, "second sweep builds nothing");
         db.insert("R", Relation::from_pairs(vec![(1, 2), (2, 3)]));
-        assert!(!decide_acyclic_with_catalog(&q, &db, &cat).unwrap());
-        // error parity
-        let q = zoo::path_boolean(2);
-        let empty = Database::new();
+        assert!(!decide_acyclic(&ctx, &q, &db).unwrap());
+    }
+
+    #[test]
+    fn missing_relation_is_reported() {
         assert_eq!(
-            decide_acyclic_with_catalog(&q, &empty, &cat).unwrap_err(),
-            decide_acyclic(&q, &empty).unwrap_err()
-        );
-        let db =
-            cq_data::generate::triangle_database(&Relation::from_pairs(vec![(0, 1)]));
-        assert_eq!(
-            decide_acyclic_with_catalog(&zoo::triangle_boolean(), &db, &cat).unwrap_err(),
-            EvalError::NotAcyclic
+            decide_acyclic(&ExecCtx::cold(), &zoo::path_boolean(2), &Database::new())
+                .unwrap_err(),
+            EvalError::MissingRelation("R1".into())
         );
     }
 
@@ -342,7 +315,7 @@ mod tests {
             let db = path_database(3, 30 + trial, &mut rng);
             let q = zoo::path_boolean(3);
             assert_eq!(
-                decide_acyclic(&q, &db).unwrap(),
+                decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap(),
                 brute_force_decide(&q, &db).unwrap(),
                 "trial {trial}"
             );

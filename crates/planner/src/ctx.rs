@@ -1,14 +1,12 @@
 //! Evaluation options as a value: [`EvalCtx`].
 //!
-//! The facade originally grew one function per option combination —
-//! `decide`, `decide_with_catalog`, `decide_with_catalog_cancel`, and
-//! the same ladder for `count`, `answers`, `batch_tasks`, and
-//! `execute`. Every new cross-cutting concern (the cancel token was
-//! the second, a budget would have been the third) doubled the
-//! surface. This module collapses the ladder: an [`EvalCtx`] carries
-//! the options — index catalog, cancel token, admission budget — and
-//! one method per task consumes it. New concerns become new fields,
-//! not new suffixes.
+//! An [`EvalCtx`] carries the options of an evaluation — index
+//! catalog, cancel token, admission budget, trace sink — and one method
+//! per task consumes it, so a new cross-cutting concern is a new field,
+//! not a new function suffix. Budget and trace are the planner's
+//! business (admission happens before execution, the sink is installed
+//! thread-locally around it); catalog and token are the operators', and
+//! reach them as the [`ExecCtx`] this type builds per execution.
 //!
 //! ```
 //! use cq_planner::{eval, EvalCtx, Planner};
@@ -24,11 +22,6 @@
 //! let (n, _plan) = ctx.count(&mut planner, &q, &db).unwrap();
 //! assert_eq!(n, 1);
 //! ```
-//!
-//! The deprecated `*_with_catalog` / `*_with_catalog_cancel` functions
-//! in [`eval`](crate::eval) and [`execute`](mod@crate::execute) are thin
-//! shims over this type and will be removed once external callers
-//! migrate.
 
 use crate::eval::{catalog_for, with_global_planner};
 use crate::execute::{execute_in, Output};
@@ -37,7 +30,7 @@ use crate::planner::Planner;
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, IndexCatalog, Relation};
 use cq_engine::bind::EvalError;
-use cq_engine::CancelToken;
+use cq_engine::{CancelToken, ExecCtx};
 use cq_obs::trace::{self, TraceSink};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -200,12 +193,12 @@ impl<'a> EvalCtx<'a> {
         }
     }
 
-    /// [`execute_in`] under this context's trace sink: a no-op
-    /// passthrough when tracing is off; otherwise the sink is
-    /// installed thread-locally around the call and a root `execute`
-    /// span records catalog hits vs. builds, cancel polls, and the
-    /// result cardinality (streamed answers record their own rows as
-    /// they drain).
+    /// [`execute_in`] against `catalog` and this context's token, under
+    /// its trace sink: a no-op passthrough when tracing is off;
+    /// otherwise the sink is installed thread-locally around the call
+    /// and a root `execute` span records catalog hits vs. builds,
+    /// cancel polls, and the result cardinality (streamed answers
+    /// record their own rows as they drain).
     fn execute_traced(
         &self,
         plan: &QueryPlan,
@@ -213,13 +206,14 @@ impl<'a> EvalCtx<'a> {
         db: &Database,
         catalog: &IndexCatalog,
     ) -> Result<Output, EvalError> {
+        let exec = ExecCtx::new(catalog, &self.cancel);
         if !self.trace.is_enabled() {
-            return execute_in(plan, q, db, catalog, &self.cancel);
+            return execute_in(&exec, plan, q, db);
         }
         trace::with(&self.trace, || {
             let mut span = trace::span("execute");
             let before = catalog.snapshot();
-            let out = execute_in(plan, q, db, catalog, &self.cancel);
+            let out = execute_in(&exec, plan, q, db);
             let after = catalog.snapshot();
             span.attr("catalog-hits", after.hits.saturating_sub(before.hits));
             span.attr("catalog-builds", after.misses.saturating_sub(before.misses));
@@ -385,7 +379,7 @@ mod tests {
     use cq_data::generate::{path_database, seeded_rng};
 
     #[test]
-    fn ctx_matches_the_suffix_ladder() {
+    fn task_methods_agree_with_the_facade() {
         let db = path_database(3, 40, &mut seeded_rng(31));
         let q = zoo::path_join(3);
         let catalog = IndexCatalog::new();

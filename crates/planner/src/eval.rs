@@ -24,20 +24,17 @@
 //! database simultaneously ([`batch`] does exactly that).
 //!
 //! For cache-controlled workflows (benchmarks, servers with per-tenant
-//! planners) use the `*_with` variants with an explicit [`Planner`] and
-//! pre-collected [`DataStats`], or build an [`EvalCtx`] with an
-//! explicit [`IndexCatalog`], [`CancelToken`], and/or budget — the
-//! options struct that replaced the deprecated
-//! `*_with_catalog`/`*_with_catalog_cancel` suffix ladder.
+//! planners) build an [`EvalCtx`] with an explicit [`IndexCatalog`],
+//! cancel token, and/or budget, and hand its task methods your own
+//! [`Planner`].
 
 use crate::ctx::EvalCtx;
-use crate::execute::{execute, Output};
+use crate::execute::Output;
 use crate::ir::{QueryPlan, Task};
 use crate::planner::Planner;
 use cq_core::ConjunctiveQuery;
-use cq_data::{DataStats, Database, FxHashMap, IndexCatalog, Relation};
+use cq_data::{Database, FxHashMap, IndexCatalog, Relation};
 use cq_engine::bind::EvalError;
-use cq_engine::CancelToken;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -116,97 +113,10 @@ pub fn decide(
     with_global_planner(|p| EvalCtx::new().decide(p, q, db))
 }
 
-/// [`decide`] with an explicit planner and index catalog: plans from
-/// the catalog's memoized statistics and executes on the warm path.
-#[deprecated(
-    since = "0.3.0",
-    note = "build an `EvalCtx` instead: `EvalCtx::new().with_catalog(catalog).decide(planner, q, db)`"
-)]
-pub fn decide_with_catalog(
-    planner: &mut Planner,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &IndexCatalog,
-) -> Result<(bool, QueryPlan), EvalError> {
-    EvalCtx::new().with_catalog(catalog).decide(planner, q, db)
-}
-
-/// [`decide_with_catalog`] under a [`CancelToken`]: a tripped deadline
-/// or probe aborts mid-execution with [`EvalError::Cancelled`].
-#[deprecated(
-    since = "0.3.0",
-    note = "build an `EvalCtx` instead: `EvalCtx::new().with_catalog(catalog).with_cancel(cancel).decide(planner, q, db)`"
-)]
-pub fn decide_with_catalog_cancel(
-    planner: &mut Planner,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
-) -> Result<(bool, QueryPlan), EvalError> {
-    EvalCtx::new()
-        .with_catalog(catalog)
-        .with_cancel(cancel.clone())
-        .decide(planner, q, db)
-}
-
-/// [`decide`] with an explicit planner and pre-collected statistics.
-pub fn decide_with(
-    planner: &mut Planner,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    stats: &DataStats,
-) -> Result<(bool, QueryPlan), EvalError> {
-    let plan = planner.plan(q, Task::Decide, stats);
-    let out = execute(&plan, q, db)?;
-    Ok((out.as_decision().expect("decide plan yields decision"), plan))
-}
-
 /// Count `|q(D)|` with the dichotomy-optimal algorithm; returns the
 /// count and the plan that ran.
 pub fn count(q: &ConjunctiveQuery, db: &Database) -> Result<(u64, QueryPlan), EvalError> {
     with_global_planner(|p| EvalCtx::new().count(p, q, db))
-}
-
-/// [`count`] with an explicit planner and index catalog.
-#[deprecated(
-    since = "0.3.0",
-    note = "build an `EvalCtx` instead: `EvalCtx::new().with_catalog(catalog).count(planner, q, db)`"
-)]
-pub fn count_with_catalog(
-    planner: &mut Planner,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &IndexCatalog,
-) -> Result<(u64, QueryPlan), EvalError> {
-    EvalCtx::new().with_catalog(catalog).count(planner, q, db)
-}
-
-/// [`count_with_catalog`] under a [`CancelToken`].
-#[deprecated(
-    since = "0.3.0",
-    note = "build an `EvalCtx` instead: `EvalCtx::new().with_catalog(catalog).with_cancel(cancel).count(planner, q, db)`"
-)]
-pub fn count_with_catalog_cancel(
-    planner: &mut Planner,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
-) -> Result<(u64, QueryPlan), EvalError> {
-    EvalCtx::new().with_catalog(catalog).with_cancel(cancel.clone()).count(planner, q, db)
-}
-
-/// [`count`] with an explicit planner and pre-collected statistics.
-pub fn count_with(
-    planner: &mut Planner,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    stats: &DataStats,
-) -> Result<(u64, QueryPlan), EvalError> {
-    let plan = planner.plan(q, Task::Count, stats);
-    let out = execute(&plan, q, db)?;
-    Ok((out.as_count().expect("count plan yields count"), plan))
 }
 
 /// Produce all answers of `q(D)` (distinct projections onto the free
@@ -217,55 +127,6 @@ pub fn answers(
     db: &Database,
 ) -> Result<(Relation, QueryPlan), EvalError> {
     with_global_planner(|p| EvalCtx::new().answers(p, q, db))
-}
-
-/// [`answers`] with an explicit planner and index catalog.
-#[deprecated(
-    since = "0.3.0",
-    note = "build an `EvalCtx` instead: `EvalCtx::new().with_catalog(catalog).answers(planner, q, db)`"
-)]
-pub fn answers_with_catalog(
-    planner: &mut Planner,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &IndexCatalog,
-) -> Result<(Relation, QueryPlan), EvalError> {
-    EvalCtx::new().with_catalog(catalog).answers(planner, q, db)
-}
-
-/// [`answers_with_catalog`] under a [`CancelToken`].
-#[deprecated(
-    since = "0.3.0",
-    note = "build an `EvalCtx` instead: `EvalCtx::new().with_catalog(catalog).with_cancel(cancel).answers(planner, q, db)`"
-)]
-pub fn answers_with_catalog_cancel(
-    planner: &mut Planner,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
-) -> Result<(Relation, QueryPlan), EvalError> {
-    EvalCtx::new()
-        .with_catalog(catalog)
-        .with_cancel(cancel.clone())
-        .answers(planner, q, db)
-}
-
-/// [`answers`] with an explicit planner and pre-collected statistics.
-pub fn answers_with(
-    planner: &mut Planner,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    stats: &DataStats,
-) -> Result<(Relation, QueryPlan), EvalError> {
-    let plan = planner.plan(q, Task::Answers, stats);
-    match execute(&plan, q, db)? {
-        // execute() dispatches on plan.task, and the Answers dispatcher
-        // returns Output::Answers from every arm (Boolean queries get an
-        // empty nullary relation), so nothing else can come back.
-        Output::Answers(a) => Ok((a.collect()?, plan)),
-        other => unreachable!("answers plan yielded {other:?}"),
-    }
 }
 
 /// EXPLAIN `task` for `q` on `db`: plan it (feeding the shared cache)
@@ -321,44 +182,6 @@ pub fn batch_tasks_with_workers<'q>(
     workers: usize,
 ) -> Vec<Result<(Output, QueryPlan), EvalError>> {
     EvalCtx::new().batch_tasks(items, db, workers)
-}
-
-/// [`batch_tasks_with_workers`] against an explicit [`IndexCatalog`]
-/// instead of the process-wide registry's — for callers that pin a
-/// catalog per database (e.g. one per server tenant), so the batch both
-/// profits from and feeds that catalog's warm indexes.
-#[deprecated(
-    since = "0.3.0",
-    note = "build an `EvalCtx` instead: `EvalCtx::new().with_catalog(catalog).batch_tasks(items, db, workers)`"
-)]
-pub fn batch_tasks_with_catalog<'q>(
-    items: impl IntoIterator<Item = (&'q ConjunctiveQuery, Task)>,
-    db: &Database,
-    catalog: &IndexCatalog,
-    workers: usize,
-) -> Vec<Result<(Output, QueryPlan), EvalError>> {
-    EvalCtx::new().with_catalog(catalog).batch_tasks(items, db, workers)
-}
-
-/// [`batch_tasks_with_catalog`] under one shared [`CancelToken`]: all
-/// workers poll the same token, so one deadline bounds the whole
-/// batch; items cancelled mid-run report [`EvalError::Cancelled`]
-/// individually.
-#[deprecated(
-    since = "0.3.0",
-    note = "build an `EvalCtx` instead: `EvalCtx::new().with_catalog(catalog).with_cancel(cancel).batch_tasks(items, db, workers)`"
-)]
-pub fn batch_tasks_with_catalog_cancel<'q>(
-    items: impl IntoIterator<Item = (&'q ConjunctiveQuery, Task)>,
-    db: &Database,
-    catalog: &IndexCatalog,
-    workers: usize,
-    cancel: &CancelToken,
-) -> Vec<Result<(Output, QueryPlan), EvalError>> {
-    EvalCtx::new()
-        .with_catalog(catalog)
-        .with_cancel(cancel.clone())
-        .batch_tasks(items, db, workers)
 }
 
 #[cfg(test)]

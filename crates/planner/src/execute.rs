@@ -12,11 +12,13 @@
 
 use crate::ir::{PlanOp, QueryPlan, Task};
 use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, IndexCatalog, Relation, Val};
+use cq_data::{Database, Relation, Val};
 use cq_engine::bind::EvalError;
-use cq_engine::direct_access::DirectAccess;
 use cq_engine::stream::{AnswerStream, DirectAccessStream, RelationStream};
-use cq_engine::{count, generic_join, yannakakis, CancelToken, Enumerator};
+use cq_engine::{count, generic_join, yannakakis, CancelToken, Enumerator, ExecCtx};
+use cq_engine::{
+    DirectAccess, FreeConnexDirectAccess, LexDirectAccess, MaterializedDirectAccess,
+};
 
 /// The answer payload of an executed plan: a pull-driven
 /// [`AnswerStream`] plus the operator name that produced it (so cursor
@@ -153,11 +155,11 @@ impl Output {
     }
 }
 
-/// Execute `plan` for `q` on `db` with a throwaway [`IndexCatalog`] —
-/// the cold path, for one-shot evaluation where nothing is worth
-/// keeping warm. This is [`execute_with_catalog`] against a fresh
-/// catalog; there is exactly one dispatch table per operator, so a new
-/// operator only ever needs one executor arm.
+/// Execute `plan` for `q` on `db` one-shot — [`ExecCtx::cold`]: a
+/// throwaway catalog, never cancelled. Anything worth keeping warm, or
+/// bounding, goes through [`EvalCtx::execute`](crate::EvalCtx::execute),
+/// which runs the same dispatch table under the caller's catalog and
+/// token.
 ///
 /// # Errors
 /// Propagates the underlying engine's [`EvalError`]s (missing
@@ -169,74 +171,36 @@ pub fn execute(
     q: &ConjunctiveQuery,
     db: &Database,
 ) -> Result<Output, EvalError> {
-    execute_in(plan, q, db, &IndexCatalog::new(), &CancelToken::never())
+    execute_in(&ExecCtx::cold(), plan, q, db)
 }
 
-/// Execute `plan` for `q` on `db`, every index acquisition routed
-/// through the per-database [`IndexCatalog`] — **the** dispatch table.
-/// Sorted views, hash indexes, bound relations, projection-elimination
-/// messages, and enumerator cores are memoized across calls, so
-/// repeated evaluation of the same shape on an unchanged database is
-/// index-build-free; a fresh catalog (see [`execute`]) degrades to
-/// plain cold evaluation with identical results and errors.
-///
-/// The catalog is internally locked: concurrent executions may share
-/// one catalog (and one database) freely.
-#[deprecated(
-    since = "0.3.0",
-    note = "build an `EvalCtx` instead: `EvalCtx::new().with_catalog(catalog).execute(plan, q, db)`"
-)]
-pub fn execute_with_catalog(
-    plan: &QueryPlan,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &IndexCatalog,
-) -> Result<Output, EvalError> {
-    execute_in(plan, q, db, catalog, &CancelToken::never())
-}
-
-/// [`execute_with_catalog`] under a [`CancelToken`]: every operator's
-/// inner loops poll the token, so a deadline (or a vanished client)
-/// aborts the execution with [`EvalError::Cancelled`] instead of
-/// running to the plan's full cost bound. The token is checked once
-/// up front, so an already-expired deadline cancels deterministically
-/// before any work — whatever the plan.
-#[deprecated(
-    since = "0.3.0",
-    note = "build an `EvalCtx` instead: `EvalCtx::new().with_catalog(catalog).with_cancel(cancel).execute(plan, q, db)`"
-)]
-pub fn execute_with_catalog_cancel(
-    plan: &QueryPlan,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
-) -> Result<Output, EvalError> {
-    execute_in(plan, q, db, catalog, cancel)
-}
-
-/// The one executor spine behind [`EvalCtx::execute`](crate::EvalCtx)
-/// and the deprecated suffix entry points: dispatch `plan.task` to the
-/// operator arms under `catalog` and `cancel`.
+/// **The** dispatch table: `plan.task` to the operator arms, every
+/// index acquisition routed through `ctx`'s catalog and every operator
+/// loop polling `ctx`'s token. Sorted views, hash indexes, bound
+/// relations, projection-elimination messages, enumerator cores and
+/// direct-access structures are memoized across calls, so repeated
+/// evaluation of the same shape on an unchanged database is
+/// index-build-free. The token is checked once up front, so an
+/// already-expired deadline cancels deterministically before any work —
+/// whatever the plan.
 pub(crate) fn execute_in(
+    ctx: &ExecCtx,
     plan: &QueryPlan,
     q: &ConjunctiveQuery,
     db: &Database,
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
 ) -> Result<Output, EvalError> {
-    cancel.check_now()?;
+    ctx.cancel().check_now()?;
     match plan.task {
-        Task::Decide => decide_task(plan, q, db, catalog, cancel).map(Output::Decision),
-        Task::Count => count_task(plan, q, db, catalog, cancel).map(Output::Count),
-        Task::Answers => answers_task(plan, q, db, catalog, cancel).map(Output::Answers),
+        Task::Decide => decide_task(ctx, plan, q, db).map(Output::Decision),
+        Task::Count => count_task(ctx, plan, q, db).map(Output::Count),
+        Task::Answers => answers_task(ctx, plan, q, db).map(Output::Answers),
         Task::Access => {
             // the structure is built (and memoized) once; the stream
             // over it has O(1) `seek(k)` — the ranked-access guarantee
             // of Thm 3.24 / 3.18 as an executable plan
-            let da = build_lex_access_with_catalog(plan, q, db, catalog)?;
+            let da = build_lex_access(ctx, plan, q, db)?;
             let mut s = DirectAccessStream::new(q.free_vars(), da);
-            s.set_cancel(cancel.clone());
+            s.set_cancel(ctx.cancel().clone());
             Ok(Output::Answers(Answers::from_stream(Box::new(s), plan.op.name())))
         }
     }
@@ -251,70 +215,52 @@ fn unsupported(plan: &QueryPlan) -> EvalError {
 }
 
 fn decide_task(
+    ctx: &ExecCtx,
     plan: &QueryPlan,
     q: &ConjunctiveQuery,
     db: &Database,
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
 ) -> Result<bool, EvalError> {
     match &plan.op {
         PlanOp::TrivialEmpty => Ok(false),
-        PlanOp::SemijoinSweep => {
-            yannakakis::decide_acyclic_with_catalog_cancel(q, db, catalog, cancel)
-        }
-        PlanOp::GenericJoin { order } => {
-            generic_join::decide_with_order_catalog_cancel(q, db, order, catalog, cancel)
-        }
+        PlanOp::SemijoinSweep => yannakakis::decide_acyclic(ctx, q, db),
+        PlanOp::GenericJoin { order } => generic_join::decide(ctx, q, db, order),
         _ => Err(unsupported(plan)),
     }
 }
 
 fn count_task(
+    ctx: &ExecCtx,
     plan: &QueryPlan,
     q: &ConjunctiveQuery,
     db: &Database,
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
 ) -> Result<u64, EvalError> {
     match &plan.op {
         PlanOp::TrivialEmpty => Ok(0),
         // Boolean counting reuses the decision operators (|q(D)| ∈ {0,1})
-        PlanOp::SemijoinSweep if q.is_boolean() => Ok(u64::from(
-            yannakakis::decide_acyclic_with_catalog_cancel(q, db, catalog, cancel)?,
-        )),
-        PlanOp::GenericJoin { order } if q.is_boolean() => {
-            Ok(u64::from(generic_join::decide_with_order_catalog_cancel(
-                q, db, order, catalog, cancel,
-            )?))
+        PlanOp::SemijoinSweep | PlanOp::GenericJoin { .. } if q.is_boolean() => {
+            decide_task(ctx, plan, q, db).map(u64::from)
         }
-        PlanOp::CountingDp => {
-            count::count_acyclic_join_with_catalog_cancel(q, db, catalog, cancel)
-        }
-        PlanOp::ProjectionEliminationDp => {
-            count::count_free_connex_with_catalog_cancel(q, db, catalog, cancel)
-        }
+        PlanOp::CountingDp => count::count_acyclic_join(ctx, q, db),
+        PlanOp::ProjectionEliminationDp => count::count_free_connex(ctx, q, db),
         // a join query's count never materializes an answer: the engine
         // adds up last-depth intersection sizes
         PlanOp::CountDistinctProject { order } => {
-            generic_join::count_distinct_with_order_catalog_cancel(
-                q, db, order, catalog, cancel,
-            )
+            generic_join::count_distinct(ctx, q, db, order)
         }
         _ => Err(unsupported(plan)),
     }
 }
 
 fn answers_task(
+    ctx: &ExecCtx,
     plan: &QueryPlan,
     q: &ConjunctiveQuery,
     db: &Database,
-    catalog: &IndexCatalog,
-    cancel: &CancelToken,
 ) -> Result<Answers, EvalError> {
     let op = plan.op.name();
     let wrap = |rel: Relation| {
         let mut a = Answers::from_relation(q.free_vars(), rel, op);
-        a.set_cancel(cancel.clone());
+        a.set_cancel(ctx.cancel().clone());
         a
     };
     match &plan.op {
@@ -322,26 +268,18 @@ fn answers_task(
         PlanOp::ConstantDelayEnumeration => {
             // only the (memoized, linear) preprocessing happens here;
             // answers are pulled one at a time by the consumer
-            let e = Enumerator::preprocess_with_catalog_cancel(q, db, catalog, cancel)?;
-            let mut s = e.into_stream();
-            s.set_cancel(cancel.clone());
+            let mut s = Enumerator::preprocess(ctx, q, db)?.into_stream();
+            s.set_cancel(ctx.cancel().clone());
             Ok(Answers::from_stream(Box::new(s), op))
         }
         PlanOp::MaterializeProject { order } => {
-            Ok(wrap(generic_join::answers_with_order_catalog_cancel(
-                q, db, order, catalog, cancel,
-            )?))
+            Ok(wrap(generic_join::answers(ctx, q, db, order)?))
         }
         // Boolean queries route their answer task through the
         // early-stopping decision operators; the answer relation is the
         // nullary {()} or {}
-        PlanOp::SemijoinSweep if q.is_boolean() => Ok(wrap(Relation::nullary(
-            yannakakis::decide_acyclic_with_catalog_cancel(q, db, catalog, cancel)?,
-        ))),
-        PlanOp::GenericJoin { order } if q.is_boolean() => {
-            Ok(wrap(Relation::nullary(generic_join::decide_with_order_catalog_cancel(
-                q, db, order, catalog, cancel,
-            )?)))
+        PlanOp::SemijoinSweep | PlanOp::GenericJoin { .. } if q.is_boolean() => {
+            Ok(wrap(Relation::nullary(decide_task(ctx, plan, q, db)?)))
         }
         _ => Err(unsupported(plan)),
     }
@@ -354,16 +292,17 @@ fn answers_task(
 /// interning order, sorted by the plan's order restricted to the free
 /// variables (remaining free variables break ties in interning order).
 struct ProjectedMaterializedAccess {
-    rows: Vec<Vec<cq_data::Val>>,
+    rows: Vec<Vec<Val>>,
 }
 
 impl ProjectedMaterializedAccess {
     fn build(
+        ctx: &ExecCtx,
         q: &ConjunctiveQuery,
         db: &Database,
-        order: &[cq_core::Var],
+        order: &[Var],
     ) -> Result<Self, EvalError> {
-        let rel = generic_join::answers_with_order(q, db, order)?;
+        let rel = generic_join::answers(ctx, q, db, order)?;
         let fv = q.free_vars();
         // sort key: columns of `rel` (= free vars in interning order) in
         // the sequence they appear in `order`, then the rest
@@ -374,7 +313,7 @@ impl ProjectedMaterializedAccess {
                 key_cols.push(c);
             }
         }
-        let mut rows: Vec<Vec<cq_data::Val>> = rel.iter().map(|r| r.to_vec()).collect();
+        let mut rows: Vec<Vec<Val>> = rel.iter().map(|r| r.to_vec()).collect();
         rows.sort_by(|a, b| {
             key_cols.iter().map(|&c| a[c]).cmp(key_cols.iter().map(|&c| b[c]))
         });
@@ -387,57 +326,41 @@ impl DirectAccess for ProjectedMaterializedAccess {
         self.rows.len() as u64
     }
 
-    fn access(&self, i: u64) -> Option<Vec<cq_data::Val>> {
+    fn access(&self, i: u64) -> Option<Vec<Val>> {
         self.rows.get(i as usize).cloned()
     }
 }
 
 /// Build the direct-access structure a [`Task::Access`] plan names
-/// with a throwaway catalog — [`build_lex_access_with_catalog`] against
-/// fresh state (lexicographic variants; see
-/// [`crate::planner::Planner::plan_lex_access`]).
+/// (lexicographic variants; see
+/// [`crate::planner::Planner::plan_lex_access`]), memoized in `ctx`'s
+/// catalog: the preprocessing — the expensive half of §3.4-style ranked
+/// access — is paid once per database state; repeated builds hand back
+/// the shared structure and `access` calls pay their Õ(log m) only. A
+/// cold build polls `ctx`'s token and memoizes nothing when cancelled.
 pub fn build_lex_access(
+    ctx: &ExecCtx,
     plan: &QueryPlan,
     q: &ConjunctiveQuery,
     db: &Database,
-) -> Result<Box<dyn DirectAccess + Send + Sync>, EvalError> {
-    build_lex_access_with_catalog(plan, q, db, &IndexCatalog::new())
-}
-
-/// Build the direct-access structure a [`Task::Access`] plan names,
-/// memoized in the catalog: the preprocessing of a [`Task::Access`]
-/// plan (the expensive half of §3.4-style ranked access) is paid once
-/// per database state; repeated builds hand back the shared structure
-/// and `access` calls pay their Õ(log m) only.
-pub fn build_lex_access_with_catalog(
-    plan: &QueryPlan,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    catalog: &IndexCatalog,
 ) -> Result<Box<dyn DirectAccess + Send + Sync>, EvalError> {
     match &plan.op {
         PlanOp::LexDirectAccess { order } => {
-            Ok(Box::new(cq_engine::direct_access::LexDirectAccess::build_with_catalog(
-                q, db, order, catalog,
-            )?))
+            Ok(Box::new(LexDirectAccess::build(ctx, q, db, order)?))
         }
-        PlanOp::MaterializedDirectAccess { order } if q.is_join_query() => Ok(Box::new(
-            cq_engine::direct_access::MaterializedDirectAccess::build_with_catalog(
-                q, db, order, catalog,
-            )?,
-        )),
+        PlanOp::MaterializedDirectAccess { order } if q.is_join_query() => {
+            Ok(Box::new(MaterializedDirectAccess::build(ctx, q, db, order)?))
+        }
         PlanOp::MaterializedDirectAccess { order } => {
             let key = format!("{q}|{order:?}");
-            let da = catalog.artifact(db, "proj_mat_da", &key, || {
-                ProjectedMaterializedAccess::build(q, db, order)
+            let da = ctx.catalog().artifact(db, "proj_mat_da", &key, || {
+                ProjectedMaterializedAccess::build(ctx, q, db, order)
             })?;
             Ok(Box::new(da))
         }
-        PlanOp::FreeConnexDirectAccess => Ok(Box::new(
-            cq_engine::fc_direct_access::FreeConnexDirectAccess::build_with_catalog(
-                q, db, catalog,
-            )?,
-        )),
+        PlanOp::FreeConnexDirectAccess => {
+            Ok(Box::new(FreeConnexDirectAccess::build(ctx, q, db)?))
+        }
         _ => Err(unsupported(plan)),
     }
 }
@@ -532,7 +455,7 @@ mod tests {
             }
             let plan = Planner::new().plan(&q, Task::Access, &stats);
             assert!(matches!(plan.op, PlanOp::MaterializedDirectAccess { .. }), "{q}");
-            let da = build_lex_access(&plan, &q, &db).unwrap();
+            let da = build_lex_access(&ExecCtx::cold(), &plan, &q, &db).unwrap();
             let expected = cq_engine::bind::brute_force_answers(&q, &db).unwrap();
             assert_eq!(da.len(), expected.len() as u64, "{q}");
             // every answer reachable, none out of range
@@ -551,7 +474,7 @@ mod tests {
         let q = zoo::path_join(2);
         let order: Vec<_> = q.vars().collect();
         let plan = Planner::plan_lex_access(&q, &order, &stats);
-        let da = build_lex_access(&plan, &q, &db).unwrap();
+        let da = build_lex_access(&ExecCtx::cold(), &plan, &q, &db).unwrap();
         let n = da.len();
         assert!(n > 0);
         let Output::Answers(mut a) = execute(&plan, &q, &db).unwrap() else {
@@ -563,6 +486,55 @@ mod tests {
         a.seek(n - 1).unwrap();
         assert_eq!(a.next().unwrap().unwrap(), &da.access(n - 1).unwrap()[..]);
         assert!(a.next().unwrap().is_none());
+    }
+
+    #[test]
+    fn access_builds_are_bounded_by_the_context_token() {
+        use crate::EvalCtx;
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Arc;
+
+        let db = path_database(2, 60, &mut seeded_rng(12));
+        let stats = DataStats::collect(&db);
+        let join = zoo::path_join(2);
+        let order: Vec<_> = join.vars().collect();
+        let projected =
+            cq_core::parse_query("q(x0, x1) :- R1(x0, x1), R2(x1, x2)").unwrap();
+        let hard = zoo::matmul_projection();
+        let plans = [
+            (Planner::plan_lex_access(&join, &order, &stats), join),
+            (Planner::new().plan(&projected, Task::Access, &stats), projected),
+            (Planner::new().plan(&hard, Task::Access, &stats), hard),
+        ];
+        assert!(matches!(plans[0].0.op, PlanOp::LexDirectAccess { .. }));
+        assert!(matches!(plans[1].0.op, PlanOp::FreeConnexDirectAccess));
+        assert!(matches!(plans[2].0.op, PlanOp::MaterializedDirectAccess { .. }));
+        for (plan, q) in plans {
+            let want_op = plan.op.name();
+            // the probe lets the executor's up-front check through and
+            // trips at the next consultation: only a build that polls
+            // its token can notice
+            let consulted = Arc::new(AtomicUsize::new(0));
+            let seen = Arc::clone(&consulted);
+            let token = cq_engine::CancelToken::never()
+                .with_probe(move || seen.fetch_add(1, Ordering::Relaxed) >= 1);
+            let catalog = cq_data::IndexCatalog::new();
+            let ctx = EvalCtx::new().with_catalog(&catalog);
+            let cancelled = ctx.clone().with_cancel(token).execute(&plan, &q, &db);
+            assert!(
+                matches!(cancelled, Err(EvalError::Cancelled)),
+                "{want_op}: a {}-consultation build ran to {cancelled:?}",
+                consulted.load(Ordering::Relaxed)
+            );
+            // a cancelled build memoizes nothing, and the next
+            // uncancelled call builds the whole structure
+            assert_eq!(catalog.snapshot().artifacts, 0, "{want_op}");
+            let Output::Answers(a) = ctx.execute(&plan, &q, &db).unwrap() else {
+                panic!("access task must yield an answer stream");
+            };
+            let want = cq_engine::bind::brute_force_answers(&q, &db).unwrap();
+            assert_eq!(a.collect().unwrap(), want, "{want_op}");
+        }
     }
 
     #[test]
@@ -589,10 +561,9 @@ mod tests {
         let q = zoo::path_join(2);
         let order: Vec<_> = q.vars().collect();
         let plan = Planner::plan_lex_access(&q, &order, &stats);
-        let da = build_lex_access(&plan, &q, &db).unwrap();
+        let da = build_lex_access(&ExecCtx::cold(), &plan, &q, &db).unwrap();
         let mat =
-            cq_engine::direct_access::MaterializedDirectAccess::build(&q, &db, &order)
-                .unwrap();
+            MaterializedDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
         assert_eq!(da.len(), mat.len());
         for i in 0..da.len() {
             assert_eq!(da.access(i), mat.access(i));

@@ -27,8 +27,7 @@
 //! * [`eval`] — the one-call facade (`decide` / `count` / `answers` /
 //!   `explain`) used by the facade crate, examples, and experiments.
 //! * [`ctx`] — [`EvalCtx`], the options struct (catalog, cancel token,
-//!   budget) behind the facade; build one instead of reaching for the
-//!   deprecated `*_with_catalog`/`*_with_catalog_cancel` suffix ladder.
+//!   budget, trace) behind the facade.
 //!
 //! ## Example
 //!
@@ -60,13 +59,6 @@ pub mod planner;
 
 pub use cache::{CacheStats, PlanCache};
 pub use ctx::{EvalBudget, EvalCtx};
-// `execute_with_catalog` stays re-exported (deprecated) so existing
-// `cq_planner::execute_with_catalog` paths keep resolving while they
-// migrate to `EvalCtx`.
-#[allow(deprecated)]
-pub use execute::{
-    build_lex_access, build_lex_access_with_catalog, execute, execute_with_catalog,
-    Output,
-};
+pub use execute::{build_lex_access, execute, Output};
 pub use ir::{CostEstimate, LowerBound, PlanOp, QueryPlan, Task};
 pub use planner::Planner;

@@ -12,6 +12,7 @@
 use cq_core::query::zoo;
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, Relation, Val};
+use cq_engine::{generic_join, ExecCtx};
 use cq_matrix::SparseBoolMat;
 
 /// Build the Theorem 3.15 database for two sparse matrices.
@@ -33,7 +34,13 @@ pub fn build(a: &SparseBoolMat, b: &SparseBoolMat) -> (ConjunctiveQuery, Databas
 /// answers of `q̄*_2` are the product's non-zeros.
 pub fn multiply_via_query(a: &SparseBoolMat, b: &SparseBoolMat) -> SparseBoolMat {
     let (q, db) = build(a, b);
-    let answers = cq_engine::generic_join::answers(&q, &db).expect("instance must bind");
+    let answers = generic_join::answers(
+        &ExecCtx::cold(),
+        &q,
+        &db,
+        &generic_join::default_order(&q),
+    )
+    .expect("instance must bind");
     SparseBoolMat::from_entries(
         a.n_rows(),
         b.n_cols(),

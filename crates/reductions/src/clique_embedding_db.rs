@@ -162,8 +162,7 @@ pub fn min_weight_clique_via_cycle(k: usize, g: &WeightedGraph) -> Option<i64> {
 /// database.
 pub fn has_clique_via_cycle(k: usize, g: &WeightedGraph) -> bool {
     let inst = build(k, g);
-    cq_engine::generic_join::decide(&inst.query.boolean_version(), &inst.db)
-        .expect("instance must bind")
+    crate::decide_by_generic_join(&inst.query, &inst.db)
 }
 
 #[cfg(test)]

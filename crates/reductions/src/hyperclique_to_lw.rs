@@ -60,7 +60,7 @@ pub fn build(h: &UniformHypergraph, k: usize) -> (ConjunctiveQuery, Database) {
 /// algorithm of NPRR).
 pub fn hyperclique_via_lw(h: &UniformHypergraph, k: usize) -> bool {
     let (q, db) = build(h, k);
-    cq_engine::generic_join::decide(&q, &db).expect("constructed database must bind")
+    crate::decide_by_generic_join(&q, &db)
 }
 
 #[cfg(test)]

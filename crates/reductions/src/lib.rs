@@ -29,3 +29,13 @@ pub mod selfjoin_interpolation;
 pub mod three_sum_to_sum_da;
 pub mod triangle_to_query;
 pub mod triangle_to_testing;
+
+/// Decide a reduction's freshly constructed instance by the worst-case
+/// optimal join, one-shot: the database was built for this one
+/// evaluation, so there is nothing to keep warm or to cancel.
+fn decide_by_generic_join(q: &cq_core::ConjunctiveQuery, db: &cq_data::Database) -> bool {
+    use cq_engine::{generic_join, ExecCtx};
+    let q = q.boolean_version();
+    generic_join::decide(&ExecCtx::cold(), &q, db, &generic_join::default_order(&q))
+        .expect("a constructed database binds its own query")
+}

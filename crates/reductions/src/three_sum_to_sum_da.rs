@@ -14,7 +14,7 @@
 
 use cq_core::{parse_query, ConjunctiveQuery};
 use cq_data::{Database, Relation, Val};
-use cq_engine::sum_order::SumOrderAccess;
+use cq_engine::{ExecCtx, SumOrderAccess};
 use cq_problems::three_sum::ThreeSumInstance;
 
 /// The reduction's query, database, and weight table.
@@ -60,7 +60,8 @@ pub fn three_sum_via_sum_order_da(inst: &ThreeSumInstance) -> bool {
     let red = build(inst);
     let w = |v: Val| red.weights[v as usize];
     let da =
-        SumOrderAccess::build_materialized(&red.query, &red.db, &w).expect("join query");
+        SumOrderAccess::build_materialized(&ExecCtx::cold(), &red.query, &red.db, &w)
+            .expect("join query");
     inst.c.iter().any(|&c| da.has_weight(c))
 }
 

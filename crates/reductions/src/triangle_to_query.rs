@@ -122,8 +122,7 @@ pub fn triangle_via_query(
     g: &Graph,
 ) -> Result<bool, ReductionError> {
     let db = build(q, g)?;
-    Ok(cq_engine::generic_join::decide(&q.boolean_version(), &db)
-        .expect("constructed database must bind"))
+    Ok(crate::decide_by_generic_join(q, &db))
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@ use cq_core::Var;
 use cq_data::{Database, Relation, Val};
 use cq_engine::direct_access::{test_prefix, DirectAccess, MaterializedDirectAccess};
 use cq_engine::testing::StarTester;
+use cq_engine::ExecCtx;
 use cq_problems::Graph;
 
 /// The symmetric edge relation of `g`.
@@ -46,13 +47,14 @@ pub fn triangle_via_qhat_direct_access(g: &Graph) -> bool {
     let x2 = q.var_by_name("x2").unwrap();
     let z = q.var_by_name("z").unwrap();
     let order: Vec<Var> = vec![x1, x2, z];
+    let ctx = ExecCtx::cold();
     // The efficient builder must refuse this order (disruptive trio)…
     debug_assert!(
-        cq_engine::LexDirectAccess::build(&q, &db, &order).is_err(),
+        cq_engine::LexDirectAccess::build(&ctx, &q, &db, &order).is_err(),
         "x1,x2,z order must be rejected by the compatible-tree builder"
     );
     // …so the only structure is the materialized one.
-    let da = MaterializedDirectAccess::build(&q, &db, &order).expect("join query");
+    let da = MaterializedDirectAccess::build(&ctx, &q, &db, &order).expect("join query");
     if da.is_empty() {
         return false;
     }

@@ -278,18 +278,20 @@ impl Session {
         }
     }
 
-    /// Drain a streamed response to the wire: `* ` data lines in
-    /// chunks of [`STREAM_CHUNK_ROWS`], each written and flushed before
-    /// the next is pulled, then the one terminal line. Rows already on
-    /// the wire stay there when the stream fails mid-drain — the
-    /// client sees partial data followed by the `ERR` terminal.
-    pub fn drain_flow(
+    /// The one row pump behind [`Session::drain_flow`] and
+    /// [`Session::collect_flow`]: pull the stream dry in chunks of
+    /// [`STREAM_CHUNK_ROWS`] rendered rows, hand each chunk to `emit`
+    /// before the next is pulled, and close the flow out — time to
+    /// first row, rows served, the error count, the trace. Returns the
+    /// terminal: `OK <n> rows`, or the `ERR` a mid-stream failure maps
+    /// to (chunks already emitted stay emitted). An `emit` failure
+    /// abandons the flow at once.
+    fn pump_flow(
         &mut self,
         mut flow: AnswerFlow,
-        out: &mut impl Write,
-    ) -> std::io::Result<()> {
+        mut emit: impl FnMut(Vec<String>) -> std::io::Result<()>,
+    ) -> std::io::Result<Reply> {
         let mut total: u64 = 0;
-        let mut buf = String::new();
         let terminal = loop {
             let mut rows = Vec::with_capacity(STREAM_CHUNK_ROWS);
             let res = Self::pull_rows(&mut flow.answers, STREAM_CHUNK_ROWS, &mut rows);
@@ -297,14 +299,7 @@ impl Session {
                 self.metrics.record_time_to_first_row(&flow.db, flow.started.elapsed());
             }
             total += rows.len() as u64;
-            buf.clear();
-            for r in &rows {
-                buf.push_str(DATA_PREFIX);
-                buf.push_str(r);
-                buf.push('\n');
-            }
-            out.write_all(buf.as_bytes())?;
-            out.flush()?;
+            emit(rows)?;
             match res {
                 Ok(false) => continue,
                 Ok(true) => break Reply::ok(format!("{total} rows")),
@@ -313,53 +308,55 @@ impl Session {
         };
         self.metrics.record_answer_rows(&flow.db, total);
         self.count_error(&terminal);
-        self.finish_flow_trace(flow);
-        terminal.write_to(out)?;
-        out.flush()
-    }
-
-    /// Close out a drained flow's trace: drop the stream first (its
-    /// span records itself on drop, exec and drain both visible), then
-    /// finish the sink into the tenant's PROFILE ring. A disabled sink
-    /// (profiling off) finishes to `None` and nothing is retained.
-    fn finish_flow_trace(&self, flow: AnswerFlow) {
+        // drop the stream first (its span records itself on drop, exec
+        // and drain both visible), then finish the sink into the
+        // tenant's PROFILE ring; a disabled sink (profiling off)
+        // finishes to `None` and nothing is retained
         let AnswerFlow { answers, trace, db, query, .. } = flow;
         drop(answers);
         if let Some(tr) = trace.finish(&db, &query) {
             self.metrics.shared().push_trace(tr);
         }
+        Ok(terminal)
+    }
+
+    /// Drain a streamed response to the wire: `* ` data lines in
+    /// chunks of [`STREAM_CHUNK_ROWS`], each written and flushed before
+    /// the next is pulled, then the one terminal line. Rows already on
+    /// the wire stay there when the stream fails mid-drain — the
+    /// client sees partial data followed by the `ERR` terminal.
+    pub fn drain_flow(
+        &mut self,
+        flow: AnswerFlow,
+        out: &mut impl Write,
+    ) -> std::io::Result<()> {
+        let mut buf = String::new();
+        let terminal = self.pump_flow(flow, |rows| {
+            buf.clear();
+            for r in &rows {
+                buf.push_str(DATA_PREFIX);
+                buf.push_str(r);
+                buf.push('\n');
+            }
+            out.write_all(buf.as_bytes())?;
+            out.flush()
+        })?;
+        terminal.write_to(out)?;
+        out.flush()
     }
 
     /// [`Session::drain_flow`] into one in-memory [`Reply`] — the
     /// in-process bridge used by [`Session::handle_raw`]. Partial rows
     /// pulled before a mid-stream failure are kept as data lines, like
     /// the wire form.
-    fn collect_flow(&mut self, mut flow: AnswerFlow) -> Reply {
+    fn collect_flow(&mut self, flow: AnswerFlow) -> Reply {
         let mut data = Vec::new();
-        let outcome = loop {
-            match flow.answers.next() {
-                Ok(Some(row)) => {
-                    if data.is_empty() {
-                        self.metrics
-                            .record_time_to_first_row(&flow.db, flow.started.elapsed());
-                    }
-                    data.push(render_row(row));
-                }
-                Ok(None) => break Ok(()),
-                Err(e) => break Err(e),
-            }
-        };
-        self.metrics.record_answer_rows(&flow.db, data.len() as u64);
-        let terminal = match outcome {
-            Ok(()) => {
-                let n = data.len();
-                self.finish_flow_trace(flow);
-                return Reply::ok_with(data, format!("{n} rows"));
-            }
-            Err(e) => self.flow_error(&flow, e),
-        };
-        self.count_error(&terminal);
-        self.finish_flow_trace(flow);
+        let terminal = self
+            .pump_flow(flow, |rows| {
+                data.extend(rows);
+                Ok(())
+            })
+            .expect("collecting into memory cannot fail");
         Reply { data, terminal: terminal.terminal }
     }
 
@@ -398,7 +395,7 @@ impl Session {
             // a streamed reply keeps its spans open until the drain
             // drops the stream, so the flow (which captured this sink
             // at construction) finishes the trace instead — see
-            // `finish_flow_trace`
+            // `pump_flow`
             if self.pending_flow.is_none() {
                 if let Some(t) = &self.current {
                     if let Some(tr) = sink.finish(t.name(), line) {
@@ -2300,6 +2297,36 @@ mod tests {
         // bad value rows
         let replies = drive(&mut s, &["LOAD Edge 2", "1 x", "END"]);
         assert!(replies[2].as_ref().unwrap().terminal.starts_with("ERR bad-value"));
+    }
+
+    #[test]
+    fn count_overflow_is_an_eval_error_and_the_session_keeps_serving() {
+        // eight 256-row relations sharing one hub value: 256^8 = 2^64
+        // answers, one more than a u64 count can report
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        let rows: Vec<String> = (0..256).map(|a| format!("{a} 0")).collect();
+        for i in 1..=8 {
+            s.handle_line(&format!("LOAD R{i} 2"));
+            for row in &rows {
+                assert!(s.handle_line(row).is_none());
+            }
+            let done = s.handle_line("END").unwrap();
+            assert!(done.is_ok(), "{}", done.terminal);
+        }
+        let body: Vec<String> = (1..=8).map(|i| format!("R{i}(x{i}, z)")).collect();
+        let head: Vec<String> = (1..=8).map(|i| format!("x{i}")).collect();
+        let star = format!("q({}, z) :- {}", head.join(", "), body.join(", "));
+        let r = s.handle_line(&format!("COUNT {star}")).unwrap();
+        assert!(r.terminal.starts_with("ERR eval:"), "{}", r.terminal);
+        assert!(r.terminal.contains("exceeds u64"), "{}", r.terminal);
+        // ranked access over the same answers has no u64 positions either
+        let r = s.handle_line(&format!("CURSOR ACCESS {star}")).unwrap();
+        assert!(r.terminal.starts_with("ERR eval:"), "{}", r.terminal);
+        // one spoke fewer fits, and the session is as it was
+        let r = s.handle_line("COUNT q(a, b, z) :- R1(a, z), R2(b, z)").unwrap();
+        assert_eq!(r.terminal, "OK 65536");
     }
 
     #[test]

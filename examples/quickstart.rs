@@ -35,7 +35,7 @@ fn main() {
     println!("  |answers| = {count}   (operator: {})", plan.op.name());
     print!("{}", eval::explain(&q, &db, Task::Count));
 
-    let mut e = Enumerator::preprocess(&q, &db).unwrap();
+    let mut e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
     println!("  constant-delay enumeration:");
     e.for_each(|row| {
         println!("    {row:?}");
@@ -47,7 +47,7 @@ fn main() {
     // ------------------------------------------------------------------
     let order: Vec<Var> =
         ["x", "y", "z"].iter().map(|n| q.var_by_name(n).unwrap()).collect();
-    let da = LexDirectAccess::build(&q, &db, &order).unwrap();
+    let da = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
     println!("\n=== direct access (order x ≺ y ≺ z) ===");
     println!("  simulated array length: {}", da.len());
     for i in 0..da.len() {

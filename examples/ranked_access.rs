@@ -37,7 +37,8 @@ fn main() {
     let plan = Planner::plan_lex_access(&q, &order, &stats);
     println!("\n{}", cq_lower_bounds::planner::explain::render(&plan, &q));
     let t0 = std::time::Instant::now();
-    let da = cq_lower_bounds::planner::build_lex_access(&plan, &q, &db).unwrap();
+    let da = cq_lower_bounds::planner::build_lex_access(&ExecCtx::cold(), &plan, &q, &db)
+        .unwrap();
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let total = da.len();
     println!(
@@ -67,7 +68,7 @@ fn main() {
     // planner falls back to the materialize + sort baseline instead.
     let bad: Vec<Var> =
         ["p", "w", "c"].iter().map(|n| q.var_by_name(n).unwrap()).collect();
-    match LexDirectAccess::build(&q, &db, &bad) {
+    match LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &bad) {
         Err(e) => println!("\norder (p ≺ w ≺ c) rejected: {e}"),
         Ok(_) => unreachable!(),
     }
@@ -91,7 +92,8 @@ fn main() {
         .map(|_| rng.gen_range(0..1_000))
         .collect();
     let wf = |v: Val| weights[v as usize];
-    let sda = SumOrderAccess::build_covering_atom(&q1, &db1, &wf).unwrap();
+    let sda =
+        SumOrderAccess::build_covering_atom(&ExecCtx::cold(), &q1, &db1, &wf).unwrap();
     println!("\nsum order (cheapest first): {} answers", sda.len());
     for i in 0..5.min(sda.len()) {
         println!(

@@ -63,7 +63,7 @@ fn main() {
     // The full version q̂*_2 (interest kept in the output) IS free-connex:
     let q_full = parse_query("common(u1, u2, i) :- L1(u1, i), L2(u2, i)").unwrap();
     let t0 = Instant::now();
-    let mut e = Enumerator::preprocess(&q_full, &db).unwrap();
+    let mut e = Enumerator::preprocess(&ExecCtx::cold(), &q_full, &db).unwrap();
     let mut first_10 = Vec::new();
     e.for_each(|row| {
         first_10.push(row.to_vec());

@@ -276,7 +276,7 @@ pub mod prelude {
     pub use cq_engine::direct_access::{
         DirectAccess, LexDirectAccess, MaterializedDirectAccess,
     };
-    pub use cq_engine::{Enumerator, EvalError, SumOrderAccess};
+    pub use cq_engine::{Enumerator, EvalError, ExecCtx, SumOrderAccess};
     pub use cq_planner::{eval, LowerBound, PlanOp, Planner, QueryPlan, Task};
 }
 

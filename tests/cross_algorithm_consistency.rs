@@ -1,11 +1,15 @@
 //! Integration tests: every algorithm in the engine — and the planner
 //! routing between them — must agree with every other algorithm (and
 //! the brute-force oracle) on a shared suite of queries and random
-//! databases.
+//! databases. The operator table below is where an entry point's
+//! cold/warm/cancelled behaviour is pinned; per-module unit tests cover
+//! what is particular to one algorithm.
 
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
-use cq_engine::{generic_join, yannakakis};
+use cq_engine::{count, generic_join, triangle_query, yannakakis};
+use cq_engine::{CancelToken, EnumeratorCore, FreeConnexDirectAccess};
 use cq_lower_bounds::prelude::*;
+use std::sync::Arc;
 
 /// The query suite: one representative per dichotomy class.
 fn suite() -> Vec<ConjunctiveQuery> {
@@ -25,6 +29,10 @@ fn suite() -> Vec<ConjunctiveQuery> {
         parse_query("q(x0, x1) :- R1(x0, x1), R2(x1, x2)").unwrap(),
         parse_query("q(a) :- R1(a, b), R2(b, c), R3(c, d)").unwrap(),
         parse_query("q(a, c) :- R1(a, b), R2(b, c), R3(c, d)").unwrap(),
+        // an atom covering every variable (Thm 3.26's easy side), and a
+        // repeated variable
+        parse_query("q(a, b) :- R1(a, b), R2(b, a)").unwrap(),
+        parse_query("q(a, b) :- R1(a, a), R2(a, b)").unwrap(),
     ]
 }
 
@@ -39,66 +47,343 @@ fn random_db(seed: u64, m: usize) -> Database {
     db
 }
 
-#[test]
-fn decision_all_algorithms_agree() {
-    for seed in 0..5u64 {
-        let db = random_db(seed, 40);
-        for q in suite() {
-            let expected = brute_force_decide(&q, &db).unwrap();
-            let (got, _) = eval::decide(&q, &db).unwrap();
-            assert_eq!(got, expected, "planner decide on {q} (seed {seed})");
-            assert_eq!(
-                generic_join::decide(&q, &db).unwrap(),
-                expected,
-                "generic_join::decide on {q} (seed {seed})"
-            );
-            if q.hypergraph().is_acyclic() {
-                assert_eq!(
-                    yannakakis::decide_acyclic(&q, &db).unwrap(),
-                    expected,
-                    "yannakakis on {q} (seed {seed})"
-                );
-            }
-        }
-    }
+/// What an entry point computed, in a form two runs (and brute force)
+/// can be compared in.
+#[derive(PartialEq, Debug)]
+enum Out {
+    Decision(bool),
+    Count(u64),
+    /// An answer set.
+    Set(Relation),
+    /// A simulated sorted array, position by position.
+    Array(Vec<Vec<Val>>),
 }
 
-#[test]
-fn counting_all_algorithms_agree() {
-    for seed in 0..5u64 {
-        let db = random_db(seed, 35);
-        for q in suite() {
-            let expected = brute_force_count(&q, &db).unwrap();
-            let (got, _) = eval::count(&q, &db).unwrap();
-            assert_eq!(got, expected, "planner count on {q} (seed {seed})");
-            assert_eq!(
-                generic_join::count_distinct(&q, &db).unwrap(),
-                expected,
-                "count_distinct on {q} (seed {seed})"
-            );
-            if cq_core::free_connex::is_free_connex(&q) {
-                assert_eq!(
-                    cq_engine::count::count_free_connex(&q, &db).unwrap(),
-                    expected,
-                    "count_free_connex on {q} (seed {seed})"
-                );
-            }
-        }
-    }
+type Run = fn(&ExecCtx, &ConjunctiveQuery, &Database) -> Result<Out, EvalError>;
+
+/// One row of the operator table: an entry point, the queries it
+/// serves, and the brute-force value it must produce.
+struct EntryPoint {
+    name: &'static str,
+    serves: fn(&ConjunctiveQuery) -> bool,
+    run: Run,
+    oracle: fn(&ConjunctiveQuery, &Database) -> Out,
 }
 
+fn any_query(_: &ConjunctiveQuery) -> bool {
+    true
+}
+fn acyclic(q: &ConjunctiveQuery) -> bool {
+    q.hypergraph().is_acyclic()
+}
+fn acyclic_join(q: &ConjunctiveQuery) -> bool {
+    acyclic(q) && q.is_join_query()
+}
+fn free_connex(q: &ConjunctiveQuery) -> bool {
+    cq_core::free_connex::is_free_connex(q)
+}
+fn free_connex_with_output(q: &ConjunctiveQuery) -> bool {
+    free_connex(q) && !q.is_boolean()
+}
+fn join_query(q: &ConjunctiveQuery) -> bool {
+    q.is_join_query()
+}
+fn has_trio_free_order(q: &ConjunctiveQuery) -> bool {
+    acyclic_join(q) && lex_order(q).is_some()
+}
+fn has_covering_atom(q: &ConjunctiveQuery) -> bool {
+    q.is_join_query()
+        && q.atoms()
+            .iter()
+            .any(|a| a.vars.iter().fold(0, |m, v| m | v.mask()) == q.all_vars_mask())
+}
+fn is_triangle(q: &ConjunctiveQuery) -> bool {
+    *q == zoo::triangle_boolean()
+}
+
+/// The lexicographic order [`LexDirectAccess`] is exercised under: the
+/// query's first trio-free order.
+fn lex_order(q: &ConjunctiveQuery) -> Option<Vec<Var>> {
+    cq_core::disruptive_trio::trio_free_orders(q).into_iter().next()
+}
+
+/// Every position of a direct-access structure, in order.
+fn array_of(da: &dyn DirectAccess) -> Out {
+    assert_eq!(da.access(da.len()), None);
+    Out::Array((0..da.len()).map(|i| da.access(i).unwrap()).collect())
+}
+
+/// The weight of a domain value in the sum-order rows.
+fn weight(v: Val) -> i64 {
+    (v as i64 * 7) % 5
+}
+
+fn decision_oracle(q: &ConjunctiveQuery, db: &Database) -> Out {
+    Out::Decision(brute_force_decide(q, db).unwrap())
+}
+fn count_oracle(q: &ConjunctiveQuery, db: &Database) -> Out {
+    Out::Count(brute_force_count(q, db).unwrap())
+}
+fn set_oracle(q: &ConjunctiveQuery, db: &Database) -> Out {
+    Out::Set(brute_force_answers(q, db).unwrap())
+}
+/// Brute-force answers of a join query as an array sorted by `key`.
+fn sorted_oracle<K: Ord>(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    key: impl Fn(&[Val]) -> K,
+) -> Out {
+    let mut rows: Vec<Vec<Val>> =
+        brute_force_answers(q, db).unwrap().iter().map(<[Val]>::to_vec).collect();
+    rows.sort_by_key(|r| key(r));
+    Out::Array(rows)
+}
+fn lex_oracle(q: &ConjunctiveQuery, db: &Database) -> Out {
+    let order = lex_order(q).unwrap();
+    sorted_oracle(q, db, |r| order.iter().map(|v| r[v.index()]).collect::<Vec<_>>())
+}
+fn interning_order_oracle(q: &ConjunctiveQuery, db: &Database) -> Out {
+    sorted_oracle(q, db, <[Val]>::to_vec)
+}
+fn sum_order_oracle(q: &ConjunctiveQuery, db: &Database) -> Out {
+    sorted_oracle(q, db, |r| (r.iter().map(|&v| weight(v)).sum::<i64>(), r.to_vec()))
+}
+
+/// A planner round trip under the engine context's catalog and token.
+fn planned(
+    ctx: &ExecCtx,
+    q: &ConjunctiveQuery,
+    db: &Database,
+    task: Task,
+) -> Result<cq_planner::Output, EvalError> {
+    let plan = Planner::new().plan(q, task, &ctx.catalog().stats(db));
+    cq_planner::EvalCtx::new()
+        .with_catalog(ctx.catalog())
+        .with_cancel(ctx.cancel().clone())
+        .execute(&plan, q, db)
+}
+
+/// Every public entry point of the engine, and the planner's three
+/// tasks on top of them.
+fn entry_points() -> Vec<EntryPoint> {
+    use generic_join::default_order as order;
+    vec![
+        EntryPoint {
+            name: "yannakakis::decide_acyclic",
+            serves: acyclic,
+            run: |ctx, q, db| yannakakis::decide_acyclic(ctx, q, db).map(Out::Decision),
+            oracle: decision_oracle,
+        },
+        EntryPoint {
+            name: "generic_join::decide",
+            serves: any_query,
+            run: |ctx, q, db| {
+                generic_join::decide(ctx, q, db, &order(q)).map(Out::Decision)
+            },
+            oracle: decision_oracle,
+        },
+        EntryPoint {
+            name: "generic_join::count_distinct",
+            serves: any_query,
+            run: |ctx, q, db| {
+                generic_join::count_distinct(ctx, q, db, &order(q)).map(Out::Count)
+            },
+            oracle: count_oracle,
+        },
+        EntryPoint {
+            name: "generic_join::answers",
+            serves: any_query,
+            run: |ctx, q, db| generic_join::answers(ctx, q, db, &order(q)).map(Out::Set),
+            oracle: set_oracle,
+        },
+        EntryPoint {
+            name: "generic_join::visit",
+            serves: any_query,
+            run: |ctx, q, db| {
+                let free = q.free_vars();
+                let mut rows = Vec::new();
+                generic_join::visit(ctx, q, db, &order(q), &mut |a| {
+                    rows.push(free.iter().map(|v| a[v.index()]).collect());
+                    true
+                })?;
+                Ok(Out::Set(Relation::from_rows(free.len(), rows)))
+            },
+            oracle: set_oracle,
+        },
+        EntryPoint {
+            name: "count::count_acyclic_join",
+            serves: acyclic_join,
+            run: |ctx, q, db| count::count_acyclic_join(ctx, q, db).map(Out::Count),
+            oracle: count_oracle,
+        },
+        EntryPoint {
+            name: "count::count_free_connex",
+            serves: free_connex,
+            run: |ctx, q, db| count::count_free_connex(ctx, q, db).map(Out::Count),
+            oracle: count_oracle,
+        },
+        EntryPoint {
+            name: "count::eliminate_projections + count::count_dp",
+            serves: free_connex_with_output,
+            run: |ctx, q, db| {
+                let Some(msgs) = count::eliminate_projections(ctx, q, db)? else {
+                    return Ok(Out::Count(0));
+                };
+                let scopes = msgs.iter().map(|a| a.scope()).collect();
+                let h = cq_core::Hypergraph::new(q.n_vars(), scopes);
+                let tree = cq_core::gyo::join_tree(&h).expect("q' is acyclic");
+                count::count_dp(ctx, &msgs, &tree).map(Out::Count)
+            },
+            oracle: count_oracle,
+        },
+        EntryPoint {
+            name: "Enumerator::preprocess",
+            serves: free_connex,
+            run: |ctx, q, db| {
+                Ok(Out::Set(Enumerator::preprocess(ctx, q, db)?.to_relation()))
+            },
+            oracle: set_oracle,
+        },
+        EntryPoint {
+            name: "EnumeratorCore::build",
+            serves: free_connex,
+            run: |ctx, q, db| {
+                let core = Arc::new(EnumeratorCore::build(ctx, q, db)?);
+                Ok(Out::Set(Enumerator::from(core).to_relation()))
+            },
+            oracle: set_oracle,
+        },
+        EntryPoint {
+            name: "LexDirectAccess::build",
+            serves: has_trio_free_order,
+            run: |ctx, q, db| {
+                let da = LexDirectAccess::build(ctx, q, db, &lex_order(q).unwrap())?;
+                Ok(array_of(&da))
+            },
+            oracle: lex_oracle,
+        },
+        EntryPoint {
+            name: "MaterializedDirectAccess::build",
+            serves: join_query,
+            run: |ctx, q, db| {
+                Ok(array_of(&MaterializedDirectAccess::build(ctx, q, db, &order(q))?))
+            },
+            oracle: interning_order_oracle,
+        },
+        EntryPoint {
+            name: "FreeConnexDirectAccess::build",
+            serves: free_connex_with_output,
+            run: |ctx, q, db| {
+                // the order is the structure's own choice: compare as a set
+                let da = FreeConnexDirectAccess::build(ctx, q, db)?;
+                let Out::Array(rows) = array_of(&da) else { unreachable!() };
+                assert!(
+                    rows.windows(2).all(|w| w[0] != w[1]),
+                    "{q}: the simulated array repeats an answer"
+                );
+                Ok(Out::Set(Relation::from_rows(da.schema().len(), rows)))
+            },
+            oracle: set_oracle,
+        },
+        EntryPoint {
+            name: "SumOrderAccess::build_covering_atom",
+            serves: has_covering_atom,
+            run: |ctx, q, db| {
+                Ok(array_of(&SumOrderAccess::build_covering_atom(ctx, q, db, &weight)?))
+            },
+            oracle: sum_order_oracle,
+        },
+        EntryPoint {
+            name: "SumOrderAccess::build_materialized",
+            serves: join_query,
+            run: |ctx, q, db| {
+                Ok(array_of(&SumOrderAccess::build_materialized(ctx, q, db, &weight)?))
+            },
+            oracle: sum_order_oracle,
+        },
+        EntryPoint {
+            name: "triangle_query::decide_triangle_ayz",
+            serves: is_triangle,
+            run: |ctx, _, db| {
+                triangle_query::decide_triangle_ayz(ctx, db, 3).map(Out::Decision)
+            },
+            oracle: decision_oracle,
+        },
+        EntryPoint {
+            name: "triangle_query::decide_triangle_generic",
+            serves: is_triangle,
+            run: |ctx, _, db| {
+                triangle_query::decide_triangle_generic(ctx, db).map(Out::Decision)
+            },
+            oracle: decision_oracle,
+        },
+        EntryPoint {
+            name: "planner: Task::Decide",
+            serves: any_query,
+            run: |ctx, q, db| {
+                let out = planned(ctx, q, db, Task::Decide)?;
+                Ok(Out::Decision(out.as_decision().unwrap()))
+            },
+            oracle: decision_oracle,
+        },
+        EntryPoint {
+            name: "planner: Task::Count",
+            serves: any_query,
+            run: |ctx, q, db| {
+                Ok(Out::Count(planned(ctx, q, db, Task::Count)?.as_count().unwrap()))
+            },
+            oracle: count_oracle,
+        },
+        EntryPoint {
+            name: "planner: Task::Answers",
+            serves: any_query,
+            run: |ctx, q, db| match planned(ctx, q, db, Task::Answers)? {
+                cq_planner::Output::Answers(a) => a.collect().map(Out::Set),
+                other => panic!("answers plan yielded {other:?}"),
+            },
+            oracle: set_oracle,
+        },
+    ]
+}
+
+/// The operator table: for every entry point × suite query, one-shot
+/// evaluation ≡ a warm context's first call ≡ its second call (which
+/// builds nothing in the catalog) ≡ brute force — and a token cancelled
+/// beforehand yields `Cancelled` instead of an answer.
 #[test]
-fn answers_and_enumeration_agree() {
-    for seed in 0..4u64 {
+fn every_entry_point_agrees_cold_warm_and_with_brute_force() {
+    let entry_points = entry_points();
+    for ep in &entry_points {
+        assert!(suite().iter().any(ep.serves), "no suite query exercises {}", ep.name);
+    }
+    for seed in 0..3u64 {
         let db = random_db(seed, 30);
         for q in suite() {
-            let expected = brute_force_answers(&q, &db).unwrap();
-            let (got, _) = eval::answers(&q, &db).unwrap();
-            assert_eq!(got, expected, "planner answers on {q} (seed {seed})");
-            if cq_core::free_connex::is_free_connex(&q) {
-                let mut e = Enumerator::preprocess(&q, &db).unwrap();
-                assert_eq!(e.to_relation(), expected, "enumerate on {q} (seed {seed})");
+            let mut served = 0;
+            for ep in entry_points.iter().filter(|ep| (ep.serves)(&q)) {
+                served += 1;
+                let at = format!("{} on {q} (seed {seed})", ep.name);
+                let want = (ep.oracle)(&q, &db);
+                assert_eq!(
+                    (ep.run)(&ExecCtx::cold(), &q, &db).unwrap(),
+                    want,
+                    "cold {at}"
+                );
+
+                let catalog = IndexCatalog::new();
+                let warm = ExecCtx::warm(&catalog);
+                assert_eq!((ep.run)(&warm, &q, &db).unwrap(), want, "first warm {at}");
+                let built = catalog.snapshot().misses;
+                assert_eq!((ep.run)(&warm, &q, &db).unwrap(), want, "second warm {at}");
+                assert_eq!(catalog.snapshot().misses, built, "second warm {at} built");
+
+                let token = CancelToken::never();
+                token.cancel();
+                let cancelled =
+                    (ep.run)(&ExecCtx::new(&IndexCatalog::new(), &token), &q, &db);
+                assert_eq!(cancelled, Err(EvalError::Cancelled), "pre-cancelled {at}");
             }
+            assert!(served >= 6, "{q} is served by only {served} entry points");
         }
     }
 }
@@ -112,10 +397,11 @@ fn direct_access_agrees_on_all_trio_free_orders() {
         let db = random_db(seed, 25);
         for q in &queries {
             for order in cq_core::disruptive_trio::trio_free_orders(q) {
-                match LexDirectAccess::build(q, &db, &order) {
+                let ctx = ExecCtx::cold();
+                match LexDirectAccess::build(&ctx, q, &db, &order) {
                     Ok(lex) => {
-                        let mat =
-                            MaterializedDirectAccess::build(q, &db, &order).unwrap();
+                        let mat = MaterializedDirectAccess::build(&ctx, q, &db, &order)
+                            .unwrap();
                         assert_eq!(lex.len(), mat.len(), "{q} order {order:?}");
                         for i in 0..lex.len() {
                             assert_eq!(
@@ -167,7 +453,7 @@ fn builder_covers_all_trio_free_orders_of_paper_examples() {
         for order in all_orders {
             let trio_free =
                 cq_core::disruptive_trio::find_disruptive_trio(&q, &order).is_none();
-            let built = LexDirectAccess::build(&q, &db, &order).is_ok();
+            let built = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).is_ok();
             if trio_free {
                 n_free += 1;
             }

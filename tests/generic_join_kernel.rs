@@ -13,8 +13,8 @@
 //! The second half checks the kernel's work counter against the AGM
 //! bound — the theorem the algorithm is named for — and cancellation.
 
-use cq_engine::bind::{bind, brute_force_answers, brute_force_count};
-use cq_engine::{generic_join, CancelToken};
+use cq_engine::bind::{brute_force_answers, brute_force_count};
+use cq_engine::{generic_join, CancelToken, ExecCtx};
 use cq_lower_bounds::prelude::*;
 use cq_obs::trace::{self, TraceSink};
 use cq_reductions::hyperclique_to_lw::permutations;
@@ -79,9 +79,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// Count, answers and the raw visitor agree with brute force under
-    /// every variable order, cold and through a catalog; projections of
-    /// the same join count their distinct projections; a visitor that
-    /// stops is never called again.
+    /// every variable order (one catalog across the orders, so views are
+    /// met both freshly built and memoized); projections of the same
+    /// join count their distinct projections; a visitor that stops is
+    /// never called again.
     #[test]
     fn every_order_matches_brute_force(bits in any::<u64>()) {
         let mut rng = Lcg(bits);
@@ -95,29 +96,23 @@ proptest! {
         prop_assert_eq!(want.len() as u64, want_n);
         let want_projected = brute_force_count(&projection, &db).unwrap();
 
-        let atoms = bind(&q, &db).unwrap();
         let catalog = IndexCatalog::new();
+        let ctx = ExecCtx::warm(&catalog);
         let vars: Vec<Var> = q.vars().collect();
         let positions: Vec<Val> = (0..vars.len() as Val).collect();
         for order in permutations(&positions) {
             let order: Vec<Var> = order.iter().map(|&i| vars[i as usize]).collect();
-            let got = generic_join::answers_with_order(&q, &db, &order).unwrap();
+            let got = generic_join::answers(&ctx, &q, &db, &order).unwrap();
             prop_assert_eq!(&got, &want, "answers of {} under {:?}", q, order);
-            let n = generic_join::count_distinct_with_order(&q, &db, &order).unwrap();
+            let n = generic_join::count_distinct(&ctx, &q, &db, &order).unwrap();
             prop_assert_eq!(n, want_n, "count of {} under {:?}", q, order);
-            let n = generic_join::count_distinct_with_order_catalog(&q, &db, &order, &catalog)
-                .unwrap();
-            prop_assert_eq!(n, want_n, "catalog count of {} under {:?}", q, order);
-            let n = generic_join::count_distinct_with_order_catalog(
-                &projection, &db, &order, &catalog,
-            )
-            .unwrap();
+            let n = generic_join::count_distinct(&ctx, &projection, &db, &order).unwrap();
             prop_assert_eq!(n, want_projected, "count of {} under {:?}", projection, order);
 
             // the raw visitor: assignments arrive in `order`, each one
             // satisfies every atom, and `false` ends the join at once
             let mut visits = 0;
-            let completed = generic_join::generic_join_visit(&atoms, &order, &mut |a| {
+            let completed = generic_join::visit(&ctx, &q, &db, &order, &mut |a| {
                 visits += 1;
                 let mut row = vec![0; order.len()];
                 for (v, &val) in order.iter().zip(a) {
@@ -125,7 +120,8 @@ proptest! {
                 }
                 assert!(want.contains(&row), "{row:?} is not an answer of {q}");
                 visits < stop_after
-            });
+            })
+            .unwrap();
             prop_assert_eq!(visits, stop_after.min(want.len()), "visits of {} under {:?}", q, order);
             prop_assert_eq!(completed, want.len() < stop_after);
         }
@@ -142,7 +138,7 @@ fn traced_count(
     let sink = TraceSink::enabled();
     let order = generic_join::default_order(q);
     let n = trace::with(&sink, || {
-        generic_join::count_distinct_with_order_catalog(q, db, &order, catalog).unwrap()
+        generic_join::count_distinct(&ExecCtx::warm(catalog), q, db, &order).unwrap()
     });
     let trace = sink.finish("test", &q.to_string()).expect("the sink is enabled");
     let mut seeks = None;
@@ -239,12 +235,11 @@ fn an_expired_deadline_trips_before_any_work() {
     let expired = || CancelToken::with_timeout(Duration::ZERO);
     let token = expired();
     let mut visits = 0;
-    let got = generic_join::generic_join_visit_catalog_cancel(
+    let got = generic_join::visit(
+        &ExecCtx::new(&catalog, &token),
         &q,
         &db,
         &order,
-        &catalog,
-        &token,
         &mut |_| {
             visits += 1;
             true
@@ -253,24 +248,14 @@ fn an_expired_deadline_trips_before_any_work() {
     assert_eq!(got, Err(EvalError::Cancelled));
     assert_eq!(visits, 0);
     assert_eq!(token.polls(), 1, "the join's first poll is a real one");
+    let token = expired();
     assert_eq!(
-        generic_join::count_distinct_with_order_catalog_cancel(
-            &q,
-            &db,
-            &order,
-            &catalog,
-            &expired()
-        ),
+        generic_join::count_distinct(&ExecCtx::new(&catalog, &token), &q, &db, &order),
         Err(EvalError::Cancelled)
     );
+    let token = expired();
     assert_eq!(
-        generic_join::decide_with_order_catalog_cancel(
-            &q,
-            &db,
-            &order,
-            &catalog,
-            &expired()
-        ),
+        generic_join::decide(&ExecCtx::new(&catalog, &token), &q, &db, &order),
         Err(EvalError::Cancelled)
     );
 }
@@ -284,29 +269,23 @@ fn a_deadline_passing_mid_join_aborts_lw4() {
     let order = generic_join::default_order(&q);
     let catalog = IndexCatalog::new();
     // build the views first: the deadline is to pass inside the join
-    assert!(generic_join::decide_with_order_catalog(&q, &db, &order, &catalog).unwrap());
+    assert!(generic_join::decide(&ExecCtx::warm(&catalog), &q, &db, &order).unwrap());
 
     let deadline = Instant::now() + Duration::from_millis(250);
     let token = CancelToken::with_deadline(deadline);
     let mut visits = 0u32;
-    let got = generic_join::generic_join_visit_catalog_cancel(
-        &q,
-        &db,
-        &order,
-        &catalog,
-        &token,
-        &mut |_| {
-            if visits == 0 {
-                // sit on the first answer until the deadline has passed
-                std::thread::sleep(
-                    deadline.saturating_duration_since(Instant::now())
-                        + Duration::from_millis(2),
-                );
-            }
-            visits += 1;
-            true
-        },
-    );
+    let ctx = ExecCtx::new(&catalog, &token);
+    let got = generic_join::visit(&ctx, &q, &db, &order, &mut |_| {
+        if visits == 0 {
+            // sit on the first answer until the deadline has passed
+            std::thread::sleep(
+                deadline.saturating_duration_since(Instant::now())
+                    + Duration::from_millis(2),
+            );
+        }
+        visits += 1;
+        true
+    });
     assert_eq!(got, Err(EvalError::Cancelled));
     assert!(visits >= 1, "the token must trip inside the join, not before it");
     assert!(
@@ -315,8 +294,8 @@ fn a_deadline_passing_mid_join_aborts_lw4() {
     );
     assert!(token.is_cancelled());
     // the counting sink takes the same exit
-    let count = generic_join::count_distinct_with_order_catalog_cancel(
-        &q, &db, &order, &catalog, &token,
+    assert_eq!(
+        generic_join::count_distinct(&ctx, &q, &db, &order),
+        Err(EvalError::Cancelled)
     );
-    assert_eq!(count, Err(EvalError::Cancelled));
 }

@@ -4,6 +4,7 @@ use cq_core::hypergraph::Hypergraph;
 use cq_core::{ConjunctiveQuery, QueryBuilder, Var};
 use cq_data::{Database, Relation};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
+use cq_engine::ExecCtx;
 use proptest::prelude::*;
 
 /// Strategy: a random hypergraph as (n, edges as masks).
@@ -153,7 +154,7 @@ proptest! {
         if cq_core::free_connex::is_free_connex(&q) {
             let db = random_db_for(&q, seed, 12);
             let expected = brute_force_answers(&q, &db).unwrap();
-            let mut e = cq_engine::Enumerator::preprocess(&q, &db).unwrap();
+            let mut e = cq_engine::Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
             prop_assert_eq!(e.to_relation(), expected, "query {}", q);
         }
     }
@@ -167,8 +168,10 @@ proptest! {
         }
         let db = random_db_for(&q, seed, 10);
         let order: Vec<Var> = q.vars().collect();
-        if let Ok(lex) = cq_engine::LexDirectAccess::build(&q, &db, &order) {
-            let mat = cq_engine::MaterializedDirectAccess::build(&q, &db, &order).unwrap();
+        let ctx = ExecCtx::cold();
+        if let Ok(lex) = cq_engine::LexDirectAccess::build(&ctx, &q, &db, &order) {
+            let mat =
+                cq_engine::MaterializedDirectAccess::build(&ctx, &q, &db, &order).unwrap();
             use cq_engine::DirectAccess;
             prop_assert_eq!(lex.len(), mat.len());
             for i in 0..lex.len().min(200) {

@@ -124,14 +124,14 @@ fn classifier_matches_engine_capabilities() {
     for q in suite {
         let p = classify(&q);
         // counting: Easy ⟺ the linear-time counters accept
-        let fc_count = cq_engine::count::count_free_connex(&q, &db);
+        let fc_count = cq_engine::count::count_free_connex(&ExecCtx::cold(), &q, &db);
         match (&p.counting, q.is_join_query()) {
             (Verdict::Easy { .. }, false) => assert!(fc_count.is_ok(), "{q}"),
             (Verdict::Hard { .. }, false) => assert!(fc_count.is_err(), "{q}"),
             _ => {}
         }
         // enumeration: Easy ⟺ the constant-delay enumerator accepts
-        let enum_ok = Enumerator::preprocess(&q, &db).is_ok();
+        let enum_ok = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).is_ok();
         match &p.enumeration {
             Verdict::Easy { .. } => assert!(enum_ok, "{q}"),
             Verdict::Hard { .. } => assert!(!enum_ok, "{q}"),

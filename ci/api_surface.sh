@@ -3,7 +3,8 @@
 # ladder, an operator-level `*_cancel` variant, or a deprecated shim
 # grows back in cq-engine / cq-planner. Catalog and cancel token travel
 # in `cq_engine::ExecCtx` (and the planner's `EvalCtx`), not in function
-# names.
+# names. Likewise the server's answer path: rows are rendered in place
+# (`render_row_into`), never through the per-row `String` wrappers.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -28,6 +29,12 @@ forbid "deprecated items (delete them; the workspace owns every caller):" "$(
 forbid "cancel-suffixed entry points (the token is ExecCtx's):" "$(
     grep -rnE 'pub fn \w+_cancel\(' crates/engine/src crates/planner/src \
         | grep -vE 'pub fn (set|with)_cancel\('
+)"
+
+# the allocating wrappers are for oracles and tests; the server's answer
+# path renders in place, so the `Vec<String>` pump cannot grow back
+forbid "render_row/render_rows in server.rs outside tests (use render_row_into):" "$(
+    sed '/^#\[cfg(test)\]/,$d' crates/server/src/server.rs | grep -nE '\brender_rows?\('
 )"
 
 exit $status

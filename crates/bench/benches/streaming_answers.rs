@@ -1,10 +1,11 @@
 //! What does streaming buy on the answer path?
 //!
 //! The wire's `ANSWERS` is pull-driven: the session hands the
-//! connection loop an `AnswerFlow` and rows leave in bounded chunks of
-//! `STREAM_CHUNK_ROWS`, so the first row ships after preprocessing —
-//! not after the whole result exists. This bench pins both halves of
-//! that claim on a free-connex join with a large output:
+//! connection loop an `AnswerFlow` and rows leave in byte-budgeted
+//! chunks (`STREAM_FIRST_CHUNK_BYTES` ramping to
+//! `STREAM_MAX_CHUNK_BYTES`), so the first row ships after
+//! preprocessing — not after the whole result exists. This bench pins
+//! both halves of that claim on a free-connex join with a large output:
 //!
 //!   * `first_row_*` — time to the first answer row: a `CURSOR` +
 //!     `FETCH 1` against the streaming path vs. a full materialized
@@ -19,7 +20,9 @@
 use cq_core::parse_query;
 use cq_data::{Database, Relation, Val};
 use cq_planner::eval;
-use cq_server::server::{Action, Session, STREAM_CHUNK_ROWS};
+use cq_server::server::{
+    Action, Session, STREAM_FIRST_CHUNK_BYTES, STREAM_MAX_CHUNK_BYTES,
+};
 use cq_server::state::ServerState;
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use std::io::Write;
@@ -60,16 +63,23 @@ fn mirror_db() -> Database {
     db
 }
 
-/// A write sink that counts bytes and tracks the largest single write
-/// — the per-connection buffering high-water mark.
+/// A write sink that counts bytes and writes and tracks the first and
+/// the largest single write — the latter is the per-connection
+/// buffering high-water mark.
 #[derive(Default)]
 struct ChunkMeter {
     bytes: usize,
+    writes: usize,
+    first_write: usize,
     max_write: usize,
 }
 
 impl Write for ChunkMeter {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        if self.writes == 0 {
+            self.first_write = buf.len();
+        }
+        self.writes += 1;
         self.bytes += buf.len();
         self.max_write = self.max_write.max(buf.len());
         Ok(buf.len())
@@ -129,13 +139,26 @@ fn bench_streaming_answers(c: &mut Criterion) {
     });
     group.finish();
 
-    // the memory bound, re-checked on the bench shape: no single write
-    // exceeds one chunk of short rows, however large the result
+    // the memory bound, re-checked on the bench shape: the first write
+    // is the small first chunk, no write exceeds the ceiling by more
+    // than the row that filled it, and the result goes out in pieces
     let meter = drain_streamed(&mut session);
+    let one_row = "* 199 199\n".len();
     assert!(
-        meter.max_write <= STREAM_CHUNK_ROWS * 64,
-        "largest write {} exceeds one chunk of rows",
+        meter.first_write <= STREAM_FIRST_CHUNK_BYTES + one_row,
+        "first write {} exceeds the first chunk budget",
+        meter.first_write
+    );
+    assert!(
+        meter.max_write <= STREAM_MAX_CHUNK_BYTES + one_row,
+        "largest write {} exceeds one chunk",
         meter.max_write
+    );
+    assert!(
+        meter.writes >= meter.bytes / STREAM_MAX_CHUNK_BYTES,
+        "{} bytes left in only {} writes",
+        meter.bytes,
+        meter.writes
     );
 
     // headline numbers: streaming ships the first row without paying
@@ -152,10 +175,10 @@ fn bench_streaming_answers(c: &mut Criterion) {
     println!(
         "streaming_answers: first row in {ttfr:?} streamed vs {full:?} to \
          materialize all {} rows; largest single write {} bytes \
-         (chunk bound {} rows)",
+         (chunk bound {} bytes)",
         rel.len(),
         meter.max_write,
-        STREAM_CHUNK_ROWS
+        STREAM_MAX_CHUNK_BYTES
     );
 }
 

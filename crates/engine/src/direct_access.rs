@@ -37,9 +37,17 @@ use std::sync::Arc;
 pub trait DirectAccess {
     /// Number of answers in the simulated array.
     fn len(&self) -> u64;
-    /// The `i`-th answer (0-based), or `None` past the end — the paper's
-    /// "error" case.
-    fn access(&self, i: u64) -> Option<Vec<Val>>;
+    /// Write the `i`-th answer (0-based) over `out`'s previous contents
+    /// and return `true`; past the end — the paper's "error" case —
+    /// return `false` (leaving `out` unspecified). Once `out` has grown
+    /// to the structure's row width a call allocates nothing, which is
+    /// what lets a stream over the structure reuse one row buffer.
+    fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool;
+    /// The `i`-th answer as an owned row, or `None` past the end.
+    fn access(&self, i: u64) -> Option<Vec<Val>> {
+        let mut out = Vec::new();
+        self.access_into(i, &mut out).then_some(out)
+    }
     /// Is the result empty?
     fn is_empty(&self) -> bool {
         self.len() == 0
@@ -51,8 +59,8 @@ impl<T: DirectAccess + ?Sized> DirectAccess for Arc<T> {
     fn len(&self) -> u64 {
         (**self).len()
     }
-    fn access(&self, i: u64) -> Option<Vec<Val>> {
-        (**self).access(i)
+    fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
+        (**self).access_into(i, out)
     }
 }
 
@@ -103,8 +111,11 @@ impl DirectAccess for MaterializedDirectAccess {
     fn len(&self) -> u64 {
         self.rows.len() as u64
     }
-    fn access(&self, i: u64) -> Option<Vec<Val>> {
-        self.rows.get(i as usize).cloned()
+    fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
+        let Some(row) = self.rows.get(i as usize) else { return false };
+        out.clear();
+        out.extend_from_slice(row);
+        true
     }
 }
 
@@ -127,6 +138,9 @@ pub struct LexDirectAccess {
     nodes: Vec<Node>,
     root: usize,
     n_vars: usize,
+    /// the longest node key: `access_into` keeps that much scratch
+    /// behind the row in the caller's buffer
+    max_key: usize,
     total: u64,
 }
 
@@ -376,14 +390,29 @@ impl LexDirectAccess {
         // u64 means nothing above saturated
         let total = *nodes[root].cumw.last().unwrap_or(&0);
         let total = u64::try_from(total).map_err(|_| EvalError::CountOverflow)?;
-        Ok(LexDirectAccess { nodes, root, n_vars, total })
+        let max_key = nodes.iter().map(|n| n.key_vars.len()).max().unwrap_or(0);
+        Ok(LexDirectAccess { nodes, root, n_vars, max_key, total })
     }
 
-    fn access_rec(&self, u: usize, idx: u128, out: &mut [Val], keybuf: &mut Vec<Val>) {
+    /// The rows of `u` matching the key values already in `out`, looked
+    /// up through the `scratch` slice (at least `max_key` long).
+    fn key_range(
+        &self,
+        u: usize,
+        out: &[Val],
+        scratch: &mut [Val],
+    ) -> std::ops::Range<usize> {
         let node = &self.nodes[u];
-        keybuf.clear();
-        keybuf.extend(node.key_vars.iter().map(|v| out[v.index()]));
-        let range = node.view.key_range(keybuf);
+        let key = &mut scratch[..node.key_vars.len()];
+        for (slot, v) in key.iter_mut().zip(&node.key_vars) {
+            *slot = out[v.index()];
+        }
+        node.view.key_range(key)
+    }
+
+    fn access_rec(&self, u: usize, idx: u128, out: &mut [Val], scratch: &mut [Val]) {
+        let node = &self.nodes[u];
+        let range = self.key_range(u, out, scratch);
         let base = node.cumw[range.start];
         let target = base + idx;
         // binary search: largest pos in range with cumw[pos] <= target
@@ -402,29 +431,23 @@ impl LexDirectAccess {
         for (i, v) in node.intro_vars.iter().enumerate() {
             out[v.index()] = row[node.n_key + i];
         }
-        // mixed-radix over children
-        if node.children.is_empty() {
-            debug_assert_eq!(residual, 0);
-            return;
-        }
-        // compute child factors
-        let factors: Vec<u128> = node
-            .children
-            .iter()
-            .map(|&c| {
-                let cnode = &self.nodes[c];
-                keybuf.clear();
-                keybuf.extend(cnode.key_vars.iter().map(|v| out[v.index()]));
-                let r = cnode.view.key_range(keybuf);
-                cnode.cumw[r.end] - cnode.cumw[r.start]
-            })
-            .collect();
-        for (ci, &c) in node.children.iter().enumerate() {
-            let radix: u128 = factors[ci + 1..].iter().product();
+        // mixed-radix over children: the row's weight is the product
+        // of its children's factors (that is how `from_reduced` weighed
+        // it), so dividing a child's factor out leaves the radix of the
+        // children after it. A child's key variables all sit in this
+        // node's scope, so descending into one child never moves a
+        // later child's factor.
+        let mut radix = node.cumw[row_pos + 1] - node.cumw[row_pos];
+        for &c in &node.children {
+            let r = self.key_range(c, out, scratch);
+            let cnode = &self.nodes[c];
+            radix /= cnode.cumw[r.end] - cnode.cumw[r.start];
             let idx_c = residual / radix;
             residual %= radix;
-            self.access_rec(c, idx_c, out, keybuf);
+            self.access_rec(c, idx_c, out, scratch);
         }
+        // every factor divided out of the weight exactly, nothing left
+        debug_assert_eq!((radix, residual), (1, 0));
     }
 }
 
@@ -433,14 +456,16 @@ impl DirectAccess for LexDirectAccess {
         self.total
     }
 
-    fn access(&self, i: u64) -> Option<Vec<Val>> {
+    fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
         if i >= self.total {
-            return None;
+            return false;
         }
-        let mut out = vec![0 as Val; self.n_vars];
-        let mut keybuf = Vec::new();
-        self.access_rec(self.root, u128::from(i), &mut out, &mut keybuf);
-        Some(out)
+        out.clear();
+        out.resize(self.n_vars + self.max_key, 0);
+        let (row, scratch) = out.split_at_mut(self.n_vars);
+        self.access_rec(self.root, u128::from(i), row, scratch);
+        out.truncate(self.n_vars);
+        true
     }
 }
 

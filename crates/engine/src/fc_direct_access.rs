@@ -97,9 +97,17 @@ impl DirectAccess for FreeConnexDirectAccess {
 
     /// The `i`-th answer, as values of the free variables in schema
     /// (interning) order.
-    fn access(&self, i: u64) -> Option<Vec<Val>> {
-        let full = self.inner.as_ref()?.access(i)?;
-        Some(self.schema.iter().map(|v| full[v.index()]).collect())
+    fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
+        if !self.inner.as_ref().is_some_and(|inner| inner.access_into(i, out)) {
+            return false;
+        }
+        // project the full assignment in place: the schema is in
+        // increasing interning order, so column k reads at or after k
+        for (k, v) in self.schema.iter().enumerate() {
+            out[k] = out[v.index()];
+        }
+        out.truncate(self.schema.len());
+        true
     }
 }
 

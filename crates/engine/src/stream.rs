@@ -165,7 +165,8 @@ impl AnswerStream for RelationStream {
 }
 
 /// A [`DirectAccess`] structure as a seekable stream: `next` is
-/// `access(pos); pos += 1`, `seek(k)` just moves `pos` — the skipped
+/// `access_into(pos, buf); pos += 1` into one reused row buffer (so a
+/// pull allocates nothing), `seek(k)` just moves `pos` — the skipped
 /// prefix is never touched, which is exactly the Õ(log m) random-access
 /// guarantee of Thm 3.24 / 3.18 surfaced as a cursor.
 pub struct DirectAccessStream {
@@ -217,15 +218,12 @@ impl AnswerStream for DirectAccessStream {
 
     fn next(&mut self) -> Result<Option<&[Val]>, EvalError> {
         self.cancel.check()?;
-        match self.da.access(self.pos) {
-            Some(row) => {
-                self.accesses += 1;
-                self.pos += 1;
-                self.buf = row;
-                Ok(Some(&self.buf))
-            }
-            None => Ok(None),
+        if !self.da.access_into(self.pos, &mut self.buf) {
+            return Ok(None);
         }
+        self.accesses += 1;
+        self.pos += 1;
+        Ok(Some(&self.buf))
     }
 
     fn seek(&mut self, k: u64) -> Result<(), EvalError> {

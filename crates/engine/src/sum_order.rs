@@ -143,8 +143,11 @@ impl DirectAccess for SumOrderAccess {
     fn len(&self) -> u64 {
         self.rows.len() as u64
     }
-    fn access(&self, i: u64) -> Option<Vec<Val>> {
-        self.rows.get(i as usize).map(|(_, r)| r.clone())
+    fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
+        let Some((_, row)) = self.rows.get(i as usize) else { return false };
+        out.clear();
+        out.extend_from_slice(row);
+        true
     }
 }
 

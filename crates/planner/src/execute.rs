@@ -326,8 +326,11 @@ impl DirectAccess for ProjectedMaterializedAccess {
         self.rows.len() as u64
     }
 
-    fn access(&self, i: u64) -> Option<Vec<Val>> {
-        self.rows.get(i as usize).cloned()
+    fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
+        let Some(row) = self.rows.get(i as usize) else { return false };
+        out.clear();
+        out.extend_from_slice(row);
+        true
     }
 }
 

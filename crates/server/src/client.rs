@@ -132,7 +132,9 @@ impl Client {
 
     /// Pull up to `n` rows from a cursor. Returns the rows and whether
     /// the stream is exhausted (`OK <k> rows eof`), or the server's
-    /// error reply (stale cursor, timeout, …).
+    /// error reply (stale cursor, timeout, …). The server caps a page
+    /// at `MAX_FETCH_ROWS`, so fewer than `n` rows without `eof` means
+    /// "fetch again", not "done".
     pub fn fetch(
         &mut self,
         id: u64,

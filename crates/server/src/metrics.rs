@@ -273,6 +273,17 @@ impl SessionMetrics {
         scope.counter("answers.rows").add(n);
     }
 
+    /// The two handles a streamed response records each chunk through
+    /// — looked up once per response, so a chunk costs two atomic
+    /// updates: the `answers.bytes` counter grows by the chunk, and the
+    /// `answers.write.latency` histogram takes the time the sink held
+    /// it. On the wire that is `write_all` + `flush`, so a client that
+    /// reads slowly (TCP backpressure) shows up here and nowhere else.
+    pub fn answer_chunk_handles(&self, db: &str) -> (Arc<Counter>, Arc<Histogram>) {
+        let scope = self.shared.registry.scope(&tenant_scope(db));
+        (scope.counter("answers.bytes"), scope.histogram("answers.write.latency"))
+    }
+
     /// Record the time from query receipt to the first answer row
     /// reaching the wire (`answers.ttfr.latency`). The companion
     /// counter counts streamed responses that produced ≥ 1 row.

@@ -18,7 +18,7 @@
 //!          | EXPLAIN <task> <query-text>            -- task: DECIDE|COUNT|ANSWERS|ACCESS
 //!          | EXPLAIN ANALYZE <task> <query-text>    -- plan, execute, annotate with measured spans
 //!          | CURSOR ANSWERS|ACCESS <query-text>     -- open a streaming cursor → OK cursor <id>
-//!          | FETCH <id> <n>                         -- pull up to n rows from a cursor
+//!          | FETCH <id> <n>                         -- pull up to n rows (capped at 65536) from a cursor
 //!          | SEEK <id> <k>                          -- jump to answer k (direct-access plans, O(1))
 //!          | CLOSE <id>                             -- release a cursor
 //!          | BATCH                                  -- items follow, then END
@@ -835,14 +835,43 @@ pub fn hex_decode(s: &str) -> Result<Vec<u8>, String> {
     Ok(out)
 }
 
-/// Render one answer row for the wire: values space-separated, the
-/// empty (nullary) row as `()`.
-pub fn render_row(row: &[Val]) -> String {
+/// Render one answer row for the wire onto the end of `out`: values
+/// as decimal digits, space-separated, the empty (nullary) row as
+/// `()`. Allocates nothing beyond `out`'s own growth — the streaming
+/// drain renders every row of a result into one reused chunk buffer.
+pub fn render_row_into(out: &mut Vec<u8>, row: &[Val]) {
     if row.is_empty() {
-        "()".to_string()
-    } else {
-        row.iter().map(Val::to_string).collect::<Vec<_>>().join(" ")
+        out.extend_from_slice(b"()");
+        return;
     }
+    // u64::MAX has 20 digits; fill from the back, copy the used tail
+    let mut digits = [0u8; 20];
+    for (i, &val) in row.iter().enumerate() {
+        if i > 0 {
+            out.push(b' ');
+        }
+        let mut v = val;
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
+            }
+        }
+        out.extend_from_slice(&digits[at..]);
+    }
+}
+
+/// [`render_row_into`] as an owned line — for oracles, tests and
+/// one-off replies; the streaming drain never calls it.
+pub fn render_row(row: &[Val]) -> String {
+    // one allocation: each value's digits plus its separator
+    let digits = |v: &Val| v.checked_ilog10().unwrap_or(0) as usize + 2;
+    let mut out = Vec::with_capacity(row.iter().map(digits).sum::<usize>().max(2));
+    render_row_into(&mut out, row);
+    String::from_utf8(out).expect("digits, spaces and parentheses are ASCII")
 }
 
 /// Render an answer relation as wire data lines, rows in the
@@ -1146,6 +1175,45 @@ mod tests {
         assert_eq!(render_row(&[]), "()");
         let rel = Relation::from_pairs(vec![(2, 1), (1, 9)]);
         assert_eq!(render_rows(&rel), vec!["1 9", "2 1"]);
+    }
+
+    use proptest::prelude::*;
+
+    /// Values where the digit count changes or the type ends: 0..=10,
+    /// 10ⁿ − 1 / 10ⁿ / 10ⁿ + 1 for every n, `u64::MAX` and its
+    /// neighbour — mixed with values from anywhere in the range.
+    fn edge_value() -> impl Strategy<Value = Val> {
+        (0u8..4, any::<u64>(), 0u32..20, 0u64..3).prop_map(|(pick, raw, n, off)| {
+            match pick {
+                0 => raw,
+                1 => raw % 11,
+                2 => u64::MAX - raw % 2,
+                _ => 10u64.pow(n) - 1 + off,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The in-place renderer writes exactly what the formatting
+        /// machinery it replaced wrote, after whatever `out` held.
+        #[test]
+        fn render_row_into_matches_to_string_join(
+            row in proptest::collection::vec(edge_value(), 0..=8),
+            before in proptest::collection::vec(any::<u8>(), 0..4),
+        ) {
+            let want = if row.is_empty() {
+                "()".to_string()
+            } else {
+                row.iter().map(Val::to_string).collect::<Vec<_>>().join(" ")
+            };
+            let mut out = before.clone();
+            render_row_into(&mut out, &row);
+            prop_assert_eq!(&out[..before.len()], &before[..]);
+            prop_assert_eq!(&out[before.len()..], want.as_bytes());
+            prop_assert_eq!(render_row(&row), want);
+        }
     }
 
     #[test]

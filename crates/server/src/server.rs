@@ -12,14 +12,24 @@
 //! [`EvalCtx::batch_tasks`] — the pinned catalog and one planner pass
 //! shared by the whole batch.
 //!
+//! Answers leave as bytes. A streamed `ANSWERS` is drained by one pump
+//! (`Session::pump_flow`, behind [`Session::drain_flow`]) that renders
+//! each row in place into a single reused buffer and writes it out in
+//! chunks whose byte budget ramps from [`STREAM_FIRST_CHUNK_BYTES`]
+//! (the first row must not wait for a big chunk) to
+//! [`STREAM_MAX_CHUNK_BYTES`] (a long drain must not pay a syscall and
+//! a client wake-up every few KB): no allocation per row, one chunk of
+//! answer memory per connection. A `FETCH` page is the other bounded
+//! unit, capped at [`MAX_FETCH_ROWS`].
+//!
 //! Sessions never panic the connection: command dispatch is wrapped in
 //! `catch_unwind`, and a panicking handler yields `ERR internal` with
 //! the session reset to idle.
 
 use crate::metrics::{self, SessionMetrics, SERVER_SCOPE};
 use crate::protocol::{
-    hex_encode, parse_command, parse_row, query_task, render_row, render_rows,
-    BudgetSetting, Command, ErrKind, Reply, DATA_PREFIX, END_KEYWORD,
+    hex_encode, parse_command, parse_row, query_task, render_row_into, BudgetSetting,
+    Command, ErrKind, Reply, DATA_PREFIX, END_KEYWORD,
 };
 use crate::state::{Budget, ServerState, ShipSegment, StateError, Tenant};
 use cq_core::{parse_query, ConjunctiveQuery, ParseError};
@@ -38,13 +48,27 @@ use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Rows buffered per write while streaming `ANSWERS`: the transport
-/// drains the answer stream in chunks of this many rows, writing and
-/// flushing each chunk before pulling the next. Per-connection answer
-/// memory is bounded by one chunk regardless of result size — a slow
-/// client backpressures the drain through the TCP send buffer instead
-/// of ballooning the server.
-pub const STREAM_CHUNK_ROWS: usize = 256;
+/// Byte budget of the first chunk of a streamed `ANSWERS`: rows are
+/// rendered into one buffer and the buffer is written and flushed as
+/// soon as it holds this much, so the first row reaches the client
+/// after a few hundred rendered rows, not after a full-size chunk.
+/// Each flush doubles the budget (slow start) up to
+/// [`STREAM_MAX_CHUNK_BYTES`].
+pub const STREAM_FIRST_CHUNK_BYTES: usize = 4 << 10;
+
+/// Ceiling of the ramping chunk budget. A chunk is one `write` + one
+/// client wake-up, so the ceiling sets the steady-state syscall rate of
+/// a long drain (≈ 190 per 10⁶ short rows) — and it is the bound on
+/// per-connection answer memory: one chunk, at most this plus one row,
+/// regardless of result size. A slow client backpressures the drain
+/// through the TCP send buffer instead of ballooning the server.
+pub const STREAM_MAX_CHUNK_BYTES: usize = 64 << 10;
+
+/// Cap on the rows of one `FETCH` page, whatever `<n>` asks for: a page
+/// is a framed reply built in memory, so without the cap `FETCH <id>
+/// 18446744073709551615` would buffer a whole result. A capped page
+/// answers `OK <k> rows` without `eof`; clients keep fetching.
+pub const MAX_FETCH_ROWS: u64 = 1 << 16;
 
 /// Cap on concurrently open cursors per session: cursors pin catalog
 /// artifacts (enumerator structures, direct-access indexes), so an
@@ -243,17 +267,20 @@ impl Session {
         }
     }
 
-    /// Pull up to `max` rows off a stream, wire-rendered into `rows`.
-    /// `Ok(true)` means the stream is exhausted; `Err` is an
+    /// Pull up to `max` rows off a stream, rendered one per line onto
+    /// `lines`. `Ok(true)` means the stream is exhausted; `Err` is an
     /// evaluation error (cancellation included) mid-stream.
-    fn pull_rows(
+    fn pull_page(
         answers: &mut Answers,
-        max: usize,
-        rows: &mut Vec<String>,
+        max: u64,
+        lines: &mut Vec<u8>,
     ) -> Result<bool, EvalError> {
         for _ in 0..max {
             match answers.next()? {
-                Some(row) => rows.push(render_row(row)),
+                Some(row) => {
+                    render_row_into(lines, row);
+                    lines.push(b'\n');
+                }
                 None => return Ok(true),
             }
         }
@@ -279,35 +306,73 @@ impl Session {
     }
 
     /// The one row pump behind [`Session::drain_flow`] and
-    /// [`Session::collect_flow`]: pull the stream dry in chunks of
-    /// [`STREAM_CHUNK_ROWS`] rendered rows, hand each chunk to `emit`
-    /// before the next is pulled, and close the flow out — time to
-    /// first row, rows served, the error count, the trace. Returns the
-    /// terminal: `OK <n> rows`, or the `ERR` a mid-stream failure maps
-    /// to (chunks already emitted stay emitted). An `emit` failure
-    /// abandons the flow at once.
+    /// [`Session::collect_flow`]: pull the stream dry, rendering each
+    /// row as a `* <row>\n` wire line straight into one reused byte
+    /// buffer, and hand the buffer to `emit` whenever it reaches the
+    /// chunk budget — [`STREAM_FIRST_CHUNK_BYTES`] at first, doubling
+    /// per chunk up to [`STREAM_MAX_CHUNK_BYTES`] — and once more at the
+    /// end. No allocation per row: the buffer grows to the budget and
+    /// is reused. Then close the flow out — rows and bytes served, time
+    /// in the sink, the error count, the trace. Returns the terminal:
+    /// `OK <n> rows`, or the `ERR` a mid-stream failure maps to (chunks
+    /// already emitted stay emitted). An `emit` failure abandons the
+    /// flow — counted as a cancellation, with the rows the sink did
+    /// accept — and is returned.
     fn pump_flow(
         &mut self,
         mut flow: AnswerFlow,
-        mut emit: impl FnMut(Vec<String>) -> std::io::Result<()>,
+        mut emit: impl FnMut(&[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<Reply> {
-        let mut total: u64 = 0;
-        let terminal = loop {
-            let mut rows = Vec::with_capacity(STREAM_CHUNK_ROWS);
-            let res = Self::pull_rows(&mut flow.answers, STREAM_CHUNK_ROWS, &mut rows);
-            if total == 0 && !rows.is_empty() {
-                self.metrics.record_time_to_first_row(&flow.db, flow.started.elapsed());
+        let (bytes_served, sink_latency) = self.metrics.answer_chunk_handles(&flow.db);
+        let mut chunk: Vec<u8> = Vec::new();
+        let mut budget = STREAM_FIRST_CHUNK_BYTES;
+        let mut pending: u64 = 0; // rows rendered into `chunk`
+        let mut served: u64 = 0; // rows in chunks the sink accepted
+        let outcome = loop {
+            let end = match flow.answers.next() {
+                Ok(Some(row)) => {
+                    chunk.extend_from_slice(DATA_PREFIX.as_bytes());
+                    render_row_into(&mut chunk, row);
+                    chunk.push(b'\n');
+                    pending += 1;
+                    None
+                }
+                Ok(None) => Some(Ok(())),
+                Err(e) => Some(Err(e)),
+            };
+            if chunk.len() >= budget || (end.is_some() && !chunk.is_empty()) {
+                if served == 0 {
+                    self.metrics
+                        .record_time_to_first_row(&flow.db, flow.started.elapsed());
+                }
+                let sent = Instant::now();
+                if let Err(e) = emit(&chunk) {
+                    break Err(e);
+                }
+                sink_latency.record_duration(sent.elapsed());
+                bytes_served.add(chunk.len() as u64);
+                served += pending;
+                pending = 0;
+                chunk.clear();
+                budget = (budget * 2).min(STREAM_MAX_CHUNK_BYTES);
             }
-            total += rows.len() as u64;
-            emit(rows)?;
-            match res {
-                Ok(false) => continue,
-                Ok(true) => break Reply::ok(format!("{total} rows")),
-                Err(e) => break self.flow_error(&flow, e),
+            if let Some(end) = end {
+                break Ok(end);
             }
         };
-        self.metrics.record_answer_rows(&flow.db, total);
-        self.count_error(&terminal);
+        self.metrics.record_answer_rows(&flow.db, served);
+        let result = match outcome {
+            Ok(Ok(())) => Ok(Reply::ok(format!("{served} rows"))),
+            Ok(Err(e)) => Ok(self.flow_error(&flow, e)),
+            Err(io) => {
+                // the client hung up mid-drain: nobody reads a terminal
+                self.metrics.record_cancellation(&flow.db);
+                Err(io)
+            }
+        };
+        if let Ok(terminal) = &result {
+            self.count_error(terminal);
+        }
         // drop the stream first (its span records itself on drop, exec
         // and drain both visible), then finish the sink into the
         // tenant's PROFILE ring; a disabled sink (profiling off)
@@ -317,43 +382,49 @@ impl Session {
         if let Some(tr) = trace.finish(&db, &query) {
             self.metrics.shared().push_trace(tr);
         }
-        Ok(terminal)
+        result
     }
 
     /// Drain a streamed response to the wire: `* ` data lines in
-    /// chunks of [`STREAM_CHUNK_ROWS`], each written and flushed before
-    /// the next is pulled, then the one terminal line. Rows already on
-    /// the wire stay there when the stream fails mid-drain — the
-    /// client sees partial data followed by the `ERR` terminal.
+    /// byte-budgeted chunks (see [`STREAM_FIRST_CHUNK_BYTES`]), each
+    /// written and flushed before the next row is pulled, then the one
+    /// terminal line. Rows already on the wire stay there when the
+    /// stream fails mid-drain — the client sees partial data followed
+    /// by the `ERR` terminal.
     pub fn drain_flow(
         &mut self,
         flow: AnswerFlow,
         out: &mut impl Write,
     ) -> std::io::Result<()> {
-        let mut buf = String::new();
-        let terminal = self.pump_flow(flow, |rows| {
-            buf.clear();
-            for r in &rows {
-                buf.push_str(DATA_PREFIX);
-                buf.push_str(r);
-                buf.push('\n');
+        let mut reader_waits = true;
+        let terminal = self.pump_flow(flow, |chunk| {
+            out.write_all(chunk)?;
+            out.flush()?;
+            // the first chunk is the one a reader is blocked on. If its
+            // wake-up put it on this core it cannot run until the drain
+            // blocks — which, rendering faster than a socket buffer
+            // fills, is megabytes away (measured: 4 ms to first row for
+            // one response in eight). Hand it the core once.
+            if std::mem::take(&mut reader_waits) {
+                std::thread::yield_now();
             }
-            out.write_all(buf.as_bytes())?;
-            out.flush()
+            Ok(())
         })?;
         terminal.write_to(out)?;
         out.flush()
     }
 
     /// [`Session::drain_flow`] into one in-memory [`Reply`] — the
-    /// in-process bridge used by [`Session::handle_raw`]. Partial rows
-    /// pulled before a mid-stream failure are kept as data lines, like
-    /// the wire form.
+    /// in-process bridge used by [`Session::handle_raw`], which splits
+    /// the chunks back into data lines. Partial rows pulled before a
+    /// mid-stream failure are kept, like the wire form.
     fn collect_flow(&mut self, flow: AnswerFlow) -> Reply {
         let mut data = Vec::new();
         let terminal = self
-            .pump_flow(flow, |rows| {
-                data.extend(rows);
+            .pump_flow(flow, |chunk| {
+                data.extend(
+                    rendered_lines(chunk).map(|l| l[DATA_PREFIX.len()..].to_string()),
+                );
                 Ok(())
             })
             .expect("collecting into memory cannot fail");
@@ -997,11 +1068,11 @@ impl Session {
         Ok(self.cursors.get_mut(&id).expect("present and live"))
     }
 
-    /// `FETCH <id> <n>`: pull up to `n` rows from an open cursor. The
-    /// terminal reports how many came and whether the stream is done
-    /// (`OK <k> rows eof`). Each FETCH runs under a fresh tenant
-    /// deadline; a trip leaves the cursor open with the already-pulled
-    /// rows delivered.
+    /// `FETCH <id> <n>`: pull up to `n` rows — at most
+    /// [`MAX_FETCH_ROWS`] — from an open cursor. The terminal reports
+    /// how many came and whether the stream is done (`OK <k> rows
+    /// eof`). Each FETCH runs under a fresh tenant deadline; a trip
+    /// leaves the cursor open with the already-pulled rows delivered.
     fn fetch(&mut self, id: u64, n: u64) -> Reply {
         let tenant = match self.live_cursor(id) {
             Ok(entry) => Arc::clone(&entry.tenant),
@@ -1011,9 +1082,10 @@ impl Session {
         let started = Instant::now();
         let entry = self.cursors.get_mut(&id).expect("verified live above");
         entry.answers.set_cancel(cancel);
-        let mut data = Vec::new();
-        let max = usize::try_from(n).unwrap_or(usize::MAX);
-        let outcome = Self::pull_rows(&mut entry.answers, max, &mut data);
+        let mut lines = Vec::new();
+        let outcome =
+            Self::pull_page(&mut entry.answers, n.min(MAX_FETCH_ROWS), &mut lines);
+        let data: Vec<String> = rendered_lines(&lines).map(str::to_string).collect();
         self.metrics.record_answer_rows(tenant.name(), data.len() as u64);
         match outcome {
             Ok(eof) => {
@@ -1859,18 +1931,20 @@ fn cancelled_batch_terminal(
     }
 }
 
-/// Render an execution output as one full reply. `Answers` outputs are
-/// collected — the callers that stream instead (the `ANSWERS` flow
-/// path, cursors) never reach here.
+/// Render a scalar execution output as one full reply. `Answers`
+/// outputs never reach here: `ANSWERS` streams through the flow path,
+/// cursors page, and `BATCH` reports row counts only.
 fn render_output(out: Output) -> Reply {
     match out {
         Output::Decision(b) => Reply::ok(b),
         Output::Count(n) => Reply::ok(n),
-        Output::Answers(a) => match a.collect() {
-            Ok(rel) => Reply::ok_with(render_rows(&rel), format!("{} rows", rel.len())),
-            Err(e) => Reply::err(ErrKind::Eval, e),
-        },
+        Output::Answers(_) => unreachable!("answer streams are drained by their caller"),
     }
+}
+
+/// The lines of a buffer of rendered rows (each `\n`-terminated).
+fn rendered_lines(bytes: &[u8]) -> std::str::Lines<'_> {
+    std::str::from_utf8(bytes).expect("rendered rows are ASCII").lines()
 }
 
 /// A `BATCH` item line: `DECIDE|COUNT|ANSWERS <query-text>`.
@@ -2863,24 +2937,134 @@ mod tests {
         assert!(done.load(Ordering::SeqCst), "writer finished with a cursor open");
     }
 
-    /// A writer that records the largest single `write` it ever saw —
-    /// the observable ceiling on per-connection answer buffering.
+    /// A writer that records the size of every `write` it sees — the
+    /// observable chunking of a drain, and with it the ceiling on
+    /// per-connection answer buffering.
+    #[derive(Default)]
     struct ChunkMeter {
         bytes: Vec<u8>,
-        max_write: usize,
-        writes: usize,
+        writes: Vec<usize>,
     }
 
     impl Write for ChunkMeter {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.max_write = self.max_write.max(buf.len());
-            self.writes += 1;
+            self.writes.push(buf.len());
             self.bytes.extend_from_slice(buf);
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
             Ok(())
         }
+    }
+
+    /// The flow a successful `ANSWERS` hands the transport.
+    fn stream_of(s: &mut Session, line: &str) -> AnswerFlow {
+        match s.handle_action(line.as_bytes()) {
+            Some(Action::Stream(flow)) => *flow,
+            _ => panic!("a successful ANSWERS must stream, not materialize a reply"),
+        }
+    }
+
+    const UNARY: &str = "ANSWERS q(x) :- R(x)";
+    /// Wire bytes of one [`UNARY`] row: `* ` + six digits + newline.
+    const UNARY_ROW: usize = 9;
+
+    /// A session on tenant `t` whose `R(x)` holds `n` six-digit values,
+    /// so [`UNARY`] streams `n` lines of exactly [`UNARY_ROW`] bytes.
+    fn session_with_unary(n: u64) -> Session {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        let rel = Relation::from_rows(1, (0..n).map(|i| vec![100_000 + i]));
+        s.state.tenant("t").unwrap().mutate(|db| {
+            db.insert("R", rel);
+        });
+        s
+    }
+
+    /// The chunk sizes the ramp should cut `rows` equal-width rows into.
+    fn ramp_model(rows: usize, row_bytes: usize) -> Vec<usize> {
+        let mut chunks = Vec::new();
+        let (mut left, mut budget) = (rows, STREAM_FIRST_CHUNK_BYTES);
+        while left > 0 {
+            let take = budget.div_ceil(row_bytes).min(left);
+            chunks.push(take * row_bytes);
+            left -= take;
+            budget = (budget * 2).min(STREAM_MAX_CHUNK_BYTES);
+        }
+        chunks
+    }
+
+    #[test]
+    fn drained_bytes_equal_collected_lines_across_every_ramp_boundary() {
+        // result sizes one row under, at and over each point where the
+        // drain flushes, through the ramp and two chunks at the ceiling
+        let mut sizes = vec![0usize, 1, 160_000];
+        let (mut boundary, mut budget) = (0, STREAM_FIRST_CHUNK_BYTES);
+        for _ in 0..7 {
+            boundary += budget.div_ceil(UNARY_ROW);
+            sizes.extend([boundary - 1, boundary, boundary + 1]);
+            budget = (budget * 2).min(STREAM_MAX_CHUNK_BYTES);
+        }
+        assert_eq!(budget, STREAM_MAX_CHUNK_BYTES, "the sizes reach the ceiling");
+        for rows in sizes {
+            let mut s = session_with_unary(rows as u64);
+            let collected = s.handle_line(UNARY).unwrap();
+            assert_eq!(collected.terminal, format!("OK {rows} rows"));
+            let mut framed = Vec::new();
+            collected.write_to(&mut framed).unwrap();
+            let mut meter = ChunkMeter::default();
+            let flow = stream_of(&mut s, UNARY);
+            s.drain_flow(flow, &mut meter).unwrap();
+            assert!(meter.bytes == framed, "{rows} rows: wire bytes differ");
+            // the data goes out in exactly the ramp's chunks; the
+            // remaining writes are the terminal line
+            let model = ramp_model(rows, UNARY_ROW);
+            assert_eq!(meter.writes[..model.len()], model, "{rows} rows");
+            let terminal: usize = meter.writes[model.len()..].iter().sum();
+            assert_eq!(terminal, collected.terminal.len() + 1);
+        }
+    }
+
+    #[test]
+    fn a_stream_that_fails_midway_ships_its_rows_then_the_err_terminal() {
+        // a liveness probe that reports the client gone from its
+        // `trip_at`-th call on; a clean warm run counts the calls a full
+        // drain makes, and the last of those are the stream's own
+        // stride-256 polls — so tripping 40 short of it is mid-drain
+        let calls = Arc::new(AtomicUsize::new(0));
+        let trip_at = Arc::new(AtomicUsize::new(usize::MAX));
+        let mut s = session_with_unary(20_000);
+        let (n, at) = (Arc::clone(&calls), Arc::clone(&trip_at));
+        s.set_cancel_probe(move || {
+            n.fetch_add(1, Ordering::SeqCst) >= at.load(Ordering::SeqCst)
+        });
+        assert!(s.handle_line(UNARY).unwrap().is_ok(), "warms the catalog");
+        calls.store(0, Ordering::SeqCst);
+        assert!(s.handle_line(UNARY).unwrap().is_ok());
+        trip_at.store(calls.load(Ordering::SeqCst) - 40, Ordering::SeqCst);
+        calls.store(0, Ordering::SeqCst);
+        let collected = s.handle_line(UNARY).unwrap();
+        let shipped = collected.data.len();
+        assert!(0 < shipped && shipped < 20_000, "{shipped} rows before the trip");
+        assert!(collected.terminal.starts_with("ERR timeout:"), "{}", collected.terminal);
+        assert!(collected.terminal.contains("client disconnected"));
+        // the same trip on the wire: the same partial rows, re-framed
+        calls.store(0, Ordering::SeqCst);
+        let mut meter = ChunkMeter::default();
+        let flow = stream_of(&mut s, UNARY);
+        s.drain_flow(flow, &mut meter).unwrap();
+        let text = String::from_utf8(meter.bytes).unwrap();
+        let (rows, terminal) = text.trim_end().rsplit_once('\n').unwrap();
+        let rows: Vec<&str> =
+            rows.lines().map(|l| l.strip_prefix(DATA_PREFIX).unwrap()).collect();
+        assert_eq!(rows, collected.data);
+        assert!(terminal.starts_with("ERR timeout:"), "{terminal}");
+        let m = s.handle_line("METRICS t").unwrap();
+        let has = |line: String| m.data.contains(&line);
+        let served = 2 * (20_000 + shipped);
+        assert!(has(format!("db.t answers.rows={served}")), "{:?}", m.data);
+        assert!(has("db.t cancellations=2".to_string()), "{:?}", m.data);
     }
 
     #[test]
@@ -2900,31 +3084,100 @@ mod tests {
             s.handle_line(&format!("0 {j}"));
         }
         s.handle_line("END");
-        let action = s.handle_action(b"ANSWERS q(x, z) :- R(x, y), S(y, z)").unwrap();
-        let Action::Stream(flow) = action else {
-            panic!("a successful ANSWERS must stream, not materialize a reply");
-        };
-        let mut meter = ChunkMeter { bytes: Vec::new(), max_write: 0, writes: 0 };
-        s.drain_flow(*flow, &mut meter).unwrap();
-        let text = String::from_utf8(meter.bytes).unwrap();
+        let flow = stream_of(&mut s, "ANSWERS q(x, z) :- R(x, y), S(y, z)");
+        let mut meter = ChunkMeter::default();
+        s.drain_flow(flow, &mut meter).unwrap();
+        let text = std::str::from_utf8(&meter.bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         let (rows, terminal) = lines.split_at(lines.len() - 1);
         assert_eq!(rows.len(), 160_000, "every answer reaches the wire");
         assert!(rows.iter().all(|l| l.starts_with(DATA_PREFIX)));
         assert_eq!(terminal, ["OK 160000 rows"]);
-        // peak per-connection buffering is one chunk, not the result:
-        // a row here is ≤ 10 wire bytes, so a chunk stays under 16 KiB
-        // while the full result is > 1 MiB
+        // peak per-connection buffering is one chunk, not the result: a
+        // chunk is flushed by the row that fills its budget, and the
+        // first is small so the first row does not wait for a full one
+        let one_row = "* 399 399\n".len();
         assert!(
-            meter.max_write <= STREAM_CHUNK_ROWS * 64,
-            "largest single write was {} bytes",
-            meter.max_write
+            meter.writes[0] <= STREAM_FIRST_CHUNK_BYTES + one_row,
+            "first write was {} bytes",
+            meter.writes[0]
+        );
+        let largest = *meter.writes.iter().max().unwrap();
+        assert!(
+            largest <= STREAM_MAX_CHUNK_BYTES + one_row,
+            "largest single write was {largest} bytes"
         );
         assert!(
-            meter.writes >= 160_000 / STREAM_CHUNK_ROWS,
+            meter.writes.len() >= meter.bytes.len() / STREAM_MAX_CHUNK_BYTES,
             "the result must go out chunk by chunk, got {} writes",
-            meter.writes
+            meter.writes.len()
         );
+    }
+
+    /// A sink standing in for a client that hangs up: it accepts
+    /// `left` bytes, then every write fails.
+    struct HangsUpAfter {
+        left: usize,
+    }
+
+    impl Write for HangsUpAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if buf.len() > self.left {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            self.left -= buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_client_that_hangs_up_mid_drain_stays_on_the_books() {
+        let mut s = session_with_unary(160_000);
+        s.state.metrics().set_profile_capacity(4);
+        let flow = stream_of(&mut s, UNARY);
+        // room for the first two chunks of the ramp, not the third
+        let chunks = ramp_model(160_000, UNARY_ROW);
+        let accepted = chunks[0] + chunks[1];
+        let err = s.drain_flow(flow, &mut HangsUpAfter { left: accepted + 100 });
+        assert_eq!(err.unwrap_err().kind(), std::io::ErrorKind::BrokenPipe);
+        let m = s.handle_line("METRICS t").unwrap();
+        for want in [
+            format!("db.t answers.rows={}", accepted / UNARY_ROW),
+            format!("db.t answers.bytes={accepted}"),
+            "db.t cancellations=1".to_string(),
+        ] {
+            assert!(m.data.contains(&want), "no `{want}` in {:?}", m.data);
+        }
+        let p = s.handle_line("PROFILE t").unwrap();
+        assert_eq!(p.terminal, "OK 1 traces", "the abandoned drain left its trace");
+        assert!(
+            p.data.iter().any(|l| l.starts_with("span ") && l.contains("name=stream.")),
+            "{:?}",
+            p.data
+        );
+    }
+
+    #[test]
+    fn fetch_pages_are_capped_whatever_the_client_asks_for() {
+        let mut s = session_with_unary(160_000);
+        let want = s.handle_line(UNARY).unwrap().data;
+        assert!(s.handle_line("CURSOR ANSWERS q(x) :- R(x)").unwrap().is_ok());
+        let page = s.handle_line(&format!("FETCH 0 {}", u64::MAX)).unwrap();
+        assert_eq!(page.terminal, format!("OK {MAX_FETCH_ROWS} rows"), "capped, no eof");
+        // paging on reaches the same rows, byte for byte
+        let mut got = page.data;
+        loop {
+            let page = s.handle_line(&format!("FETCH 0 {}", u64::MAX)).unwrap();
+            assert!(page.data.len() as u64 <= MAX_FETCH_ROWS);
+            got.extend(page.data);
+            if page.terminal.ends_with(" eof") {
+                break;
+            }
+        }
+        assert!(got == want, "paged rows differ from the one-shot drain");
     }
 
     #[test]

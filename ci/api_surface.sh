@@ -3,8 +3,12 @@
 # ladder, an operator-level `*_cancel` variant, or a deprecated shim
 # grows back in cq-engine / cq-planner. Catalog and cancel token travel
 # in `cq_engine::ExecCtx` (and the planner's `EvalCtx`), not in function
-# names. Likewise the server's answer path: rows are rendered in place
-# (`render_row_into`), never through the per-row `String` wrappers.
+# names. Likewise the server: answer rows are rendered in place
+# (`render_row_into`), never through the per-row `String` wrappers; a
+# verb's gates are decided once, by its row of the verb table, so the
+# tenant-resolution reply and the replica check each live in one place;
+# the tenant has one logged write; and no source file outgrows a screenful
+# of concerns.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -31,10 +35,52 @@ forbid "cancel-suffixed entry points (the token is ExecCtx's):" "$(
         | grep -vE 'pub fn (set|with)_cancel\('
 )"
 
+# the non-test part (above `#[cfg(test)]`) of a source file, each line
+# prefixed with the file's name
+non_test() { sed '/^#\[cfg(test)\]/,$d' "$1" | sed "s|^|$1:|"; }
+# ... of every file of the server module (one file before it was split)
+server_module() {
+    for f in crates/server/src/server.rs crates/server/src/server/*.rs; do
+        if [ -f "$f" ]; then non_test "$f"; fi
+    done
+}
+
 # the allocating wrappers are for oracles and tests; the server's answer
 # path renders in place, so the `Vec<String>` pump cannot grow back
-forbid "render_row/render_rows in server.rs outside tests (use render_row_into):" "$(
-    sed '/^#\[cfg(test)\]/,$d' crates/server/src/server.rs | grep -nE '\brender_rows?\('
+forbid "render_row/render_rows in the server module outside tests (use render_row_into):" "$(
+    server_module | grep -E '\brender_rows?\('
+)"
+
+# a verb states its addressing and access in its table row and
+# `Session::gate` acts on them: a second copy of the unknown-tenant
+# reply or of the replica check is a verb deciding for itself again
+# (`STATS <db>` reads `replica_of()` to print it, in admin.rs)
+exactly_one() { # $1 = what, $2 = the matching lines
+    if [ "$(printf '%s' "$2" | grep -c .)" != 1 ]; then
+        printf 'api_surface: expected exactly one %s, found:\n%s\n' "$1" "$2" >&2
+        status=1
+    fi
+}
+exactly_one "place that renders the \`no database named\` reply" "$(
+    server_module | grep -F 'no database named'
+)"
+exactly_one "replica gate (\`.replica_of()\` outside the STATS line in admin.rs)" "$(
+    server_module | grep -F '.replica_of()' | grep -v '^crates/server/src/server/admin.rs:'
+)"
+
+# one logged write on the tenant (`apply_logged`, taking the record) and
+# the unlogged `mutate`; no `foo` / `foo_durable` ladder beside them
+forbid "tenant write ladder (Tenant::apply_logged is the one logged write):" "$(
+    grep -rnE 'pub fn (mutate_wal|mutate_durable|persist_limits|persist_limits_durable)\b' \
+        crates/server/src
+)"
+
+# the monolith stays split: 1,000 non-test lines is the ceiling per file
+forbid "cq-server source files over 1,000 non-test lines (split by concern):" "$(
+    find crates/server/src -name '*.rs' | sort | while read -r f; do
+        n=$(non_test "$f" | wc -l)
+        if [ "$n" -gt 1000 ]; then echo "$f: $n lines above #[cfg(test)]"; fi
+    done
 )"
 
 exit $status

@@ -18,7 +18,16 @@
 //!   [`ServerState::recover`](state::ServerState::recover) reloads
 //!   every tenant on boot).
 //! * [`server`] — the per-connection [`Session`] interpreter and the
-//!   [`Server`] accept-loop/pool runtime with graceful shutdown.
+//!   [`Server`] accept-loop/pool runtime with graceful shutdown, one
+//!   file per concern: the runtime and its bounded request line; the
+//!   session state machine with the **verb table** (one row per verb —
+//!   metric slug, tenant addressing, read-or-write, handler — behind
+//!   one gate that resolves the tenant and refuses writes on a replica
+//!   or a degraded tenant); the evaluating verbs with the one verdict
+//!   on a cancelled evaluation (deadline vs. disconnect); the writing
+//!   verbs, which apply `INSERT`/`LOAD`/`DROP` through the same
+//!   `WalRecord::apply` that recovery and the replica replay with; and
+//!   the observing verbs.
 //! * [`metrics`] — engine-wide observability: the `cq-obs` registry
 //!   (per-tenant and server scopes), the slow-query log, and the
 //!   `METRICS` rendering pipeline that also pulls catalog, WAL, and

@@ -238,31 +238,14 @@ impl SessionMetrics {
         latency.record_duration(elapsed);
     }
 
-    /// Count one error reply on a tenant-addressed command in the
-    /// tenant's own scope (`errors`) — the per-kind breakdown stays
-    /// server-wide ([`ServerMetrics::record_error`]); this counter
-    /// feeds the tenant's `err-rate` line in `STATS <name>`.
-    pub fn record_tenant_error(&mut self, db: &str) {
-        let scope = self.shared.registry.scope(&tenant_scope(db));
-        scope.counter("errors").inc();
-    }
-
-    /// Count one admission-control rejection for a tenant.
-    pub fn record_rejection(&mut self, db: &str) {
-        let scope = self.shared.registry.scope(&tenant_scope(db));
-        scope.counter("budget.rejections").inc();
-    }
-
-    /// Count one deadline-exceeded evaluation (`SET TIMEOUT` trip).
-    pub fn record_timeout(&mut self, db: &str) {
-        let scope = self.shared.registry.scope(&tenant_scope(db));
-        scope.counter("timeouts").inc();
-    }
-
-    /// Count one evaluation cancelled because the client disconnected.
-    pub fn record_cancellation(&mut self, db: &str) {
-        let scope = self.shared.registry.scope(&tenant_scope(db));
-        scope.counter("cancellations").inc();
+    /// Bump one of a tenant's event counters: `errors` (an error reply
+    /// on a tenant-addressed command — the per-kind breakdown stays
+    /// server-wide, [`ServerMetrics::record_error`]; this one feeds the
+    /// `err-rate` line of `STATS <name>`), `budget.rejections`
+    /// (admission control), `timeouts` (a `SET TIMEOUT` deadline trip)
+    /// or `cancellations` (the client disconnected mid-evaluation).
+    pub fn count(&mut self, db: &str, counter: &str) {
+        self.shared.registry.scope(&tenant_scope(db)).counter(counter).inc();
     }
 
     /// Count `n` answer rows streamed to a client (`answers.rows`) —
@@ -385,7 +368,7 @@ mod tests {
         let mut sm = SessionMetrics::new(Arc::clone(&shared));
         sm.record_cmd("db.t", "count", Duration::from_micros(5));
         sm.record_cmd("db.t", "count", Duration::from_micros(7));
-        sm.record_rejection("t");
+        sm.count("t", "budget.rejections");
         assert_eq!(sm.handles.len(), 1, "one (scope, stem) pair cached");
         let scope = shared.registry().scope("db.t");
         assert_eq!(scope.counter_value("cmd.count.calls"), Some(2));

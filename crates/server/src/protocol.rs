@@ -45,6 +45,17 @@
 //! whitespace and/or commas; `BATCH` items are `DECIDE|COUNT|ANSWERS
 //! <query-text>` lines.
 //!
+//! A request line — a command, a `LOAD` row, a `BATCH` item — is at
+//! most [`MAX_REQUEST_LINE_BYTES`](crate::server::MAX_REQUEST_LINE_BYTES)
+//! long, terminator included; a longer one is refused with `ERR usage`
+//! and discarded unbuffered, and the session carries on.
+//!
+//! The grammar says what a verb *looks like*; which tenant it addresses,
+//! whether it writes (and so is refused on a replica or a degraded
+//! tenant) and which handler runs are its row of the verb table in
+//! `server/session.rs`. A new verb is one line here, one [`Command`]
+//! variant, one row there and one handler.
+//!
 //! ## Replies
 //!
 //! Every command produces exactly one reply: zero or more *data lines*,
@@ -62,134 +73,99 @@ pub const DATA_PREFIX: &str = "* ";
 /// Terminator line for `LOAD` and `BATCH` blocks.
 pub const END_KEYWORD: &str = "END";
 
-/// Machine-readable error classes, rendered as `ERR <kind>: <message>`.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ErrKind {
+/// Declares [`ErrKind`] from one row per kind — its documentation,
+/// its name and its wire spelling — so the enum, [`ALL_ERR_KINDS`] and
+/// [`ErrKind::as_str`] cannot disagree.
+macro_rules! err_kinds {
+    ($($(#[$doc:meta])* $kind:ident => $wire:literal,)+) => {
+        /// Machine-readable error classes, rendered as `ERR <kind>: <message>`.
+        #[derive(Clone, Copy, PartialEq, Eq, Debug)]
+        pub enum ErrKind {
+            $($(#[$doc])* $kind,)+
+        }
+
+        /// Every error kind, in declaration order — the shared vocabulary
+        /// both wire ends iterate (the client's [`ErrKind::parse`],
+        /// kind-exhaustive tests).
+        pub const ALL_ERR_KINDS: [ErrKind; [$($wire),+].len()] = [$(ErrKind::$kind),+];
+
+        impl ErrKind {
+            /// The wire spelling of this kind.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(ErrKind::$kind => $wire,)+
+                }
+            }
+        }
+    };
+}
+
+err_kinds! {
     /// Verb not in the protocol grammar.
-    UnknownCommand,
+    UnknownCommand => "unknown-command",
     /// The request line is not valid UTF-8.
-    BadUtf8,
+    BadUtf8 => "bad-utf8",
     /// Verb recognized but arguments malformed.
-    Usage,
+    Usage => "usage",
     /// Database name outside `[A-Za-z0-9_]{1,64}`.
-    BadName,
+    BadName => "bad-name",
     /// `CREATE DB` of an existing tenant.
-    Exists,
+    Exists => "exists",
     /// `USE` of an unknown tenant.
-    NoSuchDb,
+    NoSuchDb => "no-such-db",
     /// A data or query command before any `USE`.
-    NoDb,
+    NoDb => "no-db",
     /// A tuple value is not a `u64`.
-    BadValue,
+    BadValue => "bad-value",
     /// A tuple's width disagrees with the relation's arity.
-    ArityMismatch,
+    ArityMismatch => "arity-mismatch",
     /// `DROP` of a relation the current tenant does not have.
-    NoSuchRelation,
+    NoSuchRelation => "no-such-relation",
     /// Query text rejected by `cq_core::parser` (syntax or semantics).
-    Parse,
+    Parse => "parse",
     /// The engine rejected the evaluation (e.g. missing relation).
-    Eval,
+    Eval => "eval",
     /// Durable storage refused: `SAVE` on an in-memory server, or a
     /// disk error while persisting a mutation or checkpoint.
-    Storage,
+    Storage => "storage",
     /// Admission control: the plan's cost exceeds the tenant's
     /// `SET BUDGET` cap; the message carries the lower-bound citation.
-    Budget,
+    Budget => "budget",
     /// Evaluation exceeded the tenant's `SET TIMEOUT` deadline (or was
     /// cancelled because the client disconnected); the message carries
     /// the plan's cost exponent and its lower-bound citation.
-    Timeout,
+    Timeout => "timeout",
     /// The tenant is in read-only degraded mode after an unrecoverable
     /// storage failure; mutations refuse until `RESUME <db>` succeeds.
-    Degraded,
+    Degraded => "degraded",
     /// The server is saturated (worker pool and overflow slots all
     /// busy); the connection is shed after this reply.
-    Busy,
+    Busy => "busy",
     /// The operation is structurally impossible for this plan — e.g.
     /// `SEEK` on a cursor whose operator enumerates with constant delay
     /// but has no random access; the message cites the plan op.
-    Unsupported,
+    Unsupported => "unsupported",
     /// `FETCH`/`SEEK`/`CLOSE` of a cursor id this session never opened
     /// (or already closed).
-    NoSuchCursor,
+    NoSuchCursor => "no-such-cursor",
     /// The cursor's pinned snapshot generation no longer matches the
     /// tenant: a mutation (or drop) invalidated it. The cursor is
     /// closed; re-open to see the new data.
-    StaleCursor,
+    StaleCursor => "stale-cursor",
     /// `CURSOR` beyond the per-session open-cursor limit.
-    CursorLimit,
+    CursorLimit => "cursor-limit",
     /// A mutation verb on a read-only replica (`cqd --replica-of`);
     /// the message names the primary that accepts writes.
-    ReadOnly,
+    ReadOnly => "read-only",
     /// A command handler panicked; the session survives.
-    Internal,
+    Internal => "internal",
     /// `PROFILE` on a server whose trace ring is disabled (`cqd` was
     /// started without `--profile N`); the message says how to enable
     /// it.
-    TracingOff,
+    TracingOff => "tracing-off",
 }
 
-/// Every error kind, in declaration order — the shared vocabulary both
-/// wire ends iterate (the client's [`ErrKind::parse`], kind-exhaustive
-/// tests).
-pub const ALL_ERR_KINDS: [ErrKind; 24] = [
-    ErrKind::UnknownCommand,
-    ErrKind::BadUtf8,
-    ErrKind::Usage,
-    ErrKind::BadName,
-    ErrKind::Exists,
-    ErrKind::NoSuchDb,
-    ErrKind::NoDb,
-    ErrKind::BadValue,
-    ErrKind::ArityMismatch,
-    ErrKind::NoSuchRelation,
-    ErrKind::Parse,
-    ErrKind::Eval,
-    ErrKind::Storage,
-    ErrKind::Budget,
-    ErrKind::Timeout,
-    ErrKind::Degraded,
-    ErrKind::Busy,
-    ErrKind::Unsupported,
-    ErrKind::NoSuchCursor,
-    ErrKind::StaleCursor,
-    ErrKind::CursorLimit,
-    ErrKind::ReadOnly,
-    ErrKind::Internal,
-    ErrKind::TracingOff,
-];
-
 impl ErrKind {
-    /// The wire spelling of this kind.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrKind::UnknownCommand => "unknown-command",
-            ErrKind::BadUtf8 => "bad-utf8",
-            ErrKind::Usage => "usage",
-            ErrKind::BadName => "bad-name",
-            ErrKind::Exists => "exists",
-            ErrKind::NoSuchDb => "no-such-db",
-            ErrKind::NoDb => "no-db",
-            ErrKind::BadValue => "bad-value",
-            ErrKind::ArityMismatch => "arity-mismatch",
-            ErrKind::NoSuchRelation => "no-such-relation",
-            ErrKind::Parse => "parse",
-            ErrKind::Eval => "eval",
-            ErrKind::Storage => "storage",
-            ErrKind::Budget => "budget",
-            ErrKind::Timeout => "timeout",
-            ErrKind::Degraded => "degraded",
-            ErrKind::Busy => "busy",
-            ErrKind::Unsupported => "unsupported",
-            ErrKind::NoSuchCursor => "no-such-cursor",
-            ErrKind::StaleCursor => "stale-cursor",
-            ErrKind::CursorLimit => "cursor-limit",
-            ErrKind::ReadOnly => "read-only",
-            ErrKind::Internal => "internal",
-            ErrKind::TracingOff => "tracing-off",
-        }
-    }
-
     /// The kind spelled `s` on the wire, if any — the client-side half
     /// of the shared vocabulary ([`Reply::err_kind`] uses this to type
     /// an `ERR <kind>: …` terminal).
@@ -460,7 +436,7 @@ pub fn parse_command(line: &str) -> Result<Command, Reply> {
         "CREATE" => {
             let (kw, name) = split_word(rest);
             if !kw.eq_ignore_ascii_case("DB") {
-                return Err(Reply::err(ErrKind::Usage, "usage: CREATE DB <name>"));
+                return Err(usage("usage: CREATE DB <name>"));
             }
             Ok(Command::CreateDb(valid_db_name(name)?))
         }
@@ -469,26 +445,20 @@ pub fn parse_command(line: &str) -> Result<Command, Reply> {
         "LOAD" => {
             let (relation, cols_txt) = split_word(rest);
             if relation.is_empty() || cols_txt.is_empty() {
-                return Err(Reply::err(ErrKind::Usage, "usage: LOAD <rel> <n-cols>"));
+                return Err(usage("usage: LOAD <rel> <n-cols>"));
             }
             let cols: usize = cols_txt.trim().parse().map_err(|_| {
-                Reply::err(
-                    ErrKind::Usage,
-                    format!(
-                        "LOAD column count must be a number, got `{}`",
-                        cols_txt.trim()
-                    ),
-                )
+                usage(format!(
+                    "LOAD column count must be a number, got `{}`",
+                    cols_txt.trim()
+                ))
             })?;
             Ok(Command::Load { relation: valid_relation_name(relation)?, cols })
         }
         "DECIDE" | "COUNT" | "ANSWERS" => {
             let task = query_task(&verb_uc).expect("verb matched above");
             if rest.is_empty() {
-                return Err(Reply::err(
-                    ErrKind::Usage,
-                    format!("usage: {verb_uc} <query>"),
-                ));
+                return Err(usage(format!("usage: {verb_uc} <query>")));
             }
             Ok(Command::Query { task, src: rest.to_string() })
         }
@@ -498,27 +468,18 @@ pub fn parse_command(line: &str) -> Result<Command, Reply> {
                 let (task_txt, src) = split_word(src);
                 let task =
                     query_task(&task_txt.to_ascii_uppercase()).ok_or_else(|| {
-                        Reply::err(
-                            ErrKind::Usage,
-                            "usage: EXPLAIN ANALYZE DECIDE|COUNT|ANSWERS <query>",
-                        )
+                        usage("usage: EXPLAIN ANALYZE DECIDE|COUNT|ANSWERS <query>")
                     })?;
                 if src.is_empty() {
-                    return Err(Reply::err(
-                        ErrKind::Usage,
-                        "EXPLAIN ANALYZE needs a query",
-                    ));
+                    return Err(usage("EXPLAIN ANALYZE needs a query"));
                 }
                 return Ok(Command::ExplainAnalyze { task, src: src.to_string() });
             }
             let task = explain_task(task_txt).ok_or_else(|| {
-                Reply::err(
-                    ErrKind::Usage,
-                    "usage: EXPLAIN [ANALYZE] DECIDE|COUNT|ANSWERS|ACCESS <query>",
-                )
+                usage("usage: EXPLAIN [ANALYZE] DECIDE|COUNT|ANSWERS|ACCESS <query>")
             })?;
             if src.is_empty() {
-                return Err(Reply::err(ErrKind::Usage, "EXPLAIN needs a query"));
+                return Err(usage("EXPLAIN needs a query"));
             }
             Ok(Command::Explain { task, src: src.to_string() })
         }
@@ -528,10 +489,10 @@ pub fn parse_command(line: &str) -> Result<Command, Reply> {
             let task = match task_txt.to_ascii_uppercase().as_str() {
                 "ANSWERS" => Task::Answers,
                 "ACCESS" => Task::Access,
-                _ => return Err(Reply::err(ErrKind::Usage, USAGE)),
+                _ => return Err(usage(USAGE)),
             };
             if src.is_empty() {
-                return Err(Reply::err(ErrKind::Usage, USAGE));
+                return Err(usage(USAGE));
             }
             Ok(Command::Cursor { task, src: src.to_string() })
         }
@@ -547,7 +508,7 @@ pub fn parse_command(line: &str) -> Result<Command, Reply> {
             let id = rest
                 .trim()
                 .parse::<u64>()
-                .map_err(|_| Reply::err(ErrKind::Usage, "usage: CLOSE <cursor-id>"))?;
+                .map_err(|_| usage("usage: CLOSE <cursor-id>"))?;
             Ok(Command::CloseCursor { id })
         }
         "BATCH" => expect_no_args(rest, Command::Batch),
@@ -556,36 +517,26 @@ pub fn parse_command(line: &str) -> Result<Command, Reply> {
             let (first, more) = split_word(rest);
             if first.eq_ignore_ascii_case("DB") {
                 if more.is_empty() {
-                    return Err(Reply::err(ErrKind::Usage, "usage: DROP DB <name>"));
+                    return Err(usage("usage: DROP DB <name>"));
                 }
                 Ok(Command::DropDb(valid_db_name(more)?))
             } else if first.is_empty() {
-                Err(Reply::err(ErrKind::Usage, "usage: DROP DB <name> | DROP <rel>"))
+                Err(usage("usage: DROP DB <name> | DROP <rel>"))
             } else if !more.is_empty() {
-                Err(Reply::err(ErrKind::Usage, format!("unexpected arguments `{more}`")))
+                Err(usage(format!("unexpected arguments `{more}`")))
             } else {
                 // `DB` wins the grammar race: a relation literally
                 // named DB/db cannot be dropped over the wire
                 Ok(Command::DropRelation(valid_relation_name(first)?))
             }
         }
-        "STATS" => {
-            if rest.is_empty() {
-                Ok(Command::Stats { db: None })
-            } else {
-                Ok(Command::Stats { db: Some(valid_db_name(rest)?) })
-            }
-        }
+        "STATS" => Ok(Command::Stats { db: optional_db_name(rest)? }),
         "METRICS" => {
             let (first, more) = split_word(rest);
             if first.eq_ignore_ascii_case("RATE") {
                 return parse_metrics_rate(more);
             }
-            if rest.is_empty() {
-                Ok(Command::Metrics { db: None })
-            } else {
-                Ok(Command::Metrics { db: Some(valid_db_name(rest)?) })
-            }
+            Ok(Command::Metrics { db: optional_db_name(rest)? })
         }
         "PROFILE" => Ok(Command::Profile { db: valid_db_name(rest)? }),
         "SET" => parse_set(rest),
@@ -641,29 +592,34 @@ fn parse_metrics_rate(rest: &str) -> Result<Command, Reply> {
     if more.is_empty() {
         return Ok(Command::MetricsRate { db: Some(db), window_s: None });
     }
-    let w = more.trim().parse::<u64>().map_err(|_| Reply::err(ErrKind::Usage, USAGE))?;
+    let w = more.trim().parse::<u64>().map_err(|_| usage(USAGE))?;
     Ok(Command::MetricsRate { db: Some(db), window_s: Some(w) })
 }
 
 /// Parse exactly two u64 arguments (for `FETCH`/`SEEK`).
-fn parse_two_u64(rest: &str, usage: &str) -> Result<(u64, u64), Reply> {
+fn parse_two_u64(rest: &str, form: &str) -> Result<(u64, u64), Reply> {
     let (a, b) = split_word(rest);
     let (Ok(a), Ok(b)) = (a.parse::<u64>(), b.trim().parse::<u64>()) else {
-        return Err(Reply::err(ErrKind::Usage, usage));
+        return Err(usage(form));
     };
     Ok((a, b))
+}
+
+/// An `ERR usage` reply: the verb was recognized, its arguments were not.
+fn usage(msg: impl fmt::Display) -> Reply {
+    Reply::err(ErrKind::Usage, msg)
 }
 
 fn expect_no_args(rest: &str, cmd: Command) -> Result<Command, Reply> {
     if rest.is_empty() {
         Ok(cmd)
     } else {
-        Err(Reply::err(ErrKind::Usage, format!("unexpected arguments `{rest}`")))
+        Err(usage(format!("unexpected arguments `{rest}`")))
     }
 }
 
 /// Split off the first whitespace-delimited word; both halves trimmed.
-fn split_word(s: &str) -> (&str, &str) {
+pub(crate) fn split_word(s: &str) -> (&str, &str) {
     let s = s.trim();
     match s.find(char::is_whitespace) {
         Some(i) => (&s[..i], s[i..].trim_start()),
@@ -678,27 +634,32 @@ fn is_ident(name: &str) -> bool {
 }
 
 fn valid_db_name(name: &str) -> Result<String, Reply> {
-    let name = name.trim();
-    if is_ident(name) {
-        Ok(name.to_string())
+    valid_name("database", name)
+}
+
+/// The `[<name>]` of `STATS`/`METRICS`: absent, or a valid database name.
+fn optional_db_name(rest: &str) -> Result<Option<String>, Reply> {
+    if rest.is_empty() {
+        Ok(None)
     } else {
-        Err(Reply::err(
-            ErrKind::BadName,
-            format!("database names are [A-Za-z0-9_]{{1,64}}, got `{name}`"),
-        ))
+        valid_db_name(rest).map(Some)
     }
 }
 
 /// Relation names must be query-grammar identifiers, or the inserted
 /// data could never be referenced by any query.
 fn valid_relation_name(name: &str) -> Result<String, Reply> {
+    valid_name("relation", name)
+}
+
+fn valid_name(what: &str, name: &str) -> Result<String, Reply> {
     let name = name.trim();
     if is_ident(name) {
         Ok(name.to_string())
     } else {
         Err(Reply::err(
             ErrKind::BadName,
-            format!("relation names are [A-Za-z0-9_]{{1,64}}, got `{name}`"),
+            format!("{what} names are [A-Za-z0-9_]{{1,64}}, got `{name}`"),
         ))
     }
 }
@@ -712,10 +673,7 @@ fn parse_set(rest: &str) -> Result<Command, Reply> {
     } else if kw.eq_ignore_ascii_case("TIMEOUT") {
         parse_set_timeout(rest)
     } else {
-        Err(Reply::err(
-            ErrKind::Usage,
-            "usage: SET BUDGET <db> … | SET TIMEOUT <db> <ms>|NONE",
-        ))
+        Err(usage("usage: SET BUDGET <db> … | SET TIMEOUT <db> <ms>|NONE"))
     }
 }
 
@@ -724,17 +682,16 @@ fn parse_set_timeout(rest: &str) -> Result<Command, Reply> {
     const USAGE: &str = "usage: SET TIMEOUT <db> <ms> | NONE";
     let (name, value) = split_word(rest);
     if name.is_empty() || value.is_empty() {
-        return Err(Reply::err(ErrKind::Usage, USAGE));
+        return Err(usage(USAGE));
     }
     let db = valid_db_name(name)?;
     let ms = if value.eq_ignore_ascii_case("NONE") {
         None
     } else {
         Some(value.parse::<u64>().map_err(|_| {
-            Reply::err(
-                ErrKind::Usage,
-                format!("SET TIMEOUT takes milliseconds (a u64) or NONE, got `{value}`"),
-            )
+            usage(format!(
+                "SET TIMEOUT takes milliseconds (a u64) or NONE, got `{value}`"
+            ))
         })?)
     };
     Ok(Command::SetTimeout { db, ms })
@@ -744,10 +701,9 @@ fn parse_set_timeout(rest: &str) -> Result<Command, Reply> {
 /// | NONE` (the leading `SET BUDGET` is already consumed).
 fn parse_set_budget(rest: &str) -> Result<Command, Reply> {
     const USAGE: &str = "usage: SET BUDGET <db> MAX-EXPONENT <e> | MAX-ROWS <n> | NONE";
-    let usage = || Reply::err(ErrKind::Usage, USAGE);
     let (name, rest) = split_word(rest);
     if name.is_empty() {
-        return Err(usage());
+        return Err(usage(USAGE));
     }
     let db = valid_db_name(name)?;
     let (which, value) = split_word(rest);
@@ -755,38 +711,32 @@ fn parse_set_budget(rest: &str) -> Result<Command, Reply> {
         "NONE" if value.is_empty() => BudgetSetting::Clear,
         "MAX-EXPONENT" => {
             let e: f64 = value.parse().map_err(|_| {
-                Reply::err(
-                    ErrKind::Usage,
-                    format!("MAX-EXPONENT takes a number, got `{value}`"),
-                )
+                usage(format!("MAX-EXPONENT takes a number, got `{value}`"))
             })?;
             if !e.is_finite() || e < 0.0 {
-                return Err(Reply::err(
-                    ErrKind::Usage,
-                    format!(
-                        "MAX-EXPONENT must be finite and non-negative, got `{value}`"
-                    ),
-                ));
+                return Err(usage(format!(
+                    "MAX-EXPONENT must be finite and non-negative, got `{value}`"
+                )));
             }
             BudgetSetting::MaxExponent(e)
         }
         "MAX-ROWS" => {
-            let n: u64 = value.parse().map_err(|_| {
-                Reply::err(ErrKind::Usage, format!("MAX-ROWS takes a u64, got `{value}`"))
-            })?;
+            let n: u64 = value
+                .parse()
+                .map_err(|_| usage(format!("MAX-ROWS takes a u64, got `{value}`")))?;
             BudgetSetting::MaxRows(n)
         }
-        _ => return Err(usage()),
+        _ => return Err(usage(USAGE)),
     };
     Ok(Command::SetBudget { db, setting })
 }
 
 fn parse_insert(rest: &str) -> Result<Command, Reply> {
-    let usage = || Reply::err(ErrKind::Usage, "usage: INSERT <rel>(<v>, <v>, ...)");
+    const USAGE: &str = "usage: INSERT <rel>(<v>, <v>, ...)";
     let rest = rest.trim();
-    let open = rest.find('(').ok_or_else(usage)?;
+    let open = rest.find('(').ok_or_else(|| usage(USAGE))?;
     if !rest.ends_with(')') {
-        return Err(usage());
+        return Err(usage(USAGE));
     }
     let relation = valid_relation_name(&rest[..open])?;
     let inner = &rest[open + 1..rest.len() - 1];

@@ -313,7 +313,7 @@ fn apply_records(tenant: &Tenant, records: &[WalRecord]) -> Result<(), String> {
             if let WalRecord::SetLimits(l) = record {
                 tenant.apply_limits(*l);
             } else {
-                record.apply(db)?;
+                record.apply(db).map_err(|conflict| conflict.to_string())?;
             }
         }
         Ok(())

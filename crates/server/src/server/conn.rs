@@ -1,0 +1,413 @@
+//! The runtime around [`Session`]: the acceptor, the worker pool and
+//! its overflow threads, shedding, and the per-connection read loop.
+
+use super::session::{Action, Session};
+use crate::protocol::{ErrKind, Reply};
+use crate::state::ServerState;
+use std::io::{BufRead, BufReader, BufWriter, Write};
+use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
+
+/// Handle to a running server: the bound address, the shared state, and
+/// the acceptor/worker threads. Dropping (or [`Server::shutdown`]) stops
+/// accepting and joins the pool once in-flight connections close.
+pub struct Server {
+    addr: SocketAddr,
+    state: Arc<ServerState>,
+    stop: Arc<AtomicBool>,
+    acceptor: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl Server {
+    /// Bind and start serving on `addr` (use port 0 for an ephemeral
+    /// port; read it back from [`Server::local_addr`]) with a pool of
+    /// `workers` reusable connection-handling threads.
+    ///
+    /// Connections beyond the pool size are not queued behind
+    /// long-lived sessions: when every pooled worker is occupied, the
+    /// acceptor serves the new connection on a detached overflow
+    /// thread, so `workers` idle clients can never starve the next one.
+    pub fn bind(addr: impl ToSocketAddrs, workers: usize) -> std::io::Result<Server> {
+        Server::bind_with_state(addr, workers, Arc::new(ServerState::new()))
+    }
+
+    /// [`Server::bind`] over pre-built state — the persistent-mode
+    /// entry point: recover tenants first ([`ServerState::recover`]),
+    /// then take traffic.
+    pub fn bind_with_state(
+        addr: impl ToSocketAddrs,
+        workers: usize,
+        state: Arc<ServerState>,
+    ) -> std::io::Result<Server> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let stop = Arc::new(AtomicBool::new(false));
+        let (tx, rx) = mpsc::channel::<TcpStream>();
+        let rx = Arc::new(Mutex::new(rx));
+        // connections handed to the pool but not yet finished: queued
+        // (sent, not received) plus in service. The acceptor routes
+        // around the pool whenever this reaches the pool size.
+        let occupied = Arc::new(AtomicUsize::new(0));
+
+        let workers = workers.max(1);
+        // pool-saturation gauges: `workers.busy` mirrors `occupied`
+        // (approximate under races — it is observability, not control)
+        let server_scope = state.metrics().server_scope();
+        server_scope.gauge("workers.pool").set(workers as u64);
+        let busy = server_scope.gauge("workers.busy");
+        let mut pool = Vec::with_capacity(workers);
+        for i in 0..workers {
+            let rx = Arc::clone(&rx);
+            let state = Arc::clone(&state);
+            let stop = Arc::clone(&stop);
+            let occupied = Arc::clone(&occupied);
+            let busy = Arc::clone(&busy);
+            let handle = std::thread::Builder::new()
+                .name(format!("cqd-worker-{i}"))
+                .spawn(move || loop {
+                    // take the next connection, then release the
+                    // receiver lock before serving it
+                    let next = {
+                        let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
+                        guard.recv()
+                    };
+                    match next {
+                        Ok(stream) => {
+                            serve_connection(stream, Arc::clone(&state), &stop);
+                            let prev = occupied.fetch_sub(1, Ordering::SeqCst);
+                            busy.set(prev.saturating_sub(1) as u64);
+                        }
+                        Err(_) => break, // acceptor gone: drain and exit
+                    }
+                })
+                .expect("spawn worker thread");
+            pool.push(handle);
+        }
+
+        // detached overflow threads are counted and capped: beyond
+        // `workers * OVERFLOW_PER_WORKER` of them, new connections are
+        // shed with a best-effort `ERR busy` instead of an unbounded
+        // thread-per-connection pile-up
+        let overflow = Arc::new(AtomicUsize::new(0));
+        let overflow_cap = workers * OVERFLOW_PER_WORKER;
+        let overflow_gauge = server_scope.gauge("workers.overflow");
+        let shed = server_scope.counter("connections.shed");
+
+        let acceptor = {
+            let stop = Arc::clone(&stop);
+            let state = Arc::clone(&state);
+            std::thread::Builder::new()
+                .name("cqd-acceptor".to_string())
+                .spawn(move || {
+                    for conn in listener.incoming() {
+                        if stop.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        let Ok(stream) = conn else { continue };
+                        // claim a pool slot; the count is conservative
+                        // (decremented only when a session ends), so a
+                        // race at worst spawns one extra thread
+                        let prev = occupied.fetch_add(1, Ordering::SeqCst);
+                        busy.set((prev + 1).min(workers) as u64);
+                        if prev < workers {
+                            if tx.send(stream).is_err() {
+                                break;
+                            }
+                        } else {
+                            let prev = occupied.fetch_sub(1, Ordering::SeqCst);
+                            busy.set(prev.saturating_sub(1) as u64);
+                            let prev_overflow = overflow.fetch_add(1, Ordering::SeqCst);
+                            if prev_overflow >= overflow_cap {
+                                overflow.fetch_sub(1, Ordering::SeqCst);
+                                shed.inc();
+                                shed_connection(stream);
+                                continue;
+                            }
+                            overflow_gauge.set((prev_overflow + 1) as u64);
+                            let state = Arc::clone(&state);
+                            let stop = Arc::clone(&stop);
+                            let counter = Arc::clone(&overflow);
+                            let gauge = Arc::clone(&overflow_gauge);
+                            let spawned = std::thread::Builder::new()
+                                .name("cqd-overflow".to_string())
+                                .spawn(move || {
+                                    serve_connection(stream, state, &stop);
+                                    let prev = counter.fetch_sub(1, Ordering::SeqCst);
+                                    gauge.set(prev.saturating_sub(1) as u64);
+                                });
+                            if spawned.is_err() {
+                                // out of threads: drop the connection
+                                // (the client sees EOF) rather than
+                                // queuing it behind the full pool; the
+                                // unrun closure is dropped, so undo its
+                                // slot here
+                                let prev = overflow.fetch_sub(1, Ordering::SeqCst);
+                                overflow_gauge.set(prev.saturating_sub(1) as u64);
+                                shed.inc();
+                                continue;
+                            }
+                        }
+                    }
+                    // tx drops here: idle workers see the closed channel
+                })
+                .expect("spawn acceptor thread")
+        };
+
+        Ok(Server { addr, state, stop, acceptor: Some(acceptor), workers: pool })
+    }
+
+    /// The bound address (resolves ephemeral ports).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The shared tenant registry (for in-process inspection).
+    pub fn state(&self) -> Arc<ServerState> {
+        Arc::clone(&self.state)
+    }
+
+    /// Block on the acceptor thread — `cqd`'s forever-run mode.
+    pub fn wait(mut self) {
+        self.join();
+    }
+
+    /// Graceful shutdown: stop accepting, signal every session's read
+    /// loop, and join the pool. In-flight commands finish their reply;
+    /// idle connections are closed at the next read tick (≤ 200 ms), so
+    /// shutdown never blocks on a client that stays silent. (Overflow
+    /// threads are detached and observe the same stop signal.)
+    pub fn shutdown(mut self) {
+        self.stop_and_join();
+    }
+
+    fn stop_and_join(&mut self) {
+        if self.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
+        // wake the blocking accept with a no-op connection
+        let _ = TcpStream::connect(self.addr);
+        self.join();
+    }
+
+    fn join(&mut self) {
+        if let Some(h) = self.acceptor.take() {
+            let _ = h.join();
+        }
+        for h in self.workers.drain(..) {
+            let _ = h.join();
+        }
+    }
+}
+
+impl Drop for Server {
+    fn drop(&mut self) {
+        self.stop_and_join();
+    }
+}
+
+/// How often a blocked connection read wakes up to check the server's
+/// stop flag (bounds shutdown latency with idle clients connected).
+const READ_TICK: std::time::Duration = std::time::Duration::from_millis(200);
+
+/// Cap on detached overflow threads, as a multiple of the pool size:
+/// a server with `w` workers serves at most `w * (1 + this)` live
+/// connections before shedding new ones with `ERR busy`.
+const OVERFLOW_PER_WORKER: usize = 8;
+
+/// Best-effort saturation reply: tell the client why before closing.
+/// The write may fail (the client may already be gone) — the stream is
+/// dropped either way.
+fn shed_connection(mut stream: TcpStream) {
+    let _ = Reply::err(
+        ErrKind::Busy,
+        "server saturated (worker pool and overflow slots all busy); retry later",
+    )
+    .write_to(&mut stream);
+}
+
+/// A read error that says "nothing yet", not "connection broken": the
+/// read-timeout tick, an empty nonblocking socket, a signal.
+fn transient(e: &std::io::Error) -> bool {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(e.kind(), WouldBlock | TimedOut | Interrupted)
+}
+
+/// Is the client gone? A nonblocking one-byte peek distinguishes EOF or
+/// reset (gone) from "no request bytes yet" (alive, just waiting). The
+/// session and its reader run on one thread, so briefly flipping the
+/// shared socket nonblocking cannot race an in-progress blocking read.
+fn connection_gone(stream: &TcpStream) -> bool {
+    if stream.set_nonblocking(true).is_err() {
+        return true;
+    }
+    let mut byte = [0u8; 1];
+    let gone = match stream.peek(&mut byte) {
+        Ok(0) => true, // orderly shutdown: EOF
+        Ok(_) => false,
+        Err(e) => !transient(&e),
+    };
+    let _ = stream.set_nonblocking(false);
+    gone
+}
+
+/// Cap on one request line, terminator included. The longest legitimate
+/// lines — an `INSERT` tuple, a `LOAD` row, a query — are orders of
+/// magnitude shorter, so the cap only ever meets a client that never
+/// sends `\n`; without it such a client grows the connection's line
+/// buffer, and with it `cqd`, without limit. An over-long line is
+/// answered `ERR usage` (see [`Session::handle_oversized`]) and thrown
+/// away through its newline without being buffered; the session, and
+/// any `LOAD`/`BATCH` block open in it, carries on.
+pub const MAX_REQUEST_LINE_BYTES: usize = 1 << 20;
+
+/// What [`read_line`] found on the wire.
+#[derive(Debug, PartialEq, Eq)]
+enum Line {
+    /// A line is in the buffer (terminator included, unless EOF cut it
+    /// short — a partial last line is still served).
+    Complete,
+    /// A line longer than [`MAX_REQUEST_LINE_BYTES`] went by, unbuffered.
+    Oversized,
+    /// EOF, a broken connection, or the server stopping: hang up.
+    Closed,
+}
+
+/// Read one request line into `buf`, accumulating across read-timeout
+/// ticks (a timeout keeps the partial bytes and lets us poll `stop`).
+/// Memory stays bounded whatever the client sends: once a line passes
+/// the cap its bytes are dropped as they arrive and the buffer is
+/// released, not merely cleared.
+fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>, stop: &AtomicBool) -> Line {
+    buf.clear();
+    let mut line = Line::Complete;
+    loop {
+        let available = match reader.fill_buf() {
+            Ok([]) if buf.is_empty() && line == Line::Complete => return Line::Closed,
+            Ok([]) => return line, // EOF mid-line
+            Ok(bytes) => bytes,
+            Err(e) if transient(&e) => {
+                if stop.load(Ordering::SeqCst) {
+                    return Line::Closed;
+                }
+                continue;
+            }
+            Err(_) => return Line::Closed, // broken connection
+        };
+        let newline = available.iter().position(|&b| b == b'\n');
+        let taken = newline.map_or(available.len(), |i| i + 1);
+        if line == Line::Complete && buf.len() + taken > MAX_REQUEST_LINE_BYTES {
+            line = Line::Oversized;
+            *buf = Vec::new();
+        }
+        if line == Line::Complete {
+            buf.extend_from_slice(&available[..taken]);
+        }
+        reader.consume(taken);
+        if newline.is_some() {
+            return line;
+        }
+    }
+}
+
+/// Serve one connection to completion: read lines, feed the session,
+/// write framed replies. IO errors or EOF end the session quietly; the
+/// `stop` flag ends it at the next read tick, so idle clients can
+/// never block [`Server::shutdown`].
+fn serve_connection(stream: TcpStream, state: Arc<ServerState>, stop: &AtomicBool) {
+    let _ = stream.set_nodelay(true);
+    let _ = stream.set_read_timeout(Some(READ_TICK));
+    let Ok(read_half) = stream.try_clone() else { return };
+    let probe_half = stream.try_clone();
+    let scope = state.metrics().server_scope();
+    scope.counter("connections.total").inc();
+    let open_connections = scope.gauge("connections.open");
+    open_connections.add(1);
+    let mut reader = BufReader::new(read_half);
+    let mut writer = BufWriter::new(stream);
+    let mut session = Session::new(state);
+    if let Ok(probe) = probe_half {
+        // long evaluations poll this: a client that hung up mid-query
+        // gets its work cancelled instead of running to completion
+        session.set_cancel_probe(move || connection_gone(&probe));
+    }
+    let mut buf = Vec::new();
+    while !session.finished() {
+        let action = match read_line(&mut reader, &mut buf, stop) {
+            Line::Closed => break,
+            Line::Oversized => session.handle_oversized(),
+            Line::Complete => {
+                while matches!(buf.last(), Some(b'\n') | Some(b'\r')) {
+                    buf.pop();
+                }
+                session.handle_action(&buf)
+            }
+        };
+        let wrote = match action {
+            Some(Action::Reply(reply)) => {
+                reply.write_to(&mut writer).is_ok() && writer.flush().is_ok()
+            }
+            // streamed ANSWERS: rows go out in bounded chunks as the
+            // stream is pulled; a slow client backpressures here
+            Some(Action::Stream(flow)) => session.drain_flow(*flow, &mut writer).is_ok(),
+            None => true,
+        };
+        if !wrote {
+            break;
+        }
+    }
+    open_connections.sub(1);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    /// `read_line` over an in-memory byte run, through a small
+    /// `BufReader` so long lines arrive in pieces as they do off a
+    /// socket. Returns each line's verdict and the buffer's length and
+    /// capacity right after it.
+    fn lines_of(bytes: Vec<u8>) -> Vec<(Line, usize, usize)> {
+        let mut reader = BufReader::with_capacity(4096, Cursor::new(bytes));
+        let (mut buf, stop) = (Vec::new(), AtomicBool::new(false));
+        let mut seen = Vec::new();
+        loop {
+            let line = read_line(&mut reader, &mut buf, &stop);
+            let closed = line == Line::Closed;
+            seen.push((line, buf.len(), buf.capacity()));
+            if closed {
+                return seen;
+            }
+        }
+    }
+
+    #[test]
+    fn an_over_long_line_is_dropped_unbuffered_and_the_next_line_is_served() {
+        let mut bytes = vec![b'x'; 4 * MAX_REQUEST_LINE_BYTES];
+        bytes.extend_from_slice(b"\nPING\r\npartial");
+        let seen = lines_of(bytes);
+        assert_eq!(seen[0], (Line::Oversized, 0, 0), "nothing kept, buffer released");
+        assert_eq!((&seen[1].0, seen[1].1), (&Line::Complete, "PING\r\n".len()));
+        assert_eq!((&seen[2].0, seen[2].1), (&Line::Complete, "partial".len()));
+        assert_eq!(seen[3].0, Line::Closed);
+        assert_eq!(seen.len(), 4);
+    }
+
+    #[test]
+    fn the_cap_counts_the_terminator_and_admits_a_line_exactly_at_it() {
+        let mut at_cap = vec![b'x'; MAX_REQUEST_LINE_BYTES - 1];
+        at_cap.push(b'\n');
+        let mut over = vec![b'x'; MAX_REQUEST_LINE_BYTES];
+        over.push(b'\n');
+        assert_eq!(lines_of(at_cap)[0].0, Line::Complete);
+        assert_eq!(lines_of(over)[0].0, Line::Oversized);
+        // an over-long line that EOF cuts short is still refused
+        assert_eq!(
+            lines_of(vec![b'x'; MAX_REQUEST_LINE_BYTES + 1])[0].0,
+            Line::Oversized
+        );
+    }
+}

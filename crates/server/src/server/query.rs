@@ -1,0 +1,1560 @@
+//! The verbs that evaluate: `DECIDE`/`COUNT`/`ANSWERS`, `EXPLAIN
+//! [ANALYZE]`, cursors and `BATCH`, the row pump that streams answers
+//! out as bytes, and the one verdict ([`Watch::failure`]) on what a
+//! cancelled evaluation is attributed to.
+
+use super::admin::push_span_lines;
+use super::session::{Handled, Mode, Session};
+use crate::metrics::SessionMetrics;
+use crate::protocol::{
+    query_task, render_row_into, split_word, ErrKind, Reply, DATA_PREFIX, END_KEYWORD,
+};
+use crate::state::Tenant;
+use cq_core::{parse_query, ConjunctiveQuery};
+use cq_data::Val;
+use cq_engine::{CancelToken, EvalError};
+use cq_obs::trace::{self, TraceSink};
+use cq_obs::SlowQuery;
+use cq_planner::{eval, execute::Answers, EvalCtx, Output, QueryPlan, Task};
+use std::io::Write;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+/// Byte budget of the first chunk of a streamed `ANSWERS`: rows are
+/// rendered into one buffer and the buffer is written and flushed as
+/// soon as it holds this much, so the first row reaches the client
+/// after a few hundred rendered rows, not after a full-size chunk.
+/// Each flush doubles the budget (slow start) up to
+/// [`STREAM_MAX_CHUNK_BYTES`].
+pub const STREAM_FIRST_CHUNK_BYTES: usize = 4 << 10;
+
+/// Ceiling of the ramping chunk budget. A chunk is one `write` + one
+/// client wake-up, so the ceiling sets the steady-state syscall rate of
+/// a long drain (≈ 190 per 10⁶ short rows) — and it is the bound on
+/// per-connection answer memory: one chunk, at most this plus one row,
+/// regardless of result size. A slow client backpressures the drain
+/// through the TCP send buffer instead of ballooning the server.
+pub const STREAM_MAX_CHUNK_BYTES: usize = 64 << 10;
+
+/// Cap on the rows of one `FETCH` page, whatever `<n>` asks for: a page
+/// is a framed reply built in memory, so without the cap `FETCH <id>
+/// 18446744073709551615` would buffer a whole result. A capped page
+/// answers `OK <k> rows` without `eof`; clients keep fetching.
+pub const MAX_FETCH_ROWS: u64 = 1 << 16;
+
+/// Cap on concurrently open cursors per session: cursors pin catalog
+/// artifacts (enumerator structures, direct-access indexes), so an
+/// unbounded registry would let one client hold unbounded memory.
+pub const MAX_CURSORS_PER_SESSION: usize = 16;
+
+/// What one evaluation is watched by — the tenant's `SET TIMEOUT`
+/// deadline (if any) and the session's client-liveness probe (if
+/// attached), as the token the engine polls — plus what a trip is
+/// attributed against afterwards.
+pub(super) struct Watch {
+    pub token: CancelToken,
+    deadline: Option<Instant>,
+    timeout: Option<Duration>,
+    /// When the request was received (also the time-to-first-row zero).
+    started: Instant,
+}
+
+impl Watch {
+    /// The reply for a failed evaluation. A cancellation is judged
+    /// here, at the moment it surfaces: past the tenant's deadline it
+    /// was the deadline (counted in `timeouts`), otherwise the client
+    /// went away (`cancellations`). A deadline trip cites the plan's
+    /// cost exponent and the lower-bound hypothesis that makes the
+    /// cost unavoidable (the same citation as a budget rejection); a
+    /// `BATCH` item has no single plan to cite and says so briefly.
+    /// Anything else the engine reports is `ERR eval`.
+    pub(super) fn failure(
+        &self,
+        e: EvalError,
+        sm: &mut SessionMetrics,
+        db: &str,
+        plan: Option<&QueryPlan>,
+    ) -> Reply {
+        if e != EvalError::Cancelled {
+            return Reply::err(ErrKind::Eval, e);
+        }
+        let timed_out = self.deadline.is_some_and(|d| Instant::now() >= d);
+        sm.count(db, if timed_out { "timeouts" } else { "cancellations" });
+        let elapsed = self.started.elapsed().as_millis();
+        let msg = match (timed_out, plan) {
+            (true, Some(plan)) => format!(
+                "evaluation exceeded the {} ms deadline after {elapsed} ms; plan cost \
+                 m^{:.2} — consistent with: {}",
+                self.timeout.map_or(0, |t| t.as_millis()),
+                plan.cost.exponent,
+                cq_planner::explain::rejection_citation(plan)
+            ),
+            (true, None) => {
+                "batch exceeded the tenant's SET TIMEOUT deadline".to_string()
+            }
+            (false, Some(plan)) => format!(
+                "evaluation cancelled after {elapsed} ms (client disconnected); plan \
+                 cost m^{:.2}",
+                plan.cost.exponent
+            ),
+            (false, None) => "evaluation cancelled (client disconnected)".to_string(),
+        };
+        Reply::err(ErrKind::Timeout, msg)
+    }
+}
+
+/// An open cursor: a paused answer stream pinned to the tenant
+/// snapshot generation it was planned against. The stream holds only
+/// `Arc`'d catalog artifacts and owned relations, so an idle cursor
+/// never holds the tenant's read lock — writers proceed, and a
+/// mutation bumps the generation, which [`Session::live_cursor`]
+/// detects as staleness on the next touch.
+pub(super) struct CursorEntry {
+    pub tenant: Arc<Tenant>,
+    generation: u64,
+    plan: QueryPlan,
+    answers: Answers,
+}
+
+/// A streamed `ANSWERS` response in flight: the evaluated stream plus
+/// everything the transport needs to finish the reply on its own —
+/// the plan and the watch (for timeout attribution in the terminal,
+/// and the receipt time behind the time-to-first-row metric).
+pub struct AnswerFlow {
+    answers: Answers,
+    db: String,
+    plan: QueryPlan,
+    watch: Watch,
+    /// The per-query trace this flow's spans record into (disabled
+    /// unless the server profiles). Finished — stream spans included —
+    /// only after the drain drops the stream.
+    trace: TraceSink,
+    /// The command line that opened the flow (trace labelling).
+    query: String,
+}
+
+/// One item of an open `BATCH` block: a parsed query or the per-item
+/// error that will be reported at `END`.
+pub(super) enum BatchItem {
+    Task(Task, ConjunctiveQuery),
+    Bad(Reply),
+}
+
+/// Pull up to `max` rows off a stream into `sink`. `Ok(true)` means the
+/// stream is exhausted; `Err` is an evaluation error (cancellation
+/// included) mid-stream.
+fn pull_rows(
+    answers: &mut Answers,
+    max: u64,
+    mut sink: impl FnMut(&[Val]),
+) -> Result<bool, EvalError> {
+    for _ in 0..max {
+        match answers.next()? {
+            Some(row) => sink(row),
+            None => return Ok(true),
+        }
+    }
+    Ok(false)
+}
+
+impl Session {
+    /// The one row pump behind [`Session::drain_flow`] and
+    /// [`Session::collect_flow`]: pull the stream dry, rendering each
+    /// row as a `* <row>\n` wire line straight into one reused byte
+    /// buffer, and hand the buffer to `emit` whenever it reaches the
+    /// chunk budget — [`STREAM_FIRST_CHUNK_BYTES`] at first, doubling
+    /// per chunk up to [`STREAM_MAX_CHUNK_BYTES`] — and once more at the
+    /// end. No allocation per row: the buffer grows to the budget and
+    /// is reused. Then close the flow out — rows and bytes served, time
+    /// in the sink, the error count, the trace. Returns the terminal:
+    /// `OK <n> rows`, or the `ERR` a mid-stream failure maps to (chunks
+    /// already emitted stay emitted). An `emit` failure abandons the
+    /// flow — counted as a cancellation, with the rows the sink did
+    /// accept — and is returned.
+    fn pump_flow(
+        &mut self,
+        mut flow: AnswerFlow,
+        mut emit: impl FnMut(&[u8]) -> std::io::Result<()>,
+    ) -> std::io::Result<Reply> {
+        let (bytes_served, sink_latency) = self.metrics.answer_chunk_handles(&flow.db);
+        let mut chunk: Vec<u8> = Vec::new();
+        let mut budget = STREAM_FIRST_CHUNK_BYTES;
+        let mut pending: u64 = 0; // rows rendered into `chunk`
+        let mut served: u64 = 0; // rows in chunks the sink accepted
+        let outcome = loop {
+            let end = match flow.answers.next() {
+                Ok(Some(row)) => {
+                    chunk.extend_from_slice(DATA_PREFIX.as_bytes());
+                    render_row_into(&mut chunk, row);
+                    chunk.push(b'\n');
+                    pending += 1;
+                    None
+                }
+                Ok(None) => Some(Ok(())),
+                Err(e) => Some(Err(e)),
+            };
+            if chunk.len() >= budget || (end.is_some() && !chunk.is_empty()) {
+                if served == 0 {
+                    self.metrics
+                        .record_time_to_first_row(&flow.db, flow.watch.started.elapsed());
+                }
+                let sent = Instant::now();
+                if let Err(e) = emit(&chunk) {
+                    break Err(e);
+                }
+                sink_latency.record_duration(sent.elapsed());
+                bytes_served.add(chunk.len() as u64);
+                served += pending;
+                pending = 0;
+                chunk.clear();
+                budget = (budget * 2).min(STREAM_MAX_CHUNK_BYTES);
+            }
+            if let Some(end) = end {
+                break Ok(end);
+            }
+        };
+        self.metrics.record_answer_rows(&flow.db, served);
+        let result = match outcome {
+            Ok(Ok(())) => Ok(Reply::ok(format!("{served} rows"))),
+            Ok(Err(e)) => {
+                Ok(flow.watch.failure(e, &mut self.metrics, &flow.db, Some(&flow.plan)))
+            }
+            Err(io) => {
+                // the client hung up mid-drain: nobody reads a terminal
+                self.metrics.count(&flow.db, "cancellations");
+                Err(io)
+            }
+        };
+        if let Ok(terminal) = &result {
+            self.count_error(terminal);
+        }
+        // drop the stream first (its span records itself on drop, exec
+        // and drain both visible), then finish the sink into the
+        // tenant's PROFILE ring; a disabled sink (profiling off)
+        // finishes to `None` and nothing is retained
+        let AnswerFlow { answers, trace, db, query, .. } = flow;
+        drop(answers);
+        if let Some(tr) = trace.finish(&db, &query) {
+            self.metrics.shared().push_trace(tr);
+        }
+        result
+    }
+
+    /// Drain a streamed response to the wire: `* ` data lines in
+    /// byte-budgeted chunks (see [`STREAM_FIRST_CHUNK_BYTES`]), each
+    /// written and flushed before the next row is pulled, then the one
+    /// terminal line. Rows already on the wire stay there when the
+    /// stream fails mid-drain — the client sees partial data followed
+    /// by the `ERR` terminal.
+    pub fn drain_flow(
+        &mut self,
+        flow: AnswerFlow,
+        out: &mut impl Write,
+    ) -> std::io::Result<()> {
+        let mut reader_waits = true;
+        let terminal = self.pump_flow(flow, |chunk| {
+            out.write_all(chunk)?;
+            out.flush()?;
+            // the first chunk is the one a reader is blocked on. If its
+            // wake-up put it on this core it cannot run until the drain
+            // blocks — which, rendering faster than a socket buffer
+            // fills, is megabytes away (measured: 4 ms to first row for
+            // one response in eight). Hand it the core once.
+            if std::mem::take(&mut reader_waits) {
+                std::thread::yield_now();
+            }
+            Ok(())
+        })?;
+        terminal.write_to(out)?;
+        out.flush()
+    }
+
+    /// [`Session::drain_flow`] into one in-memory [`Reply`] — the
+    /// in-process bridge used by [`Session::handle_raw`], which splits
+    /// the chunks back into data lines. Partial rows pulled before a
+    /// mid-stream failure are kept, like the wire form.
+    pub(super) fn collect_flow(&mut self, flow: AnswerFlow) -> Reply {
+        let mut data = Vec::new();
+        let terminal = self
+            .pump_flow(flow, |chunk| {
+                data.extend(
+                    rendered_lines(chunk).map(|l| l[DATA_PREFIX.len()..].to_string()),
+                );
+                Ok(())
+            })
+            .expect("collecting into memory cannot fail");
+        Reply { data, terminal: terminal.terminal }
+    }
+
+    /// The watch for one evaluation under `tenant`, started now.
+    fn watch(&self, tenant: &Tenant) -> Watch {
+        let started = Instant::now();
+        let timeout = tenant.timeout();
+        let deadline = timeout.and_then(|t| started.checked_add(t));
+        let token = match deadline {
+            Some(d) => CancelToken::with_deadline(d),
+            None => CancelToken::never(),
+        };
+        let token = match &self.cancel_probe {
+            Some(probe) => {
+                let probe = Arc::clone(probe);
+                token.with_probe(move || probe())
+            }
+            None => token,
+        };
+        Watch { token, deadline, timeout, started }
+    }
+
+    pub(super) fn eval_query(
+        &mut self,
+        tenant: &Tenant,
+        task: Task,
+        src: &str,
+    ) -> Handled {
+        debug_assert!(task != Task::Access, "the protocol layer never builds this");
+        let q = parse(src)?;
+        let watch = self.watch(tenant);
+        match self.plan_and_execute(tenant, task, src, &q, &watch)? {
+            (Output::Answers(answers), plan, _gen) => {
+                // hand the stream to the transport: preprocessing is
+                // done, the tenant read lock is released (the stream
+                // holds only Arc'd artifacts), and rows go out — or
+                // into a cursorless collect — pull by pull
+                self.pending_flow = Some(AnswerFlow {
+                    answers,
+                    db: tenant.name().to_string(),
+                    plan,
+                    watch,
+                    trace: trace::current(),
+                    query: src.to_string(),
+                });
+                Ok(Reply::ok("streaming")) // placeholder, replaced by the drain
+            }
+            (out, _plan, _gen) => Ok(render_output(out)),
+        }
+    }
+
+    /// Plan, admission-check, and execute one query under the tenant's
+    /// read lock. `Err` is the finished error reply (budget, timeout,
+    /// eval); `Ok` carries the output — for `ANSWERS`/`ACCESS` a
+    /// pull-driven stream whose artifacts outlive the lock — the plan
+    /// that produced it, and the snapshot generation it ran against
+    /// (read under the same lock, so cursors pin exactly the snapshot
+    /// their stream was built on).
+    fn plan_and_execute(
+        &mut self,
+        tenant: &Tenant,
+        task: Task,
+        src: &str,
+        q: &ConjunctiveQuery,
+        watch: &Watch,
+    ) -> Result<(Output, QueryPlan, u64), Reply> {
+        let sm = &mut self.metrics;
+        tenant.read(|db, catalog| {
+            let stats = catalog.stats(db);
+            let plan = eval::with_global_planner(|p| p.plan(q, task, &stats));
+            // admission control: reject over-budget plans before any
+            // execution work, citing the lower bound that justifies it
+            let ctx = EvalCtx::new()
+                .with_catalog(catalog)
+                .with_cancel(watch.token.clone())
+                .with_budget(tenant.budget());
+            if let Err(reason) = ctx.admit(&plan) {
+                sm.count(tenant.name(), "budget.rejections");
+                return Err(budget_reply(&reason, &plan));
+            }
+            let start = Instant::now();
+            let result = ctx.execute(&plan, q, db);
+            let elapsed = start.elapsed();
+            sm.record_op(tenant.name(), plan.op.name(), elapsed);
+            let slowlog = sm.shared().slowlog();
+            if slowlog.should_record(elapsed) {
+                // peek (non-draining) at the in-flight trace: the
+                // session-level sink closes after this, and the log
+                // wants the three most expensive spans so far
+                let top_spans = trace::current()
+                    .snapshot(tenant.name(), src)
+                    .map(|t| t.top_spans(3))
+                    .unwrap_or_default();
+                slowlog.push(SlowQuery {
+                    db: tenant.name().to_string(),
+                    query: src.to_string(),
+                    plan_op: plan.op.name().to_string(),
+                    exponent: plan.cost.exponent,
+                    elapsed,
+                    generation: db.generation(),
+                    top_spans,
+                });
+            }
+            match result {
+                Ok(out) => Ok((out, plan, db.generation())),
+                Err(e) => Err(watch.failure(e, sm, tenant.name(), Some(&plan))),
+            }
+        })
+    }
+
+    /// `CURSOR ANSWERS|ACCESS <query>`: plan and execute like a query,
+    /// but park the resulting stream in the session's cursor registry
+    /// instead of draining it. The reply is `OK cursor <id>`; rows are
+    /// pulled by `FETCH`, positioned by `SEEK` (direct-access plans),
+    /// released by `CLOSE`. The cursor pins the tenant's snapshot
+    /// generation — any later mutation invalidates it
+    /// (`ERR stale-cursor` on next touch).
+    pub(super) fn open_cursor(
+        &mut self,
+        tenant: &Arc<Tenant>,
+        task: Task,
+        src: &str,
+    ) -> Handled {
+        if self.cursors.len() >= MAX_CURSORS_PER_SESSION {
+            return Err(Reply::err(
+                ErrKind::CursorLimit,
+                format!(
+                    "session already has {MAX_CURSORS_PER_SESSION} open cursors; \
+                     CLOSE one first"
+                ),
+            ));
+        }
+        let q = parse(src)?;
+        let watch = self.watch(tenant);
+        let (out, plan, generation) =
+            self.plan_and_execute(tenant, task, src, &q, &watch)?;
+        let Output::Answers(mut answers) = out else {
+            unreachable!("ANSWERS/ACCESS tasks always execute to a stream")
+        };
+        // the cursor outlives this request: each FETCH installs a fresh
+        // deadline, so the opening one must not poison later pulls
+        answers.set_cancel(CancelToken::never());
+        let id = self.next_cursor_id;
+        self.next_cursor_id += 1;
+        self.metrics.record_cursor_opened(tenant.name());
+        let tenant = Arc::clone(tenant);
+        self.cursors.insert(id, CursorEntry { tenant, generation, plan, answers });
+        Ok(Reply::ok(format!("cursor {id}")))
+    }
+
+    /// Look up a cursor for `FETCH`/`SEEK`, evicting it with
+    /// `ERR stale-cursor` when the tenant mutated (or was dropped)
+    /// since the cursor pinned its snapshot generation.
+    fn live_cursor(&mut self, id: u64) -> Result<&mut CursorEntry, Reply> {
+        let stale = match self.cursors.get(&id) {
+            None => return Err(no_such_cursor(id)),
+            Some(entry) => {
+                entry.tenant.is_dropped()
+                    || entry.tenant.read(|db, _| db.generation()) != entry.generation
+            }
+        };
+        if stale {
+            let entry = self.cursors.remove(&id).expect("present above");
+            self.metrics.record_cursor_closed(entry.tenant.name(), true);
+            return Err(Reply::err(
+                ErrKind::StaleCursor,
+                format!(
+                    "cursor {id} is stale: `{}` mutated since the cursor pinned \
+                     generation {}; the cursor is closed — re-open to see the new \
+                     data",
+                    entry.tenant.name(),
+                    entry.generation
+                ),
+            ));
+        }
+        Ok(self.cursors.get_mut(&id).expect("present and live"))
+    }
+
+    /// `FETCH <id> <n>`: pull up to `n` rows — at most
+    /// [`MAX_FETCH_ROWS`] — from an open cursor. The terminal reports
+    /// how many came and whether the stream is done (`OK <k> rows
+    /// eof`). Each FETCH runs under a fresh tenant deadline; a trip
+    /// leaves the cursor open with the already-pulled rows delivered.
+    pub(super) fn fetch(&mut self, id: u64, n: u64) -> Handled {
+        let tenant = Arc::clone(&self.live_cursor(id)?.tenant);
+        let watch = self.watch(&tenant);
+        let entry = self.cursors.get_mut(&id).expect("verified live above");
+        entry.answers.set_cancel(watch.token.clone());
+        let mut lines = Vec::new();
+        let outcome = pull_rows(&mut entry.answers, n.min(MAX_FETCH_ROWS), |row| {
+            render_row_into(&mut lines, row);
+            lines.push(b'\n');
+        });
+        let data: Vec<String> = rendered_lines(&lines).map(str::to_string).collect();
+        self.metrics.record_answer_rows(tenant.name(), data.len() as u64);
+        match outcome {
+            Ok(eof) => {
+                let n = data.len();
+                let info =
+                    if eof { format!("{n} rows eof") } else { format!("{n} rows") };
+                Ok(Reply::ok_with(data, info))
+            }
+            Err(e) => {
+                let plan = Some(&entry.plan);
+                let terminal = watch.failure(e, &mut self.metrics, tenant.name(), plan);
+                Err(Reply { data, terminal: terminal.terminal })
+            }
+        }
+    }
+
+    /// `SEEK <id> <k>`: position a cursor so the next `FETCH` starts at
+    /// the k-th answer (0-based). O(1) cursor arithmetic on
+    /// direct-access and materialized plans — the skipped prefix is
+    /// never enumerated; `ERR unsupported` (citing the plan operator)
+    /// on constant-delay enumeration plans, which have no random
+    /// access (Lemma 3.23 makes that a structural fact, not a missing
+    /// feature).
+    pub(super) fn seek_cursor(&mut self, id: u64, k: u64) -> Handled {
+        match self.live_cursor(id)?.answers.seek(k) {
+            Ok(()) => Ok(Reply::ok(format!("cursor {id} at {k}"))),
+            Err(EvalError::Unsupported(msg)) => {
+                Err(Reply::err(ErrKind::Unsupported, msg))
+            }
+            Err(e) => Err(Reply::err(ErrKind::Eval, e)),
+        }
+    }
+
+    /// `CLOSE <id>`: release a cursor and its pinned artifacts.
+    pub(super) fn close_cursor(&mut self, id: u64) -> Handled {
+        let entry = self.cursors.remove(&id).ok_or_else(|| no_such_cursor(id))?;
+        self.metrics.record_cursor_closed(entry.tenant.name(), false);
+        Ok(Reply::ok(format!("closed cursor {id}")))
+    }
+
+    pub(super) fn explain(&mut self, tenant: &Tenant, task: Task, src: &str) -> Handled {
+        let q = parse(src)?;
+        tenant.read(|db, catalog| {
+            let stats = catalog.stats(db);
+            let plan = eval::with_global_planner(|p| p.plan(&q, task, &stats));
+            let text = cq_planner::explain::render(&plan, &q);
+            Ok(Reply::ok_with(text.lines().map(str::to_string).collect(), ""))
+        })
+    }
+
+    /// `EXPLAIN ANALYZE <task> <query>`: the EXPLAIN plan rendering,
+    /// then the query actually executed under a one-shot trace sink —
+    /// the reply appends measured wall-clock, the observed row count
+    /// against the planner's predicted `m^e` worst case, and the
+    /// per-operator span tree (time plus recorded attributes). Answer
+    /// streams are drained server-side: this command measures, it does
+    /// not stream.
+    pub(super) fn explain_analyze(
+        &mut self,
+        tenant: &Tenant,
+        task: Task,
+        src: &str,
+    ) -> Handled {
+        debug_assert!(task != Task::Access, "the protocol layer never builds this");
+        let q = parse(src)?;
+        let watch = self.watch(tenant);
+        let sink = TraceSink::enabled();
+        let (out, plan, _gen) =
+            trace::with(&sink, || self.plan_and_execute(tenant, task, src, &q, &watch))?;
+        let rows = match out {
+            Output::Count(n) => n,
+            Output::Decision(d) => u64::from(d),
+            // drain answers to count rows; the stream records its span
+            // on drop, so the measured output below sees the full drain
+            Output::Answers(mut answers) => {
+                let mut n: u64 = 0;
+                pull_rows(&mut answers, u64::MAX, |_| n += 1).map_err(|e| {
+                    watch.failure(e, &mut self.metrics, tenant.name(), Some(&plan))
+                })?;
+                n
+            }
+        };
+        let total = watch.started.elapsed();
+        let mut data: Vec<String> =
+            cq_planner::explain::render(&plan, &q).lines().map(str::to_string).collect();
+        data.push(format!(
+            "analyze: total time={:.3}ms rows={rows}",
+            total.as_secs_f64() * 1e3
+        ));
+        data.push(format!(
+            "analyze: predicted m^{:.2} = {:.0} ops worst case; observed {rows} rows",
+            plan.cost.exponent,
+            plan.cost.operations()
+        ));
+        if let Some(tr) = sink.finish(tenant.name(), src) {
+            push_span_lines(&mut data, &tr, |depth, sp| {
+                format!(
+                    "{}{} time={:.3}ms",
+                    "  ".repeat(depth + 1),
+                    sp.name,
+                    sp.elapsed.as_secs_f64() * 1e3
+                )
+            });
+            if self.metrics.shared().profiling() {
+                self.metrics.shared().push_trace(tr);
+            }
+        }
+        Ok(Reply::ok_with(data, "analyzed"))
+    }
+
+    pub(super) fn open_batch(&mut self) -> Handled {
+        self.mode = Mode::Batching { items: Vec::new() };
+        Ok(Reply::ok("batching; DECIDE|COUNT|ANSWERS items until END"))
+    }
+
+    /// One line inside a `BATCH` block: an item, or the closing `END`.
+    pub(super) fn batch_line(&mut self, line: &str) -> Option<Reply> {
+        let Mode::Batching { items } = &mut self.mode else {
+            unreachable!("caller checked mode")
+        };
+        if !line.eq_ignore_ascii_case(END_KEYWORD) {
+            items.push(parse_batch_item(line));
+            return None;
+        }
+        let items = std::mem::take(items);
+        self.mode = Mode::Idle;
+        Some(self.finish_batch(items).unwrap_or_else(|e| e))
+    }
+
+    fn finish_batch(&mut self, items: Vec<BatchItem>) -> Handled {
+        let tenant = self.regate("batch")?;
+        let n = items.len();
+        // one shared token: the tenant's deadline covers the batch as
+        // a whole, and a client disconnect cancels every worker
+        let watch = self.watch(&tenant);
+        let sm = &mut self.metrics;
+        tenant.read(|db, catalog| {
+            // one shared catalog (the tenant's pinned one, so the batch
+            // both profits from and feeds the tenant's warm indexes) +
+            // one planner pass for the whole batch, workers pulling
+            // items off a shared cursor
+            let good = items.iter().filter_map(|i| match i {
+                BatchItem::Task(t, q) => Some((q, *t)),
+                BatchItem::Bad(_) => None,
+            });
+            let mut results = EvalCtx::new()
+                .with_catalog(catalog)
+                .with_cancel(watch.token.clone())
+                .with_budget(tenant.budget())
+                .batch_tasks(good, db, self.batch_workers)
+                .into_iter();
+            let mut item_line = |item: &BatchItem| match item {
+                BatchItem::Bad(reply) => reply.terminal.clone(),
+                BatchItem::Task(task, q) => results
+                    .next()
+                    .expect("one result per parsed item")
+                    .and_then(|(out, _plan)| match out {
+                        // ANSWERS items enumerate here, at collect time,
+                        // so the deadline can also trip mid-drain
+                        Output::Answers(a) => {
+                            a.collect().map(|rel| format!("OK {} rows", rel.len()))
+                        }
+                        out => Ok(render_output(out).terminal),
+                    })
+                    .unwrap_or_else(|e| match e {
+                        // admission control is per item; the plan (a
+                        // cache hit) is re-derived for its citation
+                        EvalError::OverBudget(reason) => {
+                            sm.count(tenant.name(), "budget.rejections");
+                            let stats = catalog.stats(db);
+                            let plan =
+                                eval::with_global_planner(|p| p.plan(q, *task, &stats));
+                            budget_reply(&reason, &plan).terminal
+                        }
+                        e => watch.failure(e, sm, tenant.name(), None).terminal,
+                    }),
+            };
+            let data = items
+                .iter()
+                .enumerate()
+                .map(|(i, item)| format!("{i} {}", item_line(item)))
+                .collect();
+            Ok(Reply::ok_with(data, format!("batch of {n} items")))
+        })
+    }
+}
+
+/// Parse query text, turning errors into a structured reply whose data
+/// lines carry the source snippet (offending line + caret).
+fn parse(src: &str) -> Result<ConjunctiveQuery, Reply> {
+    parse_query(src).map_err(|e| {
+        let data = match e.context(src) {
+            Some((line, caret)) => vec![line, caret],
+            None => Vec::new(),
+        };
+        Reply::err_with(ErrKind::Parse, data, e)
+    })
+}
+
+fn no_such_cursor(id: u64) -> Reply {
+    Reply::err(ErrKind::NoSuchCursor, format!("no open cursor {id} in this session"))
+}
+
+/// The `ERR budget` reply for a rejected plan, carrying the EXPLAIN
+/// lower-bound citation (e.g. "Triangle Hypothesis (Hypothesis 2) — no
+/// O(m^{1.00-eps}) algorithm exists …").
+fn budget_reply(reason: &str, plan: &QueryPlan) -> Reply {
+    Reply::err(
+        ErrKind::Budget,
+        format!("{reason}; rejected: {}", cq_planner::explain::rejection_citation(plan)),
+    )
+}
+
+/// Render a scalar execution output as one full reply. `Answers`
+/// outputs never reach here: `ANSWERS` streams through the flow path,
+/// cursors page, and `BATCH` reports row counts only.
+fn render_output(out: Output) -> Reply {
+    match out {
+        Output::Decision(b) => Reply::ok(b),
+        Output::Count(n) => Reply::ok(n),
+        Output::Answers(_) => unreachable!("answer streams are drained by their caller"),
+    }
+}
+
+/// The lines of a buffer of rendered rows (each `\n`-terminated).
+fn rendered_lines(bytes: &[u8]) -> std::str::Lines<'_> {
+    std::str::from_utf8(bytes).expect("rendered rows are ASCII").lines()
+}
+
+/// A `BATCH` item line: `DECIDE|COUNT|ANSWERS <query-text>`.
+fn parse_batch_item(line: &str) -> BatchItem {
+    let (verb, src) = split_word(line);
+    let Some(task) = query_task(&verb.to_ascii_uppercase()) else {
+        return BatchItem::Bad(Reply::err(
+            ErrKind::Usage,
+            format!("batch items are DECIDE|COUNT|ANSWERS <query>, got `{verb}`"),
+        ));
+    };
+    if src.is_empty() {
+        return BatchItem::Bad(Reply::err(ErrKind::Usage, "batch item needs a query"));
+    }
+    match parse_query(src) {
+        Ok(q) => BatchItem::Task(task, q),
+        Err(e) => BatchItem::Bad(Reply::err(ErrKind::Parse, e)),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::testkit::{drive, load_triangle, session, warm_triangle};
+    use crate::server::Action;
+    use crate::state::ServerState;
+    use cq_data::Relation;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    #[test]
+    fn count_overflow_is_an_eval_error_and_the_session_keeps_serving() {
+        // eight 256-row relations sharing one hub value: 256^8 = 2^64
+        // answers, one more than a u64 count can report
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        let rows: Vec<String> = (0..256).map(|a| format!("{a} 0")).collect();
+        for i in 1..=8 {
+            s.handle_line(&format!("LOAD R{i} 2"));
+            for row in &rows {
+                assert!(s.handle_line(row).is_none());
+            }
+            let done = s.handle_line("END").unwrap();
+            assert!(done.is_ok(), "{}", done.terminal);
+        }
+        let body: Vec<String> = (1..=8).map(|i| format!("R{i}(x{i}, z)")).collect();
+        let head: Vec<String> = (1..=8).map(|i| format!("x{i}")).collect();
+        let star = format!("q({}, z) :- {}", head.join(", "), body.join(", "));
+        let r = s.handle_line(&format!("COUNT {star}")).unwrap();
+        assert!(r.terminal.starts_with("ERR eval:"), "{}", r.terminal);
+        assert!(r.terminal.contains("exceeds u64"), "{}", r.terminal);
+        // ranked access over the same answers has no u64 positions either
+        let r = s.handle_line(&format!("CURSOR ACCESS {star}")).unwrap();
+        assert!(r.terminal.starts_with("ERR eval:"), "{}", r.terminal);
+        // one spoke fewer fits, and the session is as it was
+        let r = s.handle_line("COUNT q(a, b, z) :- R1(a, z), R2(b, z)").unwrap();
+        assert_eq!(r.terminal, "OK 65536");
+    }
+
+    #[test]
+    fn batch_block_reports_per_item() {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        drive(&mut s, &["LOAD R 2", "1 10", "2 10", "END", "LOAD S 2", "10 7", "END"]);
+        let replies = drive(
+            &mut s,
+            &[
+                "BATCH",
+                "COUNT q(x, z) :- R(x, y), S(y, z)",
+                "DECIDE q() :- R(x, y), S(y, z)",
+                "ANSWERS q(x, z) :- R(x, y), S(y, z)",
+                "COUNT q(x) :- Missing(x)",
+                "FROB q(x) :- R(x, y)",
+                "COUNT q(x :- R(x, y)",
+                "END",
+            ],
+        );
+        let done = replies.last().unwrap().as_ref().unwrap();
+        assert_eq!(done.terminal, "OK batch of 6 items");
+        assert_eq!(done.data[0], "0 OK 2");
+        assert_eq!(done.data[1], "1 OK true");
+        assert_eq!(done.data[2], "2 OK 2 rows");
+        assert!(done.data[3].starts_with("3 ERR eval:"), "{}", done.data[3]);
+        assert!(done.data[4].starts_with("4 ERR usage:"), "{}", done.data[4]);
+        assert!(done.data[5].starts_with("5 ERR parse:"), "{}", done.data[5]);
+    }
+
+    #[test]
+    fn batch_feeds_the_tenant_pinned_catalog() {
+        let state = Arc::new(ServerState::new());
+        let mut s = Session::new(Arc::clone(&state));
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        drive(&mut s, &["LOAD R 2", "1 10", "2 10", "END", "LOAD S 2", "10 7", "END"]);
+        let tenant = state.tenant("t").unwrap();
+        let misses_before = tenant.read(|_, cat| cat.snapshot().misses);
+        let batch = ["BATCH", "ANSWERS q(x, z) :- R(x, y), S(y, z)", "END"];
+        drive(&mut s, &batch);
+        let misses_after_first = tenant.read(|_, cat| cat.snapshot().misses);
+        assert!(
+            misses_after_first > misses_before,
+            "the batch must build into the tenant's pinned catalog"
+        );
+        // a repeat of the same batch is all-warm on the pinned catalog
+        drive(&mut s, &batch);
+        let misses_after_repeat = tenant.read(|_, cat| cat.snapshot().misses);
+        assert_eq!(misses_after_repeat, misses_after_first, "second batch is warm");
+    }
+
+    #[test]
+    fn explain_and_stats_render() {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        drive(&mut s, &["LOAD R1 2", "1 2", "END", "LOAD R2 2", "2 3", "END"]);
+        let r = s.handle_line("EXPLAIN COUNT q(x, z) :- R1(x, y), R2(y, z)").unwrap();
+        assert!(r.is_ok());
+        assert_eq!(r.terminal, "OK");
+        let text = r.data.join("\n");
+        assert!(text.contains("PLAN for"), "{text}");
+        assert!(text.contains("task:"), "{text}");
+        // EXPLAIN echoes the canonical query text (Display round-trip)
+        assert!(text.contains("q(x, z) :- R1(x, y), R2(y, z)"), "{text}");
+        let r = s.handle_line("EXPLAIN ACCESS q(x, y) :- R1(x, y)").unwrap();
+        assert!(r.is_ok(), "{}", r.terminal);
+        let r = s.handle_line("STATS").unwrap();
+        assert_eq!(r.data[0], "tenants: 1");
+        assert_eq!(r.data[1], "using: t");
+        assert_eq!(r.data[2], "db t: 2 relations, 2 tuples");
+        assert!(r.data[3].starts_with("plan-cache:"), "{}", r.data[3]);
+        assert_eq!(r.terminal, "OK");
+    }
+
+    #[test]
+    fn boolean_answers_render_the_nullary_row() {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        s.handle_line("INSERT R(1, 2)");
+        let r = s.handle_line("ANSWERS q() :- R(x, y)").unwrap();
+        assert_eq!(r.data, vec!["()"]); // {()}: the Boolean "yes" relation
+        assert_eq!(r.terminal, "OK 1 rows");
+        let r = s.handle_line("ANSWERS q() :- R(x, x)").unwrap();
+        assert_eq!(r.data, Vec::<String>::new()); // {}: the Boolean "no"
+        assert_eq!(r.terminal, "OK 0 rows");
+        // nullary INSERT is still accepted at the data layer
+        let r = s.handle_line("INSERT T()").unwrap();
+        assert_eq!(r.terminal, "OK inserted 1 row into T (1 total)");
+    }
+
+    #[test]
+    fn budget_rejects_over_cost_queries_with_a_citation() {
+        let mut s = session();
+        s.handle_line("CREATE DB b");
+        s.handle_line("USE b");
+        drive(
+            &mut s,
+            &[
+                "LOAD R1 2",
+                "1 2",
+                "END", //
+                "LOAD R2 2",
+                "2 3",
+                "END", //
+                "LOAD R3 2",
+                "3 1",
+                "END",
+            ],
+        );
+        let tri = "DECIDE q() :- R1(x, y), R2(y, z), R3(z, x)";
+        assert_eq!(s.handle_line(tri).unwrap().terminal, "OK true");
+        s.handle_line("SET BUDGET b MAX-EXPONENT 1.2");
+        let r = s.handle_line(tri).unwrap();
+        assert!(r.terminal.starts_with("ERR budget:"), "{}", r.terminal);
+        assert!(r.terminal.contains("MAX-EXPONENT 1.20"), "{}", r.terminal);
+        assert!(r.terminal.contains("Triangle Hypothesis"), "{}", r.terminal);
+        // under-budget queries still run
+        assert_eq!(s.handle_line("DECIDE q() :- R1(x, y)").unwrap().terminal, "OK true");
+        // the rejection is a metric
+        let m = s.handle_line("METRICS b").unwrap();
+        assert!(m.data.iter().any(|l| l == "db.b budget.rejections=1"), "{:?}", m.data);
+        // clearing the budget re-admits the query
+        s.handle_line("SET BUDGET b NONE");
+        assert_eq!(s.handle_line(tri).unwrap().terminal, "OK true");
+        // MAX-ROWS caps the estimated operation count
+        s.handle_line("SET BUDGET b MAX-ROWS 1");
+        let r = s.handle_line(tri).unwrap();
+        assert!(r.terminal.starts_with("ERR budget:"), "{}", r.terminal);
+        assert!(r.terminal.contains("MAX-ROWS 1"), "{}", r.terminal);
+        // budget commands on unknown tenants are structured errors
+        let r = s.handle_line("SET BUDGET nope MAX-ROWS 1").unwrap();
+        assert!(r.terminal.starts_with("ERR no-such-db"), "{}", r.terminal);
+    }
+
+    #[test]
+    fn batch_items_are_admission_checked_individually() {
+        let mut s = session();
+        s.handle_line("CREATE DB b");
+        s.handle_line("USE b");
+        drive(
+            &mut s,
+            &[
+                "LOAD R1 2",
+                "1 2",
+                "END", //
+                "LOAD R2 2",
+                "2 3",
+                "END", //
+                "LOAD R3 2",
+                "3 1",
+                "END",
+            ],
+        );
+        s.handle_line("SET BUDGET b MAX-EXPONENT 1.2");
+        s.handle_line("BATCH");
+        s.handle_line("DECIDE q() :- R1(x, y)");
+        s.handle_line("DECIDE q() :- R1(x, y), R2(y, z), R3(z, x)");
+        let r = s.handle_line("END").unwrap();
+        assert!(r.is_ok());
+        assert_eq!(r.data[0], "0 OK true");
+        assert!(r.data[1].starts_with("1 ERR budget:"), "{}", r.data[1]);
+        assert!(r.data[1].contains("Triangle Hypothesis"), "{}", r.data[1]);
+    }
+
+    #[test]
+    fn slow_query_log_records_over_threshold_queries() {
+        let mut s = session();
+        s.state.metrics().slowlog().set_threshold(std::time::Duration::ZERO);
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        s.handle_line("INSERT R(1, 2)");
+        s.handle_line("COUNT q(x, y) :- R(x, y)");
+        let entries = s.state.metrics().slowlog().recent();
+        assert_eq!(entries.len(), 1, "one query over the (zero) threshold");
+        assert_eq!(entries[0].db, "t");
+        assert_eq!(entries[0].query, "q(x, y) :- R(x, y)");
+        assert!(!entries[0].plan_op.is_empty());
+        let line = entries[0].render();
+        assert!(line.starts_with("slow-query db=t "), "{line}");
+    }
+
+    #[test]
+    fn cursor_fetch_pages_through_the_answer_set() {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        drive(
+            &mut s,
+            &[
+                "LOAD R 2", "1 10", "2 10", "3 11", "END", "LOAD S 2", "10 7", "11 8",
+                "END",
+            ],
+        );
+        let full = s.handle_line("ANSWERS q(x, z) :- R(x, y), S(y, z)").unwrap();
+        assert_eq!(full.terminal, "OK 3 rows");
+        let r = s.handle_line("CURSOR ANSWERS q(x, z) :- R(x, y), S(y, z)").unwrap();
+        assert_eq!(r.terminal, "OK cursor 0");
+        assert!(r.data.is_empty(), "opening a cursor sends no rows");
+        // paged FETCHes concatenate to exactly the one-shot ANSWERS
+        let p1 = s.handle_line("FETCH 0 2").unwrap();
+        assert_eq!(p1.terminal, "OK 2 rows");
+        let p2 = s.handle_line("FETCH 0 100").unwrap();
+        assert_eq!(p2.terminal, "OK 1 rows eof");
+        let mut paged = p1.data.clone();
+        paged.extend(p2.data.clone());
+        assert_eq!(paged, full.data, "FETCH pages byte-match the streamed ANSWERS");
+        // exhausted cursors keep answering eof until closed
+        assert_eq!(s.handle_line("FETCH 0 5").unwrap().terminal, "OK 0 rows eof");
+        let m = s.handle_line("METRICS t").unwrap();
+        assert!(m.data.iter().any(|l| l == "db.t cursors.open=1"), "{:?}", m.data);
+        assert!(
+            m.data.iter().any(|l| l.starts_with("db.t answers.rows=")),
+            "{:?}",
+            m.data
+        );
+        assert!(
+            m.data.iter().any(|l| l.starts_with("db.t answers.ttfr.latency ")),
+            "time-to-first-row histogram: {:?}",
+            m.data
+        );
+        assert_eq!(s.handle_line("CLOSE 0").unwrap().terminal, "OK closed cursor 0");
+        let m = s.handle_line("METRICS t").unwrap();
+        assert!(m.data.iter().any(|l| l == "db.t cursors.open=0"), "{:?}", m.data);
+        // touching a closed (or never-opened) cursor is structured
+        let r = s.handle_line("FETCH 0 1").unwrap();
+        assert!(r.terminal.starts_with("ERR no-such-cursor"), "{}", r.terminal);
+        let r = s.handle_line("CLOSE 0").unwrap();
+        assert!(r.terminal.starts_with("ERR no-such-cursor"), "{}", r.terminal);
+        let r = s.handle_line("SEEK 99 0").unwrap();
+        assert!(r.terminal.starts_with("ERR no-such-cursor"), "{}", r.terminal);
+    }
+
+    #[test]
+    fn seek_is_o1_on_access_cursors_and_refused_on_enumeration() {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        drive(
+            &mut s,
+            &[
+                "LOAD R1 2",
+                "1 10",
+                "2 10",
+                "3 11",
+                "END",
+                "LOAD R2 2",
+                "10 7",
+                "11 8",
+                "END",
+            ],
+        );
+        // a direct-access cursor: SEEK jumps, the skipped prefix is
+        // never enumerated (DirectAccessStream::seek moves a position
+        // counter only — witnessed by the engine's accesses() test)
+        let r = s.handle_line("CURSOR ACCESS q(x, y, z) :- R1(x, y), R2(y, z)").unwrap();
+        assert_eq!(r.terminal, "OK cursor 0");
+        let full = s.handle_line("FETCH 0 100").unwrap();
+        assert_eq!(full.terminal, "OK 3 rows eof");
+        assert_eq!(s.handle_line("SEEK 0 2").unwrap().terminal, "OK cursor 0 at 2");
+        let r = s.handle_line("FETCH 0 10").unwrap();
+        assert_eq!(r.data, vec![full.data[2].clone()], "SEEK lands on the k-th answer");
+        // seek back to the start: cursors are rewindable
+        s.handle_line("SEEK 0 0");
+        assert_eq!(s.handle_line("FETCH 0 100").unwrap().data, full.data);
+        // a constant-delay enumeration cursor has no random access:
+        // SEEK is a structural refusal citing the plan operator
+        let r = s.handle_line("CURSOR ANSWERS q(x, y, z) :- R1(x, y), R2(y, z)").unwrap();
+        assert_eq!(r.terminal, "OK cursor 1");
+        let r = s.handle_line("SEEK 1 2").unwrap();
+        assert!(r.terminal.starts_with("ERR unsupported:"), "{}", r.terminal);
+        assert!(r.terminal.contains("constant-delay enumeration"), "{}", r.terminal);
+        // the cursor survives the refused SEEK
+        assert_eq!(s.handle_line("FETCH 1 100").unwrap().terminal, "OK 3 rows eof");
+    }
+
+    #[test]
+    fn mutations_invalidate_open_cursors() {
+        let state = Arc::new(ServerState::new());
+        let mut s = Session::new(Arc::clone(&state));
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        drive(&mut s, &["LOAD R 2", "1 2", "3 4", "END"]);
+        s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)");
+        // reads don't invalidate
+        s.handle_line("COUNT q(x, y) :- R(x, y)");
+        assert!(s.handle_line("FETCH 0 1").unwrap().is_ok());
+        // a mutation bumps the generation: the pinned snapshot is gone
+        s.handle_line("INSERT R(9, 9)");
+        let r = s.handle_line("FETCH 0 1").unwrap();
+        assert!(r.terminal.starts_with("ERR stale-cursor:"), "{}", r.terminal);
+        assert!(r.terminal.contains("re-open"), "{}", r.terminal);
+        // the stale cursor was evicted, and the metrics say so
+        let r = s.handle_line("FETCH 0 1").unwrap();
+        assert!(r.terminal.starts_with("ERR no-such-cursor"), "{}", r.terminal);
+        let m = s.handle_line("METRICS t").unwrap();
+        assert!(m.data.iter().any(|l| l == "db.t cursors.stale=1"), "{:?}", m.data);
+        assert!(m.data.iter().any(|l| l == "db.t cursors.open=0"), "{:?}", m.data);
+        // SEEK on a stale cursor is the same structured eviction
+        s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)");
+        s.handle_line("INSERT R(8, 8)");
+        let r = s.handle_line("SEEK 1 0").unwrap();
+        assert!(r.terminal.starts_with("ERR stale-cursor:"), "{}", r.terminal);
+        // dropping the tenant invalidates too
+        s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)");
+        s.handle_line("DROP DB t");
+        let r = s.handle_line("FETCH 2 1").unwrap();
+        assert!(r.terminal.starts_with("ERR stale-cursor:"), "{}", r.terminal);
+    }
+
+    #[test]
+    fn cursor_limit_is_enforced_per_session() {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        s.handle_line("INSERT R(1, 2)");
+        for _ in 0..MAX_CURSORS_PER_SESSION {
+            assert!(s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)").unwrap().is_ok());
+        }
+        let r = s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)").unwrap();
+        assert!(r.terminal.starts_with("ERR cursor-limit:"), "{}", r.terminal);
+        // closing one frees a slot
+        assert!(s.handle_line("CLOSE 0").unwrap().is_ok());
+        assert!(s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)").unwrap().is_ok());
+    }
+
+    #[test]
+    fn open_cursors_do_not_pin_the_tenant_read_lock() {
+        // an idle cursor holds only Arc'd artifacts: writers must be
+        // able to mutate (and thereby invalidate) while it sits open —
+        // if the cursor held the read lock this would deadlock
+        let state = Arc::new(ServerState::new());
+        let mut s = Session::new(Arc::clone(&state));
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        drive(&mut s, &["LOAD R 2", "1 2", "3 4", "END"]);
+        s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)");
+        assert!(s.handle_line("FETCH 0 1").unwrap().is_ok(), "cursor mid-stream");
+        let done = std::sync::atomic::AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                let t = state.tenant("t").unwrap();
+                t.mutate(|db| {
+                    let rel = db.get_mut("R").expect("loaded above");
+                    rel.insert_row(&[7, 7]);
+                });
+                done.store(true, Ordering::SeqCst);
+            });
+        });
+        assert!(done.load(Ordering::SeqCst), "writer finished with a cursor open");
+    }
+
+    /// A writer that records the size of every `write` it sees — the
+    /// observable chunking of a drain, and with it the ceiling on
+    /// per-connection answer buffering.
+    #[derive(Default)]
+    struct ChunkMeter {
+        bytes: Vec<u8>,
+        writes: Vec<usize>,
+    }
+
+    impl Write for ChunkMeter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.len());
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The flow a successful `ANSWERS` hands the transport.
+    fn stream_of(s: &mut Session, line: &str) -> AnswerFlow {
+        match s.handle_action(line.as_bytes()) {
+            Some(Action::Stream(flow)) => *flow,
+            _ => panic!("a successful ANSWERS must stream, not materialize a reply"),
+        }
+    }
+
+    const UNARY: &str = "ANSWERS q(x) :- R(x)";
+
+    /// Wire bytes of one [`UNARY`] row: `* ` + six digits + newline.
+    const UNARY_ROW: usize = 9;
+
+    /// A session on tenant `t` whose `R(x)` holds `n` six-digit values,
+    /// so [`UNARY`] streams `n` lines of exactly [`UNARY_ROW`] bytes.
+    fn session_with_unary(n: u64) -> Session {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        let rel = Relation::from_rows(1, (0..n).map(|i| vec![100_000 + i]));
+        s.state.tenant("t").unwrap().mutate(|db| {
+            db.insert("R", rel);
+        });
+        s
+    }
+
+    /// The chunk sizes the ramp should cut `rows` equal-width rows into.
+    fn ramp_model(rows: usize, row_bytes: usize) -> Vec<usize> {
+        let mut chunks = Vec::new();
+        let (mut left, mut budget) = (rows, STREAM_FIRST_CHUNK_BYTES);
+        while left > 0 {
+            let take = budget.div_ceil(row_bytes).min(left);
+            chunks.push(take * row_bytes);
+            left -= take;
+            budget = (budget * 2).min(STREAM_MAX_CHUNK_BYTES);
+        }
+        chunks
+    }
+
+    #[test]
+    fn drained_bytes_equal_collected_lines_across_every_ramp_boundary() {
+        // result sizes one row under, at and over each point where the
+        // drain flushes, through the ramp and two chunks at the ceiling
+        let mut sizes = vec![0usize, 1, 160_000];
+        let (mut boundary, mut budget) = (0, STREAM_FIRST_CHUNK_BYTES);
+        for _ in 0..7 {
+            boundary += budget.div_ceil(UNARY_ROW);
+            sizes.extend([boundary - 1, boundary, boundary + 1]);
+            budget = (budget * 2).min(STREAM_MAX_CHUNK_BYTES);
+        }
+        assert_eq!(budget, STREAM_MAX_CHUNK_BYTES, "the sizes reach the ceiling");
+        for rows in sizes {
+            let mut s = session_with_unary(rows as u64);
+            let collected = s.handle_line(UNARY).unwrap();
+            assert_eq!(collected.terminal, format!("OK {rows} rows"));
+            let mut framed = Vec::new();
+            collected.write_to(&mut framed).unwrap();
+            let mut meter = ChunkMeter::default();
+            let flow = stream_of(&mut s, UNARY);
+            s.drain_flow(flow, &mut meter).unwrap();
+            assert!(meter.bytes == framed, "{rows} rows: wire bytes differ");
+            // the data goes out in exactly the ramp's chunks; the
+            // remaining writes are the terminal line
+            let model = ramp_model(rows, UNARY_ROW);
+            assert_eq!(meter.writes[..model.len()], model, "{rows} rows");
+            let terminal: usize = meter.writes[model.len()..].iter().sum();
+            assert_eq!(terminal, collected.terminal.len() + 1);
+        }
+    }
+
+    #[test]
+    fn a_stream_that_fails_midway_ships_its_rows_then_the_err_terminal() {
+        // a liveness probe that reports the client gone from its
+        // `trip_at`-th call on; a clean warm run counts the calls a full
+        // drain makes, and the last of those are the stream's own
+        // stride-256 polls — so tripping 40 short of it is mid-drain
+        let calls = Arc::new(AtomicUsize::new(0));
+        let trip_at = Arc::new(AtomicUsize::new(usize::MAX));
+        let mut s = session_with_unary(20_000);
+        let (n, at) = (Arc::clone(&calls), Arc::clone(&trip_at));
+        s.set_cancel_probe(move || {
+            n.fetch_add(1, Ordering::SeqCst) >= at.load(Ordering::SeqCst)
+        });
+        assert!(s.handle_line(UNARY).unwrap().is_ok(), "warms the catalog");
+        calls.store(0, Ordering::SeqCst);
+        assert!(s.handle_line(UNARY).unwrap().is_ok());
+        trip_at.store(calls.load(Ordering::SeqCst) - 40, Ordering::SeqCst);
+        calls.store(0, Ordering::SeqCst);
+        let collected = s.handle_line(UNARY).unwrap();
+        let shipped = collected.data.len();
+        assert!(0 < shipped && shipped < 20_000, "{shipped} rows before the trip");
+        assert!(collected.terminal.starts_with("ERR timeout:"), "{}", collected.terminal);
+        assert!(collected.terminal.contains("client disconnected"));
+        // the same trip on the wire: the same partial rows, re-framed
+        calls.store(0, Ordering::SeqCst);
+        let mut meter = ChunkMeter::default();
+        let flow = stream_of(&mut s, UNARY);
+        s.drain_flow(flow, &mut meter).unwrap();
+        let text = String::from_utf8(meter.bytes).unwrap();
+        let (rows, terminal) = text.trim_end().rsplit_once('\n').unwrap();
+        let rows: Vec<&str> =
+            rows.lines().map(|l| l.strip_prefix(DATA_PREFIX).unwrap()).collect();
+        assert_eq!(rows, collected.data);
+        assert!(terminal.starts_with("ERR timeout:"), "{terminal}");
+        let m = s.handle_line("METRICS t").unwrap();
+        let has = |line: String| m.data.contains(&line);
+        let served = 2 * (20_000 + shipped);
+        assert!(has(format!("db.t answers.rows={served}")), "{:?}", m.data);
+        assert!(has("db.t cancellations=2".to_string()), "{:?}", m.data);
+    }
+
+    #[test]
+    fn streaming_buffers_at_most_one_chunk_for_huge_results() {
+        // 400 x 400 free-connex join: 160_000 answers from 800 input
+        // rows — the paper's point that answers can dwarf the data
+        let mut s = session();
+        s.handle_line("CREATE DB big");
+        s.handle_line("USE big");
+        s.handle_line("LOAD R 2");
+        for i in 0..400u64 {
+            s.handle_line(&format!("{i} 0"));
+        }
+        s.handle_line("END");
+        s.handle_line("LOAD S 2");
+        for j in 0..400u64 {
+            s.handle_line(&format!("0 {j}"));
+        }
+        s.handle_line("END");
+        let flow = stream_of(&mut s, "ANSWERS q(x, z) :- R(x, y), S(y, z)");
+        let mut meter = ChunkMeter::default();
+        s.drain_flow(flow, &mut meter).unwrap();
+        let text = std::str::from_utf8(&meter.bytes).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        let (rows, terminal) = lines.split_at(lines.len() - 1);
+        assert_eq!(rows.len(), 160_000, "every answer reaches the wire");
+        assert!(rows.iter().all(|l| l.starts_with(DATA_PREFIX)));
+        assert_eq!(terminal, ["OK 160000 rows"]);
+        // peak per-connection buffering is one chunk, not the result: a
+        // chunk is flushed by the row that fills its budget, and the
+        // first is small so the first row does not wait for a full one
+        let one_row = "* 399 399\n".len();
+        assert!(
+            meter.writes[0] <= STREAM_FIRST_CHUNK_BYTES + one_row,
+            "first write was {} bytes",
+            meter.writes[0]
+        );
+        let largest = *meter.writes.iter().max().unwrap();
+        assert!(
+            largest <= STREAM_MAX_CHUNK_BYTES + one_row,
+            "largest single write was {largest} bytes"
+        );
+        assert!(
+            meter.writes.len() >= meter.bytes.len() / STREAM_MAX_CHUNK_BYTES,
+            "the result must go out chunk by chunk, got {} writes",
+            meter.writes.len()
+        );
+    }
+
+    /// A sink standing in for a client that hangs up: it accepts
+    /// `left` bytes, then every write fails.
+    struct HangsUpAfter {
+        left: usize,
+    }
+
+    impl Write for HangsUpAfter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            if buf.len() > self.left {
+                return Err(std::io::ErrorKind::BrokenPipe.into());
+            }
+            self.left -= buf.len();
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_client_that_hangs_up_mid_drain_stays_on_the_books() {
+        let mut s = session_with_unary(160_000);
+        s.state.metrics().set_profile_capacity(4);
+        let flow = stream_of(&mut s, UNARY);
+        // room for the first two chunks of the ramp, not the third
+        let chunks = ramp_model(160_000, UNARY_ROW);
+        let accepted = chunks[0] + chunks[1];
+        let err = s.drain_flow(flow, &mut HangsUpAfter { left: accepted + 100 });
+        assert_eq!(err.unwrap_err().kind(), std::io::ErrorKind::BrokenPipe);
+        let m = s.handle_line("METRICS t").unwrap();
+        for want in [
+            format!("db.t answers.rows={}", accepted / UNARY_ROW),
+            format!("db.t answers.bytes={accepted}"),
+            "db.t cancellations=1".to_string(),
+        ] {
+            assert!(m.data.contains(&want), "no `{want}` in {:?}", m.data);
+        }
+        let p = s.handle_line("PROFILE t").unwrap();
+        assert_eq!(p.terminal, "OK 1 traces", "the abandoned drain left its trace");
+        assert!(
+            p.data.iter().any(|l| l.starts_with("span ") && l.contains("name=stream.")),
+            "{:?}",
+            p.data
+        );
+    }
+
+    #[test]
+    fn fetch_pages_are_capped_whatever_the_client_asks_for() {
+        let mut s = session_with_unary(160_000);
+        let want = s.handle_line(UNARY).unwrap().data;
+        assert!(s.handle_line("CURSOR ANSWERS q(x) :- R(x)").unwrap().is_ok());
+        let page = s.handle_line(&format!("FETCH 0 {}", u64::MAX)).unwrap();
+        assert_eq!(page.terminal, format!("OK {MAX_FETCH_ROWS} rows"), "capped, no eof");
+        // paging on reaches the same rows, byte for byte
+        let mut got = page.data;
+        loop {
+            let page = s.handle_line(&format!("FETCH 0 {}", u64::MAX)).unwrap();
+            assert!(page.data.len() as u64 <= MAX_FETCH_ROWS);
+            got.extend(page.data);
+            if page.terminal.ends_with(" eof") {
+                break;
+            }
+        }
+        assert!(got == want, "paged rows differ from the one-shot drain");
+    }
+
+    #[test]
+    fn timeout_trips_err_timeout_with_citation() {
+        let mut s = session();
+        load_triangle(&mut s, "b");
+        let tri = "DECIDE q() :- R1(x, y), R2(y, z), R3(z, x)";
+        assert_eq!(s.handle_line(tri).unwrap().terminal, "OK true");
+        // a zero deadline is already past when evaluation starts: the
+        // very first cooperative check trips, deterministically
+        assert!(s.handle_line("SET TIMEOUT b 0").unwrap().is_ok());
+        let r = s.handle_line(tri).unwrap();
+        assert!(r.terminal.starts_with("ERR timeout:"), "{}", r.terminal);
+        assert!(r.terminal.contains("0 ms deadline"), "{}", r.terminal);
+        assert!(r.terminal.contains("plan cost m^"), "{}", r.terminal);
+        assert!(r.terminal.contains("Hypothesis"), "{}", r.terminal);
+        // the session (and the tenant) keep serving
+        assert_eq!(s.handle_line("PING").unwrap().terminal, "OK pong");
+        let m = s.handle_line("METRICS b").unwrap();
+        assert!(m.data.iter().any(|l| l == "db.b timeouts=1"), "{:?}", m.data);
+        // clearing the timeout re-admits the query
+        assert!(s.handle_line("SET TIMEOUT b NONE").unwrap().is_ok());
+        assert_eq!(s.handle_line(tri).unwrap().terminal, "OK true");
+        // other tenants are untouched by b's deadline
+        load_triangle(&mut s, "c");
+        s.handle_line("SET TIMEOUT b 0");
+        s.handle_line("USE c");
+        assert_eq!(s.handle_line(tri).unwrap().terminal, "OK true");
+        // unknown tenants are structured errors
+        let r = s.handle_line("SET TIMEOUT nope 5").unwrap();
+        assert!(r.terminal.starts_with("ERR no-such-db"), "{}", r.terminal);
+    }
+
+    #[test]
+    fn timeout_applies_to_batch_items() {
+        let mut s = session();
+        load_triangle(&mut s, "b");
+        s.handle_line("SET TIMEOUT b 0");
+        s.handle_line("BATCH");
+        s.handle_line("DECIDE q() :- R1(x, y), R2(y, z), R3(z, x)");
+        let r = s.handle_line("END").unwrap();
+        assert!(r.is_ok());
+        assert!(r.data[0].starts_with("0 ERR timeout:"), "{}", r.data[0]);
+        assert!(r.data[0].contains("SET TIMEOUT deadline"), "{}", r.data[0]);
+    }
+
+    #[test]
+    fn a_deadline_that_trips_while_a_batch_item_drains_is_a_timeout() {
+        // a 2000 x 2000 cross product: preprocessing is two small
+        // sorted views, draining 4 * 10^6 rows outlasts the deadline
+        // many times over — so the trip surfaces mid-`collect()`, long
+        // after the batch's evaluation phase came back clean
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        let side = Relation::from_rows(1, (0..2000u64).map(|i| vec![i]));
+        s.state.tenant("t").unwrap().mutate(|db| {
+            db.insert("A", side.clone());
+            db.insert("B", side);
+        });
+        assert!(s.handle_line("DECIDE q() :- A(x), B(y)").unwrap().is_ok(), "warms up");
+        s.handle_line("SET TIMEOUT t 20");
+        let replies = drive(&mut s, &["BATCH", "ANSWERS q(x, y) :- A(x), B(y)", "END"]);
+        let done = replies[2].as_ref().unwrap();
+        assert!(
+            done.data[0].starts_with("0 ERR timeout: batch exceeded"),
+            "attributed to the deadline, not to a vanished client: {}",
+            done.data[0]
+        );
+        let m = s.handle_line("METRICS t").unwrap();
+        assert!(m.data.iter().any(|l| l == "db.t timeouts=1"), "{:?}", m.data);
+        assert!(
+            !m.data.iter().any(|l| l.starts_with("db.t cancellations=")),
+            "nobody disconnected: {:?}",
+            m.data
+        );
+    }
+
+    #[test]
+    fn disconnect_probe_cancels_evaluation() {
+        let mut s = session();
+        s.set_cancel_probe(|| true); // the "client" is always gone
+        load_triangle(&mut s, "b");
+        let r = s.handle_line("DECIDE q() :- R1(x, y), R2(y, z), R3(z, x)").unwrap();
+        assert!(r.terminal.starts_with("ERR timeout:"), "{}", r.terminal);
+        assert!(r.terminal.contains("client disconnected"), "{}", r.terminal);
+        let m = s.handle_line("METRICS b").unwrap();
+        assert!(m.data.iter().any(|l| l == "db.b cancellations=1"), "{:?}", m.data);
+    }
+
+    #[test]
+    fn explain_analyze_reports_measured_time_rows_and_spans() {
+        let mut s = session();
+        warm_triangle(&mut s);
+        let r = s
+            .handle_line("EXPLAIN ANALYZE COUNT q(x, y, z) :- R(x, y), S(y, z), T(z, x)")
+            .unwrap();
+        assert_eq!(r.terminal, "OK analyzed", "{}", r.terminal);
+        // the plan rendering comes first, then the measured section
+        let analyze = r
+            .data
+            .iter()
+            .position(|l| l.starts_with("analyze: total time="))
+            .unwrap_or_else(|| panic!("no analyze line in {:?}", r.data));
+        assert!(
+            r.data[analyze].ends_with("rows=2"),
+            "the loaded triangle has two homomorphisms: {}",
+            r.data[analyze]
+        );
+        assert!(
+            r.data[analyze + 1].starts_with("analyze: predicted m^"),
+            "{}",
+            r.data[analyze + 1]
+        );
+        assert!(
+            r.data[analyze + 1].ends_with("observed 2 rows"),
+            "{}",
+            r.data[analyze + 1]
+        );
+        // per-operator spans: an execute root with catalog attrs and a
+        // measured operator span with its row count
+        let spans = &r.data[analyze + 2..];
+        assert!(
+            spans.iter().any(|l| l.trim_start().starts_with("execute time=")),
+            "{spans:?}"
+        );
+        assert!(
+            spans.iter().any(|l| {
+                let t = l.trim_start();
+                t.starts_with("op.") && t.contains(" time=") && t.contains("rows=2")
+            }),
+            "{spans:?}"
+        );
+        // ANSWERS drains server-side and reports the drained count
+        let r = s.handle_line("EXPLAIN ANALYZE ANSWERS q(x, y) :- R(x, y)").unwrap();
+        assert!(r.is_ok(), "{}", r.terminal);
+        assert!(
+            r.data.iter().any(|l| l.starts_with("analyze: ") && l.ends_with("rows=2")),
+            "{:?}",
+            r.data
+        );
+        assert!(
+            r.data.iter().any(|l| l.trim_start().starts_with("stream.")),
+            "the drained stream records its span: {:?}",
+            r.data
+        );
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// The rows attribute a trace records for the answer stream is
+        /// exactly the number of rows the client received, and the
+        /// execute span's rows attribute is exactly the COUNT result —
+        /// measured output never drifts from delivered output.
+        #[test]
+        fn trace_row_counts_match_emitted_rows(
+            pairs in proptest::collection::vec((1u64..=6, 1u64..=6), 1..24),
+        ) {
+            let mut s = session();
+            s.handle_line("CREATE DB t");
+            s.handle_line("USE t");
+            s.state.metrics().set_profile_capacity(4);
+            for (a, b) in &pairs {
+                s.handle_line(&format!("INSERT Edge({a}, {b})"));
+            }
+            let r = s.handle_line("ANSWERS q(x, y) :- Edge(x, y)").unwrap();
+            prop_assert!(r.is_ok(), "{}", r.terminal);
+            let emitted = r.data.len() as u64;
+            let traces = s.state.metrics().recent_traces("t");
+            let tr = traces.last().expect("the ANSWERS query was traced");
+            let mut stream_rows = None;
+            tr.visit(|_, sp| {
+                if sp.name.starts_with("stream.") {
+                    stream_rows = sp.attr("rows");
+                }
+            });
+            prop_assert_eq!(
+                stream_rows,
+                Some(emitted),
+                "trace says {:?}, wire delivered {}", stream_rows, emitted
+            );
+            let r = s.handle_line("COUNT q(x, y) :- Edge(x, y)").unwrap();
+            let counted: u64 =
+                r.terminal.strip_prefix("OK ").unwrap().parse().unwrap();
+            prop_assert_eq!(counted, emitted, "COUNT agrees with the drain");
+            let traces = s.state.metrics().recent_traces("t");
+            let tr = traces.last().expect("the COUNT query was traced");
+            let mut exec_rows = None;
+            tr.visit(|_, sp| {
+                if sp.name == "execute" {
+                    exec_rows = sp.attr("rows");
+                }
+            });
+            prop_assert_eq!(exec_rows, Some(counted));
+        }
+    }
+}

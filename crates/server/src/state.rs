@@ -30,7 +30,8 @@
 use crate::metrics::ServerMetrics;
 use cq_data::{CatalogStats, Database, IndexCatalog};
 use cq_storage::{
-    GroupGate, Store, StoreError, TenantLimits, WalRecord, WalStats, WalWriter,
+    Applied, ArityConflict, GroupGate, Store, StoreError, TenantLimits, WalRecord,
+    WalStats, WalWriter,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -99,21 +100,11 @@ pub struct WritePolicy {
 /// it cannot collide with a stored finite exponent).
 const BUDGET_UNSET: u64 = u64::MAX;
 
-/// A tenant's admission-control budget, read per query at plan time.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct Budget {
-    /// Reject plans whose cost exponent exceeds this.
-    pub max_exponent: Option<f64>,
-    /// Reject plans whose estimated operations exceed this.
-    pub max_rows: Option<u64>,
-}
-
-impl Budget {
-    /// Is any cap set?
-    pub fn is_set(&self) -> bool {
-        self.max_exponent.is_some() || self.max_rows.is_some()
-    }
-}
+/// A tenant's admission-control budget, read per query at plan time:
+/// the planner's own [`cq_planner::EvalBudget`], so the admission logic
+/// (and its human-readable violation messages) is shared with every
+/// `EvalCtx` caller.
+pub use cq_planner::EvalBudget as Budget;
 
 #[derive(Debug)]
 struct TenantDb {
@@ -121,6 +112,19 @@ struct TenantDb {
     catalog: Arc<IndexCatalog>,
     /// `Some` iff the server runs with a data directory.
     wal: Option<WalWriter>,
+}
+
+impl TenantDb {
+    /// Run `f` on the database; if it mutated (the generation moved),
+    /// pin a fresh catalog.
+    fn edit<T>(&mut self, f: impl FnOnce(&mut Database) -> T) -> T {
+        let before = self.db.generation();
+        let out = f(&mut self.db);
+        if self.db.generation() != before {
+            self.catalog = Arc::new(IndexCatalog::new());
+        }
+        out
+    }
 }
 
 impl Tenant {
@@ -169,12 +173,6 @@ impl Tenant {
         self.budget_rows.store(v, Ordering::Relaxed);
     }
 
-    /// Clear both caps.
-    pub fn clear_budget(&self) {
-        self.set_max_exponent(None);
-        self.set_max_rows(None);
-    }
-
     /// The per-query evaluation deadline, if one is set.
     pub fn timeout(&self) -> Option<Duration> {
         let ms = self.timeout_ms.load(Ordering::Relaxed);
@@ -202,23 +200,6 @@ impl Tenant {
         self.budget_exponent.store(l.max_exponent_bits, Ordering::Relaxed);
         self.budget_rows.store(l.max_rows, Ordering::Relaxed);
         self.timeout_ms.store(l.timeout_ms, Ordering::Relaxed);
-    }
-
-    /// Append the current limit set to the WAL so it survives a
-    /// restart. A no-op (always `Ok`) on an in-memory tenant.
-    pub fn persist_limits(&self) -> std::io::Result<()> {
-        self.persist_limits_durable(None)
-    }
-
-    /// [`Tenant::persist_limits`] under the server's group-commit
-    /// window: limit changes are acked with the same durability as any
-    /// other mutation.
-    pub fn persist_limits_durable(
-        &self,
-        window: Option<Duration>,
-    ) -> std::io::Result<()> {
-        let limits = self.limits();
-        self.mutate_durable(window, |_db| ((), Some(WalRecord::SetLimits(limits)))).1
     }
 
     /// Why this tenant is read-only, if it is.
@@ -272,35 +253,31 @@ impl Tenant {
         f(&slot.db, &slot.catalog)
     }
 
-    /// Run `f` with exclusive access to the database. If `f` mutates it
-    /// (the generation changes), a fresh catalog is pinned so indexes
-    /// of the old state are dropped immediately.
+    /// Run `f` with exclusive access to the database, unlogged — the
+    /// replica's apply path (its history is the primary's log) and test
+    /// setup. If `f` mutates the database (the generation changes), a
+    /// fresh catalog is pinned so indexes of the old state are dropped
+    /// immediately.
     pub fn mutate<T>(&self, f: impl FnOnce(&mut Database) -> T) -> T {
-        self.mutate_wal(|db| (f(db), None)).0
+        self.write_slot().edit(f)
     }
 
-    /// [`Tenant::mutate`], write-ahead logged: `f` returns the record
-    /// describing the mutation it performed (`None` for no-ops and
-    /// refusals). The record is appended under the same write lock
-    /// that applied the mutation, so the log's order *is* the
-    /// database's mutation order. On an in-memory tenant the record is
-    /// discarded.
+    /// The one logged write: apply `record` through
+    /// [`WalRecord::apply`] — the function recovery and the replica
+    /// replay with, so live ≡ replay by construction — and append it to
+    /// the log iff it changed the database, under the same write lock,
+    /// so the log's order *is* the database's mutation order. (A
+    /// `SetLimits` record always counts as a change; the caller has
+    /// already stored the limits it carries.) On an in-memory tenant
+    /// nothing is logged.
     ///
     /// The second return is the WAL outcome: on an append error the
     /// in-memory mutation stands (readers already may have seen it)
     /// but durability is broken, and the caller must surface that.
-    pub fn mutate_wal<T>(
-        &self,
-        f: impl FnOnce(&mut Database) -> (T, Option<WalRecord>),
-    ) -> (T, std::io::Result<()>) {
-        self.mutate_durable(None, f)
-    }
-
-    /// [`Tenant::mutate_wal`] with group commit: when `window` is
-    /// `Some`, the WAL outcome additionally covers an fsync of the
-    /// append — coalesced across concurrent committers through the
-    /// tenant's [`GroupGate`], whose leader waits `window` before
-    /// flushing. `Ok` then means *on stable storage*, not merely in
+    /// When `window` is `Some` (group commit), `Ok` additionally covers
+    /// an fsync of the append — coalesced across concurrent committers
+    /// through the tenant's [`GroupGate`], whose leader waits `window`
+    /// before flushing — so it means *on stable storage*, not merely in
     /// the OS page cache; a failed group sync is reported to every
     /// committer it covered, so no ack can be false.
     ///
@@ -309,55 +286,36 @@ impl Tenant {
     /// that lock), and the gate is waited on *after* the lock is
     /// released so readers and the sync leader are never blocked by a
     /// committer parked at the gate.
-    pub fn mutate_durable<T>(
+    pub fn apply_logged<'r>(
         &self,
         window: Option<Duration>,
-        f: impl FnOnce(&mut Database) -> (T, Option<WalRecord>),
-    ) -> (T, std::io::Result<()>) {
-        let (out, seq, wal_result) = {
+        record: &'r WalRecord,
+    ) -> (Result<Applied, ArityConflict<'r>>, std::io::Result<()>) {
+        let (outcome, appended) = {
             let mut slot = self.write_slot();
-            let before = slot.db.generation();
-            let (out, record) = f(&mut slot.db);
-            if slot.db.generation() != before {
-                slot.catalog = Arc::new(IndexCatalog::new());
-            }
-            match (&record, &mut slot.wal) {
-                (Some(rec), Some(wal)) => match wal.append(rec) {
-                    Ok(_) => (out, Some(wal.stats().appends), Ok(())),
-                    Err(e) => (out, None, Err(e)),
-                },
-                _ => (out, None, Ok(())),
-            }
+            let outcome = slot.edit(|db| record.apply(db));
+            let appended = match &mut slot.wal {
+                Some(wal) if matches!(outcome, Ok(Applied::Changed(_))) => {
+                    wal.append(record).map(|_| Some(wal.stats().appends))
+                }
+                _ => Ok(None),
+            };
+            (outcome, appended)
         };
-        let wal_result = match (wal_result, seq, window) {
-            (Ok(()), Some(seq), Some(window)) => {
-                self.group.commit(seq, window, || {
-                    let mut slot = self.write_slot();
-                    match slot.wal.as_mut() {
-                        Some(wal) => (wal.stats().appends, wal.sync()),
-                        // WAL vanished mid-commit (not reachable today:
-                        // a tenant never loses its writer) — nothing to
-                        // sync, nothing to fail
-                        None => (seq, Ok(())),
-                    }
-                })
-            }
-            (r, _, _) => r,
+        let wal_result = match (appended, window) {
+            (Ok(Some(seq)), Some(window)) => self.group.commit(seq, window, || {
+                let mut slot = self.write_slot();
+                match slot.wal.as_mut() {
+                    Some(wal) => (wal.stats().appends, wal.sync()),
+                    // WAL vanished mid-commit (not reachable today: a
+                    // tenant never loses its writer) — nothing to sync,
+                    // nothing to fail
+                    None => (seq, Ok(())),
+                }
+            }),
+            (appended, _) => appended.map(|_| ()),
         };
-        (out, wal_result)
-    }
-
-    /// Group-commit sync rounds performed so far (one per coalesced
-    /// leader flush); together with [`WalStats::syncs`] this exposes
-    /// the coalescing factor.
-    pub fn group_rounds(&self) -> u64 {
-        self.group.rounds()
-    }
-
-    /// Bytes in the write-ahead log since the last checkpoint (`None`
-    /// on an in-memory tenant) — the auto-checkpoint threshold input.
-    pub fn wal_len(&self) -> Option<u64> {
-        self.read_slot().wal.as_ref().map(WalWriter::len)
+        (outcome, wal_result)
     }
 
     /// Checkpoint this tenant into `store`: atomic snapshot of the
@@ -382,9 +340,9 @@ impl Tenant {
         Ok((db.size(), bytes))
     }
 
-    /// The tenant's shippable position: `(wal epoch, wal record
-    /// bytes)`. `None` on an in-memory tenant (nothing to replicate
-    /// from).
+    /// The tenant's shippable position: `(wal epoch, wal record bytes
+    /// since the last checkpoint)` — what a replica syncs to, and the
+    /// auto-checkpoint threshold's input. `None` on an in-memory tenant.
     pub fn wal_position(&self) -> Option<(u64, u64)> {
         let slot = self.read_slot();
         slot.wal.as_ref().map(|w| (w.epoch(), w.len()))
@@ -556,9 +514,16 @@ impl Default for ServerState {
 impl ServerState {
     /// An empty in-memory registry (no durability).
     pub fn new() -> ServerState {
+        ServerState::over(BTreeMap::new(), None)
+    }
+
+    fn over(
+        tenants: BTreeMap<String, Arc<Tenant>>,
+        store: Option<Arc<Store>>,
+    ) -> ServerState {
         ServerState {
-            tenants: RwLock::default(),
-            store: None,
+            tenants: RwLock::new(tenants),
+            store,
             metrics: Arc::new(ServerMetrics::new()),
             policy: RwLock::default(),
             replica_of: RwLock::default(),
@@ -594,14 +559,7 @@ impl ServerState {
             }
             tenants.insert(name.clone(), tenant);
         }
-        let state = ServerState {
-            tenants: RwLock::new(tenants),
-            store: Some(store),
-            metrics: Arc::new(ServerMetrics::new()),
-            policy: RwLock::default(),
-            replica_of: RwLock::default(),
-        };
-        Ok((state, report))
+        Ok((ServerState::over(tenants, Some(store)), report))
     }
 
     /// The backing store, when the server is persistent.
@@ -775,12 +733,9 @@ mod tests {
             let (s, report) = ServerState::recover(store).unwrap();
             assert!(report.is_empty());
             let t = s.create_db("t1").unwrap();
-            let (_, wal) = t.mutate_wal(|db| {
-                let mut rel = Relation::new(2);
-                rel.insert_row(&[1, 2]);
-                db.insert("R", rel);
-                ((), Some(WalRecord::Insert { relation: "R".into(), row: vec![1, 2] }))
-            });
+            let record = WalRecord::Insert { relation: "R".into(), row: vec![1, 2] };
+            let (applied, wal) = t.apply_logged(None, &record);
+            assert_eq!(applied, Ok(Applied::Changed(1)));
             wal.unwrap();
             s.create_db("t2").unwrap();
             s.drop_db("t2").unwrap();
@@ -829,7 +784,8 @@ mod tests {
         t.clear_degraded();
         assert!(!t.is_degraded());
         assert_eq!(t.wal_poisoned(), None, "in-memory tenants have no wal");
-        assert!(t.persist_limits().is_ok(), "limit persistence is a no-op in memory");
+        let (_, wal) = t.apply_logged(None, &WalRecord::SetLimits(t.limits()));
+        assert!(wal.is_ok(), "limit persistence is a no-op in memory");
     }
 
     #[test]
@@ -842,7 +798,7 @@ mod tests {
             t.set_max_exponent(Some(1.25));
             t.set_max_rows(Some(500));
             t.set_timeout_ms(Some(750));
-            t.persist_limits().unwrap();
+            t.apply_logged(None, &WalRecord::SetLimits(t.limits())).1.unwrap();
         }
         let (s, _) = ServerState::recover(Store::open_dir(&root).unwrap()).unwrap();
         let t = s.tenant("t1").unwrap();

@@ -67,4 +67,6 @@ pub mod wal;
 pub use fault::{FaultPlan, FaultPoint};
 pub use group::GroupGate;
 pub use store::{Recovery, Store, StoreError};
-pub use wal::{decode_frames, TenantLimits, WalRecord, WalStats, WalWriter};
+pub use wal::{
+    decode_frames, Applied, ArityConflict, TenantLimits, WalRecord, WalStats, WalWriter,
+};

@@ -363,8 +363,11 @@ impl Store {
                     if let WalRecord::SetLimits(l) = record {
                         recovery.limits = Some(*l);
                     }
-                    record.apply(&mut db).map_err(|msg| {
-                        StoreError::corrupt(&wal_path, &format!("replay failed: {msg}"))
+                    record.apply(&mut db).map_err(|conflict| {
+                        StoreError::corrupt(
+                            &wal_path,
+                            &format!("replay failed: {conflict}"),
+                        )
                     })?;
                 }
                 recovery.wal_records = replay.records.len();

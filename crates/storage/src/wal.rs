@@ -196,68 +196,110 @@ impl WalRecord {
         d.is_empty().then_some(rec)
     }
 
-    /// Apply this record to a database with exactly the server's wire
-    /// semantics: duplicate inserts and all-duplicate loads are no-ops,
-    /// dropping a missing relation is a no-op (the server only logs
-    /// drops that removed something, so replay is idempotent either
-    /// way). Errors only on an arity conflict, which the server
-    /// rejects before logging — hitting one during replay means the
-    /// log does not describe this database's history.
-    pub fn apply(&self, db: &mut Database) -> Result<(), String> {
+    /// Apply this record to a database — the one statement of the
+    /// server's mutation semantics, used by the live `INSERT`/`LOAD`/
+    /// `DROP` handlers, by recovery and by the replica alike. Duplicate
+    /// inserts and all-duplicate loads leave the database (and its
+    /// generation) untouched; the server logs a record iff this
+    /// reports [`Applied::Changed`], so replaying a log re-applies only
+    /// records that changed something and is idempotent either way.
+    /// An [`ArityConflict`] applies nothing: live it is the client's
+    /// `ERR arity-mismatch`, on replay it means the log does not
+    /// describe this database's history.
+    pub fn apply(&self, db: &mut Database) -> Result<Applied, ArityConflict<'_>> {
+        let fits = |relation, expected, got| {
+            (expected == got).then_some(()).ok_or(ArityConflict {
+                relation,
+                expected,
+                got,
+            })
+        };
         match self {
-            WalRecord::Insert { relation, row } => match db.get(relation) {
-                Some(rel) if rel.arity() != row.len() => Err(format!(
-                    "insert of arity {} into `{relation}` of arity {}",
-                    row.len(),
-                    rel.arity()
-                )),
-                Some(rel) if rel.contains(row) => Ok(()),
-                Some(_) => {
-                    db.get_mut(relation).expect("presence checked").insert_row(row);
-                    Ok(())
+            WalRecord::Insert { relation, row } => {
+                if let Some(rel) = db.get(relation) {
+                    fits(relation, rel.arity(), row.len())?;
+                    if rel.contains(row) {
+                        return Ok(Applied::Unchanged(rel.len()));
+                    }
                 }
-                None => {
-                    let mut rel = Relation::new(row.len());
-                    rel.insert_row(row);
-                    db.insert(relation, rel);
-                    Ok(())
+                // `get_mut` re-stamps the generation, so only past the
+                // no-op checks; then an in-place sorted splice
+                match db.get_mut(relation) {
+                    Some(rel) => {
+                        rel.insert_row(row);
+                        Ok(Applied::Changed(rel.len()))
+                    }
+                    None => {
+                        let mut rel = Relation::new(row.len());
+                        rel.insert_row(row);
+                        db.insert(relation, rel);
+                        Ok(Applied::Changed(1))
+                    }
                 }
-            },
+            }
             WalRecord::Load { relation, arity, rows } => {
-                let mut rel = match db.get(relation) {
-                    Some(existing) if existing.arity() != *arity => {
-                        return Err(format!(
-                            "load of arity {arity} into `{relation}` of arity {}",
-                            existing.arity()
-                        ));
-                    }
-                    Some(existing) => existing.clone(),
-                    None => Relation::new(*arity),
-                };
-                let old_len = rel.len();
+                let existing = db.get(relation);
+                if let Some(existing) = existing {
+                    fits(relation, existing.arity(), *arity)?;
+                }
+                let old_len = existing.map(Relation::len);
+                let mut rel = existing.cloned().unwrap_or_else(|| Relation::new(*arity));
                 for row in rows {
-                    if row.len() != *arity {
-                        return Err(format!(
-                            "load row of {} values into `{relation}` of arity {arity}",
-                            row.len()
-                        ));
-                    }
+                    fits(relation, *arity, row.len())?;
                     rel.push_row(row);
                 }
                 rel.normalize();
-                if db.get(relation).is_none() || rel.len() != old_len {
-                    db.insert(relation, rel);
+                let rows = rel.len();
+                // set semantics: the content changed iff the row count
+                // did — an all-duplicate or empty load of an existing
+                // relation keeps the generation (and the warm catalog)
+                if old_len == Some(rows) {
+                    return Ok(Applied::Unchanged(rows));
                 }
-                Ok(())
+                db.insert(relation, rel);
+                Ok(Applied::Changed(rows))
             }
-            WalRecord::DropRelation { relation } => {
-                db.remove(relation);
-                Ok(())
-            }
+            WalRecord::DropRelation { relation } => Ok(match db.remove(relation) {
+                Some(rel) => Applied::Changed(rel.len()),
+                None => Applied::Missing,
+            }),
             // limits live beside the data, not in it: the store reports
             // the last one seen through `Recovery::limits` instead
-            WalRecord::SetLimits(_) => Ok(()),
+            WalRecord::SetLimits(_) => Ok(Applied::Changed(0)),
         }
+    }
+}
+
+/// What [`WalRecord::apply`] did. The server renders its mutation
+/// replies from this; recovery and the replica only need it to be `Ok`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Applied {
+    /// The database changed; carries the relation's row count
+    /// afterwards (for a drop: the rows removed with it).
+    Changed(usize),
+    /// Nothing to do — a duplicate insert, an all-duplicate or empty
+    /// load; carries the relation's unchanged row count.
+    Unchanged(usize),
+    /// A drop of a relation that is not there: a no-op on replay, the
+    /// client's `ERR no-such-relation` live.
+    Missing,
+}
+
+/// A record whose rows are not as wide as the relation they target.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct ArityConflict<'a> {
+    /// The relation the record addresses.
+    pub relation: &'a str,
+    /// The arity the relation (or the load's own header) fixes.
+    pub expected: usize,
+    /// The arity the record brought.
+    pub got: usize,
+}
+
+impl std::fmt::Display for ArityConflict<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let ArityConflict { relation, expected, got } = self;
+        write!(f, "`{relation}` has arity {expected}, the record has arity {got}")
     }
 }
 
@@ -316,20 +358,24 @@ pub struct WalStats {
 }
 
 impl WalWriter {
+    fn over(path: PathBuf, file: File, file_len: u64, epoch: u64) -> WalWriter {
+        WalWriter {
+            path,
+            file,
+            file_len,
+            epoch,
+            poisoned: false,
+            stats: WalStats::default(),
+            faults: FaultPlan::none(),
+        }
+    }
+
     /// Create the WAL file with a fresh epoch-`epoch` header. Errors
     /// if the file already exists.
     pub(crate) fn create(path: PathBuf, epoch: u64) -> std::io::Result<WalWriter> {
         let mut file = File::options().create_new(true).append(true).open(&path)?;
         file.write_all(&header_bytes(epoch))?;
-        Ok(WalWriter {
-            path,
-            file,
-            file_len: WAL_HEADER_LEN,
-            epoch,
-            poisoned: false,
-            stats: WalStats::default(),
-            faults: FaultPlan::none(),
-        })
+        Ok(WalWriter::over(path, file, WAL_HEADER_LEN, epoch))
     }
 
     /// Open an existing WAL for appending. `file_len` must be the
@@ -341,15 +387,7 @@ impl WalWriter {
         epoch: u64,
     ) -> std::io::Result<WalWriter> {
         let file = File::options().append(true).open(&path)?;
-        Ok(WalWriter {
-            path,
-            file,
-            file_len,
-            epoch,
-            poisoned: false,
-            stats: WalStats::default(),
-            faults: FaultPlan::none(),
-        })
+        Ok(WalWriter::over(path, file, file_len, epoch))
     }
 
     /// Open a possibly-absent or headerless WAL; the caller resets it
@@ -360,15 +398,7 @@ impl WalWriter {
     ) -> std::io::Result<WalWriter> {
         let file = File::options().create(true).append(true).open(&path)?;
         let file_len = file.metadata()?.len();
-        Ok(WalWriter {
-            path,
-            file,
-            file_len,
-            epoch,
-            poisoned: false,
-            stats: WalStats::default(),
-            faults: FaultPlan::none(),
-        })
+        Ok(WalWriter::over(path, file, file_len, epoch))
     }
 
     /// Append one record; returns the new record-bytes length.
@@ -637,18 +667,48 @@ mod tests {
 
     #[test]
     fn apply_mirrors_server_semantics() {
+        use Applied::{Changed, Missing, Unchanged};
         let mut db = Database::new();
-        for rec in sample_records() {
-            rec.apply(&mut db).unwrap();
-        }
+        let outcomes: Vec<Applied> =
+            sample_records().iter().map(|rec| rec.apply(&mut db).unwrap()).collect();
+        assert_eq!(
+            outcomes,
+            [
+                Changed(1),
+                Changed(2), // {5, 3, 5} is two rows
+                Unchanged(1),
+                Changed(1),
+                Changed(2), // the drop reports what it removed
+            ]
+        );
         assert_eq!(db.get("R").unwrap(), &Relation::from_pairs(vec![(1, 2)]));
         assert!(db.get("S").is_none(), "dropped");
         assert_eq!(db.get("T").unwrap(), &Relation::nullary(true));
-        // arity conflicts are corruption, not silently absorbed
+        // arity conflicts are typed, name the relation, and apply nothing
+        let generation = db.generation();
         let bad = WalRecord::Insert { relation: "R".into(), row: vec![7] };
-        assert!(bad.apply(&mut db).is_err());
+        assert_eq!(
+            bad.apply(&mut db),
+            Err(ArityConflict { relation: "R", expected: 2, got: 1 })
+        );
         let bad = WalRecord::Load { relation: "R".into(), arity: 3, rows: vec![] };
-        assert!(bad.apply(&mut db).is_err());
+        assert_eq!(
+            bad.apply(&mut db),
+            Err(ArityConflict { relation: "R", expected: 2, got: 3 })
+        );
+        // no-ops keep the generation: the tenant's warm catalog survives
+        let dup =
+            WalRecord::Load { relation: "R".into(), arity: 2, rows: vec![vec![1, 2]] };
+        assert_eq!(dup.apply(&mut db), Ok(Unchanged(1)));
+        let empty = WalRecord::Load { relation: "R".into(), arity: 2, rows: vec![] };
+        assert_eq!(empty.apply(&mut db), Ok(Unchanged(1)));
+        // dropping a missing relation is an idempotent no-op
+        let gone = WalRecord::DropRelation { relation: "S".into() };
+        assert_eq!(gone.apply(&mut db), Ok(Missing));
+        assert_eq!(db.generation(), generation);
+        // an empty load of a *new* relation creates it (and is logged)
+        let fresh = WalRecord::Load { relation: "E".into(), arity: 2, rows: vec![] };
+        assert_eq!(fresh.apply(&mut db), Ok(Changed(0)));
         // a nullary load carries its row count even though rows hold no
         // values: {} flips to {()}
         let mut db0 = Database::new();
@@ -656,8 +716,6 @@ mod tests {
             .apply(&mut db0)
             .unwrap();
         assert_eq!(db0.get("B").unwrap(), &Relation::nullary(true));
-        // dropping a missing relation is an idempotent no-op
-        WalRecord::DropRelation { relation: "S".into() }.apply(&mut db).unwrap();
     }
 
     #[test]

@@ -141,6 +141,12 @@ impl ConjunctiveQuery {
         &self.atoms
     }
 
+    /// The relation symbol of each body atom, in atom order (a
+    /// self-join's symbol repeats) — everything the query reads.
+    pub fn relations(&self) -> impl Iterator<Item = &str> + Clone {
+        self.atoms.iter().map(|a| a.relation.as_str())
+    }
+
     /// Bitmask of all variables.
     pub fn all_vars_mask(&self) -> u64 {
         if self.var_names.len() == 64 {
@@ -177,8 +183,7 @@ impl ConjunctiveQuery {
 
     /// Is the query self-join free (all relation symbols distinct)?
     pub fn is_self_join_free(&self) -> bool {
-        let mut names: Vec<&str> =
-            self.atoms.iter().map(|a| a.relation.as_str()).collect();
+        let mut names: Vec<&str> = self.relations().collect();
         names.sort_unstable();
         names.windows(2).all(|w| w[0] != w[1])
     }

@@ -1,5 +1,6 @@
-//! The per-database index catalog: memoized secondary indexes and
-//! statistics, invalidated by the database's generation stamp.
+//! The per-database index catalog: memoized secondary indexes,
+//! statistics and preprocessing artifacts, each validated against the
+//! versions of exactly the relations it was built from.
 //!
 //! Every evaluation algorithm in `cq-engine` wants sorted/indexed
 //! relations, but a [`SortedView`] costs an O(n log n) sort and a
@@ -8,18 +9,27 @@
 //!
 //! * [`SortedView`]s and [`HashIndex`]es keyed by
 //!   `(relation name, key-column permutation)`;
-//! * one [`DataStats`] per database state (the planner's input);
+//! * [`DataStats`] (the planner's input), assembled from per-relation
+//!   [`RelationStats`] so a write re-collects one relation, not all;
 //! * arbitrary **artifacts** — opaque preprocessing products keyed by
 //!   `(kind, key)` strings, used by the engine for query-level
 //!   structures that are derived from the data but not addressable by a
 //!   single `(relation, columns)` pair: bound atoms, projection
 //!   elimination messages, enumerator cores, direct-access structures.
 //!
-//! Consistency is by construction: every accessor takes the database
-//! and compares [`Database::generation`] against the generation the
-//! memo was filled under. Generations are process-unique per mutation,
-//! so a hit can only ever serve indexes built from byte-identical
-//! content; on mismatch the whole memo is dropped before the lookup.
+//! # Consistency
+//!
+//! Each entry records, *in the entry*, the relations its build read and
+//! the [`Database::version_of`] each had. A lookup serves the entry only
+//! if every recorded version equals the database's current one (an
+//! absent relation is version 0). Versions are process-unique per
+//! mutation and shared by clones, so a hit can only ever serve a
+//! product of byte-identical inputs — and a write to `R` leaves every
+//! entry that never read `R` untouched. A stale entry is rebuilt on its
+//! next lookup and *replaces* its predecessor (the key does not contain
+//! the version), so memory stays bounded by the distinct shapes seen,
+//! not by shapes × writes. [`IndexCatalog::sweep`] drops every stale
+//! entry at once, for owners that want the memory back at write time.
 //! There is no way to read a stale view out of a catalog.
 //!
 //! # Concurrency
@@ -29,7 +39,8 @@
 //! plain `Arc`). The lock discipline keeps the critical sections to
 //! hash-map lookups only — acquire, clone the `Arc`, release:
 //!
-//! * a **hit** holds the lock for a map probe and an `Arc` clone;
+//! * a **hit** holds the lock for a map probe, a version compare per
+//!   relation read, and an `Arc` clone;
 //! * a **miss** releases the lock, builds the index *outside* it, then
 //!   re-locks to insert — concurrent evaluations of different shapes
 //!   never serialize behind each other's index builds, and a builder
@@ -46,34 +57,58 @@
 //! exceed the cap, the *oldest* entries (FIFO over insertion order) are
 //! evicted — just enough to make room — so the views an in-flight
 //! evaluation just built stay warm. Cap evictions are counted
-//! separately from generation invalidations in [`CatalogStats`].
+//! separately from invalidations in [`CatalogStats`].
 
 use crate::database::Database;
 use crate::hasher::FxHashMap;
 use crate::index::{HashIndex, SortedView};
-use crate::stats::DataStats;
+use crate::stats::{DataStats, RelationStats};
 use std::any::Any;
-use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Key of a memoized view/index: relation name + key-column permutation.
-type ViewKey = (String, Vec<usize>);
-
-/// Key of a memoized artifact: `(kind, key)` — `kind` namespaces the
-/// stored type (e.g. `"enumerator"`), `key` identifies the instance
-/// (typically the query's canonical text plus any parameters).
-type ArtifactKey = (&'static str, String);
-
-/// Insertion-order record of one memo entry, for FIFO eviction.
+/// Key of one memo entry. Views and hash indexes are addressed by
+/// relation name + key-column permutation; artifacts by `(kind, key)` —
+/// `kind` namespaces the stored type (e.g. `"enumerator"`), `key`
+/// identifies the instance (typically the query's canonical text plus
+/// any parameters).
+#[derive(Clone, PartialEq, Eq, Hash)]
 enum MemoKey {
-    View(ViewKey),
-    Hash(ViewKey),
-    Artifact(ArtifactKey),
+    View(String, Vec<usize>),
+    Hash(String, Vec<usize>),
+    Artifact(&'static str, String),
+}
+
+impl MemoKey {
+    /// Index into [`Memo::counts`].
+    fn kind(&self) -> usize {
+        match self {
+            MemoKey::View(..) => 0,
+            MemoKey::Hash(..) => 1,
+            MemoKey::Artifact(..) => 2,
+        }
+    }
+}
+
+/// One memoized product and what it was built from.
+struct Entry {
+    value: Arc<dyn Any + Send + Sync>,
+    /// The relations the build read, each with the version it saw.
+    reads: Box<[(String, u64)]>,
+    /// Insertion sequence number: the smallest is the oldest entry.
+    seq: u64,
+}
+
+impl Entry {
+    /// Was this entry built from exactly `db`'s current content?
+    fn is_current(&self, db: &Database) -> bool {
+        self.reads.iter().all(|(name, version)| db.version_of(name) == *version)
+    }
 }
 
 /// Upper bound on memoized entries (views + hash indexes + artifacts)
 /// per catalog. Entries can be O(m)-sized, so without a bound a stream
-/// of distinct query shapes against one long-lived database state
+/// of distinct query shapes against one long-lived database
 /// would grow memory linearly in the number of shapes seen. Reaching
 /// the cap evicts the oldest entries (counted in
 /// [`CatalogStats::cap_evictions`]) — correctness never depends on the
@@ -81,14 +116,16 @@ enum MemoKey {
 pub const MEMO_CAP: usize = 512;
 
 /// Hit/miss/invalidation counters plus memo sizes (for diagnostics,
-/// benchmarks, and the experiment harness).
+/// benchmarks, and the experiment harness). The counters accumulate
+/// over the catalog's whole life, across database mutations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CatalogStats {
     /// Lookups served from the memo.
     pub hits: u64,
     /// Lookups that had to build.
     pub misses: u64,
-    /// Times the memo was dropped because the database mutated.
+    /// Entries dropped (by [`IndexCatalog::sweep`]) or replaced by a
+    /// rebuild because a relation they were built from had mutated.
     pub invalidations: u64,
     /// Times the size cap forced eviction of the oldest entries.
     pub cap_evictions: u64,
@@ -104,14 +141,14 @@ pub struct CatalogStats {
 /// the catalog's mutex.
 #[derive(Default)]
 struct Memo {
-    /// Generation the memo is valid for (`None` = empty memo).
-    generation: Option<u64>,
-    views: FxHashMap<ViewKey, Arc<SortedView>>,
-    hash_indexes: FxHashMap<ViewKey, Arc<HashIndex>>,
-    stats: Option<Arc<DataStats>>,
-    artifacts: FxHashMap<ArtifactKey, Arc<dyn Any + Send + Sync>>,
-    /// Insertion order of views/hash indexes/artifacts, oldest first.
-    order: VecDeque<MemoKey>,
+    entries: FxHashMap<MemoKey, Entry>,
+    /// Live entries per [`MemoKey::kind`].
+    counts: [usize; 3],
+    next_seq: u64,
+    /// The last assembled statistics and the generation they describe.
+    stats: Option<(u64, Arc<DataStats>)>,
+    /// Per relation: the version its statistics were collected at.
+    relation_stats: FxHashMap<String, (u64, RelationStats)>,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -119,24 +156,26 @@ struct Memo {
 }
 
 impl Memo {
-    /// Drop the memo if `db` is not the state it was filled under.
-    fn sync(&mut self, db: &Database) {
-        if self.generation == Some(db.generation()) {
-            return;
-        }
-        if self.generation.is_some() {
-            self.invalidations += 1;
-        }
-        self.views.clear();
-        self.hash_indexes.clear();
-        self.stats = None;
-        self.artifacts.clear();
-        self.order.clear();
-        self.generation = Some(db.generation());
+    /// The entry under `key`, if it is current for `db` and holds a `T`.
+    fn current<T: Any + Send + Sync>(
+        &self,
+        key: &MemoKey,
+        db: &Database,
+    ) -> Option<Arc<T>> {
+        let entry = self.entries.get(key).filter(|e| e.is_current(db))?;
+        Arc::clone(&entry.value).downcast::<T>().ok()
     }
 
-    fn entries(&self) -> usize {
-        self.views.len() + self.hash_indexes.len() + self.artifacts.len()
+    /// The assembled statistics, if they describe `db`'s generation.
+    fn stats_of(&self, db: &Database) -> Option<Arc<DataStats>> {
+        let (generation, stats) = self.stats.as_ref()?;
+        (*generation == db.generation()).then(|| Arc::clone(stats))
+    }
+
+    fn remove(&mut self, key: &MemoKey) {
+        if self.entries.remove(key).is_some() {
+            self.counts[key.kind()] -= 1;
+        }
     }
 
     /// Keep the memo bounded: evict the *oldest* entries until there is
@@ -144,24 +183,41 @@ impl Memo {
     /// cannot grow memory without bound — and, unlike a full clear,
     /// cannot evict the entries the in-flight evaluation just built.
     fn ensure_capacity(&mut self) {
-        if self.entries() < MEMO_CAP {
+        if self.entries.len() < MEMO_CAP {
             return;
         }
         self.cap_evictions += 1;
-        while self.entries() >= MEMO_CAP {
-            match self.order.pop_front() {
-                Some(MemoKey::View(k)) => {
-                    self.views.remove(&k);
-                }
-                Some(MemoKey::Hash(k)) => {
-                    self.hash_indexes.remove(&k);
-                }
-                Some(MemoKey::Artifact(k)) => {
-                    self.artifacts.remove(&k);
-                }
-                None => break, // stats-only memo; nothing evictable
+        while self.entries.len() >= MEMO_CAP {
+            let oldest = self.entries.iter().min_by_key(|(_, e)| e.seq);
+            let key = oldest.expect("a full memo has entries").0.clone();
+            self.remove(&key);
+        }
+    }
+
+    /// Store `value`, built from `db`'s relations `reads`, under `key`.
+    /// An entry already there is stale (or, after a `(kind, key)`
+    /// collision, of another type): it is replaced, so a rebuilt
+    /// product never sits beside its predecessor.
+    fn insert<'r>(
+        &mut self,
+        key: MemoKey,
+        db: &Database,
+        value: Arc<dyn Any + Send + Sync>,
+        reads: impl IntoIterator<Item = &'r str>,
+    ) {
+        match self.entries.get(&key) {
+            Some(old) => self.invalidations += u64::from(!old.is_current(db)),
+            None => {
+                self.ensure_capacity();
+                self.counts[key.kind()] += 1;
             }
         }
+        let reads = reads
+            .into_iter()
+            .map(|name| (name.to_string(), db.version_of(name)))
+            .collect();
+        self.entries.insert(key, Entry { value, reads, seq: self.next_seq });
+        self.next_seq += 1;
     }
 }
 
@@ -175,22 +231,13 @@ pub struct IndexCatalog {
 
 impl std::fmt::Debug for IndexCatalog {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        // read everything under one acquisition: the mutex is not
-        // reentrant, so calling `snapshot()` while holding the guard
-        // (e.g. as another builder-chain argument) would self-deadlock
-        let (generation, stats) = {
-            let m = self.lock();
-            (m.generation, self.snapshot_of(&m))
-        };
-        f.debug_struct("IndexCatalog")
-            .field("generation", &generation)
-            .field("stats", &stats)
-            .finish()
+        f.debug_struct("IndexCatalog").field("stats", &self.snapshot()).finish()
     }
 }
 
 impl IndexCatalog {
-    /// An empty catalog (valid for whichever database is passed first).
+    /// An empty catalog. It may be used with any database (and any
+    /// number of them): entries validate themselves per lookup.
     pub fn new() -> Self {
         IndexCatalog::default()
     }
@@ -202,27 +249,105 @@ impl IndexCatalog {
         self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The memoized [`DataStats`] of `db`, collecting on first use.
-    pub fn stats(&self, db: &Database) -> Arc<DataStats> {
+    /// The one lookup-or-build behind views, hash indexes and artifacts:
+    /// serve the entry under `key` if it is current for `db`, else run
+    /// `build` outside the lock and memoize its product as having read
+    /// `reads`. First insert wins a race.
+    fn memoized<'r, T, E>(
+        &self,
+        db: &Database,
+        key: MemoKey,
+        reads: impl IntoIterator<Item = &'r str>,
+        build: impl FnOnce() -> Result<T, E>,
+    ) -> Result<Arc<T>, E>
+    where
+        T: Any + Send + Sync,
+    {
         {
-            let mut guard = self.lock();
-            let m = &mut *guard;
-            m.sync(db);
-            if let Some(s) = &m.stats {
+            let mut m = self.lock();
+            if let Some(t) = m.current::<T>(&key, db) {
                 m.hits += 1;
-                return Arc::clone(s);
+                return Ok(t);
             }
             m.misses += 1;
         }
-        // collect outside the lock; first insert wins a race
-        let s = Arc::new(DataStats::collect(db));
+        let t = Arc::new(build()?);
         let mut m = self.lock();
-        m.sync(db);
-        if let Some(existing) = &m.stats {
-            return Arc::clone(existing);
+        if let Some(existing) = m.current::<T>(&key, db) {
+            return Ok(existing);
         }
-        m.stats = Some(Arc::clone(&s));
-        s
+        // `db` is borrowed for the whole call, so the versions it
+        // reports now are the ones the build saw
+        m.insert(key, db, Arc::clone(&t) as _, reads);
+        Ok(t)
+    }
+
+    /// [`IndexCatalog::memoized`] for an index of the one relation
+    /// `name`, whose build cannot fail.
+    fn memoized_infallible<T: Any + Send + Sync>(
+        &self,
+        db: &Database,
+        key: MemoKey,
+        name: &str,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let built = self.memoized(db, key, [name], || Ok::<_, Infallible>(build()));
+        built.unwrap_or_else(|never| match never {})
+    }
+
+    /// The memoized [`DataStats`] of `db`. Statistics are kept per
+    /// relation and validated per relation, so after a write only the
+    /// written relation is re-collected; the assembled whole is kept
+    /// for the generation it describes. One call is one lookup: a hit
+    /// if nothing had to be collected.
+    pub fn stats(&self, db: &Database) -> Arc<DataStats> {
+        let parts: Vec<Option<RelationStats>> = {
+            let mut guard = self.lock();
+            let m = &mut *guard;
+            if let Some(s) = m.stats_of(db) {
+                m.hits += 1;
+                return s;
+            }
+            let parts: Vec<_> = db
+                .iter_versioned()
+                .map(|(name, _, version)| {
+                    let (at, s) = m.relation_stats.get(name)?;
+                    (*at == version).then(|| s.clone())
+                })
+                .collect();
+            if parts.iter().all(Option::is_some) {
+                m.hits += 1;
+            } else {
+                m.misses += 1;
+            }
+            parts
+        };
+        // collect what is missing outside the lock
+        let mut fresh: Vec<(u64, RelationStats)> = Vec::new();
+        let relations = db
+            .iter_versioned()
+            .zip(parts)
+            .map(|((name, rel, version), part)| {
+                part.unwrap_or_else(|| {
+                    let s = RelationStats::collect(name, rel);
+                    fresh.push((version, s.clone()));
+                    s
+                })
+            })
+            .collect();
+        let stats = Arc::new(DataStats::from_relations(relations));
+        let mut m = self.lock();
+        if let Some(s) = m.stats_of(db) {
+            return s; // lost a race: share the winner's
+        }
+        for (version, s) in fresh {
+            m.relation_stats.insert(s.name.clone(), (version, s));
+        }
+        if m.relation_stats.len() > db.n_relations() {
+            m.relation_stats.retain(|name, _| db.version_of(name) != 0);
+        }
+        m.stats = Some((db.generation(), Arc::clone(&stats)));
+        stats
     }
 
     /// The memoized [`SortedView`] of relation `name` keyed on
@@ -234,30 +359,9 @@ impl IndexCatalog {
         name: &str,
         key_cols: &[usize],
     ) -> Option<Arc<SortedView>> {
-        // relation presence is fixed within a generation, so resolving
-        // it before the lookup cannot change hit/miss behavior
         let rel = db.get(name)?;
-        let key = (name.to_string(), key_cols.to_vec());
-        {
-            let mut guard = self.lock();
-            let m = &mut *guard;
-            m.sync(db);
-            if let Some(v) = m.views.get(&key) {
-                m.hits += 1;
-                return Some(Arc::clone(v));
-            }
-            m.misses += 1;
-        }
-        let v = Arc::new(SortedView::new(rel, key_cols));
-        let mut m = self.lock();
-        m.sync(db);
-        if let Some(existing) = m.views.get(&key) {
-            return Some(Arc::clone(existing));
-        }
-        m.ensure_capacity();
-        m.views.insert(key.clone(), Arc::clone(&v));
-        m.order.push_back(MemoKey::View(key));
-        Some(v)
+        let key = MemoKey::View(name.to_string(), key_cols.to_vec());
+        Some(self.memoized_infallible(db, key, name, || SortedView::new(rel, key_cols)))
     }
 
     /// The memoized [`HashIndex`] of relation `name` on `key_cols`,
@@ -269,94 +373,70 @@ impl IndexCatalog {
         key_cols: &[usize],
     ) -> Option<Arc<HashIndex>> {
         let rel = db.get(name)?;
-        let key = (name.to_string(), key_cols.to_vec());
-        {
-            let mut guard = self.lock();
-            let m = &mut *guard;
-            m.sync(db);
-            if let Some(ix) = m.hash_indexes.get(&key) {
-                m.hits += 1;
-                return Some(Arc::clone(ix));
-            }
-            m.misses += 1;
-        }
-        let ix = Arc::new(HashIndex::new(rel, key_cols));
-        let mut m = self.lock();
-        m.sync(db);
-        if let Some(existing) = m.hash_indexes.get(&key) {
-            return Some(Arc::clone(existing));
-        }
-        m.ensure_capacity();
-        m.hash_indexes.insert(key.clone(), Arc::clone(&ix));
-        m.order.push_back(MemoKey::Hash(key));
-        Some(ix)
+        let key = MemoKey::Hash(name.to_string(), key_cols.to_vec());
+        Some(self.memoized_infallible(db, key, name, || HashIndex::new(rel, key_cols)))
     }
 
     /// The memoized artifact of `(kind, key)`, building with `build` on
-    /// first use. Build failures are returned and **not** memoized, so
-    /// data-dependent errors surface identically on every call.
+    /// first use. `reads` names every relation of `db` the build
+    /// consults (for a query-level artifact: the query's atoms); the
+    /// artifact is served until one of *those* relations mutates, and a
+    /// name left out would let a stale artifact be served. Build
+    /// failures are returned and **not** memoized, so data-dependent
+    /// errors surface identically on every call.
     ///
     /// `kind` should be a fixed string per stored type; if a key
     /// collision ever yields a stored value of the wrong type, the
     /// artifact is rebuilt and replaced rather than served. `build`
     /// runs outside the catalog lock, so it may itself acquire catalog
     /// entries (re-entrancy is deadlock-free).
-    pub fn artifact<T, E, F>(
+    pub fn artifact<'r, T, E, F>(
         &self,
         db: &Database,
         kind: &'static str,
         key: &str,
+        reads: impl IntoIterator<Item = &'r str>,
         build: F,
     ) -> Result<Arc<T>, E>
     where
         T: Any + Send + Sync,
         F: FnOnce() -> Result<T, E>,
     {
-        let key = (kind, key.to_string());
-        {
-            let mut guard = self.lock();
-            let m = &mut *guard;
-            m.sync(db);
-            if let Some(a) = m.artifacts.get(&key) {
-                if let Ok(t) = Arc::clone(a).downcast::<T>() {
-                    m.hits += 1;
-                    return Ok(t);
-                }
+        self.memoized(db, MemoKey::Artifact(kind, key.to_string()), reads, build)
+    }
+
+    /// Drop every entry that is not current for `db` (counted in
+    /// [`CatalogStats::invalidations`]). Never needed for correctness —
+    /// a stale entry is not served and is replaced on its next lookup —
+    /// but an owner that just mutated `db` gets the memory of the
+    /// invalidated products back now instead of holding old and new
+    /// side by side until each shape is asked for again.
+    pub fn sweep(&self, db: &Database) {
+        let mut guard = self.lock();
+        let m = &mut *guard;
+        let before = m.entries.len();
+        let counts = &mut m.counts;
+        m.entries.retain(|key, entry| {
+            let keep = entry.is_current(db);
+            if !keep {
+                counts[key.kind()] -= 1;
             }
-            m.misses += 1;
-        }
-        let t = Arc::new(build()?);
-        let mut m = self.lock();
-        m.sync(db);
-        if let Some(a) = m.artifacts.get(&key) {
-            if let Ok(existing) = Arc::clone(a).downcast::<T>() {
-                return Ok(existing);
-            }
-        }
-        m.ensure_capacity();
-        // a type-mismatched replacement reuses the key's order slot
-        if m.artifacts.insert(key.clone(), Arc::clone(&t) as _).is_none() {
-            m.order.push_back(MemoKey::Artifact(key));
-        }
-        Ok(t)
+            keep
+        });
+        m.invalidations += (before - m.entries.len()) as u64;
     }
 
     /// Current counters and memo sizes.
     pub fn snapshot(&self) -> CatalogStats {
         let m = self.lock();
-        self.snapshot_of(&m)
-    }
-
-    /// [`IndexCatalog::snapshot`] from an already-held guard.
-    fn snapshot_of(&self, m: &Memo) -> CatalogStats {
         CatalogStats {
             hits: m.hits,
             misses: m.misses,
             invalidations: m.invalidations,
             cap_evictions: m.cap_evictions,
-            views: m.views.len(),
-            hash_indexes: m.hash_indexes.len(),
-            artifacts: m.artifacts.len(),
+            views: m.counts[0],
+            hash_indexes: m.counts[1],
+            artifacts: m.counts[2],
         }
     }
 }
@@ -385,12 +465,107 @@ mod tests {
         // different key = different view
         let c = cat.sorted_view(&db, "R", &[0, 1]).unwrap();
         assert!(!Arc::ptr_eq(&a, &c));
-        // mutation invalidates everything
+        // mutating R invalidates R's views: the rebuilt one replaces
+        // its predecessor (the other is stale but not yet looked up)
         db.insert("R", Relation::from_pairs(vec![(9, 9)]));
         let d = cat.sorted_view(&db, "R", &[1]).unwrap();
         assert!(!Arc::ptr_eq(&a, &d));
         assert_eq!(d.len(), 1);
-        assert_eq!(cat.snapshot().invalidations, 1);
+        let snap = cat.snapshot();
+        assert_eq!((snap.invalidations, snap.views), (1, 2));
+    }
+
+    #[test]
+    fn a_write_invalidates_exactly_the_entries_that_read_it() {
+        let mut db = db();
+        let cat = IndexCatalog::new();
+        let build = |db: &Database, reads: &[&str]| {
+            let key = reads.join(",");
+            let reads = reads.iter().copied();
+            cat.artifact(db, "join", &key, reads, || Ok::<_, ()>(key.clone())).unwrap()
+        };
+        let (r, s) = (build(&db, &["R"]), build(&db, &["S"]));
+        let rs = build(&db, &["R", "S"]);
+        let view_s = cat.sorted_view(&db, "S", &[0]).unwrap();
+        let hash_r = cat.hash_index(&db, "R", &[0]).unwrap();
+        let before = cat.snapshot();
+
+        // a write to a relation nothing read: every entry pointer-equal,
+        // no lookup builds
+        db.insert("Log", Relation::from_values(vec![1]));
+        assert!(Arc::ptr_eq(&r, &build(&db, &["R"])));
+        assert!(Arc::ptr_eq(&s, &build(&db, &["S"])));
+        assert!(Arc::ptr_eq(&rs, &build(&db, &["R", "S"])));
+        assert!(Arc::ptr_eq(&view_s, &cat.sorted_view(&db, "S", &[0]).unwrap()));
+        assert!(Arc::ptr_eq(&hash_r, &cat.hash_index(&db, "R", &[0]).unwrap()));
+        assert_eq!(cat.snapshot().misses, before.misses);
+        assert_eq!(cat.snapshot().invalidations, 0);
+
+        // a write to R: what read R rebuilds, what did not is kept
+        db.get_mut("R").unwrap().insert_row(&[7, 7]);
+        assert!(Arc::ptr_eq(&s, &build(&db, &["S"])));
+        assert!(Arc::ptr_eq(&view_s, &cat.sorted_view(&db, "S", &[0]).unwrap()));
+        assert_eq!(cat.snapshot().misses, before.misses);
+        assert!(!Arc::ptr_eq(&r, &build(&db, &["R"])));
+        assert!(!Arc::ptr_eq(&rs, &build(&db, &["R", "S"])));
+        let rebuilt = cat.hash_index(&db, "R", &[0]).unwrap();
+        assert!(!Arc::ptr_eq(&hash_r, &rebuilt));
+        assert_eq!(rebuilt.get(&[7]).len(), 1);
+        let after = cat.snapshot();
+        assert_eq!(after.misses, before.misses + 3);
+        assert_eq!(after.invalidations, 3, "one per replaced entry");
+        // replaced, not accumulated
+        assert_eq!(
+            (after.views, after.hash_indexes, after.artifacts),
+            (before.views, before.hash_indexes, before.artifacts)
+        );
+    }
+
+    #[test]
+    fn sweep_drops_stale_entries_eagerly_and_counts_them() {
+        let mut db = db();
+        let cat = IndexCatalog::new();
+        let view_r = cat.sorted_view(&db, "R", &[0]).unwrap();
+        let _ = cat.sorted_view(&db, "R", &[1]).unwrap();
+        let view_s = cat.sorted_view(&db, "S", &[0]).unwrap();
+        let _: Arc<u64> =
+            cat.artifact(&db, "a", "rs", ["R", "S"], || Ok::<_, ()>(1)).unwrap();
+        cat.sweep(&db);
+        assert_eq!(cat.snapshot().invalidations, 0, "nothing is stale yet");
+        db.remove("R");
+        cat.sweep(&db);
+        let snap = cat.snapshot();
+        assert_eq!(snap.invalidations, 3, "both R views and the R,S artifact");
+        assert_eq!((snap.views, snap.hash_indexes, snap.artifacts), (1, 0, 0));
+        assert!(Arc::ptr_eq(&view_s, &cat.sorted_view(&db, "S", &[0]).unwrap()));
+        // re-inserting equal content is a new version: nothing comes back
+        db.insert("R", Relation::from_pairs(vec![(1, 10), (2, 20), (2, 10)]));
+        assert!(!Arc::ptr_eq(&view_r, &cat.sorted_view(&db, "R", &[0]).unwrap()));
+        // sweeping is idempotent
+        cat.sweep(&db);
+        assert_eq!(cat.snapshot().invalidations, 3);
+    }
+
+    #[test]
+    fn stats_recollect_only_the_written_relation() {
+        let mut db = db();
+        let cat = IndexCatalog::new();
+        let s1 = cat.stats(&db);
+        assert_eq!(cat.snapshot().misses, 1);
+        db.get_mut("S").unwrap().insert_row(&[9]);
+        let s2 = cat.stats(&db);
+        assert_eq!(*s2, DataStats::collect(&db));
+        assert_eq!(s2.relation("R"), s1.relation("R"));
+        assert_eq!(s2.rows("S"), 3);
+        assert_eq!(cat.snapshot().misses, 2, "one lookup, one miss");
+        // a clone shares every version: reassembling collects nothing
+        let mut other = db.clone();
+        other.remove("S");
+        let before = cat.snapshot();
+        let s3 = cat.stats(&other);
+        assert_eq!(*s3, DataStats::collect(&other));
+        assert_eq!(cat.snapshot().hits, before.hits + 1);
+        assert_eq!(cat.snapshot().misses, before.misses);
     }
 
     #[test]
@@ -416,7 +591,7 @@ mod tests {
         let mut builds = 0;
         for _ in 0..3 {
             let v: Arc<Vec<u64>> = cat
-                .artifact(&db, "test", "k", || {
+                .artifact(&db, "test", "k", ["R"], || {
                     builds += 1;
                     Ok::<_, ()>(vec![1, 2, 3])
                 })
@@ -427,7 +602,7 @@ mod tests {
         // errors are propagated and not memoized
         for want in 1..=2 {
             let r: Result<Arc<u64>, String> =
-                cat.artifact(&db, "test", "err", || Err(format!("boom {want}")));
+                cat.artifact(&db, "test", "err", ["R"], || Err(format!("boom {want}")));
             assert_eq!(r.unwrap_err(), format!("boom {want}"));
         }
     }
@@ -438,7 +613,7 @@ mod tests {
         let cat = IndexCatalog::new();
         for i in 0..(2 * MEMO_CAP) {
             let _: Arc<u64> = cat
-                .artifact(&db, "spam", &format!("k{i}"), || Ok::<_, ()>(i as u64))
+                .artifact(&db, "spam", &format!("k{i}"), [], || Ok::<_, ()>(i as u64))
                 .unwrap();
             assert!(cat.snapshot().artifacts < MEMO_CAP + 1, "memo must stay bounded");
         }
@@ -457,22 +632,25 @@ mod tests {
         // artifacts up to exactly the cap
         let early = cat.sorted_view(&db, "R", &[0]).unwrap();
         for i in 0..(MEMO_CAP - 1) {
-            let _: Arc<u64> =
-                cat.artifact(&db, "fill", &format!("k{i}"), || Ok::<_, ()>(0)).unwrap();
+            let _: Arc<u64> = cat
+                .artifact(&db, "fill", &format!("k{i}"), [], || Ok::<_, ()>(0))
+                .unwrap();
         }
         assert_eq!(cat.snapshot().cap_evictions, 0);
         // one more entry trips the cap: exactly the oldest entry (the
         // view) is evicted, everything recent survives
-        let _: Arc<u64> = cat.artifact(&db, "fill", "trip", || Ok::<_, ()>(1)).unwrap();
+        let _: Arc<u64> =
+            cat.artifact(&db, "fill", "trip", [], || Ok::<_, ()>(1)).unwrap();
         let snap = cat.snapshot();
         assert_eq!(snap.cap_evictions, 1);
         assert_eq!(snap.views, 0, "the oldest entry must be the one evicted");
         assert_eq!(snap.artifacts, MEMO_CAP - 1 + 1);
         // the most recent artifacts are still warm
         let before = cat.snapshot().misses;
-        let _: Arc<u64> = cat.artifact(&db, "fill", "trip", || Ok::<_, ()>(2)).unwrap();
+        let _: Arc<u64> =
+            cat.artifact(&db, "fill", "trip", [], || Ok::<_, ()>(2)).unwrap();
         let _: Arc<u64> = cat
-            .artifact(&db, "fill", &format!("k{}", MEMO_CAP - 2), || Ok::<_, ()>(3))
+            .artifact(&db, "fill", &format!("k{}", MEMO_CAP - 2), [], || Ok::<_, ()>(3))
             .unwrap();
         assert_eq!(cat.snapshot().misses, before, "recent entries must stay memoized");
         // the evicted view rebuilds on demand (and is not the old Arc)
@@ -489,10 +667,13 @@ mod tests {
         orig.insert("R", Relation::from_pairs(vec![(5, 5)]));
         // the clone still has the content the view was built from
         let b = cat.sorted_view(&clone, "R", &[0]).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "clone shares the generation stamp");
+        assert!(Arc::ptr_eq(&a, &b), "clone shares the version stamps");
         // the mutated original must rebuild
         let c = cat.sorted_view(&orig, "R", &[0]).unwrap();
         assert_eq!(c.len(), 1);
+        // ... and the clone, whose R the rebuilt view is not of, again
+        let d = cat.sorted_view(&clone, "R", &[0]).unwrap();
+        assert_eq!(d.len(), 3);
     }
 
     #[test]
@@ -504,7 +685,7 @@ mod tests {
         let _ = cat.sorted_view(&db, "R", &[0]);
         let text = format!("{cat:?}");
         assert!(text.contains("IndexCatalog"));
-        assert!(text.contains("generation"));
+        assert!(text.contains("misses: 1"));
     }
 
     #[test]
@@ -519,7 +700,7 @@ mod tests {
                     let ix = cat.hash_index(&db, "R", &[0]).unwrap();
                     let st = cat.stats(&db);
                     let a: Arc<u64> =
-                        cat.artifact(&db, "conc", "k", || Ok::<_, ()>(7)).unwrap();
+                        cat.artifact(&db, "conc", "k", ["R"], || Ok::<_, ()>(7)).unwrap();
                     (v, ix, st, a)
                 }));
             }

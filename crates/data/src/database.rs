@@ -1,4 +1,18 @@
-//! Databases: named relation instances.
+//! Databases: named relation instances, versioned per relation.
+//!
+//! A [`Database`] carries two kinds of identity stamp, both drawn from
+//! one process-global counter so no two database states ever share a
+//! value:
+//!
+//! * [`Database::generation`] — the stamp of the *whole content*. Every
+//!   mutation moves it; clones keep it. Used where "did anything
+//!   change?" is the question (`STATS`, the slow-query log, the facade's
+//!   catalog registry).
+//! * [`Database::version_of`] — per relation, the generation value of
+//!   *that relation's* last mutation. A write to `R` moves `R`'s version
+//!   (and the generation) and nobody else's. [`crate::IndexCatalog`]
+//!   entries record the versions of exactly the relations they were
+//!   built from, so everything a write did not touch stays warm.
 
 use crate::hasher::FxHashMap;
 use crate::relation::Relation;
@@ -16,6 +30,13 @@ fn next_generation() -> u64 {
     NEXT_GENERATION.fetch_add(1, Ordering::Relaxed)
 }
 
+/// A stored relation and the generation value of its last mutation.
+#[derive(Clone, Debug)]
+struct Versioned {
+    rel: Relation,
+    version: u64,
+}
+
 /// A database: a mapping from relation names to instances.
 ///
 /// The paper's size measure `m` (total number of tuples) is [`size`];
@@ -25,7 +46,7 @@ fn next_generation() -> u64 {
 /// [`active_domain`]: Database::active_domain
 #[derive(Clone, Debug)]
 pub struct Database {
-    relations: FxHashMap<String, Relation>,
+    relations: FxHashMap<String, Versioned>,
     /// Content identity stamp, process-unique per mutation (see
     /// [`Database::generation`]).
     generation: u64,
@@ -43,20 +64,20 @@ impl Database {
         Self::default()
     }
 
-    /// Insert (or replace) a relation.
+    /// Insert (or replace) a relation. Stamps the database and `name`.
     pub fn insert(&mut self, name: &str, rel: Relation) -> &mut Self {
-        self.relations.insert(name.to_string(), rel);
         self.generation = next_generation();
+        self.relations
+            .insert(name.to_string(), Versioned { rel, version: self.generation });
         self
     }
 
-    /// Remove a relation, if present.
+    /// Remove a relation, if present (a mutation of `name`: it is absent
+    /// afterwards, which [`Database::version_of`] reports as 0).
     pub fn remove(&mut self, name: &str) -> Option<Relation> {
-        let removed = self.relations.remove(name);
-        if removed.is_some() {
-            self.generation = next_generation();
-        }
-        removed
+        let removed = self.relations.remove(name)?;
+        self.generation = next_generation();
+        Some(removed.rel)
     }
 
     /// The content-identity generation of this database.
@@ -64,33 +85,41 @@ impl Database {
     /// Every mutation stamps the database with a fresh process-unique
     /// value, so two databases with the same generation are clones with
     /// identical content: `clone()` keeps the stamp (same content),
-    /// mutating either side re-stamps it. [`crate::IndexCatalog`] uses
-    /// this to invalidate memoized indexes and statistics without ever
-    /// diffing relation data.
+    /// mutating either side re-stamps it.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
+    /// The version of relation `name`: the generation value its last
+    /// mutation stamped, or 0 when the relation is absent (no generation
+    /// is ever 0). Equal `(name, version)` pairs — across clones too —
+    /// mean byte-identical relation content, which is what lets
+    /// [`crate::IndexCatalog`] keep an index of `R` across a write to
+    /// `S` without ever diffing data.
+    pub fn version_of(&self, name: &str) -> u64 {
+        self.relations.get(name).map_or(0, |v| v.version)
+    }
+
     /// Get a relation by name.
     pub fn get(&self, name: &str) -> Option<&Relation> {
-        self.relations.get(name)
+        self.relations.get(name).map(|v| &v.rel)
     }
 
     /// Mutable access to a relation, for in-place single-row mutation
     /// (e.g. [`Relation::insert_row`]). Handing out the handle
-    /// re-stamps the generation — the caller may mutate through it, so
-    /// memoized indexes of the old state must never be served. Missing
-    /// relations do not re-stamp.
+    /// re-stamps the database and the relation — the caller may mutate
+    /// through it, so memoized indexes of the old state must never be
+    /// served. Missing relations do not re-stamp.
     pub fn get_mut(&mut self, name: &str) -> Option<&mut Relation> {
-        let rel = self.relations.get_mut(name)?;
+        let v = self.relations.get_mut(name)?;
         self.generation = next_generation();
-        Some(rel)
+        v.version = self.generation;
+        Some(&mut v.rel)
     }
 
     /// Get a relation, panicking with a clear message if missing.
     pub fn expect(&self, name: &str) -> &Relation {
-        self.relations
-            .get(name)
+        self.get(name)
             .unwrap_or_else(|| panic!("database has no relation named `{name}`"))
     }
 
@@ -101,12 +130,17 @@ impl Database {
 
     /// Total number of tuples across all relations — the `m` of the paper.
     pub fn size(&self) -> usize {
-        self.relations.values().map(Relation::len).sum()
+        self.relations.values().map(|v| v.rel.len()).sum()
     }
 
     /// Iterate (name, relation) pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> {
-        self.relations.iter().map(|(k, v)| (k.as_str(), v))
+        self.relations.iter().map(|(k, v)| (k.as_str(), &v.rel))
+    }
+
+    /// [`Database::iter`] with each relation's [`Database::version_of`].
+    pub(crate) fn iter_versioned(&self) -> impl Iterator<Item = (&str, &Relation, u64)> {
+        self.relations.iter().map(|(k, v)| (k.as_str(), &v.rel, v.version))
     }
 
     /// Iterate (name, relation) pairs in ascending name order — the
@@ -122,8 +156,8 @@ impl Database {
     /// All values appearing anywhere, sorted + deduped.
     pub fn active_domain(&self) -> Vec<Val> {
         let mut vs: Vec<Val> = Vec::new();
-        for r in self.relations.values() {
-            vs.extend_from_slice(r.raw());
+        for v in self.relations.values() {
+            vs.extend_from_slice(v.rel.raw());
         }
         vs.sort_unstable();
         vs.dedup();
@@ -218,6 +252,55 @@ mod tests {
         let g = db.generation();
         assert!(db.get_mut("missing").is_none());
         assert_eq!(db.generation(), g);
+    }
+
+    #[test]
+    fn version_of_moves_only_the_touched_relation() {
+        let mut db = Database::new();
+        assert_eq!(db.version_of("R"), 0, "absent relations are version 0");
+        db.insert("R", Relation::from_pairs(vec![(1, 2)]));
+        db.insert("S", Relation::from_values(vec![7]));
+        let (r, s) = (db.version_of("R"), db.version_of("S"));
+        assert!(r != 0 && s != 0 && r != s);
+        assert_eq!(s, db.generation(), "the last write's stamp is the generation");
+        // each mutator stamps its own name and nobody else's
+        db.get_mut("R").unwrap().insert_row(&[5, 6]);
+        assert_ne!(db.version_of("R"), r);
+        assert_eq!(db.version_of("S"), s);
+        let r = db.version_of("R");
+        db.insert("S", Relation::from_values(vec![8]));
+        assert_eq!(db.version_of("R"), r);
+        assert_ne!(db.version_of("S"), s);
+        // a miss moves nothing
+        let (g, s) = (db.generation(), db.version_of("S"));
+        assert!(db.get_mut("missing").is_none());
+        assert!(db.remove("missing").is_none());
+        assert_eq!((db.generation(), db.version_of("R"), db.version_of("S")), (g, r, s));
+        // removal: the name is absent again, the rest is untouched, and
+        // a re-insert gets a version it never had
+        assert!(db.remove("S").is_some());
+        assert_eq!(db.version_of("S"), 0);
+        assert_eq!(db.version_of("R"), r);
+        db.insert("S", Relation::from_values(vec![8]));
+        assert!(db.version_of("S") > s);
+    }
+
+    #[test]
+    fn clones_share_versions_until_they_diverge() {
+        let mut a = Database::new();
+        a.insert("R", Relation::from_values(vec![1]));
+        a.insert("S", Relation::from_values(vec![2]));
+        let mut b = a.clone();
+        assert_eq!(a.version_of("R"), b.version_of("R"));
+        assert_eq!(a.version_of("S"), b.version_of("S"));
+        a.get_mut("R").unwrap().insert_row(&[3]);
+        b.insert("S", Relation::from_values(vec![4]));
+        // each side moved its own relation; the untouched one is still
+        // shared, and the two new versions are distinct
+        assert_ne!(a.version_of("R"), b.version_of("R"));
+        assert_ne!(a.version_of("S"), b.version_of("S"));
+        assert_eq!(a.version_of("S"), a.clone().version_of("S"));
+        assert_ne!(a.version_of("R"), b.version_of("S"));
     }
 
     #[test]

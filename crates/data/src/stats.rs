@@ -9,6 +9,7 @@
 
 use crate::database::Database;
 use crate::hasher::FxHashSet;
+use crate::relation::Relation;
 use crate::value::Val;
 
 /// Per-relation statistics.
@@ -26,6 +27,23 @@ pub struct RelationStats {
 }
 
 impl RelationStats {
+    /// Collect the statistics of `rel` (stored under `name`) in one pass.
+    pub fn collect(name: &str, rel: &Relation) -> RelationStats {
+        let arity = rel.arity();
+        let mut cols: Vec<FxHashSet<Val>> = vec![FxHashSet::default(); arity];
+        for row in rel.iter() {
+            for (c, &v) in row.iter().enumerate() {
+                cols[c].insert(v);
+            }
+        }
+        RelationStats {
+            name: name.to_string(),
+            rows: rel.len(),
+            arity,
+            distinct_per_column: cols.iter().map(|s| s.len()).collect(),
+        }
+    }
+
     /// Estimated number of distinct values in column `c`, defaulting to
     /// `rows` for out-of-range columns.
     pub fn distinct(&self, c: usize) -> usize {
@@ -45,25 +63,14 @@ pub struct DataStats {
 impl DataStats {
     /// Collect statistics in one pass over `db`.
     pub fn collect(db: &Database) -> DataStats {
-        let mut relations = Vec::with_capacity(db.n_relations());
-        let mut total = 0usize;
-        for (name, rel) in db.iter() {
-            let arity = rel.arity();
-            let mut cols: Vec<FxHashSet<Val>> = vec![FxHashSet::default(); arity];
-            for row in rel.iter() {
-                for (c, &v) in row.iter().enumerate() {
-                    cols[c].insert(v);
-                }
-            }
-            total += rel.len();
-            relations.push(RelationStats {
-                name: name.to_string(),
-                rows: rel.len(),
-                arity,
-                distinct_per_column: cols.iter().map(|s| s.len()).collect(),
-            });
-        }
-        DataStats { relations, total_tuples: total }
+        let relations = db.iter().map(|(name, rel)| RelationStats::collect(name, rel));
+        DataStats::from_relations(relations.collect())
+    }
+
+    /// The statistics of a database whose relations have these.
+    pub fn from_relations(relations: Vec<RelationStats>) -> DataStats {
+        let total_tuples = relations.iter().map(|r| r.rows).sum();
+        DataStats { relations, total_tuples }
     }
 
     /// Statistics for relation `name`, if present.

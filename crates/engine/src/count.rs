@@ -14,13 +14,17 @@
 //! the generic-join materialization baseline of Lemma 3.9 / Cor 3.11
 //! from the query's classification.
 
-use crate::bind::{bind, BoundAtom, EvalError};
+use crate::bind::{
+    bind, collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError,
+};
+use crate::cancel::CancelToken;
 use crate::ctx::ExecCtx;
 use crate::semijoin::semijoin;
 use crate::yannakakis;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::{Database, FxHashMap, Val};
+use cq_data::{Database, FxHashMap, Relation, Val};
+use std::borrow::{Borrow, Cow};
 
 /// The counting DP over a join tree: each node aggregates, per parent
 /// key, the semiring-weighted count of its subtree's joinable tuples.
@@ -35,7 +39,7 @@ use cq_data::{Database, FxHashMap, Val};
 /// not fit u64 — saturated or not — is [`EvalError::CountOverflow`].
 pub fn count_dp(
     ctx: &ExecCtx,
-    atoms: &[BoundAtom],
+    atoms: &[impl Borrow<BoundAtom>],
     tree: &JoinTree,
 ) -> Result<u64, EvalError> {
     let cancel = ctx.cancel();
@@ -45,7 +49,7 @@ pub fn count_dp(
     let order = tree.bottom_up();
     for &u in &order {
         cancel.check_now()?;
-        let a = &atoms[u];
+        let a: &BoundAtom = atoms[u].borrow();
         // columns of this node's parent key
         let key_cols: Vec<usize> = mask_vertices(tree.key_mask(u))
             .map(|v| a.col_of(Var(v as u32)).unwrap())
@@ -111,8 +115,13 @@ pub fn count_acyclic_join(
         return Err(EvalError::NotJoinQuery);
     }
     let mut span = cq_obs::trace::span("op.count-acyclic");
-    let atoms =
-        ctx.catalog().artifact(db, "bound_atoms", &q.to_string(), || bind(q, db))?;
+    let atoms = ctx.catalog().artifact(
+        db,
+        "bound_atoms",
+        &q.to_string(),
+        q.relations(),
+        || bind(q, db),
+    )?;
     let tree = yannakakis::join_tree_of(q)?;
     let n = count_dp(ctx, &atoms, &tree)?;
     span.attr("rows", n);
@@ -120,104 +129,148 @@ pub fn count_acyclic_join(
     Ok(n)
 }
 
-/// The projection-elimination step shared by counting, enumeration, and
-/// direct access for free-connex queries: returns bound atoms over
-/// *exactly the free variables* whose join equals `q(D)`, or `None` if
-/// the query is unsatisfiable because of a fully quantified component.
-///
-/// Construction: join tree of `H ∪ {free}` rooted at the virtual free
-/// edge; bottom-up, each node is semijoined with its children's messages
-/// and projected onto its parent key. The root's children's messages are
-/// the new atoms (the "q' is an acyclic join query" of [14, §4.1]). The
-/// token is polled between the per-node semijoin/projection passes.
-pub fn eliminate_projections(
-    ctx: &ExecCtx,
-    q: &ConjunctiveQuery,
-    db: &Database,
-) -> Result<Option<Vec<BoundAtom>>, EvalError> {
-    let cancel = ctx.cancel();
-    let atoms = bind(q, db)?;
+/// The join tree projection elimination runs on: `H ∪ {free}` rooted at
+/// the virtual free edge (node `q.atoms().len()`, the tree's root).
+/// Every atom is validated first, in atom order, so a missing relation
+/// or an arity mismatch is reported exactly as [`bind`] reports it.
+fn elimination_tree(q: &ConjunctiveQuery, db: &Database) -> Result<JoinTree, EvalError> {
+    for atom in q.atoms() {
+        validate_atom(&atom.relation, &atom.vars, db)?;
+    }
     let free = q.free_mask();
     assert!(free != 0, "projection elimination needs free variables");
     let h = q.hypergraph();
     if !h.is_acyclic() {
         return Err(EvalError::NotAcyclic);
     }
-    let hf = h.with_edge(free);
-    let virt = atoms.len(); // index of the virtual free-edge node
-    let tree = match cq_core::gyo::join_tree(&hf) {
-        Some(t) => t.rerooted(virt),
-        None => return Err(EvalError::NotFreeConnex),
+    let virt = q.atoms().len();
+    match cq_core::gyo::join_tree(&h.with_edge(free)) {
+        Some(t) => Ok(t.rerooted(virt)),
+        None => Err(EvalError::NotFreeConnex),
+    }
+}
+
+/// The relation symbols of the atoms in the subtree rooted at `u` —
+/// everything [`subtree_message`] of `u` reads.
+fn subtree_relations<'a>(
+    q: &'a ConjunctiveQuery,
+    tree: &'a JoinTree,
+    u: usize,
+) -> impl Iterator<Item = &'a str> {
+    let mut stack = vec![u];
+    std::iter::from_fn(move || {
+        let u = stack.pop()?;
+        stack.extend_from_slice(tree.children(u));
+        Some(q.atoms()[u].relation.as_str())
+    })
+}
+
+/// The message node `u` of the elimination tree sends its parent: `u`'s
+/// bound relation, semijoined by its children's messages and projected
+/// onto `key(u)`. A nullary key encodes satisfiability as the unary
+/// relation `{0}` / `{}` over no variables. An **empty** message means
+/// the subtree — hence the query — has no answer. The token is polled
+/// once per node, between the semijoin/projection passes.
+fn subtree_message(
+    cancel: &CancelToken,
+    q: &ConjunctiveQuery,
+    db: &Database,
+    tree: &JoinTree,
+    u: usize,
+) -> Result<BoundAtom, EvalError> {
+    cancel.check_now()?;
+    let atom = &q.atoms()[u];
+    let base = validate_atom(&atom.relation, &atom.vars, db)?;
+    let vars = distinct_vars(&atom.vars);
+    let mut rel = if vars.len() == atom.vars.len() {
+        Cow::Borrowed(base)
+    } else {
+        Cow::Owned(collapse_rel(&atom.vars, &vars, base))
     };
-
-    // bottom-up messages: None until computed. Message of node u = its
-    // relation, semijoined by children messages, projected to key(u).
-    let mut msgs: Vec<Option<BoundAtom>> = vec![None; tree.n_nodes()];
-    for u in tree.bottom_up() {
-        cancel.check_now()?;
-        if u == virt {
-            continue; // root: children messages are the result
+    let key_vars: Vec<Var> =
+        mask_vertices(tree.key_mask(u)).map(|v| Var(v as u32)).collect();
+    // what an unsatisfiable subtree sends
+    let empty = |key_vars: Vec<Var>| {
+        let rel = Relation::new(key_vars.len().max(1));
+        BoundAtom { vars: key_vars, rel }
+    };
+    for &c in tree.children(u) {
+        let msg = subtree_message(cancel, q, db, tree, c)?;
+        if msg.rel.is_empty() {
+            return Ok(empty(key_vars));
         }
-        let mut rel = atoms[u].rel.clone();
-        let vars = atoms[u].vars.clone();
-        for &c in tree.children(u) {
-            let msg = msgs[c].take().unwrap();
-            if msg.vars.is_empty() {
-                // nullary message: empty = unsatisfiable component
-                if msg.rel.arity() == 1 && msg.rel.is_empty() {
-                    return Ok(None);
-                }
-                continue; // satisfied: no constraint
-            }
-            let here = BoundAtom { vars: vars.clone(), rel };
-            let (cu, cm) = yannakakis::shared_cols(&here, &msg);
-            rel = semijoin(&here.rel, &cu, &msg.rel, &cm);
-            if rel.is_empty() {
-                return Ok(None);
-            }
-        }
-        // project to key(u)
-        let key_vars: Vec<Var> =
-            mask_vertices(tree.key_mask(u)).map(|v| Var(v as u32)).collect();
-        if key_vars.is_empty() {
-            // nullary: encode satisfiability as a unary relation {0} / {}
-            let marker = if rel.is_empty() {
-                cq_data::Relation::new(1)
-            } else {
-                cq_data::Relation::from_values(vec![0])
-            };
-            msgs[u] = Some(BoundAtom { vars: Vec::new(), rel: marker });
-        } else {
-            let cols: Vec<usize> = key_vars
-                .iter()
-                .map(|&v| vars.iter().position(|&x| x == v).unwrap())
-                .collect();
-            let projected = rel.project(&cols);
-            msgs[u] = Some(BoundAtom { vars: key_vars, rel: projected });
-        }
-    }
-
-    let mut out: Vec<BoundAtom> = Vec::new();
-    let mut covered = 0u64;
-    for &c in tree.children(virt) {
-        let msg = msgs[c].take().unwrap();
         if msg.vars.is_empty() {
-            if msg.rel.is_empty() {
-                return Ok(None);
-            }
-            continue;
+            continue; // satisfied nullary message: no constraint
         }
-        covered |= msg.scope();
-        out.push(msg);
+        let (cu, cm) = yannakakis::shared_cols_of(&vars, &msg.vars);
+        rel = Cow::Owned(semijoin(&rel, &cu, &msg.rel, &cm));
+        if rel.is_empty() {
+            break;
+        }
     }
-    debug_assert_eq!(covered, free, "messages must cover all free variables");
+    if rel.is_empty() {
+        return Ok(empty(key_vars));
+    }
+    if key_vars.is_empty() {
+        return Ok(BoundAtom { vars: key_vars, rel: Relation::from_values(vec![0]) });
+    }
+    let cols: Vec<usize> = key_vars
+        .iter()
+        .map(|&v| vars.iter().position(|&x| x == v).expect("key ⊆ scope"))
+        .collect();
+    Ok(BoundAtom { rel: rel.project(&cols), vars: key_vars })
+}
+
+/// Assemble `q'` from the messages of the virtual root's children (each
+/// obtained through `message_of`): `None` as soon as one is empty,
+/// satisfied nullary ones dropped.
+fn root_messages<M: Borrow<BoundAtom>>(
+    q: &ConjunctiveQuery,
+    tree: &JoinTree,
+    mut message_of: impl FnMut(usize) -> Result<M, EvalError>,
+) -> Result<Option<Vec<M>>, EvalError> {
+    let mut out: Vec<M> = Vec::new();
+    let mut covered = 0u64;
+    for &c in tree.children(tree.root()) {
+        let msg = message_of(c)?;
+        if msg.borrow().rel.is_empty() {
+            return Ok(None);
+        }
+        if !msg.borrow().vars.is_empty() {
+            covered |= msg.borrow().scope();
+            out.push(msg);
+        }
+    }
+    debug_assert_eq!(covered, q.free_mask(), "messages must cover all free variables");
     Ok(Some(out))
 }
 
+/// The projection-elimination step shared by counting, enumeration, and
+/// direct access for free-connex queries: returns bound atoms over
+/// *exactly the free variables* whose join equals `q(D)`, or `None` if
+/// the query is unsatisfiable (some subtree has no answer).
+///
+/// Construction: join tree of `H ∪ {free}` rooted at the virtual free
+/// edge; bottom-up, each node is semijoined with its children's messages
+/// and projected onto its parent key. The root's children's messages are
+/// the new atoms (the "q' is an acyclic join query" of [14, §4.1]).
+pub fn eliminate_projections(
+    ctx: &ExecCtx,
+    q: &ConjunctiveQuery,
+    db: &Database,
+) -> Result<Option<Vec<BoundAtom>>, EvalError> {
+    let tree = elimination_tree(q, db)?;
+    root_messages(q, &tree, |c| subtree_message(ctx.cancel(), q, db, &tree, c))
+}
+
 /// Count answers of a free-connex query in O(m) (Theorem 3.13). The
-/// projection-elimination messages are memoized in the catalog: the
-/// semijoin/projection phase (the bulk of the linear-time
-/// preprocessing) runs once per database state, and repeated counts pay
+/// projection-elimination result `q'` — the messages and their join
+/// tree — is memoized in the catalog, and beneath it each message on
+/// its own, one per child of the virtual root, depending on the
+/// relations of its subtree only. The semijoin/projection phase (the
+/// bulk of the linear-time preprocessing) therefore runs once per state
+/// of *those* relations — a write to `R1` re-assembles `q'` from one
+/// rebuilt message and the memoized others — and repeated counts pay
 /// for the DP over the (typically smaller) messages only. Both phases
 /// poll the token.
 pub fn count_free_connex(
@@ -229,19 +282,28 @@ pub fn count_free_connex(
         return Ok(u64::from(yannakakis::decide_acyclic(ctx, q, db)?));
     }
     let mut span = cq_obs::trace::span("op.count-free-connex");
+    let catalog = ctx.catalog();
+    let text = q.to_string();
     let mut cold = false;
-    let msgs = ctx.catalog().artifact(db, "elim_msgs", &q.to_string(), || {
-        cold = true;
-        eliminate_projections(ctx, q, db)
+    let reduced = catalog.artifact(db, "elim_msgs", &text, q.relations(), || {
+        let tree = elimination_tree(q, db)?;
+        let msgs = root_messages(q, &tree, |c| {
+            let reads = subtree_relations(q, &tree, c);
+            catalog.artifact(db, "elim_msg", &format!("{text}|{c}"), reads, || {
+                cold = true;
+                subtree_message(ctx.cancel(), q, db, &tree, c)
+            })
+        })?;
+        // `q'` is an acyclic join query over the free variables
+        msgs.map(|m| match yannakakis::join_tree_of_atoms(&m, q.n_vars()) {
+            Some(tree) => Ok((m, tree)),
+            None => Err(EvalError::NotFreeConnex),
+        })
+        .transpose()
     })?;
     span.attr("cold-build", u64::from(cold));
-    let n = match &*msgs {
-        // `q'` is an acyclic join query over the free variables
-        Some(m) => {
-            let tree = yannakakis::join_tree_of_atoms(m, q.n_vars())
-                .ok_or(EvalError::NotFreeConnex)?;
-            count_dp(ctx, m, &tree)?
-        }
+    let n = match &*reduced {
+        Some((msgs, tree)) => count_dp(ctx, msgs, tree)?,
         None => 0,
     };
     span.attr("rows", n);

@@ -97,7 +97,7 @@ impl MaterializedDirectAccess {
             return Err(EvalError::NotJoinQuery);
         }
         let key = format!("{q}|{order:?}");
-        ctx.catalog().artifact(db, "mat_da", &key, || {
+        ctx.catalog().artifact(db, "mat_da", &key, q.relations(), || {
             let rel = generic_join::answers(ctx, q, db, &generic_join::default_order(q))?;
             // rel columns are the free vars in interning order = all vars
             let mut rows: Vec<Vec<Val>> = rel.iter().map(|r| r.to_vec()).collect();
@@ -238,7 +238,7 @@ impl LexDirectAccess {
         }
         assert_eq!(order.len(), q.n_vars(), "order must cover all variables");
         let key = format!("{q}|{order:?}");
-        ctx.catalog().artifact(db, "lex_da", &key, || {
+        ctx.catalog().artifact(db, "lex_da", &key, q.relations(), || {
             let atoms = bind(q, db)?;
             Self::build_from_atoms(ctx, atoms, q.n_vars(), order).map_err(|e| match e {
                 EvalError::Unsupported(_) => EvalError::Unsupported(format!(

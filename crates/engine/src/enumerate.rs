@@ -143,10 +143,16 @@ impl Enumerator {
     ) -> Result<Self, EvalError> {
         let mut span = cq_obs::trace::span("op.enumerate.preprocess");
         let mut cold = false;
-        let core = ctx.catalog().artifact(db, "enumerator", &q.to_string(), || {
-            cold = true;
-            EnumeratorCore::build(ctx, q, db)
-        })?;
+        let core = ctx.catalog().artifact(
+            db,
+            "enumerator",
+            &q.to_string(),
+            q.relations(),
+            || {
+                cold = true;
+                EnumeratorCore::build(ctx, q, db)
+            },
+        )?;
         span.attr("cold-build", u64::from(cold));
         Ok(Enumerator::from(core))
     }

@@ -65,7 +65,7 @@ impl FreeConnexDirectAccess {
                 "Boolean queries have no output positions to access".into(),
             ));
         }
-        ctx.catalog().artifact(db, "fc_da", &q.to_string(), || {
+        ctx.catalog().artifact(db, "fc_da", &q.to_string(), q.relations(), || {
             let schema: Vec<Var> = q.free_vars();
             let Some(msgs) = eliminate_projections(ctx, q, db)? else {
                 let order = schema.clone();

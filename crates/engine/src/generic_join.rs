@@ -385,10 +385,16 @@ fn run(
             // repeated variables: the view is over the collapsed
             // relation, memoized per (relation, pattern, permutation)
             let key = format!("{}|{:?}|{cols:?}", atom.relation, atom.vars);
-            ctx.catalog().artifact(db, "bound_view", &key, || {
-                let bound = collapse_rel(&atom.vars, &vars, rel);
-                Ok::<_, EvalError>(SortedView::new(&bound, &cols))
-            })?
+            ctx.catalog().artifact(
+                db,
+                "bound_view",
+                &key,
+                [atom.relation.as_str()],
+                || {
+                    let bound = collapse_rel(&atom.vars, &vars, rel);
+                    Ok::<_, EvalError>(SortedView::new(&bound, &cols))
+                },
+            )?
         };
         prepared.push(PreparedAtom { view, depths });
     }

@@ -97,9 +97,13 @@ impl SumOrderAccess {
             return Err(EvalError::NotJoinQuery);
         }
         ctx.cancel().check_now()?;
-        let reduced = ctx.catalog().artifact(db, "sum_cover", &q.to_string(), || {
-            reduced_covering_atom(q, db, ctx.cancel())
-        })?;
+        let reduced = ctx.catalog().artifact(
+            db,
+            "sum_cover",
+            &q.to_string(),
+            q.relations(),
+            || reduced_covering_atom(q, db, ctx.cancel()),
+        )?;
         let (vars, rel) = &*reduced;
         Ok(Self::weigh(vars, rel, q.n_vars(), weight))
     }

@@ -61,8 +61,9 @@ pub fn decide_triangle_ayz(
 ) -> Result<bool, EvalError> {
     let (catalog, cancel) = (ctx.catalog(), ctx.cancel());
     let (r1, r2, r3) = triangle_relations(db)?;
-    let degree = catalog
-        .artifact(db, "ayz_degree", "", || Ok::<_, EvalError>(degree_map(r1, r2, r3)))?;
+    let degree = catalog.artifact(db, "ayz_degree", "", ["R1", "R2", "R3"], || {
+        Ok::<_, EvalError>(degree_map(r1, r2, r3))
+    })?;
     let delta = delta.max(1);
     let light = |v: Val| degree.get(&v).copied().unwrap_or(0) <= delta;
 

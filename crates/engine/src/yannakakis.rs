@@ -15,6 +15,7 @@ use crate::semijoin::{semijoin, semijoin_indexed};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, HashIndex, Relation};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// Shared key columns between two variable lists (each distinct): for
@@ -46,8 +47,11 @@ pub fn join_tree_of(q: &ConjunctiveQuery) -> Result<JoinTree, EvalError> {
 /// The join tree of bound atoms over `n_vars` variables — how the
 /// messages of projection elimination (an acyclic join query over the
 /// free variables) get theirs. `None` if their hypergraph is cyclic.
-pub(crate) fn join_tree_of_atoms(atoms: &[BoundAtom], n_vars: usize) -> Option<JoinTree> {
-    let scopes: Vec<u64> = atoms.iter().map(BoundAtom::scope).collect();
+pub(crate) fn join_tree_of_atoms(
+    atoms: &[impl Borrow<BoundAtom>],
+    n_vars: usize,
+) -> Option<JoinTree> {
+    let scopes: Vec<u64> = atoms.iter().map(|a| a.borrow().scope()).collect();
     cq_core::gyo::join_tree(&cq_core::Hypergraph::new(n_vars, scopes))
 }
 
@@ -121,7 +125,8 @@ pub fn decide_acyclic(
             Rel::Base(rel)
         } else {
             let key = format!("{}|{:?}", atom.relation, atom.vars);
-            let collapsed = catalog.artifact(db, "bound_rel", &key, || {
+            let reads = [atom.relation.as_str()];
+            let collapsed = catalog.artifact(db, "bound_rel", &key, reads, || {
                 Ok::<_, EvalError>(collapse_rel(&atom.vars, &vars, rel))
             })?;
             Rel::Collapsed(collapsed)
@@ -147,7 +152,8 @@ pub fn decide_acyclic(
             Rel::Collapsed(c) => {
                 let key = format!("{}|{:?}|{cu:?}", atoms[u].relation, atoms[u].vars);
                 let (c, cu) = (Arc::clone(c), cu.clone());
-                let ix = catalog.artifact(db, "bound_hash", &key, move || {
+                let reads = [atoms[u].relation.as_str()];
+                let ix = catalog.artifact(db, "bound_hash", &key, reads, move || {
                     Ok::<_, EvalError>(HashIndex::new(&c, &cu))
                 })?;
                 semijoin_indexed(rels[p].get(), &cp, &ix)

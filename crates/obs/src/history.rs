@@ -106,7 +106,13 @@ impl HistoryRing {
     /// Capture the registry's nonzero counters now. No-op when the
     /// capacity is 0.
     pub fn capture(&self, reg: &Registry) {
-        let at = self.epoch.elapsed();
+        self.capture_at(reg, self.epoch.elapsed());
+    }
+
+    /// [`HistoryRing::capture`] stamped `at` past the ring's creation —
+    /// the clock is the caller's, so window arithmetic is testable
+    /// without sleeping.
+    fn capture_at(&self, reg: &Registry, at: Duration) {
         let mut counters: BTreeMap<String, BTreeMap<String, u64>> = BTreeMap::new();
         for (scope, name, value) in reg.counters_snapshot() {
             counters.entry(scope).or_default().insert(name, value);
@@ -224,20 +230,20 @@ mod tests {
         let reg = Registry::new();
         let ring = HistoryRing::new(8);
         let c = reg.scope("s").counter("x");
-        c.inc();
-        ring.capture(&reg);
-        sleep(Duration::from_millis(10));
-        c.inc();
-        ring.capture(&reg);
-        sleep(Duration::from_millis(10));
-        c.inc();
-        ring.capture(&reg);
+        for ms in [0, 10, 20] {
+            c.inc();
+            ring.capture_at(&reg, Duration::from_millis(ms));
+        }
         let all = ring.rates(None, None).unwrap();
-        let tight = ring.rates(Some(Duration::from_millis(15)), None).unwrap();
+        assert_eq!(all.span, Duration::from_millis(20));
         // the tight window skips the oldest snapshot
-        assert!(tight.span < all.span);
+        let tight = ring.rates(Some(Duration::from_millis(15)), None).unwrap();
+        assert_eq!(tight.span, Duration::from_millis(10));
+        // a window is inclusive of a snapshot exactly that old
+        let exact = ring.rates(Some(Duration::from_millis(20)), None).unwrap();
+        assert_eq!(exact.span, Duration::from_millis(20));
         // a window smaller than any gap finds no base snapshot
-        assert!(ring.rates(Some(Duration::from_nanos(1)), None).is_none());
+        assert!(ring.rates(Some(Duration::from_millis(9)), None).is_none());
     }
 
     #[test]

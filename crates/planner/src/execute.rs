@@ -356,9 +356,10 @@ pub fn build_lex_access(
         }
         PlanOp::MaterializedDirectAccess { order } => {
             let key = format!("{q}|{order:?}");
-            let da = ctx.catalog().artifact(db, "proj_mat_da", &key, || {
-                ProjectedMaterializedAccess::build(ctx, q, db, order)
-            })?;
+            let da =
+                ctx.catalog().artifact(db, "proj_mat_da", &key, q.relations(), || {
+                    ProjectedMaterializedAccess::build(ctx, q, db, order)
+                })?;
             Ok(Box::new(da))
         }
         PlanOp::FreeConnexDirectAccess => {

@@ -148,9 +148,9 @@ err_kinds! {
     /// `FETCH`/`SEEK`/`CLOSE` of a cursor id this session never opened
     /// (or already closed).
     NoSuchCursor => "no-such-cursor",
-    /// The cursor's pinned snapshot generation no longer matches the
-    /// tenant: a mutation (or drop) invalidated it. The cursor is
-    /// closed; re-open to see the new data.
+    /// A relation the cursor reads mutated (or the tenant was dropped)
+    /// since the cursor pinned its versions. The cursor is closed;
+    /// re-open to see the new data.
     StaleCursor => "stale-cursor",
     /// `CURSOR` beyond the per-session open-cursor limit.
     CursorLimit => "cursor-limit",

@@ -390,19 +390,24 @@ mod tests {
         s.handle_line("INSERT R(1, 2)");
         s.handle_line("COUNT q(x, y) :- R(x, y)"); // warm the pinned catalog
         let t = state.tenant("t").unwrap();
-        let warm = t.read(|_, cat| cat.snapshot().misses);
-        assert!(warm > 0, "the count must have built into the catalog");
-        // duplicate INSERT: honest reply, no generation bump, catalog kept
+        let warm = t.read_meta().0;
+        assert_eq!(warm.artifacts, 1, "the count must have built into the catalog");
+        // duplicate INSERT: honest reply, no version moves, catalog kept
         let r = s.handle_line("INSERT R(1, 2)").unwrap();
         assert_eq!(r.terminal, "OK duplicate ignored in R (1 total)");
-        assert_eq!(t.read(|_, cat| cat.snapshot().misses), warm, "catalog survives");
+        assert_eq!(t.read_meta().0, warm, "catalog untouched");
         // all-duplicate LOAD: also a no-op
         let r = drive(&mut s, &["LOAD R 2", "1 2", "END"]);
         assert_eq!(r[2].as_ref().unwrap().terminal, "OK loaded 1 rows into R (1 total)");
-        assert_eq!(t.read(|_, cat| cat.snapshot().misses), warm, "catalog survives");
-        // a real insert still invalidates (fresh pinned catalog)
+        assert_eq!(t.read_meta().0, warm, "catalog untouched");
+        // an insert into a relation the count never read: still untouched
+        s.handle_line("INSERT Other(1)");
+        assert_eq!(t.read_meta().0, warm, "catalog untouched");
+        // a real insert into R invalidates what was built from R
         s.handle_line("INSERT R(9, 9)");
-        assert_eq!(t.read(|_, cat| cat.snapshot().misses), 0, "fresh after mutation");
+        let after = t.read_meta().0;
+        assert_eq!((after.artifacts, after.invalidations), (0, 1));
+        assert_eq!(after.misses, warm.misses, "the counters run on across the write");
         assert_eq!(s.handle_line("COUNT q(x, y) :- R(x, y)").unwrap().terminal, "OK 2");
     }
 
@@ -438,10 +443,13 @@ mod tests {
         s.handle_line("USE t");
         s.handle_line("INSERT R(1, 2)");
         s.handle_line("COUNT q(x, y) :- R(x, y)"); // warm the pinned catalog
+        s.handle_line("INSERT S(3)");
+        s.handle_line("COUNT q(x) :- S(x)");
         let t = state.tenant("t").unwrap();
-        assert!(t.read(|_, cat| cat.snapshot().misses) > 0);
+        assert_eq!(t.read_meta().0.artifacts, 2);
         s.handle_line("DROP R");
-        assert_eq!(t.read(|_, cat| cat.snapshot().misses), 0, "fresh after drop");
+        let after = t.read_meta().0;
+        assert_eq!((after.artifacts, after.invalidations), (1, 1), "S's entry stays");
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::protocol::{
 };
 use crate::state::Tenant;
 use cq_core::{parse_query, ConjunctiveQuery};
-use cq_data::Val;
+use cq_data::{Database, Val};
 use cq_engine::{CancelToken, EvalError};
 use cq_obs::trace::{self, TraceSink};
 use cq_obs::SlowQuery;
@@ -103,17 +103,40 @@ impl Watch {
     }
 }
 
-/// An open cursor: a paused answer stream pinned to the tenant
-/// snapshot generation it was planned against. The stream holds only
-/// `Arc`'d catalog artifacts and owned relations, so an idle cursor
-/// never holds the tenant's read lock — writers proceed, and a
-/// mutation bumps the generation, which [`Session::live_cursor`]
-/// detects as staleness on the next touch.
+/// An open cursor: a paused answer stream pinned to the versions of
+/// the relations its query reads. The stream holds only `Arc`'d catalog
+/// artifacts and owned relations, so an idle cursor never holds the
+/// tenant's read lock — writers proceed, and a mutation of a relation
+/// the cursor reads moves that relation's version, which
+/// [`Session::live_cursor`] detects as staleness on the next touch. A
+/// write to any other relation cannot change the cursor's answers and
+/// leaves it open.
 pub(super) struct CursorEntry {
     pub tenant: Arc<Tenant>,
-    generation: u64,
+    pin: CursorPin,
     plan: QueryPlan,
     answers: Answers,
+}
+
+/// What a cursor's stream was built on, read under the same tenant read
+/// lock as the execution.
+struct CursorPin {
+    /// The database generation (what `ERR stale-cursor` cites).
+    generation: u64,
+    /// Each relation the query reads, at the version the stream saw.
+    reads: Vec<(String, u64)>,
+}
+
+impl CursorPin {
+    fn of(q: &ConjunctiveQuery, db: &Database) -> CursorPin {
+        let reads = q.relations().map(|r| (r.to_string(), db.version_of(r))).collect();
+        CursorPin { generation: db.generation(), reads }
+    }
+
+    /// Did a relation the cursor reads mutate since it was pinned?
+    fn is_stale(&self, db: &Database) -> bool {
+        self.reads.iter().any(|(r, version)| db.version_of(r) != *version)
+    }
 }
 
 /// A streamed `ANSWERS` response in flight: the evaluated stream plus
@@ -314,8 +337,8 @@ impl Session {
         debug_assert!(task != Task::Access, "the protocol layer never builds this");
         let q = parse(src)?;
         let watch = self.watch(tenant);
-        match self.plan_and_execute(tenant, task, src, &q, &watch)? {
-            (Output::Answers(answers), plan, _gen) => {
+        match self.plan_and_execute(tenant, task, src, &q, &watch, |_| ())? {
+            (Output::Answers(answers), plan, ()) => {
                 // hand the stream to the transport: preprocessing is
                 // done, the tenant read lock is released (the stream
                 // holds only Arc'd artifacts), and rows go out — or
@@ -330,7 +353,7 @@ impl Session {
                 });
                 Ok(Reply::ok("streaming")) // placeholder, replaced by the drain
             }
-            (out, _plan, _gen) => Ok(render_output(out)),
+            (out, _plan, ()) => Ok(render_output(out)),
         }
     }
 
@@ -338,17 +361,18 @@ impl Session {
     /// read lock. `Err` is the finished error reply (budget, timeout,
     /// eval); `Ok` carries the output — for `ANSWERS`/`ACCESS` a
     /// pull-driven stream whose artifacts outlive the lock — the plan
-    /// that produced it, and the snapshot generation it ran against
-    /// (read under the same lock, so cursors pin exactly the snapshot
-    /// their stream was built on).
-    fn plan_and_execute(
+    /// that produced it, and `pin` of the database it ran against
+    /// (taken under the same lock, so a cursor pins exactly the state
+    /// its stream was built on).
+    fn plan_and_execute<P>(
         &mut self,
         tenant: &Tenant,
         task: Task,
         src: &str,
         q: &ConjunctiveQuery,
         watch: &Watch,
-    ) -> Result<(Output, QueryPlan, u64), Reply> {
+        pin: impl FnOnce(&Database) -> P,
+    ) -> Result<(Output, QueryPlan, P), Reply> {
         let sm = &mut self.metrics;
         tenant.read(|db, catalog| {
             let stats = catalog.stats(db);
@@ -387,7 +411,7 @@ impl Session {
                 });
             }
             match result {
-                Ok(out) => Ok((out, plan, db.generation())),
+                Ok(out) => Ok((out, plan, pin(db))),
                 Err(e) => Err(watch.failure(e, sm, tenant.name(), Some(&plan))),
             }
         })
@@ -397,9 +421,9 @@ impl Session {
     /// but park the resulting stream in the session's cursor registry
     /// instead of draining it. The reply is `OK cursor <id>`; rows are
     /// pulled by `FETCH`, positioned by `SEEK` (direct-access plans),
-    /// released by `CLOSE`. The cursor pins the tenant's snapshot
-    /// generation — any later mutation invalidates it
-    /// (`ERR stale-cursor` on next touch).
+    /// released by `CLOSE`. The cursor pins the versions of the
+    /// relations its query reads — a later mutation of one of them
+    /// invalidates it (`ERR stale-cursor` on next touch).
     pub(super) fn open_cursor(
         &mut self,
         tenant: &Arc<Tenant>,
@@ -417,8 +441,10 @@ impl Session {
         }
         let q = parse(src)?;
         let watch = self.watch(tenant);
-        let (out, plan, generation) =
-            self.plan_and_execute(tenant, task, src, &q, &watch)?;
+        let (out, plan, pin) =
+            self.plan_and_execute(tenant, task, src, &q, &watch, |db| {
+                CursorPin::of(&q, db)
+            })?;
         let Output::Answers(mut answers) = out else {
             unreachable!("ANSWERS/ACCESS tasks always execute to a stream")
         };
@@ -429,19 +455,19 @@ impl Session {
         self.next_cursor_id += 1;
         self.metrics.record_cursor_opened(tenant.name());
         let tenant = Arc::clone(tenant);
-        self.cursors.insert(id, CursorEntry { tenant, generation, plan, answers });
+        self.cursors.insert(id, CursorEntry { tenant, pin, plan, answers });
         Ok(Reply::ok(format!("cursor {id}")))
     }
 
     /// Look up a cursor for `FETCH`/`SEEK`, evicting it with
-    /// `ERR stale-cursor` when the tenant mutated (or was dropped)
-    /// since the cursor pinned its snapshot generation.
+    /// `ERR stale-cursor` when a relation it reads mutated (or the
+    /// tenant was dropped) since the cursor pinned its versions.
     fn live_cursor(&mut self, id: u64) -> Result<&mut CursorEntry, Reply> {
         let stale = match self.cursors.get(&id) {
             None => return Err(no_such_cursor(id)),
             Some(entry) => {
                 entry.tenant.is_dropped()
-                    || entry.tenant.read(|db, _| db.generation()) != entry.generation
+                    || entry.tenant.read(|db, _| entry.pin.is_stale(db))
             }
         };
         if stale {
@@ -454,7 +480,7 @@ impl Session {
                      generation {}; the cursor is closed — re-open to see the new \
                      data",
                     entry.tenant.name(),
-                    entry.generation
+                    entry.pin.generation
                 ),
             ));
         }
@@ -544,8 +570,9 @@ impl Session {
         let q = parse(src)?;
         let watch = self.watch(tenant);
         let sink = TraceSink::enabled();
-        let (out, plan, _gen) =
-            trace::with(&sink, || self.plan_and_execute(tenant, task, src, &q, &watch))?;
+        let (out, plan, ()) = trace::with(&sink, || {
+            self.plan_and_execute(tenant, task, src, &q, &watch, |_| ())
+        })?;
         let rows = match out {
             Output::Count(n) => n,
             Output::Decision(d) => u64::from(d),
@@ -1051,13 +1078,23 @@ mod tests {
         // reads don't invalidate
         s.handle_line("COUNT q(x, y) :- R(x, y)");
         assert!(s.handle_line("FETCH 0 1").unwrap().is_ok());
-        // a mutation bumps the generation: the pinned snapshot is gone
+        // neither do writes to relations the cursor does not read: the
+        // pages on both sides of the write are one uninterrupted stream
+        assert!(s.handle_line("INSERT S(7)").unwrap().is_ok());
+        drive(&mut s, &["LOAD T 1", "5", "END"]);
+        let r = s.handle_line("FETCH 0 5").unwrap();
+        assert_eq!(r.terminal, "OK 1 rows eof");
+        assert_eq!(r.data, ["3 4"]);
+        s.handle_line("CLOSE 0");
+        s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)");
+        // a mutation of a relation it reads moves that relation's
+        // version: the pinned state is gone
         s.handle_line("INSERT R(9, 9)");
-        let r = s.handle_line("FETCH 0 1").unwrap();
+        let r = s.handle_line("FETCH 1 1").unwrap();
         assert!(r.terminal.starts_with("ERR stale-cursor:"), "{}", r.terminal);
         assert!(r.terminal.contains("re-open"), "{}", r.terminal);
         // the stale cursor was evicted, and the metrics say so
-        let r = s.handle_line("FETCH 0 1").unwrap();
+        let r = s.handle_line("FETCH 1 1").unwrap();
         assert!(r.terminal.starts_with("ERR no-such-cursor"), "{}", r.terminal);
         let m = s.handle_line("METRICS t").unwrap();
         assert!(m.data.iter().any(|l| l == "db.t cursors.stale=1"), "{:?}", m.data);
@@ -1065,12 +1102,12 @@ mod tests {
         // SEEK on a stale cursor is the same structured eviction
         s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)");
         s.handle_line("INSERT R(8, 8)");
-        let r = s.handle_line("SEEK 1 0").unwrap();
+        let r = s.handle_line("SEEK 2 0").unwrap();
         assert!(r.terminal.starts_with("ERR stale-cursor:"), "{}", r.terminal);
         // dropping the tenant invalidates too
         s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)");
         s.handle_line("DROP DB t");
-        let r = s.handle_line("FETCH 2 1").unwrap();
+        let r = s.handle_line("FETCH 3 1").unwrap();
         assert!(r.terminal.starts_with("ERR stale-cursor:"), "{}", r.terminal);
     }
 

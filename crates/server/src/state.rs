@@ -2,12 +2,16 @@
 //! optionally backed by durable storage.
 //!
 //! Tenancy model: one [`Database`] plus one [`IndexCatalog`] per named
-//! tenant. The catalog is *pinned* to the tenant (not looked up through
-//! the facade's generation-keyed registry), so a tenant's working set
-//! of sorted views, hash indexes, and preprocessing artifacts can never
-//! be evicted by traffic on other tenants. Catalogs self-invalidate by
-//! [`Database::generation`], and every mutation additionally re-pins a
-//! fresh catalog so memory for the old state is dropped eagerly.
+//! tenant. The catalog is *pinned* to the tenant for the tenant's whole
+//! life (not looked up through the facade's generation-keyed registry),
+//! so a tenant's working set of sorted views, hash indexes, and
+//! preprocessing artifacts can never be evicted by traffic on other
+//! tenants — and survives the tenant's own writes: catalog entries
+//! validate against the versions of the relations they read
+//! ([`Database::version_of`]), so a mutation costs the entries built
+//! from the written relation and nothing else. Those are swept under
+//! the write lock the mutation already holds, so the memory of the old
+//! state is dropped eagerly and never sits beside its rebuild.
 //!
 //! Persistence: a registry opened over a [`Store`]
 //! ([`ServerState::recover`]) reloads every tenant on boot (snapshot +
@@ -109,19 +113,19 @@ pub use cq_planner::EvalBudget as Budget;
 #[derive(Debug)]
 struct TenantDb {
     db: Database,
-    catalog: Arc<IndexCatalog>,
+    catalog: IndexCatalog,
     /// `Some` iff the server runs with a data directory.
     wal: Option<WalWriter>,
 }
 
 impl TenantDb {
     /// Run `f` on the database; if it mutated (the generation moved),
-    /// pin a fresh catalog.
+    /// sweep the catalog entries built from what it wrote.
     fn edit<T>(&mut self, f: impl FnOnce(&mut Database) -> T) -> T {
         let before = self.db.generation();
         let out = f(&mut self.db);
         if self.db.generation() != before {
-            self.catalog = Arc::new(IndexCatalog::new());
+            self.catalog.sweep(&self.db);
         }
         out
     }
@@ -137,11 +141,7 @@ impl Tenant {
             timeout_ms: AtomicU64::new(BUDGET_UNSET),
             degraded: Mutex::new(None),
             group: GroupGate::new(),
-            slot: RwLock::new(TenantDb {
-                db,
-                catalog: Arc::new(IndexCatalog::new()),
-                wal,
-            }),
+            slot: RwLock::new(TenantDb { db, catalog: IndexCatalog::new(), wal }),
         }
     }
 
@@ -255,9 +255,9 @@ impl Tenant {
 
     /// Run `f` with exclusive access to the database, unlogged — the
     /// replica's apply path (its history is the primary's log) and test
-    /// setup. If `f` mutates the database (the generation changes), a
-    /// fresh catalog is pinned so indexes of the old state are dropped
-    /// immediately.
+    /// setup. If `f` mutates the database (the generation changes), the
+    /// catalog entries built from the relations it wrote are dropped
+    /// immediately; everything else stays warm.
     pub fn mutate<T>(&self, f: impl FnOnce(&mut Database) -> T) -> T {
         self.write_slot().edit(f)
     }
@@ -689,25 +689,45 @@ mod tests {
     }
 
     #[test]
-    fn mutation_repins_the_catalog() {
+    fn a_write_drops_only_the_written_relations_entries() {
         let s = ServerState::new();
         let t = s.create_db("db").unwrap();
-        // warm the catalog
-        let stats_before = t.read(|db, cat| {
-            cat.stats(db);
-            cat.snapshot()
-        });
-        assert!(stats_before.misses > 0);
-        // a read-only "mutation" keeps the pinned catalog
-        t.mutate(|_db| {});
-        assert!(t.read(|_, cat| cat.snapshot()).misses > 0, "catalog kept");
-        // a real mutation pins a fresh (empty) catalog
         t.mutate(|db| {
             db.insert("R", Relation::from_pairs(vec![(1, 2)]));
+            db.insert("S", Relation::from_pairs(vec![(3, 4)]));
         });
-        let snap = t.read(|_, cat| cat.snapshot());
-        assert_eq!(snap.misses + snap.hits, 0, "fresh catalog after mutation");
-        assert_eq!(t.sizes(), (1, 1));
+        let views = |t: &Tenant| {
+            t.read(|db, cat| {
+                let view = |name| cat.sorted_view(db, name, &[0]).unwrap();
+                (view("R"), view("S"))
+            })
+        };
+        let (r0, s0) = views(&t);
+        let warm = t.read_meta().0;
+        assert_eq!((warm.views, warm.misses, warm.invalidations), (2, 2, 0));
+        // a read-only "mutation" touches nothing
+        t.mutate(|_db| {});
+        assert_eq!(t.read_meta().0, warm);
+        // a write to R sweeps R's view eagerly (before any read asks for
+        // it) and keeps S's; the counters run on across the write
+        t.mutate(|db| {
+            db.get_mut("R").unwrap().insert_row(&[5, 6]);
+        });
+        let swept = t.read_meta().0;
+        assert_eq!((swept.views, swept.invalidations), (1, 1));
+        assert_eq!((swept.hits, swept.misses), (warm.hits, warm.misses));
+        let (r1, s1) = views(&t);
+        assert!(Arc::ptr_eq(&s0, &s1), "S was not written: same view");
+        assert!(!Arc::ptr_eq(&r0, &r1));
+        assert_eq!(r1.len(), 2);
+        // a write to a relation nothing read invalidates nothing
+        t.mutate(|db| {
+            db.insert("Log", Relation::from_values(vec![1]));
+        });
+        let (r2, s2) = views(&t);
+        assert!(Arc::ptr_eq(&r1, &r2) && Arc::ptr_eq(&s1, &s2));
+        assert_eq!(t.read_meta().0.invalidations, 1);
+        assert_eq!(t.sizes(), (3, 4));
     }
 
     #[test]

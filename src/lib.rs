@@ -209,9 +209,10 @@
 //! back an id; `FETCH <id> <n>` pulls the next `n` rows; on a
 //! direct-access plan (`CURSOR ACCESS`, Thm 3.24) `SEEK <id> <k>`
 //! jumps to the k-th answer in O(1) without enumerating the skipped
-//! prefix. A mutation invalidates open cursors on that tenant — the
-//! next `FETCH` reports `ERR stale-cursor` rather than a torn mix of
-//! old and new rows:
+//! prefix. A mutation of a relation the cursor reads invalidates it —
+//! the next `FETCH` reports `ERR stale-cursor` rather than a torn mix
+//! of old and new rows — while writes to other relations leave it
+//! streaming:
 //!
 //! ```
 //! use cq_lower_bounds::server::{ServerState, Session};
@@ -240,7 +241,10 @@
 //! let r = s.handle_line("FETCH 0 1").unwrap();
 //! assert_eq!(r.data, vec!["2 10"]);
 //!
-//! // a mutation invalidates the cursor instead of tearing it
+//! // a write to a relation the cursor does not read changes nothing …
+//! s.handle_line("INSERT Likes(10, 7)").unwrap();
+//! assert!(s.handle_line("FETCH 0 1").unwrap().is_ok());
+//! // … a write to one it reads invalidates it instead of tearing it
 //! s.handle_line("INSERT Follows(4, 12)").unwrap();
 //! let r = s.handle_line("FETCH 0 1").unwrap();
 //! assert!(r.terminal.starts_with("ERR stale-cursor:"));

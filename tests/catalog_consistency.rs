@@ -1,21 +1,25 @@
 //! Catalog staleness safety: across arbitrary mutate → query
 //! interleavings, catalog-backed evaluation must equal a fresh
-//! evaluation and the brute-force oracle — generation invalidation can
-//! never serve a stale view, stale statistics, or a stale preprocessing
-//! artifact.
+//! evaluation and the brute-force oracle — per-relation version
+//! validation can never serve a stale view, stale statistics, or a
+//! stale preprocessing artifact, through whichever mutator the write
+//! came — and must keep what a write did not touch.
 
 use cq_core::query::zoo;
-use cq_core::ConjunctiveQuery;
-use cq_data::{Database, IndexCatalog, Relation, Val};
+use cq_core::{parse_query, ConjunctiveQuery};
+use cq_data::{DataStats, Database, IndexCatalog, Relation, Val};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_planner::{eval, EvalCtx, Planner};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// One step of the interleaving: mutate one relation, or query.
 #[derive(Clone, Debug)]
 enum Step {
-    /// Replace relation `R{i}` with fresh random rows.
-    Mutate { rel: usize, seed: u64, rows: usize },
+    /// Mutate relation `R{i}`: replace it with fresh random rows
+    /// through `insert` (`how` 0) or `remove` + `insert` (1), or add
+    /// one random row in place through `get_mut` (2).
+    Mutate { rel: usize, seed: u64, rows: usize, how: usize },
     /// Evaluate one task (0 = decide, 1 = count, 2 = answers).
     Query { task: usize },
 }
@@ -24,7 +28,7 @@ fn step_strategy() -> impl Strategy<Value = Step> {
     (0usize..10, any::<u64>(), 0usize..30, 0usize..3).prop_map(
         |(sel, seed, rows, task)| {
             if sel < 4 {
-                Step::Mutate { rel: sel % 3, seed, rows }
+                Step::Mutate { rel: sel % 3, seed, rows, how: task }
             } else {
                 Step::Query { task }
             }
@@ -59,9 +63,21 @@ fn drive(
     let catalog = IndexCatalog::new();
     for step in steps {
         match step {
-            Step::Mutate { rel, seed, rows } => {
+            Step::Mutate { rel, seed, rows, how } => {
                 let name = rel_names[rel % rel_names.len()];
-                db.insert(name, random_rel(2, *rows, *seed));
+                match how {
+                    0 => {
+                        db.insert(name, random_rel(2, *rows, *seed));
+                    }
+                    1 => {
+                        db.remove(name).expect("every relation stays present");
+                        db.insert(name, random_rel(2, *rows, *seed));
+                    }
+                    _ => {
+                        let row = random_rel(2, 1, *seed);
+                        db.get_mut(name).unwrap().insert_row(row.row(0));
+                    }
+                }
             }
             Step::Query { task } => match task {
                 0 => {
@@ -80,6 +96,14 @@ fn drive(
                     let ctx = EvalCtx::new().with_catalog(&catalog);
                     let (got, _) = ctx.count(&mut planner, q, &db).unwrap();
                     prop_assert_eq!(got, brute_force_count(q, &db).unwrap());
+                    let cold = IndexCatalog::new();
+                    let fresh = EvalCtx::new()
+                        .with_catalog(&cold)
+                        .count(&mut Planner::new(), q, &db)
+                        .unwrap()
+                        .0;
+                    prop_assert_eq!(got, fresh);
+                    prop_assert_eq!(&*catalog.stats(&db), &DataStats::collect(&db));
                 }
                 _ => {
                     let ctx = EvalCtx::new().with_catalog(&catalog);
@@ -124,6 +148,142 @@ proptest! {
     fn star2_interleavings(steps in proptest::collection::vec(step_strategy(), 4..=10)) {
         drive(&zoo::star_selfjoin_free(2), &["R1", "R2"], &steps)?;
     }
+
+    /// Free-connex projection: counting memoizes one elimination
+    /// message per subtree, each invalidated by its own relations only.
+    #[test]
+    fn star3_projection_interleavings(
+        steps in proptest::collection::vec(step_strategy(), 4..=14),
+    ) {
+        let star = parse_query("q(a) :- R1(a, b), R2(a, c), R3(a, d)").unwrap();
+        drive(&star, &["R1", "R2", "R3"], &steps)?;
+        let chain = parse_query("q(a, b) :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
+        drive(&chain, &["R1", "R2", "R3"], &steps)?;
+    }
+
+    /// Self-joins and repeated-variable atoms: the `bound_rel` /
+    /// `bound_hash` (semijoin sweep) and `bound_view` (generic join)
+    /// artifacts, whose keys name a relation more than once or not at
+    /// all in the query text's first atom.
+    #[test]
+    fn self_join_and_repeated_variable_interleavings(
+        steps in proptest::collection::vec(step_strategy(), 4..=12),
+    ) {
+        for src in [
+            "q() :- R1(x, x), R1(x, y), R2(y, z)",
+            "q(x, y, z) :- R1(x, y), R1(y, z)",
+            "q(x, y, z) :- R1(x, y), R2(y, z), R3(z, x), R1(x, x)",
+            "q(x, y) :- R2(x, x), R1(x, y), R2(y, x)",
+        ] {
+            drive(&parse_query(src).unwrap(), &["R1", "R2", "R3"], &steps)?;
+        }
+    }
+}
+
+/// Two queries over one long-lived catalog: a write to `R` must rebuild
+/// what the `R ⋈ S` query reads of `R` and nothing of `S` — the entries
+/// the `S`-only query reads stay *pointer-equal* across it, and reading
+/// them again builds nothing.
+#[test]
+fn a_write_keeps_the_entries_of_relations_it_did_not_touch() {
+    let rs = parse_query("q(x, y, z) :- R(x, y), S(y, z), R(z, x)").unwrap();
+    let s_only = parse_query("q(x, y, z) :- S(x, y), S(y, z), S(z, x)").unwrap();
+    let mut db = Database::new();
+    db.insert("R", random_rel(2, 20, 1));
+    db.insert("S", random_rel(2, 20, 2));
+    let catalog = IndexCatalog::new();
+    let mut planner = Planner::new();
+    let mut check = |q: &ConjunctiveQuery, db: &Database| {
+        let ctx = EvalCtx::new().with_catalog(&catalog);
+        let (n, _) = ctx.count(&mut planner, q, db).unwrap();
+        assert_eq!(n, brute_force_count(q, db).unwrap());
+        let (rows, _) = ctx.answers(&mut planner, q, db).unwrap();
+        assert_eq!(rows, brute_force_answers(q, db).unwrap());
+        let cold = IndexCatalog::new();
+        let cold = EvalCtx::new().with_catalog(&cold);
+        assert_eq!(rows, cold.answers(&mut Planner::new(), q, db).unwrap().0);
+    };
+    for round in 0..6u64 {
+        check(&rs, &db);
+        check(&s_only, &db);
+        // the views of S the triangle over S joins through
+        let s_views = |db: &Database| {
+            [[0, 1], [1, 0]].map(|cols| catalog.sorted_view(db, "S", &cols).unwrap())
+        };
+        let before = s_views(&db);
+        let warm = catalog.snapshot();
+
+        // write R (alternating mutators): S's entries are untouched
+        if round % 2 == 0 {
+            db.get_mut("R").unwrap().insert_row(&[round % 8, (round + 3) % 8]);
+        } else {
+            db.remove("R");
+            db.insert("R", random_rel(2, 15 + round as usize, 10 + round));
+        }
+        // (the statistics are the one whole-database product: R's part
+        // is re-collected by the first lookup after the write)
+        assert_eq!(*catalog.stats(&db), DataStats::collect(&db));
+        check(&s_only, &db);
+        let after = s_views(&db);
+        assert!(before.iter().zip(&after).all(|(a, b)| Arc::ptr_eq(a, b)));
+        assert_eq!(
+            catalog.snapshot().misses,
+            warm.misses + 1,
+            "S-only reads build nothing"
+        );
+        // ... and the query over both sees the new R
+        check(&rs, &db);
+        let rebuilt = catalog.snapshot();
+        assert!(
+            rebuilt.misses > warm.misses && rebuilt.invalidations > warm.invalidations
+        );
+        // rebuilt entries replaced their predecessors
+        assert_eq!(
+            (rebuilt.views, rebuilt.hash_indexes, rebuilt.artifacts),
+            (warm.views, warm.hash_indexes, warm.artifacts)
+        );
+
+        // write S: now the S-only query rebuilds too
+        db.insert("S", random_rel(2, 18 + round as usize, 20 + round));
+        check(&rs, &db);
+        check(&s_only, &db);
+        assert!(!Arc::ptr_eq(&after[0], &s_views(&db)[0]));
+    }
+}
+
+/// Diverging clones against one catalog: after `clone()` the two sides
+/// share every version; each then mutates a different relation.
+/// Alternating lookups must serve each side its own content — shared
+/// entries for what neither wrote, rebuilt ones for what one did.
+#[test]
+fn diverging_clones_share_one_catalog_safely() {
+    let q = zoo::path_join(2);
+    let mut a = Database::new();
+    a.insert("R1", random_rel(2, 12, 1));
+    a.insert("R2", random_rel(2, 12, 2));
+    let catalog = IndexCatalog::new();
+    let mut planner = Planner::new();
+    let ctx = EvalCtx::new().with_catalog(&catalog);
+    let (common, _) = ctx.answers(&mut planner, &q, &a).unwrap();
+    let mut b = a.clone();
+    let r2_of_a = catalog.sorted_view(&a, "R2", &[0, 1]).unwrap();
+    assert!(Arc::ptr_eq(&r2_of_a, &catalog.sorted_view(&b, "R2", &[0, 1]).unwrap()));
+    a.get_mut("R1").unwrap().insert_row(&[1, 1]);
+    b.insert("R2", random_rel(2, 9, 3));
+    for round in 0..4 {
+        for db in [&a, &b] {
+            let (got, _) = ctx.answers(&mut planner, &q, db).unwrap();
+            assert_eq!(got, brute_force_answers(&q, db).unwrap(), "round {round}");
+            let (n, _) = ctx.count(&mut planner, &q, db).unwrap();
+            assert_eq!(n, got.len() as u64, "round {round}");
+            assert_eq!(*catalog.stats(db), DataStats::collect(db), "round {round}");
+        }
+        // a never wrote R2: its view of R2 is still the shared one
+        // whenever a was the last to ask for it
+        let again = catalog.sorted_view(&a, "R2", &[0, 1]).unwrap();
+        assert_eq!(again.len(), r2_of_a.len());
+    }
+    assert_ne!(brute_force_answers(&q, &a).unwrap(), common);
 }
 
 /// The same staleness argument for the facade's process-global registry:

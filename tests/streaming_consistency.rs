@@ -3,8 +3,9 @@
 //! sizes, the one-shot `ANSWERS` wire data, a `CURSOR`/`FETCH`-paged
 //! drain, and the direct [`eval::answers`] result must all agree —
 //! byte-exact where the order contract promises it, as sets otherwise.
-//! Also covers seek-resume mid-stream on direct-access cursors and
-//! cursor invalidation after a mutation.
+//! Also covers seek-resume mid-stream on direct-access cursors, cursor
+//! invalidation after a mutation of a relation the cursor reads, and
+//! cursor survival across a mutation of one it does not.
 
 use cq_lower_bounds::prelude::*;
 use cq_server::protocol::render_rows;
@@ -129,16 +130,49 @@ proptest! {
         prop_assert_eq!(suffix, want, "full len {}", full.len());
     }
 
-    /// A mutation invalidates every open cursor on the tenant: the
-    /// next FETCH reports `ERR stale-cursor` and evicts the cursor.
+    /// A mutation of a relation the query does not read is invisible
+    /// to an open cursor: the pages fetched before and after it are one
+    /// uninterrupted drain.
+    #[test]
+    fn unrelated_mutation_leaves_open_cursors_streaming(
+        r in pairs_strategy(),
+        s in pairs_strategy(),
+        before in 0u64..9,
+        page in 1u64..9,
+        access in any::<bool>(),
+    ) {
+        // ACCESS needs the non-trivial plan (see `nonempty_pairs_strategy`)
+        let task = if access && !r.is_empty() && !s.is_empty() { "ACCESS" } else { "ANSWERS" };
+        let (mut sess, _db) = session_with(&r, &s);
+        let whole_id = open_cursor(&mut sess, task);
+        let whole = drain(&mut sess, whole_id, 7);
+
+        let id = open_cursor(&mut sess, task);
+        let head = sess.handle_line(&format!("FETCH {id} {before}")).unwrap();
+        prop_assert!(head.is_ok(), "{}", head.terminal);
+        let at_eof = head.ok_info().is_some_and(|i| i.ends_with(" rows eof"));
+        prop_assert!(sess.handle_line("INSERT T(999, 999)").unwrap().is_ok());
+        prop_assert!(sess.handle_line("INSERT T(998, 999)").unwrap().is_ok());
+        let mut paged = head.data;
+        if !at_eof {
+            paged.extend(drain(&mut sess, id, page));
+        }
+        prop_assert_eq!(paged, whole);
+    }
+
+    /// A mutation of a relation the query reads invalidates every open
+    /// cursor over it: the next FETCH reports `ERR stale-cursor` and
+    /// evicts the cursor.
     #[test]
     fn mutation_invalidates_open_cursors(
         r in pairs_strategy(),
         s in pairs_strategy(),
+        write_r in any::<bool>(),
     ) {
         let (mut sess, _db) = session_with(&r, &s);
         let id = open_cursor(&mut sess, "ANSWERS");
-        prop_assert!(sess.handle_line("INSERT R(999, 999)").unwrap().is_ok());
+        let insert = format!("INSERT {}(999, 999)", if write_r { "R" } else { "S" });
+        prop_assert!(sess.handle_line(&insert).unwrap().is_ok());
         let reply = sess.handle_line(&format!("FETCH {id} 5")).unwrap();
         prop_assert!(
             reply.terminal.starts_with("ERR stale-cursor:"),

@@ -8,7 +8,10 @@
 # verb's gates are decided once, by its row of the verb table, so the
 # tenant-resolution reply and the replica check each live in one place;
 # the tenant has one logged write; and no source file outgrows a screenful
-# of concerns.
+# of concerns. And one measurement system: a performance number comes from
+# `bench/` (cqbench), a complexity claim is asserted on a work counter by
+# `cargo test`, and the wall-clock experiment tables and criterion benches
+# that were a second, unrecorded system stay deleted.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -81,6 +84,25 @@ forbid "cq-server source files over 1,000 non-test lines (split by concern):" "$
         n=$(non_test "$f" | wc -l)
         if [ "$n" -gt 1000 ]; then echo "$f: $n lines above #[cfg(test)]"; fi
     done
+)"
+
+# every manifest of the workspace (`bench/` is a package of its own)
+manifests() {
+    find . -name Cargo.toml -not -path './bench/*' -not -path '*/target/*' \
+        -not -path './.bench_build/*'
+}
+forbid "criterion dependencies outside bench/ (time with cqbench, assert on counters):" "$(
+    manifests | xargs grep -n criterion
+)"
+# ... whose one bench target is the observability gate CI runs
+forbid "[[bench]] targets other than metrics_overhead (add a cqbench layer metric instead):" "$(
+    manifests | xargs awk '
+        /^\[\[bench\]\]/ { in_bench = 1; next }
+        /^\[/ { in_bench = 0 }
+        in_bench && /^name *=/ && !/"metrics_overhead"/ { print FILENAME ": " $0 }'
+)"
+forbid "the experiment-table crate (its claims are rows of tests/generic_join_kernel.rs):" "$(
+    ls -d crates/bench 2>/dev/null
 )"
 
 exit $status

@@ -86,7 +86,7 @@ fn permute_check(q: &ConjunctiveQuery, perm: &mut Vec<Var>, i: usize) -> bool {
 }
 
 /// Enumerate the orders of `q`'s variables without a disruptive trio
-/// (brute force; for small queries / tests / the experiment harness).
+/// (brute force; for small queries and tests).
 pub fn trio_free_orders(q: &ConjunctiveQuery) -> Vec<Vec<Var>> {
     let vars: Vec<Var> = q.vars().collect();
     let mut out = Vec::new();

@@ -115,8 +115,8 @@ impl Entry {
 /// memo's contents.
 pub const MEMO_CAP: usize = 512;
 
-/// Hit/miss/invalidation counters plus memo sizes (for diagnostics,
-/// benchmarks, and the experiment harness). The counters accumulate
+/// Hit/miss/invalidation counters plus memo sizes (for diagnostics and
+/// benchmarks). The counters accumulate
 /// over the catalog's whole life, across database mutations.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct CatalogStats {

@@ -1,7 +1,7 @@
-//! Workload generators for the experiment harness.
+//! Workload generators for tests, examples and the benchmark.
 //!
-//! Each generator is deterministic given the seed, so every experiment in
-//! EXPERIMENTS.md is reproducible. Generators produce the instance
+//! Each generator is deterministic given the seed, so every measurement
+//! over them is reproducible. Generators produce the instance
 //! families the paper's bounds are about: random sparse relations,
 //! AGM-tight worst cases for Loomis–Whitney joins, skewed (heavy-hitter)
 //! relations that exercise degree splits, and functional chains whose

@@ -1,8 +1,8 @@
 //! # cq-data — relational substrate
 //!
 //! Flat, sorted, allocation-light relation storage for the conjunctive
-//! query engine (`cq-engine`), together with workload generators used by
-//! the experiment harness. Values are interned to `u64` ([`Val`]); a
+//! query engine (`cq-engine`), together with seeded workload
+//! generators. Values are interned to `u64` ([`Val`]); a
 //! relation is a flat row-major buffer kept sorted and deduplicated, so
 //! lookups, prefix ranges, semijoins and projections run by binary search
 //! and linear merges without per-tuple allocation (the hot-path guidance

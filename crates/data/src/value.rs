@@ -6,7 +6,7 @@
 use crate::hasher::FxHashMap;
 
 /// A domain value. The paper's RAM model has logarithmic word size; `u64`
-/// values cover every domain the experiments use.
+/// values cover every domain the workloads use.
 pub type Val = u64;
 
 /// Bidirectional string ↔ [`Val`] interner for user-facing layers.

@@ -8,6 +8,14 @@
 //! every key lookup is non-empty, so the delay between answers is bounded
 //! by the number of tree nodes — a constant depending only on the query,
 //! exactly the guarantee of BDG07.
+//!
+//! That bound is checked as work, not time: the stream counts its
+//! odometer moves and `descend` calls and reports them as the `steps`
+//! attribute of its `stream.enumerate` span, and `tests/stream_alloc.rs`
+//! asserts `steps ≤ 2 · levels · rows` whatever the data. What the
+//! counter does *not* cover: each `descend` is a `key_range` binary
+//! search, so the delay is O(levels · log m) in comparisons until child
+//! offsets from the trie levels replace the search (ROADMAP 3(c)).
 
 use crate::bind::EvalError;
 use crate::cancel::CancelToken;
@@ -236,6 +244,8 @@ pub struct EnumeratorStream {
     state: StreamState,
     cancel: CancelToken,
     rows: u64,
+    /// Levels the odometer tried to advance plus `descend` calls.
+    steps: u64,
     span: Option<cq_obs::trace::SpanGuard>,
 }
 
@@ -252,6 +262,7 @@ impl EnumeratorStream {
             state: StreamState::NotStarted,
             cancel: CancelToken::never(),
             rows: 0,
+            steps: 0,
             span: Some(cq_obs::trace::current().span("stream.enumerate")),
         }
     }
@@ -261,6 +272,7 @@ impl Drop for EnumeratorStream {
     fn drop(&mut self) {
         if let Some(mut span) = self.span.take() {
             span.attr("rows", self.rows);
+            span.attr("steps", self.steps);
             span.attr("cancel-polls", self.cancel.polls());
         }
     }
@@ -273,7 +285,9 @@ impl AnswerStream for EnumeratorStream {
 
     fn next(&mut self) -> Result<Option<&[Val]>, EvalError> {
         self.cancel.check()?;
-        let EnumeratorStream { core, cursors, current, keybuf, state, rows, .. } = self;
+        let EnumeratorStream {
+            core, cursors, current, keybuf, state, rows, steps, ..
+        } = self;
         match state {
             StreamState::Done => return Ok(None),
             StreamState::NotStarted => {
@@ -291,6 +305,7 @@ impl AnswerStream for EnumeratorStream {
                 for (lev, cur) in core.levels.iter().zip(cursors.iter_mut()) {
                     descend(lev, cur, current, keybuf);
                 }
+                *steps += core.levels.len() as u64;
                 *state = StreamState::Active;
                 *rows += 1;
                 return Ok(Some(current));
@@ -306,6 +321,7 @@ impl AnswerStream for EnumeratorStream {
                 return Ok(None); // exhausted
             }
             i -= 1;
+            *steps += 1;
             let (lev, cur) = (&core.levels[i], &mut cursors[i]);
             if cur.pos + 1 < cur.range.end {
                 cur.pos += 1;
@@ -316,6 +332,7 @@ impl AnswerStream for EnumeratorStream {
         for (lev, cur) in core.levels.iter().zip(cursors.iter_mut()).skip(i + 1) {
             descend(lev, cur, current, keybuf);
         }
+        *steps += (core.levels.len() - i - 1) as u64;
         *rows += 1;
         Ok(Some(current))
     }

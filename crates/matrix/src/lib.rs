@@ -4,26 +4,21 @@
 //! Alon–Yuster–Zwick triangle algorithm (Thm 3.2), the Nešetřil–Poljak
 //! k-clique algorithm (Thm 4.1), and the sparse-BMM hypothesis behind the
 //! enumeration lower bounds (Hypothesis 1, Thm 3.15). This crate builds
-//! the whole substrate from scratch:
+//! what those three run on, from scratch:
 //!
 //! * [`BitMatrix`] — dense Boolean matrices, one bit per entry;
 //! * [`dense`] — naive cubic, word-parallel row-OR (n³/64), and blocked
 //!   multiplies;
-//! * [`four_russians`] — the O(n³ / (w log n)) table method;
-//! * [`strassen`] — Strassen over integers with a Boolean wrapper (the
-//!   genuinely sub-cubic route; paper §2.3);
 //! * [`sparse`] — sparse Boolean matrices with a hash SpGEMM and the
 //!   **heavy/light output-sensitive algorithm** whose m^{4/3} shape is
 //!   exactly what Hypothesis 1 conjectures optimal;
-//! * [`omega`] — measures this machine's *effective* ω by log–log fit,
-//!   which parameterizes the AYZ degree threshold honestly.
+//! * [`omega`] — the log–log exponent fit and the AYZ degree threshold
+//!   Δ = m^{(ω−1)/(ω+1)}.
 
 pub mod bitmat;
 pub mod dense;
-pub mod four_russians;
 pub mod omega;
 pub mod sparse;
-pub mod strassen;
 
 pub use bitmat::BitMatrix;
 pub use sparse::SparseBoolMat;

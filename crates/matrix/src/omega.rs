@@ -1,19 +1,12 @@
-//! Effective matrix-multiplication exponent calibration.
+//! The exponent arithmetic the ω-parameterized claims need.
 //!
-//! Every ω-parameterized formula in the paper (the AYZ threshold
-//! Δ = m^{(ω−1)/(ω+1)} of Thm 3.2, the n^{ω·k/3} of Thm 4.1) is only
-//! meaningful for the multiply actually in use. Our word-parallel
-//! multiply is Θ(n³/64) asymptotically, but at benchmark scales its
-//! *fitted* exponent is what matters; this module measures it by log–log
-//! regression, and the experiment harness instantiates the paper formulas
-//! with the fitted value rather than a pretend ω = 2.37 (see DESIGN.md,
-//! "Effective ω honesty").
-
-use crate::bitmat::BitMatrix;
-use crate::dense::multiply_rowwise;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use std::time::Instant;
+//! [`fit_exponent`] is the log–log regression every scaling check uses
+//! (over deterministic work counters in `tests/`, over wall-clock in
+//! `examples/`); [`ayz_delta`] is the degree threshold
+//! Δ = m^{(ω−1)/(ω+1)} of Thm 3.2's proof. The ω is the caller's: the
+//! word-parallel multiply here is Θ(n³/64), so ω = 3 is its asymptotic
+//! value and anything lower is a statement about the constant at the
+//! sizes at hand.
 
 /// Least-squares slope of `log y` against `log x` — the fitted runtime
 /// exponent of a size sweep. Returns `None` with fewer than two points or
@@ -42,40 +35,11 @@ pub fn fit_exponent(points: &[(f64, f64)]) -> Option<f64> {
     Some((n * sxy - sx * sy) / denom)
 }
 
-/// Time `f()` in seconds (single shot — callers supply sizes large enough
-/// to dominate timer noise).
-pub fn time_secs<T>(mut f: impl FnMut() -> T) -> (f64, T) {
-    let start = Instant::now();
-    let out = f();
-    (start.elapsed().as_secs_f64(), out)
-}
-
-/// Measure the effective exponent of the word-parallel dense multiply on
-/// this machine across the given sizes. Deterministic inputs (density
-/// 0.5).
-pub fn calibrate_effective_omega(sizes: &[usize]) -> Option<f64> {
-    let mut pts = Vec::with_capacity(sizes.len());
-    for &n in sizes {
-        let mut rng = StdRng::seed_from_u64(n as u64);
-        let a = BitMatrix::random(n, n, 0.5, &mut rng);
-        let b = BitMatrix::random(n, n, 0.5, &mut rng);
-        let (t, c) = time_secs(|| multiply_rowwise(&a, &b));
-        std::hint::black_box(c.count_ones());
-        pts.push((n as f64, t.max(1e-9)));
-    }
-    fit_exponent(&pts)
-}
-
 /// The AYZ degree threshold `Δ = m^{(ω−1)/(ω+1)}` (proof of Thm 3.2),
-/// instantiated with the effective ω.
+/// instantiated with the caller's ω.
 pub fn ayz_delta(m: usize, omega_eff: f64) -> usize {
     let exp = (omega_eff - 1.0) / (omega_eff + 1.0);
     ((m as f64).powf(exp).round() as usize).max(1)
-}
-
-/// The AYZ total runtime exponent `2ω/(ω+1)` (Thm 3.2).
-pub fn ayz_exponent(omega_eff: f64) -> f64 {
-    2.0 * omega_eff / (omega_eff + 1.0)
 }
 
 #[cfg(test)]
@@ -100,20 +64,8 @@ mod tests {
 
     #[test]
     fn ayz_formulas_at_known_omegas() {
-        // ω = 2 → Δ = m^{1/3}, exponent 4/3; ω = 3 → Δ = m^{1/2},
-        // exponent 3/2 (matches the naive m^{3/2} as the paper notes).
+        // ω = 2 → Δ = m^{1/3}; ω = 3 → Δ = m^{1/2}
         assert_eq!(ayz_delta(1_000_000, 2.0), 100);
         assert_eq!(ayz_delta(1_000_000, 3.0), 1000);
-        assert!((ayz_exponent(2.0) - 4.0 / 3.0).abs() < 1e-12);
-        assert!((ayz_exponent(3.0) - 1.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn calibration_runs_and_is_plausible() {
-        // tiny sizes: we only check it produces a finite number in a sane
-        // band (wide because tiny inputs are noisy).
-        let e = calibrate_effective_omega(&[64, 96, 128]).unwrap();
-        assert!(e.is_finite());
-        assert!((0.5..4.5).contains(&e), "effective omega fitted at {e}");
     }
 }

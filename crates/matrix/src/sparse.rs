@@ -146,8 +146,7 @@ pub fn spgemm(a: &SparseBoolMat, b: &SparseBoolMat) -> SparseBoolMat {
     SparseBoolMat { n_rows: a.n_rows, n_cols: b.n_cols, rows }
 }
 
-/// Statistics reported by the heavy/light multiply, for the experiment
-/// harness.
+/// Work done by each side of the heavy/light multiply.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct HeavyLightStats {
     /// Middle indices routed to the light (join) side.
@@ -250,8 +249,7 @@ pub fn spgemm_heavy_light(
 
 /// The Δ used by default for inputs with `m` total non-zeros: `m^{1/3}`,
 /// the balance point when the dense side behaves quadratically in its
-/// dimension (ω → 2 word-parallel regime); see EXPERIMENTS.md E14 for the
-/// ablation.
+/// dimension (ω → 2 word-parallel regime).
 pub fn default_delta(m: usize) -> usize {
     ((m as f64).powf(1.0 / 3.0).round() as usize).max(1)
 }
@@ -329,6 +327,9 @@ mod tests {
         let (_, stats) = spgemm_heavy_light(&a, &b, delta);
         // Σ_light da·db ≤ Δ·Σ max(da,db) ≤ Δ·(nnzA + nnzB)
         assert!(stats.light_flops <= delta * (a.nnz() + b.nnz()));
+        // a heavy index has da, db > Δ, and the degrees sum to the nnz
+        assert!(stats.heavy_indices > 0, "Δ = {delta} must split this input");
+        assert!(stats.heavy_indices <= (a.nnz() + b.nnz()) / delta);
     }
 
     #[test]

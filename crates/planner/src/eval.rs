@@ -1,7 +1,7 @@
 //! The one-call evaluation facade: plan, execute, report.
 //!
 //! These are the entry points the rest of the workspace (facade crate,
-//! examples, experiment harness) routes through. Each call plans
+//! examples, tests) routes through. Each call plans
 //! against a process-wide shared [`Planner`] (so repeated query shapes
 //! hit the plan cache across call sites), executes the plan, and
 //! returns the result together with the plan that produced it — the

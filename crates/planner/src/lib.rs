@@ -25,7 +25,7 @@
 //! * [`explain`] — EXPLAIN rendering with theorem citations and the
 //!   hypothesis ruling out anything faster.
 //! * [`eval`] — the one-call facade (`decide` / `count` / `answers` /
-//!   `explain`) used by the facade crate, examples, and experiments.
+//!   `explain`) used by the facade crate and the examples.
 //! * [`ctx`] — [`EvalCtx`], the options struct (catalog, cancel token,
 //!   budget, trace) behind the facade.
 //!

@@ -279,6 +279,23 @@ mod tests {
     }
 
     #[test]
+    fn complete_multipartite_graphs_stop_one_short() {
+        // complete (k−1)-partite: as dense as a K_k-free graph gets, the
+        // detectors' worst "no"
+        for k in 4..=6usize {
+            let (per, n) = (3, 3 * (k - 1));
+            let edges = (0..n)
+                .flat_map(|u| (u + 1..n).map(move |v| (u, v)))
+                .filter(|(u, v)| u / per != v / per)
+                .map(|(u, v)| (u as u32, v as u32));
+            let g = Graph::from_edges(n, edges.collect::<Vec<_>>());
+            assert!(find_k_clique_backtracking(&g, k).is_none(), "k={k}");
+            assert!(find_k_clique_np(&g, k).is_none(), "k={k}");
+            assert!(find_k_clique_np(&g, k - 1).is_some(), "k={k}");
+        }
+    }
+
+    #[test]
     fn k1_k2_edge_cases() {
         let g = Graph::from_edges(3, vec![(0, 1)]);
         assert!(find_k_clique_backtracking(&g, 1).is_some());

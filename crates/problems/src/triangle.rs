@@ -10,8 +10,7 @@
 //!   Theorem 3.2's query algorithm is built on: light vertices are
 //!   handled by neighborhood enumeration (cost m·Δ), the heavy-induced
 //!   subgraph (≤ 2m/Δ vertices) by one dense BMM;
-//! * [`count_triangles`] — exact counting, used as the ground truth in
-//!   tests and by the counting experiments.
+//! * [`count_triangles`] — exact counting, the ground truth in tests.
 
 use crate::graph::Graph;
 use cq_matrix::dense::multiply_rowwise;
@@ -56,9 +55,8 @@ pub fn find_triangle_bmm(g: &Graph) -> Option<(u32, u32, u32)> {
 }
 
 /// Alon–Yuster–Zwick degree-split triangle detection (the engine of
-/// Theorem 3.2). `delta` is the light/heavy degree threshold; pass the
-/// calibrated `cq_matrix::omega::ayz_delta(m, omega_eff)` for the
-/// theorem's balance point.
+/// Theorem 3.2). `delta` is the light/heavy degree threshold; pass
+/// `cq_matrix::omega::ayz_delta(m, ω)` for the theorem's balance point.
 pub fn find_triangle_ayz(g: &Graph, delta: usize) -> Option<(u32, u32, u32)> {
     let delta = delta.max(1);
     // Phase 1: triangles containing a light vertex. For each light v,
@@ -108,19 +106,6 @@ pub fn count_triangles(g: &Graph) -> u64 {
         }
     }
     count / 3
-}
-
-/// Exact triangle count via integer matrix multiplication:
-/// `trace(A³) / 6` with `A³` computed by Strassen — the algebraic
-/// counting route the paper's §2.3 sketches (and the reason counting
-/// triangles is no harder than matrix multiplication).
-pub fn count_triangles_strassen(g: &Graph) -> u64 {
-    use cq_matrix::strassen::{strassen_multiply, IntMatrix};
-    let a = IntMatrix::from_bool(&g.adjacency_matrix());
-    let a2 = strassen_multiply(&a, &a, 64);
-    let a3 = strassen_multiply(&a2, &a, 64);
-    let trace: i64 = (0..g.n()).map(|i| a3.get(i, i)).sum();
-    (trace / 6) as u64
 }
 
 /// Is `(a, b, c)` a triangle of `g`?
@@ -216,23 +201,12 @@ mod tests {
     }
 
     #[test]
-    fn strassen_counting_matches_edge_iterator() {
-        let mut rng = StdRng::seed_from_u64(31);
-        for trial in 0..8 {
-            let g = Graph::random_gnp(20 + trial, 0.3, &mut rng);
-            assert_eq!(
-                count_triangles_strassen(&g),
-                count_triangles(&g),
-                "trial={trial}"
-            );
-        }
-    }
-
-    #[test]
     fn bipartite_always_triangle_free() {
         let mut rng = StdRng::seed_from_u64(5);
         let g = Graph::random_bipartite(30, 100, &mut rng);
         assert_eq!(count_triangles(&g), 0);
+        assert!(find_triangle_edge_iterator(&g).is_none());
+        assert!(find_triangle_bmm(&g).is_none());
         assert!(find_triangle_ayz(&g, 5).is_none());
     }
 

@@ -203,6 +203,8 @@ mod tests {
     fn triangle_free_graph_false() {
         let mut rng = seeded_rng(3);
         let g = Graph::random_bipartite(20, 60, &mut rng);
-        assert!(!triangle_via_query(&zoo::cycle_boolean(4), &g).unwrap());
+        for k in [4, 5] {
+            assert!(!triangle_via_query(&zoo::cycle_boolean(k), &g).unwrap(), "C{k}");
+        }
     }
 }

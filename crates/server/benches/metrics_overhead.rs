@@ -1,46 +1,48 @@
-//! What does observability cost on the hot path?
+//! What does observability cost on the hot path? The workspace's one
+//! bench target, and a gate: CI runs it (`cargo bench -p cq-server
+//! --bench metrics_overhead`, ≈ 13–17 s).
 //!
 //! The per-command instrumentation a `Session` pays is fixed and small:
 //! two `Instant::now()`/`elapsed()` pairs (command + operator timing),
 //! one cached-handle counter increment + histogram record for the
 //! command, one for the plan operator, the slow-query threshold gate
-//! (a single relaxed load), and the error-kind scan of the reply
-//! terminal. The recording calls cannot be compiled out, so the bench
-//! decomposes instead of diffing two builds:
+//! (a single relaxed load), and the tracing-disabled span work the
+//! engine performs unconditionally (a thread-local read of the current
+//! sink and a handful of no-op span opens/attrs). The recording calls
+//! cannot be compiled out, so the bench times exactly that work alone
+//! (≈ 0.65–1.2 µs on the 2-core CI box, by the hour) and compares it
+//! with two full instrumented requests through `Session::handle_line`,
+//! plan cache and catalog both hot:
 //!
-//!   * `warm_count` — the full instrumented hot path: a warm repeated
-//!     `COUNT` join through `Session::handle_line` (plan cache and
-//!     catalog both hot);
-//!   * `obs_ops_per_command` — exactly the per-command observability
-//!     work listed above, alone — plus the tracing-disabled span work
-//!     the engine now performs unconditionally (a thread-local read of
-//!     the current sink and a handful of no-op span opens/attrs, one
-//!     per instrumented operator and stream).
-//!
-//! The acceptance bound (ISSUE 6): instrumentation stays within ~2% of
-//! the uninstrumented path, i.e. `obs_ops ≤ 2% · warm_count`. The
-//! assertion runs on `cargo bench` (CI compiles with `--no-run`; the
-//! bound is checked wherever the bench is actually executed).
+//!   * a `COUNT` of `q_mm` over 5,000-row relations: ≈ 5.2–8.7 ms, so
+//!     the instruments are 0.01–0.02% of it. This is the asserted bound
+//!     (ISSUE 6): `obs ≤ 2% · warm_count`;
+//!   * the same `COUNT` on a 100-row tenant, the size of `cqbench`'s
+//!     `tiny_rpc` requests: ≈ 22–37 µs, of which the instruments are
+//!     ≈ 2.6–4.9%. Printed, not asserted — the yardstick for new
+//!     per-request instruments (ROADMAP item 4), where the first line
+//!     would hide a hundredfold increase.
 
 use cq_server::metrics::SessionMetrics;
 use cq_server::server::Session;
 use cq_server::state::ServerState;
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use std::hint::black_box;
 use std::sync::Arc;
 use std::time::Instant;
 
 const QUERY: &str = "COUNT q(x, z) :- R(x, y), S(y, z)";
 
-/// A session over one tenant with a join big enough that the warm
-/// query costs tens of microseconds (so the 2% bound is meaningful).
-fn warm_session() -> (Session, Arc<ServerState>) {
+/// A session over one tenant of two `rows`-row relations joining on 500
+/// values (one to one below 500 rows), with the plan cache and the index
+/// catalog warm.
+fn warm_session(rows: u64) -> (Session, Arc<ServerState>) {
     let state = Arc::new(ServerState::new());
     let mut s = Session::new(Arc::clone(&state));
     s.handle_line("CREATE DB bench");
     s.handle_line("USE bench");
     for (rel, flip) in [("R", false), ("S", true)] {
         s.handle_line(&format!("LOAD {rel} 2"));
-        for i in 0..5_000u64 {
+        for i in 0..rows {
             let (a, b) = (i, i % 500);
             if flip {
                 s.handle_line(&format!("{b} {a}"));
@@ -50,7 +52,6 @@ fn warm_session() -> (Session, Arc<ServerState>) {
         }
         s.handle_line("END");
     }
-    // warm the plan cache and the tenant's index catalog
     let r = s.handle_line(QUERY).expect("warm query replies");
     assert!(r.is_ok(), "{}", r.terminal);
     (s, state)
@@ -87,31 +88,11 @@ fn disabled_trace_ops() {
     }
 }
 
-fn bench_metrics_overhead(c: &mut Criterion) {
-    let (mut session, state) = warm_session();
+fn main() {
+    let (mut session, state) = warm_session(5_000);
     let mut sm = SessionMetrics::new(Arc::clone(state.metrics()));
     let slowlog = state.metrics();
 
-    let mut group = c.benchmark_group("metrics_overhead");
-    group.bench_function("warm_count", |b| {
-        b.iter(|| session.handle_line(black_box(QUERY)));
-    });
-    group.bench_function("obs_ops_per_command", |b| {
-        b.iter(|| {
-            let t0 = Instant::now();
-            let e0 = t0.elapsed();
-            let t1 = Instant::now();
-            let e1 = t1.elapsed();
-            sm.record_op("bench", "generic join (worst-case optimal)", e0);
-            sm.record_cmd("db.bench", "count", e1);
-            disabled_trace_ops();
-            slowlog.slowlog().should_record(e1)
-        });
-    });
-    group.finish();
-
-    // the acceptance bound, self-timed (medians; the criterion shim
-    // does not expose its measurements)
     let query_ns = median_ns(|| session.handle_line(QUERY), 200, 9);
     let obs_ns = median_ns(
         || {
@@ -132,12 +113,16 @@ fn bench_metrics_overhead(c: &mut Criterion) {
         "metrics_overhead: obs {obs_ns:.0} ns vs warm query {query_ns:.0} ns \
          ({pct:.2}% of the hot path; bound 2%)"
     );
+    let (mut tiny, _) = warm_session(100);
+    let tiny_ns = median_ns(|| tiny.handle_line(QUERY), 10_000, 9);
+    println!(
+        "metrics_overhead: obs {obs_ns:.0} ns vs 100-row request {tiny_ns:.0} ns \
+         ({:.2}% of a tiny_rpc-sized request; not asserted)",
+        100.0 * obs_ns / tiny_ns
+    );
     assert!(
         obs_ns <= query_ns * 0.02,
         "per-command observability work ({obs_ns:.0} ns) exceeds 2% of the warm \
          hot path ({query_ns:.0} ns)"
     );
 }
-
-criterion_group!(benches, bench_metrics_overhead);
-criterion_main!(benches);

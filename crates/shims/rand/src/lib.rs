@@ -5,7 +5,7 @@
 //! uses: a seedable [`rngs::StdRng`] plus [`Rng::gen_range`] /
 //! [`Rng::gen_bool`]. The generator is xoshiro256** seeded through
 //! SplitMix64 — deterministic across platforms, which is all the
-//! workload generators and experiments need (they only ever construct
+//! workload generators and tests need (they only ever construct
 //! RNGs through `SeedableRng::seed_from_u64`).
 //!
 //! This is **not** a cryptographic RNG and makes no attempt to match

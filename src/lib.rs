@@ -255,8 +255,8 @@
 //! `seek` / `for_each_page`. See the `DESIGN.md` "Streaming" section
 //! for the cursor lifecycle, staleness rules, and memory bounds.
 //!
-//! See `examples/` for end-to-end scenarios and `DESIGN.md` /
-//! `EXPERIMENTS.md` for the reproduction map.
+//! See `examples/` for end-to-end scenarios and `DESIGN.md` §3 for the
+//! theorem → evidence map.
 
 pub use cq_core as core;
 pub use cq_data as data;

@@ -6,9 +6,15 @@
 //! the letter of that and lose the point. A counting global allocator
 //! pins it: draining ten times the answers performs the same number of
 //! allocations, up to a small constant, whichever plan produces them.
+//! The enumerator's other half of the promise — a bounded number of
+//! steps per answer — is pinned beside it on its `steps` counter.
 
 use cq_core::parse_query;
+use cq_core::query::zoo;
+use cq_data::generate::{random_pairs, seeded_rng};
 use cq_data::{Database, IndexCatalog, Relation};
+use cq_engine::{AnswerStream, Enumerator, ExecCtx};
+use cq_obs::trace::{self, TraceSink};
 use cq_planner::{eval, EvalCtx, Output, PlanOp, Task};
 use cq_server::protocol::render_row_into;
 use cq_server::server::{Action, Session, STREAM_MAX_CHUNK_BYTES};
@@ -172,4 +178,50 @@ fn a_direct_access_drain_allocates_per_flush_not_per_row() {
         n
     });
     assert_flat("direct access", small, large);
+}
+
+/// Thm 3.17 as a work invariant: per answer the odometer tries at most
+/// `levels` cursors and re-descends at most `levels − 1`, whatever `m` —
+/// on uniform data and with every eighth row moved onto one heavy key,
+/// both full of dangling tuples that a structure short of full reduction
+/// would descend into and have to back out of.
+#[test]
+fn enumeration_steps_per_answer_are_bounded_by_the_query_alone() {
+    for q in [zoo::star_full(2), zoo::path_join(3)] {
+        let levels = q.atoms().len() as u64;
+        for m in [16usize, 256, 4096] {
+            let uniform = random_pairs(m, (m / 2) as u64, &mut seeded_rng(m as u64));
+            let skewed = Relation::from_pairs(
+                uniform
+                    .iter()
+                    .enumerate()
+                    .map(|(i, r)| (r[0], if i % 8 == 0 { 0 } else { r[1] })),
+            );
+            for rel in [uniform, skewed] {
+                let mut db = Database::new();
+                for atom in q.atoms() {
+                    db.insert(&atom.relation, rel.clone());
+                }
+                let sink = TraceSink::enabled();
+                trace::with(&sink, || {
+                    let mut stream = Enumerator::preprocess(&ExecCtx::cold(), &q, &db)
+                        .unwrap()
+                        .into_stream();
+                    while stream.next().unwrap().is_some() {}
+                });
+                let (mut rows, mut steps) = (None, None);
+                sink.finish("test", &q.to_string()).expect("enabled").visit(|_, span| {
+                    if span.name == "stream.enumerate" {
+                        (rows, steps) = (span.attr("rows"), span.attr("steps"));
+                    }
+                });
+                let (rows, steps) = (rows.expect("rows"), steps.expect("steps"));
+                assert_eq!(rows, eval::count(&q, &db).unwrap().0, "{q} m={m}");
+                assert!(
+                    steps <= 2 * levels * rows,
+                    "{q} m={m}: {steps} steps for {rows} answers over {levels} levels"
+                );
+            }
+        }
+    }
 }

@@ -11,7 +11,12 @@
 # of concerns. And one measurement system: a performance number comes from
 # `bench/` (cqbench), a complexity claim is asserted on a work counter by
 # `cargo test`, and the wall-clock experiment tables and criterion benches
-# that were a second, unrecorded system stay deleted.
+# that were a second, unrecorded system stay deleted. And one preprocessing
+# for the easy side: `q'` is derived by `count::free_join` alone, the
+# reduced tree `LexDirectAccess::from_reduced` sorts is the one structure
+# enumeration walks and direct access descends, the planner names engine
+# structures without defining any, and aggregation runs under an ExecCtx
+# like every other operator.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -36,6 +41,33 @@ forbid "deprecated items (delete them; the workspace owns every caller):" "$(
 forbid "cancel-suffixed entry points (the token is ExecCtx's):" "$(
     grep -rnE 'pub fn \w+_cancel\(' crates/engine/src crates/planner/src \
         | grep -vE 'pub fn (set|with)_cancel\('
+)"
+
+# the enumerator's private copy of the reduced tree, and the unmemoized
+# twin of projection elimination, stay deleted
+forbid "EnumeratorCore / LevelIndex (enumeration walks the direct-access tree):" "$(
+    grep -rnE '\b(EnumeratorCore|LevelIndex)\b' crates
+)"
+forbid "pub fn eliminate_projections (count::free_join is the one, memoized, derivation of q'):" "$(
+    grep -rnE 'pub fn eliminate_projections\b' crates
+)"
+forbid "artifact kinds of deleted structures:" "$(
+    grep -rn -A3 -F '.artifact(' crates/engine/src crates/planner/src \
+        | grep -E '"(enumerator|proj_mat_da)"'
+)"
+forbid "access structures defined in the planner (build the engine's):" "$(
+    grep -rnE 'struct \w*Access\b' crates/planner/src
+)"
+# a signature runs from `pub fn` to the `{` opening the body
+forbid "aggregation entry points that read a database outside an ExecCtx (take \`ctx: &ExecCtx\` first):" "$(
+    awk '/pub fn / { sig = ""; open = 1 }
+         open { sig = sig " " $0 }
+         open && /\{/ {
+             open = 0
+             gsub(/[ \t]+/, " ", sig)
+             if (sig ~ /db: &Database/ && sig !~ /^[^(]*\( ?ctx: &ExecCtx/)
+                 print FILENAME ":" sig
+         }' crates/engine/src/aggregate.rs
 )"
 
 # the non-test part (above `#[cfg(test)]`) of a source file, each line

@@ -15,7 +15,8 @@
 //!   `(kind, key)` strings, used by the engine for query-level
 //!   structures that are derived from the data but not addressable by a
 //!   single `(relation, columns)` pair: bound atoms, projection
-//!   elimination messages, enumerator cores, direct-access structures.
+//!   elimination messages, the reduced trees enumeration and direct
+//!   access share.
 //!
 //! # Consistency
 //!
@@ -69,7 +70,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Key of one memo entry. Views and hash indexes are addressed by
 /// relation name + key-column permutation; artifacts by `(kind, key)` —
-/// `kind` namespaces the stored type (e.g. `"enumerator"`), `key`
+/// `kind` namespaces the stored type (e.g. `"fc_da"`), `key`
 /// identifies the instance (typically the query's canonical text plus
 /// any parameters).
 #[derive(Clone, PartialEq, Eq, Hash)]

@@ -6,23 +6,27 @@
 //! ⊕-sum over all answers. Over the *tropical* semiring (min, +) this is
 //! the minimum-weight answer — the setting where Min-Weight-k-Clique
 //! hardness transfers through clique embeddings (Example 4.3). Over the
-//! counting semiring (+, ×) with unit weights it recovers answer
-//! counting, which we use as a cross-check of Theorem 3.8's DP.
+//! counting semiring (+, ×) with unit weights it *is* answer counting:
+//! Theorem 3.8's DP and the acyclic aggregation below are one loop,
+//! [`crate::count`]'s sum-product fold.
 //!
-//! * [`aggregate_acyclic_join`] — linear-time DP over a join tree
-//!   (acyclic join queries);
+//! * [`aggregate_acyclic_join`] — that linear-time fold over a join
+//!   tree (acyclic join queries);
 //! * [`aggregate_generic`] — generic-join enumeration + fold, the
 //!   baseline for cyclic queries such as the 5-cycle of Example 4.3
 //!   (runtime = AGM bound; the embedding says m^{5/4} is a conditional
 //!   floor, so no algorithm here can be linear).
+//!
+//! Like every operator both take an [`ExecCtx`] first: bound atoms and
+//! views come out of its catalog, and its token bounds the fold.
 
-use crate::bind::{bind, distinct_vars, BoundAtom, EvalError};
+use crate::bind::{bind, distinct_vars, EvalError};
+use crate::count::sum_product;
 use crate::ctx::ExecCtx;
 use crate::generic_join;
 use crate::yannakakis::join_tree_of;
-use cq_core::hypergraph::mask_vertices;
-use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, FxHashMap, Val};
+use cq_core::ConjunctiveQuery;
+use cq_data::{Database, Val};
 
 /// A commutative semiring.
 pub trait Semiring {
@@ -36,6 +40,11 @@ pub trait Semiring {
     fn add(&self, a: &Self::T, b: &Self::T) -> Self::T;
     /// ⊗.
     fn mul(&self, a: &Self::T, b: &Self::T) -> Self::T;
+    /// Vet a finished aggregate before it is reported. Every total is
+    /// reportable by default.
+    fn finish(&self, total: Self::T) -> Result<Self::T, EvalError> {
+        Ok(total)
+    }
 }
 
 /// The tropical (min, +) semiring over `i64` with `i64::MAX` as +∞.
@@ -61,99 +70,60 @@ impl Semiring for Tropical {
     }
 }
 
-/// The counting semiring (ℕ, +, ×) over `u64` (saturating).
+/// The counting semiring (ℕ, +, ×), the one `COUNT` runs at: u128,
+/// saturating, and a total that does not fit the `u64` every counting
+/// surface reports — saturated or not — is [`EvalError::CountOverflow`].
 pub struct CountingSemiring;
 
 impl Semiring for CountingSemiring {
-    type T = u64;
-    fn zero(&self) -> u64 {
+    type T = u128;
+    fn zero(&self) -> u128 {
         0
     }
-    fn one(&self) -> u64 {
+    fn one(&self) -> u128 {
         1
     }
-    fn add(&self, a: &u64, b: &u64) -> u64 {
+    fn add(&self, a: &u128, b: &u128) -> u128 {
         a.saturating_add(*b)
     }
-    fn mul(&self, a: &u64, b: &u64) -> u64 {
+    fn mul(&self, a: &u128, b: &u128) -> u128 {
         a.saturating_mul(*b)
+    }
+    fn finish(&self, total: u128) -> Result<u128, EvalError> {
+        u64::try_from(total).map(u128::from).map_err(|_| EvalError::CountOverflow)
     }
 }
 
-/// Tuple weights: `weight(atom_index, bound_row) -> T`, where `bound_row`
-/// is over the atom's *distinct* variables in bound order.
-pub type WeightFn<'a, T> = &'a dyn Fn(usize, &[Val]) -> T;
-
 /// Linear-time aggregation for acyclic join queries: the counting DP of
-/// Theorem 3.8 generalized to any semiring.
+/// Theorem 3.8 at any semiring. `weight(atom_index, bound_row)` weighs a
+/// tuple, where `bound_row` is over the atom's *distinct* variables in
+/// bound order. The bound atoms are memoized in the catalog: repeated
+/// aggregations skip the bind (relation clones and repeated-variable
+/// collapsing).
 pub fn aggregate_acyclic_join<S: Semiring>(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
-    weight: WeightFn<S::T>,
+    weight: impl Fn(usize, &[Val]) -> S::T,
     sr: &S,
 ) -> Result<S::T, EvalError> {
     if !q.is_join_query() {
         return Err(EvalError::NotJoinQuery);
     }
-    let atoms = bind(q, db)?;
-    let tree = join_tree_of(q)?;
-
-    type Messages<T> = Vec<Option<FxHashMap<Box<[Val]>, T>>>;
-    let mut msgs: Messages<S::T> = vec![None; atoms.len()];
-    let mut total = sr.zero();
-    for u in tree.bottom_up() {
-        let a: &BoundAtom = &atoms[u];
-        let key_cols: Vec<usize> = mask_vertices(tree.key_mask(u))
-            .map(|v| a.col_of(Var(v as u32)).unwrap())
-            .collect();
-        let kids: Vec<(usize, Vec<usize>)> = tree
-            .children(u)
-            .iter()
-            .map(|&c| {
-                let cols: Vec<usize> = mask_vertices(tree.key_mask(c))
-                    .map(|v| a.col_of(Var(v as u32)).unwrap())
-                    .collect();
-                (c, cols)
-            })
-            .collect();
-        let mut msg: FxHashMap<Box<[Val]>, S::T> = FxHashMap::default();
-        let mut keybuf: Vec<Val> = Vec::new();
-        for row in a.rel.iter() {
-            let mut w = weight(u, row);
-            let mut dead = false;
-            for (c, cols) in &kids {
-                keybuf.clear();
-                keybuf.extend(cols.iter().map(|&cc| row[cc]));
-                match msgs[*c].as_ref().unwrap().get(keybuf.as_slice()) {
-                    Some(s) => w = sr.mul(&w, s),
-                    None => {
-                        dead = true;
-                        break;
-                    }
-                }
-            }
-            if dead {
-                continue;
-            }
-            keybuf.clear();
-            keybuf.extend(key_cols.iter().map(|&cc| row[cc]));
-            let entry = msg.entry(keybuf.as_slice().into()).or_insert_with(|| sr.zero());
-            *entry = sr.add(entry, &w);
-        }
-        if u == tree.root() {
-            total = msg.values().fold(sr.zero(), |acc, v| sr.add(&acc, v));
-        }
-        msgs[u] = Some(msg);
-    }
-    Ok(total)
+    let (text, reads) = (q.to_string(), q.relations());
+    let atoms =
+        ctx.catalog().artifact(db, "bound_atoms", &text, reads, || bind(q, db))?;
+    sum_product(ctx, &atoms, &join_tree_of(q)?, sr, weight)
 }
 
 /// Aggregation by generic-join enumeration — works for every join query
-/// (including cyclic ones); runtime bounded by the AGM bound.
+/// (including cyclic ones); runtime bounded by the AGM bound. Weights as
+/// in [`aggregate_acyclic_join`].
 pub fn aggregate_generic<S: Semiring>(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
-    weight: WeightFn<S::T>,
+    weight: impl Fn(usize, &[Val]) -> S::T,
     sr: &S,
 ) -> Result<S::T, EvalError> {
     if !q.is_join_query() {
@@ -169,7 +139,7 @@ pub fn aggregate_generic<S: Semiring>(
         .collect();
     let mut total = sr.zero();
     let mut rowbuf: Vec<Val> = Vec::new();
-    generic_join::visit(&ExecCtx::cold(), q, db, &order, &mut |assignment| {
+    generic_join::visit(ctx, q, db, &order, &mut |assignment| {
         let mut w = sr.one();
         for (ai, proj) in projections.iter().enumerate() {
             rowbuf.clear();
@@ -179,7 +149,7 @@ pub fn aggregate_generic<S: Semiring>(
         total = sr.add(&total, &w);
         true
     })?;
-    Ok(total)
+    sr.finish(total)
 }
 
 /// Convenience: minimum total answer weight where each *domain value*
@@ -187,11 +157,12 @@ pub fn aggregate_generic<S: Semiring>(
 /// their entry weights — the exact setting of §4.1.2 for edge-weighted
 /// reductions (each atom tuple's weight = the edge weight it encodes).
 pub fn min_weight_answer(
+    ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
-    weight: WeightFn<i64>,
+    weight: impl Fn(usize, &[Val]) -> i64,
 ) -> Result<Option<i64>, EvalError> {
-    let w = aggregate_generic(q, db, weight, &Tropical)?;
+    let w = aggregate_generic(ctx, q, db, weight, &Tropical)?;
     Ok((w != i64::MAX).then_some(w))
 }
 
@@ -202,17 +173,20 @@ mod tests {
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, seeded_rng, triangle_database};
 
+    fn cold() -> ExecCtx<'static> {
+        ExecCtx::cold()
+    }
+
     #[test]
     fn counting_semiring_recovers_counts() {
         let db = path_database(3, 60, &mut seeded_rng(1));
         let q = zoo::path_join(3);
-        let ones: WeightFn<u64> = &|_, _| 1u64;
-        let agg = aggregate_acyclic_join(&q, &db, ones, &CountingSemiring).unwrap();
-        assert_eq!(
-            agg,
-            crate::count::count_acyclic_join(&ExecCtx::cold(), &q, &db).unwrap()
-        );
-        let agg2 = aggregate_generic(&q, &db, ones, &CountingSemiring).unwrap();
+        let ones = |_: usize, _: &[Val]| 1u128;
+        let agg =
+            aggregate_acyclic_join(&cold(), &q, &db, ones, &CountingSemiring).unwrap();
+        let n = crate::count::count_acyclic_join(&cold(), &q, &db).unwrap();
+        assert_eq!(agg, u128::from(n));
+        let agg2 = aggregate_generic(&cold(), &q, &db, ones, &CountingSemiring).unwrap();
         assert_eq!(agg2, agg);
     }
 
@@ -221,8 +195,8 @@ mod tests {
         let db = path_database(2, 40, &mut seeded_rng(2));
         let q = zoo::path_join(2);
         // weight of a tuple = sum of its values (deterministic)
-        let wf: WeightFn<i64> = &|_, row| row.iter().map(|&v| v as i64).sum();
-        let got = aggregate_acyclic_join(&q, &db, wf, &Tropical).unwrap();
+        let wf = |_: usize, row: &[Val]| row.iter().map(|&v| v as i64).sum::<i64>();
+        let got = aggregate_acyclic_join(&cold(), &q, &db, wf, &Tropical).unwrap();
         // brute force
         let answers = crate::bind::brute_force_answers(&q, &db).unwrap();
         let mut best = i64::MAX;
@@ -232,7 +206,7 @@ mod tests {
             best = best.min(w);
         }
         assert_eq!(got, best);
-        assert_eq!(aggregate_generic(&q, &db, wf, &Tropical).unwrap(), got);
+        assert_eq!(aggregate_generic(&cold(), &q, &db, wf, &Tropical).unwrap(), got);
     }
 
     #[test]
@@ -241,9 +215,12 @@ mod tests {
         db.insert("R1", cq_data::Relation::new(2));
         db.insert("R2", cq_data::Relation::new(2));
         let q = zoo::path_join(2);
-        let wf: WeightFn<i64> = &|_, _| 0;
-        assert_eq!(aggregate_acyclic_join(&q, &db, wf, &Tropical).unwrap(), i64::MAX);
-        assert_eq!(min_weight_answer(&q, &db, wf).unwrap(), None);
+        let wf = |_: usize, _: &[Val]| 0i64;
+        assert_eq!(
+            aggregate_acyclic_join(&cold(), &q, &db, wf, &Tropical).unwrap(),
+            i64::MAX
+        );
+        assert_eq!(min_weight_answer(&cold(), &q, &db, wf).unwrap(), None);
     }
 
     #[test]
@@ -251,12 +228,12 @@ mod tests {
         let edges = cq_data::Relation::from_pairs(vec![(0, 1), (1, 2), (2, 0)]);
         let db = triangle_database(&edges);
         let q = zoo::triangle_join();
-        let wf: WeightFn<i64> = &|_, _| 1; // each atom contributes 1
-        let min = min_weight_answer(&q, &db, wf).unwrap();
+        let wf = |_: usize, _: &[Val]| 1i64; // each atom contributes 1
+        let min = min_weight_answer(&cold(), &q, &db, wf).unwrap();
         assert_eq!(min, Some(3)); // 3 atoms × weight 1
                                   // cyclic query rejected by the acyclic DP
         assert!(matches!(
-            aggregate_acyclic_join(&q, &db, wf, &Tropical),
+            aggregate_acyclic_join(&cold(), &q, &db, wf, &Tropical),
             Err(EvalError::NotAcyclic)
         ));
     }
@@ -267,8 +244,8 @@ mod tests {
         let mut db = Database::new();
         db.insert("R1", cq_data::Relation::from_pairs(vec![(1, 0), (5, 0)]));
         db.insert("R2", cq_data::Relation::from_pairs(vec![(2, 0), (7, 0)]));
-        let wf: WeightFn<i64> = &|_, row| row[0] as i64; // weight = leaf value
-        let got = aggregate_acyclic_join(&q, &db, wf, &Tropical).unwrap();
+        let wf = |_: usize, row: &[Val]| row[0] as i64; // weight = leaf value
+        let got = aggregate_acyclic_join(&cold(), &q, &db, wf, &Tropical).unwrap();
         assert_eq!(got, 3); // 1 + 2
     }
 
@@ -277,8 +254,8 @@ mod tests {
         let q = zoo::path_join(2);
         let db = path_database(2, 20, &mut seeded_rng(3));
         // weight only atom 1's tuples
-        let wf: WeightFn<i64> = &|ai, _| if ai == 1 { 1 } else { 0 };
-        let got = aggregate_acyclic_join(&q, &db, wf, &Tropical).unwrap();
+        let wf = |ai: usize, _: &[Val]| if ai == 1 { 1i64 } else { 0 };
+        let got = aggregate_acyclic_join(&cold(), &q, &db, wf, &Tropical).unwrap();
         if got != i64::MAX {
             assert_eq!(got, 1);
         }

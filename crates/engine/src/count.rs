@@ -1,22 +1,28 @@
-//! Counting query answers (Theorems 3.8 and 3.13).
+//! Counting query answers (Theorems 3.8 and 3.13) — and `q'`, the first
+//! stage of the whole easy side.
 //!
 //! * [`count_acyclic_join`] — the counting Yannakakis DP for acyclic
 //!   *join* queries: weights propagate bottom-up along the join tree in
-//!   O(m) (Thm 3.8);
-//! * [`count_free_connex`] — free-connex queries: eliminate the
-//!   quantified variables along a join tree of `H ∪ {free}` rooted at
-//!   the virtual free-edge, producing an acyclic join query over exactly
-//!   the free variables, then run the DP (Thm 3.13, see the discussion in
-//!   [14, §4.1]).
+//!   O(m) (Thm 3.8). The DP is the sum-product fold of §4.1.2 at the
+//!   counting semiring; [`crate::aggregate`] runs the same loop at any
+//!   other;
+//! * [`free_join`] — projection elimination for free-connex queries:
+//!   eliminate the quantified variables along a join tree of
+//!   `H ∪ {free}` rooted at the virtual free-edge, producing `q'`, an
+//!   acyclic join query over exactly the free variables (see the
+//!   discussion in [14, §4.1]). Derived once, memoized per subtree, and
+//!   read three ways: [`count_free_connex`] runs the DP over it
+//!   (Thm 3.13), and [`crate::FreeConnexDirectAccess`] reduces and sorts
+//!   it into the tree that enumeration walks (Thm 3.17) and direct
+//!   access descends (Thm 3.18).
 //!
 //! Cross-algorithm dispatch (formerly a `count_answers` facade here)
 //! lives in `cq-planner`, which picks between these entry points and
 //! the generic-join materialization baseline of Lemma 3.9 / Cor 3.11
 //! from the query's classification.
 
-use crate::bind::{
-    bind, collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError,
-};
+use crate::aggregate::{aggregate_acyclic_join, CountingSemiring, Semiring};
+use crate::bind::{collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError};
 use crate::cancel::CancelToken;
 use crate::ctx::ExecCtx;
 use crate::semijoin::semijoin;
@@ -25,87 +31,81 @@ use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, FxHashMap, Relation, Val};
 use std::borrow::{Borrow, Cow};
+use std::sync::Arc;
 
-/// The counting DP over a join tree: each node aggregates, per parent
-/// key, the semiring-weighted count of its subtree's joinable tuples.
-/// Tuples that fail to join get weight 0 automatically, so no prior
-/// semijoin reduction is required. The token is polled once per
-/// aggregated row: the DP is O(m) per node, so the row loop is where a
-/// deadline must be able to interrupt it.
-///
-/// Weights are u128 and saturate: every weight is a count, so a
-/// saturated one stays "at least 2¹²⁸ − 1" through further products and
-/// sums, a dangling row drops it with weight 0, and a total that does
-/// not fit u64 — saturated or not — is [`EvalError::CountOverflow`].
-pub fn count_dp(
+/// The sum-product DP over a join tree, at semiring `sr`: each node
+/// aggregates, per parent key, the ⊕-sum over its rows of the row's
+/// `weight` ⊗ its children's aggregates at the row's keys. Rows that
+/// fail to join contribute nothing, so no prior semijoin reduction is
+/// required. The token is polled once per aggregated row: the DP is O(m)
+/// per node, so the row loop is where a deadline must be able to
+/// interrupt it.
+pub(crate) fn sum_product<S: Semiring>(
     ctx: &ExecCtx,
     atoms: &[impl Borrow<BoundAtom>],
     tree: &JoinTree,
-) -> Result<u64, EvalError> {
+    sr: &S,
+    weight: impl Fn(usize, &[Val]) -> S::T,
+) -> Result<S::T, EvalError> {
     let cancel = ctx.cancel();
     // per node: map from parent-key values to summed subtree weights
-    let mut msgs: Vec<Option<FxHashMap<Box<[Val]>, u128>>> = vec![None; atoms.len()];
-    let mut total: u128 = 1;
-    let order = tree.bottom_up();
-    for &u in &order {
+    let mut msgs: Vec<FxHashMap<Box<[Val]>, S::T>> = Vec::new();
+    msgs.resize_with(atoms.len(), FxHashMap::default);
+    let mut keybuf: Vec<Val> = Vec::new();
+    for u in tree.bottom_up() {
         cancel.check_now()?;
         let a: &BoundAtom = atoms[u].borrow();
-        // columns of this node's parent key
-        let key_cols: Vec<usize> = mask_vertices(tree.key_mask(u))
-            .map(|v| a.col_of(Var(v as u32)).unwrap())
-            .collect();
-        // children keys: (child, columns in u for child's key)
-        let kids: Vec<(usize, Vec<usize>)> = tree
-            .children(u)
-            .iter()
-            .map(|&c| {
-                let cols: Vec<usize> = mask_vertices(tree.key_mask(c))
-                    .map(|v| a.col_of(Var(v as u32)).unwrap())
-                    .collect();
-                (c, cols)
-            })
-            .collect();
-        let mut msg: FxHashMap<Box<[Val]>, u128> = FxHashMap::default();
-        let mut keybuf: Vec<Val> = Vec::new();
-        for row in a.rel.iter() {
+        let cols_of = |mask: u64| -> Vec<usize> {
+            mask_vertices(mask).map(|v| a.col_of(Var(v as u32)).unwrap()).collect()
+        };
+        // columns of this node's parent key, and of each child's key
+        let key_cols = cols_of(tree.key_mask(u));
+        let kids: Vec<(usize, Vec<usize>)> =
+            tree.children(u).iter().map(|&c| (c, cols_of(tree.key_mask(c)))).collect();
+        let mut msg: FxHashMap<Box<[Val]>, S::T> = FxHashMap::default();
+        'rows: for row in a.rel.iter() {
             cancel.check()?;
-            let mut w: u128 = 1;
+            let mut w = weight(u, row);
             for (c, cols) in &kids {
                 keybuf.clear();
                 keybuf.extend(cols.iter().map(|&cc| row[cc]));
-                let child_msg = msgs[*c].as_ref().unwrap();
-                match child_msg.get(keybuf.as_slice()) {
-                    Some(&s) => w = w.saturating_mul(s),
-                    None => {
-                        w = 0;
-                        break;
-                    }
+                match msgs[*c].get(keybuf.as_slice()) {
+                    Some(s) => w = sr.mul(&w, s),
+                    None => continue 'rows, // dangling: joins nothing below
                 }
-            }
-            if w == 0 {
-                continue;
             }
             keybuf.clear();
             keybuf.extend(key_cols.iter().map(|&cc| row[cc]));
             // box the key only the first time it is seen
             if let Some(sum) = msg.get_mut(keybuf.as_slice()) {
-                *sum = sum.saturating_add(w);
+                *sum = sr.add(sum, &w);
             } else {
                 msg.insert(keybuf.as_slice().into(), w);
             }
         }
-        if u == tree.root() {
-            total = msg.values().fold(0, |t, &w| t.saturating_add(w));
-        }
-        msgs[u] = Some(msg);
+        msgs[u] = msg;
     }
-    u64::try_from(total).map_err(|_| EvalError::CountOverflow)
+    sr.finish(msgs[tree.root()].values().fold(sr.zero(), |t, w| sr.add(&t, w)))
 }
 
-/// Count answers of an acyclic *join* query in O(m) (Theorem 3.8). The
-/// bound atoms are memoized in the catalog: repeated counts of the same
-/// query skip the bind (relation clones and repeated-variable
-/// collapsing) and pay for the DP only.
+/// The counting DP (Thm 3.8): `sum_product` at the counting semiring
+/// with unit weights. Weights are u128 and saturate: every weight is a
+/// count, so a saturated one stays "at least 2¹²⁸ − 1" through further
+/// products and sums, a dangling row drops it, and a total that does not
+/// fit u64 — saturated or not — is [`EvalError::CountOverflow`].
+pub fn count_dp(
+    ctx: &ExecCtx,
+    atoms: &[impl Borrow<BoundAtom>],
+    tree: &JoinTree,
+) -> Result<u64, EvalError> {
+    // `CountingSemiring::finish` refused what does not fit
+    sum_product(ctx, atoms, tree, &CountingSemiring, |_, _| 1).map(|n| n as u64)
+}
+
+/// Count answers of an acyclic *join* query in O(m) (Theorem 3.8): the
+/// aggregate of unit weights at the counting semiring, whose `finish`
+/// refuses what does not fit u64. The bound atoms are memoized, so
+/// repeated counts of the same query pay for the DP only.
 pub fn count_acyclic_join(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
@@ -115,15 +115,7 @@ pub fn count_acyclic_join(
         return Err(EvalError::NotJoinQuery);
     }
     let mut span = cq_obs::trace::span("op.count-acyclic");
-    let atoms = ctx.catalog().artifact(
-        db,
-        "bound_atoms",
-        &q.to_string(),
-        q.relations(),
-        || bind(q, db),
-    )?;
-    let tree = yannakakis::join_tree_of(q)?;
-    let n = count_dp(ctx, &atoms, &tree)?;
+    let n = aggregate_acyclic_join(ctx, q, db, |_, _| 1, &CountingSemiring)? as u64;
     span.attr("rows", n);
     span.attr("cancel-polls", ctx.cancel().polls());
     Ok(n)
@@ -221,56 +213,73 @@ fn subtree_message(
     Ok(BoundAtom { rel: rel.project(&cols), vars: key_vars })
 }
 
-/// Assemble `q'` from the messages of the virtual root's children (each
-/// obtained through `message_of`): `None` as soon as one is empty,
-/// satisfied nullary ones dropped.
-fn root_messages<M: Borrow<BoundAtom>>(
-    q: &ConjunctiveQuery,
-    tree: &JoinTree,
-    mut message_of: impl FnMut(usize) -> Result<M, EvalError>,
-) -> Result<Option<Vec<M>>, EvalError> {
-    let mut out: Vec<M> = Vec::new();
-    let mut covered = 0u64;
-    for &c in tree.children(tree.root()) {
-        let msg = message_of(c)?;
-        if msg.borrow().rel.is_empty() {
-            return Ok(None);
-        }
-        if !msg.borrow().vars.is_empty() {
-            covered |= msg.borrow().scope();
-            out.push(msg);
-        }
-    }
-    debug_assert_eq!(covered, q.free_mask(), "messages must cover all free variables");
-    Ok(Some(out))
-}
-
-/// The projection-elimination step shared by counting, enumeration, and
-/// direct access for free-connex queries: returns bound atoms over
-/// *exactly the free variables* whose join equals `q(D)`, or `None` if
+/// `q'`, the product of projection elimination: bound atoms over
+/// *exactly the free variables* whose join equals `q(D)`, with their
+/// join tree (`q'` is an acyclic join query, [14, §4.1]) — or `None` if
 /// the query is unsatisfiable (some subtree has no answer).
+pub type FreeJoin = Option<(Vec<Arc<BoundAtom>>, JoinTree)>;
+
+/// **The** projection elimination, shared by counting, enumeration and
+/// direct access for (non-Boolean) free-connex queries. Construction:
+/// join tree of `H ∪ {free}` rooted at the virtual free edge; bottom-up,
+/// each node is semijoined with its children's messages and projected
+/// onto its parent key; the messages of the root's children are the
+/// atoms of `q'`, satisfied nullary ones dropped.
 ///
-/// Construction: join tree of `H ∪ {free}` rooted at the virtual free
-/// edge; bottom-up, each node is semijoined with its children's messages
-/// and projected onto its parent key. The root's children's messages are
-/// the new atoms (the "q' is an acyclic join query" of [14, §4.1]).
-pub fn eliminate_projections(
+/// Memoized in the catalog — `q'` whole, and beneath it each message on
+/// its own, depending on the relations of its subtree only. The
+/// semijoin/projection phase (the bulk of the linear-time preprocessing)
+/// therefore runs once per state of *those* relations, whichever of the
+/// three asks first: a write to `R1` re-assembles `q'` from one rebuilt
+/// message and the memoized others. The token is polled per node, and
+/// `*cold` is set when this call derived a message (what the callers'
+/// spans report as `cold-build`).
+pub fn free_join(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
-) -> Result<Option<Vec<BoundAtom>>, EvalError> {
-    let tree = elimination_tree(q, db)?;
-    root_messages(q, &tree, |c| subtree_message(ctx.cancel(), q, db, &tree, c))
+    cold: &mut bool,
+) -> Result<Arc<FreeJoin>, EvalError> {
+    let catalog = ctx.catalog();
+    let text = q.to_string();
+    catalog.artifact(db, "elim_msgs", &text, q.relations(), || {
+        let tree = elimination_tree(q, db)?;
+        let mut msgs = Vec::new();
+        let mut covered = 0u64;
+        for &c in tree.children(tree.root()) {
+            let reads = subtree_relations(q, &tree, c);
+            let msg = catalog.artifact(
+                db,
+                "elim_msg",
+                &format!("{text}|{c}"),
+                reads,
+                || {
+                    *cold = true;
+                    subtree_message(ctx.cancel(), q, db, &tree, c)
+                },
+            )?;
+            if msg.rel.is_empty() {
+                return Ok(None);
+            }
+            if !msg.vars.is_empty() {
+                covered |= msg.scope();
+                msgs.push(msg);
+            }
+        }
+        debug_assert_eq!(
+            covered,
+            q.free_mask(),
+            "messages must cover all free variables"
+        );
+        match yannakakis::join_tree_of_atoms(&msgs, q.n_vars()) {
+            Some(tree) => Ok(Some((msgs, tree))),
+            None => Err(EvalError::NotFreeConnex),
+        }
+    })
 }
 
-/// Count answers of a free-connex query in O(m) (Theorem 3.13). The
-/// projection-elimination result `q'` — the messages and their join
-/// tree — is memoized in the catalog, and beneath it each message on
-/// its own, one per child of the virtual root, depending on the
-/// relations of its subtree only. The semijoin/projection phase (the
-/// bulk of the linear-time preprocessing) therefore runs once per state
-/// of *those* relations — a write to `R1` re-assembles `q'` from one
-/// rebuilt message and the memoized others — and repeated counts pay
+/// Count answers of a free-connex query in O(m) (Theorem 3.13): the
+/// counting DP over the memoized [`free_join`], so repeated counts pay
 /// for the DP over the (typically smaller) messages only. Both phases
 /// poll the token.
 pub fn count_free_connex(
@@ -282,25 +291,8 @@ pub fn count_free_connex(
         return Ok(u64::from(yannakakis::decide_acyclic(ctx, q, db)?));
     }
     let mut span = cq_obs::trace::span("op.count-free-connex");
-    let catalog = ctx.catalog();
-    let text = q.to_string();
     let mut cold = false;
-    let reduced = catalog.artifact(db, "elim_msgs", &text, q.relations(), || {
-        let tree = elimination_tree(q, db)?;
-        let msgs = root_messages(q, &tree, |c| {
-            let reads = subtree_relations(q, &tree, c);
-            catalog.artifact(db, "elim_msg", &format!("{text}|{c}"), reads, || {
-                cold = true;
-                subtree_message(ctx.cancel(), q, db, &tree, c)
-            })
-        })?;
-        // `q'` is an acyclic join query over the free variables
-        msgs.map(|m| match yannakakis::join_tree_of_atoms(&m, q.n_vars()) {
-            Some(tree) => Ok((m, tree)),
-            None => Err(EvalError::NotFreeConnex),
-        })
-        .transpose()
-    })?;
+    let reduced = free_join(ctx, q, db, &mut cold)?;
     span.attr("cold-build", u64::from(cold));
     let n = match &*reduced {
         Some((msgs, tree)) => count_dp(ctx, msgs, tree)?,
@@ -455,10 +447,18 @@ mod tests {
                 .unwrap();
         let ctx = ExecCtx::cold();
         assert_eq!(count_acyclic_join(&ctx, &q, &db), Err(EvalError::CountOverflow));
+        // the same instance of the same fold through its semiring door
+        let ones = |_: usize, _: &[Val]| 1;
+        let agg = crate::aggregate::aggregate_acyclic_join;
+        assert_eq!(
+            agg(&ctx, &q, &db, ones, &CountingSemiring),
+            Err(EvalError::CountOverflow)
+        );
         // one spoke fewer fits: 2^52
         let q4 =
             parse_query("q(a,b,c,d,z) :- R1(a,z), R2(b,z), R3(c,z), R4(d,z)").unwrap();
         assert_eq!(count_acyclic_join(&ctx, &q4, &db), Ok(1 << 52));
+        assert_eq!(agg(&ctx, &q4, &db, ones, &CountingSemiring), Ok(1 << 52));
         // ten spokes saturate the u128 accumulator itself (2^130): still
         // an error, and a dangling hub above the saturated subtree still
         // counts zero

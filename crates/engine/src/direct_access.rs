@@ -1,4 +1,5 @@
-//! Direct access in lexicographic orders (paper §3.4.1, Theorem 3.24).
+//! Direct access in lexicographic orders (paper §3.4.1, Theorem 3.24) —
+//! and the one reduced, indexed join tree the easy side shares.
 //!
 //! Goal: after preprocessing, return the `i`-th answer of a join query in
 //! the lexicographic order induced by a variable order `⪯`, in Õ(log m)
@@ -8,13 +9,19 @@
 //! `⪯`-compatible rooted join tree — one where (a) every node's newly
 //! introduced variables come after all variables of its parent's scope
 //! and (b) each subtree's introduced variables form a contiguous block of
-//! `⪯` — then precomputes subtree-count prefix sums per node
-//! (O(m log m) preprocessing) and answers accesses by binary search on
-//! counts plus mixed-radix decomposition across independent subtrees
-//! (O(log m) per access). On the paper's example families the builder
-//! succeeds exactly on the trio-free orders; when no compatible tree is
-//! found it reports failure and callers fall back to
-//! [`MaterializedDirectAccess`] (materialize + sort, the superlinear
+//! `⪯` — fully reduces the atoms over it and sorts every node by its
+//! parent key, then by `⪯`. Those sorted nodes, kept in preorder, are
+//! *the* product of the linear preprocessing of Thm 3.17 / 3.18 / 3.24:
+//! the constant-delay walk of [`crate::enumerate`] steps through them as
+//! an odometer, and an access descends them by binary search on
+//! subtree-count prefix sums plus mixed-radix decomposition across
+//! independent subtrees (O(log m) per access). The prefix sums are the
+//! only part the walk does not need, so they are built on first
+//! `len` / `access` (or up front by `build`, which is where an
+//! overflowing count and a deadline surface). On the paper's example
+//! families the builder succeeds exactly on the trio-free orders; when
+//! no compatible tree is found it reports failure and callers fall back
+//! to [`MaterializedDirectAccess`] (materialize + sort, the superlinear
 //! baseline whose cost gap is the content of Lemma 3.23).
 //!
 //! [`test_prefix`] implements Lemma 3.20: testing reduces to direct
@@ -25,15 +32,18 @@ use crate::bind::{bind, BoundAtom, EvalError};
 use crate::cancel::CancelToken;
 use crate::ctx::ExecCtx;
 use crate::generic_join;
-use crate::yannakakis::{downward_sweep, join_tree_of_atoms, upward_sweep};
+use crate::yannakakis::{full_reduce, join_tree_of_atoms};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, SortedView, Val};
-use std::sync::Arc;
+use std::borrow::{Borrow, Cow};
+use std::sync::{Arc, OnceLock};
 
 /// Uniform interface for direct-access structures: a simulated sorted
-/// array of query answers. Answers are reported as full assignments in
-/// **variable interning order** (`Var(0), Var(1), ...`).
+/// array of query answers. Answers are reported over the structure's
+/// output schema — all variables in **interning order**
+/// (`Var(0), Var(1), ...`) for a join query, the free variables in
+/// interning order otherwise.
 pub trait DirectAccess {
     /// Number of answers in the simulated array.
     fn len(&self) -> u64;
@@ -64,129 +74,126 @@ impl<T: DirectAccess + ?Sized> DirectAccess for Arc<T> {
     }
 }
 
-/// Compare two assignments under a variable order.
-fn lex_cmp(a: &[Val], b: &[Val], order: &[Var]) -> std::cmp::Ordering {
-    for &v in order {
-        match a[v.index()].cmp(&b[v.index()]) {
-            std::cmp::Ordering::Equal => continue,
-            other => return other,
-        }
-    }
-    std::cmp::Ordering::Equal
-}
-
-/// Materialize-and-sort direct access — works for every join query and
-/// every order, with Θ(|q(D)|) preprocessing: the baseline whose
-/// preprocessing cost the dichotomy says is unavoidable for disrupted
-/// orders.
+/// Materialize-and-sort direct access — works for every query and every
+/// order, with Θ(|q(D)|) preprocessing: the baseline whose preprocessing
+/// cost the dichotomy says is unavoidable for disrupted orders and on the
+/// hard side of Lemma 3.9.
 pub struct MaterializedDirectAccess {
-    rows: Vec<Vec<Val>>,
+    /// The answers, sorted: one flat row-major buffer.
+    view: SortedView,
 }
 
 impl MaterializedDirectAccess {
-    /// Materialize `q(D)` by generic join and sort by `order`,
-    /// memoized in the catalog: repeated `access` workloads on an
-    /// unchanged database pay the Θ(|q(D)|) materialization once.
+    /// Materialize `q(D)` by generic join under the variable order
+    /// `order` (a permutation of the query's variables) and sort by
+    /// `order` restricted to the free variables, memoized in the
+    /// catalog: repeated `access` workloads on an unchanged database
+    /// pay the Θ(|q(D)|) materialization once.
     pub fn build(
         ctx: &ExecCtx,
         q: &ConjunctiveQuery,
         db: &Database,
         order: &[Var],
     ) -> Result<Arc<Self>, EvalError> {
-        if !q.is_join_query() {
-            return Err(EvalError::NotJoinQuery);
-        }
         let key = format!("{q}|{order:?}");
         ctx.catalog().artifact(db, "mat_da", &key, q.relations(), || {
-            let rel = generic_join::answers(ctx, q, db, &generic_join::default_order(q))?;
-            // rel columns are the free vars in interning order = all vars
-            let mut rows: Vec<Vec<Val>> = rel.iter().map(|r| r.to_vec()).collect();
-            rows.sort_by(|a, b| lex_cmp(a, b, order));
-            Ok(MaterializedDirectAccess { rows })
+            // `rel`'s columns are the free variables in interning order
+            let rel = generic_join::answers(ctx, q, db, order)?;
+            let free = q.free_vars();
+            let key_cols: Vec<usize> =
+                order.iter().filter_map(|v| free.iter().position(|f| f == v)).collect();
+            Ok(MaterializedDirectAccess { view: SortedView::new(&rel, &key_cols) })
         })
     }
 }
 
 impl DirectAccess for MaterializedDirectAccess {
     fn len(&self) -> u64 {
-        self.rows.len() as u64
+        self.view.len() as u64
     }
     fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
-        let Some(row) = self.rows.get(i as usize) else { return false };
+        if i >= self.len() {
+            return false;
+        }
         out.clear();
-        out.extend_from_slice(row);
+        out.resize(self.view.arity(), 0);
+        // the view's columns are permuted into sort order: undo that
+        for (&c, &v) in self.view.col_order().iter().zip(self.view.row(i as usize)) {
+            out[c] = v;
+        }
         true
     }
 }
 
-struct Node {
-    view: SortedView,
-    n_key: usize,
-    /// key variables (mask order), read from the output assignment
-    key_vars: Vec<Var>,
-    /// variables of the view's non-key columns, in view column order
-    intro_vars: Vec<Var>,
-    /// cumulative subtree weights aligned with the view rows (len + 1)
-    cumw: Vec<u128>,
-    /// children in ⪯-block order
+/// One node of the reduced join tree: its globally consistent relation
+/// sorted by parent key, then by `⪯`. Rows are read and written through
+/// *slots* — positions in the structure's output row.
+pub(crate) struct Node {
+    pub(crate) view: SortedView,
+    pub(crate) n_key: usize,
+    /// output slots holding the key values (written by ancestors)
+    pub(crate) key_slots: Vec<usize>,
+    /// output slots the view's non-key columns write, in column order
+    pub(crate) out_slots: Vec<usize>,
+    /// children in ⪯-block order (positions in the preorder node list)
     children: Vec<usize>,
 }
 
-/// The efficient lexicographic direct-access structure (Thm 3.24 upper
-/// bound).
-pub struct LexDirectAccess {
-    nodes: Vec<Node>,
-    root: usize,
-    n_vars: usize,
-    /// the longest node key: `access_into` keeps that much scratch
-    /// behind the row in the caller's buffer
-    max_key: usize,
+/// Cumulative subtree weights, per node aligned with its view's rows
+/// (len + 1 each): row `i` of node `u` extends to
+/// `cumw[u][i + 1] - cumw[u][i]` answers of `u`'s subtree.
+pub(crate) struct Weights {
+    cumw: Vec<Vec<u128>>,
     total: u64,
 }
 
+/// The efficient lexicographic direct-access structure (Thm 3.24 upper
+/// bound): the reduced, sorted nodes plus, once something asks for a
+/// position, their subtree weights.
+pub struct LexDirectAccess {
+    /// preorder, children in ⪯-block order: the root is node 0, and
+    /// walking the list as an odometer visits the answers in access order
+    nodes: Vec<Node>,
+    /// output row width
+    width: usize,
+    /// the longest node key: `access_into` keeps that much scratch
+    /// behind the row in the caller's buffer
+    max_key: usize,
+    weights: OnceLock<Weights>,
+}
+
 /// Check the two compatibility conditions of a rooted tree w.r.t. an
-/// order; returns the per-node introduced-variable masks on success.
-fn check_compatible(tree: &JoinTree, order: &[Var]) -> Option<Vec<u64>> {
+/// order.
+fn is_compatible(tree: &JoinTree, order: &[Var]) -> bool {
     let pos_of = |v: usize| -> usize {
         order.iter().position(|u| u.index() == v).expect("order must cover variables")
     };
     let n = tree.n_nodes();
     let intro: Vec<u64> = (0..n).map(|u| tree.scope(u) & !tree.key_mask(u)).collect();
     // condition A: intro(u) after all of scope(parent)
-    for (u, &iu) in intro.iter().enumerate().take(n) {
+    for (u, &iu) in intro.iter().enumerate() {
         if let Some(p) = tree.parent(u) {
             let pmax = mask_vertices(tree.scope(p)).map(&pos_of).max();
             let imin = mask_vertices(iu).map(&pos_of).min();
             if let (Some(pmax), Some(imin)) = (pmax, imin) {
                 if imin < pmax {
-                    return None;
+                    return false;
                 }
             }
         }
     }
     // condition B: subtree intro masks are contiguous position blocks
-    let mut subtree: Vec<u64> = intro.clone();
+    let mut subtree = intro;
     for &u in &tree.bottom_up() {
         if let Some(p) = tree.parent(u) {
-            let s = subtree[u];
-            subtree[p] |= s;
+            subtree[p] |= subtree[u];
         }
     }
-    for (u, &sub) in subtree.iter().enumerate().take(n) {
-        if tree.parent(u).is_none() {
-            continue;
-        }
-        let positions: Vec<usize> = mask_vertices(sub).map(&pos_of).collect();
-        if positions.is_empty() {
-            continue;
-        }
-        let lo = *positions.iter().min().unwrap();
-        let hi = *positions.iter().max().unwrap();
-        if hi - lo + 1 != positions.len() {
-            return None;
-        }
-    }
-    Some(subtree)
+    (0..n).filter(|&u| tree.parent(u).is_some()).all(|u| {
+        let positions: Vec<usize> = mask_vertices(subtree[u]).map(&pos_of).collect();
+        let (lo, hi) = (positions.iter().min(), positions.iter().max());
+        lo.zip(hi).is_none_or(|(lo, hi)| hi - lo + 1 == positions.len())
+    })
 }
 
 /// Re-parent every node as high (close to the root) as possible while
@@ -238,160 +245,178 @@ impl LexDirectAccess {
         }
         assert_eq!(order.len(), q.n_vars(), "order must cover all variables");
         let key = format!("{q}|{order:?}");
-        ctx.catalog().artifact(db, "lex_da", &key, q.relations(), || {
-            let atoms = bind(q, db)?;
-            Self::build_from_atoms(ctx, atoms, q.n_vars(), order).map_err(|e| match e {
-                EvalError::Unsupported(_) => EvalError::Unsupported(format!(
-                    "no ⪯-compatible join tree for order {:?} (disruptive trio: {:?})",
-                    order.iter().map(|&v| q.var_name(v).to_string()).collect::<Vec<_>>(),
-                    cq_core::disruptive_trio::find_disruptive_trio(q, order).map(|t| {
-                        format!(
-                            "({}, {}, {})",
-                            q.var_name(t.y1),
-                            q.var_name(t.y2),
-                            q.var_name(t.y3)
+        let da = ctx.catalog().artifact(db, "lex_da", &key, q.relations(), || {
+            let mut atoms: Vec<_> = bind(q, db)?.into_iter().map(Cow::Owned).collect();
+            let base =
+                join_tree_of_atoms(&atoms, q.n_vars()).ok_or(EvalError::NotAcyclic)?;
+            // search: every reroot, flattened and plain
+            let tree = (0..base.n_nodes())
+                .map(|r| base.rerooted(r))
+                .flat_map(|t| [flatten(&t), t])
+                .find(|cand| is_compatible(cand, order))
+                .ok_or_else(|| {
+                    EvalError::Unsupported(format!(
+                        "no ⪯-compatible join tree for order {:?} (disruptive trio: {:?})",
+                        order
+                            .iter()
+                            .map(|&v| q.var_name(v).to_string())
+                            .collect::<Vec<_>>(),
+                        cq_core::disruptive_trio::find_disruptive_trio(q, order).map(
+                            |t| {
+                                format!(
+                                    "({}, {}, {})",
+                                    q.var_name(t.y1),
+                                    q.var_name(t.y2),
+                                    q.var_name(t.y3)
+                                )
+                            }
                         )
-                    })
-                )),
-                other => other,
-            })
-        })
-    }
-
-    /// Build directly from bound atoms (the entry point used by
-    /// [`crate::fc_direct_access::FreeConnexDirectAccess`], whose atoms are projection-elimination
-    /// messages rather than database relations). `order` must cover
-    /// exactly the variables occurring in the atoms; other variable
-    /// indices `< n_vars` stay 0 in the output. Unshared; the token is
-    /// polled per tree node and per weighted row.
-    pub fn build_from_atoms(
-        ctx: &ExecCtx,
-        mut atoms: Vec<BoundAtom>,
-        n_vars: usize,
-        order: &[Var],
-    ) -> Result<Self, EvalError> {
-        let base = join_tree_of_atoms(&atoms, n_vars).ok_or(EvalError::NotAcyclic)?;
-        // search: every reroot, plain and flattened
-        let mut chosen: Option<JoinTree> = None;
-        'search: for r in 0..base.n_nodes() {
-            let t = base.rerooted(r);
-            for cand in [flatten(&t), t] {
-                if check_compatible(&cand, order).is_some() {
-                    chosen = Some(cand);
-                    break 'search;
-                }
-            }
-        }
-        let tree = chosen.ok_or_else(|| {
-            EvalError::Unsupported(format!(
-                "no ⪯-compatible join tree for order {order:?}"
-            ))
+                    ))
+                })?;
+            // full reduction → every tuple participates in an answer
+            ctx.cancel().check_now()?;
+            full_reduce(&mut atoms, &tree);
+            let schema: Vec<Var> = q.vars().collect();
+            Self::from_reduced(ctx.cancel(), &atoms, &tree, &schema, order)
         })?;
-
-        // full reduction → every tuple participates in an answer
-        ctx.cancel().check_now()?;
-        upward_sweep(&mut atoms, &tree);
-        downward_sweep(&mut atoms, &tree);
-
-        Self::from_reduced(ctx.cancel(), &atoms, n_vars, &tree, order)
+        da.weights(ctx.cancel())?;
+        Ok(da)
     }
 
-    fn from_reduced(
+    /// Index fully reduced `atoms` over their ⪯-compatible join tree:
+    /// **the** place a reduced node is sorted by its parent key. Rows are
+    /// reported over `schema`, which must hold exactly the variables of
+    /// the atoms — as must `order`. No weights yet. The token is polled
+    /// per node.
+    pub(crate) fn from_reduced(
         cancel: &CancelToken,
-        atoms: &[BoundAtom],
-        n_vars: usize,
+        atoms: &[impl Borrow<BoundAtom>],
         tree: &JoinTree,
+        schema: &[Var],
         order: &[Var],
     ) -> Result<Self, EvalError> {
         let pos_of = |v: Var| order.iter().position(|&u| u == v).unwrap();
-        let n = tree.n_nodes();
-
-        // block start position per subtree, for child ordering
-        let mut intro: Vec<u64> =
-            (0..n).map(|u| tree.scope(u) & !tree.key_mask(u)).collect();
-        let mut subtree: Vec<u64> = intro.clone();
-        for &u in &tree.bottom_up() {
-            if let Some(p) = tree.parent(u) {
-                let s = subtree[u];
-                subtree[p] |= s;
-            }
-        }
-
-        let mut nodes: Vec<Option<Node>> = (0..n).map(|_| None).collect();
-        for &u in &tree.bottom_up() {
-            cancel.check_now()?;
-            let a = &atoms[u];
-            let key_vars: Vec<Var> =
-                mask_vertices(tree.key_mask(u)).map(|v| Var(v as u32)).collect();
-            let key_cols: Vec<usize> =
-                key_vars.iter().map(|&v| a.col_of(v).unwrap()).collect();
-            // non-key columns sorted by ⪯
-            let mut rest: Vec<usize> =
-                (0..a.vars.len()).filter(|c| !key_cols.contains(c)).collect();
-            rest.sort_by_key(|&c| pos_of(a.vars[c]));
-            let mut col_order = key_cols.clone();
-            col_order.extend_from_slice(&rest);
-            let view = SortedView::new(&a.rel, &col_order);
-            let intro_vars: Vec<Var> = rest.iter().map(|&c| a.vars[c]).collect();
-            debug_assert_eq!(intro_vars.iter().fold(0u64, |m, v| m | v.mask()), intro[u]);
-
-            // children in block order
-            let mut children: Vec<usize> = tree.children(u).to_vec();
-            children.sort_by_key(|&c| {
-                mask_vertices(subtree[c])
+        let slot_of = |v: Var| schema.iter().position(|&u| u == v).unwrap();
+        // where each subtree's block of ⪯ starts
+        let mut block: Vec<usize> = (0..tree.n_nodes())
+            .map(|u| {
+                mask_vertices(tree.scope(u) & !tree.key_mask(u))
                     .map(|v| pos_of(Var(v as u32)))
                     .min()
                     .unwrap_or(usize::MAX)
-            });
+            })
+            .collect();
+        for &u in &tree.bottom_up() {
+            if let Some(p) = tree.parent(u) {
+                block[p] = block[p].min(block[u]);
+            }
+        }
+        // preorder, children in block order
+        let mut preorder = Vec::with_capacity(tree.n_nodes());
+        let mut stack = vec![tree.root()];
+        while let Some(u) = stack.pop() {
+            preorder.push(u);
+            let mut kids = tree.children(u).to_vec();
+            kids.sort_by_key(|&c| block[c]);
+            stack.extend(kids.into_iter().rev());
+        }
+        let mut position = vec![0; preorder.len()];
+        for (i, &u) in preorder.iter().enumerate() {
+            position[u] = i;
+        }
 
-            // weights: product over children of S_c(key_c(row))
-            let mut cumw: Vec<u128> = Vec::with_capacity(view.len() + 1);
-            cumw.push(0);
-            let mut keybuf: Vec<Val> = Vec::new();
-            for i in 0..view.len() {
+        let mut nodes = Vec::with_capacity(preorder.len());
+        for &u in &preorder {
+            cancel.check_now()?;
+            let a: &BoundAtom = atoms[u].borrow();
+            // key columns (mask order), then the rest sorted by ⪯
+            let mut cols: Vec<usize> = mask_vertices(tree.key_mask(u))
+                .map(|v| a.col_of(Var(v as u32)).unwrap())
+                .collect();
+            let n_key = cols.len();
+            let mut rest: Vec<usize> =
+                (0..a.vars.len()).filter(|c| !cols.contains(c)).collect();
+            rest.sort_by_key(|&c| pos_of(a.vars[c]));
+            cols.extend(rest);
+            let mut key_slots: Vec<usize> =
+                cols.iter().map(|&c| slot_of(a.vars[c])).collect();
+            let out_slots = key_slots.split_off(n_key);
+            // preorder positions are already in block order
+            let mut children: Vec<usize> =
+                tree.children(u).iter().map(|&c| position[c]).collect();
+            children.sort_unstable();
+            let view = SortedView::new(&a.rel, &cols);
+            nodes.push(Node { view, n_key, key_slots, out_slots, children });
+        }
+        let max_key = nodes.iter().map(|n| n.n_key).max().unwrap_or(0);
+        Ok(LexDirectAccess {
+            nodes,
+            width: schema.len(),
+            max_key,
+            weights: OnceLock::new(),
+        })
+    }
+
+    /// The reduced, sorted nodes in preorder — what the constant-delay
+    /// walk steps through.
+    pub(crate) fn nodes(&self) -> &[Node] {
+        &self.nodes
+    }
+
+    /// The subtree weights, built under `cancel` on first use:
+    /// `CountOverflow` if the simulated array would have more than
+    /// `u64::MAX` positions (a failed build stores nothing). Bottom-up —
+    /// in preorder children follow their parent — a row weighs the
+    /// product over the node's children of the weight of the child's
+    /// matching rows; the token is polled per row.
+    pub(crate) fn weights(&self, cancel: &CancelToken) -> Result<&Weights, EvalError> {
+        if let Some(w) = self.weights.get() {
+            return Ok(w);
+        }
+        let mut cumw: Vec<Vec<u128>> = vec![Vec::new(); self.nodes.len()];
+        let mut key: Vec<Val> = Vec::new();
+        for (u, node) in self.nodes.iter().enumerate().rev() {
+            // per child: the view columns of `u` holding the child's key
+            let kids: Vec<(usize, Vec<usize>)> = node
+                .children
+                .iter()
+                .map(|&c| {
+                    let slots = node.key_slots.iter().chain(&node.out_slots);
+                    let col_of = |s| slots.clone().position(|t| t == s).unwrap();
+                    (c, self.nodes[c].key_slots.iter().map(col_of).collect())
+                })
+                .collect();
+            let mut acc: Vec<u128> = Vec::with_capacity(node.view.len() + 1);
+            acc.push(0);
+            for i in 0..node.view.len() {
                 cancel.check()?;
-                let row = view.row(i);
-                // need values by variable: view columns are permuted
+                let row = node.view.row(i);
                 let mut w: u128 = 1;
-                for &c in &children {
-                    let cnode = nodes[c].as_ref().unwrap();
-                    keybuf.clear();
-                    for kv in &cnode.key_vars {
-                        // locate kv in u's view columns
-                        let col = view
-                            .col_order()
-                            .iter()
-                            .position(|&cc| a.vars[cc] == *kv)
-                            .expect("child key var must be in parent scope");
-                        keybuf.push(row[col]);
-                    }
-                    let r = cnode.view.key_range(&keybuf);
-                    let s = cnode.cumw[r.end] - cnode.cumw[r.start];
-                    w = w.saturating_mul(s);
+                for (c, cols) in &kids {
+                    key.clear();
+                    key.extend(cols.iter().map(|&col| row[col]));
+                    let r = self.nodes[*c].view.key_range(&key);
+                    w = w.saturating_mul(cumw[*c][r.end] - cumw[*c][r.start]);
                 }
                 // weights are counts: saturation keeps "too many" too many
-                let prev = *cumw.last().unwrap();
-                cumw.push(prev.saturating_add(w));
+                acc.push(acc[i].saturating_add(w));
             }
-            nodes[u] = Some(Node {
-                view,
-                n_key: key_cols.len(),
-                key_vars,
-                intro_vars,
-                cumw,
-                children,
-            });
+            cumw[u] = acc;
         }
-        let _ = &mut intro;
-        let nodes: Vec<Node> = nodes.into_iter().map(Option::unwrap).collect();
-        let root = tree.root();
         // after full reduction every partial sum is at most the total
         // (each weighted row extends to an answer), so a total that fits
         // u64 means nothing above saturated
-        let total = *nodes[root].cumw.last().unwrap_or(&0);
+        let total = *cumw[0].last().expect("every node has an end sentinel");
         let total = u64::try_from(total).map_err(|_| EvalError::CountOverflow)?;
-        let max_key = nodes.iter().map(|n| n.key_vars.len()).max().unwrap_or(0);
-        Ok(LexDirectAccess { nodes, root, n_vars, max_key, total })
+        Ok(self.weights.get_or_init(|| Weights { cumw, total }))
+    }
+
+    /// The weights, built now if nothing has asked before (as a view
+    /// builds its trie levels); never cancelled. `None` only for a tree
+    /// reached through an enumerator rather than a `build` (which
+    /// refuses it) whose answers outnumber `u64`: it simulates no array.
+    fn ready(&self) -> Option<&Weights> {
+        self.weights.get().or_else(|| self.weights(&CancelToken::never()).ok())
     }
 
     /// The rows of `u` matching the key values already in `out`, looked
@@ -403,48 +428,52 @@ impl LexDirectAccess {
         scratch: &mut [Val],
     ) -> std::ops::Range<usize> {
         let node = &self.nodes[u];
-        let key = &mut scratch[..node.key_vars.len()];
-        for (slot, v) in key.iter_mut().zip(&node.key_vars) {
-            *slot = out[v.index()];
+        let key = &mut scratch[..node.n_key];
+        for (k, &slot) in key.iter_mut().zip(&node.key_slots) {
+            *k = out[slot];
         }
         node.view.key_range(key)
     }
 
-    fn access_rec(&self, u: usize, idx: u128, out: &mut [Val], scratch: &mut [Val]) {
-        let node = &self.nodes[u];
+    fn access_rec(
+        &self,
+        w: &Weights,
+        u: usize,
+        idx: u128,
+        out: &mut [Val],
+        scratch: &mut [Val],
+    ) {
+        let (node, cumw) = (&self.nodes[u], &w.cumw[u]);
         let range = self.key_range(u, out, scratch);
-        let base = node.cumw[range.start];
-        let target = base + idx;
+        let target = cumw[range.start] + idx;
         // binary search: largest pos in range with cumw[pos] <= target
         let (mut lo, mut hi) = (range.start, range.end);
         while lo + 1 < hi {
             let mid = lo + (hi - lo) / 2;
-            if node.cumw[mid] <= target {
+            if cumw[mid] <= target {
                 lo = mid;
             } else {
                 hi = mid;
             }
         }
-        let row_pos = lo;
-        let mut residual = target - node.cumw[row_pos];
-        let row = node.view.row(row_pos);
-        for (i, v) in node.intro_vars.iter().enumerate() {
-            out[v.index()] = row[node.n_key + i];
+        let mut residual = target - cumw[lo];
+        let row = node.view.row(lo);
+        for (&slot, &v) in node.out_slots.iter().zip(&row[node.n_key..]) {
+            out[slot] = v;
         }
         // mixed-radix over children: the row's weight is the product
-        // of its children's factors (that is how `from_reduced` weighed
-        // it), so dividing a child's factor out leaves the radix of the
+        // of its children's factors (that is how `weights` weighed it),
+        // so dividing a child's factor out leaves the radix of the
         // children after it. A child's key variables all sit in this
         // node's scope, so descending into one child never moves a
         // later child's factor.
-        let mut radix = node.cumw[row_pos + 1] - node.cumw[row_pos];
+        let mut radix = cumw[lo + 1] - cumw[lo];
         for &c in &node.children {
             let r = self.key_range(c, out, scratch);
-            let cnode = &self.nodes[c];
-            radix /= cnode.cumw[r.end] - cnode.cumw[r.start];
+            radix /= w.cumw[c][r.end] - w.cumw[c][r.start];
             let idx_c = residual / radix;
             residual %= radix;
-            self.access_rec(c, idx_c, out, scratch);
+            self.access_rec(w, c, idx_c, out, scratch);
         }
         // every factor divided out of the weight exactly, nothing left
         debug_assert_eq!((radix, residual), (1, 0));
@@ -453,18 +482,16 @@ impl LexDirectAccess {
 
 impl DirectAccess for LexDirectAccess {
     fn len(&self) -> u64 {
-        self.total
+        self.ready().map_or(0, |w| w.total)
     }
 
     fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
-        if i >= self.total {
-            return false;
-        }
+        let Some(w) = self.ready().filter(|w| i < w.total) else { return false };
         out.clear();
-        out.resize(self.n_vars + self.max_key, 0);
-        let (row, scratch) = out.split_at_mut(self.n_vars);
-        self.access_rec(self.root, u128::from(i), row, scratch);
-        out.truncate(self.n_vars);
+        out.resize(self.width + self.max_key, 0);
+        let (row, scratch) = out.split_at_mut(self.width);
+        self.access_rec(w, 0, u128::from(i), row, scratch);
+        out.truncate(self.width);
         true
     }
 }
@@ -509,6 +536,17 @@ mod tests {
     use super::*;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, seeded_rng, star_database};
+
+    /// Compare two assignments under a variable order.
+    fn lex_cmp(a: &[Val], b: &[Val], order: &[Var]) -> std::cmp::Ordering {
+        for &v in order {
+            match a[v.index()].cmp(&b[v.index()]) {
+                std::cmp::Ordering::Equal => continue,
+                other => return other,
+            }
+        }
+        std::cmp::Ordering::Equal
+    }
 
     fn vars_by_name(q: &ConjunctiveQuery, names: &[&str]) -> Vec<Var> {
         names.iter().map(|n| q.var_by_name(n).unwrap()).collect()
@@ -677,6 +715,10 @@ mod tests {
             LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order),
             Err(EvalError::CountOverflow)
         ));
+        // the walk needs no weights; the tree it exposes simulates no array
+        let e = crate::Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
+        assert!(crate::AnswerStream::next(&mut e.stream()).unwrap().is_some());
+        assert_eq!((e.direct_access().len(), e.direct_access().access(0)), (0, None));
     }
 
     #[test]

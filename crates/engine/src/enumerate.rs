@@ -1,13 +1,19 @@
 //! Constant-delay enumeration for free-connex queries (Theorem 3.17).
 //!
-//! Preprocessing (linear in m): eliminate the quantified variables
-//! ([`crate::count::eliminate_projections`]), fully semijoin-reduce the
-//! resulting acyclic join query over the free variables, and index each
-//! node of its join tree by its parent key. Enumeration then walks the
-//! tree as an odometer: because every relation is globally consistent,
-//! every key lookup is non-empty, so the delay between answers is bounded
-//! by the number of tree nodes — a constant depending only on the query,
-//! exactly the guarantee of BDG07.
+//! Preprocessing (linear in m) is the direct-access preprocessing minus
+//! its weights: eliminate the quantified variables
+//! ([`crate::count::free_join`]), fully semijoin-reduce the resulting
+//! acyclic join query over the free variables, and sort each node of its
+//! join tree by its parent key — the memoized tree of
+//! [`FreeConnexDirectAccess`], shared with `ACCESS` of the same query.
+//! Enumeration then walks that tree's nodes, in preorder, as an odometer:
+//! because every relation is globally consistent, every key lookup is
+//! non-empty, so the delay between answers is bounded by the number of
+//! tree nodes — a constant depending only on the query, exactly the
+//! guarantee of BDG07. The walk is the in-order traversal of the array
+//! direct access simulates: it emits position 0, 1, 2, … of
+//! [`FreeConnexDirectAccess`] without ever needing the subtree weights a
+//! position lookup descends by, so it streams results too large to count.
 //!
 //! That bound is checked as work, not time: the stream counts its
 //! odometer moves and `descend` calls and reports them as the `steps`
@@ -19,26 +25,15 @@
 
 use crate::bind::EvalError;
 use crate::cancel::CancelToken;
-use crate::count::eliminate_projections;
 use crate::ctx::ExecCtx;
+use crate::direct_access::Node;
+use crate::fc_direct_access::FreeConnexDirectAccess;
 use crate::stream::AnswerStream;
-use crate::yannakakis::{downward_sweep, join_tree_of_atoms, upward_sweep};
-use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, Relation, SortedView, Val};
+use cq_data::{Database, Relation, Val};
 use std::sync::Arc;
 
-/// One join-tree level of the preprocessed structure (immutable).
-struct LevelIndex {
-    view: SortedView,
-    n_key: usize,
-    /// schema slots supplying the key values (ancestor-assigned)
-    key_slots: Vec<usize>,
-    /// schema slots written by this level's non-key columns
-    out_slots: Vec<usize>,
-}
-
-/// Per-enumeration cursor over one level.
+/// Per-enumeration cursor over one tree node.
 #[derive(Clone, Default)]
 struct Cursor {
     /// current row range for the bound key
@@ -47,103 +42,38 @@ struct Cursor {
     pos: usize,
 }
 
-/// The immutable product of enumeration preprocessing: the reduced,
-/// indexed join-tree levels. Shared (`Arc`) between enumerators so a
-/// catalog can hand the preprocessing out once per database state.
-pub struct EnumeratorCore {
-    /// Free variables in interning order — the output schema.
-    schema: Vec<Var>,
-    levels: Vec<LevelIndex>,
-    /// The whole result is empty.
-    empty: bool,
-}
-
-impl EnumeratorCore {
-    /// Linear-time preprocessing, unshared ([`Enumerator::preprocess`]
-    /// memoizes it). Fails with `NotFreeConnex` / `NotAcyclic` on the
-    /// hard side of the dichotomy. The token is polled between the
-    /// per-node passes of projection elimination, reduction, and
-    /// indexing — the preprocessing is linear in the data, so a
-    /// deadline must be able to interrupt it too.
-    pub fn build(
-        ctx: &ExecCtx,
-        q: &ConjunctiveQuery,
-        db: &Database,
-    ) -> Result<Self, EvalError> {
-        let cancel = ctx.cancel();
-        let schema: Vec<Var> = q.free_vars();
-        if q.is_boolean() {
-            let res = crate::yannakakis::decide_acyclic(ctx, q, db)?;
-            return Ok(EnumeratorCore { schema, levels: Vec::new(), empty: !res });
-        }
-        let mut msgs = match eliminate_projections(ctx, q, db)? {
-            Some(m) => m,
-            None => {
-                return Ok(EnumeratorCore { schema, levels: Vec::new(), empty: true })
-            }
-        };
-        // q' join tree + full reduction → global consistency
-        let tree =
-            join_tree_of_atoms(&msgs, q.n_vars()).ok_or(EvalError::NotFreeConnex)?;
-        upward_sweep(&mut msgs, &tree);
-        downward_sweep(&mut msgs, &tree);
-        if msgs[tree.root()].rel.is_empty() {
-            return Ok(EnumeratorCore { schema, levels: Vec::new(), empty: true });
-        }
-
-        let slot_of = |v: Var| schema.iter().position(|&s| s == v).unwrap();
-        let mut levels = Vec::with_capacity(tree.n_nodes());
-        for u in tree.top_down() {
-            cancel.check_now()?;
-            let a = &msgs[u];
-            let key_mask = tree.key_mask(u);
-            let key_vars: Vec<Var> =
-                mask_vertices(key_mask).map(|v| Var(v as u32)).collect();
-            let key_cols: Vec<usize> =
-                key_vars.iter().map(|&v| a.col_of(v).unwrap()).collect();
-            let view = SortedView::new(&a.rel, &key_cols);
-            let out_slots: Vec<usize> = view.col_order()[key_cols.len()..]
-                .iter()
-                .map(|&c| slot_of(a.vars[c]))
-                .collect();
-            let key_slots: Vec<usize> = key_vars.iter().map(|&v| slot_of(v)).collect();
-            levels.push(LevelIndex { view, n_key: key_cols.len(), key_slots, out_slots });
-        }
-        Ok(EnumeratorCore { schema, levels, empty: false })
-    }
-}
-
 /// A prepared constant-delay enumerator. Create with
 /// [`Enumerator::preprocess`], consume with [`Enumerator::for_each`],
-/// [`Enumerator::collect_all`], or — the primitive the others are built
+/// [`Enumerator::to_relation`], or — the primitive the others are built
 /// on — [`Enumerator::into_stream`].
 pub struct Enumerator {
-    core: Arc<EnumeratorCore>,
+    tree: Arc<FreeConnexDirectAccess>,
 }
 
 impl std::fmt::Debug for Enumerator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Enumerator")
-            .field("schema", &self.core.schema)
-            .field("levels", &self.core.levels.len())
-            .field("empty", &self.core.empty)
+            .field("schema", &self.schema())
+            .field("levels", &levels_of(&self.tree).len())
             .finish()
     }
 }
 
-impl From<Arc<EnumeratorCore>> for Enumerator {
-    fn from(core: Arc<EnumeratorCore>) -> Self {
-        Enumerator { core }
-    }
+/// The nodes the odometer steps through; none when the result is empty.
+fn levels_of(tree: &FreeConnexDirectAccess) -> &[Node] {
+    tree.tree.as_ref().map_or(&[], |t| t.nodes())
 }
 
 impl Enumerator {
-    /// Linear-time preprocessing ([`EnumeratorCore::build`]), its
-    /// product memoized in the catalog: repeated enumerations of the
-    /// same query on an unchanged database skip the reduction and index
-    /// builds entirely and pay for the walk only — the preprocessing /
-    /// enumeration split of Thm 3.17 made operational. The token bounds
-    /// a cold build (a warm catalog hit does no work to interrupt).
+    /// Linear-time preprocessing: the reduced, sorted tree of
+    /// [`FreeConnexDirectAccess`], memoized in the catalog. Repeated
+    /// enumerations of the same query on an unchanged database — and an
+    /// enumeration after an `ACCESS` of it, or before one — skip the
+    /// reduction and the sorts entirely and pay for the walk only: the
+    /// preprocessing / enumeration split of Thm 3.17 made operational.
+    /// Fails with `NotFreeConnex` / `NotAcyclic` on the hard side of the
+    /// dichotomy. The token bounds a cold build (a warm catalog hit does
+    /// no work to interrupt).
     pub fn preprocess(
         ctx: &ExecCtx,
         q: &ConjunctiveQuery,
@@ -151,35 +81,41 @@ impl Enumerator {
     ) -> Result<Self, EvalError> {
         let mut span = cq_obs::trace::span("op.enumerate.preprocess");
         let mut cold = false;
-        let core = ctx.catalog().artifact(
-            db,
-            "enumerator",
-            &q.to_string(),
-            q.relations(),
-            || {
-                cold = true;
-                EnumeratorCore::build(ctx, q, db)
-            },
-        )?;
+        let tree = if q.is_boolean() {
+            let truth = crate::yannakakis::decide_acyclic(ctx, q, db)?;
+            Arc::new(FreeConnexDirectAccess::boolean(truth))
+        } else {
+            FreeConnexDirectAccess::shared(ctx, q, db, &mut cold)?
+        };
         span.attr("cold-build", u64::from(cold));
-        Ok(Enumerator::from(core))
+        Ok(Enumerator { tree })
     }
 
     /// The output schema (free variables in interning order).
     pub fn schema(&self) -> &[Var] {
-        &self.core.schema
+        self.tree.schema()
+    }
+
+    /// The walked tree as the direct-access structure it is — the same
+    /// `Arc` an `ACCESS` of the query holds: position `i` of it is the
+    /// `i`-th row of [`Enumerator::stream`]. Its subtree weights are
+    /// built by the first `len` / `access`, so a result with more than
+    /// `u64::MAX` answers — which [`FreeConnexDirectAccess::build`]
+    /// refuses — has no accessible position here.
+    pub fn direct_access(&self) -> &Arc<FreeConnexDirectAccess> {
+        &self.tree
     }
 
     /// A fresh pull-driven stream over the shared preprocessing — the
     /// single odometer implementation; every other consumer below is a
     /// wrapper around it.
     pub fn stream(&self) -> EnumeratorStream {
-        EnumeratorStream::new(Arc::clone(&self.core))
+        EnumeratorStream::new(Arc::clone(&self.tree))
     }
 
     /// Consume the enumerator into its stream.
     pub fn into_stream(self) -> EnumeratorStream {
-        EnumeratorStream::new(self.core)
+        EnumeratorStream::new(self.tree)
     }
 
     /// Visit every answer with constant delay; `visit` returns `false`
@@ -192,27 +128,6 @@ impl Enumerator {
             }
         }
         true
-    }
-
-    /// Materialize all answers (ordered by the enumeration order).
-    pub fn collect_all(&mut self) -> Vec<Vec<Val>> {
-        let mut out = Vec::new();
-        self.for_each(|row| {
-            out.push(row.to_vec());
-            true
-        });
-        out
-    }
-
-    /// Count answers by enumeration (for cross-checking; prefer
-    /// `cq_engine::count` for counting).
-    pub fn count(&mut self) -> u64 {
-        let mut c = 0u64;
-        self.for_each(|_| {
-            c += 1;
-            true
-        });
-        c
     }
 
     /// Collect answers into a [`Relation`] over the schema.
@@ -231,12 +146,12 @@ enum StreamState {
     Done,
 }
 
-/// The pull-driven constant-delay walk over an [`EnumeratorCore`]: each
+/// The pull-driven constant-delay walk over the shared tree: each
 /// [`AnswerStream::next`] advances the odometer by exactly one answer,
 /// using O(1) extra memory (the cursors plus one row buffer) — Thm 3.17
 /// with the consumer holding the reins.
 pub struct EnumeratorStream {
-    core: Arc<EnumeratorCore>,
+    tree: Arc<FreeConnexDirectAccess>,
     cursors: Vec<Cursor>,
     /// The row buffer `next` hands out; slots are keyed by the schema.
     current: Vec<Val>,
@@ -250,12 +165,12 @@ pub struct EnumeratorStream {
 }
 
 impl EnumeratorStream {
-    /// A fresh walk over `core`, starting before the first answer.
-    pub fn new(core: Arc<EnumeratorCore>) -> Self {
-        let cursors = vec![Cursor::default(); core.levels.len()];
-        let current = vec![0; core.schema.len()];
+    /// A fresh walk over `tree`, starting before the first answer.
+    fn new(tree: Arc<FreeConnexDirectAccess>) -> Self {
+        let cursors = vec![Cursor::default(); levels_of(&tree).len()];
+        let current = vec![0; tree.schema().len()];
         EnumeratorStream {
-            core,
+            tree,
             cursors,
             current,
             keybuf: Vec::new(),
@@ -280,32 +195,26 @@ impl Drop for EnumeratorStream {
 
 impl AnswerStream for EnumeratorStream {
     fn schema(&self) -> &[Var] {
-        &self.core.schema
+        self.tree.schema()
     }
 
     fn next(&mut self) -> Result<Option<&[Val]>, EvalError> {
         self.cancel.check()?;
         let EnumeratorStream {
-            core, cursors, current, keybuf, state, rows, steps, ..
+            tree, cursors, current, keybuf, state, rows, steps, ..
         } = self;
+        let levels = levels_of(tree);
         match state {
             StreamState::Done => return Ok(None),
             StreamState::NotStarted => {
-                if core.empty {
+                if levels.is_empty() {
                     *state = StreamState::Done;
                     return Ok(None);
                 }
-                if core.levels.is_empty() {
-                    // Boolean query that is true: the single empty
-                    // answer (`current` has length 0).
-                    *state = StreamState::Done;
-                    *rows += 1;
-                    return Ok(Some(current));
-                }
-                for (lev, cur) in core.levels.iter().zip(cursors.iter_mut()) {
+                for (lev, cur) in levels.iter().zip(cursors.iter_mut()) {
                     descend(lev, cur, current, keybuf);
                 }
-                *steps += core.levels.len() as u64;
+                *steps += levels.len() as u64;
                 *state = StreamState::Active;
                 *rows += 1;
                 return Ok(Some(current));
@@ -314,7 +223,7 @@ impl AnswerStream for EnumeratorStream {
         }
         // odometer: advance the deepest level possible, then re-descend
         // everything below it
-        let mut i = core.levels.len();
+        let mut i = levels.len();
         loop {
             if i == 0 {
                 *state = StreamState::Done;
@@ -322,17 +231,17 @@ impl AnswerStream for EnumeratorStream {
             }
             i -= 1;
             *steps += 1;
-            let (lev, cur) = (&core.levels[i], &mut cursors[i]);
+            let (lev, cur) = (&levels[i], &mut cursors[i]);
             if cur.pos + 1 < cur.range.end {
                 cur.pos += 1;
                 write_row(lev, cur, current);
                 break;
             }
         }
-        for (lev, cur) in core.levels.iter().zip(cursors.iter_mut()).skip(i + 1) {
+        for (lev, cur) in levels.iter().zip(cursors.iter_mut()).skip(i + 1) {
             descend(lev, cur, current, keybuf);
         }
-        *steps += (core.levels.len() - i - 1) as u64;
+        *steps += (levels.len() - i - 1) as u64;
         *rows += 1;
         Ok(Some(current))
     }
@@ -342,12 +251,7 @@ impl AnswerStream for EnumeratorStream {
     }
 }
 
-fn descend(
-    lev: &LevelIndex,
-    cur: &mut Cursor,
-    current: &mut [Val],
-    keybuf: &mut Vec<Val>,
-) {
+fn descend(lev: &Node, cur: &mut Cursor, current: &mut [Val], keybuf: &mut Vec<Val>) {
     keybuf.clear();
     keybuf.extend(lev.key_slots.iter().map(|&s| current[s]));
     cur.range = lev.view.key_range(keybuf);
@@ -360,10 +264,10 @@ fn descend(
 }
 
 #[inline]
-fn write_row(lev: &LevelIndex, cur: &Cursor, current: &mut [Val]) {
+fn write_row(lev: &Node, cur: &Cursor, current: &mut [Val]) {
     let row = lev.view.row(cur.pos);
-    for (i, &slot) in lev.out_slots.iter().enumerate() {
-        current[slot] = row[lev.n_key + i];
+    for (&slot, &v) in lev.out_slots.iter().zip(&row[lev.n_key..]) {
+        current[slot] = v;
     }
 }
 
@@ -374,6 +278,12 @@ mod tests {
     use cq_core::parse_query;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, seeded_rng, star_database};
+
+    /// Every row of a fresh walk, in stream order.
+    fn drain(e: &Enumerator) -> Vec<Vec<Val>> {
+        let mut s = e.stream();
+        std::iter::from_fn(|| s.next().unwrap().map(<[Val]>::to_vec)).collect()
+    }
 
     fn check_matches_brute_force(q: &ConjunctiveQuery, db: &Database) {
         let mut e = Enumerator::preprocess(&ExecCtx::cold(), q, db).unwrap();
@@ -427,11 +337,9 @@ mod tests {
     #[test]
     fn boolean_true_yields_empty_tuple() {
         let db = path_database(2, 20, &mut seeded_rng(5));
-        let mut e =
+        let e =
             Enumerator::preprocess(&ExecCtx::cold(), &zoo::path_boolean(2), &db).unwrap();
-        let all = e.collect_all();
-        assert_eq!(all.len(), 1);
-        assert!(all[0].is_empty());
+        assert_eq!(drain(&e), [Vec::<Val>::new()]);
     }
 
     #[test]
@@ -452,9 +360,9 @@ mod tests {
     fn count_matches_count_module() {
         let db = path_database(3, 80, &mut seeded_rng(7));
         let q = parse_query("q(x0, x1) :- R1(x0,x1), R2(x1,x2), R3(x2,x3)").unwrap();
-        let mut e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
+        let e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
         assert_eq!(
-            e.count(),
+            drain(&e).len() as u64,
             crate::count::count_free_connex(&ExecCtx::cold(), &q, &db).unwrap()
         );
     }
@@ -463,8 +371,8 @@ mod tests {
     fn no_duplicates_emitted() {
         let db = star_database(2, 60, 4, &mut seeded_rng(8));
         let q = zoo::star_full(2);
-        let mut e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
-        let all = e.collect_all();
+        let e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
+        let all = drain(&e);
         let mut dedup = all.clone();
         dedup.sort();
         dedup.dedup();
@@ -472,19 +380,31 @@ mod tests {
     }
 
     #[test]
-    fn shared_core_gives_each_enumerator_fresh_cursors() {
+    fn shared_tree_gives_each_walk_its_own_cursors() {
         let db = path_database(3, 60, &mut seeded_rng(9));
         let q = zoo::path_join(3);
         let cat = cq_data::IndexCatalog::new();
         let ctx = ExecCtx::warm(&cat);
-        let mut a = Enumerator::preprocess(&ctx, &q, &db).unwrap();
-        let want = brute_force_answers(&q, &db).unwrap();
-        assert_eq!(a.to_relation(), want);
-        let mut b = Enumerator::preprocess(&ctx, &q, &db).unwrap();
-        assert!(Arc::ptr_eq(&a.core, &b.core), "the warm call shares the core");
-        assert_eq!(b.to_relation(), want);
-        // an enumerator can also be re-consumed after sharing
-        assert_eq!(a.count(), want.len() as u64);
+        let a = Enumerator::preprocess(&ctx, &q, &db).unwrap();
+        let b = Enumerator::preprocess(&ctx, &q, &db).unwrap();
+        assert!(Arc::ptr_eq(&a.tree, &b.tree), "the warm call shares the tree");
+        // ... which is an array already: the first `len` weighs it, and
+        // row i is position i
+        let da = a.direct_access();
+        let want = drain(&a);
+        assert_eq!(want.len() as u64, crate::DirectAccess::len(da));
+        // ... the one an ACCESS of the query holds
+        assert!(Arc::ptr_eq(da, &FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap()));
+        // two walks over the one tree, interleaved: independent cursors
+        let (mut s, mut t) = (a.stream(), b.stream());
+        s.next().unwrap();
+        for (i, row) in want.iter().enumerate() {
+            assert_eq!(t.next().unwrap(), Some(&row[..]), "walk t, row {i}");
+            assert_eq!(crate::DirectAccess::access(da, i as u64).as_ref(), Some(row));
+            let ahead = want.get(i + 1).map(|r| &r[..]);
+            assert_eq!(s.next().unwrap(), ahead, "walk s, row {}", i + 1);
+        }
+        assert_eq!(t.next().unwrap(), None);
     }
 
     #[test]
@@ -492,9 +412,9 @@ mod tests {
         let mut db = Database::new();
         db.insert("R1", cq_data::Relation::new(2));
         db.insert("R2", cq_data::Relation::new(2));
-        let mut e =
+        let e =
             Enumerator::preprocess(&ExecCtx::cold(), &zoo::path_join(2), &db).unwrap();
-        assert_eq!(e.count(), 0);
+        assert!(drain(&e).is_empty());
     }
 
     #[test]
@@ -503,7 +423,7 @@ mod tests {
         db.insert("R", cq_data::Relation::from_values(vec![1, 2, 3]));
         db.insert("S", cq_data::Relation::new(2));
         let q = parse_query("q(x) :- R(x), S(y, z)").unwrap();
-        let mut e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
-        assert_eq!(e.count(), 0);
+        let e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
+        assert!(drain(&e).is_empty());
     }
 }

@@ -1,60 +1,112 @@
 //! Direct access for free-connex queries with projections — the full
-//! Theorem 3.18 upper bound.
+//! Theorem 3.18 upper bound — over the tree constant-delay enumeration
+//! walks.
 //!
 //! Theorem 3.18 promises, for every free-connex query, a direct-access
 //! structure with Õ(m) preprocessing and Õ(log m) access in *some*
 //! query-chosen order. The construction composes two pieces already in
-//! the engine: projection elimination
-//! ([`crate::count::eliminate_projections`]) turns the query into an
-//! acyclic *join* query `q'` over exactly the free variables, and the
-//! ⪯-compatible-tree structure ([`LexDirectAccess`]) serves `q'` under
-//! a DFS order of its join tree — an order that is compatible *by
-//! construction* (each node's variables are introduced right after its
-//! parent's, and subtree blocks are contiguous), so the build can never
-//! be rejected.
+//! the engine: projection elimination ([`crate::count::free_join`]) turns
+//! the query into an acyclic *join* query `q'` over exactly the free
+//! variables, and the reduced, sorted tree of [`LexDirectAccess`] serves
+//! `q'` over its own join tree under that tree's DFS order — an order
+//! that is compatible *by construction* (each node's variables are
+//! introduced right after its parent's, and subtree blocks are
+//! contiguous), so no tree search is needed. The product is memoized
+//! once per query and shared: [`crate::Enumerator`] walks the very same
+//! nodes, which is why enumeration order *is* this structure's order.
 
 use crate::bind::{BoundAtom, EvalError};
-use crate::count::eliminate_projections;
+use crate::cancel::CancelToken;
+use crate::count::free_join;
 use crate::ctx::ExecCtx;
 use crate::direct_access::{DirectAccess, LexDirectAccess};
+use crate::yannakakis::{full_reduce, join_tree_of_atoms};
 use cq_core::hypergraph::mask_vertices;
-use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, Val};
+use cq_core::{ConjunctiveQuery, JoinTree, Var};
+use cq_data::{Database, Relation, Val};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Direct access to the answers of a free-connex query, in a
 /// query-chosen lexicographic order over the free variables.
 pub struct FreeConnexDirectAccess {
-    inner: Option<LexDirectAccess>,
+    /// The reduced, sorted tree of `q'`; `None` when the result is empty.
+    pub(crate) tree: Option<LexDirectAccess>,
     /// Free variables in output order (interning order).
     schema: Vec<Var>,
     /// The lexicographic variable order the simulated array is sorted by.
     order: Vec<Var>,
 }
 
-/// A DFS variable order of a join tree over `atoms`: node by node in
-/// preorder, each node's newly introduced variables in ascending index.
-/// Such an order always satisfies the compatibility conditions of
-/// [`LexDirectAccess`] for that same tree.
-fn dfs_order(atoms: &[BoundAtom], n_vars: usize) -> Result<Vec<Var>, EvalError> {
-    let tree = crate::yannakakis::join_tree_of_atoms(atoms, n_vars)
-        .ok_or(EvalError::NotFreeConnex)?;
-    let mut seen = 0u64;
-    let mut order = Vec::new();
-    for u in tree.top_down() {
-        let intro = tree.scope(u) & !seen;
-        seen |= intro;
-        order.extend(mask_vertices(intro).map(|v| Var(v as u32)));
-    }
-    Ok(order)
-}
-
 impl FreeConnexDirectAccess {
+    /// The structure of an empty result.
+    fn empty(schema: Vec<Var>) -> Self {
+        FreeConnexDirectAccess { tree: None, order: schema.clone(), schema }
+    }
+
+    /// Fully reduce `atoms` — an acyclic join over exactly `schema` —
+    /// along their join tree and index them under its DFS order: node by
+    /// node in preorder, each node's newly introduced variables in
+    /// ascending index.
+    fn index(
+        cancel: &CancelToken,
+        mut atoms: Vec<Cow<'_, BoundAtom>>,
+        tree: &JoinTree,
+        schema: Vec<Var>,
+    ) -> Result<Self, EvalError> {
+        cancel.check_now()?;
+        full_reduce(&mut atoms, tree);
+        if atoms[tree.root()].rel.is_empty() {
+            return Ok(Self::empty(schema));
+        }
+        let order: Vec<Var> = tree
+            .top_down()
+            .into_iter()
+            .flat_map(|u| mask_vertices(tree.scope(u) & !tree.key_mask(u)))
+            .map(|v| Var(v as u32))
+            .collect();
+        let lex = LexDirectAccess::from_reduced(cancel, &atoms, tree, &schema, &order)?;
+        Ok(FreeConnexDirectAccess { tree: Some(lex), schema, order })
+    }
+
+    /// The structure of a Boolean query that is `truth`: over no
+    /// variables, the one empty answer or none.
+    pub(crate) fn boolean(truth: bool) -> Self {
+        let unit = BoundAtom { vars: Vec::new(), rel: Relation::nullary(truth) };
+        let unit = vec![Cow::Owned(unit)];
+        let tree = join_tree_of_atoms(&unit, 0).expect("one node is a tree");
+        Self::index(&CancelToken::never(), unit, &tree, Vec::new())
+            .expect("never cancelled")
+    }
+
+    /// The reduced, sorted tree of a non-Boolean free-connex `q`,
+    /// memoized in the catalog and shared by enumeration and direct
+    /// access; no weights yet. `*cold` is set when this call built it.
+    pub(crate) fn shared(
+        ctx: &ExecCtx,
+        q: &ConjunctiveQuery,
+        db: &Database,
+        cold: &mut bool,
+    ) -> Result<Arc<Self>, EvalError> {
+        ctx.catalog().artifact(db, "fc_da", &q.to_string(), q.relations(), || {
+            *cold = true;
+            let schema: Vec<Var> = q.free_vars();
+            let Some((msgs, tree)) = &*free_join(ctx, q, db, cold)? else {
+                return Ok(Self::empty(schema));
+            };
+            let atoms = msgs.iter().map(|m| Cow::Borrowed(&**m)).collect();
+            Self::index(ctx.cancel(), atoms, tree, schema)
+        })
+    }
+
     /// Linear-time preprocessing (Thm 3.18), memoized in the catalog:
-    /// it runs once per database state, and repeated `access` calls
-    /// share the structure. Fails with `NotFreeConnex` / `NotAcyclic` on
-    /// the hard side of the dichotomy, and with `Unsupported` for
-    /// Boolean queries (no variables to access).
+    /// it runs once per database state, and repeated `access` calls —
+    /// and enumerations of the same query — share the structure. The
+    /// subtree weights are built here, under `ctx`'s token. Fails with
+    /// `NotFreeConnex` / `NotAcyclic` on the hard side of the dichotomy,
+    /// with `Unsupported` for Boolean queries (no variables to access),
+    /// and with `CountOverflow` when the simulated array would have more
+    /// than `u64::MAX` positions.
     pub fn build(
         ctx: &ExecCtx,
         q: &ConjunctiveQuery,
@@ -65,18 +117,11 @@ impl FreeConnexDirectAccess {
                 "Boolean queries have no output positions to access".into(),
             ));
         }
-        ctx.catalog().artifact(db, "fc_da", &q.to_string(), q.relations(), || {
-            let schema: Vec<Var> = q.free_vars();
-            let Some(msgs) = eliminate_projections(ctx, q, db)? else {
-                let order = schema.clone();
-                return Ok(FreeConnexDirectAccess { inner: None, schema, order });
-            };
-            let order = dfs_order(&msgs, q.n_vars())?;
-            // a DFS order of the q' join tree is compatible by
-            // construction, so only cancellation or overflow fails here
-            let inner = LexDirectAccess::build_from_atoms(ctx, msgs, q.n_vars(), &order)?;
-            Ok(FreeConnexDirectAccess { inner: Some(inner), schema, order })
-        })
+        let da = Self::shared(ctx, q, db, &mut false)?;
+        if let Some(tree) = &da.tree {
+            tree.weights(ctx.cancel())?;
+        }
+        Ok(da)
     }
 
     /// The query-chosen lexicographic order (over the free variables).
@@ -92,22 +137,13 @@ impl FreeConnexDirectAccess {
 
 impl DirectAccess for FreeConnexDirectAccess {
     fn len(&self) -> u64 {
-        self.inner.as_ref().map_or(0, DirectAccess::len)
+        self.tree.as_ref().map_or(0, DirectAccess::len)
     }
 
     /// The `i`-th answer, as values of the free variables in schema
     /// (interning) order.
     fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
-        if !self.inner.as_ref().is_some_and(|inner| inner.access_into(i, out)) {
-            return false;
-        }
-        // project the full assignment in place: the schema is in
-        // increasing interning order, so column k reads at or after k
-        for (k, v) in self.schema.iter().enumerate() {
-            out[k] = out[v.index()];
-        }
-        out.truncate(self.schema.len());
-        true
+        self.tree.as_ref().is_some_and(|tree| tree.access_into(i, out))
     }
 }
 

@@ -9,14 +9,16 @@
 //! | Boolean decision (cyclic) | worst-case optimal generic join | §2.1 / Ex 3.4 | [`generic_join::decide`] |
 //! | Triangle query | AYZ degree split + BMM | Thm 3.2 | [`triangle_query::decide_triangle_ayz`] |
 //! | Counting (acyclic join) | counting DP over join tree | Thm 3.8 | [`count::count_acyclic_join`] |
-//! | Counting (free-connex) | projection elimination + DP | Thm 3.13 | [`count::count_free_connex`] |
+//! | Projection elimination | `q'`: an acyclic join over the free variables, memoized per subtree | [14, §4.1] | [`count::free_join`] |
+//! | Counting (free-connex) | the DP over `q'` | Thm 3.13 | [`count::count_free_connex`] |
 //! | Counting / answers (hard side) | generic join + projection | Lem 3.9 | [`generic_join::count_distinct`], [`generic_join::answers`] |
-//! | Enumeration | constant delay after linear preprocessing | Thm 3.17 | [`Enumerator::preprocess`] |
-//! | Direct access, lex order | ⪯-compatible tree + mixed radix | Thm 3.24 | [`LexDirectAccess::build`] |
-//! | Direct access, free-connex + projections | projection elimination + DFS order | Thm 3.18 | [`FreeConnexDirectAccess::build`] |
+//! | Direct access, lex order | reduced tree sorted by parent key, then ⪯; mixed radix over lazy subtree weights | Thm 3.24 | [`LexDirectAccess::build`] |
+//! | Direct access, free-connex + projections | that tree over `q'` in its DFS order | Thm 3.18 | [`FreeConnexDirectAccess::build`] |
+//! | Enumeration | the constant-delay in-order walk of the same tree | Thm 3.17 | [`Enumerator::preprocess`] |
+//! | Direct access (hard side) | materialize + sort | Lem 3.9 / 3.23 | [`MaterializedDirectAccess::build`] |
 //! | Direct access, sum order | covering-atom sort | Thm 3.26 | [`SumOrderAccess::build_covering_atom`] |
 //! | Testing | star tester, testing-via-DA | Lem 3.20/3.21 | [`testing`], [`direct_access::test_prefix`] |
-//! | Semiring aggregation | FAQ-style DP / generic fold | §4.1.2, Ex 4.3 | [`aggregate`] |
+//! | Semiring aggregation | the counting DP at any semiring / generic fold | §4.1.2, Ex 4.3 | [`aggregate`] |
 //!
 //! Each entry point is the *only* way to run its algorithm, and takes an
 //! [`ExecCtx`] first: the [`cq_data::IndexCatalog`] its indexes and
@@ -50,7 +52,7 @@ pub use bind::{bind, BoundAtom, EvalError};
 pub use cancel::CancelToken;
 pub use ctx::ExecCtx;
 pub use direct_access::{DirectAccess, LexDirectAccess, MaterializedDirectAccess};
-pub use enumerate::{Enumerator, EnumeratorCore, EnumeratorStream};
+pub use enumerate::{Enumerator, EnumeratorStream};
 pub use fc_direct_access::FreeConnexDirectAccess;
 pub use stream::{AnswerStream, DirectAccessStream, RelationStream};
 pub use sum_order::SumOrderAccess;

@@ -62,27 +62,6 @@ pub fn semijoin_indexed(
     })
 }
 
-/// `left ▷ right` (anti-semijoin): rows of `left` whose key does *not*
-/// occur in `right`.
-pub fn anti_semijoin(
-    left: &Relation,
-    left_cols: &[usize],
-    right: &Relation,
-    right_cols: &[usize],
-) -> Relation {
-    assert_eq!(left_cols.len(), right_cols.len(), "key length mismatch");
-    if left_cols.is_empty() {
-        return if right.is_empty() { left.clone() } else { Relation::new(left.arity()) };
-    }
-    let keys = key_set(right, right_cols);
-    let mut buf: Vec<Val> = Vec::with_capacity(left_cols.len());
-    left.filter(|row| {
-        buf.clear();
-        buf.extend(left_cols.iter().map(|&c| row[c]));
-        !keys.contains(buf.as_slice())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,16 +79,6 @@ mod tests {
     }
 
     #[test]
-    fn anti_semijoin_complements() {
-        let right = Relation::from_rows(2, vec![vec![99, 1], vec![98, 3]]);
-        let l = left();
-        let sj = semijoin(&l, &[0], &right, &[1]);
-        let asj = anti_semijoin(&l, &[0], &right, &[1]);
-        assert_eq!(sj.len() + asj.len(), l.len());
-        assert!(asj.contains(&[2, 20]));
-    }
-
-    #[test]
     fn multi_column_keys() {
         let right = Relation::from_rows(2, vec![vec![1, 10]]);
         let out = semijoin(&left(), &[0, 1], &right, &[0, 1]);
@@ -123,8 +92,6 @@ mod tests {
         let empty = Relation::new(1);
         assert_eq!(semijoin(&l, &[], &nonempty, &[]).len(), 3);
         assert_eq!(semijoin(&l, &[], &empty, &[]).len(), 0);
-        assert_eq!(anti_semijoin(&l, &[], &empty, &[]).len(), 3);
-        assert_eq!(anti_semijoin(&l, &[], &nonempty, &[]).len(), 0);
     }
 
     #[test]

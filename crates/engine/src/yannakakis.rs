@@ -4,18 +4,16 @@
 //! join tree decide the query in time O(m): the upward sweep filters each
 //! parent by its children; the query is true iff the root stays
 //! non-empty. A downward sweep afterwards makes every relation globally
-//! consistent ([`full_reduce`]), the starting point for counting,
-//! enumeration, and direct access.
+//! consistent ([`full_reduce`]), the starting point for enumeration and
+//! direct access.
 
-use crate::bind::{
-    bind, collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError,
-};
+use crate::bind::{collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError};
 use crate::ctx::ExecCtx;
 use crate::semijoin::{semijoin, semijoin_indexed};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, HashIndex, Relation};
-use std::borrow::Borrow;
+use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
 /// Shared key columns between two variable lists (each distinct): for
@@ -55,26 +53,27 @@ pub(crate) fn join_tree_of_atoms(
     cq_core::gyo::join_tree(&cq_core::Hypergraph::new(n_vars, scopes))
 }
 
-/// Upward semijoin sweep: each parent is filtered by each child,
-/// children first (bottom-up). Afterwards the root is non-empty iff the
-/// query has an answer.
-pub fn upward_sweep(atoms: &mut [BoundAtom], tree: &JoinTree) {
+/// Full Yannakakis reduction of bound atoms over their join tree, in
+/// place. Upward sweep: each parent is filtered by each child, children
+/// first — afterwards the root is non-empty iff the join has an answer.
+/// Downward sweep: each child is filtered by its (already consistent)
+/// parent. After both, every tuple of every relation participates in at
+/// least one answer (global consistency). Borrowed atoms (memoized
+/// messages) are read where they are: only what a sweep filters is owned.
+pub fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], tree: &JoinTree) {
+    let filter = |atoms: &mut [Cow<'_, BoundAtom>], u: usize, by: usize| {
+        let (cu, cb) = shared_cols(&atoms[u], &atoms[by]);
+        let rel = semijoin(&atoms[u].rel, &cu, &atoms[by].rel, &cb);
+        atoms[u] = Cow::Owned(BoundAtom { vars: atoms[u].vars.clone(), rel });
+    };
     for u in tree.bottom_up() {
         if let Some(p) = tree.parent(u) {
-            let (cp, cu) = shared_cols(&atoms[p], &atoms[u]);
-            atoms[p].rel = semijoin(&atoms[p].rel, &cp, &atoms[u].rel, &cu);
+            filter(atoms, p, u);
         }
     }
-}
-
-/// Downward sweep: each child filtered by its (already consistent)
-/// parent, top-down. After [`upward_sweep`] + this, every tuple of every
-/// relation participates in at least one answer (global consistency).
-pub fn downward_sweep(atoms: &mut [BoundAtom], tree: &JoinTree) {
     for u in tree.top_down() {
         if let Some(p) = tree.parent(u) {
-            let (cu, cp) = shared_cols(&atoms[u], &atoms[p]);
-            atoms[u].rel = semijoin(&atoms[u].rel, &cu, &atoms[p].rel, &cp);
+            filter(atoms, u, p);
         }
     }
 }
@@ -169,28 +168,18 @@ pub fn decide_acyclic(
     Ok(!rels[tree.root()].get().is_empty())
 }
 
-/// Full Yannakakis reduction: bind, upward + downward sweeps; returns the
-/// globally consistent bound atoms and the join tree.
-pub fn full_reduce(
-    q: &ConjunctiveQuery,
-    db: &Database,
-) -> Result<(Vec<BoundAtom>, JoinTree), EvalError> {
-    let _span = cq_obs::trace::span("op.yannakakis.full-reduce");
-    let mut atoms = bind(q, db)?;
-    let tree = join_tree_of(q)?;
-    upward_sweep(&mut atoms, &tree);
-    downward_sweep(&mut atoms, &tree);
-    Ok((atoms, tree))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::brute_force_decide;
+    use crate::bind::{bind, brute_force_decide};
     use cq_core::parse_query;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, seeded_rng, star_database};
     use cq_data::{Database, Relation};
+
+    fn owned(atoms: Vec<BoundAtom>) -> Vec<Cow<'static, BoundAtom>> {
+        atoms.into_iter().map(Cow::Owned).collect()
+    }
 
     #[test]
     fn decide_path_query() {
@@ -234,8 +223,9 @@ mod tests {
         db.insert("S", Relation::from_pairs(vec![(2, 3), (9, 9)]));
         let q = parse_query("q() :- R(x,y), S(y,z)").unwrap();
         assert!(decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap());
-        let (atoms, _) =
-            full_reduce(&q, db.clone().insert("T", Relation::new(1))).unwrap();
+        let mut atoms =
+            owned(bind(&q, db.clone().insert("T", Relation::new(1))).unwrap());
+        full_reduce(&mut atoms, &join_tree_of(&q).unwrap());
         // after full reduction: R keeps (1,2) only; S keeps (2,3) only
         let r = &atoms[0].rel;
         let s = &atoms[1].rel;
@@ -249,7 +239,8 @@ mod tests {
     fn full_reduce_global_consistency_random() {
         let db = path_database(4, 150, &mut seeded_rng(5));
         let q = zoo::path_join(4);
-        let (atoms, _) = full_reduce(&q, &db).unwrap();
+        let mut atoms = owned(bind(&q, &db).unwrap());
+        full_reduce(&mut atoms, &join_tree_of(&q).unwrap());
         let answers = crate::bind::brute_force_answers(&q, &db).unwrap();
         // every remaining tuple appears in some answer
         for (i, a) in atoms.iter().enumerate() {

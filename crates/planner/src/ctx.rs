@@ -405,7 +405,7 @@ mod tests {
         let ctx = EvalCtx::new().with_catalog(&catalog).with_budget(tight);
         let mut planner = Planner::new();
         // warm the stats memo so the only remaining misses would be
-        // execution artifacts (indexes, enumerator cores)
+        // execution artifacts (indexes, reduced trees)
         let _ = catalog.stats(&db);
         let misses_before = catalog.snapshot().misses;
         let err = ctx.count(&mut planner, &q, &db).unwrap_err();

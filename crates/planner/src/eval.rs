@@ -246,7 +246,7 @@ mod tests {
         let (_, _) = count(&q, &db).unwrap();
         let misses_after_repeat = with_catalog(&db, |cat| cat.snapshot().misses);
         // repeated answers: zero new builds; count adds only its own
-        // bound-atoms artifact (stats and enumerator core are shared)
+        // bound-atoms artifact (stats and the reduced tree are shared)
         assert!(
             misses_after_repeat <= misses_after_first + 1,
             "warm facade calls must not rebuild indexes \

@@ -177,9 +177,9 @@ pub fn execute(
 /// **The** dispatch table: `plan.task` to the operator arms, every
 /// index acquisition routed through `ctx`'s catalog and every operator
 /// loop polling `ctx`'s token. Sorted views, hash indexes, bound
-/// relations, projection-elimination messages, enumerator cores and
-/// direct-access structures are memoized across calls, so repeated
-/// evaluation of the same shape on an unchanged database is
+/// relations, projection-elimination messages and the reduced trees
+/// enumeration and direct access share are memoized across calls, so
+/// repeated evaluation of the same shape on an unchanged database is
 /// index-build-free. The token is checked once up front, so an
 /// already-expired deadline cancels deterministically before any work —
 /// whatever the plan.
@@ -285,55 +285,6 @@ fn answers_task(
     }
 }
 
-/// Materialize-and-sort direct access for queries *with projections* —
-/// the hard-side fallback when the engine's `MaterializedDirectAccess`
-/// (which requires a join query) does not apply. Answers are the
-/// distinct free-variable projections, reported in free-variable
-/// interning order, sorted by the plan's order restricted to the free
-/// variables (remaining free variables break ties in interning order).
-struct ProjectedMaterializedAccess {
-    rows: Vec<Vec<Val>>,
-}
-
-impl ProjectedMaterializedAccess {
-    fn build(
-        ctx: &ExecCtx,
-        q: &ConjunctiveQuery,
-        db: &Database,
-        order: &[Var],
-    ) -> Result<Self, EvalError> {
-        let rel = generic_join::answers(ctx, q, db, order)?;
-        let fv = q.free_vars();
-        // sort key: columns of `rel` (= free vars in interning order) in
-        // the sequence they appear in `order`, then the rest
-        let mut key_cols: Vec<usize> =
-            order.iter().filter_map(|v| fv.iter().position(|f| f == v)).collect();
-        for c in 0..fv.len() {
-            if !key_cols.contains(&c) {
-                key_cols.push(c);
-            }
-        }
-        let mut rows: Vec<Vec<Val>> = rel.iter().map(|r| r.to_vec()).collect();
-        rows.sort_by(|a, b| {
-            key_cols.iter().map(|&c| a[c]).cmp(key_cols.iter().map(|&c| b[c]))
-        });
-        Ok(ProjectedMaterializedAccess { rows })
-    }
-}
-
-impl DirectAccess for ProjectedMaterializedAccess {
-    fn len(&self) -> u64 {
-        self.rows.len() as u64
-    }
-
-    fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
-        let Some(row) = self.rows.get(i as usize) else { return false };
-        out.clear();
-        out.extend_from_slice(row);
-        true
-    }
-}
-
 /// Build the direct-access structure a [`Task::Access`] plan names
 /// (lexicographic variants; see
 /// [`crate::planner::Planner::plan_lex_access`]), memoized in `ctx`'s
@@ -351,16 +302,10 @@ pub fn build_lex_access(
         PlanOp::LexDirectAccess { order } => {
             Ok(Box::new(LexDirectAccess::build(ctx, q, db, order)?))
         }
-        PlanOp::MaterializedDirectAccess { order } if q.is_join_query() => {
-            Ok(Box::new(MaterializedDirectAccess::build(ctx, q, db, order)?))
-        }
+        // join queries and projections alike: the distinct answers over
+        // the free variables, sorted by `order` restricted to them
         PlanOp::MaterializedDirectAccess { order } => {
-            let key = format!("{q}|{order:?}");
-            let da =
-                ctx.catalog().artifact(db, "proj_mat_da", &key, q.relations(), || {
-                    ProjectedMaterializedAccess::build(ctx, q, db, order)
-                })?;
-            Ok(Box::new(da))
+            Ok(Box::new(MaterializedDirectAccess::build(ctx, q, db, order)?))
         }
         PlanOp::FreeConnexDirectAccess => {
             Ok(Box::new(FreeConnexDirectAccess::build(ctx, q, db)?))
@@ -445,7 +390,7 @@ mod tests {
     fn access_plans_for_projected_queries_build_and_match_answers() {
         // regression: the hard-side Task::Access fallback must be
         // buildable for non-join queries (the engine's materialized
-        // access rejects them)
+        // access serves projections too)
         let db = path_database(2, 30, &mut seeded_rng(8));
         let stats = DataStats::collect(&db);
         for q in [zoo::matmul_projection(), zoo::star_selfjoin_free(2)] {

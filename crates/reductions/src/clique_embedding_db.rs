@@ -21,7 +21,8 @@ use cq_core::hypergraph::mask_vertices;
 use cq_core::query::zoo;
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, FxHashMap, Relation, Val};
-use cq_engine::aggregate::{aggregate_generic, Tropical, WeightFn};
+use cq_engine::aggregate::min_weight_answer;
+use cq_engine::ExecCtx;
 use cq_problems::weighted_clique::WeightedGraph;
 
 /// A built embedding instance.
@@ -147,14 +148,13 @@ pub fn build(k: usize, g: &WeightedGraph) -> CycleEmbeddingInstance {
 pub fn min_weight_clique_via_cycle(k: usize, g: &WeightedGraph) -> Option<i64> {
     let inst = build(k, g);
     let tables = &inst.weight_tables;
-    let wf: WeightFn<i64> = &|ai, row| {
+    let weight = |ai: usize, row: &[Val]| {
         *tables[ai]
             .get(&(row[0], row[1]))
             .expect("every relation tuple has a charged weight")
     };
-    let agg = aggregate_generic(&inst.query, &inst.db, wf, &Tropical)
-        .expect("instance must bind");
-    (agg != i64::MAX).then_some(agg)
+    min_weight_answer(&ExecCtx::cold(), &inst.query, &inst.db, weight)
+        .expect("instance must bind")
 }
 
 /// Decision version: does `G` (as an unweighted graph) contain a

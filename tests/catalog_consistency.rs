@@ -9,6 +9,7 @@ use cq_core::query::zoo;
 use cq_core::{parse_query, ConjunctiveQuery};
 use cq_data::{DataStats, Database, IndexCatalog, Relation, Val};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
+use cq_engine::{count, DirectAccess, Enumerator, ExecCtx, FreeConnexDirectAccess};
 use cq_planner::{eval, EvalCtx, Planner};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -129,7 +130,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Acyclic free-connex shape: decide routes through the catalog
-    /// semijoin sweep, answers through the cached enumerator core.
+    /// semijoin sweep, answers through the memoized reduced tree.
     #[test]
     fn path3_interleavings(steps in proptest::collection::vec(step_strategy(), 4..=14)) {
         drive(&zoo::path_join(3), &["R1", "R2", "R3"], &steps)?;
@@ -149,8 +150,8 @@ proptest! {
         drive(&zoo::star_selfjoin_free(2), &["R1", "R2"], &steps)?;
     }
 
-    /// Free-connex projection: counting memoizes one elimination
-    /// message per subtree, each invalidated by its own relations only.
+    /// Free-connex projection: one elimination message per subtree is
+    /// memoized, each invalidated by its own relations only.
     #[test]
     fn star3_projection_interleavings(
         steps in proptest::collection::vec(step_strategy(), 4..=14),
@@ -248,6 +249,91 @@ fn a_write_keeps_the_entries_of_relations_it_did_not_touch() {
         check(&rs, &db);
         check(&s_only, &db);
         assert!(!Arc::ptr_eq(&after[0], &s_views(&db)[0]));
+    }
+}
+
+/// One preprocessing for the easy side: over one catalog `COUNT`,
+/// `ANSWERS` and `ACCESS` of a projected free-connex query — in every
+/// order of the three — derive each elimination message once and `q'`
+/// once, and sort the reduced tree once, which the stream and the access
+/// structure then both hold; a write to one relation rebuilds exactly
+/// its subtree's message and what is assembled from it.
+#[test]
+fn count_answers_and_access_share_one_elimination_and_one_tree() {
+    const VERBS: [&str; 3] = ["COUNT", "ANSWERS", "ACCESS"];
+    // q' has one message per atom: {a, b} from R1, {a} from R2, {b} from R3
+    let q = parse_query("q(a, b) :- R1(a, b), R2(a, c), R3(b, d)").unwrap();
+    let mut db = Database::new();
+    db.insert("R1", Relation::from_pairs(vec![(1, 1), (2, 1), (3, 2), (4, 2)]));
+    db.insert("R2", Relation::from_pairs(vec![(1, 5), (2, 5), (2, 6)]));
+    db.insert("R3", Relation::from_pairs(vec![(1, 7), (2, 8)]));
+    // each verb's answer count, checked against brute force on the way
+    let run = |verb: &str, ctx: &ExecCtx, db: &Database| -> u64 {
+        let want = brute_force_answers(&q, db).unwrap();
+        match verb {
+            "COUNT" => count::count_free_connex(ctx, &q, db).unwrap(),
+            "ANSWERS" => {
+                let mut e = Enumerator::preprocess(ctx, &q, db).unwrap();
+                assert_eq!(e.to_relation(), want);
+                want.len() as u64
+            }
+            _ => {
+                let da = FreeConnexDirectAccess::build(ctx, &q, db).unwrap();
+                let rows = (0..da.len()).map(|i| da.access(i).unwrap());
+                assert_eq!(Relation::from_rows(2, rows), want);
+                da.len()
+            }
+        }
+    };
+    for first in 0..3 {
+        for second in (0..3).filter(|&v| v != first) {
+            let order = [first, second, 3 - first - second].map(|v| VERBS[v]);
+            let catalog = IndexCatalog::new();
+            let ctx = ExecCtx::warm(&catalog);
+            let mut built = Vec::new();
+            for verb in order {
+                let before = catalog.snapshot().misses;
+                assert_eq!(run(verb, &ctx, &db), 2, "{verb} in {order:?}");
+                built.push(catalog.snapshot().misses - before);
+            }
+            // three messages and q' for whoever comes first, the tree
+            // for the first of ANSWERS / ACCESS, and nothing otherwise
+            let tree_at = order.iter().position(|&v| v != "COUNT").unwrap();
+            let mut want = [0; 3];
+            want[0] = 4;
+            want[tree_at] += 1;
+            assert_eq!(built, want, "misses per verb of {order:?}");
+            assert_eq!(catalog.snapshot().artifacts, 5, "{order:?}");
+
+            // the walk and the array are one structure
+            let e = Enumerator::preprocess(&ctx, &q, &db).unwrap();
+            let da = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
+            assert!(Arc::ptr_eq(e.direct_access(), &da), "{order:?}");
+            let warm = catalog.snapshot();
+            assert_eq!(warm.misses, 5, "{order:?}: the lookups above are hits");
+
+            // a write to R2 re-derives R2's message, q' and the tree
+            let mut db = db.clone();
+            let old = count::free_join(&ctx, &q, &db, &mut false).unwrap();
+            db.get_mut("R2").unwrap().insert_row(&[3, 9]);
+            for verb in order {
+                assert_eq!(run(verb, &ctx, &db), 3, "{verb} after the write");
+            }
+            let rebuilt = catalog.snapshot();
+            assert_eq!(rebuilt.misses, warm.misses + 3, "{order:?}");
+            assert_eq!(rebuilt.invalidations, warm.invalidations + 3, "{order:?}");
+            assert_eq!(rebuilt.artifacts, 5, "{order:?}: rebuilt entries replace");
+            let new = count::free_join(&ctx, &q, &db, &mut false).unwrap();
+            let (Some((old, _)), Some((new, _))) = (&*old, &*new) else {
+                panic!("q' is satisfiable before and after the write");
+            };
+            let r2 = db.get("R2").unwrap().project(&[0]);
+            for (o, n) in old.iter().zip(new) {
+                assert_eq!(Arc::ptr_eq(o, n), n.rel != r2, "{order:?}: only R2's moved");
+            }
+            let da_now = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
+            assert!(!Arc::ptr_eq(&da, &da_now), "{order:?}: the tree was rebuilt");
+        }
     }
 }
 

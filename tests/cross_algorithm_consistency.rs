@@ -5,11 +5,11 @@
 //! cold/warm/cancelled behaviour is pinned; per-module unit tests cover
 //! what is particular to one algorithm.
 
+use cq_engine::aggregate::{aggregate_acyclic_join, aggregate_generic, CountingSemiring};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_engine::{count, generic_join, triangle_query, yannakakis};
-use cq_engine::{CancelToken, EnumeratorCore, FreeConnexDirectAccess};
+use cq_engine::{AnswerStream, CancelToken, FreeConnexDirectAccess};
 use cq_lower_bounds::prelude::*;
-use std::sync::Arc;
 
 /// The query suite: one representative per dichotomy class.
 fn suite() -> Vec<ConjunctiveQuery> {
@@ -118,6 +118,12 @@ fn weight(v: Val) -> i64 {
     (v as i64 * 7) % 5
 }
 
+/// The weight of every tuple in the aggregation rows: at the counting
+/// semiring the aggregate is the answer count.
+fn unit(_atom: usize, _row: &[Val]) -> u128 {
+    1
+}
+
 fn decision_oracle(q: &ConjunctiveQuery, db: &Database) -> Out {
     Out::Decision(brute_force_decide(q, db).unwrap())
 }
@@ -223,16 +229,29 @@ fn entry_points() -> Vec<EntryPoint> {
             oracle: count_oracle,
         },
         EntryPoint {
-            name: "count::eliminate_projections + count::count_dp",
+            name: "count::free_join + count::count_dp",
             serves: free_connex_with_output,
+            run: |ctx, q, db| match &*count::free_join(ctx, q, db, &mut false)? {
+                Some((msgs, tree)) => count::count_dp(ctx, msgs, tree).map(Out::Count),
+                None => Ok(Out::Count(0)),
+            },
+            oracle: count_oracle,
+        },
+        EntryPoint {
+            name: "aggregate::aggregate_acyclic_join",
+            serves: acyclic_join,
             run: |ctx, q, db| {
-                let Some(msgs) = count::eliminate_projections(ctx, q, db)? else {
-                    return Ok(Out::Count(0));
-                };
-                let scopes = msgs.iter().map(|a| a.scope()).collect();
-                let h = cq_core::Hypergraph::new(q.n_vars(), scopes);
-                let tree = cq_core::gyo::join_tree(&h).expect("q' is acyclic");
-                count::count_dp(ctx, &msgs, &tree).map(Out::Count)
+                let n = aggregate_acyclic_join(ctx, q, db, unit, &CountingSemiring)?;
+                Ok(Out::Count(n as u64))
+            },
+            oracle: count_oracle,
+        },
+        EntryPoint {
+            name: "aggregate::aggregate_generic",
+            serves: join_query,
+            run: |ctx, q, db| {
+                let n = aggregate_generic(ctx, q, db, unit, &CountingSemiring)?;
+                Ok(Out::Count(n as u64))
             },
             oracle: count_oracle,
         },
@@ -241,15 +260,6 @@ fn entry_points() -> Vec<EntryPoint> {
             serves: free_connex,
             run: |ctx, q, db| {
                 Ok(Out::Set(Enumerator::preprocess(ctx, q, db)?.to_relation()))
-            },
-            oracle: set_oracle,
-        },
-        EntryPoint {
-            name: "EnumeratorCore::build",
-            serves: free_connex,
-            run: |ctx, q, db| {
-                let core = Arc::new(EnumeratorCore::build(ctx, q, db)?);
-                Ok(Out::Set(Enumerator::from(core).to_relation()))
             },
             oracle: set_oracle,
         },
@@ -275,12 +285,9 @@ fn entry_points() -> Vec<EntryPoint> {
             serves: free_connex_with_output,
             run: |ctx, q, db| {
                 // the order is the structure's own choice: compare as a set
+                // (`enumeration_order_is_the_direct_access_order` has the array)
                 let da = FreeConnexDirectAccess::build(ctx, q, db)?;
                 let Out::Array(rows) = array_of(&da) else { unreachable!() };
-                assert!(
-                    rows.windows(2).all(|w| w[0] != w[1]),
-                    "{q}: the simulated array repeats an answer"
-                );
                 Ok(Out::Set(Relation::from_rows(da.schema().len(), rows)))
             },
             oracle: set_oracle,
@@ -473,16 +480,45 @@ fn builder_covers_all_trio_free_orders_of_paper_examples() {
 
 #[test]
 fn counting_via_semiring_crosscheck() {
-    use cq_engine::aggregate::{aggregate_acyclic_join, CountingSemiring, WeightFn};
     for seed in 0..3u64 {
         let db = random_db(seed, 30);
         for q in [zoo::path_join(3), zoo::star_full(3)] {
-            let ones: WeightFn<u64> = &|_, _| 1u64;
+            let ctx = ExecCtx::cold();
             assert_eq!(
-                aggregate_acyclic_join(&q, &db, ones, &CountingSemiring).unwrap(),
-                brute_force_count(&q, &db).unwrap(),
+                aggregate_acyclic_join(&ctx, &q, &db, unit, &CountingSemiring).unwrap(),
+                u128::from(brute_force_count(&q, &db).unwrap()),
                 "{q} seed {seed}"
             );
+        }
+    }
+}
+
+/// The order contract: enumeration order *is* the free-connex
+/// direct-access order — the stream's `i`-th row is position `i` of the
+/// simulated array (compared as arrays, not sets), sorted by the
+/// structure's chosen order — on every free-connex query with output.
+#[test]
+fn enumeration_order_is_the_direct_access_order() {
+    let queries: Vec<_> = suite().into_iter().filter(free_connex_with_output).collect();
+    assert!(queries.len() >= 7, "only {} free-connex queries", queries.len());
+    for seed in 0..3u64 {
+        let db = random_db(seed, 30);
+        for q in &queries {
+            let catalog = IndexCatalog::new();
+            let ctx = ExecCtx::warm(&catalog);
+            let mut stream = Enumerator::preprocess(&ctx, q, &db).unwrap().into_stream();
+            let mut streamed = Vec::new();
+            while let Some(row) = stream.next().unwrap() {
+                streamed.push(row.to_vec());
+            }
+            let da = FreeConnexDirectAccess::build(&ctx, q, &db).unwrap();
+            let Out::Array(array) = array_of(&da) else { unreachable!() };
+            assert_eq!(streamed, array, "{q} (seed {seed})");
+            let slot = |v: &Var| da.schema().iter().position(|s| s == v).unwrap();
+            let key = |row: &Vec<Val>| -> Vec<Val> {
+                da.order().iter().map(|v| row[slot(v)]).collect()
+            };
+            assert!(array.windows(2).all(|w| key(&w[0]) < key(&w[1])), "{q}: unsorted");
         }
     }
 }

@@ -4,8 +4,10 @@
 //! drain, and the direct [`eval::answers`] result must all agree —
 //! byte-exact where the order contract promises it, as sets otherwise.
 //! Also covers seek-resume mid-stream on direct-access cursors, cursor
-//! invalidation after a mutation of a relation the cursor reads, and
-//! cursor survival across a mutation of one it does not.
+//! invalidation after a mutation of a relation the cursor reads, cursor
+//! survival across a mutation of one it does not, and the easy side's
+//! order contract: an enumeration cursor pages out the very bytes a
+//! direct-access cursor over the same query does.
 
 use cq_lower_bounds::prelude::*;
 use cq_server::protocol::render_rows;
@@ -35,9 +37,13 @@ fn session_with(r: &[(u64, u64)], s: &[(u64, u64)]) -> (Session, Database) {
     (sess, db)
 }
 
-/// Open a cursor and return its id from `OK cursor <id>`.
+/// Open a cursor over [`Q`] and return its id from `OK cursor <id>`.
 fn open_cursor(sess: &mut Session, task: &str) -> u64 {
-    let reply = sess.handle_line(&format!("CURSOR {task} {Q}")).unwrap();
+    open_cursor_on(sess, task, Q)
+}
+
+fn open_cursor_on(sess: &mut Session, task: &str, query: &str) -> u64 {
+    let reply = sess.handle_line(&format!("CURSOR {task} {query}")).unwrap();
     reply
         .ok_info()
         .and_then(|i| i.strip_prefix("cursor "))
@@ -130,6 +136,28 @@ proptest! {
         prop_assert_eq!(suffix, want, "full len {}", full.len());
     }
 
+    /// Enumeration order is the free-connex direct-access order: on a
+    /// join, a projection and a cross product, `CURSOR ANSWERS` paged to
+    /// the end concatenates to the bytes `CURSOR ACCESS` pages out.
+    #[test]
+    fn enumeration_cursors_page_out_the_direct_access_bytes(
+        r in nonempty_pairs_strategy(),
+        s in nonempty_pairs_strategy(),
+        pages in (1u64..9, 1u64..9),
+    ) {
+        let (mut sess, _db) = session_with(&r, &s);
+        for query in [
+            "q(x, y, z) :- R(x, y), S(y, z)",
+            "q(y, x) :- R(x, y), S(y, z)",
+            "q(a, b, c, d) :- R(a, b), S(c, d)",
+        ] {
+            let walked = open_cursor_on(&mut sess, "ANSWERS", query);
+            let walked = drain(&mut sess, walked, pages.0);
+            let accessed = open_cursor_on(&mut sess, "ACCESS", query);
+            prop_assert_eq!(walked, drain(&mut sess, accessed, pages.1), "{}", query);
+        }
+    }
+
     /// A mutation of a relation the query does not read is invisible
     /// to an open cursor: the pages fetched before and after it are one
     /// uninterrupted drain.
@@ -184,5 +212,45 @@ proptest! {
             reply.terminal.starts_with("ERR no-such-cursor:"),
             "{}", reply.terminal
         );
+    }
+}
+
+/// A result too large to count (five 2¹³-row spokes on one hub value:
+/// 2⁶⁵ answers) still streams — the walk never needs the subtree
+/// weights — while `ACCESS` over the very same memoized tree refuses to
+/// simulate an array `u64` cannot index; in either order over one
+/// catalog.
+#[test]
+fn an_uncountable_result_streams_but_is_not_accessible() {
+    const SPOKES: &str =
+        "q(a, b, c, d, e, z) :- R1(a, z), R2(b, z), R3(c, z), R4(d, z), R5(e, z)";
+    for access_first in [false, true] {
+        let state = Arc::new(ServerState::new());
+        let mut sess = Session::new(Arc::clone(&state));
+        assert!(sess.handle_line("CREATE DB t").unwrap().is_ok());
+        assert!(sess.handle_line("USE t").unwrap().is_ok());
+        state.tenant("t").unwrap().mutate(|db| {
+            let spokes = Relation::from_pairs((0..1u64 << 13).map(|a| (a, 0)));
+            for i in 1..=5 {
+                db.insert(&format!("R{i}"), spokes.clone());
+            }
+        });
+        let access = |sess: &mut Session| {
+            let reply = sess.handle_line(&format!("CURSOR ACCESS {SPOKES}")).unwrap();
+            assert_eq!(reply.terminal, "ERR eval: answer count exceeds u64");
+        };
+        if access_first {
+            access(&mut sess);
+        }
+        // the consumer takes three rows and walks away
+        let id = open_cursor_on(&mut sess, "ANSWERS", SPOKES);
+        let page = sess.handle_line(&format!("FETCH {id} 3")).unwrap();
+        assert_eq!(page.ok_info(), Some("3 rows"), "{}", page.terminal);
+        assert!(page.data.iter().all(|row| row.ends_with(" 0")), "{:?}", page.data);
+        assert!(page.data[0] < page.data[1] && page.data[1] < page.data[2]);
+        assert!(sess.handle_line(&format!("CLOSE {id}")).unwrap().is_ok());
+        access(&mut sess);
+        let count = sess.handle_line(&format!("COUNT {SPOKES}")).unwrap();
+        assert_eq!(count.terminal, "ERR eval: answer count exceeds u64");
     }
 }

@@ -16,7 +16,9 @@
 # reduced tree `LexDirectAccess::from_reduced` sorts is the one structure
 # enumeration walks and direct access descends, the planner names engine
 # structures without defining any, and aggregation runs under an ExecCtx
-# like every other operator.
+# like every other operator. And one index for the join-tree folds: the
+# memoized links of `cq_engine::links` — the hash index, its catalog memo
+# and the per-request hash-map messages they replaced stay deleted.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -79,6 +81,17 @@ server_module() {
         if [ -f "$f" ]; then non_test "$f"; fi
     done
 }
+
+# `COUNT` / `DECIDE` fold over memoized join-tree links: no second index
+# type, and no hash map keyed by boxed values rebuilt per request
+forbid "the hash index (the join-tree folds read cq_engine::links):" "$(
+    grep -rnE 'HashIndex|hash_index|semijoin_indexed' crates
+)"
+forbid "boxed-key hash maps in the folds (messages are vectors indexed by group id):" "$(
+    for f in crates/engine/src/count.rs crates/engine/src/yannakakis.rs; do
+        non_test "$f"
+    done | grep -F 'FxHashMap<Box<[Val]>'
+)"
 
 # the allocating wrappers are for oracles and tests; the server's answer
 # path renders in place, so the `Vec<String>` pump cannot grow back

@@ -3,18 +3,17 @@
 //! versions of exactly the relations it was built from.
 //!
 //! Every evaluation algorithm in `cq-engine` wants sorted/indexed
-//! relations, but a [`SortedView`] costs an O(n log n) sort and a
-//! [`HashIndex`] an O(n) hash build — on repeated query shapes that
-//! preprocessing dwarfs the actual join work. The catalog memoizes:
+//! relations, but a [`SortedView`] costs an O(n log n) sort — on
+//! repeated query shapes that preprocessing dwarfs the actual join work.
+//! The catalog memoizes:
 //!
-//! * [`SortedView`]s and [`HashIndex`]es keyed by
-//!   `(relation name, key-column permutation)`;
+//! * [`SortedView`]s keyed by `(relation name, key-column permutation)`;
 //! * [`DataStats`] (the planner's input), assembled from per-relation
 //!   [`RelationStats`] so a write re-collects one relation, not all;
 //! * arbitrary **artifacts** — opaque preprocessing products keyed by
 //!   `(kind, key)` strings, used by the engine for query-level
 //!   structures that are derived from the data but not addressable by a
-//!   single `(relation, columns)` pair: bound atoms, projection
+//!   single `(relation, columns)` pair: join-tree links, projection
 //!   elimination messages, the reduced trees enumeration and direct
 //!   access share.
 //!
@@ -62,21 +61,20 @@
 
 use crate::database::Database;
 use crate::hasher::FxHashMap;
-use crate::index::{HashIndex, SortedView};
+use crate::index::SortedView;
 use crate::stats::{DataStats, RelationStats};
 use std::any::Any;
 use std::convert::Infallible;
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Key of one memo entry. Views and hash indexes are addressed by
-/// relation name + key-column permutation; artifacts by `(kind, key)` —
+/// Key of one memo entry. Views are addressed by relation name +
+/// key-column permutation; artifacts by `(kind, key)` —
 /// `kind` namespaces the stored type (e.g. `"fc_da"`), `key`
 /// identifies the instance (typically the query's canonical text plus
 /// any parameters).
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum MemoKey {
     View(String, Vec<usize>),
-    Hash(String, Vec<usize>),
     Artifact(&'static str, String),
 }
 
@@ -85,8 +83,7 @@ impl MemoKey {
     fn kind(&self) -> usize {
         match self {
             MemoKey::View(..) => 0,
-            MemoKey::Hash(..) => 1,
-            MemoKey::Artifact(..) => 2,
+            MemoKey::Artifact(..) => 1,
         }
     }
 }
@@ -107,7 +104,7 @@ impl Entry {
     }
 }
 
-/// Upper bound on memoized entries (views + hash indexes + artifacts)
+/// Upper bound on memoized entries (views + artifacts)
 /// per catalog. Entries can be O(m)-sized, so without a bound a stream
 /// of distinct query shapes against one long-lived database
 /// would grow memory linearly in the number of shapes seen. Reaching
@@ -132,8 +129,6 @@ pub struct CatalogStats {
     pub cap_evictions: u64,
     /// Currently memoized sorted views.
     pub views: usize,
-    /// Currently memoized hash indexes.
-    pub hash_indexes: usize,
     /// Currently memoized artifacts.
     pub artifacts: usize,
 }
@@ -144,7 +139,7 @@ pub struct CatalogStats {
 struct Memo {
     entries: FxHashMap<MemoKey, Entry>,
     /// Live entries per [`MemoKey::kind`].
-    counts: [usize; 3],
+    counts: [usize; 2],
     next_seq: u64,
     /// The last assembled statistics and the generation they describe.
     stats: Option<(u64, Arc<DataStats>)>,
@@ -250,7 +245,7 @@ impl IndexCatalog {
         self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The one lookup-or-build behind views, hash indexes and artifacts:
+    /// The one lookup-or-build behind views and artifacts:
     /// serve the entry under `key` if it is current for `db`, else run
     /// `build` outside the lock and memoize its product as having read
     /// `reads`. First insert wins a race.
@@ -281,19 +276,6 @@ impl IndexCatalog {
         // reports now are the ones the build saw
         m.insert(key, db, Arc::clone(&t) as _, reads);
         Ok(t)
-    }
-
-    /// [`IndexCatalog::memoized`] for an index of the one relation
-    /// `name`, whose build cannot fail.
-    fn memoized_infallible<T: Any + Send + Sync>(
-        &self,
-        db: &Database,
-        key: MemoKey,
-        name: &str,
-        build: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        let built = self.memoized(db, key, [name], || Ok::<_, Infallible>(build()));
-        built.unwrap_or_else(|never| match never {})
     }
 
     /// The memoized [`DataStats`] of `db`. Statistics are kept per
@@ -362,20 +344,8 @@ impl IndexCatalog {
     ) -> Option<Arc<SortedView>> {
         let rel = db.get(name)?;
         let key = MemoKey::View(name.to_string(), key_cols.to_vec());
-        Some(self.memoized_infallible(db, key, name, || SortedView::new(rel, key_cols)))
-    }
-
-    /// The memoized [`HashIndex`] of relation `name` on `key_cols`,
-    /// building on first use. `None` if the relation is missing.
-    pub fn hash_index(
-        &self,
-        db: &Database,
-        name: &str,
-        key_cols: &[usize],
-    ) -> Option<Arc<HashIndex>> {
-        let rel = db.get(name)?;
-        let key = MemoKey::Hash(name.to_string(), key_cols.to_vec());
-        Some(self.memoized_infallible(db, key, name, || HashIndex::new(rel, key_cols)))
+        let build = || Ok::<_, Infallible>(SortedView::new(rel, key_cols));
+        Some(self.memoized(db, key, [name], build).unwrap_or_else(|never| match never {}))
     }
 
     /// The memoized artifact of `(kind, key)`, building with `build` on
@@ -436,8 +406,7 @@ impl IndexCatalog {
             invalidations: m.invalidations,
             cap_evictions: m.cap_evictions,
             views: m.counts[0],
-            hash_indexes: m.counts[1],
-            artifacts: m.counts[2],
+            artifacts: m.counts[1],
         }
     }
 }
@@ -488,7 +457,7 @@ mod tests {
         let (r, s) = (build(&db, &["R"]), build(&db, &["S"]));
         let rs = build(&db, &["R", "S"]);
         let view_s = cat.sorted_view(&db, "S", &[0]).unwrap();
-        let hash_r = cat.hash_index(&db, "R", &[0]).unwrap();
+        let view_r = cat.sorted_view(&db, "R", &[0]).unwrap();
         let before = cat.snapshot();
 
         // a write to a relation nothing read: every entry pointer-equal,
@@ -498,7 +467,7 @@ mod tests {
         assert!(Arc::ptr_eq(&s, &build(&db, &["S"])));
         assert!(Arc::ptr_eq(&rs, &build(&db, &["R", "S"])));
         assert!(Arc::ptr_eq(&view_s, &cat.sorted_view(&db, "S", &[0]).unwrap()));
-        assert!(Arc::ptr_eq(&hash_r, &cat.hash_index(&db, "R", &[0]).unwrap()));
+        assert!(Arc::ptr_eq(&view_r, &cat.sorted_view(&db, "R", &[0]).unwrap()));
         assert_eq!(cat.snapshot().misses, before.misses);
         assert_eq!(cat.snapshot().invalidations, 0);
 
@@ -509,17 +478,14 @@ mod tests {
         assert_eq!(cat.snapshot().misses, before.misses);
         assert!(!Arc::ptr_eq(&r, &build(&db, &["R"])));
         assert!(!Arc::ptr_eq(&rs, &build(&db, &["R", "S"])));
-        let rebuilt = cat.hash_index(&db, "R", &[0]).unwrap();
-        assert!(!Arc::ptr_eq(&hash_r, &rebuilt));
-        assert_eq!(rebuilt.get(&[7]).len(), 1);
+        let rebuilt = cat.sorted_view(&db, "R", &[0]).unwrap();
+        assert!(!Arc::ptr_eq(&view_r, &rebuilt));
+        assert_eq!(rebuilt.key_range(&[7]).len(), 1);
         let after = cat.snapshot();
         assert_eq!(after.misses, before.misses + 3);
         assert_eq!(after.invalidations, 3, "one per replaced entry");
         // replaced, not accumulated
-        assert_eq!(
-            (after.views, after.hash_indexes, after.artifacts),
-            (before.views, before.hash_indexes, before.artifacts)
-        );
+        assert_eq!((after.views, after.artifacts), (before.views, before.artifacts));
     }
 
     #[test]
@@ -537,7 +503,7 @@ mod tests {
         cat.sweep(&db);
         let snap = cat.snapshot();
         assert_eq!(snap.invalidations, 3, "both R views and the R,S artifact");
-        assert_eq!((snap.views, snap.hash_indexes, snap.artifacts), (1, 0, 0));
+        assert_eq!((snap.views, snap.artifacts), (1, 0));
         assert!(Arc::ptr_eq(&view_s, &cat.sorted_view(&db, "S", &[0]).unwrap()));
         // re-inserting equal content is a new version: nothing comes back
         db.insert("R", Relation::from_pairs(vec![(1, 10), (2, 20), (2, 10)]));
@@ -570,19 +536,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_hash_indexes_memoize() {
+    fn stats_memoize_and_a_missing_relation_has_no_view() {
         let db = db();
         let cat = IndexCatalog::new();
         let s1 = cat.stats(&db);
         let s2 = cat.stats(&db);
         assert!(Arc::ptr_eq(&s1, &s2));
         assert_eq!(s1.m(), 5);
-        let i1 = cat.hash_index(&db, "R", &[0]).unwrap();
-        let i2 = cat.hash_index(&db, "R", &[0]).unwrap();
-        assert!(Arc::ptr_eq(&i1, &i2));
-        assert_eq!(i1.get(&[2]).len(), 2);
         assert!(cat.sorted_view(&db, "missing", &[0]).is_none());
-        assert!(cat.hash_index(&db, "missing", &[0]).is_none());
     }
 
     #[test]
@@ -698,7 +659,7 @@ mod tests {
             for _ in 0..8 {
                 handles.push(s.spawn(|| {
                     let v = cat.sorted_view(&db, "R", &[1]).unwrap();
-                    let ix = cat.hash_index(&db, "R", &[0]).unwrap();
+                    let ix = cat.sorted_view(&db, "R", &[0]).unwrap();
                     let st = cat.stats(&db);
                     let a: Arc<u64> =
                         cat.artifact(&db, "conc", "k", ["R"], || Ok::<_, ()>(7)).unwrap();
@@ -717,8 +678,7 @@ mod tests {
         });
         // post-race, the memo holds exactly one entry per key
         let snap = cat.snapshot();
-        assert_eq!(snap.views, 1);
-        assert_eq!(snap.hash_indexes, 1);
+        assert_eq!(snap.views, 2);
         assert_eq!(snap.artifacts, 1);
         assert_eq!(snap.hits + snap.misses, 32);
     }

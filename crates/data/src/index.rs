@@ -1,14 +1,9 @@
-//! Secondary indexes over relations.
-//!
-//! * [`SortedView`]: a relation's rows re-sorted under a column
-//!   permutation, supporting prefix-range lookups — the workhorse of the
-//!   join-tree algorithms (semijoins, counting DP, direct access) — plus
-//!   the same rows as a trie over the key columns, one contiguous value
-//!   slice per level, which is what generic join intersects.
-//! * [`HashIndex`]: key-columns → row-id lists, used where hash probes
-//!   beat binary search (e.g. the light part of degree splits).
+//! The secondary index over relations: [`SortedView`], a relation's rows
+//! re-sorted under a column permutation, supporting prefix-range lookups
+//! (direct access, enumeration), plus the same rows as a trie over the
+//! key columns, one contiguous value slice per level, which is what
+//! generic join intersects.
 
-use crate::hasher::FxHashMap;
 use crate::relation::Relation;
 use crate::value::Val;
 use std::sync::OnceLock;
@@ -246,70 +241,6 @@ impl SortedView {
     }
 }
 
-/// Hash index from key-column values to row indices of the underlying
-/// relation.
-///
-/// Row ids are positions in the relation's **iteration order** at build
-/// time (`Relation::row(i)` / `Relation::iter`), in ascending order per
-/// key. For a normalized relation that is its sorted order, but the
-/// index makes no sorting assumption: a bulk-loaded, not-yet-normalized
-/// relation is indexed exactly as it currently stores its rows.
-#[derive(Clone, Debug)]
-pub struct HashIndex {
-    map: FxHashMap<Box<[Val]>, Vec<u32>>,
-    key_cols: Vec<usize>,
-}
-
-impl HashIndex {
-    /// Build an index of `rel` on `key_cols`.
-    ///
-    /// The probe loop hashes a reused key buffer; a boxed key is only
-    /// allocated for the first row of each distinct key, not per row.
-    pub fn new(rel: &Relation, key_cols: &[usize]) -> Self {
-        // no up-front reserve for rel.len(): the table holds one entry
-        // per *distinct* key, and on skewed key columns (the heavy-key
-        // case) a full-size reserve would pin tens of bytes per row in
-        // every memoized index; growth is amortized O(n) anyway
-        let mut map: FxHashMap<Box<[Val]>, Vec<u32>> = FxHashMap::default();
-        let mut keybuf: Vec<Val> = Vec::with_capacity(key_cols.len());
-        for (i, row) in rel.iter().enumerate() {
-            keybuf.clear();
-            keybuf.extend(key_cols.iter().map(|&c| row[c]));
-            if let Some(rows) = map.get_mut(keybuf.as_slice()) {
-                rows.push(i as u32);
-            } else {
-                map.insert(keybuf.as_slice().into(), vec![i as u32]);
-            }
-        }
-        HashIndex { map, key_cols: key_cols.to_vec() }
-    }
-
-    /// Row indices whose key columns equal `key`.
-    pub fn get(&self, key: &[Val]) -> &[u32] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Does the key occur?
-    pub fn contains(&self, key: &[Val]) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Number of distinct keys.
-    pub fn n_keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// The indexed key columns.
-    pub fn key_cols(&self) -> &[usize] {
-        &self.key_cols
-    }
-
-    /// Iterate `(key, row indices)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (&[Val], &[u32])> {
-        self.map.iter().map(|(k, v)| (&**k, v.as_slice()))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -427,20 +358,6 @@ mod tests {
     }
 
     #[test]
-    fn hash_index_lookup() {
-        let r = rel();
-        let ix = HashIndex::new(&r, &[1]);
-        assert_eq!(ix.get(&[10]).len(), 3);
-        assert_eq!(ix.get(&[20]).len(), 1);
-        assert!(ix.get(&[99]).is_empty());
-        assert_eq!(ix.n_keys(), 2);
-        // row ids point into the sorted relation
-        for &i in ix.get(&[20]) {
-            assert_eq!(r.row(i as usize)[1], 20);
-        }
-    }
-
-    #[test]
     fn empty_view() {
         let r = Relation::new(2);
         let v = SortedView::new(&r, &[0]);
@@ -465,29 +382,5 @@ mod tests {
         let f = SortedView::new(&Relation::nullary(false), &[]);
         assert_eq!(f.len(), 0);
         assert!(f.is_empty());
-    }
-
-    #[test]
-    fn hash_index_row_ids_follow_iteration_order() {
-        // pins the documented contract: row ids are iteration-order
-        // positions at build time, not "sorted order" — visible on a
-        // bulk-loaded relation that has not been normalized.
-        let mut r = Relation::new(2);
-        r.push_row(&[9, 1]);
-        r.push_row(&[1, 1]);
-        r.push_row(&[5, 2]);
-        let ix = HashIndex::new(&r, &[1]);
-        assert_eq!(ix.get(&[1]), &[0, 1], "ids 0,1 are (9,1),(1,1) as stored");
-        assert_eq!(ix.get(&[2]), &[2]);
-        for (key, ids) in ix.iter() {
-            for &i in ids {
-                assert_eq!(&r.row(i as usize)[1..], key);
-            }
-        }
-        // after normalizing, the same build yields sorted-order ids
-        r.normalize();
-        let ix = HashIndex::new(&r, &[1]);
-        assert_eq!(r.row(0), &[1, 1]);
-        assert_eq!(ix.get(&[1]), &[0, 2], "now (1,1) id 0 and (9,1) id 2");
     }
 }

@@ -17,14 +17,14 @@
 //!   (runtime = AGM bound; the embedding says m^{5/4} is a conditional
 //!   floor, so no algorithm here can be linear).
 //!
-//! Like every operator both take an [`ExecCtx`] first: bound atoms and
-//! views come out of its catalog, and its token bounds the fold.
+//! Like every operator both take an [`ExecCtx`] first: the join index
+//! and views come out of its catalog, and its token bounds the fold.
 
-use crate::bind::{bind, distinct_vars, EvalError};
+use crate::bind::{distinct_vars, EvalError};
 use crate::count::sum_product;
 use crate::ctx::ExecCtx;
 use crate::generic_join;
-use crate::yannakakis::join_tree_of;
+use crate::links::join_index;
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, Val};
 
@@ -38,8 +38,13 @@ pub trait Semiring {
     fn one(&self) -> Self::T;
     /// ⊕.
     fn add(&self, a: &Self::T, b: &Self::T) -> Self::T;
-    /// ⊗.
+    /// ⊗. The zero annihilates: `mul(zero, x) = zero`.
     fn mul(&self, a: &Self::T, b: &Self::T) -> Self::T;
+    /// Is `a ⊕ x = a` for every `x`? A fold whose running sum is
+    /// absorbing may stop early. No element is, by default.
+    fn is_absorbing(&self, _a: &Self::T) -> bool {
+        false
+    }
     /// Vet a finished aggregate before it is reported. Every total is
     /// reportable by default.
     fn finish(&self, total: Self::T) -> Result<Self::T, EvalError> {
@@ -70,6 +75,30 @@ impl Semiring for Tropical {
     }
 }
 
+/// The Boolean semiring ({false, true}, ∨, ∧), the one `DECIDE` runs at
+/// (Thm 3.1 as a sum-product): `true` is absorbing, so the fold stops at
+/// the first root row that joins all the way down.
+pub struct BooleanSemiring;
+
+impl Semiring for BooleanSemiring {
+    type T = bool;
+    fn zero(&self) -> bool {
+        false
+    }
+    fn one(&self) -> bool {
+        true
+    }
+    fn add(&self, a: &bool, b: &bool) -> bool {
+        *a || *b
+    }
+    fn mul(&self, a: &bool, b: &bool) -> bool {
+        *a && *b
+    }
+    fn is_absorbing(&self, a: &bool) -> bool {
+        *a
+    }
+}
+
 /// The counting semiring (ℕ, +, ×), the one `COUNT` runs at: u128,
 /// saturating, and a total that does not fit the `u64` every counting
 /// surface reports — saturated or not — is [`EvalError::CountOverflow`].
@@ -87,7 +116,12 @@ impl Semiring for CountingSemiring {
         a.saturating_add(*b)
     }
     fn mul(&self, a: &u128, b: &u128) -> u128 {
-        a.saturating_mul(*b)
+        // counts that fit u64 (nearly all) multiply in one widening
+        // instruction, which cannot overflow
+        match (u64::try_from(*a), u64::try_from(*b)) {
+            (Ok(a), Ok(b)) => u128::from(a) * u128::from(b),
+            _ => a.saturating_mul(*b),
+        }
     }
     fn finish(&self, total: u128) -> Result<u128, EvalError> {
         u64::try_from(total).map(u128::from).map_err(|_| EvalError::CountOverflow)
@@ -97,9 +131,9 @@ impl Semiring for CountingSemiring {
 /// Linear-time aggregation for acyclic join queries: the counting DP of
 /// Theorem 3.8 at any semiring. `weight(atom_index, bound_row)` weighs a
 /// tuple, where `bound_row` is over the atom's *distinct* variables in
-/// bound order. The bound atoms are memoized in the catalog: repeated
-/// aggregations skip the bind (relation clones and repeated-variable
-/// collapsing).
+/// bound order — for an atom without repeated variables, the stored
+/// relation's rows, read in place. The join index is memoized in the
+/// catalog: repeated aggregations pay for the fold only.
 pub fn aggregate_acyclic_join<S: Semiring>(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
@@ -110,10 +144,20 @@ pub fn aggregate_acyclic_join<S: Semiring>(
     if !q.is_join_query() {
         return Err(EvalError::NotJoinQuery);
     }
-    let (text, reads) = (q.to_string(), q.relations());
-    let atoms =
-        ctx.catalog().artifact(db, "bound_atoms", &text, reads, || bind(q, db))?;
-    sum_product(ctx, &atoms, &join_tree_of(q)?, sr, weight)
+    fold_body(ctx, q, db, weight, sr).map(|(total, _)| total)
+}
+
+/// The sum-product fold over the memoized join index of `q`'s body —
+/// whatever the head: the aggregate and the fold's `steps`.
+pub(crate) fn fold_body<S: Semiring>(
+    ctx: &ExecCtx,
+    q: &ConjunctiveQuery,
+    db: &Database,
+    weight: impl Fn(usize, &[Val]) -> S::T,
+    sr: &S,
+) -> Result<(S::T, u64), EvalError> {
+    let index = join_index(ctx, q, db)?;
+    sum_product(ctx, &index.rels(q, db), index.links(), sr, weight)
 }
 
 /// Aggregation by generic-join enumeration — works for every join query

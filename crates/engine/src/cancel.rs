@@ -139,6 +139,22 @@ impl CancelToken {
         self.check_now()
     }
 
+    /// [`CancelToken::check`] for `n` loop iterations at once: one
+    /// counter update for the block, and a real consultation iff one of
+    /// those `n` polls would have made one. A loop that calls this once
+    /// per [`STRIDE`] rows keeps `check`'s cadence — and
+    /// [`CancelToken::polls`] its meaning — without touching the
+    /// counter per row.
+    #[inline]
+    pub fn check_many(&self, n: u32) -> Result<(), EvalError> {
+        let before = self.tick.fetch_add(n, Ordering::Relaxed);
+        // polls until the next multiple of STRIDE, `before` included
+        if (STRIDE - before % STRIDE) % STRIDE >= n {
+            return Ok(());
+        }
+        self.check_now()
+    }
+
     /// An unstrided check: consult the flag, deadline, and probe right
     /// now, latching the flag on a trip.
     pub fn check_now(&self) -> Result<(), EvalError> {
@@ -183,6 +199,31 @@ mod tests {
         let tripped = (0..=STRIDE).any(|_| t.check().is_err());
         assert!(tripped);
         assert_eq!(t.check_now(), Err(EvalError::Cancelled));
+    }
+
+    #[test]
+    fn check_many_consults_exactly_when_its_polls_would_have() {
+        use std::sync::atomic::AtomicU32;
+        let consulted = Arc::new(AtomicU32::new(0));
+        let seen = Arc::clone(&consulted);
+        let t = CancelToken::never().with_probe(move || {
+            seen.fetch_add(1, Ordering::Relaxed);
+            false
+        });
+        let real = || consulted.load(Ordering::Relaxed);
+        t.check_many(0).unwrap();
+        assert_eq!(real(), 0, "no polls, no consultation");
+        t.check_many(STRIDE).unwrap(); // polls 0..STRIDE: the first is real
+        assert_eq!(real(), 1);
+        t.check_many(1).unwrap(); // poll STRIDE
+        assert_eq!(real(), 2);
+        t.check_many(STRIDE - 1).unwrap(); // polls STRIDE+1..2·STRIDE
+        assert_eq!(real(), 2);
+        t.check_many(3 * STRIDE).unwrap(); // a long block still consults once
+        assert_eq!(real(), 3);
+        assert_eq!(t.polls(), u64::from(5 * STRIDE));
+        t.cancel();
+        assert_eq!(t.check_many(STRIDE), Err(EvalError::Cancelled));
     }
 
     #[test]

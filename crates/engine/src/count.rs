@@ -21,91 +21,113 @@
 //! the generic-join materialization baseline of Lemma 3.9 / Cor 3.11
 //! from the query's classification.
 
-use crate::aggregate::{aggregate_acyclic_join, CountingSemiring, Semiring};
+use crate::aggregate::{fold_body, CountingSemiring, Semiring};
 use crate::bind::{collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError};
-use crate::cancel::CancelToken;
+use crate::cancel::{CancelToken, STRIDE};
 use crate::ctx::ExecCtx;
+use crate::links::JoinLinks;
 use crate::semijoin::semijoin;
 use crate::yannakakis;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::{Database, FxHashMap, Relation, Val};
+use cq_data::{Database, Relation, Val};
 use std::borrow::{Borrow, Cow};
 use std::sync::Arc;
 
 /// The sum-product DP over a join tree, at semiring `sr`: each node
-/// aggregates, per parent key, the ⊕-sum over its rows of the row's
-/// `weight` ⊗ its children's aggregates at the row's keys. Rows that
-/// fail to join contribute nothing, so no prior semijoin reduction is
-/// required. The token is polled once per aggregated row: the DP is O(m)
-/// per node, so the row loop is where a deadline must be able to
-/// interrupt it.
+/// aggregates, per parent-key group, the ⊕-sum over its rows of the
+/// row's `weight` ⊗ its children's aggregates at the groups the row
+/// links to — `acc[own[i]] ⊕= weight(u, rowᵢ) ⊗ ∏ msg_c[link_c[i]]`, one
+/// sequential, branch-free pass per node over plain vectors. Every
+/// message ends in a spare slot holding the zero, where `NONE` links
+/// land: a row that fails to join is annihilated, not tested for, so no
+/// prior semijoin reduction is required. `rels[u]` are node `u`'s rows,
+/// in the order `links` were built over. The root's pass stops at a
+/// block boundary once its sum [is absorbing](Semiring::is_absorbing).
+///
+/// Returns the aggregate and the `steps` taken: rows visited plus links
+/// followed. The token is consulted once per node and once per block of
+/// [`STRIDE`] rows — `check`'s cadence, without an atomic per row.
 pub(crate) fn sum_product<S: Semiring>(
     ctx: &ExecCtx,
-    atoms: &[impl Borrow<BoundAtom>],
-    tree: &JoinTree,
+    rels: &[&Relation],
+    links: &JoinLinks,
     sr: &S,
     weight: impl Fn(usize, &[Val]) -> S::T,
-) -> Result<S::T, EvalError> {
-    let cancel = ctx.cancel();
-    // per node: map from parent-key values to summed subtree weights
-    let mut msgs: Vec<FxHashMap<Box<[Val]>, S::T>> = Vec::new();
-    msgs.resize_with(atoms.len(), FxHashMap::default);
-    let mut keybuf: Vec<Val> = Vec::new();
+) -> Result<(S::T, u64), EvalError> {
+    let (cancel, tree) = (ctx.cancel(), links.tree());
+    let mut msgs: Vec<Vec<S::T>> = Vec::new();
+    msgs.resize_with(rels.len(), Vec::new);
+    let mut steps = 0u64;
     for u in tree.bottom_up() {
         cancel.check_now()?;
-        let a: &BoundAtom = atoms[u].borrow();
-        let cols_of = |mask: u64| -> Vec<usize> {
-            mask_vertices(mask).map(|v| a.col_of(Var(v as u32)).unwrap()).collect()
-        };
-        // columns of this node's parent key, and of each child's key
-        let key_cols = cols_of(tree.key_mask(u));
-        let kids: Vec<(usize, Vec<usize>)> =
-            tree.children(u).iter().map(|&c| (c, cols_of(tree.key_mask(c)))).collect();
-        let mut msg: FxHashMap<Box<[Val]>, S::T> = FxHashMap::default();
-        'rows: for row in a.rel.iter() {
-            cancel.check()?;
-            let mut w = weight(u, row);
-            for (c, cols) in &kids {
-                keybuf.clear();
-                keybuf.extend(cols.iter().map(|&cc| row[cc]));
-                match msgs[*c].get(keybuf.as_slice()) {
-                    Some(s) => w = sr.mul(&w, s),
-                    None => continue 'rows, // dangling: joins nothing below
+        let rel = rels[u];
+        // the root's key is nullary: one group
+        let up = links.edge(u);
+        let own = up.map(|e| e.own.as_slice());
+        let mut acc = vec![sr.zero(); up.map_or(1, |e| e.groups) + 1];
+        let kids: Vec<(&[u32], &[S::T])> = tree
+            .children(u)
+            .iter()
+            .map(|&c| {
+                let edge = links.edge(c).expect("a child has a parent edge");
+                (edge.link.as_slice(), msgs[c].as_slice())
+            })
+            .collect();
+        for start in (0..rel.len()).step_by(STRIDE as usize) {
+            let end = rel.len().min(start + STRIDE as usize);
+            cancel.check_many((end - start) as u32)?;
+            steps += ((end - start) * (1 + kids.len())) as u64;
+            for i in start..end {
+                let mut w = weight(u, rel.row(i));
+                for (link, msg) in &kids {
+                    let g = (link[i] as usize).min(msg.len() - 1);
+                    w = sr.mul(&w, &msg[g]);
                 }
-            }
-            keybuf.clear();
-            keybuf.extend(key_cols.iter().map(|&cc| row[cc]));
-            // box the key only the first time it is seen
-            if let Some(sum) = msg.get_mut(keybuf.as_slice()) {
+                let sum = &mut acc[own.map_or(0, |own| own[i] as usize)];
                 *sum = sr.add(sum, &w);
-            } else {
-                msg.insert(keybuf.as_slice().into(), w);
+            }
+            if own.is_none() && sr.is_absorbing(&acc[0]) {
+                break;
             }
         }
-        msgs[u] = msg;
+        drop(kids);
+        msgs[u] = acc;
     }
-    sr.finish(msgs[tree.root()].values().fold(sr.zero(), |t, w| sr.add(&t, w)))
+    Ok((sr.finish(msgs[tree.root()].swap_remove(0))?, steps))
 }
 
-/// The counting DP (Thm 3.8): `sum_product` at the counting semiring
-/// with unit weights. Weights are u128 and saturate: every weight is a
-/// count, so a saturated one stays "at least 2¹²⁸ − 1" through further
-/// products and sums, a dangling row drops it, and a total that does not
-/// fit u64 — saturated or not — is [`EvalError::CountOverflow`].
+/// The counting DP (Thm 3.8) over bound atoms that are not stored
+/// relations: `sum_product` at the counting semiring with unit weights,
+/// over links built for this call. Weights are u128 and saturate: every
+/// weight is a count, so a saturated one stays "at least 2¹²⁸ − 1"
+/// through further products and sums, a dangling row drops it, and a
+/// total that does not fit u64 — saturated or not — is
+/// [`EvalError::CountOverflow`].
 pub fn count_dp(
     ctx: &ExecCtx,
     atoms: &[impl Borrow<BoundAtom>],
     tree: &JoinTree,
 ) -> Result<u64, EvalError> {
+    count_over(ctx, atoms, &JoinLinks::of_atoms(atoms, tree)).map(|(n, _)| n)
+}
+
+/// The unit-weight count over `atoms` along `links`, and its steps.
+fn count_over(
+    ctx: &ExecCtx,
+    atoms: &[impl Borrow<BoundAtom>],
+    links: &JoinLinks,
+) -> Result<(u64, u64), EvalError> {
+    let rels: Vec<&Relation> = atoms.iter().map(|a| &a.borrow().rel).collect();
     // `CountingSemiring::finish` refused what does not fit
-    sum_product(ctx, atoms, tree, &CountingSemiring, |_, _| 1).map(|n| n as u64)
+    let (n, steps) = sum_product(ctx, &rels, links, &CountingSemiring, |_, _| 1)?;
+    Ok((n as u64, steps))
 }
 
 /// Count answers of an acyclic *join* query in O(m) (Theorem 3.8): the
 /// aggregate of unit weights at the counting semiring, whose `finish`
-/// refuses what does not fit u64. The bound atoms are memoized, so
-/// repeated counts of the same query pay for the DP only.
+/// refuses what does not fit u64. The join index is memoized, so
+/// repeated counts of the same body pay for the array passes only.
 pub fn count_acyclic_join(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
@@ -115,10 +137,11 @@ pub fn count_acyclic_join(
         return Err(EvalError::NotJoinQuery);
     }
     let mut span = cq_obs::trace::span("op.count-acyclic");
-    let n = aggregate_acyclic_join(ctx, q, db, |_, _| 1, &CountingSemiring)? as u64;
-    span.attr("rows", n);
+    let (n, steps) = fold_body(ctx, q, db, |_, _| 1, &CountingSemiring)?;
+    span.attr("rows", n as u64);
+    span.attr("steps", steps);
     span.attr("cancel-polls", ctx.cancel().polls());
-    Ok(n)
+    Ok(n as u64)
 }
 
 /// The join tree projection elimination runs on: `H ∪ {free}` rooted at
@@ -279,9 +302,10 @@ pub fn free_join(
 }
 
 /// Count answers of a free-connex query in O(m) (Theorem 3.13): the
-/// counting DP over the memoized [`free_join`], so repeated counts pay
-/// for the DP over the (typically smaller) messages only. Both phases
-/// poll the token.
+/// counting DP over the memoized [`free_join`] and the links of its
+/// tree, memoized with it — repeated counts pay for the array passes
+/// over the (typically smaller) messages only. Both phases poll the
+/// token.
 pub fn count_free_connex(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
@@ -292,13 +316,23 @@ pub fn count_free_connex(
     }
     let mut span = cq_obs::trace::span("op.count-free-connex");
     let mut cold = false;
-    let reduced = free_join(ctx, q, db, &mut cold)?;
+    let text = q.to_string();
+    // the atoms of `q'` (shared with its own entry) and their links
+    let linked =
+        ctx.catalog().artifact(db, "free_links", &text, q.relations(), || {
+            let free = free_join(ctx, q, db, &mut cold)?;
+            let linked = (*free).as_ref();
+            let linked = linked
+                .map(|(msgs, tree)| (msgs.clone(), JoinLinks::of_atoms(msgs, tree)));
+            Ok::<_, EvalError>(linked)
+        })?;
     span.attr("cold-build", u64::from(cold));
-    let n = match &*reduced {
-        Some((msgs, tree)) => count_dp(ctx, msgs, tree)?,
-        None => 0,
+    let (n, steps) = match &*linked {
+        Some((msgs, links)) => count_over(ctx, msgs, links)?,
+        None => (0, 0),
     };
     span.attr("rows", n);
+    span.attr("steps", steps);
     span.attr("cancel-polls", ctx.cancel().polls());
     Ok(n)
 }
@@ -306,6 +340,7 @@ pub fn count_free_connex(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregate::aggregate_acyclic_join;
     use crate::bind::brute_force_count;
     use cq_core::parse_query;
     use cq_core::query::zoo;
@@ -449,7 +484,7 @@ mod tests {
         assert_eq!(count_acyclic_join(&ctx, &q, &db), Err(EvalError::CountOverflow));
         // the same instance of the same fold through its semiring door
         let ones = |_: usize, _: &[Val]| 1;
-        let agg = crate::aggregate::aggregate_acyclic_join;
+        let agg = aggregate_acyclic_join;
         assert_eq!(
             agg(&ctx, &q, &db, ones, &CountingSemiring),
             Err(EvalError::CountOverflow)

@@ -5,10 +5,11 @@
 //!
 //! | Task | Algorithm | Paper | Entry point |
 //! |---|---|---|---|
-//! | Boolean decision | Yannakakis semijoin sweeps | Thm 3.1 | [`yannakakis::decide_acyclic`] |
+//! | Join-tree links | per tree edge, each row's key group and its link into the child, memoized per query body | — | [`links::join_index`] |
+//! | Boolean decision | Yannakakis' upward sweep: the fold over the links at the Boolean semiring | Thm 3.1 | [`yannakakis::decide_acyclic`] |
 //! | Boolean decision (cyclic) | worst-case optimal generic join | §2.1 / Ex 3.4 | [`generic_join::decide`] |
 //! | Triangle query | AYZ degree split + BMM | Thm 3.2 | [`triangle_query::decide_triangle_ayz`] |
-//! | Counting (acyclic join) | counting DP over join tree | Thm 3.8 | [`count::count_acyclic_join`] |
+//! | Counting (acyclic join) | the fold over the links at the counting semiring | Thm 3.8 | [`count::count_acyclic_join`] |
 //! | Projection elimination | `q'`: an acyclic join over the free variables, memoized per subtree | [14, §4.1] | [`count::free_join`] |
 //! | Counting (free-connex) | the DP over `q'` | Thm 3.13 | [`count::count_free_connex`] |
 //! | Counting / answers (hard side) | generic join + projection | Lem 3.9 | [`generic_join::count_distinct`], [`generic_join::answers`] |
@@ -41,6 +42,7 @@ pub mod direct_access;
 pub mod enumerate;
 pub mod fc_direct_access;
 pub mod generic_join;
+pub mod links;
 pub mod semijoin;
 pub mod stream;
 pub mod sum_order;

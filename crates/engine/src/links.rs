@@ -1,0 +1,428 @@
+//! Join-tree links: the index the join-tree folds run on.
+//!
+//! Every linear-time algorithm over a join tree (Thms 3.1, 3.8, 3.13)
+//! asks the same two questions of each row: which group of its node's
+//! parent key is it in, and which group of each child does it join? Both
+//! answers depend on the data and the tree edge only — not on the head,
+//! the semiring or the weights — so they are computed once per edge, as
+//! dense `u32` group ids ([`EdgeLinks`]), and memoized: the fold itself
+//! ([`crate::count`]) is then array passes with no hashing and no key
+//! copies, at 4 bytes per row per edge end.
+//!
+//! [`join_index`] memoizes one [`JoinIndex`] per query *body* (`COUNT`
+//! and `DECIDE` of one body share it). It holds `Arc`s to one artifact
+//! per tree edge, each reading only the two relations of its edge: a
+//! write to a relation outside the body invalidates nothing, a write to
+//! `R1` rebuilds the edges `R1` is an end of.
+
+use crate::bind::{collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError};
+use crate::ctx::ExecCtx;
+use crate::yannakakis::{join_tree_of, shared_cols_of};
+use cq_core::{ConjunctiveQuery, JoinTree, Var};
+use cq_data::{Database, FxHashMap, Relation, Val};
+use std::borrow::Borrow;
+use std::fmt::Write;
+use std::sync::Arc;
+
+/// The link of a parent row that joins no row of the child.
+pub(crate) const NONE: u32 = u32::MAX;
+
+/// The links of one tree edge parent → child, keyed on the variables the
+/// two share. Group ids are dense: `0..groups`, numbered in the order
+/// the child's rows first show each key.
+#[derive(Debug)]
+pub struct EdgeLinks {
+    /// Per child row (the bound relation's own order): its key group.
+    pub(crate) own: Vec<u32>,
+    /// Number of distinct keys among the child's rows.
+    pub(crate) groups: usize,
+    /// Per parent row: the child group of the same key, or `NONE`.
+    pub(crate) link: Vec<u32>,
+}
+
+impl EdgeLinks {
+    /// Link `parent`'s rows (key columns `pcols`) to the key groups of
+    /// `child`'s (key columns `ccols`, pairwise the same variables). A
+    /// nullary key puts every child row in one group. Keys are folded in
+    /// one column at a time — (group so far, next value) → next group —
+    /// through one transient table, so any key width runs the same code
+    /// and nothing is boxed.
+    pub(crate) fn build(
+        parent: &Relation,
+        pcols: &[usize],
+        child: &Relation,
+        ccols: &[usize],
+    ) -> EdgeLinks {
+        assert!(
+            u32::try_from(child.len()).is_ok_and(|n| n != NONE),
+            "links index groups with u32"
+        );
+        let mut own = vec![0u32; child.len()];
+        let mut groups = usize::from(!child.is_empty());
+        let mut link = vec![if child.is_empty() { NONE } else { 0 }; parent.len()];
+        let mut ids: FxHashMap<(u32, Val), u32> = FxHashMap::default();
+        for (&pc, &cc) in pcols.iter().zip(ccols) {
+            ids.clear();
+            // transient, so sized for the worst case up front: growing
+            // by rehash costs a third of the build
+            ids.reserve(child.len());
+            for (g, row) in own.iter_mut().zip(child.iter()) {
+                let next = ids.len() as u32;
+                *g = *ids.entry((*g, row[cc])).or_insert(next);
+            }
+            groups = ids.len();
+            for (g, row) in link.iter_mut().zip(parent.iter()) {
+                if *g != NONE {
+                    *g = ids.get(&(*g, row[pc])).copied().unwrap_or(NONE);
+                }
+            }
+        }
+        EdgeLinks { own, groups, link }
+    }
+}
+
+/// A join tree with the links of its every edge.
+#[derive(Debug)]
+pub struct JoinLinks {
+    tree: JoinTree,
+    /// Per node: the edge from its parent (`None` at the root).
+    edges: Vec<Option<Arc<EdgeLinks>>>,
+}
+
+impl JoinLinks {
+    /// The links of `tree` over `atoms`, built now and kept by nobody —
+    /// for atoms that are not stored relations (the messages of `q'`).
+    pub(crate) fn of_atoms(atoms: &[impl Borrow<BoundAtom>], tree: &JoinTree) -> Self {
+        let edge = |c: usize| {
+            let (p, c): (&BoundAtom, &BoundAtom) =
+                (atoms[tree.parent(c)?].borrow(), atoms[c].borrow());
+            let (pcols, ccols) = shared_cols_of(&p.vars, &c.vars);
+            Some(Arc::new(EdgeLinks::build(&p.rel, &pcols, &c.rel, &ccols)))
+        };
+        JoinLinks { edges: (0..tree.n_nodes()).map(edge).collect(), tree: tree.clone() }
+    }
+
+    /// The tree the links run along.
+    pub fn tree(&self) -> &JoinTree {
+        &self.tree
+    }
+
+    /// The links of the edge from `u`'s parent to `u` (`None` at the
+    /// root).
+    pub fn edge(&self, u: usize) -> Option<&Arc<EdgeLinks>> {
+        self.edges[u].as_ref()
+    }
+}
+
+/// The memoized join index of a query body: its join tree, the links of
+/// every edge, and the collapsed relation of each atom with repeated
+/// variables. Atoms without repeats read the stored relation in place.
+#[derive(Debug)]
+pub struct JoinIndex {
+    links: JoinLinks,
+    collapsed: Vec<Option<Arc<Relation>>>,
+}
+
+impl JoinIndex {
+    /// The tree and its links.
+    pub fn links(&self) -> &JoinLinks {
+        &self.links
+    }
+
+    /// The bound relation of every atom of `q`, in atom order, over
+    /// `db` — the database this index was just looked up for, so every
+    /// atom is present.
+    pub(crate) fn rels<'a>(
+        &'a self,
+        q: &ConjunctiveQuery,
+        db: &'a Database,
+    ) -> Vec<&'a Relation> {
+        bound_rels(&self.collapsed, q, db)
+    }
+}
+
+fn bound_rels<'a>(
+    collapsed: &'a [Option<Arc<Relation>>],
+    q: &ConjunctiveQuery,
+    db: &'a Database,
+) -> Vec<&'a Relation> {
+    let stored =
+        |atom: &cq_core::Atom| db.get(&atom.relation).expect("validated at build");
+    let bound = collapsed.iter().zip(q.atoms());
+    bound.map(|(c, atom)| c.as_deref().unwrap_or_else(|| stored(atom))).collect()
+}
+
+/// The [`JoinIndex`] of `q`'s body over `db`, memoized in `ctx`'s
+/// catalog: a warm call is one lookup. Atoms are validated in atom
+/// order first, so a missing relation or an arity mismatch is reported
+/// exactly as [`crate::bind()`] reports it; a cyclic body is
+/// [`EvalError::NotAcyclic`].
+pub fn join_index(
+    ctx: &ExecCtx,
+    q: &ConjunctiveQuery,
+    db: &Database,
+) -> Result<Arc<JoinIndex>, EvalError> {
+    let catalog = ctx.catalog();
+    // the body with variables by index: what the tree and the key
+    // columns are functions of
+    let mut body = String::new();
+    for atom in q.atoms() {
+        let _ = write!(body, "{}{:?}", atom.relation, atom.vars);
+    }
+    catalog.artifact(db, "join_index", &body, q.relations(), || {
+        // per atom: what names its rows in an edge key, its distinct
+        // variables, and its collapsed relation if it repeats one
+        let mut ids: Vec<String> = Vec::new();
+        let mut vars_of: Vec<Vec<Var>> = Vec::new();
+        let mut collapsed: Vec<Option<Arc<Relation>>> = Vec::new();
+        for atom in q.atoms() {
+            let rel = validate_atom(&atom.relation, &atom.vars, db)?;
+            let vars = distinct_vars(&atom.vars);
+            if vars.len() == atom.vars.len() {
+                ids.push(atom.relation.clone());
+                collapsed.push(None);
+            } else {
+                let id = format!("{}|{:?}", atom.relation, atom.vars);
+                let reads = [atom.relation.as_str()];
+                let bound = catalog.artifact(db, "bound_rel", &id, reads, || {
+                    Ok::<_, EvalError>(collapse_rel(&atom.vars, &vars, rel))
+                })?;
+                ids.push(id);
+                collapsed.push(Some(bound));
+            }
+            vars_of.push(vars);
+        }
+        let tree = join_tree_of(q)?;
+        let rels = bound_rels(&collapsed, q, db);
+        let mut edges = Vec::with_capacity(rels.len());
+        for c in 0..rels.len() {
+            let Some(p) = tree.parent(c) else {
+                edges.push(None);
+                continue;
+            };
+            ctx.cancel().check_now()?;
+            let (pcols, ccols) = shared_cols_of(&vars_of[p], &vars_of[c]);
+            let key = format!("{}{pcols:?}>{}{ccols:?}", ids[p], ids[c]);
+            let reads = [q.atoms()[p].relation.as_str(), q.atoms()[c].relation.as_str()];
+            let edge = catalog.artifact(db, "join_link", &key, reads, || {
+                Ok::<_, EvalError>(EdgeLinks::build(rels[p], &pcols, rels[c], &ccols))
+            })?;
+            edges.push(Some(edge));
+        }
+        Ok(JoinIndex { links: JoinLinks { tree, edges }, collapsed })
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::aggregate::{aggregate_acyclic_join, Tropical};
+    use crate::bind::{brute_force_answers, brute_force_count, brute_force_decide};
+    use crate::cancel::{CancelToken, STRIDE};
+    use crate::count::{count_acyclic_join, count_free_connex};
+    use crate::yannakakis::decide_acyclic;
+    use cq_core::parse_query;
+    use cq_data::IndexCatalog;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    /// `COUNT` (of a join query) and `DECIDE` of `src` over `db` equal
+    /// brute force: one-shot, then cold and warm over one catalog.
+    fn check(src: &str, db: &Database) {
+        let q = parse_query(src).unwrap();
+        let boolean = q.boolean_version();
+        let catalog = IndexCatalog::new();
+        for ctx in [ExecCtx::cold(), ExecCtx::warm(&catalog), ExecCtx::warm(&catalog)] {
+            let truth = brute_force_decide(&boolean, db).unwrap();
+            assert_eq!(decide_acyclic(&ctx, &boolean, db), Ok(truth), "{src}");
+            let n = brute_force_count(&q, db).unwrap();
+            if q.is_join_query() {
+                assert_eq!(count_acyclic_join(&ctx, &q, db), Ok(n), "{src}");
+            } else {
+                assert_eq!(count_free_connex(&ctx, &q, db), Ok(n), "{src}");
+            }
+        }
+        let built = catalog.snapshot().misses;
+        assert!(decide_acyclic(&ExecCtx::warm(&catalog), &boolean, db).is_ok());
+        assert_eq!(catalog.snapshot().misses, built, "{src}: a warm fold builds nothing");
+    }
+
+    fn db(rels: &[(&str, Vec<(Val, Val)>)]) -> Database {
+        let mut db = Database::new();
+        for (name, pairs) in rels {
+            db.insert(name, Relation::from_pairs(pairs.clone()));
+        }
+        db
+    }
+
+    #[test]
+    fn an_edge_groups_the_child_and_links_the_parent() {
+        let parent =
+            Relation::from_rows(3, vec![vec![1, 7, 5], vec![2, 8, 5], vec![3, 9, 6]]);
+        let child =
+            Relation::from_rows(2, vec![vec![5, 7], vec![5, 7], vec![5, 8], vec![4, 9]]);
+        // one column: the child's keys 4, 5 in row order
+        let e = EdgeLinks::build(&parent, &[2], &child, &[0]);
+        assert_eq!((e.own.as_slice(), e.groups), ([0, 1, 1].as_slice(), 2));
+        assert_eq!(e.link, [1, 1, NONE]);
+        // two columns, listed in different orders on the two sides
+        let e = EdgeLinks::build(&parent, &[1, 2], &child, &[1, 0]);
+        assert_eq!((e.own.as_slice(), e.groups), ([0, 1, 2].as_slice(), 3));
+        assert_eq!(e.link, [1, 2, NONE]);
+        // a nullary key: one group, which every parent row links to
+        let e = EdgeLinks::build(&parent, &[], &child, &[]);
+        assert_eq!((e.own.as_slice(), e.groups), ([0, 0, 0].as_slice(), 1));
+        assert_eq!(e.link, [0, 0, 0]);
+        // ... unless the child is empty
+        let e = EdgeLinks::build(&parent, &[], &Relation::new(2), &[]);
+        assert_eq!((e.own.len(), e.groups), (0, 0));
+        assert_eq!(e.link, [NONE, NONE, NONE]);
+        let e = EdgeLinks::build(&Relation::new(3), &[2], &child, &[0]);
+        assert_eq!((e.groups, e.link.len()), (2, 0));
+    }
+
+    #[test]
+    fn nullary_keys_join_disconnected_bodies_through_one_group() {
+        let data = db(&[
+            ("R", vec![(1, 2), (3, 4), (5, 6)]),
+            ("S", vec![(7, 8), (9, 9)]),
+            ("T", vec![(8, 1), (2, 2)]),
+        ]);
+        check("q(x, y, u, v) :- R(x, y), S(u, v)", &data);
+        check("q(x, y, u, v, w) :- R(x, y), S(u, v), T(v, w)", &data);
+        check("q(x, y, u, v, a, b) :- R(x, y), S(u, v), T(a, b)", &data);
+    }
+
+    #[test]
+    fn an_empty_relation_anywhere_in_the_tree_empties_the_answer() {
+        for empty in ["R1", "R2", "R3"] {
+            let mut data = db(&[
+                ("R1", vec![(1, 2), (2, 2)]),
+                ("R2", vec![(2, 3), (2, 4)]),
+                ("R3", vec![(3, 5), (4, 5)]),
+            ]);
+            data.insert(empty, Relation::new(2));
+            check("q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)", &data);
+            check("q(a, b, c, d, e) :- R1(a, b), R2(b, c), R3(d, e)", &data);
+            check("q(a) :- R1(a, b), R2(a, c), R3(a, d)", &data);
+        }
+    }
+
+    #[test]
+    fn repeated_variables_link_over_the_collapsed_relation() {
+        let data = db(&[
+            ("R", vec![(1, 1), (1, 2), (2, 2), (3, 4), (4, 4)]),
+            ("S", vec![(1, 5), (2, 6), (4, 4), (9, 9)]),
+        ]);
+        check("q(x, y) :- R(x, x), S(x, y)", &data);
+        check("q(x, y) :- R(x, x), R(x, y)", &data);
+        check("q(x, y) :- R(x, y), S(y, y)", &data);
+        check("q(x) :- R(x, x), S(x, x)", &data);
+        // the stored relation is read in place, the collapsed one is not it
+        let q = parse_query("q(x, y) :- R(x, x), S(x, y)").unwrap();
+        let catalog = IndexCatalog::new();
+        let index = join_index(&ExecCtx::warm(&catalog), &q, &data).unwrap();
+        let rels = index.rels(&q, &data);
+        assert_eq!(rels[0].len(), 3, "R(x, x) keeps (1), (2), (4)");
+        assert!(std::ptr::eq(rels[1], data.get("S").unwrap()));
+    }
+
+    #[test]
+    fn self_joins_link_a_relation_to_itself() {
+        let data = db(&[("R", vec![(1, 2), (2, 3), (3, 1), (3, 3), (7, 8)])]);
+        check("q(x, y, z) :- R(x, y), R(y, z)", &data);
+        check("q(x, y, z, w) :- R(x, y), R(y, z), R(z, w)", &data);
+        check("q(x, y) :- R(x, y), R(y, x)", &data);
+        check("q(x, y) :- R(x, y), R(x, y)", &data);
+    }
+
+    #[test]
+    fn a_dangling_only_child_links_nothing() {
+        let data = db(&[
+            ("R1", vec![(1, 2), (2, 3)]),
+            ("R2", vec![(7, 1), (8, 1)]),
+            ("R3", vec![(1, 4)]),
+        ]);
+        check("q(a, b, c) :- R1(a, b), R2(b, c)", &data);
+        check("q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)", &data);
+        let q = parse_query("q(a, b, c) :- R1(a, b), R2(b, c)").unwrap();
+        let index = join_index(&ExecCtx::cold(), &q, &data).unwrap();
+        let links = index.links();
+        let child = (0..2).find(|&u| links.tree().parent(u).is_some()).unwrap();
+        assert!(links.edge(child).unwrap().link.iter().all(|&g| g == NONE));
+    }
+
+    #[test]
+    fn row_dependent_weights_see_bound_rows_in_bound_order() {
+        let data = db(&[
+            ("R", vec![(1, 1), (2, 2), (2, 5), (3, 3)]),
+            ("S", vec![(1, 9), (2, 4), (2, 8), (3, 0)]),
+            ("T", vec![(4, 6), (8, 1), (0, 7)]),
+        ]);
+        let catalog = IndexCatalog::new();
+        for src in [
+            "q(x, y, z) :- R(x, y), S(x, z), T(z, w)",
+            // a collapsed atom's row is over its distinct variables
+            "q(x, z, w) :- R(x, x), S(x, z), T(z, w)",
+        ] {
+            let q = parse_query(src).unwrap().join_version();
+            // atom i's tuple weighs 10^i · (sum of its values)
+            let wf = |atom: usize, row: &[Val]| {
+                10i64.pow(atom as u32) * row.iter().sum::<Val>() as i64
+            };
+            let free = q.free_vars();
+            let best = brute_force_answers(&q, &data).unwrap();
+            let best = best.iter().map(|answer| {
+                let value = |v: &Var| answer[free.iter().position(|f| f == v).unwrap()];
+                let atoms = q.atoms().iter().enumerate();
+                atoms
+                    .map(|(i, a)| {
+                        let row: Vec<Val> =
+                            distinct_vars(&a.vars).iter().map(value).collect();
+                        wf(i, &row)
+                    })
+                    .sum::<i64>()
+            });
+            let best = best.min().expect("both queries have answers");
+            for ctx in [ExecCtx::cold(), ExecCtx::warm(&catalog), ExecCtx::warm(&catalog)]
+            {
+                assert_eq!(
+                    aggregate_acyclic_join(&ctx, &q, &data, wf, &Tropical),
+                    Ok(best)
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_deadline_tripping_mid_pass_cancels_the_fold() {
+        // three relations of ten blocks each; the probe lets the first
+        // consultations through — the build's and the first node's —
+        // and trips inside a later pass
+        let rows = 10 * STRIDE as Val;
+        let chain = || (0..rows).map(|i| (i, i)).collect::<Vec<_>>();
+        let data = db(&[("R1", chain()), ("R2", chain()), ("R3", chain())]);
+        let q = parse_query("q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
+        let catalog = IndexCatalog::new();
+        assert_eq!(count_acyclic_join(&ExecCtx::warm(&catalog), &q, &data), Ok(rows));
+        for budget in [0u32, 1, 5, 17, 29] {
+            let consulted = AtomicU32::new(0);
+            let token = CancelToken::never()
+                .with_probe(move || consulted.fetch_add(1, Ordering::Relaxed) >= budget);
+            let ctx = ExecCtx::new(&catalog, &token);
+            assert_eq!(count_acyclic_join(&ctx, &q, &data), Err(EvalError::Cancelled));
+            // at most one block of rows was polled past the trip
+            let polled = token.polls();
+            assert!(
+                polled <= u64::from(budget + 1) * u64::from(STRIDE),
+                "{budget}: {polled}"
+            );
+            assert!(token.is_cancelled());
+        }
+        // the same passes run to the end under a token that never trips
+        let token = CancelToken::never();
+        let ctx = ExecCtx::new(&catalog, &token);
+        assert_eq!(count_acyclic_join(&ctx, &q, &data), Ok(rows));
+        assert_eq!(token.polls(), 3 * rows);
+        assert_eq!(decide_acyclic(&ctx, &q.boolean_version(), &data), Ok(true));
+    }
+}

@@ -1,6 +1,6 @@
 //! Semijoin primitives — the building blocks of the Yannakakis algorithm.
 
-use cq_data::{FxHashSet, HashIndex, Relation, Val};
+use cq_data::{FxHashSet, Relation, Val};
 
 /// Keys of `rel` projected onto `cols`, as a hash set.
 pub fn key_set(rel: &Relation, cols: &[usize]) -> FxHashSet<Box<[Val]>> {
@@ -36,32 +36,6 @@ pub fn semijoin(
     })
 }
 
-/// `left ⋉ right` probing a prebuilt [`HashIndex`] on `right` instead of
-/// materializing a key set — the catalog-aware semijoin: when the right
-/// side is an unmodified base relation, `cq_data::IndexCatalog` hands
-/// out its index once per database state and the per-call key-set build
-/// disappears. The index's key columns play the role of `right_cols`.
-pub fn semijoin_indexed(
-    left: &Relation,
-    left_cols: &[usize],
-    right: &HashIndex,
-) -> Relation {
-    assert_eq!(left_cols.len(), right.key_cols().len(), "key length mismatch");
-    if left_cols.is_empty() {
-        return if right.n_keys() == 0 {
-            Relation::new(left.arity())
-        } else {
-            left.clone()
-        };
-    }
-    let mut buf: Vec<Val> = Vec::with_capacity(left_cols.len());
-    left.filter(|row| {
-        buf.clear();
-        buf.extend(left_cols.iter().map(|&c| row[c]));
-        right.contains(buf.as_slice())
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,20 +66,6 @@ mod tests {
         let empty = Relation::new(1);
         assert_eq!(semijoin(&l, &[], &nonempty, &[]).len(), 3);
         assert_eq!(semijoin(&l, &[], &empty, &[]).len(), 0);
-    }
-
-    #[test]
-    fn indexed_semijoin_matches_plain() {
-        let right = Relation::from_rows(2, vec![vec![99, 1], vec![98, 3]]);
-        let ix = HashIndex::new(&right, &[1]);
-        let plain = semijoin(&left(), &[0], &right, &[1]);
-        let indexed = semijoin_indexed(&left(), &[0], &ix);
-        assert_eq!(plain, indexed);
-        // empty-key cross filter through the index
-        let some = HashIndex::new(&Relation::from_values(vec![7]), &[]);
-        let none = HashIndex::new(&Relation::new(1), &[]);
-        assert_eq!(semijoin_indexed(&left(), &[], &some).len(), 3);
-        assert_eq!(semijoin_indexed(&left(), &[], &none).len(), 0);
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! parent by its children; the query is true iff the root stays
 //! non-empty. A downward sweep afterwards makes every relation globally
 //! consistent ([`full_reduce`]), the starting point for enumeration and
-//! direct access.
+//! direct access. Decision needs the upward sweep only, and only its
+//! verdict: [`decide_acyclic`] runs it as the sum-product fold at the
+//! Boolean semiring, materialising no relation.
 
-use crate::bind::{collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError};
+use crate::aggregate::{fold_body, BooleanSemiring};
+use crate::bind::{BoundAtom, EvalError};
 use crate::ctx::ExecCtx;
-use crate::semijoin::{semijoin, semijoin_indexed};
+use crate::semijoin::semijoin;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::{Database, HashIndex, Relation};
+use cq_data::Database;
 use std::borrow::{Borrow, Cow};
-use std::sync::Arc;
 
 /// Shared key columns between two variable lists (each distinct): for
 /// each shared variable, the column index in `a` and in `b`.
@@ -81,91 +83,23 @@ pub fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], tree: &JoinTree) {
 /// Decide a Boolean acyclic query in O(m) (Theorem 3.1). Works for any
 /// acyclic query (free variables are irrelevant to decision).
 ///
-/// Base relations are never cloned: the semijoins against *pristine*
-/// atoms (leaves, whose relations are exactly the stored ones) probe the
-/// catalog's memoized hash indexes instead of rebuilding a key set per
-/// call, and only the relations the sweep actually filters are
-/// materialized. The sweep is one O(m) semijoin per tree edge; the token
-/// is consulted before each, so a tripped deadline aborts at the next
-/// edge boundary.
+/// The upward sweep as a fold: a row is `true` iff each of its links
+/// leads to a child group holding a `true` row, and the query is true
+/// iff some root row is — the pass over the root stops at the first.
+/// The links come from the memoized join index of the body (shared
+/// with `COUNT` of the same body), so nothing is cloned, hashed or
+/// materialised per call.
 pub fn decide_acyclic(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
 ) -> Result<bool, EvalError> {
-    let (catalog, cancel) = (ctx.catalog(), ctx.cancel());
-    let _span = cq_obs::trace::span("op.yannakakis.decide");
-    /// A node's current relation during the sweep.
-    enum Rel<'a> {
-        /// Untouched base relation (atom without repeated variables).
-        Base(&'a Relation),
-        /// Untouched collapsed relation (repeated variables; memoized).
-        Collapsed(Arc<Relation>),
-        /// Filtered by at least one child.
-        Filtered(Relation),
-    }
-    impl Rel<'_> {
-        fn get(&self) -> &Relation {
-            match self {
-                Rel::Base(r) => r,
-                Rel::Collapsed(r) => r,
-                Rel::Filtered(r) => r,
-            }
-        }
-    }
-
-    let atoms = q.atoms();
-    let mut vars_of: Vec<Vec<Var>> = Vec::with_capacity(atoms.len());
-    let mut rels: Vec<Rel> = Vec::with_capacity(atoms.len());
-    for atom in atoms {
-        let rel = validate_atom(&atom.relation, &atom.vars, db)?;
-        let vars = distinct_vars(&atom.vars);
-        let r = if vars.len() == atom.vars.len() {
-            Rel::Base(rel)
-        } else {
-            let key = format!("{}|{:?}", atom.relation, atom.vars);
-            let reads = [atom.relation.as_str()];
-            let collapsed = catalog.artifact(db, "bound_rel", &key, reads, || {
-                Ok::<_, EvalError>(collapse_rel(&atom.vars, &vars, rel))
-            })?;
-            Rel::Collapsed(collapsed)
-        };
-        vars_of.push(vars);
-        rels.push(r);
-    }
-    if rels.iter().any(|r| r.get().is_empty()) {
-        return Ok(false);
-    }
-    let tree = join_tree_of(q)?;
-    for u in tree.bottom_up() {
-        cancel.check_now()?;
-        let Some(p) = tree.parent(u) else { continue };
-        let (cp, cu) = shared_cols_of(&vars_of[p], &vars_of[u]);
-        let filtered = match &rels[u] {
-            Rel::Base(_) => {
-                let ix = catalog
-                    .hash_index(db, &atoms[u].relation, &cu)
-                    .expect("relation validated above");
-                semijoin_indexed(rels[p].get(), &cp, &ix)
-            }
-            Rel::Collapsed(c) => {
-                let key = format!("{}|{:?}|{cu:?}", atoms[u].relation, atoms[u].vars);
-                let (c, cu) = (Arc::clone(c), cu.clone());
-                let reads = [atoms[u].relation.as_str()];
-                let ix = catalog.artifact(db, "bound_hash", &key, reads, move || {
-                    Ok::<_, EvalError>(HashIndex::new(&c, &cu))
-                })?;
-                semijoin_indexed(rels[p].get(), &cp, &ix)
-            }
-            Rel::Filtered(r) => semijoin(rels[p].get(), &cp, r, &cu),
-        };
-        if filtered.is_empty() {
-            // an emptied parent empties the root transitively; stop now
-            return Ok(false);
-        }
-        rels[p] = Rel::Filtered(filtered);
-    }
-    Ok(!rels[tree.root()].get().is_empty())
+    let mut span = cq_obs::trace::span("op.yannakakis.decide");
+    let (truth, steps) = fold_body(ctx, q, db, |_, _| true, &BooleanSemiring)?;
+    span.attr("rows", u64::from(truth));
+    span.attr("steps", steps);
+    span.attr("cancel-polls", ctx.cancel().polls());
+    Ok(truth)
 }
 
 #[cfg(test)]
@@ -175,7 +109,7 @@ mod tests {
     use cq_core::parse_query;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, seeded_rng, star_database};
-    use cq_data::{Database, Relation};
+    use cq_data::Relation;
 
     fn owned(atoms: Vec<BoundAtom>) -> Vec<Cow<'static, BoundAtom>> {
         atoms.into_iter().map(Cow::Owned).collect()

@@ -176,7 +176,7 @@ pub fn execute(
 
 /// **The** dispatch table: `plan.task` to the operator arms, every
 /// index acquisition routed through `ctx`'s catalog and every operator
-/// loop polling `ctx`'s token. Sorted views, hash indexes, bound
+/// loop polling `ctx`'s token. Sorted views, join-tree links, bound
 /// relations, projection-elimination messages and the reduced trees
 /// enumeration and direct access share are memoized across calls, so
 /// repeated evaluation of the same shape on an unchanged database is

@@ -328,7 +328,6 @@ pub fn refresh(state: &ServerState, db: Option<&str>) {
         scope.gauge("catalog.invalidations").set(cat.invalidations);
         scope.gauge("catalog.cap-evictions").set(cat.cap_evictions);
         scope.gauge("catalog.memo.views").set(cat.views as u64);
-        scope.gauge("catalog.memo.hash-indexes").set(cat.hash_indexes as u64);
         scope.gauge("catalog.memo.artifacts").set(cat.artifacts as u64);
         if let Some(wal) = wal {
             scope.gauge("storage.wal.appends").set(wal.appends);

@@ -60,13 +60,12 @@ impl Session {
         let (cat, _) = tenant.read_meta();
         data.push(format!(
             "catalog: {} hits, {} misses, {} invalidations, {} cap-evictions; \
-             memo {} views, {} hash-indexes, {} artifacts",
+             memo {} views, {} artifacts",
             cat.hits,
             cat.misses,
             cat.invalidations,
             cat.cap_evictions,
             cat.views,
-            cat.hash_indexes,
             cat.artifacts
         ));
         // windowed traffic rates from the metrics history ring: total

@@ -9,6 +9,7 @@ use cq_core::query::zoo;
 use cq_core::{parse_query, ConjunctiveQuery};
 use cq_data::{DataStats, Database, IndexCatalog, Relation, Val};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
+use cq_engine::links::{join_index, EdgeLinks};
 use cq_engine::{count, DirectAccess, Enumerator, ExecCtx, FreeConnexDirectAccess};
 use cq_planner::{eval, EvalCtx, Planner};
 use proptest::prelude::*;
@@ -163,7 +164,7 @@ proptest! {
     }
 
     /// Self-joins and repeated-variable atoms: the `bound_rel` /
-    /// `bound_hash` (semijoin sweep) and `bound_view` (generic join)
+    /// `join_link` (join-tree folds) and `bound_view` (generic join)
     /// artifacts, whose keys name a relation more than once or not at
     /// all in the query text's first atom.
     #[test]
@@ -239,10 +240,7 @@ fn a_write_keeps_the_entries_of_relations_it_did_not_touch() {
             rebuilt.misses > warm.misses && rebuilt.invalidations > warm.invalidations
         );
         // rebuilt entries replaced their predecessors
-        assert_eq!(
-            (rebuilt.views, rebuilt.hash_indexes, rebuilt.artifacts),
-            (warm.views, warm.hash_indexes, warm.artifacts)
-        );
+        assert_eq!((rebuilt.views, rebuilt.artifacts), (warm.views, warm.artifacts));
 
         // write S: now the S-only query rebuilds too
         db.insert("S", random_rel(2, 18 + round as usize, 20 + round));
@@ -256,8 +254,9 @@ fn a_write_keeps_the_entries_of_relations_it_did_not_touch() {
 /// `ANSWERS` and `ACCESS` of a projected free-connex query — in every
 /// order of the three — derive each elimination message once and `q'`
 /// once, and sort the reduced tree once, which the stream and the access
-/// structure then both hold; a write to one relation rebuilds exactly
-/// its subtree's message and what is assembled from it.
+/// structure then both hold (`COUNT` adds the links of `q'`'s tree); a
+/// write to one relation rebuilds exactly its subtree's message and what
+/// is assembled from it.
 #[test]
 fn count_answers_and_access_share_one_elimination_and_one_tree() {
     const VERBS: [&str; 3] = ["COUNT", "ANSWERS", "ACCESS"];
@@ -297,22 +296,26 @@ fn count_answers_and_access_share_one_elimination_and_one_tree() {
                 built.push(catalog.snapshot().misses - before);
             }
             // three messages and q' for whoever comes first, the tree
-            // for the first of ANSWERS / ACCESS, and nothing otherwise
+            // for the first of ANSWERS / ACCESS, the links of q' for
+            // COUNT, and nothing otherwise
             let tree_at = order.iter().position(|&v| v != "COUNT").unwrap();
+            let count_at = order.iter().position(|&v| v == "COUNT").unwrap();
             let mut want = [0; 3];
             want[0] = 4;
             want[tree_at] += 1;
+            want[count_at] += 1;
             assert_eq!(built, want, "misses per verb of {order:?}");
-            assert_eq!(catalog.snapshot().artifacts, 5, "{order:?}");
+            assert_eq!(catalog.snapshot().artifacts, 6, "{order:?}");
 
             // the walk and the array are one structure
             let e = Enumerator::preprocess(&ctx, &q, &db).unwrap();
             let da = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
             assert!(Arc::ptr_eq(e.direct_access(), &da), "{order:?}");
             let warm = catalog.snapshot();
-            assert_eq!(warm.misses, 5, "{order:?}: the lookups above are hits");
+            assert_eq!(warm.misses, 6, "{order:?}: the lookups above are hits");
 
-            // a write to R2 re-derives R2's message, q' and the tree
+            // a write to R2 re-derives R2's message, q', its links and
+            // the tree
             let mut db = db.clone();
             let old = count::free_join(&ctx, &q, &db, &mut false).unwrap();
             db.get_mut("R2").unwrap().insert_row(&[3, 9]);
@@ -320,9 +323,9 @@ fn count_answers_and_access_share_one_elimination_and_one_tree() {
                 assert_eq!(run(verb, &ctx, &db), 3, "{verb} after the write");
             }
             let rebuilt = catalog.snapshot();
-            assert_eq!(rebuilt.misses, warm.misses + 3, "{order:?}");
-            assert_eq!(rebuilt.invalidations, warm.invalidations + 3, "{order:?}");
-            assert_eq!(rebuilt.artifacts, 5, "{order:?}: rebuilt entries replace");
+            assert_eq!(rebuilt.misses, warm.misses + 4, "{order:?}");
+            assert_eq!(rebuilt.invalidations, warm.invalidations + 4, "{order:?}");
+            assert_eq!(rebuilt.artifacts, 6, "{order:?}: rebuilt entries replace");
             let new = count::free_join(&ctx, &q, &db, &mut false).unwrap();
             let (Some((old, _)), Some((new, _))) = (&*old, &*new) else {
                 panic!("q' is satisfiable before and after the write");
@@ -335,6 +338,67 @@ fn count_answers_and_access_share_one_elimination_and_one_tree() {
             assert!(!Arc::ptr_eq(&da, &da_now), "{order:?}: the tree was rebuilt");
         }
     }
+}
+
+/// The join index of a body is one entry holding one link artifact per
+/// tree edge, each reading the two relations of its edge only: `COUNT`
+/// and `DECIDE` of one body share the entry, a write to a relation
+/// outside the body moves nothing, and a write to `R1` rebuilds the
+/// edge `R1` is an end of — the other stays pointer-equal.
+#[test]
+fn a_write_rebuilds_only_the_links_of_the_edges_it_touches() {
+    let count = parse_query("q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
+    let decide = parse_query("q() :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
+    let mut db = Database::new();
+    for (i, name) in ["R1", "R2", "R3"].into_iter().enumerate() {
+        db.insert(name, random_rel(2, 30, 40 + i as u64));
+    }
+    db.insert("Log", Relation::new(2));
+    let catalog = IndexCatalog::new();
+    let ctx = ExecCtx::warm(&catalog);
+    // the link artifact between two atoms' relations, whichever is parent
+    let link = |db: &Database, a: &str, b: &str| -> Arc<EdgeLinks> {
+        let index = join_index(&ctx, &count, db).unwrap();
+        let links = index.links();
+        let name = |u: usize| count.atoms()[u].relation.as_str();
+        let edge = (0..3).find(|&u| {
+            let ends = links.tree().parent(u).map(|p| [name(p), name(u)]);
+            ends.is_some_and(|ends| ends == [a, b] || ends == [b, a])
+        });
+        Arc::clone(links.edge(edge.expect("a path's neighbours share an edge")).unwrap())
+    };
+    let check = |db: &Database| {
+        assert_eq!(
+            count::count_acyclic_join(&ctx, &count, db).unwrap(),
+            brute_force_count(&count, db).unwrap()
+        );
+        assert_eq!(
+            cq_engine::yannakakis::decide_acyclic(&ctx, &decide, db).unwrap(),
+            brute_force_decide(&decide, db).unwrap()
+        );
+    };
+    check(&db);
+    let cold = catalog.snapshot();
+    assert_eq!((cold.misses, cold.artifacts), (3, 3), "one body entry, two edges");
+    let whole = join_index(&ctx, &decide, &db).unwrap();
+    assert!(Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
+    let (r12, r23) = (link(&db, "R1", "R2"), link(&db, "R2", "R3"));
+
+    db.get_mut("Log").unwrap().insert_row(&[1, 1]);
+    check(&db);
+    assert!(Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
+    assert!(Arc::ptr_eq(&r12, &link(&db, "R1", "R2")));
+    assert!(Arc::ptr_eq(&r23, &link(&db, "R2", "R3")));
+    assert_eq!(catalog.snapshot().misses, cold.misses, "a `Log` write builds nothing");
+
+    db.get_mut("R1").unwrap().insert_row(&[7, 7]);
+    check(&db);
+    assert!(!Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
+    assert!(!Arc::ptr_eq(&r12, &link(&db, "R1", "R2")));
+    assert!(Arc::ptr_eq(&r23, &link(&db, "R2", "R3")));
+    let rebuilt = catalog.snapshot();
+    assert_eq!(rebuilt.misses, cold.misses + 2, "the body entry and R1's edge");
+    assert_eq!(rebuilt.artifacts, 3, "rebuilt entries replace");
 }
 
 /// Diverging clones against one catalog: after `clone()` the two sides

@@ -33,6 +33,10 @@ fn suite() -> Vec<ConjunctiveQuery> {
         // repeated variable
         parse_query("q(a, b) :- R1(a, b), R2(b, a)").unwrap(),
         parse_query("q(a, b) :- R1(a, a), R2(a, b)").unwrap(),
+        // join-tree links at their corners: a nullary parent key (a
+        // disconnected body) and an edge whose two ends are one relation
+        parse_query("q(a, b, c, d) :- R1(a, b), R2(c, d)").unwrap(),
+        parse_query("q(x, y, z) :- R(x, y), R(y, z)").unwrap(),
     ]
 }
 

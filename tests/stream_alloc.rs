@@ -7,13 +7,15 @@
 //! pins it: draining ten times the answers performs the same number of
 //! allocations, up to a small constant, whichever plan produces them.
 //! The enumerator's other half of the promise — a bounded number of
-//! steps per answer — is pinned beside it on its `steps` counter.
+//! steps per answer — is pinned beside it on its `steps` counter. The
+//! linear-time folds get the same pin: a warm `COUNT` or `DECIDE` over
+//! memoized join-tree links allocates per tree node, not per row or key.
 
 use cq_core::parse_query;
 use cq_core::query::zoo;
 use cq_data::generate::{random_pairs, seeded_rng};
 use cq_data::{Database, IndexCatalog, Relation};
-use cq_engine::{AnswerStream, Enumerator, ExecCtx};
+use cq_engine::{count, yannakakis, AnswerStream, Enumerator, ExecCtx};
 use cq_obs::trace::{self, TraceSink};
 use cq_planner::{eval, EvalCtx, Output, PlanOp, Task};
 use cq_server::protocol::render_row_into;
@@ -178,6 +180,43 @@ fn a_direct_access_drain_allocates_per_flush_not_per_row() {
         n
     });
     assert_flat("direct access", small, large);
+}
+
+/// A warm fold over memoized links makes one message vector per tree
+/// node and a few per call (the body key, the bound relations, the
+/// visiting order): ten times the rows, the same allocations.
+#[test]
+fn a_warm_count_or_decide_allocates_per_tree_node_not_per_row() {
+    let star3 = zoo::star_selfjoin_free(3).join_version();
+    for q in [zoo::path_join(3), star3] {
+        let boolean = q.boolean_version();
+        let [small, large] = [1_000usize, 10_000].map(|m| {
+            let mut db = Database::new();
+            for (i, atom) in q.atoms().iter().enumerate() {
+                let mut rng = seeded_rng((m + i) as u64);
+                db.insert(&atom.relation, random_pairs(m, m as u64, &mut rng));
+            }
+            let catalog = IndexCatalog::new();
+            let ctx = ExecCtx::warm(&catalog);
+            let cold = count::count_acyclic_join(&ctx, &q, &db).unwrap();
+            let (counting, n) =
+                allocations(|| count::count_acyclic_join(&ctx, &q, &db).unwrap());
+            assert_eq!(n, cold);
+            let (deciding, truth) =
+                allocations(|| yannakakis::decide_acyclic(&ctx, &boolean, &db).unwrap());
+            assert_eq!(truth, n > 0);
+            [counting, deciding]
+        });
+        for (verb, small, large) in
+            [("COUNT", small[0], large[0]), ("DECIDE", small[1], large[1])]
+        {
+            assert!(small < 40, "{verb} {q}: {small} allocations at m = 1 000");
+            assert!(
+                large <= small + SLACK,
+                "{verb} {q}: m = 1 000 took {small} allocations, m = 10 000 took {large}"
+            );
+        }
+    }
 }
 
 /// Thm 3.17 as a work invariant: per answer the odometer tries at most

@@ -18,7 +18,10 @@
 # structures without defining any, and aggregation runs under an ExecCtx
 # like every other operator. And one index for the join-tree folds: the
 # memoized links of `cq_engine::links` — the hash index, its catalog memo
-# and the per-request hash-map messages they replaced stay deleted.
+# and the per-request hash-map messages they replaced stay deleted. And one
+# statement of the dichotomy: `cq_core::classify::verdict` attaches
+# hypotheses and renders witnesses, the planner maps its verdict to an
+# operator, and the facade's catalog is one value, not a registry.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -114,6 +117,26 @@ exactly_one "place that renders the \`no database named\` reply" "$(
 )"
 exactly_one "replica gate (\`.replica_of()\` outside the STATS line in admin.rs)" "$(
     server_module | grep -F '.replica_of()' | grep -v '^crates/server/src/server/admin.rs:'
+)"
+
+# the dichotomy is stated once, in cq_core::classify: the planner maps a
+# verdict to an operator and explain.rs maps a hypothesis to its
+# context line — neither attaches a hypothesis to a query again
+forbid "second copies of the verdict types (cq_core::classify has Verdict and Structure):" "$(
+    grep -rnE 'enum LowerBound|struct ShapeFacts' crates
+)"
+forbid "hypotheses attached in the planner (cq_core::classify::verdict decides):" "$(
+    for f in crates/planner/src/*.rs; do
+        case "$f" in */explain.rs) ;; *) non_test "$f" ;; esac
+    done | grep -F 'Hypothesis::'
+)"
+exactly_one "witness renderer (\`fn witness_text\`)" "$(
+    grep -rnE 'fn witness_text\b' crates
+)"
+forbid "caller-less planner entry points (EvalCtx::batch_tasks, eval::catalog):" "$(
+    grep -rnE 'fn (with_catalog|catalog_for|registry|batch_tasks_with_workers|peek|clear|clear_cache)\b' \
+        crates/planner/src/eval.rs crates/planner/src/cache.rs crates/planner/src/planner.rs
+    grep -rnE 'CatalogRegistry|CATALOG_REGISTRY_CAP' crates/planner/src
 )"
 
 # one logged write on the tenant (`apply_logged`, taking the record) and

@@ -1,14 +1,18 @@
-//! The fine-grained complexity classifier.
+//! The fine-grained complexity classifier: the paper's dichotomies,
+//! stated once.
 //!
-//! [`classify`] maps a conjunctive query to its complexity profile across
-//! the paper's four tasks — Boolean decision, counting, enumeration, and
-//! direct access — reporting for each task either the (quasi-)linear
-//! upper bound with the algorithm achieving it, or the conditional lower
-//! bound with the hypothesis it rests on and the witnessing structure.
-//! This is the executable form of the paper's dichotomy theorems
-//! (Thm 3.7, 3.13, 3.17, 3.18, 3.24, 3.26, 4.6).
+//! [`Structure::of`] computes what the theorems read off a query shape;
+//! [`verdict`] decides one (query, task) pair, one arm per theorem —
+//! either the (quasi-)linear upper bound with the algorithm achieving
+//! it, or the conditional lower bound with the hypothesis it rests on
+//! and the witnessing structure (Thm 3.1/3.7, 3.8, 3.12/3.13, 3.14–3.17,
+//! 3.18, 4.5/4.6). [`classify`] is that function called once per task;
+//! `cq-planner` maps the same verdicts to operators, so what `EXPLAIN`
+//! cites and what [`Profile`] prints cannot differ. The order-dependent
+//! direct-access dichotomies (Thm 3.24, 3.26) have their own functions.
 
-use crate::brault_baron::{self, Witness, WitnessKind};
+use crate::brault_baron::{find_witness, Witness, WitnessKind};
+use crate::canonical::Relabeling;
 use crate::disruptive_trio::find_disruptive_trio;
 use crate::free_connex::connexity;
 use crate::hypergraph::mask_vertices;
@@ -16,6 +20,31 @@ use crate::hypotheses::Hypothesis;
 use crate::query::{ConjunctiveQuery, Var};
 use crate::star_size::quantified_star_size;
 use std::fmt;
+
+/// The evaluation task a verdict (and a plan) answers, matching the
+/// paper's task taxonomy (§1).
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+pub enum Task {
+    /// Boolean decision: is `q(D)` non-empty?
+    Decide,
+    /// Counting: `|q(D)|`.
+    Count,
+    /// Producing all answers (materialized or enumerated).
+    Answers,
+    /// Direct access: the `i`-th answer in a query-chosen order.
+    Access,
+}
+
+impl fmt::Display for Task {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Task::Decide => "Boolean decision",
+            Task::Count => "counting",
+            Task::Answers => "answer production",
+            Task::Access => "direct access",
+        })
+    }
+}
 
 /// Verdict for one evaluation task on one query.
 #[derive(Clone, PartialEq, Debug)]
@@ -84,31 +113,75 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// Complexity profile of a query across the paper's tasks.
-#[derive(Clone, Debug)]
-pub struct Profile {
-    /// Rendered query text.
-    pub query: String,
-    /// Structural facts.
+/// What the dichotomy theorems read off a query *shape*: invariant under
+/// variable relabelings up to the witness mask, which [`relabeled`]
+/// moves — so the plan cache stores one per canonical shape.
+///
+/// [`relabeled`]: Structure::relabeled
+#[derive(Clone, PartialEq, Debug)]
+pub struct Structure {
+    /// α-acyclic hypergraph?
     pub acyclic: bool,
+    /// Free-connex (acyclic and `H ∪ {free}` acyclic)?
     pub free_connex: bool,
+    /// All relation symbols distinct?
     pub self_join_free: bool,
-    pub quantified_star_size: usize,
-    /// The AGM exponent ρ*(H): the worst-case output size is m^{ρ*} and
-    /// the generic join runs in Õ(m^{ρ*}) (§2.1).
+    /// Every variable free?
+    pub join_query: bool,
+    /// No variable free?
+    pub boolean: bool,
+    /// Quantified star size (§4.4) — the counting exponent.
+    pub star_size: usize,
+    /// The AGM exponent ρ*(H), when defined: the worst-case output size
+    /// is m^{ρ*} and the generic join runs in Õ(m^{ρ*}) (§2.1).
     pub agm_exponent: Option<f64>,
-    /// Brault-Baron witness if cyclic.
-    pub bb_witness: Option<Witness>,
-    /// Boolean decision (the query with all variables projected away).
-    pub decision: Verdict,
-    /// Counting |q(D)|.
-    pub counting: Verdict,
-    /// Constant-delay enumeration of q(D).
-    pub enumeration: Verdict,
-    /// Direct access in some query-chosen order (Thm 3.18).
-    pub direct_access_unordered: Verdict,
+    /// Brault-Baron witness of a cyclic query (Thm 3.6), in the query's
+    /// variable space. `None` when acyclic — and when the bounded search
+    /// was cut ([`crate::brault_baron::WITNESS_SEARCH_BUDGET`]).
+    pub witness: Option<Witness>,
 }
 
+impl Structure {
+    /// Compute the structure of `q` — the pass the plan cache skips.
+    pub fn of(q: &ConjunctiveQuery) -> Structure {
+        let conn = connexity(q);
+        Structure {
+            acyclic: conn.acyclic,
+            free_connex: conn.free_connex,
+            self_join_free: q.is_self_join_free(),
+            join_query: q.is_join_query(),
+            boolean: q.is_boolean(),
+            star_size: quantified_star_size(q),
+            agm_exponent: crate::agm::agm_exponent(q),
+            witness: if conn.acyclic {
+                None
+            } else {
+                find_witness(&q.hypergraph()).witness
+            },
+        }
+    }
+
+    /// Move the witness mask through `relab` (into canonical space for
+    /// the cache, back into a query's space on a hit).
+    pub fn relabeled(&self, relab: &Relabeling) -> Structure {
+        let witness =
+            self.witness.map(|w| Witness { vertices: relab.map_mask(w.vertices), ..w });
+        Structure { witness, ..self.clone() }
+    }
+
+    /// The task `task` comes down to on this shape: a Boolean query's
+    /// count is its decision (`|q(D)| ∈ {0, 1}`), and so is its answer
+    /// set when cyclic (acyclic, Thm 3.17 already enumerates it).
+    pub fn effective_task(&self, task: Task) -> Task {
+        match task {
+            Task::Count if self.boolean => Task::Decide,
+            Task::Answers if self.boolean && !self.acyclic => Task::Decide,
+            _ => task,
+        }
+    }
+}
+
+/// Render a witness with the query's variable names.
 fn witness_text(q: &ConjunctiveQuery, w: &Witness) -> String {
     let vars: Vec<&str> =
         mask_vertices(w.vertices).map(|v| q.var_name(Var(v as u32))).collect();
@@ -125,213 +198,186 @@ fn witness_text(q: &ConjunctiveQuery, w: &Witness) -> String {
     }
 }
 
-fn cyclic_hypotheses(w: &Witness) -> Vec<Hypothesis> {
-    match w.kind {
-        WitnessKind::Cycle => vec![Hypothesis::Triangle],
-        WitnessKind::NearUniformHyperclique => vec![Hypothesis::Hyperclique],
+/// Thm 3.7's case split on a cyclic query: the hypothesis a faster
+/// algorithm refutes, by witness kind, and the witness text. When the
+/// witness search was cut, Thm 3.6 still promises one of the two kinds,
+/// so one of the two hypotheses applies.
+fn cyclic_case(q: &ConjunctiveQuery, s: &Structure) -> (Vec<Hypothesis>, String) {
+    match &s.witness {
+        Some(w) => {
+            let hypothesis = match w.kind {
+                WitnessKind::Cycle => Hypothesis::Triangle,
+                WitnessKind::NearUniformHyperclique => Hypothesis::Hyperclique,
+            };
+            (vec![hypothesis], witness_text(q, w))
+        }
+        None => (
+            vec![Hypothesis::Triangle, Hypothesis::Hyperclique],
+            "an induced cycle or a near-uniform hyperclique pattern (one exists \
+             by Thm 3.6; the witness search was cut at its work budget)"
+                .to_string(),
+        ),
     }
 }
 
-/// Classify `q` across all tasks.
-pub fn classify(q: &ConjunctiveQuery) -> Profile {
-    let conn = connexity(q);
-    let sjf = q.is_self_join_free();
-    let star = quantified_star_size(q);
-    let bb =
-        if conn.acyclic { None } else { brault_baron::find_witness(&q.hypergraph()) };
+/// The hard verdict of a cyclic query under `reference`, resting on
+/// [`cyclic_case`]'s hypotheses or on `also`.
+fn cyclic_hard(
+    q: &ConjunctiveQuery,
+    s: &Structure,
+    also: Option<Hypothesis>,
+    reference: &'static str,
+) -> Verdict {
+    let (mut hypotheses, witness) = cyclic_case(q, s);
+    hypotheses.extend(also);
+    Verdict::Hard { hypotheses, exponent: None, witness, reference }
+}
 
-    // --- Boolean decision (Thm 3.1 / 3.7) ---
-    let decision = if conn.acyclic {
-        Verdict::Easy { algorithm: "Yannakakis", reference: "Thm 3.1" }
-    } else {
-        let w = bb.as_ref().unwrap();
-        if sjf {
-            Verdict::Hard {
-                hypotheses: cyclic_hypotheses(w),
-                exponent: None,
-                witness: witness_text(q, w),
-                reference: "Thm 3.7",
-            }
-        } else {
-            Verdict::Open {
-                note: format!(
-                    "cyclic with self-joins; Thm 3.7 needs self-join-freeness \
-                     (cf. [14, 26]); contains {}",
-                    witness_text(q, w)
-                ),
-            }
-        }
-    };
+/// The dichotomy: the verdict for `task` on `q`, whose structure is `s`
+/// (in `q`'s variable space). One arm per theorem case; nothing else
+/// under `crates/` attaches a hypothesis to a query.
+pub fn verdict(q: &ConjunctiveQuery, s: &Structure, task: Task) -> Verdict {
+    let easy = |algorithm, reference| Verdict::Easy { algorithm, reference };
+    let open = |note: &str| Verdict::Open { note: note.to_string() };
+    let sjf = s.self_join_free;
+    match s.effective_task(task) {
+        // --- Boolean decision (Thm 3.1 / 3.7) ---
+        Task::Decide if s.acyclic => easy("Yannakakis", "Thm 3.1"),
+        Task::Decide if sjf => cyclic_hard(q, s, None, "Thm 3.7"),
+        Task::Decide => Verdict::Open {
+            note: format!(
+                "cyclic with self-joins; Thm 3.7 needs self-join-freeness \
+                 (cf. [14, 26]); contains {}",
+                cyclic_case(q, s).1
+            ),
+        },
 
-    // --- Counting (Thm 3.8 / 3.12 / 3.13 / 4.6) ---
-    let counting = if q.is_join_query() {
-        if conn.acyclic {
-            // Thm 3.8 explicitly does not require self-join freeness.
-            Verdict::Easy { algorithm: "Yannakakis counting DP", reference: "Thm 3.8" }
-        } else {
-            let w = bb.as_ref().unwrap();
-            Verdict::Hard {
-                hypotheses: cyclic_hypotheses(w),
-                exponent: None,
-                witness: witness_text(q, w),
-                reference: "Thm 3.8 (self-joins via interpolation [35])",
-            }
+        // --- Counting (Thm 3.8 / 3.12 / 3.13 / 4.6) ---
+        // Thm 3.8 does not require self-join freeness, on either side
+        Task::Count if s.join_query && s.acyclic => {
+            easy("Yannakakis counting DP", "Thm 3.8")
         }
-    } else if conn.free_connex {
-        Verdict::Easy {
-            algorithm: "projection elimination + Yannakakis counting DP",
-            reference: "Thm 3.13",
+        Task::Count if s.join_query => {
+            cyclic_hard(q, s, None, "Thm 3.8 (self-joins via interpolation [35])")
         }
-    } else if conn.acyclic {
-        // acyclic but not free-connex
-        if sjf {
+        Task::Count if s.free_connex => {
+            easy("projection elimination + Yannakakis counting DP", "Thm 3.13")
+        }
+        Task::Count if s.acyclic && sjf => {
+            let k = s.star_size.max(2);
             Verdict::Hard {
                 hypotheses: vec![Hypothesis::Seth],
-                exponent: Some((star.max(2)) as f64),
-                witness: format!(
-                    "embeds q*_{} (quantified star size {star})",
-                    star.max(2)
-                ),
+                exponent: Some(k as f64),
+                witness: format!("embeds q*_{k} (quantified star size {})", s.star_size),
                 reference: "Thm 3.12 / Thm 4.6",
             }
-        } else {
-            Verdict::Open {
-                note: format!(
-                    "acyclic, not free-connex, with self-joins; Thm 3.12 is \
-                     stated self-join-free (but cf. Cor 3.11 for q*_k); \
-                     quantified star size {star}"
-                ),
-            }
         }
-    } else {
-        let w = bb.as_ref().unwrap();
-        if sjf {
-            Verdict::Hard {
-                hypotheses: cyclic_hypotheses(w),
-                exponent: None,
-                witness: witness_text(q, w),
-                reference: "Thm 3.13 (via Boolean decision, Thm 3.7)",
-            }
-        } else {
-            Verdict::Open {
-                note: "cyclic with self-joins; counting hardness via \
-                       interpolation applies to join queries only here"
-                    .to_string(),
-            }
+        Task::Count if s.acyclic => Verdict::Open {
+            note: format!(
+                "acyclic, not free-connex, with self-joins; Thm 3.12 is \
+                 stated self-join-free (but cf. Cor 3.11 for q*_k); \
+                 quantified star size {}",
+                s.star_size
+            ),
+        },
+        Task::Count if sjf => {
+            cyclic_hard(q, s, None, "Thm 3.13 (via Boolean decision, Thm 3.7)")
         }
-    };
+        Task::Count => open(
+            "cyclic with self-joins; counting hardness via interpolation \
+             applies to join queries only here",
+        ),
 
-    // --- Enumeration (Thm 3.14 / 3.16 / 3.17 / 4.5) ---
-    let enumeration = if conn.free_connex {
-        Verdict::Easy {
-            algorithm: "free-connex constant-delay enumeration",
-            reference: "Thm 3.17 [BDG07]",
+        // --- Enumeration (Thm 3.14 / 3.16 / 3.17 / 4.5) ---
+        Task::Answers if s.free_connex => {
+            easy("free-connex constant-delay enumeration", "Thm 3.17")
         }
-    } else if conn.acyclic {
-        if sjf {
-            Verdict::Hard {
-                hypotheses: vec![Hypothesis::SparseBmm],
-                exponent: None,
-                witness: "embeds q̄*_2; enumeration would do sparse Boolean MM"
-                    .to_string(),
-                reference: "Thm 3.16",
-            }
-        } else {
-            Verdict::Open {
-                note: "acyclic, not free-connex, with self-joins; enumeration \
-                       with self-joins is subtle [26]"
-                    .to_string(),
-            }
+        Task::Answers if s.acyclic && sjf => Verdict::Hard {
+            hypotheses: vec![Hypothesis::SparseBmm],
+            exponent: None,
+            witness: "embeds q̄*_2; enumeration would do sparse Boolean MM".to_string(),
+            reference: "Thm 3.16",
+        },
+        Task::Answers if s.acyclic => open(
+            "acyclic, not free-connex, with self-joins; enumeration with \
+             self-joins is subtle [26]",
+        ),
+        // Thm 4.5 gives join queries the same characterization from
+        // Zero-k-Clique
+        Task::Answers if sjf => {
+            let also = s.join_query.then_some(Hypothesis::ZeroKClique);
+            cyclic_hard(q, s, also, "Thm 3.14 / Thm 4.5")
         }
-    } else {
-        let w = bb.as_ref().unwrap();
-        if sjf {
-            let mut hyps = cyclic_hypotheses(w);
-            if q.is_join_query() {
-                // Thm 4.5 gives the same characterization from Zero-k-Clique.
-                hyps.push(Hypothesis::ZeroKClique);
-            }
-            Verdict::Hard {
-                hypotheses: hyps,
-                exponent: None,
-                witness: witness_text(q, w),
-                reference: "Thm 3.14 / Thm 4.5",
-            }
-        } else {
-            Verdict::Open {
-                note: "cyclic with self-joins: constant-delay enumeration can \
-                       exist (see [14, 26])"
-                    .to_string(),
-            }
-        }
-    };
+        Task::Answers => open(
+            "cyclic with self-joins: constant-delay enumeration can exist \
+             (see [14, 26])",
+        ),
 
-    // --- Direct access, query-chosen order (Thm 3.18) ---
-    let direct_access_unordered = if conn.free_connex {
-        Verdict::Easy {
-            algorithm: "free-connex direct access (linear preprocessing, log access)",
-            reference: "Thm 3.18 [19, 27]",
+        // --- Direct access, query-chosen order (Thm 3.18) ---
+        Task::Access if s.free_connex => easy(
+            "free-connex direct access (linear preprocessing, log access)",
+            "Thm 3.18",
+        ),
+        Task::Access if !sjf => {
+            open("not free-connex, with self-joins; Thm 3.18 is stated self-join-free")
         }
-    } else if sjf {
-        match (&enumeration, conn.acyclic) {
-            (_, true) => Verdict::Hard {
-                hypotheses: vec![Hypothesis::SparseBmm],
-                exponent: None,
-                witness: "direct access would enumerate q̄*_2".to_string(),
-                reference: "Thm 3.18",
-            },
-            (_, false) => {
-                let w = bb.as_ref().unwrap();
-                Verdict::Hard {
-                    hypotheses: cyclic_hypotheses(w),
-                    exponent: None,
-                    witness: witness_text(q, w),
-                    reference: "Thm 3.18",
-                }
-            }
-        }
-    } else {
-        Verdict::Open {
-            note: "not free-connex, with self-joins; Thm 3.18 is stated \
-                   self-join-free"
-                .to_string(),
-        }
-    };
-
-    Profile {
-        query: q.to_string(),
-        acyclic: conn.acyclic,
-        free_connex: conn.free_connex,
-        self_join_free: sjf,
-        quantified_star_size: star,
-        agm_exponent: crate::agm::agm_exponent(q),
-        bb_witness: bb,
-        decision,
-        counting,
-        enumeration,
-        direct_access_unordered,
+        Task::Access if s.acyclic => Verdict::Hard {
+            hypotheses: vec![Hypothesis::SparseBmm],
+            exponent: None,
+            witness: "direct access would enumerate q̄*_2".to_string(),
+            reference: "Thm 3.18",
+        },
+        Task::Access => cyclic_hard(q, s, None, "Thm 3.18"),
     }
 }
 
-/// Classify lexicographic direct access of a *join query* under the
-/// variable order `order` (Thm 3.24, Lemma 3.23).
-pub fn classify_direct_access_lex(q: &ConjunctiveQuery, order: &[Var]) -> Verdict {
-    if !q.is_join_query() {
+/// Complexity profile of a query across the paper's tasks.
+#[derive(Clone, Debug)]
+pub struct Profile {
+    /// Rendered query text.
+    pub query: String,
+    /// The structure the verdicts were read off.
+    pub structure: Structure,
+    /// Boolean decision (the query with all variables projected away).
+    pub decision: Verdict,
+    /// Counting |q(D)|.
+    pub counting: Verdict,
+    /// Constant-delay enumeration of q(D).
+    pub enumeration: Verdict,
+    /// Direct access in some query-chosen order (Thm 3.18).
+    pub direct_access_unordered: Verdict,
+}
+
+/// Classify `q` across all tasks: [`verdict`], once per task.
+pub fn classify(q: &ConjunctiveQuery) -> Profile {
+    let structure = Structure::of(q);
+    let on = |task| verdict(q, &structure, task);
+    Profile {
+        query: q.to_string(),
+        decision: on(Task::Decide),
+        counting: on(Task::Count),
+        enumeration: on(Task::Answers),
+        direct_access_unordered: on(Task::Access),
+        structure,
+    }
+}
+
+/// Classify lexicographic direct access of a *join query* with structure
+/// `s` under the variable order `order` (Thm 3.24, Lemma 3.23).
+pub fn classify_direct_access_lex(
+    q: &ConjunctiveQuery,
+    s: &Structure,
+    order: &[Var],
+) -> Verdict {
+    if !s.join_query {
         return Verdict::Open {
             note: "Thm 3.24 covers join queries; for projections see the \
                    incompatibility number of [22]"
                 .to_string(),
         };
     }
-    let conn = connexity(q);
-    if !conn.acyclic {
-        let w = brault_baron::find_witness(&q.hypergraph()).unwrap();
-        return Verdict::Hard {
-            hypotheses: cyclic_hypotheses(&w),
-            exponent: None,
-            witness: witness_text(q, &w),
-            reference: "Thm 3.24 (via Boolean decision)",
-        };
+    if !s.acyclic {
+        return cyclic_hard(q, s, None, "Thm 3.24 (via Boolean decision)");
     }
     match find_disruptive_trio(q, order) {
         None => Verdict::Easy {
@@ -402,15 +448,16 @@ pub fn classify_direct_access_sum(q: &ConjunctiveQuery) -> Verdict {
 
 impl fmt::Display for Profile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = &self.structure;
         writeln!(f, "query: {}", self.query)?;
         writeln!(
             f,
             "structure: {}, {}, {}, quantified star size {}{}",
-            if self.acyclic { "acyclic" } else { "cyclic" },
-            if self.free_connex { "free-connex" } else { "not free-connex" },
-            if self.self_join_free { "self-join free" } else { "has self-joins" },
-            self.quantified_star_size,
-            match self.agm_exponent {
+            if s.acyclic { "acyclic" } else { "cyclic" },
+            if s.free_connex { "free-connex" } else { "not free-connex" },
+            if s.self_join_free { "self-join free" } else { "has self-joins" },
+            s.star_size,
+            match s.agm_exponent {
                 Some(rho) => format!(", AGM exponent {rho:.2}"),
                 None => String::new(),
             }
@@ -430,7 +477,7 @@ mod tests {
     #[test]
     fn acyclic_join_all_easy() {
         let p = classify(&zoo::path_join(3));
-        assert!(p.acyclic && p.free_connex);
+        assert!(p.structure.acyclic && p.structure.free_connex);
         assert!(p.decision.is_easy());
         assert!(p.counting.is_easy());
         assert!(p.enumeration.is_easy());
@@ -440,7 +487,7 @@ mod tests {
     #[test]
     fn triangle_hard_everywhere() {
         let p = classify(&zoo::triangle_boolean());
-        assert!(!p.acyclic);
+        assert!(!p.structure.acyclic);
         match &p.decision {
             Verdict::Hard { hypotheses, .. } => {
                 assert_eq!(hypotheses, &vec![Hypothesis::Triangle])
@@ -466,7 +513,7 @@ mod tests {
     fn star_counting_hard_with_star_exponent() {
         // q̄*_3: acyclic, not free-connex, self-join free, star size 3.
         let p = classify(&zoo::star_selfjoin_free(3));
-        assert!(p.acyclic && !p.free_connex);
+        assert!(p.structure.acyclic && !p.structure.free_connex);
         match &p.counting {
             Verdict::Hard { hypotheses, exponent, .. } => {
                 assert_eq!(hypotheses, &vec![Hypothesis::Seth]);
@@ -492,7 +539,8 @@ mod tests {
     #[test]
     fn matmul_projection_profile() {
         let p = classify(&zoo::matmul_projection());
-        assert!(p.acyclic && !p.free_connex && p.self_join_free);
+        let s = &p.structure;
+        assert!(s.acyclic && !s.free_connex && s.self_join_free);
         assert!(p.decision.is_easy());
         match &p.counting {
             Verdict::Hard { exponent, .. } => assert_eq!(*exponent, Some(2.0)),
@@ -508,15 +556,16 @@ mod tests {
         let x1 = q.var_by_name("x1").unwrap();
         let x2 = q.var_by_name("x2").unwrap();
         let z = q.var_by_name("z").unwrap();
-        assert!(classify_direct_access_lex(&q, &[z, x1, x2]).is_easy());
-        assert!(classify_direct_access_lex(&q, &[x1, x2, z]).is_hard());
+        let s = Structure::of(&q);
+        assert!(classify_direct_access_lex(&q, &s, &[z, x1, x2]).is_easy());
+        assert!(classify_direct_access_lex(&q, &s, &[x1, x2, z]).is_hard());
     }
 
     #[test]
     fn lex_direct_access_cyclic_hard() {
         let q = zoo::triangle_join();
         let order: Vec<Var> = q.vars().collect();
-        assert!(classify_direct_access_lex(&q, &order).is_hard());
+        assert!(classify_direct_access_lex(&q, &Structure::of(&q), &order).is_hard());
     }
 
     #[test]
@@ -552,5 +601,65 @@ mod tests {
         // uses E three times → self-joins → decision open per Thm 3.7 scope
         let p = classify(&q);
         assert!(matches!(p.decision, Verdict::Open { .. }));
+    }
+
+    #[test]
+    fn relabeling_roundtrips_witness_mask() {
+        let q = zoo::cycle_boolean(4);
+        let s = Structure::of(&q);
+        let (_, relab) = crate::canonical_shape(&q);
+        let canon = s.relabeled(&relab);
+        let back = canon.relabeled(&relab.inverse());
+        assert_eq!(s, back);
+        assert!(s.witness.is_some());
+    }
+
+    #[test]
+    fn witness_text_uses_query_names() {
+        let q = zoo::triangle_boolean();
+        let text = witness_text(&q, &Structure::of(&q).witness.unwrap());
+        assert!(text.contains('x') && text.contains("cycle"), "{text}");
+    }
+
+    #[test]
+    fn boolean_count_and_cyclic_boolean_answers_are_the_decision() {
+        for q in [
+            zoo::triangle_boolean(),
+            zoo::path_boolean(3),
+            zoo::loomis_whitney_boolean(4),
+            zoo::clique_join(3).boolean_version(),
+        ] {
+            let p = classify(&q);
+            assert_eq!(p.counting, p.decision, "{q}");
+            if p.structure.acyclic {
+                // Thm 3.17 enumerates the (at most one) empty answer
+                assert!(p.enumeration.is_easy(), "{q}");
+            } else {
+                assert_eq!(p.enumeration, p.decision, "{q}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_cut_witness_search_still_cites_a_true_bound() {
+        // a 20-cycle behind a ternary atom outruns the search budget
+        // (see `brault_baron`'s tests): no witness, but Thm 3.6 promises
+        // one of the two kinds
+        let ring: Vec<String> =
+            (0..20).map(|i| format!("E{i}(x{i}, x{})", (i + 1) % 20)).collect();
+        let q = crate::parse_query(&format!("q() :- T(a, b, c), {}", ring.join(", ")))
+            .unwrap();
+        let p = classify(&q);
+        assert!(!p.structure.acyclic && p.structure.witness.is_none());
+        match &p.decision {
+            Verdict::Hard { hypotheses, witness, reference, .. } => {
+                assert_eq!(hypotheses, &[Hypothesis::Triangle, Hypothesis::Hyperclique]);
+                assert!(witness.contains("search was cut"), "{witness}");
+                assert_eq!(*reference, "Thm 3.7");
+            }
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(p.counting, p.decision);
+        assert!(p.direct_access_unordered.is_hard());
     }
 }

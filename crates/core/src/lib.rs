@@ -3,11 +3,12 @@
 //! This crate holds the *query-side* half of the reproduction of
 //! S. Mengel, “Lower Bounds for Conjunctive Query Evaluation” (PODS 2025):
 //! the conjunctive-query intermediate representation, the hypergraph
-//! structure theory the paper's dichotomies are phrased in, and a
-//! [`classify`](classify::classify) function that maps any conjunctive
-//! query to its fine-grained complexity profile, citing the hypothesis
-//! each conditional lower bound rests on and exhibiting the witnessing
-//! substructure.
+//! structure theory the paper's dichotomies are phrased in, and the
+//! dichotomies themselves, stated once: [`classify::verdict`] maps a
+//! (query, task) pair to its side, citing the hypothesis each
+//! conditional lower bound rests on and exhibiting the witnessing
+//! substructure — [`classify`](classify::classify) prints it for all
+//! four tasks, `cq-planner` maps it to an operator.
 //!
 //! The main types are:
 //!
@@ -18,13 +19,16 @@
 //!   ([`gyo`]), join trees ([`JoinTree`]), acyclicity and
 //!   free-connexness tests.
 //! * [`brault_baron::find_witness`] — Theorem 3.6 witnesses: every cyclic
-//!   hypergraph contains an induced cycle or a near-uniform hyperclique.
+//!   hypergraph contains an induced cycle or a near-uniform hyperclique
+//!   (a search bounded in work, whatever the query's size).
 //! * [`disruptive_trio::find_disruptive_trio`] — §3.4.1, hardness of
 //!   lexicographic direct access.
 //! * [`star_size::quantified_star_size`] — §4.4, the counting exponent.
 //! * [`embedding::CliqueEmbedding`] — §4.2 clique embeddings, including
 //!   the 5-clique-into-5-cycle embedding of Example 4.2 / Figure 1.
-//! * [`classify::classify`] — the per-task complexity profile.
+//! * [`classify::Structure`] and [`classify::verdict`] — what the
+//!   theorems read off a query shape, and the verdict per task;
+//!   [`classify::classify`] — the per-task complexity profile.
 //!
 //! Everything here is *data independent*: no relation instances appear.
 //! The evaluation algorithms matching the upper bounds live in

@@ -1,23 +1,23 @@
-//! The plan cache: canonical query shape → classified facts.
+//! The plan cache: canonical query shape → [`Structure`].
 //!
-//! Classification (acyclicity, free-connexity, star size, witness
-//! search, AGM exponent) is pure in the query *shape*, so the cache is
-//! keyed by [`cq_core::canonical::CanonicalShape`] and stores
-//! [`ShapeFacts`] in canonical variable space. A hit translates the
-//! facts into the requesting query's variable space through the
-//! relabeling that `canonical_shape` returns — two differently-named
-//! but isomorphic queries share one entry, and repeated queries skip
-//! classification entirely.
+//! A query's structure (acyclicity, free-connexity, star size, witness
+//! search, AGM exponent) is pure in its *shape*, so the cache is keyed
+//! by [`cq_core::canonical::CanonicalShape`] and stores the
+//! [`Structure`] in canonical variable space. A hit moves it into the
+//! requesting query's variable space through the relabeling that
+//! `canonical_shape` returns — two differently-named but isomorphic
+//! queries share one entry, and repeated queries skip the structure
+//! pass (the witness search above all) entirely.
 //!
 //! Only *exact* canonical shapes are cached: when the canonicalization
 //! search exceeds its budget (pathologically symmetric queries beyond
 //! 8 fully-interchangeable variables), the shape's encoding is not a
 //! true isomorphism invariant, and caching it could serve a wrong plan.
-//! Such queries are simply re-classified per call — correctness is
-//! never traded for cache hits.
+//! Such queries simply recompute their structure per call — correctness
+//! is never traded for cache hits.
 
-use crate::facts::ShapeFacts;
-use cq_core::canonical::{canonical_shape, CanonicalShape, Relabeling};
+use cq_core::canonical::{canonical_shape, CanonicalShape};
+use cq_core::classify::Structure;
 use cq_core::ConjunctiveQuery;
 use std::collections::HashMap;
 
@@ -26,16 +26,16 @@ use std::collections::HashMap;
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to classify.
+    /// Lookups that had to compute the structure.
     pub misses: u64,
     /// Queries whose shape was inexact and therefore uncacheable.
     pub uncacheable: u64,
 }
 
-/// Shape-keyed cache of classification facts.
+/// Shape-keyed cache of query structures.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    map: HashMap<CanonicalShape, ShapeFacts>,
+    map: HashMap<CanonicalShape, Structure>,
     stats: CacheStats,
 }
 
@@ -60,37 +60,22 @@ impl PlanCache {
         self.stats
     }
 
-    /// Drop all entries (counters are kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Fetch-or-compute the facts for `q`, in `q`'s variable space.
-    /// Returns the facts and whether they came from the cache.
-    pub fn facts_for(&mut self, q: &ConjunctiveQuery) -> (ShapeFacts, bool) {
+    /// Fetch-or-compute the structure of `q`, in `q`'s variable space.
+    /// Returns it and whether it came from the cache.
+    pub fn structure_for(&mut self, q: &ConjunctiveQuery) -> (Structure, bool) {
         let (shape, relab) = canonical_shape(q);
         if !shape.is_exact() {
             self.stats.uncacheable += 1;
-            return (ShapeFacts::of(q), false);
+            return (Structure::of(q), false);
         }
-        if let Some(canon_facts) = self.map.get(&shape) {
+        if let Some(canonical) = self.map.get(&shape) {
             self.stats.hits += 1;
-            return (canon_facts.relabeled(&relab.inverse()), true);
+            return (canonical.relabeled(&relab.inverse()), true);
         }
         self.stats.misses += 1;
-        let facts = ShapeFacts::of(q);
-        self.map.insert(shape, facts.relabeled(&relab));
-        (facts, false)
-    }
-
-    /// The relabeling-aware lookup without inserting (for tests and
-    /// introspection).
-    pub fn peek(&self, q: &ConjunctiveQuery) -> Option<ShapeFacts> {
-        let (shape, relab): (CanonicalShape, Relabeling) = canonical_shape(q);
-        if !shape.is_exact() {
-            return None;
-        }
-        self.map.get(&shape).map(|f| f.relabeled(&relab.inverse()))
+        let structure = Structure::of(q);
+        self.map.insert(shape, structure.relabeled(&relab));
+        (structure, false)
     }
 }
 
@@ -103,9 +88,9 @@ mod tests {
     fn second_lookup_hits() {
         let mut cache = PlanCache::new();
         let q = zoo::triangle_boolean();
-        let (cold, hit0) = cache.facts_for(&q);
+        let (cold, hit0) = cache.structure_for(&q);
         assert!(!hit0);
-        let (warm, hit1) = cache.facts_for(&q);
+        let (warm, hit1) = cache.structure_for(&q);
         assert!(hit1);
         assert_eq!(cold, warm, "cache hit must reproduce identical facts");
         assert_eq!(cache.stats().hits, 1);
@@ -116,7 +101,7 @@ mod tests {
     #[test]
     fn isomorphic_queries_share_an_entry() {
         let mut cache = PlanCache::new();
-        cache.facts_for(&zoo::triangle_boolean());
+        cache.structure_for(&zoo::triangle_boolean());
         // same shape, different variable names and relation symbols
         let mut b = QueryBuilder::new("other");
         let u = b.var("u");
@@ -124,9 +109,9 @@ mod tests {
         let w = b.var("w");
         b.atom("A", &[u, v]).atom("B", &[v, w]).atom("C", &[w, u]).free(&[]);
         let q2 = b.build().unwrap();
-        let (facts, hit) = cache.facts_for(&q2);
+        let (facts, hit) = cache.structure_for(&q2);
         assert!(hit, "isomorphic query must hit the shared shape entry");
-        assert_eq!(facts, ShapeFacts::of(&q2), "translated facts must be exact");
+        assert_eq!(facts, Structure::of(&q2), "translated facts must be exact");
         assert_eq!(cache.len(), 1);
     }
 
@@ -134,7 +119,7 @@ mod tests {
     fn witness_mask_translates_to_the_querys_space() {
         let mut cache = PlanCache::new();
         // seed with the canonical triangle
-        cache.facts_for(&zoo::triangle_boolean());
+        cache.structure_for(&zoo::triangle_boolean());
         // a triangle whose cycle sits on differently-indexed variables
         let mut b = QueryBuilder::new("q");
         let pad = b.var("zz"); // interned first: shifts all indices
@@ -144,24 +129,24 @@ mod tests {
         b.atom("R1", &[x, y]).atom("R2", &[y, pad]).atom("R3", &[pad, x]);
         b.free(&[]);
         let q = b.build().unwrap();
-        let (facts, hit) = cache.facts_for(&q);
+        let (facts, hit) = cache.structure_for(&q);
         assert!(!hit, "extra unary atom makes this a different shape");
-        assert_eq!(facts, ShapeFacts::of(&q));
+        assert_eq!(facts, Structure::of(&q));
         // a second lookup hits and must translate the witness mask back
         // into this query's variable space exactly
-        let (warm, hit) = cache.facts_for(&q);
+        let (warm, hit) = cache.structure_for(&q);
         assert!(hit);
-        assert_eq!(warm, ShapeFacts::of(&q));
-        assert!(warm.bb_witness.is_some());
+        assert_eq!(warm, Structure::of(&q));
+        assert!(warm.witness.is_some());
     }
 
     #[test]
     fn distinct_shapes_do_not_collide() {
         let mut cache = PlanCache::new();
-        cache.facts_for(&zoo::triangle_boolean());
-        let (_, hit) = cache.facts_for(&zoo::triangle_join());
+        cache.structure_for(&zoo::triangle_boolean());
+        let (_, hit) = cache.structure_for(&zoo::triangle_join());
         assert!(!hit, "free mask differs, so shape differs");
-        let (_, hit) = cache.facts_for(&zoo::star_selfjoin(2));
+        let (_, hit) = cache.structure_for(&zoo::star_selfjoin(2));
         assert!(!hit);
         assert_eq!(cache.len(), 3);
     }

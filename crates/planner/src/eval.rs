@@ -8,20 +8,19 @@
 //! plan replaces the old ad-hoc "which algorithm ran" enums and carries
 //! citations, cost, and the lower-bound story for free.
 //!
-//! Execution is **warm by default**: every call runs against the
-//! process-wide per-database [`IndexCatalog`] registry, so statistics
-//! are collected once per database state (not per call) and repeated
-//! queries on an unchanged database reuse every sorted view, hash
-//! index, and preprocessing artifact the first run built. Catalogs are
-//! keyed by [`Database::generation`], which changes on every mutation,
-//! so a stale index can never be served; stale catalog entries age out
-//! of the registry FIFO.
+//! Execution is **warm by default**: every call runs against one
+//! process-wide [`IndexCatalog`] ([`catalog`]), so statistics,
+//! sorted views, join-tree links and preprocessing artifacts are built
+//! once and reused by every later call that reads the same relation
+//! contents — from any database. Catalog entries validate per lookup
+//! against [`Database::version_of`] of exactly the relations they were
+//! built from, so a stale product is never served, and a write to one
+//! relation leaves what was built from the others warm.
 //!
-//! The facade is **concurrency-ready**: the registry lock is held only
-//! to resolve a generation to its `Arc<IndexCatalog>`, and the catalog
-//! itself locks internally per lookup — no lock is held across an
-//! execution, so any number of threads can evaluate against one shared
-//! database simultaneously ([`batch`] does exactly that).
+//! The facade is **concurrency-ready**: the catalog locks internally
+//! per lookup and no lock is held across an execution, so any number of
+//! threads can evaluate against one shared database simultaneously
+//! ([`batch`] does exactly that).
 //!
 //! For cache-controlled workflows (benchmarks, servers with per-tenant
 //! planners) build an [`EvalCtx`] with an explicit [`IndexCatalog`],
@@ -33,10 +32,9 @@ use crate::execute::Output;
 use crate::ir::{QueryPlan, Task};
 use crate::planner::Planner;
 use cq_core::ConjunctiveQuery;
-use cq_data::{Database, FxHashMap, IndexCatalog, Relation};
+use cq_data::{Database, IndexCatalog, Relation};
 use cq_engine::bind::EvalError;
-use std::collections::VecDeque;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Mutex, OnceLock};
 
 /// The process-wide planner behind the facade functions.
 fn global() -> &'static Mutex<Planner> {
@@ -51,56 +49,18 @@ pub fn with_global_planner<T>(f: impl FnOnce(&mut Planner) -> T) -> T {
     f(&mut guard)
 }
 
-/// How many database states the facade keeps warm catalogs for. Small:
-/// a catalog only pays off across repeated calls on the same state, and
-/// mutated databases get fresh generations (and thus fresh slots).
-const CATALOG_REGISTRY_CAP: usize = 8;
-
-/// The process-wide catalog registry: one [`IndexCatalog`] per recent
-/// database generation, FIFO-evicted.
-#[derive(Default)]
-struct CatalogRegistry {
-    catalogs: FxHashMap<u64, Arc<IndexCatalog>>,
-    order: VecDeque<u64>,
-}
-
-fn registry() -> &'static Mutex<CatalogRegistry> {
-    static REGISTRY: OnceLock<Mutex<CatalogRegistry>> = OnceLock::new();
-    REGISTRY.get_or_init(|| Mutex::new(CatalogRegistry::default()))
-}
-
-/// The process-wide catalog for `db`'s current state, creating (and
-/// registering) it on first sight of this generation. The registry
-/// lock is released before this returns — the catalog locks itself per
-/// lookup, so holding the `Arc` across a whole execution (or sharing
-/// it between threads) serializes nothing.
-pub fn catalog_for(db: &Database) -> Arc<IndexCatalog> {
-    let mut reg = registry().lock().unwrap_or_else(|p| p.into_inner());
-    let generation = db.generation();
-    if let Some(c) = reg.catalogs.get(&generation) {
-        Arc::clone(c)
-    } else {
-        while reg.order.len() >= CATALOG_REGISTRY_CAP {
-            let evicted = reg.order.pop_front().expect("len checked");
-            reg.catalogs.remove(&evicted);
-        }
-        let c = Arc::new(IndexCatalog::new());
-        reg.catalogs.insert(generation, Arc::clone(&c));
-        reg.order.push_back(generation);
-        c
-    }
-}
-
-/// Run `f` with the process-wide catalog for `db`'s current state (a
-/// convenience wrapper over [`catalog_for`]).
-pub fn with_catalog<T>(db: &Database, f: impl FnOnce(&IndexCatalog) -> T) -> T {
-    f(&catalog_for(db))
+/// The process-wide catalog behind the facade functions (and behind an
+/// [`EvalCtx`] given no explicit one). One for every database: entries
+/// validate against per-relation versions on each lookup.
+pub fn catalog() -> &'static IndexCatalog {
+    static CATALOG: OnceLock<IndexCatalog> = OnceLock::new();
+    CATALOG.get_or_init(IndexCatalog::new)
 }
 
 /// Plan `task` for `q` on `db` with the process-wide planner (and the
-/// per-database catalog's memoized statistics).
+/// process-wide catalog's memoized statistics).
 pub fn plan(q: &ConjunctiveQuery, db: &Database, task: Task) -> QueryPlan {
-    let stats = with_catalog(db, |cat| cat.stats(db));
+    let stats = catalog().stats(db);
     with_global_planner(|p| p.plan(q, task, &stats))
 }
 
@@ -137,8 +97,8 @@ pub fn explain(q: &ConjunctiveQuery, db: &Database, task: Task) -> String {
 }
 
 /// Evaluate a batch of independent queries' answers over one database,
-/// in parallel: one shared [`IndexCatalog`] (the registry's, so the
-/// batch both profits from and feeds the warm path) and one pass
+/// in parallel: one shared [`IndexCatalog`] (the process-wide one, so
+/// the batch both profits from and feeds the warm path) and one pass
 /// through the shared planner for the whole batch, then
 /// [`std::thread::scope`] workers pulling queries off a shared cursor.
 /// Results come back in input order, each with the plan that ran.
@@ -164,24 +124,21 @@ pub fn batch_tasks<'q>(
     items: impl IntoIterator<Item = (&'q ConjunctiveQuery, Task)>,
     db: &Database,
 ) -> Vec<Result<(Output, QueryPlan), EvalError>> {
-    batch_tasks_with_workers(items, db, default_batch_workers())
-}
-
-/// Worker count for [`batch`]/[`batch_tasks`]: the machine's available
-/// parallelism.
-fn default_batch_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// [`batch_tasks`] with an explicit worker count (`workers ≤ 1` runs
-/// inline on the calling thread). Exposed for benchmarks and servers
-/// that manage their own parallelism budget.
-pub fn batch_tasks_with_workers<'q>(
-    items: impl IntoIterator<Item = (&'q ConjunctiveQuery, Task)>,
-    db: &Database,
-    workers: usize,
-) -> Vec<Result<(Output, QueryPlan), EvalError>> {
+    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     EvalCtx::new().batch_tasks(items, db, workers)
+}
+
+/// What `f` builds in the process-wide catalog. Its counters are
+/// process-wide too and the tests of this binary run in parallel, so
+/// take the quietest of a few windows: foreign builds only ever add.
+#[cfg(test)]
+pub(crate) fn builds_in_a_quiet_window(f: impl Fn()) -> u64 {
+    let window = |_| {
+        let before = catalog().snapshot().misses;
+        f();
+        catalog().snapshot().misses - before
+    };
+    (0..32).map(window).min().expect("32 windows")
 }
 
 #[cfg(test)]
@@ -230,7 +187,7 @@ mod tests {
         // repeat on the unchanged database: same result, warm catalog
         let (again, _) = answers(&q, &db).unwrap();
         assert_eq!(first, again);
-        // mutate and re-evaluate: fresh generation, fresh indexes
+        // mutate and re-evaluate: R2's version moved, its indexes rebuild
         db.insert("R2", cq_data::Relation::from_pairs(vec![(1, 2)]));
         let (after, _) = answers(&q, &db).unwrap();
         assert_eq!(after, brute_force_answers(&q, &db).unwrap());
@@ -238,21 +195,23 @@ mod tests {
 
     #[test]
     fn facade_reuses_catalog_across_calls() {
-        let db = path_database(3, 25, &mut seeded_rng(8));
-        let q = zoo::path_join(3);
+        // relation names of this test's own: no other test's write can
+        // invalidate what these calls build
+        let mut db = Database::new();
+        for (i, name) in ["WarmA", "WarmB", "WarmC"].into_iter().enumerate() {
+            db.insert(name, random_pairs(25, 25, &mut seeded_rng(8 + i as u64)));
+        }
+        let q = cq_core::parse_query(
+            "q(a, b, c, d) :- WarmA(a, b), WarmB(b, c), WarmC(c, d)",
+        )
+        .unwrap();
         let _ = answers(&q, &db).unwrap();
-        let misses_after_first = with_catalog(&db, |cat| cat.snapshot().misses);
-        let (_, _) = answers(&q, &db).unwrap();
-        let (_, _) = count(&q, &db).unwrap();
-        let misses_after_repeat = with_catalog(&db, |cat| cat.snapshot().misses);
-        // repeated answers: zero new builds; count adds only its own
-        // join index — one entry for the body, one per tree edge (stats
-        // and the reduced tree are shared)
-        assert!(
-            misses_after_repeat <= misses_after_first + 3,
-            "warm facade calls must not rebuild indexes \
-             ({misses_after_first} -> {misses_after_repeat})"
-        );
+        let _ = count(&q, &db).unwrap();
+        let repeat = || {
+            let _ = answers(&q, &db).unwrap();
+            let _ = count(&q, &db).unwrap();
+        };
+        assert_eq!(builds_in_a_quiet_window(repeat), 0, "warm facade calls rebuilt");
     }
 
     #[test]
@@ -323,7 +282,7 @@ mod tests {
         // Task::Access executes to a seekable stream over the built
         // structure
         let items = vec![(&qj, Task::Access)];
-        let results = batch_tasks_with_workers(items, &db, 1);
+        let results = EvalCtx::new().batch_tasks(items, &db, 1);
         match results.into_iter().next().unwrap().unwrap().0 {
             Output::Answers(mut a) => {
                 assert!(a.can_seek());
@@ -363,9 +322,9 @@ mod tests {
         let db = path_database(2, 30, &mut seeded_rng(23));
         let q = zoo::path_join(2);
         let items: Vec<_> = (0..9).map(|_| (&q, Task::Count)).collect();
-        let want = batch_tasks_with_workers(items.clone(), &db, 1);
+        let want = EvalCtx::new().batch_tasks(items.clone(), &db, 1);
         for workers in [2, 4, 16] {
-            let got = batch_tasks_with_workers(items.clone(), &db, workers);
+            let got = EvalCtx::new().batch_tasks(items.clone(), &db, workers);
             assert_eq!(got.len(), want.len());
             for (g, w) in got.iter().zip(&want) {
                 assert_eq!(

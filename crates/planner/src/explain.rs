@@ -20,7 +20,7 @@
 //!   witness:     induced cycle on {x, y, z} (embeds triangle finding) [Thm 3.7]
 //! ```
 
-use crate::ir::{LowerBound, PlanOp, QueryPlan};
+use crate::ir::{PlanOp, QueryPlan, Verdict};
 use cq_core::{ConjunctiveQuery, Hypothesis};
 use std::fmt::Write as _;
 
@@ -53,13 +53,13 @@ fn hypothesis_context(h: Hypothesis) -> &'static str {
 /// why the server refuses to run this plan under a cost budget, naming
 /// the hypothesis (when one applies) that rules out anything cheaper.
 ///
-/// The wording leans on the plan's [`LowerBound`]: a conditional bound
-/// cites its hypotheses and witness reference; a quasi-linear or open
-/// plan still gets an honest citation (the cost can exceed a budget
-/// even when no conditional hardness is known).
+/// The wording leans on the plan's [`Verdict`]: a hard one cites its
+/// hypotheses and witness reference; a quasi-linear or open plan still
+/// gets an honest citation (the cost can exceed a budget even when no
+/// conditional hardness is known).
 pub fn rejection_citation(plan: &QueryPlan) -> String {
     match &plan.lower_bound {
-        LowerBound::Conditional { hypotheses, exponent, reference, .. } => {
+        Verdict::Hard { hypotheses, exponent, reference, .. } => {
             let names = hypotheses
                 .iter()
                 .map(|h| format!("{} (Hypothesis {})", h.name(), h.paper_number()))
@@ -71,11 +71,11 @@ pub fn rejection_citation(plan: &QueryPlan) -> String {
             };
             format!("{names} — {faster} unless the hypothesis fails [{reference}]")
         }
-        LowerBound::Linear { reference } => format!(
+        Verdict::Easy { reference, .. } => format!(
             "plan is quasi-linear and unconditionally optimal; the cost \
              exceeds the budget on data volume alone [{reference}]"
         ),
-        LowerBound::Open { note } => {
+        Verdict::Open { note } => {
             format!("no matching conditional lower bound known — {note}")
         }
     }
@@ -101,14 +101,14 @@ pub fn render(plan: &QueryPlan, q: &ConjunctiveQuery) -> String {
     }
     let _ = writeln!(out, "  upper bound: {} [{}]", plan.cost, plan.algorithm_reference);
     match &plan.lower_bound {
-        LowerBound::Linear { reference } => {
+        Verdict::Easy { reference, .. } => {
             let _ = writeln!(
                 out,
                 "  optimality:  unconditional — quasi-linear time is optimal \
                  up to polylog factors [{reference}]"
             );
         }
-        LowerBound::Conditional { hypotheses, exponent, witness, reference } => {
+        Verdict::Hard { hypotheses, exponent, witness, reference } => {
             let target = match exponent {
                 Some(e) => format!("any Õ(m^{{<{e:.1}}}) algorithm"),
                 None => "any Õ(m) algorithm".to_string(),
@@ -125,7 +125,7 @@ pub fn render(plan: &QueryPlan, q: &ConjunctiveQuery) -> String {
             }
             let _ = writeln!(out, "  witness:     {witness} [{reference}]");
         }
-        LowerBound::Open { note } => {
+        Verdict::Open { note } => {
             let _ = writeln!(out, "  optimality:  open — {note}");
         }
     }

@@ -3,39 +3,14 @@
 //! A [`QueryPlan`] is the planner's contract with the executor and with
 //! the user: *which* physical operator runs (one per upper-bound theorem
 //! implemented in `cq-engine`), *what it costs* on this database, and
-//! *why nothing asymptotically faster exists* (the conditional lower
-//! bound of the paper's dichotomies, or the note explaining why the case
-//! is open). Plans are plain data — they can be cached, compared,
-//! rendered by `cq_planner::explain`, and executed any number of times.
+//! *why nothing asymptotically faster exists* (the [`Verdict`] of the
+//! paper's dichotomies, decided in `cq_core::classify`). Plans are plain
+//! data — they can be cached, compared, rendered by
+//! `cq_planner::explain`, and executed any number of times.
 
-use cq_core::{ConjunctiveQuery, Hypothesis, Var};
+pub use cq_core::classify::{Task, Verdict};
+use cq_core::{ConjunctiveQuery, Var};
 use std::fmt;
-
-/// The evaluation task a plan answers, matching the paper's task
-/// taxonomy (§1).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum Task {
-    /// Boolean decision: is `q(D)` non-empty?
-    Decide,
-    /// Counting: `|q(D)|`.
-    Count,
-    /// Producing all answers (materialized or enumerated).
-    Answers,
-    /// Direct access: the `i`-th answer in a fixed order.
-    Access,
-}
-
-impl fmt::Display for Task {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            Task::Decide => "Boolean decision",
-            Task::Count => "counting",
-            Task::Answers => "answer production",
-            Task::Access => "direct access",
-        };
-        write!(f, "{s}")
-    }
-}
 
 /// A physical operator, each backed by one `cq-engine` algorithm.
 #[derive(Clone, PartialEq, Debug)]
@@ -156,38 +131,6 @@ impl fmt::Display for CostEstimate {
     }
 }
 
-/// Why the plan cannot be beaten asymptotically — the lower-bound half
-/// of the paper's dichotomy, attached to every plan.
-#[derive(Clone, PartialEq, Debug)]
-pub enum LowerBound {
-    /// The plan already runs in quasi-linear time; no conditional
-    /// hypothesis is needed.
-    Linear {
-        /// Paper reference for the matching upper bound.
-        reference: &'static str,
-    },
-    /// Anything faster than this plan would refute one of the listed
-    /// hypotheses (via the witnessing substructure).
-    Conditional {
-        /// Hypotheses any faster algorithm would refute.
-        hypotheses: Vec<Hypothesis>,
-        /// Conditional runtime exponent, when the paper pins one down
-        /// (e.g. quantified star size for counting, Thm 4.6).
-        exponent: Option<f64>,
-        /// Human-readable witnessing structure, rendered with this
-        /// query's variable names.
-        witness: String,
-        /// Paper reference for the lower bound.
-        reference: &'static str,
-    },
-    /// The paper's theory does not settle the case (typically self-joins
-    /// outside a theorem's scope).
-    Open {
-        /// Why the case is open.
-        note: String,
-    },
-}
-
 /// A complete, executable query plan.
 #[derive(Clone, PartialEq, Debug)]
 pub struct QueryPlan {
@@ -199,8 +142,9 @@ pub struct QueryPlan {
     pub algorithm_reference: &'static str,
     /// Estimated cost on the planned database.
     pub cost: CostEstimate,
-    /// Why nothing asymptotically faster exists (or why that is open).
-    pub lower_bound: LowerBound,
+    /// Why nothing asymptotically faster exists (or why that is open):
+    /// `cq_core::classify::verdict` for this query and task.
+    pub lower_bound: Verdict,
     /// Rendered query text (for EXPLAIN and diagnostics).
     pub query: String,
     /// Whether this plan was instantiated from a plan-cache hit.

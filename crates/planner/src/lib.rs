@@ -1,26 +1,26 @@
 //! # cq-planner — plan IR, cost-aware planning, and execution
 //!
 //! The paper's dichotomies say *which algorithm is optimal for which
-//! query structure*; this crate turns that knowledge into an explicit,
-//! inspectable pipeline:
+//! query structure*; `cq_core::classify` decides them, and this crate
+//! turns the verdict into an explicit, inspectable pipeline:
 //!
 //! ```text
-//!   parse ──► classify ──────► plan ─────► execute
-//!   (cq-core)  (ShapeFacts,     (QueryPlan)  (cq-engine
-//!               shape-cached)                 algorithms)
+//!   parse ──► structure ──────► verdict ─────► plan ────────► execute
+//!   (cq-core)  (Structure,       (cq-core, one   (operator +    (cq-engine
+//!               shape-cached)     per task)       order, cost)   algorithms)
 //! ```
 //!
 //! * [`ir`] — the plan intermediate representation: [`QueryPlan`] over
 //!   physical operators ([`PlanOp`]), each backed by one `cq-engine`
-//!   algorithm and annotated with its cost estimate and the paper's
-//!   lower-bound story ([`LowerBound`]).
-//! * [`planner`] — [`Planner`]: consumes structural facts
-//!   ([`facts::ShapeFacts`], the executable form of the classification
-//!   theorems) plus data statistics ([`cq_data::DataStats`]) and emits
-//!   the dichotomy-optimal plan per task.
+//!   algorithm and annotated with its cost estimate and the dichotomy's
+//!   [`Verdict`] for the query and task.
+//! * [`planner`] — [`Planner`]: maps the verdict to the operator
+//!   implementing its side, and adds what the data statistics
+//!   ([`cq_data::DataStats`]) decide — variable order, cost, the
+//!   trivial-empty short-circuit.
 //! * [`cache`] — the plan cache, keyed by the canonical hypergraph
 //!   shape ([`cq_core::canonical`]): repeated and isomorphic queries
-//!   skip classification entirely.
+//!   skip the structure pass (the witness search above all).
 //! * [`mod@execute`] — the executor dispatching plans to `cq-engine`.
 //! * [`explain`] — EXPLAIN rendering with theorem citations and the
 //!   hypothesis ruling out anything faster.
@@ -53,12 +53,11 @@ pub mod ctx;
 pub mod eval;
 pub mod execute;
 pub mod explain;
-pub mod facts;
 pub mod ir;
 pub mod planner;
 
 pub use cache::{CacheStats, PlanCache};
 pub use ctx::{EvalBudget, EvalCtx};
 pub use execute::{build_lex_access, execute, Output};
-pub use ir::{CostEstimate, LowerBound, PlanOp, QueryPlan, Task};
+pub use ir::{CostEstimate, PlanOp, QueryPlan, Task, Verdict};
 pub use planner::Planner;

@@ -1,21 +1,20 @@
-//! The cost-aware, dichotomy-driven planner.
+//! The cost-aware planner: a verdict mapped to an operator.
 //!
 //! [`Planner::plan`] turns (query, task, statistics) into a
-//! [`QueryPlan`]: the structural side (which algorithm family is
-//! dichotomy-optimal, and which hypothesis rules out anything faster)
-//! comes from the cached [`ShapeFacts`]; the physical side (generic-join
-//! variable order, trivial-empty short-circuits, cost estimates) comes
-//! from the per-database [`DataStats`]. Planning is deterministic: the
-//! same query, task, and statistics always produce the same plan,
-//! whether or not the shape came from the cache — the property the
-//! cache consistency tests pin down.
+//! [`QueryPlan`]. Which side of the dichotomy the pair is on — and which
+//! hypothesis rules out anything faster — is `cq_core::classify`'s
+//! [`verdict`] over the cached [`Structure`]; the planner adds what only
+//! it knows: the operator implementing that side, and the physical side
+//! (generic-join variable order, trivial-empty short-circuits, cost
+//! estimates) from the per-database [`DataStats`]. Planning is
+//! deterministic: the same query, task, and statistics always produce
+//! the same plan, whether or not the structure came from the cache —
+//! the property the cache consistency tests pin down.
 
 use crate::cache::PlanCache;
-use crate::facts::ShapeFacts;
-use crate::ir::{CostEstimate, LowerBound, PlanOp, QueryPlan, Task};
-use cq_core::brault_baron::WitnessKind;
-use cq_core::classify::{classify_direct_access_lex, Verdict};
-use cq_core::{ConjunctiveQuery, Hypothesis, Var};
+use crate::ir::{CostEstimate, PlanOp, QueryPlan, Task, Verdict};
+use cq_core::classify::{classify_direct_access_lex, verdict, Structure};
+use cq_core::{ConjunctiveQuery, Var};
 use cq_data::DataStats;
 
 /// The planning subsystem: a [`PlanCache`] plus the choice logic.
@@ -35,11 +34,6 @@ impl Planner {
         &self.cache
     }
 
-    /// Drop all cached shapes.
-    pub fn clear_cache(&mut self) {
-        self.cache.clear();
-    }
-
     /// Plan `task` for `q` against a database summarized by `stats`,
     /// using (and feeding) the plan cache.
     pub fn plan(
@@ -48,8 +42,8 @@ impl Planner {
         task: Task,
         stats: &DataStats,
     ) -> QueryPlan {
-        let (facts, cache_hit) = self.cache.facts_for(q);
-        let mut plan = choose(q, task, &facts, stats);
+        let (structure, cache_hit) = self.cache.structure_for(q);
+        let mut plan = choose(q, task, &structure, stats);
         plan.cache_hit = cache_hit;
         plan
     }
@@ -61,7 +55,7 @@ impl Planner {
         task: Task,
         stats: &DataStats,
     ) -> QueryPlan {
-        choose(q, task, &ShapeFacts::of(q), stats)
+        choose(q, task, &Structure::of(q), stats)
     }
 
     /// Plan lexicographic direct access under `order` (Thm 3.24). These
@@ -72,57 +66,31 @@ impl Planner {
         stats: &DataStats,
     ) -> QueryPlan {
         let m = stats.m();
-        let facts = ShapeFacts::of(q);
-        let verdict = classify_direct_access_lex(q, order);
-        let (op, algorithm_reference, cost) = match &verdict {
-            Verdict::Easy { .. } => (
+        let structure = Structure::of(q);
+        let lower_bound = classify_direct_access_lex(q, &structure, order);
+        let (op, algorithm_reference, cost) = if lower_bound.is_easy() {
+            (
                 PlanOp::LexDirectAccess { order: order.to_vec() },
                 "Thm 3.24 [27]",
                 CostEstimate { m, exponent: 1.0 },
-            ),
-            _ => (
-                // hard or out-of-scope orders: materialize + sort
+            )
+        } else {
+            // hard or out-of-scope orders: materialize + sort
+            (
                 PlanOp::MaterializedDirectAccess { order: order.to_vec() },
                 "materialization baseline (Lemma 3.9)",
-                CostEstimate { m, exponent: facts.agm_exponent.unwrap_or(2.0) },
-            ),
+                CostEstimate { m, exponent: structure.agm_exponent.unwrap_or(2.0) },
+            )
         };
         QueryPlan {
             task: Task::Access,
             op,
             algorithm_reference,
             cost,
-            lower_bound: lower_bound_from_verdict(&verdict),
+            lower_bound,
             query: q.to_string(),
             cache_hit: false,
         }
-    }
-}
-
-/// Translate a `cq_core` verdict into a plan lower bound (used for the
-/// order-dependent direct-access tasks that keep their classification in
-/// `cq_core::classify`).
-fn lower_bound_from_verdict(v: &Verdict) -> LowerBound {
-    match v {
-        Verdict::Easy { reference, .. } => LowerBound::Linear { reference },
-        Verdict::Hard { hypotheses, exponent, witness, reference } => {
-            LowerBound::Conditional {
-                hypotheses: hypotheses.clone(),
-                exponent: *exponent,
-                witness: witness.clone(),
-                reference,
-            }
-        }
-        Verdict::Open { note } => LowerBound::Open { note: note.clone() },
-    }
-}
-
-/// Hypotheses refuted by a faster algorithm on a cyclic query, by
-/// witness kind (Thm 3.7's case split).
-fn cyclic_hypotheses(kind: WitnessKind) -> Vec<Hypothesis> {
-    match kind {
-        WitnessKind::Cycle => vec![Hypothesis::Triangle],
-        WitnessKind::NearUniformHyperclique => vec![Hypothesis::Hyperclique],
     }
 }
 
@@ -183,303 +151,90 @@ fn trivially_empty(q: &ConjunctiveQuery, stats: &DataStats) -> bool {
     })
 }
 
-/// The dichotomy + cost choice. Deterministic in its arguments.
+/// The verdict-to-operator table, plus the data-driven choices.
+/// Deterministic in its arguments.
 fn choose(
     q: &ConjunctiveQuery,
     task: Task,
-    facts: &ShapeFacts,
+    structure: &Structure,
     stats: &DataStats,
 ) -> QueryPlan {
     let m = stats.m();
-    let linear = CostEstimate { m, exponent: 1.0 };
-    let agm = CostEstimate {
-        m,
-        exponent: facts.agm_exponent.unwrap_or(q.atoms().len() as f64),
+    let plan = |op, algorithm_reference, exponent, lower_bound| QueryPlan {
+        task,
+        op,
+        algorithm_reference,
+        cost: CostEstimate { m, exponent },
+        lower_bound,
+        query: q.to_string(),
+        cache_hit: false,
     };
 
     // Data-driven short-circuit: an empty body relation empties q(D).
     if trivially_empty(q, stats) {
-        return QueryPlan {
-            task,
-            op: PlanOp::TrivialEmpty,
-            algorithm_reference: "empty body relation",
-            cost: CostEstimate { m, exponent: 0.0 },
-            lower_bound: LowerBound::Linear { reference: "O(1): some relation is empty" },
-            query: q.to_string(),
-            cache_hit: false,
+        let op = PlanOp::TrivialEmpty;
+        let lower_bound = Verdict::Easy {
+            algorithm: op.name(),
+            reference: "O(1): some relation is empty",
         };
+        return plan(op, "empty body relation", 0.0, lower_bound);
     }
 
-    let witness = |kind: WitnessKind, mask: u64| ShapeFacts::witness_text(q, kind, mask);
-
-    let (op, algorithm_reference, cost, lower_bound) = match task {
-        // ---- Boolean decision (Thm 3.1 / Thm 3.7) ----
-        Task::Decide => {
-            if facts.acyclic {
-                (
-                    PlanOp::SemijoinSweep,
-                    "Thm 3.1 (Yannakakis)",
-                    linear,
-                    LowerBound::Linear { reference: "Thm 3.1" },
-                )
-            } else {
-                let (kind, mask) = facts.bb_witness.expect("cyclic ⇒ witness (Thm 3.6)");
-                let lb = if facts.self_join_free {
-                    LowerBound::Conditional {
-                        hypotheses: cyclic_hypotheses(kind),
-                        exponent: None,
-                        witness: witness(kind, mask),
-                        reference: "Thm 3.7",
-                    }
-                } else {
-                    LowerBound::Open {
-                        note: format!(
-                            "cyclic with self-joins; Thm 3.7 needs \
-                             self-join-freeness (cf. [14, 26]); contains {}",
-                            witness(kind, mask)
-                        ),
-                    }
-                };
-                (
-                    PlanOp::GenericJoin { order: variable_order(q, stats) },
-                    "§2.1 / Ex 3.4 (AGM-optimal generic join, early stop)",
-                    agm,
-                    lb,
-                )
+    let lower_bound = verdict(q, structure, task);
+    let agm = structure.agm_exponent.unwrap_or(q.atoms().len() as f64);
+    let order = || variable_order(q, stats);
+    // the easy side runs the theorem's algorithm, the other side the
+    // generic-join baseline for the task the query comes down to
+    let (op, algorithm_reference, exponent) =
+        match (structure.effective_task(task), lower_bound.is_easy()) {
+            (Task::Decide, true) => (PlanOp::SemijoinSweep, "Thm 3.1 (Yannakakis)", 1.0),
+            (Task::Decide, false) => (
+                PlanOp::GenericJoin { order: order() },
+                "§2.1 / Ex 3.4 (AGM-optimal generic join, early stop)",
+                agm,
+            ),
+            (Task::Count, true) if structure.join_query => {
+                (PlanOp::CountingDp, "Thm 3.8 (counting DP over join tree)", 1.0)
             }
-        }
-
-        // ---- Counting (Thm 3.8 / 3.12 / 3.13 / 4.6) ----
-        Task::Count => {
-            if facts.boolean {
-                // counting a Boolean query is deciding it
-                return decide_as_count(choose(q, Task::Decide, facts, stats));
-            }
-            if facts.join_query && facts.acyclic {
-                (
-                    PlanOp::CountingDp,
-                    "Thm 3.8 (counting DP over join tree)",
-                    linear,
-                    LowerBound::Linear { reference: "Thm 3.8" },
-                )
-            } else if facts.free_connex {
-                (
-                    PlanOp::ProjectionEliminationDp,
-                    "Thm 3.13 (projection elimination + counting DP)",
-                    linear,
-                    LowerBound::Linear { reference: "Thm 3.13" },
-                )
-            } else {
-                let lb = counting_lower_bound(facts, &witness);
-                (
-                    PlanOp::CountDistinctProject { order: variable_order(q, stats) },
-                    "Lemma 3.9 / Cor 3.11 (materialization baseline)",
-                    CostEstimate {
-                        m,
-                        exponent: agm.exponent.max(facts.star_size.max(1) as f64),
-                    },
-                    lb,
-                )
-            }
-        }
-
-        // ---- Answer production (Thm 3.17 / 3.14 / 3.16 / 4.5) ----
-        Task::Answers => {
-            if facts.boolean && !facts.acyclic {
-                // a cyclic Boolean query has no output columns: run the
-                // early-stopping decision join instead of materializing
-                let decide_plan = choose(q, Task::Decide, facts, stats);
-                return QueryPlan { task: Task::Answers, ..decide_plan };
-            }
-            if facts.free_connex {
-                (
-                    PlanOp::ConstantDelayEnumeration,
-                    "Thm 3.17 [BDG07] (constant delay after linear preprocessing)",
-                    linear,
-                    LowerBound::Linear { reference: "Thm 3.17" },
-                )
-            } else {
-                let lb = enumeration_lower_bound(facts, &witness);
-                (
-                    PlanOp::MaterializeProject { order: variable_order(q, stats) },
-                    "materialization baseline (generic join + projection)",
-                    agm,
-                    lb,
-                )
-            }
-        }
-
-        // ---- Direct access in a query-chosen order (Thm 3.18) ----
-        Task::Access => {
-            if facts.free_connex {
-                (
-                    PlanOp::FreeConnexDirectAccess,
-                    "Thm 3.18 [19, 27] (linear preprocessing, log access)",
-                    linear,
-                    LowerBound::Linear { reference: "Thm 3.18" },
-                )
-            } else {
-                let lb = access_lower_bound(facts, &witness);
-                (
-                    PlanOp::MaterializedDirectAccess { order: variable_order(q, stats) },
-                    "materialization baseline (Lemma 3.9)",
-                    agm,
-                    lb,
-                )
-            }
-        }
-    };
-
-    QueryPlan {
-        task,
-        op,
-        algorithm_reference,
-        cost,
-        lower_bound,
-        query: q.to_string(),
-        cache_hit: false,
-    }
-}
-
-/// Rebrand a decision plan as the counting plan for a Boolean query
-/// (`|q(D)| ∈ {0, 1}` is exactly the decision problem).
-fn decide_as_count(decide_plan: QueryPlan) -> QueryPlan {
-    QueryPlan { task: Task::Count, ..decide_plan }
-}
-
-/// Counting lower bound on the hard side (Thm 3.12 / 3.13 / 4.6).
-fn counting_lower_bound(
-    facts: &ShapeFacts,
-    witness: &dyn Fn(WitnessKind, u64) -> String,
-) -> LowerBound {
-    if facts.acyclic {
-        // acyclic but not free-connex
-        let star = facts.star_size;
-        if facts.self_join_free {
-            LowerBound::Conditional {
-                hypotheses: vec![Hypothesis::Seth],
-                exponent: Some(star.max(2) as f64),
-                witness: format!(
-                    "embeds q*_{} (quantified star size {star})",
-                    star.max(2)
-                ),
-                reference: "Thm 3.12 / Thm 4.6",
-            }
-        } else {
-            LowerBound::Open {
-                note: format!(
-                    "acyclic, not free-connex, with self-joins; Thm 3.12 is \
-                     stated self-join-free (but cf. Cor 3.11 for q*_k); \
-                     quantified star size {star}"
-                ),
-            }
-        }
-    } else {
-        let (kind, mask) = facts.bb_witness.expect("cyclic ⇒ witness");
-        if facts.join_query {
-            // Thm 3.8's hard side holds even with self-joins, via
-            // interpolation [35].
-            LowerBound::Conditional {
-                hypotheses: cyclic_hypotheses(kind),
-                exponent: None,
-                witness: witness(kind, mask),
-                reference: "Thm 3.8 (self-joins via interpolation [35])",
-            }
-        } else if facts.self_join_free {
-            LowerBound::Conditional {
-                hypotheses: cyclic_hypotheses(kind),
-                exponent: None,
-                witness: witness(kind, mask),
-                reference: "Thm 3.13 (via Boolean decision, Thm 3.7)",
-            }
-        } else {
-            LowerBound::Open {
-                note: "cyclic with self-joins; counting hardness via \
-                       interpolation applies to join queries only here"
-                    .to_string(),
-            }
-        }
-    }
-}
-
-/// Enumeration lower bound on the hard side (Thm 3.14 / 3.16 / 4.5).
-fn enumeration_lower_bound(
-    facts: &ShapeFacts,
-    witness: &dyn Fn(WitnessKind, u64) -> String,
-) -> LowerBound {
-    if facts.acyclic {
-        if facts.self_join_free {
-            LowerBound::Conditional {
-                hypotheses: vec![Hypothesis::SparseBmm],
-                exponent: None,
-                witness: "embeds q̄*_2; enumeration would do sparse Boolean MM"
-                    .to_string(),
-                reference: "Thm 3.16",
-            }
-        } else {
-            LowerBound::Open {
-                note: "acyclic, not free-connex, with self-joins; enumeration \
-                       with self-joins is subtle [26]"
-                    .to_string(),
-            }
-        }
-    } else {
-        let (kind, mask) = facts.bb_witness.expect("cyclic ⇒ witness");
-        if facts.self_join_free {
-            let mut hyps = cyclic_hypotheses(kind);
-            if facts.join_query {
-                hyps.push(Hypothesis::ZeroKClique);
-            }
-            LowerBound::Conditional {
-                hypotheses: hyps,
-                exponent: None,
-                witness: witness(kind, mask),
-                reference: "Thm 3.14 / Thm 4.5",
-            }
-        } else {
-            LowerBound::Open {
-                note: "cyclic with self-joins: constant-delay enumeration can \
-                       exist (see [14, 26])"
-                    .to_string(),
-            }
-        }
-    }
-}
-
-/// Query-chosen-order direct-access lower bound (Thm 3.18).
-fn access_lower_bound(
-    facts: &ShapeFacts,
-    witness: &dyn Fn(WitnessKind, u64) -> String,
-) -> LowerBound {
-    if !facts.self_join_free {
-        return LowerBound::Open {
-            note: "not free-connex, with self-joins; Thm 3.18 is stated \
-                   self-join-free"
-                .to_string(),
+            (Task::Count, true) => (
+                PlanOp::ProjectionEliminationDp,
+                "Thm 3.13 (projection elimination + counting DP)",
+                1.0,
+            ),
+            (Task::Count, false) => (
+                PlanOp::CountDistinctProject { order: order() },
+                "Lemma 3.9 / Cor 3.11 (materialization baseline)",
+                agm.max(structure.star_size.max(1) as f64),
+            ),
+            (Task::Answers, true) => (
+                PlanOp::ConstantDelayEnumeration,
+                "Thm 3.17 [BDG07] (constant delay after linear preprocessing)",
+                1.0,
+            ),
+            (Task::Answers, false) => (
+                PlanOp::MaterializeProject { order: order() },
+                "materialization baseline (generic join + projection)",
+                agm,
+            ),
+            (Task::Access, true) => (
+                PlanOp::FreeConnexDirectAccess,
+                "Thm 3.18 [19, 27] (linear preprocessing, log access)",
+                1.0,
+            ),
+            (Task::Access, false) => (
+                PlanOp::MaterializedDirectAccess { order: order() },
+                "materialization baseline (Lemma 3.9)",
+                agm,
+            ),
         };
-    }
-    if facts.acyclic {
-        LowerBound::Conditional {
-            hypotheses: vec![Hypothesis::SparseBmm],
-            exponent: None,
-            witness: "direct access would enumerate q̄*_2".to_string(),
-            reference: "Thm 3.18",
-        }
-    } else {
-        let (kind, mask) = facts.bb_witness.expect("cyclic ⇒ witness");
-        LowerBound::Conditional {
-            hypotheses: cyclic_hypotheses(kind),
-            exponent: None,
-            witness: witness(kind, mask),
-            reference: "Thm 3.18",
-        }
-    }
+    plan(op, algorithm_reference, exponent, lower_bound)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use cq_core::query::zoo;
+    use cq_core::Hypothesis;
     use cq_data::generate::{path_database, random_pairs, seeded_rng, triangle_database};
     use cq_data::{Database, Relation};
 
@@ -493,7 +248,7 @@ mod tests {
         let plan =
             Planner::new().plan(&zoo::path_boolean(3), Task::Decide, &stats_for(&db));
         assert_eq!(plan.op, PlanOp::SemijoinSweep);
-        assert!(matches!(plan.lower_bound, LowerBound::Linear { .. }));
+        assert!(matches!(plan.lower_bound, Verdict::Easy { .. }));
     }
 
     #[test]
@@ -504,7 +259,7 @@ mod tests {
         assert!(matches!(plan.op, PlanOp::GenericJoin { .. }));
         assert!((plan.cost.exponent - 1.5).abs() < 1e-9, "triangle AGM is 3/2");
         match &plan.lower_bound {
-            LowerBound::Conditional { hypotheses, .. } => {
+            Verdict::Hard { hypotheses, .. } => {
                 assert_eq!(hypotheses, &vec![Hypothesis::Triangle])
             }
             other => panic!("expected conditional bound, got {other:?}"),
@@ -520,7 +275,7 @@ mod tests {
             &stats_for(&db),
         );
         match &plan.lower_bound {
-            LowerBound::Conditional { hypotheses, .. } => {
+            Verdict::Hard { hypotheses, .. } => {
                 assert_eq!(hypotheses, &vec![Hypothesis::Hyperclique])
             }
             other => panic!("{other:?}"),
@@ -542,7 +297,7 @@ mod tests {
         let plan = p.plan(&star, Task::Count, &stats);
         assert!(matches!(plan.op, PlanOp::CountDistinctProject { .. }));
         match plan.lower_bound {
-            LowerBound::Conditional { ref hypotheses, exponent, .. } => {
+            Verdict::Hard { ref hypotheses, exponent, .. } => {
                 assert_eq!(hypotheses, &vec![Hypothesis::Seth]);
                 assert_eq!(exponent, Some(2.0));
             }
@@ -568,7 +323,7 @@ mod tests {
         let plan = p.plan(&zoo::matmul_projection(), Task::Answers, &stats_for(&db));
         assert!(matches!(plan.op, PlanOp::MaterializeProject { .. }));
         match plan.lower_bound {
-            LowerBound::Conditional { ref hypotheses, .. } => {
+            Verdict::Hard { ref hypotheses, .. } => {
                 assert_eq!(hypotheses, &vec![Hypothesis::SparseBmm])
             }
             ref other => panic!("{other:?}"),
@@ -720,7 +475,7 @@ mod tests {
         let bad = Planner::plan_lex_access(&q, &[x1, x2, z], &stats);
         assert!(matches!(bad.op, PlanOp::MaterializedDirectAccess { .. }));
         match bad.lower_bound {
-            LowerBound::Conditional { ref hypotheses, .. } => {
+            Verdict::Hard { ref hypotheses, .. } => {
                 assert!(hypotheses.contains(&Hypothesis::Triangle))
             }
             ref other => panic!("{other:?}"),

@@ -46,8 +46,9 @@ pub fn build(q: &ConjunctiveQuery, g: &Graph) -> Result<Database, ReductionError
         return Err(ReductionError::NotSelfJoinFree);
     }
     let h = q.hypergraph();
-    let witness =
-        cq_core::brault_baron::find_witness(&h).ok_or(ReductionError::NotCyclicBinary)?;
+    let witness = cq_core::brault_baron::find_witness(&h)
+        .witness
+        .ok_or(ReductionError::NotCyclicBinary)?;
     if witness.kind != cq_core::brault_baron::WitnessKind::Cycle {
         // arity-2 cyclic queries always contain an induced cycle
         return Err(ReductionError::NotCyclicBinary);

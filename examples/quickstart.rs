@@ -61,6 +61,6 @@ fn main() {
         ["x1", "x2", "z"].iter().map(|n| common.var_by_name(n).unwrap()).collect();
     println!(
         "\n  q̂*_2 with order (x1, x2, z): {}",
-        classify_direct_access_lex(&common, &bad_order)
+        classify_direct_access_lex(&common, &Structure::of(&common), &bad_order)
     );
 }

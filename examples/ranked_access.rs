@@ -26,7 +26,8 @@ fn main() {
     db.insert("Stock", stock);
 
     let q = parse_query("avail(p, c, w) :- Product(p, c), Stock(c, w)").unwrap();
-    println!("{}", classify(&q));
+    let profile = classify(&q);
+    println!("{profile}");
 
     // ------------------------------------------------------------------
     // Lexicographic direct access: jump straight to any rank.
@@ -72,7 +73,7 @@ fn main() {
         Err(e) => println!("\norder (p ≺ w ≺ c) rejected: {e}"),
         Ok(_) => unreachable!(),
     }
-    println!("  -> {}", classify_direct_access_lex(&q, &bad));
+    println!("  -> {}", classify_direct_access_lex(&q, &profile.structure, &bad));
     let bad_plan = Planner::plan_lex_access(&q, &bad, &stats);
     println!("  planner fallback: {}", bad_plan.op.name());
 

@@ -24,7 +24,7 @@
 //!
 //! // classify it: which tasks are linear-time, which are conditionally hard?
 //! let profile = classify(&q);
-//! assert!(profile.acyclic && !profile.free_connex);
+//! assert!(profile.structure.acyclic && !profile.structure.free_connex);
 //! assert!(profile.decision.is_easy());   // Yannakakis, Thm 3.1
 //! assert!(profile.counting.is_hard());   // SETH, Thm 3.12
 //!
@@ -272,7 +272,7 @@ pub use cq_storage as storage;
 pub mod prelude {
     pub use cq_core::classify::{
         classify, classify_direct_access_lex, classify_direct_access_sum, Profile,
-        Verdict,
+        Structure, Verdict,
     };
     pub use cq_core::query::zoo;
     pub use cq_core::{parse_query, ConjunctiveQuery, Hypothesis, QueryBuilder, Var};
@@ -281,7 +281,7 @@ pub mod prelude {
         DirectAccess, LexDirectAccess, MaterializedDirectAccess,
     };
     pub use cq_engine::{Enumerator, EvalError, ExecCtx, SumOrderAccess};
-    pub use cq_planner::{eval, LowerBound, PlanOp, Planner, QueryPlan, Task};
+    pub use cq_planner::{eval, PlanOp, Planner, QueryPlan, Task};
 }
 
 #[cfg(test)]
@@ -292,7 +292,7 @@ mod tests {
     fn doc_example_compiles_and_runs() {
         let q = parse_query("q(x, z) :- R(x, y), S(y, z)").unwrap();
         let profile = classify(&q);
-        assert!(profile.acyclic && !profile.free_connex);
+        assert!(profile.structure.acyclic && !profile.structure.free_connex);
         let mut db = Database::new();
         db.insert("R", Relation::from_pairs(vec![(1, 10), (2, 10)]));
         db.insert("S", Relation::from_pairs(vec![(10, 7)]));
@@ -301,7 +301,7 @@ mod tests {
         // this query is acyclic but not free-connex: the planner must
         // take the materialization baseline and cite SETH
         assert!(matches!(plan.op, PlanOp::CountDistinctProject { .. }));
-        assert!(matches!(plan.lower_bound, LowerBound::Conditional { .. }));
+        assert!(matches!(plan.lower_bound, Verdict::Hard { .. }));
         // batch evaluation: one shared catalog, results in input order
         let batch = vec![q.clone(), q.clone()];
         let results = eval::batch(&batch, &db);

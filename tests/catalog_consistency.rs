@@ -436,15 +436,18 @@ fn diverging_clones_share_one_catalog_safely() {
     assert_ne!(brute_force_answers(&q, &a).unwrap(), common);
 }
 
-/// The same staleness argument for the facade's process-global registry:
-/// mutations re-stamp the database, so facade calls can never see a
-/// previous state's indexes.
+/// The same staleness argument for the facade's one process-wide
+/// catalog: entries validate against per-relation versions, so facade
+/// calls can never see a previous state's indexes — and a write keeps
+/// warm what it did not touch. (No other test of this binary uses the
+/// process-wide catalog, so its counters are this test's own.)
 #[test]
 fn facade_registry_interleaving() {
     let q = zoo::path_join(2);
     let mut db = Database::new();
     db.insert("R1", random_rel(2, 8, 1));
     db.insert("R2", random_rel(2, 8, 2));
+    db.insert("Log", random_rel(2, 8, 3));
     for round in 0..20u64 {
         let (got, _) = eval::answers(&q, &db).unwrap();
         assert_eq!(got, brute_force_answers(&q, &db).unwrap(), "round {round}");
@@ -455,4 +458,13 @@ fn facade_registry_interleaving() {
             db.insert("R2", random_rel(2, 3 + round as usize % 7, 200 + round));
         }
     }
+    // a write to a relation the query does not read moves the database's
+    // generation and nothing the query's evaluation was built from
+    let (want, _) = eval::count(&q, &db).unwrap();
+    let built = eval::catalog().snapshot().misses;
+    db.get_mut("Log").unwrap().insert_row(&[1, 1]);
+    let (got, _) = eval::count(&q, &db).unwrap();
+    assert_eq!(got, want);
+    let rebuilt = eval::catalog().snapshot().misses - built;
+    assert_eq!(rebuilt, 1, "only the statistics (of `Log`) are collected again");
 }

@@ -399,6 +399,65 @@ fn every_entry_point_agrees_cold_warm_and_with_brute_force() {
     }
 }
 
+/// `q` under other variable names, interned in reverse — an isomorphic
+/// query whose every variable index (and witness mask) differs.
+fn renamed(q: &ConjunctiveQuery) -> ConjunctiveQuery {
+    let mut b = QueryBuilder::new("renamed");
+    let n = q.n_vars();
+    let fresh: Vec<Var> = (0..n).rev().map(|i| b.var(&format!("w{i}"))).collect();
+    let to = |vars: &[Var]| -> Vec<Var> {
+        vars.iter().map(|v| fresh[n - 1 - v.index()]).collect()
+    };
+    for atom in q.atoms() {
+        b.atom(&atom.relation, &to(&atom.vars));
+    }
+    b.free(&to(&q.free_vars()));
+    b.build().unwrap()
+}
+
+/// One verdict per (query, task): what a plan cites is the classifier's
+/// field for that task — from a cold cache, from a warm one and without
+/// one — and an isomorphic query under other names is served from the
+/// same cache entry with the verdict rendered in *its* names.
+#[test]
+fn plans_cite_the_classifiers_verdict() {
+    let mut queries = suite();
+    queries.extend([
+        zoo::path_boolean(3),
+        zoo::cycle_boolean(4),
+        zoo::cycle_boolean(5),
+        zoo::loomis_whitney_boolean(3),
+        zoo::loomis_whitney_boolean(4),
+        zoo::clique_join(3),
+        zoo::clique_join(3).boolean_version(),
+    ]);
+    let stats = DataStats::collect(&Database::new());
+    for q in &queries {
+        let mut planner = Planner::new();
+        for (q, seeded) in [(q.clone(), false), (renamed(q), true)] {
+            let profile = classify(&q);
+            let fields = [
+                (Task::Decide, &profile.decision),
+                (Task::Count, &profile.counting),
+                (Task::Answers, &profile.enumeration),
+                (Task::Access, &profile.direct_access_unordered),
+            ];
+            for (i, (task, want)) in fields.into_iter().enumerate() {
+                let first = planner.plan(&q, task, &stats);
+                assert_eq!(first.cache_hit, seeded || i > 0, "{task} of {q}");
+                assert_eq!(&first.lower_bound, want, "{task} of {q}");
+                let second = planner.plan(&q, task, &stats);
+                assert!(
+                    second.cache_hit && first.same_decision(&second),
+                    "{task} of {q}"
+                );
+                let uncached = Planner::plan_uncached(&q, task, &stats);
+                assert!(first.same_decision(&uncached), "{task} of {q}");
+            }
+        }
+    }
+}
+
 #[test]
 fn direct_access_agrees_on_all_trio_free_orders() {
     // exhaustively: for small join queries, every trio-free order the

@@ -127,6 +127,51 @@ fn zoo_cached_plans_execute_identically() {
     }
 }
 
+/// Planning is bounded in work up to the 64-variable limit: the widest
+/// shapes the parser admits — the witness search's worst cases among
+/// them — are planned on every entry point, with the verdict `classify`
+/// gives them.
+#[test]
+fn widest_queries_are_planned_on_every_entry_point() {
+    let ring = |k: usize| -> String {
+        let atoms: Vec<String> =
+            (0..k).map(|i| format!("E{i}(x{i}, x{})", (i + 1) % k)).collect();
+        atoms.join(", ")
+    };
+    let chain: Vec<String> = (0..63).map(|i| format!("P{i}(x{i}, x{})", i + 1)).collect();
+    let head: Vec<String> = (0..64).map(|i| format!("x{i}")).collect();
+    let queries = [
+        zoo::cycle_boolean(64),
+        zoo::cycle_join(26),
+        zoo::loomis_whitney_boolean(6),
+        parse_query(&format!("q({}) :- {}", head.join(", "), chain.join(", "))).unwrap(),
+        // a long cycle behind a ternary atom: the witness search is cut
+        parse_query(&format!("q(a) :- T(a, b, c), {}", ring(61))).unwrap(),
+    ];
+    let stats = DataStats::collect(&Database::new());
+    let mut planner = Planner::new();
+    for q in &queries {
+        let profile = classify(q);
+        let fields = [
+            (Task::Decide, &profile.decision),
+            (Task::Count, &profile.counting),
+            (Task::Answers, &profile.enumeration),
+            (Task::Access, &profile.direct_access_unordered),
+        ];
+        for (task, want) in fields {
+            assert_eq!(&planner.plan(q, task, &stats).lower_bound, want, "{task} of {q}");
+            let uncached = Planner::plan_uncached(q, task, &stats);
+            assert_eq!(&uncached.lower_bound, want, "{task} of {q}");
+        }
+        // join queries only (Thm 3.24): the chain's own order has no
+        // disruptive trio, the cycle is hard under any order
+        let order: Vec<Var> = q.vars().collect();
+        let lex = Planner::plan_lex_access(q, &order, &stats);
+        let s = &profile.structure;
+        assert_eq!(lex.lower_bound.is_easy(), s.join_query && s.acyclic, "{q}");
+    }
+}
+
 #[test]
 fn explain_triangle_acceptance() {
     // Acceptance criterion: EXPLAIN for the triangle query names generic

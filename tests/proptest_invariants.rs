@@ -78,7 +78,7 @@ proptest! {
     #[test]
     fn acyclic_iff_no_brault_baron_witness(h in hypergraph_strategy()) {
         let acyclic = h.is_acyclic();
-        let witness = cq_core::brault_baron::find_witness(&h);
+        let witness = cq_core::brault_baron::find_witness(&h).witness;
         prop_assert_eq!(acyclic, witness.is_none());
     }
 

@@ -90,6 +90,33 @@ proptest! {
     }
 }
 
+/// A long chordless cycle is a few hundred bytes on the wire and the
+/// worst case of the planner's witness search: it must be planned (the
+/// search is bounded in work, whatever the variable count), answered
+/// with a structured reply, and leave the session serving.
+#[test]
+fn long_cycle_queries_are_planned_and_answered() {
+    let mut session = Session::new(Arc::new(ServerState::new()));
+    let mut send = |line: String| session.handle_line(&line).expect("a reply");
+    assert!(send("CREATE DB rings".to_string()).is_ok());
+    assert!(send("USE rings".to_string()).is_ok());
+    for k in [26usize, 64] {
+        for i in 0..k {
+            assert!(send(format!("INSERT E{k}_{i}({i}, {})", (i + 1) % k)).is_ok());
+        }
+        let atoms: Vec<String> =
+            (0..k).map(|i| format!("E{k}_{i}(x{i}, x{})", (i + 1) % k)).collect();
+        let query = format!("q() :- {}", atoms.join(", "));
+        assert_eq!(send(format!("DECIDE {query}")).terminal, "OK true", "C{k}");
+        let explain = send(format!("EXPLAIN DECIDE {query}"));
+        assert!(explain.is_ok(), "C{k}: {}", explain.terminal);
+        let text = explain.data.join("\n");
+        assert!(text.contains("Triangle Hypothesis"), "C{k}: {text}");
+        assert!(text.contains(&format!("x{}}}", k - 1)), "C{k} names its cycle: {text}");
+        assert_eq!(send("PING".to_string()).terminal, "OK pong");
+    }
+}
+
 /// The same property over a real socket: garbage command lines each
 /// draw exactly one reply and never kill the connection.
 #[test]

@@ -21,7 +21,9 @@
 # and the per-request hash-map messages they replaced stay deleted. And one
 # statement of the dichotomy: `cq_core::classify::verdict` attaches
 # hypotheses and renders witnesses, the planner maps its verdict to an
-# operator, and the facade's catalog is one value, not a registry.
+# operator, and the facade's catalog is one value, not a registry. And one
+# word-parallel layout: the bitmaps of a view's last level, in `index.rs`,
+# intersected by portable safe Rust.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -94,6 +96,17 @@ forbid "boxed-key hash maps in the folds (messages are vectors indexed by group 
     for f in crates/engine/src/count.rs crates/engine/src/yannakakis.rs; do
         non_test "$f"
     done | grep -F 'FxHashMap<Box<[Val]>'
+)"
+
+# a trie node's children are a slice and, where dense, a bitmap beside it
+# in the same view; the word is `u64`, not a vector register
+forbid "unsafe / std::arch / target_feature in the index and the join kernel (u64::count_ones is the word-parallelism):" "$(
+    grep -nE 'unsafe|std::arch|target_feature' \
+        crates/engine/src/generic_join.rs crates/data/src/index.rs
+)"
+forbid "a second public set/bitmap type in cq-data (index.rs has LeafBitmaps; cq_matrix::BitMatrix is the matrix crate's own):" "$(
+    grep -rnE 'pub (struct|enum|type) \w*[Bb]it\w*' crates/data/src \
+        | grep -v '^crates/data/src/index.rs:'
 )"
 
 # the allocating wrappers are for oracles and tests; the server's answer

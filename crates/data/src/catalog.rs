@@ -131,6 +131,9 @@ pub struct CatalogStats {
     pub views: usize,
     /// Currently memoized artifacts.
     pub artifacts: usize,
+    /// Heap bytes of every memoized [`SortedView`]
+    /// ([`SortedView::heap_bytes`]: rows, trie levels, bitmaps).
+    pub view_bytes: usize,
 }
 
 /// The lock-protected memo state. All methods assume the caller holds
@@ -400,7 +403,10 @@ impl IndexCatalog {
     /// Current counters and memo sizes.
     pub fn snapshot(&self) -> CatalogStats {
         let m = self.lock();
+        let views =
+            m.entries.values().filter_map(|e| e.value.downcast_ref::<SortedView>());
         CatalogStats {
+            view_bytes: views.map(SortedView::heap_bytes).sum(),
             hits: m.hits,
             misses: m.misses,
             invalidations: m.invalidations,
@@ -443,6 +449,13 @@ mod tests {
         assert_eq!(d.len(), 1);
         let snap = cat.snapshot();
         assert_eq!((snap.invalidations, snap.views), (1, 2));
+        // the views' bytes: `c`'s 3 rows and the rebuilt `d`'s 1, then
+        // `c`'s trie once a level is asked for — two levels, and the
+        // one word of 2's children {10, 20}
+        assert_eq!(snap.view_bytes, 48 + 16);
+        c.level(0);
+        let trie = 8 * (2 + 3) + 4 * 3 + (8 + 4 * 3);
+        assert_eq!(cat.snapshot().view_bytes, snap.view_bytes + trie);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //! re-sorted under a column permutation, supporting prefix-range lookups
 //! (direct access, enumeration), plus the same rows as a trie over the
 //! key columns, one contiguous value slice per level, which is what
-//! generic join intersects.
+//! generic join intersects — the last level's dense nodes also as
+//! bitmaps, which it intersects a word at a time.
 
 use crate::relation::Relation;
 use crate::value::Val;
@@ -17,10 +18,12 @@ use std::sync::OnceLock;
 /// order, the prefix's last value ([`SortedView::level`]), so the
 /// distinct values under one parent prefix are a contiguous, strictly
 /// increasing slice; [`SortedView::level_offsets`] maps each node to
-/// its children in level `d + 1`. The trie is built from the sorted
-/// rows the first time a level is asked for and then lives and dies
-/// with the view — views that only ever serve `row`/`key_range` (the
-/// join-tree algorithms) never pay for it.
+/// its children in level `d + 1`. The last key level has no children
+/// — each of its nodes' child sets is a pure set — and carries a second
+/// layout of the dense ones ([`SortedView::leaf_bitmaps`]). The trie is
+/// built from the sorted rows the first time a level is asked for and
+/// then lives and dies with the view — views that only ever serve
+/// `row`/`key_range` (the join-tree algorithms) never pay for it.
 #[derive(Clone, Debug)]
 pub struct SortedView {
     /// New column order: `key_cols` then the rest.
@@ -33,8 +36,22 @@ pub struct SortedView {
     /// Explicit row count: for arity 0 the data buffer carries no
     /// information, yet the view of `{()}` has one row, not zero.
     n_rows: usize,
-    /// One trie level per key column, built on first use.
-    levels: OnceLock<Vec<TrieLevel>>,
+    /// The key trie, built on first use.
+    trie: OnceLock<Trie>,
+}
+
+/// A [`SortedView`]'s key trie: one level per key column, and the last
+/// level's dense nodes once more as bitmaps.
+#[derive(Clone, Debug, Default)]
+struct Trie {
+    levels: Vec<TrieLevel>,
+    /// The bitmaps, back to back.
+    bit_words: Vec<u64>,
+    /// `bit_start[i]..bit_start[i + 1]`: the words of node `i` of the
+    /// level above the last (the root, node 0, if there is none) — no
+    /// words for a node kept as a slice only. One entry per node plus
+    /// the end sentinel; empty if no node is dense.
+    bit_start: Vec<u32>,
 }
 
 /// One level of a [`SortedView`]'s key trie.
@@ -72,7 +89,7 @@ impl SortedView {
             data,
             arity,
             n_rows: rel.len(),
-            levels: OnceLock::new(),
+            trie: OnceLock::new(),
         };
         view.sort();
         view
@@ -104,7 +121,7 @@ impl SortedView {
     /// One pass over the sorted rows: a row whose key first differs from
     /// its predecessor's at column `c` opens one new node on every level
     /// from `c` down.
-    fn build_levels(&self) -> Vec<TrieLevel> {
+    fn build_trie(&self) -> Trie {
         let n_key = self.n_key;
         let mut levels = vec![TrieLevel::default(); n_key];
         let mut prev: Option<&[Val]> = None;
@@ -132,11 +149,16 @@ impl SortedView {
             level.vals.shrink_to_fit();
             level.child.shrink_to_fit();
         }
-        levels
+        let (bit_words, bit_start) = build_bitmaps(&levels);
+        Trie { levels, bit_words, bit_start }
+    }
+
+    fn trie(&self) -> &Trie {
+        self.trie.get_or_init(|| self.build_trie())
     }
 
     fn levels(&self) -> &[TrieLevel] {
-        self.levels.get_or_init(|| self.build_levels())
+        &self.trie().levels
     }
 
     /// The values of trie level `d < n_key`: for every distinct key
@@ -153,6 +175,28 @@ impl SortedView {
     pub fn level_offsets(&self, d: usize) -> &[u32] {
         assert!(d + 1 < self.n_key, "the last key level has no children");
         &self.levels()[d].child
+    }
+
+    /// The last key level's child sets in their second layout: every
+    /// node whose children span fewer 64-bit words than they have
+    /// elements — `(max >> 6) − (min >> 6) + 1 < len` — also has them as
+    /// a word-aligned bitmap. The rule is a property of the data: such a
+    /// bitmap is smaller than the slice it mirrors and intersects 64
+    /// values per AND; any other node would pay more words than it has
+    /// values, and has none.
+    pub fn leaf_bitmaps(&self) -> LeafBitmaps<'_> {
+        let trie = self.trie();
+        LeafBitmaps { words: &trie.bit_words, start: &trie.bit_start }
+    }
+
+    /// Bytes this view holds on the heap: the rows, plus — once a level
+    /// has been asked for — the trie levels and the bitmaps.
+    pub fn heap_bytes(&self) -> usize {
+        let trie = self.trie.get().map_or(0, |t| {
+            let levels = t.levels.iter().map(|l| 8 * l.vals.len() + 4 * l.child.len());
+            levels.sum::<usize>() + 8 * t.bit_words.len() + 4 * t.bit_start.len()
+        });
+        8 * self.data.len() + trie
     }
 
     /// Number of rows (explicitly tracked — correct even for views of
@@ -241,6 +285,70 @@ impl SortedView {
     }
 }
 
+/// The second layout of a trie's last level (see
+/// [`SortedView::leaf_bitmaps`]): one pass over its nodes.
+fn build_bitmaps(levels: &[TrieLevel]) -> (Vec<u64>, Vec<u32>) {
+    let Some((last, above)) = levels.split_last() else {
+        return Default::default();
+    };
+    let root = [0, last.vals.len() as u32];
+    let child = above.last().map_or(&root[..], |l| &l.child);
+    let mut words: Vec<u64> = Vec::new();
+    let mut start: Vec<u32> = Vec::with_capacity(child.len());
+    for w in child.windows(2) {
+        // fewer words than values in every dense node: `u32` holds
+        start.push(words.len() as u32);
+        let kids = &last.vals[w[0] as usize..w[1] as usize];
+        let (Some(&min), Some(&max)) = (kids.first(), kids.last()) else {
+            continue; // the root of an empty view
+        };
+        let first = min >> 6;
+        let span = (max >> 6) - first + 1;
+        if span < kids.len() as u64 {
+            let at = words.len();
+            words.resize(at + span as usize, 0);
+            for &v in kids {
+                words[at + ((v >> 6) - first) as usize] |= 1 << (v & 63);
+            }
+        }
+    }
+    if words.is_empty() {
+        return Default::default();
+    }
+    start.push(words.len() as u32);
+    words.shrink_to_fit();
+    (words, start)
+}
+
+/// The bitmaps of a [`SortedView`]'s last key level, by node of the
+/// level above it.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct LeafBitmaps<'a> {
+    words: &'a [u64],
+    start: &'a [u32],
+}
+
+impl<'a> LeafBitmaps<'a> {
+    /// Has no node of the level a bitmap?
+    pub fn is_empty(&self) -> bool {
+        self.words.is_empty()
+    }
+
+    /// The children of `node` — a node of the level above the last key
+    /// level; 0, the root, for a view with one key column — as a
+    /// bitmap, or `&[]` for a node kept as a slice only. With `first`
+    /// the node's smallest child, bit `b` of word `j` is the value
+    /// `((first >> 6) + j) << 6 | b`; the first and the last word are
+    /// non-zero.
+    #[inline]
+    pub fn of(&self, node: usize) -> &'a [u64] {
+        match (self.start.get(node), self.start.get(node + 1)) {
+            (Some(&lo), Some(&hi)) => &self.words[lo as usize..hi as usize],
+            _ => &[],
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -323,6 +431,83 @@ mod tests {
             }
             assert!(v.level(0).windows(2).all(|p| p[0] < p[1]));
         }
+    }
+
+    /// The values a bitmap stands for, `first` being the smallest.
+    fn decode(words: &[u64], first: Val) -> Vec<Val> {
+        let mut out = Vec::new();
+        for (j, w) in words.iter().enumerate() {
+            for b in (0..64).filter(|b| w >> b & 1 == 1) {
+                out.push(((first >> 6) + j as u64) << 6 | b);
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn a_node_is_a_bitmap_iff_its_words_are_fewer_than_its_children() {
+        let top = Val::MAX;
+        let nodes: [(Val, &[Val]); 7] = [
+            (0, &[63, 64, 127, 128]), // 3 words < 4 children
+            (1, &[63, 64, 128]),      // 3 words, 3 children: a slice
+            (2, &[5]),                // a singleton never is
+            (3, &[64, 127]),          // two values of one word
+            (4, &[top - 130, top - 65, top - 64, top - 63, top - 1, top]),
+            (5, &[1000, 1001, 1002]), // words apart from node 6's
+            (6, &[10_000, 10_001, 10_063, 10_064]),
+        ];
+        let rows = nodes.iter().flat_map(|(a, kids)| kids.iter().map(|&b| vec![*a, b]));
+        let v = SortedView::new(&Relation::from_rows(2, rows), &[0, 1]);
+        let bits = v.leaf_bitmaps();
+        let mut total = 0;
+        for (a, kids) in nodes {
+            let (min, max) = (kids[0], kids[kids.len() - 1]);
+            let span = ((max >> 6) - (min >> 6) + 1) as usize;
+            let words = bits.of(a as usize);
+            if span < kids.len() {
+                assert_eq!(words.len(), span, "node {a}");
+                assert_eq!(decode(words, min), kids, "node {a}");
+                assert!(words[0] != 0 && words[span - 1] != 0);
+            } else {
+                assert!(words.is_empty(), "node {a} stays a slice");
+            }
+            total += words.len();
+        }
+        assert_eq!(total, 3 + 1 + 3 + 1 + 2);
+        assert!(bits.of(nodes.len()).is_empty(), "past the last node");
+        // never larger than the slice it mirrors, offsets included
+        let trie = v.trie();
+        let bitmap_bytes = 8 * trie.bit_words.len() + 4 * trie.bit_start.len();
+        assert_eq!(trie.bit_words.len(), total);
+        assert!(bitmap_bytes <= 8 * v.level(1).len());
+        let levels = 8 * (7 + 23) + 4 * 8;
+        assert_eq!(v.heap_bytes(), 8 * 2 * 23 + levels + bitmap_bytes);
+
+        // one key column: the root is the only node
+        let v = SortedView::new(&Relation::from_values(vec![3, 70, 130, 131]), &[0]);
+        assert_eq!(decode(v.leaf_bitmaps().of(0), 3), &[3, 70, 130, 131]);
+        assert!(v.leaf_bitmaps().of(1).is_empty());
+    }
+
+    #[test]
+    fn a_level_with_no_dense_node_has_no_bitmap_at_all() {
+        // singletons only, and nodes as wide in words as in children
+        let singletons = Relation::from_pairs((0..100).map(|i| (i, i)));
+        let wide = Relation::from_pairs((0..100).map(|i| (i % 10, 64 * i)));
+        for rel in [singletons, wide, Relation::new(2)] {
+            let v = SortedView::new(&rel, &[0, 1]);
+            let before = v.heap_bytes();
+            assert_eq!(before, 8 * 2 * rel.len(), "rows only until a level is read");
+            assert!(v.leaf_bitmaps().is_empty());
+            assert!(v.leaf_bitmaps().of(0).is_empty());
+            let trie = v.trie();
+            assert_eq!((trie.bit_words.capacity(), trie.bit_start.capacity()), (0, 0));
+            let levels =
+                8 * (v.level(0).len() + v.level(1).len()) + 4 * v.level_offsets(0).len();
+            assert_eq!(v.heap_bytes(), before + levels);
+        }
+        let nullary = SortedView::new(&Relation::nullary(true), &[]);
+        assert!(nullary.leaf_bitmaps().is_empty());
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! sorted slice — a level of its [`SortedView`]'s key trie, narrowed to
 //! the children of the prefix bound so far — so the intersection is a
 //! merge of slices (a gallop where one is much longer), and descending
-//! reads the child range from the trie's offsets. The runtime is
+//! reads the child range from the trie's offsets. An atom's last column
+//! needs no child range, so there a dense slice is also offered as a
+//! bitmap: bitmaps intersect a word — 64 values — per AND, and a slice
+//! against a bitmap is filtered by bit tests. The runtime is
 //! bounded by the AGM fractional-edge-cover bound of the query — e.g. m^{3/2} for the triangle query and m^{1+1/(k−1)} for
 //! Loomis–Whitney q^LW_k (Example 3.4), which is why this single
 //! algorithm is both the m^{3/2} triangle baseline of Thm 3.2 and the
@@ -16,7 +19,7 @@ use crate::bind::{collapse_rel, distinct_vars, validate_atom, EvalError};
 use crate::cancel::CancelToken;
 use crate::ctx::ExecCtx;
 use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, FxHashSet, Relation, SortedView, Val};
+use cq_data::{Database, FxHashSet, LeafBitmaps, Relation, SortedView, Val};
 use std::sync::Arc;
 
 /// One atom prepared for the join: its view is sorted with columns in
@@ -73,8 +76,9 @@ struct JoinWork {
     completed: bool,
     /// Full assignments found, when run with [`Sink::Count`].
     count: u64,
-    /// Cursor movements — gallop seeks and single merge steps alike:
-    /// the deterministic work measure the AGM bound is checked against.
+    /// Cursor movements — gallop seeks, single merge steps and steps to
+    /// a word's next set bit alike — word ANDs and bit tests: the
+    /// deterministic work measure the AGM bound is checked against.
     seeks: u64,
 }
 
@@ -83,9 +87,22 @@ struct LevelRef<'a> {
     vals: &'a [Val],
     /// Child offsets of the level; `None` for the atom's last column.
     child: Option<&'a [u32]>,
-    /// Index into [`JoinState::ranges`] of this (atom, column); the
-    /// range of the atom's next column is at `slot + 1`.
+    /// The level's dense nodes as bitmaps: the atom's last column only,
+    /// and only if it has a dense node.
+    bits: Option<LeafBitmaps<'a>>,
+    /// Index into [`JoinState::kids`] of this (atom, column); the
+    /// atom's next column is at `slot + 1`.
     slot: usize,
+}
+
+/// The children of one trie node — what the bound prefix leaves of an
+/// (atom, column)'s level: the range `lo..hi` of it, under node `node`
+/// of the level above (0, the root, for an atom's first column).
+#[derive(Clone, Copy)]
+struct Kids {
+    lo: usize,
+    hi: usize,
+    node: usize,
 }
 
 /// A cursor into one level slice: `rest` is what is left of the slice,
@@ -96,6 +113,8 @@ struct Cursor<'a> {
     end: usize,
     /// Seek by galloping instead of stepping (fixed per intersection).
     gallop: bool,
+    /// Which of the depth's [`LevelRef`]s the slice is from.
+    it: usize,
 }
 
 impl<'a> Cursor<'a> {
@@ -124,6 +143,29 @@ impl<'a> Cursor<'a> {
     }
 }
 
+/// A dense node's children as a bitmap: bit `b` of `words[j]` is the
+/// value `(first + j) << 6 | b`.
+#[derive(Clone, Copy)]
+struct Bits<'a> {
+    words: &'a [u64],
+    first: u64,
+}
+
+impl Bits<'_> {
+    #[inline]
+    fn contains(&self, v: Val) -> bool {
+        let word =
+            (v >> 6).checked_sub(self.first).and_then(|j| self.words.get(j as usize));
+        word.is_some_and(|w| w >> (v & 63) & 1 == 1)
+    }
+}
+
+/// Word `j` of the intersection of bitmaps narrowed to one window.
+#[inline]
+fn and_at(bits: &[Bits<'_>], j: usize) -> u64 {
+    bits.iter().fold(u64::MAX, |w, b| w & b.words[j])
+}
+
 /// A slice this many times longer than the shortest one of its
 /// intersection is sought by galloping; shorter ones by stepping. A step
 /// is one dependent compare; a gallop seek is about `2·log₂(gap)` poorly
@@ -137,16 +179,18 @@ const GALLOP_RATIO: usize = 4;
 struct JoinPlan<'a> {
     /// Per depth, the levels to intersect.
     depths: Vec<Vec<LevelRef<'a>>>,
-    /// Per depth, where its cursors start in [`JoinState::cursors`].
+    /// Per depth, where its cursors start in [`JoinState::cursors`] and
+    /// its bitmaps in [`JoinState::bits`].
     cursor_base: Vec<usize>,
     cancel: &'a CancelToken,
 }
 
 /// The mutable half: every per-depth buffer, allocated once per join.
 struct JoinState<'a> {
-    /// Per (atom, column) slot, the level range the bound prefix leaves.
-    ranges: Vec<(usize, usize)>,
+    /// Per (atom, column) slot, what the bound prefix leaves of it.
+    kids: Vec<Kids>,
     cursors: Vec<Cursor<'a>>,
+    bits: Vec<Bits<'a>>,
     assignment: Vec<Val>,
     count: u64,
     seeks: u64,
@@ -161,15 +205,17 @@ fn run_prepared(
 ) -> Result<JoinWork, EvalError> {
     let mut depths: Vec<Vec<LevelRef<'_>>> = Vec::new();
     depths.resize_with(n_depths, Vec::new);
-    let mut ranges: Vec<(usize, usize)> = Vec::new();
+    let mut kids: Vec<Kids> = Vec::new();
     for p in prepared {
-        let base = ranges.len();
+        let base = kids.len();
         for (lc, &d) in p.depths.iter().enumerate() {
             let vals = p.view.level(lc);
-            let child = (lc + 1 < p.depths.len()).then(|| p.view.level_offsets(lc));
-            depths[d].push(LevelRef { vals, child, slot: base + lc });
+            let is_last = lc + 1 == p.depths.len();
+            let child = (!is_last).then(|| p.view.level_offsets(lc));
+            let bits = is_last.then(|| p.view.leaf_bitmaps()).filter(|b| !b.is_empty());
+            depths[d].push(LevelRef { vals, child, bits, slot: base + lc });
             // only the first column's range is known before the join
-            ranges.push((0, if lc == 0 { vals.len() } else { 0 }));
+            kids.push(Kids { lo: 0, hi: if lc == 0 { vals.len() } else { 0 }, node: 0 });
         }
     }
     // every variable must be constrained by some atom
@@ -185,8 +231,9 @@ fn run_prepared(
     }
     let plan = JoinPlan { depths, cursor_base, cancel };
     let mut st = JoinState {
-        ranges,
-        cursors: vec![Cursor { rest: &[], end: 0, gallop: false }; n_cursors],
+        kids,
+        cursors: vec![Cursor { rest: &[], end: 0, gallop: false, it: 0 }; n_cursors],
+        bits: vec![Bits { words: &[], first: 0 }; n_cursors],
         assignment: vec![0; n_depths],
         count: 0,
         seeks: 0,
@@ -281,9 +328,37 @@ fn advance(cursors: &mut [Cursor<'_>], seeks: &mut u64) -> bool {
     live
 }
 
-/// Expand one search node: leapfrog-intersect the level slices that the
-/// bound prefix leaves at `depth`, and for every common value descend
-/// (or, at the last depth, feed the sink). `Ok(false)` = visitor stop.
+/// Bind `value` at `depth` and go on: descend, or at the last depth
+/// feed the sink. `Ok(false)` = visitor stop.
+#[inline]
+fn bind<'a>(
+    plan: &JoinPlan<'a>,
+    st: &mut JoinState<'a>,
+    depth: usize,
+    value: Val,
+    sink: &mut Sink<'_>,
+) -> Result<bool, EvalError> {
+    if depth + 1 < plan.depths.len() {
+        st.assignment[depth] = value;
+        return descend(plan, st, depth + 1, sink);
+    }
+    match sink {
+        Sink::Count => {
+            st.count += 1;
+            Ok(true)
+        }
+        Sink::Visit(visit) => {
+            plan.cancel.check()?;
+            st.assignment[depth] = value;
+            Ok(visit(&st.assignment))
+        }
+    }
+}
+
+/// Expand one search node: intersect what the bound prefix leaves of
+/// each level at `depth`, by representation — bitmaps word by word,
+/// slices by leapfrog, a slice against a bitmap by bit tests — and bind
+/// every common value, in ascending order. `Ok(false)` = visitor stop.
 fn descend<'a>(
     plan: &JoinPlan<'a>,
     st: &mut JoinState<'a>,
@@ -295,52 +370,109 @@ fn descend<'a>(
     plan.cancel.check()?;
     let its = plan.depths[depth].as_slice();
     let base = plan.cursor_base[depth];
-    let span = base..base + its.len();
     let last = depth + 1 == plan.depths.len();
 
-    // open one cursor per slice; the seek mode is fixed here, from the
-    // slice lengths alone
-    let mut shortest = usize::MAX;
-    for (c, it) in st.cursors[span.clone()].iter_mut().zip(its) {
-        let (lo, hi) = st.ranges[it.slot];
-        *c = Cursor { rest: &it.vals[lo..hi], end: hi, gallop: false };
+    // what each node offers: always its slice, a dense node its bitmap
+    let (mut shortest, mut shortest_slice_only) = (usize::MAX, usize::MAX);
+    for (b, it) in st.bits[base..base + its.len()].iter_mut().zip(its) {
+        let Kids { lo, hi, node } = st.kids[it.slot];
+        let words = it.bits.map_or(&[][..], |bits| bits.of(node));
         shortest = shortest.min(hi - lo);
+        if words.is_empty() {
+            shortest_slice_only = shortest_slice_only.min(hi - lo);
+        }
+        // a node with a bitmap has children
+        *b = Bits { words, first: if words.is_empty() { 0 } else { it.vals[lo] >> 6 } };
     }
     if shortest == 0 {
         return Ok(true);
     }
-    for c in &mut st.cursors[span.clone()] {
-        c.gallop = c.rest.len() / GALLOP_RATIO >= shortest;
-    }
-
     if last && its.len() == 1 && matches!(sink, Sink::Count) {
         // nothing to intersect: the slice's length is the count
         st.count += shortest as u64;
         return Ok(true);
     }
 
-    while let Some(value) = align(&mut st.cursors[span.clone()], &mut st.seeks) {
-        if !last {
-            st.assignment[depth] = value;
-            for (c, it) in st.cursors[span.clone()].iter().zip(its) {
-                if let Some(child) = it.child {
-                    let p = c.pos();
-                    st.ranges[it.slot + 1] = (child[p] as usize, child[p + 1] as usize);
+    if shortest_slice_only == usize::MAX {
+        // every node is dense: AND the words all the bitmaps cover —
+        // fewer than the shortest slice has values
+        let bits = &mut st.bits[base..base + its.len()];
+        let lo = bits.iter().fold(0, |lo, b| lo.max(b.first));
+        let hi =
+            bits.iter().fold(u64::MAX, |hi, b| hi.min(b.first + b.words.len() as u64));
+        if lo >= hi {
+            return Ok(true);
+        }
+        for b in bits {
+            b.words = &b.words[(lo - b.first) as usize..(hi - b.first) as usize];
+            b.first = lo;
+        }
+        let n_words = (hi - lo) as usize;
+        st.seeks += (n_words * (its.len() - 1)) as u64;
+        if last && matches!(sink, Sink::Count) {
+            let ones = |w: u64| u64::from(w.count_ones());
+            st.count += match &st.bits[base..base + its.len()] {
+                // two atoms closing a cycle — every triangle count — as
+                // one zip the compiler vectorizes: 1.5 against 1.8 ms
+                [a, b] => {
+                    a.words.iter().zip(b.words).map(|(x, y)| ones(x & y)).sum::<u64>()
+                }
+                bits => (0..n_words).map(|j| ones(and_at(bits, j))).sum(),
+            };
+            return Ok(true);
+        }
+        for j in 0..n_words {
+            let mut word = and_at(&st.bits[base..base + its.len()], j);
+            while word != 0 {
+                let value = (lo + j as u64) << 6 | u64::from(word.trailing_zeros());
+                word &= word - 1;
+                st.seeks += 1;
+                if !bind(plan, st, depth, value, sink)? {
+                    return Ok(false);
                 }
             }
-            if !descend(plan, st, depth + 1, sink)? {
-                return Ok(false);
-            }
+        }
+        return Ok(true);
+    }
+
+    // some node is a slice only. A bitmap no shorter than the shortest
+    // such slice becomes a filter: the leapfrog runs without it and each
+    // value it finds is bit-tested. A shorter one leapfrogs as the slice
+    // it also is — the shortest set must bound the node's work. The
+    // seek mode is fixed here, from the slice lengths alone.
+    let (mut n_cursors, mut n_filters) = (0, 0);
+    for (i, it) in its.iter().enumerate() {
+        let Kids { lo, hi, .. } = st.kids[it.slot];
+        if !st.bits[base + i].words.is_empty() && hi - lo >= shortest_slice_only {
+            st.bits[base + n_filters] = st.bits[base + i];
+            n_filters += 1;
         } else {
-            match sink {
-                Sink::Count => st.count += 1,
-                Sink::Visit(visit) => {
-                    plan.cancel.check()?;
-                    st.assignment[depth] = value;
-                    if !visit(&st.assignment) {
-                        return Ok(false);
+            let gallop = (hi - lo) / GALLOP_RATIO >= shortest;
+            st.cursors[base + n_cursors] =
+                Cursor { rest: &it.vals[lo..hi], end: hi, gallop, it: i };
+            n_cursors += 1;
+        }
+    }
+    let span = base..base + n_cursors;
+
+    while let Some(value) = align(&mut st.cursors[span.clone()], &mut st.seeks) {
+        let common = st.bits[base..base + n_filters].iter().all(|b| {
+            st.seeks += 1;
+            b.contains(value)
+        });
+        if common {
+            if !last {
+                for c in &st.cursors[span.clone()] {
+                    let it = &its[c.it];
+                    if let Some(child) = it.child {
+                        let node = c.pos();
+                        let (lo, hi) = (child[node] as usize, child[node + 1] as usize);
+                        st.kids[it.slot + 1] = Kids { lo, hi, node };
                     }
                 }
+            }
+            if !bind(plan, st, depth, value, sink)? {
+                return Ok(false);
             }
         }
         if !advance(&mut st.cursors[span.clone()], &mut st.seeks) {
@@ -675,6 +807,47 @@ mod tests {
         let ans = answers(&q, &db).unwrap();
         assert_eq!(ans.len(), 3); // (1,2), (2,1), (5,5)
         assert!(ans.contains(&[5, 5]));
+    }
+
+    /// `R(x, z), S(y, z)` with one `x` and one `y`: the last depth
+    /// intersects exactly the two given child sets.
+    fn meet(a: &[Val], b: &[Val]) -> (Relation, u64) {
+        let q = parse_query("q(x, y, z) :- R(x, z), S(y, z)").unwrap();
+        let mut db = Database::new();
+        db.insert("R", Relation::from_pairs(a.iter().map(|&v| (1, v))));
+        db.insert("S", Relation::from_pairs(b.iter().map(|&v| (2, v))));
+        let ctx = ExecCtx::cold();
+        let order = default_order(&q);
+        let got = super::answers(&ctx, &q, &db, &order).unwrap();
+        assert_eq!(got, brute_force_answers(&q, &db).unwrap());
+        let n = count_distinct(&ctx, &q, &db, &order).unwrap();
+        assert_eq!(n, got.len() as u64);
+        assert_eq!(decide(&ctx, &q.boolean_version(), &db, &order).unwrap(), n > 0);
+        (got, n)
+    }
+
+    #[test]
+    fn child_sets_intersect_by_representation() {
+        let top = Val::MAX;
+        let dense: Vec<Val> = (60..=130).collect();
+        let high = [top - 129, top - 128, top - 64, top - 63, top - 1, top];
+        let scattered = [63, 64 + 63, 640, 6400, top - 64, top];
+        // bitmap ∧ bitmap: words 0–2 against words 1–3, with the values
+        // on both sides of a word edge
+        assert_eq!(meet(&dense, &[64, 65, 127, 128, 129, 191, 192]).1, 5);
+        // ... at the top of the domain, and windows that do not overlap
+        assert_eq!(meet(&high, &[top - 200, top - 128, top - 63, top - 62, top]).1, 3);
+        assert_eq!(meet(&dense, &high).1, 0);
+        assert_eq!(meet(&[0, 1, 2], &[64, 65, 66]).1, 0);
+        // slice ∧ bitmap, either way round: the slice is filtered
+        let (rows, n) = meet(&scattered, &dense);
+        assert_eq!((rows.row(0), rows.row(1), n), (&[1, 2, 63][..], &[1, 2, 127][..], 2));
+        assert_eq!(meet(&high, &scattered).1, 2);
+        // ... unless the bitmap is the shorter set: then it leapfrogs
+        let long: Vec<Val> = (0..400).map(|i| 640 * i).collect();
+        assert_eq!(meet(&long, &[640, 641, 642]).1, 1);
+        // slice ∧ slice
+        assert_eq!(meet(&scattered, &long).1, 2);
     }
 
     #[test]

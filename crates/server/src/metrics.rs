@@ -329,6 +329,7 @@ pub fn refresh(state: &ServerState, db: Option<&str>) {
         scope.gauge("catalog.cap-evictions").set(cat.cap_evictions);
         scope.gauge("catalog.memo.views").set(cat.views as u64);
         scope.gauge("catalog.memo.artifacts").set(cat.artifacts as u64);
+        scope.gauge("catalog.view-bytes").set(cat.view_bytes as u64);
         if let Some(wal) = wal {
             scope.gauge("storage.wal.appends").set(wal.appends);
             scope.gauge("storage.wal.appended-bytes").set(wal.appended_bytes);

@@ -60,13 +60,14 @@ impl Session {
         let (cat, _) = tenant.read_meta();
         data.push(format!(
             "catalog: {} hits, {} misses, {} invalidations, {} cap-evictions; \
-             memo {} views, {} artifacts",
+             memo {} views, {} artifacts, {} view-bytes",
             cat.hits,
             cat.misses,
             cat.invalidations,
             cat.cap_evictions,
             cat.views,
-            cat.artifacts
+            cat.artifacts,
+            cat.view_bytes
         ));
         // windowed traffic rates from the metrics history ring: total
         // command QPS and error rate for this tenant, over the ring's

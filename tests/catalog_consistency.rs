@@ -10,7 +10,9 @@ use cq_core::{parse_query, ConjunctiveQuery};
 use cq_data::{DataStats, Database, IndexCatalog, Relation, Val};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_engine::links::{join_index, EdgeLinks};
-use cq_engine::{count, DirectAccess, Enumerator, ExecCtx, FreeConnexDirectAccess};
+use cq_engine::{
+    count, generic_join, DirectAccess, Enumerator, ExecCtx, FreeConnexDirectAccess,
+};
 use cq_planner::{eval, EvalCtx, Planner};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -248,6 +250,50 @@ fn a_write_keeps_the_entries_of_relations_it_did_not_touch() {
         check(&s_only, &db);
         assert!(!Arc::ptr_eq(&after[0], &s_views(&db)[0]));
     }
+}
+
+/// A view's bitmaps live and die with it: an `INSERT` into `E` rebuilds
+/// both under the same key — the new edge is a bit of the new view —
+/// while a write to a relation the join never reads leaves the view,
+/// bitmaps and byte count included, pointer-equal.
+#[test]
+fn a_write_rebuilds_the_bitmaps_with_the_view_and_nothing_else_does() {
+    let q = parse_query("q(x, y, z) :- E(x, y), E(y, z), E(z, x)").unwrap();
+    // 40 vertices of out-degree 26 or 27: every adjacency list is dense
+    let edges = (0..40).flat_map(|a| (0..40).map(move |b| (a, b)));
+    let mut db = Database::new();
+    db.insert("E", Relation::from_pairs(edges.filter(|(a, b)| (a + b) % 3 != 0)));
+    db.insert("Log", Relation::from_values(vec![1]));
+    let catalog = IndexCatalog::new();
+    let ctx = ExecCtx::warm(&catalog);
+    let order = generic_join::default_order(&q);
+    let check = |db: &Database| {
+        let n = generic_join::count_distinct(&ctx, &q, db, &order).unwrap();
+        assert_eq!(n, brute_force_count(&q, db).unwrap());
+    };
+    let view = |db: &Database| catalog.sorted_view(db, "E", &[0, 1]).unwrap();
+    // vertex 0's successors as a word: no multiple of 3
+    let word = (0..40).filter(|b| b % 3 != 0).fold(0u64, |w, b| w | 1 << b);
+    check(&db);
+    let before = view(&db);
+    assert_eq!(before.leaf_bitmaps().of(0), &[word]);
+    let warm = catalog.snapshot();
+
+    db.get_mut("Log").unwrap().insert_row(&[2]);
+    check(&db);
+    assert!(Arc::ptr_eq(&before, &view(&db)));
+    let kept = catalog.snapshot();
+    assert_eq!((kept.misses, kept.view_bytes), (warm.misses, warm.view_bytes));
+
+    db.get_mut("E").unwrap().insert_row(&[0, 0]);
+    check(&db);
+    let after = view(&db);
+    assert!(!Arc::ptr_eq(&before, &after));
+    assert_eq!(after.leaf_bitmaps().of(0), &[word | 1]);
+    let rebuilt = catalog.snapshot();
+    assert_eq!((rebuilt.views, rebuilt.invalidations), (warm.views, 2));
+    // one more row in each of the two views the triangle reads
+    assert_eq!(rebuilt.view_bytes, warm.view_bytes + 2 * (16 + 8));
 }
 
 /// One preprocessing for the easy side: over one catalog `COUNT`,

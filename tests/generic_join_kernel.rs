@@ -7,8 +7,10 @@
 //! variables, with self-joins and repeated variables; relations are
 //! empty, singletons, uniform or skewed onto one heavy key, so the
 //! level slices an intersection meets are sometimes of similar length
-//! (merge steps) and sometimes wildly different (gallop seeks); and the
-//! join runs under *every* variable order.
+//! (merge steps) and sometimes wildly different (gallop seeks), and
+//! over a small, a dense or a scattered domain, so a last-column node
+//! is sometimes a bitmap and sometimes a slice only (word ANDs, bit
+//! tests, leapfrog); and the join runs under *every* variable order.
 //!
 //! The second half checks the kernel's work counter against the AGM
 //! bound — the theorem the algorithm is named for — and cancellation.
@@ -19,6 +21,8 @@ use cq_lower_bounds::prelude::*;
 use cq_obs::trace::{self, TraceSink};
 use cq_reductions::hyperclique_to_lw::permutations;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The tests' own random source, so a case is a function of one `u64`.
@@ -48,9 +52,13 @@ fn random_join_query(rng: &mut Lcg) -> ConjunctiveQuery {
     b.build().expect("every interned variable occurs in an atom")
 }
 
-/// One relation per symbol of `q`: empty, tiny or up to 60 rows, over a
-/// small or larger domain, uniform or with three rows in four sharing
-/// the first column's value 0.
+/// One relation per symbol of `q`: empty, tiny or up to 60 rows,
+/// uniform or with three rows in four sharing the first column's value
+/// 0 — one hub with many children among nodes with few. Values are from
+/// a domain within one 64-bit word (any two siblings make a bitmap), a
+/// dense one across three words (a hub's children make a bitmap, a
+/// light node's stay a slice) or a scattered one with a word per value
+/// (no bitmap anywhere); the last two share 63 and 127.
 fn random_database(q: &ConjunctiveQuery, rng: &mut Lcg) -> Database {
     let mut db = Database::new();
     for atom in q.atoms() {
@@ -58,12 +66,14 @@ fn random_database(q: &ConjunctiveQuery, rng: &mut Lcg) -> Database {
             continue;
         }
         let rows = [0, 1, 1, 3, 8, 20, 60, 60][rng.below(8)];
-        let domain = [3, 6, 12][rng.below(3)];
+        // values are `first + step · below(n)`
+        let (first, step, n) =
+            [(0, 1, 3), (0, 1, 6), (0, 1, 12), (40, 1, 100), (63, 64, 12)][rng.below(5)];
         let skewed = rng.below(2) == 1;
         let mut rel = Relation::new(atom.arity());
         for _ in 0..rows {
             let mut row: Vec<Val> =
-                (0..atom.arity()).map(|_| rng.below(domain) as Val).collect();
+                (0..atom.arity()).map(|_| first + step * rng.below(n) as Val).collect();
             if skewed && rng.below(4) != 0 {
                 row[0] = 0;
             }
@@ -82,7 +92,7 @@ proptest! {
     /// every variable order (one catalog across the orders, so views are
     /// met both freshly built and memoized); projections of the same
     /// join count their distinct projections; a visitor that stops is
-    /// never called again.
+    /// never called again, and neither is `decide`'s.
     #[test]
     fn every_order_matches_brute_force(bits in any::<u64>()) {
         let mut rng = Lcg(bits);
@@ -108,6 +118,8 @@ proptest! {
             prop_assert_eq!(n, want_n, "count of {} under {:?}", q, order);
             let n = generic_join::count_distinct(&ctx, &projection, &db, &order).unwrap();
             prop_assert_eq!(n, want_projected, "count of {} under {:?}", projection, order);
+            let found = generic_join::decide(&ctx, &q, &db, &order).unwrap();
+            prop_assert_eq!(found, want_n > 0, "decide of {} under {:?}", q, order);
 
             // the raw visitor: assignments arrive in `order`, each one
             // satisfies every atom, and `false` ends the join at once
@@ -128,34 +140,58 @@ proptest! {
     }
 }
 
-/// The `seeks` attribute of the one `op.generic-join.count` span a
-/// catalog count of `q` records, and the count itself.
+/// `(rows, seeks)` of the one span named `name` that `run` records.
+fn traced(name: &str, run: impl FnOnce()) -> (u64, u64) {
+    let sink = TraceSink::enabled();
+    trace::with(&sink, run);
+    let trace = sink.finish("test", name).expect("the sink is enabled");
+    let mut found = None;
+    trace.visit(|_, span| {
+        if span.name == name {
+            found = span.attr("rows").zip(span.attr("seeks"));
+        }
+    });
+    found.unwrap_or_else(|| panic!("a `{name}` span with `rows` and `seeks`"))
+}
+
+/// The count of `q` and the `seeks` of the `op.generic-join.count` span
+/// a catalog count records.
 fn traced_count(
     q: &ConjunctiveQuery,
     db: &Database,
     catalog: &IndexCatalog,
 ) -> (u64, u64) {
-    let sink = TraceSink::enabled();
     let order = generic_join::default_order(q);
-    let n = trace::with(&sink, || {
-        generic_join::count_distinct(&ExecCtx::warm(catalog), q, db, &order).unwrap()
+    let ctx = ExecCtx::warm(catalog);
+    let mut n = 0;
+    let (rows, seeks) = traced("op.generic-join.count", || {
+        n = generic_join::count_distinct(&ctx, q, db, &order).unwrap();
     });
-    let trace = sink.finish("test", &q.to_string()).expect("the sink is enabled");
-    let mut seeks = None;
-    trace.visit(|_, span| {
-        if span.name == "op.generic-join.count" {
-            assert_eq!(span.attr("rows"), Some(n));
-            seeks = span.attr("seeks");
-        }
+    assert_eq!(rows, n);
+    (n, seeks)
+}
+
+/// `seeks + rows` of the `op.generic-join.answers` span: the work of a
+/// join that hands over every answer, which no word-parallelism can take
+/// below the number of answers.
+fn traced_answers_work(
+    q: &ConjunctiveQuery,
+    db: &Database,
+    catalog: &IndexCatalog,
+) -> u64 {
+    let order = generic_join::default_order(q);
+    let ctx = ExecCtx::warm(catalog);
+    let (rows, seeks) = traced("op.generic-join.answers", || {
+        generic_join::answers(&ctx, q, db, &order).unwrap();
     });
-    (n, seeks.expect("the count span carries a `seeks` attribute"))
+    rows + seeks
 }
 
 /// One row of the seeks table: a query and its ρ*, the constant `c` of
 /// its bound `seeks ≤ c · m^ρ*`, and an instance family `side ↦
 /// (database, closed-form count)` on which the AGM bound is tight, at
-/// three sides that double `m` (the size of each relation) from one to
-/// the next.
+/// three sides that about double `m` (the size of each relation) or more
+/// from one to the next.
 struct Shape {
     name: &'static str,
     q: ConjunctiveQuery,
@@ -194,8 +230,8 @@ fn four_hubs(_: &ConjunctiveQuery, m: u64) -> (Database, u64) {
 
 /// Count `q` on `db` twice over one catalog: the count is `want`, the
 /// seeks stay within `c · m^ρ*`, and the counter — exact, no clock —
-/// repeats. Returns the point `(m, seeks)`.
-fn seeks_within(shape: &Shape, db: &Database, want: u64) -> (f64, f64) {
+/// repeats. Returns `m`, the count's seeks and the catalog.
+fn seeks_within(shape: &Shape, db: &Database, want: u64) -> (f64, f64, IndexCatalog) {
     let Shape { name, q, rho, c, .. } = shape;
     let m = db.expect(&q.atoms()[0].relation).len();
     let catalog = IndexCatalog::new();
@@ -207,16 +243,19 @@ fn seeks_within(shape: &Shape, db: &Database, want: u64) -> (f64, f64) {
         "{name} m={m}: {seeks} seeks > {c} · m^{rho} = {bound}"
     );
     assert_eq!(traced_count(q, db, &catalog), (n, seeks), "{name} m={m}: must repeat");
-    (m as f64, seeks as f64)
+    (m as f64, seeks as f64, catalog)
 }
 
 /// The work counter is a theorem check. On AGM-tight instances generic
 /// join's seeks stay within a constant times m^ρ* — one constant per
-/// shape across sizes — and *grow* like m^ρ*: the exponent fitted to
-/// (m, seeks) is within 0.1 of ρ*. That is Thm 3.2's m^{3/2} for the
-/// triangle, Thm 3.5's m^{1+1/(k−1)} for Loomis–Whitney joins, m^{k/2}
-/// for cycles, Lemma 3.9's m^k for counting `q*_k` and Thm 3.12's m² for
-/// `q_mm`, both through the projection-deduplicating count.
+/// shape across sizes — and the work of handing over the m^ρ* answers
+/// *grows* like m^ρ*: the exponent fitted to (m, seeks + rows) of the
+/// answers span is within 0.1 of ρ*. A count hands nothing over, so word
+/// ANDs may take its seeks below that: its fitted exponent is only held
+/// to at most ρ* + 0.1. That is Thm 3.2's m^{3/2} for the triangle, Thm
+/// 3.5's m^{1+1/(k−1)} for Loomis–Whitney joins, m^{k/2} for cycles,
+/// Lemma 3.9's m^k for counting `q*_k` and Thm 3.12's m² for `q_mm`,
+/// both through the projection-deduplicating count.
 #[test]
 fn seeks_stay_within_the_agm_bound() {
     let lw = |k| zoo::loomis_whitney_boolean(k).join_version();
@@ -230,25 +269,46 @@ fn seeks_stay_within_the_agm_bound() {
         shape("triangle", triangle, 2.5, [16, 23, 32], full),
         shape("lw3", lw(3), 2.5, [16, 23, 32], full),
         shape("lw4", lw(4), 3.5, [8, 10, 13], full),
-        shape("lw5", lw(5), 5.5, [5, 6, 7], full),
+        shape("lw5", lw(5), 5.5, [6, 8, 10], full),
         shape("c4", zoo::cycle_join(4), 2.5, [8, 11, 16], full),
         shape("c5", zoo::cycle_join(5), 2.5, [6, 8, 11], full),
         shape("star2", zoo::star_selfjoin(2), 3.5, [100, 200, 400], one_hub),
         shape("star3", zoo::star_selfjoin(3), 4.5, [16, 32, 64], one_hub),
         shape("q_mm", zoo::matmul_projection(), 0.3, [200, 400, 800], four_hubs),
     ];
+    let fit = |points: &[(f64, f64)]| {
+        cq_matrix::omega::fit_exponent(points).expect("three sizes")
+    };
     for shape in &table {
+        let Shape { name, q, rho, .. } = shape;
         let points = shape.sides.map(|side| {
-            let (db, want) = (shape.instance)(&shape.q, side);
-            seeks_within(shape, &db, want)
+            let (db, want) = (shape.instance)(q, side);
+            let (m, seeks, catalog) = seeks_within(shape, &db, want);
+            [(m, seeks), (m, traced_answers_work(q, &db, &catalog) as f64)]
         });
-        let fit = cq_matrix::omega::fit_exponent(&points).expect("three sizes");
+        let counting = fit(&points.map(|p| p[0]));
+        assert!(counting <= rho + 0.1, "{name}: count seeks grow as m^{counting:.3}");
+        let answering = fit(&points.map(|p| p[1]));
         assert!(
-            (fit - shape.rho).abs() <= 0.1,
-            "{}: seeks grow as m^{fit:.3}, ρ* = {}",
-            shape.name,
-            shape.rho
+            (answering - rho).abs() <= 0.1,
+            "{name}: answers' seeks + rows grow as m^{answering:.3}, ρ* = {rho}"
         );
+    }
+
+    // the word as work, not wall-clock: where every last-column node is
+    // dense, a count ANDs 64 candidates at a time and the answers must
+    // still be handed over one by one
+    for shape in &table[..2] {
+        for d in [64, 96] {
+            let (db, want) = full(&shape.q, d);
+            let (_, seeks, catalog) = seeks_within(shape, &db, want);
+            let answering = traced_answers_work(&shape.q, &db, &catalog);
+            assert!(
+                8.0 * seeks <= answering as f64,
+                "{} d={d}: {seeks} count seeks, {answering} to answer",
+                shape.name
+            );
+        }
     }
 
     // off the worst case: sparser random instances of the two ρ* = 3/2
@@ -327,13 +387,20 @@ fn an_expired_deadline_trips_before_any_work() {
 #[test]
 fn a_deadline_passing_mid_join_aborts_lw4() {
     // LW4 over the full [12]^3: 12^4 = 20 736 answers, far more than one
-    // poll stride, so the join cannot finish before it notices
+    // poll stride, so the join cannot finish before it notices — and
+    // dense: every last-column node is a bitmap, so the last depth ANDs
+    // words and every depth above it bit-tests one
+    let d = 12u64;
     let q = zoo::loomis_whitney_boolean(4).join_version();
-    let db = cq_data::generate::lw_database(4, &cq_data::generate::full_relation(3, 12));
+    let db = cq_data::generate::lw_database(4, &cq_data::generate::full_relation(3, d));
     let order = generic_join::default_order(&q);
     let catalog = IndexCatalog::new();
     // build the views first: the deadline is to pass inside the join
     assert!(generic_join::decide(&ExecCtx::warm(&catalog), &q, &db, &order).unwrap());
+    for atom in q.atoms() {
+        let view = catalog.sorted_view(&db, &atom.relation, &[0, 1, 2]).unwrap();
+        assert!(!view.leaf_bitmaps().is_empty(), "{} is dense", atom.relation);
+    }
 
     let deadline = Instant::now() + Duration::from_millis(250);
     let token = CancelToken::with_deadline(deadline);
@@ -362,4 +429,24 @@ fn a_deadline_passing_mid_join_aborts_lw4() {
         generic_join::count_distinct(&ctx, &q, &db, &order),
         Err(EvalError::Cancelled)
     );
+
+    // a count hands no answer over, so its polls are its nodes: one each,
+    // a node that is a single word AND included ...
+    let nodes = 1 + d + d * d + d * d * d;
+    let token = CancelToken::never();
+    let ctx = ExecCtx::new(&catalog, &token);
+    assert_eq!(generic_join::count_distinct(&ctx, &q, &db, &order), Ok(d.pow(4)));
+    assert_eq!(token.polls(), nodes);
+    // ... and a token that trips at its third consultation stops the
+    // count at that node: not one more is expanded
+    let consulted = Arc::new(AtomicU32::new(0));
+    let seen = Arc::clone(&consulted);
+    let token = CancelToken::never()
+        .with_probe(move || seen.fetch_add(1, Ordering::Relaxed) == 2);
+    assert_eq!(
+        generic_join::count_distinct(&ExecCtx::new(&catalog, &token), &q, &db, &order),
+        Err(EvalError::Cancelled)
+    );
+    assert_eq!(token.polls(), 2 * u64::from(cq_engine::cancel::STRIDE) + 1);
+    assert_eq!(consulted.load(Ordering::Relaxed), 3);
 }

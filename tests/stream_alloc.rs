@@ -9,13 +9,14 @@
 //! The enumerator's other half of the promise — a bounded number of
 //! steps per answer — is pinned beside it on its `steps` counter. The
 //! linear-time folds get the same pin: a warm `COUNT` or `DECIDE` over
-//! memoized join-tree links allocates per tree node, not per row or key.
+//! memoized join-tree links allocates per tree node, not per row or key,
+//! and a warm generic-join `COUNT` over bitmaps per join, not per node.
 
 use cq_core::parse_query;
 use cq_core::query::zoo;
-use cq_data::generate::{random_pairs, seeded_rng};
+use cq_data::generate::{random_pairs, seeded_rng, triangle_database};
 use cq_data::{Database, IndexCatalog, Relation};
-use cq_engine::{count, yannakakis, AnswerStream, Enumerator, ExecCtx};
+use cq_engine::{count, generic_join, yannakakis, AnswerStream, Enumerator, ExecCtx};
 use cq_obs::trace::{self, TraceSink};
 use cq_planner::{eval, EvalCtx, Output, PlanOp, Task};
 use cq_server::protocol::render_row_into;
@@ -217,6 +218,34 @@ fn a_warm_count_or_decide_allocates_per_tree_node_not_per_row() {
             );
         }
     }
+}
+
+/// Generic join allocates its per-depth state — ranges, cursors, bitmap
+/// windows — once per join; intersecting a node, word by word or by
+/// leapfrog, allocates nothing: ten times the edges, the same
+/// allocations.
+#[test]
+fn a_warm_bitmap_count_allocates_per_join_not_per_node() {
+    let q = zoo::triangle_join();
+    let order = generic_join::default_order(&q);
+    // adjacency lists of about 25 values in 2 words, and 80 in 4
+    let [small, large] = [(2_000usize, 80u64), (20_000, 250)].map(|(m, domain)| {
+        let db = triangle_database(&random_pairs(m, domain, &mut seeded_rng(m as u64)));
+        let catalog = IndexCatalog::new();
+        let ctx = ExecCtx::warm(&catalog);
+        let cold = generic_join::count_distinct(&ctx, &q, &db, &order).unwrap();
+        let view = catalog.sorted_view(&db, "R2", &[0, 1]).unwrap();
+        assert!(!view.leaf_bitmaps().is_empty(), "m = {m}: no dense node");
+        let (n, warm) =
+            allocations(|| generic_join::count_distinct(&ctx, &q, &db, &order).unwrap());
+        assert_eq!(warm, cold);
+        n
+    });
+    assert!(small < 40, "COUNT {q}: {small} allocations at m = 2 000");
+    assert!(
+        large <= small + SLACK,
+        "COUNT {q}: m = 2 000 took {small} allocations, m = 20 000 took {large}"
+    );
 }
 
 /// Thm 3.17 as a work invariant: per answer the odometer tries at most

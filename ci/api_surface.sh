@@ -18,7 +18,9 @@
 # structures without defining any, and aggregation runs under an ExecCtx
 # like every other operator. And one index for the join-tree folds: the
 # memoized links of `cq_engine::links` — the hash index, its catalog memo
-# and the per-request hash-map messages they replaced stay deleted. And one
+# and the per-request hash-map messages they replaced stay deleted; the
+# reduced tree of `ANSWERS` / `ACCESS` is rows + links too, so the boxed-key
+# semijoin and the per-row key searches of `SortedView` stay deleted. And one
 # statement of the dichotomy: `cq_core::classify::verdict` attaches
 # hypotheses and renders witnesses, the planner maps its verdict to an
 # operator, and the facade's catalog is one value, not a registry. And one
@@ -92,10 +94,25 @@ server_module() {
 forbid "the hash index (the join-tree folds read cq_engine::links):" "$(
     grep -rnE 'HashIndex|hash_index|semijoin_indexed' crates
 )"
-forbid "boxed-key hash maps in the folds (messages are vectors indexed by group id):" "$(
-    for f in crates/engine/src/count.rs crates/engine/src/yannakakis.rs; do
+# (the one boxed-key table left dedups a projection on the hard side, in
+# generic_join.rs: ROADMAP item 3)
+forbid "boxed keys on the easy side (a key is a group id of cq_engine::links):" "$(
+    for f in crates/engine/src/*.rs; do
+        case "$f" in */generic_join.rs) ;; *) non_test "$f" ;; esac
+    done | grep -F 'Box<[Val]>'
+)"
+# ... which the reduced tree descends by: a node is reached through its
+# parent row's link, never searched for by key
+forbid "key searches in the reduced tree (a child group is \`starts[link[row]]\`):" "$(
+    for f in crates/engine/src/enumerate.rs crates/engine/src/direct_access.rs; do
         non_test "$f"
-    done | grep -F 'FxHashMap<Box<[Val]>'
+    done | grep -E 'key_range\(|keybuf'
+)"
+forbid "the hash-set semijoin (links::keep_linked filters by link):" "$(
+    ls crates/engine/src/semijoin.rs 2>/dev/null
+)"
+forbid "search methods on SortedView (it is rows + trie; the tree holds its own group starts):" "$(
+    non_test crates/data/src/index.rs | grep -E 'fn (key_range|contains_key|groups)\b'
 )"
 
 # a trie node's children are a slice and, where dense, a bitmap beside it

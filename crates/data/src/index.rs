@@ -1,9 +1,9 @@
 //! The secondary index over relations: [`SortedView`], a relation's rows
-//! re-sorted under a column permutation, supporting prefix-range lookups
-//! (direct access, enumeration), plus the same rows as a trie over the
-//! key columns, one contiguous value slice per level, which is what
-//! generic join intersects — the last level's dense nodes also as
-//! bitmaps, which it intersects a word at a time.
+//! re-sorted under a column permutation (the nodes of the reduced join
+//! tree direct access and enumeration share), plus the same rows as a
+//! trie over the key columns, one contiguous value slice per level, which
+//! is what generic join intersects — the last level's dense nodes also
+//! as bitmaps, which it intersects a word at a time.
 
 use crate::relation::Relation;
 use crate::value::Val;
@@ -11,7 +11,7 @@ use std::sync::OnceLock;
 
 /// A relation's rows re-sorted so that the columns `key_cols` come first
 /// (in the given order), followed by the remaining columns in original
-/// order. Supports binary-search prefix lookups on the key columns.
+/// order: rows by position, and nothing that searches them.
 ///
 /// The key columns are also offered as a trie in CSR form: level `d`
 /// holds, for every distinct key prefix of length `d + 1` in sorted
@@ -23,7 +23,7 @@ use std::sync::OnceLock;
 /// layout of the dense ones ([`SortedView::leaf_bitmaps`]). The trie is
 /// built from the sorted rows the first time a level is asked for and
 /// then lives and dies with the view — views that only ever serve
-/// `row`/`key_range` (the join-tree algorithms) never pay for it.
+/// `row` (the join-tree algorithms) never pay for it.
 #[derive(Clone, Debug)]
 pub struct SortedView {
     /// New column order: `key_cols` then the rest.
@@ -230,59 +230,6 @@ impl SortedView {
     pub fn row(&self, i: usize) -> &[Val] {
         &self.data[i * self.arity..(i + 1) * self.arity]
     }
-
-    /// Range of row indices whose key columns equal `key`
-    /// (`key.len() ≤ n_key`; shorter keys match by prefix).
-    pub fn key_range(&self, key: &[Val]) -> std::ops::Range<usize> {
-        assert!(key.len() <= self.n_key);
-        let n = self.len();
-        let mut lo = 0usize;
-        let mut hi = n;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if self.row(mid)[..key.len()] < *key {
-                lo = mid + 1;
-            } else {
-                hi = mid;
-            }
-        }
-        let start = lo;
-        let mut lo2 = start;
-        let mut hi2 = n;
-        while lo2 < hi2 {
-            let mid = lo2 + (hi2 - lo2) / 2;
-            if self.row(mid)[..key.len()] <= *key {
-                lo2 = mid + 1;
-            } else {
-                hi2 = mid;
-            }
-        }
-        start..lo2
-    }
-
-    /// Does any row have key columns equal to `key`?
-    pub fn contains_key(&self, key: &[Val]) -> bool {
-        !self.key_range(key).is_empty()
-    }
-
-    /// Iterate over the groups of equal full keys: yields
-    /// `(key, row_range)` pairs in key order.
-    pub fn groups(&self) -> impl Iterator<Item = (&[Val], std::ops::Range<usize>)> + '_ {
-        let mut i = 0usize;
-        std::iter::from_fn(move || {
-            if i >= self.len() {
-                return None;
-            }
-            let key = &self.row(i)[..self.n_key];
-            let mut j = i + 1;
-            while j < self.len() && &self.row(j)[..self.n_key] == key {
-                j += 1;
-            }
-            let out = (key, i..j);
-            i = j;
-            Some(out)
-        })
-    }
 }
 
 /// The second layout of a trie's last level (see
@@ -365,19 +312,16 @@ mod tests {
         let v = SortedView::new(&rel(), &[1]);
         // sorted by column 1 first: keys 10,10,10,20
         assert_eq!(v.row(0)[0], 10);
+        assert_eq!(v.row(2)[0], 10);
         assert_eq!(v.row(3)[0], 20);
-        assert_eq!(v.key_range(&[10]).len(), 3);
-        assert_eq!(v.key_range(&[20]).len(), 1);
-        assert_eq!(v.key_range(&[15]).len(), 0);
-        assert!(v.contains_key(&[10]));
-        assert!(!v.contains_key(&[11]));
+        assert_eq!(v.level(0), &[10, 20]);
     }
 
     #[test]
     fn sorted_view_multi_key() {
         let v = SortedView::new(&rel(), &[1, 0]);
-        assert_eq!(v.key_range(&[10, 1]).len(), 1);
-        assert_eq!(v.key_range(&[10]).len(), 3);
+        assert_eq!(v.row(0), &[10, 1, 100]);
+        assert_eq!(v.row(3), &[20, 1, 300]);
         // remaining column order: the leftover col 2
         assert_eq!(v.col_order(), &[1, 0, 2]);
     }
@@ -402,6 +346,18 @@ mod tests {
         assert_eq!(v.level_offsets(0), &[0]);
     }
 
+    /// The distinct full keys of `v`, in row order, with their row counts.
+    fn groups(v: &SortedView) -> Vec<(&[Val], usize)> {
+        let mut out: Vec<(&[Val], usize)> = Vec::new();
+        for key in (0..v.len()).map(|i| &v.row(i)[..v.n_key()]) {
+            match out.last_mut() {
+                Some((last, n)) if *last == key => *n += 1,
+                _ => out.push((key, 1)),
+            }
+        }
+        out
+    }
+
     #[test]
     fn levels_agree_with_groups_on_every_prefix() {
         let mut r = Relation::new(3);
@@ -411,7 +367,7 @@ mod tests {
         // not normalized: the view sorts, and equal rows share one node
         for key_cols in [vec![0], vec![2, 0], vec![1, 2, 0], vec![0, 1, 2]] {
             let v = SortedView::new(&r, &key_cols);
-            let groups: Vec<_> = v.groups().collect();
+            let groups = groups(&v);
             let last = key_cols.len() - 1;
             assert_eq!(v.level(last).len(), groups.len(), "{key_cols:?}");
             for (i, (key, _)) in groups.iter().enumerate() {
@@ -533,13 +489,14 @@ mod tests {
 
     #[test]
     fn groups_cover_all_rows() {
+        // the runs of equal keys are the nodes of the last key level
         let v = SortedView::new(&rel(), &[0]);
-        let groups: Vec<_> = v.groups().map(|(k, r)| (k.to_vec(), r)).collect();
+        let groups = groups(&v);
         assert_eq!(groups.len(), 3); // keys 1, 2, 3
-        let total: usize = groups.iter().map(|(_, r)| r.len()).sum();
-        assert_eq!(total, 4);
-        assert_eq!(groups[0].0, vec![1]);
-        assert_eq!(groups[0].1.len(), 2);
+        assert_eq!(groups.iter().map(|(_, n)| n).sum::<usize>(), v.len());
+        assert_eq!(groups[0], (&[1][..], 2));
+        let keys: Vec<Val> = groups.iter().map(|(key, _)| key[0]).collect();
+        assert_eq!(v.level(0), keys);
     }
 
     #[test]
@@ -547,8 +504,8 @@ mod tests {
         let r = Relation::new(2);
         let v = SortedView::new(&r, &[0]);
         assert!(v.is_empty());
-        assert_eq!(v.key_range(&[1]), 0..0);
-        assert_eq!(v.groups().count(), 0);
+        assert_eq!((v.len(), v.arity(), v.n_key()), (0, 2, 1));
+        assert!(v.level(0).is_empty());
     }
 
     #[test]
@@ -562,8 +519,6 @@ mod tests {
         assert!(!v.is_empty());
         assert_eq!(v.arity(), 0);
         assert_eq!(v.row(0), &[] as &[crate::value::Val]);
-        assert_eq!(v.key_range(&[]), 0..1);
-        assert_eq!(v.groups().count(), 1);
         let f = SortedView::new(&Relation::nullary(false), &[]);
         assert_eq!(f.len(), 0);
         assert!(f.is_empty());

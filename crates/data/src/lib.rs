@@ -4,8 +4,8 @@
 //! query engine (`cq-engine`), together with seeded workload
 //! generators. Values are interned to `u64` ([`Val`]); a
 //! relation is a flat row-major buffer kept sorted and deduplicated, so
-//! lookups, prefix ranges, semijoins and projections run by binary search
-//! and linear merges without per-tuple allocation (the hot-path guidance
+//! lookups, prefix ranges and projections run by binary search and
+//! linear merges without per-tuple allocation (the hot-path guidance
 //! of the Rust perf book).
 //!
 //! The database size measure `m` used throughout the paper — the total

@@ -25,8 +25,7 @@ use crate::aggregate::{fold_body, CountingSemiring, Semiring};
 use crate::bind::{collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError};
 use crate::cancel::{CancelToken, STRIDE};
 use crate::ctx::ExecCtx;
-use crate::links::JoinLinks;
-use crate::semijoin::semijoin;
+use crate::links::{keep_linked, JoinLinks};
 use crate::yannakakis;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
@@ -218,7 +217,7 @@ fn subtree_message(
             continue; // satisfied nullary message: no constraint
         }
         let (cu, cm) = yannakakis::shared_cols_of(&vars, &msg.vars);
-        rel = Cow::Owned(semijoin(&rel, &cu, &msg.rel, &cm));
+        rel = Cow::Owned(keep_linked(&rel, &cu, &msg.rel, &cm));
         if rel.is_empty() {
             break;
         }
@@ -301,11 +300,29 @@ pub fn free_join(
     })
 }
 
+/// `q'` with the links of its join tree, or `None` where `q'` is.
+pub(crate) type LinkedFreeJoin = Option<(Vec<Arc<BoundAtom>>, JoinLinks)>;
+
+/// The atoms of [`free_join`] (shared with its own entry) and the links
+/// of their tree, memoized together: what `COUNT` folds over and what
+/// the tree of `ANSWERS` / `ACCESS` is reduced along. `*cold` as there.
+pub(crate) fn free_links(
+    ctx: &ExecCtx,
+    q: &ConjunctiveQuery,
+    db: &Database,
+    cold: &mut bool,
+) -> Result<Arc<LinkedFreeJoin>, EvalError> {
+    ctx.catalog().artifact(db, "free_links", &q.to_string(), q.relations(), || {
+        let free = free_join(ctx, q, db, cold)?;
+        let linked = (*free).as_ref();
+        Ok(linked.map(|(msgs, tree)| (msgs.clone(), JoinLinks::of_atoms(msgs, tree))))
+    })
+}
+
 /// Count answers of a free-connex query in O(m) (Theorem 3.13): the
 /// counting DP over the memoized [`free_join`] and the links of its
-/// tree, memoized with it — repeated counts pay for the array passes
-/// over the (typically smaller) messages only. Both phases poll the
-/// token.
+/// tree — repeated counts pay for the array passes over the (typically
+/// smaller) messages only. Both phases poll the token.
 pub fn count_free_connex(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
@@ -316,16 +333,7 @@ pub fn count_free_connex(
     }
     let mut span = cq_obs::trace::span("op.count-free-connex");
     let mut cold = false;
-    let text = q.to_string();
-    // the atoms of `q'` (shared with its own entry) and their links
-    let linked =
-        ctx.catalog().artifact(db, "free_links", &text, q.relations(), || {
-            let free = free_join(ctx, q, db, &mut cold)?;
-            let linked = (*free).as_ref();
-            let linked = linked
-                .map(|(msgs, tree)| (msgs.clone(), JoinLinks::of_atoms(msgs, tree)));
-            Ok::<_, EvalError>(linked)
-        })?;
+    let linked = free_links(ctx, q, db, &mut cold)?;
     span.attr("cold-build", u64::from(cold));
     let (n, steps) = match &*linked {
         Some((msgs, links)) => count_over(ctx, msgs, links)?,

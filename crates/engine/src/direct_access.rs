@@ -1,5 +1,5 @@
 //! Direct access in lexicographic orders (paper §3.4.1, Theorem 3.24) —
-//! and the one reduced, indexed join tree the easy side shares.
+//! and the one reduced, linked join tree the easy side shares.
 //!
 //! Goal: after preprocessing, return the `i`-th answer of a join query in
 //! the lexicographic order induced by a variable order `⪯`, in Õ(log m)
@@ -9,19 +9,23 @@
 //! `⪯`-compatible rooted join tree — one where (a) every node's newly
 //! introduced variables come after all variables of its parent's scope
 //! and (b) each subtree's introduced variables form a contiguous block of
-//! `⪯` — fully reduces the atoms over it and sorts every node by its
-//! parent key, then by `⪯`. Those sorted nodes, kept in preorder, are
-//! *the* product of the linear preprocessing of Thm 3.17 / 3.18 / 3.24:
-//! the constant-delay walk of [`crate::enumerate`] steps through them as
-//! an odometer, and an access descends them by binary search on
-//! subtree-count prefix sums plus mixed-radix decomposition across
-//! independent subtrees (O(log m) per access). The prefix sums are the
-//! only part the walk does not need, so they are built on first
-//! `len` / `access` (or up front by `build`, which is where an
-//! overflowing count and a deadline surface). On the paper's example
-//! families the builder succeeds exactly on the trio-free orders; when
-//! no compatible tree is found it reports failure and callers fall back
-//! to [`MaterializedDirectAccess`] (materialize + sort, the superlinear
+//! `⪯` — fully reduces the atoms along its links and keeps, per node in
+//! preorder, *rows + links*: the rows sorted by parent key, then by `⪯`;
+//! the first row of each parent-key group; and per row of the parent the
+//! group it joins (the [`EdgeLinks`] of the edge, over the sorted rows).
+//! That is *the* product of the linear preprocessing of Thm 3.17 / 3.18 /
+//! 3.24, and nothing searches it by key: the constant-delay walk of
+//! [`crate::enumerate`] steps through the nodes as an odometer, a move
+//! into a child being two array reads, and an access descends them by
+//! binary search on subtree-count prefix sums *within the group it was
+//! handed*, plus mixed-radix decomposition across independent subtrees
+//! (O(log m) per access). The prefix sums are the only part the walk
+//! does not need, so they are built on first `len` / `access` (or up
+//! front by `build`, which is where an overflowing count and a deadline
+//! surface). On the paper's example families the builder succeeds
+//! exactly on the trio-free orders; when no compatible tree is found it
+//! reports failure and callers fall back to
+//! [`MaterializedDirectAccess`] (materialize + sort, the superlinear
 //! baseline whose cost gap is the content of Lemma 3.23).
 //!
 //! [`test_prefix`] implements Lemma 3.20: testing reduces to direct
@@ -32,11 +36,13 @@ use crate::bind::{bind, BoundAtom, EvalError};
 use crate::cancel::CancelToken;
 use crate::ctx::ExecCtx;
 use crate::generic_join;
+use crate::links::{EdgeLinks, JoinLinks, NONE};
 use crate::yannakakis::{full_reduce, join_tree_of_atoms};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, SortedView, Val};
 use std::borrow::{Borrow, Cow};
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
 /// Uniform interface for direct-access structures: a simulated sorted
@@ -126,17 +132,32 @@ impl DirectAccess for MaterializedDirectAccess {
 }
 
 /// One node of the reduced join tree: its globally consistent relation
-/// sorted by parent key, then by `⪯`. Rows are read and written through
-/// *slots* — positions in the structure's output row.
+/// sorted by parent key, then by `⪯`, and how its parent's rows reach it.
+/// Rows are written through *slots* — positions in the structure's
+/// output row.
 pub(crate) struct Node {
     pub(crate) view: SortedView,
     pub(crate) n_key: usize,
-    /// output slots holding the key values (written by ancestors)
-    pub(crate) key_slots: Vec<usize>,
     /// output slots the view's non-key columns write, in column order
     pub(crate) out_slots: Vec<usize>,
+    /// the parent (a position in the preorder node list; the root's own)
+    pub(crate) parent: usize,
+    /// per row of the parent: the parent-key group of this node it joins
+    /// (no row of the root's)
+    link: Vec<u32>,
+    /// the first row of each parent-key group, then the row count
+    starts: Vec<u32>,
     /// children in ⪯-block order (positions in the preorder node list)
     children: Vec<usize>,
+}
+
+impl Node {
+    /// The rows joining row `i` of the parent: one parent-key group,
+    /// never empty after full reduction.
+    pub(crate) fn rows_of(&self, i: usize) -> Range<usize> {
+        let g = self.link[i] as usize;
+        self.starts[g] as usize..self.starts[g + 1] as usize
+    }
 }
 
 /// Cumulative subtree weights, per node aligned with its view's rows
@@ -156,9 +177,6 @@ pub struct LexDirectAccess {
     nodes: Vec<Node>,
     /// output row width
     width: usize,
-    /// the longest node key: `access_into` keeps that much scratch
-    /// behind the row in the caller's buffer
-    max_key: usize,
     weights: OnceLock<Weights>,
 }
 
@@ -232,8 +250,9 @@ impl LexDirectAccess {
     /// simulated array would have more than `u64::MAX` positions.
     ///
     /// Memoized in the catalog: the O(m log m) preprocessing (tree
-    /// search, reduction, views, prefix sums) runs once per database
-    /// state; repeated `access` calls pay Õ(log m) each and nothing else.
+    /// search, reduction, sorts, links, prefix sums) runs once per
+    /// database state; repeated `access` calls pay Õ(log m) each and
+    /// nothing else.
     pub fn build(
         ctx: &ExecCtx,
         q: &ConjunctiveQuery,
@@ -275,7 +294,8 @@ impl LexDirectAccess {
                 })?;
             // full reduction → every tuple participates in an answer
             ctx.cancel().check_now()?;
-            full_reduce(&mut atoms, &tree);
+            let links = JoinLinks::of_atoms(&atoms, &tree);
+            full_reduce(&mut atoms, &links);
             let schema: Vec<Var> = q.vars().collect();
             Self::from_reduced(ctx.cancel(), &atoms, &tree, &schema, order)
         })?;
@@ -284,10 +304,10 @@ impl LexDirectAccess {
     }
 
     /// Index fully reduced `atoms` over their ⪯-compatible join tree:
-    /// **the** place a reduced node is sorted by its parent key. Rows are
-    /// reported over `schema`, which must hold exactly the variables of
-    /// the atoms — as must `order`. No weights yet. The token is polled
-    /// per node.
+    /// **the** place a reduced node is sorted by its parent key and
+    /// linked to its parent's sorted rows. Rows are reported over
+    /// `schema`, which must hold exactly the variables of the atoms — as
+    /// must `order`. No weights yet. The token is polled per node.
     pub(crate) fn from_reduced(
         cancel: &CancelToken,
         atoms: &[impl Borrow<BoundAtom>],
@@ -325,7 +345,9 @@ impl LexDirectAccess {
             position[u] = i;
         }
 
-        let mut nodes = Vec::with_capacity(preorder.len());
+        let mut nodes: Vec<Node> = Vec::with_capacity(preorder.len());
+        // per node, the variable of each view column
+        let mut view_vars: Vec<Vec<Var>> = Vec::with_capacity(preorder.len());
         for &u in &preorder {
             cancel.check_now()?;
             let a: &BoundAtom = atoms[u].borrow();
@@ -338,23 +360,40 @@ impl LexDirectAccess {
                 (0..a.vars.len()).filter(|c| !cols.contains(c)).collect();
             rest.sort_by_key(|&c| pos_of(a.vars[c]));
             cols.extend(rest);
-            let mut key_slots: Vec<usize> =
-                cols.iter().map(|&c| slot_of(a.vars[c])).collect();
-            let out_slots = key_slots.split_off(n_key);
+            let vars: Vec<Var> = cols.iter().map(|&c| a.vars[c]).collect();
+            let out_slots = vars[n_key..].iter().map(|&v| slot_of(v)).collect();
             // preorder positions are already in block order
             let mut children: Vec<usize> =
                 tree.children(u).iter().map(|&c| position[c]).collect();
             children.sort_unstable();
             let view = SortedView::new(&a.rel, &cols);
-            nodes.push(Node { view, n_key, key_slots, out_slots, children });
+            let parent = tree.parent(u).map(|p| position[p]);
+            let mut starts: Vec<u32> = vec![0];
+            let mut link = Vec::new();
+            if let Some(parent) = parent {
+                let col_of = |v| view_vars[parent].iter().position(|w| w == v);
+                let pcols: Vec<usize> = vars[..n_key]
+                    .iter()
+                    .map(|v| col_of(v).expect("key ⊆ scope"))
+                    .collect();
+                let ccols: Vec<usize> = (0..n_key).collect();
+                let e = EdgeLinks::build(&nodes[parent].view, &pcols, &view, &ccols);
+                debug_assert!(!e.link.contains(&NONE), "the atoms are reduced");
+                // sorted by its key, a node's groups are runs of its rows
+                debug_assert!(e.own.is_sorted());
+                starts.extend(
+                    (1..view.len())
+                        .filter(|&i| e.own[i] != e.own[i - 1])
+                        .map(|i| i as u32),
+                );
+                link = e.link;
+            }
+            starts.push(view.len() as u32);
+            let parent = parent.unwrap_or(0);
+            nodes.push(Node { view, n_key, out_slots, parent, link, starts, children });
+            view_vars.push(vars);
         }
-        let max_key = nodes.iter().map(|n| n.n_key).max().unwrap_or(0);
-        Ok(LexDirectAccess {
-            nodes,
-            width: schema.len(),
-            max_key,
-            weights: OnceLock::new(),
-        })
+        Ok(LexDirectAccess { nodes, width: schema.len(), weights: OnceLock::new() })
     }
 
     /// The reduced, sorted nodes in preorder — what the constant-delay
@@ -374,33 +413,22 @@ impl LexDirectAccess {
             return Ok(w);
         }
         let mut cumw: Vec<Vec<u128>> = vec![Vec::new(); self.nodes.len()];
-        let mut key: Vec<Val> = Vec::new();
         for (u, node) in self.nodes.iter().enumerate().rev() {
-            // per child: the view columns of `u` holding the child's key
-            let kids: Vec<(usize, Vec<usize>)> = node
-                .children
-                .iter()
-                .map(|&c| {
-                    let slots = node.key_slots.iter().chain(&node.out_slots);
-                    let col_of = |s| slots.clone().position(|t| t == s).unwrap();
-                    (c, self.nodes[c].key_slots.iter().map(col_of).collect())
-                })
-                .collect();
+            let kids: Vec<(&Node, &[u128])> =
+                node.children.iter().map(|&c| (&self.nodes[c], &cumw[c][..])).collect();
             let mut acc: Vec<u128> = Vec::with_capacity(node.view.len() + 1);
             acc.push(0);
             for i in 0..node.view.len() {
                 cancel.check()?;
-                let row = node.view.row(i);
                 let mut w: u128 = 1;
-                for (c, cols) in &kids {
-                    key.clear();
-                    key.extend(cols.iter().map(|&col| row[col]));
-                    let r = self.nodes[*c].view.key_range(&key);
-                    w = w.saturating_mul(cumw[*c][r.end] - cumw[*c][r.start]);
+                for (kid, cumw) in &kids {
+                    let r = kid.rows_of(i);
+                    w = w.saturating_mul(cumw[r.end] - cumw[r.start]);
                 }
                 // weights are counts: saturation keeps "too many" too many
                 acc.push(acc[i].saturating_add(w));
             }
+            drop(kids);
             cumw[u] = acc;
         }
         // after full reduction every partial sum is at most the total
@@ -419,43 +447,20 @@ impl LexDirectAccess {
         self.weights.get().or_else(|| self.weights(&CancelToken::never()).ok())
     }
 
-    /// The rows of `u` matching the key values already in `out`, looked
-    /// up through the `scratch` slice (at least `max_key` long).
-    fn key_range(
-        &self,
-        u: usize,
-        out: &[Val],
-        scratch: &mut [Val],
-    ) -> std::ops::Range<usize> {
-        let node = &self.nodes[u];
-        let key = &mut scratch[..node.n_key];
-        for (k, &slot) in key.iter_mut().zip(&node.key_slots) {
-            *k = out[slot];
-        }
-        node.view.key_range(key)
-    }
-
+    /// Write the `idx`-th answer of `u`'s subtree under the parent-key
+    /// group `range` of its rows.
     fn access_rec(
         &self,
         w: &Weights,
         u: usize,
+        range: Range<usize>,
         idx: u128,
         out: &mut [Val],
-        scratch: &mut [Val],
     ) {
         let (node, cumw) = (&self.nodes[u], &w.cumw[u]);
-        let range = self.key_range(u, out, scratch);
         let target = cumw[range.start] + idx;
-        // binary search: largest pos in range with cumw[pos] <= target
-        let (mut lo, mut hi) = (range.start, range.end);
-        while lo + 1 < hi {
-            let mid = lo + (hi - lo) / 2;
-            if cumw[mid] <= target {
-                lo = mid;
-            } else {
-                hi = mid;
-            }
-        }
+        // the last row of the group whose prefix sum is at most the target
+        let lo = range.start + cumw[range].partition_point(|&c| c <= target) - 1;
         let mut residual = target - cumw[lo];
         let row = node.view.row(lo);
         for (&slot, &v) in node.out_slots.iter().zip(&row[node.n_key..]) {
@@ -464,16 +469,14 @@ impl LexDirectAccess {
         // mixed-radix over children: the row's weight is the product
         // of its children's factors (that is how `weights` weighed it),
         // so dividing a child's factor out leaves the radix of the
-        // children after it. A child's key variables all sit in this
-        // node's scope, so descending into one child never moves a
-        // later child's factor.
+        // children after it.
         let mut radix = cumw[lo + 1] - cumw[lo];
         for &c in &node.children {
-            let r = self.key_range(c, out, scratch);
+            let r = self.nodes[c].rows_of(lo);
             radix /= w.cumw[c][r.end] - w.cumw[c][r.start];
             let idx_c = residual / radix;
             residual %= radix;
-            self.access_rec(w, c, idx_c, out, scratch);
+            self.access_rec(w, c, r, idx_c, out);
         }
         // every factor divided out of the weight exactly, nothing left
         debug_assert_eq!((radix, residual), (1, 0));
@@ -488,10 +491,8 @@ impl DirectAccess for LexDirectAccess {
     fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
         let Some(w) = self.ready().filter(|w| i < w.total) else { return false };
         out.clear();
-        out.resize(self.width + self.max_key, 0);
-        let (row, scratch) = out.split_at_mut(self.width);
-        self.access_rec(w, 0, u128::from(i), row, scratch);
-        out.truncate(self.width);
+        out.resize(self.width, 0);
+        self.access_rec(w, 0, 0..self.nodes[0].view.len(), u128::from(i), out);
         true
     }
 }

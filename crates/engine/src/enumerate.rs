@@ -2,26 +2,31 @@
 //!
 //! Preprocessing (linear in m) is the direct-access preprocessing minus
 //! its weights: eliminate the quantified variables
-//! ([`crate::count::free_join`]), fully semijoin-reduce the resulting
-//! acyclic join query over the free variables, and sort each node of its
-//! join tree by its parent key — the memoized tree of
-//! [`FreeConnexDirectAccess`], shared with `ACCESS` of the same query.
+//! ([`crate::count::free_join`]), fully reduce the resulting acyclic join
+//! query over the free variables along the links of its join tree, sort
+//! each node by its parent key and link it to its parent's rows — the
+//! memoized tree of [`FreeConnexDirectAccess`], shared with `ACCESS` of
+//! the same query. Its work is the `steps` attribute of the
+//! `op.enumerate.preprocess` span — the rows the reduction visits plus
+//! the links it follows, 0 on a warm hit — which
+//! `tests/join_tree_work.rs` holds to `≤ 4 · Σ|Rᵢ|`.
+//!
 //! Enumeration then walks that tree's nodes, in preorder, as an odometer:
-//! because every relation is globally consistent, every key lookup is
-//! non-empty, so the delay between answers is bounded by the number of
-//! tree nodes — a constant depending only on the query, exactly the
-//! guarantee of BDG07. The walk is the in-order traversal of the array
-//! direct access simulates: it emits position 0, 1, 2, … of
+//! a move into a node reads the link of its parent's current row and the
+//! first row of the group it names — two array reads, no search — and
+//! because every relation is globally consistent that group is never
+//! empty, so the delay between answers is bounded by the number of tree
+//! nodes — a constant depending only on the query, exactly the guarantee
+//! of BDG07. The walk is the in-order traversal of the array direct
+//! access simulates: it emits position 0, 1, 2, … of
 //! [`FreeConnexDirectAccess`] without ever needing the subtree weights a
 //! position lookup descends by, so it streams results too large to count.
 //!
 //! That bound is checked as work, not time: the stream counts its
 //! odometer moves and `descend` calls and reports them as the `steps`
 //! attribute of its `stream.enumerate` span, and `tests/stream_alloc.rs`
-//! asserts `steps ≤ 2 · levels · rows` whatever the data. What the
-//! counter does *not* cover: each `descend` is a `key_range` binary
-//! search, so the delay is O(levels · log m) in comparisons until child
-//! offsets from the trie levels replace the search (ROADMAP 3(c)).
+//! asserts `steps ≤ 2 · levels · rows` whatever the data. Each step is
+//! O(1), so the counter covers the delay whole.
 
 use crate::bind::EvalError;
 use crate::cancel::CancelToken;
@@ -80,14 +85,15 @@ impl Enumerator {
         db: &Database,
     ) -> Result<Self, EvalError> {
         let mut span = cq_obs::trace::span("op.enumerate.preprocess");
-        let mut cold = false;
+        let mut built = None;
         let tree = if q.is_boolean() {
             let truth = crate::yannakakis::decide_acyclic(ctx, q, db)?;
             Arc::new(FreeConnexDirectAccess::boolean(truth))
         } else {
-            FreeConnexDirectAccess::shared(ctx, q, db, &mut cold)?
+            FreeConnexDirectAccess::shared(ctx, q, db, &mut built)?
         };
-        span.attr("cold-build", u64::from(cold));
+        span.attr("cold-build", u64::from(built.is_some()));
+        span.attr("steps", built.unwrap_or(0));
         Ok(Enumerator { tree })
     }
 
@@ -155,7 +161,6 @@ pub struct EnumeratorStream {
     cursors: Vec<Cursor>,
     /// The row buffer `next` hands out; slots are keyed by the schema.
     current: Vec<Val>,
-    keybuf: Vec<Val>,
     state: StreamState,
     cancel: CancelToken,
     rows: u64,
@@ -173,7 +178,6 @@ impl EnumeratorStream {
             tree,
             cursors,
             current,
-            keybuf: Vec::new(),
             state: StreamState::NotStarted,
             cancel: CancelToken::never(),
             rows: 0,
@@ -200,9 +204,7 @@ impl AnswerStream for EnumeratorStream {
 
     fn next(&mut self) -> Result<Option<&[Val]>, EvalError> {
         self.cancel.check()?;
-        let EnumeratorStream {
-            tree, cursors, current, keybuf, state, rows, steps, ..
-        } = self;
+        let EnumeratorStream { tree, cursors, current, state, rows, steps, .. } = self;
         let levels = levels_of(tree);
         match state {
             StreamState::Done => return Ok(None),
@@ -211,8 +213,11 @@ impl AnswerStream for EnumeratorStream {
                     *state = StreamState::Done;
                     return Ok(None);
                 }
-                for (lev, cur) in levels.iter().zip(cursors.iter_mut()) {
-                    descend(lev, cur, current, keybuf);
+                // the root is one group: all of its rows
+                cursors[0].range = 0..levels[0].view.len();
+                write_row(&levels[0], &cursors[0], current);
+                for u in 1..levels.len() {
+                    descend(levels, cursors, u, current);
                 }
                 *steps += levels.len() as u64;
                 *state = StreamState::Active;
@@ -238,8 +243,8 @@ impl AnswerStream for EnumeratorStream {
                 break;
             }
         }
-        for (lev, cur) in levels.iter().zip(cursors.iter_mut()).skip(i + 1) {
-            descend(lev, cur, current, keybuf);
+        for u in i + 1..levels.len() {
+            descend(levels, cursors, u, current);
         }
         *steps += (levels.len() - i - 1) as u64;
         *rows += 1;
@@ -251,16 +256,14 @@ impl AnswerStream for EnumeratorStream {
     }
 }
 
-fn descend(lev: &Node, cur: &mut Cursor, current: &mut [Val], keybuf: &mut Vec<Val>) {
-    keybuf.clear();
-    keybuf.extend(lev.key_slots.iter().map(|&s| current[s]));
-    cur.range = lev.view.key_range(keybuf);
-    debug_assert!(
-        !cur.range.is_empty(),
-        "full reduction guarantees non-empty extensions"
-    );
-    cur.pos = cur.range.start;
-    write_row(lev, cur, current);
+/// Move the cursor of node `u` to the first of its rows joining its
+/// parent's current row.
+fn descend(levels: &[Node], cursors: &mut [Cursor], u: usize, current: &mut [Val]) {
+    let lev = &levels[u];
+    let range = lev.rows_of(cursors[lev.parent].pos);
+    debug_assert!(!range.is_empty(), "full reduction guarantees non-empty extensions");
+    cursors[u] = Cursor { pos: range.start, range };
+    write_row(lev, &cursors[u], current);
 }
 
 #[inline]

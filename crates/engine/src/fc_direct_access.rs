@@ -8,21 +8,23 @@
 //! the engine: projection elimination ([`crate::count::free_join`]) turns
 //! the query into an acyclic *join* query `q'` over exactly the free
 //! variables, and the reduced, sorted tree of [`LexDirectAccess`] serves
-//! `q'` over its own join tree under that tree's DFS order — an order
-//! that is compatible *by construction* (each node's variables are
-//! introduced right after its parent's, and subtree blocks are
-//! contiguous), so no tree search is needed. The product is memoized
-//! once per query and shared: [`crate::Enumerator`] walks the very same
-//! nodes, which is why enumeration order *is* this structure's order.
+//! `q'` — reduced along the links `COUNT` folds over — on its own join
+//! tree under that tree's DFS order — an order that is compatible *by
+//! construction* (each node's variables are introduced right after its
+//! parent's, and subtree blocks are contiguous), so no tree search is
+//! needed. The product is memoized once per query and shared:
+//! [`crate::Enumerator`] walks the very same nodes, which is why
+//! enumeration order *is* this structure's order.
 
 use crate::bind::{BoundAtom, EvalError};
 use crate::cancel::CancelToken;
-use crate::count::free_join;
+use crate::count::free_links;
 use crate::ctx::ExecCtx;
 use crate::direct_access::{DirectAccess, LexDirectAccess};
+use crate::links::JoinLinks;
 use crate::yannakakis::{full_reduce, join_tree_of_atoms};
 use cq_core::hypergraph::mask_vertices;
-use cq_core::{ConjunctiveQuery, JoinTree, Var};
+use cq_core::{ConjunctiveQuery, Var};
 use cq_data::{Database, Relation, Val};
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -45,19 +47,20 @@ impl FreeConnexDirectAccess {
     }
 
     /// Fully reduce `atoms` — an acyclic join over exactly `schema` —
-    /// along their join tree and index them under its DFS order: node by
-    /// node in preorder, each node's newly introduced variables in
-    /// ascending index.
+    /// along the `links` of their join tree and index them under its DFS
+    /// order: node by node in preorder, each node's newly introduced
+    /// variables in ascending index. With the reduction's `steps`.
     fn index(
         cancel: &CancelToken,
         mut atoms: Vec<Cow<'_, BoundAtom>>,
-        tree: &JoinTree,
+        links: &JoinLinks,
         schema: Vec<Var>,
-    ) -> Result<Self, EvalError> {
+    ) -> Result<(Self, u64), EvalError> {
         cancel.check_now()?;
-        full_reduce(&mut atoms, tree);
+        let steps = full_reduce(&mut atoms, links);
+        let tree = links.tree();
         if atoms[tree.root()].rel.is_empty() {
-            return Ok(Self::empty(schema));
+            return Ok((Self::empty(schema), steps));
         }
         let order: Vec<Var> = tree
             .top_down()
@@ -66,7 +69,7 @@ impl FreeConnexDirectAccess {
             .map(|v| Var(v as u32))
             .collect();
         let lex = LexDirectAccess::from_reduced(cancel, &atoms, tree, &schema, &order)?;
-        Ok(FreeConnexDirectAccess { tree: Some(lex), schema, order })
+        Ok((FreeConnexDirectAccess { tree: Some(lex), schema, order }, steps))
     }
 
     /// The structure of a Boolean query that is `truth`: over no
@@ -75,27 +78,33 @@ impl FreeConnexDirectAccess {
         let unit = BoundAtom { vars: Vec::new(), rel: Relation::nullary(truth) };
         let unit = vec![Cow::Owned(unit)];
         let tree = join_tree_of_atoms(&unit, 0).expect("one node is a tree");
-        Self::index(&CancelToken::never(), unit, &tree, Vec::new())
+        let links = JoinLinks::of_atoms(&unit, &tree);
+        Self::index(&CancelToken::never(), unit, &links, Vec::new())
             .expect("never cancelled")
+            .0
     }
 
     /// The reduced, sorted tree of a non-Boolean free-connex `q`,
     /// memoized in the catalog and shared by enumeration and direct
-    /// access; no weights yet. `*cold` is set when this call built it.
+    /// access; no weights yet. `*built` is set to the reduction's steps
+    /// when this call built it.
     pub(crate) fn shared(
         ctx: &ExecCtx,
         q: &ConjunctiveQuery,
         db: &Database,
-        cold: &mut bool,
+        built: &mut Option<u64>,
     ) -> Result<Arc<Self>, EvalError> {
         ctx.catalog().artifact(db, "fc_da", &q.to_string(), q.relations(), || {
-            *cold = true;
             let schema: Vec<Var> = q.free_vars();
-            let Some((msgs, tree)) = &*free_join(ctx, q, db, cold)? else {
-                return Ok(Self::empty(schema));
+            let (da, steps) = match &*free_links(ctx, q, db, &mut false)? {
+                None => (Self::empty(schema), 0),
+                Some((msgs, links)) => {
+                    let atoms = msgs.iter().map(|m| Cow::Borrowed(&**m)).collect();
+                    Self::index(ctx.cancel(), atoms, links, schema)?
+                }
             };
-            let atoms = msgs.iter().map(|m| Cow::Borrowed(&**m)).collect();
-            Self::index(ctx.cancel(), atoms, tree, schema)
+            *built = Some(steps);
+            Ok(da)
         })
     }
 
@@ -117,7 +126,7 @@ impl FreeConnexDirectAccess {
                 "Boolean queries have no output positions to access".into(),
             ));
         }
-        let da = Self::shared(ctx, q, db, &mut false)?;
+        let da = Self::shared(ctx, q, db, &mut None)?;
         if let Some(tree) = &da.tree {
             tree.weights(ctx.cancel())?;
         }

@@ -19,7 +19,7 @@ use crate::bind::{collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalErr
 use crate::ctx::ExecCtx;
 use crate::yannakakis::{join_tree_of, shared_cols_of};
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::{Database, FxHashMap, Relation, Val};
+use cq_data::{Database, FxHashMap, Relation, SortedView, Val};
 use std::borrow::Borrow;
 use std::fmt::Write;
 use std::sync::Arc;
@@ -27,9 +27,35 @@ use std::sync::Arc;
 /// The link of a parent row that joins no row of the child.
 pub(crate) const NONE: u32 = u32::MAX;
 
+/// Rows by position — what an edge is built over: a bound relation, or
+/// the sorted rows of a reduced tree node.
+pub(crate) trait Rows {
+    fn len(&self) -> usize;
+    fn row(&self, i: usize) -> &[Val];
+}
+
+impl Rows for Relation {
+    fn len(&self) -> usize {
+        Relation::len(self)
+    }
+    fn row(&self, i: usize) -> &[Val] {
+        Relation::row(self, i)
+    }
+}
+
+impl Rows for SortedView {
+    fn len(&self) -> usize {
+        SortedView::len(self)
+    }
+    fn row(&self, i: usize) -> &[Val] {
+        SortedView::row(self, i)
+    }
+}
+
 /// The links of one tree edge parent → child, keyed on the variables the
 /// two share. Group ids are dense: `0..groups`, numbered in the order
-/// the child's rows first show each key.
+/// the child's rows first show each key — so over a child sorted by its
+/// key columns the groups are runs and `own` is monotone.
 #[derive(Debug)]
 pub struct EdgeLinks {
     /// Per child row (the bound relation's own order): its key group.
@@ -48,37 +74,51 @@ impl EdgeLinks {
     /// through one transient table, so any key width runs the same code
     /// and nothing is boxed.
     pub(crate) fn build(
-        parent: &Relation,
+        parent: &impl Rows,
         pcols: &[usize],
-        child: &Relation,
+        child: &impl Rows,
         ccols: &[usize],
     ) -> EdgeLinks {
+        assert_eq!(pcols.len(), ccols.len(), "key length mismatch");
         assert!(
             u32::try_from(child.len()).is_ok_and(|n| n != NONE),
             "links index groups with u32"
         );
         let mut own = vec![0u32; child.len()];
-        let mut groups = usize::from(!child.is_empty());
-        let mut link = vec![if child.is_empty() { NONE } else { 0 }; parent.len()];
+        let mut groups = usize::from(child.len() > 0);
+        let mut link = vec![if groups == 0 { NONE } else { 0 }; parent.len()];
         let mut ids: FxHashMap<(u32, Val), u32> = FxHashMap::default();
         for (&pc, &cc) in pcols.iter().zip(ccols) {
             ids.clear();
             // transient, so sized for the worst case up front: growing
             // by rehash costs a third of the build
             ids.reserve(child.len());
-            for (g, row) in own.iter_mut().zip(child.iter()) {
+            for (i, g) in own.iter_mut().enumerate() {
                 let next = ids.len() as u32;
-                *g = *ids.entry((*g, row[cc])).or_insert(next);
+                *g = *ids.entry((*g, child.row(i)[cc])).or_insert(next);
             }
             groups = ids.len();
-            for (g, row) in link.iter_mut().zip(parent.iter()) {
+            for (i, g) in link.iter_mut().enumerate() {
                 if *g != NONE {
-                    *g = ids.get(&(*g, row[pc])).copied().unwrap_or(NONE);
+                    *g = ids.get(&(*g, parent.row(i)[pc])).copied().unwrap_or(NONE);
                 }
             }
         }
         EdgeLinks { own, groups, link }
     }
+}
+
+/// `left ⋉ right`: the rows of `left` whose `lcols` link to a row of
+/// `right` by its `rcols`, over links built for the call. A nullary key
+/// is the "cross filter": `left` is kept iff `right` is non-empty.
+pub(crate) fn keep_linked(
+    left: &Relation,
+    lcols: &[usize],
+    right: &Relation,
+    rcols: &[usize],
+) -> Relation {
+    let mut link = EdgeLinks::build(left, lcols, right, rcols).link.into_iter();
+    left.filter(|_| link.next() != Some(NONE))
 }
 
 /// A join tree with the links of its every edge.
@@ -278,6 +318,117 @@ mod tests {
         assert_eq!(e.link, [NONE, NONE, NONE]);
         let e = EdgeLinks::build(&Relation::new(3), &[2], &child, &[0]);
         assert_eq!((e.groups, e.link.len()), (2, 0));
+    }
+
+    /// What the reduced tree relies on: over a child sorted by its key
+    /// columns the groups are runs, numbered in row order.
+    #[test]
+    fn a_child_sorted_by_its_key_has_its_groups_as_runs() {
+        let parent = Relation::from_rows(
+            4,
+            vec![vec![0, 3, 1, 2], vec![1, 3, 1, 2], vec![2, 9, 1, 1], vec![3, 1, 1, 1]],
+        );
+        let child = Relation::from_rows(
+            4,
+            vec![
+                vec![1, 1, 1, 7],
+                vec![1, 1, 1, 8],
+                vec![1, 1, 2, 0],
+                vec![1, 2, 3, 0],
+                vec![1, 2, 3, 4],
+                vec![1, 2, 3, 5],
+                vec![2, 0, 0, 0],
+            ],
+        );
+        // a three-column key: the child's columns 0, 1, 2 are the parent's 2, 3, 1
+        let view = SortedView::new(&child, &[0, 1, 2]);
+        let e = EdgeLinks::build(&parent, &[2, 3, 1], &view, &[0, 1, 2]);
+        assert_eq!((e.own.as_slice(), e.groups), ([0, 0, 1, 2, 2, 2, 3].as_slice(), 4));
+        assert!(e.own.is_sorted());
+        // `starts` = the run boundaries: rows 0, 2, 3, 6
+        let starts: Vec<usize> =
+            (0..e.own.len()).filter(|&i| i == 0 || e.own[i] != e.own[i - 1]).collect();
+        assert_eq!(starts, [0, 2, 3, 6]);
+        assert_eq!(e.link, [2, 2, NONE, 0]);
+        // keyed on a non-prefix column the same rows are not runs
+        let e = EdgeLinks::build(&parent, &[0], &view, &[3]);
+        assert_eq!(e.own, [0, 1, 2, 2, 3, 4, 2]);
+        assert_eq!(e.link, [2, NONE, NONE, NONE]);
+    }
+
+    /// `q(x, y) :- A(x), B(y)`: the tree edge of a disconnected body has
+    /// a nullary key — every row of `B` is the one group every row of
+    /// `A` links to, and the walk is the cross product, in access order.
+    #[test]
+    fn a_disconnected_body_walks_the_one_group_of_its_nullary_key() {
+        let q = parse_query("q(x, y) :- A(x), B(y)").unwrap();
+        let mut data = Database::new();
+        data.insert("A", Relation::from_values(vec![3, 1, 2]));
+        data.insert("B", Relation::from_values(vec![8, 9]));
+        let walk = |data: &Database| {
+            let e = crate::Enumerator::preprocess(&ExecCtx::cold(), &q, data).unwrap();
+            let da = e.direct_access();
+            let mut stream = e.stream();
+            let rows: Vec<Vec<Val>> = std::iter::from_fn(|| {
+                crate::AnswerStream::next(&mut stream).unwrap().map(<[Val]>::to_vec)
+            })
+            .collect();
+            let accessed: Vec<Vec<Val>> = (0..crate::DirectAccess::len(da))
+                .map(|i| crate::DirectAccess::access(da, i).unwrap())
+                .collect();
+            assert_eq!(rows, accessed);
+            rows
+        };
+        // in the order the tree chose: its root's variable first
+        let mut rows = walk(&data);
+        assert!(rows.is_sorted() || rows.is_sorted_by_key(|r| (r[1], r[0])));
+        rows.sort();
+        assert_eq!(rows, [[1, 8], [1, 9], [2, 8], [2, 9], [3, 8], [3, 9]]);
+        check("q(x, y) :- A(x), B(y)", &data);
+        // an empty child links every parent row to `NONE`
+        data.insert("B", Relation::new(1));
+        assert!(walk(&data).is_empty());
+        check("q(x, y) :- A(x), B(y)", &data);
+    }
+
+    fn left() -> Relation {
+        Relation::from_rows(2, vec![vec![1, 10], vec![2, 20], vec![3, 30]])
+    }
+
+    #[test]
+    fn keep_linked_is_the_semijoin() {
+        let right = Relation::from_rows(2, vec![vec![99, 1], vec![98, 3]]);
+        let out = keep_linked(&left(), &[0], &right, &[1]);
+        assert_eq!(out.len(), 2);
+        assert!(out.contains(&[1, 10]) && out.contains(&[3, 30]));
+    }
+
+    #[test]
+    fn keep_linked_on_multi_column_keys() {
+        let right = Relation::from_rows(2, vec![vec![1, 10]]);
+        let out = keep_linked(&left(), &[0, 1], &right, &[0, 1]);
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn keep_linked_on_the_empty_key_is_the_cross_filter() {
+        let l = left();
+        let nonempty = Relation::from_values(vec![7]);
+        let empty = Relation::new(1);
+        assert_eq!(keep_linked(&l, &[], &nonempty, &[]).len(), 3);
+        assert_eq!(keep_linked(&l, &[], &empty, &[]).len(), 0);
+    }
+
+    #[test]
+    fn keep_linked_with_an_empty_right_side() {
+        let right = Relation::new(1);
+        assert!(keep_linked(&left(), &[0], &right, &[0]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "key length mismatch")]
+    fn keep_linked_checks_the_key_length() {
+        let _ = keep_linked(&left(), &[0, 1], &left(), &[0]);
     }
 
     #[test]

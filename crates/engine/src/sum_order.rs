@@ -15,8 +15,8 @@ use crate::cancel::CancelToken;
 use crate::ctx::ExecCtx;
 use crate::direct_access::DirectAccess;
 use crate::generic_join;
-use crate::semijoin::semijoin;
-use crate::yannakakis::shared_cols;
+use crate::links::keep_linked;
+use crate::yannakakis::shared_cols_of;
 use cq_core::{ConjunctiveQuery, Var};
 use cq_data::{Database, Relation, Val};
 
@@ -52,9 +52,8 @@ fn reduced_covering_atom(
             continue;
         }
         cancel.check_now()?;
-        let covering = crate::bind::BoundAtom { vars: atoms[cover].vars.clone(), rel };
-        let (cc, co) = shared_cols(&covering, other);
-        rel = semijoin(&covering.rel, &cc, &other.rel, &co);
+        let (cc, co) = shared_cols_of(&atoms[cover].vars, &other.vars);
+        rel = keep_linked(&rel, &cc, &other.rel, &co);
     }
     Ok((atoms[cover].vars.clone(), rel))
 }

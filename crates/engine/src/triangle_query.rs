@@ -51,9 +51,10 @@ fn degree_map(r1: &Relation, r2: &Relation, r3: &Relation) -> FxHashMap<Val, usi
 
 /// Decide `q△` with the degree-split algorithm. `delta` is the
 /// light/heavy threshold (use `cq_matrix::omega::ayz_delta`). The degree
-/// map and the three sorted views come from the catalog: repeated
-/// triangle decisions on an unchanged database pay the light/heavy scans
-/// only. The token is consulted between the phases.
+/// map and the three sorted views — the ones generic join intersects —
+/// come from the catalog: repeated triangle decisions on an unchanged
+/// database pay the light/heavy scans only. The token is consulted
+/// between the phases.
 pub fn decide_triangle_ayz(
     ctx: &ExecCtx,
     db: &Database,
@@ -68,10 +69,10 @@ pub fn decide_triangle_ayz(
     let light = |v: Val| degree.get(&v).copied().unwrap_or(0) <= delta;
 
     // --- light phases: for (a,b) ∈ `from` with b light, expand b's
-    // tuples (b,c) in `via` (indexed on its first column) and check
-    // `close`(c,a). Light y: R1(x,y) → R2(y,z) → R3(z,x); light z:
-    // R2 → R3 → R1; light x: R3 → R1 → R2 ---
-    let by_first = |name| catalog.sorted_view(db, name, &[0]).expect("validated");
+    // tuples (b,c) in `via` (its trie: b's node on level 0, its children
+    // on level 1) and check `close`(c,a). Light y: R1(x,y) → R2(y,z) →
+    // R3(z,x); light z: R2 → R3 → R1; light x: R3 → R1 → R2 ---
+    let by_first = |name| catalog.sorted_view(db, name, &[0, 1]).expect("validated");
     let phases =
         [(r1, by_first("R2"), r3), (r2, by_first("R3"), r1), (r3, by_first("R1"), r2)];
     for (from, via, close) in &phases {
@@ -81,8 +82,9 @@ pub fn decide_triangle_ayz(
             if !light(b) {
                 continue;
             }
-            for i in via.key_range(&[b]) {
-                let c = via.row(i)[1];
+            let Ok(node) = via.level(0).binary_search(&b) else { continue };
+            let kids = via.level_offsets(0);
+            for &c in &via.level(1)[kids[node] as usize..kids[node + 1] as usize] {
                 if close.contains(&[c, a]) {
                     return Ok(true);
                 }

@@ -1,18 +1,19 @@
 //! The Yannakakis algorithm (Theorem 3.1).
 //!
-//! For an acyclic Boolean conjunctive query, two semijoin sweeps over a
-//! join tree decide the query in time O(m): the upward sweep filters each
-//! parent by its children; the query is true iff the root stays
-//! non-empty. A downward sweep afterwards makes every relation globally
-//! consistent ([`full_reduce`]), the starting point for enumeration and
-//! direct access. Decision needs the upward sweep only, and only its
-//! verdict: [`decide_acyclic`] runs it as the sum-product fold at the
-//! Boolean semiring, materialising no relation.
+//! For an acyclic Boolean conjunctive query, two sweeps over a join tree
+//! decide the query in time O(m): the upward sweep filters each parent by
+//! its children; the query is true iff the root stays non-empty. A
+//! downward sweep afterwards makes every relation globally consistent
+//! ([`full_reduce`]), the starting point for enumeration and direct
+//! access. Both run over the join-tree links of [`crate::links`]: the
+//! reduction as two Boolean passes, decision — which needs the upward
+//! sweep only, and only its verdict — as the sum-product fold at the
+//! Boolean semiring ([`decide_acyclic`]), materialising no relation.
 
 use crate::aggregate::{fold_body, BooleanSemiring};
 use crate::bind::{BoundAtom, EvalError};
 use crate::ctx::ExecCtx;
-use crate::semijoin::semijoin;
+use crate::links::JoinLinks;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::Database;
@@ -33,12 +34,6 @@ pub fn shared_cols_of(a: &[Var], b: &[Var]) -> (Vec<usize>, Vec<usize>) {
     (ca, cb)
 }
 
-/// Shared key columns between two bound atoms: for each shared variable,
-/// the column index in `a` and in `b`.
-pub fn shared_cols(a: &BoundAtom, b: &BoundAtom) -> (Vec<usize>, Vec<usize>) {
-    shared_cols_of(&a.vars, &b.vars)
-}
-
 /// Build the join tree of `q`'s hypergraph (`Err(NotAcyclic)` if cyclic).
 pub fn join_tree_of(q: &ConjunctiveQuery) -> Result<JoinTree, EvalError> {
     cq_core::gyo::join_tree(&q.hypergraph()).ok_or(EvalError::NotAcyclic)
@@ -55,29 +50,69 @@ pub(crate) fn join_tree_of_atoms(
     cq_core::gyo::join_tree(&cq_core::Hypergraph::new(n_vars, scopes))
 }
 
-/// Full Yannakakis reduction of bound atoms over their join tree, in
-/// place. Upward sweep: each parent is filtered by each child, children
-/// first — afterwards the root is non-empty iff the join has an answer.
-/// Downward sweep: each child is filtered by its (already consistent)
-/// parent. After both, every tuple of every relation participates in at
-/// least one answer (global consistency). Borrowed atoms (memoized
-/// messages) are read where they are: only what a sweep filters is owned.
-pub fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], tree: &JoinTree) {
-    let filter = |atoms: &mut [Cow<'_, BoundAtom>], u: usize, by: usize| {
-        let (cu, cb) = shared_cols(&atoms[u], &atoms[by]);
-        let rel = semijoin(&atoms[u].rel, &cu, &atoms[by].rel, &cb);
-        atoms[u] = Cow::Owned(BoundAtom { vars: atoms[u].vars.clone(), rel });
+/// Full Yannakakis reduction of bound atoms along the `links` of their
+/// join tree, in place: two Boolean passes and one filter per node. Up,
+/// children first: a row lives iff each of its links lands in a child
+/// group holding a live row — afterwards the root has a live row iff the
+/// join has an answer. Down: a group lives iff a live parent row links to
+/// it, and a row dies with its group. After both, every remaining tuple
+/// participates in at least one answer (global consistency). Borrowed
+/// atoms (memoized messages) are read where they are: only a node that
+/// loses a row is owned. Returns the `steps` of the two passes, counted
+/// as the fold counts its own: rows visited plus links followed.
+pub fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], links: &JoinLinks) -> u64 {
+    let tree = links.tree();
+    let mut live: Vec<Vec<bool>> =
+        atoms.iter().map(|a| vec![true; a.rel.len()]).collect();
+    // per node, which of its key groups hold a live row; `NONE` links
+    // land in a spare last slot that is never set
+    let mut groups: Vec<Vec<bool>> = (0..atoms.len())
+        .map(|u| vec![false; links.edge(u).map_or(1, |e| e.groups) + 1])
+        .collect();
+    let kids_of = |u: usize| -> Vec<(usize, &[u32])> {
+        let link = |c| links.edge(c).expect("a child has a parent edge").link.as_slice();
+        tree.children(u).iter().map(|&c| (c, link(c))).collect()
     };
+    let mut steps = 0u64;
     for u in tree.bottom_up() {
-        if let Some(p) = tree.parent(u) {
-            filter(atoms, p, u);
+        let (kids, up) = (kids_of(u), links.edge(u));
+        let mut rows = std::mem::take(&mut live[u]);
+        steps += (rows.len() * (1 + kids.len())) as u64;
+        for (i, alive) in rows.iter_mut().enumerate() {
+            *alive = kids.iter().all(|&(c, link)| {
+                let group = &groups[c];
+                group[(link[i] as usize).min(group.len() - 1)]
+            });
+            if *alive {
+                groups[u][up.map_or(0, |e| e.own[i] as usize)] = true;
+            }
         }
+        live[u] = rows;
     }
+    groups.iter_mut().for_each(|group| group.fill(false));
     for u in tree.top_down() {
-        if let Some(p) = tree.parent(u) {
-            filter(atoms, u, p);
+        let (kids, up) = (kids_of(u), links.edge(u));
+        let mut rows = std::mem::take(&mut live[u]);
+        steps += (rows.len() * (1 + kids.len())) as u64;
+        for (i, alive) in rows.iter_mut().enumerate() {
+            *alive &= up.is_none_or(|e| groups[u][e.own[i] as usize]);
+            if *alive {
+                // it survived the upward pass: every link is a group
+                for &(c, link) in &kids {
+                    groups[c][link[i] as usize] = true;
+                }
+            }
+        }
+        live[u] = rows;
+    }
+    for (atom, live) in atoms.iter_mut().zip(&live) {
+        if live.contains(&false) {
+            let mut live = live.iter();
+            let rel = atom.rel.filter(|_| *live.next().expect("one flag per row"));
+            *atom = Cow::Owned(BoundAtom { vars: atom.vars.clone(), rel });
         }
     }
+    steps
 }
 
 /// Decide a Boolean acyclic query in O(m) (Theorem 3.1). Works for any
@@ -106,13 +141,23 @@ pub fn decide_acyclic(
 mod tests {
     use super::*;
     use crate::bind::{bind, brute_force_decide};
+    use crate::links::JoinLinks;
     use cq_core::parse_query;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, seeded_rng, star_database};
     use cq_data::Relation;
 
-    fn owned(atoms: Vec<BoundAtom>) -> Vec<Cow<'static, BoundAtom>> {
-        atoms.into_iter().map(Cow::Owned).collect()
+    /// The atoms of `q` over `db`, fully reduced along links built for
+    /// the call over `q`'s join tree rooted at atom 0, with the steps.
+    fn reduced(
+        q: &ConjunctiveQuery,
+        db: &Database,
+    ) -> (Vec<Cow<'static, BoundAtom>>, u64) {
+        let mut atoms: Vec<_> =
+            bind(q, db).unwrap().into_iter().map(Cow::Owned).collect();
+        let links = JoinLinks::of_atoms(&atoms, &join_tree_of(q).unwrap().rerooted(0));
+        let steps = full_reduce(&mut atoms, &links);
+        (atoms, steps)
     }
 
     #[test]
@@ -157,9 +202,7 @@ mod tests {
         db.insert("S", Relation::from_pairs(vec![(2, 3), (9, 9)]));
         let q = parse_query("q() :- R(x,y), S(y,z)").unwrap();
         assert!(decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap());
-        let mut atoms =
-            owned(bind(&q, db.clone().insert("T", Relation::new(1))).unwrap());
-        full_reduce(&mut atoms, &join_tree_of(&q).unwrap());
+        let (atoms, _) = reduced(&q, &db);
         // after full reduction: R keeps (1,2) only; S keeps (2,3) only
         let r = &atoms[0].rel;
         let s = &atoms[1].rel;
@@ -173,8 +216,7 @@ mod tests {
     fn full_reduce_global_consistency_random() {
         let db = path_database(4, 150, &mut seeded_rng(5));
         let q = zoo::path_join(4);
-        let mut atoms = owned(bind(&q, &db).unwrap());
-        full_reduce(&mut atoms, &join_tree_of(&q).unwrap());
+        let (atoms, _) = reduced(&q, &db);
         let answers = crate::bind::brute_force_answers(&q, &db).unwrap();
         // every remaining tuple appears in some answer
         for (i, a) in atoms.iter().enumerate() {
@@ -189,6 +231,57 @@ mod tests {
                 assert!(participates, "atom {i} row {row:?} is dangling");
             }
         }
+    }
+
+    #[test]
+    fn a_row_can_die_in_the_downward_pass_only() {
+        // rooted at A the tree is the chain A → B → C. C is a leaf: no
+        // link of its rows can fail, so all of C survives the upward
+        // pass. B(7,8) joins C(8,0) and survives it too; both die only
+        // when no live row of A links to B's group y = 7
+        let mut db = Database::new();
+        db.insert("A", Relation::from_pairs(vec![(1, 2), (4, 5)]));
+        db.insert("B", Relation::from_pairs(vec![(2, 3), (5, 6), (7, 8)]));
+        db.insert("C", Relation::from_pairs(vec![(3, 9), (8, 0)]));
+        let q = parse_query("q(x, y, z, w) :- A(x, y), B(y, z), C(z, w)").unwrap();
+        let (atoms, steps) = reduced(&q, &db);
+        let rows = |i: usize| atoms[i].rel.iter().map(<[_]>::to_vec).collect::<Vec<_>>();
+        assert_eq!(
+            (rows(0), rows(1), rows(2)),
+            (vec![vec![1, 2]], vec![vec![2, 3]], vec![vec![3, 9]])
+        );
+        // two passes, each visiting a row once and following its links:
+        // A and B have one child, C none
+        assert_eq!(steps, 2 * (2 * 2 + 3 * 2 + 2));
+        // a node that loses nothing is read where it is
+        db.insert("C", Relation::from_pairs(vec![(3, 9)]));
+        let bound = bind(&q, &db).unwrap();
+        let mut atoms: Vec<_> = bound.iter().map(Cow::Borrowed).collect();
+        let links = JoinLinks::of_atoms(&atoms, &join_tree_of(&q).unwrap().rerooted(0));
+        full_reduce(&mut atoms, &links);
+        assert!(
+            matches!(atoms[2], Cow::Borrowed(_)) && matches!(atoms[1], Cow::Owned(_))
+        );
+    }
+
+    #[test]
+    fn a_reduction_with_no_answer_empties_every_node() {
+        // B and C join, A and B do not: rooted at A, B and C survive the
+        // upward pass whole and the downward pass empties them
+        let mut db = Database::new();
+        db.insert("A", Relation::from_pairs(vec![(1, 2)]));
+        db.insert("B", Relation::from_pairs(vec![(3, 4), (5, 4)]));
+        db.insert("C", Relation::from_pairs(vec![(4, 5)]));
+        let q = parse_query("q(x, y, z, w) :- A(x, y), B(y, z), C(z, w)").unwrap();
+        assert!(reduced(&q, &db).0.iter().all(|a| a.rel.is_empty()));
+        // ... and so does an empty relation anywhere, a disconnected
+        // component included
+        db.insert("A", Relation::from_pairs(vec![(1, 3)]));
+        assert!(reduced(&q, &db).0.iter().all(|a| !a.rel.is_empty()));
+        db.insert("D", Relation::new(2));
+        let q = parse_query("q(x, y, z, w, u, v) :- A(x, y), B(y, z), C(z, w), D(u, v)")
+            .unwrap();
+        assert!(reduced(&q, &db).0.iter().all(|a| a.rel.is_empty()));
     }
 
     #[test]

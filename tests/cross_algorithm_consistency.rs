@@ -585,3 +585,70 @@ fn enumeration_order_is_the_direct_access_order() {
         }
     }
 }
+
+/// The reduced tree is rows + links, and nothing about its answers
+/// moved: on the shapes that lean on the links — a disconnected body
+/// (a nullary key: one group), dangling rows on both sides of an edge
+/// (rows the reduction must drop before a group is a run), and a
+/// lexicographic order only the flattened tree serves (a child linked to
+/// its grandparent's rows) — the walk, `access(0..n)` and the rows the
+/// key-searching tree produced (recorded at the commit before it went)
+/// are one sequence.
+#[test]
+fn the_linked_tree_walks_and_accesses_the_recorded_rows() {
+    let mut db = Database::new();
+    db.insert("R", Relation::from_pairs(vec![(1, 2), (2, 2), (3, 9), (4, 5)]));
+    db.insert("S", Relation::from_pairs(vec![(2, 6), (2, 7), (5, 1), (8, 8)]));
+    db.insert("T", Relation::from_pairs(vec![(7, 8), (5, 6)]));
+    let recorded: [(&str, &[&[Val]]); 3] = [
+        (
+            "q(x, y, u, v) :- R(x, y), T(u, v)",
+            &[
+                &[1, 2, 5, 6],
+                &[2, 2, 5, 6],
+                &[3, 9, 5, 6],
+                &[4, 5, 5, 6],
+                &[1, 2, 7, 8],
+                &[2, 2, 7, 8],
+                &[3, 9, 7, 8],
+                &[4, 5, 7, 8],
+            ],
+        ),
+        (
+            "q(x, y, z) :- R(x, y), S(y, z)",
+            &[&[1, 2, 6], &[2, 2, 6], &[1, 2, 7], &[2, 2, 7], &[4, 5, 1]],
+        ),
+        ("q(y, x) :- R(x, y), S(y, z)", &[&[2, 1], &[2, 2], &[5, 4]]),
+    ];
+    for (src, want) in recorded {
+        let q = parse_query(src).unwrap();
+        let ctx = ExecCtx::cold();
+        let mut stream = Enumerator::preprocess(&ctx, &q, &db).unwrap().into_stream();
+        let mut walked = Vec::new();
+        while let Some(row) = stream.next().unwrap() {
+            walked.push(row.to_vec());
+        }
+        let da = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
+        assert_eq!(array_of(&da), Out::Array(walked.clone()), "{src}");
+        assert_eq!(walked, want, "{src}");
+    }
+    // q̂*_3 under (z, x1, x3, x2): the GYO tree is a chain, the order
+    // needs the star
+    let mut db = Database::new();
+    db.insert("R", Relation::from_pairs(vec![(1, 0), (2, 0), (3, 1), (4, 1)]));
+    let q = zoo::star_full(3);
+    let order: Vec<Var> =
+        ["z", "x1", "x3", "x2"].iter().map(|n| q.var_by_name(n).unwrap()).collect();
+    let lex = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
+    // z, then x1, then x3, then x2 — in columns (x1, x2, x3, z)
+    let mut want = Vec::new();
+    for (z, xs) in [(0, [1, 2]), (1, [3, 4])] {
+        for x1 in xs {
+            for x3 in xs {
+                want.extend(xs.map(|x2| vec![x1, x2, x3, z]));
+            }
+        }
+    }
+    assert_eq!(want.len(), 16);
+    assert_eq!(array_of(&*lex), Out::Array(want));
+}

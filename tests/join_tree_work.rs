@@ -8,9 +8,11 @@
 //! holds generic join to the AGM bound: within a constant times the
 //! input size, one constant per shape across sizes; exactly repeatable
 //! (a counter, no clock); and *growing* like m — the exponent fitted to
-//! (m, steps) over four doubling sizes is 1 ± 0.05.
+//! (m, steps) over four doubling sizes is 1 ± 0.05. The linear
+//! preprocessing of Thms 3.17 / 3.18 is the fourth row: the reduction of
+//! `q'` along the same links reports the same kind of `steps`.
 
-use cq_engine::{count, generic_join, yannakakis, ExecCtx};
+use cq_engine::{count, generic_join, yannakakis, Enumerator, ExecCtx};
 use cq_lower_bounds::prelude::*;
 use cq_obs::trace::{self, TraceSink};
 
@@ -22,7 +24,9 @@ fn traced<T>(op: &str, q: &ConjunctiveQuery, f: impl FnOnce() -> T) -> (T, u64) 
     let mut steps = None;
     sink.finish("test", &q.to_string()).expect("the sink is enabled").visit(|_, span| {
         if span.name == op {
-            assert!(span.attr("rows").is_some() && span.attr("cancel-polls").is_some());
+            // a fold reports its output and its polls beside its work
+            let fold = span.attr("rows").is_some() && span.attr("cancel-polls").is_some();
+            assert!(fold || op == PREPROCESS);
             steps = span.attr("steps");
         }
     });
@@ -45,6 +49,7 @@ fn instance(q: &ConjunctiveQuery, m: usize, joining: bool) -> Database {
 }
 
 const SIZES: [usize; 4] = [2_000, 4_000, 8_000, 16_000];
+const PREPROCESS: &str = "op.enumerate.preprocess";
 
 /// The count by an algorithm that shares no code with the fold: generic
 /// join, most-shared variables first (a star's hub before its spokes).
@@ -149,4 +154,49 @@ fn free_connex_counting_takes_linear_steps() {
             n
         },
     );
+}
+
+/// Thms 3.17 / 3.18: a cold preprocessing reduces `q'` in two passes
+/// along the links of its tree — a tree of `n` equal relations takes
+/// `2 · (2n − 1) · m` steps, under `4 · Σ` — the same on every fresh
+/// catalog; a warm one finds the tree, builds nothing and reports 0.
+#[test]
+fn enumeration_preprocessing_takes_linear_steps() {
+    let prefix =
+        cq_core::parse_query("q(x0, x1) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)").unwrap();
+    let star3 = zoo::star_selfjoin_free(3).join_version();
+    for (name, q) in
+        [("path3", zoo::path_join(3)), ("star3", star3), ("path3 prefix", prefix)]
+    {
+        let points = SIZES.map(|m| {
+            let db = instance(&q, m, true);
+            let preprocess = |catalog: &IndexCatalog| {
+                let ctx = ExecCtx::warm(catalog);
+                traced(PREPROCESS, &q, || Enumerator::preprocess(&ctx, &q, &db).unwrap())
+                    .1
+            };
+            let catalog = IndexCatalog::new();
+            let steps = preprocess(&catalog);
+            let input = db.size() as u64;
+            assert!(steps > 0 && steps <= 4 * input, "{name} m={m}: {steps} steps");
+            assert_eq!(
+                preprocess(&IndexCatalog::new()),
+                steps,
+                "{name} m={m}: must repeat"
+            );
+            let built = catalog.snapshot().misses;
+            assert_eq!(preprocess(&catalog), 0, "{name} m={m}: a warm hit does no work");
+            assert_eq!(
+                catalog.snapshot().misses,
+                built,
+                "{name} m={m}: warm builds nothing"
+            );
+            (m as f64, steps as f64)
+        });
+        let fit = cq_matrix::omega::fit_exponent(&points).expect("four sizes");
+        assert!(
+            (fit - 1.0).abs() <= 0.05,
+            "{name}: steps grow as m^{fit:.3}, promised m^1"
+        );
+    }
 }

@@ -24,8 +24,8 @@
 # statement of the dichotomy: `cq_core::classify::verdict` attaches
 # hypotheses and renders witnesses, the planner maps its verdict to an
 # operator, and the facade's catalog is one value, not a registry. And one
-# word-parallel layout: the bitmaps of a view's last level, in `index.rs`,
-# intersected by portable safe Rust.
+# word-parallel layout: the ranked bitmaps of every level of a view, one
+# type in `index.rs`, intersected by portable safe Rust.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -116,14 +116,22 @@ forbid "search methods on SortedView (it is rows + trie; the tree holds its own 
 )"
 
 # a trie node's children are a slice and, where dense, a bitmap beside it
-# in the same view; the word is `u64`, not a vector register
+# in the same view — on every level, ranked above the last, under one
+# density rule whose bitmaps never outweigh the values and offsets they
+# mirror (`index.rs`'s `bitmaps_never_exceed_the_levels_they_mirror`
+# checks it); the word is `u64`, not a vector register
 forbid "unsafe / std::arch / target_feature in the index and the join kernel (u64::count_ones is the word-parallelism):" "$(
     grep -nE 'unsafe|std::arch|target_feature' \
         crates/engine/src/generic_join.rs crates/data/src/index.rs
 )"
-forbid "a second public set/bitmap type in cq-data (index.rs has LeafBitmaps; cq_matrix::BitMatrix is the matrix crate's own):" "$(
+forbid "a second public set/bitmap type in cq-data (index.rs has LevelBitmaps; cq_matrix::BitMatrix is the matrix crate's own):" "$(
     grep -rnE 'pub (struct|enum|type) \w*[Bb]it\w*' crates/data/src \
         | grep -v '^crates/data/src/index.rs:'
+    grep -nE 'pub (struct|enum|type) \w*[Bb]it\w*' crates/data/src/index.rs \
+        | grep -v 'pub struct LevelBitmaps\b'
+)"
+forbid "the last-level-only bitmap type (SortedView::bitmaps(d) serves every level):" "$(
+    grep -rnE 'LeafBitmaps|leaf_bitmaps' crates
 )"
 
 # the allocating wrappers are for oracles and tests; the server's answer

@@ -450,11 +450,12 @@ mod tests {
         let snap = cat.snapshot();
         assert_eq!((snap.invalidations, snap.views), (1, 2));
         // the views' bytes: `c`'s 3 rows and the rebuilt `d`'s 1, then
-        // `c`'s trie once a level is asked for — two levels, and the
-        // one word of 2's children {10, 20}
+        // `c`'s trie once a level is asked for — two levels, the one
+        // word of 2's children {10, 20}, and the root's {1, 2} as one
+        // word with its rank
         assert_eq!(snap.view_bytes, 48 + 16);
         c.level(0);
-        let trie = 8 * (2 + 3) + 4 * 3 + (8 + 4 * 3);
+        let trie = 8 * (2 + 3) + 4 * 3 + (8 + 4 * 3) + (8 + 4 + 4 * 2);
         assert_eq!(cat.snapshot().view_bytes, snap.view_bytes + trie);
     }
 

@@ -2,8 +2,8 @@
 //! re-sorted under a column permutation (the nodes of the reduced join
 //! tree direct access and enumeration share), plus the same rows as a
 //! trie over the key columns, one contiguous value slice per level, which
-//! is what generic join intersects — the last level's dense nodes also
-//! as bitmaps, which it intersects a word at a time.
+//! is what generic join intersects — every level's dense nodes also as
+//! ranked bitmaps, which it intersects a word at a time.
 
 use crate::relation::Relation;
 use crate::value::Val;
@@ -18,12 +18,12 @@ use std::sync::OnceLock;
 /// order, the prefix's last value ([`SortedView::level`]), so the
 /// distinct values under one parent prefix are a contiguous, strictly
 /// increasing slice; [`SortedView::level_offsets`] maps each node to
-/// its children in level `d + 1`. The last key level has no children
-/// — each of its nodes' child sets is a pure set — and carries a second
-/// layout of the dense ones ([`SortedView::leaf_bitmaps`]). The trie is
-/// built from the sorted rows the first time a level is asked for and
-/// then lives and dies with the view — views that only ever serve
-/// `row` (the join-tree algorithms) never pay for it.
+/// its children in level `d + 1`. Every level carries a second layout
+/// of its dense child sets ([`SortedView::bitmaps`]), ranked where the
+/// children have children of their own. The trie is built from the
+/// sorted rows the first time a level is asked for and then lives and
+/// dies with the view — views that only ever serve `row` (the join-tree
+/// algorithms) never pay for it.
 #[derive(Clone, Debug)]
 pub struct SortedView {
     /// New column order: `key_cols` then the rest.
@@ -36,22 +36,8 @@ pub struct SortedView {
     /// Explicit row count: for arity 0 the data buffer carries no
     /// information, yet the view of `{()}` has one row, not zero.
     n_rows: usize,
-    /// The key trie, built on first use.
-    trie: OnceLock<Trie>,
-}
-
-/// A [`SortedView`]'s key trie: one level per key column, and the last
-/// level's dense nodes once more as bitmaps.
-#[derive(Clone, Debug, Default)]
-struct Trie {
-    levels: Vec<TrieLevel>,
-    /// The bitmaps, back to back.
-    bit_words: Vec<u64>,
-    /// `bit_start[i]..bit_start[i + 1]`: the words of node `i` of the
-    /// level above the last (the root, node 0, if there is none) — no
-    /// words for a node kept as a slice only. One entry per node plus
-    /// the end sentinel; empty if no node is dense.
-    bit_start: Vec<u32>,
+    /// The key trie — one level per key column — built on first use.
+    trie: OnceLock<Vec<TrieLevel>>,
 }
 
 /// One level of a [`SortedView`]'s key trie.
@@ -63,6 +49,16 @@ struct TrieLevel {
     /// One entry per node plus the end sentinel; empty for the last key
     /// level, which has no next one.
     child: Vec<u32>,
+    /// The level's dense child sets as bitmaps, back to back.
+    words: Vec<u64>,
+    /// Per word, the set bits of its node before it; empty on the last
+    /// key level, whose values index nothing.
+    rank: Vec<u32>,
+    /// `start[i]..start[i + 1]`: the words of the children of node `i`
+    /// of the level above (the root, node 0, above level 0) — none for
+    /// a child set kept as a slice only. One entry per node plus the
+    /// end sentinel; empty if no child set is dense.
+    start: Vec<u32>,
 }
 
 impl SortedView {
@@ -121,7 +117,7 @@ impl SortedView {
     /// One pass over the sorted rows: a row whose key first differs from
     /// its predecessor's at column `c` opens one new node on every level
     /// from `c` down.
-    fn build_trie(&self) -> Trie {
+    fn build_trie(&self) -> Vec<TrieLevel> {
         let n_key = self.n_key;
         let mut levels = vec![TrieLevel::default(); n_key];
         let mut prev: Option<&[Val]> = None;
@@ -149,16 +145,17 @@ impl SortedView {
             level.vals.shrink_to_fit();
             level.child.shrink_to_fit();
         }
-        let (bit_words, bit_start) = build_bitmaps(&levels);
-        Trie { levels, bit_words, bit_start }
-    }
-
-    fn trie(&self) -> &Trie {
-        self.trie.get_or_init(|| self.build_trie())
+        for d in 0..n_key {
+            let root = [0, levels[d].vals.len() as u32];
+            let parents = if d == 0 { &root[..] } else { &levels[d - 1].child };
+            let bitmaps = build_bitmaps(parents, &levels[d].vals, d + 1 < n_key);
+            (levels[d].words, levels[d].rank, levels[d].start) = bitmaps;
+        }
+        levels
     }
 
     fn levels(&self) -> &[TrieLevel] {
-        &self.trie().levels
+        self.trie.get_or_init(|| self.build_trie())
     }
 
     /// The values of trie level `d < n_key`: for every distinct key
@@ -177,25 +174,27 @@ impl SortedView {
         &self.levels()[d].child
     }
 
-    /// The last key level's child sets in their second layout: every
-    /// node whose children span fewer 64-bit words than they have
-    /// elements — `(max >> 6) − (min >> 6) + 1 < len` — also has them as
-    /// a word-aligned bitmap. The rule is a property of the data: such a
-    /// bitmap is smaller than the slice it mirrors and intersects 64
-    /// values per AND; any other node would pay more words than it has
-    /// values, and has none.
-    pub fn leaf_bitmaps(&self) -> LeafBitmaps<'_> {
-        let trie = self.trie();
-        LeafBitmaps { words: &trie.bit_words, start: &trie.bit_start }
+    /// Level `d`'s child sets in their second layout: every child set
+    /// that spans fewer 64-bit words than it has elements — `(max >> 6) −
+    /// (min >> 6) + 1 < len` — also is a word-aligned bitmap, ranked on
+    /// every level but the last. The rule is a property of the data: a
+    /// word (8 bytes, plus a 4-byte rank) then costs less than the values
+    /// it replaces (8 bytes each, plus a 4-byte child offset), and holds
+    /// up to 64 of them per AND; any other set would pay more words than
+    /// it has values, and has none.
+    pub fn bitmaps(&self, d: usize) -> LevelBitmaps<'_> {
+        let l = &self.levels()[d];
+        LevelBitmaps { words: &l.words, rank: &l.rank, start: &l.start }
     }
 
     /// Bytes this view holds on the heap: the rows, plus — once a level
-    /// has been asked for — the trie levels and the bitmaps.
+    /// has been asked for — the trie levels and their bitmaps.
     pub fn heap_bytes(&self) -> usize {
-        let trie = self.trie.get().map_or(0, |t| {
-            let levels = t.levels.iter().map(|l| 8 * l.vals.len() + 4 * l.child.len());
-            levels.sum::<usize>() + 8 * t.bit_words.len() + 4 * t.bit_start.len()
-        });
+        let level = |l: &TrieLevel| {
+            8 * (l.vals.len() + l.words.len())
+                + 4 * (l.child.len() + l.rank.len() + l.start.len())
+        };
+        let trie = self.trie.get().map_or(0, |t| t.iter().map(level).sum());
         8 * self.data.len() + trie
     }
 
@@ -232,20 +231,21 @@ impl SortedView {
     }
 }
 
-/// The second layout of a trie's last level (see
-/// [`SortedView::leaf_bitmaps`]): one pass over its nodes.
-fn build_bitmaps(levels: &[TrieLevel]) -> (Vec<u64>, Vec<u32>) {
-    let Some((last, above)) = levels.split_last() else {
-        return Default::default();
-    };
-    let root = [0, last.vals.len() as u32];
-    let child = above.last().map_or(&root[..], |l| &l.child);
+/// The second layout of one trie level, whose child sets are the
+/// `parents.windows(2)` of its `vals` (see [`SortedView::bitmaps`]): one
+/// pass over them, and a rank per word if `ranked`.
+fn build_bitmaps(
+    parents: &[u32],
+    vals: &[Val],
+    ranked: bool,
+) -> (Vec<u64>, Vec<u32>, Vec<u32>) {
     let mut words: Vec<u64> = Vec::new();
-    let mut start: Vec<u32> = Vec::with_capacity(child.len());
-    for w in child.windows(2) {
-        // fewer words than values in every dense node: `u32` holds
+    let mut rank: Vec<u32> = Vec::new();
+    let mut start: Vec<u32> = Vec::with_capacity(parents.len());
+    for w in parents.windows(2) {
+        // fewer words than values in every dense set: `u32` holds
         start.push(words.len() as u32);
-        let kids = &last.vals[w[0] as usize..w[1] as usize];
+        let kids = &vals[w[0] as usize..w[1] as usize];
         let (Some(&min), Some(&max)) = (kids.first(), kids.last()) else {
             continue; // the root of an empty view
         };
@@ -257,6 +257,13 @@ fn build_bitmaps(levels: &[TrieLevel]) -> (Vec<u64>, Vec<u32>) {
             for &v in kids {
                 words[at + ((v >> 6) - first) as usize] |= 1 << (v & 63);
             }
+            if ranked {
+                let mut before = 0;
+                for w in &words[at..] {
+                    rank.push(before);
+                    before += w.count_ones();
+                }
+            }
         }
     }
     if words.is_empty() {
@@ -264,35 +271,42 @@ fn build_bitmaps(levels: &[TrieLevel]) -> (Vec<u64>, Vec<u32>) {
     }
     start.push(words.len() as u32);
     words.shrink_to_fit();
-    (words, start)
+    rank.shrink_to_fit();
+    (words, rank, start)
 }
 
-/// The bitmaps of a [`SortedView`]'s last key level, by node of the
-/// level above it.
+/// The bitmaps of one level of a [`SortedView`]'s key trie, by node of
+/// the level above it.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct LeafBitmaps<'a> {
+pub struct LevelBitmaps<'a> {
     words: &'a [u64],
+    rank: &'a [u32],
     start: &'a [u32],
 }
 
-impl<'a> LeafBitmaps<'a> {
-    /// Has no node of the level a bitmap?
+impl<'a> LevelBitmaps<'a> {
+    /// Is no child set of the level a bitmap?
     pub fn is_empty(&self) -> bool {
         self.words.is_empty()
     }
 
-    /// The children of `node` — a node of the level above the last key
-    /// level; 0, the root, for a view with one key column — as a
-    /// bitmap, or `&[]` for a node kept as a slice only. With `first`
-    /// the node's smallest child, bit `b` of word `j` is the value
-    /// `((first >> 6) + j) << 6 | b`; the first and the last word are
-    /// non-zero.
+    /// The children of `node` — a node of the level above; 0, the root,
+    /// above level 0 — as a bitmap and its ranks, or `(&[], &[])` for a
+    /// child set kept as a slice only. With `first` the smallest child,
+    /// bit `b` of word `j` is the value `((first >> 6) + j) << 6 | b`; the
+    /// first and the last word are non-zero. `rank[j]` counts the set
+    /// bits of words `0..j`, so with `lo` the position of the first child
+    /// in the level, that value sits at `lo + rank[j] + (words[j] & ((1 <<
+    /// b) − 1)).count_ones()` — the node whose children
+    /// [`SortedView::level_offsets`] gives. The last key level has no
+    /// ranks.
     #[inline]
-    pub fn of(&self, node: usize) -> &'a [u64] {
-        match (self.start.get(node), self.start.get(node + 1)) {
-            (Some(&lo), Some(&hi)) => &self.words[lo as usize..hi as usize],
-            _ => &[],
-        }
+    pub fn of(&self, node: usize) -> (&'a [u64], &'a [u32]) {
+        let Some(&[lo, hi]) = self.start.get(node..node + 2) else {
+            return (&[], &[]);
+        };
+        let span = lo as usize..hi as usize;
+        (&self.words[span.clone()], self.rank.get(span).unwrap_or_default())
     }
 }
 
@@ -400,6 +414,95 @@ mod tests {
         out
     }
 
+    /// The child sets of level `d`, by node of the level above: each
+    /// one's first position in the level and its values.
+    fn child_sets(v: &SortedView, d: usize) -> Vec<(usize, &[Val])> {
+        let root = [0, v.level(d).len() as u32];
+        let parents = if d == 0 { &root[..] } else { v.level_offsets(d - 1) };
+        let set = |w: &[u32]| (w[0] as usize, &v.level(d)[w[0] as usize..w[1] as usize]);
+        parents.windows(2).map(set).collect()
+    }
+
+    /// `heap_bytes` as DESIGN.md states it: with `P_d` the nodes of level
+    /// `d` and `W_d` its bitmap words, rows `8·a·n`, values `8·P_d`, child
+    /// offsets `4·(P_d + 1)` and ranks `4·W_d` above the last level, and
+    /// on a level with a dense set its words `8·W_d` and starts `4·(P_{d−1}
+    /// + 1)` (the root is the one node above level 0).
+    fn formula(v: &SortedView) -> usize {
+        let mut bytes = 8 * v.arity() * v.len();
+        for d in 0..v.n_key() {
+            let (p, sets) = (v.level(d).len(), child_sets(v, d).len());
+            let w: usize = (0..sets).map(|i| v.bitmaps(d).of(i).0.len()).sum();
+            bytes += 8 * p;
+            if d + 1 < v.n_key() {
+                bytes += 4 * (p + 1) + 4 * w;
+            }
+            if w > 0 {
+                bytes += 8 * w + 4 * (sets + 1);
+            }
+        }
+        bytes
+    }
+
+    /// Per level, the words, ranks and starts of the bitmaps never exceed
+    /// the values and child offsets they mirror, nor do they keep spare
+    /// capacity; ranks exist exactly above the last level.
+    fn assert_never_larger(v: &SortedView) {
+        for (d, l) in v.levels().iter().enumerate() {
+            let bitmaps = 8 * l.words.len() + 4 * (l.rank.len() + l.start.len());
+            assert!(bitmaps <= 8 * l.vals.len() + 4 * l.child.len(), "level {d}");
+            let ranked = d + 1 < v.n_key();
+            assert_eq!(l.rank.len(), if ranked { l.words.len() } else { 0 });
+            assert_eq!(l.words.capacity(), l.words.len());
+            assert_eq!(l.rank.capacity(), l.rank.len());
+            if l.words.is_empty() {
+                assert_eq!(l.start.capacity(), 0, "level {d}: no dense set, no starts");
+            }
+        }
+        assert_eq!(v.heap_bytes(), formula(v));
+    }
+
+    /// Every bitmap decodes to its set, spans exactly its words, and —
+    /// above the last level — ranks each value at its position in the
+    /// level: the node whose children `level_offsets` gives. Returns the
+    /// dense sets per level.
+    fn assert_ranks_are_positions(v: &SortedView) -> Vec<usize> {
+        let per_level = |d: usize| {
+            let ranked = d + 1 < v.n_key();
+            let mut dense = 0;
+            for (node, (lo, kids)) in child_sets(v, d).into_iter().enumerate() {
+                let (words, rank) = v.bitmaps(d).of(node);
+                let Some((&min, &max)) = kids.first().zip(kids.last()) else {
+                    assert!(words.is_empty(), "the root of an empty view");
+                    continue;
+                };
+                let span = ((max >> 6) - (min >> 6) + 1) as usize;
+                if span >= kids.len() {
+                    assert!(words.is_empty() && rank.is_empty(), "level {d} node {node}");
+                    continue;
+                }
+                dense += 1;
+                assert_eq!(words.len(), span);
+                assert_eq!(decode(words, min), kids, "level {d} node {node}");
+                assert!(words[0] != 0 && words[span - 1] != 0);
+                assert_eq!(rank.len(), if ranked { span } else { 0 });
+                for (i, &x) in kids.iter().enumerate().filter(|_| ranked) {
+                    let j = ((x >> 6) - (min >> 6)) as usize;
+                    let below = words[j] & ((1 << (x & 63)) - 1);
+                    let at = lo + rank[j] as usize + below.count_ones() as usize;
+                    assert_eq!(
+                        (at, v.level(d)[at]),
+                        (lo + i, x),
+                        "level {d} node {node}"
+                    );
+                }
+            }
+            assert!(v.bitmaps(d).of(child_sets(v, d).len()).0.is_empty(), "past the end");
+            dense
+        };
+        (0..v.n_key()).map(per_level).collect()
+    }
+
     #[test]
     fn a_node_is_a_bitmap_iff_its_words_are_fewer_than_its_children() {
         let top = Val::MAX;
@@ -414,56 +517,112 @@ mod tests {
         ];
         let rows = nodes.iter().flat_map(|(a, kids)| kids.iter().map(|&b| vec![*a, b]));
         let v = SortedView::new(&Relation::from_rows(2, rows), &[0, 1]);
-        let bits = v.leaf_bitmaps();
-        let mut total = 0;
-        for (a, kids) in nodes {
-            let (min, max) = (kids[0], kids[kids.len() - 1]);
-            let span = ((max >> 6) - (min >> 6) + 1) as usize;
-            let words = bits.of(a as usize);
-            if span < kids.len() {
-                assert_eq!(words.len(), span, "node {a}");
-                assert_eq!(decode(words, min), kids, "node {a}");
-                assert!(words[0] != 0 && words[span - 1] != 0);
-            } else {
-                assert!(words.is_empty(), "node {a} stays a slice");
-            }
-            total += words.len();
-        }
+        // the root's seven children are one word, ranked from 0
+        assert_eq!(v.bitmaps(0).of(0), (&[0b111_1111][..], &[0][..]));
+        assert_eq!(assert_ranks_are_positions(&v), [1, 5]);
+        let total: usize = (0..nodes.len()).map(|a| v.bitmaps(1).of(a).0.len()).sum();
         assert_eq!(total, 3 + 1 + 3 + 1 + 2);
-        assert!(bits.of(nodes.len()).is_empty(), "past the last node");
-        // never larger than the slice it mirrors, offsets included
-        let trie = v.trie();
-        let bitmap_bytes = 8 * trie.bit_words.len() + 4 * trie.bit_start.len();
-        assert_eq!(trie.bit_words.len(), total);
-        assert!(bitmap_bytes <= 8 * v.level(1).len());
         let levels = 8 * (7 + 23) + 4 * 8;
-        assert_eq!(v.heap_bytes(), 8 * 2 * 23 + levels + bitmap_bytes);
+        let bitmaps = (8 + 4 + 4 * 2) + (8 * total + 4 * 8);
+        assert_eq!(v.heap_bytes(), 8 * 2 * 23 + levels + bitmaps);
+        assert_never_larger(&v);
 
-        // one key column: the root is the only node
+        // one key column: the root is the only node, and nothing is ranked
         let v = SortedView::new(&Relation::from_values(vec![3, 70, 130, 131]), &[0]);
-        assert_eq!(decode(v.leaf_bitmaps().of(0), 3), &[3, 70, 130, 131]);
-        assert!(v.leaf_bitmaps().of(1).is_empty());
+        assert_eq!(decode(v.bitmaps(0).of(0).0, 3), &[3, 70, 130, 131]);
+        assert!(v.bitmaps(0).of(0).1.is_empty());
+        assert!(v.bitmaps(0).of(1).0.is_empty());
+        assert_never_larger(&v);
+    }
+
+    #[test]
+    fn a_set_bits_rank_is_its_position_in_the_level() {
+        let top = Val::MAX;
+        let edges: &[Val] = &[63, 64, 127, 128];
+        let high: &[Val] = &[top - 130, top - 65, top - 64, top - 63, top - 1, top];
+        let firsts = [0, 1, 2, 63, 64, 127, 128];
+        let mut rows = Vec::new();
+        for (i, &a) in firsts.iter().enumerate() {
+            for &b in [edges, high, &[5, 700]][i % 3] {
+                // two words under an even b, the top two under an odd one
+                let thirds: &[Val] = if b % 2 == 0 {
+                    &[62, 63, 64, 65]
+                } else {
+                    &[top - 64, top - 1, top]
+                };
+                rows.extend(thirds.iter().map(|&c| vec![a, b, c]));
+            }
+        }
+        let v = SortedView::new(&Relation::from_rows(3, rows), &[0, 1, 2]);
+        // 0, 1, 2, 63 | 64, 127 | 128: the ranks step over a word edge
+        let words = [0b111 | 1 << 63, 1 | 1 << 63, 1];
+        assert_eq!(v.bitmaps(0).of(0), (&words[..], &[0, 4, 6][..]));
+        // the root, every second-column set but [5, 700], every third
+        assert_eq!(assert_ranks_are_positions(&v), [1, 5, 28]);
+        // the top of the domain: rank across its last word edge
+        let (words, rank) = v.bitmaps(1).of(1);
+        assert_eq!((words.len(), rank), (3, &[0, 1, 3][..]));
+        assert_never_larger(&v);
+    }
+
+    #[test]
+    fn bitmaps_never_exceed_the_levels_they_mirror() {
+        let mut state = 7u64;
+        let mut below = |n: u64| {
+            state =
+                state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) % n
+        };
+        for case in 0..60 {
+            let arity = 2 + case % 2;
+            let domain = [2, 8, 64, 200, 5_000][case % 5];
+            let n = [0, 1, 10, 200, 2_000][(case / 5) % 5];
+            let mut r = Relation::new(arity);
+            for _ in 0..n {
+                let row: Vec<Val> = (0..arity).map(|_| below(domain as u64)).collect();
+                r.push_row(&row);
+            }
+            r.normalize();
+            for key_cols in [vec![0], vec![1, 0], (0..arity).rev().collect()] {
+                let v = SortedView::new(&r, &key_cols);
+                assert_ranks_are_positions(&v);
+                assert_never_larger(&v);
+            }
+        }
     }
 
     #[test]
     fn a_level_with_no_dense_node_has_no_bitmap_at_all() {
-        // singletons only, and nodes as wide in words as in children
+        // a sparse root over singletons, nodes as wide in words as in
+        // children, and a dense root over singletons
+        let sparse = Relation::from_pairs((0..100).map(|i| (64 * i, i)));
+        let wide = Relation::from_pairs((0..100).map(|i| (640 * (i % 10), 64 * i)));
         let singletons = Relation::from_pairs((0..100).map(|i| (i, i)));
-        let wide = Relation::from_pairs((0..100).map(|i| (i % 10, 64 * i)));
-        for rel in [singletons, wide, Relation::new(2)] {
+        let empty = Relation::new(2);
+        for (rel, dense_root) in
+            [(sparse, false), (wide, false), (singletons, true), (empty, false)]
+        {
             let v = SortedView::new(&rel, &[0, 1]);
             let before = v.heap_bytes();
             assert_eq!(before, 8 * 2 * rel.len(), "rows only until a level is read");
-            assert!(v.leaf_bitmaps().is_empty());
-            assert!(v.leaf_bitmaps().of(0).is_empty());
-            let trie = v.trie();
-            assert_eq!((trie.bit_words.capacity(), trie.bit_start.capacity()), (0, 0));
+            assert_eq!(v.bitmaps(0).is_empty(), !dense_root);
+            assert!(v.bitmaps(1).is_empty());
+            assert_eq!(v.bitmaps(1).of(0), (&[][..], &[][..]));
+            for l in v.levels().iter().filter(|l| l.words.is_empty()) {
+                let capacity =
+                    (l.words.capacity(), l.rank.capacity(), l.start.capacity());
+                assert_eq!(capacity, (0, 0, 0));
+            }
             let levels =
                 8 * (v.level(0).len() + v.level(1).len()) + 4 * v.level_offsets(0).len();
-            assert_eq!(v.heap_bytes(), before + levels);
+            // two words, two ranks, two starts
+            let root = if dense_root { 8 * 2 + 4 * 2 + 4 * 2 } else { 0 };
+            assert_eq!(v.heap_bytes(), before + levels + root);
+            assert_never_larger(&v);
         }
         let nullary = SortedView::new(&Relation::nullary(true), &[]);
-        assert!(nullary.leaf_bitmaps().is_empty());
+        assert!(nullary.levels().is_empty());
+        assert_eq!(nullary.heap_bytes(), 0);
     }
 
     #[test]

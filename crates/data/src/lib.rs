@@ -23,7 +23,7 @@ pub mod value;
 pub use catalog::{CatalogStats, IndexCatalog};
 pub use database::Database;
 pub use hasher::{FxHashMap, FxHashSet};
-pub use index::{LeafBitmaps, SortedView};
+pub use index::{LevelBitmaps, SortedView};
 pub use relation::Relation;
 pub use stats::{DataStats, RelationStats};
 pub use value::{Interner, Val};

@@ -6,10 +6,11 @@
 //! sorted slice — a level of its [`SortedView`]'s key trie, narrowed to
 //! the children of the prefix bound so far — so the intersection is a
 //! merge of slices (a gallop where one is much longer), and descending
-//! reads the child range from the trie's offsets. An atom's last column
-//! needs no child range, so there a dense slice is also offered as a
-//! bitmap: bitmaps intersect a word — 64 values — per AND, and a slice
-//! against a bitmap is filtered by bit tests. The runtime is
+//! reads the child range from the trie's offsets. A dense slice is also
+//! offered as a bitmap: bitmaps intersect a word — 64 values — per AND,
+//! a slice against a bitmap is filtered by bit tests, and a set bit's
+//! rank is its position in the level, so descending from a bitmap reads
+//! the same offsets. The runtime is
 //! bounded by the AGM fractional-edge-cover bound of the query — e.g. m^{3/2} for the triangle query and m^{1+1/(k−1)} for
 //! Loomis–Whitney q^LW_k (Example 3.4), which is why this single
 //! algorithm is both the m^{3/2} triangle baseline of Thm 3.2 and the
@@ -19,7 +20,7 @@ use crate::bind::{collapse_rel, distinct_vars, validate_atom, EvalError};
 use crate::cancel::CancelToken;
 use crate::ctx::ExecCtx;
 use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, FxHashSet, LeafBitmaps, Relation, SortedView, Val};
+use cq_data::{Database, FxHashSet, LevelBitmaps, Relation, SortedView, Val};
 use std::sync::Arc;
 
 /// One atom prepared for the join: its view is sorted with columns in
@@ -87,9 +88,8 @@ struct LevelRef<'a> {
     vals: &'a [Val],
     /// Child offsets of the level; `None` for the atom's last column.
     child: Option<&'a [u32]>,
-    /// The level's dense nodes as bitmaps: the atom's last column only,
-    /// and only if it has a dense node.
-    bits: Option<LeafBitmaps<'a>>,
+    /// The level's dense child sets as bitmaps, if it has one.
+    bits: Option<LevelBitmaps<'a>>,
     /// Index into [`JoinState::kids`] of this (atom, column); the
     /// atom's next column is at `slot + 1`.
     slot: usize,
@@ -148,7 +148,12 @@ impl<'a> Cursor<'a> {
 #[derive(Clone, Copy)]
 struct Bits<'a> {
     words: &'a [u64],
+    /// Per word, the node's set bits before it (see
+    /// [`LevelBitmaps::of`]); empty on an atom's last column.
+    rank: &'a [u32],
     first: u64,
+    /// Which of the depth's [`LevelRef`]s the bitmap is of.
+    it: usize,
 }
 
 impl Bits<'_> {
@@ -157,6 +162,37 @@ impl Bits<'_> {
         let word =
             (v >> 6).checked_sub(self.first).and_then(|j| self.words.get(j as usize));
         word.is_some_and(|w| w >> (v & 63) & 1 == 1)
+    }
+
+    /// How many of the node's children precede `v`, one of them.
+    #[inline]
+    fn rank_of(&self, v: Val) -> usize {
+        let j = ((v >> 6) - self.first) as usize;
+        let below = self.words[j] & ((1 << (v & 63)) - 1);
+        self.rank[j] as usize + below.count_ones() as usize
+    }
+}
+
+/// Point the next column of `it`'s atom at the children of node `node`
+/// of `it`'s level; nothing for an atom's last column.
+#[inline]
+fn enter(kids: &mut [Kids], it: &LevelRef<'_>, node: usize) {
+    if let Some(child) = it.child {
+        let (lo, hi) = (child[node] as usize, child[node + 1] as usize);
+        kids[it.slot + 1] = Kids { lo, hi, node };
+    }
+}
+
+/// [`enter`] the children of `value`, a set bit of every bitmap in
+/// `bits`: a node's position is its first child's plus the value's rank.
+#[inline]
+fn enter_by_rank(kids: &mut [Kids], its: &[LevelRef<'_>], bits: &[Bits<'_>], value: Val) {
+    for b in bits {
+        let it = &its[b.it];
+        if it.child.is_some() {
+            let node = kids[it.slot].lo + b.rank_of(value);
+            enter(kids, it, node);
+        }
     }
 }
 
@@ -212,7 +248,7 @@ fn run_prepared(
             let vals = p.view.level(lc);
             let is_last = lc + 1 == p.depths.len();
             let child = (!is_last).then(|| p.view.level_offsets(lc));
-            let bits = is_last.then(|| p.view.leaf_bitmaps()).filter(|b| !b.is_empty());
+            let bits = Some(p.view.bitmaps(lc)).filter(|b| !b.is_empty());
             depths[d].push(LevelRef { vals, child, bits, slot: base + lc });
             // only the first column's range is known before the join
             kids.push(Kids { lo: 0, hi: if lc == 0 { vals.len() } else { 0 }, node: 0 });
@@ -233,7 +269,7 @@ fn run_prepared(
     let mut st = JoinState {
         kids,
         cursors: vec![Cursor { rest: &[], end: 0, gallop: false, it: 0 }; n_cursors],
-        bits: vec![Bits { words: &[], first: 0 }; n_cursors],
+        bits: vec![Bits { words: &[], rank: &[], first: 0, it: 0 }; n_cursors],
         assignment: vec![0; n_depths],
         count: 0,
         seeks: 0,
@@ -358,7 +394,9 @@ fn bind<'a>(
 /// Expand one search node: intersect what the bound prefix leaves of
 /// each level at `depth`, by representation — bitmaps word by word,
 /// slices by leapfrog, a slice against a bitmap by bit tests — and bind
-/// every common value, in ascending order. `Ok(false)` = visitor stop.
+/// every common value, in ascending order, each atom's next column at
+/// the value's children: a cursor's by its position, a bitmap's by its
+/// rank. `Ok(false)` = visitor stop.
 fn descend<'a>(
     plan: &JoinPlan<'a>,
     st: &mut JoinState<'a>,
@@ -374,15 +412,16 @@ fn descend<'a>(
 
     // what each node offers: always its slice, a dense node its bitmap
     let (mut shortest, mut shortest_slice_only) = (usize::MAX, usize::MAX);
-    for (b, it) in st.bits[base..base + its.len()].iter_mut().zip(its) {
+    for (i, (b, it)) in st.bits[base..base + its.len()].iter_mut().zip(its).enumerate() {
         let Kids { lo, hi, node } = st.kids[it.slot];
-        let words = it.bits.map_or(&[][..], |bits| bits.of(node));
+        let (words, rank) = it.bits.map_or((&[][..], &[][..]), |bits| bits.of(node));
         shortest = shortest.min(hi - lo);
         if words.is_empty() {
             shortest_slice_only = shortest_slice_only.min(hi - lo);
         }
         // a node with a bitmap has children
-        *b = Bits { words, first: if words.is_empty() { 0 } else { it.vals[lo] >> 6 } };
+        let first = if words.is_empty() { 0 } else { it.vals[lo] >> 6 };
+        *b = Bits { words, rank, first, it: i };
     }
     if shortest == 0 {
         return Ok(true);
@@ -404,7 +443,9 @@ fn descend<'a>(
             return Ok(true);
         }
         for b in bits {
-            b.words = &b.words[(lo - b.first) as usize..(hi - b.first) as usize];
+            let window = (lo - b.first) as usize..(hi - b.first) as usize;
+            b.words = &b.words[window.clone()];
+            b.rank = b.rank.get(window).unwrap_or_default();
             b.first = lo;
         }
         let n_words = (hi - lo) as usize;
@@ -427,6 +468,14 @@ fn descend<'a>(
                 let value = (lo + j as u64) << 6 | u64::from(word.trailing_zeros());
                 word &= word - 1;
                 st.seeks += 1;
+                if !last {
+                    enter_by_rank(
+                        &mut st.kids,
+                        its,
+                        &st.bits[base..base + its.len()],
+                        value,
+                    );
+                }
                 if !bind(plan, st, depth, value, sink)? {
                     return Ok(false);
                 }
@@ -436,10 +485,11 @@ fn descend<'a>(
     }
 
     // some node is a slice only. A bitmap no shorter than the shortest
-    // such slice becomes a filter: the leapfrog runs without it and each
-    // value it finds is bit-tested. A shorter one leapfrogs as the slice
-    // it also is — the shortest set must bound the node's work. The
-    // seek mode is fixed here, from the slice lengths alone.
+    // such slice becomes a filter, at any column: the leapfrog runs
+    // without it and each value it finds is bit-tested. A shorter one
+    // leapfrogs as the slice it also is — the shortest set must bound the
+    // node's work. The seek mode is fixed here, from the slice lengths
+    // alone.
     let (mut n_cursors, mut n_filters) = (0, 0);
     for (i, it) in its.iter().enumerate() {
         let Kids { lo, hi, .. } = st.kids[it.slot];
@@ -463,13 +513,9 @@ fn descend<'a>(
         if common {
             if !last {
                 for c in &st.cursors[span.clone()] {
-                    let it = &its[c.it];
-                    if let Some(child) = it.child {
-                        let node = c.pos();
-                        let (lo, hi) = (child[node] as usize, child[node + 1] as usize);
-                        st.kids[it.slot + 1] = Kids { lo, hi, node };
-                    }
+                    enter(&mut st.kids, &its[c.it], c.pos());
                 }
+                enter_by_rank(&mut st.kids, its, &st.bits[base..base + n_filters], value);
             }
             if !bind(plan, st, depth, value, sink)? {
                 return Ok(false);
@@ -848,6 +894,54 @@ mod tests {
         assert_eq!(meet(&long, &[640, 641, 642]).1, 1);
         // slice ∧ slice
         assert_eq!(meet(&scattered, &long).1, 2);
+
+        // above an atom's last column: `x` is R's first of two columns,
+        // and each common `x` must reach its own two children — by rank
+        // from a bitmap, by position from a slice
+        let edges = [62, 63, 64, 65, 127, 128, 129, 191, 192];
+        // inner ∧ inner and inner ∧ leaf, the ranks crossing word edges
+        assert_eq!(meet_inner(&dense, &edges, false), 2 * 7);
+        assert_eq!(meet_inner(&dense, &edges, true), 2 * 7);
+        assert_eq!(meet_inner(&edges, &dense, true), 2 * 7);
+        assert_eq!(meet_inner(&high, &[top - 130, top - 64, top - 1, top], false), 2 * 3);
+        // an inner bitmap as the filter of a slice, either way round
+        assert_eq!(meet_inner(&dense, &scattered, true), 2 * 2);
+        assert_eq!(meet_inner(&high, &scattered, false), 2 * 2);
+        // ... and as a slice where it is the shorter set
+        assert_eq!(meet_inner(&[640, 641, 642], &long, false), 2);
+    }
+
+    /// `R(x, y), S(x, z)` — or `S(x)` if `leaf` — with R's `x` over `a`
+    /// and S's over `b`, and every `x` with children of its own (two in
+    /// R, one in S): the first depth intersects R's inner level, and a
+    /// common `x` descends to the wrong children if its node is wrong.
+    fn meet_inner(a: &[Val], b: &[Val], leaf: bool) -> u64 {
+        let q = if leaf {
+            "q(x, y) :- R(x, y), S(x)"
+        } else {
+            "q(x, y, z) :- R(x, y), S(x, z)"
+        };
+        let q = parse_query(q).unwrap();
+        let kids = |x: Val, k: u64| x.wrapping_add(1000 * k);
+        let mut db = Database::new();
+        db.insert(
+            "R",
+            Relation::from_pairs(a.iter().flat_map(|&x| [1, 2].map(|k| (x, kids(x, k))))),
+        );
+        let s = if leaf {
+            Relation::from_values(b.to_vec())
+        } else {
+            Relation::from_pairs(b.iter().map(|&x| (x, kids(x, 3))))
+        };
+        db.insert("S", s);
+        let ctx = ExecCtx::cold();
+        let order = default_order(&q);
+        let got = super::answers(&ctx, &q, &db, &order).unwrap();
+        assert_eq!(got, brute_force_answers(&q, &db).unwrap());
+        let n = count_distinct(&ctx, &q, &db, &order).unwrap();
+        assert_eq!(n, got.len() as u64);
+        assert_eq!(decide(&ctx, &q.boolean_version(), &db, &order).unwrap(), n > 0);
+        n
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use cq_core::query::zoo;
 use cq_core::{parse_query, ConjunctiveQuery};
-use cq_data::{DataStats, Database, IndexCatalog, Relation, Val};
+use cq_data::{DataStats, Database, IndexCatalog, Relation, SortedView, Val};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_engine::links::{join_index, EdgeLinks};
 use cq_engine::{
@@ -253,13 +253,16 @@ fn a_write_keeps_the_entries_of_relations_it_did_not_touch() {
 }
 
 /// A view's bitmaps live and die with it: an `INSERT` into `E` rebuilds
-/// both under the same key — the new edge is a bit of the new view —
-/// while a write to a relation the join never reads leaves the view,
-/// bitmaps and byte count included, pointer-equal.
+/// them — ranked inner levels included — under the same key, and the new
+/// edge is a bit of the new views on every level it adds to, while a
+/// write to a relation the join never reads leaves the view, bitmaps and
+/// byte count included, pointer-equal. The bytes move by DESIGN.md's
+/// formula, level by level.
 #[test]
 fn a_write_rebuilds_the_bitmaps_with_the_view_and_nothing_else_does() {
     let q = parse_query("q(x, y, z) :- E(x, y), E(y, z), E(z, x)").unwrap();
-    // 40 vertices of out-degree 26 or 27: every adjacency list is dense
+    // 40 vertices of out-degree 26 or 27: every adjacency list is dense,
+    // and so are the 40 vertices under the root
     let edges = (0..40).flat_map(|a| (0..40).map(move |b| (a, b)));
     let mut db = Database::new();
     db.insert("E", Relation::from_pairs(edges.filter(|(a, b)| (a + b) % 3 != 0)));
@@ -271,29 +274,63 @@ fn a_write_rebuilds_the_bitmaps_with_the_view_and_nothing_else_does() {
         let n = generic_join::count_distinct(&ctx, &q, db, &order).unwrap();
         assert_eq!(n, brute_force_count(&q, db).unwrap());
     };
-    let view = |db: &Database| catalog.sorted_view(db, "E", &[0, 1]).unwrap();
-    // vertex 0's successors as a word: no multiple of 3
+    // the two views the triangle reads: E by (source, target), and by
+    // (target, source) for `E(z, x)` under the order x, y, z
+    let views = |db: &Database| {
+        [[0, 1], [1, 0]].map(|cols| catalog.sorted_view(db, "E", &cols).unwrap())
+    };
+    let vertices = (1u64 << 40) - 1;
+    // vertex 0's successors — and predecessors — as a word: no multiple of 3
     let word = (0..40).filter(|b| b % 3 != 0).fold(0u64, |w, b| w | 1 << b);
     check(&db);
-    let before = view(&db);
-    assert_eq!(before.leaf_bitmaps().of(0), &[word]);
+    let before = views(&db);
+    for v in &before {
+        assert_eq!(v.bitmaps(0).of(0), (&[vertices][..], &[0][..]));
+        assert_eq!(v.bitmaps(1).of(0), (&[word][..], &[][..]));
+    }
     let warm = catalog.snapshot();
+    assert_eq!(warm.view_bytes, before.iter().map(|v| formula(v)).sum::<usize>());
 
     db.get_mut("Log").unwrap().insert_row(&[2]);
     check(&db);
-    assert!(Arc::ptr_eq(&before, &view(&db)));
+    assert!(before.iter().zip(views(&db)).all(|(b, a)| Arc::ptr_eq(b, &a)));
     let kept = catalog.snapshot();
     assert_eq!((kept.misses, kept.view_bytes), (warm.misses, warm.view_bytes));
 
-    db.get_mut("E").unwrap().insert_row(&[0, 0]);
+    // a new source vertex 63 with the one successor 0
+    db.get_mut("E").unwrap().insert_row(&[63, 0]);
     check(&db);
-    let after = view(&db);
-    assert!(!Arc::ptr_eq(&before, &after));
-    assert_eq!(after.leaf_bitmaps().of(0), &[word | 1]);
+    let after = views(&db);
+    assert!(before.iter().zip(&after).all(|(b, a)| !Arc::ptr_eq(b, a)));
+    let [by_source, by_target] = &after;
+    // a bit of the ranked root, over a singleton kept as a slice ...
+    assert_eq!(by_source.bitmaps(0).of(0), (&[vertices | 1 << 63][..], &[0][..]));
+    assert_eq!(by_source.bitmaps(1).of(40), (&[][..], &[][..]));
+    // ... and a bit of vertex 0's predecessors
+    assert_eq!(by_target.bitmaps(0).of(0), (&[vertices][..], &[0][..]));
+    assert_eq!(by_target.bitmaps(1).of(0), (&[word | 1 << 63][..], &[][..]));
     let rebuilt = catalog.snapshot();
     assert_eq!((rebuilt.views, rebuilt.invalidations), (warm.views, 2));
-    // one more row in each of the two views the triangle reads
-    assert_eq!(rebuilt.view_bytes, warm.view_bytes + 2 * (16 + 8));
+    // one row each (16 bytes); by source a vertex (8), its child offset
+    // (4), its value on level 1 (8) and its start there (4) — the root's
+    // word holds bit 63; by target one value on level 1 (8)
+    assert_eq!(rebuilt.view_bytes, warm.view_bytes + (16 + 8 + 4 + 8 + 4) + (16 + 8));
+    assert_eq!(rebuilt.view_bytes, after.iter().map(|v| formula(v)).sum::<usize>());
+}
+
+/// `SortedView::heap_bytes` as DESIGN.md states it, from what the view
+/// shows: rows, values, child offsets, and on each level with a dense
+/// set its words and starts — and ranks, but on the last level.
+fn formula(v: &SortedView) -> usize {
+    let (k, mut bytes) = (v.n_key(), 8 * v.arity() * v.len());
+    for d in 0..k {
+        let (p, sets) = (v.level(d).len(), if d == 0 { 1 } else { v.level(d - 1).len() });
+        let w: usize = (0..sets).map(|i| v.bitmaps(d).of(i).0.len()).sum();
+        let ranks = if d + 1 < k { w } else { 0 };
+        bytes += 8 * p + if d + 1 < k { 4 * (p + 1) } else { 0 };
+        bytes += if w > 0 { 8 * w + 4 * ranks + 4 * (sets + 1) } else { 0 };
+    }
+    bytes
 }
 
 /// One preprocessing for the easy side: over one catalog `COUNT`,

@@ -8,9 +8,10 @@
 //! empty, singletons, uniform or skewed onto one heavy key, so the
 //! level slices an intersection meets are sometimes of similar length
 //! (merge steps) and sometimes wildly different (gallop seeks), and
-//! over a small, a dense or a scattered domain, so a last-column node
+//! over a small, a dense or a scattered domain, so a node at any column
 //! is sometimes a bitmap and sometimes a slice only (word ANDs, bit
-//! tests, leapfrog); and the join runs under *every* variable order.
+//! tests, leapfrog — and above an atom's last column, descents by rank
+//! and by position); and the join runs under *every* variable order.
 //!
 //! The second half checks the kernel's work counter against the AGM
 //! bound — the theorem the algorithm is named for — and cancellation.
@@ -58,7 +59,11 @@ fn random_join_query(rng: &mut Lcg) -> ConjunctiveQuery {
 /// a domain within one 64-bit word (any two siblings make a bitmap), a
 /// dense one across three words (a hub's children make a bitmap, a
 /// light node's stay a slice) or a scattered one with a word per value
-/// (no bitmap anywhere); the last two share 63 and 127.
+/// (no bitmap anywhere); the last two share 63 and 127. The rule is the
+/// same at every level, so the first column's distinct values — the
+/// root's children — and a hub's in the middle of a ternary atom are
+/// bitmaps as often as a last column's
+/// ([`random_databases_have_dense_inner_levels`]).
 fn random_database(q: &ConjunctiveQuery, rng: &mut Lcg) -> Database {
     let mut db = Database::new();
     for atom in q.atoms() {
@@ -138,6 +143,36 @@ proptest! {
             prop_assert_eq!(completed, want.len() < stop_after);
         }
     }
+}
+
+/// The generator above reaches every mode above an atom's last column:
+/// an inner level with a bitmap (ANDed, or a filter, descended by rank)
+/// in over a third of the cases, and an inner level mixing bitmaps with
+/// slice-only sets (leapfrog, descended by position) in an eighth.
+#[test]
+fn random_databases_have_dense_inner_levels() {
+    let (mut dense, mut mixed, cases) = (0, 0, 256u32);
+    for case in 0..cases {
+        let mut rng = Lcg(u64::from(case));
+        let q = random_join_query(&mut rng);
+        let db = random_database(&q, &mut rng);
+        let (mut has_dense, mut has_mixed) = (false, false);
+        for (_, rel) in db.iter().filter(|(_, r)| r.arity() > 1) {
+            let view =
+                cq_data::SortedView::new(rel, &(0..rel.arity()).collect::<Vec<_>>());
+            for d in 0..rel.arity() - 1 {
+                let parents = if d == 0 { 1 } else { view.level(d - 1).len() };
+                let sets = (0..parents).map(|i| view.bitmaps(d).of(i).0.len());
+                let n_dense = sets.filter(|&w| w > 0).count();
+                has_dense |= n_dense > 0;
+                has_mixed |= n_dense > 0 && n_dense < parents;
+            }
+        }
+        dense += u32::from(has_dense);
+        mixed += u32::from(has_mixed);
+    }
+    assert!(dense >= cases / 3, "{dense} of {cases} cases have a dense inner level");
+    assert!(mixed >= cases / 8, "{mixed} of {cases} cases mix one with slices");
 }
 
 /// `(rows, seeks)` of the one span named `name` that `run` records.
@@ -388,8 +423,8 @@ fn an_expired_deadline_trips_before_any_work() {
 fn a_deadline_passing_mid_join_aborts_lw4() {
     // LW4 over the full [12]^3: 12^4 = 20 736 answers, far more than one
     // poll stride, so the join cannot finish before it notices — and
-    // dense: every last-column node is a bitmap, so the last depth ANDs
-    // words and every depth above it bit-tests one
+    // dense: every node at every column is a bitmap, so every depth ANDs
+    // words, and all but the last descend by rank
     let d = 12u64;
     let q = zoo::loomis_whitney_boolean(4).join_version();
     let db = cq_data::generate::lw_database(4, &cq_data::generate::full_relation(3, d));
@@ -399,7 +434,11 @@ fn a_deadline_passing_mid_join_aborts_lw4() {
     assert!(generic_join::decide(&ExecCtx::warm(&catalog), &q, &db, &order).unwrap());
     for atom in q.atoms() {
         let view = catalog.sorted_view(&db, &atom.relation, &[0, 1, 2]).unwrap();
-        assert!(!view.leaf_bitmaps().is_empty(), "{} is dense", atom.relation);
+        for level in 0..3 {
+            let (words, rank) = view.bitmaps(level).of(0);
+            assert_eq!(words, &[(1 << d) - 1], "{} level {level}", atom.relation);
+            assert_eq!(rank.len(), usize::from(level < 2), "ranked above the last level");
+        }
     }
 
     let deadline = Instant::now() + Duration::from_millis(250);

@@ -222,20 +222,24 @@ fn a_warm_count_or_decide_allocates_per_tree_node_not_per_row() {
 
 /// Generic join allocates its per-depth state — ranges, cursors, bitmap
 /// windows — once per join; intersecting a node, word by word or by
-/// leapfrog, allocates nothing: ten times the edges, the same
-/// allocations.
+/// leapfrog, and descending from it by rank allocates nothing: ten times
+/// the edges, the same allocations.
 #[test]
 fn a_warm_bitmap_count_allocates_per_join_not_per_node() {
     let q = zoo::triangle_join();
     let order = generic_join::default_order(&q);
-    // adjacency lists of about 25 values in 2 words, and 80 in 4
+    // adjacency lists of about 25 values in 2 words, and 80 in 4, under
+    // a root of 80 and 250 vertices in 2 and 4 words: every level dense
     let [small, large] = [(2_000usize, 80u64), (20_000, 250)].map(|(m, domain)| {
         let db = triangle_database(&random_pairs(m, domain, &mut seeded_rng(m as u64)));
         let catalog = IndexCatalog::new();
         let ctx = ExecCtx::warm(&catalog);
         let cold = generic_join::count_distinct(&ctx, &q, &db, &order).unwrap();
         let view = catalog.sorted_view(&db, "R2", &[0, 1]).unwrap();
-        assert!(!view.leaf_bitmaps().is_empty(), "m = {m}: no dense node");
+        for d in 0..2 {
+            assert!(!view.bitmaps(d).is_empty(), "m = {m}: no dense node on level {d}");
+        }
+        assert!(!view.bitmaps(0).of(0).1.is_empty(), "m = {m}: the root is ranked");
         let (n, warm) =
             allocations(|| generic_join::count_distinct(&ctx, &q, &db, &order).unwrap());
         assert_eq!(warm, cold);

@@ -25,7 +25,10 @@
 # hypotheses and renders witnesses, the planner maps its verdict to an
 # operator, and the facade's catalog is one value, not a registry. And one
 # word-parallel layout: the ranked bitmaps of every level of a view, one
-# type in `index.rs`, intersected by portable safe Rust.
+# type in `index.rs`, intersected by portable safe Rust. And a view is its
+# trie: `SortedView` keeps no row copy of its own, the rows the reduced tree
+# reads by position are plain `Relation`s (no trait abstracts over the
+# two), and `Relation::normalize` is the one row sort.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -111,8 +114,16 @@ forbid "key searches in the reduced tree (a child group is \`starts[link[row]]\`
 forbid "the hash-set semijoin (links::keep_linked filters by link):" "$(
     ls crates/engine/src/semijoin.rs 2>/dev/null
 )"
-forbid "search methods on SortedView (it is rows + trie; the tree holds its own group starts):" "$(
+forbid "search methods on SortedView (it is a key trie; the tree holds its own group starts):" "$(
     non_test crates/data/src/index.rs | grep -E 'fn (key_range|contains_key|groups)\b'
+)"
+# ... nor rows: a node of the reduced tree, the answers of materialized
+# access and an edge's two ends are `Relation`s, sorted by `normalize`
+forbid "a row copy in SortedView, or a second row sort (a view is its key trie; rows are a Relation):" "$(
+    non_test crates/data/src/index.rs \
+        | grep -E 'fn row\b|fn col_order\b|OnceLock|data: Vec<Val>'
+    grep -nE 'fn sort\b' crates/data/src/index.rs | sed 's|^|crates/data/src/index.rs:|'
+    grep -nE 'trait Rows\b' crates/engine/src/links.rs | sed 's|^|crates/engine/src/links.rs:|'
 )"
 
 # a trie node's children are a slice and, where dense, a bitmap beside it

@@ -1,43 +1,26 @@
-//! The secondary index over relations: [`SortedView`], a relation's rows
-//! re-sorted under a column permutation (the nodes of the reduced join
-//! tree direct access and enumeration share), plus the same rows as a
-//! trie over the key columns, one contiguous value slice per level, which
-//! is what generic join intersects — every level's dense nodes also as
-//! ranked bitmaps, which it intersects a word at a time.
+//! The secondary index over relations: [`SortedView`], a relation's key
+//! columns as a trie, one contiguous value slice per level, which is what
+//! generic join intersects — every level's dense nodes also as ranked
+//! bitmaps, which it intersects a word at a time. Rows read by position
+//! (the nodes of the reduced join tree) are plain [`Relation`]s.
 
 use crate::relation::Relation;
 use crate::value::Val;
-use std::sync::OnceLock;
 
-/// A relation's rows re-sorted so that the columns `key_cols` come first
-/// (in the given order), followed by the remaining columns in original
-/// order: rows by position, and nothing that searches them.
-///
-/// The key columns are also offered as a trie in CSR form: level `d`
-/// holds, for every distinct key prefix of length `d + 1` in sorted
-/// order, the prefix's last value ([`SortedView::level`]), so the
-/// distinct values under one parent prefix are a contiguous, strictly
-/// increasing slice; [`SortedView::level_offsets`] maps each node to
-/// its children in level `d + 1`. Every level carries a second layout
-/// of its dense child sets ([`SortedView::bitmaps`]), ranked where the
-/// children have children of their own. The trie is built from the
-/// sorted rows the first time a level is asked for and then lives and
-/// dies with the view — views that only ever serve `row` (the join-tree
-/// algorithms) never pay for it.
+/// A relation's columns `key_cols` (in the given order) as a trie in CSR
+/// form, and nothing else: level `d` holds, for every distinct key prefix
+/// of length `d + 1` in sorted order, the prefix's last value
+/// ([`SortedView::level`]), so the distinct values under one parent
+/// prefix are a contiguous, strictly increasing slice;
+/// [`SortedView::level_offsets`] maps each node to its children in level
+/// `d + 1`. Every level carries a second layout of its dense child sets
+/// ([`SortedView::bitmaps`]), ranked where the children have children of
+/// their own. All of it is built by [`SortedView::new`] from the sorted
+/// projection onto the key, which is then dropped.
 #[derive(Clone, Debug)]
 pub struct SortedView {
-    /// New column order: `key_cols` then the rest.
-    col_order: Vec<usize>,
-    /// Number of key columns.
-    n_key: usize,
-    /// Rows in the permuted column order, sorted lexicographically.
-    data: Vec<Val>,
-    arity: usize,
-    /// Explicit row count: for arity 0 the data buffer carries no
-    /// information, yet the view of `{()}` has one row, not zero.
-    n_rows: usize,
-    /// The key trie — one level per key column — built on first use.
-    trie: OnceLock<Vec<TrieLevel>>,
+    /// One level per key column.
+    levels: Vec<TrieLevel>,
 }
 
 /// One level of a [`SortedView`]'s key trie.
@@ -62,67 +45,21 @@ struct TrieLevel {
 }
 
 impl SortedView {
-    /// Build a view of `rel` keyed on `key_cols`.
+    /// Build the trie of `rel`'s columns `key_cols` — a prefix of them
+    /// or all, in any order: one pass over the sorted, distinct keys,
+    /// where a key first differing from its predecessor's at column `c`
+    /// opens one new node on every level from `c` down.
     pub fn new(rel: &Relation, key_cols: &[usize]) -> Self {
-        let arity = rel.arity();
-        let mut col_order: Vec<usize> = key_cols.to_vec();
-        for c in 0..arity {
-            if !key_cols.contains(&c) {
-                col_order.push(c);
-            }
-        }
-        assert_eq!(col_order.len(), arity, "key_cols must be distinct and in range");
-        let mut data: Vec<Val> = Vec::with_capacity(rel.raw().len());
-        for row in rel.iter() {
-            for &c in &col_order {
-                data.push(row[c]);
-            }
-        }
-        assert!(u32::try_from(rel.len()).is_ok(), "views index rows with u32");
-        let mut view = SortedView {
-            col_order,
-            n_key: key_cols.len(),
-            data,
-            arity,
-            n_rows: rel.len(),
-            trie: OnceLock::new(),
-        };
-        view.sort();
-        view
-    }
-
-    fn sort(&mut self) {
-        // rows of a small fixed width sort in place as arrays (a sorted
-        // input — the key columns are often a prefix of the relation's
-        // own order — costs one scan); wider rows go through an index
-        match self.arity {
-            0 => {}
-            1 => self.data.sort_unstable(),
-            2 => self.data.as_chunks_mut::<2>().0.sort_unstable(),
-            3 => self.data.as_chunks_mut::<3>().0.sort_unstable(),
-            arity => {
-                let data = &self.data;
-                let row = |i: u32| &data[i as usize * arity..(i as usize + 1) * arity];
-                let mut idx: Vec<u32> = (0..self.n_rows as u32).collect();
-                idx.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
-                let mut out = Vec::with_capacity(data.len());
-                for &i in &idx {
-                    out.extend_from_slice(row(i));
-                }
-                self.data = out;
-            }
-        }
-    }
-
-    /// One pass over the sorted rows: a row whose key first differs from
-    /// its predecessor's at column `c` opens one new node on every level
-    /// from `c` down.
-    fn build_trie(&self) -> Vec<TrieLevel> {
-        let n_key = self.n_key;
+        let fresh =
+            |(i, c): (usize, &usize)| *c < rel.arity() && !key_cols[..i].contains(c);
+        let valid = key_cols.iter().enumerate().all(fresh);
+        assert!(valid, "key_cols must be distinct and in range");
+        assert!(u32::try_from(rel.len()).is_ok(), "views index nodes with u32");
+        let n_key = key_cols.len();
+        let keys = rel.project(key_cols);
         let mut levels = vec![TrieLevel::default(); n_key];
         let mut prev: Option<&[Val]> = None;
-        for row in self.data.chunks_exact(self.arity.max(1)) {
-            let key = &row[..n_key];
+        for key in keys.raw().chunks_exact(n_key.max(1)) {
             let first_new = match prev {
                 None => 0,
                 Some(p) => p.iter().zip(key).position(|(a, b)| a != b).unwrap_or(n_key),
@@ -151,11 +88,7 @@ impl SortedView {
             let bitmaps = build_bitmaps(parents, &levels[d].vals, d + 1 < n_key);
             (levels[d].words, levels[d].rank, levels[d].start) = bitmaps;
         }
-        levels
-    }
-
-    fn levels(&self) -> &[TrieLevel] {
-        self.trie.get_or_init(|| self.build_trie())
+        SortedView { levels }
     }
 
     /// The values of trie level `d < n_key`: for every distinct key
@@ -163,15 +96,15 @@ impl SortedView {
     /// children of one parent are contiguous and strictly increasing;
     /// level 0 is the sorted distinct values of the first key column.
     pub fn level(&self, d: usize) -> &[Val] {
-        &self.levels()[d].vals
+        &self.levels[d].vals
     }
 
     /// CSR child offsets of level `d < n_key - 1`: node `i` of
     /// [`SortedView::level`] `d` has children
     /// `offsets[i]..offsets[i + 1]` in level `d + 1`.
     pub fn level_offsets(&self, d: usize) -> &[u32] {
-        assert!(d + 1 < self.n_key, "the last key level has no children");
-        &self.levels()[d].child
+        assert!(d + 1 < self.n_key(), "the last key level has no children");
+        &self.levels[d].child
     }
 
     /// Level `d`'s child sets in their second layout: every child set
@@ -183,51 +116,23 @@ impl SortedView {
     /// up to 64 of them per AND; any other set would pay more words than
     /// it has values, and has none.
     pub fn bitmaps(&self, d: usize) -> LevelBitmaps<'_> {
-        let l = &self.levels()[d];
+        let l = &self.levels[d];
         LevelBitmaps { words: &l.words, rank: &l.rank, start: &l.start }
     }
 
-    /// Bytes this view holds on the heap: the rows, plus — once a level
-    /// has been asked for — the trie levels and their bitmaps.
+    /// Bytes this view holds on the heap: the trie levels and their
+    /// bitmaps.
     pub fn heap_bytes(&self) -> usize {
         let level = |l: &TrieLevel| {
             8 * (l.vals.len() + l.words.len())
                 + 4 * (l.child.len() + l.rank.len() + l.start.len())
         };
-        let trie = self.trie.get().map_or(0, |t| t.iter().map(level).sum());
-        8 * self.data.len() + trie
+        self.levels.iter().map(level).sum()
     }
 
-    /// Number of rows (explicitly tracked — correct even for views of
-    /// nullary relations, where `data.len() / arity` is undefined).
-    pub fn len(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Is the view empty?
-    pub fn is_empty(&self) -> bool {
-        self.n_rows == 0
-    }
-
-    /// Arity (same as the underlying relation).
-    pub fn arity(&self) -> usize {
-        self.arity
-    }
-
-    /// Number of key columns.
+    /// Number of key columns: the trie's levels.
     pub fn n_key(&self) -> usize {
-        self.n_key
-    }
-
-    /// The permuted column order (key columns first).
-    pub fn col_order(&self) -> &[usize] {
-        &self.col_order
-    }
-
-    /// Row `i` in the *permuted* column order.
-    #[inline]
-    pub fn row(&self, i: usize) -> &[Val] {
-        &self.data[i * self.arity..(i + 1) * self.arity]
+        self.levels.len()
     }
 }
 
@@ -321,23 +226,58 @@ mod tests {
         )
     }
 
+    /// The rows of `rel.project(key_cols)`: what the trie's paths spell.
+    fn keys(rel: &Relation, key_cols: &[usize]) -> Vec<Vec<Val>> {
+        rel.project(key_cols).iter().map(<[Val]>::to_vec).collect()
+    }
+
+    /// Every root-to-leaf path of the trie, in level order.
+    fn paths(v: &SortedView) -> Vec<Vec<Val>> {
+        let mut paths: Vec<Vec<Val>> = v.level(0).iter().map(|&x| vec![x]).collect();
+        for d in 1..v.n_key() {
+            let offsets = v.level_offsets(d - 1);
+            let kids =
+                |i: usize| &v.level(d)[offsets[i] as usize..offsets[i + 1] as usize];
+            let extend = |(i, p): (usize, &Vec<Val>)| {
+                kids(i).iter().map(|&x| [&p[..], &[x]].concat()).collect::<Vec<_>>()
+            };
+            paths = paths.iter().enumerate().flat_map(extend).collect();
+        }
+        paths
+    }
+
     #[test]
     fn sorted_view_keys_first() {
+        // keyed on column 1 alone: the distinct values 10, 20
         let v = SortedView::new(&rel(), &[1]);
-        // sorted by column 1 first: keys 10,10,10,20
-        assert_eq!(v.row(0)[0], 10);
-        assert_eq!(v.row(2)[0], 10);
-        assert_eq!(v.row(3)[0], 20);
+        assert_eq!(v.n_key(), 1);
+        assert_eq!(v.level(0), rel().project(&[1]).raw());
         assert_eq!(v.level(0), &[10, 20]);
     }
 
     #[test]
     fn sorted_view_multi_key() {
         let v = SortedView::new(&rel(), &[1, 0]);
-        assert_eq!(v.row(0), &[10, 1, 100]);
-        assert_eq!(v.row(3), &[20, 1, 300]);
-        // remaining column order: the leftover col 2
-        assert_eq!(v.col_order(), &[1, 0, 2]);
+        assert_eq!(v.n_key(), 2);
+        assert_eq!(paths(&v), keys(&rel(), &[1, 0]));
+        assert_eq!(paths(&v), [[10, 1], [10, 2], [10, 3], [20, 1]]);
+    }
+
+    /// A partial key — `[1]` of a binary relation, what `cqbench` times
+    /// as `data.view_build_ms` — is the trie of that one column: no row,
+    /// and no value of the other column, is kept.
+    #[test]
+    fn a_partial_key_is_the_trie_of_its_projection() {
+        let r = Relation::from_pairs((0..300).map(|i| (i % 17, (i * 7) % 100)));
+        let v = SortedView::new(&r, &[1]);
+        assert_eq!(v.n_key(), 1);
+        assert_eq!(v.level(0), r.project(&[1]).raw());
+        assert_eq!(v.level(0).len(), 100);
+        // 0..100 is dense: two words under the root, no ranks
+        assert_eq!(v.bitmaps(0).of(0), (&[u64::MAX, (1 << 36) - 1][..], &[][..]));
+        assert_eq!(v.heap_bytes(), 8 * 100 + (8 * 2 + 4 * 2));
+        assert_never_larger(&v);
+        assert_ranks_are_positions(&v);
     }
 
     #[test]
@@ -347,9 +287,10 @@ mod tests {
         assert_eq!(v.level(0), &[10, 20]);
         assert_eq!(v.level_offsets(0), &[0, 3, 4]);
         assert_eq!(v.level(1), &[1, 2, 3, 1]);
-        // fully keyed: the last level is the last key column, row by row
+        // fully keyed: the last level is the projection's last column,
+        // row by row
         for (i, &b) in v.level(1).iter().enumerate() {
-            assert_eq!(v.row(i)[1], b);
+            assert_eq!(rel().project(&[1, 0]).row(i)[1], b);
         }
         // a partial key: one level of distinct values
         let v = SortedView::new(&rel(), &[1]);
@@ -360,16 +301,12 @@ mod tests {
         assert_eq!(v.level_offsets(0), &[0]);
     }
 
-    /// The distinct full keys of `v`, in row order, with their row counts.
-    fn groups(v: &SortedView) -> Vec<(&[Val], usize)> {
-        let mut out: Vec<(&[Val], usize)> = Vec::new();
-        for key in (0..v.len()).map(|i| &v.row(i)[..v.n_key()]) {
-            match out.last_mut() {
-                Some((last, n)) if *last == key => *n += 1,
-                _ => out.push((key, 1)),
-            }
-        }
-        out
+    /// The distinct keys of `rel` on `key_cols`, in sorted order — the
+    /// rows of `rel.project(key_cols)` — with the rows of `rel` having each.
+    fn groups(rel: &Relation, key_cols: &[usize]) -> Vec<(Vec<Val>, usize)> {
+        let key = |row: &[Val]| key_cols.iter().map(|&c| row[c]).collect::<Vec<_>>();
+        let out = keys(rel, key_cols).into_iter();
+        out.map(|k| (k.clone(), rel.iter().filter(|row| key(row) == k).count())).collect()
     }
 
     #[test]
@@ -381,12 +318,13 @@ mod tests {
         // not normalized: the view sorts, and equal rows share one node
         for key_cols in [vec![0], vec![2, 0], vec![1, 2, 0], vec![0, 1, 2]] {
             let v = SortedView::new(&r, &key_cols);
-            let groups = groups(&v);
+            let groups = groups(&r, &key_cols);
             let last = key_cols.len() - 1;
             assert_eq!(v.level(last).len(), groups.len(), "{key_cols:?}");
             for (i, (key, _)) in groups.iter().enumerate() {
                 assert_eq!(v.level(last)[i], key[last]);
             }
+            assert_eq!(paths(&v), keys(&r, &key_cols));
             // each level's children partition the next level, and
             // siblings are strictly increasing
             for d in 0..last {
@@ -424,12 +362,12 @@ mod tests {
     }
 
     /// `heap_bytes` as DESIGN.md states it: with `P_d` the nodes of level
-    /// `d` and `W_d` its bitmap words, rows `8·a·n`, values `8·P_d`, child
+    /// `d` and `W_d` its bitmap words, values `8·P_d`, child
     /// offsets `4·(P_d + 1)` and ranks `4·W_d` above the last level, and
     /// on a level with a dense set its words `8·W_d` and starts `4·(P_{d−1}
     /// + 1)` (the root is the one node above level 0).
     fn formula(v: &SortedView) -> usize {
-        let mut bytes = 8 * v.arity() * v.len();
+        let mut bytes = 0;
         for d in 0..v.n_key() {
             let (p, sets) = (v.level(d).len(), child_sets(v, d).len());
             let w: usize = (0..sets).map(|i| v.bitmaps(d).of(i).0.len()).sum();
@@ -448,7 +386,7 @@ mod tests {
     /// the values and child offsets they mirror, nor do they keep spare
     /// capacity; ranks exist exactly above the last level.
     fn assert_never_larger(v: &SortedView) {
-        for (d, l) in v.levels().iter().enumerate() {
+        for (d, l) in v.levels.iter().enumerate() {
             let bitmaps = 8 * l.words.len() + 4 * (l.rank.len() + l.start.len());
             assert!(bitmaps <= 8 * l.vals.len() + 4 * l.child.len(), "level {d}");
             let ranked = d + 1 < v.n_key();
@@ -524,7 +462,7 @@ mod tests {
         assert_eq!(total, 3 + 1 + 3 + 1 + 2);
         let levels = 8 * (7 + 23) + 4 * 8;
         let bitmaps = (8 + 4 + 4 * 2) + (8 * total + 4 * 8);
-        assert_eq!(v.heap_bytes(), 8 * 2 * 23 + levels + bitmaps);
+        assert_eq!(v.heap_bytes(), levels + bitmaps);
         assert_never_larger(&v);
 
         // one key column: the root is the only node, and nothing is ranked
@@ -603,12 +541,10 @@ mod tests {
             [(sparse, false), (wide, false), (singletons, true), (empty, false)]
         {
             let v = SortedView::new(&rel, &[0, 1]);
-            let before = v.heap_bytes();
-            assert_eq!(before, 8 * 2 * rel.len(), "rows only until a level is read");
             assert_eq!(v.bitmaps(0).is_empty(), !dense_root);
             assert!(v.bitmaps(1).is_empty());
             assert_eq!(v.bitmaps(1).of(0), (&[][..], &[][..]));
-            for l in v.levels().iter().filter(|l| l.words.is_empty()) {
+            for l in v.levels.iter().filter(|l| l.words.is_empty()) {
                 let capacity =
                     (l.words.capacity(), l.rank.capacity(), l.start.capacity());
                 assert_eq!(capacity, (0, 0, 0));
@@ -617,16 +553,18 @@ mod tests {
                 8 * (v.level(0).len() + v.level(1).len()) + 4 * v.level_offsets(0).len();
             // two words, two ranks, two starts
             let root = if dense_root { 8 * 2 + 4 * 2 + 4 * 2 } else { 0 };
-            assert_eq!(v.heap_bytes(), before + levels + root);
+            assert_eq!(v.heap_bytes(), levels + root);
             assert_never_larger(&v);
         }
         let nullary = SortedView::new(&Relation::nullary(true), &[]);
-        assert!(nullary.levels().is_empty());
+        assert!(nullary.levels.is_empty());
         assert_eq!(nullary.heap_bytes(), 0);
     }
 
     #[test]
     fn rows_sort_under_the_permutation_at_every_width() {
+        // one width per branch of `Relation::normalize`'s sort, and
+        // every prefix of the permutation as the key
         for arity in 1..=5usize {
             let mut r = Relation::new(arity);
             for i in 0..97u64 {
@@ -636,13 +574,14 @@ mod tests {
             }
             r.normalize();
             let key_cols: Vec<usize> = (0..arity).rev().collect();
-            let v = SortedView::new(&r, &key_cols);
-            assert_eq!(v.len(), r.len());
-            assert!((1..v.len()).all(|i| v.row(i - 1) < v.row(i)), "arity {arity}");
-            for i in 0..v.len() {
-                let original: Vec<Val> = (0..arity).rev().map(|c| v.row(i)[c]).collect();
-                assert!(r.contains(&original));
+            for k in 1..=arity {
+                let v = SortedView::new(&r, &key_cols[..k]);
+                let paths = paths(&v);
+                assert!(paths.is_sorted(), "arity {arity}, key {k}");
+                assert_eq!(paths, keys(&r, &key_cols[..k]), "arity {arity}, key {k}");
             }
+            let full = paths(&SortedView::new(&r, &key_cols));
+            assert_eq!(full.len(), r.len(), "arity {arity}: one path per row");
         }
     }
 
@@ -650,36 +589,25 @@ mod tests {
     fn groups_cover_all_rows() {
         // the runs of equal keys are the nodes of the last key level
         let v = SortedView::new(&rel(), &[0]);
-        let groups = groups(&v);
+        let groups = groups(&rel(), &[0]);
         assert_eq!(groups.len(), 3); // keys 1, 2, 3
-        assert_eq!(groups.iter().map(|(_, n)| n).sum::<usize>(), v.len());
-        assert_eq!(groups[0], (&[1][..], 2));
+        assert_eq!(groups.iter().map(|(_, n)| n).sum::<usize>(), rel().len());
+        assert_eq!(groups[0], (vec![1], 2));
         let keys: Vec<Val> = groups.iter().map(|(key, _)| key[0]).collect();
         assert_eq!(v.level(0), keys);
     }
 
     #[test]
     fn empty_view() {
-        let r = Relation::new(2);
-        let v = SortedView::new(&r, &[0]);
-        assert!(v.is_empty());
-        assert_eq!((v.len(), v.arity(), v.n_key()), (0, 2, 1));
-        assert!(v.level(0).is_empty());
+        let v = SortedView::new(&Relation::new(2), &[0]);
+        assert_eq!(v.n_key(), 1);
+        assert!(v.level(0).is_empty() && v.bitmaps(0).is_empty());
+        assert_eq!(v.heap_bytes(), 0);
     }
 
     #[test]
-    fn nullary_view_counts_the_empty_tuple() {
-        // regression: len()/is_empty() used to derive the row count as
-        // data.len() / arity, reporting 0 rows for the view of {()}
-        // (a true Boolean query's answer relation).
-        let t = Relation::nullary(true);
-        let v = SortedView::new(&t, &[]);
-        assert_eq!(v.len(), 1);
-        assert!(!v.is_empty());
-        assert_eq!(v.arity(), 0);
-        assert_eq!(v.row(0), &[] as &[crate::value::Val]);
-        let f = SortedView::new(&Relation::nullary(false), &[]);
-        assert_eq!(f.len(), 0);
-        assert!(f.is_empty());
+    #[should_panic(expected = "key_cols must be distinct and in range")]
+    fn a_repeated_key_column_is_refused() {
+        let _ = SortedView::new(&rel(), &[1, 1]);
     }
 }

@@ -48,19 +48,6 @@ impl Relation {
         r
     }
 
-    /// Build from an iterator of row slices; sorts and dedups.
-    pub fn from_row_slices<'a>(
-        arity: usize,
-        rows: impl IntoIterator<Item = &'a [Val]>,
-    ) -> Self {
-        let mut r = Relation::new(arity);
-        for row in rows {
-            r.push_row(row);
-        }
-        r.normalize();
-        r
-    }
-
     /// Build a binary relation from pairs; sorts and dedups.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (Val, Val)>) -> Self {
         let mut r = Relation::new(2);
@@ -136,34 +123,47 @@ impl Relation {
         Some(Relation { arity, data, n_rows })
     }
 
-    /// Restore the sorted + deduplicated invariant after bulk loads.
+    /// Restore the sorted + deduplicated invariant after bulk loads: the
+    /// one row sort of the crate.
     pub fn normalize(&mut self) {
-        if self.arity == 0 {
-            // nullary relation: either empty or the single empty tuple;
-            // data is always empty, presence is the explicit row count.
-            self.n_rows = self.n_rows.min(1);
-            return;
-        }
+        // rows of a small fixed width sort in place as arrays (a sorted
+        // input — a projection onto a prefix of the columns, a bulk load
+        // in key order — costs one scan); wider rows go through an index
         let arity = self.arity;
-        let n = self.data.len() / arity;
-        let mut idx: Vec<u32> = (0..n as u32).collect();
-        let data = &self.data;
-        idx.sort_unstable_by(|&a, &b| {
-            let ra = &data[a as usize * arity..a as usize * arity + arity];
-            let rb = &data[b as usize * arity..b as usize * arity + arity];
-            ra.cmp(rb)
-        });
-        let mut out: Vec<Val> = Vec::with_capacity(self.data.len());
-        let mut last: Option<&[Val]> = None;
-        for &i in &idx {
-            let row = &data[i as usize * arity..i as usize * arity + arity];
-            if last != Some(row) {
-                out.extend_from_slice(row);
+        match arity {
+            0 => {
+                // nullary relation: either empty or the single empty
+                // tuple; data is always empty, presence is the row count
+                self.n_rows = self.n_rows.min(1);
+                return;
             }
-            last = Some(row);
+            1 => self.data.sort_unstable(),
+            2 => self.data.as_chunks_mut::<2>().0.sort_unstable(),
+            3 => self.data.as_chunks_mut::<3>().0.sort_unstable(),
+            _ => {
+                let data = &self.data;
+                let row = |i: u32| &data[i as usize * arity..(i as usize + 1) * arity];
+                let mut idx: Vec<u32> = (0..(data.len() / arity) as u32).collect();
+                idx.sort_unstable_by(|&a, &b| row(a).cmp(row(b)));
+                let mut out = Vec::with_capacity(data.len());
+                for &i in &idx {
+                    out.extend_from_slice(row(i));
+                }
+                self.data = out;
+            }
         }
-        self.data = out;
-        self.n_rows = self.data.len() / arity;
+        // then dedup in place: equal rows are adjacent
+        let mut kept = 0;
+        for i in 0..self.data.len() / arity {
+            let row = &self.data[i * arity..][..arity];
+            if kept > 0 && row == &self.data[(kept - 1) * arity..][..arity] {
+                continue;
+            }
+            self.data.copy_within(i * arity..(i + 1) * arity, kept * arity);
+            kept += 1;
+        }
+        self.data.truncate(kept * arity);
+        self.n_rows = kept;
     }
 
     /// Arity.

@@ -10,7 +10,8 @@
 //! introduced variables come after all variables of its parent's scope
 //! and (b) each subtree's introduced variables form a contiguous block of
 //! `⪯` — fully reduces the atoms along its links and keeps, per node in
-//! preorder, *rows + links*: the rows sorted by parent key, then by `⪯`;
+//! preorder, *rows + links*: the rows as a [`cq_data::Relation`] with the
+//! parent key's columns first, then the rest by `⪯` (so sorted that way);
 //! the first row of each parent-key group; and per row of the parent the
 //! group it joins (the [`EdgeLinks`] of the edge, over the sorted rows).
 //! That is *the* product of the linear preprocessing of Thm 3.17 / 3.18 /
@@ -40,7 +41,7 @@ use crate::links::{EdgeLinks, JoinLinks, NONE};
 use crate::yannakakis::{full_reduce, join_tree_of_atoms};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::{Database, SortedView, Val};
+use cq_data::{Database, Relation, Val};
 use std::borrow::{Borrow, Cow};
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -85,8 +86,10 @@ impl<T: DirectAccess + ?Sized> DirectAccess for Arc<T> {
 /// cost the dichotomy says is unavoidable for disrupted orders and on the
 /// hard side of Lemma 3.9.
 pub struct MaterializedDirectAccess {
-    /// The answers, sorted: one flat row-major buffer.
-    view: SortedView,
+    /// The answers with their columns permuted into sort order, sorted.
+    rows: Relation,
+    /// `cols[i]`: the output column of `rows`' column `i`.
+    cols: Vec<usize>,
 }
 
 impl MaterializedDirectAccess {
@@ -106,25 +109,25 @@ impl MaterializedDirectAccess {
             // `rel`'s columns are the free variables in interning order
             let rel = generic_join::answers(ctx, q, db, order)?;
             let free = q.free_vars();
-            let key_cols: Vec<usize> =
+            let cols: Vec<usize> =
                 order.iter().filter_map(|v| free.iter().position(|f| f == v)).collect();
-            Ok(MaterializedDirectAccess { view: SortedView::new(&rel, &key_cols) })
+            Ok(MaterializedDirectAccess { rows: rel.permute(&cols), cols })
         })
     }
 }
 
 impl DirectAccess for MaterializedDirectAccess {
     fn len(&self) -> u64 {
-        self.view.len() as u64
+        self.rows.len() as u64
     }
     fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
         if i >= self.len() {
             return false;
         }
         out.clear();
-        out.resize(self.view.arity(), 0);
-        // the view's columns are permuted into sort order: undo that
-        for (&c, &v) in self.view.col_order().iter().zip(self.view.row(i as usize)) {
+        out.resize(self.cols.len(), 0);
+        // the columns are permuted into sort order: undo that
+        for (&c, &v) in self.cols.iter().zip(self.rows.row(i as usize)) {
             out[c] = v;
         }
         true
@@ -136,9 +139,10 @@ impl DirectAccess for MaterializedDirectAccess {
 /// Rows are written through *slots* — positions in the structure's
 /// output row.
 pub(crate) struct Node {
-    pub(crate) view: SortedView,
+    /// the rows, key columns first
+    pub(crate) rows: Relation,
     pub(crate) n_key: usize,
-    /// output slots the view's non-key columns write, in column order
+    /// output slots the non-key columns write, in column order
     pub(crate) out_slots: Vec<usize>,
     /// the parent (a position in the preorder node list; the root's own)
     pub(crate) parent: usize,
@@ -160,7 +164,7 @@ impl Node {
     }
 }
 
-/// Cumulative subtree weights, per node aligned with its view's rows
+/// Cumulative subtree weights, per node aligned with its rows
 /// (len + 1 each): row `i` of node `u` extends to
 /// `cumw[u][i + 1] - cumw[u][i]` answers of `u`'s subtree.
 pub(crate) struct Weights {
@@ -346,8 +350,8 @@ impl LexDirectAccess {
         }
 
         let mut nodes: Vec<Node> = Vec::with_capacity(preorder.len());
-        // per node, the variable of each view column
-        let mut view_vars: Vec<Vec<Var>> = Vec::with_capacity(preorder.len());
+        // per node, the variable of each column of its rows
+        let mut row_vars: Vec<Vec<Var>> = Vec::with_capacity(preorder.len());
         for &u in &preorder {
             cancel.check_now()?;
             let a: &BoundAtom = atoms[u].borrow();
@@ -366,32 +370,33 @@ impl LexDirectAccess {
             let mut children: Vec<usize> =
                 tree.children(u).iter().map(|&c| position[c]).collect();
             children.sort_unstable();
-            let view = SortedView::new(&a.rel, &cols);
+            let rows = a.rel.permute(&cols);
+            assert!(u32::try_from(rows.len()).is_ok(), "the tree indexes rows with u32");
             let parent = tree.parent(u).map(|p| position[p]);
             let mut starts: Vec<u32> = vec![0];
             let mut link = Vec::new();
             if let Some(parent) = parent {
-                let col_of = |v| view_vars[parent].iter().position(|w| w == v);
+                let col_of = |v| row_vars[parent].iter().position(|w| w == v);
                 let pcols: Vec<usize> = vars[..n_key]
                     .iter()
                     .map(|v| col_of(v).expect("key ⊆ scope"))
                     .collect();
                 let ccols: Vec<usize> = (0..n_key).collect();
-                let e = EdgeLinks::build(&nodes[parent].view, &pcols, &view, &ccols);
+                let e = EdgeLinks::build(&nodes[parent].rows, &pcols, &rows, &ccols);
                 debug_assert!(!e.link.contains(&NONE), "the atoms are reduced");
                 // sorted by its key, a node's groups are runs of its rows
                 debug_assert!(e.own.is_sorted());
                 starts.extend(
-                    (1..view.len())
+                    (1..rows.len())
                         .filter(|&i| e.own[i] != e.own[i - 1])
                         .map(|i| i as u32),
                 );
                 link = e.link;
             }
-            starts.push(view.len() as u32);
+            starts.push(rows.len() as u32);
             let parent = parent.unwrap_or(0);
-            nodes.push(Node { view, n_key, out_slots, parent, link, starts, children });
-            view_vars.push(vars);
+            nodes.push(Node { rows, n_key, out_slots, parent, link, starts, children });
+            row_vars.push(vars);
         }
         Ok(LexDirectAccess { nodes, width: schema.len(), weights: OnceLock::new() })
     }
@@ -416,9 +421,9 @@ impl LexDirectAccess {
         for (u, node) in self.nodes.iter().enumerate().rev() {
             let kids: Vec<(&Node, &[u128])> =
                 node.children.iter().map(|&c| (&self.nodes[c], &cumw[c][..])).collect();
-            let mut acc: Vec<u128> = Vec::with_capacity(node.view.len() + 1);
+            let mut acc: Vec<u128> = Vec::with_capacity(node.rows.len() + 1);
             acc.push(0);
-            for i in 0..node.view.len() {
+            for i in 0..node.rows.len() {
                 cancel.check()?;
                 let mut w: u128 = 1;
                 for (kid, cumw) in &kids {
@@ -439,10 +444,10 @@ impl LexDirectAccess {
         Ok(self.weights.get_or_init(|| Weights { cumw, total }))
     }
 
-    /// The weights, built now if nothing has asked before (as a view
-    /// builds its trie levels); never cancelled. `None` only for a tree
-    /// reached through an enumerator rather than a `build` (which
-    /// refuses it) whose answers outnumber `u64`: it simulates no array.
+    /// The weights, built now if nothing has asked before; never
+    /// cancelled. `None` only for a tree reached through an enumerator
+    /// rather than a `build` (which refuses it) whose answers outnumber
+    /// `u64`: it simulates no array.
     fn ready(&self) -> Option<&Weights> {
         self.weights.get().or_else(|| self.weights(&CancelToken::never()).ok())
     }
@@ -462,7 +467,7 @@ impl LexDirectAccess {
         // the last row of the group whose prefix sum is at most the target
         let lo = range.start + cumw[range].partition_point(|&c| c <= target) - 1;
         let mut residual = target - cumw[lo];
-        let row = node.view.row(lo);
+        let row = node.rows.row(lo);
         for (&slot, &v) in node.out_slots.iter().zip(&row[node.n_key..]) {
             out[slot] = v;
         }
@@ -492,7 +497,7 @@ impl DirectAccess for LexDirectAccess {
         let Some(w) = self.ready().filter(|w| i < w.total) else { return false };
         out.clear();
         out.resize(self.width, 0);
-        self.access_rec(w, 0, 0..self.nodes[0].view.len(), u128::from(i), out);
+        self.access_rec(w, 0, 0..self.nodes[0].rows.len(), u128::from(i), out);
         true
     }
 }

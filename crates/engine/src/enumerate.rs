@@ -214,7 +214,7 @@ impl AnswerStream for EnumeratorStream {
                     return Ok(None);
                 }
                 // the root is one group: all of its rows
-                cursors[0].range = 0..levels[0].view.len();
+                cursors[0].range = 0..levels[0].rows.len();
                 write_row(&levels[0], &cursors[0], current);
                 for u in 1..levels.len() {
                     descend(levels, cursors, u, current);
@@ -268,7 +268,7 @@ fn descend(levels: &[Node], cursors: &mut [Cursor], u: usize, current: &mut [Val
 
 #[inline]
 fn write_row(lev: &Node, cur: &Cursor, current: &mut [Val]) {
-    let row = lev.view.row(cur.pos);
+    let row = lev.rows.row(cur.pos);
     for (&slot, &v) in lev.out_slots.iter().zip(&row[lev.n_key..]) {
         current[slot] = v;
     }

@@ -19,38 +19,13 @@ use crate::bind::{collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalErr
 use crate::ctx::ExecCtx;
 use crate::yannakakis::{join_tree_of, shared_cols_of};
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::{Database, FxHashMap, Relation, SortedView, Val};
+use cq_data::{Database, FxHashMap, Relation, Val};
 use std::borrow::Borrow;
 use std::fmt::Write;
 use std::sync::Arc;
 
 /// The link of a parent row that joins no row of the child.
 pub(crate) const NONE: u32 = u32::MAX;
-
-/// Rows by position — what an edge is built over: a bound relation, or
-/// the sorted rows of a reduced tree node.
-pub(crate) trait Rows {
-    fn len(&self) -> usize;
-    fn row(&self, i: usize) -> &[Val];
-}
-
-impl Rows for Relation {
-    fn len(&self) -> usize {
-        Relation::len(self)
-    }
-    fn row(&self, i: usize) -> &[Val] {
-        Relation::row(self, i)
-    }
-}
-
-impl Rows for SortedView {
-    fn len(&self) -> usize {
-        SortedView::len(self)
-    }
-    fn row(&self, i: usize) -> &[Val] {
-        SortedView::row(self, i)
-    }
-}
 
 /// The links of one tree edge parent → child, keyed on the variables the
 /// two share. Group ids are dense: `0..groups`, numbered in the order
@@ -74,9 +49,9 @@ impl EdgeLinks {
     /// through one transient table, so any key width runs the same code
     /// and nothing is boxed.
     pub(crate) fn build(
-        parent: &impl Rows,
+        parent: &Relation,
         pcols: &[usize],
-        child: &impl Rows,
+        child: &Relation,
         ccols: &[usize],
     ) -> EdgeLinks {
         assert_eq!(pcols.len(), ccols.len(), "key length mismatch");
@@ -85,7 +60,7 @@ impl EdgeLinks {
             "links index groups with u32"
         );
         let mut own = vec![0u32; child.len()];
-        let mut groups = usize::from(child.len() > 0);
+        let mut groups = usize::from(!child.is_empty());
         let mut link = vec![if groups == 0 { NONE } else { 0 }; parent.len()];
         let mut ids: FxHashMap<(u32, Val), u32> = FxHashMap::default();
         for (&pc, &cc) in pcols.iter().zip(ccols) {
@@ -340,9 +315,9 @@ mod tests {
                 vec![2, 0, 0, 0],
             ],
         );
-        // a three-column key: the child's columns 0, 1, 2 are the parent's 2, 3, 1
-        let view = SortedView::new(&child, &[0, 1, 2]);
-        let e = EdgeLinks::build(&parent, &[2, 3, 1], &view, &[0, 1, 2]);
+        // a three-column key: the child's columns 0, 1, 2 are the parent's
+        // 2, 3, 1 — and a relation is sorted by its columns in order
+        let e = EdgeLinks::build(&parent, &[2, 3, 1], &child, &[0, 1, 2]);
         assert_eq!((e.own.as_slice(), e.groups), ([0, 0, 1, 2, 2, 2, 3].as_slice(), 4));
         assert!(e.own.is_sorted());
         // `starts` = the run boundaries: rows 0, 2, 3, 6
@@ -351,7 +326,7 @@ mod tests {
         assert_eq!(starts, [0, 2, 3, 6]);
         assert_eq!(e.link, [2, 2, NONE, 0]);
         // keyed on a non-prefix column the same rows are not runs
-        let e = EdgeLinks::build(&parent, &[0], &view, &[3]);
+        let e = EdgeLinks::build(&parent, &[0], &child, &[3]);
         assert_eq!(e.own, [0, 1, 2, 2, 3, 4, 2]);
         assert_eq!(e.link, [2, NONE, NONE, NONE]);
     }

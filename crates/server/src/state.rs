@@ -719,7 +719,7 @@ mod tests {
         let (r1, s1) = views(&t);
         assert!(Arc::ptr_eq(&s0, &s1), "S was not written: same view");
         assert!(!Arc::ptr_eq(&r0, &r1));
-        assert_eq!(r1.len(), 2);
+        assert_eq!(r1.level(0), [1, 5]);
         // a write to a relation nothing read invalidates nothing
         t.mutate(|db| {
             db.insert("Log", Relation::from_values(vec![1]));

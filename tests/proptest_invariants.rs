@@ -2,10 +2,11 @@
 
 use cq_core::hypergraph::Hypergraph;
 use cq_core::{ConjunctiveQuery, QueryBuilder, Var};
-use cq_data::{Database, Relation};
+use cq_data::{Database, Relation, Val};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_engine::ExecCtx;
 use proptest::prelude::*;
+use std::collections::BTreeSet;
 
 /// Strategy: a random hypergraph as (n, edges as masks).
 fn hypergraph_strategy() -> impl Strategy<Value = Hypergraph> {
@@ -199,19 +200,31 @@ proptest! {
         }
     }
 
-    /// Relation invariants survive arbitrary projections.
+    /// Relation invariants survive arbitrary projections: every
+    /// normalized relation and projection equals its `BTreeSet` oracle —
+    /// as drawn, already sorted, reverse-sorted and with every row twice,
+    /// at widths 1 to 3 (the in-place array sorts) and 4 (the index sort).
     #[test]
     fn projection_invariants(
         rows in proptest::collection::vec(proptest::collection::vec(0u64..5, 3), 0..40)
     ) {
-        let r = Relation::from_rows(3, rows);
-        for cols in [vec![0usize], vec![1], vec![2], vec![0, 1], vec![2, 0], vec![0, 1, 2]] {
-            let p = r.project(&cols);
-            prop_assert_eq!(p.arity(), cols.len());
-            prop_assert!(p.len() <= r.len());
-            // sorted + dedup
-            for i in 1..p.len() {
-                prop_assert!(p.row(i - 1) < p.row(i));
+        let mut sorted = rows.clone();
+        sorted.sort();
+        let reversed: Vec<Vec<Val>> = sorted.iter().rev().cloned().collect();
+        let twice: Vec<Vec<Val>> = rows.iter().chain(&rows).cloned().collect();
+        let as_rows = |r: &Relation| r.iter().map(<[Val]>::to_vec).collect::<Vec<_>>();
+        for input in [rows, sorted, reversed, twice] {
+            let r = Relation::from_rows(3, input.clone());
+            let oracle: BTreeSet<Vec<Val>> = input.iter().cloned().collect();
+            prop_assert_eq!(as_rows(&r), oracle.into_iter().collect::<Vec<_>>());
+            let widths = [vec![0usize], vec![1], vec![2], vec![0, 1], vec![2, 0]];
+            for cols in widths.into_iter().chain([vec![0, 1, 2], vec![2, 0, 1, 2]]) {
+                let p = r.project(&cols);
+                prop_assert_eq!(p.arity(), cols.len());
+                prop_assert!(p.len() <= r.len());
+                let project = |row: &Vec<Val>| cols.iter().map(|&c| row[c]).collect();
+                let oracle: BTreeSet<Vec<Val>> = input.iter().map(project).collect();
+                prop_assert_eq!(as_rows(&p), oracle.into_iter().collect::<Vec<_>>());
             }
         }
     }

@@ -28,7 +28,10 @@
 # type in `index.rs`, intersected by portable safe Rust. And a view is its
 # trie: `SortedView` keeps no row copy of its own, the rows the reduced tree
 # reads by position are plain `Relation`s (no trait abstracts over the
-# two), and `Relation::normalize` is the one row sort.
+# two), and `Relation::normalize` is the one row sort. And one way the
+# engine uses a second core: generic join's `COUNT` hands morsels to
+# scoped helper threads while the busy gauge says a core is idle — no
+# detached thread, no other operator's private pool, no environment knob.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -143,6 +146,20 @@ forbid "a second public set/bitmap type in cq-data (index.rs has LevelBitmaps; c
 )"
 forbid "the last-level-only bitmap type (SortedView::bitmaps(d) serves every level):" "$(
     grep -rnE 'LeafBitmaps|leaf_bitmaps' crates
+)"
+
+# helpers live inside the count that spawned them (`std::thread::scope`
+# joins them before it returns, and resumes their panics), the morsel
+# loop is the one place that spawns them, and how many is the busy
+# gauge's business alone
+forbid "unscoped threads in cq-engine (a helper is scoped to its join):" "$(
+    grep -rnE '\bthread::(spawn|Builder)\b' crates/engine/src
+)"
+forbid "thread::scope outside generic_join.rs (the morsel loop is cq-engine's one parallel operator):" "$(
+    grep -rn 'thread::scope' crates/engine/src | grep -v '^crates/engine/src/generic_join.rs:'
+)"
+forbid "environment reads in cq-engine (no hidden knob: idle cores decide):" "$(
+    grep -rnE 'std::env|\benv::|\b(option_)?env!' crates/engine
 )"
 
 # the allocating wrappers are for oracles and tests; the server's answer

@@ -103,6 +103,15 @@ impl CancelToken {
         self
     }
 
+    /// A token for another thread of the same evaluation: it shares this
+    /// one's flag and deadline, so a trip on either side stops both, but
+    /// not its probe, which stays with the thread that attached it (a
+    /// socket peek must not run on two threads at once), and it counts
+    /// its own polls.
+    pub fn sibling(&self) -> CancelToken {
+        CancelToken { probe: None, ..self.clone() }
+    }
+
     /// The externally settable cancel flag: store `true` (from any
     /// thread) to cancel, no matter what the deadline says.
     pub fn flag(&self) -> Arc<AtomicBool> {
@@ -224,6 +233,18 @@ mod tests {
         assert_eq!(t.polls(), u64::from(5 * STRIDE));
         t.cancel();
         assert_eq!(t.check_many(STRIDE), Err(EvalError::Cancelled));
+    }
+
+    #[test]
+    fn a_sibling_shares_flag_and_deadline_but_not_the_probe() {
+        let t = CancelToken::never().with_probe(|| true);
+        let s = t.sibling();
+        s.check().unwrap(); // a real check, and no probe to trip it
+        assert_eq!((t.polls(), s.polls()), (0, 1), "each counts its own polls");
+        assert_eq!(t.check(), Err(EvalError::Cancelled));
+        assert_eq!(s.check_now(), Err(EvalError::Cancelled), "the trip latched both");
+        let expired = CancelToken::with_timeout(Duration::ZERO).sibling();
+        assert_eq!(expired.check(), Err(EvalError::Cancelled));
     }
 
     #[test]

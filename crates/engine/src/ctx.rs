@@ -7,9 +7,17 @@
 //! parameter of its one entry point. A one-shot ("cold") evaluation is
 //! not a second code path — it is [`ExecCtx::cold`], the same operator
 //! over a catalog nobody keeps.
+//!
+//! A live context is also one unit of the process-wide *busy* gauge:
+//! an operator that can split its work (generic join's `COUNT`) hands
+//! pieces to helper threads only while the gauge says a core is
+//! free, so two connections evaluating at once on two cores spawn
+//! nothing.
 
 use crate::cancel::CancelToken;
 use cq_data::IndexCatalog;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// A field the context either borrows from its caller or owns itself
 /// (the throwaway halves of [`ExecCtx::cold`] / [`ExecCtx::warm`]).
@@ -27,11 +35,43 @@ impl<T> Held<'_, T> {
     }
 }
 
+/// Threads evaluating right now: one per live [`ExecCtx`], one per
+/// running helper thread.
+static BUSY: AtomicUsize = AtomicUsize::new(0);
+
+/// One unit of the busy gauge, held for as long as its thread
+/// evaluates.
+pub(crate) struct Busy(());
+
+impl Busy {
+    pub(crate) fn enter() -> Busy {
+        BUSY.fetch_add(1, Ordering::Relaxed);
+        Busy(())
+    }
+}
+
+impl Drop for Busy {
+    fn drop(&mut self) {
+        BUSY.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
+/// Cores no evaluation runs on: the machine's parallelism less the busy
+/// gauge. A snapshot — two operators reading it at once may both take
+/// the same core, for as long as one of them runs.
+pub(crate) fn idle_cores() -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    let cores = *CORES
+        .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
+    cores.saturating_sub(BUSY.load(Ordering::Relaxed))
+}
+
 /// The catalog an operator acquires its indexes through and the token
 /// its loops poll.
 pub struct ExecCtx<'a> {
     catalog: Held<'a, IndexCatalog>,
     cancel: Held<'a, CancelToken>,
+    _busy: Busy,
 }
 
 impl<'a> ExecCtx<'a> {
@@ -39,7 +79,11 @@ impl<'a> ExecCtx<'a> {
     /// borrowed, not cloned, so [`CancelToken::polls`] on the caller's
     /// handle counts the polling done under this context.
     pub fn new(catalog: &'a IndexCatalog, cancel: &'a CancelToken) -> ExecCtx<'a> {
-        ExecCtx { catalog: Held::Borrowed(catalog), cancel: Held::Borrowed(cancel) }
+        ExecCtx {
+            catalog: Held::Borrowed(catalog),
+            cancel: Held::Borrowed(cancel),
+            _busy: Busy::enter(),
+        }
     }
 
     /// Run against `catalog`, never cancelled.
@@ -47,6 +91,7 @@ impl<'a> ExecCtx<'a> {
         ExecCtx {
             catalog: Held::Borrowed(catalog),
             cancel: Held::Owned(CancelToken::never()),
+            _busy: Busy::enter(),
         }
     }
 
@@ -56,6 +101,7 @@ impl<'a> ExecCtx<'a> {
         ExecCtx {
             catalog: Held::Owned(IndexCatalog::new()),
             cancel: Held::Owned(CancelToken::never()),
+            _busy: Busy::enter(),
         }
     }
 

@@ -15,12 +15,19 @@
 //! Loomis–Whitney q^LW_k (Example 3.4), which is why this single
 //! algorithm is both the m^{3/2} triangle baseline of Thm 3.2 and the
 //! *optimal* LW algorithm of Thm 3.5.
+//!
+//! Distinct depth-0 values root disjoint sub-joins, so a join's count is
+//! the sum of its root ranges' counts: `COUNT` cuts the root into
+//! word-aligned *morsels* by the data alone, and the calling thread and,
+//! while cores are idle, helper threads take them off one cursor.
 
 use crate::bind::{collapse_rel, distinct_vars, validate_atom, EvalError};
 use crate::cancel::CancelToken;
-use crate::ctx::ExecCtx;
+use crate::ctx::{idle_cores, Busy, ExecCtx};
 use cq_core::{ConjunctiveQuery, Var};
 use cq_data::{Database, FxHashSet, LevelBitmaps, Relation, SortedView, Val};
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One atom prepared for the join: its view is sorted with columns in
@@ -81,6 +88,13 @@ struct JoinWork {
     /// a word's next set bit alike — word ANDs and bit tests: the
     /// deterministic work measure the AGM bound is checked against.
     seeks: u64,
+    /// Polls of the helper threads' tokens; the caller's token counts
+    /// its own.
+    helper_polls: u64,
+    /// Morsels the root range was cut into, and the threads that took
+    /// them (both 0 for a visitor's run).
+    morsels: usize,
+    workers: usize,
 }
 
 /// One trie level an atom contributes to a depth's intersection.
@@ -211,83 +225,262 @@ fn and_at(bits: &[Bits<'_>], j: usize) -> u64 {
 /// property of the two loops, not of the data, so there is no knob.
 const GALLOP_RATIO: usize = 4;
 
-/// The immutable half of a running join.
+/// Children of the root a morsel is cut to hold, counted in the first
+/// root atom with a next column: at a few tens of nanoseconds per child
+/// a morsel is tens of microseconds of work, as long as it takes to
+/// start a helper thread, so a root with fewer than two morsels' worth
+/// is one morsel and starts none — a property of the two costs, not of
+/// the load, so there is no knob.
+const MORSEL_CHILDREN: usize = 1024;
+
+/// A join's root range cut into morsels: morsel `k` binds depth 0 to the
+/// values in words `cuts[k]..cuts[k + 1]`. Workers take them in order
+/// off one cursor.
+struct Morsels {
+    cuts: Vec<u64>,
+    next: AtomicUsize,
+}
+
+impl Morsels {
+    /// `cuts` starts at word 0 and ends at `u64::MAX`, strictly
+    /// increasing.
+    fn new(cuts: Vec<u64>) -> Morsels {
+        debug_assert!(cuts.len() >= 2 && cuts.windows(2).all(|w| w[0] < w[1]));
+        Morsels { cuts, next: AtomicUsize::new(0) }
+    }
+
+    fn len(&self) -> usize {
+        self.cuts.len() - 1
+    }
+
+    /// The next morsel's words, if any is left.
+    fn take(&self) -> Option<Range<u64>> {
+        let k = self.next.fetch_add(1, Ordering::Relaxed);
+        (k < self.len()).then(|| self.cuts[k]..self.cuts[k + 1])
+    }
+}
+
+/// The immutable half of a running join, shared by its workers.
 struct JoinPlan<'a> {
     /// Per depth, the levels to intersect.
     depths: Vec<Vec<LevelRef<'a>>>,
     /// Per depth, where its cursors start in [`JoinState::cursors`] and
     /// its bitmaps in [`JoinState::bits`].
     cursor_base: Vec<usize>,
-    cancel: &'a CancelToken,
+    /// Per (atom, column) slot, its range before anything is bound: all
+    /// of an atom's root for its first column, nothing yet for the rest.
+    kids: Vec<Kids>,
 }
 
-/// The mutable half: every per-depth buffer, allocated once per join.
+/// One worker's mutable half: every per-depth buffer, allocated once
+/// and reused across the morsels it takes.
 struct JoinState<'a> {
     /// Per (atom, column) slot, what the bound prefix leaves of it.
     kids: Vec<Kids>,
     cursors: Vec<Cursor<'a>>,
     bits: Vec<Bits<'a>>,
     assignment: Vec<Val>,
+    /// The words whose values depth 0 may bind: the current morsel's.
+    window: Range<u64>,
+    cancel: &'a CancelToken,
     count: u64,
     seeks: u64,
 }
 
-/// Run the prepared join: intersect per depth, feed `sink`.
-fn run_prepared(
-    prepared: &[PreparedAtom],
-    n_depths: usize,
-    cancel: &CancelToken,
-    mut sink: Sink<'_>,
-) -> Result<JoinWork, EvalError> {
-    let mut depths: Vec<Vec<LevelRef<'_>>> = Vec::new();
-    depths.resize_with(n_depths, Vec::new);
-    let mut kids: Vec<Kids> = Vec::new();
-    for p in prepared {
-        let base = kids.len();
-        for (lc, &d) in p.depths.iter().enumerate() {
-            let vals = p.view.level(lc);
-            let is_last = lc + 1 == p.depths.len();
-            let child = (!is_last).then(|| p.view.level_offsets(lc));
-            let bits = Some(p.view.bitmaps(lc)).filter(|b| !b.is_empty());
-            depths[d].push(LevelRef { vals, child, bits, slot: base + lc });
-            // only the first column's range is known before the join
-            kids.push(Kids { lo: 0, hi: if lc == 0 { vals.len() } else { 0 }, node: 0 });
-        }
-    }
-    // every variable must be constrained by some atom
-    assert!(
-        depths.iter().all(|v| !v.is_empty()),
-        "every variable in the order must occur in some atom"
-    );
-    let mut cursor_base = Vec::with_capacity(n_depths);
-    let mut n_cursors = 0;
-    for its in &depths {
-        cursor_base.push(n_cursors);
-        n_cursors += its.len();
-    }
-    let plan = JoinPlan { depths, cursor_base, cancel };
-    let mut st = JoinState {
-        kids,
-        cursors: vec![Cursor { rest: &[], end: 0, gallop: false, it: 0 }; n_cursors],
-        bits: vec![Bits { words: &[], rank: &[], first: 0, it: 0 }; n_cursors],
-        assignment: vec![0; n_depths],
-        count: 0,
-        seeks: 0,
-    };
-    let completed = if n_depths == 0 {
-        // no variables: the one (empty) assignment satisfies every atom
-        cancel.check()?;
-        match &mut sink {
-            Sink::Visit(visit) => visit(&st.assignment),
-            Sink::Count => {
-                st.count += 1;
-                true
+impl<'a> JoinPlan<'a> {
+    fn new(prepared: &'a [PreparedAtom], n_depths: usize) -> JoinPlan<'a> {
+        let mut depths: Vec<Vec<LevelRef<'a>>> = Vec::new();
+        depths.resize_with(n_depths, Vec::new);
+        let mut kids: Vec<Kids> = Vec::new();
+        for p in prepared {
+            let base = kids.len();
+            for (lc, &d) in p.depths.iter().enumerate() {
+                let vals = p.view.level(lc);
+                let is_last = lc + 1 == p.depths.len();
+                let child = (!is_last).then(|| p.view.level_offsets(lc));
+                let bits = Some(p.view.bitmaps(lc)).filter(|b| !b.is_empty());
+                depths[d].push(LevelRef { vals, child, bits, slot: base + lc });
+                // only the first column's range is known before the join
+                let hi = if lc == 0 { vals.len() } else { 0 };
+                kids.push(Kids { lo: 0, hi, node: 0 });
             }
         }
-    } else {
-        descend(&plan, &mut st, 0, &mut sink)?
-    };
-    Ok(JoinWork { completed, count: st.count, seeks: st.seeks })
+        // every variable must be constrained by some atom
+        assert!(
+            depths.iter().all(|v| !v.is_empty()),
+            "every variable in the order must occur in some atom"
+        );
+        let mut cursor_base = Vec::with_capacity(n_depths);
+        let mut n_cursors = 0;
+        for its in &depths {
+            cursor_base.push(n_cursors);
+            n_cursors += its.len();
+        }
+        JoinPlan { depths, cursor_base, kids }
+    }
+
+    /// A fresh worker state polling `cancel`, its window the whole root.
+    fn state(&self, cancel: &'a CancelToken) -> JoinState<'a> {
+        let n_cursors = self.depths.iter().map(Vec::len).sum();
+        JoinState {
+            kids: self.kids.clone(),
+            cursors: vec![Cursor { rest: &[], end: 0, gallop: false, it: 0 }; n_cursors],
+            bits: vec![Bits { words: &[], rank: &[], first: 0, it: 0 }; n_cursors],
+            assignment: vec![0; self.depths.len()],
+            window: 0..u64::MAX,
+            cancel,
+            count: 0,
+            seeks: 0,
+        }
+    }
+
+    /// The first root atom with a next column: the one whose children
+    /// weigh the root's values.
+    fn weighing_root(&self) -> Option<(&'a [Val], &'a [u32])> {
+        let its = self.depths.first()?;
+        its.iter().find_map(|it| Some((it.vals, it.child?)))
+    }
+
+    /// The root cut into at most `n` morsels of about equal weight —
+    /// a value weighs its children in the [`JoinPlan::weighing_root`] —
+    /// at word boundaries, so that a dense root ANDs whole words. Fewer
+    /// where the root spans fewer words; one where no root atom has a
+    /// next column — always so when depth 0 is the last.
+    fn cuts(&self, n: usize) -> Vec<u64> {
+        let mut cuts = Vec::with_capacity(n.max(1) + 1);
+        cuts.push(0);
+        if let Some((vals, child)) = self.weighing_root() {
+            let total = child[vals.len()] as usize;
+            for k in 1..n {
+                // the first value whose children start at k/n of them
+                let i = child.partition_point(|&c| (c as usize) * n < k * total);
+                let Some(&v) = vals.get(i) else { break };
+                if v >> 6 > cuts[cuts.len() - 1] {
+                    cuts.push(v >> 6);
+                }
+            }
+        }
+        cuts.push(u64::MAX);
+        cuts
+    }
+
+    /// The data's own cut: [`MORSEL_CHILDREN`] children a morsel.
+    fn morsels(&self) -> Morsels {
+        let total = self.weighing_root().map_or(0, |(vals, child)| child[vals.len()]);
+        Morsels::new(self.cuts(total as usize / MORSEL_CHILDREN))
+    }
+
+    /// Run the join over `st`'s window into `sink`: descend from the
+    /// root, or with no variables, take the one empty assignment.
+    fn run_window(
+        &self,
+        st: &mut JoinState<'a>,
+        sink: &mut Sink<'_>,
+    ) -> Result<bool, EvalError> {
+        if self.depths.is_empty() {
+            // no variables: the one (empty) assignment satisfies every atom
+            st.cancel.check()?;
+            return Ok(match sink {
+                Sink::Visit(visit) => visit(&st.assignment),
+                Sink::Count => {
+                    st.count += 1;
+                    true
+                }
+            });
+        }
+        descend(self, st, 0, sink)
+    }
+
+    /// Feed every assignment, in order, to `visit` on this thread.
+    fn visit(
+        &self,
+        cancel: &'a CancelToken,
+        visit: &mut dyn FnMut(&[Val]) -> bool,
+    ) -> Result<JoinWork, EvalError> {
+        let mut st = self.state(cancel);
+        let completed = self.run_window(&mut st, &mut Sink::Visit(visit))?;
+        Ok(JoinWork {
+            completed,
+            count: st.count,
+            seeks: st.seeks,
+            ..JoinWork::default()
+        })
+    }
+
+    /// Count the join's full assignments morsel by morsel: the calling
+    /// thread, polling `cancel`, and `helpers` scoped threads, each
+    /// polling a [`CancelToken::sibling`] of it, take `morsels` off
+    /// their one cursor, each worker into one state of its own. Counts
+    /// and seeks add up to the same sums whoever takes which morsel.
+    ///
+    /// A trip anywhere latches the shared flag; a worker stops at its
+    /// next real check and runs no further morsel. Only the calling
+    /// thread runs the probe, and it takes the first morsel before any
+    /// helper starts, so it polls — and probes — at least once. A
+    /// helper's panic resumes on the calling thread, once every helper
+    /// has stopped.
+    fn count(
+        &self,
+        morsels: &Morsels,
+        helpers: usize,
+        cancel: &CancelToken,
+    ) -> Result<JoinWork, EvalError> {
+        debug_assert!(
+            morsels.len() == 1 || self.depths.len() > 1,
+            "a split root descends"
+        );
+        let work = |cancel: &CancelToken, mut next: Option<Range<u64>>| {
+            let mut st = self.state(cancel);
+            while let Some(window) = next {
+                if cancel.is_cancelled() {
+                    return Err(EvalError::Cancelled);
+                }
+                st.window = window;
+                self.run_window(&mut st, &mut Sink::Count)?;
+                next = morsels.take();
+            }
+            let (count, seeks) = (st.count, st.seeks);
+            Ok(JoinWork { completed: true, count, seeks, ..JoinWork::default() })
+        };
+        let work = &work;
+        let total = std::thread::scope(|s| {
+            let first = morsels.take();
+            let handles: Vec<_> = (0..helpers)
+                .map(|_| {
+                    let busy = Busy::enter();
+                    s.spawn(move || {
+                        let _busy = busy;
+                        let token = cancel.sibling();
+                        work(&token, morsels.take())
+                            .map(|w| JoinWork { helper_polls: token.polls(), ..w })
+                    })
+                })
+                .collect();
+            let mut total = work(cancel, first);
+            for handle in handles {
+                let theirs =
+                    handle.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
+                total = total.and_then(|a| {
+                    theirs.map(|b| JoinWork {
+                        count: a.count + b.count,
+                        seeks: a.seeks + b.seeks,
+                        helper_polls: a.helper_polls + b.helper_polls,
+                        ..a
+                    })
+                });
+            }
+            total
+        })?;
+        Ok(JoinWork { morsels: morsels.len(), workers: 1 + helpers, ..total })
+    }
+}
+
+/// The part `lo..hi` of a level that holds values of the words `window`.
+fn clip(vals: &[Val], lo: usize, hi: usize, window: &Range<u64>) -> (usize, usize) {
+    let slice = &vals[lo..hi];
+    let start = slice.partition_point(|&v| v >> 6 < window.start);
+    let end = slice.partition_point(|&v| v >> 6 < window.end);
+    (lo + start, lo + end)
 }
 
 /// Leapfrog, in rounds: every cursor behind the largest current value
@@ -384,7 +577,7 @@ fn bind<'a>(
             Ok(true)
         }
         Sink::Visit(visit) => {
-            plan.cancel.check()?;
+            st.cancel.check()?;
             st.assignment[depth] = value;
             Ok(visit(&st.assignment))
         }
@@ -405,7 +598,7 @@ fn descend<'a>(
 ) -> Result<bool, EvalError> {
     // poll per expanded node, not in the visitor: joins that produce no
     // results still descend here constantly, so this is the live site
-    plan.cancel.check()?;
+    st.cancel.check()?;
     let its = plan.depths[depth].as_slice();
     let base = plan.cursor_base[depth];
     let last = depth + 1 == plan.depths.len();
@@ -434,11 +627,13 @@ fn descend<'a>(
 
     if shortest_slice_only == usize::MAX {
         // every node is dense: AND the words all the bitmaps cover —
-        // fewer than the shortest slice has values
+        // fewer than the shortest slice has values — and, at the root,
+        // the morsel does
+        let root = if depth == 0 { st.window.clone() } else { 0..u64::MAX };
         let bits = &mut st.bits[base..base + its.len()];
-        let lo = bits.iter().fold(0, |lo, b| lo.max(b.first));
+        let lo = bits.iter().fold(root.start, |lo, b| lo.max(b.first));
         let hi =
-            bits.iter().fold(u64::MAX, |hi, b| hi.min(b.first + b.words.len() as u64));
+            bits.iter().fold(root.end, |hi, b| hi.min(b.first + b.words.len() as u64));
         if lo >= hi {
             return Ok(true);
         }
@@ -498,6 +693,12 @@ fn descend<'a>(
             n_filters += 1;
         } else {
             let gallop = (hi - lo) / GALLOP_RATIO >= shortest;
+            // at the root, a cursor holds only the morsel's values
+            let (lo, hi) =
+                if depth == 0 { clip(it.vals, lo, hi, &st.window) } else { (lo, hi) };
+            if lo == hi {
+                return Ok(true);
+            }
             st.cursors[base + n_cursors] =
                 Cursor { rest: &it.vals[lo..hi], end: hi, gallop, it: i };
             n_cursors += 1;
@@ -528,8 +729,8 @@ fn descend<'a>(
     Ok(true)
 }
 
-/// Prepare every atom's view through the catalog and run the join into
-/// `sink`: atoms with distinct variables use the memoized
+/// Prepare every atom's view through the catalog and hand the planned
+/// join to `join`: atoms with distinct variables use the memoized
 /// `(relation, permutation)` view of the base relation; atoms with
 /// repeated variables memoize their collapsed view as a catalog
 /// artifact. On a warm catalog no sort or copy happens at all — the call
@@ -539,7 +740,7 @@ fn run(
     q: &ConjunctiveQuery,
     db: &Database,
     order: &[Var],
-    sink: Sink<'_>,
+    join: impl FnOnce(&JoinPlan<'_>) -> Result<JoinWork, EvalError>,
 ) -> Result<JoinWork, EvalError> {
     // validate every atom first (error parity with `bind`), and return
     // before building any view if some relation is empty
@@ -576,7 +777,18 @@ fn run(
         };
         prepared.push(PreparedAtom { view, depths });
     }
-    run_prepared(&prepared, order.len(), ctx.cancel(), sink)
+    join(&JoinPlan::new(&prepared, order.len()))
+}
+
+/// [`run`] the join into `visit`, on this thread.
+fn run_visit(
+    ctx: &ExecCtx,
+    q: &ConjunctiveQuery,
+    db: &Database,
+    order: &[Var],
+    visit: &mut dyn FnMut(&[Val]) -> bool,
+) -> Result<JoinWork, EvalError> {
+    run(ctx, q, db, order, |plan| plan.visit(ctx.cancel(), visit))
 }
 
 /// Run the generic join of `q` on `db` with the given global variable
@@ -595,7 +807,7 @@ pub fn visit(
     order: &[Var],
     visit: &mut dyn FnMut(&[Val]) -> bool,
 ) -> Result<bool, EvalError> {
-    Ok(run(ctx, q, db, order, Sink::Visit(visit))?.completed)
+    Ok(run_visit(ctx, q, db, order, visit)?.completed)
 }
 
 /// Default variable order: interning order.
@@ -621,7 +833,8 @@ fn project(assignment: &[Val], free_pos: &[usize], buf: &mut [Val]) {
     }
 }
 
-/// Write a finished join's counters to its span.
+/// Write a finished join's counters to its span: the polls of every
+/// worker's token, and the morsels and workers of a split count.
 fn close_span(
     span: &mut cq_obs::trace::SpanGuard,
     rows: u64,
@@ -629,8 +842,12 @@ fn close_span(
     cancel: &CancelToken,
 ) {
     span.attr("rows", rows);
-    span.attr("cancel-polls", cancel.polls());
+    span.attr("cancel-polls", cancel.polls() + work.helper_polls);
     span.attr("seeks", work.seeks);
+    if work.morsels > 1 {
+        span.attr("morsels", work.morsels as u64);
+        span.attr("workers", work.workers as u64);
+    }
 }
 
 /// All answers of `q` (distinct projections onto the free variables),
@@ -653,7 +870,7 @@ pub fn answers(
         out.push_row(&buf);
         true
     };
-    let work = run(ctx, q, db, order, Sink::Visit(&mut push))?;
+    let work = run_visit(ctx, q, db, order, &mut push)?;
     out.normalize();
     close_span(&mut span, out.len() as u64, &work, ctx.cancel());
     Ok(out)
@@ -673,7 +890,7 @@ pub fn decide(
         found = true;
         false
     };
-    let work = run(ctx, q, db, order, Sink::Visit(&mut stop_at_first))?;
+    let work = run_visit(ctx, q, db, order, &mut stop_at_first)?;
     close_span(&mut span, u64::from(found), &work, ctx.cancel());
     Ok(found)
 }
@@ -692,7 +909,10 @@ pub fn count_distinct(
 ) -> Result<u64, EvalError> {
     let mut span = cq_obs::trace::span("op.generic-join.count");
     let work = if q.is_join_query() {
-        run(ctx, q, db, order, Sink::Count)?
+        run(ctx, q, db, order, |plan| {
+            let morsels = plan.morsels();
+            plan.count(&morsels, idle_cores().min(morsels.len() - 1), ctx.cancel())
+        })?
     } else {
         let free_pos = free_positions(q, order);
         let mut set: FxHashSet<Box<[Val]>> = FxHashSet::default();
@@ -704,7 +924,7 @@ pub fn count_distinct(
             }
             true
         };
-        let mut work = run(ctx, q, db, order, Sink::Visit(&mut collect))?;
+        let mut work = run_visit(ctx, q, db, order, &mut collect)?;
         work.count = set.len() as u64;
         work
     };
@@ -978,5 +1198,387 @@ mod tests {
             decide(&ctx, &q, &db, &order).unwrap_err(),
             bind(&q, &db).unwrap_err()
         );
+    }
+
+    // The kernel against brute force on random queries: up to 4 atoms of
+    // arity up to 3 over up to 4 variables, with self-joins and repeated
+    // variables; relations empty, singletons, uniform or skewed onto one
+    // heavy key, so the level slices an intersection meets are sometimes
+    // of similar length (merge steps) and sometimes wildly different
+    // (gallop seeks), and over a small, a dense or a scattered domain, so
+    // a node at any column is sometimes a bitmap and sometimes a slice
+    // only (word ANDs, bit tests, leapfrog — and above an atom's last
+    // column, descents by rank and by position). The join runs under
+    // *every* variable order, and its count split into morsels.
+
+    /// The tests' own random source, so a case is a function of one `u64`.
+    struct Lcg(u64);
+
+    impl Lcg {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self
+                .0
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((self.0 >> 33) % n as u64) as usize
+        }
+    }
+
+    /// A random join query: 1–4 atoms of arity 1–3 over at most 4
+    /// variables. Two relation symbols per arity, so self-joins are
+    /// common; variables are drawn with repetition, so `R(x, x)` patterns
+    /// are too.
+    fn random_join_query(rng: &mut Lcg) -> ConjunctiveQuery {
+        let n_vars = 1 + rng.below(4);
+        let n_atoms = 1 + rng.below(4);
+        let mut b = cq_core::QueryBuilder::new("q");
+        for _ in 0..n_atoms {
+            let arity = 1 + rng.below(3);
+            let vars: Vec<Var> =
+                (0..arity).map(|_| b.var(&format!("v{}", rng.below(n_vars)))).collect();
+            b.atom(&format!("R{arity}{}", ["a", "b"][rng.below(2)]), &vars);
+        }
+        b.build().expect("every interned variable occurs in an atom")
+    }
+
+    /// One relation per symbol of `q`: empty, tiny or up to 60 rows,
+    /// uniform or with three rows in four sharing the first column's value
+    /// 0 — one hub with many children among nodes with few. Values are
+    /// from a domain within one 64-bit word (any two siblings make a
+    /// bitmap), a dense one across three words (a hub's children make a
+    /// bitmap, a light node's stay a slice) or a scattered one with a word
+    /// per value (no bitmap anywhere); the last two share 63 and 127. The
+    /// rule is the same at every level, so the first column's distinct
+    /// values — the root's children — and a hub's in the middle of a
+    /// ternary atom are bitmaps as often as a last column's
+    /// ([`random_databases_have_dense_inner_levels`]), and the root spans
+    /// up to twelve words to cut morsels at
+    /// ([`random_databases_split_both_kinds_of_root`]).
+    fn random_database(q: &ConjunctiveQuery, rng: &mut Lcg) -> Database {
+        let mut db = Database::new();
+        for atom in q.atoms() {
+            if db.get(&atom.relation).is_some() {
+                continue;
+            }
+            let rows = [0, 1, 1, 3, 8, 20, 60, 60][rng.below(8)];
+            // values are `first + step · below(n)`
+            let (first, step, n) =
+                [(0, 1, 3), (0, 1, 6), (0, 1, 12), (40, 1, 100), (63, 64, 12)]
+                    [rng.below(5)];
+            let skewed = rng.below(2) == 1;
+            let mut rel = Relation::new(atom.arity());
+            for _ in 0..rows {
+                let mut row: Vec<Val> = (0..atom.arity())
+                    .map(|_| first + step * rng.below(n) as Val)
+                    .collect();
+                if skewed && rng.below(4) != 0 {
+                    row[0] = 0;
+                }
+                rel.push_row(&row);
+            }
+            rel.normalize();
+            db.insert(&atom.relation, rel);
+        }
+        db
+    }
+
+    /// Every order of `vars`.
+    fn orders(vars: &[Var]) -> Vec<Vec<Var>> {
+        if vars.is_empty() {
+            return vec![Vec::new()];
+        }
+        let mut all = Vec::new();
+        for (i, &v) in vars.iter().enumerate() {
+            let rest: Vec<Var> = vars
+                .iter()
+                .enumerate()
+                .filter(|&(j, _)| j != i)
+                .map(|(_, &w)| w)
+                .collect();
+            for mut order in orders(&rest) {
+                order.insert(0, v);
+                all.push(order);
+            }
+        }
+        all
+    }
+
+    /// Count `q` with its root cut into at most `n` morsels, taken by
+    /// `workers` threads.
+    fn count_split(
+        ctx: &ExecCtx,
+        q: &ConjunctiveQuery,
+        db: &Database,
+        order: &[Var],
+        n: usize,
+        workers: usize,
+    ) -> Result<JoinWork, EvalError> {
+        run(ctx, q, db, order, |plan| {
+            plan.count(&Morsels::new(plan.cuts(n)), workers - 1, ctx.cancel())
+        })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Count, answers and the raw visitor agree with brute force under
+        /// every variable order (one catalog across the orders, so views
+        /// are met both freshly built and memoized); projections of the
+        /// same join count their distinct projections; a visitor that
+        /// stops is never called again, and neither is `decide`'s.
+        #[test]
+        fn every_order_matches_brute_force(bits in proptest::prelude::any::<u64>()) {
+            let mut rng = Lcg(bits);
+            let q = random_join_query(&mut rng);
+            let db = random_database(&q, &mut rng);
+            let projection = q.with_free_mask(rng.below(1 << q.n_vars()) as u64);
+            let stop_after = 1 + rng.below(5);
+
+            let want = brute_force_answers(&q, &db).unwrap();
+            let want_n = crate::bind::brute_force_count(&q, &db).unwrap();
+            proptest::prop_assert_eq!(want.len() as u64, want_n);
+            let want_projected = crate::bind::brute_force_count(&projection, &db).unwrap();
+
+            let catalog = cq_data::IndexCatalog::new();
+            let ctx = ExecCtx::warm(&catalog);
+            for order in orders(&default_order(&q)) {
+                let got = super::answers(&ctx, &q, &db, &order).unwrap();
+                proptest::prop_assert_eq!(&got, &want, "answers of {} under {:?}", q, order);
+                let n = count_distinct(&ctx, &q, &db, &order).unwrap();
+                proptest::prop_assert_eq!(n, want_n, "count of {} under {:?}", q, order);
+                let n = count_distinct(&ctx, &projection, &db, &order).unwrap();
+                proptest::prop_assert_eq!(
+                    n, want_projected, "count of {} under {:?}", projection, order
+                );
+                let found = decide(&ctx, &q, &db, &order).unwrap();
+                proptest::prop_assert_eq!(found, want_n > 0, "decide of {} under {:?}", q, order);
+
+                // the raw visitor: assignments arrive in `order`, each one
+                // satisfies every atom, and `false` ends the join at once
+                let mut visits = 0;
+                let completed = visit(&ctx, &q, &db, &order, &mut |a| {
+                    visits += 1;
+                    let mut row = vec![0; order.len()];
+                    for (v, &val) in order.iter().zip(a) {
+                        row[v.index()] = val;
+                    }
+                    assert!(want.contains(&row), "{row:?} is not an answer of {q}");
+                    visits < stop_after
+                })
+                .unwrap();
+                proptest::prop_assert_eq!(
+                    visits, stop_after.min(want.len()), "visits of {} under {:?}", q, order
+                );
+                proptest::prop_assert_eq!(completed, want.len() < stop_after);
+            }
+        }
+
+        /// A count cut into morsels is the count: under every order, the
+        /// root cut into at most 1–7 morsels gives brute force's count,
+        /// and a cut into several, taken by 1–4 workers, the same seeks
+        /// whoever takes which morsel — so a count's seeks repeat
+        /// whatever the load.
+        #[test]
+        fn a_split_count_is_the_unsplit_count(bits in proptest::prelude::any::<u64>()) {
+            let mut rng = Lcg(bits);
+            let q = random_join_query(&mut rng);
+            let db = random_database(&q, &mut rng);
+            let want = crate::bind::brute_force_count(&q, &db).unwrap();
+            let catalog = cq_data::IndexCatalog::new();
+            let ctx = ExecCtx::warm(&catalog);
+            for order in orders(&default_order(&q)) {
+                for n in 1..=7 {
+                    let alone = count_split(&ctx, &q, &db, &order, n, 1).unwrap();
+                    proptest::prop_assert_eq!(alone.count, want, "{} under {:?} cut {}", q, order, n);
+                    for workers in (2..=4).filter(|_| alone.morsels > 1) {
+                        let split = count_split(&ctx, &q, &db, &order, n, workers).unwrap();
+                        proptest::prop_assert_eq!(
+                            (split.count, split.seeks),
+                            (alone.count, alone.seeks),
+                            "{} under {:?} cut {}, {} workers", q, order, n, workers
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// The generator above reaches every mode above an atom's last
+    /// column: an inner level with a bitmap (ANDed, or a filter, descended
+    /// by rank) in over a third of the cases, and an inner level mixing
+    /// bitmaps with slice-only sets (leapfrog, descended by position) in
+    /// an eighth.
+    #[test]
+    fn random_databases_have_dense_inner_levels() {
+        let (mut dense, mut mixed, cases) = (0, 0, 256u32);
+        for case in 0..cases {
+            let mut rng = Lcg(u64::from(case));
+            let q = random_join_query(&mut rng);
+            let db = random_database(&q, &mut rng);
+            let (mut has_dense, mut has_mixed) = (false, false);
+            for (_, rel) in db.iter().filter(|(_, r)| r.arity() > 1) {
+                let view = SortedView::new(rel, &(0..rel.arity()).collect::<Vec<_>>());
+                for d in 0..rel.arity() - 1 {
+                    let parents = if d == 0 { 1 } else { view.level(d - 1).len() };
+                    let sets = (0..parents).map(|i| view.bitmaps(d).of(i).0.len());
+                    let n_dense = sets.filter(|&w| w > 0).count();
+                    has_dense |= n_dense > 0;
+                    has_mixed |= n_dense > 0 && n_dense < parents;
+                }
+            }
+            dense += u32::from(has_dense);
+            mixed += u32::from(has_mixed);
+        }
+        assert!(dense >= cases / 3, "{dense} of {cases} cases have a dense inner level");
+        assert!(mixed >= cases / 8, "{mixed} of {cases} cases mix one with slices");
+    }
+
+    /// ... and it cuts a root into morsels on both kinds of root — every
+    /// node a bitmap, where the morsel's words are ANDed, and some a
+    /// slice only, where each cursor is clipped to the morsel — and with
+    /// an atom of repeated variables, read through its `bound_view`.
+    #[test]
+    fn random_databases_split_both_kinds_of_root() {
+        let (mut dense, mut sliced, mut bound, cases) = (0, 0, 0, 256u32);
+        for case in 0..cases {
+            let mut rng = Lcg(u64::from(case));
+            let q = random_join_query(&mut rng);
+            let db = random_database(&q, &mut rng);
+            let repeats =
+                q.atoms().iter().any(|a| distinct_vars(&a.vars).len() < a.vars.len());
+            let (mut has_dense, mut has_sliced) = (false, false);
+            for order in orders(&default_order(&q)) {
+                run(&ExecCtx::cold(), &q, &db, &order, |plan| {
+                    if plan.cuts(7).len() > 2 {
+                        let all_dense = plan.depths[0]
+                            .iter()
+                            .all(|it| it.bits.is_some_and(|b| !b.of(0).0.is_empty()));
+                        has_dense |= all_dense;
+                        has_sliced |= !all_dense;
+                    }
+                    Ok(JoinWork::default())
+                })
+                .unwrap();
+            }
+            dense += u32::from(has_dense);
+            sliced += u32::from(has_sliced);
+            bound += u32::from(repeats && (has_dense || has_sliced));
+        }
+        // few, as the root must span words and weigh evenly across them
+        // (a skewed hub is one value): `splits_clip_both_kinds_of_root`
+        // has large ones
+        for (kind, n) in [("all-dense", dense), ("slice-only", sliced), ("bound", bound)]
+        {
+            assert!(n >= cases / 64, "{n} of {cases} cases split a {kind} root");
+        }
+    }
+
+    /// Splits against brute force where the root spans many words: a
+    /// dense root (the morsel's words ANDed), a slice-only one (each
+    /// cursor clipped), and one read through an atom of repeated
+    /// variables — into at most 1–7 morsels, taken by 1–4 workers.
+    #[test]
+    fn splits_clip_both_kinds_of_root() {
+        let pairs = |rows, domain, spread: fn(Val) -> Val| {
+            let rel = random_pairs(rows, domain, &mut seeded_rng(rows as u64));
+            Relation::from_pairs(rel.iter().map(|r| (spread(r[0]), spread(r[1]))))
+        };
+        let triangle = zoo::triangle_join();
+        // 256 vertices in four words, and 40 with a word each
+        let dense = triangle_database(&pairs(600, 256, |v| v));
+        let sliced = triangle_database(&pairs(300, 40, |v| 64 * v + 63));
+        let repeated = parse_query("q(x, y) :- R(x, y, x), S(y, x)").unwrap();
+        let mut bound = Database::new();
+        let edges = pairs(600, 256, |v| v);
+        let rows = edges.iter().map(|r| vec![r[0], r[1], r[0] ^ (r[1] & 1)]);
+        bound.insert("R", Relation::from_rows(3, rows));
+        bound.insert("S", edges);
+        for (q, db, root_dense) in [
+            (&triangle, &dense, true),
+            (&triangle, &sliced, false),
+            (&repeated, &bound, true),
+        ] {
+            let want = crate::bind::brute_force_count(q, db).unwrap();
+            let (order, ctx) = (default_order(q), ExecCtx::cold());
+            run(&ctx, q, db, &order, |plan| {
+                let dense_root = plan.depths[0]
+                    .iter()
+                    .all(|it| it.bits.is_some_and(|b| !b.of(0).0.is_empty()));
+                assert_eq!(dense_root, root_dense, "{q}");
+                assert!(plan.cuts(7).len() > 3, "{q}: {:?}", plan.cuts(7));
+                Ok(JoinWork::default())
+            })
+            .unwrap();
+            for n in 1..=7 {
+                let alone = count_split(&ctx, q, db, &order, n, 1).unwrap();
+                assert_eq!(alone.count, want, "{q} cut {n}");
+                for workers in 2..=4 {
+                    let split = count_split(&ctx, q, db, &order, n, workers).unwrap();
+                    assert_eq!(
+                        (split.count, split.seeks),
+                        (want, alone.seeks),
+                        "{q} cut {n}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Only the calling thread runs the probe, and a trip stops every
+    /// worker: a probe tripping at its third consultation ends a
+    /// 4-morsel, 2-worker count at the caller's node that consulted it,
+    /// and the helper takes at most one morsel more — whatever the
+    /// scheduler does, as the caller takes the first morsel itself.
+    #[test]
+    fn a_probe_trip_stops_every_worker_and_only_the_caller_probes() {
+        // a triangle over 256 vertices — four root words — of degree 16:
+        // some thousand nodes a morsel, a real check every 256
+        let q = zoo::triangle_join();
+        let db = triangle_database(&random_pairs(4000, 256, &mut seeded_rng(9)));
+        let order = default_order(&q);
+        let catalog = cq_data::IndexCatalog::new();
+        let want = count_split(&ExecCtx::warm(&catalog), &q, &db, &order, 1, 1).unwrap();
+        let cuts = vec![0, 1, 2, 3, u64::MAX];
+        let caller = std::thread::current().id();
+        let threads = Arc::new(std::sync::Mutex::new(Vec::new()));
+
+        let seen = Arc::clone(&threads);
+        let token = CancelToken::never().with_probe(move || {
+            seen.lock().unwrap().push(std::thread::current().id());
+            false
+        });
+        let ctx = ExecCtx::new(&catalog, &token);
+        let morsels = Morsels::new(cuts.clone());
+        let got =
+            run(&ctx, &q, &db, &order, |plan| plan.count(&morsels, 1, &token)).unwrap();
+        assert_eq!((got.count, got.seeks), (want.count, want.seeks));
+        assert!(!threads.lock().unwrap().is_empty(), "the caller probes at least once");
+
+        let morsels = Arc::new(Morsels::new(cuts));
+        let (taken, consulted) = (Arc::clone(&morsels), Arc::new(AtomicUsize::new(0)));
+        let (seen, calls) = (Arc::clone(&threads), Arc::clone(&consulted));
+        let at_trip = Arc::new(AtomicUsize::new(usize::MAX));
+        let trip = Arc::clone(&at_trip);
+        let token = CancelToken::never().with_probe(move || {
+            seen.lock().unwrap().push(std::thread::current().id());
+            let tripping = calls.fetch_add(1, Ordering::Relaxed) == 2;
+            if tripping {
+                trip.store(taken.next.load(Ordering::Relaxed), Ordering::Relaxed);
+            }
+            tripping
+        });
+        let ctx = ExecCtx::new(&catalog, &token);
+        let got = run(&ctx, &q, &db, &order, |plan| plan.count(&morsels, 1, &token));
+        assert!(matches!(got, Err(EvalError::Cancelled)));
+        assert_eq!(consulted.load(Ordering::Relaxed), 3);
+        assert_eq!(token.polls(), 2 * u64::from(crate::cancel::STRIDE) + 1);
+        // the caller trips inside its first morsel, whoever took the rest
+        let (at_trip, after) =
+            (at_trip.load(Ordering::Relaxed), morsels.next.load(Ordering::Relaxed));
+        assert!(
+            after <= at_trip + 1,
+            "{at_trip} morsels taken at the trip, {after} after"
+        );
+        assert!(threads.lock().unwrap().iter().all(|&t| t == caller));
     }
 }

@@ -293,8 +293,10 @@ impl<'a> EvalCtx<'a> {
     /// `workers` threads pulling items off a shared cursor. Results
     /// come back in input order, each with the plan that ran;
     /// over-budget items fail individually with
-    /// [`EvalError::OverBudget`], and all workers poll the context's
-    /// one token, so a single deadline bounds the whole batch.
+    /// [`EvalError::OverBudget`]. The calling thread is one of the
+    /// workers and polls the context's token; the others poll
+    /// [`CancelToken::sibling`]s of it, so one flag and one deadline
+    /// bound the whole batch and only the calling thread runs the probe.
     pub fn batch_tasks<'q>(
         &self,
         items: impl IntoIterator<Item = (&'q ConjunctiveQuery, Task)>,
@@ -314,36 +316,35 @@ impl<'a> EvalCtx<'a> {
             items.iter().map(|(q, task)| p.plan(q, *task, &stats)).collect()
         });
 
+        // work-stealing over a shared cursor: homogeneous batches split
+        // evenly, skewed ones keep every worker busy until the end.
         // execute_traced installs the sink per call, so worker threads
         // (which do not inherit the session thread's trace TLS) still
         // record into the shared trace
-        let run = |i: usize| -> Result<(Output, QueryPlan), EvalError> {
-            let (q, _) = items[i];
-            let plan = &plans[i];
-            self.admit(plan).map_err(EvalError::OverBudget)?;
-            self.execute_traced(plan, q, db, catalog).map(|out| (out, plan.clone()))
-        };
-
-        let workers = workers.min(items.len());
-        if workers <= 1 {
-            return (0..items.len()).map(run).collect();
-        }
-        // work-stealing over a shared cursor: homogeneous batches split
-        // evenly, skewed ones keep every worker busy until the end
         let results: Vec<OnceLock<Result<(Output, QueryPlan), EvalError>>> =
             (0..items.len()).map(|_| OnceLock::new()).collect();
         let cursor = AtomicUsize::new(0);
+        let work = |ctx: &EvalCtx| loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(&(q, _)) = items.get(i) else { break };
+            let plan = &plans[i];
+            let result = ctx
+                .admit(plan)
+                .map_err(EvalError::OverBudget)
+                .and_then(|()| ctx.execute_traced(plan, q, db, catalog))
+                .map(|out| (out, plan.clone()));
+            let filled = results[i].set(result);
+            debug_assert!(filled.is_ok(), "cursor indices are claimed once");
+        };
         std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= items.len() {
-                        break;
-                    }
-                    let filled = results[i].set(run(i));
-                    debug_assert!(filled.is_ok(), "cursor indices are claimed once");
+            // the calling thread is a worker too, and the only one that
+            // runs the token's probe: the others poll siblings of it
+            for _ in 1..workers.min(items.len()) {
+                s.spawn(|| {
+                    work(&EvalCtx { cancel: self.cancel.sibling(), ..self.clone() })
                 });
             }
+            work(self);
         });
         results
             .into_iter()

@@ -237,8 +237,11 @@ fn transient(e: &std::io::Error) -> bool {
 
 /// Is the client gone? A nonblocking one-byte peek distinguishes EOF or
 /// reset (gone) from "no request bytes yet" (alive, just waiting). The
-/// session and its reader run on one thread, so briefly flipping the
-/// shared socket nonblocking cannot race an in-progress blocking read.
+/// session and its reader run on one thread, and so does this probe —
+/// [`Session::set_cancel_probe`] asserts it — so briefly flipping the
+/// shared socket nonblocking cannot race an in-progress blocking read,
+/// nor another probe, which would leave this `peek` blocking for a whole
+/// read tick.
 fn connection_gone(stream: &TcpStream) -> bool {
     if stream.set_nonblocking(true).is_err() {
         return true;

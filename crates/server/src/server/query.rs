@@ -820,6 +820,28 @@ mod tests {
     }
 
     #[test]
+    fn a_batch_runs_the_probe_on_the_session_thread_only() {
+        let mut s = session();
+        s.batch_workers = 4;
+        let threads = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&threads);
+        s.set_cancel_probe(move || {
+            seen.lock().unwrap().push(std::thread::current().id());
+            false
+        });
+        load_triangle(&mut s, "b");
+        let item = "COUNT q(x, y, z) :- R1(x, y), R2(y, z), R3(z, x)";
+        let mut lines = vec!["BATCH"];
+        lines.extend([item; 8]);
+        lines.push("END");
+        let done = drive(&mut s, &lines).pop().unwrap().unwrap();
+        assert_eq!(done.terminal, "OK batch of 8 items");
+        assert!(done.data.iter().all(|l| l.contains(" OK ")), "{:?}", done.data);
+        let me = std::thread::current().id();
+        assert!(threads.lock().unwrap().iter().all(|&t| t == me));
+    }
+
+    #[test]
     fn batch_feeds_the_tenant_pinned_catalog() {
         let state = Arc::new(ServerState::new());
         let mut s = Session::new(Arc::clone(&state));

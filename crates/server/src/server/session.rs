@@ -231,8 +231,21 @@ impl Session {
     /// Attach a liveness probe consulted while queries run: when it
     /// returns `true` (client gone), in-flight evaluation is cancelled
     /// cooperatively instead of running to completion for nobody.
+    ///
+    /// The probe belongs to the thread that attaches it, the session's:
+    /// an operator that splits its work hands its other threads a
+    /// [`CancelToken::sibling`](cq_engine::CancelToken::sibling), which
+    /// has no probe, and a debug build asserts that nothing else calls it.
     pub fn set_cancel_probe(&mut self, probe: impl Fn() -> bool + Send + Sync + 'static) {
-        self.cancel_probe = Some(Arc::new(probe));
+        let session = std::thread::current().id();
+        self.cancel_probe = Some(Arc::new(move || {
+            debug_assert_eq!(
+                std::thread::current().id(),
+                session,
+                "the cancel probe ran off the session's thread"
+            );
+            probe()
+        }));
     }
 
     /// Has the client said `QUIT`?
@@ -522,6 +535,20 @@ pub(super) fn state_error(name: &str, e: StateError) -> Reply {
 mod tests {
     use super::*;
     use crate::server::testkit::session;
+
+    /// A probe that peeks the session's socket must not run on two
+    /// threads at once: called from any thread but the one that attached
+    /// it, it fails a debug build instead of stalling a read tick.
+    #[test]
+    #[cfg(debug_assertions)]
+    fn the_cancel_probe_runs_on_the_session_thread_only() {
+        let mut s = session();
+        s.set_cancel_probe(|| false);
+        let probe = s.cancel_probe.clone().expect("just attached");
+        assert!(!probe(), "the session's own thread may call it");
+        let elsewhere = std::thread::spawn(move || probe()).join();
+        assert!(elsewhere.is_err(), "another thread must trip the assertion");
+    }
 
     /// One request line per row of the verb table, addressing tenant
     /// `db` where the row names one. A row without a sample fails every

@@ -1,179 +1,19 @@
-//! The generic-join kernel against brute force.
+//! The generic-join kernel's work counter against the AGM bound — the
+//! theorem the algorithm is named for — and its cancellation.
 //!
 //! Every other oracle in the repository that sees a generic-join answer
 //! (the planner consistency tests' zoo, cqbench's mirror) runs the same
-//! engine in-process, so only brute force can catch a kernel bug. Random
-//! queries here have up to 4 atoms of arity up to 3 over up to 4
-//! variables, with self-joins and repeated variables; relations are
-//! empty, singletons, uniform or skewed onto one heavy key, so the
-//! level slices an intersection meets are sometimes of similar length
-//! (merge steps) and sometimes wildly different (gallop seeks), and
-//! over a small, a dense or a scattered domain, so a node at any column
-//! is sometimes a bitmap and sometimes a slice only (word ANDs, bit
-//! tests, leapfrog — and above an atom's last column, descents by rank
-//! and by position); and the join runs under *every* variable order.
-//!
-//! The second half checks the kernel's work counter against the AGM
-//! bound — the theorem the algorithm is named for — and cancellation.
+//! engine in-process, so only brute force can catch a kernel bug: the
+//! kernel's answers, counts and morsel splits are checked against it on
+//! random queries, under every variable order, by the unit tests of
+//! `cq_engine::generic_join`.
 
-use cq_engine::bind::{brute_force_answers, brute_force_count};
 use cq_engine::{generic_join, CancelToken, ExecCtx};
 use cq_lower_bounds::prelude::*;
 use cq_obs::trace::{self, TraceSink};
-use cq_reductions::hyperclique_to_lw::permutations;
-use proptest::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The tests' own random source, so a case is a function of one `u64`.
-struct Lcg(u64);
-
-impl Lcg {
-    fn below(&mut self, n: usize) -> usize {
-        self.0 =
-            self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        ((self.0 >> 33) % n as u64) as usize
-    }
-}
-
-/// A random join query: 1–4 atoms of arity 1–3 over at most 4 variables.
-/// Two relation symbols per arity, so self-joins are common; variables
-/// are drawn with repetition, so `R(x, x)` patterns are too.
-fn random_join_query(rng: &mut Lcg) -> ConjunctiveQuery {
-    let n_vars = 1 + rng.below(4);
-    let n_atoms = 1 + rng.below(4);
-    let mut b = QueryBuilder::new("q");
-    for _ in 0..n_atoms {
-        let arity = 1 + rng.below(3);
-        let vars: Vec<Var> =
-            (0..arity).map(|_| b.var(&format!("v{}", rng.below(n_vars)))).collect();
-        b.atom(&format!("R{arity}{}", ["a", "b"][rng.below(2)]), &vars);
-    }
-    b.build().expect("every interned variable occurs in an atom")
-}
-
-/// One relation per symbol of `q`: empty, tiny or up to 60 rows,
-/// uniform or with three rows in four sharing the first column's value
-/// 0 — one hub with many children among nodes with few. Values are from
-/// a domain within one 64-bit word (any two siblings make a bitmap), a
-/// dense one across three words (a hub's children make a bitmap, a
-/// light node's stay a slice) or a scattered one with a word per value
-/// (no bitmap anywhere); the last two share 63 and 127. The rule is the
-/// same at every level, so the first column's distinct values — the
-/// root's children — and a hub's in the middle of a ternary atom are
-/// bitmaps as often as a last column's
-/// ([`random_databases_have_dense_inner_levels`]).
-fn random_database(q: &ConjunctiveQuery, rng: &mut Lcg) -> Database {
-    let mut db = Database::new();
-    for atom in q.atoms() {
-        if db.get(&atom.relation).is_some() {
-            continue;
-        }
-        let rows = [0, 1, 1, 3, 8, 20, 60, 60][rng.below(8)];
-        // values are `first + step · below(n)`
-        let (first, step, n) =
-            [(0, 1, 3), (0, 1, 6), (0, 1, 12), (40, 1, 100), (63, 64, 12)][rng.below(5)];
-        let skewed = rng.below(2) == 1;
-        let mut rel = Relation::new(atom.arity());
-        for _ in 0..rows {
-            let mut row: Vec<Val> =
-                (0..atom.arity()).map(|_| first + step * rng.below(n) as Val).collect();
-            if skewed && rng.below(4) != 0 {
-                row[0] = 0;
-            }
-            rel.push_row(&row);
-        }
-        rel.normalize();
-        db.insert(&atom.relation, rel);
-    }
-    db
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// Count, answers and the raw visitor agree with brute force under
-    /// every variable order (one catalog across the orders, so views are
-    /// met both freshly built and memoized); projections of the same
-    /// join count their distinct projections; a visitor that stops is
-    /// never called again, and neither is `decide`'s.
-    #[test]
-    fn every_order_matches_brute_force(bits in any::<u64>()) {
-        let mut rng = Lcg(bits);
-        let q = random_join_query(&mut rng);
-        let db = random_database(&q, &mut rng);
-        let projection = q.with_free_mask(rng.below(1 << q.n_vars()) as u64);
-        let stop_after = 1 + rng.below(5);
-
-        let want = brute_force_answers(&q, &db).unwrap();
-        let want_n = brute_force_count(&q, &db).unwrap();
-        prop_assert_eq!(want.len() as u64, want_n);
-        let want_projected = brute_force_count(&projection, &db).unwrap();
-
-        let catalog = IndexCatalog::new();
-        let ctx = ExecCtx::warm(&catalog);
-        let vars: Vec<Var> = q.vars().collect();
-        let positions: Vec<Val> = (0..vars.len() as Val).collect();
-        for order in permutations(&positions) {
-            let order: Vec<Var> = order.iter().map(|&i| vars[i as usize]).collect();
-            let got = generic_join::answers(&ctx, &q, &db, &order).unwrap();
-            prop_assert_eq!(&got, &want, "answers of {} under {:?}", q, order);
-            let n = generic_join::count_distinct(&ctx, &q, &db, &order).unwrap();
-            prop_assert_eq!(n, want_n, "count of {} under {:?}", q, order);
-            let n = generic_join::count_distinct(&ctx, &projection, &db, &order).unwrap();
-            prop_assert_eq!(n, want_projected, "count of {} under {:?}", projection, order);
-            let found = generic_join::decide(&ctx, &q, &db, &order).unwrap();
-            prop_assert_eq!(found, want_n > 0, "decide of {} under {:?}", q, order);
-
-            // the raw visitor: assignments arrive in `order`, each one
-            // satisfies every atom, and `false` ends the join at once
-            let mut visits = 0;
-            let completed = generic_join::visit(&ctx, &q, &db, &order, &mut |a| {
-                visits += 1;
-                let mut row = vec![0; order.len()];
-                for (v, &val) in order.iter().zip(a) {
-                    row[v.index()] = val;
-                }
-                assert!(want.contains(&row), "{row:?} is not an answer of {q}");
-                visits < stop_after
-            })
-            .unwrap();
-            prop_assert_eq!(visits, stop_after.min(want.len()), "visits of {} under {:?}", q, order);
-            prop_assert_eq!(completed, want.len() < stop_after);
-        }
-    }
-}
-
-/// The generator above reaches every mode above an atom's last column:
-/// an inner level with a bitmap (ANDed, or a filter, descended by rank)
-/// in over a third of the cases, and an inner level mixing bitmaps with
-/// slice-only sets (leapfrog, descended by position) in an eighth.
-#[test]
-fn random_databases_have_dense_inner_levels() {
-    let (mut dense, mut mixed, cases) = (0, 0, 256u32);
-    for case in 0..cases {
-        let mut rng = Lcg(u64::from(case));
-        let q = random_join_query(&mut rng);
-        let db = random_database(&q, &mut rng);
-        let (mut has_dense, mut has_mixed) = (false, false);
-        for (_, rel) in db.iter().filter(|(_, r)| r.arity() > 1) {
-            let view =
-                cq_data::SortedView::new(rel, &(0..rel.arity()).collect::<Vec<_>>());
-            for d in 0..rel.arity() - 1 {
-                let parents = if d == 0 { 1 } else { view.level(d - 1).len() };
-                let sets = (0..parents).map(|i| view.bitmaps(d).of(i).0.len());
-                let n_dense = sets.filter(|&w| w > 0).count();
-                has_dense |= n_dense > 0;
-                has_mixed |= n_dense > 0 && n_dense < parents;
-            }
-        }
-        dense += u32::from(has_dense);
-        mixed += u32::from(has_mixed);
-    }
-    assert!(dense >= cases / 3, "{dense} of {cases} cases have a dense inner level");
-    assert!(mixed >= cases / 8, "{mixed} of {cases} cases mix one with slices");
-}
 
 /// `(rows, seeks)` of the one span named `name` that `run` records.
 fn traced(name: &str, run: impl FnOnce()) -> (u64, u64) {

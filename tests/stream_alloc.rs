@@ -10,10 +10,11 @@
 //! steps per answer — is pinned beside it on its `steps` counter. The
 //! linear-time folds get the same pin: a warm `COUNT` or `DECIDE` over
 //! memoized join-tree links allocates per tree node, not per row or key,
-//! and a warm generic-join `COUNT` over bitmaps per join, not per node.
+//! and a warm generic-join `COUNT` over bitmaps per worker, not per
+//! morsel or node.
 
-use cq_core::parse_query;
 use cq_core::query::zoo;
+use cq_core::{parse_query, ConjunctiveQuery};
 use cq_data::generate::{random_pairs, seeded_rng, triangle_database};
 use cq_data::{Database, IndexCatalog, Relation};
 use cq_engine::{count, generic_join, yannakakis, AnswerStream, Enumerator, ExecCtx};
@@ -220,37 +221,106 @@ fn a_warm_count_or_decide_allocates_per_tree_node_not_per_row() {
     }
 }
 
+/// `blocks` clusters of 64 vertices, one word each, with `per_block`
+/// random edges inside each: adjacency lists of some `per_block / 64`
+/// values in their block's word, under a root of `64 · blocks` vertices
+/// in `blocks` words — every level dense, and a root to cut into morsels.
+fn clustered_triangles(blocks: u64, per_block: usize) -> Database {
+    let mut edges = Vec::new();
+    for b in 0..blocks {
+        let block = random_pairs(per_block, 64, &mut seeded_rng(b));
+        edges.extend(block.iter().map(|e| (64 * b + e[0], 64 * b + e[1])));
+    }
+    triangle_database(&Relation::from_pairs(edges))
+}
+
+/// A warm generic-join `COUNT`, traced: its allocations on this thread,
+/// the count, and the span's morsels and workers (1 and 1 unsplit).
+struct TracedCount {
+    allocs: u64,
+    count: u64,
+    morsels: u64,
+    workers: u64,
+}
+
+fn traced_count(ctx: &ExecCtx, q: &ConjunctiveQuery, db: &Database) -> TracedCount {
+    let order = generic_join::default_order(q);
+    let sink = TraceSink::enabled();
+    let (allocs, count) = trace::with(&sink, || {
+        allocations(|| generic_join::count_distinct(ctx, q, db, &order).unwrap())
+    });
+    let (mut morsels, mut workers) = (1, 1);
+    sink.finish("test", "count").expect("enabled").visit(|_, span| {
+        if span.name == "op.generic-join.count" {
+            morsels = span.attr("morsels").unwrap_or(1);
+            workers = span.attr("workers").unwrap_or(1);
+        }
+    });
+    TracedCount { allocs, count, morsels, workers }
+}
+
 /// Generic join allocates its per-depth state — ranges, cursors, bitmap
-/// windows — once per join; intersecting a node, word by word or by
-/// leapfrog, and descending from it by rank allocates nothing: ten times
-/// the edges, the same allocations.
+/// windows — once per worker; intersecting a node, word by word or by
+/// leapfrog, descending from it by rank, and taking another morsel
+/// allocate nothing: ten times the edges in sixteen morsels, the same
+/// allocations as one morsel. A helper thread's state is its own; what
+/// starting one costs the calling thread is a constant per helper.
 #[test]
 fn a_warm_bitmap_count_allocates_per_join_not_per_node() {
     let q = zoo::triangle_join();
-    let order = generic_join::default_order(&q);
-    // adjacency lists of about 25 values in 2 words, and 80 in 4, under
-    // a root of 80 and 250 vertices in 2 and 4 words: every level dense
-    let [small, large] = [(2_000usize, 80u64), (20_000, 250)].map(|(m, domain)| {
-        let db = triangle_database(&random_pairs(m, domain, &mut seeded_rng(m as u64)));
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let alone = |db: &Database| {
         let catalog = IndexCatalog::new();
         let ctx = ExecCtx::warm(&catalog);
-        let cold = generic_join::count_distinct(&ctx, &q, &db, &order).unwrap();
-        let view = catalog.sorted_view(&db, "R2", &[0, 1]).unwrap();
+        let cold = traced_count(&ctx, &q, db);
+        let view = catalog.sorted_view(db, "R2", &[0, 1]).unwrap();
         for d in 0..2 {
-            assert!(!view.bitmaps(d).is_empty(), "m = {m}: no dense node on level {d}");
+            assert!(!view.bitmaps(d).is_empty(), "no dense node on level {d}");
         }
-        assert!(!view.bitmaps(0).of(0).1.is_empty(), "m = {m}: the root is ranked");
-        let (n, warm) =
-            allocations(|| generic_join::count_distinct(&ctx, &q, &db, &order).unwrap());
-        assert_eq!(warm, cold);
-        n
-    });
-    assert!(small < 40, "COUNT {q}: {small} allocations at m = 2 000");
+        assert!(!view.bitmaps(0).of(0).1.is_empty(), "the root is ranked");
+        // as many other evaluations as cores: no core is idle
+        let others: Vec<ExecCtx> = (0..cores).map(|_| ExecCtx::cold()).collect();
+        let warm = traced_count(&ctx, &q, db);
+        drop(others);
+        assert_eq!((warm.count, warm.workers), (cold.count, 1));
+        warm
+    };
+    let large_db = clustered_triangles(16, 1_250);
+    let (small, large) = (alone(&clustered_triangles(2, 1_000)), alone(&large_db));
+    assert_eq!((small.morsels, large.morsels), (1, 16));
+    assert!(small.allocs < 40, "COUNT {q}: {} allocations at m = 2 000", small.allocs);
     assert!(
-        large <= small + SLACK,
-        "COUNT {q}: m = 2 000 took {small} allocations, m = 20 000 took {large}"
+        large.allocs <= small.allocs + SLACK,
+        "COUNT {q}: one morsel of m = 2 000 took {} allocations, 16 of m = 20 000 {}",
+        small.allocs,
+        large.allocs
+    );
+
+    // the same sixteen morsels with a core idle: the calling thread pays
+    // a constant per helper for starting it, nothing per morsel
+    if cores < 2 {
+        return;
+    }
+    let catalog = IndexCatalog::new();
+    let ctx = ExecCtx::warm(&catalog);
+    traced_count(&ctx, &q, &large_db);
+    // other tests of this binary evaluate now and then: wait for a core
+    let split = (0..1_000)
+        .map(|_| traced_count(&ctx, &q, &large_db))
+        .find(|c| c.workers > 1)
+        .expect("a core idle for one count in a thousand");
+    assert_eq!(split.count, large.count);
+    assert!(
+        split.allocs <= large.allocs + (split.workers - 1) * PER_HELPER,
+        "COUNT {q}: {} allocations alone, {} with {} workers",
+        large.allocs,
+        split.allocs,
+        split.workers
     );
 }
+
+/// What starting one helper thread allocates on the calling thread.
+const PER_HELPER: u64 = 8;
 
 /// Thm 3.17 as a work invariant: per answer the odometer tries at most
 /// `levels` cursors and re-descends at most `levels − 1`, whatever `m` —

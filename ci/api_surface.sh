@@ -32,6 +32,8 @@
 # engine uses a second core: generic join's `COUNT` hands morsels to
 # scoped helper threads while the busy gauge says a core is idle — no
 # detached thread, no other operator's private pool, no environment knob.
+# And one liveness probe on the wire: the socket peek runs behind the gate
+# that spaces it by 100× its own cost.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -183,6 +185,15 @@ exactly_one "place that renders the \`no database named\` reply" "$(
 )"
 exactly_one "replica gate (\`.replica_of()\` outside the STATS line in admin.rs)" "$(
     server_module | grep -F '.replica_of()' | grep -v '^crates/server/src/server/admin.rs:'
+)"
+# the liveness peek is three syscalls, and an evaluation consults its
+# probe every 256 polls: it runs behind `PeekGate::consult`, which spaces
+# the peeks by 100× their cost, and nowhere else
+exactly_one "call of \`connection_gone(\`, inside \`PeekGate::consult\`'s closure" "$(
+    grep -rn 'connection_gone(' crates/server/src | grep -v 'fn connection_gone('
+)"
+forbid "socket peeks outside the gate (call connection_gone from a PeekGate::consult closure):" "$(
+    grep -rn 'connection_gone(' crates/server/src | grep -vE 'fn connection_gone\(|\.consult\('
 )"
 
 # the dichotomy is stated once, in cq_core::classify: the planner maps a

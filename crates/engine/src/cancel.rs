@@ -93,8 +93,11 @@ impl CancelToken {
     }
 
     /// Attach a liveness probe: `probe() == true` means "cancel now".
-    /// Typical use: peek the client socket for EOF. The probe is only
-    /// consulted every [`STRIDE`]th check, so it may make a syscall.
+    /// Typical use: peek the client socket for EOF. The probe is
+    /// consulted every [`STRIDE`]th check, which a fold reaches every
+    /// microsecond or so: a probe that makes a syscall should space its
+    /// calls by their own cost, as `cqd`'s socket peek does behind its
+    /// `PeekGate`, answering in between from the last call.
     pub fn with_probe(
         mut self,
         probe: impl Fn() -> bool + Send + Sync + 'static,

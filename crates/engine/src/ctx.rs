@@ -16,7 +16,7 @@
 
 use crate::cancel::CancelToken;
 use cq_data::IndexCatalog;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 /// A field the context either borrows from its caller or owns itself
@@ -71,38 +71,34 @@ pub(crate) fn idle_cores() -> usize {
 pub struct ExecCtx<'a> {
     catalog: Held<'a, IndexCatalog>,
     cancel: Held<'a, CancelToken>,
+    /// Polls of the helper threads' siblings of `cancel`, which count
+    /// their own: see [`ExecCtx::polls`].
+    helper_polls: AtomicU64,
     _busy: Busy,
 }
 
 impl<'a> ExecCtx<'a> {
+    fn with(catalog: Held<'a, IndexCatalog>, cancel: Held<'a, CancelToken>) -> Self {
+        ExecCtx { catalog, cancel, helper_polls: AtomicU64::new(0), _busy: Busy::enter() }
+    }
+
     /// Run against `catalog`, bounded by `cancel`. The token is
     /// borrowed, not cloned, so [`CancelToken::polls`] on the caller's
-    /// handle counts the polling done under this context.
+    /// handle counts the polling done on the calling thread under this
+    /// context.
     pub fn new(catalog: &'a IndexCatalog, cancel: &'a CancelToken) -> ExecCtx<'a> {
-        ExecCtx {
-            catalog: Held::Borrowed(catalog),
-            cancel: Held::Borrowed(cancel),
-            _busy: Busy::enter(),
-        }
+        ExecCtx::with(Held::Borrowed(catalog), Held::Borrowed(cancel))
     }
 
     /// Run against `catalog`, never cancelled.
     pub fn warm(catalog: &'a IndexCatalog) -> ExecCtx<'a> {
-        ExecCtx {
-            catalog: Held::Borrowed(catalog),
-            cancel: Held::Owned(CancelToken::never()),
-            _busy: Busy::enter(),
-        }
+        ExecCtx::with(Held::Borrowed(catalog), Held::Owned(CancelToken::never()))
     }
 
     /// One-shot evaluation: a throwaway catalog, dropped with the
     /// context, and a token that never trips.
     pub fn cold() -> ExecCtx<'static> {
-        ExecCtx {
-            catalog: Held::Owned(IndexCatalog::new()),
-            cancel: Held::Owned(CancelToken::never()),
-            _busy: Busy::enter(),
-        }
+        ExecCtx::with(Held::Owned(IndexCatalog::new()), Held::Owned(CancelToken::never()))
     }
 
     /// The catalog indexes and preprocessing products are memoized in.
@@ -113,5 +109,16 @@ impl<'a> ExecCtx<'a> {
     /// The token the operator's loops poll.
     pub fn cancel(&self) -> &CancelToken {
         self.cancel.get()
+    }
+
+    /// Every poll made under this context: the token's, on the calling
+    /// thread, and those of the helper threads' siblings of it.
+    pub fn polls(&self) -> u64 {
+        self.cancel().polls() + self.helper_polls.load(Ordering::Relaxed)
+    }
+
+    /// Add a finished helper thread's polls to [`ExecCtx::polls`].
+    pub(crate) fn add_helper_polls(&self, polls: u64) {
+        self.helper_polls.fetch_add(polls, Ordering::Relaxed);
     }
 }

@@ -88,9 +88,6 @@ struct JoinWork {
     /// a word's next set bit alike — word ANDs and bit tests: the
     /// deterministic work measure the AGM bound is checked against.
     seeks: u64,
-    /// Polls of the helper threads' tokens; the caller's token counts
-    /// its own.
-    helper_polls: u64,
     /// Morsels the root range was cut into, and the threads that took
     /// them (both 0 for a visitor's run).
     morsels: usize,
@@ -408,10 +405,11 @@ impl<'a> JoinPlan<'a> {
     }
 
     /// Count the join's full assignments morsel by morsel: the calling
-    /// thread, polling `cancel`, and `helpers` scoped threads, each
-    /// polling a [`CancelToken::sibling`] of it, take `morsels` off
-    /// their one cursor, each worker into one state of its own. Counts
-    /// and seeks add up to the same sums whoever takes which morsel.
+    /// thread, polling `ctx`'s token, and `helpers` scoped threads, each
+    /// polling a [`CancelToken::sibling`] of it and adding its polls to
+    /// [`ExecCtx::polls`] when it stops, take `morsels` off their one
+    /// cursor, each worker into one state of its own. Counts and seeks
+    /// add up to the same sums whoever takes which morsel.
     ///
     /// A trip anywhere latches the shared flag; a worker stops at its
     /// next real check and runs no further morsel. Only the calling
@@ -421,10 +419,11 @@ impl<'a> JoinPlan<'a> {
     /// has stopped.
     fn count(
         &self,
+        ctx: &ExecCtx,
         morsels: &Morsels,
         helpers: usize,
-        cancel: &CancelToken,
     ) -> Result<JoinWork, EvalError> {
+        let cancel = ctx.cancel();
         debug_assert!(
             morsels.len() == 1 || self.depths.len() > 1,
             "a split root descends"
@@ -451,8 +450,9 @@ impl<'a> JoinPlan<'a> {
                     s.spawn(move || {
                         let _busy = busy;
                         let token = cancel.sibling();
-                        work(&token, morsels.take())
-                            .map(|w| JoinWork { helper_polls: token.polls(), ..w })
+                        let theirs = work(&token, morsels.take());
+                        ctx.add_helper_polls(token.polls());
+                        theirs
                     })
                 })
                 .collect();
@@ -464,7 +464,6 @@ impl<'a> JoinPlan<'a> {
                     theirs.map(|b| JoinWork {
                         count: a.count + b.count,
                         seeks: a.seeks + b.seeks,
-                        helper_polls: a.helper_polls + b.helper_polls,
                         ..a
                     })
                 });
@@ -839,10 +838,10 @@ fn close_span(
     span: &mut cq_obs::trace::SpanGuard,
     rows: u64,
     work: &JoinWork,
-    cancel: &CancelToken,
+    ctx: &ExecCtx,
 ) {
     span.attr("rows", rows);
-    span.attr("cancel-polls", cancel.polls() + work.helper_polls);
+    span.attr("cancel-polls", ctx.polls());
     span.attr("seeks", work.seeks);
     if work.morsels > 1 {
         span.attr("morsels", work.morsels as u64);
@@ -872,7 +871,7 @@ pub fn answers(
     };
     let work = run_visit(ctx, q, db, order, &mut push)?;
     out.normalize();
-    close_span(&mut span, out.len() as u64, &work, ctx.cancel());
+    close_span(&mut span, out.len() as u64, &work, ctx);
     Ok(out)
 }
 
@@ -891,7 +890,7 @@ pub fn decide(
         false
     };
     let work = run_visit(ctx, q, db, order, &mut stop_at_first)?;
-    close_span(&mut span, u64::from(found), &work, ctx.cancel());
+    close_span(&mut span, u64::from(found), &work, ctx);
     Ok(found)
 }
 
@@ -911,7 +910,7 @@ pub fn count_distinct(
     let work = if q.is_join_query() {
         run(ctx, q, db, order, |plan| {
             let morsels = plan.morsels();
-            plan.count(&morsels, idle_cores().min(morsels.len() - 1), ctx.cancel())
+            plan.count(ctx, &morsels, idle_cores().min(morsels.len() - 1))
         })?
     } else {
         let free_pos = free_positions(q, order);
@@ -928,7 +927,7 @@ pub fn count_distinct(
         work.count = set.len() as u64;
         work
     };
-    close_span(&mut span, work.count, &work, ctx.cancel());
+    close_span(&mut span, work.count, &work, ctx);
     Ok(work.count)
 }
 
@@ -1314,7 +1313,7 @@ mod tests {
         workers: usize,
     ) -> Result<JoinWork, EvalError> {
         run(ctx, q, db, order, |plan| {
-            plan.count(&Morsels::new(plan.cuts(n)), workers - 1, ctx.cancel())
+            plan.count(ctx, &Morsels::new(plan.cuts(n)), workers - 1)
         })
     }
 
@@ -1550,7 +1549,7 @@ mod tests {
         let ctx = ExecCtx::new(&catalog, &token);
         let morsels = Morsels::new(cuts.clone());
         let got =
-            run(&ctx, &q, &db, &order, |plan| plan.count(&morsels, 1, &token)).unwrap();
+            run(&ctx, &q, &db, &order, |plan| plan.count(&ctx, &morsels, 1)).unwrap();
         assert_eq!((got.count, got.seeks), (want.count, want.seeks));
         assert!(!threads.lock().unwrap().is_empty(), "the caller probes at least once");
 
@@ -1568,7 +1567,7 @@ mod tests {
             tripping
         });
         let ctx = ExecCtx::new(&catalog, &token);
-        let got = run(&ctx, &q, &db, &order, |plan| plan.count(&morsels, 1, &token));
+        let got = run(&ctx, &q, &db, &order, |plan| plan.count(&ctx, &morsels, 1));
         assert!(matches!(got, Err(EvalError::Cancelled)));
         assert_eq!(consulted.load(Ordering::Relaxed), 3);
         assert_eq!(token.polls(), 2 * u64::from(crate::cancel::STRIDE) + 1);

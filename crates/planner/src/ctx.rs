@@ -197,8 +197,9 @@ impl<'a> EvalCtx<'a> {
     /// its trace sink: a no-op passthrough when tracing is off;
     /// otherwise the sink is installed thread-locally around the call
     /// and a root `execute` span records catalog hits vs. builds,
-    /// cancel polls, and the result cardinality (streamed answers
-    /// record their own rows as they drain).
+    /// cancel polls (helper threads' included: [`ExecCtx::polls`]), and
+    /// the result cardinality (streamed answers record their own rows as
+    /// they drain).
     fn execute_traced(
         &self,
         plan: &QueryPlan,
@@ -217,7 +218,7 @@ impl<'a> EvalCtx<'a> {
             let after = catalog.snapshot();
             span.attr("catalog-hits", after.hits.saturating_sub(before.hits));
             span.attr("catalog-builds", after.misses.saturating_sub(before.misses));
-            span.attr("cancel-polls", self.cancel.polls());
+            span.attr("cancel-polls", exec.polls());
             match &out {
                 Ok(Output::Count(n)) => span.attr("rows", *n),
                 Ok(Output::Decision(d)) => span.attr("rows", u64::from(*d)),
@@ -357,7 +358,7 @@ impl<'a> EvalCtx<'a> {
 mod tests {
     use super::*;
     use cq_core::query::zoo;
-    use cq_data::generate::{path_database, seeded_rng};
+    use cq_data::generate::{path_database, random_pairs, seeded_rng, triangle_database};
 
     #[test]
     fn task_methods_agree_with_the_facade() {
@@ -427,5 +428,41 @@ mod tests {
         let repeat = || drop(ctx.answers(&mut Planner::new(), &q, &db).unwrap());
         let builds = crate::eval::builds_in_a_quiet_window(repeat);
         assert_eq!(builds, 0, "second call must be warm");
+    }
+
+    /// The root `execute` span counts the polls of every thread the
+    /// evaluation ran on, as the operator's span does: a split `COUNT`'s
+    /// helpers poll siblings of the context's token, not the token.
+    #[test]
+    fn the_root_span_counts_the_helpers_polls() {
+        if std::thread::available_parallelism().map_or(1, |n| n.get()) < 2 {
+            return;
+        }
+        // a triangle over 1 024 vertices: its root splits into morsels
+        let edges = random_pairs(20_000, 1_024, &mut seeded_rng(36));
+        let db = triangle_database(&edges);
+        let q = zoo::triangle_join();
+        let catalog = IndexCatalog::new();
+        // (the token's polls, the root span's, the operator span's)
+        let polls = || {
+            let sink = TraceSink::enabled();
+            let ctx = EvalCtx::new().with_catalog(&catalog).with_trace(sink.clone());
+            ctx.count(&mut Planner::new(), &q, &db).unwrap();
+            let (mut root, mut op) = (None, None);
+            sink.finish("test", "count").expect("enabled").visit(|_, span| {
+                match span.name.as_str() {
+                    "execute" => root = span.attr("cancel-polls"),
+                    "op.generic-join.count" => op = span.attr("cancel-polls"),
+                    _ => {}
+                }
+            });
+            (ctx.cancel().polls(), root.expect("a root span"), op.expect("an op span"))
+        };
+        // other tests of this binary evaluate now and then: wait for a core
+        let helped = (0..1_000)
+            .map(|_| polls())
+            .inspect(|&(_, root, op)| assert_eq!(root, op))
+            .find(|&(token, root, _)| root > token);
+        assert!(helped.is_some(), "a helper polled in one count of a thousand");
     }
 }

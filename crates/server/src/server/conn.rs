@@ -6,9 +6,10 @@ use crate::protocol::{ErrKind, Reply};
 use crate::state::ServerState;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 /// Handle to a running server: the bound address, the shared state, and
 /// the acceptor/worker threads. Dropping (or [`Server::shutdown`]) stops
@@ -210,7 +211,7 @@ impl Drop for Server {
 
 /// How often a blocked connection read wakes up to check the server's
 /// stop flag (bounds shutdown latency with idle clients connected).
-const READ_TICK: std::time::Duration = std::time::Duration::from_millis(200);
+const READ_TICK: Duration = Duration::from_millis(200);
 
 /// Cap on detached overflow threads, as a multiple of the pool size:
 /// a server with `w` workers serves at most `w * (1 + this)` live
@@ -241,7 +242,8 @@ fn transient(e: &std::io::Error) -> bool {
 /// [`Session::set_cancel_probe`] asserts it — so briefly flipping the
 /// shared socket nonblocking cannot race an in-progress blocking read,
 /// nor another probe, which would leave this `peek` blocking for a whole
-/// read tick.
+/// read tick. It is three syscalls (≈ 0.6 µs), so it runs only behind a
+/// [`PeekGate`], which spaces the peeks by 100× their cost.
 fn connection_gone(stream: &TcpStream) -> bool {
     if stream.set_nonblocking(true).is_err() {
         return true;
@@ -254,6 +256,65 @@ fn connection_gone(stream: &TcpStream) -> bool {
     };
     let _ = stream.set_nonblocking(false);
     gone
+}
+
+/// How many times its own cost must pass between the end of one peek and
+/// the start of the next: the probe takes at most 1 / this of the session
+/// thread's time, whatever the load.
+const PEEK_SPACING: u32 = 100;
+
+/// Is a peek due at `now`, the last one having ended at `last_end` and
+/// taken `cost` (all measured from one base)? Once [`PEEK_SPACING`]× its
+/// cost has gone by, and never later than one [`READ_TICK`], the latency
+/// the read loop already accepts for noticing `stop`. Before the first
+/// peek both are zero, so it is due.
+fn peek_due(now: Duration, last_end: Duration, cost: Duration) -> bool {
+    now.saturating_sub(last_end) >= cost.saturating_mul(PEEK_SPACING).min(READ_TICK)
+}
+
+/// The gate in front of [`connection_gone`]. An evaluation consults its
+/// cancel probe once per `cq_engine::cancel::STRIDE` polls, about every
+/// microsecond in a fold; the gate answers a consultation from the last
+/// peek unless [`peek_due`] says otherwise. It lives in the session's
+/// probe closure, which runs on the session's thread only: the atomics
+/// make the closure `Sync`, they do not serve a second writer.
+struct PeekGate {
+    base: Instant,
+    /// Nanoseconds from `base` to the end of the last peek.
+    last_end: AtomicU64,
+    /// Nanoseconds the last peek took.
+    cost: AtomicU64,
+    /// What the last peek saw.
+    gone: AtomicBool,
+}
+
+impl PeekGate {
+    fn new() -> PeekGate {
+        PeekGate {
+            base: Instant::now(),
+            last_end: AtomicU64::new(0),
+            cost: AtomicU64::new(0),
+            gone: AtomicBool::new(false),
+        }
+    }
+
+    /// Answer the probe: run `peek` ("is the client gone?") if one is due
+    /// by `clock`, else repeat what the last one saw.
+    fn consult(&self, clock: impl Fn() -> Instant, peek: impl FnOnce() -> bool) -> bool {
+        let since_base = || clock().saturating_duration_since(self.base);
+        let nanos = |at: &AtomicU64| Duration::from_nanos(at.load(Ordering::Relaxed));
+        let start = since_base();
+        if !peek_due(start, nanos(&self.last_end), nanos(&self.cost)) {
+            return self.gone.load(Ordering::Relaxed);
+        }
+        let gone = peek();
+        let end = since_base();
+        let as_nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
+        self.last_end.store(as_nanos(end), Ordering::Relaxed);
+        self.cost.store(as_nanos(end.saturating_sub(start)), Ordering::Relaxed);
+        self.gone.store(gone, Ordering::Relaxed);
+        gone
+    }
 }
 
 /// Cap on one request line, terminator included. The longest legitimate
@@ -334,7 +395,10 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, stop: &AtomicBoo
     if let Ok(probe) = probe_half {
         // long evaluations poll this: a client that hung up mid-query
         // gets its work cancelled instead of running to completion
-        session.set_cancel_probe(move || connection_gone(&probe));
+        let gate = PeekGate::new();
+        session.set_cancel_probe(move || {
+            gate.consult(Instant::now, || connection_gone(&probe))
+        });
     }
     let mut buf = Vec::new();
     while !session.finished() {
@@ -367,7 +431,83 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, stop: &AtomicBoo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::io::Cursor;
+
+    const US: Duration = Duration::from_micros(1);
+
+    /// Consult `gate` at `at` past its base, with a clock that reads `at`
+    /// and then, once a peek has run, `at + cost`; the peek sees EOF iff
+    /// `eof`. Returns whether it peeked, and the answer.
+    fn consult_at(
+        gate: &PeekGate,
+        at: Duration,
+        cost: Duration,
+        eof: bool,
+    ) -> (bool, bool) {
+        let reads = Cell::new(0);
+        let clock = || {
+            reads.set(reads.get() + 1);
+            gate.base + at + cost * (reads.get() - 1)
+        };
+        let peeked = Cell::new(false);
+        let gone = gate.consult(clock, || {
+            peeked.set(true);
+            eof
+        });
+        (peeked.get(), gone)
+    }
+
+    #[test]
+    fn the_first_consultation_peeks() {
+        let gate = PeekGate::new();
+        assert_eq!(consult_at(&gate, Duration::ZERO, US, false), (true, false));
+        let gate = PeekGate::new();
+        assert_eq!(consult_at(&gate, 5 * US, US, false), (true, false));
+    }
+
+    #[test]
+    fn a_peek_waits_a_hundred_times_its_cost_after_the_last() {
+        let gate = PeekGate::new();
+        let cost = Duration::from_nanos(600);
+        let at = Duration::from_secs(1);
+        assert_eq!(consult_at(&gate, at, cost, false), (true, false));
+        let ended = at + cost;
+        for gap in [Duration::ZERO, US, 59 * US, 60 * US - Duration::from_nanos(1)] {
+            // answered "alive" from the last peek, even if the client left
+            assert_eq!(
+                consult_at(&gate, ended + gap, cost, true),
+                (false, false),
+                "{gap:?}"
+            );
+        }
+        // a slower peek: the next gap is measured from its end, at its cost
+        assert_eq!(consult_at(&gate, ended + 60 * US, 2 * cost, false), (true, false));
+        let ended = ended + 60 * US + 2 * cost;
+        let just_before = 120 * US - Duration::from_nanos(1);
+        assert_eq!(consult_at(&gate, ended + just_before, cost, false), (false, false));
+        assert_eq!(consult_at(&gate, ended + 120 * US, cost, false), (true, false));
+    }
+
+    #[test]
+    fn a_slow_peek_defers_the_next_by_one_read_tick_at_most() {
+        let gate = PeekGate::new();
+        let cost = Duration::from_millis(10);
+        assert_eq!(consult_at(&gate, Duration::ZERO, cost, false), (true, false));
+        let tick = cost + READ_TICK;
+        let just_before = tick - Duration::from_nanos(1);
+        assert_eq!(consult_at(&gate, just_before, cost, false), (false, false));
+        assert_eq!(consult_at(&gate, tick, cost, false), (true, false));
+    }
+
+    #[test]
+    fn a_peek_that_sees_eof_answers_gone_on_that_call() {
+        let gate = PeekGate::new();
+        assert_eq!(consult_at(&gate, Duration::ZERO, US, false), (true, false));
+        assert_eq!(consult_at(&gate, 101 * US, US, true), (true, true));
+        // ... and the consultations it gates repeat it
+        assert_eq!(consult_at(&gate, 102 * US, US, false), (false, true));
+    }
 
     /// `read_line` over an in-memory byte run, through a small
     /// `BufReader` so long lines arrive in pieces as they do off a

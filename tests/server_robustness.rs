@@ -3,8 +3,10 @@
 //! the connection and other tenants keep serving, fault-injected WAL
 //! failures degrading one tenant to read-only without touching its
 //! neighbors, the acceptor shedding connections with `ERR busy` once
-//! the worker pool and the overflow-thread budget are both full, and a
-//! client that never sends a newline being refused instead of buffered.
+//! the worker pool and the overflow-thread budget are both full, a
+//! client that hangs up mid-`COUNT` having its evaluation cancelled, and
+//! a client that never sends a newline being refused instead of
+//! buffered.
 
 use cq_server::client::Client;
 use cq_server::server::{Server, MAX_REQUEST_LINE_BYTES};
@@ -13,6 +15,7 @@ use cq_storage::{FaultPlan, FaultPoint, Store};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::sync::{Arc, RwLock};
+use std::time::{Duration, Instant};
 
 /// Resident-set size is process-wide state, and the tests of this file
 /// share a process: each holds this for reading, and the one that
@@ -172,6 +175,65 @@ fn saturated_acceptor_sheds_with_err_busy() {
     for c in held {
         let _ = c.quit();
     }
+    server.shutdown();
+}
+
+/// A hard-side `COUNT`: the ends of two-edge paths, a projection that is
+/// not free-connex, so the join visits every path and dedups its ends.
+const ENDS: &str = "COUNT q(x, z) :- R(x, y), R(y, z)";
+
+#[test]
+fn a_client_hanging_up_mid_count_is_cancelled_by_the_socket_peek() {
+    let _quiet = QUIET.read().unwrap_or_else(|p| p.into_inner());
+    let server = Server::bind("127.0.0.1:0", 2).expect("bind ephemeral");
+    let addr = server.local_addr();
+    let mut c = Client::connect(addr).unwrap();
+    assert!(c.create_db("gone").unwrap().is_ok());
+    assert!(c.use_db("gone").unwrap().is_ok());
+
+    // grow `R` into the complete graph on `n` vertices (n³ paths, n²
+    // ends) until a warm `COUNT` runs at least half a second on a live
+    // connection, whatever the build and the host
+    let (mut loaded, mut n) = (0, 64);
+    let full = loop {
+        let new_edges = (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| a.max(b) >= loaded)
+            .map(|(a, b)| format!("{a} {b}"));
+        assert!(c.load("R", 2, new_edges).unwrap().is_ok());
+        loaded = n;
+        let want = format!("OK {}", n * n);
+        assert_eq!(c.request(ENDS).unwrap().terminal, want, "cold");
+        let started = Instant::now();
+        assert_eq!(c.request(ENDS).unwrap().terminal, want, "warm");
+        let full = started.elapsed();
+        if full >= Duration::from_millis(500) {
+            break full;
+        }
+        n = n * 3 / 2;
+    };
+
+    // the same COUNT on a second connection, which hangs up once the
+    // evaluation is under way: nothing but the server's peek at that
+    // socket can stop it
+    let mut hanging = Client::connect(addr).unwrap();
+    assert!(hanging.use_db("gone").unwrap().is_ok());
+    let sent = Instant::now();
+    hanging.send_line(ENDS).unwrap();
+    std::thread::sleep(full / 10);
+    drop(hanging);
+    loop {
+        let m = c.metrics(Some("gone")).unwrap();
+        if m.data.iter().any(|l| l == "db.gone cancellations=1") {
+            break;
+        }
+        assert!(sent.elapsed() < 4 * full, "never cancelled: {:?}", m.data);
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let noticed = sent.elapsed();
+    assert!(noticed < full / 2, "cancelled after {noticed:?} of a {full:?} run");
+
+    let _ = c.quit();
     server.shutdown();
 }
 

@@ -33,7 +33,9 @@
 # scoped helper threads while the busy gauge says a core is idle — no
 # detached thread, no other operator's private pool, no environment knob.
 # And one liveness probe on the wire: the socket peek runs behind the gate
-# that spaces it by 100× its own cost.
+# that spaces it by 100× its own cost. And one parse per statement: a
+# session parses a query text in its statement memo, and a reply is
+# flushed by the one helper that lets pipelined replies share a write.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -194,6 +196,26 @@ exactly_one "call of \`connection_gone(\`, inside \`PeekGate::consult\`'s closur
 )"
 forbid "socket peeks outside the gate (call connection_gone from a PeekGate::consult closure):" "$(
     grep -rn 'connection_gone(' crates/server/src | grep -vE 'fn connection_gone\(|\.consult\('
+)"
+
+# the lines of standard input (as `non_test` prints them) that match the
+# regex $1 and lie outside the functions whose names match $2, a line
+# belonging to the last `fn` opened above it
+outside_fns() {
+    awk -v pat="$1" -v allowed="^($2)\$" '
+        match($0, /fn [A-Za-z0-9_]+[<(]/) { f = substr($0, RSTART + 3, RLENGTH - 4) }
+        $0 ~ pat && f !~ allowed { print }'
+}
+# a session parses a query text once, in its statement memo; a `BATCH`
+# item is the one other parse (its items are planned as one batch)
+forbid "query parsing in the server module outside stmt.rs and BATCH items (parse through Statements::query):" "$(
+    server_module | grep -v '^crates/server/src/server/stmt.rs:' \
+        | outside_fns 'parse_query\(' 'parse_batch_item'
+)"
+# pipelined replies share a write: a reply reaches the socket in conn.rs
+# only through the helper that holds it while more requests are buffered
+forbid "reply flushes in conn.rs outside flush_replies (it holds replies while requests are pipelined):" "$(
+    non_test crates/server/src/server/conn.rs | outside_fns '\.flush\(' 'flush_replies'
 )"
 
 # the dichotomy is stated once, in cq_core::classify: the planner maps a

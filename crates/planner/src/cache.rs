@@ -20,6 +20,8 @@ use cq_core::canonical::{canonical_shape, CanonicalShape};
 use cq_core::classify::Structure;
 use cq_core::ConjunctiveQuery;
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Cache statistics, exposed for benchmarks and diagnostics.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -32,11 +34,55 @@ pub struct CacheStats {
     pub uncacheable: u64,
 }
 
+/// What one lookup found.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Lookup {
+    /// The shape was cached.
+    Hit,
+    /// The shape was exact but new: computed, and cached from now on.
+    Miss,
+    /// The shape was inexact: computed, and never cached.
+    Uncacheable,
+}
+
+/// The lookup counters behind [`CacheStats`]: relaxed atomics behind an
+/// `Arc`, so a caller that kept a plan can count its reuse as the
+/// lookup it replaced without taking the lock the cache sits behind
+/// (`eval::cache_counters`).
+#[derive(Debug, Default)]
+pub struct CacheCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    uncacheable: AtomicU64,
+}
+
+impl CacheCounters {
+    /// Count one lookup that found `lookup`.
+    pub fn count(&self, lookup: Lookup) {
+        let counter = match lookup {
+            Lookup::Hit => &self.hits,
+            Lookup::Miss => &self.misses,
+            Lookup::Uncacheable => &self.uncacheable,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// The counts so far.
+    pub fn stats(&self) -> CacheStats {
+        let get = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        CacheStats {
+            hits: get(&self.hits),
+            misses: get(&self.misses),
+            uncacheable: get(&self.uncacheable),
+        }
+    }
+}
+
 /// Shape-keyed cache of query structures.
 #[derive(Debug, Default)]
 pub struct PlanCache {
     map: HashMap<CanonicalShape, Structure>,
-    stats: CacheStats,
+    counters: Arc<CacheCounters>,
 }
 
 impl PlanCache {
@@ -57,25 +103,29 @@ impl PlanCache {
 
     /// Hit/miss counters.
     pub fn stats(&self) -> CacheStats {
-        self.stats
+        self.counters.stats()
+    }
+
+    /// The counters themselves, to count reuses with.
+    pub fn counters(&self) -> &Arc<CacheCounters> {
+        &self.counters
     }
 
     /// Fetch-or-compute the structure of `q`, in `q`'s variable space.
-    /// Returns it and whether it came from the cache.
-    pub fn structure_for(&mut self, q: &ConjunctiveQuery) -> (Structure, bool) {
+    /// Returns it and what the lookup found.
+    pub fn structure_for(&mut self, q: &ConjunctiveQuery) -> (Structure, Lookup) {
         let (shape, relab) = canonical_shape(q);
-        if !shape.is_exact() {
-            self.stats.uncacheable += 1;
-            return (Structure::of(q), false);
-        }
-        if let Some(canonical) = self.map.get(&shape) {
-            self.stats.hits += 1;
-            return (canonical.relabeled(&relab.inverse()), true);
-        }
-        self.stats.misses += 1;
-        let structure = Structure::of(q);
-        self.map.insert(shape, structure.relabeled(&relab));
-        (structure, false)
+        let (structure, lookup) = if !shape.is_exact() {
+            (Structure::of(q), Lookup::Uncacheable)
+        } else if let Some(canonical) = self.map.get(&shape) {
+            (canonical.relabeled(&relab.inverse()), Lookup::Hit)
+        } else {
+            let structure = Structure::of(q);
+            self.map.insert(shape, structure.relabeled(&relab));
+            (structure, Lookup::Miss)
+        };
+        self.counters.count(lookup);
+        (structure, lookup)
     }
 }
 
@@ -88,10 +138,10 @@ mod tests {
     fn second_lookup_hits() {
         let mut cache = PlanCache::new();
         let q = zoo::triangle_boolean();
-        let (cold, hit0) = cache.structure_for(&q);
-        assert!(!hit0);
-        let (warm, hit1) = cache.structure_for(&q);
-        assert!(hit1);
+        let (cold, first) = cache.structure_for(&q);
+        assert_eq!(first, Lookup::Miss);
+        let (warm, second) = cache.structure_for(&q);
+        assert_eq!(second, Lookup::Hit);
         assert_eq!(cold, warm, "cache hit must reproduce identical facts");
         assert_eq!(cache.stats().hits, 1);
         assert_eq!(cache.stats().misses, 1);
@@ -109,8 +159,12 @@ mod tests {
         let w = b.var("w");
         b.atom("A", &[u, v]).atom("B", &[v, w]).atom("C", &[w, u]).free(&[]);
         let q2 = b.build().unwrap();
-        let (facts, hit) = cache.structure_for(&q2);
-        assert!(hit, "isomorphic query must hit the shared shape entry");
+        let (facts, lookup) = cache.structure_for(&q2);
+        assert_eq!(
+            lookup,
+            Lookup::Hit,
+            "isomorphic query must hit the shared shape entry"
+        );
         assert_eq!(facts, Structure::of(&q2), "translated facts must be exact");
         assert_eq!(cache.len(), 1);
     }
@@ -129,13 +183,13 @@ mod tests {
         b.atom("R1", &[x, y]).atom("R2", &[y, pad]).atom("R3", &[pad, x]);
         b.free(&[]);
         let q = b.build().unwrap();
-        let (facts, hit) = cache.structure_for(&q);
-        assert!(!hit, "extra unary atom makes this a different shape");
+        let (facts, lookup) = cache.structure_for(&q);
+        assert_eq!(lookup, Lookup::Miss, "extra unary atom makes this a different shape");
         assert_eq!(facts, Structure::of(&q));
         // a second lookup hits and must translate the witness mask back
         // into this query's variable space exactly
-        let (warm, hit) = cache.structure_for(&q);
-        assert!(hit);
+        let (warm, lookup) = cache.structure_for(&q);
+        assert_eq!(lookup, Lookup::Hit);
         assert_eq!(warm, Structure::of(&q));
         assert!(warm.witness.is_some());
     }
@@ -144,10 +198,10 @@ mod tests {
     fn distinct_shapes_do_not_collide() {
         let mut cache = PlanCache::new();
         cache.structure_for(&zoo::triangle_boolean());
-        let (_, hit) = cache.structure_for(&zoo::triangle_join());
-        assert!(!hit, "free mask differs, so shape differs");
-        let (_, hit) = cache.structure_for(&zoo::star_selfjoin(2));
-        assert!(!hit);
+        let (_, lookup) = cache.structure_for(&zoo::triangle_join());
+        assert_eq!(lookup, Lookup::Miss, "free mask differs, so shape differs");
+        let (_, lookup) = cache.structure_for(&zoo::star_selfjoin(2));
+        assert_eq!(lookup, Lookup::Miss);
         assert_eq!(cache.len(), 3);
     }
 }

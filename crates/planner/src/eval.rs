@@ -27,6 +27,7 @@
 //! cancel token, and/or budget, and hand its task methods your own
 //! [`Planner`].
 
+use crate::cache::CacheCounters;
 use crate::ctx::EvalCtx;
 use crate::execute::Output;
 use crate::ir::{QueryPlan, Task};
@@ -34,7 +35,7 @@ use crate::planner::Planner;
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, IndexCatalog, Relation};
 use cq_engine::bind::EvalError;
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// The process-wide planner behind the facade functions.
 fn global() -> &'static Mutex<Planner> {
@@ -47,6 +48,16 @@ fn global() -> &'static Mutex<Planner> {
 pub fn with_global_planner<T>(f: impl FnOnce(&mut Planner) -> T) -> T {
     let mut guard = global().lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     f(&mut guard)
+}
+
+/// The process-wide planner's lookup counters, reachable without its
+/// lock: a caller that reuses a plan it got from
+/// [`Planner::plan_with_lookup`] counts the reuse here, as the lookup it
+/// replaced, so the cache's hit rate means the same with or without the
+/// reuse.
+pub fn cache_counters() -> &'static CacheCounters {
+    static COUNTERS: OnceLock<Arc<CacheCounters>> = OnceLock::new();
+    COUNTERS.get_or_init(|| with_global_planner(|p| Arc::clone(p.cache().counters())))
 }
 
 /// The process-wide catalog behind the facade functions (and behind an

@@ -56,7 +56,7 @@ pub mod explain;
 pub mod ir;
 pub mod planner;
 
-pub use cache::{CacheStats, PlanCache};
+pub use cache::{CacheCounters, CacheStats, Lookup, PlanCache};
 pub use ctx::{EvalBudget, EvalCtx};
 pub use execute::{build_lex_access, execute, Output};
 pub use ir::{CostEstimate, PlanOp, QueryPlan, Task, Verdict};

@@ -11,7 +11,7 @@
 //! the same plan, whether or not the structure came from the cache —
 //! the property the cache consistency tests pin down.
 
-use crate::cache::PlanCache;
+use crate::cache::{Lookup, PlanCache};
 use crate::ir::{CostEstimate, PlanOp, QueryPlan, Task, Verdict};
 use cq_core::classify::{classify_direct_access_lex, verdict, Structure};
 use cq_core::{ConjunctiveQuery, Var};
@@ -42,10 +42,22 @@ impl Planner {
         task: Task,
         stats: &DataStats,
     ) -> QueryPlan {
-        let (structure, cache_hit) = self.cache.structure_for(q);
+        self.plan_with_lookup(q, task, stats).0
+    }
+
+    /// [`Planner::plan`], also saying what the shape-cache lookup found:
+    /// a caller that keeps the plan counts each reuse of it as that
+    /// lookup ([`CacheCounters::count`](crate::cache::CacheCounters::count)).
+    pub fn plan_with_lookup(
+        &mut self,
+        q: &ConjunctiveQuery,
+        task: Task,
+        stats: &DataStats,
+    ) -> (QueryPlan, Lookup) {
+        let (structure, lookup) = self.cache.structure_for(q);
         let mut plan = choose(q, task, &structure, stats);
-        plan.cache_hit = cache_hit;
-        plan
+        plan.cache_hit = lookup == Lookup::Hit;
+        (plan, lookup)
     }
 
     /// One-shot planning without a cache (the cold path, for benchmarks

@@ -7,8 +7,9 @@
 //!
 //! * `server` — cross-tenant state: commands without a tenant target
 //!   (`PING`, `CREATE DB`, `USE`, `STATS`, …), error counts by wire
-//!   kind (`errors.<kind>`), connection and worker-pool gauges, and
-//!   the process-wide plan-cache gauges.
+//!   kind (`errors.<kind>`), connection and worker-pool gauges, the
+//!   wire's `replies.flushes` (framed-reply writes) and `probe.peeks`
+//!   (liveness peeks that ran), and the process-wide plan-cache gauges.
 //! * `db.<tenant>` — one scope per tenant: per-command counters and
 //!   latency histograms (`cmd.<verb>.calls` / `cmd.<verb>.latency`),
 //!   per-plan-operator execution counters and latencies

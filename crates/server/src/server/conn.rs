@@ -1,9 +1,11 @@
 //! The runtime around [`Session`]: the acceptor, the worker pool and
-//! its overflow threads, shedding, and the per-connection read loop.
+//! its overflow threads, shedding, and the per-connection read loop,
+//! whose replies to pipelined requests share a write.
 
 use super::session::{Action, Session};
 use crate::protocol::{ErrKind, Reply};
 use crate::state::ServerState;
+use cq_obs::Counter;
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -279,6 +281,8 @@ fn peek_due(now: Duration, last_end: Duration, cost: Duration) -> bool {
 /// probe closure, which runs on the session's thread only: the atomics
 /// make the closure `Sync`, they do not serve a second writer.
 struct PeekGate {
+    /// Counts the peeks that ran (`server probe.peeks`).
+    peeks: Arc<Counter>,
     base: Instant,
     /// Nanoseconds from `base` to the end of the last peek.
     last_end: AtomicU64,
@@ -289,8 +293,9 @@ struct PeekGate {
 }
 
 impl PeekGate {
-    fn new() -> PeekGate {
+    fn new(peeks: Arc<Counter>) -> PeekGate {
         PeekGate {
+            peeks,
             base: Instant::now(),
             last_end: AtomicU64::new(0),
             cost: AtomicU64::new(0),
@@ -307,6 +312,7 @@ impl PeekGate {
         if !peek_due(start, nanos(&self.last_end), nanos(&self.cost)) {
             return self.gone.load(Ordering::Relaxed);
         }
+        self.peeks.inc();
         let gone = peek();
         let end = since_base();
         let as_nanos = |d: Duration| u64::try_from(d.as_nanos()).unwrap_or(u64::MAX);
@@ -376,10 +382,29 @@ fn read_line(reader: &mut impl BufRead, buf: &mut Vec<u8>, stop: &AtomicBool) ->
     }
 }
 
+/// The one place a framed reply leaves for the wire. Replies collect in
+/// `writer` while the read buffer holds another complete request
+/// (`pipelined`: a client sent it before reading a reply, so the replies
+/// share one write), and go out, counted in `flushes`, before the loop
+/// would block on a read: a lone request, or the last of a pipelined
+/// burst, waits for nothing that has not already arrived.
+fn flush_replies(
+    writer: &mut BufWriter<TcpStream>,
+    pipelined: bool,
+    flushes: &Counter,
+) -> std::io::Result<()> {
+    if pipelined || writer.buffer().is_empty() {
+        return Ok(());
+    }
+    flushes.inc();
+    writer.flush()
+}
+
 /// Serve one connection to completion: read lines, feed the session,
-/// write framed replies. IO errors or EOF end the session quietly; the
-/// `stop` flag ends it at the next read tick, so idle clients can
-/// never block [`Server::shutdown`].
+/// write framed replies, flushing them as [`flush_replies`] says. IO
+/// errors or EOF end the session quietly; the `stop` flag ends it at
+/// the next read tick, so idle clients can never block
+/// [`Server::shutdown`].
 fn serve_connection(stream: TcpStream, state: Arc<ServerState>, stop: &AtomicBool) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(READ_TICK));
@@ -389,19 +414,25 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, stop: &AtomicBoo
     scope.counter("connections.total").inc();
     let open_connections = scope.gauge("connections.open");
     open_connections.add(1);
+    let flushes = scope.counter("replies.flushes");
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
     let mut session = Session::new(state);
     if let Ok(probe) = probe_half {
         // long evaluations poll this: a client that hung up mid-query
         // gets its work cancelled instead of running to completion
-        let gate = PeekGate::new();
+        let gate = PeekGate::new(scope.counter("probe.peeks"));
         session.set_cancel_probe(move || {
             gate.consult(Instant::now, || connection_gone(&probe))
         });
     }
     let mut buf = Vec::new();
     while !session.finished() {
+        // another complete request already in the read buffer?
+        let pipelined = reader.buffer().contains(&b'\n');
+        if flush_replies(&mut writer, pipelined, &flushes).is_err() {
+            break;
+        }
         let action = match read_line(&mut reader, &mut buf, stop) {
             Line::Closed => break,
             Line::Oversized => session.handle_oversized(),
@@ -413,11 +444,10 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, stop: &AtomicBoo
             }
         };
         let wrote = match action {
-            Some(Action::Reply(reply)) => {
-                reply.write_to(&mut writer).is_ok() && writer.flush().is_ok()
-            }
+            Some(Action::Reply(reply)) => reply.write_to(&mut writer).is_ok(),
             // streamed ANSWERS: rows go out in bounded chunks as the
-            // stream is pulled; a slow client backpressures here
+            // stream is pulled (the replies held before it first); a slow
+            // client backpressures here
             Some(Action::Stream(flow)) => session.drain_flow(*flow, &mut writer).is_ok(),
             None => true,
         };
@@ -425,6 +455,8 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, stop: &AtomicBoo
             break;
         }
     }
+    // QUIT, EOF or stop: what is held goes out, whatever is still unread
+    let _ = flush_replies(&mut writer, false, &flushes);
     open_connections.sub(1);
 }
 
@@ -435,6 +467,10 @@ mod tests {
     use std::io::Cursor;
 
     const US: Duration = Duration::from_micros(1);
+
+    fn fresh_gate() -> PeekGate {
+        PeekGate::new(Arc::new(Counter::new()))
+    }
 
     /// Consult `gate` at `at` past its base, with a clock that reads `at`
     /// and then, once a peek has run, `at + cost`; the peek sees EOF iff
@@ -460,15 +496,15 @@ mod tests {
 
     #[test]
     fn the_first_consultation_peeks() {
-        let gate = PeekGate::new();
+        let gate = fresh_gate();
         assert_eq!(consult_at(&gate, Duration::ZERO, US, false), (true, false));
-        let gate = PeekGate::new();
+        let gate = fresh_gate();
         assert_eq!(consult_at(&gate, 5 * US, US, false), (true, false));
     }
 
     #[test]
     fn a_peek_waits_a_hundred_times_its_cost_after_the_last() {
-        let gate = PeekGate::new();
+        let gate = fresh_gate();
         let cost = Duration::from_nanos(600);
         let at = Duration::from_secs(1);
         assert_eq!(consult_at(&gate, at, cost, false), (true, false));
@@ -487,11 +523,12 @@ mod tests {
         let just_before = 120 * US - Duration::from_nanos(1);
         assert_eq!(consult_at(&gate, ended + just_before, cost, false), (false, false));
         assert_eq!(consult_at(&gate, ended + 120 * US, cost, false), (true, false));
+        assert_eq!(gate.peeks.get(), 3, "a gated consultation is not a peek");
     }
 
     #[test]
     fn a_slow_peek_defers_the_next_by_one_read_tick_at_most() {
-        let gate = PeekGate::new();
+        let gate = fresh_gate();
         let cost = Duration::from_millis(10);
         assert_eq!(consult_at(&gate, Duration::ZERO, cost, false), (true, false));
         let tick = cost + READ_TICK;
@@ -502,7 +539,7 @@ mod tests {
 
     #[test]
     fn a_peek_that_sees_eof_answers_gone_on_that_call() {
-        let gate = PeekGate::new();
+        let gate = fresh_gate();
         assert_eq!(consult_at(&gate, Duration::ZERO, US, false), (true, false));
         assert_eq!(consult_at(&gate, 101 * US, US, true), (true, true));
         // ... and the consultations it gates repeat it
@@ -552,5 +589,87 @@ mod tests {
             lines_of(vec![b'x'; MAX_REQUEST_LINE_BYTES + 1])[0].0,
             Line::Oversized
         );
+    }
+
+    /// A fresh server and a raw client of it whose reads give up after
+    /// 10 s, so a reply held back fails the test instead of hanging it.
+    fn wire() -> (Server, TcpStream, BufReader<TcpStream>) {
+        let server = Server::bind("127.0.0.1:0", 1).expect("bind ephemeral");
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let replies = BufReader::new(stream.try_clone().unwrap());
+        (server, stream, replies)
+    }
+
+    /// The next reply line; `""` at EOF.
+    fn reply(replies: &mut BufReader<TcpStream>) -> String {
+        let mut line = String::new();
+        replies.read_line(&mut line).expect("a reply line before the read timeout");
+        line
+    }
+
+    fn flushes(server: &Server) -> u64 {
+        server.state().metrics().server_scope().counter("replies.flushes").get()
+    }
+
+    #[test]
+    fn a_lone_request_is_answered_with_nothing_sent_after_it() {
+        let (server, mut stream, mut replies) = wire();
+        for _ in 0..3 {
+            stream.write_all(b"PING\n").unwrap();
+            assert_eq!(reply(&mut replies), "OK pong\n");
+        }
+        assert_eq!(flushes(&server), 3, "one write per reply when nothing queues");
+        drop(stream);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_pipelined_burst_comes_back_whole_in_order_in_fewer_writes() {
+        let (server, mut stream, mut replies) = wire();
+        let burst: String = (0..64).map(|i| format!("USE n{i}\n")).collect();
+        stream.write_all(burst.as_bytes()).unwrap();
+        for i in 0..64 {
+            let want = format!("ERR no-such-db: no database named `n{i}`\n");
+            assert_eq!(reply(&mut replies), want);
+        }
+        let n = flushes(&server);
+        assert!((1..64).contains(&n), "64 replies took {n} writes");
+        drop(stream);
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_burst_ending_in_quit_or_a_half_close_delivers_every_reply() {
+        // QUIT ends the session with a request still unread: what is
+        // held goes out anyway
+        let (server, mut stream, mut replies) = wire();
+        stream.write_all(b"PING\nPING\nQUIT\nPING\n").unwrap();
+        for want in ["OK pong\n", "OK pong\n", "OK bye\n", ""] {
+            assert_eq!(reply(&mut replies), want);
+        }
+        server.shutdown();
+        // the client stops writing: EOF after the burst
+        let (server, mut stream, mut replies) = wire();
+        stream.write_all(b"PING\nUSE nope\nPING\n").unwrap();
+        stream.shutdown(std::net::Shutdown::Write).unwrap();
+        assert_eq!(reply(&mut replies), "OK pong\n");
+        assert!(reply(&mut replies).starts_with("ERR no-such-db"));
+        for want in ["OK pong\n", ""] {
+            assert_eq!(reply(&mut replies), want);
+        }
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_trailing_partial_line_does_not_hold_the_replies_before_it() {
+        let (server, mut stream, mut replies) = wire();
+        stream.write_all(b"PING\nPING\nPI").unwrap();
+        assert_eq!(reply(&mut replies), "OK pong\n");
+        assert_eq!(reply(&mut replies), "OK pong\n");
+        stream.write_all(b"NG\n").unwrap();
+        assert_eq!(reply(&mut replies), "OK pong\n");
+        drop(stream);
+        server.shutdown();
     }
 }

@@ -4,7 +4,8 @@
 //!
 //! * `conn` — the runtime: acceptor, worker pool, overflow threads and
 //!   shedding, and the per-connection read loop with its bounded
-//!   request line ([`MAX_REQUEST_LINE_BYTES`]).
+//!   request line ([`MAX_REQUEST_LINE_BYTES`]) and its one reply flush,
+//!   held while pipelined requests are already buffered.
 //! * `session` — the [`Session`] state machine (idle / inside `LOAD` /
 //!   inside `BATCH`) and the **verb table**: one row per verb naming
 //!   its metric slug, the tenant it addresses and whether it writes,
@@ -14,6 +15,8 @@
 //!   `EXPLAIN [ANALYZE]`, cursors, `BATCH`, the streaming pump, and the
 //!   one verdict that attributes a cancelled evaluation to the tenant's
 //!   deadline or to a vanished client.
+//! * `stmt` — the session's statement memo: each query text's parse, and
+//!   its plans while the statistics they were made against are current.
 //! * `mutate` — the write verbs: `INSERT`/`LOAD`/`DROP` applied through
 //!   `WalRecord::apply` (the function recovery and the replica replay
 //!   with), tenant lifecycle, limits, checkpoints, `RESUME`, `SHIP`.
@@ -22,13 +25,14 @@
 //! Threading model: one acceptor thread hands accepted connections to a
 //! fixed pool of worker threads over an [`mpsc`](std::sync::mpsc)
 //! channel; each worker serves one connection at a time, line by line.
-//! Evaluation inside a session runs through the process-wide planner
-//! (`eval::with_global_planner`, the per-process plan cache) against
-//! the tenant's pinned [`IndexCatalog`](cq_data::IndexCatalog), so
-//! repeated query shapes skip classification and repeated queries on an
-//! unchanged tenant skip every index build. `BATCH` blocks additionally
-//! fan out over `EvalCtx::batch_tasks` — the pinned catalog and one
-//! planner pass shared by the whole batch.
+//! Evaluation inside a session plans through its statement memo, which
+//! falls back to the process-wide planner (`eval::with_global_planner`,
+//! the per-process shape cache), and executes against the tenant's
+//! pinned [`IndexCatalog`](cq_data::IndexCatalog): a repeated text on an
+//! unchanged tenant skips parsing and planning, a repeated shape skips
+//! classification, and a repeated query skips every index build. `BATCH`
+//! blocks additionally fan out over `EvalCtx::batch_tasks` — the pinned
+//! catalog and one planner pass shared by the whole batch.
 //!
 //! Answers leave as bytes. A streamed `ANSWERS` is drained by one pump
 //! (behind [`Session::drain_flow`]) that renders each row in place into
@@ -48,6 +52,7 @@ mod conn;
 mod mutate;
 mod query;
 mod session;
+mod stmt;
 
 pub use conn::{Server, MAX_REQUEST_LINE_BYTES};
 pub use mutate::SHIP_MAX_BYTES;

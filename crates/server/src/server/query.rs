@@ -5,13 +5,14 @@
 
 use super::admin::push_span_lines;
 use super::session::{Handled, Mode, Session};
+use super::stmt::Statements;
 use crate::metrics::SessionMetrics;
 use crate::protocol::{
     query_task, render_row_into, split_word, ErrKind, Reply, DATA_PREFIX, END_KEYWORD,
 };
 use crate::state::Tenant;
 use cq_core::{parse_query, ConjunctiveQuery};
-use cq_data::{Database, Val};
+use cq_data::{DataStats, Database, Val};
 use cq_engine::{CancelToken, EvalError};
 use cq_obs::trace::{self, TraceSink};
 use cq_obs::SlowQuery;
@@ -335,7 +336,7 @@ impl Session {
         src: &str,
     ) -> Handled {
         debug_assert!(task != Task::Access, "the protocol layer never builds this");
-        let q = parse(src)?;
+        let q = self.statements.query(src)?;
         let watch = self.watch(tenant);
         match self.plan_and_execute(tenant, task, src, &q, &watch, |_| ())? {
             (Output::Answers(answers), plan, ()) => {
@@ -357,9 +358,9 @@ impl Session {
         }
     }
 
-    /// Plan, admission-check, and execute one query under the tenant's
-    /// read lock. `Err` is the finished error reply (budget, timeout,
-    /// eval); `Ok` carries the output — for `ANSWERS`/`ACCESS` a
+    /// Plan (through the statement memo), admission-check, and execute
+    /// one query under the tenant's read lock. `Err` is the finished
+    /// error reply (budget, timeout, eval); `Ok` carries the output — for `ANSWERS`/`ACCESS` a
     /// pull-driven stream whose artifacts outlive the lock — the plan
     /// that produced it, and `pin` of the database it ran against
     /// (taken under the same lock, so a cursor pins exactly the state
@@ -374,9 +375,9 @@ impl Session {
         pin: impl FnOnce(&Database) -> P,
     ) -> Result<(Output, QueryPlan, P), Reply> {
         let sm = &mut self.metrics;
+        let statements = &mut self.statements;
         tenant.read(|db, catalog| {
-            let stats = catalog.stats(db);
-            let plan = eval::with_global_planner(|p| p.plan(q, task, &stats));
+            let plan = plan(statements, src, q, task, &catalog.stats(db));
             // admission control: reject over-budget plans before any
             // execution work, citing the lower bound that justifies it
             let ctx = EvalCtx::new()
@@ -439,7 +440,7 @@ impl Session {
                 ),
             ));
         }
-        let q = parse(src)?;
+        let q = self.statements.query(src)?;
         let watch = self.watch(tenant);
         let (out, plan, pin) =
             self.plan_and_execute(tenant, task, src, &q, &watch, |db| {
@@ -544,10 +545,10 @@ impl Session {
     }
 
     pub(super) fn explain(&mut self, tenant: &Tenant, task: Task, src: &str) -> Handled {
-        let q = parse(src)?;
+        let q = self.statements.query(src)?;
+        let statements = &mut self.statements;
         tenant.read(|db, catalog| {
-            let stats = catalog.stats(db);
-            let plan = eval::with_global_planner(|p| p.plan(&q, task, &stats));
+            let plan = plan(statements, src, &q, task, &catalog.stats(db));
             let text = cq_planner::explain::render(&plan, &q);
             Ok(Reply::ok_with(text.lines().map(str::to_string).collect(), ""))
         })
@@ -567,7 +568,7 @@ impl Session {
         src: &str,
     ) -> Handled {
         debug_assert!(task != Task::Access, "the protocol layer never builds this");
-        let q = parse(src)?;
+        let q = self.statements.query(src)?;
         let watch = self.watch(tenant);
         let sink = TraceSink::enabled();
         let (out, plan, ()) = trace::with(&sink, || {
@@ -691,15 +692,18 @@ impl Session {
     }
 }
 
-/// Parse query text, turning errors into a structured reply whose data
-/// lines carry the source snippet (offending line + caret).
-fn parse(src: &str) -> Result<ConjunctiveQuery, Reply> {
-    parse_query(src).map_err(|e| {
-        let data = match e.context(src) {
-            Some((line, caret)) => vec![line, caret],
-            None => Vec::new(),
-        };
-        Reply::err_with(ErrKind::Parse, data, e)
+/// The plan of `task` for the statement `src` (parsed as `q`) against
+/// `stats`: the session's memoized one if still valid, else the shared
+/// planner's.
+fn plan(
+    statements: &mut Statements,
+    src: &str,
+    q: &ConjunctiveQuery,
+    task: Task,
+    stats: &Arc<DataStats>,
+) -> QueryPlan {
+    statements.plan(src, task, stats, || {
+        eval::with_global_planner(|p| p.plan_with_lookup(q, task, stats))
     })
 }
 

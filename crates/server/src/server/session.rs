@@ -5,6 +5,7 @@
 //! or a command is counted.
 
 use super::query::{AnswerFlow, BatchItem, CursorEntry};
+use super::stmt::Statements;
 use crate::metrics::{self, SessionMetrics, SERVER_SCOPE};
 use crate::protocol::{parse_command, Command, ErrKind, Reply};
 use crate::state::{ServerState, StateError, Tenant};
@@ -206,6 +207,9 @@ pub struct Session {
     /// A streamed response produced by the current command, picked up
     /// by [`Session::handle_action`] after dispatch returns.
     pub(super) pending_flow: Option<AnswerFlow>,
+    /// The statements this session served: each text's parse, and its
+    /// plans while the statistics they were made against are current.
+    pub(super) statements: Statements,
 }
 
 impl Session {
@@ -225,6 +229,7 @@ impl Session {
             cursors: HashMap::new(),
             next_cursor_id: 0,
             pending_flow: None,
+            statements: Statements::default(),
         }
     }
 

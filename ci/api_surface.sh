@@ -36,6 +36,8 @@
 # that spaces it by 100× its own cost. And one parse per statement: a
 # session parses a query text in its statement memo, and a reply is
 # flushed by the one helper that lets pipelined replies share a write.
+# And one structure per statement: the memo keeps it, and the planner
+# holds no cache and no lock.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -234,8 +236,19 @@ exactly_one "witness renderer (\`fn witness_text\`)" "$(
 )"
 forbid "caller-less planner entry points (EvalCtx::batch_tasks, eval::catalog):" "$(
     grep -rnE 'fn (with_catalog|catalog_for|registry|batch_tasks_with_workers|peek|clear|clear_cache)\b' \
-        crates/planner/src/eval.rs crates/planner/src/cache.rs crates/planner/src/planner.rs
+        crates/planner/src/eval.rs crates/planner/src/planner.rs
     grep -rnE 'CatalogRegistry|CATALOG_REGISTRY_CAP' crates/planner/src
+)"
+
+# a query's structure depends on its text alone: a session keeps it per
+# statement, and nothing keys it by a canonical shape behind a lock that
+# every session's first plan waits on
+forbid "the shape cache, its canonicalizer or the global planner (a session keeps a statement's Structure):" "$(
+    grep -rnE 'canonical_shape|CanonicalShape|PlanCache|with_global_planner|cache_counters' \
+        crates src tests examples
+)"
+forbid "a lock in the planner (it holds no state; the catalog's OnceLock is not a lock):" "$(
+    for f in crates/planner/src/*.rs; do non_test "$f"; done | grep -F 'Mutex'
 )"
 
 # one logged write on the tenant (`apply_logged`, taking the record) and

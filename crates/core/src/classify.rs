@@ -12,7 +12,6 @@
 //! direct-access dichotomies (Thm 3.24, 3.26) have their own functions.
 
 use crate::brault_baron::{find_witness, Witness, WitnessKind};
-use crate::canonical::Relabeling;
 use crate::disruptive_trio::find_disruptive_trio;
 use crate::free_connex::connexity;
 use crate::hypergraph::mask_vertices;
@@ -113,11 +112,9 @@ impl fmt::Display for Verdict {
     }
 }
 
-/// What the dichotomy theorems read off a query *shape*: invariant under
-/// variable relabelings up to the witness mask, which [`relabeled`]
-/// moves — so the plan cache stores one per canonical shape.
-///
-/// [`relabeled`]: Structure::relabeled
+/// What the dichotomy theorems read off a query *shape*. It depends on
+/// the query alone, never on data, so a server session computes it once
+/// per statement and replans against new statistics with it.
 #[derive(Clone, PartialEq, Debug)]
 pub struct Structure {
     /// α-acyclic hypergraph?
@@ -142,7 +139,8 @@ pub struct Structure {
 }
 
 impl Structure {
-    /// Compute the structure of `q` — the pass the plan cache skips.
+    /// Compute the structure of `q`: connexity, star size, the AGM
+    /// exponent and, when cyclic, the witness search.
     pub fn of(q: &ConjunctiveQuery) -> Structure {
         let conn = connexity(q);
         Structure {
@@ -159,14 +157,6 @@ impl Structure {
                 find_witness(&q.hypergraph()).witness
             },
         }
-    }
-
-    /// Move the witness mask through `relab` (into canonical space for
-    /// the cache, back into a query's space on a hit).
-    pub fn relabeled(&self, relab: &Relabeling) -> Structure {
-        let witness =
-            self.witness.map(|w| Witness { vertices: relab.map_mask(w.vertices), ..w });
-        Structure { witness, ..self.clone() }
     }
 
     /// The task `task` comes down to on this shape: a Boolean query's
@@ -601,17 +591,6 @@ mod tests {
         // uses E three times → self-joins → decision open per Thm 3.7 scope
         let p = classify(&q);
         assert!(matches!(p.decision, Verdict::Open { .. }));
-    }
-
-    #[test]
-    fn relabeling_roundtrips_witness_mask() {
-        let q = zoo::cycle_boolean(4);
-        let s = Structure::of(&q);
-        let (_, relab) = crate::canonical_shape(&q);
-        let canon = s.relabeled(&relab);
-        let back = canon.relabeled(&relab.inverse());
-        assert_eq!(s, back);
-        assert!(s.witness.is_some());
     }
 
     #[test]

@@ -37,7 +37,6 @@
 
 pub mod agm;
 pub mod brault_baron;
-pub mod canonical;
 pub mod classify;
 pub mod cover;
 pub mod disruptive_trio;
@@ -51,7 +50,6 @@ pub mod parser;
 pub mod query;
 pub mod star_size;
 
-pub use canonical::{canonical_shape, CanonicalShape};
 pub use embedding::CliqueEmbedding;
 pub use hypergraph::Hypergraph;
 pub use hypotheses::Hypothesis;

@@ -9,7 +9,7 @@
 //! reach them as the [`ExecCtx`] this type builds per execution.
 //!
 //! ```
-//! use cq_planner::{eval, EvalCtx, Planner};
+//! use cq_planner::EvalCtx;
 //! use cq_data::{Database, IndexCatalog, Relation};
 //!
 //! let mut db = Database::new();
@@ -18,12 +18,11 @@
 //!
 //! let catalog = IndexCatalog::new();
 //! let ctx = EvalCtx::new().with_catalog(&catalog);
-//! let mut planner = Planner::new();
-//! let (n, _plan) = ctx.count(&mut planner, &q, &db).unwrap();
+//! let (n, _plan) = ctx.count(&q, &db).unwrap();
 //! assert_eq!(n, 1);
 //! ```
 
-use crate::eval::{self, with_global_planner};
+use crate::eval;
 use crate::execute::{execute_in, Output};
 use crate::ir::{QueryPlan, Task};
 use crate::planner::Planner;
@@ -238,11 +237,10 @@ impl<'a> EvalCtx<'a> {
     /// decision and the plan that ran.
     pub fn decide(
         &self,
-        planner: &mut Planner,
         q: &ConjunctiveQuery,
         db: &Database,
     ) -> Result<(bool, QueryPlan), EvalError> {
-        let (out, plan) = self.run(planner, q, db, Task::Decide)?;
+        let (out, plan) = self.run(q, db, Task::Decide)?;
         Ok((out.as_decision().expect("decide plan yields decision"), plan))
     }
 
@@ -250,11 +248,10 @@ impl<'a> EvalCtx<'a> {
     /// the plan that ran.
     pub fn count(
         &self,
-        planner: &mut Planner,
         q: &ConjunctiveQuery,
         db: &Database,
     ) -> Result<(u64, QueryPlan), EvalError> {
-        let (out, plan) = self.run(planner, q, db, Task::Count)?;
+        let (out, plan) = self.run(q, db, Task::Count)?;
         Ok((out.as_count().expect("count plan yields count"), plan))
     }
 
@@ -262,11 +259,10 @@ impl<'a> EvalCtx<'a> {
     /// materialized. Returns the answer relation and the plan that ran.
     pub fn answers(
         &self,
-        planner: &mut Planner,
         q: &ConjunctiveQuery,
         db: &Database,
     ) -> Result<(Relation, QueryPlan), EvalError> {
-        match self.run(planner, q, db, Task::Answers)? {
+        match self.run(q, db, Task::Answers)? {
             (Output::Answers(a), plan) => Ok((a.collect()?, plan)),
             (other, _) => unreachable!("answers plan yielded {other:?}"),
         }
@@ -274,26 +270,23 @@ impl<'a> EvalCtx<'a> {
 
     fn run(
         &self,
-        planner: &mut Planner,
         q: &ConjunctiveQuery,
         db: &Database,
         task: Task,
     ) -> Result<(Output, QueryPlan), EvalError> {
         let catalog = self.resolve_catalog();
         let stats = catalog.stats(db);
-        let plan = planner.plan(q, task, &stats);
+        let plan = Planner::new().plan(q, task, &stats);
         self.admit(&plan).map_err(EvalError::OverBudget)?;
         let out = self.execute_traced(&plan, q, db, catalog)?;
         Ok((out, plan))
     }
 
     /// Evaluate a batch of independent `(query, task)` items over one
-    /// database in parallel under this context: one shared catalog, one
-    /// planning pass through the process-wide planner for the whole
-    /// batch (so execution never holds the planner lock), then up to
-    /// `workers` threads pulling items off a shared cursor. Results
-    /// come back in input order, each with the plan that ran;
-    /// over-budget items fail individually with
+    /// database in parallel under this context: one shared catalog,
+    /// every item planned up front, then up to `workers` threads pulling
+    /// items off a shared cursor. Results come back in input order, each
+    /// with the plan that ran; over-budget items fail individually with
     /// [`EvalError::OverBudget`]. The calling thread is one of the
     /// workers and polls the context's token; the others poll
     /// [`CancelToken::sibling`]s of it, so one flag and one deadline
@@ -309,13 +302,9 @@ impl<'a> EvalCtx<'a> {
             return Vec::new();
         }
         let catalog = self.resolve_catalog();
-        // plan the whole batch in one pass through the shared planner —
-        // repeated shapes hit the plan cache, and execution below never
-        // needs the planner lock
         let stats = catalog.stats(db);
-        let plans: Vec<QueryPlan> = with_global_planner(|p| {
-            items.iter().map(|(q, task)| p.plan(q, *task, &stats)).collect()
-        });
+        let plans: Vec<QueryPlan> =
+            items.iter().map(|(q, task)| Planner::new().plan(q, *task, &stats)).collect();
 
         // work-stealing over a shared cursor: homogeneous batches split
         // evenly, skewed ones keep every worker busy until the end.
@@ -366,15 +355,14 @@ mod tests {
         let q = zoo::path_join(3);
         let catalog = IndexCatalog::new();
         let ctx = EvalCtx::new().with_catalog(&catalog);
-        let mut planner = Planner::new();
-        let (n, plan) = ctx.count(&mut planner, &q, &db).unwrap();
+        let (n, plan) = ctx.count(&q, &db).unwrap();
         let (want, _) = crate::eval::count(&q, &db).unwrap();
         assert_eq!(n, want);
         assert_eq!(plan.op.name(), "counting DP over join tree");
         // the boolean variant has the same body: non-empty iff count > 0
-        let (dec, _) = ctx.decide(&mut planner, &zoo::path_boolean(3), &db).unwrap();
+        let (dec, _) = ctx.decide(&zoo::path_boolean(3), &db).unwrap();
         assert_eq!(dec, want > 0);
-        let (rel, _) = ctx.answers(&mut planner, &q, &db).unwrap();
+        let (rel, _) = ctx.answers(&q, &db).unwrap();
         assert_eq!(rel.len() as u64, n);
     }
 
@@ -385,12 +373,11 @@ mod tests {
         let catalog = IndexCatalog::new();
         let tight = EvalBudget { max_exponent: Some(0.0), max_rows: None };
         let ctx = EvalCtx::new().with_catalog(&catalog).with_budget(tight);
-        let mut planner = Planner::new();
         // warm the stats memo so the only remaining misses would be
         // execution artifacts (indexes, reduced trees)
         let _ = catalog.stats(&db);
         let misses_before = catalog.snapshot().misses;
-        let err = ctx.count(&mut planner, &q, &db).unwrap_err();
+        let err = ctx.count(&q, &db).unwrap_err();
         match err {
             EvalError::OverBudget(reason) => {
                 assert!(reason.contains("MAX-EXPONENT"), "{reason}");
@@ -401,7 +388,7 @@ mod tests {
         assert_eq!(catalog.snapshot().misses, misses_before);
         // lifting the budget admits the same query
         let ctx = ctx.with_budget(EvalBudget::unlimited());
-        assert!(ctx.count(&mut planner, &q, &db).is_ok());
+        assert!(ctx.count(&q, &db).is_ok());
     }
 
     #[test]
@@ -424,8 +411,8 @@ mod tests {
         db.insert("CtxB", cq_data::generate::random_pairs(25, 25, &mut seeded_rng(35)));
         let q = cq_core::parse_query("q(a, b, c) :- CtxA(a, b), CtxB(b, c)").unwrap();
         let ctx = EvalCtx::new();
-        let _ = ctx.answers(&mut Planner::new(), &q, &db).unwrap();
-        let repeat = || drop(ctx.answers(&mut Planner::new(), &q, &db).unwrap());
+        let _ = ctx.answers(&q, &db).unwrap();
+        let repeat = || drop(ctx.answers(&q, &db).unwrap());
         let builds = crate::eval::builds_in_a_quiet_window(repeat);
         assert_eq!(builds, 0, "second call must be warm");
     }
@@ -447,7 +434,7 @@ mod tests {
         let polls = || {
             let sink = TraceSink::enabled();
             let ctx = EvalCtx::new().with_catalog(&catalog).with_trace(sink.clone());
-            ctx.count(&mut Planner::new(), &q, &db).unwrap();
+            ctx.count(&q, &db).unwrap();
             let (mut root, mut op) = (None, None);
             sink.finish("test", "count").expect("enabled").visit(|_, span| {
                 match span.name.as_str() {

@@ -1,12 +1,11 @@
 //! The one-call evaluation facade: plan, execute, report.
 //!
 //! These are the entry points the rest of the workspace (facade crate,
-//! examples, tests) routes through. Each call plans
-//! against a process-wide shared [`Planner`] (so repeated query shapes
-//! hit the plan cache across call sites), executes the plan, and
-//! returns the result together with the plan that produced it — the
-//! plan replaces the old ad-hoc "which algorithm ran" enums and carries
-//! citations, cost, and the lower-bound story for free.
+//! examples, tests) routes through. Each call plans (with no lock: the
+//! [`Planner`] holds no state), executes the plan, and returns the
+//! result together with the plan that produced it — the plan replaces
+//! the old ad-hoc "which algorithm ran" enums and carries citations,
+//! cost, and the lower-bound story for free.
 //!
 //! Execution is **warm by default**: every call runs against one
 //! process-wide [`IndexCatalog`] ([`catalog`]), so statistics,
@@ -22,12 +21,10 @@
 //! threads can evaluate against one shared database simultaneously
 //! ([`batch`] does exactly that).
 //!
-//! For cache-controlled workflows (benchmarks, servers with per-tenant
-//! planners) build an [`EvalCtx`] with an explicit [`IndexCatalog`],
-//! cancel token, and/or budget, and hand its task methods your own
-//! [`Planner`].
+//! For catalog-controlled workflows (benchmarks, servers with per-tenant
+//! catalogs) build an [`EvalCtx`] with an explicit [`IndexCatalog`],
+//! cancel token, and/or budget, and call its task methods.
 
-use crate::cache::CacheCounters;
 use crate::ctx::EvalCtx;
 use crate::execute::Output;
 use crate::ir::{QueryPlan, Task};
@@ -35,30 +32,7 @@ use crate::planner::Planner;
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, IndexCatalog, Relation};
 use cq_engine::bind::EvalError;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// The process-wide planner behind the facade functions.
-fn global() -> &'static Mutex<Planner> {
-    static GLOBAL: OnceLock<Mutex<Planner>> = OnceLock::new();
-    GLOBAL.get_or_init(|| Mutex::new(Planner::new()))
-}
-
-/// Run `f` with the process-wide planner (used by the facade and
-/// available for diagnostics, e.g. reading cache hit rates).
-pub fn with_global_planner<T>(f: impl FnOnce(&mut Planner) -> T) -> T {
-    let mut guard = global().lock().unwrap_or_else(|poisoned| poisoned.into_inner());
-    f(&mut guard)
-}
-
-/// The process-wide planner's lookup counters, reachable without its
-/// lock: a caller that reuses a plan it got from
-/// [`Planner::plan_with_lookup`] counts the reuse here, as the lookup it
-/// replaced, so the cache's hit rate means the same with or without the
-/// reuse.
-pub fn cache_counters() -> &'static CacheCounters {
-    static COUNTERS: OnceLock<Arc<CacheCounters>> = OnceLock::new();
-    COUNTERS.get_or_init(|| with_global_planner(|p| Arc::clone(p.cache().counters())))
-}
+use std::sync::OnceLock;
 
 /// The process-wide catalog behind the facade functions (and behind an
 /// [`EvalCtx`] given no explicit one). One for every database: entries
@@ -68,11 +42,10 @@ pub fn catalog() -> &'static IndexCatalog {
     CATALOG.get_or_init(IndexCatalog::new)
 }
 
-/// Plan `task` for `q` on `db` with the process-wide planner (and the
-/// process-wide catalog's memoized statistics).
+/// Plan `task` for `q` on `db` against the process-wide catalog's
+/// memoized statistics.
 pub fn plan(q: &ConjunctiveQuery, db: &Database, task: Task) -> QueryPlan {
-    let stats = catalog().stats(db);
-    with_global_planner(|p| p.plan(q, task, &stats))
+    Planner::new().plan(q, task, &catalog().stats(db))
 }
 
 /// Decide whether `q(D)` is non-empty with the dichotomy-optimal
@@ -81,13 +54,13 @@ pub fn decide(
     q: &ConjunctiveQuery,
     db: &Database,
 ) -> Result<(bool, QueryPlan), EvalError> {
-    with_global_planner(|p| EvalCtx::new().decide(p, q, db))
+    EvalCtx::new().decide(q, db)
 }
 
 /// Count `|q(D)|` with the dichotomy-optimal algorithm; returns the
 /// count and the plan that ran.
 pub fn count(q: &ConjunctiveQuery, db: &Database) -> Result<(u64, QueryPlan), EvalError> {
-    with_global_planner(|p| EvalCtx::new().count(p, q, db))
+    EvalCtx::new().count(q, db)
 }
 
 /// Produce all answers of `q(D)` (distinct projections onto the free
@@ -97,11 +70,11 @@ pub fn answers(
     q: &ConjunctiveQuery,
     db: &Database,
 ) -> Result<(Relation, QueryPlan), EvalError> {
-    with_global_planner(|p| EvalCtx::new().answers(p, q, db))
+    EvalCtx::new().answers(q, db)
 }
 
-/// EXPLAIN `task` for `q` on `db`: plan it (feeding the shared cache)
-/// and render the plan with citations and lower-bound hypotheses.
+/// EXPLAIN `task` for `q` on `db`: plan it and render the plan with
+/// citations and lower-bound hypotheses.
 pub fn explain(q: &ConjunctiveQuery, db: &Database, task: Task) -> String {
     let p = plan(q, db, task);
     crate::explain::render(&p, q)
@@ -109,9 +82,9 @@ pub fn explain(q: &ConjunctiveQuery, db: &Database, task: Task) -> String {
 
 /// Evaluate a batch of independent queries' answers over one database,
 /// in parallel: one shared [`IndexCatalog`] (the process-wide one, so
-/// the batch both profits from and feeds the warm path) and one pass
-/// through the shared planner for the whole batch, then
-/// [`std::thread::scope`] workers pulling queries off a shared cursor.
+/// the batch both profits from and feeds the warm path), every item
+/// planned up front, then [`std::thread::scope`] workers pulling queries
+/// off a shared cursor.
 /// Results come back in input order, each with the plan that ran.
 pub fn batch(
     queries: &[ConjunctiveQuery],
@@ -177,15 +150,6 @@ mod tests {
         let (rel, plan) = answers(&q, &db).unwrap();
         assert_eq!(rel, brute_force_answers(&q, &db).unwrap());
         assert_eq!(plan.op.name(), "generic join + projection");
-    }
-
-    #[test]
-    fn facade_shares_one_cache_across_calls() {
-        let db = path_database(2, 20, &mut seeded_rng(3));
-        let q = zoo::path_join(2);
-        let (_, _first) = count(&q, &db).unwrap();
-        let (_, second) = count(&q, &db).unwrap();
-        assert!(second.cache_hit, "second facade call must hit the shared cache");
     }
 
     #[test]

@@ -129,9 +129,6 @@ pub fn render(plan: &QueryPlan, q: &ConjunctiveQuery) -> String {
             let _ = writeln!(out, "  optimality:  open — {note}");
         }
     }
-    if plan.cache_hit {
-        let _ = writeln!(out, "  (plan served from shape cache)");
-    }
     out
 }
 
@@ -180,18 +177,6 @@ mod tests {
         let text = render(&plan, &q);
         assert!(text.contains("open"), "{text}");
         assert!(text.contains("self-joins"), "{text}");
-    }
-
-    #[test]
-    fn cache_hits_are_marked() {
-        let db = cq_data::generate::path_database(2, 10, &mut seeded_rng(3));
-        let stats = DataStats::collect(&db);
-        let q = zoo::path_join(2);
-        let mut p = Planner::new();
-        p.plan(&q, Task::Count, &stats);
-        let plan = p.plan(&q, Task::Count, &stats);
-        assert!(plan.cache_hit);
-        assert!(render(&plan, &q).contains("shape cache"));
     }
 
     #[test]

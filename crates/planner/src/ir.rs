@@ -147,23 +147,9 @@ pub struct QueryPlan {
     pub lower_bound: Verdict,
     /// Rendered query text (for EXPLAIN and diagnostics).
     pub query: String,
-    /// Whether this plan was instantiated from a plan-cache hit.
-    pub cache_hit: bool,
 }
 
 impl QueryPlan {
-    /// Do two plans agree on everything except cache provenance? The
-    /// plan-cache contract is that hits instantiate *identical* plans —
-    /// this is what tests assert.
-    pub fn same_decision(&self, other: &QueryPlan) -> bool {
-        self.task == other.task
-            && self.op == other.op
-            && self.algorithm_reference == other.algorithm_reference
-            && self.cost == other.cost
-            && self.lower_bound == other.lower_bound
-            && self.query == other.query
-    }
-
     /// Render the variable order with the query's variable names.
     pub(crate) fn render_order(q: &ConjunctiveQuery, order: &[Var]) -> String {
         let names: Vec<&str> = order.iter().map(|&v| q.var_name(v)).collect();

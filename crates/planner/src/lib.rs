@@ -7,20 +7,20 @@
 //! ```text
 //!   parse ──► structure ──────► verdict ─────► plan ────────► execute
 //!   (cq-core)  (Structure,       (cq-core, one   (operator +    (cq-engine
-//!               shape-cached)     per task)       order, cost)   algorithms)
+//!               per statement)    per task)       order, cost)   algorithms)
 //! ```
 //!
 //! * [`ir`] — the plan intermediate representation: [`QueryPlan`] over
 //!   physical operators ([`PlanOp`]), each backed by one `cq-engine`
 //!   algorithm and annotated with its cost estimate and the dichotomy's
 //!   [`Verdict`] for the query and task.
-//! * [`planner`] — [`Planner`]: maps the verdict to the operator
+//! * [`planner`] — [`choose`]: maps the verdict over a query's
+//!   [`Structure`](cq_core::classify::Structure) to the operator
 //!   implementing its side, and adds what the data statistics
 //!   ([`cq_data::DataStats`]) decide — variable order, cost, the
-//!   trivial-empty short-circuit.
-//! * [`cache`] — the plan cache, keyed by the canonical hypergraph
-//!   shape ([`cq_core::canonical`]): repeated and isomorphic queries
-//!   skip the structure pass (the witness search above all).
+//!   trivial-empty short-circuit. [`Planner`] computes the structure
+//!   and calls it; a caller that plans one query again keeps the
+//!   structure and calls [`choose`] alone.
 //! * [`mod@execute`] — the executor dispatching plans to `cq-engine`.
 //! * [`explain`] — EXPLAIN rendering with theorem citations and the
 //!   hypothesis ruling out anything faster.
@@ -48,7 +48,6 @@
 //! assert!(text.contains("generic join"));
 //! ```
 
-pub mod cache;
 pub mod ctx;
 pub mod eval;
 pub mod execute;
@@ -56,8 +55,7 @@ pub mod explain;
 pub mod ir;
 pub mod planner;
 
-pub use cache::{CacheCounters, CacheStats, Lookup, PlanCache};
 pub use ctx::{EvalBudget, EvalCtx};
 pub use execute::{build_lex_access, execute, Output};
 pub use ir::{CostEstimate, PlanOp, QueryPlan, Task, Verdict};
-pub use planner::Planner;
+pub use planner::{choose, Planner};

@@ -1,67 +1,45 @@
 //! The cost-aware planner: a verdict mapped to an operator.
 //!
-//! [`Planner::plan`] turns (query, task, statistics) into a
+//! [`choose`] turns (query, task, structure, statistics) into a
 //! [`QueryPlan`]. Which side of the dichotomy the pair is on — and which
 //! hypothesis rules out anything faster — is `cq_core::classify`'s
-//! [`verdict`] over the cached [`Structure`]; the planner adds what only
+//! [`verdict`] over the query's [`Structure`]; the planner adds what only
 //! it knows: the operator implementing that side, and the physical side
 //! (generic-join variable order, trivial-empty short-circuits, cost
 //! estimates) from the per-database [`DataStats`]. Planning is
 //! deterministic: the same query, task, and statistics always produce
-//! the same plan, whether or not the structure came from the cache —
-//! the property the cache consistency tests pin down.
+//! the same plan. The structure depends on the query alone, so a caller
+//! that plans one query again — the server's statement memo, after a
+//! write — keeps it and runs only [`choose`].
 
-use crate::cache::{Lookup, PlanCache};
 use crate::ir::{CostEstimate, PlanOp, QueryPlan, Task, Verdict};
 use cq_core::classify::{classify_direct_access_lex, verdict, Structure};
 use cq_core::{ConjunctiveQuery, Var};
 use cq_data::DataStats;
 
-/// The planning subsystem: a [`PlanCache`] plus the choice logic.
-#[derive(Debug, Default)]
-pub struct Planner {
-    cache: PlanCache,
-}
+/// The planner. It holds no state: each method computes the query's
+/// [`Structure`] and hands it to [`choose`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct Planner;
 
 impl Planner {
-    /// A planner with an empty cache.
+    /// The planner.
     pub fn new() -> Self {
-        Planner::default()
+        Planner
     }
 
-    /// The plan cache (hit counters, size).
-    pub fn cache(&self) -> &PlanCache {
-        &self.cache
-    }
-
-    /// Plan `task` for `q` against a database summarized by `stats`,
-    /// using (and feeding) the plan cache.
+    /// Plan `task` for `q` against a database summarized by `stats`.
+    /// (`&mut self` is the signature `bench/` calls it through.)
     pub fn plan(
         &mut self,
         q: &ConjunctiveQuery,
         task: Task,
         stats: &DataStats,
     ) -> QueryPlan {
-        self.plan_with_lookup(q, task, stats).0
+        choose(q, task, &Structure::of(q), stats)
     }
 
-    /// [`Planner::plan`], also saying what the shape-cache lookup found:
-    /// a caller that keeps the plan counts each reuse of it as that
-    /// lookup ([`CacheCounters::count`](crate::cache::CacheCounters::count)).
-    pub fn plan_with_lookup(
-        &mut self,
-        q: &ConjunctiveQuery,
-        task: Task,
-        stats: &DataStats,
-    ) -> (QueryPlan, Lookup) {
-        let (structure, lookup) = self.cache.structure_for(q);
-        let mut plan = choose(q, task, &structure, stats);
-        plan.cache_hit = lookup == Lookup::Hit;
-        (plan, lookup)
-    }
-
-    /// One-shot planning without a cache (the cold path, for benchmarks
-    /// and comparisons).
+    /// [`Planner::plan`] without a planner value.
     pub fn plan_uncached(
         q: &ConjunctiveQuery,
         task: Task,
@@ -71,7 +49,7 @@ impl Planner {
     }
 
     /// Plan lexicographic direct access under `order` (Thm 3.24). These
-    /// plans are order-dependent and bypass the shape cache.
+    /// plans are order-dependent.
     pub fn plan_lex_access(
         q: &ConjunctiveQuery,
         order: &[Var],
@@ -101,7 +79,6 @@ impl Planner {
             cost,
             lower_bound,
             query: q.to_string(),
-            cache_hit: false,
         }
     }
 }
@@ -163,9 +140,11 @@ fn trivially_empty(q: &ConjunctiveQuery, stats: &DataStats) -> bool {
     })
 }
 
-/// The verdict-to-operator table, plus the data-driven choices.
+/// Plan `task` for `q`, whose structure is `structure`
+/// (`Structure::of(q)`), against a database summarized by `stats`: the
+/// verdict-to-operator table, plus the data-driven choices.
 /// Deterministic in its arguments.
-fn choose(
+pub fn choose(
     q: &ConjunctiveQuery,
     task: Task,
     structure: &Structure,
@@ -179,7 +158,6 @@ fn choose(
         cost: CostEstimate { m, exponent },
         lower_bound,
         query: q.to_string(),
-        cache_hit: false,
     };
 
     // Data-driven short-circuit: an empty body relation empties q(D).
@@ -499,13 +477,11 @@ mod tests {
         let db = triangle_database(&random_pairs(25, 8, &mut seeded_rng(6)));
         let stats = stats_for(&db);
         let q = zoo::triangle_join();
-        let mut p = Planner::new();
-        let cold = p.plan(&q, Task::Answers, &stats);
-        assert!(!cold.cache_hit);
-        let warm = p.plan(&q, Task::Answers, &stats);
-        assert!(warm.cache_hit);
-        assert!(cold.same_decision(&warm), "cache hits must not change plans");
-        let uncached = Planner::plan_uncached(&q, Task::Answers, &stats);
-        assert!(cold.same_decision(&uncached));
+        let plan = Planner::new().plan(&q, Task::Answers, &stats);
+        assert_eq!(plan, Planner::new().plan(&q, Task::Answers, &stats));
+        assert_eq!(plan, Planner::plan_uncached(&q, Task::Answers, &stats));
+        // a kept structure plans exactly as a fresh one
+        let kept = Structure::of(&q);
+        assert_eq!(plan, choose(&q, Task::Answers, &kept, &stats));
     }
 }

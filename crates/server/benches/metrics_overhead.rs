@@ -12,7 +12,7 @@
 //! cannot be compiled out, so the bench times exactly that work alone
 //! (≈ 0.65–1.2 µs on the 2-core CI box, by the hour) and compares it
 //! with two full instrumented requests through `Session::handle_line`,
-//! plan cache and catalog both hot:
+//! statement memo and catalog both hot:
 //!
 //!   * a `COUNT` of `q_mm` over 5,000-row relations: ≈ 5.2–8.7 ms, so
 //!     the instruments are 0.01–0.02% of it. This is the asserted bound
@@ -33,8 +33,8 @@ use std::time::Instant;
 const QUERY: &str = "COUNT q(x, z) :- R(x, y), S(y, z)";
 
 /// A session over one tenant of two `rows`-row relations joining on 500
-/// values (one to one below 500 rows), with the plan cache and the index
-/// catalog warm.
+/// values (one to one below 500 rows), with the statement memo and the
+/// index catalog warm.
 fn warm_session(rows: u64) -> (Session, Arc<ServerState>) {
     let state = Arc::new(ServerState::new());
     let mut s = Session::new(Arc::clone(&state));

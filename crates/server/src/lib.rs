@@ -3,7 +3,7 @@
 //! Serving is where the paper's dichotomies pay off operationally: many
 //! clients issuing repeated-shape queries against warm per-database
 //! state. This crate puts the whole pipeline — `cq_core::parser` →
-//! `cq-planner` (the process-wide plan cache) → `cq-engine` over a
+//! `cq-planner` (through each session's statement memo) → `cq-engine` over a
 //! pinned per-tenant [`IndexCatalog`](cq_data::IndexCatalog) — behind a
 //! line-based text protocol on a plain [`std::net::TcpListener`] and a
 //! `std::thread` worker pool. No async runtime, no dependencies.
@@ -30,8 +30,8 @@
 //!   the observing verbs.
 //! * [`metrics`] — engine-wide observability: the `cq-obs` registry
 //!   (per-tenant and server scopes), the slow-query log, and the
-//!   `METRICS` rendering pipeline that also pulls catalog, WAL, and
-//!   plan-cache counters into gauges.
+//!   `METRICS` rendering pipeline that also pulls catalog and WAL
+//!   counters into gauges.
 //! * [`client`] — a blocking [`Client`] used by `cqsh` and the
 //!   end-to-end tests.
 //!

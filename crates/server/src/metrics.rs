@@ -9,7 +9,7 @@
 //!   (`PING`, `CREATE DB`, `USE`, `STATS`, …), error counts by wire
 //!   kind (`errors.<kind>`), connection and worker-pool gauges, the
 //!   wire's `replies.flushes` (framed-reply writes) and `probe.peeks`
-//!   (liveness peeks that ran), and the process-wide plan-cache gauges.
+//!   (liveness peeks that ran).
 //! * `db.<tenant>` — one scope per tenant: per-command counters and
 //!   latency histograms (`cmd.<verb>.calls` / `cmd.<verb>.latency`),
 //!   per-plan-operator execution counters and latencies
@@ -26,15 +26,14 @@
 //! one handle per `(scope, name)` pair, so steady-state recording is a
 //! relaxed atomic op with no lock and no string formatting. Counters
 //! that other crates already maintain (catalog memo stats, WAL write
-//! stats, plan-cache stats) are *pulled* into gauges by [`refresh`]
-//! just before a render, keeping `cq-data`, `cq-storage`, and
-//! `cq-planner` free of any observability dependency.
+//! stats) are *pulled* into gauges by [`refresh`] just before a render,
+//! keeping `cq-data` and `cq-storage` free of any observability
+//! dependency.
 
 use crate::state::ServerState;
 use cq_obs::{
     Counter, Histogram, HistoryRing, QueryTrace, Registry, Scope, SlowQueryLog,
 };
-use cq_planner::eval;
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -297,7 +296,7 @@ impl SessionMetrics {
 }
 
 /// Pull pulled-not-pushed values into gauges: per-tenant catalog and
-/// WAL stats, cross-tenant plan-cache stats, and the tenant count.
+/// WAL stats, and the tenant count.
 /// Called just before a render so gauge values are current without
 /// any hot-path cost. `db` limits the refresh to one tenant.
 pub fn refresh(state: &ServerState, db: Option<&str>) {
@@ -305,12 +304,6 @@ pub fn refresh(state: &ServerState, db: Option<&str>) {
     if db.is_none() {
         let server = metrics.server_scope();
         server.gauge("tenants").set(state.n_tenants() as u64);
-        let (shapes, cache) =
-            eval::with_global_planner(|p| (p.cache().len(), p.cache().stats()));
-        server.gauge("plan-cache.shapes").set(shapes as u64);
-        server.gauge("plan-cache.hits").set(cache.hits);
-        server.gauge("plan-cache.misses").set(cache.misses);
-        server.gauge("plan-cache.uncacheable").set(cache.uncacheable);
         server.gauge("slow-queries").set(metrics.slowlog().total());
         // injected storage faults (0 on an in-memory server, which has
         // no store to inject into — the gauge exists in both modes so

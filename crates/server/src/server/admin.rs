@@ -5,7 +5,6 @@ use crate::metrics;
 use crate::protocol::Reply;
 use crate::state::Tenant;
 use cq_obs::trace::{QueryTrace, Span};
-use cq_planner::eval;
 use std::time::Duration;
 
 /// Append a trace's span tree to `data`, one line per span in
@@ -35,12 +34,6 @@ impl Session {
             let (rels, tuples) = t.sizes();
             data.push(format!("db {}: {rels} relations, {tuples} tuples", t.name()));
         }
-        let (shapes, cache) =
-            eval::with_global_planner(|p| (p.cache().len(), p.cache().stats()));
-        data.push(format!(
-            "plan-cache: {shapes} shapes, {} hits, {} misses, {} uncacheable",
-            cache.hits, cache.misses, cache.uncacheable
-        ));
         Ok(Reply::ok_with(data, ""))
     }
 

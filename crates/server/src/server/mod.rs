@@ -15,8 +15,9 @@
 //!   `EXPLAIN [ANALYZE]`, cursors, `BATCH`, the streaming pump, and the
 //!   one verdict that attributes a cancelled evaluation to the tenant's
 //!   deadline or to a vanished client.
-//! * `stmt` — the session's statement memo: each query text's parse, and
-//!   its plans while the statistics they were made against are current.
+//! * `stmt` — the session's statement memo: each query text's parse, its
+//!   structure, and its plans while the statistics they were made
+//!   against are current.
 //! * `mutate` — the write verbs: `INSERT`/`LOAD`/`DROP` applied through
 //!   `WalRecord::apply` (the function recovery and the replica replay
 //!   with), tenant lifecycle, limits, checkpoints, `RESUME`, `SHIP`.
@@ -25,14 +26,15 @@
 //! Threading model: one acceptor thread hands accepted connections to a
 //! fixed pool of worker threads over an [`mpsc`](std::sync::mpsc)
 //! channel; each worker serves one connection at a time, line by line.
-//! Evaluation inside a session plans through its statement memo, which
-//! falls back to the process-wide planner (`eval::with_global_planner`,
-//! the per-process shape cache), and executes against the tenant's
-//! pinned [`IndexCatalog`](cq_data::IndexCatalog): a repeated text on an
-//! unchanged tenant skips parsing and planning, a repeated shape skips
-//! classification, and a repeated query skips every index build. `BATCH`
-//! blocks additionally fan out over `EvalCtx::batch_tasks` — the pinned
-//! catalog and one planner pass shared by the whole batch.
+//! Evaluation inside a session plans through its statement memo and
+//! executes against the tenant's pinned
+//! [`IndexCatalog`](cq_data::IndexCatalog): a repeated text on an
+//! unchanged tenant skips parsing and planning, a repeated text after a
+//! write skips the structure pass (the witness search above all), and a
+//! repeated query skips every index build. No lock is shared between
+//! sessions for planning. `BATCH` blocks additionally fan out over
+//! `EvalCtx::batch_tasks` — the pinned catalog shared by the whole
+//! batch, every item planned up front.
 //!
 //! Answers leave as bytes. A streamed `ANSWERS` is drained by one pump
 //! (behind [`Session::drain_flow`]) that renders each row in place into

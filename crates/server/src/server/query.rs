@@ -5,18 +5,17 @@
 
 use super::admin::push_span_lines;
 use super::session::{Handled, Mode, Session};
-use super::stmt::Statements;
 use crate::metrics::SessionMetrics;
 use crate::protocol::{
     query_task, render_row_into, split_word, ErrKind, Reply, DATA_PREFIX, END_KEYWORD,
 };
 use crate::state::Tenant;
 use cq_core::{parse_query, ConjunctiveQuery};
-use cq_data::{DataStats, Database, Val};
+use cq_data::{Database, Val};
 use cq_engine::{CancelToken, EvalError};
 use cq_obs::trace::{self, TraceSink};
 use cq_obs::SlowQuery;
-use cq_planner::{eval, execute::Answers, EvalCtx, Output, QueryPlan, Task};
+use cq_planner::{execute::Answers, EvalCtx, Output, Planner, QueryPlan, Task};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -377,7 +376,7 @@ impl Session {
         let sm = &mut self.metrics;
         let statements = &mut self.statements;
         tenant.read(|db, catalog| {
-            let plan = plan(statements, src, q, task, &catalog.stats(db));
+            let plan = statements.plan(src, task, &catalog.stats(db));
             // admission control: reject over-budget plans before any
             // execution work, citing the lower bound that justifies it
             let ctx = EvalCtx::new()
@@ -548,7 +547,7 @@ impl Session {
         let q = self.statements.query(src)?;
         let statements = &mut self.statements;
         tenant.read(|db, catalog| {
-            let plan = plan(statements, src, &q, task, &catalog.stats(db));
+            let plan = statements.plan(src, task, &catalog.stats(db));
             let text = cq_planner::explain::render(&plan, &q);
             Ok(Reply::ok_with(text.lines().map(str::to_string).collect(), ""))
         })
@@ -670,13 +669,11 @@ impl Session {
                         out => Ok(render_output(out).terminal),
                     })
                     .unwrap_or_else(|e| match e {
-                        // admission control is per item; the plan (a
-                        // cache hit) is re-derived for its citation
+                        // admission control is per item; the plan is
+                        // re-derived for its citation
                         EvalError::OverBudget(reason) => {
                             sm.count(tenant.name(), "budget.rejections");
-                            let stats = catalog.stats(db);
-                            let plan =
-                                eval::with_global_planner(|p| p.plan(q, *task, &stats));
+                            let plan = Planner::new().plan(q, *task, &catalog.stats(db));
                             budget_reply(&reason, &plan).terminal
                         }
                         e => watch.failure(e, sm, tenant.name(), None).terminal,
@@ -690,21 +687,6 @@ impl Session {
             Ok(Reply::ok_with(data, format!("batch of {n} items")))
         })
     }
-}
-
-/// The plan of `task` for the statement `src` (parsed as `q`) against
-/// `stats`: the session's memoized one if still valid, else the shared
-/// planner's.
-fn plan(
-    statements: &mut Statements,
-    src: &str,
-    q: &ConjunctiveQuery,
-    task: Task,
-    stats: &Arc<DataStats>,
-) -> QueryPlan {
-    statements.plan(src, task, stats, || {
-        eval::with_global_planner(|p| p.plan_with_lookup(q, task, stats))
-    })
 }
 
 fn no_such_cursor(id: u64) -> Reply {
@@ -887,7 +869,7 @@ mod tests {
         assert_eq!(r.data[0], "tenants: 1");
         assert_eq!(r.data[1], "using: t");
         assert_eq!(r.data[2], "db t: 2 relations, 2 tuples");
-        assert!(r.data[3].starts_with("plan-cache:"), "{}", r.data[3]);
+        assert_eq!(r.data.len(), 3, "{:?}", r.data);
         assert_eq!(r.terminal, "OK");
     }
 

@@ -813,7 +813,7 @@ mod tests {
         );
         assert!(r.data.iter().any(|l| l == "server cmd.ping.calls=1"), "{:?}", r.data);
         assert!(r.data.iter().any(|l| l == "server errors.no-such-db=1"), "{:?}", r.data);
-        assert!(r.data.iter().any(|l| l == "server plan-cache.uncacheable=0"));
+        assert!(r.data.iter().any(|l| l == "server tenants=1"), "{:?}", r.data);
         assert!(
             r.data.iter().any(|l| l.starts_with("db.m catalog.hits=")),
             "{:?}",

@@ -1,10 +1,10 @@
-//! The session's statement memo: query text → its parse, and per task
-//! the plan made against one [`DataStats`].
+//! The session's statement memo: query text → its parse, its
+//! [`Structure`], and per task the plan made against one [`DataStats`].
 //!
 //! A client that repeats a query repeats its text byte for byte, and
-//! redoing the parse, the canonical shape and the plan choice for it
-//! cost more than a warm small query's execution. So a session keeps the
-//! last [`MAX_STATEMENTS`] texts it served, each with its parsed
+//! redoing the parse and the plan choice for it cost more than a warm
+//! small query's execution. So a session keeps the last
+//! [`MAX_STATEMENTS`] texts it served, each with its parsed
 //! [`ConjunctiveQuery`] and, per task, the [`QueryPlan`] together with
 //! the `Arc<DataStats>` it was planned against. A plan is served again
 //! only while the tenant's catalog hands out that same `Arc`: the
@@ -12,12 +12,19 @@
 //! the memo holds a clone, so the pointer cannot be reused for other
 //! statistics while the plan is kept. Planning is deterministic in
 //! (query, task, structure, statistics), so a reused plan is the plan
-//! the planner would choose. A parse error is not memoized.
+//! the planner would choose.
+//!
+//! The structure depends on the text alone, so it is computed once, at
+//! the statement's first plan, and kept: a replan after a write, or
+//! under another tenant, runs only [`choose`]. The witness search of a
+//! cyclic query therefore runs at most once per text per session. A
+//! parse error is not memoized.
 
 use crate::protocol::{ErrKind, Reply};
+use cq_core::classify::Structure;
 use cq_core::{parse_query, ConjunctiveQuery};
 use cq_data::DataStats;
-use cq_planner::{eval, Lookup, QueryPlan, Task};
+use cq_planner::{choose, QueryPlan, Task};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -34,6 +41,8 @@ pub(super) struct Statements {
 
 struct Statement {
     query: Arc<ConjunctiveQuery>,
+    /// `Structure::of(query)`, from the statement's first plan on.
+    structure: Option<Structure>,
     /// At most one per task.
     plans: Vec<Planned>,
 }
@@ -43,9 +52,6 @@ struct Planned {
     /// answers with this very `Arc`.
     stats: Arc<DataStats>,
     plan: QueryPlan,
-    /// Was the query's shape exact? A reuse counts as the shape-cache
-    /// lookup it replaces: a hit, or `uncacheable`.
-    exact: bool,
 }
 
 impl Statements {
@@ -69,41 +75,32 @@ impl Statements {
             }
         }
         self.order.push_back(src.into());
-        let stmt = Statement { query: Arc::clone(&query), plans: Vec::new() };
+        let stmt =
+            Statement { query: Arc::clone(&query), structure: None, plans: Vec::new() };
         self.by_text.insert(src.into(), stmt);
         Ok(query)
     }
 
-    /// The plan of `task` for the statement `src` (parsed by
-    /// [`Statements::query`]) against `stats`: the memoized one while
-    /// `stats` is the `Arc` it was made against, else `fresh()`'s — the
-    /// shared planner's, with what its shape-cache lookup found — kept in
-    /// its place.
+    /// The plan of `task` for the statement `src`, just parsed by
+    /// [`Statements::query`], against `stats`: the memoized one while
+    /// `stats` is the `Arc` it was made against, else one chosen over
+    /// the statement's kept structure and kept in its place.
     pub(super) fn plan(
         &mut self,
         src: &str,
         task: Task,
         stats: &Arc<DataStats>,
-        fresh: impl FnOnce() -> (QueryPlan, Lookup),
     ) -> QueryPlan {
-        let Some(stmt) = self.by_text.get_mut(src) else {
-            return fresh().0;
-        };
+        let stmt = self.by_text.get_mut(src).expect("Statements::query memoized src");
         let slot = stmt.plans.iter().position(|p| p.plan.task == task);
         if let Some(kept) = slot.map(|i| &stmt.plans[i]) {
             if Arc::ptr_eq(&kept.stats, stats) {
-                let lookup = if kept.exact { Lookup::Hit } else { Lookup::Uncacheable };
-                eval::cache_counters().count(lookup);
                 return kept.plan.clone();
             }
         }
-        let (plan, lookup) = fresh();
-        let exact = lookup != Lookup::Uncacheable;
-        let kept = Planned {
-            stats: Arc::clone(stats),
-            plan: QueryPlan { cache_hit: exact, ..plan.clone() },
-            exact,
-        };
+        let structure = stmt.structure.get_or_insert_with(|| Structure::of(&stmt.query));
+        let plan = choose(&stmt.query, task, structure, stats);
+        let kept = Planned { stats: Arc::clone(stats), plan: plan.clone() };
         match slot {
             Some(i) => stmt.plans[i] = kept,
             None => stmt.plans.push(kept),
@@ -118,8 +115,7 @@ mod tests {
     use crate::server::testkit::session;
     use crate::server::Session;
     use cq_data::{Database, Relation};
-    use cq_planner::{PlanOp, Planner};
-    use std::cell::Cell;
+    use cq_planner::PlanOp;
 
     const PATH: &str = "q(x, z) :- R(x, y), R(y, z)";
 
@@ -129,72 +125,60 @@ mod tests {
         Arc::new(DataStats::collect(&db))
     }
 
-    /// Plan `src` for `COUNT` through `memo`, counting fresh plans in
-    /// `planned`; the shape lookup is reported as `lookup`.
-    fn count_plan(
+    /// Plan `src` for `task` through `memo`.
+    fn plan_of(
         memo: &mut Statements,
         src: &str,
+        task: Task,
         stats: &Arc<DataStats>,
-        planned: &Cell<usize>,
-        lookup: Lookup,
     ) -> QueryPlan {
-        let q = memo.query(src).unwrap();
-        memo.plan(src, Task::Count, stats, || {
-            planned.set(planned.get() + 1);
-            let plan = Planner::plan_uncached(&q, Task::Count, stats);
-            (plan, lookup)
-        })
+        memo.query(src).unwrap();
+        memo.plan(src, task, stats)
+    }
+
+    /// Mark the plan `memo` keeps for `src` and `task`: a plan served
+    /// from the memo carries the mark, a plan chosen again does not.
+    fn mark_kept_plan(memo: &mut Statements, src: &str, task: Task) {
+        let stmt = memo.by_text.get_mut(src).expect("memoized");
+        let kept = stmt.plans.iter_mut().find(|p| p.plan.task == task).expect("planned");
+        kept.plan.algorithm_reference = "kept";
     }
 
     #[test]
     fn a_repeated_text_is_parsed_and_planned_once() {
         let mut memo = Statements::default();
         let stats = stats_of(&[(1, 2), (2, 3)]);
-        let planned = Cell::new(0);
         let first = memo.query(PATH).unwrap();
-        let cold = count_plan(&mut memo, PATH, &stats, &planned, Lookup::Miss);
-        let warm = count_plan(&mut memo, PATH, &stats, &planned, Lookup::Miss);
+        let cold = plan_of(&mut memo, PATH, Task::Count, &stats);
+        mark_kept_plan(&mut memo, PATH, Task::Count);
+        let warm = plan_of(&mut memo, PATH, Task::Count, &stats);
         assert!(Arc::ptr_eq(&first, &memo.query(PATH).unwrap()), "parsed once");
-        assert_eq!(planned.get(), 1, "planned once");
-        assert!(warm.same_decision(&cold));
-        // another task of the same text is its own plan
-        let q = memo.query(PATH).unwrap();
-        memo.plan(PATH, Task::Decide, &stats, || {
-            planned.set(planned.get() + 1);
-            (Planner::plan_uncached(&q, Task::Decide, &stats), Lookup::Hit)
-        });
-        assert_eq!(planned.get(), 2);
-        assert_eq!(memo.by_text.len(), 1);
-    }
-
-    #[test]
-    fn a_memo_hit_reports_a_shape_cache_hit_unless_the_shape_is_inexact() {
-        let mut memo = Statements::default();
-        let stats = stats_of(&[(1, 2)]);
-        let planned = Cell::new(0);
-        let cold = count_plan(&mut memo, PATH, &stats, &planned, Lookup::Miss);
-        assert!(!cold.cache_hit, "a miss is reported as one");
-        assert!(count_plan(&mut memo, PATH, &stats, &planned, Lookup::Miss).cache_hit);
-        let odd = "q(x) :- R(x, x)";
-        count_plan(&mut memo, odd, &stats, &planned, Lookup::Uncacheable);
-        assert!(
-            !count_plan(&mut memo, odd, &stats, &planned, Lookup::Uncacheable).cache_hit
+        assert_eq!(
+            warm,
+            QueryPlan { algorithm_reference: "kept", ..cold },
+            "planned once"
         );
-        assert_eq!(planned.get(), 2);
+        // another task of the same text is its own plan
+        let decide = plan_of(&mut memo, PATH, Task::Decide, &stats);
+        assert_eq!(decide.task, Task::Decide);
+        assert_ne!(decide.algorithm_reference, "kept");
+        assert_eq!(memo.by_text.len(), 1);
+        assert_eq!(memo.by_text[PATH].plans.len(), 2);
     }
 
     #[test]
     fn a_plan_is_kept_only_for_the_stats_it_was_made_against() {
         let mut memo = Statements::default();
-        let planned = Cell::new(0);
         let stats = stats_of(&[(1, 2)]);
-        count_plan(&mut memo, PATH, &stats, &planned, Lookup::Miss);
+        plan_of(&mut memo, PATH, Task::Count, &stats);
+        mark_kept_plan(&mut memo, PATH, Task::Count);
         // equal statistics in another allocation are not the same stats
         let twin = stats_of(&[(1, 2)]);
-        count_plan(&mut memo, PATH, &twin, &planned, Lookup::Hit);
-        assert_eq!(planned.get(), 2);
-        count_plan(&mut memo, PATH, &twin, &planned, Lookup::Hit);
-        assert_eq!(planned.get(), 2, "the replacement is kept");
+        let replanned = plan_of(&mut memo, PATH, Task::Count, &twin);
+        assert_ne!(replanned.algorithm_reference, "kept");
+        mark_kept_plan(&mut memo, PATH, Task::Count);
+        let again = plan_of(&mut memo, PATH, Task::Count, &twin);
+        assert_eq!(again.algorithm_reference, "kept", "the replacement is kept");
     }
 
     fn session_on(db: &str, r: Relation) -> Session {
@@ -213,6 +197,29 @@ mod tests {
 
     fn empty() -> Relation {
         Relation::from_rows(2, std::iter::empty::<Vec<u64>>())
+    }
+
+    /// The structure is kept across a write: the replan runs `choose`
+    /// over it, and never `Structure::of`.
+    #[test]
+    fn a_write_replans_a_cyclic_text_on_its_kept_structure() {
+        const TRIANGLE: &str = "q(x, y, z) :- R(x, y), R(y, z), R(z, x)";
+        let mut s = session_on("t", Relation::from_pairs(vec![(1, 2), (2, 3), (3, 1)]));
+        let count = format!("COUNT {TRIANGLE}");
+        assert_eq!(s.handle_line(&count).unwrap().terminal, "OK 3");
+        // mark the kept structure: a structure computed again lacks it
+        let marked = Some(7.0);
+        let stmt = s.statements.by_text.get_mut(TRIANGLE).unwrap();
+        let before = stmt.plans[0].plan.clone();
+        stmt.structure.as_mut().expect("computed at the first plan").agm_exponent =
+            marked;
+        assert!(s.handle_line("INSERT R(4, 4)").unwrap().is_ok());
+        assert_eq!(s.handle_line(&count).unwrap().terminal, "OK 4");
+        let stmt = &s.statements.by_text[TRIANGLE];
+        let after = &stmt.plans[0].plan;
+        assert_eq!(after.cost.m, before.cost.m + 1, "replanned for the new statistics");
+        assert_eq!(after.cost.exponent, 7.0, "over the kept structure");
+        assert_eq!(stmt.structure.as_ref().unwrap().agm_exponent, marked);
     }
 
     #[test]

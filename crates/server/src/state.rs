@@ -18,7 +18,7 @@
 //! WAL replay) and each tenant carries its open [`WalWriter`] inside
 //! the same slot as its database, so a mutation and its WAL append
 //! commute with nothing — both happen under the tenant's write lock,
-//! in order. Catalogs and plan caches are *not* persisted; they are
+//! in order. Catalogs and statement memos are *not* persisted; they are
 //! memos over the data and rebuild warm on demand after recovery.
 //!
 //! Locking: the tenant map is under one [`RwLock`] (resolved per

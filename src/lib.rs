@@ -9,7 +9,7 @@
 //! classification of conjunctive queries ([`core`]), the evaluation
 //! algorithms achieving every upper bound in the paper ([`engine`]), the
 //! cost-aware planner that routes every task to its dichotomy-optimal
-//! algorithm with an inspectable, cacheable plan ([`planner`]), the
+//! algorithm with an inspectable plan ([`planner`]), the
 //! problem zoo behind every hypothesis ([`problems`]), the matrix
 //! multiplication substrate ([`matrix`]), and every lower-bound
 //! reduction as executable, testable code ([`reductions`]).
@@ -38,7 +38,7 @@
 //! // the plan explains itself: operator, citation, lower bound
 //! let text = eval::explain(&q, &db, Task::Count);
 //! assert!(text.contains("generic join"));
-//! assert!(!plan.cache_hit || text.contains("cache"));
+//! assert!(text.contains(plan.algorithm_reference));
 //! ```
 //!
 //! ## Serving over the wire: `cqd` and `cqsh`
@@ -74,7 +74,7 @@
 //! ```
 //!
 //! Tenancy is one database + one pinned index catalog per `CREATE DB`
-//! name; every session shares the process-wide plan cache. Scripted
+//! name; each session memoizes the statements it serves. Scripted
 //! sessions (`cqsh < script.cq`) echo commands, making transcripts
 //! diffable — CI's `server-smoke` job pins one as a golden file. See
 //! [`server`] for the protocol grammar and the in-process API.
@@ -119,7 +119,7 @@
 //! # std::fs::remove_dir_all(&dir).unwrap();
 //! ```
 //!
-//! Index catalogs and the plan cache are deliberately *not* persisted:
+//! Index catalogs and statement memos are deliberately *not* persisted:
 //! they are memos over the data and rebuild warm on demand. See the
 //! `DESIGN.md` "Durability" section for the snapshot format, WAL
 //! framing, and recovery invariants.
@@ -127,8 +127,8 @@
 //! ## Observability and budgets: `METRICS` + `SET BUDGET`
 //!
 //! The server counts and times everything (lock-free, via the `cq-obs`
-//! crate): per-tenant command and plan-operator latencies, plan-cache
-//! and catalog hit rates, WAL growth, errors by kind. `METRICS [<db>]`
+//! crate): per-tenant command and plan-operator latencies, catalog hit
+//! rates, WAL growth, errors by kind. `METRICS [<db>]`
 //! renders it over the wire, `cqd --metrics-interval SECS` dumps it
 //! periodically, and `cqd --slow-query-ms N` arms a slow-query log.
 //! On the same plumbing, per-tenant budgets turn the paper's lower

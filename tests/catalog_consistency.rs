@@ -13,7 +13,7 @@ use cq_engine::links::{join_index, EdgeLinks};
 use cq_engine::{
     count, generic_join, DirectAccess, Enumerator, ExecCtx, FreeConnexDirectAccess,
 };
-use cq_planner::{eval, EvalCtx, Planner};
+use cq_planner::{eval, EvalCtx};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -52,7 +52,7 @@ fn random_rel(arity: usize, rows: usize, seed: u64) -> Relation {
 }
 
 /// Drive an interleaving against one query shape with a single
-/// long-lived planner + catalog, checking every query step against a
+/// long-lived catalog, checking every query step against a
 /// fresh evaluation and brute force.
 fn drive(
     q: &ConjunctiveQuery,
@@ -63,7 +63,6 @@ fn drive(
     for (i, name) in rel_names.iter().enumerate() {
         db.insert(name, random_rel(2, 6 + i, 1000 + i as u64));
     }
-    let mut planner = Planner::new();
     let catalog = IndexCatalog::new();
     for step in steps {
         match step {
@@ -86,41 +85,32 @@ fn drive(
             Step::Query { task } => match task {
                 0 => {
                     let ctx = EvalCtx::new().with_catalog(&catalog);
-                    let (got, _) = ctx.decide(&mut planner, q, &db).unwrap();
+                    let (got, _) = ctx.decide(q, &db).unwrap();
                     prop_assert_eq!(got, brute_force_decide(q, &db).unwrap());
                     let cold = IndexCatalog::new();
-                    let fresh = EvalCtx::new()
-                        .with_catalog(&cold)
-                        .decide(&mut Planner::new(), q, &db)
-                        .unwrap()
-                        .0;
+                    let fresh =
+                        EvalCtx::new().with_catalog(&cold).decide(q, &db).unwrap().0;
                     prop_assert_eq!(got, fresh);
                 }
                 1 => {
                     let ctx = EvalCtx::new().with_catalog(&catalog);
-                    let (got, _) = ctx.count(&mut planner, q, &db).unwrap();
+                    let (got, _) = ctx.count(q, &db).unwrap();
                     prop_assert_eq!(got, brute_force_count(q, &db).unwrap());
                     let cold = IndexCatalog::new();
-                    let fresh = EvalCtx::new()
-                        .with_catalog(&cold)
-                        .count(&mut Planner::new(), q, &db)
-                        .unwrap()
-                        .0;
+                    let fresh =
+                        EvalCtx::new().with_catalog(&cold).count(q, &db).unwrap().0;
                     prop_assert_eq!(got, fresh);
                     prop_assert_eq!(&*catalog.stats(&db), &DataStats::collect(&db));
                 }
                 _ => {
                     let ctx = EvalCtx::new().with_catalog(&catalog);
-                    let (got, _) = ctx.answers(&mut planner, q, &db).unwrap();
+                    let (got, _) = ctx.answers(q, &db).unwrap();
                     if !q.is_boolean() {
                         prop_assert_eq!(&got, &brute_force_answers(q, &db).unwrap());
                     }
                     let cold = IndexCatalog::new();
-                    let fresh = EvalCtx::new()
-                        .with_catalog(&cold)
-                        .answers(&mut Planner::new(), q, &db)
-                        .unwrap()
-                        .0;
+                    let fresh =
+                        EvalCtx::new().with_catalog(&cold).answers(q, &db).unwrap().0;
                     prop_assert_eq!(got, fresh);
                 }
             },
@@ -196,16 +186,15 @@ fn a_write_keeps_the_entries_of_relations_it_did_not_touch() {
     db.insert("R", random_rel(2, 20, 1));
     db.insert("S", random_rel(2, 20, 2));
     let catalog = IndexCatalog::new();
-    let mut planner = Planner::new();
-    let mut check = |q: &ConjunctiveQuery, db: &Database| {
+    let check = |q: &ConjunctiveQuery, db: &Database| {
         let ctx = EvalCtx::new().with_catalog(&catalog);
-        let (n, _) = ctx.count(&mut planner, q, db).unwrap();
+        let (n, _) = ctx.count(q, db).unwrap();
         assert_eq!(n, brute_force_count(q, db).unwrap());
-        let (rows, _) = ctx.answers(&mut planner, q, db).unwrap();
+        let (rows, _) = ctx.answers(q, db).unwrap();
         assert_eq!(rows, brute_force_answers(q, db).unwrap());
         let cold = IndexCatalog::new();
         let cold = EvalCtx::new().with_catalog(&cold);
-        assert_eq!(rows, cold.answers(&mut Planner::new(), q, db).unwrap().0);
+        assert_eq!(rows, cold.answers(q, db).unwrap().0);
     };
     for round in 0..6u64 {
         check(&rs, &db);
@@ -493,9 +482,8 @@ fn diverging_clones_share_one_catalog_safely() {
     a.insert("R1", random_rel(2, 12, 1));
     a.insert("R2", random_rel(2, 12, 2));
     let catalog = IndexCatalog::new();
-    let mut planner = Planner::new();
     let ctx = EvalCtx::new().with_catalog(&catalog);
-    let (common, _) = ctx.answers(&mut planner, &q, &a).unwrap();
+    let (common, _) = ctx.answers(&q, &a).unwrap();
     let mut b = a.clone();
     let r2_of_a = catalog.sorted_view(&a, "R2", &[0, 1]).unwrap();
     assert!(Arc::ptr_eq(&r2_of_a, &catalog.sorted_view(&b, "R2", &[0, 1]).unwrap()));
@@ -503,9 +491,9 @@ fn diverging_clones_share_one_catalog_safely() {
     b.insert("R2", random_rel(2, 9, 3));
     for round in 0..4 {
         for db in [&a, &b] {
-            let (got, _) = ctx.answers(&mut planner, &q, db).unwrap();
+            let (got, _) = ctx.answers(&q, db).unwrap();
             assert_eq!(got, brute_force_answers(&q, db).unwrap(), "round {round}");
-            let (n, _) = ctx.count(&mut planner, &q, db).unwrap();
+            let (n, _) = ctx.count(&q, db).unwrap();
             assert_eq!(n, got.len() as u64, "round {round}");
             assert_eq!(*catalog.stats(db), DataStats::collect(db), "round {round}");
         }

@@ -19,7 +19,7 @@ use cq_data::generate::{random_pairs, seeded_rng, triangle_database};
 use cq_data::{Database, IndexCatalog, Relation};
 use cq_engine::{count, generic_join, yannakakis, AnswerStream, Enumerator, ExecCtx};
 use cq_obs::trace::{self, TraceSink};
-use cq_planner::{eval, EvalCtx, Output, PlanOp, Task};
+use cq_planner::{eval, EvalCtx, Output, PlanOp, Planner, Task};
 use cq_server::protocol::render_row_into;
 use cq_server::server::{Action, Session, STREAM_MAX_CHUNK_BYTES};
 use cq_server::state::ServerState;
@@ -155,8 +155,7 @@ fn a_direct_access_drain_allocates_per_flush_not_per_row() {
     let [small, large] = SIZES.map(|(a, b)| {
         let db = cross_database(a, b);
         let catalog = IndexCatalog::new();
-        let plan =
-            eval::with_global_planner(|p| p.plan(&q, Task::Access, &catalog.stats(&db)));
+        let plan = Planner::new().plan(&q, Task::Access, &catalog.stats(&db));
         // the free-connex structure projects out of a lexicographic
         // one, so this pull runs both `access_into`s
         assert!(matches!(plan.op, PlanOp::FreeConnexDirectAccess), "{}", plan.op.name());

@@ -37,7 +37,10 @@
 # session parses a query text in its statement memo, and a reply is
 # flushed by the one helper that lets pipelined replies share a write.
 # And one structure per statement: the memo keeps it, and the planner
-# holds no cache and no lock.
+# holds no cache and no lock. And cq-engine exports what the planner runs:
+# a public engine function is an operator a caller outside the engine names
+# (or one of the few listed below, each with why), and an algorithm only a
+# lower-bound reduction drives lives beside that reduction in cq-reductions.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -73,14 +76,15 @@ forbid "pub fn eliminate_projections (count::free_join is the one, memoized, der
     grep -rnE 'pub fn eliminate_projections\b' crates
 )"
 forbid "artifact kinds of deleted structures:" "$(
-    grep -rn -A3 -F '.artifact(' crates/engine/src crates/planner/src \
-        | grep -E '"(enumerator|proj_mat_da)"'
+    grep -rn -A3 -F '.artifact(' crates/engine/src crates/planner/src crates/reductions/src \
+        | grep -E '"(enumerator|proj_mat_da|sum_cover)"'
 )"
 forbid "access structures defined in the planner (build the engine's):" "$(
     grep -rnE 'struct \w*Access\b' crates/planner/src
 )"
-# a signature runs from `pub fn` to the `{` opening the body
-forbid "aggregation entry points that read a database outside an ExecCtx (take \`ctx: &ExecCtx\` first):" "$(
+# a signature runs from `pub fn` to the `{` opening the body; the
+# brute-force oracles of bind.rs are the one database reader without one
+forbid "engine entry points that read a database outside an ExecCtx (take \`ctx: &ExecCtx\` first):" "$(
     awk '/pub fn / { sig = ""; open = 1 }
          open { sig = sig " " $0 }
          open && /\{/ {
@@ -88,12 +92,42 @@ forbid "aggregation entry points that read a database outside an ExecCtx (take \
              gsub(/[ \t]+/, " ", sig)
              if (sig ~ /db: &Database/ && sig !~ /^[^(]*\( ?ctx: &ExecCtx/)
                  print FILENAME ":" sig
-         }' crates/engine/src/aggregate.rs
+         }' $(ls crates/engine/src/*.rs | grep -v '/bind\.rs$')
 )"
 
 # the non-test part (above `#[cfg(test)]`) of a source file, each line
 # prefixed with the file's name
 non_test() { sed '/^#\[cfg(test)\]/,$d' "$1" | sed "s|^|$1:|"; }
+
+# cq-engine is the operators the planner dispatches to: a column-0 `pub fn`
+# of its non-test code is named by the non-test code of a crate that runs
+# it, or is listed here with why a caller outside the engine needs it
+engine_fns_without_a_caller_allowed='
+brute_force_answers  the testing oracle every operator is checked against
+brute_force_decide   the testing oracle every operator is checked against
+brute_force_count    the testing oracle every operator is checked against
+decide_triangle_ayz  Thm 3.2, kept for the degree-split plan of cyclic DECIDE
+'
+engine_callers=$(
+    find crates/planner/src crates/reductions/src crates/server/src src examples bench/src \
+        -name '*.rs' | sort | while read -r f; do non_test "$f"; done
+)
+forbid "public cq-engine functions no caller outside the engine names (make them pub(crate), move them to their one consumer, or delete them):" "$(
+    for f in crates/engine/src/*.rs; do non_test "$f"; done \
+        | sed -nE 's/^([^:]*):pub fn ([A-Za-z0-9_]+).*/\1 \2/p' \
+        | while read -r file name; do
+            # (no `grep -q`: under pipefail its early exit fails the printf)
+            printf '%s\n' "$engine_fns_without_a_caller_allowed" \
+                | grep "^$name " >/dev/null && continue
+            printf '%s\n' "$engine_callers" | grep -w "$name" >/dev/null \
+                || echo "$file: pub fn $name"
+        done
+)"
+# ... so the algorithms only a reduction drives are no engine module
+forbid "engine modules of reduction-only algorithms or crate plumbing (sum order, the star tester, the tropical fold and the links live elsewhere or stay private):" "$(
+    grep -nE '^pub mod (aggregate|links|sum_order|testing)\b' crates/engine/src/lib.rs \
+        | sed 's|^|crates/engine/src/lib.rs:|'
+)"
 # ... of every file of the server module (one file before it was split)
 server_module() {
     for f in crates/server/src/server.rs crates/server/src/server/*.rs; do

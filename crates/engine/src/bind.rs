@@ -65,7 +65,7 @@ impl std::error::Error for EvalError {}
 /// An atom bound to data: distinct variables (first-occurrence order) and
 /// the filtered, collapsed relation instance.
 #[derive(Clone, Debug)]
-pub struct BoundAtom {
+pub(crate) struct BoundAtom {
     /// Distinct variables in first-occurrence order.
     pub vars: Vec<Var>,
     /// Rows over exactly `vars` (arity = vars.len()), sorted + deduped.
@@ -87,7 +87,7 @@ impl BoundAtom {
 /// Look up and validate the relation instance of one atom: present and
 /// of the right arity. Shared by [`bind`] and the catalog-aware
 /// preparation paths so both report identical errors.
-pub fn validate_atom<'a>(
+pub(crate) fn validate_atom<'a>(
     relation: &str,
     vars: &[Var],
     db: &'a Database,
@@ -106,7 +106,7 @@ pub fn validate_atom<'a>(
 }
 
 /// An atom's distinct variables, in first-occurrence order.
-pub fn distinct_vars(atom_vars: &[Var]) -> Vec<Var> {
+pub(crate) fn distinct_vars(atom_vars: &[Var]) -> Vec<Var> {
     let mut vars: Vec<Var> = Vec::with_capacity(atom_vars.len());
     for &v in atom_vars {
         if !vars.contains(&v) {
@@ -120,7 +120,7 @@ pub fn distinct_vars(atom_vars: &[Var]) -> Vec<Var> {
 /// (first-occurrence order): rows inconsistent with repeated variables
 /// are dropped, repeated columns collapse to their first occurrence.
 /// When the atom has no repeats this is a plain clone.
-pub fn collapse_rel(atom_vars: &[Var], vars: &[Var], rel: &Relation) -> Relation {
+pub(crate) fn collapse_rel(atom_vars: &[Var], vars: &[Var], rel: &Relation) -> Relation {
     if vars.len() == atom_vars.len() {
         return rel.clone();
     }
@@ -147,7 +147,10 @@ pub fn collapse_rel(atom_vars: &[Var], vars: &[Var], rel: &Relation) -> Relation
 }
 
 /// Bind all atoms of `q` against `db`.
-pub fn bind(q: &ConjunctiveQuery, db: &Database) -> Result<Vec<BoundAtom>, EvalError> {
+pub(crate) fn bind(
+    q: &ConjunctiveQuery,
+    db: &Database,
+) -> Result<Vec<BoundAtom>, EvalError> {
     let _span = cq_obs::trace::span("op.bind");
     let mut out = Vec::with_capacity(q.atoms().len());
     for atom in q.atoms() {

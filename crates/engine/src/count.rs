@@ -4,9 +4,8 @@
 //! * [`count_acyclic_join`] — the counting Yannakakis DP for acyclic
 //!   *join* queries: weights propagate bottom-up along the join tree in
 //!   O(m) (Thm 3.8). The DP is the sum-product fold of §4.1.2 at the
-//!   counting semiring; [`crate::aggregate`] runs the same loop at any
-//!   other;
-//! * [`free_join`] — projection elimination for free-connex queries:
+//!   counting semiring, the loop `DECIDE` runs at the Boolean one;
+//! * `free_join` — projection elimination for free-connex queries:
 //!   eliminate the quantified variables along a join tree of
 //!   `H ∪ {free}` rooted at the virtual free-edge, producing `q'`, an
 //!   acyclic join query over exactly the free variables (see the
@@ -94,21 +93,6 @@ pub(crate) fn sum_product<S: Semiring>(
         msgs[u] = acc;
     }
     Ok((sr.finish(msgs[tree.root()].swap_remove(0))?, steps))
-}
-
-/// The counting DP (Thm 3.8) over bound atoms that are not stored
-/// relations: `sum_product` at the counting semiring with unit weights,
-/// over links built for this call. Weights are u128 and saturate: every
-/// weight is a count, so a saturated one stays "at least 2¹²⁸ − 1"
-/// through further products and sums, a dangling row drops it, and a
-/// total that does not fit u64 — saturated or not — is
-/// [`EvalError::CountOverflow`].
-pub fn count_dp(
-    ctx: &ExecCtx,
-    atoms: &[impl Borrow<BoundAtom>],
-    tree: &JoinTree,
-) -> Result<u64, EvalError> {
-    count_over(ctx, atoms, &JoinLinks::of_atoms(atoms, tree)).map(|(n, _)| n)
 }
 
 /// The unit-weight count over `atoms` along `links`, and its steps.
@@ -239,7 +223,7 @@ fn subtree_message(
 /// *exactly the free variables* whose join equals `q(D)`, with their
 /// join tree (`q'` is an acyclic join query, [14, §4.1]) — or `None` if
 /// the query is unsatisfiable (some subtree has no answer).
-pub type FreeJoin = Option<(Vec<Arc<BoundAtom>>, JoinTree)>;
+pub(crate) type FreeJoin = Option<(Vec<Arc<BoundAtom>>, JoinTree)>;
 
 /// **The** projection elimination, shared by counting, enumeration and
 /// direct access for (non-Boolean) free-connex queries. Construction:
@@ -256,7 +240,7 @@ pub type FreeJoin = Option<(Vec<Arc<BoundAtom>>, JoinTree)>;
 /// message and the memoized others. The token is polled per node, and
 /// `*cold` is set when this call derived a message (what the callers'
 /// spans report as `cold-build`).
-pub fn free_join(
+pub(crate) fn free_join(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
@@ -320,7 +304,7 @@ pub(crate) fn free_links(
 }
 
 /// Count answers of a free-connex query in O(m) (Theorem 3.13): the
-/// counting DP over the memoized [`free_join`] and the links of its
+/// counting DP over the memoized `free_join` and the links of its
 /// tree — repeated counts pay for the array passes over the (typically
 /// smaller) messages only. Both phases poll the token.
 pub fn count_free_connex(
@@ -348,14 +332,14 @@ pub fn count_free_connex(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::aggregate_acyclic_join;
-    use crate::bind::brute_force_count;
+    use crate::bind::{brute_force_answers, brute_force_count};
+    use crate::{count, DirectAccess, Enumerator, FreeConnexDirectAccess};
     use cq_core::parse_query;
     use cq_core::query::zoo;
     use cq_data::generate::{
         path_database, random_pairs, seeded_rng, star_database, triangle_database,
     };
-    use cq_data::Relation;
+    use cq_data::{IndexCatalog, Relation};
 
     /// The materialization baseline, one-shot in interning order.
     fn count_distinct(q: &ConjunctiveQuery, db: &Database) -> u64 {
@@ -490,18 +474,10 @@ mod tests {
                 .unwrap();
         let ctx = ExecCtx::cold();
         assert_eq!(count_acyclic_join(&ctx, &q, &db), Err(EvalError::CountOverflow));
-        // the same instance of the same fold through its semiring door
-        let ones = |_: usize, _: &[Val]| 1;
-        let agg = aggregate_acyclic_join;
-        assert_eq!(
-            agg(&ctx, &q, &db, ones, &CountingSemiring),
-            Err(EvalError::CountOverflow)
-        );
         // one spoke fewer fits: 2^52
         let q4 =
             parse_query("q(a,b,c,d,z) :- R1(a,z), R2(b,z), R3(c,z), R4(d,z)").unwrap();
         assert_eq!(count_acyclic_join(&ctx, &q4, &db), Ok(1 << 52));
-        assert_eq!(agg(&ctx, &q4, &db, ones, &CountingSemiring), Ok(1 << 52));
         // ten spokes saturate the u128 accumulator itself (2^130): still
         // an error, and a dangling hub above the saturated subtree still
         // counts zero
@@ -540,5 +516,97 @@ mod tests {
             count_free_connex(&ExecCtx::cold(), &q, &db).unwrap(),
             brute_force_count(&q, &db).unwrap()
         );
+    }
+
+    /// One preprocessing for the easy side: over one catalog `COUNT`,
+    /// `ANSWERS` and `ACCESS` of a projected free-connex query — in every
+    /// order of the three — derive each elimination message, `q'` and the
+    /// links of its tree once (`COUNT` folds over them, the other two reduce
+    /// along them), and sort the reduced tree once, which the stream and the
+    /// access structure then both hold; a write to one relation rebuilds
+    /// exactly its subtree's message and what is assembled from it.
+    #[test]
+    fn count_answers_and_access_share_one_elimination_and_one_tree() {
+        const VERBS: [&str; 3] = ["COUNT", "ANSWERS", "ACCESS"];
+        // q' has one message per atom: {a, b} from R1, {a} from R2, {b} from R3
+        let q = parse_query("q(a, b) :- R1(a, b), R2(a, c), R3(b, d)").unwrap();
+        let mut db = Database::new();
+        db.insert("R1", Relation::from_pairs(vec![(1, 1), (2, 1), (3, 2), (4, 2)]));
+        db.insert("R2", Relation::from_pairs(vec![(1, 5), (2, 5), (2, 6)]));
+        db.insert("R3", Relation::from_pairs(vec![(1, 7), (2, 8)]));
+        // each verb's answer count, checked against brute force on the way
+        let run = |verb: &str, ctx: &ExecCtx, db: &Database| -> u64 {
+            let want = brute_force_answers(&q, db).unwrap();
+            match verb {
+                "COUNT" => count::count_free_connex(ctx, &q, db).unwrap(),
+                "ANSWERS" => {
+                    let mut e = Enumerator::preprocess(ctx, &q, db).unwrap();
+                    assert_eq!(e.to_relation(), want);
+                    want.len() as u64
+                }
+                _ => {
+                    let da = FreeConnexDirectAccess::build(ctx, &q, db).unwrap();
+                    let rows = (0..da.len()).map(|i| da.access(i).unwrap());
+                    assert_eq!(Relation::from_rows(2, rows), want);
+                    da.len()
+                }
+            }
+        };
+        for first in 0..3 {
+            for second in (0..3).filter(|&v| v != first) {
+                let order = [first, second, 3 - first - second].map(|v| VERBS[v]);
+                let catalog = IndexCatalog::new();
+                let ctx = ExecCtx::warm(&catalog);
+                let mut built = Vec::new();
+                for verb in order {
+                    let before = catalog.snapshot().misses;
+                    assert_eq!(run(verb, &ctx, &db), 2, "{verb} in {order:?}");
+                    built.push(catalog.snapshot().misses - before);
+                }
+                // three messages, q' and its links for whoever comes first,
+                // the tree for the first of ANSWERS / ACCESS, and nothing
+                // otherwise
+                let tree_at = order.iter().position(|&v| v != "COUNT").unwrap();
+                let mut want = [0; 3];
+                want[0] = 5;
+                want[tree_at] += 1;
+                assert_eq!(built, want, "misses per verb of {order:?}");
+                assert_eq!(catalog.snapshot().artifacts, 6, "{order:?}");
+
+                // the walk and the array are one structure
+                let e = Enumerator::preprocess(&ctx, &q, &db).unwrap();
+                let da = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
+                assert!(Arc::ptr_eq(e.direct_access(), &da), "{order:?}");
+                let warm = catalog.snapshot();
+                assert_eq!(warm.misses, 6, "{order:?}: the lookups above are hits");
+
+                // a write to R2 re-derives R2's message, q', its links and
+                // the tree
+                let mut db = db.clone();
+                let old = count::free_join(&ctx, &q, &db, &mut false).unwrap();
+                db.get_mut("R2").unwrap().insert_row(&[3, 9]);
+                for verb in order {
+                    assert_eq!(run(verb, &ctx, &db), 3, "{verb} after the write");
+                }
+                let rebuilt = catalog.snapshot();
+                assert_eq!(rebuilt.misses, warm.misses + 4, "{order:?}");
+                assert_eq!(rebuilt.invalidations, warm.invalidations + 4, "{order:?}");
+                assert_eq!(rebuilt.artifacts, 6, "{order:?}: rebuilt entries replace");
+                let new = count::free_join(&ctx, &q, &db, &mut false).unwrap();
+                let (Some((old, _)), Some((new, _))) = (&*old, &*new) else {
+                    panic!("q' is satisfiable before and after the write");
+                };
+                let r2 = db.get("R2").unwrap().project(&[0]);
+                for (o, n) in old.iter().zip(new) {
+                    assert_eq!(
+                        Arc::ptr_eq(o, n),
+                        n.rel != r2,
+                        "{order:?}: only R2's moved"
+                    );
+                }
+                let da_now = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
+                assert!(!Arc::ptr_eq(&da, &da_now), "{order:?}: the tree was rebuilt");
+            }
+        }
     }
 }

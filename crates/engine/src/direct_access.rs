@@ -13,7 +13,7 @@
 //! preorder, *rows + links*: the rows as a [`cq_data::Relation`] with the
 //! parent key's columns first, then the rest by `⪯` (so sorted that way);
 //! the first row of each parent-key group; and per row of the parent the
-//! group it joins (the [`EdgeLinks`] of the edge, over the sorted rows).
+//! group it joins (the `EdgeLinks` of the edge, over the sorted rows).
 //! That is *the* product of the linear preprocessing of Thm 3.17 / 3.18 /
 //! 3.24, and nothing searches it by key: the constant-delay walk of
 //! [`crate::enumerate`] steps through the nodes as an odometer, a move
@@ -28,10 +28,6 @@
 //! reports failure and callers fall back to
 //! [`MaterializedDirectAccess`] (materialize + sort, the superlinear
 //! baseline whose cost gap is the content of Lemma 3.23).
-//!
-//! [`test_prefix`] implements Lemma 3.20: testing reduces to direct
-//! access with a log-factor loss, by binary search over the simulated
-//! array.
 
 use crate::bind::{bind, BoundAtom, EvalError};
 use crate::cancel::CancelToken;
@@ -502,41 +498,6 @@ impl DirectAccess for LexDirectAccess {
     }
 }
 
-/// Lemma 3.20: testing via direct access. Given a direct-access
-/// structure whose order starts with the variables of `prefix_vars`
-/// (a ⪯-prefix), decide whether some answer extends the assignment
-/// `prefix_vals` — with O(log |q(D)|) accesses.
-pub fn test_prefix(da: &dyn DirectAccess, order: &[Var], prefix_vals: &[Val]) -> bool {
-    let n = da.len();
-    if n == 0 {
-        return false;
-    }
-    let cmp = |row: &[Val]| -> std::cmp::Ordering {
-        for (k, &v) in order.iter().take(prefix_vals.len()).enumerate() {
-            match row[v.index()].cmp(&prefix_vals[k]) {
-                std::cmp::Ordering::Equal => continue,
-                other => return other,
-            }
-        }
-        std::cmp::Ordering::Equal
-    };
-    // binary search for the first row with prefix >= target
-    let (mut lo, mut hi) = (0u64, n);
-    while lo < hi {
-        let mid = lo + (hi - lo) / 2;
-        let row = da.access(mid).unwrap();
-        if cmp(&row) == std::cmp::Ordering::Less {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    if lo >= n {
-        return false;
-    }
-    cmp(&da.access(lo).unwrap()) == std::cmp::Ordering::Equal
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -673,30 +634,6 @@ mod tests {
     }
 
     #[test]
-    fn testing_via_direct_access() {
-        // Lemma 3.20 applied to q̂*_2 with order (z, x1, x2): test
-        // membership of (z, x1) prefixes.
-        let db = star_database(2, 60, 5, &mut seeded_rng(8));
-        let q = zoo::star_full(2);
-        let order = vars_by_name(&q, &["z", "x1", "x2"]);
-        let lex = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
-        let mat =
-            MaterializedDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
-        // collect true prefixes
-        let mut true_prefixes = std::collections::BTreeSet::new();
-        for i in 0..mat.len() {
-            let row = mat.access(i).unwrap();
-            true_prefixes.insert((row[order[0].index()], row[order[1].index()]));
-        }
-        for z in 0..6u64 {
-            for x1 in 0..20u64 {
-                let expected = true_prefixes.contains(&(z, x1));
-                assert_eq!(test_prefix(&lex, &order, &[z, x1]), expected, "({z},{x1})");
-            }
-        }
-    }
-
-    #[test]
     fn empty_result() {
         let mut db = Database::new();
         db.insert("R1", cq_data::Relation::new(2));
@@ -706,7 +643,6 @@ mod tests {
         let lex = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
         assert_eq!(lex.len(), 0);
         assert_eq!(lex.access(0), None);
-        assert!(!test_prefix(&lex, &order, &[1]));
     }
 
     #[test]

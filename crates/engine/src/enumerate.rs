@@ -2,7 +2,7 @@
 //!
 //! Preprocessing (linear in m) is the direct-access preprocessing minus
 //! its weights: eliminate the quantified variables
-//! ([`crate::count::free_join`]), fully reduce the resulting acyclic join
+//! (`count::free_join`), fully reduce the resulting acyclic join
 //! query over the free variables along the links of its join tree, sort
 //! each node by its parent key and link it to its parent's rows — the
 //! memoized tree of [`FreeConnexDirectAccess`], shared with `ACCESS` of

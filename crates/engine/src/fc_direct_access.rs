@@ -5,7 +5,7 @@
 //! Theorem 3.18 promises, for every free-connex query, a direct-access
 //! structure with Õ(m) preprocessing and Õ(log m) access in *some*
 //! query-chosen order. The construction composes two pieces already in
-//! the engine: projection elimination ([`crate::count::free_join`]) turns
+//! the engine: projection elimination (`count::free_join`) turns
 //! the query into an acyclic *join* query `q'` over exactly the free
 //! variables, and the reduced, sorted tree of [`LexDirectAccess`] serves
 //! `q'` — reduced along the links `COUNT` folds over — on its own join
@@ -269,8 +269,7 @@ mod tests {
         for i in 0..da.len() {
             truths.insert(da.access(i).unwrap()[sch_pos]);
         }
-        // test_prefix works on full-assignment access structures; here we
-        // check against the projected accessor manually via binary search
+        // Lemma 3.20's binary search, over the projected accessor
         for v in 0..10u64 {
             let expected = truths.contains(&v);
             // binary search over the array on the first order position

@@ -32,7 +32,7 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// the child's rows first show each key — so over a child sorted by its
 /// key columns the groups are runs and `own` is monotone.
 #[derive(Debug)]
-pub struct EdgeLinks {
+pub(crate) struct EdgeLinks {
     /// Per child row (the bound relation's own order): its key group.
     pub(crate) own: Vec<u32>,
     /// Number of distinct keys among the child's rows.
@@ -98,7 +98,7 @@ pub(crate) fn keep_linked(
 
 /// A join tree with the links of its every edge.
 #[derive(Debug)]
-pub struct JoinLinks {
+pub(crate) struct JoinLinks {
     tree: JoinTree,
     /// Per node: the edge from its parent (`None` at the root).
     edges: Vec<Option<Arc<EdgeLinks>>>,
@@ -118,13 +118,13 @@ impl JoinLinks {
     }
 
     /// The tree the links run along.
-    pub fn tree(&self) -> &JoinTree {
+    pub(crate) fn tree(&self) -> &JoinTree {
         &self.tree
     }
 
     /// The links of the edge from `u`'s parent to `u` (`None` at the
     /// root).
-    pub fn edge(&self, u: usize) -> Option<&Arc<EdgeLinks>> {
+    pub(crate) fn edge(&self, u: usize) -> Option<&Arc<EdgeLinks>> {
         self.edges[u].as_ref()
     }
 }
@@ -133,14 +133,14 @@ impl JoinLinks {
 /// every edge, and the collapsed relation of each atom with repeated
 /// variables. Atoms without repeats read the stored relation in place.
 #[derive(Debug)]
-pub struct JoinIndex {
+pub(crate) struct JoinIndex {
     links: JoinLinks,
     collapsed: Vec<Option<Arc<Relation>>>,
 }
 
 impl JoinIndex {
     /// The tree and its links.
-    pub fn links(&self) -> &JoinLinks {
+    pub(crate) fn links(&self) -> &JoinLinks {
         &self.links
     }
 
@@ -172,7 +172,7 @@ fn bound_rels<'a>(
 /// order first, so a missing relation or an arity mismatch is reported
 /// exactly as [`crate::bind()`] reports it; a cyclic body is
 /// [`EvalError::NotAcyclic`].
-pub fn join_index(
+pub(crate) fn join_index(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
@@ -231,10 +231,10 @@ pub fn join_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{aggregate_acyclic_join, Tropical};
+    use crate::aggregate::{fold_body, CountingSemiring};
     use crate::bind::{brute_force_answers, brute_force_count, brute_force_decide};
     use crate::cancel::{CancelToken, STRIDE};
-    use crate::count::{count_acyclic_join, count_free_connex};
+    use crate::count::{self, count_acyclic_join, count_free_connex};
     use crate::yannakakis::decide_acyclic;
     use cq_core::parse_query;
     use cq_data::IndexCatalog;
@@ -493,28 +493,30 @@ mod tests {
             let q = parse_query(src).unwrap().join_version();
             // atom i's tuple weighs 10^i · (sum of its values)
             let wf = |atom: usize, row: &[Val]| {
-                10i64.pow(atom as u32) * row.iter().sum::<Val>() as i64
+                10u128.pow(atom as u32) * u128::from(row.iter().sum::<Val>())
             };
             let free = q.free_vars();
-            let best = brute_force_answers(&q, &data).unwrap();
-            let best = best.iter().map(|answer| {
-                let value = |v: &Var| answer[free.iter().position(|f| f == v).unwrap()];
-                let atoms = q.atoms().iter().enumerate();
-                atoms
-                    .map(|(i, a)| {
-                        let row: Vec<Val> =
-                            distinct_vars(&a.vars).iter().map(value).collect();
-                        wf(i, &row)
-                    })
-                    .sum::<i64>()
-            });
-            let best = best.min().expect("both queries have answers");
+            let answers = brute_force_answers(&q, &data).unwrap();
+            let want: u128 = answers
+                .iter()
+                .map(|answer| {
+                    let value =
+                        |v: &Var| answer[free.iter().position(|f| f == v).unwrap()];
+                    let atoms = q.atoms().iter().enumerate();
+                    atoms
+                        .map(|(i, a)| {
+                            let row: Vec<Val> =
+                                distinct_vars(&a.vars).iter().map(value).collect();
+                            wf(i, &row)
+                        })
+                        .product::<u128>()
+                })
+                .sum();
+            assert!(want > 0, "both queries have answers");
             for ctx in [ExecCtx::cold(), ExecCtx::warm(&catalog), ExecCtx::warm(&catalog)]
             {
-                assert_eq!(
-                    aggregate_acyclic_join(&ctx, &q, &data, wf, &Tropical),
-                    Ok(best)
-                );
+                let folded = fold_body(&ctx, &q, &data, wf, &CountingSemiring);
+                assert_eq!(folded.map(|(total, _)| total), Ok(want));
             }
         }
     }
@@ -550,5 +552,83 @@ mod tests {
         assert_eq!(count_acyclic_join(&ctx, &q, &data), Ok(rows));
         assert_eq!(token.polls(), 3 * rows);
         assert_eq!(decide_acyclic(&ctx, &q.boolean_version(), &data), Ok(true));
+    }
+
+    /// The join index of a body is one entry holding one link artifact per
+    /// tree edge, each reading the two relations of its edge only: `COUNT`
+    /// and `DECIDE` of one body share the entry, a write to a relation
+    /// outside the body moves nothing, and a write to `R1` rebuilds the
+    /// edge `R1` is an end of — the other stays pointer-equal.
+    #[test]
+    fn a_write_rebuilds_only_the_links_of_the_edges_it_touches() {
+        let count = parse_query("q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
+        let decide = parse_query("q() :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
+        let mut db = Database::new();
+        for (i, name) in ["R1", "R2", "R3"].into_iter().enumerate() {
+            db.insert(name, random_rel(2, 30, 40 + i as u64));
+        }
+        db.insert("Log", Relation::new(2));
+        let catalog = IndexCatalog::new();
+        let ctx = ExecCtx::warm(&catalog);
+        // the link artifact between two atoms' relations, whichever is parent
+        let link = |db: &Database, a: &str, b: &str| -> Arc<EdgeLinks> {
+            let index = join_index(&ctx, &count, db).unwrap();
+            let links = index.links();
+            let name = |u: usize| count.atoms()[u].relation.as_str();
+            let edge = (0..3).find(|&u| {
+                let ends = links.tree().parent(u).map(|p| [name(p), name(u)]);
+                ends.is_some_and(|ends| ends == [a, b] || ends == [b, a])
+            });
+            Arc::clone(
+                links.edge(edge.expect("a path's neighbours share an edge")).unwrap(),
+            )
+        };
+        let check = |db: &Database| {
+            assert_eq!(
+                count::count_acyclic_join(&ctx, &count, db).unwrap(),
+                brute_force_count(&count, db).unwrap()
+            );
+            assert_eq!(
+                crate::yannakakis::decide_acyclic(&ctx, &decide, db).unwrap(),
+                brute_force_decide(&decide, db).unwrap()
+            );
+        };
+        check(&db);
+        let cold = catalog.snapshot();
+        assert_eq!((cold.misses, cold.artifacts), (3, 3), "one body entry, two edges");
+        let whole = join_index(&ctx, &decide, &db).unwrap();
+        assert!(Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
+        let (r12, r23) = (link(&db, "R1", "R2"), link(&db, "R2", "R3"));
+
+        db.get_mut("Log").unwrap().insert_row(&[1, 1]);
+        check(&db);
+        assert!(Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
+        assert!(Arc::ptr_eq(&r12, &link(&db, "R1", "R2")));
+        assert!(Arc::ptr_eq(&r23, &link(&db, "R2", "R3")));
+        assert_eq!(
+            catalog.snapshot().misses,
+            cold.misses,
+            "a `Log` write builds nothing"
+        );
+
+        db.get_mut("R1").unwrap().insert_row(&[7, 7]);
+        check(&db);
+        assert!(!Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
+        assert!(!Arc::ptr_eq(&r12, &link(&db, "R1", "R2")));
+        assert!(Arc::ptr_eq(&r23, &link(&db, "R2", "R3")));
+        let rebuilt = catalog.snapshot();
+        assert_eq!(rebuilt.misses, cold.misses + 2, "the body entry and R1's edge");
+        assert_eq!(rebuilt.artifacts, 3, "rebuilt entries replace");
+    }
+
+    fn random_rel(arity: usize, rows: usize, seed: u64) -> Relation {
+        let mut rng = cq_data::generate::seeded_rng(seed);
+        use rand::Rng;
+        Relation::from_rows(
+            arity,
+            (0..rows)
+                .map(|_| (0..arity).map(|_| rng.gen_range(0..8 as Val)).collect())
+                .collect::<Vec<_>>(),
+        )
     }
 }

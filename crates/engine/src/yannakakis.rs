@@ -4,8 +4,8 @@
 //! decide the query in time O(m): the upward sweep filters each parent by
 //! its children; the query is true iff the root stays non-empty. A
 //! downward sweep afterwards makes every relation globally consistent
-//! ([`full_reduce`]), the starting point for enumeration and direct
-//! access. Both run over the join-tree links of [`crate::links`]: the
+//! (`full_reduce`), the starting point for enumeration and direct
+//! access. Both run over the join-tree links of `crate::links`: the
 //! reduction as two Boolean passes, decision — which needs the upward
 //! sweep only, and only its verdict — as the sum-product fold at the
 //! Boolean semiring ([`decide_acyclic`]), materialising no relation.
@@ -21,7 +21,7 @@ use std::borrow::{Borrow, Cow};
 
 /// Shared key columns between two variable lists (each distinct): for
 /// each shared variable, the column index in `a` and in `b`.
-pub fn shared_cols_of(a: &[Var], b: &[Var]) -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn shared_cols_of(a: &[Var], b: &[Var]) -> (Vec<usize>, Vec<usize>) {
     let ma = a.iter().fold(0u64, |m, v| m | v.mask());
     let mb = b.iter().fold(0u64, |m, v| m | v.mask());
     let mut ca = Vec::new();
@@ -35,7 +35,7 @@ pub fn shared_cols_of(a: &[Var], b: &[Var]) -> (Vec<usize>, Vec<usize>) {
 }
 
 /// Build the join tree of `q`'s hypergraph (`Err(NotAcyclic)` if cyclic).
-pub fn join_tree_of(q: &ConjunctiveQuery) -> Result<JoinTree, EvalError> {
+pub(crate) fn join_tree_of(q: &ConjunctiveQuery) -> Result<JoinTree, EvalError> {
     cq_core::gyo::join_tree(&q.hypergraph()).ok_or(EvalError::NotAcyclic)
 }
 
@@ -60,7 +60,7 @@ pub(crate) fn join_tree_of_atoms(
 /// atoms (memoized messages) are read where they are: only a node that
 /// loses a row is owned. Returns the `steps` of the two passes, counted
 /// as the fold counts its own: rows visited plus links followed.
-pub fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], links: &JoinLinks) -> u64 {
+pub(crate) fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], links: &JoinLinks) -> u64 {
     let tree = links.tree();
     let mut live: Vec<Vec<bool>> =
         atoms.iter().map(|a| vec![true; a.rel.len()]).collect();

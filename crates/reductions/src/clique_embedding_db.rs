@@ -21,8 +21,7 @@ use cq_core::hypergraph::mask_vertices;
 use cq_core::query::zoo;
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, FxHashMap, Relation, Val};
-use cq_engine::aggregate::min_weight_answer;
-use cq_engine::ExecCtx;
+use cq_engine::{generic_join, EvalError, ExecCtx};
 use cq_problems::weighted_clique::WeightedGraph;
 
 /// A built embedding instance.
@@ -142,6 +141,39 @@ pub fn build(k: usize, g: &WeightedGraph) -> CycleEmbeddingInstance {
     CycleEmbeddingInstance { query, db, weight_tables, embedding: emb }
 }
 
+/// The tropical (min, +) aggregate of a join query without repeated
+/// variables: the least answer weight, where an answer weighs the sum of
+/// its atoms' tuple weights `weight(atom_index, tuple)` — or `None` if
+/// `q(D)` is empty. A minimum over generic join's assignments, so its
+/// runtime is the AGM bound: for the 5-cycle of Example 4.3 the
+/// embedding makes m^{5/4} a conditional floor, so no algorithm here
+/// can be linear.
+pub fn min_weight_answer(
+    ctx: &ExecCtx,
+    q: &ConjunctiveQuery,
+    db: &Database,
+    weight: impl Fn(usize, &[Val]) -> i64,
+) -> Result<Option<i64>, EvalError> {
+    if !q.is_join_query() {
+        return Err(EvalError::NotJoinQuery);
+    }
+    let mut best: Option<i64> = None;
+    let mut tuple: Vec<Val> = Vec::new();
+    let order = generic_join::default_order(q);
+    // in interning order, `Var(i)` is the assignment's position `i`
+    generic_join::visit(ctx, q, db, &order, &mut |assignment| {
+        let mut w = 0;
+        for (i, atom) in q.atoms().iter().enumerate() {
+            tuple.clear();
+            tuple.extend(atom.vars.iter().map(|v| assignment[v.index()]));
+            w += weight(i, &tuple);
+        }
+        best = Some(best.map_or(w, |b| b.min(w)));
+        true
+    })?;
+    Ok(best)
+}
+
 /// Minimum-weight k-clique through tropical aggregation of the cycle
 /// query (Example 4.3's pipeline). Returns `None` if `G` has no
 /// k-clique.
@@ -168,7 +200,8 @@ pub fn has_clique_via_cycle(k: usize, g: &WeightedGraph) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cq_data::generate::seeded_rng;
+    use cq_data::generate::{path_database, seeded_rng, triangle_database};
+    use cq_engine::bind::brute_force_answers;
     use cq_problems::clique::find_k_clique_backtracking;
     use cq_problems::weighted_clique::min_weight_k_clique;
     use cq_problems::Graph;
@@ -245,5 +278,37 @@ mod tests {
         );
         assert_eq!(min_weight_clique_via_cycle(5, &g), Some(10));
         assert_eq!(min_weight_clique_via_cycle(3, &g), Some(3));
+    }
+
+    #[test]
+    fn min_weight_matches_brute_force_on_path() {
+        let db = path_database(2, 40, &mut seeded_rng(2));
+        let q = zoo::path_join(2);
+        // weight of a tuple = sum of its values (deterministic)
+        let wf = |_: usize, row: &[Val]| row.iter().map(|&v| v as i64).sum::<i64>();
+        let got = min_weight_answer(&ExecCtx::cold(), &q, &db, wf).unwrap();
+        // brute force: x0, x1, x2 over atoms R1(x0, x1), R2(x1, x2)
+        let answers = brute_force_answers(&q, &db).unwrap();
+        let best = answers.iter().map(|r| (r[0] + 2 * r[1] + r[2]) as i64).min();
+        assert_eq!(got, best);
+    }
+
+    #[test]
+    fn min_weight_of_an_empty_result_is_none() {
+        let mut db = Database::new();
+        db.insert("R1", Relation::new(2));
+        db.insert("R2", Relation::new(2));
+        let wf = |_: usize, _: &[Val]| 0i64;
+        let got = min_weight_answer(&ExecCtx::cold(), &zoo::path_join(2), &db, wf);
+        assert_eq!(got, Ok(None));
+    }
+
+    #[test]
+    fn min_weight_handles_the_cyclic_triangle() {
+        let edges = Relation::from_pairs(vec![(0, 1), (1, 2), (2, 0)]);
+        let db = triangle_database(&edges);
+        let wf = |_: usize, _: &[Val]| 1i64; // each atom contributes 1
+        let got = min_weight_answer(&ExecCtx::cold(), &zoo::triangle_join(), &db, wf);
+        assert_eq!(got, Ok(Some(3))); // 3 atoms × weight 1
     }
 }

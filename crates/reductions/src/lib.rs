@@ -18,6 +18,16 @@
 //! | [`clique_to_triangle`] | Thm 4.1 | k-clique → triangle (Nešetřil–Poljak), with size accounting |
 //! | [`clique_embedding_db`] | §4.2 / Ex 4.3 | K_ℓ-embeddings → databases; min-weight clique via cycle aggregation |
 //! | [`selfjoin_interpolation`] | Thm 3.8 remark | self-join counting ↔ self-join-free counting via inclusion–exclusion |
+//!
+//! The planner never runs the algorithms a reduction alone drives, so
+//! they live here, beside the reduction whose target they are, and
+//! `cq-engine` keeps only the operators a plan names:
+//!
+//! | Algorithm | Paper | Used by |
+//! |---|---|---|
+//! | [`sum_order::SumOrderAccess`]: covering-atom sort, or materialize + sort | Thm 3.26 | [`three_sum_to_sum_da`] |
+//! | [`triangle_to_testing::StarTester`], and testing via direct access ([`triangle_to_testing::test_prefix`]) | Lem 3.20 / 3.21 | [`triangle_to_testing`] |
+//! | [`clique_embedding_db::min_weight_answer`]: the tropical aggregate by generic join | §4.1.2 / Ex 4.3 | [`clique_embedding_db`] |
 
 pub mod bmm_to_star_enum;
 pub mod clique_embedding_db;
@@ -26,6 +36,7 @@ pub mod hyperclique_to_lw;
 pub mod kds_to_star;
 pub mod sat_to_kds;
 pub mod selfjoin_interpolation;
+pub mod sum_order;
 pub mod three_sum_to_sum_da;
 pub mod triangle_to_query;
 pub mod triangle_to_testing;

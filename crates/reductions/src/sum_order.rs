@@ -1,24 +1,21 @@
-//! Direct access in sum orders (paper §3.4.2, Theorem 3.26).
+//! Direct access in sum orders (paper §3.4.2, Theorem 3.26) — the upper
+//! bound [`crate::three_sum_to_sum_da`] is a lower bound for.
 //!
 //! Every domain value carries a weight; a tuple's weight is the sum of
 //! its entries' weights, and the simulated array is sorted by tuple
 //! weight. Theorem 3.26: for self-join-free acyclic join queries,
 //! Õ(m) preprocessing is possible **iff one atom contains every
-//! variable** — then the (reduced) covering atom *is* the result, and
-//! sorting it by weight suffices. For every other query, Lemma 3.25
-//! embeds 3SUM, and the only general algorithm is materialization
+//! variable** — then `|q(D)|` is at most that atom's relation, and
+//! sorting the answers by weight suffices. For every other query, Lemma
+//! 3.25 embeds 3SUM, and the only general algorithm is materialization
 //! ([`SumOrderAccess::build_materialized`], Θ(|q(D)|) preprocessing —
 //! the superlinear shape the hypothesis says is unavoidable).
 
-use crate::bind::{bind, EvalError};
-use crate::cancel::CancelToken;
-use crate::ctx::ExecCtx;
-use crate::direct_access::DirectAccess;
-use crate::generic_join;
-use crate::links::keep_linked;
-use crate::yannakakis::shared_cols_of;
-use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, Relation, Val};
+use cq_core::ConjunctiveQuery;
+use cq_data::{Database, Val};
+use cq_engine::{
+    generic_join, AnswerStream, DirectAccess, Enumerator, EvalError, ExecCtx,
+};
 
 /// Direct access by ascending tuple weight (ties broken by value for
 /// determinism). Answers are full assignments in variable interning
@@ -28,64 +25,27 @@ pub struct SumOrderAccess {
     rows: Vec<(i64, Vec<Val>)>,
 }
 
-/// The weight-independent preprocessing of the covering-atom algorithm:
-/// the covering atom semijoined by every other atom, together with its
-/// variables. Cacheable per database state; the weigh-and-sort step is
-/// weight-specific and stays per call.
-fn reduced_covering_atom(
-    q: &ConjunctiveQuery,
-    db: &Database,
-    cancel: &CancelToken,
-) -> Result<(Vec<Var>, Relation), EvalError> {
-    let atoms = bind(q, db)?;
-    let all = q.all_vars_mask();
-    let cover = atoms.iter().position(|a| a.scope() == all).ok_or_else(|| {
-        EvalError::Unsupported(
-            "no atom contains all variables (Thm 3.26: sum-order direct \
-                 access is then 3SUM-hard, Lemma 3.25)"
-                .to_string(),
-        )
-    })?;
-    let mut rel = atoms[cover].rel.clone();
-    for (i, other) in atoms.iter().enumerate() {
-        if i == cover {
-            continue;
-        }
-        cancel.check_now()?;
-        let (cc, co) = shared_cols_of(&atoms[cover].vars, &other.vars);
-        rel = keep_linked(&rel, &cc, &other.rel, &co);
-    }
-    Ok((atoms[cover].vars.clone(), rel))
-}
-
 impl SumOrderAccess {
-    /// Weigh and sort a reduced covering atom (the per-weight half of
-    /// the covering-atom preprocessing).
-    fn weigh(
-        vars: &[Var],
-        rel: &Relation,
-        n_vars: usize,
+    /// Weigh every answer and sort.
+    fn sorted(
+        rows: impl IntoIterator<Item = Vec<Val>>,
         weight: &dyn Fn(Val) -> i64,
     ) -> Self {
-        let mut rows: Vec<(i64, Vec<Val>)> = Vec::with_capacity(rel.len());
-        for row in rel.iter() {
-            let mut assignment = vec![0 as Val; n_vars];
-            let mut w = 0i64;
-            for (c, v) in vars.iter().enumerate() {
-                assignment[v.index()] = row[c];
-                w += weight(row[c]);
-            }
-            rows.push((w, assignment));
-        }
+        let mut rows: Vec<(i64, Vec<Val>)> = rows
+            .into_iter()
+            .map(|row| (row.iter().map(|&v| weight(v)).sum(), row))
+            .collect();
         rows.sort();
         SumOrderAccess { rows }
     }
 
     /// The easy side of Theorem 3.26: the query has an atom covering all
-    /// variables. Preprocessing: semijoin the covering atom by every
-    /// other atom, weigh, sort — Õ(m). The weight-independent reduction
-    /// is memoized in the catalog: repeated builds (e.g. re-weighings,
-    /// or the same ranking re-requested) pay only the weigh-and-sort.
+    /// variables. Such a join query is acyclic, so Theorem 3.17's
+    /// enumeration lists its answers after Õ(m) preprocessing — at most
+    /// the covering relation's rows of them — and weighing and sorting
+    /// them keeps the build Õ(m). The preprocessing is the engine's
+    /// memoized tree: a re-weighing over a warm catalog pays only the
+    /// walk, the weighing and the sort.
     pub fn build_covering_atom(
         ctx: &ExecCtx,
         q: &ConjunctiveQuery,
@@ -95,16 +55,21 @@ impl SumOrderAccess {
         if !q.is_join_query() {
             return Err(EvalError::NotJoinQuery);
         }
-        ctx.cancel().check_now()?;
-        let reduced = ctx.catalog().artifact(
-            db,
-            "sum_cover",
-            &q.to_string(),
-            q.relations(),
-            || reduced_covering_atom(q, db, ctx.cancel()),
-        )?;
-        let (vars, rel) = &*reduced;
-        Ok(Self::weigh(vars, rel, q.n_vars(), weight))
+        let scope = |vars: &[cq_core::Var]| vars.iter().fold(0, |m, v| m | v.mask());
+        if !q.atoms().iter().any(|a| scope(&a.vars) == q.all_vars_mask()) {
+            return Err(EvalError::Unsupported(
+                "no atom contains all variables (Thm 3.26: sum-order direct \
+                     access is then 3SUM-hard, Lemma 3.25)"
+                    .to_string(),
+            ));
+        }
+        let mut answers = Enumerator::preprocess(ctx, q, db)?.into_stream();
+        answers.set_cancel(ctx.cancel().clone());
+        let mut rows = Vec::new();
+        while let Some(row) = answers.next()? {
+            rows.push(row.to_vec());
+        }
+        Ok(Self::sorted(rows, weight))
     }
 
     /// The general fallback: materialize `q(D)` by generic join, weigh,
@@ -120,12 +85,7 @@ impl SumOrderAccess {
             return Err(EvalError::NotJoinQuery);
         }
         let rel = generic_join::answers(ctx, q, db, &generic_join::default_order(q))?;
-        let mut rows: Vec<(i64, Vec<Val>)> = rel
-            .iter()
-            .map(|row| (row.iter().map(|&v| weight(v)).sum(), row.to_vec()))
-            .collect();
-        rows.sort();
-        Ok(SumOrderAccess { rows })
+        Ok(Self::sorted(rel.iter().map(<[Val]>::to_vec), weight))
     }
 
     /// Does the result contain a tuple of exactly `w` total weight?
@@ -158,8 +118,9 @@ impl DirectAccess for SumOrderAccess {
 mod tests {
     use super::*;
     use cq_core::parse_query;
-    use cq_data::generate::{random_weights, seeded_rng};
-    use cq_data::{Database, Relation};
+    use cq_data::generate::{random_pairs, random_weights, seeded_rng};
+    use cq_data::{Database, IndexCatalog, Relation};
+    use cq_engine::bind::brute_force_answers;
 
     fn weights_fn(ws: &[i64]) -> impl Fn(Val) -> i64 + '_ {
         move |v: Val| ws[v as usize]
@@ -173,6 +134,11 @@ mod tests {
 
     fn materialized(q: &ConjunctiveQuery, db: &Database, ws: &[i64]) -> Built {
         SumOrderAccess::build_materialized(&ExecCtx::cold(), q, db, &weights_fn(ws))
+    }
+
+    /// Every position of a structure, with its weight.
+    fn array(da: &SumOrderAccess) -> Vec<(i64, Vec<Val>)> {
+        (0..da.len()).map(|i| (da.weight_at(i).unwrap(), da.access(i).unwrap())).collect()
     }
 
     #[test]
@@ -213,7 +179,17 @@ mod tests {
         db.insert("R2", Relation::from_pairs(vec![(1, 2)]));
         let q = parse_query("q(x,y,z) :- R1(x,y), R2(y,z)").unwrap();
         let ws = vec![0i64; 4];
-        assert!(matches!(covering_atom(&q, &db, &ws), Err(EvalError::Unsupported(_))));
+        let Err(EvalError::Unsupported(msg)) = covering_atom(&q, &db, &ws) else {
+            panic!("a path has no covering atom");
+        };
+        assert_eq!(
+            msg,
+            "no atom contains all variables (Thm 3.26: sum-order direct access is \
+             then 3SUM-hard, Lemma 3.25)"
+        );
+        // ... whatever the data: the check comes before any relation is read
+        let missing = covering_atom(&q, &Database::new(), &ws);
+        assert_eq!(missing.err(), Some(EvalError::Unsupported(msg)));
         // materialized fallback works
         let da = materialized(&q, &db, &ws).unwrap();
         assert_eq!(da.len(), 1);
@@ -224,11 +200,12 @@ mod tests {
     fn reweighing_reuses_the_memoized_reduction() {
         let mut rng = seeded_rng(7);
         let mut db = Database::new();
-        db.insert("R", cq_data::generate::random_pairs(60, 20, &mut rng));
+        db.insert("R", random_pairs(60, 20, &mut rng));
         db.insert("S", Relation::from_values((0..20).collect::<Vec<_>>()));
         let q = parse_query("q(a, b) :- R(a, b), S(a)").unwrap();
-        let cat = cq_data::IndexCatalog::new();
+        let cat = IndexCatalog::new();
         let ctx = ExecCtx::warm(&cat);
+        let mut misses = Vec::new();
         for seed in 0..3 {
             let ws = random_weights(20, 100, &mut seeded_rng(seed));
             let da = SumOrderAccess::build_covering_atom(&ctx, &q, &db, &weights_fn(&ws))
@@ -236,16 +213,53 @@ mod tests {
             for i in 1..da.len() {
                 assert!(da.weight_at(i - 1).unwrap() <= da.weight_at(i).unwrap());
             }
+            misses.push(cat.snapshot().misses);
         }
-        // the reduction was built exactly once
-        assert_eq!(cat.snapshot().misses, 1);
+        // the first weighing built the reduced tree; the re-weighings hit it
+        assert!(misses[0] > 0);
+        assert!(misses.iter().all(|&m| m == misses[0]), "{misses:?}");
+    }
+
+    /// The rewritten covering-atom build ≡ materialization ≡ brute force
+    /// sorted by (weight, row), on random covering-atom queries — a
+    /// repeated variable and a self-join among them.
+    #[test]
+    fn covering_atom_is_materialization_and_brute_force() {
+        let queries = [
+            "q(a, b) :- R(a, b), S(a)",
+            "q(a, b, c) :- T(a, b, c), R(a, b), S(c)",
+            "q(a, b, c) :- T(a, b, c), R(b, c), R(c, a)",
+            "q(a, b) :- R(a, b), R(b, a), S(b)",
+            "q(a, b) :- R(a, b), R(a, a)",
+            "q(a, b, c) :- T(a, b, c), T(a, a, b), S(a)",
+        ];
+        for seed in 0..4 {
+            let mut rng = seeded_rng(seed);
+            let mut db = Database::new();
+            db.insert("R", random_pairs(40, 8, &mut rng));
+            db.insert("S", Relation::from_values(vec![0, 2, 3, 5, 7]));
+            db.insert("T", cq_data::generate::random_relation(3, 150, 8, &mut rng));
+            let ws = random_weights(8, 20, &mut rng);
+            for src in queries {
+                let q = parse_query(src).unwrap();
+                let mut want: Vec<(i64, Vec<Val>)> = brute_force_answers(&q, &db)
+                    .unwrap()
+                    .iter()
+                    .map(|r| (r.iter().map(|&v| ws[v as usize]).sum(), r.to_vec()))
+                    .collect();
+                want.sort();
+                let covering = array(&covering_atom(&q, &db, &ws).unwrap());
+                assert_eq!(covering, want, "{src} (seed {seed})");
+                assert_eq!(array(&materialized(&q, &db, &ws).unwrap()), want, "{src}");
+            }
+        }
     }
 
     #[test]
     fn materialized_matches_covering_when_both_apply() {
         let mut rng = seeded_rng(1);
         let mut db = Database::new();
-        db.insert("R", cq_data::generate::random_pairs(50, 20, &mut rng));
+        db.insert("R", random_pairs(50, 20, &mut rng));
         let q = parse_query("q(a, b) :- R(a, b)").unwrap();
         let ws = random_weights(20, 100, &mut rng);
         let a = covering_atom(&q, &db, &ws).unwrap();
@@ -260,7 +274,7 @@ mod tests {
     fn weights_ascending_always() {
         let mut rng = seeded_rng(2);
         let mut db = Database::new();
-        db.insert("R", cq_data::generate::random_pairs(80, 30, &mut rng));
+        db.insert("R", random_pairs(80, 30, &mut rng));
         let q = parse_query("q(a, b) :- R(a, b)").unwrap();
         let ws = random_weights(30, 50, &mut rng);
         let da = covering_atom(&q, &db, &ws).unwrap();

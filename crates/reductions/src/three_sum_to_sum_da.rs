@@ -12,9 +12,10 @@
 //! (whose Θ(n²)-size array is exactly the cost the lemma proves
 //! unavoidable).
 
+use crate::sum_order::SumOrderAccess;
 use cq_core::{parse_query, ConjunctiveQuery};
 use cq_data::{Database, Relation, Val};
-use cq_engine::{ExecCtx, SumOrderAccess};
+use cq_engine::ExecCtx;
 use cq_problems::three_sum::ThreeSumInstance;
 
 /// The reduction's query, database, and weight table.

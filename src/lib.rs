@@ -280,8 +280,9 @@ pub mod prelude {
     pub use cq_engine::direct_access::{
         DirectAccess, LexDirectAccess, MaterializedDirectAccess,
     };
-    pub use cq_engine::{Enumerator, EvalError, ExecCtx, SumOrderAccess};
+    pub use cq_engine::{Enumerator, EvalError, ExecCtx};
     pub use cq_planner::{eval, PlanOp, Planner, QueryPlan, Task};
+    pub use cq_reductions::sum_order::SumOrderAccess;
 }
 
 #[cfg(test)]

@@ -9,10 +9,7 @@ use cq_core::query::zoo;
 use cq_core::{parse_query, ConjunctiveQuery};
 use cq_data::{DataStats, Database, IndexCatalog, Relation, SortedView, Val};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
-use cq_engine::links::{join_index, EdgeLinks};
-use cq_engine::{
-    count, generic_join, DirectAccess, Enumerator, ExecCtx, FreeConnexDirectAccess,
-};
+use cq_engine::{generic_join, ExecCtx};
 use cq_planner::{eval, EvalCtx};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -320,155 +317,6 @@ fn formula(v: &SortedView) -> usize {
         bytes += if w > 0 { 8 * w + 4 * ranks + 4 * (sets + 1) } else { 0 };
     }
     bytes
-}
-
-/// One preprocessing for the easy side: over one catalog `COUNT`,
-/// `ANSWERS` and `ACCESS` of a projected free-connex query — in every
-/// order of the three — derive each elimination message, `q'` and the
-/// links of its tree once (`COUNT` folds over them, the other two reduce
-/// along them), and sort the reduced tree once, which the stream and the
-/// access structure then both hold; a write to one relation rebuilds
-/// exactly its subtree's message and what is assembled from it.
-#[test]
-fn count_answers_and_access_share_one_elimination_and_one_tree() {
-    const VERBS: [&str; 3] = ["COUNT", "ANSWERS", "ACCESS"];
-    // q' has one message per atom: {a, b} from R1, {a} from R2, {b} from R3
-    let q = parse_query("q(a, b) :- R1(a, b), R2(a, c), R3(b, d)").unwrap();
-    let mut db = Database::new();
-    db.insert("R1", Relation::from_pairs(vec![(1, 1), (2, 1), (3, 2), (4, 2)]));
-    db.insert("R2", Relation::from_pairs(vec![(1, 5), (2, 5), (2, 6)]));
-    db.insert("R3", Relation::from_pairs(vec![(1, 7), (2, 8)]));
-    // each verb's answer count, checked against brute force on the way
-    let run = |verb: &str, ctx: &ExecCtx, db: &Database| -> u64 {
-        let want = brute_force_answers(&q, db).unwrap();
-        match verb {
-            "COUNT" => count::count_free_connex(ctx, &q, db).unwrap(),
-            "ANSWERS" => {
-                let mut e = Enumerator::preprocess(ctx, &q, db).unwrap();
-                assert_eq!(e.to_relation(), want);
-                want.len() as u64
-            }
-            _ => {
-                let da = FreeConnexDirectAccess::build(ctx, &q, db).unwrap();
-                let rows = (0..da.len()).map(|i| da.access(i).unwrap());
-                assert_eq!(Relation::from_rows(2, rows), want);
-                da.len()
-            }
-        }
-    };
-    for first in 0..3 {
-        for second in (0..3).filter(|&v| v != first) {
-            let order = [first, second, 3 - first - second].map(|v| VERBS[v]);
-            let catalog = IndexCatalog::new();
-            let ctx = ExecCtx::warm(&catalog);
-            let mut built = Vec::new();
-            for verb in order {
-                let before = catalog.snapshot().misses;
-                assert_eq!(run(verb, &ctx, &db), 2, "{verb} in {order:?}");
-                built.push(catalog.snapshot().misses - before);
-            }
-            // three messages, q' and its links for whoever comes first,
-            // the tree for the first of ANSWERS / ACCESS, and nothing
-            // otherwise
-            let tree_at = order.iter().position(|&v| v != "COUNT").unwrap();
-            let mut want = [0; 3];
-            want[0] = 5;
-            want[tree_at] += 1;
-            assert_eq!(built, want, "misses per verb of {order:?}");
-            assert_eq!(catalog.snapshot().artifacts, 6, "{order:?}");
-
-            // the walk and the array are one structure
-            let e = Enumerator::preprocess(&ctx, &q, &db).unwrap();
-            let da = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
-            assert!(Arc::ptr_eq(e.direct_access(), &da), "{order:?}");
-            let warm = catalog.snapshot();
-            assert_eq!(warm.misses, 6, "{order:?}: the lookups above are hits");
-
-            // a write to R2 re-derives R2's message, q', its links and
-            // the tree
-            let mut db = db.clone();
-            let old = count::free_join(&ctx, &q, &db, &mut false).unwrap();
-            db.get_mut("R2").unwrap().insert_row(&[3, 9]);
-            for verb in order {
-                assert_eq!(run(verb, &ctx, &db), 3, "{verb} after the write");
-            }
-            let rebuilt = catalog.snapshot();
-            assert_eq!(rebuilt.misses, warm.misses + 4, "{order:?}");
-            assert_eq!(rebuilt.invalidations, warm.invalidations + 4, "{order:?}");
-            assert_eq!(rebuilt.artifacts, 6, "{order:?}: rebuilt entries replace");
-            let new = count::free_join(&ctx, &q, &db, &mut false).unwrap();
-            let (Some((old, _)), Some((new, _))) = (&*old, &*new) else {
-                panic!("q' is satisfiable before and after the write");
-            };
-            let r2 = db.get("R2").unwrap().project(&[0]);
-            for (o, n) in old.iter().zip(new) {
-                assert_eq!(Arc::ptr_eq(o, n), n.rel != r2, "{order:?}: only R2's moved");
-            }
-            let da_now = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
-            assert!(!Arc::ptr_eq(&da, &da_now), "{order:?}: the tree was rebuilt");
-        }
-    }
-}
-
-/// The join index of a body is one entry holding one link artifact per
-/// tree edge, each reading the two relations of its edge only: `COUNT`
-/// and `DECIDE` of one body share the entry, a write to a relation
-/// outside the body moves nothing, and a write to `R1` rebuilds the
-/// edge `R1` is an end of — the other stays pointer-equal.
-#[test]
-fn a_write_rebuilds_only_the_links_of_the_edges_it_touches() {
-    let count = parse_query("q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
-    let decide = parse_query("q() :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
-    let mut db = Database::new();
-    for (i, name) in ["R1", "R2", "R3"].into_iter().enumerate() {
-        db.insert(name, random_rel(2, 30, 40 + i as u64));
-    }
-    db.insert("Log", Relation::new(2));
-    let catalog = IndexCatalog::new();
-    let ctx = ExecCtx::warm(&catalog);
-    // the link artifact between two atoms' relations, whichever is parent
-    let link = |db: &Database, a: &str, b: &str| -> Arc<EdgeLinks> {
-        let index = join_index(&ctx, &count, db).unwrap();
-        let links = index.links();
-        let name = |u: usize| count.atoms()[u].relation.as_str();
-        let edge = (0..3).find(|&u| {
-            let ends = links.tree().parent(u).map(|p| [name(p), name(u)]);
-            ends.is_some_and(|ends| ends == [a, b] || ends == [b, a])
-        });
-        Arc::clone(links.edge(edge.expect("a path's neighbours share an edge")).unwrap())
-    };
-    let check = |db: &Database| {
-        assert_eq!(
-            count::count_acyclic_join(&ctx, &count, db).unwrap(),
-            brute_force_count(&count, db).unwrap()
-        );
-        assert_eq!(
-            cq_engine::yannakakis::decide_acyclic(&ctx, &decide, db).unwrap(),
-            brute_force_decide(&decide, db).unwrap()
-        );
-    };
-    check(&db);
-    let cold = catalog.snapshot();
-    assert_eq!((cold.misses, cold.artifacts), (3, 3), "one body entry, two edges");
-    let whole = join_index(&ctx, &decide, &db).unwrap();
-    assert!(Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
-    let (r12, r23) = (link(&db, "R1", "R2"), link(&db, "R2", "R3"));
-
-    db.get_mut("Log").unwrap().insert_row(&[1, 1]);
-    check(&db);
-    assert!(Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
-    assert!(Arc::ptr_eq(&r12, &link(&db, "R1", "R2")));
-    assert!(Arc::ptr_eq(&r23, &link(&db, "R2", "R3")));
-    assert_eq!(catalog.snapshot().misses, cold.misses, "a `Log` write builds nothing");
-
-    db.get_mut("R1").unwrap().insert_row(&[7, 7]);
-    check(&db);
-    assert!(!Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
-    assert!(!Arc::ptr_eq(&r12, &link(&db, "R1", "R2")));
-    assert!(Arc::ptr_eq(&r23, &link(&db, "R2", "R3")));
-    let rebuilt = catalog.snapshot();
-    assert_eq!(rebuilt.misses, cold.misses + 2, "the body entry and R1's edge");
-    assert_eq!(rebuilt.artifacts, 3, "rebuilt entries replace");
 }
 
 /// Diverging clones against one catalog: after `clone()` the two sides

@@ -5,11 +5,11 @@
 //! cold/warm/cancelled behaviour is pinned; per-module unit tests cover
 //! what is particular to one algorithm.
 
-use cq_engine::aggregate::{aggregate_acyclic_join, aggregate_generic, CountingSemiring};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_engine::{count, generic_join, triangle_query, yannakakis};
 use cq_engine::{AnswerStream, CancelToken, FreeConnexDirectAccess};
 use cq_lower_bounds::prelude::*;
+use cq_reductions::sum_order::SumOrderAccess;
 
 /// The query suite: one representative per dichotomy class.
 fn suite() -> Vec<ConjunctiveQuery> {
@@ -122,12 +122,6 @@ fn weight(v: Val) -> i64 {
     (v as i64 * 7) % 5
 }
 
-/// The weight of every tuple in the aggregation rows: at the counting
-/// semiring the aggregate is the answer count.
-fn unit(_atom: usize, _row: &[Val]) -> u128 {
-    1
-}
-
 fn decision_oracle(q: &ConjunctiveQuery, db: &Database) -> Out {
     Out::Decision(brute_force_decide(q, db).unwrap())
 }
@@ -173,8 +167,9 @@ fn planned(
         .execute(&plan, q, db)
 }
 
-/// Every public entry point of the engine, and the planner's three
-/// tasks on top of them.
+/// Every public entry point of the engine, the sum-order structures of
+/// `cq-reductions` on top of its operators, and the planner's three
+/// tasks.
 fn entry_points() -> Vec<EntryPoint> {
     use generic_join::default_order as order;
     vec![
@@ -230,33 +225,6 @@ fn entry_points() -> Vec<EntryPoint> {
             name: "count::count_free_connex",
             serves: free_connex,
             run: |ctx, q, db| count::count_free_connex(ctx, q, db).map(Out::Count),
-            oracle: count_oracle,
-        },
-        EntryPoint {
-            name: "count::free_join + count::count_dp",
-            serves: free_connex_with_output,
-            run: |ctx, q, db| match &*count::free_join(ctx, q, db, &mut false)? {
-                Some((msgs, tree)) => count::count_dp(ctx, msgs, tree).map(Out::Count),
-                None => Ok(Out::Count(0)),
-            },
-            oracle: count_oracle,
-        },
-        EntryPoint {
-            name: "aggregate::aggregate_acyclic_join",
-            serves: acyclic_join,
-            run: |ctx, q, db| {
-                let n = aggregate_acyclic_join(ctx, q, db, unit, &CountingSemiring)?;
-                Ok(Out::Count(n as u64))
-            },
-            oracle: count_oracle,
-        },
-        EntryPoint {
-            name: "aggregate::aggregate_generic",
-            serves: join_query,
-            run: |ctx, q, db| {
-                let n = aggregate_generic(ctx, q, db, unit, &CountingSemiring)?;
-                Ok(Out::Count(n as u64))
-            },
             oracle: count_oracle,
         },
         EntryPoint {
@@ -317,14 +285,6 @@ fn entry_points() -> Vec<EntryPoint> {
             serves: is_triangle,
             run: |ctx, _, db| {
                 triangle_query::decide_triangle_ayz(ctx, db, 3).map(Out::Decision)
-            },
-            oracle: decision_oracle,
-        },
-        EntryPoint {
-            name: "triangle_query::decide_triangle_generic",
-            serves: is_triangle,
-            run: |ctx, _, db| {
-                triangle_query::decide_triangle_generic(ctx, db).map(Out::Decision)
             },
             oracle: decision_oracle,
         },
@@ -534,21 +494,6 @@ fn builder_covers_all_trio_free_orders_of_paper_examples() {
             );
         }
         assert!(n_free > 0 && n_built == n_free, "{q}");
-    }
-}
-
-#[test]
-fn counting_via_semiring_crosscheck() {
-    for seed in 0..3u64 {
-        let db = random_db(seed, 30);
-        for q in [zoo::path_join(3), zoo::star_full(3)] {
-            let ctx = ExecCtx::cold();
-            assert_eq!(
-                aggregate_acyclic_join(&ctx, &q, &db, unit, &CountingSemiring).unwrap(),
-                u128::from(brute_force_count(&q, &db).unwrap()),
-                "{q} seed {seed}"
-            );
-        }
     }
 }
 

@@ -28,10 +28,11 @@
 # type in `index.rs`, intersected by portable safe Rust. And a view is its
 # trie: `SortedView` keeps no row copy of its own, the rows the reduced tree
 # reads by position are plain `Relation`s (no trait abstracts over the
-# two), and `Relation::normalize` is the one row sort. And one way the
-# engine uses a second core: generic join's `COUNT` hands morsels to
-# scoped helper threads while the busy gauge says a core is idle — no
-# detached thread, no other operator's private pool, no environment knob.
+# two), and `Relation::normalize` is the one row sort. And one way to use
+# a second core: generic join's `COUNT` hands morsels to scoped helper
+# threads while the busy gauge says a core is idle — no detached thread,
+# no other operator's private pool, no pool in the planner, no
+# environment knob.
 # And one liveness probe on the wire: the socket peek runs behind the gate
 # that spaces it by 100× its own cost. And one parse per statement: a
 # session parses a query text in its statement memo, and a reply is
@@ -41,6 +42,9 @@
 # a public engine function is an operator a caller outside the engine names
 # (or one of the few listed below, each with why), and an algorithm only a
 # lower-bound reduction drives lives beside that reduction in cq-reductions.
+# And one evaluation path: a `BATCH` item is parsed, planned, admitted and
+# executed like a statement of its own, so the planner keeps no batch entry
+# point and no budget or trace plumbing, and the engine no over-budget error.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -201,6 +205,12 @@ forbid "thread::scope outside generic_join.rs (the morsel loop is cq-engine's on
 forbid "environment reads in cq-engine (no hidden knob: idle cores decide):" "$(
     grep -rnE 'std::env|\benv::|\b(option_)?env!' crates/engine
 )"
+# ... and the planner spawns none: an operator reaches an idle core only
+# through those morsels
+forbid "threads in cq-planner (a second core is the engine's morsel loop's):" "$(
+    for f in crates/planner/src/*.rs; do non_test "$f"; done \
+        | grep -E 'thread::(scope|spawn|Builder)'
+)"
 
 # the allocating wrappers are for oracles and tests; the server's answer
 # path renders in place, so the `Vec<String>` pump cannot grow back
@@ -242,11 +252,10 @@ outside_fns() {
         match($0, /fn [A-Za-z0-9_]+[<(]/) { f = substr($0, RSTART + 3, RLENGTH - 4) }
         $0 ~ pat && f !~ allowed { print }'
 }
-# a session parses a query text once, in its statement memo; a `BATCH`
-# item is the one other parse (its items are planned as one batch)
-forbid "query parsing in the server module outside stmt.rs and BATCH items (parse through Statements::query):" "$(
-    server_module | grep -v '^crates/server/src/server/stmt.rs:' \
-        | outside_fns 'parse_query\(' 'parse_batch_item'
+# a session parses a query text once, in its statement memo — a `BATCH`
+# item's too
+forbid "query parsing in the server module outside stmt.rs (parse through Statements::query):" "$(
+    server_module | grep -v '^crates/server/src/server/stmt.rs:' | grep -F 'parse_query('
 )"
 # pipelined replies share a write: a reply reaches the socket in conn.rs
 # only through the helper that holds it while more requests are buffered
@@ -268,10 +277,17 @@ forbid "hypotheses attached in the planner (cq_core::classify::verdict decides):
 exactly_one "witness renderer (\`fn witness_text\`)" "$(
     grep -rnE 'fn witness_text\b' crates
 )"
-forbid "caller-less planner entry points (EvalCtx::batch_tasks, eval::catalog):" "$(
-    grep -rnE 'fn (with_catalog|catalog_for|registry|batch_tasks_with_workers|peek|clear|clear_cache)\b' \
+forbid "caller-less planner entry points (a catalog registry, cache clearing):" "$(
+    grep -rnE 'fn (with_catalog|catalog_for|registry|peek|clear|clear_cache)\b' \
         crates/planner/src/eval.rs crates/planner/src/planner.rs
     grep -rnE 'CatalogRegistry|CATALOG_REGISTRY_CAP' crates/planner/src
+)"
+# one evaluation path: a `BATCH` item runs down the statement path and the
+# server admits every plan, so the planner's batch pool, its budget and
+# trace plumbing and the engine's over-budget error stay deleted
+forbid "batch, budget or trace plumbing beside the statement path (a BATCH item is a statement; the server admits):" "$(
+    grep -rnE 'batch_tasks|fn batch\b|batch_workers|OverBudget|with_budget|with_trace|fn admit\b' \
+        crates src tests examples
 )"
 
 # a query's structure depends on its text alone: a session keeps it per

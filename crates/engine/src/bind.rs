@@ -31,10 +31,6 @@ pub enum EvalError {
     /// exceeded, external cancel, or a liveness probe reported the
     /// caller gone). Partial results are discarded.
     Cancelled,
-    /// Admission control refused the plan before execution: its
-    /// estimated cost breaks the caller's evaluation budget. The
-    /// message carries the violated cap.
-    OverBudget(String),
     /// The answer count does not fit the `u64` every counting surface
     /// reports (e.g. a five-way star over 10⁴-row relations sharing one
     /// hub value has 10²⁰ answers).
@@ -54,7 +50,6 @@ impl fmt::Display for EvalError {
             EvalError::NotJoinQuery => write!(f, "query is not a join query"),
             EvalError::Unsupported(s) => write!(f, "unsupported: {s}"),
             EvalError::Cancelled => write!(f, "evaluation cancelled before completion"),
-            EvalError::OverBudget(s) => write!(f, "over budget: {s}"),
             EvalError::CountOverflow => write!(f, "answer count exceeds u64"),
         }
     }

@@ -1,12 +1,13 @@
 //! Evaluation options as a value: [`EvalCtx`].
 //!
-//! An [`EvalCtx`] carries the options of an evaluation — index
-//! catalog, cancel token, admission budget, trace sink — and one method
-//! per task consumes it, so a new cross-cutting concern is a new field,
-//! not a new function suffix. Budget and trace are the planner's
-//! business (admission happens before execution, the sink is installed
-//! thread-locally around it); catalog and token are the operators', and
-//! reach them as the [`ExecCtx`] this type builds per execution.
+//! An [`EvalCtx`] carries the options of an evaluation — index catalog
+//! and cancel token — and one method per task consumes it, so a new
+//! cross-cutting concern is a new field, not a new function suffix. Both
+//! are the operators' business and reach them as the [`ExecCtx`] this
+//! type builds per execution. Admission is its caller's: the server
+//! checks [`EvalBudget::violation`] between planning and execution. A
+//! trace follows the thread: an execution records into whatever sink
+//! [`trace::with`] installed around it.
 //!
 //! ```
 //! use cq_planner::EvalCtx;
@@ -30,9 +31,7 @@ use cq_core::ConjunctiveQuery;
 use cq_data::{Database, IndexCatalog, Relation};
 use cq_engine::bind::EvalError;
 use cq_engine::{CancelToken, ExecCtx};
-use cq_obs::trace::{self, TraceSink};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use cq_obs::trace;
 
 /// Admission-control caps on a plan's estimated cost, checked between
 /// planning and execution. `None` fields are uncapped; the default is
@@ -50,11 +49,6 @@ pub struct EvalBudget {
 }
 
 impl EvalBudget {
-    /// No caps — every plan is admitted.
-    pub fn unlimited() -> EvalBudget {
-        EvalBudget::default()
-    }
-
     /// Does `plan` break this budget? Returns the human-readable
     /// reason. The epsilon keeps a budget set to exactly a plan's
     /// exponent from rejecting it over float noise.
@@ -81,20 +75,18 @@ impl EvalBudget {
 }
 
 /// The options of one evaluation, as a value: which [`IndexCatalog`]
-/// to run warm against, the [`CancelToken`] bounding it, and the
-/// [`EvalBudget`] admitting its plan. Build one with [`EvalCtx::new`]
-/// and the `with_*` setters, then call a task method.
+/// to run warm against and the [`CancelToken`] bounding it. Build one
+/// with [`EvalCtx::new`] and the `with_*` setters, then call a task
+/// method.
 ///
 /// Defaults: no explicit catalog (task methods fall back to the
 /// process-wide [`eval::catalog`], [`EvalCtx::execute`] to a throwaway
 /// cold catalog — exactly the defaults of the suffix-free facade
-/// functions), a never-tripping token, and no budget.
+/// functions) and a never-tripping token.
 #[derive(Clone)]
 pub struct EvalCtx<'a> {
     catalog: Option<&'a IndexCatalog>,
     cancel: CancelToken,
-    budget: EvalBudget,
-    trace: TraceSink,
 }
 
 impl Default for EvalCtx<'_> {
@@ -104,29 +96,15 @@ impl Default for EvalCtx<'_> {
 }
 
 impl<'a> EvalCtx<'a> {
-    /// The default context: process-wide catalog, never cancelled, no
-    /// budget.
+    /// The default context: process-wide catalog, never cancelled.
     pub fn new() -> EvalCtx<'static> {
-        EvalCtx {
-            catalog: None,
-            cancel: CancelToken::never(),
-            budget: EvalBudget::unlimited(),
-            // inherit whatever sink the caller's scope has installed
-            // (disabled outside any `trace::with`), so a session-level
-            // profiling sink reaches evaluation without plumbing
-            trace: trace::current(),
-        }
+        EvalCtx { catalog: None, cancel: CancelToken::never() }
     }
 
     /// Run against an explicit catalog (e.g. one pinned per server
     /// tenant) instead of the process-wide one.
     pub fn with_catalog<'b>(self, catalog: &'b IndexCatalog) -> EvalCtx<'b> {
-        EvalCtx {
-            catalog: Some(catalog),
-            cancel: self.cancel,
-            budget: self.budget,
-            trace: self.trace,
-        }
+        EvalCtx { catalog: Some(catalog), cancel: self.cancel }
     }
 
     /// Bound the evaluation by `cancel`: a tripped deadline or probe
@@ -136,69 +114,32 @@ impl<'a> EvalCtx<'a> {
         self
     }
 
-    /// Admission-check plans against `budget` before executing them;
-    /// an over-budget plan fails with [`EvalError::OverBudget`] without
-    /// doing any evaluation work.
-    pub fn with_budget(mut self, budget: EvalBudget) -> EvalCtx<'a> {
-        self.budget = budget;
-        self
-    }
-
-    /// Record execution into `trace`: the executor opens a root
-    /// `execute` span (catalog hits vs. builds, cancel polls, rows)
-    /// and installs the sink as the thread-current one for the
-    /// duration, so operator, stream, and WAL spans land in the same
-    /// trace with no signature changes anywhere below. A disabled
-    /// sink (the default) short-circuits to the untraced path.
-    pub fn with_trace(mut self, trace: TraceSink) -> EvalCtx<'a> {
-        self.trace = trace;
-        self
-    }
-
     /// The context's cancel token (shared with every clone).
     pub fn cancel(&self) -> &CancelToken {
         &self.cancel
     }
 
-    /// The context's admission budget.
-    pub fn budget(&self) -> EvalBudget {
-        self.budget
-    }
-
-    /// Admit `plan` against the context's budget: `Err` carries the
-    /// violation reason. Exposed for callers (like the server) that
-    /// render their own refusal message around the reason.
-    pub fn admit(&self, plan: &QueryPlan) -> Result<(), String> {
-        match self.budget.violation(plan) {
-            Some(reason) => Err(reason),
-            None => Ok(()),
-        }
-    }
-
     /// Execute an already-made `plan` under this context's options.
     /// With no explicit catalog this is the *cold* path (a throwaway
-    /// catalog, like [`execute`](crate::execute::execute)); the budget
-    /// still admission-checks the plan.
+    /// catalog, like [`execute`](crate::execute::execute)).
     pub fn execute(
         &self,
         plan: &QueryPlan,
         q: &ConjunctiveQuery,
         db: &Database,
     ) -> Result<Output, EvalError> {
-        self.admit(plan).map_err(EvalError::OverBudget)?;
         match self.catalog {
             Some(cat) => self.execute_traced(plan, q, db, cat),
             None => self.execute_traced(plan, q, db, &IndexCatalog::new()),
         }
     }
 
-    /// [`execute_in`] against `catalog` and this context's token, under
-    /// its trace sink: a no-op passthrough when tracing is off;
-    /// otherwise the sink is installed thread-locally around the call
-    /// and a root `execute` span records catalog hits vs. builds,
-    /// cancel polls (helper threads' included: [`ExecCtx::polls`]), and
-    /// the result cardinality (streamed answers record their own rows as
-    /// they drain).
+    /// [`execute_in`] against `catalog` and this context's token: a
+    /// passthrough unless the thread's trace sink is enabled; then a
+    /// root `execute` span records catalog hits vs. builds, cancel polls
+    /// (helper threads' included: [`ExecCtx::polls`]), and the result
+    /// cardinality (streamed answers record their own rows as they
+    /// drain).
     fn execute_traced(
         &self,
         plan: &QueryPlan,
@@ -207,24 +148,22 @@ impl<'a> EvalCtx<'a> {
         catalog: &IndexCatalog,
     ) -> Result<Output, EvalError> {
         let exec = ExecCtx::new(catalog, &self.cancel);
-        if !self.trace.is_enabled() {
+        if !trace::current().is_enabled() {
             return execute_in(&exec, plan, q, db);
         }
-        trace::with(&self.trace, || {
-            let mut span = trace::span("execute");
-            let before = catalog.snapshot();
-            let out = execute_in(&exec, plan, q, db);
-            let after = catalog.snapshot();
-            span.attr("catalog-hits", after.hits.saturating_sub(before.hits));
-            span.attr("catalog-builds", after.misses.saturating_sub(before.misses));
-            span.attr("cancel-polls", exec.polls());
-            match &out {
-                Ok(Output::Count(n)) => span.attr("rows", *n),
-                Ok(Output::Decision(d)) => span.attr("rows", u64::from(*d)),
-                _ => {}
-            }
-            out
-        })
+        let mut span = trace::span("execute");
+        let before = catalog.snapshot();
+        let out = execute_in(&exec, plan, q, db);
+        let after = catalog.snapshot();
+        span.attr("catalog-hits", after.hits.saturating_sub(before.hits));
+        span.attr("catalog-builds", after.misses.saturating_sub(before.misses));
+        span.attr("cancel-polls", exec.polls());
+        match &out {
+            Ok(Output::Count(n)) => span.attr("rows", *n),
+            Ok(Output::Decision(d)) => span.attr("rows", u64::from(*d)),
+            _ => {}
+        }
+        out
     }
 
     /// The catalog task methods run against: the explicit one, or the
@@ -275,71 +214,9 @@ impl<'a> EvalCtx<'a> {
         task: Task,
     ) -> Result<(Output, QueryPlan), EvalError> {
         let catalog = self.resolve_catalog();
-        let stats = catalog.stats(db);
-        let plan = Planner::new().plan(q, task, &stats);
-        self.admit(&plan).map_err(EvalError::OverBudget)?;
+        let plan = Planner::new().plan(q, task, &catalog.stats(db));
         let out = self.execute_traced(&plan, q, db, catalog)?;
         Ok((out, plan))
-    }
-
-    /// Evaluate a batch of independent `(query, task)` items over one
-    /// database in parallel under this context: one shared catalog,
-    /// every item planned up front, then up to `workers` threads pulling
-    /// items off a shared cursor. Results come back in input order, each
-    /// with the plan that ran; over-budget items fail individually with
-    /// [`EvalError::OverBudget`]. The calling thread is one of the
-    /// workers and polls the context's token; the others poll
-    /// [`CancelToken::sibling`]s of it, so one flag and one deadline
-    /// bound the whole batch and only the calling thread runs the probe.
-    pub fn batch_tasks<'q>(
-        &self,
-        items: impl IntoIterator<Item = (&'q ConjunctiveQuery, Task)>,
-        db: &Database,
-        workers: usize,
-    ) -> Vec<Result<(Output, QueryPlan), EvalError>> {
-        let items: Vec<(&ConjunctiveQuery, Task)> = items.into_iter().collect();
-        if items.is_empty() {
-            return Vec::new();
-        }
-        let catalog = self.resolve_catalog();
-        let stats = catalog.stats(db);
-        let plans: Vec<QueryPlan> =
-            items.iter().map(|(q, task)| Planner::new().plan(q, *task, &stats)).collect();
-
-        // work-stealing over a shared cursor: homogeneous batches split
-        // evenly, skewed ones keep every worker busy until the end.
-        // execute_traced installs the sink per call, so worker threads
-        // (which do not inherit the session thread's trace TLS) still
-        // record into the shared trace
-        let results: Vec<OnceLock<Result<(Output, QueryPlan), EvalError>>> =
-            (0..items.len()).map(|_| OnceLock::new()).collect();
-        let cursor = AtomicUsize::new(0);
-        let work = |ctx: &EvalCtx| loop {
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(&(q, _)) = items.get(i) else { break };
-            let plan = &plans[i];
-            let result = ctx
-                .admit(plan)
-                .map_err(EvalError::OverBudget)
-                .and_then(|()| ctx.execute_traced(plan, q, db, catalog))
-                .map(|out| (out, plan.clone()));
-            let filled = results[i].set(result);
-            debug_assert!(filled.is_ok(), "cursor indices are claimed once");
-        };
-        std::thread::scope(|s| {
-            // the calling thread is a worker too, and the only one that
-            // runs the token's probe: the others poll siblings of it
-            for _ in 1..workers.min(items.len()) {
-                s.spawn(|| {
-                    work(&EvalCtx { cancel: self.cancel.sibling(), ..self.clone() })
-                });
-            }
-            work(self);
-        });
-        results
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every index was claimed by a worker"))
-            .collect()
     }
 }
 
@@ -348,6 +225,7 @@ mod tests {
     use super::*;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, random_pairs, seeded_rng, triangle_database};
+    use cq_obs::trace::TraceSink;
 
     #[test]
     fn task_methods_agree_with_the_facade() {
@@ -364,42 +242,6 @@ mod tests {
         assert_eq!(dec, want > 0);
         let (rel, _) = ctx.answers(&q, &db).unwrap();
         assert_eq!(rel.len() as u64, n);
-    }
-
-    #[test]
-    fn budget_rejects_before_execution() {
-        let db = path_database(2, 20, &mut seeded_rng(32));
-        let q = zoo::path_join(2);
-        let catalog = IndexCatalog::new();
-        let tight = EvalBudget { max_exponent: Some(0.0), max_rows: None };
-        let ctx = EvalCtx::new().with_catalog(&catalog).with_budget(tight);
-        // warm the stats memo so the only remaining misses would be
-        // execution artifacts (indexes, reduced trees)
-        let _ = catalog.stats(&db);
-        let misses_before = catalog.snapshot().misses;
-        let err = ctx.count(&q, &db).unwrap_err();
-        match err {
-            EvalError::OverBudget(reason) => {
-                assert!(reason.contains("MAX-EXPONENT"), "{reason}");
-            }
-            other => panic!("expected OverBudget, got {other:?}"),
-        }
-        // nothing was built: admission happened before any execution
-        assert_eq!(catalog.snapshot().misses, misses_before);
-        // lifting the budget admits the same query
-        let ctx = ctx.with_budget(EvalBudget::unlimited());
-        assert!(ctx.count(&q, &db).is_ok());
-    }
-
-    #[test]
-    fn batch_budget_fails_items_individually() {
-        let db = path_database(2, 20, &mut seeded_rng(33));
-        let q = zoo::path_join(2);
-        let catalog = IndexCatalog::new();
-        let tight = EvalBudget { max_exponent: Some(0.0), max_rows: None };
-        let ctx = EvalCtx::new().with_catalog(&catalog).with_budget(tight);
-        let results = ctx.batch_tasks(vec![(&q, Task::Count)], &db, 2);
-        assert!(matches!(results[0], Err(EvalError::OverBudget(_))));
     }
 
     #[test]
@@ -433,8 +275,8 @@ mod tests {
         // (the token's polls, the root span's, the operator span's)
         let polls = || {
             let sink = TraceSink::enabled();
-            let ctx = EvalCtx::new().with_catalog(&catalog).with_trace(sink.clone());
-            ctx.count(&q, &db).unwrap();
+            let ctx = EvalCtx::new().with_catalog(&catalog);
+            trace::with(&sink, || ctx.count(&q, &db)).unwrap();
             let (mut root, mut op) = (None, None);
             sink.finish("test", "count").expect("enabled").visit(|_, span| {
                 match span.name.as_str() {

@@ -18,15 +18,13 @@
 //!
 //! The facade is **concurrency-ready**: the catalog locks internally
 //! per lookup and no lock is held across an execution, so any number of
-//! threads can evaluate against one shared database simultaneously
-//! ([`batch`] does exactly that).
+//! threads can evaluate against one shared database simultaneously.
 //!
 //! For catalog-controlled workflows (benchmarks, servers with per-tenant
-//! catalogs) build an [`EvalCtx`] with an explicit [`IndexCatalog`],
-//! cancel token, and/or budget, and call its task methods.
+//! catalogs) build an [`EvalCtx`] with an explicit [`IndexCatalog`]
+//! and/or cancel token, and call its task methods.
 
 use crate::ctx::EvalCtx;
-use crate::execute::Output;
 use crate::ir::{QueryPlan, Task};
 use crate::planner::Planner;
 use cq_core::ConjunctiveQuery;
@@ -78,38 +76,6 @@ pub fn answers(
 pub fn explain(q: &ConjunctiveQuery, db: &Database, task: Task) -> String {
     let p = plan(q, db, task);
     crate::explain::render(&p, q)
-}
-
-/// Evaluate a batch of independent queries' answers over one database,
-/// in parallel: one shared [`IndexCatalog`] (the process-wide one, so
-/// the batch both profits from and feeds the warm path), every item
-/// planned up front, then [`std::thread::scope`] workers pulling queries
-/// off a shared cursor.
-/// Results come back in input order, each with the plan that ran.
-pub fn batch(
-    queries: &[ConjunctiveQuery],
-    db: &Database,
-) -> Vec<Result<(Relation, QueryPlan), EvalError>> {
-    batch_tasks(queries.iter().map(|q| (q, Task::Answers)), db)
-        .into_iter()
-        .map(|r| {
-            r.and_then(|(out, plan)| match out {
-                Output::Answers(a) => Ok((a.collect()?, plan)),
-                other => unreachable!("answers plan yielded {other:?}"),
-            })
-        })
-        .collect()
-}
-
-/// [`batch`] for mixed tasks: each item is a query plus the task to
-/// run it under ([`Task::Access`] items yield a seekable
-/// [`Output::Answers`] stream over the built structure).
-pub fn batch_tasks<'q>(
-    items: impl IntoIterator<Item = (&'q ConjunctiveQuery, Task)>,
-    db: &Database,
-) -> Vec<Result<(Output, QueryPlan), EvalError>> {
-    let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    EvalCtx::new().batch_tasks(items, db, workers)
 }
 
 /// What `f` builds in the process-wide catalog. Its counters are
@@ -213,100 +179,5 @@ mod tests {
         let q = zoo::path_boolean(2);
         let (rel, _) = answers(&q, &db).unwrap();
         assert_eq!(rel.len(), usize::from(brute_force_decide(&q, &db).unwrap()));
-    }
-
-    #[test]
-    fn batch_matches_sequential_evaluation() {
-        let db = path_database(3, 40, &mut seeded_rng(21));
-        let q = zoo::path_join(3);
-        let queries: Vec<_> = (0..12).map(|_| q.clone()).collect();
-        let (want, _) = answers(&q, &db).unwrap();
-        for r in batch(&queries, &db) {
-            let (rel, plan) = r.unwrap();
-            assert_eq!(rel, want);
-            assert_eq!(plan.query, q.to_string());
-        }
-        // empty batch is fine
-        assert!(batch(&[], &db).is_empty());
-    }
-
-    #[test]
-    fn batch_tasks_mixes_tasks_and_propagates_errors() {
-        let db = path_database(3, 35, &mut seeded_rng(22));
-        let qj = zoo::path_join(3);
-        let qb = zoo::path_boolean(3);
-        let items = vec![(&qj, Task::Answers), (&qj, Task::Count), (&qb, Task::Decide)];
-        let results = batch_tasks(items, &db);
-        assert_eq!(results.len(), 3);
-        let (want_ans, _) = answers(&qj, &db).unwrap();
-        let (want_count, _) = count(&qj, &db).unwrap();
-        let (want_dec, _) = decide(&qb, &db).unwrap();
-        let mut results = results.into_iter();
-        match results.next().unwrap().unwrap().0 {
-            Output::Answers(a) => assert_eq!(a.collect().unwrap(), want_ans),
-            other => panic!("answers item yielded {other:?}"),
-        }
-        assert_eq!(results.next().unwrap().unwrap().0.as_count(), Some(want_count));
-        assert_eq!(results.next().unwrap().unwrap().0.as_decision(), Some(want_dec));
-        // per-item errors: a query over a missing relation fails alone
-        let missing = cq_core::parse_query("q(x, y) :- Nope(x, y)").unwrap();
-        let items = vec![(&qj, Task::Answers), (&missing, Task::Decide)];
-        let results = batch_tasks(items, &db);
-        assert!(results[0].is_ok());
-        assert!(matches!(results[1], Err(EvalError::MissingRelation(_))));
-        // Task::Access executes to a seekable stream over the built
-        // structure
-        let items = vec![(&qj, Task::Access)];
-        let results = EvalCtx::new().batch_tasks(items, &db, 1);
-        match results.into_iter().next().unwrap().unwrap().0 {
-            Output::Answers(mut a) => {
-                assert!(a.can_seek());
-                a.seek(0).unwrap();
-                assert_eq!(a.collect().unwrap(), want_ans);
-            }
-            other => panic!("access item yielded {other:?}"),
-        }
-    }
-
-    #[test]
-    fn batch_with_explicit_catalog_feeds_that_catalog() {
-        let db = path_database(3, 30, &mut seeded_rng(24));
-        let q = zoo::path_join(3);
-        let catalog = IndexCatalog::new();
-        let ctx = EvalCtx::new().with_catalog(&catalog);
-        let items: Vec<_> = (0..6).map(|_| (&q, Task::Answers)).collect();
-        let results = ctx.batch_tasks(items.clone(), &db, 4);
-        let (want, _) = answers(&q, &db).unwrap();
-        for r in results {
-            match r.unwrap().0 {
-                Output::Answers(a) => assert_eq!(a.collect().unwrap(), want),
-                other => panic!("answers item yielded {other:?}"),
-            }
-        }
-        let snap = catalog.snapshot();
-        assert!(snap.misses > 0, "the batch must build into the explicit catalog");
-        // a second batch on the same catalog is all-warm: no new builds
-        let misses_before = snap.misses;
-        let _ = ctx.batch_tasks(items, &db, 4);
-        assert_eq!(catalog.snapshot().misses, misses_before, "second batch is warm");
-    }
-
-    #[test]
-    fn batch_scales_across_worker_counts() {
-        // same results whatever the parallelism (including inline)
-        let db = path_database(2, 30, &mut seeded_rng(23));
-        let q = zoo::path_join(2);
-        let items: Vec<_> = (0..9).map(|_| (&q, Task::Count)).collect();
-        let want = EvalCtx::new().batch_tasks(items.clone(), &db, 1);
-        for workers in [2, 4, 16] {
-            let got = EvalCtx::new().batch_tasks(items.clone(), &db, workers);
-            assert_eq!(got.len(), want.len());
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(
-                    g.as_ref().unwrap().0.as_count(),
-                    w.as_ref().unwrap().0.as_count()
-                );
-            }
-        }
     }
 }

@@ -84,7 +84,7 @@ pub fn rejection_citation(plan: &QueryPlan) -> String {
 /// Render `plan` as a human-readable EXPLAIN block.
 pub fn render(plan: &QueryPlan, q: &ConjunctiveQuery) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "PLAN for {}", plan.query);
+    let _ = writeln!(out, "PLAN for {q}");
     let _ = writeln!(out, "  task:        {}", plan.task);
     match plan.op.order() {
         Some(order) if !matches!(plan.op, PlanOp::TrivialEmpty) => {

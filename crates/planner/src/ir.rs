@@ -145,8 +145,6 @@ pub struct QueryPlan {
     /// Why nothing asymptotically faster exists (or why that is open):
     /// `cq_core::classify::verdict` for this query and task.
     pub lower_bound: Verdict,
-    /// Rendered query text (for EXPLAIN and diagnostics).
-    pub query: String,
 }
 
 impl QueryPlan {

@@ -26,8 +26,9 @@
 //!   hypothesis ruling out anything faster.
 //! * [`eval`] — the one-call facade (`decide` / `count` / `answers` /
 //!   `explain`) used by the facade crate and the examples.
-//! * [`ctx`] — [`EvalCtx`], the options struct (catalog, cancel token,
-//!   budget, trace) behind the facade.
+//! * [`ctx`] — [`EvalCtx`], the options struct (catalog, cancel token)
+//!   behind the facade, and [`EvalBudget`], the caps a caller admits a
+//!   plan against.
 //!
 //! ## Example
 //!

@@ -72,14 +72,7 @@ impl Planner {
                 CostEstimate { m, exponent: structure.agm_exponent.unwrap_or(2.0) },
             )
         };
-        QueryPlan {
-            task: Task::Access,
-            op,
-            algorithm_reference,
-            cost,
-            lower_bound,
-            query: q.to_string(),
-        }
+        QueryPlan { task: Task::Access, op, algorithm_reference, cost, lower_bound }
     }
 }
 
@@ -157,7 +150,6 @@ pub fn choose(
         algorithm_reference,
         cost: CostEstimate { m, exponent },
         lower_bound,
-        query: q.to_string(),
     };
 
     // Data-driven short-circuit: an empty body relation empties q(D).

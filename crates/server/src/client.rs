@@ -97,7 +97,7 @@ impl Client {
 
     /// Run a `BATCH` block of `DECIDE|COUNT|ANSWERS <query>` items.
     /// Returns the completion reply with one data line per item.
-    pub fn batch(
+    pub fn run_batch(
         &mut self,
         items: impl IntoIterator<Item = impl AsRef<str>>,
     ) -> std::io::Result<Reply> {

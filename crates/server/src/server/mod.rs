@@ -32,9 +32,9 @@
 //! unchanged tenant skips parsing and planning, a repeated text after a
 //! write skips the structure pass (the witness search above all), and a
 //! repeated query skips every index build. No lock is shared between
-//! sessions for planning. `BATCH` blocks additionally fan out over
-//! `EvalCtx::batch_tasks` — the pinned catalog shared by the whole
-//! batch, every item planned up front.
+//! sessions for planning. A `BATCH` block runs its items the same way,
+//! one after another on the session's thread, under one tenant read
+//! lock.
 //!
 //! Answers leave as bytes. A streamed `ANSWERS` is drained by one pump
 //! (behind [`Session::drain_flow`]) that renders each row in place into

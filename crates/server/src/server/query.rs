@@ -10,12 +10,12 @@ use crate::protocol::{
     query_task, render_row_into, split_word, ErrKind, Reply, DATA_PREFIX, END_KEYWORD,
 };
 use crate::state::Tenant;
-use cq_core::{parse_query, ConjunctiveQuery};
-use cq_data::{Database, Val};
+use cq_core::ConjunctiveQuery;
+use cq_data::{Database, IndexCatalog, Val};
 use cq_engine::{CancelToken, EvalError};
 use cq_obs::trace::{self, TraceSink};
 use cq_obs::SlowQuery;
-use cq_planner::{execute::Answers, EvalCtx, Output, Planner, QueryPlan, Task};
+use cq_planner::{execute::Answers, EvalCtx, Output, QueryPlan, Task};
 use std::io::Write;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -60,20 +60,19 @@ pub(super) struct Watch {
 }
 
 impl Watch {
-    /// The reply for a failed evaluation. A cancellation is judged
-    /// here, at the moment it surfaces: past the tenant's deadline it
-    /// was the deadline (counted in `timeouts`), otherwise the client
-    /// went away (`cancellations`). A deadline trip cites the plan's
-    /// cost exponent and the lower-bound hypothesis that makes the
-    /// cost unavoidable (the same citation as a budget rejection); a
-    /// `BATCH` item has no single plan to cite and says so briefly.
+    /// The reply for a failed evaluation of `plan`. A cancellation is
+    /// judged here, at the moment it surfaces: past the tenant's
+    /// deadline it was the deadline (counted in `timeouts`), otherwise
+    /// the client went away (`cancellations`). A deadline trip cites the
+    /// plan's cost exponent and the lower-bound hypothesis that makes
+    /// the cost unavoidable (the same citation as a budget rejection).
     /// Anything else the engine reports is `ERR eval`.
     pub(super) fn failure(
         &self,
         e: EvalError,
         sm: &mut SessionMetrics,
         db: &str,
-        plan: Option<&QueryPlan>,
+        plan: &QueryPlan,
     ) -> Reply {
         if e != EvalError::Cancelled {
             return Reply::err(ErrKind::Eval, e);
@@ -81,23 +80,20 @@ impl Watch {
         let timed_out = self.deadline.is_some_and(|d| Instant::now() >= d);
         sm.count(db, if timed_out { "timeouts" } else { "cancellations" });
         let elapsed = self.started.elapsed().as_millis();
-        let msg = match (timed_out, plan) {
-            (true, Some(plan)) => format!(
+        let msg = if timed_out {
+            format!(
                 "evaluation exceeded the {} ms deadline after {elapsed} ms; plan cost \
                  m^{:.2} — consistent with: {}",
                 self.timeout.map_or(0, |t| t.as_millis()),
                 plan.cost.exponent,
                 cq_planner::explain::rejection_citation(plan)
-            ),
-            (true, None) => {
-                "batch exceeded the tenant's SET TIMEOUT deadline".to_string()
-            }
-            (false, Some(plan)) => format!(
+            )
+        } else {
+            format!(
                 "evaluation cancelled after {elapsed} ms (client disconnected); plan \
                  cost m^{:.2}",
                 plan.cost.exponent
-            ),
-            (false, None) => "evaluation cancelled (client disconnected)".to_string(),
+            )
         };
         Reply::err(ErrKind::Timeout, msg)
     }
@@ -156,10 +152,11 @@ pub struct AnswerFlow {
     query: String,
 }
 
-/// One item of an open `BATCH` block: a parsed query or the per-item
-/// error that will be reported at `END`.
+/// One item of an open `BATCH` block: a task and its query text, parsed
+/// when the block runs, or the per-item error that will be reported at
+/// `END`.
 pub(super) enum BatchItem {
-    Task(Task, ConjunctiveQuery),
+    Task(Task, String),
     Bad(Reply),
 }
 
@@ -240,7 +237,7 @@ impl Session {
         let result = match outcome {
             Ok(Ok(())) => Ok(Reply::ok(format!("{served} rows"))),
             Ok(Err(e)) => {
-                Ok(flow.watch.failure(e, &mut self.metrics, &flow.db, Some(&flow.plan)))
+                Ok(flow.watch.failure(e, &mut self.metrics, &flow.db, &flow.plan))
             }
             Err(io) => {
                 // the client hung up mid-drain: nobody reads a terminal
@@ -357,13 +354,9 @@ impl Session {
         }
     }
 
-    /// Plan (through the statement memo), admission-check, and execute
-    /// one query under the tenant's read lock. `Err` is the finished
-    /// error reply (budget, timeout, eval); `Ok` carries the output — for `ANSWERS`/`ACCESS` a
-    /// pull-driven stream whose artifacts outlive the lock — the plan
-    /// that produced it, and `pin` of the database it ran against
-    /// (taken under the same lock, so a cursor pins exactly the state
-    /// its stream was built on).
+    /// [`Session::execute_locked`] under the tenant's read lock, plus
+    /// `pin` of the database it ran against (taken under the same lock,
+    /// so a cursor pins exactly the state its stream was built on).
     fn plan_and_execute<P>(
         &mut self,
         tenant: &Tenant,
@@ -373,48 +366,65 @@ impl Session {
         watch: &Watch,
         pin: impl FnOnce(&Database) -> P,
     ) -> Result<(Output, QueryPlan, P), Reply> {
-        let sm = &mut self.metrics;
-        let statements = &mut self.statements;
         tenant.read(|db, catalog| {
-            let plan = statements.plan(src, task, &catalog.stats(db));
-            // admission control: reject over-budget plans before any
-            // execution work, citing the lower bound that justifies it
-            let ctx = EvalCtx::new()
-                .with_catalog(catalog)
-                .with_cancel(watch.token.clone())
-                .with_budget(tenant.budget());
-            if let Err(reason) = ctx.admit(&plan) {
-                sm.count(tenant.name(), "budget.rejections");
-                return Err(budget_reply(&reason, &plan));
-            }
-            let start = Instant::now();
-            let result = ctx.execute(&plan, q, db);
-            let elapsed = start.elapsed();
-            sm.record_op(tenant.name(), plan.op.name(), elapsed);
-            let slowlog = sm.shared().slowlog();
-            if slowlog.should_record(elapsed) {
-                // peek (non-draining) at the in-flight trace: the
-                // session-level sink closes after this, and the log
-                // wants the three most expensive spans so far
-                let top_spans = trace::current()
-                    .snapshot(tenant.name(), src)
-                    .map(|t| t.top_spans(3))
-                    .unwrap_or_default();
-                slowlog.push(SlowQuery {
-                    db: tenant.name().to_string(),
-                    query: src.to_string(),
-                    plan_op: plan.op.name().to_string(),
-                    exponent: plan.cost.exponent,
-                    elapsed,
-                    generation: db.generation(),
-                    top_spans,
-                });
-            }
-            match result {
-                Ok(out) => Ok((out, plan, pin(db))),
-                Err(e) => Err(watch.failure(e, sm, tenant.name(), Some(&plan))),
-            }
+            let (out, plan) =
+                self.execute_locked(tenant, (db, catalog), task, src, q, watch)?;
+            Ok((out, plan, pin(db)))
         })
+    }
+
+    /// Plan the statement `src`, parsed as `q`, through the statement
+    /// memo, admit the plan against the tenant's budget, and execute it
+    /// on `db` and `catalog`, which the caller holds under the tenant's
+    /// read lock. `Err` is the finished error reply (budget, timeout,
+    /// eval); `Ok` carries the output — for `ANSWERS`/`ACCESS` a
+    /// pull-driven stream whose artifacts outlive the lock — and the
+    /// plan that produced it.
+    fn execute_locked(
+        &mut self,
+        tenant: &Tenant,
+        (db, catalog): (&Database, &IndexCatalog),
+        task: Task,
+        src: &str,
+        q: &ConjunctiveQuery,
+        watch: &Watch,
+    ) -> Result<(Output, QueryPlan), Reply> {
+        let plan = self.statements.plan(src, task, &catalog.stats(db));
+        // admission control: reject over-budget plans before any
+        // execution work, citing the lower bound that justifies it
+        if let Some(reason) = tenant.budget().violation(&plan) {
+            self.metrics.count(tenant.name(), "budget.rejections");
+            return Err(budget_reply(&reason, &plan));
+        }
+        let ctx = EvalCtx::new().with_catalog(catalog).with_cancel(watch.token.clone());
+        let start = Instant::now();
+        let result = ctx.execute(&plan, q, db);
+        let elapsed = start.elapsed();
+        let sm = &mut self.metrics;
+        sm.record_op(tenant.name(), plan.op.name(), elapsed);
+        let slowlog = sm.shared().slowlog();
+        if slowlog.should_record(elapsed) {
+            // peek (non-draining) at the in-flight trace: the
+            // session-level sink closes after this, and the log
+            // wants the three most expensive spans so far
+            let top_spans = trace::current()
+                .snapshot(tenant.name(), src)
+                .map(|t| t.top_spans(3))
+                .unwrap_or_default();
+            slowlog.push(SlowQuery {
+                db: tenant.name().to_string(),
+                query: src.to_string(),
+                plan_op: plan.op.name().to_string(),
+                exponent: plan.cost.exponent,
+                elapsed,
+                generation: db.generation(),
+                top_spans,
+            });
+        }
+        match result {
+            Ok(out) => Ok((out, plan)),
+            Err(e) => Err(watch.failure(e, sm, tenant.name(), &plan)),
+        }
     }
 
     /// `CURSOR ANSWERS|ACCESS <query>`: plan and execute like a query,
@@ -512,8 +522,8 @@ impl Session {
                 Ok(Reply::ok_with(data, info))
             }
             Err(e) => {
-                let plan = Some(&entry.plan);
-                let terminal = watch.failure(e, &mut self.metrics, tenant.name(), plan);
+                let terminal =
+                    watch.failure(e, &mut self.metrics, tenant.name(), &entry.plan);
                 Err(Reply { data, terminal: terminal.terminal })
             }
         }
@@ -581,7 +591,7 @@ impl Session {
             Output::Answers(mut answers) => {
                 let mut n: u64 = 0;
                 pull_rows(&mut answers, u64::MAX, |_| n += 1).map_err(|e| {
-                    watch.failure(e, &mut self.metrics, tenant.name(), Some(&plan))
+                    watch.failure(e, &mut self.metrics, tenant.name(), &plan)
                 })?;
                 n
             }
@@ -636,56 +646,48 @@ impl Session {
     fn finish_batch(&mut self, items: Vec<BatchItem>) -> Handled {
         let tenant = self.regate("batch")?;
         let n = items.len();
-        // one shared token: the tenant's deadline covers the batch as
-        // a whole, and a client disconnect cancels every worker
+        // one watch: the tenant's deadline covers the batch as a whole.
+        // One read lock: every item sees the same database state
         let watch = self.watch(&tenant);
-        let sm = &mut self.metrics;
         tenant.read(|db, catalog| {
-            // one shared catalog (the tenant's pinned one, so the batch
-            // both profits from and feeds the tenant's warm indexes) +
-            // one planner pass for the whole batch, workers pulling
-            // items off a shared cursor
-            let good = items.iter().filter_map(|i| match i {
-                BatchItem::Task(t, q) => Some((q, *t)),
-                BatchItem::Bad(_) => None,
-            });
-            let mut results = EvalCtx::new()
-                .with_catalog(catalog)
-                .with_cancel(watch.token.clone())
-                .with_budget(tenant.budget())
-                .batch_tasks(good, db, self.batch_workers)
-                .into_iter();
-            let mut item_line = |item: &BatchItem| match item {
-                BatchItem::Bad(reply) => reply.terminal.clone(),
-                BatchItem::Task(task, q) => results
-                    .next()
-                    .expect("one result per parsed item")
-                    .and_then(|(out, _plan)| match out {
-                        // ANSWERS items enumerate here, at collect time,
-                        // so the deadline can also trip mid-drain
-                        Output::Answers(a) => {
-                            a.collect().map(|rel| format!("OK {} rows", rel.len()))
-                        }
-                        out => Ok(render_output(out).terminal),
-                    })
-                    .unwrap_or_else(|e| match e {
-                        // admission control is per item; the plan is
-                        // re-derived for its citation
-                        EvalError::OverBudget(reason) => {
-                            sm.count(tenant.name(), "budget.rejections");
-                            let plan = Planner::new().plan(q, *task, &catalog.stats(db));
-                            budget_reply(&reason, &plan).terminal
-                        }
-                        e => watch.failure(e, sm, tenant.name(), None).terminal,
-                    }),
-            };
-            let data = items
-                .iter()
-                .enumerate()
-                .map(|(i, item)| format!("{i} {}", item_line(item)))
-                .collect();
+            let mut data = Vec::with_capacity(n);
+            for (i, item) in items.iter().enumerate() {
+                let line = match item {
+                    BatchItem::Bad(reply) => reply.terminal.clone(),
+                    BatchItem::Task(task, src) => self
+                        .batch_item(&tenant, (db, catalog), *task, src, &watch)
+                        .unwrap_or_else(|e| e.terminal),
+                };
+                data.push(format!("{i} {line}"));
+            }
             Ok(Reply::ok_with(data, format!("batch of {n} items")))
         })
+    }
+
+    /// One `BATCH` item, down the path of a statement of its own: the
+    /// terminal line of its reply. The text is parsed right before its
+    /// plan, so however long the block, the memo still holds it then. An
+    /// `ANSWERS` item reports its row count, pulled here so the deadline
+    /// can also trip mid-drain.
+    fn batch_item(
+        &mut self,
+        tenant: &Tenant,
+        locked: (&Database, &IndexCatalog),
+        task: Task,
+        src: &str,
+        watch: &Watch,
+    ) -> Result<String, Reply> {
+        let q = self.statements.query(src)?;
+        match self.execute_locked(tenant, locked, task, src, &q, watch)? {
+            (Output::Answers(mut answers), plan) => {
+                let mut rows: u64 = 0;
+                pull_rows(&mut answers, u64::MAX, |_| rows += 1).map_err(|e| {
+                    watch.failure(e, &mut self.metrics, tenant.name(), &plan)
+                })?;
+                Ok(format!("OK {rows} rows"))
+            }
+            (out, _) => Ok(render_output(out).terminal),
+        }
     }
 }
 
@@ -719,7 +721,8 @@ fn rendered_lines(bytes: &[u8]) -> std::str::Lines<'_> {
     std::str::from_utf8(bytes).expect("rendered rows are ASCII").lines()
 }
 
-/// A `BATCH` item line: `DECIDE|COUNT|ANSWERS <query-text>`.
+/// A `BATCH` item line: `DECIDE|COUNT|ANSWERS <query-text>`. The text
+/// is parsed when the block runs, through the statement memo.
 fn parse_batch_item(line: &str) -> BatchItem {
     let (verb, src) = split_word(line);
     let Some(task) = query_task(&verb.to_ascii_uppercase()) else {
@@ -731,10 +734,7 @@ fn parse_batch_item(line: &str) -> BatchItem {
     if src.is_empty() {
         return BatchItem::Bad(Reply::err(ErrKind::Usage, "batch item needs a query"));
     }
-    match parse_query(src) {
-        Ok(q) => BatchItem::Task(task, q),
-        Err(e) => BatchItem::Bad(Reply::err(ErrKind::Parse, e)),
-    }
+    BatchItem::Task(task, src.to_string())
 }
 
 #[cfg(test)]
@@ -808,7 +808,6 @@ mod tests {
     #[test]
     fn a_batch_runs_the_probe_on_the_session_thread_only() {
         let mut s = session();
-        s.batch_workers = 4;
         let threads = Arc::new(std::sync::Mutex::new(Vec::new()));
         let seen = Arc::clone(&threads);
         s.set_cancel_probe(move || {
@@ -962,6 +961,50 @@ mod tests {
         assert_eq!(r.data[0], "0 OK true");
         assert!(r.data[1].starts_with("1 ERR budget:"), "{}", r.data[1]);
         assert!(r.data[1].contains("Triangle Hypothesis"), "{}", r.data[1]);
+    }
+
+    /// Admission happens before any execution work: with statistics
+    /// warm, a rejected statement and a rejected `BATCH` item build
+    /// nothing in the tenant's catalog.
+    #[test]
+    fn budget_rejects_before_execution() {
+        let mut s = session();
+        s.handle_line("CREATE DB b");
+        s.handle_line("USE b");
+        drive(&mut s, &["LOAD R 2", "1 2", "2 3", "END"]);
+        s.handle_line("SET BUDGET b MAX-EXPONENT 0");
+        let tenant = s.state.tenant("b").unwrap();
+        // warm the stats memo, so a miss now would be an execution
+        // artifact (an index, a reduced tree)
+        let misses = || {
+            tenant.read(|db, cat| {
+                let _ = cat.stats(db);
+                cat.snapshot().misses
+            })
+        };
+        let before = misses();
+        let count = "COUNT q(x, z) :- R(x, y), R(y, z)";
+        let r = s.handle_line(count).unwrap();
+        assert!(r.terminal.starts_with("ERR budget:"), "{}", r.terminal);
+        assert!(r.terminal.contains("MAX-EXPONENT"), "{}", r.terminal);
+        let done = drive(&mut s, &["BATCH", count, "END"]).pop().unwrap().unwrap();
+        assert!(done.data[0].starts_with("0 ERR budget:"), "{}", done.data[0]);
+        assert_eq!(misses(), before, "nothing was built");
+        // lifting the budget admits the same query
+        s.handle_line("SET BUDGET b NONE");
+        assert_eq!(s.handle_line(count).unwrap().terminal, "OK 1");
+    }
+
+    #[test]
+    fn batch_items_count_in_the_op_metrics() {
+        let mut s = session();
+        load_triangle(&mut s, "b");
+        let item = "DECIDE q() :- R1(x, y)";
+        let done = drive(&mut s, &["BATCH", item, item, "END"]).pop().unwrap().unwrap();
+        assert_eq!(done.data, ["0 OK true", "1 OK true"]);
+        let m = s.handle_line("METRICS b").unwrap();
+        let want = "db.b op.yannakakis-semijoin-sweep.calls=2";
+        assert!(m.data.iter().any(|l| l == want), "{:?}", m.data);
     }
 
     #[test]
@@ -1445,16 +1488,27 @@ mod tests {
         s.handle_line("DECIDE q() :- R1(x, y), R2(y, z), R3(z, x)");
         let r = s.handle_line("END").unwrap();
         assert!(r.is_ok());
-        assert!(r.data[0].starts_with("0 ERR timeout:"), "{}", r.data[0]);
-        assert!(r.data[0].contains("SET TIMEOUT deadline"), "{}", r.data[0]);
+        // an item's timeout cites its plan, as a query's of its own does
+        let item = &r.data[0];
+        assert!(item.starts_with("0 ERR timeout:"), "{item}");
+        assert!(item.contains("0 ms deadline"), "{item}");
+        assert!(item.contains("plan cost m^"), "{item}");
+        assert!(item.contains("Hypothesis"), "{item}");
+        let m = s.handle_line("METRICS b").unwrap();
+        assert!(m.data.iter().any(|l| l == "db.b timeouts=1"), "{:?}", m.data);
+        assert!(
+            !m.data.iter().any(|l| l.starts_with("db.b cancellations=")),
+            "{:?}",
+            m.data
+        );
     }
 
     #[test]
     fn a_deadline_that_trips_while_a_batch_item_drains_is_a_timeout() {
         // a 2000 x 2000 cross product: preprocessing is two small
         // sorted views, draining 4 * 10^6 rows outlasts the deadline
-        // many times over — so the trip surfaces mid-`collect()`, long
-        // after the batch's evaluation phase came back clean
+        // many times over — so the trip surfaces mid-drain, long after
+        // the item's preprocessing came back clean
         let mut s = session();
         s.handle_line("CREATE DB t");
         s.handle_line("USE t");
@@ -1468,10 +1522,11 @@ mod tests {
         let replies = drive(&mut s, &["BATCH", "ANSWERS q(x, y) :- A(x), B(y)", "END"]);
         let done = replies[2].as_ref().unwrap();
         assert!(
-            done.data[0].starts_with("0 ERR timeout: batch exceeded"),
+            done.data[0].starts_with("0 ERR timeout: evaluation exceeded the 20 ms"),
             "attributed to the deadline, not to a vanished client: {}",
             done.data[0]
         );
+        assert!(done.data[0].contains("plan cost m^"), "{}", done.data[0]);
         let m = s.handle_line("METRICS t").unwrap();
         assert!(m.data.iter().any(|l| l == "db.t timeouts=1"), "{:?}", m.data);
         assert!(

@@ -193,7 +193,6 @@ pub struct Session {
     pub(super) current: Option<Arc<Tenant>>,
     pub(super) mode: Mode,
     finished: bool,
-    pub(super) batch_workers: usize,
     /// Cached metric handles (see [`SessionMetrics`]); recording on
     /// the warm path is lock-free.
     pub(super) metrics: SessionMetrics,
@@ -215,15 +214,12 @@ pub struct Session {
 impl Session {
     /// A fresh session over shared server state.
     pub fn new(state: Arc<ServerState>) -> Session {
-        let batch_workers =
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         let metrics = SessionMetrics::new(Arc::clone(state.metrics()));
         Session {
             state,
             current: None,
             mode: Mode::Idle,
             finished: false,
-            batch_workers,
             metrics,
             cancel_probe: None,
             cursors: HashMap::new(),

@@ -112,7 +112,7 @@ impl Statements {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::server::testkit::session;
+    use crate::server::testkit::{drive, session};
     use crate::server::Session;
     use cq_data::{Database, Relation};
     use cq_planner::PlanOp;
@@ -278,5 +278,47 @@ mod tests {
         assert!(!s.statements.by_text.contains_key(text(9).as_str()), "evicted");
         assert!(s.statements.by_text.contains_key(text(10).as_str()), "kept");
         assert_eq!(s.statements.order.len(), MAX_STATEMENTS);
+    }
+
+    /// A `BATCH` longer than the memo answers every item: each text is
+    /// parsed right before its plan, so none is evicted in between.
+    #[test]
+    fn a_batch_longer_than_the_memo_answers_every_item() {
+        let mut s = session_on("t", Relation::from_pairs(vec![(1, 2)]));
+        let n = MAX_STATEMENTS + 16;
+        let items: Vec<String> =
+            (0..n).map(|i| format!("COUNT q(x) :- R(x, y{i})")).collect();
+        let mut lines = vec!["BATCH"];
+        lines.extend(items.iter().map(String::as_str));
+        lines.push("END");
+        let done = drive(&mut s, &lines).pop().unwrap().unwrap();
+        assert_eq!(done.terminal, format!("OK batch of {n} items"));
+        let want: Vec<String> = (0..n).map(|i| format!("{i} OK 1")).collect();
+        assert_eq!(done.data, want);
+    }
+
+    /// `BATCH` items plan through the memo: a repeated block on unchanged
+    /// statistics serves the kept plans, and a write replans them.
+    #[test]
+    fn batch_items_reuse_the_kept_plans() {
+        let mut s = session_on("t", Relation::from_pairs(vec![(1, 2), (2, 3)]));
+        let (count, answers) = (format!("COUNT {PATH}"), format!("ANSWERS {PATH}"));
+        let batch = ["BATCH", count.as_str(), answers.as_str(), "END"];
+        let run = |s: &mut Session| drive(s, &batch).pop().unwrap().unwrap().data;
+        let kept = |s: &Session, task: Task| {
+            let plans = &s.statements.by_text[PATH].plans;
+            plans.iter().find(|p| p.plan.task == task).unwrap().plan.algorithm_reference
+        };
+        assert_eq!(run(&mut s), ["0 OK 1", "1 OK 1 rows"]);
+        for task in [Task::Count, Task::Answers] {
+            mark_kept_plan(&mut s.statements, PATH, task);
+        }
+        assert_eq!(run(&mut s), ["0 OK 1", "1 OK 1 rows"]);
+        assert_eq!(kept(&s, Task::Count), "kept");
+        assert_eq!(kept(&s, Task::Answers), "kept");
+        assert!(s.handle_line("INSERT R(3, 4)").unwrap().is_ok());
+        assert_eq!(run(&mut s), ["0 OK 2", "1 OK 2 rows"]);
+        assert_ne!(kept(&s, Task::Count), "kept");
+        assert_ne!(kept(&s, Task::Answers), "kept");
     }
 }

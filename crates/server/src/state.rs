@@ -105,9 +105,8 @@ pub struct WritePolicy {
 const BUDGET_UNSET: u64 = u64::MAX;
 
 /// A tenant's admission-control budget, read per query at plan time:
-/// the planner's own [`cq_planner::EvalBudget`], so the admission logic
-/// (and its human-readable violation messages) is shared with every
-/// `EvalCtx` caller.
+/// the planner's [`cq_planner::EvalBudget`], whose `violation` judges a
+/// plan and words the refusal.
 pub use cq_planner::EvalBudget as Budget;
 
 #[derive(Debug)]

@@ -303,12 +303,5 @@ mod tests {
         // take the materialization baseline and cite SETH
         assert!(matches!(plan.op, PlanOp::CountDistinctProject { .. }));
         assert!(matches!(plan.lower_bound, Verdict::Hard { .. }));
-        // batch evaluation: one shared catalog, results in input order
-        let batch = vec![q.clone(), q.clone()];
-        let results = eval::batch(&batch, &db);
-        for r in results {
-            let (rel, _) = r.unwrap();
-            assert_eq!(rel.len(), 2);
-        }
     }
 }

@@ -104,27 +104,3 @@ fn concurrent_facade_matches_brute_force_under_mutation() {
         });
     }
 }
-
-#[test]
-fn concurrent_batch_matches_brute_force() {
-    let shapes = shapes();
-    let mut db = Database::new();
-    for (i, name) in ["R1", "R2", "R3"].iter().enumerate() {
-        db.insert(name, random_rel(10, 50 + i as u64));
-    }
-    // a batch repeating every shape: answers must match the oracle
-    let queries: Vec<ConjunctiveQuery> =
-        (0..4).flat_map(|_| shapes.iter().cloned()).collect();
-    let results = eval::batch(&queries, &db);
-    assert_eq!(results.len(), queries.len());
-    for (q, r) in queries.iter().zip(results) {
-        let (rel, _) = r.unwrap();
-        assert_eq!(rel, brute_force_answers(q, &db).unwrap(), "batch answers {q}");
-    }
-    // mutate and re-batch: no stale indexes can leak into the results
-    db.insert("R2", random_rel(7, 999));
-    for (q, r) in queries.iter().zip(eval::batch(&queries, &db)) {
-        let (rel, _) = r.unwrap();
-        assert_eq!(rel, brute_force_answers(q, &db).unwrap(), "post-mutation {q}");
-    }
-}

@@ -143,7 +143,7 @@ fn batch_matches_direct_batch_eval() {
     assert!(admin.use_db("alpha").unwrap().is_ok());
 
     let reply = admin
-        .batch([
+        .run_batch([
             format!("COUNT {ALPHA_Q}"),
             format!("ANSWERS {ALPHA_Q}"),
             "DECIDE q() :- R(x, y), S(y, z)".to_string(),

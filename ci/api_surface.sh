@@ -45,6 +45,8 @@
 # And one evaluation path: a `BATCH` item is parsed, planned, admitted and
 # executed like a statement of its own, so the planner keeps no batch entry
 # point and no budget or trace plumbing, and the engine no over-budget error.
+# And one exponent table: a plan's cost exponent is checked through the
+# planner, on its operator's work counter, by one table keyed by `PlanOp`.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -331,8 +333,16 @@ forbid "[[bench]] targets other than metrics_overhead (add a cqbench layer metri
         /^\[/ { in_bench = 0 }
         in_bench && /^name *=/ && !/"metrics_overhead"/ { print FILENAME ": " $0 }'
 )"
-forbid "the experiment-table crate (its claims are rows of tests/generic_join_kernel.rs):" "$(
+forbid "the experiment-table crate (its claims are rows of tests/plan_exponents.rs):" "$(
     ls -d crates/bench 2>/dev/null
+)"
+# ... and one exponent table: every plan's exponent is fitted on its
+# operator's work counter by a row of tests/plan_exponents.rs
+forbid "exponent fits outside tests/plan_exponents.rs (add a row to its table):" "$(
+    grep -rn 'fit_exponent(' tests | grep -v '^tests/plan_exponents\.rs:'
+)"
+forbid "the join-tree work harness (its checks are rows of tests/plan_exponents.rs):" "$(
+    ls tests/join_tree_work.rs 2>/dev/null
 )"
 
 exit $status

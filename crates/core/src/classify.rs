@@ -129,9 +129,9 @@ pub struct Structure {
     pub boolean: bool,
     /// Quantified star size (§4.4) — the counting exponent.
     pub star_size: usize,
-    /// The AGM exponent ρ*(H), when defined: the worst-case output size
-    /// is m^{ρ*} and the generic join runs in Õ(m^{ρ*}) (§2.1).
-    pub agm_exponent: Option<f64>,
+    /// The AGM exponent ρ*(H): the worst-case output size is m^{ρ*} and
+    /// the generic join runs in Õ(m^{ρ*}) (§2.1).
+    pub agm_exponent: f64,
     /// Brault-Baron witness of a cyclic query (Thm 3.6), in the query's
     /// variable space. `None` when acyclic — and when the bounded search
     /// was cut ([`crate::brault_baron::WITNESS_SEARCH_BUDGET`]).
@@ -442,15 +442,12 @@ impl fmt::Display for Profile {
         writeln!(f, "query: {}", self.query)?;
         writeln!(
             f,
-            "structure: {}, {}, {}, quantified star size {}{}",
+            "structure: {}, {}, {}, quantified star size {}, AGM exponent {:.2}",
             if s.acyclic { "acyclic" } else { "cyclic" },
             if s.free_connex { "free-connex" } else { "not free-connex" },
             if s.self_join_free { "self-join free" } else { "has self-joins" },
             s.star_size,
-            match s.agm_exponent {
-                Some(rho) => format!(", AGM exponent {rho:.2}"),
-                None => String::new(),
-            }
+            s.agm_exponent,
         )?;
         writeln!(f, "  decision:      {}", self.decision)?;
         writeln!(f, "  counting:      {}", self.counting)?;

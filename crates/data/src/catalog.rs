@@ -71,8 +71,8 @@ use std::sync::{Arc, Mutex, MutexGuard};
 /// Key of one memo entry. Views are addressed by relation name +
 /// key-column permutation; artifacts by `(kind, key)` —
 /// `kind` namespaces the stored type (e.g. `"fc_da"`), `key`
-/// identifies the instance (typically the query's canonical text plus
-/// any parameters).
+/// identifies the instance (typically the query's text, `q.to_string()`,
+/// plus any parameters).
 #[derive(Clone, PartialEq, Eq, Hash)]
 enum MemoKey {
     View(String, Vec<usize>),

@@ -6,8 +6,8 @@
 //!
 //! * [`Database::generation`] — the stamp of the *whole content*. Every
 //!   mutation moves it; clones keep it. Used where "did anything
-//!   change?" is the question (`STATS`, the slow-query log, the facade's
-//!   catalog registry).
+//!   change?" is the question (`STATS`, the slow-query log, a cursor's
+//!   pin, the catalog's memoized [`crate::DataStats`]).
 //! * [`Database::version_of`] — per relation, the generation value of
 //!   *that relation's* last mutation. A write to `R` moves `R`'s version
 //!   (and the generation) and nobody else's. [`crate::IndexCatalog`]

@@ -9,7 +9,7 @@
 //! the same query. Its work is the `steps` attribute of the
 //! `op.enumerate.preprocess` span — the rows the reduction visits plus
 //! the links it follows, 0 on a warm hit — which
-//! `tests/join_tree_work.rs` holds to `≤ 4 · Σ|Rᵢ|`.
+//! `tests/plan_exponents.rs` holds to `≤ 4 · Σ|Rᵢ|`.
 //!
 //! Enumeration then walks that tree's nodes, in preorder, as an odometer:
 //! a move into a node reads the link of its parent's current row and the

@@ -115,7 +115,8 @@ impl FreeConnexDirectAccess {
     /// `NotFreeConnex` / `NotAcyclic` on the hard side of the dichotomy,
     /// with `Unsupported` for Boolean queries (no variables to access),
     /// and with `CountOverflow` when the simulated array would have more
-    /// than `u64::MAX` positions.
+    /// than `u64::MAX` positions. The reduction's work is the `steps` of
+    /// the `op.fc-access.build` span, 0 on a warm hit.
     pub fn build(
         ctx: &ExecCtx,
         q: &ConjunctiveQuery,
@@ -126,10 +127,13 @@ impl FreeConnexDirectAccess {
                 "Boolean queries have no output positions to access".into(),
             ));
         }
-        let da = Self::shared(ctx, q, db, &mut None)?;
+        let mut span = cq_obs::trace::span("op.fc-access.build");
+        let mut built = None;
+        let da = Self::shared(ctx, q, db, &mut built)?;
         if let Some(tree) = &da.tree {
             tree.weights(ctx.cancel())?;
         }
+        span.attr("steps", built.unwrap_or(0));
         Ok(da)
     }
 

@@ -44,8 +44,7 @@ use cq_obs::trace::{self, SpanGuard};
 /// into whatever the consumer is building (a wire chunk, a relation).
 ///
 /// `Send + Sync` because streams outlive the evaluation call that made
-/// them: they ride inside batch result slots and server cursors that
-/// hop threads.
+/// them: they ride inside server cursors that hop threads.
 pub trait AnswerStream: Send + Sync {
     /// The output schema: free variables in interning order. Row slices
     /// from [`AnswerStream::next`] are indexed parallel to this.

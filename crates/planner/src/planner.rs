@@ -69,7 +69,7 @@ impl Planner {
             (
                 PlanOp::MaterializedDirectAccess { order: order.to_vec() },
                 "materialization baseline (Lemma 3.9)",
-                CostEstimate { m, exponent: structure.agm_exponent.unwrap_or(2.0) },
+                CostEstimate { m, exponent: structure.agm_exponent },
             )
         };
         QueryPlan { task: Task::Access, op, algorithm_reference, cost, lower_bound }
@@ -163,7 +163,7 @@ pub fn choose(
     }
 
     let lower_bound = verdict(q, structure, task);
-    let agm = structure.agm_exponent.unwrap_or(q.atoms().len() as f64);
+    let agm = structure.agm_exponent;
     let order = || variable_order(q, stats);
     // the easy side runs the theorem's algorithm, the other side the
     // generic-join baseline for the task the query comes down to

@@ -208,7 +208,7 @@ mod tests {
         let count = format!("COUNT {TRIANGLE}");
         assert_eq!(s.handle_line(&count).unwrap().terminal, "OK 3");
         // mark the kept structure: a structure computed again lacks it
-        let marked = Some(7.0);
+        let marked = 7.0;
         let stmt = s.statements.by_text.get_mut(TRIANGLE).unwrap();
         let before = stmt.plans[0].plan.clone();
         stmt.structure.as_mut().expect("computed at the first plan").agm_exponent =

@@ -333,16 +333,17 @@ forbid "[[bench]] targets other than metrics_overhead (add a cqbench layer metri
         /^\[/ { in_bench = 0 }
         in_bench && /^name *=/ && !/"metrics_overhead"/ { print FILENAME ": " $0 }'
 )"
-forbid "the experiment-table crate (its claims are rows of tests/plan_exponents.rs):" "$(
+forbid "the experiment-table crate (its claims are rows of tests/exponents/mod.rs):" "$(
     ls -d crates/bench 2>/dev/null
 )"
 # ... and one exponent table: every plan's exponent is fitted on its
-# operator's work counter by a row of tests/plan_exponents.rs
-forbid "exponent fits outside tests/plan_exponents.rs (add a row to its table):" "$(
-    grep -rn 'fit_exponent(' tests | grep -v '^tests/plan_exponents\.rs:'
+# operator's work counter by a row of tests/exponents/mod.rs, which a
+# test file runs with `exponents::run`, not a harness of its own
+forbid "exponent fits outside tests/exponents/mod.rs (add a row to its table):" "$(
+    grep -rn 'fit_exponent(' tests | grep -v '^tests/exponents/mod\.rs:'
 )"
-forbid "the join-tree work harness (its checks are rows of tests/plan_exponents.rs):" "$(
-    ls tests/join_tree_work.rs 2>/dev/null
+forbid "work harnesses outside tests/exponents/mod.rs (add a row to its table):" "$(
+    grep -rnE 'fn (traced|join_count)\b' tests | grep -v '^tests/exponents/mod\.rs:'
 )"
 
 exit $status

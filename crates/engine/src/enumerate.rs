@@ -8,8 +8,8 @@
 //! memoized tree of [`FreeConnexDirectAccess`], shared with `ACCESS` of
 //! the same query. Its work is the `steps` attribute of the
 //! `op.enumerate.preprocess` span — the rows the reduction visits plus
-//! the links it follows, 0 on a warm hit — which
-//! `tests/plan_exponents.rs` holds to `≤ 4 · Σ|Rᵢ|`.
+//! the links it follows, 0 on a warm hit — which the exponent table
+//! (`tests/exponents/mod.rs`) holds to `≤ 4 · Σ|Rᵢ|`.
 //!
 //! Enumeration then walks that tree's nodes, in preorder, as an odometer:
 //! a move into a node reads the link of its parent's current row and the

@@ -1,5 +1,6 @@
-//! The generic-join kernel's cancellation. Its work counter is held to
-//! the AGM bound, through the planner, by `tests/plan_exponents.rs`.
+//! The generic-join kernel's work and cancellation. Its work counter is
+//! held to the AGM bound by the exponent table's count and answers rows
+//! (`exponents/mod.rs`), planned through the planner.
 //!
 //! Every other oracle in the repository that sees a generic-join answer
 //! (the planner consistency tests' zoo, cqbench's mirror) runs the same
@@ -8,11 +9,22 @@
 //! random queries, under every variable order, by the unit tests of
 //! `cq_engine::generic_join`.
 
+mod exponents;
+
 use cq_engine::{generic_join, CancelToken, ExecCtx};
 use cq_lower_bounds::prelude::*;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Thm 3.2's m^{3/2} for the triangle, Thm 3.5's m^{1+1/(k−1)} for
+/// Loomis–Whitney joins, m^{k/2} for cycles, Lemma 3.9's m^k for `q*_k`
+/// and Thm 3.12's m² for `q_mm`: a count's seeks within `c · m^ρ*` and
+/// fitted to at most ρ* + 0.1, the answers' seeks + rows to ρ* ± 0.1.
+#[test]
+fn seeks_stay_within_the_agm_bound() {
+    exponents::run("seeks_stay_within_the_agm_bound");
+}
 
 #[test]
 fn an_expired_deadline_trips_before_any_work() {

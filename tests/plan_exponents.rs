@@ -1,345 +1,22 @@
-//! Every plan's cost exponent, checked on its operator's work counter.
-//!
-//! `EXPLAIN` prints one exponent per plan, `plan.cost.exponent`: the
-//! upper bound of the theorem whose algorithm the operator runs, which
-//! the paper's lower bounds say no plan beats. A row of this table plans
-//! a zoo query through the planner (`choose`, or `plan_lex_access` for an
-//! ordered `ACCESS`), asserts the operator it picked, runs the plan
-//! traced and reads the operator span's work counter: exact, no clock.
-//! Over sizes spanning at least 4× in m (the plan's `cost.m`), the work
-//! stays within `c · m^e`, one constant per row, and the exponent fitted
-//! to (m, work) is at most `e` plus a slack — within the slack of `e` on
-//! a family that makes the bound tight. A count ANDs whole words, so only
-//! its upper bound is asserted; the answers span adds the rows handed
-//! over, which no word takes below m^ρ* on AGM-tight instances.
+//! The exponent table's own rows, and two checks that reuse its rows:
+//! a count's word-parallel work against the answers', and the sparse
+//! triangle instances against brute force. The table and its harness
+//! are `exponents/mod.rs`; the rows of the linear folds run in
+//! `join_tree_work.rs`, those of generic join's count and answers in
+//! `generic_join_kernel.rs`.
 
-use cq_engine::{generic_join, ExecCtx};
+mod exponents;
+
 use cq_lower_bounds::prelude::*;
-use cq_obs::trace::{self, Span, TraceSink};
-use cq_planner::{choose, EvalCtx, Output};
-use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
-use std::mem::discriminant;
+use exponents::{every_atom, full, measure, table};
 
-/// One instance of a row's query per size parameter, with its answer
-/// count when that has a closed form.
-type Family = fn(&ConjunctiveQuery, u64) -> (Database, Option<u64>);
-
-/// One row: a query and task the planner serves with `op` (a variable
-/// `order` plans an ordered `ACCESS`), the constant of `work ≤ c · m^e`,
-/// and an instance family at `sizes`, `tight` when it meets the bound.
-struct Row {
-    name: &'static str,
-    query: ConjunctiveQuery,
-    task: Task,
-    order: Option<Vec<Var>>,
-    op: PlanOp,
-    c: f64,
-    family: Family,
-    sizes: &'static [u64],
-    tight: bool,
-}
-
-/// Each operator's span, the attributes summed into its work, and
-/// whether a warm run finds its product memoized and does no work.
-/// Exhaustive: a new operator does not compile without an arm here, and
-/// then needs a row. `steps` grow within 0.05 of the plan's exponent,
-/// `seeks` within 0.1.
-fn probe(op: &PlanOp) -> Option<(&'static str, &'static [&'static str], bool)> {
-    const STEPS: &[&str] = &["steps"];
-    const SEEKS: &[&str] = &["seeks"];
-    // the work of handing every answer over
-    const ANSWERS: &[&str] = &["seeks", "rows"];
-    Some(match op {
-        // answers in O(1): no operator runs
-        PlanOp::TrivialEmpty => return None,
-        PlanOp::SemijoinSweep => ("op.yannakakis.decide", STEPS, false),
-        PlanOp::CountingDp => ("op.count-acyclic", STEPS, false),
-        PlanOp::ProjectionEliminationDp => ("op.count-free-connex", STEPS, false),
-        PlanOp::ConstantDelayEnumeration => ("op.enumerate.preprocess", STEPS, true),
-        PlanOp::LexDirectAccess { .. } => ("op.lex-access.build", STEPS, true),
-        PlanOp::FreeConnexDirectAccess => ("op.fc-access.build", STEPS, true),
-        PlanOp::GenericJoin { .. } => ("op.generic-join.decide", SEEKS, false),
-        PlanOp::CountDistinctProject { .. } => ("op.generic-join.count", SEEKS, false),
-        PlanOp::MaterializeProject { .. } => ("op.generic-join.answers", ANSWERS, false),
-        PlanOp::MaterializedDirectAccess { .. } => {
-            ("op.generic-join.answers", ANSWERS, true)
-        }
-    })
-}
-
-/// Run `f` under a trace sink: its result and the one span named `span`
-/// it recorded, if any.
-fn traced<T>(span: &str, f: impl FnOnce() -> T) -> (T, Option<Span>) {
-    let sink = TraceSink::enabled();
-    let out = trace::with(&sink, f);
-    let mut found = None;
-    if let Some(trace) = sink.finish("test", span) {
-        trace.visit(|_, s| {
-            if s.name == span {
-                assert!(found.replace(s.clone()).is_none(), "one `{span}` span");
-            }
-        });
-    }
-    (out, found)
-}
-
-/// The number of answers an execution produced: a decision's 0 or 1, a
-/// count, or the rows of a stream.
-fn answers(out: Output) -> u64 {
-    match out {
-        Output::Decision(truth) => u64::from(truth),
-        Output::Count(n) => n,
-        Output::Answers(mut a) => a.size_hint().unwrap_or_else(|| {
-            std::iter::from_fn(|| a.next().unwrap().map(drop)).count() as u64
-        }),
-    }
-}
-
-/// The count by an algorithm that shares no code with the folds and
-/// takes no order from the planner: generic join, most-shared variables
-/// first (a star's hub before its spokes).
-fn join_count(q: &ConjunctiveQuery, db: &Database) -> u64 {
-    let mut order: Vec<Var> = q.vars().collect();
-    let atoms_with = |v: &Var| q.atoms().iter().filter(|a| a.vars.contains(v)).count();
-    order.sort_by_key(|v| std::cmp::Reverse(atoms_with(v)));
-    let ctx = ExecCtx::cold();
-    match q.is_boolean() {
-        true => u64::from(generic_join::decide(&ctx, q, db, &order).unwrap()),
-        false => generic_join::count_distinct(&ctx, q, db, &order).unwrap(),
-    }
-}
-
-/// Plan `row` on `db` and run the plan cold, warm and — when the warm
-/// run finds its product memoized — cold again on a fresh catalog. The
-/// planner picks the row's operator; it finds `want` answers; an
-/// operator's span reports them and its polls beside its work; the work
-/// repeats exactly, a warm run builds nothing, and the work is within
-/// `c · m^e`. Returns `(m, work, e)`.
-fn measure(row: &Row, db: &Database, stats: &DataStats, want: u64) -> (f64, f64, f64) {
-    let (q, name) = (&row.query, format!("{:?} {}", row.task, row.name));
-    let plan = match &row.order {
-        Some(order) => Planner::plan_lex_access(q, order, stats),
-        None => choose(q, row.task, &Structure::of(q), stats),
-    };
-    let (m, e) = (plan.cost.m as f64, plan.cost.exponent);
-    assert_eq!(discriminant(&plan.op), discriminant(&row.op), "{name}: {plan:?}");
-    let (op_span, attrs, memoized) = probe(&plan.op).expect("a row's operator runs");
-    let work = |span: &Span| attrs.iter().map(|a| span.attr(a).unwrap()).sum::<u64>();
-    let run = |catalog: &IndexCatalog| {
-        let ctx = EvalCtx::new().with_catalog(catalog);
-        traced(op_span, || answers(ctx.execute(&plan, q, db).unwrap()))
-    };
-    let catalog = IndexCatalog::new();
-    let (n, span) = run(&catalog);
-    let span = span.unwrap_or_else(|| panic!("{name} m={m}: no `{op_span}` span"));
-    let cold = work(&span);
-    assert_eq!(n, want, "{name} m={m}");
-    match span.attr("rows") {
-        Some(rows) => assert!(rows == n && span.attr("cancel-polls").is_some(), "{name}"),
-        None => assert!(memoized, "{name}: an operator reports its rows"),
-    }
-    let built = catalog.snapshot().misses;
-    let (again, warm) = run(&catalog);
-    assert_eq!(catalog.snapshot().misses, built, "{name} m={m}: warm builds nothing");
-    let warm = warm.map_or(0, |span| work(&span));
-    // a memoized product costs nothing warm, and repeats on a fresh catalog
-    let fresh = || run(&IndexCatalog::new()).1.map_or(0, |span| work(&span));
-    let (free, repeat) = if memoized { (0, fresh()) } else { (cold, warm) };
-    assert_eq!((again, warm, repeat), (n, free, cold), "{name} m={m}: must repeat");
-    let bound = row.c * m.powf(e);
-    assert!(cold as f64 <= bound, "{name} m={m}: {cold} > {} · m^{e} = {bound}", row.c);
-    (m, cold as f64, e)
-}
-
-/// One run's instances by family, size and query: the rows of one query
-/// share a database, its statistics and its answer count — the family's
-/// closed form, else [`join_count`]'s.
-type Instances = HashMap<(usize, u64, String), Instance>;
-type Instance = (DataStats, Database, u64);
-
-/// Fit the work of `row` over its sizes: at most the plan's exponent plus
-/// the operator's slack, and within the slack when the family is tight.
-/// Returns the fitted and the plan's exponent.
-fn fit(row: &Row, instances: &mut Instances) -> (f64, f64) {
-    let (q, name) = (&row.query, format!("{:?} {}", row.task, row.name));
-    let mut points = Vec::new();
-    for &side in row.sizes {
-        let key = (row.family as usize, side, q.to_string());
-        let (stats, db, want) = instances.entry(key).or_insert_with(|| {
-            let (db, closed) = (row.family)(q, side);
-            let want = closed.unwrap_or_else(|| join_count(q, &db));
-            (DataStats::collect(&db), db, want)
-        });
-        points.push(measure(row, db, stats, *want));
-    }
-    let e = points[0].2;
-    let (first, last) = (points[0].0, points[points.len() - 1].0);
-    assert!(points.len() >= 3 && last >= 4.0 * first, "{name}: sizes span 4×");
-    let xy: Vec<_> = points.iter().map(|&(m, work, _)| (m, work)).collect();
-    let fit =
-        cq_matrix::omega::fit_exponent(&xy).expect("positive work at distinct sizes");
-    let slack = if probe(&row.op).unwrap().1 == ["steps"] { 0.05 } else { 0.1 };
-    assert!(fit <= e + slack, "{name}: work grows as m^{fit:.3}, plan m^{e}");
-    assert!(!row.tight || fit >= e - slack, "{name}: m^{fit:.3} < plan m^{e}");
-    (fit, e)
-}
-
-const LINEAR: &[u64] = &[2_000, 4_000, 8_000, 16_000];
-
-/// `m` random pairs over `0..m` per relation symbol of `q` — the `i`-th
-/// atom's drawn once per thread and size, whatever the query — the first
-/// atom's moved up by `shift`.
-fn random(q: &ConjunctiveQuery, m: u64, shift: Val) -> Database {
-    thread_local!(static DRAWN: RefCell<HashMap<(u64, u64), Relation>> = RefCell::default());
-    let mut db = Database::new();
-    for (i, atom) in (0..).zip(q.atoms()) {
-        let mut rel = DRAWN.with(|drawn| {
-            let mut rng = cq_data::generate::seeded_rng(m + i);
-            let draw = || cq_data::generate::random_pairs(m as usize, m, &mut rng);
-            drawn.borrow_mut().entry((m, i)).or_insert_with(draw).clone()
-        });
-        if i == 0 && shift > 0 {
-            let rows: Vec<_> = rel.iter().map(|r| (r[0] + shift, r[1] + shift)).collect();
-            rel = Relation::from_pairs(rows);
-        }
-        db.insert(&atom.relation, rel);
-    }
-    db
-}
-
-/// `rel` under every relation symbol of `q`.
-fn every_atom(q: &ConjunctiveQuery, rel: Relation) -> Database {
-    let mut db = Database::new();
-    for atom in q.atoms() {
-        db.insert(&atom.relation, rel.clone());
-    }
-    db
-}
-
-/// Every atom over the full `[d]^arity`: every assignment is an answer,
-/// `m^ρ*` of them for Loomis–Whitney joins and cycles.
-fn full(q: &ConjunctiveQuery, d: u64) -> (Database, Option<u64>) {
-    let rel = cq_data::generate::full_relation(q.atoms()[0].arity(), d);
-    (every_atom(q, rel), Some(d.pow(q.free_vars().len() as u32)))
-}
-
-/// A star over `m` spokes on a single hub: every tuple of spokes is an
-/// answer (the hub instance behind Lemma 3.9's `m^k`).
-fn one_hub(q: &ConjunctiveQuery, m: u64) -> (Database, Option<u64>) {
-    let spokes = Relation::from_pairs((0..m).map(|i| (i, 0)));
-    (every_atom(q, spokes), Some(m.pow(q.atoms().len() as u32)))
-}
-
-/// `q_mm` with `x` and `z` over `m` values and `y` over 4 hubs: `x` and
-/// `z` pair up iff they share a hub, `m²/4` times (Thm 3.12's `m²`).
-fn four_hubs(_: &ConjunctiveQuery, m: u64) -> (Database, Option<u64>) {
-    let mut db = Database::new();
-    db.insert("R1", Relation::from_pairs((0..m).map(|i| (i, i % 4))));
-    db.insert("R2", Relation::from_pairs((0..m).map(|i| (i % 4, i))));
-    (db, Some(m * m / 4))
-}
-
-/// Every relation the complete bipartite graph between `d` even and `d`
-/// odd vertices, both ways: no triangle closes, and a decision must
-/// intersect the neighbourhoods of both ends of every edge.
-fn bipartite(q: &ConjunctiveQuery, d: u64) -> (Database, Option<u64>) {
-    let edges = (0..2 * d).flat_map(|a| (0..d).map(move |i| (a, 2 * i + 1 - a % 2)));
-    (every_atom(q, Relation::from_pairs(edges.collect::<Vec<_>>())), Some(0))
-}
-
-/// The table. Linear rows: a tree of `n` equal relations folds in
-/// `(2n − 1) · m` steps, under `2 · Σ|Rᵢ|`, and its reduction takes two
-/// passes, under `4 · Σ|Rᵢ|`. Generic-join rows: Thm 3.2's m^{3/2} for
-/// the triangle, Thm 3.5's m^{1+1/(k−1)} for Loomis–Whitney joins,
-/// m^{k/2} for cycles, Lemma 3.9's m^k for `q*_k` and Thm 3.12's m² for
-/// `q_mm`, on instances where they are tight.
-fn table() -> Vec<Row> {
-    // random pairs that join, with no closed form for the count; and with
-    // the first atom's out of every other's domain: nothing joins, so no
-    // verdict is reached before the last row — Thm 3.1's worst case
-    let joining: Family = |q, m| (random(q, m, 0), None);
-    let disjoint: Family = |q, m| (random(q, m, m), Some(0));
-    let mut rows = Vec::new();
-    let mut add = |name, query, task, op, c, family: Family, sizes, tight| {
-        rows.push(Row { name, query, task, order: None, op, c, family, sizes, tight })
-    };
-    let star = |k| zoo::star_selfjoin_free(k).join_version();
-    let prefix = parse_query("q(x0, x1) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)").unwrap();
-    let (path3, star3) = (zoo::path_join(3), star(3));
-    for (name, q) in
-        [("path2", zoo::path_join(2)), ("path3", path3.clone())].into_iter().chain([
-            ("path4", zoo::path_join(4)),
-            ("star2", star(2)),
-            ("star3", star3.clone()),
-        ])
-    {
-        // a false instance reads everything; a true one stops early
-        let (yes, sweep) = (q.boolean_version(), PlanOp::SemijoinSweep);
-        add(name, yes.clone(), Task::Decide, sweep.clone(), 2.0, disjoint, LINEAR, true);
-        add(name, yes, Task::Decide, sweep, 2.0, joining, &[500, 1_000, 2_000], false);
-        add(name, q, Task::Count, PlanOp::CountingDp, 2.0, joining, LINEAR, true);
-    }
-    let (fc, p) = (PlanOp::ProjectionEliminationDp, "path3 prefix");
-    add(p, prefix.clone(), Task::Count, fc, 2.0, joining, LINEAR, true);
-    let access = PlanOp::FreeConnexDirectAccess;
-    add(p, prefix.clone(), Task::Access, access, 4.0, joining, LINEAR, true);
-    for (name, q) in [("path3", path3), ("star3", star3), (p, prefix)] {
-        let enumerate = PlanOp::ConstantDelayEnumeration;
-        add(name, q, Task::Answers, enumerate, 4.0, joining, LINEAR, true);
-    }
-
-    let lw = |k| zoo::loomis_whitney_boolean(k).join_version();
-    let triangle = parse_query("q(x, y, z) :- E(x, y), E(y, z), E(z, x)").unwrap();
-    let (distinct, project) = (
-        PlanOp::CountDistinctProject { order: vec![] },
-        PlanOp::MaterializeProject { order: vec![] },
-    );
-    // the constants of the count — per relation as before, over Σ|Rᵢ| now:
-    // c / n^ρ* for n equal relations — and of the answers
-    let agm: [(_, _, Family, &[u64], _); 9] = [
-        ("triangle", triangle, full, &[16, 23, 32], (2.5, 2.2)),
-        ("lw3", lw(3), full, &[16, 23, 32], (0.48, 0.45)),
-        ("lw4", lw(4), full, &[8, 10, 13], (0.55, 0.4)),
-        ("lw5", lw(5), full, &[6, 8, 10], (0.73, 0.4)),
-        ("c4", zoo::cycle_join(4), full, &[8, 11, 16], (0.15, 0.15)),
-        ("c5", zoo::cycle_join(5), full, &[6, 8, 12], (0.044, 0.045)),
-        ("star2", zoo::star_selfjoin(2), one_hub, &[100, 200, 400], (3.5, 2.1)),
-        ("star3", zoo::star_selfjoin(3), one_hub, &[16, 32, 64], (4.5, 2.1)),
-        ("q_mm", zoo::matmul_projection(), four_hubs, &[200, 400, 800], (0.075, 0.13)),
-    ];
-    for (name, q, family, sizes, (count, answers)) in agm {
-        add(name, q.clone(), Task::Count, distinct.clone(), count, family, sizes, false);
-        add(name, q, Task::Answers, project.clone(), answers, family, sizes, true);
-    }
-    let decide = PlanOp::GenericJoin { order: vec![] };
-    let tri = zoo::triangle_boolean();
-    add("triangle", tri, Task::Decide, decide, 0.01, bipartite, &[32, 64, 128], false);
-
-    // ordered access, in the interning order: trio-free for a path, and
-    // disrupted by (x1, x2, z) for the full 2-star
-    let ordered = |name, query: ConjunctiveQuery, op, c, family, sizes| {
-        let order = Some(query.vars().collect());
-        Row { name, query, task: Task::Access, order, op, c, family, sizes, tight: true }
-    };
-    let lex = PlanOp::LexDirectAccess { order: vec![] };
-    rows.push(ordered("path3", zoo::path_join(3), lex, 4.0, joining, LINEAR));
-    let materialized = PlanOp::MaterializedDirectAccess { order: vec![] };
-    let star2 = zoo::star_full(2);
-    rows.push(ordered("star2", star2, materialized, 4.2, one_hub, &[50, 100, 200]));
-    rows
-}
-
+/// The rows of generic join's decision and of materialized direct
+/// access, and the table's coverage.
 #[test]
 fn every_plan_meets_its_exponent() {
-    let mut instances = Instances::new();
-    let mut covered = HashSet::new();
-    for row in &table() {
-        let (fit, e) = fit(row, &mut instances);
-        println!("{:?} {}: plan m^{e:.3}, fitted m^{fit:.3}", row.task, row.name);
-        covered.insert(discriminant(&row.op));
-    }
-    assert_eq!(covered.len(), 10, "every operator but TrivialEmpty has a row");
+    exponents::run("every_plan_meets_its_exponent");
+    let covered = exponents::operators().len();
+    assert_eq!(covered, 10, "every operator but TrivialEmpty has a row");
 }
 
 /// The word as work, not wall-clock: where every last-column node is

@@ -12,7 +12,7 @@
 # `bench/` (cqbench), a complexity claim is asserted on a work counter by
 # `cargo test`, and the wall-clock experiment tables and criterion benches
 # that were a second, unrecorded system stay deleted. And one preprocessing
-# for the easy side: `q'` is derived by `count::free_join` alone, the
+# for the easy side: `q'` is derived by `count::free_links` alone, the
 # reduced tree `LexDirectAccess::from_reduced` sorts is the one structure
 # enumeration walks and direct access descends, the planner names engine
 # structures without defining any, and aggregation runs under an ExecCtx
@@ -47,6 +47,10 @@
 # point and no budget or trace plumbing, and the engine no over-budget error.
 # And one exponent table: a plan's cost exponent is checked through the
 # planner, on its operator's work counter, by one table keyed by `PlanOp`.
+# And one semijoin: projection elimination reduces each subtree with
+# `yannakakis::semijoin_up`, the upward pass of every full reduction. And no public
+# function nobody names: a `pub fn` of a crate's source is named somewhere
+# else in the workspace, tests included.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -78,12 +82,12 @@ forbid "cancel-suffixed entry points (the token is ExecCtx's):" "$(
 forbid "EnumeratorCore / LevelIndex (enumeration walks the direct-access tree):" "$(
     grep -rnE '\b(EnumeratorCore|LevelIndex)\b' crates
 )"
-forbid "pub fn eliminate_projections (count::free_join is the one, memoized, derivation of q'):" "$(
+forbid "pub fn eliminate_projections (count::free_links is the one, memoized, derivation of q'):" "$(
     grep -rnE 'pub fn eliminate_projections\b' crates
 )"
 forbid "artifact kinds of deleted structures:" "$(
     grep -rn -A3 -F '.artifact(' crates/engine/src crates/planner/src crates/reductions/src \
-        | grep -E '"(enumerator|proj_mat_da|sum_cover)"'
+        | grep -E '"(enumerator|proj_mat_da|sum_cover|elim_msgs)"'
 )"
 forbid "access structures defined in the planner (build the engine's):" "$(
     grep -rnE 'struct \w*Access\b' crates/planner/src
@@ -129,6 +133,21 @@ forbid "public cq-engine functions no caller outside the engine names (make them
                 || echo "$file: pub fn $name"
         done
 )"
+# ... and across the workspace, a public function of a crate's source is
+# named by some line other than its definition (a caller, a test, a doc)
+# — the shims under crates/shims/ stand in for external crates and are
+# not searched
+workspace_names=$(
+    find crates src tests examples bench -name '*.rs' -not -path '*/target/*' -print0 \
+        | xargs -0 sed -E 's/\bfn [A-Za-z0-9_]+//g' \
+        | grep -oE '[A-Za-z_][A-Za-z0-9_]*' | sort -u
+)
+forbid "public functions nothing in the workspace names (delete them):" "$(
+    grep -rnoE 'pub fn [A-Za-z0-9_]+' crates/*/src | while IFS=: read -r file line def; do
+        printf '%s\n' "$workspace_names" | grep -xF "${def#pub fn }" >/dev/null \
+            || echo "$file:$line: $def"
+    done
+)"
 # ... so the algorithms only a reduction drives are no engine module
 forbid "engine modules of reduction-only algorithms or crate plumbing (sum order, the star tester, the tropical fold and the links live elsewhere or stay private):" "$(
     grep -nE '^pub mod (aggregate|links|sum_order|testing)\b' crates/engine/src/lib.rs \
@@ -160,8 +179,9 @@ forbid "key searches in the reduced tree (a child group is \`starts[link[row]]\`
         non_test "$f"
     done | grep -E 'key_range\(|keybuf'
 )"
-forbid "the hash-set semijoin (links::keep_linked filters by link):" "$(
+forbid "the hash-set semijoin or links::keep_linked (the one semijoin is yannakakis::semijoin_up, full_reduce's upward pass):" "$(
     ls crates/engine/src/semijoin.rs 2>/dev/null
+    grep -rnE 'fn keep_linked\b' crates/engine/src
 )"
 forbid "search methods on SortedView (it is a key trie; the tree holds its own group starts):" "$(
     non_test crates/data/src/index.rs | grep -E 'fn (key_range|contains_key|groups)\b'

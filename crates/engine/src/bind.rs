@@ -6,8 +6,9 @@
 //! *distinct* variables in first-occurrence order. After binding, all
 //! engine algorithms can assume atoms have distinct variables.
 
-use cq_core::{ConjunctiveQuery, Var};
+use cq_core::{Atom, ConjunctiveQuery, Var};
 use cq_data::{Database, Relation, Val};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Errors raised when a query cannot be evaluated on a database.
@@ -114,11 +115,7 @@ pub(crate) fn distinct_vars(atom_vars: &[Var]) -> Vec<Var> {
 /// Collapse a relation to an atom's distinct variables `vars`
 /// (first-occurrence order): rows inconsistent with repeated variables
 /// are dropped, repeated columns collapse to their first occurrence.
-/// When the atom has no repeats this is a plain clone.
 pub(crate) fn collapse_rel(atom_vars: &[Var], vars: &[Var], rel: &Relation) -> Relation {
-    if vars.len() == atom_vars.len() {
-        return rel.clone();
-    }
     // filter rows consistent with repeats, collapse columns
     let keep_cols: Vec<usize> =
         vars.iter().map(|&v| atom_vars.iter().position(|&u| u == v).unwrap()).collect();
@@ -141,20 +138,30 @@ pub(crate) fn collapse_rel(atom_vars: &[Var], vars: &[Var], rel: &Relation) -> R
     filtered
 }
 
+/// Bind one atom against `db`: its distinct variables and its rows over
+/// them — the stored relation itself when the atom repeats no variable.
+pub(crate) fn bind_atom<'a>(
+    atom: &Atom,
+    db: &'a Database,
+) -> Result<(Vec<Var>, Cow<'a, Relation>), EvalError> {
+    let rel = validate_atom(&atom.relation, &atom.vars, db)?;
+    let vars = distinct_vars(&atom.vars);
+    let rel = match vars.len() == atom.vars.len() {
+        true => Cow::Borrowed(rel),
+        false => Cow::Owned(collapse_rel(&atom.vars, &vars, rel)),
+    };
+    Ok((vars, rel))
+}
+
 /// Bind all atoms of `q` against `db`.
 pub(crate) fn bind(
     q: &ConjunctiveQuery,
     db: &Database,
 ) -> Result<Vec<BoundAtom>, EvalError> {
     let _span = cq_obs::trace::span("op.bind");
-    let mut out = Vec::with_capacity(q.atoms().len());
-    for atom in q.atoms() {
-        let rel = validate_atom(&atom.relation, &atom.vars, db)?;
-        let vars = distinct_vars(&atom.vars);
-        let bound_rel = collapse_rel(&atom.vars, &vars, rel);
-        out.push(BoundAtom { vars, rel: bound_rel });
-    }
-    Ok(out)
+    let owned =
+        |(vars, rel): (_, Cow<Relation>)| BoundAtom { vars, rel: rel.into_owned() };
+    q.atoms().iter().map(|atom| bind_atom(atom, db).map(owned)).collect()
 }
 
 /// Brute-force evaluation by backtracking over the variables — the

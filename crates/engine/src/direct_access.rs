@@ -297,7 +297,7 @@ impl LexDirectAccess {
                 })?;
             // full reduction → every tuple participates in an answer
             ctx.cancel().check_now()?;
-            let links = JoinLinks::of_atoms(&atoms, &tree);
+            let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
             steps = full_reduce(&mut atoms, &links);
             let schema: Vec<Var> = q.vars().collect();
             Self::from_reduced(ctx.cancel(), &atoms, &tree, &schema, order)

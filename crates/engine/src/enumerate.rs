@@ -1,15 +1,17 @@
 //! Constant-delay enumeration for free-connex queries (Theorem 3.17).
 //!
 //! Preprocessing (linear in m) is the direct-access preprocessing minus
-//! its weights: eliminate the quantified variables
-//! (`count::free_join`), fully reduce the resulting acyclic join
-//! query over the free variables along the links of its join tree, sort
-//! each node by its parent key and link it to its parent's rows — the
-//! memoized tree of [`FreeConnexDirectAccess`], shared with `ACCESS` of
-//! the same query. Its work is the `steps` attribute of the
-//! `op.enumerate.preprocess` span — the rows the reduction visits plus
-//! the links it follows, 0 on a warm hit — which the exponent table
-//! (`tests/exponents/mod.rs`) holds to `≤ 4 · Σ|Rᵢ|`.
+//! its weights: eliminate the quantified variables (`count::free_links`,
+//! one upward semijoin pass per subtree of the elimination tree), fully
+//! reduce the resulting acyclic join query over the free variables along
+//! the links of its join tree, sort each node by its parent key and link
+//! it to its parent's rows — the memoized tree of
+//! [`FreeConnexDirectAccess`], shared with `ACCESS` of the same query.
+//! Its work is the `steps` of two spans — `op.free-connex.eliminate`
+//! for the elimination, `op.enumerate.preprocess` for the reduction of
+//! `q'` — the rows the passes visit plus the links they follow, 0 on a
+//! warm hit, which the exponent table (`tests/exponents/mod.rs`) holds
+//! to `≤ 4 · Σ|Rᵢ|` each.
 //!
 //! Enumeration then walks that tree's nodes, in preorder, as an odometer:
 //! a move into a node reads the link of its parent's current row and the

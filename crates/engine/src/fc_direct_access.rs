@@ -5,7 +5,7 @@
 //! Theorem 3.18 promises, for every free-connex query, a direct-access
 //! structure with Õ(m) preprocessing and Õ(log m) access in *some*
 //! query-chosen order. The construction composes two pieces already in
-//! the engine: projection elimination (`count::free_join`) turns
+//! the engine: projection elimination (`count::free_links`) turns
 //! the query into an acyclic *join* query `q'` over exactly the free
 //! variables, and the reduced, sorted tree of [`LexDirectAccess`] serves
 //! `q'` — reduced along the links `COUNT` folds over — on its own join
@@ -78,7 +78,7 @@ impl FreeConnexDirectAccess {
         let unit = BoundAtom { vars: Vec::new(), rel: Relation::nullary(truth) };
         let unit = vec![Cow::Owned(unit)];
         let tree = join_tree_of_atoms(&unit, 0).expect("one node is a tree");
-        let links = JoinLinks::of_atoms(&unit, &tree);
+        let links = JoinLinks::of(&tree, |u| (&unit[u].vars, &unit[u].rel));
         Self::index(&CancelToken::never(), unit, &links, Vec::new())
             .expect("never cancelled")
             .0

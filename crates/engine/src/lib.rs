@@ -8,7 +8,7 @@
 //! | Boolean decision (acyclic) | Yannakakis' upward sweep: the fold over the join-tree links at the Boolean semiring | Thm 3.1 | [`yannakakis::decide_acyclic`] |
 //! | Boolean decision (cyclic) | worst-case optimal generic join | §2.1 / Ex 3.4 | [`generic_join::decide`] |
 //! | Counting (acyclic join) | the fold over the links at the counting semiring | Thm 3.8 | [`count::count_acyclic_join`] |
-//! | Counting (free-connex) | the same DP over `q'`, the acyclic join over the free variables that projection elimination leaves | Thm 3.13 | [`count::count_free_connex`] |
+//! | Counting (free-connex) | the same DP over `q'`, the acyclic join over the free variables that projection elimination leaves: per subtree of the virtual free edge, the upward semijoin pass of the full reduction, projected onto the subtree's key | Thm 3.13 | [`count::count_free_connex`] |
 //! | Counting / answers (hard side) | generic join + projection | Lem 3.9 | [`generic_join::count_distinct`], [`generic_join::answers`] |
 //! | Enumeration | the constant-delay in-order walk of the reduced tree, each move into a child two array reads | Thm 3.17 | [`Enumerator::preprocess`] |
 //! | Direct access, lex order | the reduced tree as rows + links: nodes sorted by parent key, then ⪯, each parent row linked to the child group it joins; mixed radix over lazy subtree weights | Thm 3.24 | [`LexDirectAccess::build`] |

@@ -15,12 +15,11 @@
 //! write to a relation outside the body invalidates nothing, a write to
 //! `R1` rebuilds the edges `R1` is an end of.
 
-use crate::bind::{collapse_rel, distinct_vars, validate_atom, BoundAtom, EvalError};
+use crate::bind::{collapse_rel, distinct_vars, validate_atom, EvalError};
 use crate::ctx::ExecCtx;
 use crate::yannakakis::{join_tree_of, shared_cols_of};
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, FxHashMap, Relation, Val};
-use std::borrow::Borrow;
 use std::fmt::Write;
 use std::sync::Arc;
 
@@ -83,19 +82,6 @@ impl EdgeLinks {
     }
 }
 
-/// `left ⋉ right`: the rows of `left` whose `lcols` link to a row of
-/// `right` by its `rcols`, over links built for the call. A nullary key
-/// is the "cross filter": `left` is kept iff `right` is non-empty.
-pub(crate) fn keep_linked(
-    left: &Relation,
-    lcols: &[usize],
-    right: &Relation,
-    rcols: &[usize],
-) -> Relation {
-    let mut link = EdgeLinks::build(left, lcols, right, rcols).link.into_iter();
-    left.filter(|_| link.next() != Some(NONE))
-}
-
 /// A join tree with the links of its every edge.
 #[derive(Debug)]
 pub(crate) struct JoinLinks {
@@ -105,14 +91,17 @@ pub(crate) struct JoinLinks {
 }
 
 impl JoinLinks {
-    /// The links of `tree` over `atoms`, built now and kept by nobody —
-    /// for atoms that are not stored relations (the messages of `q'`).
-    pub(crate) fn of_atoms(atoms: &[impl Borrow<BoundAtom>], tree: &JoinTree) -> Self {
+    /// The links of `tree` whose node `u` has the distinct variables and
+    /// the rows `node(u)`, built now and kept by nobody (a body's memoized
+    /// links are [`join_index`]'s).
+    pub(crate) fn of<'a>(
+        tree: &JoinTree,
+        node: impl Fn(usize) -> (&'a [Var], &'a Relation),
+    ) -> Self {
         let edge = |c: usize| {
-            let (p, c): (&BoundAtom, &BoundAtom) =
-                (atoms[tree.parent(c)?].borrow(), atoms[c].borrow());
-            let (pcols, ccols) = shared_cols_of(&p.vars, &c.vars);
-            Some(Arc::new(EdgeLinks::build(&p.rel, &pcols, &c.rel, &ccols)))
+            let ((pvars, prel), (cvars, crel)) = (node(tree.parent(c)?), node(c));
+            let (pcols, ccols) = shared_cols_of(pvars, cvars);
+            Some(Arc::new(EdgeLinks::build(prel, &pcols, crel, &ccols)))
         };
         JoinLinks { edges: (0..tree.n_nodes()).map(edge).collect(), tree: tree.clone() }
     }
@@ -366,6 +355,18 @@ mod tests {
         check("q(x, y) :- A(x), B(y)", &data);
     }
 
+    /// `left ⋉ right` read off one edge's links: the rows of `left` whose
+    /// `lcols` link to a group of `right` by its `rcols`.
+    fn linked_rows(
+        left: &Relation,
+        lcols: &[usize],
+        right: &Relation,
+        rcols: &[usize],
+    ) -> Relation {
+        let mut link = EdgeLinks::build(left, lcols, right, rcols).link.into_iter();
+        left.filter(|_| link.next() != Some(NONE))
+    }
+
     fn left() -> Relation {
         Relation::from_rows(2, vec![vec![1, 10], vec![2, 20], vec![3, 30]])
     }
@@ -373,7 +374,7 @@ mod tests {
     #[test]
     fn keep_linked_is_the_semijoin() {
         let right = Relation::from_rows(2, vec![vec![99, 1], vec![98, 3]]);
-        let out = keep_linked(&left(), &[0], &right, &[1]);
+        let out = linked_rows(&left(), &[0], &right, &[1]);
         assert_eq!(out.len(), 2);
         assert!(out.contains(&[1, 10]) && out.contains(&[3, 30]));
     }
@@ -381,7 +382,7 @@ mod tests {
     #[test]
     fn keep_linked_on_multi_column_keys() {
         let right = Relation::from_rows(2, vec![vec![1, 10]]);
-        let out = keep_linked(&left(), &[0, 1], &right, &[0, 1]);
+        let out = linked_rows(&left(), &[0, 1], &right, &[0, 1]);
         assert_eq!(out.len(), 1);
     }
 
@@ -390,20 +391,21 @@ mod tests {
         let l = left();
         let nonempty = Relation::from_values(vec![7]);
         let empty = Relation::new(1);
-        assert_eq!(keep_linked(&l, &[], &nonempty, &[]).len(), 3);
-        assert_eq!(keep_linked(&l, &[], &empty, &[]).len(), 0);
+        assert_eq!(linked_rows(&l, &[], &nonempty, &[]).len(), 3);
+        assert_eq!(linked_rows(&l, &[], &empty, &[]).len(), 0);
     }
 
     #[test]
     fn keep_linked_with_an_empty_right_side() {
         let right = Relation::new(1);
-        assert!(keep_linked(&left(), &[0], &right, &[0]).is_empty());
+        assert!(linked_rows(&left(), &[0], &right, &[0]).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "key length mismatch")]
-    fn keep_linked_checks_the_key_length() {
-        let _ = keep_linked(&left(), &[0, 1], &left(), &[0]);
+    fn an_edge_checks_the_key_length() {
+        let rel = Relation::from_pairs(vec![(1, 10), (2, 20)]);
+        let _ = EdgeLinks::build(&rel, &[0, 1], &rel, &[0]);
     }
 
     #[test]

@@ -50,32 +50,31 @@ pub(crate) fn join_tree_of_atoms(
     cq_core::gyo::join_tree(&cq_core::Hypergraph::new(n_vars, scopes))
 }
 
-/// Full Yannakakis reduction of bound atoms along the `links` of their
-/// join tree, in place: two Boolean passes and one filter per node. Up,
-/// children first: a row lives iff each of its links lands in a child
-/// group holding a live row — afterwards the root has a live row iff the
-/// join has an answer. Down: a group lives iff a live parent row links to
-/// it, and a row dies with its group. After both, every remaining tuple
-/// participates in at least one answer (global consistency). Borrowed
-/// atoms (memoized messages) are read where they are: only a node that
-/// loses a row is owned. Returns the `steps` of the two passes, counted
-/// as the fold counts its own: rows visited plus links followed.
-pub(crate) fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], links: &JoinLinks) -> u64 {
-    let tree = links.tree();
-    let mut live: Vec<Vec<bool>> =
-        atoms.iter().map(|a| vec![true; a.rel.len()]).collect();
-    // per node, which of its key groups hold a live row; `NONE` links
-    // land in a spare last slot that is never set
-    let mut groups: Vec<Vec<bool>> = (0..atoms.len())
+/// The children of node `u` with the links of their edges.
+fn kids_of(links: &JoinLinks, u: usize) -> Vec<(usize, &[u32])> {
+    let link = |c| links.edge(c).expect("a child has a parent edge").link.as_slice();
+    links.tree().children(u).iter().map(|&c| (c, link(c))).collect()
+}
+
+/// The upward pass of the full reduction — the one semijoin — along the
+/// `links` of a tree whose node `u` holds `rows[u]` rows. Children first:
+/// a row lives iff each of its links lands in a child group holding a
+/// live row, so afterwards a node's live rows are those that join its
+/// whole subtree, and the root has one iff the join has an answer.
+/// Returns per node its live rows and which of its parent-key groups
+/// hold one (`NONE` links land in a spare last slot that is never set),
+/// with the steps: rows visited plus links followed.
+pub(crate) fn semijoin_up(
+    rows: &[usize],
+    links: &JoinLinks,
+) -> (Vec<Vec<bool>>, Vec<Vec<bool>>, u64) {
+    let mut live: Vec<Vec<bool>> = rows.iter().map(|&n| vec![true; n]).collect();
+    let mut groups: Vec<Vec<bool>> = (0..rows.len())
         .map(|u| vec![false; links.edge(u).map_or(1, |e| e.groups) + 1])
         .collect();
-    let kids_of = |u: usize| -> Vec<(usize, &[u32])> {
-        let link = |c| links.edge(c).expect("a child has a parent edge").link.as_slice();
-        tree.children(u).iter().map(|&c| (c, link(c))).collect()
-    };
     let mut steps = 0u64;
-    for u in tree.bottom_up() {
-        let (kids, up) = (kids_of(u), links.edge(u));
+    for u in links.tree().bottom_up() {
+        let (kids, up) = (kids_of(links, u), links.edge(u));
         let mut rows = std::mem::take(&mut live[u]);
         steps += (rows.len() * (1 + kids.len())) as u64;
         for (i, alive) in rows.iter_mut().enumerate() {
@@ -89,9 +88,23 @@ pub(crate) fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], links: &JoinLinks) -
         }
         live[u] = rows;
     }
+    (live, groups, steps)
+}
+
+/// Full Yannakakis reduction of bound atoms along the `links` of their
+/// join tree, in place: [`semijoin_up`], then down — a group lives iff a
+/// live parent row links to it, and a row dies with its group — and one
+/// filter per node. After both, every remaining tuple participates in at
+/// least one answer (global consistency). Borrowed atoms (memoized
+/// messages) are read where they are: only a node that loses a row is
+/// owned. Returns the `steps` of the two passes, counted as the fold
+/// counts its own: rows visited plus links followed.
+pub(crate) fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], links: &JoinLinks) -> u64 {
+    let rows: Vec<usize> = atoms.iter().map(|a| a.rel.len()).collect();
+    let (mut live, mut groups, mut steps) = semijoin_up(&rows, links);
     groups.iter_mut().for_each(|group| group.fill(false));
-    for u in tree.top_down() {
-        let (kids, up) = (kids_of(u), links.edge(u));
+    for u in links.tree().top_down() {
+        let (kids, up) = (kids_of(links, u), links.edge(u));
         let mut rows = std::mem::take(&mut live[u]);
         steps += (rows.len() * (1 + kids.len())) as u64;
         for (i, alive) in rows.iter_mut().enumerate() {
@@ -153,9 +166,10 @@ mod tests {
         q: &ConjunctiveQuery,
         db: &Database,
     ) -> (Vec<Cow<'static, BoundAtom>>, u64) {
-        let mut atoms: Vec<_> =
+        let mut atoms: Vec<Cow<BoundAtom>> =
             bind(q, db).unwrap().into_iter().map(Cow::Owned).collect();
-        let links = JoinLinks::of_atoms(&atoms, &join_tree_of(q).unwrap().rerooted(0));
+        let tree = join_tree_of(q).unwrap().rerooted(0);
+        let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
         let steps = full_reduce(&mut atoms, &links);
         (atoms, steps)
     }
@@ -257,7 +271,8 @@ mod tests {
         db.insert("C", Relation::from_pairs(vec![(3, 9)]));
         let bound = bind(&q, &db).unwrap();
         let mut atoms: Vec<_> = bound.iter().map(Cow::Borrowed).collect();
-        let links = JoinLinks::of_atoms(&atoms, &join_tree_of(&q).unwrap().rerooted(0));
+        let tree = join_tree_of(&q).unwrap().rerooted(0);
+        let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
         full_reduce(&mut atoms, &links);
         assert!(
             matches!(atoms[2], Cow::Borrowed(_)) && matches!(atoms[1], Cow::Owned(_))

@@ -87,12 +87,6 @@ impl BitMatrix {
         &self.bits[i * self.words_per_row..(i + 1) * self.words_per_row]
     }
 
-    /// Mutable words of row `i`.
-    #[inline]
-    pub fn row_words_mut(&mut self, i: usize) -> &mut [u64] {
-        &mut self.bits[i * self.words_per_row..(i + 1) * self.words_per_row]
-    }
-
     /// OR `src`'s row words into row `i` (both matrices must have the same
     /// column count).
     #[inline]

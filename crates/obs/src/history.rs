@@ -79,15 +79,6 @@ impl HistoryRing {
         }
     }
 
-    /// Re-bound the ring, trimming the oldest snapshots if shrinking.
-    pub fn set_capacity(&self, cap: usize) {
-        let mut s = self.state.lock().unwrap();
-        s.cap = cap;
-        while s.snaps.len() > cap {
-            s.snaps.pop_front();
-        }
-    }
-
     /// The configured retention bound.
     pub fn capacity(&self) -> usize {
         self.state.lock().unwrap().cap
@@ -260,8 +251,6 @@ mod tests {
         let snaps = ring.snapshots();
         assert_eq!(snaps[1].counters["s"]["x"], 4);
         assert_eq!(snaps[0].counters["s"]["x"], 3);
-        ring.set_capacity(1);
-        assert_eq!(ring.len(), 1);
     }
 
     #[test]

@@ -2,8 +2,7 @@
 //!
 //! ```text
 //! cqd [--addr HOST:PORT] [--workers N] [--port-file PATH] [--data-dir PATH]
-//!     [--metrics-interval SECS] [--slow-query-ms N]
-//!     [--metrics-history N] [--profile N]
+//!     [--metrics-interval SECS] [--slow-query-ms N] [--profile N]
 //!     [--group-commit-ms N] [--auto-save-bytes N] [--replica-of HOST:PORT]
 //! ```
 //!
@@ -21,14 +20,13 @@
 //! via `METRICS` (the `server slow-queries` gauge) and retained for
 //! the periodic dump.
 //!
-//! `--metrics-history N` sizes the counter-snapshot ring behind
-//! `METRICS RATE` (default 8). With `--metrics-interval` the dumper
-//! thread also captures a snapshot each tick, so rates are available
-//! without a client polling `METRICS RATE`. `--profile N` turns on
-//! per-query execution tracing, retaining the last N span trees per
-//! tenant for the `PROFILE <db>` command (and `EXPLAIN ANALYZE`
-//! results); without it, tracing is compiled to no-ops and `PROFILE`
-//! answers `ERR tracing-off`.
+//! `METRICS RATE` reads a ring of the last 8 counter snapshots. With
+//! `--metrics-interval` the dumper thread also captures a snapshot each
+//! tick, so rates are available without a client polling `METRICS
+//! RATE`. `--profile N` turns on per-query execution tracing, retaining
+//! the last N span trees per tenant for the `PROFILE <db>` command (and
+//! `EXPLAIN ANALYZE` results); without it, tracing is compiled to no-ops
+//! and `PROFILE` answers `ERR tracing-off`.
 //!
 //! With `--data-dir`, tenants are durable: every tenant found under
 //! the directory is recovered on boot (snapshot + write-ahead-log
@@ -66,7 +64,6 @@ fn main() {
     let mut data_dir: Option<String> = None;
     let mut metrics_interval: Option<u64> = None;
     let mut slow_query_ms: Option<u64> = None;
-    let mut metrics_history: Option<usize> = None;
     let mut profile: Option<usize> = None;
     let mut group_commit_ms: Option<u64> = None;
     let mut auto_save_bytes: Option<u64> = None;
@@ -97,15 +94,6 @@ fn main() {
                     .parse()
                     .unwrap_or_else(|_| usage("--slow-query-ms takes milliseconds"));
                 slow_query_ms = Some(ms);
-            }
-            "--metrics-history" => {
-                let n: usize = expect_value(&mut args, "--metrics-history")
-                    .parse()
-                    .unwrap_or_else(|_| usage("--metrics-history takes a count"));
-                if n < 2 {
-                    usage("--metrics-history needs at least 2 snapshots to rate");
-                }
-                metrics_history = Some(n);
             }
             "--profile" => {
                 let n: usize = expect_value(&mut args, "--profile")
@@ -223,10 +211,6 @@ fn main() {
         state.metrics().slowlog().set_threshold(std::time::Duration::from_millis(ms));
         println!("cqd slow-query log enabled at {ms}ms");
     }
-    if let Some(n) = metrics_history {
-        state.metrics().history().set_capacity(n);
-        println!("cqd metrics history ring sized to {n} snapshots");
-    }
     if let Some(n) = profile {
         state.metrics().set_profile_capacity(n);
         println!("cqd per-query tracing enabled ({n} traces per tenant)");
@@ -273,7 +257,7 @@ fn main() {
 
 const USAGE: &str = "cqd [--addr HOST:PORT] [--workers N] [--port-file PATH] \
                      [--data-dir PATH] [--metrics-interval SECS] [--slow-query-ms N] \
-                     [--metrics-history N] [--profile N] \
+                     [--profile N] \
                      [--group-commit-ms N] [--auto-save-bytes N] \
                      [--replica-of HOST:PORT]";
 

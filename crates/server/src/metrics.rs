@@ -82,8 +82,7 @@ pub struct ServerMetrics {
 /// Retained slow-query entries (the log's ring capacity).
 const SLOWLOG_CAPACITY: usize = 128;
 
-/// Default metrics-history snapshots retained (`--metrics-history`
-/// overrides).
+/// Metrics-history snapshots retained.
 const HISTORY_CAPACITY: usize = 8;
 
 impl Default for ServerMetrics {

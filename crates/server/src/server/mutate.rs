@@ -550,6 +550,77 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// `--auto-save-bytes`: a mutation that leaves the log at the
+    /// threshold checkpoints the tenant, so the log stays below it and a
+    /// reopen recovers every acked row. A failed checkpoint does not fail
+    /// the mutation, which is acked and counted as a failure; the tenant
+    /// stays read-write, and the next mutation checkpoints.
+    #[test]
+    fn auto_checkpoint_bounds_the_wal_and_a_failed_one_is_counted_not_degraded() {
+        use crate::state::WritePolicy;
+        use cq_storage::{FaultPlan, FaultPoint, Store};
+        let dir = std::env::temp_dir()
+            .join(format!("cq_server_auto_save_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        const LIMIT: u64 = 64;
+        let boot = |faults| {
+            let store = Store::open_dir_with_faults(&dir, faults).unwrap();
+            let (state, _) = ServerState::recover(store).unwrap();
+            let policy =
+                WritePolicy { auto_save_bytes: Some(LIMIT), ..Default::default() };
+            state.set_write_policy(policy);
+            let state = Arc::new(state);
+            (Session::new(Arc::clone(&state)), state)
+        };
+        let counter = |state: &ServerState, name: &str| {
+            let scope = state.metrics().registry().scope(&metrics::tenant_scope("d"));
+            scope.counter(name).get()
+        };
+        let wal_len = |state: &ServerState| {
+            state.tenant("d").unwrap().wal_position().expect("a durable tenant").1
+        };
+        let insert = |s: &mut Session, i: u64| {
+            let r = s.handle_line(&format!("INSERT R({i}, {i})")).unwrap();
+            assert_eq!(r.terminal, format!("OK inserted 1 row into R ({} total)", i + 1));
+        };
+
+        let (mut s, state) = boot(FaultPlan::none());
+        s.handle_line("CREATE DB d");
+        s.handle_line("USE d");
+        for i in 0..20 {
+            insert(&mut s, i);
+            assert!(wal_len(&state) < LIMIT, "row {i}: the log stays below the limit");
+        }
+        assert!(counter(&state, "storage.auto-checkpoints") >= 5);
+        assert_eq!(counter(&state, "storage.auto-checkpoint-failures"), 0);
+        drop((s, state));
+
+        // the reopened server's first snapshot write fails
+        let (mut s, state) = boot(FaultPlan::failing(FaultPoint::SnapWrite, 1));
+        s.handle_line("USE d");
+        assert_eq!(s.handle_line("COUNT q(x, y) :- R(x, y)").unwrap().terminal, "OK 20");
+        let mut i = 20;
+        while counter(&state, "storage.auto-checkpoint-failures") == 0 {
+            insert(&mut s, i);
+            i += 1;
+        }
+        assert_eq!(counter(&state, "storage.auto-checkpoints"), 0);
+        assert!(wal_len(&state) >= LIMIT, "the log keeps what the snapshot missed");
+        let st = s.handle_line("STATS d").unwrap();
+        assert!(!st.data.iter().any(|l| l.contains("read-only")), "{:?}", st.data);
+        insert(&mut s, i);
+        assert_eq!(counter(&state, "storage.auto-checkpoints"), 1);
+        assert_eq!(counter(&state, "storage.auto-checkpoint-failures"), 1);
+        assert!(wal_len(&state) < LIMIT);
+        drop((s, state));
+
+        let (mut s, _) = boot(FaultPlan::none());
+        s.handle_line("USE d");
+        let r = s.handle_line("COUNT q(x, y) :- R(x, y)").unwrap();
+        assert_eq!(r.terminal, format!("OK {}", i + 1), "every acked row recovers");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn resume_is_total_on_in_memory_servers() {
         let mut s = session();

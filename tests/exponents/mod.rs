@@ -14,6 +14,11 @@
 //! its upper bound is asserted; the answers span adds the rows handed
 //! over, which no word takes below m^ρ* on AGM-tight instances.
 //!
+//! The operators that run over `q'` — counting, enumerating and accessing
+//! a free-connex query — first derive it, on a cold build, under an
+//! `op.free-connex.eliminate` span: its `steps` are fitted on each of
+//! their rows too, at most m^1 plus the slack and under `4 · Σ|Rᵢ|`.
+//!
 //! One test runs each operator's rows, named in [`probe`]: [`run`] is
 //! all a test file calls.
 
@@ -94,16 +99,33 @@ fn probe(op: &PlanOp) -> Option<Probe> {
 /// An operator's span, work attributes, memoization and test.
 type Probe = (&'static str, &'static [&'static str], bool, &'static str);
 
-/// Run `f` under a trace sink: its result and the one span named `span`
-/// it recorded, if any.
-fn traced<T>(span: &str, f: impl FnOnce() -> T) -> (T, Option<Span>) {
+/// The span a cold derivation of `q'` opens, beneath the span of the
+/// operator that runs over it; its work is its `steps`.
+const ELIMINATE: &str = "op.free-connex.eliminate";
+
+/// Whether the operator runs over `q'`, derived by projection
+/// elimination (a free-connex join query's too).
+fn derives_q_prime(op: &PlanOp) -> bool {
+    use PlanOp::*;
+    matches!(
+        op,
+        ProjectionEliminationDp | ConstantDelayEnumeration | FreeConnexDirectAccess
+    )
+}
+
+/// Run `f` under a trace sink: its result and, per name, the one span of
+/// that name it recorded, if any.
+fn traced<T, const N: usize>(
+    names: [&str; N],
+    f: impl FnOnce() -> T,
+) -> (T, [Option<Span>; N]) {
     let sink = TraceSink::enabled();
     let out = trace::with(&sink, f);
-    let mut found = None;
-    if let Some(trace) = sink.finish("test", span) {
+    let mut found = [const { None }; N];
+    if let Some(trace) = sink.finish("test", names[0]) {
         trace.visit(|_, s| {
-            if s.name == span {
-                assert!(found.replace(s.clone()).is_none(), "one `{span}` span");
+            if let Some(i) = names.iter().position(|&name| s.name == name) {
+                assert!(found[i].replace(s.clone()).is_none(), "one `{}` span", s.name);
             }
         });
     }
@@ -137,17 +159,19 @@ fn join_count(q: &ConjunctiveQuery, db: &Database) -> u64 {
 }
 
 /// Plan `row` on `db` and run the plan cold, warm and — when the warm
-/// run finds its product memoized — cold again on a fresh catalog. The
-/// planner picks the row's operator; it finds `want` answers; an
-/// operator's span reports them and its polls beside its work; the work
-/// repeats exactly, a warm run builds nothing, and the work is within
-/// `c · m^e`. Returns `(m, work, e)`.
+/// run finds its product memoized, or the operator derives `q'` — cold
+/// again on a fresh catalog. The planner picks the row's operator; it
+/// finds `want` answers; an operator's span reports them and its polls
+/// beside its work; the work repeats exactly, a warm run builds nothing,
+/// and the work is within `c · m^e`. An operator over `q'` eliminates
+/// under `4 · m` steps cold, the same again fresh, and not at all warm.
+/// Returns `(m, work, e)` and the elimination's steps, if it ran.
 pub fn measure(
     row: &Row,
     db: &Database,
     stats: &DataStats,
     want: u64,
-) -> (f64, f64, f64) {
+) -> (f64, f64, f64, Option<f64>) {
     let (q, name) = (&row.query, format!("{:?} {}", row.task, row.name));
     let plan = match &row.order {
         Some(order) => Planner::plan_lex_access(q, order, stats),
@@ -157,12 +181,15 @@ pub fn measure(
     assert_eq!(discriminant(&plan.op), discriminant(&row.op), "{name}: {plan:?}");
     let (op_span, attrs, memoized, _) = probe(&plan.op).expect("a row's operator runs");
     let work = |span: &Span| attrs.iter().map(|a| span.attr(a).unwrap()).sum::<u64>();
+    // the answers, the operator's span and the elimination's steps
     let run = |catalog: &IndexCatalog| {
         let ctx = EvalCtx::new().with_catalog(catalog);
-        traced(op_span, || answers(ctx.execute(&plan, q, db).unwrap()))
+        let run = || answers(ctx.execute(&plan, q, db).unwrap());
+        let (n, [span, eliminate]) = traced([op_span, ELIMINATE], run);
+        (n, span, eliminate.map(|span| span.attr("steps").unwrap()))
     };
     let catalog = IndexCatalog::new();
-    let (n, span) = run(&catalog);
+    let (n, span, eliminated) = run(&catalog);
     let span = span.unwrap_or_else(|| panic!("{name} m={m}: no `{op_span}` span"));
     let cold = work(&span);
     assert_eq!(n, want, "{name} m={m}");
@@ -171,16 +198,28 @@ pub fn measure(
         None => assert!(memoized, "{name}: an operator reports its rows"),
     }
     let built = catalog.snapshot().misses;
-    let (again, warm) = run(&catalog);
+    let (again, warm, warm_eliminated) = run(&catalog);
     assert_eq!(catalog.snapshot().misses, built, "{name} m={m}: warm builds nothing");
     let warm = warm.map_or(0, |span| work(&span));
     // a memoized product costs nothing warm, and repeats on a fresh catalog
-    let fresh = || run(&IndexCatalog::new()).1.map_or(0, |span| work(&span));
-    let (free, repeat) = if memoized { (0, fresh()) } else { (cold, warm) };
+    let fresh = (memoized || eliminated.is_some()).then(|| run(&IndexCatalog::new()));
+    let (repeat, repeat_eliminated) = match fresh {
+        Some((_, span, eliminated)) => (span.map_or(0, |span| work(&span)), eliminated),
+        None => (cold, None),
+    };
+    let (free, repeat) = if memoized { (0, repeat) } else { (cold, warm) };
     assert_eq!((again, warm, repeat), (n, free, cold), "{name} m={m}: must repeat");
     let bound = row.c * m.powf(e);
     assert!(cold as f64 <= bound, "{name} m={m}: {cold} > {} · m^{e} = {bound}", row.c);
-    (m, cold as f64, e)
+    let derives = derives_q_prime(&plan.op);
+    assert_eq!(eliminated.is_some(), derives, "{name} m={m}: a cold `{ELIMINATE}`");
+    assert_eq!(warm_eliminated, None, "{name} m={m}: a warm run eliminates nothing");
+    assert_eq!(repeat_eliminated, eliminated, "{name} m={m}: elimination must repeat");
+    let eliminated = eliminated.map(|steps| steps as f64);
+    if let Some(steps) = eliminated {
+        assert!(steps <= 4.0 * m, "{name} m={m}: eliminates in {steps} > 4 · m steps");
+    }
+    (m, cold as f64, e, eliminated)
 }
 
 /// The instance of `row`'s family at `side`, built once per test file:
@@ -196,11 +235,12 @@ fn instance(row: &Row, side: u64) -> Arc<OnceLock<Instance>> {
 type Instance = (DataStats, Database, u64);
 
 /// Fit the work of `row` over its sizes: at most the plan's exponent plus
-/// the operator's slack, and within the slack when the family is tight.
-/// Returns the fitted and the plan's exponent.
-fn fit(row: &Row) -> (f64, f64) {
+/// the operator's slack, and within the slack when the family is tight;
+/// an elimination's steps at most m^1 plus the `steps` slack. Returns
+/// the fitted and the plan's exponent, and the elimination's fit.
+fn fit(row: &Row) -> (f64, f64, Option<f64>) {
     let (q, name) = (&row.query, format!("{:?} {}", row.task, row.name));
-    let mut points = Vec::new();
+    let (mut points, mut eliminations) = (Vec::new(), Vec::new());
     for &side in row.sizes {
         let slot = instance(row, side);
         let (stats, db, want) = slot.get_or_init(|| {
@@ -208,18 +248,26 @@ fn fit(row: &Row) -> (f64, f64) {
             let want = closed.unwrap_or_else(|| join_count(q, &db));
             (DataStats::collect(&db), db, want)
         });
-        points.push(measure(row, db, stats, *want));
+        let (m, work, e, eliminated) = measure(row, db, stats, *want);
+        points.push((m, work, e));
+        eliminations.extend(eliminated.map(|steps| (m, steps)));
     }
     let e = points[0].2;
     let (first, last) = (points[0].0, points[points.len() - 1].0);
     assert!(points.len() >= 3 && last >= 4.0 * first, "{name}: sizes span 4×");
+    let fit_of = |xy: &[(f64, f64)]| {
+        cq_matrix::omega::fit_exponent(xy).expect("positive work at distinct sizes")
+    };
     let xy: Vec<_> = points.iter().map(|&(m, work, _)| (m, work)).collect();
-    let fit =
-        cq_matrix::omega::fit_exponent(&xy).expect("positive work at distinct sizes");
+    let fit = fit_of(&xy);
     let slack = if probe(&row.op).unwrap().1 == ["steps"] { 0.05 } else { 0.1 };
     assert!(fit <= e + slack, "{name}: work grows as m^{fit:.3}, plan m^{e}");
     assert!(!row.tight || fit >= e - slack, "{name}: m^{fit:.3} < plan m^{e}");
-    (fit, e)
+    let eliminate = (!eliminations.is_empty()).then(|| fit_of(&eliminations));
+    if let Some(fit) = eliminate {
+        assert!(fit <= 1.05, "{name}: elimination grows as m^{fit:.3}");
+    }
+    (fit, e, eliminate)
 }
 
 const LINEAR: &[u64] = &[2_000, 4_000, 8_000, 16_000];
@@ -373,8 +421,12 @@ pub fn run(test: &str) {
     let rows = table().into_iter().filter(|row| probe(&row.op).unwrap().3 == test);
     let mut ran = 0;
     for row in rows {
-        let (fit, e) = fit(&row);
-        println!("{:?} {}: plan m^{e:.3}, fitted m^{fit:.3}", row.task, row.name);
+        let (fit, e, eliminate) = fit(&row);
+        print!("{:?} {}: plan m^{e:.3}, fitted m^{fit:.3}", row.task, row.name);
+        match eliminate {
+            Some(eliminate) => println!("; elimination m^{eliminate:.3}"),
+            None => println!(),
+        }
         ran += 1;
     }
     assert!(ran > 0, "`{test}` runs no row");

@@ -48,7 +48,11 @@
 # And one exponent table: a plan's cost exponent is checked through the
 # planner, on its operator's work counter, by one table keyed by `PlanOp`.
 # And one semijoin: projection elimination reduces each subtree with
-# `yannakakis::semijoin_up`, the upward pass of every full reduction. And no public
+# `yannakakis::semijoin_up`, the upward pass of every full reduction. And one
+# answer stream: `cq_engine::Answers` reads a walk of the reduced tree, a
+# direct-access structure or materialized rows, and the planner re-exports it,
+# so no stream trait, per-source stream type or wrapper stands between a
+# cursor and that type. And no public
 # function nobody names: a `pub fn` of a crate's source is named somewhere
 # else in the workspace, tests included.
 set -uo pipefail
@@ -309,6 +313,14 @@ forbid "caller-less planner entry points (a catalog registry, cache clearing):" 
 # trace plumbing and the engine's over-budget error stay deleted
 forbid "batch, budget or trace plumbing beside the statement path (a BATCH item is a statement; the server admits):" "$(
     grep -rnE 'batch_tasks|fn batch\b|batch_workers|OverBudget|with_budget|with_trace|fn admit\b' \
+        crates src tests examples
+)"
+
+# one answer stream: three sources of one concrete type, not a trait with an
+# implementing struct per source, an enumerator wrapping the shared tree, or
+# a planner wrapper forwarding to a boxed stream
+forbid "answer-stream layers beside cq_engine::Answers (add a source to it instead):" "$(
+    grep -rnE 'trait AnswerStream|RelationStream|DirectAccessStream|EnumeratorStream|struct Enumerator\b|fn (from_stream|into_stream|into_answers|can_seek)\b' \
         crates src tests examples
 )"
 

@@ -303,7 +303,7 @@ pub fn count_free_connex(
 mod tests {
     use super::*;
     use crate::bind::{brute_force_answers, brute_force_count};
-    use crate::{count, DirectAccess, Enumerator, FreeConnexDirectAccess};
+    use crate::{count, enumerate, Answers, DirectAccess, FreeConnexDirectAccess};
     use cq_core::query::zoo;
     use cq_core::{parse_query, QueryBuilder};
     use cq_data::generate::{
@@ -570,8 +570,8 @@ mod tests {
             match verb {
                 "COUNT" => count::count_free_connex(ctx, &q, db).unwrap(),
                 "ANSWERS" => {
-                    let mut e = Enumerator::preprocess(ctx, &q, db).unwrap();
-                    assert_eq!(e.to_relation(), want);
+                    let tree = enumerate::preprocess(ctx, &q, db).unwrap();
+                    assert_eq!(Answers::walk(tree).collect().unwrap(), want);
                     want.len() as u64
                 }
                 _ => {
@@ -604,9 +604,9 @@ mod tests {
                 assert_eq!(catalog.snapshot().artifacts, 5, "{order:?}");
 
                 // the walk and the array are one structure
-                let e = Enumerator::preprocess(&ctx, &q, &db).unwrap();
+                let tree = enumerate::preprocess(&ctx, &q, &db).unwrap();
                 let da = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
-                assert!(Arc::ptr_eq(e.direct_access(), &da), "{order:?}");
+                assert!(Arc::ptr_eq(&tree, &da), "{order:?}");
                 let warm = catalog.snapshot();
                 assert_eq!(warm.misses, 5, "{order:?}: the lookups above are hits");
 

@@ -67,16 +67,6 @@ pub trait DirectAccess {
     }
 }
 
-/// Shared (catalog-cached) structures access like owned ones.
-impl<T: DirectAccess + ?Sized> DirectAccess for Arc<T> {
-    fn len(&self) -> u64 {
-        (**self).len()
-    }
-    fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
-        (**self).access_into(i, out)
-    }
-}
-
 /// Materialize-and-sort direct access — works for every query and every
 /// order, with Θ(|q(D)|) preprocessing: the baseline whose preprocessing
 /// cost the dichotomy says is unavoidable for disrupted orders and on the
@@ -662,9 +652,9 @@ mod tests {
             Err(EvalError::CountOverflow)
         ));
         // the walk needs no weights; the tree it exposes simulates no array
-        let e = crate::Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
-        assert!(crate::AnswerStream::next(&mut e.stream()).unwrap().is_some());
-        assert_eq!((e.direct_access().len(), e.direct_access().access(0)), (0, None));
+        let tree = crate::enumerate::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
+        assert!(crate::Answers::walk(Arc::clone(&tree)).next().unwrap().is_some());
+        assert_eq!((tree.len(), tree.access(0)), (0, None));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! construction* (each node's variables are introduced right after its
 //! parent's, and subtree blocks are contiguous), so no tree search is
 //! needed. The product is memoized once per query and shared:
-//! [`crate::Enumerator`] walks the very same nodes, which is why
+//! [`crate::Answers::walk`] walks the very same nodes, which is why
 //! enumeration order *is* this structure's order.
 
 use crate::bind::{BoundAtom, EvalError};

@@ -330,15 +330,13 @@ mod tests {
         data.insert("A", Relation::from_values(vec![3, 1, 2]));
         data.insert("B", Relation::from_values(vec![8, 9]));
         let walk = |data: &Database| {
-            let e = crate::Enumerator::preprocess(&ExecCtx::cold(), &q, data).unwrap();
-            let da = e.direct_access();
-            let mut stream = e.stream();
-            let rows: Vec<Vec<Val>> = std::iter::from_fn(|| {
-                crate::AnswerStream::next(&mut stream).unwrap().map(<[Val]>::to_vec)
-            })
-            .collect();
-            let accessed: Vec<Vec<Val>> = (0..crate::DirectAccess::len(da))
-                .map(|i| crate::DirectAccess::access(da, i).unwrap())
+            let da = crate::enumerate::preprocess(&ExecCtx::cold(), &q, data).unwrap();
+            let mut stream = crate::Answers::walk(Arc::clone(&da));
+            let rows: Vec<Vec<Val>> =
+                std::iter::from_fn(|| stream.next().unwrap().map(<[Val]>::to_vec))
+                    .collect();
+            let accessed: Vec<Vec<Val>> = (0..crate::DirectAccess::len(&*da))
+                .map(|i| crate::DirectAccess::access(&*da, i).unwrap())
                 .collect();
             assert_eq!(rows, accessed);
             rows

@@ -11,108 +11,22 @@
 //! only be replayed against the database they were planned for).
 
 use crate::ir::{PlanOp, QueryPlan, Task};
-use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, Relation, Val};
+use cq_core::ConjunctiveQuery;
+use cq_data::{Database, Relation};
 use cq_engine::bind::EvalError;
-use cq_engine::stream::{AnswerStream, DirectAccessStream, RelationStream};
-use cq_engine::{count, generic_join, yannakakis, CancelToken, Enumerator, ExecCtx};
+use cq_engine::{count, enumerate, generic_join, yannakakis, ExecCtx};
 use cq_engine::{
     DirectAccess, FreeConnexDirectAccess, LexDirectAccess, MaterializedDirectAccess,
 };
+use std::sync::Arc;
 
-/// The answer payload of an executed plan: a pull-driven
-/// [`AnswerStream`] plus the operator name that produced it (so cursor
-/// surfaces can cite the plan op in `seek`-unsupported errors).
-///
-/// Rows arrive in the producer's native deterministic order —
-/// enumeration order for constant-delay plans, the structure's
-/// lexicographic order for direct access, normalized sorted order for
-/// materialized operators. Callers needing normalized output use
+/// The answer payload of an executed plan: the engine's one stream type.
+/// Rows arrive in the source's native deterministic order — enumeration
+/// order for constant-delay plans, the structure's lexicographic order
+/// for direct access, normalized sorted order for materialized
+/// operators. Callers needing normalized output use
 /// [`Answers::collect`].
-pub struct Answers {
-    stream: Box<dyn AnswerStream>,
-    op_name: &'static str,
-}
-
-impl std::fmt::Debug for Answers {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Answers")
-            .field("schema", &self.stream.schema())
-            .field("op", &self.op_name)
-            .field("size_hint", &self.stream.size_hint())
-            .field("seekable", &self.stream.can_seek())
-            .finish()
-    }
-}
-
-impl Answers {
-    /// Wrap a stream produced by the named plan operator.
-    pub fn from_stream(stream: Box<dyn AnswerStream>, op_name: &'static str) -> Self {
-        Answers { stream, op_name }
-    }
-
-    /// Wrap an already-materialized relation (trivially seekable).
-    pub fn from_relation(schema: Vec<Var>, rel: Relation, op_name: &'static str) -> Self {
-        Answers { stream: Box::new(RelationStream::new(schema, rel)), op_name }
-    }
-
-    /// The output schema: free variables in interning order.
-    pub fn schema(&self) -> &[Var] {
-        self.stream.schema()
-    }
-
-    /// The plan operator that produced this stream.
-    pub fn op_name(&self) -> &'static str {
-        self.op_name
-    }
-
-    /// Pull the next row (see [`AnswerStream::next`]). Not an
-    /// [`Iterator`]: the row borrows the stream's internal buffer, a
-    /// lending shape `Iterator::next` cannot express.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<&[Val]>, EvalError> {
-        self.stream.next()
-    }
-
-    /// Does [`Answers::seek`] work — i.e. is the plan direct-access or
-    /// materialized?
-    pub fn can_seek(&self) -> bool {
-        self.stream.can_seek()
-    }
-
-    /// Position the stream at the k-th answer; `ERR`s citing the
-    /// operator when the plan has no random access.
-    pub fn seek(&mut self, k: u64) -> Result<(), EvalError> {
-        if !self.stream.can_seek() {
-            return Err(EvalError::Unsupported(format!(
-                "operator `{}` enumerates with constant delay but has no random \
-                 access; SEEK needs a direct-access or materialized plan",
-                self.op_name
-            )));
-        }
-        self.stream.seek(k)
-    }
-
-    /// Install the cancel token polled on every pull.
-    pub fn set_cancel(&mut self, cancel: CancelToken) {
-        self.stream.set_cancel(cancel);
-    }
-
-    /// Total rows, when known without enumerating.
-    pub fn size_hint(&self) -> Option<u64> {
-        self.stream.size_hint()
-    }
-
-    /// Drain into a normalized (sorted, deduplicated) [`Relation`].
-    pub fn collect(mut self) -> Result<Relation, EvalError> {
-        self.stream.collect()
-    }
-
-    /// The underlying stream, for consumers that drive it directly.
-    pub fn into_stream(self) -> Box<dyn AnswerStream> {
-        self.stream
-    }
-}
+pub use cq_engine::Answers;
 
 /// The result of executing a plan: one variant per task.
 #[derive(Debug)]
@@ -140,16 +54,6 @@ impl Output {
     pub fn as_count(&self) -> Option<u64> {
         match self {
             Output::Count(c) => Some(*c),
-            _ => None,
-        }
-    }
-
-    /// The answers, drained into a normalized relation, if this is an
-    /// answer set. (Streaming consumers match on [`Output::Answers`]
-    /// and pull instead.)
-    pub fn into_answers(self) -> Option<Relation> {
-        match self {
-            Output::Answers(a) => a.collect().ok(),
             _ => None,
         }
     }
@@ -190,20 +94,19 @@ pub(crate) fn execute_in(
     db: &Database,
 ) -> Result<Output, EvalError> {
     ctx.cancel().check_now()?;
-    match plan.task {
-        Task::Decide => decide_task(ctx, plan, q, db).map(Output::Decision),
-        Task::Count => count_task(ctx, plan, q, db).map(Output::Count),
-        Task::Answers => answers_task(ctx, plan, q, db).map(Output::Answers),
+    let mut answers = match plan.task {
+        Task::Decide => return decide_task(ctx, plan, q, db).map(Output::Decision),
+        Task::Count => return count_task(ctx, plan, q, db).map(Output::Count),
+        Task::Answers => answers_task(ctx, plan, q, db)?,
+        // the structure is built (and memoized) once; the stream over it
+        // has O(1) `seek(k)` — the ranked-access guarantee of Thm 3.24 /
+        // 3.18 as an executable plan
         Task::Access => {
-            // the structure is built (and memoized) once; the stream
-            // over it has O(1) `seek(k)` — the ranked-access guarantee
-            // of Thm 3.24 / 3.18 as an executable plan
-            let da = build_lex_access(ctx, plan, q, db)?;
-            let mut s = DirectAccessStream::new(q.free_vars(), da);
-            s.set_cancel(ctx.cancel().clone());
-            Ok(Output::Answers(Answers::from_stream(Box::new(s), plan.op.name())))
+            Answers::access(q.free_vars(), build_lex_access(ctx, plan, q, db)?)
         }
-    }
+    };
+    answers.set_cancel(ctx.cancel().clone());
+    Ok(Output::Answers(answers))
 }
 
 fn unsupported(plan: &QueryPlan) -> EvalError {
@@ -257,32 +160,25 @@ fn answers_task(
     q: &ConjunctiveQuery,
     db: &Database,
 ) -> Result<Answers, EvalError> {
-    let op = plan.op.name();
-    let wrap = |rel: Relation| {
-        let mut a = Answers::from_relation(q.free_vars(), rel, op);
-        a.set_cancel(ctx.cancel().clone());
-        a
-    };
-    match &plan.op {
-        PlanOp::TrivialEmpty => Ok(wrap(Relation::new(q.free_vars().len()))),
+    let rows = |rel| Answers::rows(q.free_vars(), rel);
+    Ok(match &plan.op {
+        PlanOp::TrivialEmpty => rows(Relation::new(q.free_vars().len())),
+        // only the (memoized, linear) preprocessing happens here; answers
+        // are pulled one at a time by the consumer
         PlanOp::ConstantDelayEnumeration => {
-            // only the (memoized, linear) preprocessing happens here;
-            // answers are pulled one at a time by the consumer
-            let mut s = Enumerator::preprocess(ctx, q, db)?.into_stream();
-            s.set_cancel(ctx.cancel().clone());
-            Ok(Answers::from_stream(Box::new(s), op))
+            Answers::walk(enumerate::preprocess(ctx, q, db)?)
         }
         PlanOp::MaterializeProject { order } => {
-            Ok(wrap(generic_join::answers(ctx, q, db, order)?))
+            rows(generic_join::answers(ctx, q, db, order)?)
         }
         // Boolean queries route their answer task through the
         // early-stopping decision operators; the answer relation is the
         // nullary {()} or {}
         PlanOp::SemijoinSweep | PlanOp::GenericJoin { .. } if q.is_boolean() => {
-            Ok(wrap(Relation::nullary(decide_task(ctx, plan, q, db)?)))
+            rows(Relation::nullary(decide_task(ctx, plan, q, db)?))
         }
-        _ => Err(unsupported(plan)),
-    }
+        _ => return Err(unsupported(plan)),
+    })
 }
 
 /// Build the direct-access structure a [`Task::Access`] plan names
@@ -297,21 +193,17 @@ pub fn build_lex_access(
     plan: &QueryPlan,
     q: &ConjunctiveQuery,
     db: &Database,
-) -> Result<Box<dyn DirectAccess + Send + Sync>, EvalError> {
-    match &plan.op {
-        PlanOp::LexDirectAccess { order } => {
-            Ok(Box::new(LexDirectAccess::build(ctx, q, db, order)?))
-        }
+) -> Result<Arc<dyn DirectAccess + Send + Sync>, EvalError> {
+    Ok(match &plan.op {
+        PlanOp::LexDirectAccess { order } => LexDirectAccess::build(ctx, q, db, order)?,
         // join queries and projections alike: the distinct answers over
         // the free variables, sorted by `order` restricted to them
         PlanOp::MaterializedDirectAccess { order } => {
-            Ok(Box::new(MaterializedDirectAccess::build(ctx, q, db, order)?))
+            MaterializedDirectAccess::build(ctx, q, db, order)?
         }
-        PlanOp::FreeConnexDirectAccess => {
-            Ok(Box::new(FreeConnexDirectAccess::build(ctx, q, db)?))
-        }
-        _ => Err(unsupported(plan)),
-    }
+        PlanOp::FreeConnexDirectAccess => FreeConnexDirectAccess::build(ctx, q, db)?,
+        _ => return Err(unsupported(plan)),
+    })
 }
 
 #[cfg(test)]
@@ -344,7 +236,10 @@ mod tests {
         let stats = DataStats::collect(&db);
         let q = zoo::triangle_join();
         let plan = p.plan(&q, Task::Answers, &stats);
-        let got = execute(&plan, &q, &db).unwrap().into_answers().unwrap();
+        let Output::Answers(got) = execute(&plan, &q, &db).unwrap() else {
+            panic!("answers task must yield an answer stream");
+        };
+        let got = got.collect().unwrap();
         assert_eq!(got, cq_engine::bind::brute_force_answers(&q, &db).unwrap());
     }
 
@@ -429,7 +324,6 @@ mod tests {
         let Output::Answers(mut a) = execute(&plan, &q, &db).unwrap() else {
             panic!("access task must yield an answer stream");
         };
-        assert!(a.can_seek());
         assert_eq!(a.size_hint(), Some(n));
         // seek to the last row without enumerating the prefix
         a.seek(n - 1).unwrap();
@@ -496,7 +390,7 @@ mod tests {
         let Output::Answers(mut a) = execute(&plan, &q, &db).unwrap() else {
             panic!("answers task must yield an answer stream");
         };
-        assert!(!a.can_seek());
+        assert_eq!(a.size_hint(), None, "a walk does not know its length");
         let Err(EvalError::Unsupported(msg)) = a.seek(3) else {
             panic!("seek on an enumeration stream must be unsupported");
         };

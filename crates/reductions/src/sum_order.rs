@@ -13,9 +13,7 @@
 
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, Val};
-use cq_engine::{
-    generic_join, AnswerStream, DirectAccess, Enumerator, EvalError, ExecCtx,
-};
+use cq_engine::{enumerate, generic_join, Answers, DirectAccess, EvalError, ExecCtx};
 
 /// Direct access by ascending tuple weight (ties broken by value for
 /// determinism). Answers are full assignments in variable interning
@@ -63,7 +61,7 @@ impl SumOrderAccess {
                     .to_string(),
             ));
         }
-        let mut answers = Enumerator::preprocess(ctx, q, db)?.into_stream();
+        let mut answers = Answers::walk(enumerate::preprocess(ctx, q, db)?);
         answers.set_cancel(ctx.cancel().clone());
         let mut rows = Vec::new();
         while let Some(row) = answers.next()? {

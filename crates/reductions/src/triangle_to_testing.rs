@@ -152,7 +152,7 @@ pub fn triangle_via_qhat_direct_access(g: &Graph) -> bool {
     if da.is_empty() {
         return false;
     }
-    g.edges().any(|(a, b)| test_prefix(&da, &order, &[a as Val, b as Val]))
+    g.edges().any(|(a, b)| test_prefix(&*da, &order, &[a as Val, b as Val]))
 }
 
 #[cfg(test)]
@@ -283,13 +283,13 @@ mod tests {
         for z in 0..6u64 {
             for x1 in 0..20u64 {
                 let expected = true_prefixes.contains(&(z, x1));
-                assert_eq!(test_prefix(&lex, &order, &[z, x1]), expected, "({z},{x1})");
+                assert_eq!(test_prefix(&*lex, &order, &[z, x1]), expected, "({z},{x1})");
             }
         }
         // an empty structure extends no prefix
         let mut empty = Database::new();
         empty.insert("R", Relation::new(2));
         let lex = LexDirectAccess::build(&ExecCtx::cold(), &q, &empty, &order).unwrap();
-        assert!(!test_prefix(&lex, &order, &[1]));
+        assert!(!test_prefix(&*lex, &order, &[1]));
     }
 }

@@ -1095,8 +1095,9 @@ mod tests {
             ],
         );
         // a direct-access cursor: SEEK jumps, the skipped prefix is
-        // never enumerated (DirectAccessStream::seek moves a position
-        // counter only — witnessed by the engine's accesses() test)
+        // never enumerated (`Answers::seek` moves a position only — the
+        // engine's stream test reads 2 accesses off the
+        // `stream.direct-access` span for a pull and a seek to the end)
         let r = s.handle_line("CURSOR ACCESS q(x, y, z) :- R1(x, y), R2(y, z)").unwrap();
         assert_eq!(r.terminal, "OK cursor 0");
         let full = s.handle_line("FETCH 0 100").unwrap();

@@ -26,9 +26,9 @@
 //!   tests (`Store::open_dir` never arms one by itself).
 //!
 //! What is deliberately **not** durable: index catalogs, statistics,
-//! and plan caches. Those are memos over the data, rebuilt warm on
-//! demand after recovery — persisting them would only add another
-//! consistency problem.
+//! and each session's statement memo (its parsed queries and plans).
+//! Those are memos over the data, rebuilt warm on demand after recovery
+//! — persisting them would only add another consistency problem.
 //!
 //! ## Quickstart
 //!

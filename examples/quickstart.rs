@@ -35,12 +35,11 @@ fn main() {
     println!("  |answers| = {count}   (operator: {})", plan.op.name());
     print!("{}", eval::explain(&q, &db, Task::Count));
 
-    let mut e = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
+    let mut e = Answers::walk(enumerate::preprocess(&ExecCtx::cold(), &q, &db).unwrap());
     println!("  constant-delay enumeration:");
-    e.for_each(|row| {
+    while let Some(row) = e.next().unwrap() {
         println!("    {row:?}");
-        true
-    });
+    }
 
     // ------------------------------------------------------------------
     // 3. Direct access in lexicographic order (Thm 3.24).

@@ -63,12 +63,13 @@ fn main() {
     // The full version q̂*_2 (interest kept in the output) IS free-connex:
     let q_full = parse_query("common(u1, u2, i) :- L1(u1, i), L2(u2, i)").unwrap();
     let t0 = Instant::now();
-    let mut e = Enumerator::preprocess(&ExecCtx::cold(), &q_full, &db).unwrap();
+    let mut e =
+        Answers::walk(enumerate::preprocess(&ExecCtx::cold(), &q_full, &db).unwrap());
     let mut first_10 = Vec::new();
-    e.for_each(|row| {
+    while first_10.len() < 10 {
+        let Some(row) = e.next().unwrap() else { break };
         first_10.push(row.to_vec());
-        first_10.len() < 10
-    });
+    }
     println!(
         "keeping the interest column makes it free-connex: first 10 answers in {:.2} ms \
          without materializing anything (Thm 3.17)",

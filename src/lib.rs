@@ -280,7 +280,7 @@ pub mod prelude {
     pub use cq_engine::direct_access::{
         DirectAccess, LexDirectAccess, MaterializedDirectAccess,
     };
-    pub use cq_engine::{Enumerator, EvalError, ExecCtx};
+    pub use cq_engine::{enumerate, Answers, EvalError, ExecCtx};
     pub use cq_planner::{eval, PlanOp, Planner, QueryPlan, Task};
     pub use cq_reductions::sum_order::SumOrderAccess;
 }

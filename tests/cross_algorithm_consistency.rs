@@ -7,7 +7,7 @@
 
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_engine::{count, generic_join, triangle_query, yannakakis};
-use cq_engine::{AnswerStream, CancelToken, FreeConnexDirectAccess};
+use cq_engine::{CancelToken, FreeConnexDirectAccess};
 use cq_lower_bounds::prelude::*;
 use cq_reductions::sum_order::SumOrderAccess;
 
@@ -228,10 +228,10 @@ fn entry_points() -> Vec<EntryPoint> {
             oracle: count_oracle,
         },
         EntryPoint {
-            name: "Enumerator::preprocess",
+            name: "enumerate::preprocess",
             serves: free_connex,
             run: |ctx, q, db| {
-                Ok(Out::Set(Enumerator::preprocess(ctx, q, db)?.to_relation()))
+                Ok(Out::Set(Answers::walk(enumerate::preprocess(ctx, q, db)?).collect()?))
             },
             oracle: set_oracle,
         },
@@ -240,7 +240,7 @@ fn entry_points() -> Vec<EntryPoint> {
             serves: has_trio_free_order,
             run: |ctx, q, db| {
                 let da = LexDirectAccess::build(ctx, q, db, &lex_order(q).unwrap())?;
-                Ok(array_of(&da))
+                Ok(array_of(&*da))
             },
             oracle: lex_oracle,
         },
@@ -248,7 +248,7 @@ fn entry_points() -> Vec<EntryPoint> {
             name: "MaterializedDirectAccess::build",
             serves: join_query,
             run: |ctx, q, db| {
-                Ok(array_of(&MaterializedDirectAccess::build(ctx, q, db, &order(q))?))
+                Ok(array_of(&*MaterializedDirectAccess::build(ctx, q, db, &order(q))?))
             },
             oracle: interning_order_oracle,
         },
@@ -259,7 +259,7 @@ fn entry_points() -> Vec<EntryPoint> {
                 // the order is the structure's own choice: compare as a set
                 // (`enumeration_order_is_the_direct_access_order` has the array)
                 let da = FreeConnexDirectAccess::build(ctx, q, db)?;
-                let Out::Array(rows) = array_of(&da) else { unreachable!() };
+                let Out::Array(rows) = array_of(&*da) else { unreachable!() };
                 Ok(Out::Set(Relation::from_rows(da.schema().len(), rows)))
             },
             oracle: set_oracle,
@@ -510,13 +510,13 @@ fn enumeration_order_is_the_direct_access_order() {
         for q in &queries {
             let catalog = IndexCatalog::new();
             let ctx = ExecCtx::warm(&catalog);
-            let mut stream = Enumerator::preprocess(&ctx, q, &db).unwrap().into_stream();
+            let mut stream = Answers::walk(enumerate::preprocess(&ctx, q, &db).unwrap());
             let mut streamed = Vec::new();
             while let Some(row) = stream.next().unwrap() {
                 streamed.push(row.to_vec());
             }
             let da = FreeConnexDirectAccess::build(&ctx, q, &db).unwrap();
-            let Out::Array(array) = array_of(&da) else { unreachable!() };
+            let Out::Array(array) = array_of(&*da) else { unreachable!() };
             assert_eq!(streamed, array, "{q} (seed {seed})");
             let slot = |v: &Var| da.schema().iter().position(|s| s == v).unwrap();
             let key = |row: &Vec<Val>| -> Vec<Val> {
@@ -564,13 +564,13 @@ fn the_linked_tree_walks_and_accesses_the_recorded_rows() {
     for (src, want) in recorded {
         let q = parse_query(src).unwrap();
         let ctx = ExecCtx::cold();
-        let mut stream = Enumerator::preprocess(&ctx, &q, &db).unwrap().into_stream();
+        let mut stream = Answers::walk(enumerate::preprocess(&ctx, &q, &db).unwrap());
         let mut walked = Vec::new();
         while let Some(row) = stream.next().unwrap() {
             walked.push(row.to_vec());
         }
         let da = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
-        assert_eq!(array_of(&da), Out::Array(walked.clone()), "{src}");
+        assert_eq!(array_of(&*da), Out::Array(walked.clone()), "{src}");
         assert_eq!(walked, want, "{src}");
     }
     // q̂*_3 under (z, x1, x3, x2): the GYO tree is a chain, the order

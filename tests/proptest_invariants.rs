@@ -155,8 +155,9 @@ proptest! {
         if cq_core::free_connex::is_free_connex(&q) {
             let db = random_db_for(&q, seed, 12);
             let expected = brute_force_answers(&q, &db).unwrap();
-            let mut e = cq_engine::Enumerator::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
-            prop_assert_eq!(e.to_relation(), expected, "query {}", q);
+            let tree = cq_engine::enumerate::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
+            let got = cq_engine::Answers::walk(tree).collect().unwrap();
+            prop_assert_eq!(got, expected, "query {}", q);
         }
     }
 

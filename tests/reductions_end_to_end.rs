@@ -131,7 +131,7 @@ fn classifier_matches_engine_capabilities() {
             _ => {}
         }
         // enumeration: Easy ⟺ the constant-delay enumerator accepts
-        let enum_ok = Enumerator::preprocess(&ExecCtx::cold(), &q, &db).is_ok();
+        let enum_ok = enumerate::preprocess(&ExecCtx::cold(), &q, &db).is_ok();
         match &p.enumeration {
             Verdict::Easy { .. } => assert!(enum_ok, "{q}"),
             Verdict::Hard { .. } => assert!(!enum_ok, "{q}"),

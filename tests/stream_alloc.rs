@@ -17,7 +17,7 @@ use cq_core::query::zoo;
 use cq_core::{parse_query, ConjunctiveQuery};
 use cq_data::generate::{random_pairs, seeded_rng, triangle_database};
 use cq_data::{Database, IndexCatalog, Relation};
-use cq_engine::{count, generic_join, yannakakis, AnswerStream, Enumerator, ExecCtx};
+use cq_engine::{count, enumerate, generic_join, yannakakis, Answers, ExecCtx};
 use cq_obs::trace::{self, TraceSink};
 use cq_planner::{eval, EvalCtx, Output, PlanOp, Planner, Task};
 use cq_server::protocol::render_row_into;
@@ -163,7 +163,7 @@ fn a_direct_access_drain_allocates_per_flush_not_per_row() {
         let Output::Answers(mut answers) = out else {
             panic!("ACCESS executes to a stream");
         };
-        assert!(answers.can_seek());
+        assert!(answers.seek(0).is_ok(), "an ACCESS stream seeks");
         let mut sink = CountingSink::default();
         let mut chunk = Vec::new();
         let (n, ()) = allocations(|| {
@@ -345,9 +345,8 @@ fn enumeration_steps_per_answer_are_bounded_by_the_query_alone() {
                 }
                 let sink = TraceSink::enabled();
                 trace::with(&sink, || {
-                    let mut stream = Enumerator::preprocess(&ExecCtx::cold(), &q, &db)
-                        .unwrap()
-                        .into_stream();
+                    let tree = enumerate::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
+                    let mut stream = Answers::walk(tree);
                     while stream.next().unwrap().is_some() {}
                 });
                 let (mut rows, mut steps) = (None, None);

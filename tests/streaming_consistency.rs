@@ -18,6 +18,12 @@ use std::sync::Arc;
 
 const Q: &str = "q(x, z) :- R(x, y), S(y, z)";
 
+/// The cursors `SEEK` serves, one per stream source: materialized direct
+/// access and materialized rows over [`Q`] (not free-connex), and the
+/// shared reduced tree of a free-connex join.
+const SEEKABLE: [(&str, &str); 3] =
+    [("ACCESS", Q), ("ANSWERS", Q), ("ACCESS", "q(x, y, z) :- R(x, y), S(y, z)")];
+
 /// Boot an in-process session with tenant `t` holding relations
 /// `R`/`S` built from the given pairs, plus a local mirror database.
 fn session_with(r: &[(u64, u64)], s: &[(u64, u64)]) -> (Session, Database) {
@@ -109,8 +115,8 @@ proptest! {
         prop_assert!(sess.handle_line(&format!("CLOSE {id}")).unwrap().is_ok());
     }
 
-    /// On a direct-access cursor, SEEK k then drain equals the suffix
-    /// of a full drain starting at k — even after consuming an
+    /// On every kind of seekable cursor, SEEK k then drain equals the
+    /// suffix of a full drain starting at k — even after consuming an
     /// unrelated prefix first (seek-resume mid-stream).
     #[test]
     fn seek_resume_matches_full_drain_suffix(
@@ -118,13 +124,15 @@ proptest! {
         s in nonempty_pairs_strategy(),
         prefix in 0u64..10,
         k in 0u64..10,
+        kind in 0..SEEKABLE.len(),
     ) {
         let (mut sess, _db) = session_with(&r, &s);
+        let (task, query) = SEEKABLE[kind];
 
-        let full_id = open_cursor(&mut sess, "ACCESS");
+        let full_id = open_cursor_on(&mut sess, task, query);
         let full = drain(&mut sess, full_id, 7);
 
-        let id = open_cursor(&mut sess, "ACCESS");
+        let id = open_cursor_on(&mut sess, task, query);
         // consume an arbitrary prefix, then jump to position k
         let burned = sess.handle_line(&format!("FETCH {id} {prefix}")).unwrap();
         prop_assert!(burned.is_ok(), "{}", burned.terminal);
@@ -133,7 +141,7 @@ proptest! {
         let suffix = drain(&mut sess, id, 3);
         let want: Vec<String> =
             full.iter().skip(k as usize).cloned().collect();
-        prop_assert_eq!(suffix, want, "full len {}", full.len());
+        prop_assert_eq!(suffix, want, "{} {}: full len {}", task, query, full.len());
     }
 
     /// Enumeration order is the free-connex direct-access order: on a

@@ -52,7 +52,9 @@
 # answer stream: `cq_engine::Answers` reads a walk of the reduced tree, a
 # direct-access structure or materialized rows, and the planner re-exports it,
 # so no stream trait, per-source stream type or wrapper stands between a
-# cursor and that type. And no public
+# cursor and that type. And one direct-access structure: `LexDirectAccess` —
+# the reduced tree, a single sorted node for materialized answers — is what
+# every direct-access plan builds and `Answers::access` reads. And no public
 # function nobody names: a `pub fn` of a crate's source is named somewhere
 # else in the workspace, tests included.
 set -uo pipefail
@@ -322,6 +324,13 @@ forbid "batch, budget or trace plumbing beside the statement path (a BATCH item 
 forbid "answer-stream layers beside cq_engine::Answers (add a source to it instead):" "$(
     grep -rnE 'trait AnswerStream|RelationStream|DirectAccessStream|EnumeratorStream|struct Enumerator\b|fn (from_stream|into_stream|into_answers|can_seek)\b' \
         crates src tests examples
+)"
+
+# one direct-access structure: the reduced tree serves Thm 3.24, Thm 3.18
+# and the materialized baseline; no second struct, wrapper or trait object
+forbid "direct-access structures beside LexDirectAccess (add a builder to it instead):" "$(
+    grep -rnE 'struct (MaterializedDirectAccess|FreeConnexDirectAccess)\b|dyn (\w+::)*DirectAccess\b' \
+        crates/engine/src crates/planner/src
 )"
 
 # a query's structure depends on its text alone: a session keeps it per

@@ -51,7 +51,13 @@ pub fn min_edge_cover(h: &Hypergraph) -> usize {
 /// vertices would be trivially independent but are not query variables
 /// in well-formed queries; we include them for hypergraph generality).
 pub fn max_independent_set(h: &Hypergraph) -> usize {
-    let verts = h.vertices_mask();
+    max_independent(h, h.vertices_mask())
+}
+
+/// Size of a maximum independent set within the vertex mask `cands`, by
+/// branch and bound: take the lowest candidate and drop its closed
+/// neighborhood, or skip it; prune a branch that cannot beat the best.
+pub(crate) fn max_independent(h: &Hypergraph, cands: u64) -> usize {
     fn rec(h: &Hypergraph, cands: u64, chosen: usize, best: &mut usize) {
         if chosen + cands.count_ones() as usize <= *best {
             return;
@@ -67,7 +73,7 @@ pub fn max_independent_set(h: &Hypergraph) -> usize {
         rec(h, cands & !bit, chosen, best);
     }
     let mut best = 0;
-    rec(h, verts, 0, &mut best);
+    rec(h, cands, 0, &mut best);
     best
 }
 

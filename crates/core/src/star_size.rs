@@ -17,7 +17,7 @@
 //! attached to that component, which we compute exactly by branch and
 //! bound (queries are small).
 
-use crate::hypergraph::Hypergraph;
+use crate::cover::max_independent;
 use crate::query::ConjunctiveQuery;
 
 /// Compute the quantified star size of `q`.
@@ -49,30 +49,6 @@ pub fn quantified_star_size(q: &ConjunctiveQuery) -> usize {
         }
         best = best.max(max_independent(&h, attached));
     }
-    best
-}
-
-/// Maximum independent set (no two vertices co-occur in an edge) within
-/// the vertex mask `cands`, by branch and bound with greedy ordering.
-fn max_independent(h: &Hypergraph, cands: u64) -> usize {
-    fn rec(h: &Hypergraph, cands: u64, chosen: usize, best: &mut usize) {
-        if chosen + cands.count_ones() as usize <= *best {
-            return; // prune
-        }
-        if cands == 0 {
-            *best = (*best).max(chosen);
-            return;
-        }
-        let v = cands.trailing_zeros() as usize;
-        let bit = 1u64 << v;
-        // branch 1: take v, drop its closed neighborhood
-        let nb = h.closed_neighborhood(v) | bit;
-        rec(h, cands & !nb, chosen + 1, best);
-        // branch 2: skip v
-        rec(h, cands & !bit, chosen, best);
-    }
-    let mut best = 0;
-    rec(h, cands, 0, &mut best);
     best
 }
 

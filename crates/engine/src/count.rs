@@ -14,7 +14,7 @@
 //!   found by the one semijoin, `yannakakis::semijoin_up`, the upward
 //!   pass of the full reduction — projected onto its key. Derived once,
 //!   memoized per subtree, and read three ways: [`count_free_connex`]
-//!   runs the DP over it (Thm 3.13), and [`crate::FreeConnexDirectAccess`]
+//!   runs the DP over it (Thm 3.13), and [`crate::LexDirectAccess::free_connex`]
 //!   reduces and sorts it into the tree that enumeration walks
 //!   (Thm 3.17) and direct access descends (Thm 3.18).
 //!
@@ -303,7 +303,7 @@ pub fn count_free_connex(
 mod tests {
     use super::*;
     use crate::bind::{brute_force_answers, brute_force_count};
-    use crate::{count, enumerate, Answers, DirectAccess, FreeConnexDirectAccess};
+    use crate::{count, enumerate, Answers, DirectAccess, LexDirectAccess};
     use cq_core::query::zoo;
     use cq_core::{parse_query, QueryBuilder};
     use cq_data::generate::{
@@ -575,7 +575,7 @@ mod tests {
                     want.len() as u64
                 }
                 _ => {
-                    let da = FreeConnexDirectAccess::build(ctx, &q, db).unwrap();
+                    let da = LexDirectAccess::free_connex(ctx, &q, db).unwrap();
                     let rows = (0..da.len()).map(|i| da.access(i).unwrap());
                     assert_eq!(Relation::from_rows(2, rows), want);
                     da.len()
@@ -605,7 +605,7 @@ mod tests {
 
                 // the walk and the array are one structure
                 let tree = enumerate::preprocess(&ctx, &q, &db).unwrap();
-                let da = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
+                let da = LexDirectAccess::free_connex(&ctx, &q, &db).unwrap();
                 assert!(Arc::ptr_eq(&tree, &da), "{order:?}");
                 let warm = catalog.snapshot();
                 assert_eq!(warm.misses, 5, "{order:?}: the lookups above are hits");
@@ -634,7 +634,7 @@ mod tests {
                         "{order:?}: only R2's moved"
                     );
                 }
-                let da_now = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
+                let da_now = LexDirectAccess::free_connex(&ctx, &q, &db).unwrap();
                 assert!(!Arc::ptr_eq(&da, &da_now), "{order:?}: the tree was rebuilt");
             }
         }

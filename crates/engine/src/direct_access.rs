@@ -1,33 +1,43 @@
-//! Direct access in lexicographic orders (paper §3.4.1, Theorem 3.24) —
-//! and the one reduced, linked join tree the easy side shares.
+//! The engine's one direct-access structure (paper §3.4): a simulated
+//! sorted array of answers — [`LexDirectAccess`], the reduced, linked
+//! join tree the easy side shares — and its builders.
 //!
-//! Goal: after preprocessing, return the `i`-th answer of a join query in
-//! the lexicographic order induced by a variable order `⪯`, in Õ(log m)
-//! per access.
+//! Goal: after preprocessing, return the `i`-th answer of a query in the
+//! lexicographic order induced by a variable order `⪯`, in Õ(log m) per
+//! access. The structure keeps, per node of a `⪯`-compatible rooted join
+//! tree — one where (a) every node's newly introduced variables come
+//! after all variables of its parent's scope and (b) each subtree's
+//! introduced variables form a contiguous block of `⪯` — in preorder,
+//! *rows + links*: the fully reduced rows as a [`cq_data::Relation`]
+//! with the parent key's columns first, then the rest by `⪯` (so sorted
+//! that way); the first row of each parent-key group; and per row of the
+//! parent the group it joins (the `EdgeLinks` of the edge, over the
+//! sorted rows). That is *the* product of the linear preprocessing of
+//! Thm 3.17 / 3.18 / 3.24, and nothing searches it by key: the
+//! constant-delay walk of [`crate::enumerate`] steps through the nodes
+//! as an odometer, a move into a child being two array reads, and an
+//! access descends them by binary search on subtree-count prefix sums
+//! *within the group it was handed*, plus mixed-radix decomposition
+//! across independent subtrees (O(log m) per access). A node without
+//! children weighs 1 per row, so it keeps no prefix sums and an access
+//! into it is one index. The prefix sums are the only part the walk does
+//! not need, so they are built on first `len` / `access` (or up front by
+//! a public builder, which is where an overflowing count and a deadline
+//! surface).
 //!
-//! [`LexDirectAccess`] implements the efficient side: it searches for a
-//! `⪯`-compatible rooted join tree — one where (a) every node's newly
-//! introduced variables come after all variables of its parent's scope
-//! and (b) each subtree's introduced variables form a contiguous block of
-//! `⪯` — fully reduces the atoms along its links and keeps, per node in
-//! preorder, *rows + links*: the rows as a [`cq_data::Relation`] with the
-//! parent key's columns first, then the rest by `⪯` (so sorted that way);
-//! the first row of each parent-key group; and per row of the parent the
-//! group it joins (the `EdgeLinks` of the edge, over the sorted rows).
-//! That is *the* product of the linear preprocessing of Thm 3.17 / 3.18 /
-//! 3.24, and nothing searches it by key: the constant-delay walk of
-//! [`crate::enumerate`] steps through the nodes as an odometer, a move
-//! into a child being two array reads, and an access descends them by
-//! binary search on subtree-count prefix sums *within the group it was
-//! handed*, plus mixed-radix decomposition across independent subtrees
-//! (O(log m) per access). The prefix sums are the only part the walk
-//! does not need, so they are built on first `len` / `access` (or up
-//! front by `build`, which is where an overflowing count and a deadline
-//! surface). On the paper's example families the builder succeeds
-//! exactly on the trio-free orders; when no compatible tree is found it
-//! reports failure and callers fall back to
-//! [`MaterializedDirectAccess`] (materialize + sort, the superlinear
-//! baseline whose cost gap is the content of Lemma 3.23).
+//! Every builder ends in the one indexing step, `from_reduced`:
+//!
+//! * [`LexDirectAccess::build`] (Thm 3.24) searches a join query's
+//!   reroots for a `⪯`-compatible tree; on the paper's example families
+//!   it succeeds exactly on the trio-free orders, and otherwise reports
+//!   failure;
+//! * [`LexDirectAccess::free_connex`] (Thm 3.18, in
+//!   [`crate::fc_direct_access`]) indexes `q′` on its own join tree;
+//! * [`LexDirectAccess::materialized`] (Lem 3.9 / 3.23) serves every
+//!   query and every order as one node: generic join's answers, sorted —
+//!   the superlinear baseline whose cost gap is the content of Lemma
+//!   3.23. A Boolean query's `{()}` / `{}` and an empty result are the
+//!   same one-node tree.
 
 use crate::bind::{bind, BoundAtom, EvalError};
 use crate::cancel::CancelToken;
@@ -67,59 +77,6 @@ pub trait DirectAccess {
     }
 }
 
-/// Materialize-and-sort direct access — works for every query and every
-/// order, with Θ(|q(D)|) preprocessing: the baseline whose preprocessing
-/// cost the dichotomy says is unavoidable for disrupted orders and on the
-/// hard side of Lemma 3.9.
-pub struct MaterializedDirectAccess {
-    /// The answers with their columns permuted into sort order, sorted.
-    rows: Relation,
-    /// `cols[i]`: the output column of `rows`' column `i`.
-    cols: Vec<usize>,
-}
-
-impl MaterializedDirectAccess {
-    /// Materialize `q(D)` by generic join under the variable order
-    /// `order` (a permutation of the query's variables) and sort by
-    /// `order` restricted to the free variables, memoized in the
-    /// catalog: repeated `access` workloads on an unchanged database
-    /// pay the Θ(|q(D)|) materialization once.
-    pub fn build(
-        ctx: &ExecCtx,
-        q: &ConjunctiveQuery,
-        db: &Database,
-        order: &[Var],
-    ) -> Result<Arc<Self>, EvalError> {
-        let key = format!("{q}|{order:?}");
-        ctx.catalog().artifact(db, "mat_da", &key, q.relations(), || {
-            // `rel`'s columns are the free variables in interning order
-            let rel = generic_join::answers(ctx, q, db, order)?;
-            let free = q.free_vars();
-            let cols: Vec<usize> =
-                order.iter().filter_map(|v| free.iter().position(|f| f == v)).collect();
-            Ok(MaterializedDirectAccess { rows: rel.permute(&cols), cols })
-        })
-    }
-}
-
-impl DirectAccess for MaterializedDirectAccess {
-    fn len(&self) -> u64 {
-        self.rows.len() as u64
-    }
-    fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
-        if i >= self.len() {
-            return false;
-        }
-        out.clear();
-        out.resize(self.cols.len(), 0);
-        // the columns are permuted into sort order: undo that
-        for (&c, &v) in self.cols.iter().zip(self.rows.row(i as usize)) {
-            out[c] = v;
-        }
-        true
-    }
-}
-
 /// One node of the reduced join tree: its globally consistent relation
 /// sorted by parent key, then by `⪯`, and how its parent's rows reach it.
 /// Rows are written through *slots* — positions in the structure's
@@ -127,9 +84,9 @@ impl DirectAccess for MaterializedDirectAccess {
 pub(crate) struct Node {
     /// the rows, key columns first
     pub(crate) rows: Relation,
-    pub(crate) n_key: usize,
+    n_key: usize,
     /// output slots the non-key columns write, in column order
-    pub(crate) out_slots: Vec<usize>,
+    out_slots: Vec<usize>,
     /// the parent (a position in the preorder node list; the root's own)
     pub(crate) parent: usize,
     /// per row of the parent: the parent-key group of this node it joins
@@ -148,25 +105,47 @@ impl Node {
         let g = self.link[i] as usize;
         self.starts[g] as usize..self.starts[g + 1] as usize
     }
+
+    /// Write row `i`'s non-key values into their output slots.
+    #[inline]
+    pub(crate) fn write(&self, i: usize, out: &mut [Val]) {
+        let row = self.rows.row(i);
+        for (&slot, &v) in self.out_slots.iter().zip(&row[self.n_key..]) {
+            out[slot] = v;
+        }
+    }
 }
 
-/// Cumulative subtree weights, per node aligned with its rows
-/// (len + 1 each): row `i` of node `u` extends to
-/// `cumw[u][i + 1] - cumw[u][i]` answers of `u`'s subtree.
+/// Cumulative subtree weights, per node with children aligned with its
+/// rows (len + 1 each): row `i` of node `u` extends to
+/// `cumw[u][i + 1] - cumw[u][i]` answers of `u`'s subtree. A node without
+/// children has none: each of its rows is one answer of its subtree.
 pub(crate) struct Weights {
     cumw: Vec<Vec<u128>>,
     total: u64,
 }
 
-/// The efficient lexicographic direct-access structure (Thm 3.24 upper
-/// bound): the reduced, sorted nodes plus, once something asks for a
-/// position, their subtree weights.
+/// The answers of a subtree under the rows `r` of its root, whose
+/// prefix sums are `cumw` (none for a node without children).
+fn weight(cumw: &[u128], r: Range<usize>) -> u128 {
+    if cumw.is_empty() {
+        r.len() as u128
+    } else {
+        cumw[r.end] - cumw[r.start]
+    }
+}
+
+/// The direct-access structure: a simulated array of answers, sorted by
+/// [`LexDirectAccess::order`] — the reduced, sorted nodes plus, once
+/// something asks for a position, their subtree weights.
 pub struct LexDirectAccess {
     /// preorder, children in ⪯-block order: the root is node 0, and
     /// walking the list as an odometer visits the answers in access order
     nodes: Vec<Node>,
-    /// output row width
-    width: usize,
+    /// the output row: slot `i` holds `schema[i]`
+    schema: Vec<Var>,
+    /// the lexicographic order the array is sorted by
+    order: Vec<Var>,
     weights: OnceLock<Weights>,
 }
 
@@ -234,10 +213,11 @@ fn flatten(tree: &JoinTree) -> JoinTree {
 
 impl LexDirectAccess {
     /// Try to build the efficient structure for join query `q` and the
-    /// lexicographic order `order`. Fails with `Unsupported` when no
-    /// ⪯-compatible tree is found (disrupted orders; fall back to
-    /// [`MaterializedDirectAccess`]), and with `CountOverflow` when the
-    /// simulated array would have more than `u64::MAX` positions.
+    /// lexicographic order `order` (Thm 3.24), over all variables in
+    /// interning order. Fails with `Unsupported` when no ⪯-compatible
+    /// tree is found (disrupted orders; fall back to
+    /// [`LexDirectAccess::materialized`]), and with `CountOverflow` when
+    /// the simulated array would have more than `u64::MAX` positions.
     ///
     /// Memoized in the catalog: the O(m log m) preprocessing (tree
     /// search, reduction, sorts, links, prefix sums) runs once per
@@ -289,12 +269,47 @@ impl LexDirectAccess {
             ctx.cancel().check_now()?;
             let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
             steps = full_reduce(&mut atoms, &links);
-            let schema: Vec<Var> = q.vars().collect();
-            Self::from_reduced(ctx.cancel(), &atoms, &tree, &schema, order)
+            Self::from_reduced(ctx.cancel(), &atoms, &tree, q.vars().collect(), order.to_vec())
         })?;
         da.weights(ctx.cancel())?;
         span.attr("steps", steps);
         Ok(da)
+    }
+
+    /// Materialize-and-sort direct access — every query, every order,
+    /// with Θ(|q(D)|) preprocessing: the baseline whose cost the
+    /// dichotomy says is unavoidable for disrupted orders and on the hard
+    /// side of Lemma 3.9. Generic join materializes `q(D)` under `order`
+    /// (a permutation of the query's variables); the answers, over the
+    /// free variables in interning order, are one node sorted by `order`
+    /// restricted to them. Memoized in the catalog: repeated `access`
+    /// workloads on an unchanged database pay the materialization once.
+    pub fn materialized(
+        ctx: &ExecCtx,
+        q: &ConjunctiveQuery,
+        db: &Database,
+        order: &[Var],
+    ) -> Result<Arc<Self>, EvalError> {
+        let key = format!("{q}|{order:?}");
+        ctx.catalog().artifact(db, "mat_da", &key, q.relations(), || {
+            let rel = generic_join::answers(ctx, q, db, order)?;
+            let free = q.free_vars();
+            let order = order.iter().filter(|v| free.contains(v)).copied().collect();
+            Self::one_node(ctx.cancel(), rel, free, order)
+        })
+    }
+
+    /// The one-node tree over `rel`, whose columns are `schema`, sorted
+    /// by `order` (exactly `schema`'s variables).
+    pub(crate) fn one_node(
+        cancel: &CancelToken,
+        rel: Relation,
+        schema: Vec<Var>,
+        order: Vec<Var>,
+    ) -> Result<Self, EvalError> {
+        let atom = BoundAtom { vars: schema.clone(), rel };
+        let tree = JoinTree::from_parents(vec![atom.scope()], vec![None], 0);
+        Self::from_reduced(cancel, &[atom], &tree, schema, order)
     }
 
     /// Index fully reduced `atoms` over their ⪯-compatible join tree:
@@ -306,8 +321,8 @@ impl LexDirectAccess {
         cancel: &CancelToken,
         atoms: &[impl Borrow<BoundAtom>],
         tree: &JoinTree,
-        schema: &[Var],
-        order: &[Var],
+        schema: Vec<Var>,
+        order: Vec<Var>,
     ) -> Result<Self, EvalError> {
         let pos_of = |v: Var| order.iter().position(|&u| u == v).unwrap();
         let slot_of = |v: Var| schema.iter().position(|&u| u == v).unwrap();
@@ -388,7 +403,19 @@ impl LexDirectAccess {
             nodes.push(Node { rows, n_key, out_slots, parent, link, starts, children });
             row_vars.push(vars);
         }
-        Ok(LexDirectAccess { nodes, width: schema.len(), weights: OnceLock::new() })
+        Ok(LexDirectAccess { nodes, schema, order, weights: OnceLock::new() })
+    }
+
+    /// The output schema: slot `i` of every answer holds `schema()[i]` —
+    /// the free variables (all of a join query's) in interning order.
+    pub fn schema(&self) -> &[Var] {
+        &self.schema
+    }
+
+    /// The lexicographic order the simulated array is sorted by: the
+    /// order a builder was given, or the one it chose.
+    pub fn order(&self) -> &[Var] {
+        &self.order
     }
 
     /// The reduced, sorted nodes in preorder — what the constant-delay
@@ -400,15 +427,18 @@ impl LexDirectAccess {
     /// The subtree weights, built under `cancel` on first use:
     /// `CountOverflow` if the simulated array would have more than
     /// `u64::MAX` positions (a failed build stores nothing). Bottom-up —
-    /// in preorder children follow their parent — a row weighs the
-    /// product over the node's children of the weight of the child's
-    /// matching rows; the token is polled per row.
+    /// in preorder children follow their parent — a row of a node with
+    /// children weighs the product over them of the weight of the
+    /// child's matching rows; the token is polled per such row.
     pub(crate) fn weights(&self, cancel: &CancelToken) -> Result<&Weights, EvalError> {
         if let Some(w) = self.weights.get() {
             return Ok(w);
         }
         let mut cumw: Vec<Vec<u128>> = vec![Vec::new(); self.nodes.len()];
         for (u, node) in self.nodes.iter().enumerate().rev() {
+            if node.children.is_empty() {
+                continue;
+            }
             let kids: Vec<(&Node, &[u128])> =
                 node.children.iter().map(|&c| (&self.nodes[c], &cumw[c][..])).collect();
             let mut acc: Vec<u128> = Vec::with_capacity(node.rows.len() + 1);
@@ -417,8 +447,7 @@ impl LexDirectAccess {
                 cancel.check()?;
                 let mut w: u128 = 1;
                 for (kid, cumw) in &kids {
-                    let r = kid.rows_of(i);
-                    w = w.saturating_mul(cumw[r.end] - cumw[r.start]);
+                    w = w.saturating_mul(weight(cumw, kid.rows_of(i)));
                 }
                 // weights are counts: saturation keeps "too many" too many
                 acc.push(acc[i].saturating_add(w));
@@ -429,7 +458,7 @@ impl LexDirectAccess {
         // after full reduction every partial sum is at most the total
         // (each weighted row extends to an answer), so a total that fits
         // u64 means nothing above saturated
-        let total = *cumw[0].last().expect("every node has an end sentinel");
+        let total = weight(&cumw[0], 0..self.nodes[0].rows.len());
         let total = u64::try_from(total).map_err(|_| EvalError::CountOverflow)?;
         Ok(self.weights.get_or_init(|| Weights { cumw, total }))
     }
@@ -453,22 +482,24 @@ impl LexDirectAccess {
         out: &mut [Val],
     ) {
         let (node, cumw) = (&self.nodes[u], &w.cumw[u]);
-        let target = cumw[range.start] + idx;
-        // the last row of the group whose prefix sum is at most the target
-        let lo = range.start + cumw[range].partition_point(|&c| c <= target) - 1;
-        let mut residual = target - cumw[lo];
-        let row = node.rows.row(lo);
-        for (&slot, &v) in node.out_slots.iter().zip(&row[node.n_key..]) {
-            out[slot] = v;
-        }
+        // the row the answer extends, and its index among that row's
+        let (row, mut residual) = if cumw.is_empty() {
+            (range.start + idx as usize, 0)
+        } else {
+            let target = cumw[range.start] + idx;
+            // the last row of the group whose prefix sum is at most it
+            let lo = range.start + cumw[range].partition_point(|&c| c <= target) - 1;
+            (lo, target - cumw[lo])
+        };
+        node.write(row, out);
         // mixed-radix over children: the row's weight is the product
         // of its children's factors (that is how `weights` weighed it),
         // so dividing a child's factor out leaves the radix of the
         // children after it.
-        let mut radix = cumw[lo + 1] - cumw[lo];
+        let mut radix = weight(cumw, row..row + 1);
         for &c in &node.children {
-            let r = self.nodes[c].rows_of(lo);
-            radix /= w.cumw[c][r.end] - w.cumw[c][r.start];
+            let r = self.nodes[c].rows_of(row);
+            radix /= weight(&w.cumw[c], r.clone());
             let idx_c = residual / radix;
             residual %= radix;
             self.access_rec(w, c, r, idx_c, out);
@@ -486,7 +517,7 @@ impl DirectAccess for LexDirectAccess {
     fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
         let Some(w) = self.ready().filter(|w| i < w.total) else { return false };
         out.clear();
-        out.resize(self.width, 0);
+        out.resize(self.schema.len(), 0);
         self.access_rec(w, 0, 0..self.nodes[0].rows.len(), u128::from(i), out);
         true
     }
@@ -513,15 +544,31 @@ mod tests {
         names.iter().map(|n| q.var_by_name(n).unwrap()).collect()
     }
 
+    /// The brute-force answers of join query `q`, sorted by `order`.
+    fn reference(q: &ConjunctiveQuery, db: &Database, order: &[Var]) -> Vec<Vec<Val>> {
+        let mut rows: Vec<Vec<Val>> = crate::bind::brute_force_answers(q, db)
+            .unwrap()
+            .iter()
+            .map(<[Val]>::to_vec)
+            .collect();
+        rows.sort_by(|a, b| lex_cmp(a, b, order));
+        rows
+    }
+
+    /// Every position of `da`, then none.
+    fn array(da: &LexDirectAccess) -> Vec<Vec<Val>> {
+        assert_eq!(da.access(da.len()), None);
+        (0..da.len()).map(|i| da.access(i).unwrap()).collect()
+    }
+
+    /// Both builders that take an order simulate the reference array.
     fn assert_matches_materialized(q: &ConjunctiveQuery, db: &Database, order: &[Var]) {
+        let want = reference(q, db, order);
         let lex = LexDirectAccess::build(&ExecCtx::cold(), q, db, order).unwrap();
-        let mat =
-            MaterializedDirectAccess::build(&ExecCtx::cold(), q, db, order).unwrap();
-        assert_eq!(lex.len(), mat.len(), "sizes differ for {q}");
-        for i in 0..lex.len() {
-            assert_eq!(lex.access(i), mat.access(i), "index {i} of {q}");
-        }
-        assert_eq!(lex.access(lex.len()), None);
+        assert_eq!(array(&lex), want, "{q}");
+        let mat = LexDirectAccess::materialized(&ExecCtx::cold(), q, db, order).unwrap();
+        assert_eq!(array(&mat), want, "{q}");
+        assert_eq!((lex.order(), mat.order()), (order, order));
     }
 
     #[test]
@@ -582,16 +629,11 @@ mod tests {
             }
             other => panic!("expected Unsupported, got {:?}", other.map(|d| d.len())),
         }
-        // materialized fallback still works
+        // the materialized fallback serves it, sorted by the order
         let mat =
-            MaterializedDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
+            LexDirectAccess::materialized(&ExecCtx::cold(), &q, &db, &order).unwrap();
         assert!(mat.len() > 0);
-        // and is sorted by the order
-        for i in 1..mat.len() {
-            let a = mat.access(i - 1).unwrap();
-            let b = mat.access(i).unwrap();
-            assert_ne!(lex_cmp(&a, &b, &order), std::cmp::Ordering::Greater);
-        }
+        assert_eq!(array(&mat), reference(&q, &db, &order));
     }
 
     #[test]

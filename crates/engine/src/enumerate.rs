@@ -6,7 +6,8 @@
 //! reduce the resulting acyclic join query over the free variables along
 //! the links of its join tree, sort each node by its parent key and link
 //! it to its parent's rows — the memoized tree of
-//! [`FreeConnexDirectAccess`], shared with `ACCESS` of the same query.
+//! [`LexDirectAccess::free_connex`], shared with `ACCESS` of the same
+//! query. A Boolean query's tree is the one node of its decision.
 //! Its work is the `steps` of two spans — `op.free-connex.eliminate`
 //! for the elimination, `op.enumerate.preprocess` for the reduction of
 //! `q'` — the rows the passes visit plus the links they follow, 0 on a
@@ -20,8 +21,8 @@
 //! empty, so the delay between answers is bounded by the number of tree
 //! nodes — a constant depending only on the query, exactly the guarantee
 //! of BDG07. The walk is the in-order traversal of the array direct
-//! access simulates: it emits position 0, 1, 2, … of
-//! [`FreeConnexDirectAccess`] without ever needing the subtree weights a
+//! access simulates: it emits position 0, 1, 2, … of the
+//! [`LexDirectAccess`] without ever needing the subtree weights a
 //! position lookup descends by, so it streams results too large to count.
 //!
 //! That bound is checked as work, not time: the stream counts its
@@ -32,14 +33,13 @@
 
 use crate::bind::EvalError;
 use crate::ctx::ExecCtx;
-use crate::direct_access::Node;
-use crate::fc_direct_access::FreeConnexDirectAccess;
+use crate::direct_access::{LexDirectAccess, Node};
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, Val};
 use std::sync::Arc;
 
 /// Linear-time preprocessing: the reduced, sorted tree of
-/// [`FreeConnexDirectAccess`], memoized in the catalog — the same `Arc`
+/// [`LexDirectAccess::free_connex`], memoized in the catalog — the same `Arc`
 /// an `ACCESS` of the query holds, walked by
 /// [`Answers::walk`](crate::Answers::walk). Repeated enumerations of the
 /// same query on an unchanged database — and an enumeration after an
@@ -52,15 +52,10 @@ pub fn preprocess(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
-) -> Result<Arc<FreeConnexDirectAccess>, EvalError> {
+) -> Result<Arc<LexDirectAccess>, EvalError> {
     let mut span = cq_obs::trace::span("op.enumerate.preprocess");
     let mut built = None;
-    let tree = if q.is_boolean() {
-        let truth = crate::yannakakis::decide_acyclic(ctx, q, db)?;
-        Arc::new(FreeConnexDirectAccess::boolean(truth))
-    } else {
-        FreeConnexDirectAccess::shared(ctx, q, db, &mut built)?
-    };
+    let tree = LexDirectAccess::shared(ctx, q, db, &mut built)?;
     span.attr("cold-build", u64::from(built.is_some()));
     span.attr("steps", built.unwrap_or(0));
     Ok(tree)
@@ -81,7 +76,7 @@ enum State {
     Fresh,
     /// Mid-walk: the odometer cursors point at the last emitted row.
     Walking,
-    /// Exhausted (or the result was empty from the start).
+    /// Exhausted (or the root had no rows from the start).
     Done,
 }
 
@@ -90,7 +85,7 @@ enum State {
 /// (the cursors plus one row buffer) — Thm 3.17 with the consumer
 /// holding the reins.
 pub(crate) struct Walk {
-    tree: Arc<FreeConnexDirectAccess>,
+    tree: Arc<LexDirectAccess>,
     cursors: Vec<Cursor>,
     /// The row buffer `next` hands out; slots are keyed by the schema.
     current: Vec<Val>,
@@ -99,15 +94,10 @@ pub(crate) struct Walk {
     pub(crate) steps: u64,
 }
 
-/// The nodes the odometer steps through; none when the result is empty.
-fn levels_of(tree: &FreeConnexDirectAccess) -> &[Node] {
-    tree.tree.as_ref().map_or(&[], |t| t.nodes())
-}
-
 impl Walk {
     /// A fresh walk over `tree`, starting before the first answer.
-    pub(crate) fn new(tree: Arc<FreeConnexDirectAccess>) -> Walk {
-        let cursors = vec![Cursor::default(); levels_of(&tree).len()];
+    pub(crate) fn new(tree: Arc<LexDirectAccess>) -> Walk {
+        let cursors = vec![Cursor::default(); tree.nodes().len()];
         let current = vec![0; tree.schema().len()];
         Walk { tree, cursors, current, state: State::Fresh, steps: 0 }
     }
@@ -115,18 +105,19 @@ impl Walk {
     /// The next answer, or `None` once the walk is exhausted.
     pub(crate) fn next(&mut self) -> Option<&[Val]> {
         let Walk { tree, cursors, current, state, steps } = self;
-        let levels = levels_of(tree);
+        let levels = tree.nodes();
         let i = match state {
             State::Done => return None,
             State::Fresh => {
-                let Some(root) = levels.first() else {
+                let root = &levels[0];
+                if root.rows.is_empty() {
                     *state = State::Done;
                     return None;
-                };
+                }
                 // the first answer descends from the root, which is one
                 // group: all of its rows
                 cursors[0].range = 0..root.rows.len();
-                write_row(root, &cursors[0], current);
+                root.write(0, current);
                 *steps += 1;
                 *state = State::Walking;
                 0
@@ -145,7 +136,7 @@ impl Walk {
                     let (lev, cur) = (&levels[i], &mut cursors[i]);
                     if cur.pos + 1 < cur.range.end {
                         cur.pos += 1;
-                        write_row(lev, cur, current);
+                        lev.write(cur.pos, current);
                         break i;
                     }
                 }
@@ -165,16 +156,8 @@ fn descend(levels: &[Node], cursors: &mut [Cursor], u: usize, current: &mut [Val
     let lev = &levels[u];
     let range = lev.rows_of(cursors[lev.parent].pos);
     debug_assert!(!range.is_empty(), "full reduction guarantees non-empty extensions");
+    lev.write(range.start, current);
     cursors[u] = Cursor { pos: range.start, range };
-    write_row(lev, &cursors[u], current);
-}
-
-#[inline]
-fn write_row(lev: &Node, cur: &Cursor, current: &mut [Val]) {
-    let row = lev.rows.row(cur.pos);
-    for (&slot, &v) in lev.out_slots.iter().zip(&row[lev.n_key..]) {
-        current[slot] = v;
-    }
 }
 
 #[cfg(test)]
@@ -187,7 +170,7 @@ mod tests {
     use cq_data::generate::{path_database, seeded_rng, star_database};
 
     /// Every row of a fresh walk, in stream order.
-    fn drain(tree: &Arc<FreeConnexDirectAccess>) -> Vec<Vec<Val>> {
+    fn drain(tree: &Arc<LexDirectAccess>) -> Vec<Vec<Val>> {
         let mut s = Answers::walk(Arc::clone(tree));
         std::iter::from_fn(|| s.next().unwrap().map(<[Val]>::to_vec)).collect()
     }
@@ -303,7 +286,7 @@ mod tests {
         let want = drain(&a);
         assert_eq!(want.len() as u64, crate::DirectAccess::len(da));
         // ... the one an ACCESS of the query holds
-        assert!(Arc::ptr_eq(&a, &FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap()));
+        assert!(Arc::ptr_eq(&a, &LexDirectAccess::free_connex(&ctx, &q, &db).unwrap()));
         // two walks over the one tree, interleaved: independent cursors
         let (mut s, mut t) = (Answers::walk(Arc::clone(&a)), Answers::walk(b));
         s.next().unwrap();

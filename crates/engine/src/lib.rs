@@ -11,14 +11,14 @@
 //! | Counting (free-connex) | the same DP over `q'`, the acyclic join over the free variables that projection elimination leaves: per subtree of the virtual free edge, the upward semijoin pass of the full reduction, projected onto the subtree's key | Thm 3.13 | [`count::count_free_connex`] |
 //! | Counting / answers (hard side) | generic join + projection | Lem 3.9 | [`generic_join::count_distinct`], [`generic_join::answers`] |
 //! | Enumeration | the constant-delay in-order walk of the reduced tree, each move into a child two array reads | Thm 3.17 | [`enumerate::preprocess`], walked by [`Answers::walk`] |
-//! | Direct access, lex order | the reduced tree as rows + links: nodes sorted by parent key, then ⪯, each parent row linked to the child group it joins; mixed radix over lazy subtree weights | Thm 3.24 | [`LexDirectAccess::build`] |
-//! | Direct access, free-connex + projections | that tree over `q'` in its DFS order | Thm 3.18 | [`FreeConnexDirectAccess::build`] |
-//! | Direct access (hard side) | materialize + sort | Lem 3.9 / 3.23 | [`MaterializedDirectAccess::build`] |
+//! | Direct access, lex order | [`LexDirectAccess`], the one direct-access structure: the reduced tree as rows + links — nodes sorted by parent key, then ⪯, each parent row linked to the child group it joins; mixed radix over lazy subtree weights | Thm 3.24 | [`LexDirectAccess::build`] |
+//! | Direct access, free-connex + projections | that tree over `q'` in its DFS order | Thm 3.18 | [`LexDirectAccess::free_connex`] |
+//! | Direct access (hard side) | that tree as one node: generic join's answers, sorted | Lem 3.9 / 3.23 | [`LexDirectAccess::materialized`] |
 //! | Triangle query (no plan yet: reserved for a degree-split operator) | AYZ degree split + BMM | Thm 3.2 | [`triangle_query::decide_triangle_ayz`] |
 //!
 //! The crate exports nothing else but their plumbing ([`ExecCtx`],
-//! [`CancelToken`], [`Answers`] — the one answer stream over a walk, a
-//! direct-access structure or materialized rows) and the brute-force
+//! [`CancelToken`], [`Answers`] — the one answer stream over a walk,
+//! direct access or materialized rows) and the brute-force
 //! oracles of [`mod@bind`]. The join-tree links, the full reduction and projection
 //! elimination behind them are crate-private. The algorithms that only
 //! witness a lower-bound reduction — sum-order direct access (Thm 3.26),
@@ -55,6 +55,5 @@ pub mod yannakakis;
 pub use bind::EvalError;
 pub use cancel::CancelToken;
 pub use ctx::ExecCtx;
-pub use direct_access::{DirectAccess, LexDirectAccess, MaterializedDirectAccess};
-pub use fc_direct_access::FreeConnexDirectAccess;
+pub use direct_access::{DirectAccess, LexDirectAccess};
 pub use stream::Answers;

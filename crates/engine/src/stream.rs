@@ -9,11 +9,13 @@
 //! * a **walk** of the reduced tree enumeration and direct access share
 //!   ([`Answers::walk`]): `next` is O(1) (Thm 3.17); it has no random
 //!   access, so `seek` refuses;
-//! * a **direct-access** structure ([`Answers::access`], Thm 3.24 /
-//!   3.18): `seek` is an O(1) position move that never touches the
-//!   skipped prefix, and each `next` is one O(log m) access;
+//! * **direct access** ([`Answers::access`]) to a [`LexDirectAccess`],
+//!   the engine's one direct-access structure — that tree (Thm 3.24 /
+//!   3.18) or the one node of sorted materialized answers (Lemma 3.23):
+//!   `seek` is an O(1) position move that never touches the skipped
+//!   prefix, and each `next` is one O(log m) access;
 //! * a **materialized** relation ([`Answers::rows`], the hard side's
-//!   fallback of Lemma 3.9 / 3.23): `next` and `seek` are O(1), each row
+//!   fallback of Lemma 3.9): `next` and `seek` are O(1), each row
 //!   borrowed in place.
 //!
 //! Cancellation is folded into `next`: a stream owns a [`CancelToken`]
@@ -40,9 +42,8 @@
 
 use crate::bind::EvalError;
 use crate::cancel::CancelToken;
-use crate::direct_access::DirectAccess;
+use crate::direct_access::{DirectAccess, LexDirectAccess};
 use crate::enumerate::Walk;
-use crate::fc_direct_access::FreeConnexDirectAccess;
 use cq_core::Var;
 use cq_data::{Relation, Val};
 use cq_obs::trace::{self, SpanGuard};
@@ -71,8 +72,8 @@ pub struct Answers {
 enum Source {
     /// The odometer over the shared reduced tree.
     Walk(Walk),
-    /// Position `pos` of a direct-access structure, read into `buf`.
-    Access { da: Arc<dyn DirectAccess + Send + Sync>, pos: u64, buf: Vec<Val> },
+    /// Position `pos` of the direct-access structure, read into `buf`.
+    Access { da: Arc<LexDirectAccess>, pos: u64, buf: Vec<Val> },
     /// Row `pos` of a materialized relation.
     Rows { rel: Relation, pos: usize },
 }
@@ -97,12 +98,13 @@ impl Answers {
 
     /// The constant-delay walk of `tree` — the preprocessing
     /// [`crate::enumerate::preprocess`] returns — in its array order.
-    pub fn walk(tree: Arc<FreeConnexDirectAccess>) -> Answers {
+    pub fn walk(tree: Arc<LexDirectAccess>) -> Answers {
         Answers::new(tree.schema().to_vec(), Source::Walk(Walk::new(tree)))
     }
 
-    /// `da`'s answers, in the structure's own order, under `schema`.
-    pub fn access(schema: Vec<Var>, da: Arc<dyn DirectAccess + Send + Sync>) -> Answers {
+    /// `da`'s answers, in the structure's own order.
+    pub fn access(da: Arc<LexDirectAccess>) -> Answers {
+        let schema = da.schema().to_vec();
         Answers::new(schema, Source::Access { da, pos: 0, buf: Vec::new() })
     }
 
@@ -215,7 +217,6 @@ impl std::fmt::Debug for Answers {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::direct_access::LexDirectAccess;
     use cq_core::parse_query;
     use cq_data::generate::{path_database, seeded_rng};
     use cq_obs::trace::TraceSink;
@@ -263,7 +264,7 @@ mod tests {
         assert!(n > 10, "need a non-trivial result");
         let want_k = da.access(n - 1).unwrap();
         let sink = TraceSink::enabled();
-        let mut s = trace::with(&sink, || Answers::access(order, da));
+        let mut s = trace::with(&sink, || Answers::access(da));
         assert_eq!(s.size_hint(), Some(n));
         // first row, then jump to the last: exactly 2 accesses total
         s.next().unwrap().unwrap();

@@ -14,10 +14,7 @@ use crate::ir::{PlanOp, QueryPlan, Task};
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, Relation};
 use cq_engine::bind::EvalError;
-use cq_engine::{count, enumerate, generic_join, yannakakis, ExecCtx};
-use cq_engine::{
-    DirectAccess, FreeConnexDirectAccess, LexDirectAccess, MaterializedDirectAccess,
-};
+use cq_engine::{count, enumerate, generic_join, yannakakis, ExecCtx, LexDirectAccess};
 use std::sync::Arc;
 
 /// The answer payload of an executed plan: the engine's one stream type.
@@ -101,9 +98,7 @@ pub(crate) fn execute_in(
         // the structure is built (and memoized) once; the stream over it
         // has O(1) `seek(k)` — the ranked-access guarantee of Thm 3.24 /
         // 3.18 as an executable plan
-        Task::Access => {
-            Answers::access(q.free_vars(), build_lex_access(ctx, plan, q, db)?)
-        }
+        Task::Access => Answers::access(build_lex_access(ctx, plan, q, db)?),
     };
     answers.set_cancel(ctx.cancel().clone());
     Ok(Output::Answers(answers))
@@ -193,17 +188,17 @@ pub fn build_lex_access(
     plan: &QueryPlan,
     q: &ConjunctiveQuery,
     db: &Database,
-) -> Result<Arc<dyn DirectAccess + Send + Sync>, EvalError> {
-    Ok(match &plan.op {
-        PlanOp::LexDirectAccess { order } => LexDirectAccess::build(ctx, q, db, order)?,
+) -> Result<Arc<LexDirectAccess>, EvalError> {
+    match &plan.op {
+        PlanOp::LexDirectAccess { order } => LexDirectAccess::build(ctx, q, db, order),
         // join queries and projections alike: the distinct answers over
         // the free variables, sorted by `order` restricted to them
         PlanOp::MaterializedDirectAccess { order } => {
-            MaterializedDirectAccess::build(ctx, q, db, order)?
+            LexDirectAccess::materialized(ctx, q, db, order)
         }
-        PlanOp::FreeConnexDirectAccess => FreeConnexDirectAccess::build(ctx, q, db)?,
-        _ => return Err(unsupported(plan)),
-    })
+        PlanOp::FreeConnexDirectAccess => LexDirectAccess::free_connex(ctx, q, db),
+        _ => Err(unsupported(plan)),
+    }
 }
 
 #[cfg(test)]
@@ -215,6 +210,7 @@ mod tests {
     use cq_data::generate::{path_database, random_pairs, seeded_rng, triangle_database};
     use cq_data::DataStats;
     use cq_engine::bind::{brute_force_count, brute_force_decide};
+    use cq_engine::DirectAccess;
 
     #[test]
     fn executes_each_operator_kind() {
@@ -406,7 +402,7 @@ mod tests {
         let plan = Planner::plan_lex_access(&q, &order, &stats);
         let da = build_lex_access(&ExecCtx::cold(), &plan, &q, &db).unwrap();
         let mat =
-            MaterializedDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
+            LexDirectAccess::materialized(&ExecCtx::cold(), &q, &db, &order).unwrap();
         assert_eq!(da.len(), mat.len());
         for i in 0..da.len() {
             assert_eq!(da.access(i), mat.access(i));

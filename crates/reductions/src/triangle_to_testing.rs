@@ -21,7 +21,7 @@
 use cq_core::query::zoo;
 use cq_core::Var;
 use cq_data::{Database, FxHashMap, Relation, Val};
-use cq_engine::{DirectAccess, ExecCtx, MaterializedDirectAccess};
+use cq_engine::{DirectAccess, ExecCtx, LexDirectAccess};
 use cq_problems::Graph;
 
 /// Preprocessed tester for `q*_k(x1..xk) :- ⋀ R(xi, z)` over a single
@@ -144,11 +144,11 @@ pub fn triangle_via_qhat_direct_access(g: &Graph) -> bool {
     let ctx = ExecCtx::cold();
     // The efficient builder must refuse this order (disruptive trio)…
     debug_assert!(
-        cq_engine::LexDirectAccess::build(&ctx, &q, &db, &order).is_err(),
+        LexDirectAccess::build(&ctx, &q, &db, &order).is_err(),
         "x1,x2,z order must be rejected by the compatible-tree builder"
     );
     // …so the only structure is the materialized one.
-    let da = MaterializedDirectAccess::build(&ctx, &q, &db, &order).expect("join query");
+    let da = LexDirectAccess::materialized(&ctx, &q, &db, &order).expect("join query");
     if da.is_empty() {
         return false;
     }
@@ -159,7 +159,6 @@ pub fn triangle_via_qhat_direct_access(g: &Graph) -> bool {
 mod tests {
     use super::*;
     use cq_data::generate::{random_pairs, seeded_rng, star_database};
-    use cq_engine::LexDirectAccess;
     use cq_problems::triangle::find_triangle_edge_iterator;
 
     #[test]
@@ -273,7 +272,7 @@ mod tests {
             ["z", "x1", "x2"].iter().map(|n| q.var_by_name(n).unwrap()).collect();
         let lex = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
         let mat =
-            MaterializedDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
+            LexDirectAccess::materialized(&ExecCtx::cold(), &q, &db, &order).unwrap();
         // collect true prefixes
         let mut true_prefixes = std::collections::BTreeSet::new();
         for i in 0..mat.len() {

@@ -1073,6 +1073,26 @@ mod tests {
         assert!(r.terminal.starts_with("ERR no-such-cursor"), "{}", r.terminal);
         let r = s.handle_line("SEEK 99 0").unwrap();
         assert!(r.terminal.starts_with("ERR no-such-cursor"), "{}", r.terminal);
+        // a Boolean ACCESS cursor pages out `{()}` or `{}` on both sides
+        // of the dichotomy: free-connex direct access for the 2-path,
+        // materialize + sort for the triangle
+        let access = |s: &mut Session, q: &str| {
+            let r = s.handle_line(&format!("CURSOR ACCESS {q}")).unwrap();
+            let id = r.ok_info().and_then(|i| i.strip_prefix("cursor "));
+            let id = id.unwrap_or_else(|| panic!("{q}: {}", r.terminal)).to_string();
+            let page = s.handle_line(&format!("FETCH {id} 5")).unwrap();
+            assert!(page.terminal.ends_with(" rows eof"), "{q}: {}", page.terminal);
+            page.data
+        };
+        let (path, triangle) =
+            ("q() :- E(x, y), E(y, z)", "q() :- E(x, y), E(y, z), E(z, x)");
+        s.handle_line("INSERT E(1, 2)");
+        assert_eq!(access(&mut s, path), Vec::<String>::new());
+        assert_eq!(access(&mut s, triangle), Vec::<String>::new());
+        s.handle_line("INSERT E(2, 3)");
+        s.handle_line("INSERT E(3, 1)");
+        assert_eq!(access(&mut s, path), ["()"]);
+        assert_eq!(access(&mut s, triangle), ["()"]);
     }
 
     #[test]

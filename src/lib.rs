@@ -277,9 +277,7 @@ pub mod prelude {
     pub use cq_core::query::zoo;
     pub use cq_core::{parse_query, ConjunctiveQuery, Hypothesis, QueryBuilder, Var};
     pub use cq_data::{DataStats, Database, IndexCatalog, Relation, Val};
-    pub use cq_engine::direct_access::{
-        DirectAccess, LexDirectAccess, MaterializedDirectAccess,
-    };
+    pub use cq_engine::direct_access::{DirectAccess, LexDirectAccess};
     pub use cq_engine::{enumerate, Answers, EvalError, ExecCtx};
     pub use cq_planner::{eval, PlanOp, Planner, QueryPlan, Task};
     pub use cq_reductions::sum_order::SumOrderAccess;

@@ -6,8 +6,8 @@
 //! what is particular to one algorithm.
 
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
+use cq_engine::CancelToken;
 use cq_engine::{count, generic_join, triangle_query, yannakakis};
-use cq_engine::{CancelToken, FreeConnexDirectAccess};
 use cq_lower_bounds::prelude::*;
 use cq_reductions::sum_order::SumOrderAccess;
 
@@ -115,6 +115,19 @@ fn lex_order(q: &ConjunctiveQuery) -> Option<Vec<Var>> {
 fn array_of(da: &dyn DirectAccess) -> Out {
     assert_eq!(da.access(da.len()), None);
     Out::Array((0..da.len()).map(|i| da.access(i).unwrap()).collect())
+}
+
+/// The brute-force answers of `q` over its free variables, sorted by
+/// `order` restricted to them: the array direct access in that order
+/// simulates.
+fn sorted_by(q: &ConjunctiveQuery, db: &Database, order: &[Var]) -> Vec<Vec<Val>> {
+    let free = q.free_vars();
+    let slots: Vec<usize> =
+        order.iter().filter_map(|v| free.iter().position(|f| f == v)).collect();
+    let mut rows: Vec<Vec<Val>> =
+        brute_force_answers(q, db).unwrap().iter().map(<[Val]>::to_vec).collect();
+    rows.sort_by_key(|row| slots.iter().map(|&s| row[s]).collect::<Vec<_>>());
+    rows
 }
 
 /// The weight of a domain value in the sum-order rows.
@@ -245,20 +258,20 @@ fn entry_points() -> Vec<EntryPoint> {
             oracle: lex_oracle,
         },
         EntryPoint {
-            name: "MaterializedDirectAccess::build",
+            name: "LexDirectAccess::materialized",
             serves: join_query,
             run: |ctx, q, db| {
-                Ok(array_of(&*MaterializedDirectAccess::build(ctx, q, db, &order(q))?))
+                Ok(array_of(&*LexDirectAccess::materialized(ctx, q, db, &order(q))?))
             },
             oracle: interning_order_oracle,
         },
         EntryPoint {
-            name: "FreeConnexDirectAccess::build",
+            name: "LexDirectAccess::free_connex",
             serves: free_connex_with_output,
             run: |ctx, q, db| {
                 // the order is the structure's own choice: compare as a set
                 // (`enumeration_order_is_the_direct_access_order` has the array)
-                let da = FreeConnexDirectAccess::build(ctx, q, db)?;
+                let da = LexDirectAccess::free_connex(ctx, q, db)?;
                 let Out::Array(rows) = array_of(&*da) else { unreachable!() };
                 Ok(Out::Set(Relation::from_rows(da.schema().len(), rows)))
             },
@@ -417,8 +430,13 @@ fn plans_cite_the_classifiers_verdict() {
 #[test]
 fn direct_access_agrees_on_all_trio_free_orders() {
     // exhaustively: for small join queries, every trio-free order the
-    // builder accepts must agree with materialize+sort.
+    // builder accepts must simulate the brute-force answers sorted by it
+    // — and so must the materialized structure on a disrupted order,
+    // q̂*_2 in (x1, x2, z), which the builder refuses
     let queries = vec![zoo::path_join(2), zoo::star_full(2), zoo::path_join(3)];
+    let star2 = zoo::star_full(2);
+    let disrupted: Vec<Var> =
+        ["x1", "x2", "z"].iter().map(|n| star2.var_by_name(n).unwrap()).collect();
     for seed in 0..3u64 {
         let db = random_db(seed, 25);
         for q in &queries {
@@ -426,16 +444,8 @@ fn direct_access_agrees_on_all_trio_free_orders() {
                 let ctx = ExecCtx::cold();
                 match LexDirectAccess::build(&ctx, q, &db, &order) {
                     Ok(lex) => {
-                        let mat = MaterializedDirectAccess::build(&ctx, q, &db, &order)
-                            .unwrap();
-                        assert_eq!(lex.len(), mat.len(), "{q} order {order:?}");
-                        for i in 0..lex.len() {
-                            assert_eq!(
-                                lex.access(i),
-                                mat.access(i),
-                                "{q} order {order:?} index {i}"
-                            );
-                        }
+                        let want = Out::Array(sorted_by(q, &db, &order));
+                        assert_eq!(array_of(&*lex), want, "{q} order {order:?}");
                     }
                     Err(EvalError::Unsupported(_)) => {
                         // The builder's sufficient condition is allowed to
@@ -445,6 +455,12 @@ fn direct_access_agrees_on_all_trio_free_orders() {
                 }
             }
         }
+        let ctx = ExecCtx::cold();
+        assert!(LexDirectAccess::build(&ctx, &star2, &db, &disrupted).is_err());
+        let mat = LexDirectAccess::materialized(&ctx, &star2, &db, &disrupted).unwrap();
+        let want = sorted_by(&star2, &db, &disrupted);
+        assert!(!want.is_empty(), "seed {seed}");
+        assert_eq!(array_of(&*mat), Out::Array(want), "seed {seed}");
     }
 }
 
@@ -515,7 +531,7 @@ fn enumeration_order_is_the_direct_access_order() {
             while let Some(row) = stream.next().unwrap() {
                 streamed.push(row.to_vec());
             }
-            let da = FreeConnexDirectAccess::build(&ctx, q, &db).unwrap();
+            let da = LexDirectAccess::free_connex(&ctx, q, &db).unwrap();
             let Out::Array(array) = array_of(&*da) else { unreachable!() };
             assert_eq!(streamed, array, "{q} (seed {seed})");
             let slot = |v: &Var| da.schema().iter().position(|s| s == v).unwrap();
@@ -569,7 +585,7 @@ fn the_linked_tree_walks_and_accesses_the_recorded_rows() {
         while let Some(row) = stream.next().unwrap() {
             walked.push(row.to_vec());
         }
-        let da = FreeConnexDirectAccess::build(&ctx, &q, &db).unwrap();
+        let da = LexDirectAccess::free_connex(&ctx, &q, &db).unwrap();
         assert_eq!(array_of(&*da), Out::Array(walked.clone()), "{src}");
         assert_eq!(walked, want, "{src}");
     }

@@ -7,7 +7,7 @@
 # (`render_row_into`), never through the per-row `String` wrappers; a
 # verb's gates are decided once, by its row of the verb table, so the
 # tenant-resolution reply and the replica check each live in one place;
-# the tenant has one logged write; and no source file outgrows a screenful
+# the tenant has one logged write (and one for its limits); and no source file outgrows a screenful
 # of concerns. And one measurement system: a performance number comes from
 # `bench/` (cqbench), a complexity claim is asserted on a work counter by
 # `cargo test`, and the wall-clock experiment tables and criterion benches
@@ -56,7 +56,12 @@
 # the reduced tree, a single sorted node for materialized answers — is what
 # every direct-access plan builds and `Answers::access` reads. And no public
 # function nobody names: a `pub fn` of a crate's source is named somewhere
-# else in the workspace, tests included.
+# else in the workspace, tests included. And one session path: the acceptor
+# gives each connection a thread of its own under one cap on live sessions
+# and hands every such thread to `Server::join`, so no pool, channel,
+# overflow path or gauge of theirs stands beside it. And cq-engine runs only
+# what the planner plans: Thm 3.2's degree split lives in cq-problems, so
+# the engine needs no matrix crate.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -122,7 +127,6 @@ engine_fns_without_a_caller_allowed='
 brute_force_answers  the testing oracle every operator is checked against
 brute_force_decide   the testing oracle every operator is checked against
 brute_force_count    the testing oracle every operator is checked against
-decide_triangle_ayz  Thm 3.2, kept for the degree-split plan of cyclic DECIDE
 '
 engine_callers=$(
     find crates/planner/src crates/reductions/src crates/server/src src examples bench/src \
@@ -291,6 +295,25 @@ forbid "reply flushes in conn.rs outside flush_replies (it holds replies while r
     non_test crates/server/src/server/conn.rs | outside_fns '\.flush\(' 'flush_replies'
 )"
 
+# one session path: an admitted connection is served on the thread
+# `spawn_session` starts, and the acceptor's own thread is the only other
+forbid "channels in conn.rs (the acceptor spawns each session's thread itself):" "$(
+    non_test crates/server/src/server/conn.rs | grep -F 'mpsc'
+)"
+exactly_one "session spawn site in conn.rs (\`spawn_session\`; the other spawn is the acceptor's, in \`bind_with_state\`)" "$(
+    non_test crates/server/src/server/conn.rs \
+        | outside_fns 'thread::(spawn|Builder)' 'bind_with_state'
+)"
+forbid "worker-pool gauges (\`server connections.open\` counts the live sessions):" "$(
+    grep -rnE 'workers\.(pool|busy|overflow)' crates/server/src src
+)"
+# ... and Thm 3.2's AYZ is cq-problems' `find_triangle_ayz`, not an
+# unplanned engine operator
+forbid "cq-matrix in cq-engine (no engine operator multiplies matrices):" "$(
+    grep -rn 'cq_matrix' crates/engine/src
+    grep -n 'cq-matrix' crates/engine/Cargo.toml | sed 's|^|crates/engine/Cargo.toml:|'
+)"
+
 # the dichotomy is stated once, in cq_core::classify: the planner maps a
 # verdict to an operator and explain.rs maps a hypothesis to its
 # context line — neither attaches a hypothesis to a query again
@@ -344,8 +367,9 @@ forbid "a lock in the planner (it holds no state; the catalog's OnceLock is not 
     for f in crates/planner/src/*.rs; do non_test "$f"; done | grep -F 'Mutex'
 )"
 
-# one logged write on the tenant (`apply_logged`, taking the record) and
-# the unlogged `mutate`; no `foo` / `foo_durable` ladder beside them
+# one logged write on the tenant (`apply_logged`, taking the record), the
+# limit set's read-edit-log under the same lock (`set_limits`), and the
+# unlogged `mutate`; no `foo` / `foo_durable` ladder beside them
 forbid "tenant write ladder (Tenant::apply_logged is the one logged write):" "$(
     grep -rnE 'pub fn (mutate_wal|mutate_durable|persist_limits|persist_limits_durable)\b' \
         crates/server/src

@@ -14,7 +14,6 @@
 //! | Direct access, lex order | [`LexDirectAccess`], the one direct-access structure: the reduced tree as rows + links — nodes sorted by parent key, then ⪯, each parent row linked to the child group it joins; mixed radix over lazy subtree weights | Thm 3.24 | [`LexDirectAccess::build`] |
 //! | Direct access, free-connex + projections | that tree over `q'` in its DFS order | Thm 3.18 | [`LexDirectAccess::free_connex`] |
 //! | Direct access (hard side) | that tree as one node: generic join's answers, sorted | Lem 3.9 / 3.23 | [`LexDirectAccess::materialized`] |
-//! | Triangle query (no plan yet: reserved for a degree-split operator) | AYZ degree split + BMM | Thm 3.2 | [`triangle_query::decide_triangle_ayz`] |
 //!
 //! The crate exports nothing else but their plumbing ([`ExecCtx`],
 //! [`CancelToken`], [`Answers`] — the one answer stream over a walk,
@@ -49,7 +48,6 @@ pub mod fc_direct_access;
 pub mod generic_join;
 mod links;
 pub mod stream;
-pub mod triangle_query;
 pub mod yannakakis;
 
 pub use bind::EvalError;
@@ -57,3 +55,6 @@ pub use cancel::CancelToken;
 pub use ctx::ExecCtx;
 pub use direct_access::{DirectAccess, LexDirectAccess};
 pub use stream::Answers;
+
+#[cfg(test)]
+mod triangle_query;

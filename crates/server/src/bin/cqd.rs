@@ -11,6 +11,10 @@
 //! address to `--port-file` (so scripts can find an ephemeral port),
 //! and serves until killed.
 //!
+//! `--workers N` (default: the number of cores) admits at most 9·N live
+//! sessions, each on a thread of its own; a connection past that is
+//! answered `ERR busy` and closed.
+//!
 //! `--metrics-interval SECS` dumps the full metrics registry (the same
 //! lines `METRICS` returns over the wire, prefixed `cqd metric:`) plus
 //! any slow-query log entries accumulated since the previous dump to

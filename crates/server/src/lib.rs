@@ -5,8 +5,8 @@
 //! state. This crate puts the whole pipeline — `cq_core::parser` →
 //! `cq-planner` (through each session's statement memo) → `cq-engine` over a
 //! pinned per-tenant [`IndexCatalog`](cq_data::IndexCatalog) — behind a
-//! line-based text protocol on a plain [`std::net::TcpListener`] and a
-//! `std::thread` worker pool. No async runtime, no dependencies.
+//! line-based text protocol on a plain [`std::net::TcpListener`], one
+//! `std::thread` per live session. No async runtime, no dependencies.
 //!
 //! * [`protocol`] — the request grammar and framed replies (`* ` data
 //!   lines, one `OK`/`ERR` terminal per command; errors are structured,
@@ -18,8 +18,9 @@
 //!   [`ServerState::recover`](state::ServerState::recover) reloads
 //!   every tenant on boot).
 //! * [`server`] — the per-connection [`Session`] interpreter and the
-//!   [`Server`] accept-loop/pool runtime with graceful shutdown, one
-//!   file per concern: the runtime and its bounded request line; the
+//!   [`Server`] runtime — an acceptor that admits each connection to a
+//!   thread of its own under one cap, and a shutdown that joins them all
+//!   — one file per concern: the runtime and its bounded request line; the
 //!   session state machine with the **verb table** (one row per verb —
 //!   metric slug, tenant addressing, read-or-write, handler — behind
 //!   one gate that resolves the tenant and refuses writes on a replica

@@ -138,8 +138,8 @@ err_kinds! {
     /// The tenant is in read-only degraded mode after an unrecoverable
     /// storage failure; mutations refuse until `RESUME <db>` succeeds.
     Degraded => "degraded",
-    /// The server is saturated (worker pool and overflow slots all
-    /// busy); the connection is shed after this reply.
+    /// The server is saturated (every session slot is taken); the
+    /// connection is shed after this reply.
     Busy => "busy",
     /// The operation is structurally impossible for this plan — e.g.
     /// `SEEK` on a cursor whose operator enumerates with constant delay

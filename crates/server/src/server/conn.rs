@@ -1,38 +1,38 @@
-//! The runtime around [`Session`]: the acceptor, the worker pool and
-//! its overflow threads, shedding, and the per-connection read loop,
-//! whose replies to pipelined requests share a write.
+//! The runtime around [`Session`]: the acceptor, which gives each
+//! admitted connection a thread of its own under one cap on live
+//! sessions and sheds the rest, and the per-connection read loop, whose
+//! replies to pipelined requests share a write.
 
 use super::session::{Action, Session};
 use crate::protocol::{ErrKind, Reply};
 use crate::state::ServerState;
-use cq_obs::Counter;
+use cq_obs::{Counter, Gauge};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Handle to a running server: the bound address, the shared state, and
-/// the acceptor/worker threads. Dropping (or [`Server::shutdown`]) stops
-/// accepting and joins the pool once in-flight connections close.
+/// the acceptor thread, which hands back its sessions' threads when it
+/// ends. Dropping (or [`Server::shutdown`]) stops accepting and joins
+/// every session.
 pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
     stop: Arc<AtomicBool>,
-    acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    acceptor: Option<JoinHandle<Vec<JoinHandle<()>>>>,
 }
 
 impl Server {
     /// Bind and start serving on `addr` (use port 0 for an ephemeral
-    /// port; read it back from [`Server::local_addr`]) with a pool of
-    /// `workers` reusable connection-handling threads.
+    /// port; read it back from [`Server::local_addr`]) with at most
+    /// `9 × workers` live sessions.
     ///
-    /// Connections beyond the pool size are not queued behind
-    /// long-lived sessions: when every pooled worker is occupied, the
-    /// acceptor serves the new connection on a detached overflow
-    /// thread, so `workers` idle clients can never starve the next one.
+    /// Each admitted connection runs on a thread of its own, so no
+    /// client waits behind another's idle session; past the cap, a new
+    /// connection is shed with `ERR busy`.
     pub fn bind(addr: impl ToSocketAddrs, workers: usize) -> std::io::Result<Server> {
         Server::bind_with_state(addr, workers, Arc::new(ServerState::new()))
     }
@@ -48,118 +48,15 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<TcpStream>();
-        let rx = Arc::new(Mutex::new(rx));
-        // connections handed to the pool but not yet finished: queued
-        // (sent, not received) plus in service. The acceptor routes
-        // around the pool whenever this reaches the pool size.
-        let occupied = Arc::new(AtomicUsize::new(0));
-
-        let workers = workers.max(1);
-        // pool-saturation gauges: `workers.busy` mirrors `occupied`
-        // (approximate under races — it is observability, not control)
-        let server_scope = state.metrics().server_scope();
-        server_scope.gauge("workers.pool").set(workers as u64);
-        let busy = server_scope.gauge("workers.busy");
-        let mut pool = Vec::with_capacity(workers);
-        for i in 0..workers {
-            let rx = Arc::clone(&rx);
-            let state = Arc::clone(&state);
-            let stop = Arc::clone(&stop);
-            let occupied = Arc::clone(&occupied);
-            let busy = Arc::clone(&busy);
-            let handle = std::thread::Builder::new()
-                .name(format!("cqd-worker-{i}"))
-                .spawn(move || loop {
-                    // take the next connection, then release the
-                    // receiver lock before serving it
-                    let next = {
-                        let guard = rx.lock().unwrap_or_else(|p| p.into_inner());
-                        guard.recv()
-                    };
-                    match next {
-                        Ok(stream) => {
-                            serve_connection(stream, Arc::clone(&state), &stop);
-                            let prev = occupied.fetch_sub(1, Ordering::SeqCst);
-                            busy.set(prev.saturating_sub(1) as u64);
-                        }
-                        Err(_) => break, // acceptor gone: drain and exit
-                    }
-                })
-                .expect("spawn worker thread");
-            pool.push(handle);
-        }
-
-        // detached overflow threads are counted and capped: beyond
-        // `workers * OVERFLOW_PER_WORKER` of them, new connections are
-        // shed with a best-effort `ERR busy` instead of an unbounded
-        // thread-per-connection pile-up
-        let overflow = Arc::new(AtomicUsize::new(0));
-        let overflow_cap = workers * OVERFLOW_PER_WORKER;
-        let overflow_gauge = server_scope.gauge("workers.overflow");
-        let shed = server_scope.counter("connections.shed");
-
+        let cap = (workers.max(1) * SESSIONS_PER_WORKER) as u64;
         let acceptor = {
-            let stop = Arc::clone(&stop);
-            let state = Arc::clone(&state);
+            let (state, stop) = (Arc::clone(&state), Arc::clone(&stop));
             std::thread::Builder::new()
                 .name("cqd-acceptor".to_string())
-                .spawn(move || {
-                    for conn in listener.incoming() {
-                        if stop.load(Ordering::SeqCst) {
-                            break;
-                        }
-                        let Ok(stream) = conn else { continue };
-                        // claim a pool slot; the count is conservative
-                        // (decremented only when a session ends), so a
-                        // race at worst spawns one extra thread
-                        let prev = occupied.fetch_add(1, Ordering::SeqCst);
-                        busy.set((prev + 1).min(workers) as u64);
-                        if prev < workers {
-                            if tx.send(stream).is_err() {
-                                break;
-                            }
-                        } else {
-                            let prev = occupied.fetch_sub(1, Ordering::SeqCst);
-                            busy.set(prev.saturating_sub(1) as u64);
-                            let prev_overflow = overflow.fetch_add(1, Ordering::SeqCst);
-                            if prev_overflow >= overflow_cap {
-                                overflow.fetch_sub(1, Ordering::SeqCst);
-                                shed.inc();
-                                shed_connection(stream);
-                                continue;
-                            }
-                            overflow_gauge.set((prev_overflow + 1) as u64);
-                            let state = Arc::clone(&state);
-                            let stop = Arc::clone(&stop);
-                            let counter = Arc::clone(&overflow);
-                            let gauge = Arc::clone(&overflow_gauge);
-                            let spawned = std::thread::Builder::new()
-                                .name("cqd-overflow".to_string())
-                                .spawn(move || {
-                                    serve_connection(stream, state, &stop);
-                                    let prev = counter.fetch_sub(1, Ordering::SeqCst);
-                                    gauge.set(prev.saturating_sub(1) as u64);
-                                });
-                            if spawned.is_err() {
-                                // out of threads: drop the connection
-                                // (the client sees EOF) rather than
-                                // queuing it behind the full pool; the
-                                // unrun closure is dropped, so undo its
-                                // slot here
-                                let prev = overflow.fetch_sub(1, Ordering::SeqCst);
-                                overflow_gauge.set(prev.saturating_sub(1) as u64);
-                                shed.inc();
-                                continue;
-                            }
-                        }
-                    }
-                    // tx drops here: idle workers see the closed channel
-                })
+                .spawn(move || accept(&listener, &state, &stop, cap))
                 .expect("spawn acceptor thread")
         };
-
-        Ok(Server { addr, state, stop, acceptor: Some(acceptor), workers: pool })
+        Ok(Server { addr, state, stop, acceptor: Some(acceptor) })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -178,10 +75,10 @@ impl Server {
     }
 
     /// Graceful shutdown: stop accepting, signal every session's read
-    /// loop, and join the pool. In-flight commands finish their reply;
-    /// idle connections are closed at the next read tick (≤ 200 ms), so
-    /// shutdown never blocks on a client that stays silent. (Overflow
-    /// threads are detached and observe the same stop signal.)
+    /// loop, and join every session. In-flight commands finish their
+    /// reply; idle connections are closed at the next read tick
+    /// (≤ 200 ms), so shutdown never blocks on a client that stays
+    /// silent.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -196,11 +93,9 @@ impl Server {
     }
 
     fn join(&mut self) {
-        if let Some(h) = self.acceptor.take() {
-            let _ = h.join();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
+        let Some(acceptor) = self.acceptor.take() else { return };
+        for session in acceptor.join().unwrap_or_default() {
+            let _ = session.join();
         }
     }
 }
@@ -215,20 +110,77 @@ impl Drop for Server {
 /// stop flag (bounds shutdown latency with idle clients connected).
 const READ_TICK: Duration = Duration::from_millis(200);
 
-/// Cap on detached overflow threads, as a multiple of the pool size:
-/// a server with `w` workers serves at most `w * (1 + this)` live
-/// connections before shedding new ones with `ERR busy`.
-const OVERFLOW_PER_WORKER: usize = 8;
+/// Live sessions per `workers`: a server bound with `w` serves at most
+/// `w × this` connections at once and sheds the next with `ERR busy`.
+const SESSIONS_PER_WORKER: usize = 9;
 
-/// Best-effort saturation reply: tell the client why before closing.
-/// The write may fail (the client may already be gone) — the stream is
-/// dropped either way.
-fn shed_connection(mut stream: TcpStream) {
-    let _ = Reply::err(
-        ErrKind::Busy,
-        "server saturated (worker pool and overflow slots all busy); retry later",
-    )
-    .write_to(&mut stream);
+/// A live session's place under the cap. The `connections.open` gauge
+/// counts the slots held; the acceptor alone takes one, and the
+/// session's thread gives it back when it ends, by a panic too.
+struct Slot(Arc<Gauge>);
+
+impl Slot {
+    /// A slot, if fewer than `cap` are held. No one else takes slots,
+    /// so nothing can slip in between the check and the count.
+    fn claim(open: &Arc<Gauge>, cap: u64) -> Option<Slot> {
+        (open.get() < cap).then(|| {
+            open.add(1);
+            Slot(Arc::clone(open))
+        })
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.sub(1);
+    }
+}
+
+/// Run `session` on a thread of its own that holds `slot` until it ends.
+fn spawn_session(
+    slot: Slot,
+    session: impl FnOnce() + Send + 'static,
+) -> std::io::Result<JoinHandle<()>> {
+    std::thread::Builder::new().name("cqd-session".to_string()).spawn(move || {
+        let _slot = slot;
+        session();
+    })
+}
+
+/// The acceptor: each connection gets a [`Slot`] and a thread of its own
+/// until `stop`, and with every slot taken, a best-effort `ERR busy`
+/// before it is closed. Returns the threads of the sessions still
+/// running, for [`Server::join`].
+fn accept(
+    listener: &TcpListener,
+    state: &Arc<ServerState>,
+    stop: &Arc<AtomicBool>,
+    cap: u64,
+) -> Vec<JoinHandle<()>> {
+    let scope = state.metrics().server_scope();
+    let (open, shed) =
+        (scope.gauge("connections.open"), scope.counter("connections.shed"));
+    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
+    // a failed accept is skipped; the connection that wakes a stopping
+    // acceptor is the last one taken
+    let accepted = listener.incoming().take_while(|_| !stop.load(Ordering::SeqCst));
+    for mut stream in accepted.flatten() {
+        sessions.retain(|session| !session.is_finished());
+        let Some(slot) = Slot::claim(&open, cap) else {
+            shed.inc();
+            let busy = "server saturated (every session slot is taken); retry later";
+            let _ = Reply::err(ErrKind::Busy, busy).write_to(&mut stream);
+            continue;
+        };
+        let (state, stop) = (Arc::clone(state), Arc::clone(stop));
+        match spawn_session(slot, move || serve_connection(stream, state, &stop)) {
+            Ok(session) => sessions.push(session),
+            // out of threads: the unrun closure drops the connection (the
+            // client sees EOF) and its slot
+            Err(_) => shed.inc(),
+        }
+    }
+    sessions
 }
 
 /// A read error that says "nothing yet", not "connection broken": the
@@ -412,8 +364,6 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, stop: &AtomicBoo
     let probe_half = stream.try_clone();
     let scope = state.metrics().server_scope();
     scope.counter("connections.total").inc();
-    let open_connections = scope.gauge("connections.open");
-    open_connections.add(1);
     let flushes = scope.counter("replies.flushes");
     let mut reader = BufReader::new(read_half);
     let mut writer = BufWriter::new(stream);
@@ -457,7 +407,6 @@ fn serve_connection(stream: TcpStream, state: Arc<ServerState>, stop: &AtomicBoo
     }
     // QUIT, EOF or stop: what is held goes out, whatever is still unread
     let _ = flush_replies(&mut writer, false, &flushes);
-    open_connections.sub(1);
 }
 
 #[cfg(test)]
@@ -591,13 +540,19 @@ mod tests {
         );
     }
 
-    /// A fresh server and a raw client of it whose reads give up after
-    /// 10 s, so a reply held back fails the test instead of hanging it.
-    fn wire() -> (Server, TcpStream, BufReader<TcpStream>) {
-        let server = Server::bind("127.0.0.1:0", 1).expect("bind ephemeral");
+    /// A raw client of `server` whose reads give up after 10 s, so a
+    /// reply held back fails the test instead of hanging it.
+    fn client(server: &Server) -> (TcpStream, BufReader<TcpStream>) {
         let stream = TcpStream::connect(server.local_addr()).unwrap();
         stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
         let replies = BufReader::new(stream.try_clone().unwrap());
+        (stream, replies)
+    }
+
+    /// A fresh server and a raw [`client`] of it.
+    fn wire() -> (Server, TcpStream, BufReader<TcpStream>) {
+        let server = Server::bind("127.0.0.1:0", 1).expect("bind ephemeral");
+        let (stream, replies) = client(&server);
         (server, stream, replies)
     }
 
@@ -671,5 +626,33 @@ mod tests {
         assert_eq!(reply(&mut replies), "OK pong\n");
         drop(stream);
         server.shutdown();
+    }
+
+    #[test]
+    fn shutdown_joins_every_session_and_so_releases_the_state() {
+        let server = Server::bind("127.0.0.1:0", 1).expect("bind ephemeral");
+        let state = server.state();
+        let mut clients: Vec<_> = (0..3).map(|_| client(&server)).collect();
+        for (stream, replies) in &mut clients {
+            stream.write_all(b"PING\n").unwrap();
+            assert_eq!(reply(replies), "OK pong\n");
+        }
+        let (stream, replies) = &mut clients[0];
+        stream.write_all(b"QUIT\n").unwrap();
+        assert_eq!(reply(replies), "OK bye\n");
+        // the other two stay connected and silent
+        server.shutdown();
+        assert_eq!(Arc::strong_count(&state), 1, "a session outlived shutdown");
+    }
+
+    #[test]
+    fn a_session_that_panics_still_gives_its_slot_back() {
+        let open = Arc::new(Gauge::new());
+        let slot = Slot::claim(&open, 1).expect("a free slot");
+        assert!(Slot::claim(&open, 1).is_none(), "the cap is one slot");
+        let session = spawn_session(slot, || panic!("a session panics")).unwrap();
+        assert!(session.join().is_err());
+        assert_eq!(open.get(), 0);
+        assert!(Slot::claim(&open, 1).is_some(), "the slot is free again");
     }
 }

@@ -1,9 +1,10 @@
 //! The server: a per-connection [`Session`] command interpreter and the
-//! [`Server`] accept-loop + worker-pool runtime around it, one file per
-//! concern:
+//! [`Server`] runtime around it — one thread per live session — one file
+//! per concern:
 //!
-//! * `conn` — the runtime: acceptor, worker pool, overflow threads and
-//!   shedding, and the per-connection read loop with its bounded
+//! * `conn` — the runtime: the acceptor, which admits each connection
+//!   to a thread of its own under one cap and sheds the rest, and the
+//!   per-connection read loop with its bounded
 //!   request line ([`MAX_REQUEST_LINE_BYTES`]) and its one reply flush,
 //!   held while pipelined requests are already buffered.
 //! * `session` — the [`Session`] state machine (idle / inside `LOAD` /

@@ -11,7 +11,7 @@ use crate::protocol::{
 };
 use crate::state::{ShipSegment, Tenant};
 use cq_data::Relation;
-use cq_storage::{Applied, ArityConflict, Store, WalRecord};
+use cq_storage::{Applied, ArityConflict, Store, TenantLimits, WalRecord};
 use std::sync::Arc;
 
 /// Cap on raw bytes per `SHIP <db> <epoch> <offset>` WAL reply: the
@@ -199,39 +199,39 @@ impl Session {
         setting: BudgetSetting,
     ) -> Handled {
         let what = match setting {
-            BudgetSetting::MaxExponent(e) => {
-                tenant.set_max_exponent(Some(e));
-                format!("max-exponent {e:.2}")
-            }
-            BudgetSetting::MaxRows(n) => {
-                tenant.set_max_rows(Some(n));
-                format!("max-rows {n}")
-            }
+            BudgetSetting::MaxExponent(e) => format!("max-exponent {e:.2}"),
+            BudgetSetting::MaxRows(n) => format!("max-rows {n}"),
+            BudgetSetting::Clear => "cleared".to_string(),
+        };
+        let edit = |l: &mut TenantLimits| match setting {
+            BudgetSetting::MaxExponent(e) => l.max_exponent_bits = e.to_bits(),
+            BudgetSetting::MaxRows(n) => l.max_rows = limit(Some(n)),
             BudgetSetting::Clear => {
-                tenant.set_max_exponent(None);
-                tenant.set_max_rows(None);
-                "cleared".to_string()
+                *l = TenantLimits { timeout_ms: l.timeout_ms, ..TenantLimits::default() }
             }
         };
-        self.log_limits(tenant, format!("budget for {}: {what}", tenant.name()))
+        self.log_limits(tenant, format!("budget for {}: {what}", tenant.name()), edit)
     }
 
     /// `SET TIMEOUT <db> <ms>|NONE`: the tenant's per-query deadline,
     /// enforced cooperatively inside the engine's inner loops. Logged
     /// like budgets, so it survives a restart.
     pub(super) fn set_timeout(&mut self, tenant: &Tenant, ms: Option<u64>) -> Handled {
-        tenant.set_timeout_ms(ms);
         let what = ms.map_or("cleared".to_string(), |ms| format!("{ms} ms"));
-        self.log_limits(tenant, format!("timeout for {}: {what}", tenant.name()))
+        let info = format!("timeout for {}: {what}", tenant.name());
+        self.log_limits(tenant, info, |l| l.timeout_ms = limit(ms))
     }
 
-    /// Log the tenant's (just changed) limit set — acked with the same
-    /// durability as any other mutation — and answer `OK <info>`.
-    fn log_limits(&self, tenant: &Tenant, info: String) -> Handled {
-        let window = self.state.write_policy().group_commit;
-        let (_, wal) =
-            tenant.apply_logged(window, &WalRecord::SetLimits(tenant.limits()));
-        durable(tenant, wal)?;
+    /// Change the tenant's limit set by `edit` and log it — acked with
+    /// the same durability as any other mutation — and answer `OK
+    /// <info>`.
+    fn log_limits(
+        &self,
+        tenant: &Tenant,
+        info: String,
+        edit: impl FnOnce(&mut TenantLimits),
+    ) -> Handled {
+        durable(tenant, tenant.set_limits(self.state.write_policy().group_commit, edit))?;
         Ok(Reply::ok(info))
     }
 
@@ -346,6 +346,12 @@ fn durable(tenant: &Tenant, wal: std::io::Result<()>) -> Result<(), Reply> {
             ),
         )
     })
+}
+
+/// `v` as a stored limit: `None` is unset, and `u64::MAX` itself is
+/// clamped down by one (it is the sentinel).
+fn limit(v: Option<u64>) -> u64 {
+    v.map_or(TenantLimits::UNSET, |v| v.min(TenantLimits::UNSET - 1))
 }
 
 #[cfg(test)]

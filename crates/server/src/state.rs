@@ -63,16 +63,17 @@ pub struct Tenant {
     /// sessions still holding an `Arc` must refuse further commands.
     dropped: AtomicBool,
     /// Admission-control cap on a plan's cost exponent, stored as
-    /// `f64` bits; [`BUDGET_UNSET`] (a NaN pattern no real cap can
-    /// produce) means "no cap". Atomics, not a lock: budgets are read
-    /// on every query and written only by `SET BUDGET`.
+    /// `f64` bits; [`TenantLimits::UNSET`] (a NaN pattern no real cap
+    /// can produce) means "no cap". Atomics: the limits are read
+    /// without a lock on every query, and written only under the
+    /// tenant's write lock ([`Tenant::set_limits`]).
     budget_exponent: AtomicU64,
     /// Admission-control cap on a plan's estimated operation count
     /// (`CostEstimate::operations`, the AGM-style worst case);
-    /// `u64::MAX` means "no cap".
+    /// [`TenantLimits::UNSET`] means "no cap".
     budget_rows: AtomicU64,
     /// Per-query evaluation deadline in milliseconds (`SET TIMEOUT`);
-    /// `u64::MAX` means "no deadline".
+    /// [`TenantLimits::UNSET`] means "no deadline".
     timeout_ms: AtomicU64,
     /// `Some(reason)` after an unrecoverable storage failure: the
     /// tenant is read-only (mutations and `SAVE` refuse) until a
@@ -100,10 +101,6 @@ pub struct WritePolicy {
     pub auto_save_bytes: Option<u64>,
 }
 
-/// Sentinel bits for "no budget set" (`u64::MAX` is a NaN pattern, so
-/// it cannot collide with a stored finite exponent).
-const BUDGET_UNSET: u64 = u64::MAX;
-
 /// A tenant's admission-control budget, read per query at plan time:
 /// the planner's [`cq_planner::EvalBudget`], whose `violation` judges a
 /// plan and words the refusal.
@@ -118,6 +115,15 @@ struct TenantDb {
 }
 
 impl TenantDb {
+    /// Append `record` to the log: its sequence number, for the group
+    /// commit to cover, or `None` on an in-memory tenant.
+    fn append(&mut self, record: &WalRecord) -> std::io::Result<Option<u64>> {
+        match &mut self.wal {
+            Some(wal) => wal.append(record).map(|_| Some(wal.stats().appends)),
+            None => Ok(None),
+        }
+    }
+
     /// Run `f` on the database; if it mutated (the generation moved),
     /// sweep the catalog entries built from what it wrote.
     fn edit<T>(&mut self, f: impl FnOnce(&mut Database) -> T) -> T {
@@ -135,9 +141,9 @@ impl Tenant {
         Tenant {
             name: name.to_string(),
             dropped: AtomicBool::new(false),
-            budget_exponent: AtomicU64::new(BUDGET_UNSET),
-            budget_rows: AtomicU64::new(BUDGET_UNSET),
-            timeout_ms: AtomicU64::new(BUDGET_UNSET),
+            budget_exponent: AtomicU64::new(TenantLimits::UNSET),
+            budget_rows: AtomicU64::new(TenantLimits::UNSET),
+            timeout_ms: AtomicU64::new(TenantLimits::UNSET),
             degraded: Mutex::new(None),
             group: GroupGate::new(),
             slot: RwLock::new(TenantDb { db, catalog: IndexCatalog::new(), wal }),
@@ -154,35 +160,15 @@ impl Tenant {
         let exp = self.budget_exponent.load(Ordering::Relaxed);
         let rows = self.budget_rows.load(Ordering::Relaxed);
         Budget {
-            max_exponent: (exp != BUDGET_UNSET).then(|| f64::from_bits(exp)),
-            max_rows: (rows != BUDGET_UNSET).then_some(rows),
+            max_exponent: (exp != TenantLimits::UNSET).then(|| f64::from_bits(exp)),
+            max_rows: (rows != TenantLimits::UNSET).then_some(rows),
         }
-    }
-
-    /// Cap (or uncap, with `None`) the plan-cost exponent.
-    pub fn set_max_exponent(&self, e: Option<f64>) {
-        let bits = e.map_or(BUDGET_UNSET, f64::to_bits);
-        self.budget_exponent.store(bits, Ordering::Relaxed);
-    }
-
-    /// Cap (or uncap, with `None`) the estimated operation count.
-    /// `u64::MAX` itself is clamped down by one (it is the sentinel).
-    pub fn set_max_rows(&self, n: Option<u64>) {
-        let v = n.map_or(BUDGET_UNSET, |n| n.min(BUDGET_UNSET - 1));
-        self.budget_rows.store(v, Ordering::Relaxed);
     }
 
     /// The per-query evaluation deadline, if one is set.
     pub fn timeout(&self) -> Option<Duration> {
         let ms = self.timeout_ms.load(Ordering::Relaxed);
-        (ms != BUDGET_UNSET).then(|| Duration::from_millis(ms))
-    }
-
-    /// Set (or clear, with `None`) the per-query deadline. `u64::MAX`
-    /// milliseconds is clamped down by one (it is the sentinel).
-    pub fn set_timeout_ms(&self, ms: Option<u64>) {
-        let v = ms.map_or(BUDGET_UNSET, |ms| ms.min(BUDGET_UNSET - 1));
-        self.timeout_ms.store(v, Ordering::Relaxed);
+        (ms != TenantLimits::UNSET).then(|| Duration::from_millis(ms))
     }
 
     /// The tenant's limits in the WAL's persisted form.
@@ -194,7 +180,29 @@ impl Tenant {
         }
     }
 
-    /// Restore limits recovered from the WAL (the boot path).
+    /// Change the limits by `edit` and log the set it makes (`SET
+    /// BUDGET`, `SET TIMEOUT`): read, edit, store and append are one
+    /// step under the write lock, so the log's last `SetLimits` record
+    /// is always the live set, however sessions interleave. Acked as
+    /// [`Tenant::apply_logged`] acks a mutation.
+    pub fn set_limits(
+        &self,
+        window: Option<Duration>,
+        edit: impl FnOnce(&mut TenantLimits),
+    ) -> std::io::Result<()> {
+        let appended = {
+            let mut slot = self.write_slot();
+            let mut limits = self.limits();
+            edit(&mut limits);
+            self.apply_limits(limits);
+            slot.append(&WalRecord::SetLimits(limits))
+        };
+        self.commit(appended, window)
+    }
+
+    /// Store limits without logging them: recovered from the WAL (the
+    /// boot path), shipped to a replica, or under
+    /// [`Tenant::set_limits`]' lock.
     pub fn apply_limits(&self, l: TenantLimits) {
         self.budget_exponent.store(l.max_exponent_bits, Ordering::Relaxed);
         self.budget_rows.store(l.max_rows, Ordering::Relaxed);
@@ -265,9 +273,8 @@ impl Tenant {
     /// [`WalRecord::apply`] — the function recovery and the replica
     /// replay with, so live ≡ replay by construction — and append it to
     /// the log iff it changed the database, under the same write lock,
-    /// so the log's order *is* the database's mutation order. (A
-    /// `SetLimits` record always counts as a change; the caller has
-    /// already stored the limits it carries.) On an in-memory tenant
+    /// so the log's order *is* the database's mutation order. (Limits
+    /// are logged by [`Tenant::set_limits`].) On an in-memory tenant
     /// nothing is logged.
     ///
     /// The second return is the WAL outcome: on an append error the
@@ -293,15 +300,24 @@ impl Tenant {
         let (outcome, appended) = {
             let mut slot = self.write_slot();
             let outcome = slot.edit(|db| record.apply(db));
-            let appended = match &mut slot.wal {
-                Some(wal) if matches!(outcome, Ok(Applied::Changed(_))) => {
-                    wal.append(record).map(|_| Some(wal.stats().appends))
-                }
+            let appended = match outcome {
+                Ok(Applied::Changed(_)) => slot.append(record),
                 _ => Ok(None),
             };
             (outcome, appended)
         };
-        let wal_result = match (appended, window) {
+        (outcome, self.commit(appended, window))
+    }
+
+    /// The ack of an append made under the write lock, waited for after
+    /// it is released: with `window` (group commit), `Ok` once an fsync
+    /// covers append number `seq`.
+    fn commit(
+        &self,
+        appended: std::io::Result<Option<u64>>,
+        window: Option<Duration>,
+    ) -> std::io::Result<()> {
+        match (appended, window) {
             (Ok(Some(seq)), Some(window)) => self.group.commit(seq, window, || {
                 let mut slot = self.write_slot();
                 match slot.wal.as_mut() {
@@ -313,8 +329,7 @@ impl Tenant {
                 }
             }),
             (appended, _) => appended.map(|_| ()),
-        };
-        (outcome, wal_result)
+        }
     }
 
     /// Checkpoint this tenant into `store`: atomic snapshot of the
@@ -326,8 +341,8 @@ impl Tenant {
     /// If the tenant has no WAL (callers only route `SAVE` here on a
     /// persistent server).
     pub fn checkpoint(&self, store: &Store) -> Result<(usize, u64), StoreError> {
-        let limits = self.limits();
         let mut slot = self.write_slot();
+        let limits = self.limits();
         let TenantDb { db, wal, .. } = &mut *slot;
         let wal = wal.as_mut().expect("checkpoint requires a persistent tenant");
         let bytes = store.checkpoint(&self.name, db, wal)?;
@@ -791,9 +806,9 @@ mod tests {
         let s = ServerState::new();
         let t = s.create_db("d").unwrap();
         assert_eq!(t.timeout(), None);
-        t.set_timeout_ms(Some(250));
+        t.set_limits(None, |l| l.timeout_ms = 250).unwrap();
         assert_eq!(t.timeout(), Some(Duration::from_millis(250)));
-        t.set_timeout_ms(None);
+        t.set_limits(None, |l| l.timeout_ms = TenantLimits::UNSET).unwrap();
         assert_eq!(t.timeout(), None);
         assert!(!t.is_degraded());
         t.set_degraded("wal append failed: disk full");
@@ -803,8 +818,7 @@ mod tests {
         t.clear_degraded();
         assert!(!t.is_degraded());
         assert_eq!(t.wal_poisoned(), None, "in-memory tenants have no wal");
-        let (_, wal) = t.apply_logged(None, &WalRecord::SetLimits(t.limits()));
-        assert!(wal.is_ok(), "limit persistence is a no-op in memory");
+        assert!(t.set_limits(None, |_| {}).is_ok(), "limits log nothing in memory");
     }
 
     #[test]
@@ -814,10 +828,14 @@ mod tests {
         {
             let (s, _) = ServerState::recover(store).unwrap();
             let t = s.create_db("t1").unwrap();
-            t.set_max_exponent(Some(1.25));
-            t.set_max_rows(Some(500));
-            t.set_timeout_ms(Some(750));
-            t.apply_logged(None, &WalRecord::SetLimits(t.limits())).1.unwrap();
+            t.set_limits(None, |l| {
+                *l = TenantLimits {
+                    max_exponent_bits: 1.25f64.to_bits(),
+                    max_rows: 500,
+                    timeout_ms: 750,
+                }
+            })
+            .unwrap();
         }
         let (s, _) = ServerState::recover(Store::open_dir(&root).unwrap()).unwrap();
         let t = s.tenant("t1").unwrap();

@@ -66,14 +66,17 @@ pub struct TenantLimits {
 impl Default for TenantLimits {
     fn default() -> TenantLimits {
         TenantLimits {
-            max_exponent_bits: u64::MAX,
-            max_rows: u64::MAX,
-            timeout_ms: u64::MAX,
+            max_exponent_bits: TenantLimits::UNSET,
+            max_rows: TenantLimits::UNSET,
+            timeout_ms: TenantLimits::UNSET,
         }
     }
 }
 
 impl TenantLimits {
+    /// The "unset" sentinel of every field.
+    pub const UNSET: u64 = u64::MAX;
+
     /// Is any limit actually set?
     pub fn is_set(&self) -> bool {
         *self != TenantLimits::default()
@@ -540,6 +543,41 @@ pub struct Replay {
     pub torn_bytes: u64,
 }
 
+/// Why [`read_frames`] stopped.
+#[derive(PartialEq, Eq)]
+enum FrameEnd {
+    /// The bytes left hold no whole frame (none at all, at a clean end).
+    Short,
+    /// A whole frame fails its checksum.
+    BadChecksum,
+    /// A checksum-valid frame does not decode.
+    Undecodable,
+}
+
+/// Decode record frames from the front of `bytes` until one cannot be:
+/// the records, the bytes they take, and why the next did not follow.
+fn read_frames(bytes: &[u8]) -> (Vec<WalRecord>, usize, FrameEnd) {
+    let mut records = Vec::new();
+    let mut pos = 0usize;
+    while let Some(header) = bytes.get(pos..pos + 8) {
+        let payload_len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
+        let stored_crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
+        let Some(payload) = bytes.get(pos + 8..(pos + 8).saturating_add(payload_len))
+        else {
+            break;
+        };
+        if crc32(payload) != stored_crc {
+            return (records, pos, FrameEnd::BadChecksum);
+        }
+        let Some(record) = WalRecord::from_payload(payload) else {
+            return (records, pos, FrameEnd::Undecodable);
+        };
+        records.push(record);
+        pos += 8 + payload_len;
+    }
+    (records, pos, FrameEnd::Short)
+}
+
 /// Decode the complete record frames at the front of a *headerless*
 /// byte run — a replication `SHIP` segment, which starts at a record
 /// boundary but may end mid-frame when the primary's per-call byte cap
@@ -551,82 +589,50 @@ pub struct Replay {
 /// frame that fails its checksum (or decodes to nothing) means the
 /// stream is wrong, not short.
 pub fn decode_frames(bytes: &[u8]) -> Result<(Vec<WalRecord>, usize), String> {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    while let Some(header) = bytes.get(pos..pos + 8) {
-        let payload_len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let stored_crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + 8..(pos + 8).saturating_add(payload_len))
-        else {
-            break; // frame split by the segment boundary: wait for more
-        };
-        if crc32(payload) != stored_crc {
-            return Err(format!("shipped record at byte {pos} fails its checksum"));
+    match read_frames(bytes) {
+        (records, pos, FrameEnd::Short) => Ok((records, pos)),
+        (_, pos, FrameEnd::BadChecksum) => {
+            Err(format!("shipped record at byte {pos} fails its checksum"))
         }
-        let record = WalRecord::from_payload(payload).ok_or_else(|| {
-            format!(
-                "shipped record at byte {pos} passes its checksum but does not decode"
-            )
-        })?;
-        records.push(record);
-        pos += 8 + payload_len;
+        (_, pos, FrameEnd::Undecodable) => Err(format!(
+            "shipped record at byte {pos} passes its checksum but does not decode"
+        )),
     }
-    Ok((records, pos))
 }
 
 /// Decode every intact record of a WAL image. Framing defects after
-/// the last intact record are reported as the torn tail; a
-/// checksum-valid record that fails to decode — and a present-but-
-/// wrong header magic — is [`StoreError::Corrupt`] (`source` names
-/// the file in the error).
+/// the last intact record — a short frame, a checksum mismatch — are
+/// reported as the torn tail; a checksum-valid record that fails to
+/// decode — and a present-but-wrong header magic — is
+/// [`StoreError::Corrupt`] (`source` names the file in the error).
 pub fn replay(bytes: &[u8], source: &Path) -> Result<Replay, StoreError> {
-    let epoch = match bytes.get(..WAL_HEADER_LEN as usize) {
-        None => {
-            // empty, or creation died inside the 14 header bytes:
-            // nothing was ever logged
-            return Ok(Replay {
-                epoch: None,
-                records: Vec::new(),
-                good_len: 0,
-                torn_bytes: bytes.len() as u64,
-            });
-        }
-        Some(header) => {
-            if &header[..6] != WAL_MAGIC {
-                return Err(StoreError::corrupt(
-                    source,
-                    "bad header magic (not a cq wal)",
-                ));
-            }
-            u64::from_le_bytes(header[6..].try_into().expect("8 bytes"))
-        }
+    let Some(header) = bytes.get(..WAL_HEADER_LEN as usize) else {
+        // empty, or creation died inside the 14 header bytes: nothing
+        // was ever logged
+        return Ok(Replay {
+            epoch: None,
+            records: Vec::new(),
+            good_len: 0,
+            torn_bytes: bytes.len() as u64,
+        });
     };
-    let mut records = Vec::new();
-    let mut pos = WAL_HEADER_LEN as usize;
-    while let Some(header) = bytes.get(pos..pos + 8) {
-        let payload_len = u32::from_le_bytes(header[..4].try_into().unwrap()) as usize;
-        let stored_crc = u32::from_le_bytes(header[4..8].try_into().unwrap());
-        let Some(payload) = bytes.get(pos + 8..(pos + 8).saturating_add(payload_len))
-        else {
-            break; // short payload: torn tail
-        };
-        if crc32(payload) != stored_crc {
-            break; // checksum mismatch: torn tail
-        }
-        let record = WalRecord::from_payload(payload).ok_or_else(|| {
-            StoreError::corrupt(
-                source,
-                &format!("record at byte {pos} passes its checksum but does not decode"),
-            )
-        })?;
-        records.push(record);
-        pos += 8 + payload_len;
+    if &header[..6] != WAL_MAGIC {
+        return Err(StoreError::corrupt(source, "bad header magic (not a cq wal)"));
+    }
+    let epoch = u64::from_le_bytes(header[6..].try_into().expect("8 bytes"));
+    let (records, len, end) = read_frames(&bytes[header.len()..]);
+    let good_len = header.len() + len;
+    if end == FrameEnd::Undecodable {
+        return Err(StoreError::corrupt(
+            source,
+            &format!("record at byte {good_len} passes its checksum but does not decode"),
+        ));
     }
     Ok(Replay {
         epoch: Some(epoch),
         records,
-        good_len: pos as u64,
-        torn_bytes: (bytes.len() - pos) as u64,
+        good_len: good_len as u64,
+        torn_bytes: (bytes.len() - good_len) as u64,
     })
 }
 

@@ -7,7 +7,7 @@
 
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_engine::CancelToken;
-use cq_engine::{count, generic_join, triangle_query, yannakakis};
+use cq_engine::{count, generic_join, yannakakis};
 use cq_lower_bounds::prelude::*;
 use cq_reductions::sum_order::SumOrderAccess;
 
@@ -100,9 +100,6 @@ fn has_covering_atom(q: &ConjunctiveQuery) -> bool {
         && q.atoms()
             .iter()
             .any(|a| a.vars.iter().fold(0, |m, v| m | v.mask()) == q.all_vars_mask())
-}
-fn is_triangle(q: &ConjunctiveQuery) -> bool {
-    *q == zoo::triangle_boolean()
 }
 
 /// The lexicographic order [`LexDirectAccess`] is exercised under: the
@@ -292,14 +289,6 @@ fn entry_points() -> Vec<EntryPoint> {
                 Ok(array_of(&SumOrderAccess::build_materialized(ctx, q, db, &weight)?))
             },
             oracle: sum_order_oracle,
-        },
-        EntryPoint {
-            name: "triangle_query::decide_triangle_ayz",
-            serves: is_triangle,
-            run: |ctx, _, db| {
-                triangle_query::decide_triangle_ayz(ctx, db, 3).map(Out::Decision)
-            },
-            oracle: decision_oracle,
         },
         EntryPoint {
             name: "planner: Task::Decide",

@@ -204,13 +204,13 @@ fn mutations_are_visible_and_tenant_isolated() {
 
 #[test]
 fn idle_connections_do_not_starve_new_clients() {
-    // pool of 2, fully occupied by idle long-lived sessions: a third
-    // client must still be served (overflow thread), not queued forever
+    // 2 workers, with two idle long-lived sessions: a third client must
+    // still be served (on a thread of its own), not queued forever
     let server = Server::bind("127.0.0.1:0", 2).expect("bind ephemeral");
     let addr = server.local_addr();
     let mut idle: Vec<Client> = (0..2).map(|_| Client::connect(addr).unwrap()).collect();
     for c in &mut idle {
-        // a round-trip proves the session is live and holding a worker
+        // a round-trip proves the session is live and holds its thread
         assert_eq!(c.request("PING").unwrap().terminal, "OK pong");
     }
     let mut fresh = Client::connect(addr).expect("connect past a full pool");

@@ -2,19 +2,21 @@
 //! (`SET TIMEOUT`) tripping as structured `ERR timeout` replies while
 //! the connection and other tenants keep serving, fault-injected WAL
 //! failures degrading one tenant to read-only without touching its
-//! neighbors, the acceptor shedding connections with `ERR busy` once
-//! the worker pool and the overflow-thread budget are both full, a
+//! neighbors, sessions racing `SET BUDGET` against `SET TIMEOUT` and
+//! recovering the limits the live tenant had, the acceptor shedding
+//! connections with `ERR busy` once every session slot is taken, a
 //! client that hangs up mid-`COUNT` having its evaluation cancelled, and
 //! a client that never sends a newline being refused instead of
 //! buffered.
 
 use cq_server::client::Client;
+use cq_server::protocol::BudgetSetting;
 use cq_server::server::{Server, MAX_REQUEST_LINE_BYTES};
 use cq_server::state::ServerState;
 use cq_storage::{FaultPlan, FaultPoint, Store};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Barrier, RwLock};
 use std::time::{Duration, Instant};
 
 /// Resident-set size is process-wide state, and the tests of this file
@@ -127,14 +129,55 @@ fn degraded_tenant_leaves_neighbors_read_write() {
 }
 
 #[test]
+fn racing_limit_changes_recover_as_the_live_tenant_had_them() {
+    let _quiet = QUIET.read().unwrap_or_else(|p| p.into_inner());
+    let dir =
+        std::env::temp_dir().join(format!("cq_robust_limits_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let boot =
+        || Arc::new(ServerState::recover(Store::open_dir(&dir).unwrap()).unwrap().0);
+    let mut state = boot();
+    state.create_db("lim").unwrap();
+    // each round, one session moves the row cap while the other moves
+    // the deadline; the log's last record must be the set they leave
+    for round in 1..=40 {
+        let server =
+            Server::bind_with_state("127.0.0.1:0", 2, Arc::clone(&state)).expect("bind");
+        let addr = server.local_addr();
+        let start = Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let mut c = Client::connect(addr).unwrap();
+                start.wait();
+                let r = c.set_budget("lim", BudgetSetting::MaxRows(round)).unwrap();
+                assert!(r.is_ok(), "{}", r.terminal);
+            });
+            s.spawn(|| {
+                let mut c = Client::connect(addr).unwrap();
+                start.wait();
+                assert!(c.set_timeout("lim", Some(round)).unwrap().is_ok());
+            });
+        });
+        let live = state.tenant("lim").unwrap().limits();
+        // every session is joined, so the state's last holder is here
+        server.shutdown();
+        drop(state);
+        state = boot();
+        assert_eq!(state.tenant("lim").unwrap().limits(), live, "round {round}");
+    }
+    drop(state);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn saturated_acceptor_sheds_with_err_busy() {
     let _quiet = QUIET.read().unwrap_or_else(|p| p.into_inner());
-    // pool of 1 worker + 1 * 8 overflow threads = 9 live sessions max
+    // 1 worker: 9 live sessions at most
     let server = Server::bind("127.0.0.1:0", 1).expect("bind ephemeral");
     let addr = server.local_addr();
 
     // saturate: 9 clients, each proven live with a PING round-trip (so
-    // the acceptor has committed a worker or overflow slot to each)
+    // the acceptor has committed a session slot to each)
     let mut held = Vec::new();
     for i in 0..9 {
         let mut c = Client::connect(addr).unwrap_or_else(|e| panic!("client {i}: {e}"));

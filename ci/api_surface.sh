@@ -47,8 +47,9 @@
 # point and no budget or trace plumbing, and the engine no over-budget error.
 # And one exponent table: a plan's cost exponent is checked through the
 # planner, on its operator's work counter, by one table keyed by `PlanOp`.
-# And one semijoin: projection elimination reduces each subtree with
-# `yannakakis::semijoin_up`, the upward pass of every full reduction. And one
+# And one fold: `count::sum_product` is the only pass over a join tree's rows
+# from the leaves up — `DECIDE`, `COUNT`, the semijoin of `q'` and of every
+# full reduction, and the direct-access weights run it at their semirings. And one
 # answer stream: `cq_engine::Answers` reads a walk of the reduced tree, a
 # direct-access structure or materialized rows, and the planner re-exports it,
 # so no stream trait, per-source stream type or wrapper stands between a
@@ -120,6 +121,15 @@ forbid "engine entry points that read a database outside an ExecCtx (take \`ctx:
 # prefixed with the file's name
 non_test() { sed '/^#\[cfg(test)\]/,$d' "$1" | sed "s|^|$1:|"; }
 
+# the lines of standard input (as `non_test` prints them) that match the
+# regex $1 and lie outside the functions whose names match $2, a line
+# belonging to the last `fn` opened above it
+outside_fns() {
+    awk -v pat="$1" -v allowed="^($2)\$" '
+        match($0, /fn [A-Za-z0-9_]+[<(]/) { f = substr($0, RSTART + 3, RLENGTH - 4) }
+        $0 ~ pat && f !~ allowed { print }'
+}
+
 # cq-engine is the operators the planner dispatches to: a column-0 `pub fn`
 # of its non-test code is named by the non-test code of a crate that runs
 # it, or is listed here with why a caller outside the engine needs it
@@ -189,9 +199,25 @@ forbid "key searches in the reduced tree (a child group is \`starts[link[row]]\`
         non_test "$f"
     done | grep -E 'key_range\(|keybuf'
 )"
-forbid "the hash-set semijoin or links::keep_linked (the one semijoin is yannakakis::semijoin_up, full_reduce's upward pass):" "$(
+forbid "the hash-set semijoin or links::keep_linked (the one semijoin is the fold, count::sum_product, at the Boolean semiring):" "$(
     ls crates/engine/src/semijoin.rs 2>/dev/null
     grep -rnE 'fn keep_linked\b' crates/engine/src
+)"
+# one fold: a walk from the leaves up over a tree's rows is `sum_product`'s;
+# only direct_access.rs' two walks over scope masks sit beside it
+forbid "a second bottom-up pass in cq-engine (the one fold is count::sum_product):" "$(
+    grep -rnE 'fn (semijoin_up|kids_of)\b' crates/engine/src
+    for f in crates/engine/src/*.rs; do
+        case "$f" in
+            */count.rs) allowed='sum_product' ;;
+            */direct_access.rs) allowed='is_compatible|from_reduced' ;;
+            *) allowed='' ;;
+        esac
+        non_test "$f" | outside_fns 'bottom_up\(|nodes[^;]*\.rev\(\)' "$allowed"
+    done
+)"
+forbid "a counting product in direct_access.rs (it is CountingSemiring's):" "$(
+    grep -n 'saturating_mul' crates/engine/src/direct_access.rs
 )"
 forbid "search methods on SortedView (it is a key trie; the tree holds its own group starts):" "$(
     non_test crates/data/src/index.rs | grep -E 'fn (key_range|contains_key|groups)\b'
@@ -276,14 +302,6 @@ forbid "socket peeks outside the gate (call connection_gone from a PeekGate::con
     grep -rn 'connection_gone(' crates/server/src | grep -vE 'fn connection_gone\(|\.consult\('
 )"
 
-# the lines of standard input (as `non_test` prints them) that match the
-# regex $1 and lie outside the functions whose names match $2, a line
-# belonging to the last `fn` opened above it
-outside_fns() {
-    awk -v pat="$1" -v allowed="^($2)\$" '
-        match($0, /fn [A-Za-z0-9_]+[<(]/) { f = substr($0, RSTART + 3, RLENGTH - 4) }
-        $0 ~ pat && f !~ allowed { print }'
-}
 # a session parses a query text once, in its statement memo — a `BATCH`
 # item's too
 forbid "query parsing in the server module outside stmt.rs (parse through Statements::query):" "$(

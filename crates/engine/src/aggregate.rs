@@ -1,5 +1,4 @@
-//! The sum-product fold at the two semirings the planner runs (paper
-//! §4.1.2).
+//! The two semirings of the one sum-product fold (paper §4.1.2).
 //!
 //! The FAQ view of query evaluation: every database tuple carries a
 //! weight from a commutative semiring; the weight of an answer is the
@@ -7,13 +6,15 @@
 //! ⊕-sum over all answers. With unit weights, the Boolean semiring
 //! (∨, ∧) makes the aggregate `DECIDE` (Thm 3.1) and the counting
 //! semiring (+, ×) makes it `COUNT` (Thm 3.8): one loop,
-//! [`crate::count`]'s sum-product fold over the memoized join index,
-//! which [`fold_body`] runs under an [`ExecCtx`]. The tropical (min, +)
+//! [`crate::count`]'s sum-product fold, which [`fold_body`] runs over
+//! the memoized join index under an [`ExecCtx`]. The same loop, keeping
+//! its per-row products, is every semijoin (Boolean) and the
+//! direct-access weights (counting). The tropical (min, +)
 //! aggregate of Example 4.3 is a reduction's concern and lives beside
 //! it, in `cq-reductions`.
 
 use crate::bind::EvalError;
-use crate::count::sum_product;
+use crate::count::{sum_product, Folded};
 use crate::ctx::ExecCtx;
 use crate::links::join_index;
 use cq_core::ConjunctiveQuery;
@@ -41,9 +42,10 @@ pub trait Semiring {
     }
 }
 
-/// The Boolean semiring ({false, true}, ∨, ∧), the one `DECIDE` runs at
-/// (Thm 3.1 as a sum-product): `true` is absorbing, so the fold stops at
-/// the first root row that joins all the way down.
+/// The Boolean semiring ({false, true}, ∨, ∧), the one `DECIDE` and
+/// every semijoin run at (Thm 3.1 as a sum-product): `true` is
+/// absorbing, so a decision stops at the first root row that joins all
+/// the way down — a semijoin, which keeps the root's rows, does not.
 pub struct BooleanSemiring;
 
 impl Semiring for BooleanSemiring {
@@ -62,7 +64,8 @@ impl Semiring for BooleanSemiring {
     }
 }
 
-/// The counting semiring (ℕ, +, ×), the one `COUNT` runs at: u128,
+/// The counting semiring (ℕ, +, ×), the one `COUNT` and the
+/// direct-access weights run at: u128,
 /// saturating, and a total that does not fit the `u64` every counting
 /// surface reports — saturated or not — is [`EvalError::CountOverflow`].
 pub struct CountingSemiring;
@@ -89,7 +92,8 @@ impl Semiring for CountingSemiring {
 }
 
 /// The sum-product fold over the memoized join index of `q`'s body —
-/// whatever the head: the aggregate and the fold's `steps`.
+/// whatever the head: the aggregate and the fold's `steps` (it keeps no
+/// row's product).
 /// `weight(atom_index, bound_row)` weighs a tuple, where `bound_row` is
 /// over the atom's *distinct* variables in bound order — for an atom
 /// without repeated variables, the stored relation's rows, read in place.
@@ -99,9 +103,11 @@ pub(crate) fn fold_body<S: Semiring>(
     db: &Database,
     weight: impl Fn(usize, &[Val]) -> S::T,
     sr: &S,
-) -> Result<(S::T, u64), EvalError> {
+) -> Result<Folded<S::T>, EvalError> {
     let index = join_index(ctx, q, db)?;
-    sum_product(ctx, &index.rels(q, db), index.links(), sr, weight)
+    let (rels, links) = (index.rels(q, db), index.links());
+    let node = |u: usize| (rels[u], links.edge(u));
+    sum_product(ctx.cancel(), links.tree(), node, sr, weight, |_| false)
 }
 
 #[cfg(test)]

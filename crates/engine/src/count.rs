@@ -11,70 +11,78 @@
 //!   acyclic join query over exactly the free variables (see the
 //!   discussion in [14, §4.1]), with the links of its join tree. Each
 //!   child of the virtual root sends its rows that join its subtree —
-//!   found by the one semijoin, `yannakakis::semijoin_up`, the upward
-//!   pass of the full reduction — projected onto its key. Derived once,
-//!   memoized per subtree, and read three ways: [`count_free_connex`]
-//!   runs the DP over it (Thm 3.13), and [`crate::LexDirectAccess::free_connex`]
-//!   reduces and sorts it into the tree that enumeration walks
-//!   (Thm 3.17) and direct access descends (Thm 3.18).
+//!   found by the upward pass of the full reduction, which is the one
+//!   fold, `sum_product`, at the Boolean semiring — projected onto its
+//!   key. Derived once, memoized per subtree, and read three ways:
+//!   [`count_free_connex`] runs the DP over it (Thm 3.13), and
+//!   [`crate::LexDirectAccess::free_connex`] reduces and sorts it into
+//!   the tree that enumeration walks (Thm 3.17) and direct access
+//!   descends (Thm 3.18).
 //!
 //! Cross-algorithm dispatch (formerly a `count_answers` facade here)
 //! lives in `cq-planner`, which picks between these entry points and
 //! the generic-join materialization baseline of Lemma 3.9 / Cor 3.11
 //! from the query's classification.
 
-use crate::aggregate::{fold_body, CountingSemiring, Semiring};
+use crate::aggregate::{fold_body, BooleanSemiring, CountingSemiring, Semiring};
 use crate::bind::{bind_atom, validate_atom, BoundAtom, EvalError};
-use crate::cancel::STRIDE;
+use crate::cancel::{CancelToken, STRIDE};
 use crate::ctx::ExecCtx;
-use crate::links::JoinLinks;
+use crate::links::{Edge, JoinLinks};
 use crate::yannakakis;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, Relation, Val};
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
+use std::mem::take;
 use std::sync::Arc;
 
-/// The sum-product DP over a join tree, at semiring `sr`: each node
-/// aggregates, per parent-key group, the ⊕-sum over its rows of the
-/// row's `weight` ⊗ its children's aggregates at the groups the row
-/// links to — `acc[own[i]] ⊕= weight(u, rowᵢ) ⊗ ∏ msg_c[link_c[i]]`, one
-/// sequential, branch-free pass per node over plain vectors. Every
-/// message ends in a spare slot holding the zero, where `NONE` links
-/// land: a row that fails to join is annihilated, not tested for, so no
-/// prior semijoin reduction is required. `rels[u]` are node `u`'s rows,
-/// in the order `links` were built over. The root's pass stops at a
-/// block boundary once its sum [is absorbing](Semiring::is_absorbing).
+/// What [`sum_product`] returns: the aggregate, per node the products of
+/// its rows it kept, and the steps it took.
+pub(crate) type Folded<T> = (T, Vec<Vec<T>>, u64);
+
+/// **The** bottom-up pass over a join tree's rows — the sum-product DP
+/// at semiring `sr` behind `DECIDE`, `COUNT`, every semijoin and the
+/// direct-access weights: each node aggregates, per parent-key group,
+/// the ⊕-sum over its rows of the row's product, `weight(u, rowᵢ)` ⊗ its
+/// children's aggregates at the groups the row links to —
+/// `acc[own[i]] ⊕= weight(u, rowᵢ) ⊗ ∏ msg_c[link_c[i]]`, one sequential,
+/// branch-free pass per node over plain vectors. Every message ends in a
+/// spare slot holding the zero, where `NONE` links land: a row that fails
+/// to join is annihilated, not tested for, so no prior semijoin
+/// reduction is required. `node(u)` is node `u`'s rows and the edge from
+/// its parent (`None` at the root, whose key is nullary: one group).
 ///
-/// Returns the aggregate and the `steps` taken: rows visited plus links
-/// followed. The token is consulted once per node and once per block of
-/// [`STRIDE`] rows — `check`'s cadence, without an atomic per row.
-pub(crate) fn sum_product<S: Semiring>(
-    ctx: &ExecCtx,
-    rels: &[&Relation],
-    links: &JoinLinks,
+/// Returns the aggregate, per node that `keep`s them the products of its
+/// rows in row order (empty for the others), and the `steps` taken: rows
+/// visited plus links followed. The root's pass stops at a block boundary
+/// once its sum [is absorbing](Semiring::is_absorbing), unless its rows'
+/// products are kept. The token is consulted once per node and once per
+/// block of [`STRIDE`] rows — `check`'s cadence, without an atomic per
+/// row.
+pub(crate) fn sum_product<'a, S: Semiring>(
+    cancel: &CancelToken,
+    tree: &JoinTree,
+    node: impl Fn(usize) -> (&'a Relation, Option<Edge<'a>>),
     sr: &S,
     weight: impl Fn(usize, &[Val]) -> S::T,
-) -> Result<(S::T, u64), EvalError> {
-    let (cancel, tree) = (ctx.cancel(), links.tree());
-    let mut msgs: Vec<Vec<S::T>> = Vec::new();
-    msgs.resize_with(rels.len(), Vec::new);
+    keep: impl Fn(usize) -> bool,
+) -> Result<Folded<S::T>, EvalError> {
+    let mut msgs: Vec<Vec<S::T>> = vec![Vec::new(); tree.n_nodes()];
+    let mut products = msgs.clone();
     let mut steps = 0u64;
     for u in tree.bottom_up() {
         cancel.check_now()?;
-        let rel = rels[u];
-        // the root's key is nullary: one group
-        let up = links.edge(u);
-        let own = up.map(|e| e.own.as_slice());
+        let (rel, up) = node(u);
+        let own = up.map(|e| e.own);
         let mut acc = vec![sr.zero(); up.map_or(1, |e| e.groups) + 1];
-        let kids: Vec<(&[u32], &[S::T])> = tree
-            .children(u)
-            .iter()
-            .map(|&c| {
-                let edge = links.edge(c).expect("a child has a parent edge");
-                (edge.link.as_slice(), msgs[c].as_slice())
-            })
-            .collect();
+        // a child's message is read by this pass only
+        let link = |c: usize| node(c).1.expect("a child has a parent edge").link;
+        let kids: Vec<_> =
+            tree.children(u).iter().map(|&c| (link(c), take(&mut msgs[c]))).collect();
+        let kept = keep(u);
+        let out = &mut products[u];
+        out.reserve_exact(if kept { rel.len() } else { 0 });
         for start in (0..rel.len()).step_by(STRIDE as usize) {
             let end = rel.len().min(start + STRIDE as usize);
             cancel.check_many((end - start) as u32)?;
@@ -87,27 +95,18 @@ pub(crate) fn sum_product<S: Semiring>(
                 }
                 let sum = &mut acc[own.map_or(0, |own| own[i] as usize)];
                 *sum = sr.add(sum, &w);
+                if kept {
+                    out.push(w);
+                }
             }
-            if own.is_none() && sr.is_absorbing(&acc[0]) {
+            if own.is_none() && !kept && sr.is_absorbing(&acc[0]) {
                 break;
             }
         }
-        drop(kids);
         msgs[u] = acc;
     }
-    Ok((sr.finish(msgs[tree.root()].swap_remove(0))?, steps))
-}
-
-/// The unit-weight count over `atoms` along `links`, and its steps.
-fn count_over(
-    ctx: &ExecCtx,
-    atoms: &[impl Borrow<BoundAtom>],
-    links: &JoinLinks,
-) -> Result<(u64, u64), EvalError> {
-    let rels: Vec<&Relation> = atoms.iter().map(|a| &a.borrow().rel).collect();
-    // `CountingSemiring::finish` refused what does not fit
-    let (n, steps) = sum_product(ctx, &rels, links, &CountingSemiring, |_, _| 1)?;
-    Ok((n as u64, steps))
+    let total = sr.finish(msgs[tree.root()].swap_remove(0))?;
+    Ok((total, products, steps))
 }
 
 /// Count answers of an acyclic *join* query in O(m) (Theorem 3.8): the
@@ -123,7 +122,7 @@ pub fn count_acyclic_join(
         return Err(EvalError::NotJoinQuery);
     }
     let mut span = cq_obs::trace::span("op.count-acyclic");
-    let (n, steps) = fold_body(ctx, q, db, |_, _| 1, &CountingSemiring)?;
+    let (n, _, steps) = fold_body(ctx, q, db, |_, _| 1, &CountingSemiring)?;
     span.attr("rows", n as u64);
     span.attr("steps", steps);
     span.attr("cancel-polls", ctx.cancel().polls());
@@ -164,12 +163,13 @@ fn subtree(tree: &JoinTree, c: usize) -> Vec<usize> {
 
 /// The message the elimination tree's root child `nodes[0]` sends the
 /// virtual root: the atoms of its subtree `nodes`, bound and linked along
-/// the subtree, reduced by the one semijoin, and the child's live rows
+/// the subtree, reduced by the fold at the Boolean semiring, and the
+/// child's live rows — the products the fold kept of the subtree's root —
 /// projected onto its key, the free variables it shares with the root.
 /// (The reduction's downward pass would move no row of the child, so it
 /// is not run.) A nullary key gives the nullary relation, `{()}` iff the
 /// subtree has an answer; an **empty** message means the query has none.
-/// With the semijoin's steps.
+/// With the fold's steps; the token is polled on its schedule.
 fn root_child_message(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
@@ -186,8 +186,12 @@ fn root_child_message(
     let scopes = nodes.iter().map(|&u| tree.scope(u)).collect();
     let sub = JoinTree::from_parents(scopes, parents, 0);
     let links = JoinLinks::of(&sub, |i| (&vars[i], &rels[i]));
-    let rows: Vec<usize> = rels.iter().map(|rel| rel.len()).collect();
-    let (live, _, steps) = yannakakis::semijoin_up(&rows, &links);
+    // the upward pass of the reduction, keeping which of the child's
+    // rows joined
+    let node = |u: usize| (&*rels[u], links.edge(u));
+    let sr = &BooleanSemiring;
+    let (_, live, steps) =
+        sum_product(ctx.cancel(), &sub, node, sr, |_, _| true, |u| u == 0)?;
     let key: Vec<Var> =
         mask_vertices(tree.key_mask(nodes[0])).map(|v| Var(v as u32)).collect();
     let cols: Vec<usize> = key
@@ -289,10 +293,16 @@ pub fn count_free_connex(
     let mut cold = false;
     let linked = free_links(ctx, q, db, &mut cold)?;
     span.attr("cold-build", u64::from(cold));
-    let (n, steps) = match &*linked {
-        Some((msgs, links)) => count_over(ctx, msgs, links)?,
-        None => (0, 0),
+    let (n, _, steps) = match &*linked {
+        Some((msgs, links)) => {
+            let node = |u: usize| (&msgs[u].rel, links.edge(u));
+            let sr = &CountingSemiring;
+            sum_product(ctx.cancel(), links.tree(), node, sr, |_, _| 1, |_| false)?
+        }
+        None => (0, vec![], 0),
     };
+    // `CountingSemiring::finish` refused what does not fit
+    let n = n as u64;
     span.attr("rows", n);
     span.attr("steps", steps);
     span.attr("cancel-polls", ctx.cancel().polls());

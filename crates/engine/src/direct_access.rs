@@ -39,16 +39,19 @@
 //!   3.23. A Boolean query's `{()}` / `{}` and an empty result are the
 //!   same one-node tree.
 
+use crate::aggregate::{CountingSemiring, Semiring};
 use crate::bind::{bind, BoundAtom, EvalError};
 use crate::cancel::CancelToken;
+use crate::count::sum_product;
 use crate::ctx::ExecCtx;
 use crate::generic_join;
-use crate::links::{EdgeLinks, JoinLinks, NONE};
+use crate::links::{Edge, EdgeLinks, JoinLinks, NONE};
 use crate::yannakakis::{full_reduce, join_tree_of_atoms};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, Relation, Val};
 use std::borrow::{Borrow, Cow};
+use std::iter::repeat_n;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 
@@ -94,8 +97,6 @@ pub(crate) struct Node {
     link: Vec<u32>,
     /// the first row of each parent-key group, then the row count
     starts: Vec<u32>,
-    /// children in ⪯-block order (positions in the preorder node list)
-    children: Vec<usize>,
 }
 
 impl Node {
@@ -117,21 +118,22 @@ impl Node {
 }
 
 /// Cumulative subtree weights, per node with children aligned with its
-/// rows (len + 1 each): row `i` of node `u` extends to
-/// `cumw[u][i + 1] - cumw[u][i]` answers of `u`'s subtree. A node without
-/// children has none: each of its rows is one answer of its subtree.
+/// rows: rows `0..=i` of node `u` extend to `cumw[u][i]` answers of
+/// `u`'s subtree. A node without children has none: each of its rows is
+/// one answer of its subtree.
 pub(crate) struct Weights {
     cumw: Vec<Vec<u128>>,
     total: u64,
 }
 
 /// The answers of a subtree under the rows `r` of its root, whose
-/// prefix sums are `cumw` (none for a node without children).
+/// running sums are `cumw` (none for a node without children).
 fn weight(cumw: &[u128], r: Range<usize>) -> u128 {
+    let below = |i: usize| i.checked_sub(1).map_or(0, |i| cumw[i]);
     if cumw.is_empty() {
         r.len() as u128
     } else {
-        cumw[r.end] - cumw[r.start]
+        below(r.end) - below(r.start)
     }
 }
 
@@ -142,6 +144,9 @@ pub struct LexDirectAccess {
     /// preorder, children in ⪯-block order: the root is node 0, and
     /// walking the list as an odometer visits the answers in access order
     nodes: Vec<Node>,
+    /// the tree over positions in `nodes`: each node's children ascend,
+    /// so they are in ⪯-block order
+    tree: JoinTree,
     /// the output row: slot `i` holds `schema[i]`
     schema: Vec<Var>,
     /// the lexicographic order the array is sorted by
@@ -266,9 +271,8 @@ impl LexDirectAccess {
                     ))
                 })?;
             // full reduction → every tuple participates in an answer
-            ctx.cancel().check_now()?;
             let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
-            steps = full_reduce(&mut atoms, &links);
+            steps = full_reduce(ctx.cancel(), &mut atoms, &links)?;
             Self::from_reduced(ctx.cancel(), &atoms, &tree, q.vars().collect(), order.to_vec())
         })?;
         da.weights(ctx.cancel())?;
@@ -371,10 +375,6 @@ impl LexDirectAccess {
             cols.extend(rest);
             let vars: Vec<Var> = cols.iter().map(|&c| a.vars[c]).collect();
             let out_slots = vars[n_key..].iter().map(|&v| slot_of(v)).collect();
-            // preorder positions are already in block order
-            let mut children: Vec<usize> =
-                tree.children(u).iter().map(|&c| position[c]).collect();
-            children.sort_unstable();
             let rows = a.rel.permute(&cols);
             assert!(u32::try_from(rows.len()).is_ok(), "the tree indexes rows with u32");
             let parent = tree.parent(u).map(|p| position[p]);
@@ -400,10 +400,13 @@ impl LexDirectAccess {
             }
             starts.push(rows.len() as u32);
             let parent = parent.unwrap_or(0);
-            nodes.push(Node { rows, n_key, out_slots, parent, link, starts, children });
+            nodes.push(Node { rows, n_key, out_slots, parent, link, starts });
             row_vars.push(vars);
         }
-        Ok(LexDirectAccess { nodes, schema, order, weights: OnceLock::new() })
+        let scopes = preorder.iter().map(|&u| tree.scope(u)).collect();
+        let parents = preorder.iter().map(|&u| tree.parent(u).map(|p| position[p]));
+        let tree = JoinTree::from_parents(scopes, parents.collect(), 0);
+        Ok(LexDirectAccess { nodes, tree, schema, order, weights: OnceLock::new() })
     }
 
     /// The output schema: slot `i` of every answer holds `schema()[i]` —
@@ -426,41 +429,46 @@ impl LexDirectAccess {
 
     /// The subtree weights, built under `cancel` on first use:
     /// `CountOverflow` if the simulated array would have more than
-    /// `u64::MAX` positions (a failed build stores nothing). Bottom-up —
-    /// in preorder children follow their parent — a row of a node with
-    /// children weighs the product over them of the weight of the
-    /// child's matching rows; the token is polled per such row.
+    /// `u64::MAX` positions (a failed build stores nothing). They are the
+    /// fold at the counting semiring with unit weights, which keeps the
+    /// products of the rows of every node with children: a row's product
+    /// is the number of answers of its subtree it extends to, and their
+    /// running sums are the weights. Sorted by its parent key, a node's
+    /// groups are the runs `starts` delimits, so the fold's per-row groups
+    /// are read off them for the pass and dropped after it.
     pub(crate) fn weights(&self, cancel: &CancelToken) -> Result<&Weights, EvalError> {
         if let Some(w) = self.weights.get() {
             return Ok(w);
         }
-        let mut cumw: Vec<Vec<u128>> = vec![Vec::new(); self.nodes.len()];
-        for (u, node) in self.nodes.iter().enumerate().rev() {
-            if node.children.is_empty() {
-                continue;
+        let sr = &CountingSemiring;
+        let kids = |u: usize| !self.tree.children(u).is_empty();
+        let (total, mut cumw, _) = {
+            // the root has no parent edge to group its rows by
+            let own: Vec<Vec<u32>> = (self.nodes.iter().enumerate())
+                .map(|(u, n)| {
+                    let runs = n.starts.windows(2).zip(0u32..).filter(|_| u != 0);
+                    runs.flat_map(|(r, g)| repeat_n(g, (r[1] - r[0]) as usize)).collect()
+                })
+                .collect();
+            let node = |u: usize| {
+                let n = &self.nodes[u];
+                let edge =
+                    Edge { own: &own[u], groups: n.starts.len() - 1, link: &n.link };
+                (&n.rows, (u != 0).then_some(edge))
+            };
+            // after full reduction every partial sum is at most the total
+            // (each weighted row extends to an answer), so a total that
+            // fits u64 — which the semiring's `finish` checks — means
+            // nothing saturated
+            sum_product(cancel, &self.tree, node, sr, |_, _| 1, kids)?
+        };
+        // the kept products become running sums, in place
+        for rows in &mut cumw {
+            for i in 1..rows.len() {
+                rows[i] = sr.add(&rows[i - 1], &rows[i]);
             }
-            let kids: Vec<(&Node, &[u128])> =
-                node.children.iter().map(|&c| (&self.nodes[c], &cumw[c][..])).collect();
-            let mut acc: Vec<u128> = Vec::with_capacity(node.rows.len() + 1);
-            acc.push(0);
-            for i in 0..node.rows.len() {
-                cancel.check()?;
-                let mut w: u128 = 1;
-                for (kid, cumw) in &kids {
-                    w = w.saturating_mul(weight(cumw, kid.rows_of(i)));
-                }
-                // weights are counts: saturation keeps "too many" too many
-                acc.push(acc[i].saturating_add(w));
-            }
-            drop(kids);
-            cumw[u] = acc;
         }
-        // after full reduction every partial sum is at most the total
-        // (each weighted row extends to an answer), so a total that fits
-        // u64 means nothing above saturated
-        let total = weight(&cumw[0], 0..self.nodes[0].rows.len());
-        let total = u64::try_from(total).map_err(|_| EvalError::CountOverflow)?;
-        Ok(self.weights.get_or_init(|| Weights { cumw, total }))
+        Ok(self.weights.get_or_init(|| Weights { cumw, total: total as u64 }))
     }
 
     /// The weights, built now if nothing has asked before; never
@@ -486,10 +494,10 @@ impl LexDirectAccess {
         let (row, mut residual) = if cumw.is_empty() {
             (range.start + idx as usize, 0)
         } else {
-            let target = cumw[range.start] + idx;
-            // the last row of the group whose prefix sum is at most it
-            let lo = range.start + cumw[range].partition_point(|&c| c <= target) - 1;
-            (lo, target - cumw[lo])
+            let target = weight(cumw, 0..range.start) + idx;
+            // the first row of the group whose running sum passes it
+            let row = range.start + cumw[range].partition_point(|&c| c <= target);
+            (row, target - weight(cumw, 0..row))
         };
         node.write(row, out);
         // mixed-radix over children: the row's weight is the product
@@ -497,7 +505,7 @@ impl LexDirectAccess {
         // so dividing a child's factor out leaves the radix of the
         // children after it.
         let mut radix = weight(cumw, row..row + 1);
-        for &c in &node.children {
+        for &c in self.tree.children(u) {
             let r = self.nodes[c].rows_of(row);
             radix /= weight(&w.cumw[c], r.clone());
             let idx_c = residual / radix;

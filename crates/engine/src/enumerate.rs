@@ -2,7 +2,7 @@
 //!
 //! Preprocessing (linear in m) is the direct-access preprocessing minus
 //! its weights: eliminate the quantified variables (`count::free_links`,
-//! one upward semijoin pass per subtree of the elimination tree), fully
+//! one upward pass of the fold per subtree of the elimination tree), fully
 //! reduce the resulting acyclic join query over the free variables along
 //! the links of its join tree, sort each node by its parent key and link
 //! it to its parent's rows — the memoized tree of
@@ -316,5 +316,36 @@ mod tests {
         let q = parse_query("q(x) :- R(x), S(y, z)").unwrap();
         let e = preprocess(&ExecCtx::cold(), &q, &db).unwrap();
         assert!(drain(&e).is_empty());
+    }
+
+    /// A cold preprocessing — `q'`'s semijoin, its full reduction and the
+    /// sorts — polls the token inside its passes, on the fold's schedule:
+    /// at least once per block of `STRIDE` input rows, so a client that
+    /// leaves partway stops the build, which memoizes nothing.
+    #[test]
+    fn a_cold_preprocessing_is_cancellable_inside_its_passes() {
+        use crate::cancel::{CancelToken, STRIDE};
+        use cq_data::IndexCatalog;
+        use std::sync::atomic::{AtomicU32, Ordering};
+        let q = parse_query("q(x0, x1) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)").unwrap();
+        let db = path_database(3, 50_000, &mut seeded_rng(12));
+        let rows: usize = q.relations().map(|r| db.get(r).unwrap().len()).sum();
+        let token = CancelToken::never();
+        let catalog = IndexCatalog::new();
+        let ctx = ExecCtx::new(&catalog, &token);
+        let tree = preprocess(&ctx, &q, &db).unwrap();
+        assert!(ctx.polls() >= (rows / STRIDE as usize) as u64, "{}", ctx.polls());
+
+        // the client is gone from the probe's 10th consultation on
+        let consulted = AtomicU32::new(0);
+        let gone = move || consulted.fetch_add(1, Ordering::Relaxed) >= 9;
+        let token = CancelToken::never().with_probe(gone);
+        let catalog = IndexCatalog::new();
+        let cancelled = preprocess(&ExecCtx::new(&catalog, &token), &q, &db);
+        assert_eq!(cancelled.err(), Some(EvalError::Cancelled));
+        let misses = catalog.snapshot().misses;
+        let again = preprocess(&ExecCtx::warm(&catalog), &q, &db).unwrap();
+        assert!(catalog.snapshot().misses > misses, "a retry builds again");
+        assert_eq!(drain(&again), drain(&tree));
     }
 }

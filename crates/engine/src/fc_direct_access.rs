@@ -58,8 +58,7 @@ impl LexDirectAccess {
             };
             let mut atoms: Vec<Cow<'_, BoundAtom>> =
                 msgs.iter().map(|m| Cow::Borrowed(&**m)).collect();
-            ctx.cancel().check_now()?;
-            let steps = full_reduce(&mut atoms, links);
+            let steps = full_reduce(ctx.cancel(), &mut atoms, links)?;
             let tree = links.tree();
             let order: Vec<Var> = tree
                 .top_down()

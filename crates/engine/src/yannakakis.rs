@@ -5,13 +5,16 @@
 //! its children; the query is true iff the root stays non-empty. A
 //! downward sweep afterwards makes every relation globally consistent
 //! (`full_reduce`), the starting point for enumeration and direct
-//! access. Both run over the join-tree links of `crate::links`: the
-//! reduction as two Boolean passes, decision — which needs the upward
-//! sweep only, and only its verdict — as the sum-product fold at the
-//! Boolean semiring ([`decide_acyclic`]), materialising no relation.
+//! access. Both run over the join-tree links of `crate::links`, and
+//! both sweep upward by the one sum-product fold at the Boolean
+//! semiring: the reduction keeping which rows live, decision — which
+//! needs only the verdict — stopping at the first live root row
+//! ([`decide_acyclic`]), materialising no relation.
 
 use crate::aggregate::{fold_body, BooleanSemiring};
 use crate::bind::{BoundAtom, EvalError};
+use crate::cancel::CancelToken;
+use crate::count::sum_product;
 use crate::ctx::ExecCtx;
 use crate::links::JoinLinks;
 use cq_core::hypergraph::mask_vertices;
@@ -50,73 +53,45 @@ pub(crate) fn join_tree_of_atoms(
     cq_core::gyo::join_tree(&cq_core::Hypergraph::new(n_vars, scopes))
 }
 
-/// The children of node `u` with the links of their edges.
-fn kids_of(links: &JoinLinks, u: usize) -> Vec<(usize, &[u32])> {
-    let link = |c| links.edge(c).expect("a child has a parent edge").link.as_slice();
-    links.tree().children(u).iter().map(|&c| (c, link(c))).collect()
-}
-
-/// The upward pass of the full reduction — the one semijoin — along the
-/// `links` of a tree whose node `u` holds `rows[u]` rows. Children first:
-/// a row lives iff each of its links lands in a child group holding a
-/// live row, so afterwards a node's live rows are those that join its
-/// whole subtree, and the root has one iff the join has an answer.
-/// Returns per node its live rows and which of its parent-key groups
-/// hold one (`NONE` links land in a spare last slot that is never set),
-/// with the steps: rows visited plus links followed.
-pub(crate) fn semijoin_up(
-    rows: &[usize],
-    links: &JoinLinks,
-) -> (Vec<Vec<bool>>, Vec<Vec<bool>>, u64) {
-    let mut live: Vec<Vec<bool>> = rows.iter().map(|&n| vec![true; n]).collect();
-    let mut groups: Vec<Vec<bool>> = (0..rows.len())
-        .map(|u| vec![false; links.edge(u).map_or(1, |e| e.groups) + 1])
-        .collect();
-    let mut steps = 0u64;
-    for u in links.tree().bottom_up() {
-        let (kids, up) = (kids_of(links, u), links.edge(u));
-        let mut rows = std::mem::take(&mut live[u]);
-        steps += (rows.len() * (1 + kids.len())) as u64;
-        for (i, alive) in rows.iter_mut().enumerate() {
-            *alive = kids.iter().all(|&(c, link)| {
-                let group = &groups[c];
-                group[(link[i] as usize).min(group.len() - 1)]
-            });
-            if *alive {
-                groups[u][up.map_or(0, |e| e.own[i] as usize)] = true;
-            }
-        }
-        live[u] = rows;
-    }
-    (live, groups, steps)
-}
-
 /// Full Yannakakis reduction of bound atoms along the `links` of their
-/// join tree, in place: [`semijoin_up`], then down — a group lives iff a
-/// live parent row links to it, and a row dies with its group — and one
+/// join tree, in place: up — the fold at the Boolean semiring, keeping
+/// every row's product: a row lives iff each of its links lands in a
+/// child group holding a live row — then down — a group lives iff a live
+/// parent row links to it, and a row dies with its group — and one
 /// filter per node. After both, every remaining tuple participates in at
 /// least one answer (global consistency). Borrowed atoms (memoized
 /// messages) are read where they are: only a node that loses a row is
 /// owned. Returns the `steps` of the two passes, counted as the fold
-/// counts its own: rows visited plus links followed.
-pub(crate) fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], links: &JoinLinks) -> u64 {
-    let rows: Vec<usize> = atoms.iter().map(|a| a.rel.len()).collect();
-    let (mut live, mut groups, mut steps) = semijoin_up(&rows, links);
-    groups.iter_mut().for_each(|group| group.fill(false));
-    for u in links.tree().top_down() {
-        let (kids, up) = (kids_of(links, u), links.edge(u));
-        let mut rows = std::mem::take(&mut live[u]);
+/// counts its own: rows visited plus links followed. The token is polled
+/// on the fold's schedule, and once per node on the way down.
+pub(crate) fn full_reduce(
+    cancel: &CancelToken,
+    atoms: &mut [Cow<'_, BoundAtom>],
+    links: &JoinLinks,
+) -> Result<u64, EvalError> {
+    let tree = links.tree();
+    let node = |u: usize| (&atoms[u].rel, links.edge(u));
+    let up = sum_product(cancel, tree, node, &BooleanSemiring, |_, _| true, |_| true);
+    let (_, mut live, mut steps) = up?;
+    let mut groups: Vec<Vec<bool>> = (0..live.len())
+        .map(|u| vec![false; links.edge(u).map_or(0, |e| e.groups)])
+        .collect();
+    for u in tree.top_down() {
+        cancel.check_now()?;
+        let (rows, kids) = (&mut live[u], tree.children(u));
         steps += (rows.len() * (1 + kids.len())) as u64;
-        for (i, alive) in rows.iter_mut().enumerate() {
-            *alive &= up.is_none_or(|e| groups[u][e.own[i] as usize]);
-            if *alive {
-                // it survived the upward pass: every link is a group
-                for &(c, link) in &kids {
-                    groups[c][link[i] as usize] = true;
-                }
+        if let Some(e) = links.edge(u) {
+            for (alive, &g) in rows.iter_mut().zip(e.own) {
+                *alive &= groups[u][g as usize];
             }
         }
-        live[u] = rows;
+        for &c in kids {
+            let link = links.edge(c).expect("a child has a parent edge").link;
+            // a live row survived the upward pass: every link is a group
+            for (_, &g) in rows.iter().zip(link).filter(|(alive, _)| **alive) {
+                groups[c][g as usize] = true;
+            }
+        }
     }
     for (atom, live) in atoms.iter_mut().zip(&live) {
         if live.contains(&false) {
@@ -125,7 +100,7 @@ pub(crate) fn full_reduce(atoms: &mut [Cow<'_, BoundAtom>], links: &JoinLinks) -
             *atom = Cow::Owned(BoundAtom { vars: atom.vars.clone(), rel });
         }
     }
-    steps
+    Ok(steps)
 }
 
 /// Decide a Boolean acyclic query in O(m) (Theorem 3.1). Works for any
@@ -143,7 +118,7 @@ pub fn decide_acyclic(
     db: &Database,
 ) -> Result<bool, EvalError> {
     let mut span = cq_obs::trace::span("op.yannakakis.decide");
-    let (truth, steps) = fold_body(ctx, q, db, |_, _| true, &BooleanSemiring)?;
+    let (truth, _, steps) = fold_body(ctx, q, db, |_, _| true, &BooleanSemiring)?;
     span.attr("rows", u64::from(truth));
     span.attr("steps", steps);
     span.attr("cancel-polls", ctx.cancel().polls());
@@ -170,7 +145,7 @@ mod tests {
             bind(q, db).unwrap().into_iter().map(Cow::Owned).collect();
         let tree = join_tree_of(q).unwrap().rerooted(0);
         let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
-        let steps = full_reduce(&mut atoms, &links);
+        let steps = full_reduce(&CancelToken::never(), &mut atoms, &links).unwrap();
         (atoms, steps)
     }
 
@@ -273,7 +248,7 @@ mod tests {
         let mut atoms: Vec<_> = bound.iter().map(Cow::Borrowed).collect();
         let tree = join_tree_of(&q).unwrap().rerooted(0);
         let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
-        full_reduce(&mut atoms, &links);
+        full_reduce(&CancelToken::never(), &mut atoms, &links).unwrap();
         assert!(
             matches!(atoms[2], Cow::Borrowed(_)) && matches!(atoms[1], Cow::Owned(_))
         );

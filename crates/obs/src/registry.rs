@@ -34,7 +34,7 @@ impl Counter {
     }
 }
 
-/// Settable instantaneous value (pool occupancy, memo sizes, …).
+/// Settable instantaneous value (open connections, memo sizes, …).
 #[derive(Debug, Default)]
 pub struct Gauge(AtomicU64);
 

@@ -7,9 +7,10 @@
 //!
 //! * `server` — cross-tenant state: commands without a tenant target
 //!   (`PING`, `CREATE DB`, `USE`, `STATS`, …), error counts by wire
-//!   kind (`errors.<kind>`), connection and worker-pool gauges, the
-//!   wire's `replies.flushes` (framed-reply writes) and `probe.peeks`
-//!   (liveness peeks that ran).
+//!   kind (`errors.<kind>`), the `connections.open` gauge of live
+//!   sessions, the wire's `replies.flushes` (framed-reply writes) and
+//!   `probe.peeks` (liveness peeks that ran), and `panics` (handler
+//!   panics a session caught and answered with `ERR internal`).
 //! * `db.<tenant>` — one scope per tenant: per-command counters and
 //!   latency histograms (`cmd.<verb>.calls` / `cmd.<verb>.latency`),
 //!   per-plan-operator execution counters and latencies
@@ -22,10 +23,16 @@
 //!
 //! Only this crate depends on `cq-obs`. Hot-path events the server
 //! itself observes (commands, query execution, errors, rejections) are
-//! *pushed* through cached `Arc` handles — a [`SessionMetrics`] keeps
-//! one handle per `(scope, name)` pair, so steady-state recording is a
-//! relaxed atomic op with no lock and no string formatting. Counters
-//! that other crates already maintain (catalog memo stats, WAL write
+//! *pushed* as they happen, and every event first builds its scope or
+//! metric name as a fresh `String`. Commands, operator runs and
+//! time-to-first-row then go through a [`SessionMetrics`], which caches
+//! one counter/histogram pair per `(scope, name)`: once cached, an event
+//! is a hash lookup plus relaxed atomic ops, with no lock. The others —
+//! [`SessionMetrics::count`], `record_answer_rows`, `answer_chunk_handles`,
+//! the cursor gauges and [`ServerMetrics::record_error`] — look their
+//! metric up in the registry each time, under its mutex and the scope's
+//! (a streamed response does so once, then records each chunk with
+//! atomics alone). Counters that other crates already maintain (catalog memo stats, WAL write
 //! stats) are *pulled* into gauges by [`refresh`] just before a render,
 //! keeping `cq-data` and `cq-storage` free of any observability
 //! dependency.
@@ -103,7 +110,7 @@ impl ServerMetrics {
     }
 
     /// The underlying registry (for gauges wired directly into the
-    /// runtime, e.g. worker-pool occupancy).
+    /// runtime, e.g. the `connections.open` gauge of live sessions).
     pub fn registry(&self) -> &Registry {
         &self.registry
     }

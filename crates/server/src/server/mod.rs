@@ -24,9 +24,10 @@
 //!   with), tenant lifecycle, limits, checkpoints, `RESUME`, `SHIP`.
 //! * `admin` — `STATS`, `METRICS [RATE]`, `PROFILE`.
 //!
-//! Threading model: one acceptor thread hands accepted connections to a
-//! fixed pool of worker threads over an [`mpsc`](std::sync::mpsc)
-//! channel; each worker serves one connection at a time, line by line.
+//! Threading model: one acceptor thread gives each admitted connection a
+//! thread of its own, which serves it line by line; at most `9 × workers`
+//! sessions live at once (the `connections.open` gauge), the next is shed
+//! with `ERR busy`, and `Server::shutdown` joins every session's thread.
 //! Evaluation inside a session plans through its statement memo and
 //! executes against the tenant's pinned
 //! [`IndexCatalog`](cq_data::IndexCatalog): a repeated text on an

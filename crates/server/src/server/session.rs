@@ -260,12 +260,14 @@ impl Session {
     /// was consumed silently (a blank line, or a row/item inside an
     /// open `LOAD`/`BATCH` block).
     ///
-    /// Never panics: a panicking handler is caught, the session resets
-    /// to idle, and the client gets `ERR internal`.
+    /// Never panics: a panicking handler is caught and counted
+    /// (`server panics`), the session resets to idle, and the client
+    /// gets `ERR internal`.
     pub fn handle_action(&mut self, raw: &[u8]) -> Option<Action> {
         let reply = match std::panic::catch_unwind(AssertUnwindSafe(|| self.step(raw))) {
             Ok(reply) => reply,
             Err(_) => {
+                self.state.metrics().server_scope().counter("panics").inc();
                 self.mode = Mode::Idle;
                 self.pending_flow = None;
                 Some(Reply::err(
@@ -614,6 +616,21 @@ mod tests {
             assert!(s.handle_line(line).unwrap().is_ok());
         }
         state
+    }
+
+    /// A panicking handler is caught: the client gets `ERR internal` and
+    /// the `server panics` counter counts it.
+    #[test]
+    fn a_caught_panic_replies_err_internal_and_is_counted() {
+        let state = state_with_t();
+        let panics = || state.metrics().server_scope().counter("panics").get();
+        let mut s = Session::new(Arc::clone(&state));
+        assert!(s.handle_line("USE t").unwrap().is_ok());
+        assert_eq!(panics(), 0);
+        s.set_cancel_probe(|| panic!("the probe panics"));
+        let reply = s.handle_line("COUNT q(x, y) :- R(x, y)").unwrap();
+        assert!(reply.terminal.starts_with("ERR internal"), "{}", reply.terminal);
+        assert_eq!(panics(), 1);
     }
 
     fn calls(state: &ServerState, scope: &str, slug: &str) -> u64 {

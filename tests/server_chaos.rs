@@ -13,6 +13,7 @@
 //! fail-fsync, fail-append, ENOSPC-style snapshot refusals — drives
 //! the same scripted session through each representative plan.
 
+use cq_server::protocol::Reply;
 use cq_server::server::Session;
 use cq_server::state::ServerState;
 use cq_storage::fault::ALL_FAULT_POINTS;
@@ -34,6 +35,18 @@ fn schedule() -> Vec<(&'static str, (u64, u64))> {
     (0..12u64).map(|i| ("E", (i, (i * 7) % 5))).collect()
 }
 
+/// The reply to `line`, which no handler panicked into.
+fn ask(s: &mut Session, line: &str) -> Reply {
+    let reply = s.handle_line(line).expect("terminal reply");
+    assert!(!reply.terminal.starts_with("ERR internal"), "{line}: {}", reply.terminal);
+    reply
+}
+
+/// The panics `Session::handle_action` caught on `state`'s sessions.
+fn panics(state: &ServerState) -> u64 {
+    state.metrics().server_scope().counter("panics").get()
+}
+
 /// Drive the scripted session over a store opened with `plan`. Returns
 /// `None` when tenant creation itself faulted (nothing to recover), or
 /// the rows known durable: acknowledged inserts, plus in-memory-only
@@ -41,21 +54,22 @@ fn schedule() -> Vec<(&'static str, (u64, u64))> {
 fn run_session(dir: &PathBuf, plan: FaultPlan) -> Option<Vec<(u64, u64)>> {
     let store = Store::open_dir_with_faults(dir, plan).expect("open faulted store");
     let (state, _) = ServerState::recover(store).expect("recover");
-    let mut s = Session::new(Arc::new(state));
-    let created = s.handle_line("CREATE DB c").expect("terminal reply");
+    let state = Arc::new(state);
+    let mut s = Session::new(Arc::clone(&state));
+    let created = ask(&mut s, "CREATE DB c");
     if !created.is_ok() {
         // creation can fault (directory sync, …); that is a structured
         // error and there is no tenant whose durability to check
         assert!(created.terminal.starts_with("ERR "), "{}", created.terminal);
         return None;
     }
-    assert!(s.handle_line("USE c").unwrap().is_ok(), "use");
+    assert!(ask(&mut s, "USE c").is_ok(), "use");
     let mut durable = Vec::new();
     // applied to memory but not yet on disk (`ERR storage` replies);
     // durable only once a checkpoint (RESUME/SAVE) succeeds
     let mut unlogged: Vec<(u64, u64)> = Vec::new();
     for (rel, (a, b)) in schedule() {
-        let r = s.handle_line(&format!("INSERT {rel}({a}, {b})")).unwrap();
+        let r = ask(&mut s, &format!("INSERT {rel}({a}, {b})"));
         if r.is_ok() {
             durable.push((a, b));
             continue;
@@ -69,11 +83,11 @@ fn run_session(dir: &PathBuf, plan: FaultPlan) -> Option<Vec<(u64, u64)>> {
             assert!(r.terminal.starts_with("ERR degraded:"), "{}", r.terminal);
         }
         // a degraded tenant still serves reads...
-        let reads = s.handle_line("COUNT q(x, y) :- E(x, y)").unwrap();
+        let reads = ask(&mut s, "COUNT q(x, y) :- E(x, y)");
         assert!(reads.is_ok(), "reads must survive: {}", reads.terminal);
         // ...and RESUME either repairs it (the checkpoint captures the
         // in-memory truth, unlogged rows included) or fails structurally
-        let resumed = s.handle_line("RESUME c").unwrap();
+        let resumed = ask(&mut s, "RESUME c");
         if resumed.is_ok() {
             durable.append(&mut unlogged);
         } else {
@@ -82,10 +96,11 @@ fn run_session(dir: &PathBuf, plan: FaultPlan) -> Option<Vec<(u64, u64)>> {
     }
     // quiesce through SAVE when possible so recovery reads a snapshot
     // too, not just the wal (failure is fine — it just stays unlogged)
-    let saved = s.handle_line("SAVE").expect("terminal reply");
+    let saved = ask(&mut s, "SAVE");
     if saved.is_ok() {
         durable.append(&mut unlogged);
     }
+    assert_eq!(panics(&state), 0, "no handler panicked");
     Some(durable)
 }
 
@@ -93,9 +108,10 @@ fn run_session(dir: &PathBuf, plan: FaultPlan) -> Option<Vec<(u64, u64)>> {
 fn check_recovery(dir: &PathBuf, acked: &[(u64, u64)]) {
     let store = Store::open_dir(dir).expect("clean reopen");
     let (state, _) = ServerState::recover(store).expect("recover after chaos");
-    let mut s = Session::new(Arc::new(state));
-    assert!(s.handle_line("USE c").unwrap().is_ok(), "tenant must survive");
-    let r = s.handle_line("ANSWERS q(x, y) :- E(x, y)").unwrap();
+    let state = Arc::new(state);
+    let mut s = Session::new(Arc::clone(&state));
+    assert!(ask(&mut s, "USE c").is_ok(), "tenant must survive");
+    let r = ask(&mut s, "ANSWERS q(x, y) :- E(x, y)");
     assert!(r.is_ok(), "{}", r.terminal);
     for (a, b) in acked {
         let want = format!("{a} {b}");
@@ -106,7 +122,8 @@ fn check_recovery(dir: &PathBuf, acked: &[(u64, u64)]) {
         );
     }
     // a recovered tenant is read-write regardless of pre-crash state
-    assert!(s.handle_line("INSERT E(99, 99)").unwrap().is_ok());
+    assert!(ask(&mut s, "INSERT E(99, 99)").is_ok());
+    assert_eq!(panics(&state), 0, "no handler panicked");
 }
 
 proptest! {

@@ -15,16 +15,23 @@ fn terminal_is_framed(r: &Reply) -> bool {
     r.terminal.starts_with("OK") || r.terminal.starts_with("ERR ")
 }
 
-/// Feed raw lines to a session; count replies and check framing.
+/// Feed raw lines to a session; count replies and check framing — and
+/// that no handler panicked into an `ERR internal`.
 fn feed(session: &mut Session, raw: &[u8]) -> Result<usize, TestCaseError> {
     let reply = session.handle_raw(raw);
     match reply {
         Some(r) => {
             prop_assert!(terminal_is_framed(&r), "unframed terminal: {:?}", r.terminal);
+            prop_assert!(!r.terminal.starts_with("ERR internal"), "{}", r.terminal);
             Ok(1)
         }
         None => Ok(0),
     }
+}
+
+/// The panics `Session::handle_action` caught on `state`'s sessions.
+fn panics(state: &ServerState) -> u64 {
+    state.metrics().server_scope().counter("panics").get()
 }
 
 proptest! {
@@ -39,25 +46,26 @@ proptest! {
             1..16,
         )
     ) {
-        let mut session = Session::new(Arc::new(ServerState::new()));
+        let state = Arc::new(ServerState::new());
+        let mut session = Session::new(Arc::clone(&state));
         for line in &lines {
             let raw: Vec<u8> = line
                 .iter()
                 .map(|&b| if b == b'\n' || b == b'\r' { b' ' } else { b })
                 .collect();
             feed(&mut session, &raw)?;
+            prop_assert_eq!(panics(&state), 0);
             if session.finished() {
                 return Ok(()); // the bytes spelled QUIT — a clean exit
             }
         }
         // flush any block a random "LOAD ..."-shaped line opened: END
         // closes it with one reply (or is one unknown-command ERR)
-        let flush = session.handle_raw(b"END");
-        prop_assert!(flush.is_some(), "END must always draw a reply");
-        prop_assert!(terminal_is_framed(&flush.unwrap()));
+        prop_assert_eq!(feed(&mut session, b"END")?, 1, "END must always draw a reply");
         // and the session still serves
         let pong = session.handle_raw(b"PING").unwrap();
         prop_assert_eq!(pong.terminal.as_str(), "OK pong");
+        prop_assert_eq!(panics(&state), 0);
     }
 
     /// Mutated near-valid commands: real verbs with shuffled tails —
@@ -75,18 +83,20 @@ proptest! {
             "", " t1", " R(1, 2)", " R 2", " q(x) :- R(x, y)", " q(x :- R(",
             " COUNT q() :- R(x, x)", " \u{7f}\u{1b} ; ( ,",
         ];
-        let mut session = Session::new(Arc::new(ServerState::new()));
+        let state = Arc::new(ServerState::new());
+        let mut session = Session::new(Arc::clone(&state));
         let mut replies = 0usize;
         for &(v, salt, t) in &picks {
             let line = format!("{}{}{}", VERBS[v], TAILS[t % TAILS.len()],
                 if salt % 3 == 0 { " trailing" } else { "" });
             replies += feed(&mut session, line.as_bytes())?;
         }
-        let _ = session.handle_raw(b"END"); // flush
+        feed(&mut session, b"END")?; // flush
         // the first line always runs in idle mode, so it always replies
         prop_assert!(replies > 0, "idle-mode commands must draw replies");
         let pong = session.handle_raw(b"PING").unwrap();
         prop_assert_eq!(pong.terminal.as_str(), "OK pong");
+        prop_assert_eq!(panics(&state), 0);
     }
 }
 

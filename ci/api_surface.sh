@@ -49,7 +49,9 @@
 # planner, on its operator's work counter, by one table keyed by `PlanOp`.
 # And one fold: `count::sum_product` is the only pass over a join tree's rows
 # from the leaves up — `DECIDE`, `COUNT`, the semijoin of `q'` and of every
-# full reduction, and the direct-access weights run it at their semirings. And one
+# full reduction, and the direct-access weights run it at their semirings —
+# and it weighs every tuple one, reading links and row counts, never a row,
+# so no per-row path grows back beside its block passes. And one
 # answer stream: `cq_engine::Answers` reads a walk of the reduced tree, a
 # direct-access structure or materialized rows, and the planner re-exports it,
 # so no stream trait, per-source stream type or wrapper stands between a
@@ -215,6 +217,15 @@ forbid "a second bottom-up pass in cq-engine (the one fold is count::sum_product
         esac
         non_test "$f" | outside_fns 'bottom_up\(|nodes[^;]*\.rev\(\)' "$allowed"
     done
+)"
+# ... which weighs every tuple `Semiring::one`: it reads row counts and
+# links, so it takes no per-row weight closure and reads no row
+forbid "a per-row weight or a row read in count::sum_product (every tuple weighs Semiring::one):" "$(
+    non_test crates/engine/src/count.rs \
+        | awk '/fn sum_product[<(]/ { inside = 1 }
+               inside { print }
+               inside && /^[^:]*:\}/ { inside = 0 }' \
+        | grep -E '\.row\(|&\[Val\]|\bRelation\b|\bweight\b'
 )"
 forbid "a counting product in direct_access.rs (it is CountingSemiring's):" "$(
     grep -n 'saturating_mul' crates/engine/src/direct_access.rs

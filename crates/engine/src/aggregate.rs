@@ -3,29 +3,37 @@
 //! The FAQ view of query evaluation: every database tuple carries a
 //! weight from a commutative semiring; the weight of an answer is the
 //! ⊗-product of its atoms' tuple weights, and the query aggregate is the
-//! ⊕-sum over all answers. With unit weights, the Boolean semiring
-//! (∨, ∧) makes the aggregate `DECIDE` (Thm 3.1) and the counting
-//! semiring (+, ×) makes it `COUNT` (Thm 3.8): one loop,
-//! [`crate::count`]'s sum-product fold, which [`fold_body`] runs over
-//! the memoized join index under an [`ExecCtx`]. The same loop, keeping
-//! its per-row products, is every semijoin (Boolean) and the
-//! direct-access weights (counting). The tropical (min, +)
-//! aggregate of Example 4.3 is a reduction's concern and lives beside
-//! it, in `cq-reductions`.
+//! ⊕-sum over all answers. The engine weighs every tuple
+//! [`one`](Semiring::one), so the aggregate is a function of the join
+//! alone: the Boolean semiring (∨, ∧) makes it `DECIDE` (Thm 3.1) and
+//! the counting semiring (+, ×) makes it `COUNT` (Thm 3.8). One loop,
+//! [`crate::count`]'s sum-product fold, computes both from the join-tree
+//! links alone — never reading a row — a block of rows at a time: per
+//! block it gathers the first child's messages through that child's
+//! links, ⊗-multiplies each further child's in a pass of its own, and
+//! ⊕-adds the block's products into the node's groups. [`fold_body`]
+//! runs it over the memoized join index under an [`ExecCtx`]. The same
+//! loop, keeping its per-row products, is every semijoin (Boolean) and
+//! the direct-access weights (counting). The tropical (min, +)
+//! aggregate of Example 4.3 weighs tuples by their values; it is a
+//! reduction's concern and lives beside it, in `cq-reductions`.
 
 use crate::bind::EvalError;
 use crate::count::{sum_product, Folded};
 use crate::ctx::ExecCtx;
 use crate::links::join_index;
 use cq_core::ConjunctiveQuery;
-use cq_data::{Database, Val};
+use cq_data::Database;
 
 /// A commutative semiring.
 pub trait Semiring {
-    /// Element type.
-    type T: Clone + PartialEq + std::fmt::Debug;
+    /// Element type: plain data, so the fold keeps a block of them on
+    /// the stack.
+    type T: Copy + PartialEq + std::fmt::Debug;
     /// Additive identity (⊕).
     fn zero(&self) -> Self::T;
+    /// Multiplicative identity (⊗): the weight of every tuple.
+    fn one(&self) -> Self::T;
     /// ⊕.
     fn add(&self, a: &Self::T, b: &Self::T) -> Self::T;
     /// ⊗. The zero annihilates: `mul(zero, x) = zero`.
@@ -46,6 +54,8 @@ pub trait Semiring {
 /// every semijoin run at (Thm 3.1 as a sum-product): `true` is
 /// absorbing, so a decision stops at the first root row that joins all
 /// the way down — a semijoin, which keeps the root's rows, does not.
+/// ⊕ and ⊗ are the branch-free `|` and `&`, which the fold's block
+/// passes vectorize.
 pub struct BooleanSemiring;
 
 impl Semiring for BooleanSemiring {
@@ -53,11 +63,14 @@ impl Semiring for BooleanSemiring {
     fn zero(&self) -> bool {
         false
     }
+    fn one(&self) -> bool {
+        true
+    }
     fn add(&self, a: &bool, b: &bool) -> bool {
-        *a || *b
+        *a | *b
     }
     fn mul(&self, a: &bool, b: &bool) -> bool {
-        *a && *b
+        *a & *b
     }
     fn is_absorbing(&self, a: &bool) -> bool {
         *a
@@ -74,6 +87,9 @@ impl Semiring for CountingSemiring {
     type T = u128;
     fn zero(&self) -> u128 {
         0
+    }
+    fn one(&self) -> u128 {
+        1
     }
     fn add(&self, a: &u128, b: &u128) -> u128 {
         a.saturating_add(*b)
@@ -94,63 +110,31 @@ impl Semiring for CountingSemiring {
 /// The sum-product fold over the memoized join index of `q`'s body —
 /// whatever the head: the aggregate and the fold's `steps` (it keeps no
 /// row's product).
-/// `weight(atom_index, bound_row)` weighs a tuple, where `bound_row` is
-/// over the atom's *distinct* variables in bound order — for an atom
-/// without repeated variables, the stored relation's rows, read in place.
 pub(crate) fn fold_body<S: Semiring>(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
-    weight: impl Fn(usize, &[Val]) -> S::T,
     sr: &S,
 ) -> Result<Folded<S::T>, EvalError> {
     let index = join_index(ctx, q, db)?;
     let (rels, links) = (index.rels(q, db), index.links());
-    let node = |u: usize| (rels[u], links.edge(u));
-    sum_product(ctx.cancel(), links.tree(), node, sr, weight, |_| false)
+    let node = |u: usize| (rels[u].len(), links.edge(u));
+    sum_product(ctx.cancel(), links.tree(), node, sr, |_| false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bind::brute_force_count;
-    use cq_core::parse_query;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, seeded_rng};
-
-    fn count_fold(
-        q: &ConjunctiveQuery,
-        db: &Database,
-        weight: impl Fn(usize, &[Val]) -> u128,
-    ) -> u128 {
-        fold_body(&ExecCtx::cold(), q, db, weight, &CountingSemiring).unwrap().0
-    }
 
     #[test]
     fn counting_semiring_recovers_counts() {
         let db = path_database(3, 60, &mut seeded_rng(1));
         let q = zoo::path_join(3);
         let n = brute_force_count(&q, &db).unwrap();
-        assert_eq!(count_fold(&q, &db, |_, _| 1), u128::from(n));
-    }
-
-    #[test]
-    fn star_aggregation() {
-        let q = parse_query("q(x1, x2, z) :- R1(x1, z), R2(x2, z)").unwrap();
-        let mut db = Database::new();
-        db.insert("R1", cq_data::Relation::from_pairs(vec![(1, 0), (5, 0)]));
-        db.insert("R2", cq_data::Relation::from_pairs(vec![(2, 0), (7, 0)]));
-        // weight = leaf value: Σ over answers of x1 · x2 = (1 + 5)(2 + 7)
-        let got = count_fold(&q, &db, |_, row| u128::from(row[0]));
-        assert_eq!(got, 54);
-    }
-
-    #[test]
-    fn atom_index_passed_correctly() {
-        let q = zoo::path_join(2);
-        let db = path_database(2, 20, &mut seeded_rng(3));
-        // only atom 1's tuples weigh 2: every answer counts twice
-        let got = count_fold(&q, &db, |ai, _| if ai == 1 { 2 } else { 1 });
-        assert_eq!(got, 2 * u128::from(brute_force_count(&q, &db).unwrap()));
+        let folded = fold_body(&ExecCtx::cold(), &q, &db, &CountingSemiring);
+        assert_eq!(folded.unwrap().0, u128::from(n));
     }
 }

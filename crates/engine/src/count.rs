@@ -32,7 +32,7 @@ use crate::links::{Edge, JoinLinks};
 use crate::yannakakis;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::{Database, Relation, Val};
+use cq_data::Database;
 use std::borrow::Cow;
 use std::mem::take;
 use std::sync::Arc;
@@ -41,40 +41,48 @@ use std::sync::Arc;
 /// its rows it kept, and the steps it took.
 pub(crate) type Folded<T> = (T, Vec<Vec<T>>, u64);
 
-/// **The** bottom-up pass over a join tree's rows — the sum-product DP
-/// at semiring `sr` behind `DECIDE`, `COUNT`, every semijoin and the
+/// **The** bottom-up pass over a join tree — the sum-product DP at
+/// semiring `sr` behind `DECIDE`, `COUNT`, every semijoin and the
 /// direct-access weights: each node aggregates, per parent-key group,
-/// the ⊕-sum over its rows of the row's product, `weight(u, rowᵢ)` ⊗ its
+/// the ⊕-sum over its rows of the row's product, the ⊗-product of its
 /// children's aggregates at the groups the row links to —
-/// `acc[own[i]] ⊕= weight(u, rowᵢ) ⊗ ∏ msg_c[link_c[i]]`, one sequential,
-/// branch-free pass per node over plain vectors. Every message ends in a
-/// spare slot holding the zero, where `NONE` links land: a row that fails
-/// to join is annihilated, not tested for, so no prior semijoin
-/// reduction is required. `node(u)` is node `u`'s rows and the edge from
-/// its parent (`None` at the root, whose key is nullary: one group).
+/// `acc[own[i]] ⊕= ∏ msg_c[link_c[i]]`, [`one`](Semiring::one) at a
+/// leaf. Every tuple weighs `one`, so the fold reads row counts and
+/// links, never a row. Every message ends in a spare slot holding the
+/// zero, where `NONE` links land: a row that fails to join is
+/// annihilated, not tested for, so no prior semijoin reduction is
+/// required. `node(u)` is node `u`'s row count and the edge from its
+/// parent (`None` at the root, whose key is nullary: one group).
+///
+/// A node's rows are folded a block of [`STRIDE`] at a time, in tight
+/// passes over one buffer `w` of the block's products: gather the first
+/// child's message through its link (`w[k] = msg[link[i]]`) — at a leaf
+/// `w` is a block of `one`s, kept beside it; ⊗ each further child in, a
+/// pass per child; ⊕ `w` into `acc` by `own` (at the root, into its one
+/// slot); append `w` to the kept products. Both buffers are on the
+/// stack, so the fold allocates per node, not per block.
 ///
 /// Returns the aggregate, per node that `keep`s them the products of its
 /// rows in row order (empty for the others), and the `steps` taken: rows
 /// visited plus links followed. The root's pass stops at a block boundary
 /// once its sum [is absorbing](Semiring::is_absorbing), unless its rows'
 /// products are kept. The token is consulted once per node and once per
-/// block of [`STRIDE`] rows — `check`'s cadence, without an atomic per
-/// row.
+/// block — `check`'s cadence, without an atomic per row.
 pub(crate) fn sum_product<'a, S: Semiring>(
     cancel: &CancelToken,
     tree: &JoinTree,
-    node: impl Fn(usize) -> (&'a Relation, Option<Edge<'a>>),
+    node: impl Fn(usize) -> (usize, Option<Edge<'a>>),
     sr: &S,
-    weight: impl Fn(usize, &[Val]) -> S::T,
     keep: impl Fn(usize) -> bool,
 ) -> Result<Folded<S::T>, EvalError> {
+    const BLOCK: usize = STRIDE as usize;
     let mut msgs: Vec<Vec<S::T>> = vec![Vec::new(); tree.n_nodes()];
     let mut products = msgs.clone();
     let mut steps = 0u64;
+    let (mut buf, ones) = ([sr.zero(); BLOCK], [sr.one(); BLOCK]);
     for u in tree.bottom_up() {
         cancel.check_now()?;
-        let (rel, up) = node(u);
-        let own = up.map(|e| e.own);
+        let (rows, up) = node(u);
         let mut acc = vec![sr.zero(); up.map_or(1, |e| e.groups) + 1];
         // a child's message is read by this pass only
         let link = |c: usize| node(c).1.expect("a child has a parent edge").link;
@@ -82,24 +90,39 @@ pub(crate) fn sum_product<'a, S: Semiring>(
             tree.children(u).iter().map(|&c| (link(c), take(&mut msgs[c]))).collect();
         let kept = keep(u);
         let out = &mut products[u];
-        out.reserve_exact(if kept { rel.len() } else { 0 });
-        for start in (0..rel.len()).step_by(STRIDE as usize) {
-            let end = rel.len().min(start + STRIDE as usize);
+        out.reserve_exact(if kept { rows } else { 0 });
+        for start in (0..rows).step_by(BLOCK) {
+            let end = rows.min(start + BLOCK);
             cancel.check_many((end - start) as u32)?;
             steps += ((end - start) * (1 + kids.len())) as u64;
-            for i in start..end {
-                let mut w = weight(u, rel.row(i));
-                for (link, msg) in &kids {
-                    let g = (link[i] as usize).min(msg.len() - 1);
-                    w = sr.mul(&w, &msg[g]);
+            let w: &[S::T] = match kids.split_first() {
+                None => &ones[..end - start],
+                Some(((link, msg), rest)) => {
+                    let w = &mut buf[..end - start];
+                    for (x, &g) in w.iter_mut().zip(&link[start..end]) {
+                        *x = at(msg, g);
+                    }
+                    for (link, msg) in rest {
+                        for (x, &g) in w.iter_mut().zip(&link[start..end]) {
+                            *x = sr.mul(x, &at(msg, g));
+                        }
+                    }
+                    w
                 }
-                let sum = &mut acc[own.map_or(0, |own| own[i] as usize)];
-                *sum = sr.add(sum, &w);
-                if kept {
-                    out.push(w);
+            };
+            match up {
+                Some(e) => {
+                    for (x, &g) in w.iter().zip(&e.own[start..end]) {
+                        let sum = &mut acc[g as usize];
+                        *sum = sr.add(sum, x);
+                    }
                 }
+                None => acc[0] = w.iter().fold(acc[0], |sum, x| sr.add(&sum, x)),
             }
-            if own.is_none() && !kept && sr.is_absorbing(&acc[0]) {
+            if kept {
+                out.extend_from_slice(w);
+            }
+            if up.is_none() && !kept && sr.is_absorbing(&acc[0]) {
                 break;
             }
         }
@@ -107,6 +130,13 @@ pub(crate) fn sum_product<'a, S: Semiring>(
     }
     let total = sr.finish(msgs[tree.root()].swap_remove(0))?;
     Ok((total, products, steps))
+}
+
+/// A child's aggregate at group `g`; a `NONE` link reads the spare zero
+/// at the end of the message.
+#[inline]
+fn at<T: Copy>(msg: &[T], g: u32) -> T {
+    msg[(g as usize).min(msg.len() - 1)]
 }
 
 /// Count answers of an acyclic *join* query in O(m) (Theorem 3.8): the
@@ -122,7 +152,7 @@ pub fn count_acyclic_join(
         return Err(EvalError::NotJoinQuery);
     }
     let mut span = cq_obs::trace::span("op.count-acyclic");
-    let (n, _, steps) = fold_body(ctx, q, db, |_, _| 1, &CountingSemiring)?;
+    let (n, _, steps) = fold_body(ctx, q, db, &CountingSemiring)?;
     span.attr("rows", n as u64);
     span.attr("steps", steps);
     span.attr("cancel-polls", ctx.cancel().polls());
@@ -188,10 +218,9 @@ fn root_child_message(
     let links = JoinLinks::of(&sub, |i| (&vars[i], &rels[i]));
     // the upward pass of the reduction, keeping which of the child's
     // rows joined
-    let node = |u: usize| (&*rels[u], links.edge(u));
-    let sr = &BooleanSemiring;
+    let node = |u: usize| (rels[u].len(), links.edge(u));
     let (_, live, steps) =
-        sum_product(ctx.cancel(), &sub, node, sr, |_, _| true, |u| u == 0)?;
+        sum_product(ctx.cancel(), &sub, node, &BooleanSemiring, |u| u == 0)?;
     let key: Vec<Var> =
         mask_vertices(tree.key_mask(nodes[0])).map(|v| Var(v as u32)).collect();
     let cols: Vec<usize> = key
@@ -295,9 +324,8 @@ pub fn count_free_connex(
     span.attr("cold-build", u64::from(cold));
     let (n, _, steps) = match &*linked {
         Some((msgs, links)) => {
-            let node = |u: usize| (&msgs[u].rel, links.edge(u));
-            let sr = &CountingSemiring;
-            sum_product(ctx.cancel(), links.tree(), node, sr, |_, _| 1, |_| false)?
+            let node = |u: usize| (msgs[u].rel.len(), links.edge(u));
+            sum_product(ctx.cancel(), links.tree(), node, &CountingSemiring, |_| false)?
         }
         None => (0, vec![], 0),
     };
@@ -319,7 +347,7 @@ mod tests {
     use cq_data::generate::{
         path_database, random_pairs, seeded_rng, star_database, triangle_database,
     };
-    use cq_data::{IndexCatalog, Relation};
+    use cq_data::{IndexCatalog, Relation, Val};
     use std::collections::HashSet;
 
     /// The materialization baseline, one-shot in interning order.

@@ -454,13 +454,13 @@ impl LexDirectAccess {
                 let n = &self.nodes[u];
                 let edge =
                     Edge { own: &own[u], groups: n.starts.len() - 1, link: &n.link };
-                (&n.rows, (u != 0).then_some(edge))
+                (n.rows.len(), (u != 0).then_some(edge))
             };
             // after full reduction every partial sum is at most the total
             // (each weighted row extends to an answer), so a total that
             // fits u64 — which the semiring's `finish` checks — means
             // nothing saturated
-            sum_product(cancel, &self.tree, node, sr, |_, _| 1, kids)?
+            sum_product(cancel, &self.tree, node, sr, kids)?
         };
         // the kept products become running sums, in place
         for rows in &mut cumw {

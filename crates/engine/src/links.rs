@@ -231,25 +231,31 @@ pub(crate) fn join_index(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::aggregate::{fold_body, CountingSemiring};
-    use crate::bind::{brute_force_answers, brute_force_count, brute_force_decide};
+    use crate::bind::{
+        bind, brute_force_answers, brute_force_count, brute_force_decide, BoundAtom,
+    };
     use crate::cancel::{CancelToken, STRIDE};
     use crate::count::{self, count_acyclic_join, count_free_connex};
-    use crate::yannakakis::decide_acyclic;
+    use crate::yannakakis::{decide_acyclic, full_reduce};
     use cq_core::parse_query;
     use cq_data::IndexCatalog;
+    use std::borrow::Cow;
+    use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// `COUNT` (of a join query) and `DECIDE` of `src` over `db` equal
-    /// brute force: one-shot, then cold and warm over one catalog.
+    /// brute force: one-shot, then cold and warm over one catalog; and
+    /// the full reduction along the body's tree keeps exactly the rows
+    /// of each atom that extend to an answer of the join.
     fn check(src: &str, db: &Database) {
         let q = parse_query(src).unwrap();
-        let boolean = q.boolean_version();
+        let (boolean, join) = (q.boolean_version(), q.join_version());
+        let all = brute_force_answers(&join, db).unwrap();
+        let truth = !all.is_empty();
+        let n = brute_force_count(&q, db).unwrap();
         let catalog = IndexCatalog::new();
         for ctx in [ExecCtx::cold(), ExecCtx::warm(&catalog), ExecCtx::warm(&catalog)] {
-            let truth = brute_force_decide(&boolean, db).unwrap();
             assert_eq!(decide_acyclic(&ctx, &boolean, db), Ok(truth), "{src}");
-            let n = brute_force_count(&q, db).unwrap();
             if q.is_join_query() {
                 assert_eq!(count_acyclic_join(&ctx, &q, db), Ok(n), "{src}");
             } else {
@@ -259,6 +265,22 @@ mod tests {
         let built = catalog.snapshot().misses;
         assert!(decide_acyclic(&ExecCtx::warm(&catalog), &boolean, db).is_ok());
         assert_eq!(catalog.snapshot().misses, built, "{src}: a warm fold builds nothing");
+
+        let mut atoms: Vec<Cow<BoundAtom>> =
+            bind(&join, db).unwrap().into_iter().map(Cow::Owned).collect();
+        let tree = join_tree_of(&join).unwrap();
+        let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
+        full_reduce(&CancelToken::never(), &mut atoms, &links).unwrap();
+        let free = join.free_vars();
+        for atom in &atoms {
+            let cols: Vec<usize> = (atom.vars.iter())
+                .map(|v| free.iter().position(|f| f == v).unwrap())
+                .collect();
+            let want: BTreeSet<Vec<Val>> =
+                all.iter().map(|a| cols.iter().map(|&c| a[c]).collect()).collect();
+            let kept: BTreeSet<Vec<Val>> = atom.rel.iter().map(<[Val]>::to_vec).collect();
+            assert_eq!(kept, want, "{src}: the rows of {:?} that join", atom.vars);
+        }
     }
 
     fn db(rels: &[(&str, Vec<(Val, Val)>)]) -> Database {
@@ -488,47 +510,51 @@ mod tests {
         assert!(links.edge(child).unwrap().link.iter().all(|&g| g == NONE));
     }
 
+    /// `m` distinct rows of `arity` columns for relation number `r`: a
+    /// core of at most `core` random rows over four values, which join
+    /// the other relations' cores, and noise rows that join nothing —
+    /// each repeats a value no other relation holds. Core values are spread
+    /// over the noise's range, so in sorted order the joining rows fall
+    /// in different blocks of a large relation.
+    fn cored(r: u64, arity: usize, m: usize, core: usize) -> Relation {
+        use rand::Rng;
+        let mut rng = cq_data::generate::seeded_rng(r + 10 * m as u64);
+        let step = 8 * (m as Val / 4);
+        let core: BTreeSet<Vec<Val>> = (0..m.min(core))
+            .map(|_| (0..arity).map(|_| step * rng.gen_range(0..4 as Val)).collect())
+            .collect();
+        let noise = (0..m - core.len()).map(|i| vec![8 * i as Val + 1 + r; arity]);
+        Relation::from_rows(arity, core.into_iter().chain(noise))
+    }
+
+    /// The fold's block passes against brute force at every fill of a
+    /// block — one row, one short of a block, exactly one, one over, and
+    /// many — over a path (nodes of at most two children) and a star
+    /// whose centre has three, each node with rows that dangle, rows that
+    /// link, and groups of several rows; then with a relation of each
+    /// query all noise, so that nothing joins.
     #[test]
-    fn row_dependent_weights_see_bound_rows_in_bound_order() {
-        let data = db(&[
-            ("R", vec![(1, 1), (2, 2), (2, 5), (3, 3)]),
-            ("S", vec![(1, 9), (2, 4), (2, 8), (3, 0)]),
-            ("T", vec![(4, 6), (8, 1), (0, 7)]),
-        ]);
-        let catalog = IndexCatalog::new();
-        for src in [
-            "q(x, y, z) :- R(x, y), S(x, z), T(z, w)",
-            // a collapsed atom's row is over its distinct variables
-            "q(x, z, w) :- R(x, x), S(x, z), T(z, w)",
-        ] {
-            let q = parse_query(src).unwrap().join_version();
-            // atom i's tuple weighs 10^i · (sum of its values)
-            let wf = |atom: usize, row: &[Val]| {
-                10u128.pow(atom as u32) * u128::from(row.iter().sum::<Val>())
-            };
-            let free = q.free_vars();
-            let answers = brute_force_answers(&q, &data).unwrap();
-            let want: u128 = answers
-                .iter()
-                .map(|answer| {
-                    let value =
-                        |v: &Var| answer[free.iter().position(|f| f == v).unwrap()];
-                    let atoms = q.atoms().iter().enumerate();
-                    atoms
-                        .map(|(i, a)| {
-                            let row: Vec<Val> =
-                                distinct_vars(&a.vars).iter().map(value).collect();
-                            wf(i, &row)
-                        })
-                        .product::<u128>()
-                })
-                .sum();
-            assert!(want > 0, "both queries have answers");
-            for ctx in [ExecCtx::cold(), ExecCtx::warm(&catalog), ExecCtx::warm(&catalog)]
-            {
-                let folded = fold_body(&ctx, &q, &data, wf, &CountingSemiring);
-                assert_eq!(folded.map(|(total, ..)| total), Ok(want));
+    fn every_block_fill_folds_like_brute_force() {
+        let path = "q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)";
+        let star = "q(x, y, z, a, b, c) :- A(x, a), B(y, b), D(z, c), C(x, y, z)";
+        let kids = |src: &str| {
+            let tree = join_tree_of(&parse_query(src).unwrap()).unwrap();
+            (0..tree.n_nodes()).map(|u| tree.children(u).len()).max()
+        };
+        assert_eq!(kids(star), Some(3), "the centre is the root");
+        for m in [1, 255, 256, 257, 5_000] {
+            let mut data = Database::new();
+            for (r, name) in ["R1", "R2", "R3", "A", "B", "D"].into_iter().enumerate() {
+                data.insert(name, cored(r as u64, 2, m, 10));
             }
+            data.insert("C", cored(6, 3, m, 10));
+            assert!(data.iter().all(|(_, rel)| rel.len() == m));
+            check(path, &data);
+            check(star, &data);
+            data.insert("R2", cored(1, 2, m, 0));
+            data.insert("D", cored(5, 2, m, 0));
+            check(path, &data);
+            check(star, &data);
         }
     }
 

@@ -70,8 +70,8 @@ pub(crate) fn full_reduce(
     links: &JoinLinks,
 ) -> Result<u64, EvalError> {
     let tree = links.tree();
-    let node = |u: usize| (&atoms[u].rel, links.edge(u));
-    let up = sum_product(cancel, tree, node, &BooleanSemiring, |_, _| true, |_| true);
+    let node = |u: usize| (atoms[u].rel.len(), links.edge(u));
+    let up = sum_product(cancel, tree, node, &BooleanSemiring, |_| true);
     let (_, mut live, mut steps) = up?;
     let mut groups: Vec<Vec<bool>> = (0..live.len())
         .map(|u| vec![false; links.edge(u).map_or(0, |e| e.groups)])
@@ -118,7 +118,7 @@ pub fn decide_acyclic(
     db: &Database,
 ) -> Result<bool, EvalError> {
     let mut span = cq_obs::trace::span("op.yannakakis.decide");
-    let (truth, _, steps) = fold_body(ctx, q, db, |_, _| true, &BooleanSemiring)?;
+    let (truth, _, steps) = fold_body(ctx, q, db, &BooleanSemiring)?;
     span.attr("rows", u64::from(truth));
     span.attr("steps", steps);
     span.attr("cancel-polls", ctx.cancel().polls());

@@ -101,7 +101,7 @@ fn main() {
             let t1 = Instant::now();
             let e1 = t1.elapsed();
             sm.record_op("bench", "generic join (worst-case optimal)", e0);
-            sm.record_cmd("db.bench", "count", e1);
+            sm.record_cmd(Some("bench"), "count", e1);
             disabled_trace_ops();
             slowlog.slowlog().should_record(e1)
         },

@@ -23,11 +23,12 @@
 //!
 //! Only this crate depends on `cq-obs`. Hot-path events the server
 //! itself observes (commands, query execution, errors, rejections) are
-//! *pushed* as they happen, and every event first builds its scope or
-//! metric name as a fresh `String`. Commands, operator runs and
-//! time-to-first-row then go through a [`SessionMetrics`], which caches
-//! one counter/histogram pair per `(scope, name)`: once cached, an event
-//! is a hash lookup plus relaxed atomic ops, with no lock. The others —
+//! *pushed* as they happen. Commands, operator runs and time-to-first-row
+//! go through a [`SessionMetrics`], which caches one counter/histogram
+//! pair per tenant and `'static` verb or operator name, keeping each
+//! tenant's scope name beside them: once cached, an event is a few hash
+//! lookups plus relaxed atomic ops, with no lock and no allocation;
+//! names are formatted on a miss only. The others —
 //! [`SessionMetrics::count`], `record_answer_rows`, `answer_chunk_handles`,
 //! the cursor gauges and [`ServerMetrics::record_error`] — look their
 //! metric up in the registry each time, under its mutex and the scope's
@@ -199,20 +200,46 @@ impl ServerMetrics {
     }
 }
 
-/// Per-session cache of metric handles, keyed by `(scope, name)`.
-///
-/// The name side is `&'static str`-compatible by construction: command
-/// verbs and op slugs come from small fixed sets, so the map stays
-/// tiny. A session is single-threaded, so no locking.
+/// What one cached counter/histogram pair records: a command verb, a
+/// plan operator's runs (by its stable display name), or the time to
+/// a streamed response's first row. Every key is `'static`, so a cache
+/// hit builds no string.
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
+enum Stem {
+    Cmd(&'static str),
+    Op(&'static str),
+    TimeToFirstRow,
+}
+
+impl Stem {
+    /// The metric stem: `cmd.<verb>`, `op.<slug>` or `answers.ttfr`.
+    fn name(self) -> String {
+        match self {
+            Stem::Cmd(verb) => format!("cmd.{verb}"),
+            Stem::Op(op) => format!("op.{}", op_slug(op)),
+            Stem::TimeToFirstRow => "answers.ttfr".to_string(),
+        }
+    }
+}
+
+type Handles = HashMap<Stem, (Arc<Counter>, Arc<Histogram>)>;
+
+/// Per-session cache of metric handles, keyed on the `'static` verb or
+/// plan operator: the server scope's, and per tenant its scope name
+/// (`db.<tenant>`) beside its handles. A lookup borrows the tenant's
+/// name and builds nothing; names are formatted on a miss only. Verbs,
+/// operators and the tenants one session addresses are few, so the
+/// maps stay tiny. A session is single-threaded, so no locking.
 #[derive(Debug)]
 pub struct SessionMetrics {
     shared: Arc<ServerMetrics>,
-    handles: HashMap<(String, String), (Arc<Counter>, Arc<Histogram>)>,
+    server: Handles,
+    tenants: HashMap<String, (String, Handles)>,
 }
 
 impl SessionMetrics {
     pub fn new(shared: Arc<ServerMetrics>) -> SessionMetrics {
-        SessionMetrics { shared, handles: HashMap::new() }
+        SessionMetrics { shared, server: HashMap::new(), tenants: HashMap::new() }
     }
 
     /// The shared server metrics.
@@ -220,26 +247,46 @@ impl SessionMetrics {
         &self.shared
     }
 
-    fn pair(&mut self, scope: &str, stem: &str) -> &(Arc<Counter>, Arc<Histogram>) {
-        self.handles.entry((scope.to_string(), stem.to_string())).or_insert_with(|| {
-            let s = self.shared.registry.scope(scope);
-            (s.counter(&format!("{stem}.calls")), s.histogram(&format!("{stem}.latency")))
+    /// The handles of `stem` in tenant `db`'s scope, or in the server
+    /// scope when `db` is `None`.
+    fn pair(&mut self, db: Option<&str>, stem: Stem) -> &(Arc<Counter>, Arc<Histogram>) {
+        let (scope, handles) = match db {
+            None => (SERVER_SCOPE, &mut self.server),
+            Some(db) => {
+                if !self.tenants.contains_key(db) {
+                    self.tenants
+                        .insert(db.to_string(), (tenant_scope(db), HashMap::new()));
+                }
+                let (scope, handles) = self.tenants.get_mut(db).expect("inserted above");
+                (scope.as_str(), handles)
+            }
+        };
+        let registry = &self.shared.registry;
+        handles.entry(stem).or_insert_with(|| {
+            let (s, name) = (registry.scope(scope), stem.name());
+            (s.counter(&format!("{name}.calls")), s.histogram(&format!("{name}.latency")))
         })
     }
 
     /// Record one command: `cmd.<verb>.calls` / `cmd.<verb>.latency`
-    /// in `scope` (the `server` scope or a tenant's).
-    pub fn record_cmd(&mut self, scope: &str, verb: &str, elapsed: Duration) {
-        let (calls, latency) = self.pair(scope, &format!("cmd.{verb}"));
+    /// in tenant `db`'s scope, or in the `server` scope when `db` is
+    /// `None`.
+    pub fn record_cmd(
+        &mut self,
+        db: Option<&str>,
+        verb: &'static str,
+        elapsed: Duration,
+    ) {
+        let (calls, latency) = self.pair(db, Stem::Cmd(verb));
         calls.inc();
         latency.record_duration(elapsed);
     }
 
     /// Record one plan-operator execution in a tenant's scope:
-    /// `op.<slug>.calls` / `op.<slug>.latency`.
-    pub fn record_op(&mut self, db: &str, op_name: &str, elapsed: Duration) {
-        let scope = tenant_scope(db);
-        let (calls, latency) = self.pair(&scope, &format!("op.{}", op_slug(op_name)));
+    /// `op.<slug>.calls` / `op.<slug>.latency`, `<slug>` the
+    /// [`op_slug`] of the operator's display name.
+    pub fn record_op(&mut self, db: &str, op_name: &'static str, elapsed: Duration) {
+        let (calls, latency) = self.pair(Some(db), Stem::Op(op_name));
         calls.inc();
         latency.record_duration(elapsed);
     }
@@ -277,8 +324,7 @@ impl SessionMetrics {
     /// reaching the wire (`answers.ttfr.latency`). The companion
     /// counter counts streamed responses that produced ≥ 1 row.
     pub fn record_time_to_first_row(&mut self, db: &str, elapsed: Duration) {
-        let scope = tenant_scope(db);
-        let (calls, latency) = self.pair(&scope, "answers.ttfr");
+        let (calls, latency) = self.pair(Some(db), Stem::TimeToFirstRow);
         calls.inc();
         latency.record_duration(elapsed);
     }
@@ -366,13 +412,20 @@ mod tests {
     fn session_cache_reuses_handles() {
         let shared = Arc::new(ServerMetrics::new());
         let mut sm = SessionMetrics::new(Arc::clone(&shared));
-        sm.record_cmd("db.t", "count", Duration::from_micros(5));
-        sm.record_cmd("db.t", "count", Duration::from_micros(7));
+        sm.record_cmd(Some("t"), "count", Duration::from_micros(5));
+        sm.record_cmd(Some("t"), "count", Duration::from_micros(7));
+        sm.record_cmd(None, "ping", Duration::from_micros(1));
+        sm.record_op("t", "generic join (worst-case optimal)", Duration::from_micros(3));
         sm.count("t", "budget.rejections");
-        assert_eq!(sm.handles.len(), 1, "one (scope, stem) pair cached");
+        assert_eq!((sm.server.len(), sm.tenants.len()), (1, 1));
+        assert_eq!(sm.tenants["t"].0, "db.t");
+        assert_eq!(sm.tenants["t"].1.len(), 2, "one pair per stem");
         let scope = shared.registry().scope("db.t");
         assert_eq!(scope.counter_value("cmd.count.calls"), Some(2));
+        assert_eq!(scope.counter_value("op.generic-join.calls"), Some(1));
         assert_eq!(scope.counter_value("budget.rejections"), Some(1));
+        let server = shared.registry().scope(SERVER_SCOPE);
+        assert_eq!(server.counter_value("cmd.ping.calls"), Some(1));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 
 use super::query::{AnswerFlow, BatchItem, CursorEntry};
 use super::stmt::Statements;
-use crate::metrics::{self, SessionMetrics, SERVER_SCOPE};
+use crate::metrics::SessionMetrics;
 use crate::protocol::{parse_command, Command, ErrKind, Reply};
 use crate::state::{ServerState, StateError, Tenant};
 use cq_data::Val;
@@ -406,16 +406,16 @@ impl Session {
         };
         // tenant-addressed commands count in the tenant's scope (QPS
         // per command per database); the rest in the server scope
-        let scope = match (&self.current, tenant_scoped) {
+        let db = match (&self.current, tenant_scoped) {
             (Some(t), true) => {
                 if !reply.is_ok() {
                     self.metrics.count(t.name(), "errors");
                 }
-                metrics::tenant_scope(t.name())
+                Some(t.name())
             }
-            _ => SERVER_SCOPE.to_string(),
+            _ => None,
         };
-        self.metrics.record_cmd(&scope, verb.slug, start.elapsed());
+        self.metrics.record_cmd(db, verb.slug, start.elapsed());
         reply
     }
 

@@ -64,7 +64,10 @@
 # and hands every such thread to `Server::join`, so no pool, channel,
 # overflow path or gauge of theirs stands beside it. And cq-engine runs only
 # what the planner plans: Thm 3.2's degree split lives in cq-problems, so
-# the engine needs no matrix crate.
+# the engine needs no matrix crate. And a tenant owns its metrics: its
+# scope, handles and PROFILE ring live in its `Tenant`, and every site
+# records through the tenant it holds, never a per-session cache or a
+# lookup by the tenant's name.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -336,6 +339,15 @@ exactly_one "session spawn site in conn.rs (\`spawn_session\`; the other spawn i
 forbid "worker-pool gauges (\`server connections.open\` counts the live sessions):" "$(
     grep -rnE 'workers\.(pool|busy|overflow)' crates/server/src src
 )"
+# a tenant owns its metrics: no per-session cache of tenant handles, and
+# no scope looked up by a tenant's name where the tenant is at hand
+forbid "per-session metric caches (record through Tenant::metrics):" "$(
+    grep -rn 'SessionMetrics' crates src tests examples bench/src
+)"
+forbid "tenant scopes looked up by name (record through the Tenant the site holds):" "$(
+    grep -rnF 'tenant_scope(' crates/server/src/server crates/server/src/replica.rs
+)"
+
 # ... and Thm 3.2's AYZ is cq-problems' `find_triangle_ayz`, not an
 # unplanned engine operator
 forbid "cq-matrix in cq-engine (no engine operator multiplies matrices):" "$(

@@ -23,7 +23,6 @@
 //!     per-request instruments (ROADMAP item 4), where the first line
 //!     would hide a hundredfold increase.
 
-use cq_server::metrics::SessionMetrics;
 use cq_server::server::Session;
 use cq_server::state::ServerState;
 use std::hint::black_box;
@@ -90,8 +89,9 @@ fn disabled_trace_ops() {
 
 fn main() {
     let (mut session, state) = warm_session(5_000);
-    let mut sm = SessionMetrics::new(Arc::clone(state.metrics()));
-    let slowlog = state.metrics();
+    let tenant = state.tenant("bench").expect("the warm session's tenant");
+    let metrics = tenant.metrics();
+    let slowlog = state.metrics().slowlog();
 
     let query_ns = median_ns(|| session.handle_line(QUERY), 200, 9);
     let obs_ns = median_ns(
@@ -100,10 +100,10 @@ fn main() {
             let e0 = t0.elapsed();
             let t1 = Instant::now();
             let e1 = t1.elapsed();
-            sm.record_op("bench", "generic join (worst-case optimal)", e0);
-            sm.record_cmd(Some("bench"), "count", e1);
+            metrics.record_op("generic join (worst-case optimal)", e0);
+            metrics.record_cmd("count", e1);
             disabled_trace_ops();
-            slowlog.slowlog().should_record(e1)
+            slowlog.should_record(e1)
         },
         10_000,
         9,

@@ -216,7 +216,7 @@ fn main() {
         println!("cqd slow-query log enabled at {ms}ms");
     }
     if let Some(n) = profile {
-        state.metrics().set_profile_capacity(n);
+        state.set_profile_capacity(n);
         println!("cqd per-query tracing enabled ({n} traces per tenant)");
     }
     if let Some(secs) = metrics_interval {

@@ -152,7 +152,7 @@ pub mod server;
 pub mod state;
 
 pub use client::Client;
-pub use metrics::{ServerMetrics, SessionMetrics};
+pub use metrics::{ServerMetrics, TenantMetrics};
 pub use protocol::{Command, ErrKind, Reply};
 pub use replica::ReplicaHandle;
 pub use server::{Server, Session};

@@ -23,37 +23,35 @@
 //!
 //! Only this crate depends on `cq-obs`. Hot-path events the server
 //! itself observes (commands, query execution, errors, rejections) are
-//! *pushed* as they happen. Commands, operator runs and time-to-first-row
-//! go through a [`SessionMetrics`], which caches one counter/histogram
-//! pair per tenant and `'static` verb or operator name, keeping each
-//! tenant's scope name beside them: once cached, an event is a few hash
-//! lookups plus relaxed atomic ops, with no lock and no allocation;
-//! names are formatted on a miss only. The others —
-//! [`SessionMetrics::count`], `record_answer_rows`, `answer_chunk_handles`,
-//! the cursor gauges and [`ServerMetrics::record_error`] — look their
-//! metric up in the registry each time, under its mutex and the scope's
-//! (a streamed response does so once, then records each chunk with
-//! atomics alone). Counters that other crates already maintain (catalog memo stats, WAL write
-//! stats) are *pulled* into gauges by [`refresh`] just before a render,
-//! keeping `cq-data` and `cq-storage` free of any observability
-//! dependency.
+//! *pushed* as they happen, through handles their owner holds. A tenant
+//! owns its metrics: its [`TenantMetrics`] registers the `db.<name>`
+//! scope when the tenant is created (`DROP DB` removes it), holds the
+//! fixed handles (`answers.*`, `errors`, `cursors.*`, …) and caches one
+//! counter/histogram pair per `'static` verb or operator name, so every
+//! site records through the tenant it already holds — a command's, a
+//! cursor's, a streamed response's — and never looks a tenant up by
+//! name. [`ServerMetrics`] holds the server scope's pairs and its
+//! `errors.<kind>` counters the same way. A warm record is a read lock
+//! on its owner's pair map, a hash lookup and relaxed atomic ops: no
+//! registry lock, no lock shared across tenants, no allocation; names
+//! are formatted on a pair's first record only. Gauges register on
+//! their first use, so an unused one renders no `=0` line. Counters
+//! that other crates already maintain (catalog memo stats, WAL write
+//! stats) are *pulled* into gauges as [`render`] begins, keeping
+//! `cq-data` and `cq-storage` free of any observability dependency.
 
-use crate::state::ServerState;
+use crate::protocol::{ErrKind, ALL_ERR_KINDS};
+use crate::state::{ServerState, Tenant};
 use cq_obs::{
-    Counter, Histogram, HistoryRing, QueryTrace, Registry, Scope, SlowQueryLog,
+    Counter, Gauge, Histogram, HistoryRing, QueryTrace, Registry, Scope, SlowQueryLog,
 };
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
 use std::time::Duration;
 
 /// Name of the cross-tenant scope.
 pub const SERVER_SCOPE: &str = "server";
-
-/// Scope name for a tenant's metrics.
-pub fn tenant_scope(db: &str) -> String {
-    format!("db.{db}")
-}
 
 /// Metric-name slug for a plan operator's stable display name
 /// (lowercased, runs of non-alphanumerics collapsed to `-`, any
@@ -84,7 +82,11 @@ pub struct ServerMetrics {
     /// default — spans cost nothing when no sink is installed), N keeps
     /// the last N [`QueryTrace`]s per tenant for `PROFILE`.
     profile_capacity: AtomicUsize,
-    profiles: Mutex<BTreeMap<String, VecDeque<QueryTrace>>>,
+    /// The server scope's `cmd.<verb>` pairs.
+    server: Pairs,
+    /// `errors.<kind>`, one counter per wire kind, in [`ALL_ERR_KINDS`]
+    /// order.
+    errors: [Arc<Counter>; ALL_ERR_KINDS.len()],
 }
 
 /// Retained slow-query entries (the log's ring capacity).
@@ -93,20 +95,19 @@ const SLOWLOG_CAPACITY: usize = 128;
 /// Metrics-history snapshots retained.
 const HISTORY_CAPACITY: usize = 8;
 
-impl Default for ServerMetrics {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl ServerMetrics {
-    pub fn new() -> ServerMetrics {
+    pub(crate) fn new() -> ServerMetrics {
+        let registry = Registry::new();
+        let scope = registry.scope(SERVER_SCOPE);
+        let errors =
+            ALL_ERR_KINDS.map(|k| scope.counter(&format!("errors.{}", k.as_str())));
         ServerMetrics {
-            registry: Registry::new(),
+            registry,
             slowlog: SlowQueryLog::new(SLOWLOG_CAPACITY),
             history: HistoryRing::new(HISTORY_CAPACITY),
             profile_capacity: AtomicUsize::new(0),
-            profiles: Mutex::new(BTreeMap::new()),
+            server: Pairs { scope, cached: RwLock::default() },
+            errors,
         }
     }
 
@@ -123,19 +124,33 @@ impl ServerMetrics {
 
     /// The cross-tenant scope.
     pub fn server_scope(&self) -> Arc<Scope> {
-        self.registry.scope(SERVER_SCOPE)
+        Arc::clone(&self.server.scope)
     }
 
     /// Count one error reply by wire kind (`errors.<kind>`).
-    pub fn record_error(&self, kind: &str) {
-        self.server_scope().counter(&format!("errors.{kind}")).inc();
+    pub fn record_error(&self, kind: ErrKind) {
+        self.errors[kind as usize].inc();
     }
 
-    /// Forget a dropped tenant's scope (a recreated tenant starts
-    /// from zero rather than inheriting a dead namesake's counters).
-    pub fn drop_tenant(&self, db: &str) {
-        self.registry.drop_scope(&tenant_scope(db));
-        self.profiles.lock().unwrap().remove(db);
+    /// Record one command without a tenant target in the `server`
+    /// scope: `cmd.<verb>.calls` / `cmd.<verb>.latency`.
+    pub fn record_cmd(&self, verb: &'static str, elapsed: Duration) {
+        self.server.record(("cmd", verb), elapsed);
+    }
+
+    /// Register tenant `name`'s scope, `db.<name>`, and the handles it
+    /// records through. Called once, when the tenant is created.
+    pub(crate) fn register_tenant(&self, name: &str) -> TenantMetrics {
+        let scope_name = format!("db.{name}");
+        TenantMetrics::new(self.registry.scope(&scope_name), scope_name)
+    }
+
+    /// Forget a dropped tenant's scope (a recreated tenant starts from
+    /// zero rather than inheriting a dead namesake's counters). Sessions
+    /// still holding the tenant record into the detached scope, which
+    /// nothing renders.
+    pub(crate) fn drop_tenant(&self, tenant: &TenantMetrics) {
+        self.registry.drop_scope(&tenant.scope_name);
     }
 
     /// The counter-snapshot history ring behind `METRICS RATE`.
@@ -148,201 +163,199 @@ impl ServerMetrics {
         self.history.capture(&self.registry);
     }
 
-    /// How many traces `PROFILE` retains per tenant (0 = tracing off).
-    pub fn profile_capacity(&self) -> usize {
-        self.profile_capacity.load(Ordering::Relaxed)
-    }
-
-    /// Enable (or resize) per-tenant trace retention. Shrinking evicts
-    /// oldest traces; 0 turns tracing back off and clears everything.
-    pub fn set_profile_capacity(&self, cap: usize) {
+    /// Set the per-tenant trace retention; the rings themselves are
+    /// trimmed by [`ServerState::set_profile_capacity`].
+    pub(crate) fn set_profile_capacity(&self, cap: usize) {
         self.profile_capacity.store(cap, Ordering::Relaxed);
-        let mut rings = self.profiles.lock().unwrap();
-        if cap == 0 {
-            rings.clear();
-        } else {
-            for ring in rings.values_mut() {
-                while ring.len() > cap {
-                    ring.pop_front();
-                }
-            }
-        }
     }
 
     /// Is per-query tracing on (`PROFILE` retention > 0)?
     pub fn profiling(&self) -> bool {
-        self.profile_capacity() > 0
+        self.profile_capacity.load(Ordering::Relaxed) > 0
     }
 
-    /// Retain a finished trace for `PROFILE <db>` (evicting the oldest
-    /// past capacity). No-op when tracing is off.
-    pub fn push_trace(&self, trace: QueryTrace) {
-        let cap = self.profile_capacity();
+    /// Retain a finished trace in `tenant`'s `PROFILE` ring (evicting
+    /// the oldest past capacity). No-op when tracing is off.
+    pub fn push_trace(&self, tenant: &TenantMetrics, trace: QueryTrace) {
+        let cap = self.profile_capacity.load(Ordering::Relaxed);
         if cap == 0 {
             return;
         }
-        let mut rings = self.profiles.lock().unwrap();
-        let ring = rings.entry(trace.db.clone()).or_default();
+        let mut ring = tenant.traces.lock().unwrap();
         while ring.len() >= cap {
             ring.pop_front();
         }
         ring.push_back(trace);
     }
+}
 
-    /// A tenant's retained traces, oldest first.
-    pub fn recent_traces(&self, db: &str) -> Vec<QueryTrace> {
-        self.profiles
-            .lock()
-            .unwrap()
-            .get(db)
-            .map(|ring| ring.iter().cloned().collect())
-            .unwrap_or_default()
+/// A counter/histogram pair: `<stem>.calls` and `<stem>.latency`.
+type Pair = (Arc<Counter>, Arc<Histogram>);
+
+/// What one cached pair records: `("cmd", verb)` a command verb,
+/// `("op", name)` a plan operator's runs (by its stable display name),
+/// under the stem `<kind>.<slug of name>` (a verb is its own slug).
+/// Every key is `'static`, so a cache hit builds no string.
+type Stem = (&'static str, &'static str);
+
+/// One scope and its pairs, each registered on its first record and
+/// cached after. Verbs and operators are few, so the map stays tiny.
+#[derive(Debug)]
+struct Pairs {
+    scope: Arc<Scope>,
+    cached: RwLock<HashMap<Stem, Pair>>,
+}
+
+impl Pairs {
+    /// Count one event of `stem` that took `elapsed`.
+    fn record(&self, stem: Stem, elapsed: Duration) {
+        let bump = |(calls, latency): &Pair| {
+            calls.inc();
+            latency.record_duration(elapsed);
+        };
+        if let Some(pair) =
+            self.cached.read().unwrap_or_else(PoisonError::into_inner).get(&stem)
+        {
+            return bump(pair);
+        }
+        let mut cached = self.cached.write().unwrap_or_else(PoisonError::into_inner);
+        bump(cached.entry(stem).or_insert_with(|| {
+            let name = format!("{}.{}", stem.0, op_slug(stem.1));
+            let calls = self.scope.counter(&format!("{name}.calls"));
+            (calls, self.scope.histogram(&format!("{name}.latency")))
+        }));
     }
 }
 
-/// What one cached counter/histogram pair records: a command verb, a
-/// plan operator's runs (by its stable display name), or the time to
-/// a streamed response's first row. Every key is `'static`, so a cache
-/// hit builds no string.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-enum Stem {
-    Cmd(&'static str),
-    Op(&'static str),
-    TimeToFirstRow,
+/// A tenant's observability state, owned by its [`Tenant`]: the scope
+/// it registered as `db.<name>`, its cached `cmd.*` / `op.*` pairs, its
+/// fixed handles and its `PROFILE` ring. Counters and histograms are
+/// registered with the scope (a zero renders nothing); gauges on their
+/// first use.
+#[derive(Debug)]
+pub struct TenantMetrics {
+    /// The key the scope is registered under: `db.<name>`.
+    scope_name: String,
+    pairs: Pairs,
+    /// `answers.rows`: answer rows streamed or fetched — one increment
+    /// per chunk or page, not per row.
+    pub answer_rows: Arc<Counter>,
+    /// `answers.bytes`: bytes of the streamed chunks the sink accepted.
+    pub answer_bytes: Arc<Counter>,
+    /// `answers.write.latency`: the time the sink held each chunk. On
+    /// the wire that is `write_all` + `flush`, so a client that reads
+    /// slowly (TCP backpressure) shows up here and nowhere else.
+    pub answer_write: Arc<Histogram>,
+    /// `answers.ttfr`: streamed responses that produced a row, and the
+    /// time from query receipt to the first row reaching the sink.
+    pub time_to_first_row: Pair,
+    /// `errors`: error replies to tenant-addressed commands (the
+    /// per-kind breakdown stays server-wide,
+    /// [`ServerMetrics::record_error`]; this one feeds the `err-rate`
+    /// line of `STATS <name>`).
+    pub errors: Arc<Counter>,
+    /// `budget.rejections`: plans refused by admission control.
+    pub budget_rejections: Arc<Counter>,
+    /// `timeouts`: evaluations stopped by the `SET TIMEOUT` deadline.
+    pub timeouts: Arc<Counter>,
+    /// `cancellations`: evaluations stopped because the client left.
+    pub cancellations: Arc<Counter>,
+    /// `cursors.stale`: cursors evicted because what they read mutated.
+    pub cursors_stale: Arc<Counter>,
+    /// `storage.auto-checkpoints` / `storage.auto-checkpoint-failures`.
+    pub auto_checkpoints: Arc<Counter>,
+    pub auto_checkpoint_failures: Arc<Counter>,
+    cursors_open: OnceLock<Arc<Gauge>>,
+    replica: OnceLock<(Arc<Gauge>, Arc<Gauge>)>,
+    traces: Mutex<VecDeque<QueryTrace>>,
 }
 
-impl Stem {
-    /// The metric stem: `cmd.<verb>`, `op.<slug>` or `answers.ttfr`.
-    fn name(self) -> String {
-        match self {
-            Stem::Cmd(verb) => format!("cmd.{verb}"),
-            Stem::Op(op) => format!("op.{}", op_slug(op)),
-            Stem::TimeToFirstRow => "answers.ttfr".to_string(),
+impl TenantMetrics {
+    fn new(scope: Arc<Scope>, scope_name: String) -> TenantMetrics {
+        let ttfr = (
+            scope.counter("answers.ttfr.calls"),
+            scope.histogram("answers.ttfr.latency"),
+        );
+        TenantMetrics {
+            scope_name,
+            answer_rows: scope.counter("answers.rows"),
+            answer_bytes: scope.counter("answers.bytes"),
+            answer_write: scope.histogram("answers.write.latency"),
+            time_to_first_row: ttfr,
+            errors: scope.counter("errors"),
+            budget_rejections: scope.counter("budget.rejections"),
+            timeouts: scope.counter("timeouts"),
+            cancellations: scope.counter("cancellations"),
+            cursors_stale: scope.counter("cursors.stale"),
+            auto_checkpoints: scope.counter("storage.auto-checkpoints"),
+            auto_checkpoint_failures: scope.counter("storage.auto-checkpoint-failures"),
+            cursors_open: OnceLock::new(),
+            replica: OnceLock::new(),
+            traces: Mutex::default(),
+            pairs: Pairs { scope, cached: RwLock::default() },
         }
     }
-}
 
-type Handles = HashMap<Stem, (Arc<Counter>, Arc<Histogram>)>;
-
-/// Per-session cache of metric handles, keyed on the `'static` verb or
-/// plan operator: the server scope's, and per tenant its scope name
-/// (`db.<tenant>`) beside its handles. A lookup borrows the tenant's
-/// name and builds nothing; names are formatted on a miss only. Verbs,
-/// operators and the tenants one session addresses are few, so the
-/// maps stay tiny. A session is single-threaded, so no locking.
-#[derive(Debug)]
-pub struct SessionMetrics {
-    shared: Arc<ServerMetrics>,
-    server: Handles,
-    tenants: HashMap<String, (String, Handles)>,
-}
-
-impl SessionMetrics {
-    pub fn new(shared: Arc<ServerMetrics>) -> SessionMetrics {
-        SessionMetrics { shared, server: HashMap::new(), tenants: HashMap::new() }
+    /// The tenant's scope.
+    pub fn scope(&self) -> &Arc<Scope> {
+        &self.pairs.scope
     }
 
-    /// The shared server metrics.
-    pub fn shared(&self) -> &ServerMetrics {
-        &self.shared
+    /// The name the scope is registered under, `db.<name>` — what
+    /// `METRICS <name>`, `METRICS RATE <name>` and `STATS <name>` filter
+    /// the registry and its history by.
+    pub fn scope_name(&self) -> &str {
+        &self.scope_name
     }
 
-    /// The handles of `stem` in tenant `db`'s scope, or in the server
-    /// scope when `db` is `None`.
-    fn pair(&mut self, db: Option<&str>, stem: Stem) -> &(Arc<Counter>, Arc<Histogram>) {
-        let (scope, handles) = match db {
-            None => (SERVER_SCOPE, &mut self.server),
-            Some(db) => {
-                if !self.tenants.contains_key(db) {
-                    self.tenants
-                        .insert(db.to_string(), (tenant_scope(db), HashMap::new()));
-                }
-                let (scope, handles) = self.tenants.get_mut(db).expect("inserted above");
-                (scope.as_str(), handles)
-            }
-        };
-        let registry = &self.shared.registry;
-        handles.entry(stem).or_insert_with(|| {
-            let (s, name) = (registry.scope(scope), stem.name());
-            (s.counter(&format!("{name}.calls")), s.histogram(&format!("{name}.latency")))
-        })
+    /// Record one command addressed to the tenant: `cmd.<verb>.calls` /
+    /// `cmd.<verb>.latency`.
+    pub fn record_cmd(&self, verb: &'static str, elapsed: Duration) {
+        self.pairs.record(("cmd", verb), elapsed);
     }
 
-    /// Record one command: `cmd.<verb>.calls` / `cmd.<verb>.latency`
-    /// in tenant `db`'s scope, or in the `server` scope when `db` is
-    /// `None`.
-    pub fn record_cmd(
-        &mut self,
-        db: Option<&str>,
-        verb: &'static str,
-        elapsed: Duration,
-    ) {
-        let (calls, latency) = self.pair(db, Stem::Cmd(verb));
-        calls.inc();
-        latency.record_duration(elapsed);
+    /// Record one plan-operator execution: `op.<slug>.calls` /
+    /// `op.<slug>.latency`, `<slug>` the [`op_slug`] of the operator's
+    /// display name.
+    pub fn record_op(&self, op_name: &'static str, elapsed: Duration) {
+        self.pairs.record(("op", op_name), elapsed);
     }
 
-    /// Record one plan-operator execution in a tenant's scope:
-    /// `op.<slug>.calls` / `op.<slug>.latency`, `<slug>` the
-    /// [`op_slug`] of the operator's display name.
-    pub fn record_op(&mut self, db: &str, op_name: &'static str, elapsed: Duration) {
-        let (calls, latency) = self.pair(Some(db), Stem::Op(op_name));
-        calls.inc();
-        latency.record_duration(elapsed);
-    }
-
-    /// Bump one of a tenant's event counters: `errors` (an error reply
-    /// on a tenant-addressed command — the per-kind breakdown stays
-    /// server-wide, [`ServerMetrics::record_error`]; this one feeds the
-    /// `err-rate` line of `STATS <name>`), `budget.rejections`
-    /// (admission control), `timeouts` (a `SET TIMEOUT` deadline trip)
-    /// or `cancellations` (the client disconnected mid-evaluation).
-    pub fn count(&mut self, db: &str, counter: &str) {
-        self.shared.registry.scope(&tenant_scope(db)).counter(counter).inc();
-    }
-
-    /// Count `n` answer rows streamed to a client (`answers.rows`) —
-    /// one increment per chunk, not per row, so the hot drain loop
-    /// touches the counter O(result/chunk) times.
-    pub fn record_answer_rows(&mut self, db: &str, n: u64) {
-        let scope = self.shared.registry.scope(&tenant_scope(db));
-        scope.counter("answers.rows").add(n);
-    }
-
-    /// The two handles a streamed response records each chunk through
-    /// — looked up once per response, so a chunk costs two atomic
-    /// updates: the `answers.bytes` counter grows by the chunk, and the
-    /// `answers.write.latency` histogram takes the time the sink held
-    /// it. On the wire that is `write_all` + `flush`, so a client that
-    /// reads slowly (TCP backpressure) shows up here and nowhere else.
-    pub fn answer_chunk_handles(&self, db: &str) -> (Arc<Counter>, Arc<Histogram>) {
-        let scope = self.shared.registry.scope(&tenant_scope(db));
-        (scope.counter("answers.bytes"), scope.histogram("answers.write.latency"))
-    }
-
-    /// Record the time from query receipt to the first answer row
-    /// reaching the wire (`answers.ttfr.latency`). The companion
-    /// counter counts streamed responses that produced ≥ 1 row.
-    pub fn record_time_to_first_row(&mut self, db: &str, elapsed: Duration) {
-        let (calls, latency) = self.pair(Some(db), Stem::TimeToFirstRow);
-        calls.inc();
-        latency.record_duration(elapsed);
-    }
-
-    /// A cursor was opened: bump the `cursors.open` gauge.
-    pub fn record_cursor_opened(&mut self, db: &str) {
-        let scope = self.shared.registry.scope(&tenant_scope(db));
-        scope.gauge("cursors.open").add(1);
+    /// The `cursors.open` gauge: cursors of this tenant some session
+    /// holds open.
+    pub fn cursors_open(&self) -> &Gauge {
+        self.cursors_open.get_or_init(|| self.scope().gauge("cursors.open"))
     }
 
     /// A cursor was released (CLOSE, session end, or staleness): drop
     /// the `cursors.open` gauge; staleness also counts in
     /// `cursors.stale`.
-    pub fn record_cursor_closed(&mut self, db: &str, stale: bool) {
-        let scope = self.shared.registry.scope(&tenant_scope(db));
-        scope.gauge("cursors.open").sub(1);
+    pub fn cursor_closed(&self, stale: bool) {
+        self.cursors_open().sub(1);
         if stale {
-            scope.counter("cursors.stale").inc();
+            self.cursors_stale.inc();
+        }
+    }
+
+    /// A replica's gauges: `replica.lag_bytes`, how far its applied
+    /// position trails the primary's log, and `replica.epoch`, the
+    /// primary log epoch it applies from.
+    pub fn replica(&self) -> &(Arc<Gauge>, Arc<Gauge>) {
+        self.replica.get_or_init(|| {
+            (self.scope().gauge("replica.lag_bytes"), self.scope().gauge("replica.epoch"))
+        })
+    }
+
+    /// The retained traces, oldest first.
+    pub fn recent_traces(&self) -> Vec<QueryTrace> {
+        self.traces.lock().unwrap().iter().cloned().collect()
+    }
+
+    /// Keep the newest `cap` traces (0 clears the ring).
+    pub(crate) fn trim_traces(&self, cap: usize) {
+        let mut ring = self.traces.lock().unwrap();
+        while ring.len() > cap {
+            ring.pop_front();
         }
     }
 }
@@ -350,50 +363,47 @@ impl SessionMetrics {
 /// Pull pulled-not-pushed values into gauges: per-tenant catalog and
 /// WAL stats, and the tenant count.
 /// Called just before a render so gauge values are current without
-/// any hot-path cost. `db` limits the refresh to one tenant.
-pub fn refresh(state: &ServerState, db: Option<&str>) {
-    let metrics = state.metrics();
-    if db.is_none() {
-        let server = metrics.server_scope();
+/// any hot-path cost. `only` limits the refresh to one tenant.
+fn refresh(state: &ServerState, only: Option<&Tenant>) {
+    let Some(tenant) = only else {
+        let server = state.metrics().server_scope();
         server.gauge("tenants").set(state.n_tenants() as u64);
-        server.gauge("slow-queries").set(metrics.slowlog().total());
+        server.gauge("slow-queries").set(state.metrics().slowlog().total());
         // injected storage faults (0 on an in-memory server, which has
         // no store to inject into — the gauge exists in both modes so
         // transcripts stay mode-independent)
         let injected = state.store().map_or(0, |s| s.fault_plan().injected());
         server.gauge("storage.faults.injected").set(injected);
+        for tenant in state.tenants() {
+            refresh(state, Some(&tenant));
+        }
+        return;
+    };
+    let scope = tenant.metrics().scope();
+    let (cat, wal) = tenant.read_meta();
+    scope.gauge("catalog.hits").set(cat.hits);
+    scope.gauge("catalog.misses").set(cat.misses);
+    scope.gauge("catalog.invalidations").set(cat.invalidations);
+    scope.gauge("catalog.cap-evictions").set(cat.cap_evictions);
+    scope.gauge("catalog.memo.views").set(cat.views as u64);
+    scope.gauge("catalog.memo.artifacts").set(cat.artifacts as u64);
+    scope.gauge("catalog.view-bytes").set(cat.view_bytes as u64);
+    if let Some(wal) = wal {
+        scope.gauge("storage.wal.appends").set(wal.appends);
+        scope.gauge("storage.wal.appended-bytes").set(wal.appended_bytes);
+        scope.gauge("storage.wal.syncs").set(wal.syncs);
     }
-    for tenant in state.tenants() {
-        if db.is_some_and(|want| want != tenant.name()) {
-            continue;
-        }
-        let scope = metrics.registry().scope(&tenant_scope(tenant.name()));
-        let (cat, wal) = tenant.read_meta();
-        scope.gauge("catalog.hits").set(cat.hits);
-        scope.gauge("catalog.misses").set(cat.misses);
-        scope.gauge("catalog.invalidations").set(cat.invalidations);
-        scope.gauge("catalog.cap-evictions").set(cat.cap_evictions);
-        scope.gauge("catalog.memo.views").set(cat.views as u64);
-        scope.gauge("catalog.memo.artifacts").set(cat.artifacts as u64);
-        scope.gauge("catalog.view-bytes").set(cat.view_bytes as u64);
-        if let Some(wal) = wal {
-            scope.gauge("storage.wal.appends").set(wal.appends);
-            scope.gauge("storage.wal.appended-bytes").set(wal.appended_bytes);
-            scope.gauge("storage.wal.syncs").set(wal.syncs);
-        }
-        if let Some(poisoned) = tenant.wal_poisoned() {
-            scope.gauge("storage.wal.poisoned").set(poisoned as u64);
-        }
-        scope.gauge("degraded").set(tenant.is_degraded() as u64);
+    if let Some(poisoned) = tenant.wal_poisoned() {
+        scope.gauge("storage.wal.poisoned").set(poisoned as u64);
     }
+    scope.gauge("degraded").set(tenant.is_degraded() as u64);
 }
 
 /// Refresh derived gauges and render the registry: all scopes, or only
-/// `db.<db>` when a tenant is named.
-pub fn render(state: &ServerState, db: Option<&str>) -> Vec<String> {
-    refresh(state, db);
-    let filter = db.map(tenant_scope);
-    state.metrics().registry().render(filter.as_deref())
+/// `only`'s when a tenant is named.
+pub fn render(state: &ServerState, only: Option<&Tenant>) -> Vec<String> {
+    refresh(state, only);
+    state.metrics().registry().render(only.map(|t| t.metrics().scope_name()))
 }
 
 #[cfg(test)]
@@ -409,18 +419,18 @@ mod tests {
     }
 
     #[test]
-    fn session_cache_reuses_handles() {
-        let shared = Arc::new(ServerMetrics::new());
-        let mut sm = SessionMetrics::new(Arc::clone(&shared));
-        sm.record_cmd(Some("t"), "count", Duration::from_micros(5));
-        sm.record_cmd(Some("t"), "count", Duration::from_micros(7));
-        sm.record_cmd(None, "ping", Duration::from_micros(1));
-        sm.record_op("t", "generic join (worst-case optimal)", Duration::from_micros(3));
-        sm.count("t", "budget.rejections");
-        assert_eq!((sm.server.len(), sm.tenants.len()), (1, 1));
-        assert_eq!(sm.tenants["t"].0, "db.t");
-        assert_eq!(sm.tenants["t"].1.len(), 2, "one pair per stem");
+    fn pairs_are_cached_per_stem_in_their_owners_scope() {
+        let shared = ServerMetrics::new();
+        let t = shared.register_tenant("t");
+        t.record_cmd("count", Duration::from_micros(5));
+        t.record_cmd("count", Duration::from_micros(7));
+        t.record_op("generic join (worst-case optimal)", Duration::from_micros(3));
+        shared.record_cmd("ping", Duration::from_micros(1));
+        t.budget_rejections.inc();
+        assert_eq!(t.pairs.cached.read().unwrap().len(), 2, "one pair per stem");
+        assert_eq!(shared.server.cached.read().unwrap().len(), 1);
         let scope = shared.registry().scope("db.t");
+        assert!(Arc::ptr_eq(&scope, t.scope()), "registered as db.t");
         assert_eq!(scope.counter_value("cmd.count.calls"), Some(2));
         assert_eq!(scope.counter_value("op.generic-join.calls"), Some(1));
         assert_eq!(scope.counter_value("budget.rejections"), Some(1));
@@ -431,8 +441,9 @@ mod tests {
     #[test]
     fn dropping_a_tenant_clears_its_scope() {
         let m = ServerMetrics::new();
-        m.registry().scope(&tenant_scope("gone")).counter("cmd.ping.calls").inc();
-        m.drop_tenant("gone");
+        let gone = m.register_tenant("gone");
+        gone.record_cmd("ping", Duration::from_micros(1));
+        m.drop_tenant(&gone);
         assert!(m.registry().render(Some("db.gone")).is_empty());
     }
 }

@@ -34,7 +34,6 @@
 //! `STATS` on a replica names its primary.
 
 use crate::client::Client;
-use crate::metrics;
 use crate::protocol::hex_decode;
 use crate::state::{ServerState, StateError, Tenant};
 use cq_data::Database;
@@ -188,7 +187,7 @@ fn pull_round(
     for name in &primary_tenants {
         let Ok(tenant) = state.tenant(name) else { continue };
         let pos = positions.entry(name.clone()).or_insert_with(Position::fresh);
-        progressed |= pull_tenant(state, c, name, &tenant, pos, stop)?;
+        progressed |= pull_tenant(c, name, &tenant, pos, stop)?;
     }
     Ok(progressed)
 }
@@ -197,7 +196,6 @@ fn pull_round(
 /// primary refuses / we are told to stop). Returns whether anything
 /// was applied.
 fn pull_tenant(
-    state: &ServerState,
     c: &mut Client,
     name: &str,
     tenant: &Tenant,
@@ -236,7 +234,7 @@ fn pull_tenant(
                     }
                 };
                 if bytes.is_empty() {
-                    publish_lag(state, name, pos, total);
+                    publish_lag(tenant, pos, total);
                     break; // caught up
                 }
                 pos.pending.extend_from_slice(&bytes);
@@ -257,7 +255,7 @@ fn pull_tenant(
                         continue;
                     }
                 }
-                publish_lag(state, name, pos, total);
+                publish_lag(tenant, pos, total);
                 if pos.offset >= total {
                     break;
                 }
@@ -285,7 +283,7 @@ fn pull_tenant(
                 tenant.apply_limits(TenantLimits::default());
                 *pos = Position { epoch, offset: 0, pending: Vec::new() };
                 progressed = true;
-                publish_lag(state, name, pos, pos.offset);
+                publish_lag(tenant, pos, pos.offset);
             }
             _ => break,
         }
@@ -321,8 +319,8 @@ fn apply_records(tenant: &Tenant, records: &[WalRecord]) -> Result<(), String> {
 }
 
 /// Publish the tenant's replication gauges.
-fn publish_lag(state: &ServerState, name: &str, pos: &Position, total: u64) {
-    let scope = state.metrics().registry().scope(&metrics::tenant_scope(name));
-    scope.gauge("replica.lag_bytes").set(total.saturating_sub(pos.offset));
-    scope.gauge("replica.epoch").set(pos.epoch);
+fn publish_lag(tenant: &Tenant, pos: &Position, total: u64) {
+    let (lag, epoch) = tenant.metrics().replica();
+    lag.set(total.saturating_sub(pos.offset));
+    epoch.set(pos.epoch);
 }

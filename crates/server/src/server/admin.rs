@@ -66,8 +66,8 @@ impl Session {
         // command QPS and error rate for this tenant, over the ring's
         // full span. `n/a` until two snapshots exist (`METRICS RATE` or
         // the periodic dumper capture them).
-        let scope_name = metrics::tenant_scope(name);
-        match self.state.metrics().history().rates(None, Some(&scope_name)) {
+        let scope_name = tenant.metrics().scope_name();
+        match self.state.metrics().history().rates(None, Some(scope_name)) {
             Some(report) => {
                 // fold from +0.0: an empty `Sum<f64>` is -0.0, which
                 // would render as `-0.000/s` for an idle tenant
@@ -99,11 +99,11 @@ impl Session {
         // something is wrong, so healthy primary transcripts (and
         // their goldens) are unchanged
         if let Some(primary) = self.state.replica_of() {
-            let scope = self.state.metrics().registry().scope(&scope_name);
+            let (lag, epoch) = tenant.metrics().replica();
             data.push(format!(
                 "replica: of {primary}, epoch {}, lag {} bytes",
-                scope.gauge("replica.epoch").get(),
-                scope.gauge("replica.lag_bytes").get()
+                epoch.get(),
+                lag.get()
             ));
         }
         if d.wal_poisoned == Some(true) {
@@ -119,10 +119,10 @@ impl Session {
 
     /// `METRICS [<name>]`: refresh derived gauges and dump the
     /// registry — every scope, or just one tenant's.
-    pub(super) fn metrics_dump(&mut self, db: Option<&str>) -> Handled {
-        let lines = metrics::render(&self.state, db);
-        let info = match db {
-            Some(name) => format!("metrics for {name}"),
+    pub(super) fn metrics_dump(&mut self, tenant: Option<&Tenant>) -> Handled {
+        let lines = metrics::render(&self.state, tenant);
+        let info = match tenant {
+            Some(t) => format!("metrics for {}", t.name()),
             None => "metrics".to_string(),
         };
         Ok(Reply::ok_with(lines, info))
@@ -135,14 +135,14 @@ impl Session {
     /// seeds the ring and reports `n/a`.
     pub(super) fn metrics_rate(
         &mut self,
-        db: Option<&str>,
+        tenant: Option<&Tenant>,
         window_s: Option<u64>,
     ) -> Handled {
-        let shared = self.metrics.shared();
+        let shared = self.state.metrics();
         shared.capture_history();
-        let scope_filter = db.map(metrics::tenant_scope);
         let window = window_s.map(Duration::from_secs);
-        let data = match shared.history().rates(window, scope_filter.as_deref()) {
+        let scope = tenant.map(|t| t.metrics().scope_name());
+        let data = match shared.history().rates(window, scope) {
             None => vec!["rate: n/a (need 2 metric snapshots)".to_string()],
             Some(report) => {
                 let mut data = vec![format!(
@@ -165,7 +165,7 @@ impl Session {
     /// pretty-prints them). Requires `cqd --profile N` (the gate's
     /// `Access::Traces` check).
     pub(super) fn profile(&mut self, tenant: &Tenant) -> Handled {
-        let traces = self.metrics.shared().recent_traces(tenant.name());
+        let traces = tenant.metrics().recent_traces();
         let mut data = Vec::new();
         for tr in &traces {
             data.push(format!(
@@ -276,7 +276,7 @@ mod tests {
         let r = s.handle_line("PROFILE t").unwrap();
         assert!(r.terminal.starts_with("ERR tracing-off:"), "{}", r.terminal);
         // enable tracing (as `cqd --profile 2` would) and run queries
-        s.state.metrics().set_profile_capacity(2);
+        s.state.set_profile_capacity(2);
         s.handle_line("COUNT q(x, y) :- R(x, y)");
         s.handle_line("ANSWERS q(x, y) :- R(x, y)");
         s.handle_line("DECIDE q() :- R(x, y)");
@@ -303,7 +303,7 @@ mod tests {
             r.data
         );
         // tracing off again clears retained traces
-        s.state.metrics().set_profile_capacity(0);
+        s.state.set_profile_capacity(0);
         let r = s.handle_line("PROFILE t").unwrap();
         assert!(r.terminal.starts_with("ERR tracing-off:"), "{}", r.terminal);
     }

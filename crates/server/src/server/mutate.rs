@@ -5,7 +5,6 @@
 //! replication pull surface `SHIP`.
 
 use super::session::{state_error, Handled, Mode, Session};
-use crate::metrics;
 use crate::protocol::{
     hex_encode, parse_row, BudgetSetting, ErrKind, Reply, END_KEYWORD,
 };
@@ -52,14 +51,10 @@ impl Session {
             return;
         };
         if tenant.wal_position().is_some_and(|(_, len)| len >= limit) {
-            let scope = self
-                .state
-                .metrics()
-                .registry()
-                .scope(&metrics::tenant_scope(tenant.name()));
+            let metrics = tenant.metrics();
             match tenant.checkpoint(store) {
-                Ok(_) => scope.counter("storage.auto-checkpoints").inc(),
-                Err(_) => scope.counter("storage.auto-checkpoint-failures").inc(),
+                Ok(_) => metrics.auto_checkpoints.inc(),
+                Err(_) => metrics.auto_checkpoint_failures.inc(),
             }
         }
     }
@@ -579,8 +574,7 @@ mod tests {
             (Session::new(Arc::clone(&state)), state)
         };
         let counter = |state: &ServerState, name: &str| {
-            let scope = state.metrics().registry().scope(&metrics::tenant_scope("d"));
-            scope.counter(name).get()
+            state.tenant("d").unwrap().metrics().scope().counter(name).get()
         };
         let wal_len = |state: &ServerState| {
             state.tenant("d").unwrap().wal_position().expect("a durable tenant").1

@@ -5,7 +5,6 @@
 
 use super::admin::push_span_lines;
 use super::session::{Handled, Mode, Session};
-use crate::metrics::SessionMetrics;
 use crate::protocol::{
     query_task, render_row_into, split_word, ErrKind, Reply, DATA_PREFIX, END_KEYWORD,
 };
@@ -60,25 +59,25 @@ pub(super) struct Watch {
 }
 
 impl Watch {
-    /// The reply for a failed evaluation of `plan`. A cancellation is
-    /// judged here, at the moment it surfaces: past the tenant's
-    /// deadline it was the deadline (counted in `timeouts`), otherwise
-    /// the client went away (`cancellations`). A deadline trip cites the
-    /// plan's cost exponent and the lower-bound hypothesis that makes
-    /// the cost unavoidable (the same citation as a budget rejection).
-    /// Anything else the engine reports is `ERR eval`.
+    /// The reply for a failed evaluation of `plan` on `tenant`. A
+    /// cancellation is judged here, at the moment it surfaces: past the
+    /// tenant's deadline it was the deadline (counted in its `timeouts`),
+    /// otherwise the client went away (`cancellations`). A deadline trip
+    /// cites the plan's cost exponent and the lower-bound hypothesis that
+    /// makes the cost unavoidable (the same citation as a budget
+    /// rejection). Anything else the engine reports is `ERR eval`.
     pub(super) fn failure(
         &self,
         e: EvalError,
-        sm: &mut SessionMetrics,
-        db: &str,
+        tenant: &Tenant,
         plan: &QueryPlan,
     ) -> Reply {
         if e != EvalError::Cancelled {
             return Reply::err(ErrKind::Eval, e);
         }
         let timed_out = self.deadline.is_some_and(|d| Instant::now() >= d);
-        sm.count(db, if timed_out { "timeouts" } else { "cancellations" });
+        let metrics = tenant.metrics();
+        if timed_out { &metrics.timeouts } else { &metrics.cancellations }.inc();
         let elapsed = self.started.elapsed().as_millis();
         let msg = if timed_out {
             format!(
@@ -141,7 +140,9 @@ impl CursorPin {
 /// and the receipt time behind the time-to-first-row metric).
 pub struct AnswerFlow {
     answers: Answers,
-    db: String,
+    /// The tenant the response reads, and records its rows, bytes,
+    /// failures and trace in.
+    tenant: Arc<Tenant>,
     plan: QueryPlan,
     watch: Watch,
     /// The per-query trace this flow's spans record into (disabled
@@ -196,7 +197,7 @@ impl Session {
         mut flow: AnswerFlow,
         mut emit: impl FnMut(&[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<Reply> {
-        let (bytes_served, sink_latency) = self.metrics.answer_chunk_handles(&flow.db);
+        let metrics = flow.tenant.metrics();
         let mut chunk: Vec<u8> = Vec::new();
         let mut budget = STREAM_FIRST_CHUNK_BYTES;
         let mut pending: u64 = 0; // rows rendered into `chunk`
@@ -215,15 +216,16 @@ impl Session {
             };
             if chunk.len() >= budget || (end.is_some() && !chunk.is_empty()) {
                 if served == 0 {
-                    self.metrics
-                        .record_time_to_first_row(&flow.db, flow.watch.started.elapsed());
+                    let (calls, latency) = &metrics.time_to_first_row;
+                    calls.inc();
+                    latency.record_duration(flow.watch.started.elapsed());
                 }
                 let sent = Instant::now();
                 if let Err(e) = emit(&chunk) {
                     break Err(e);
                 }
-                sink_latency.record_duration(sent.elapsed());
-                bytes_served.add(chunk.len() as u64);
+                metrics.answer_write.record_duration(sent.elapsed());
+                metrics.answer_bytes.add(chunk.len() as u64);
                 served += pending;
                 pending = 0;
                 chunk.clear();
@@ -233,15 +235,13 @@ impl Session {
                 break Ok(end);
             }
         };
-        self.metrics.record_answer_rows(&flow.db, served);
+        metrics.answer_rows.add(served);
         let result = match outcome {
             Ok(Ok(())) => Ok(Reply::ok(format!("{served} rows"))),
-            Ok(Err(e)) => {
-                Ok(flow.watch.failure(e, &mut self.metrics, &flow.db, &flow.plan))
-            }
+            Ok(Err(e)) => Ok(flow.watch.failure(e, &flow.tenant, &flow.plan)),
             Err(io) => {
                 // the client hung up mid-drain: nobody reads a terminal
-                self.metrics.count(&flow.db, "cancellations");
+                metrics.cancellations.inc();
                 Err(io)
             }
         };
@@ -252,10 +252,10 @@ impl Session {
         // and drain both visible), then finish the sink into the
         // tenant's PROFILE ring; a disabled sink (profiling off)
         // finishes to `None` and nothing is retained
-        let AnswerFlow { answers, trace, db, query, .. } = flow;
+        let AnswerFlow { answers, trace, tenant, query, .. } = flow;
         drop(answers);
-        if let Some(tr) = trace.finish(&db, &query) {
-            self.metrics.shared().push_trace(tr);
+        if let Some(tr) = trace.finish(tenant.name(), &query) {
+            self.state.metrics().push_trace(tenant.metrics(), tr);
         }
         result
     }
@@ -327,7 +327,7 @@ impl Session {
 
     pub(super) fn eval_query(
         &mut self,
-        tenant: &Tenant,
+        tenant: &Arc<Tenant>,
         task: Task,
         src: &str,
     ) -> Handled {
@@ -342,7 +342,7 @@ impl Session {
                 // into a cursorless collect — pull by pull
                 self.pending_flow = Some(AnswerFlow {
                     answers,
-                    db: tenant.name().to_string(),
+                    tenant: Arc::clone(tenant),
                     plan,
                     watch,
                     trace: trace::current(),
@@ -393,16 +393,15 @@ impl Session {
         // admission control: reject over-budget plans before any
         // execution work, citing the lower bound that justifies it
         if let Some(reason) = tenant.budget().violation(&plan) {
-            self.metrics.count(tenant.name(), "budget.rejections");
+            tenant.metrics().budget_rejections.inc();
             return Err(budget_reply(&reason, &plan));
         }
         let ctx = EvalCtx::new().with_catalog(catalog).with_cancel(watch.token.clone());
         let start = Instant::now();
         let result = ctx.execute(&plan, q, db);
         let elapsed = start.elapsed();
-        let sm = &mut self.metrics;
-        sm.record_op(tenant.name(), plan.op.name(), elapsed);
-        let slowlog = sm.shared().slowlog();
+        tenant.metrics().record_op(plan.op.name(), elapsed);
+        let slowlog = self.state.metrics().slowlog();
         if slowlog.should_record(elapsed) {
             // peek (non-draining) at the in-flight trace: the
             // session-level sink closes after this, and the log
@@ -423,7 +422,7 @@ impl Session {
         }
         match result {
             Ok(out) => Ok((out, plan)),
-            Err(e) => Err(watch.failure(e, sm, tenant.name(), &plan)),
+            Err(e) => Err(watch.failure(e, tenant, &plan)),
         }
     }
 
@@ -463,7 +462,7 @@ impl Session {
         answers.set_cancel(CancelToken::never());
         let id = self.next_cursor_id;
         self.next_cursor_id += 1;
-        self.metrics.record_cursor_opened(tenant.name());
+        tenant.metrics().cursors_open().add(1);
         let tenant = Arc::clone(tenant);
         self.cursors.insert(id, CursorEntry { tenant, pin, plan, answers });
         Ok(Reply::ok(format!("cursor {id}")))
@@ -482,7 +481,7 @@ impl Session {
         };
         if stale {
             let entry = self.cursors.remove(&id).expect("present above");
-            self.metrics.record_cursor_closed(entry.tenant.name(), true);
+            entry.tenant.metrics().cursor_closed(true);
             return Err(Reply::err(
                 ErrKind::StaleCursor,
                 format!(
@@ -513,7 +512,7 @@ impl Session {
             lines.push(b'\n');
         });
         let data: Vec<String> = rendered_lines(&lines).map(str::to_string).collect();
-        self.metrics.record_answer_rows(tenant.name(), data.len() as u64);
+        tenant.metrics().answer_rows.add(data.len() as u64);
         match outcome {
             Ok(eof) => {
                 let n = data.len();
@@ -522,8 +521,7 @@ impl Session {
                 Ok(Reply::ok_with(data, info))
             }
             Err(e) => {
-                let terminal =
-                    watch.failure(e, &mut self.metrics, tenant.name(), &entry.plan);
+                let terminal = watch.failure(e, &tenant, &entry.plan);
                 Err(Reply { data, terminal: terminal.terminal })
             }
         }
@@ -549,7 +547,7 @@ impl Session {
     /// `CLOSE <id>`: release a cursor and its pinned artifacts.
     pub(super) fn close_cursor(&mut self, id: u64) -> Handled {
         let entry = self.cursors.remove(&id).ok_or_else(|| no_such_cursor(id))?;
-        self.metrics.record_cursor_closed(entry.tenant.name(), false);
+        entry.tenant.metrics().cursor_closed(false);
         Ok(Reply::ok(format!("closed cursor {id}")))
     }
 
@@ -590,9 +588,8 @@ impl Session {
             // on drop, so the measured output below sees the full drain
             Output::Answers(mut answers) => {
                 let mut n: u64 = 0;
-                pull_rows(&mut answers, u64::MAX, |_| n += 1).map_err(|e| {
-                    watch.failure(e, &mut self.metrics, tenant.name(), &plan)
-                })?;
+                pull_rows(&mut answers, u64::MAX, |_| n += 1)
+                    .map_err(|e| watch.failure(e, tenant, &plan))?;
                 n
             }
         };
@@ -617,9 +614,7 @@ impl Session {
                     sp.elapsed.as_secs_f64() * 1e3
                 )
             });
-            if self.metrics.shared().profiling() {
-                self.metrics.shared().push_trace(tr);
-            }
+            self.state.metrics().push_trace(tenant.metrics(), tr);
         }
         Ok(Reply::ok_with(data, "analyzed"))
     }
@@ -681,9 +676,8 @@ impl Session {
         match self.execute_locked(tenant, locked, task, src, &q, watch)? {
             (Output::Answers(mut answers), plan) => {
                 let mut rows: u64 = 0;
-                pull_rows(&mut answers, u64::MAX, |_| rows += 1).map_err(|e| {
-                    watch.failure(e, &mut self.metrics, tenant.name(), &plan)
-                })?;
+                pull_rows(&mut answers, u64::MAX, |_| rows += 1)
+                    .map_err(|e| watch.failure(e, tenant, &plan))?;
                 Ok(format!("OK {rows} rows"))
             }
             (out, _) => Ok(render_output(out).terminal),
@@ -1425,7 +1419,7 @@ mod tests {
     #[test]
     fn a_client_that_hangs_up_mid_drain_stays_on_the_books() {
         let mut s = session_with_unary(160_000);
-        s.state.metrics().set_profile_capacity(4);
+        s.state.set_profile_capacity(4);
         let flow = stream_of(&mut s, UNARY);
         // room for the first two chunks of the ramp, not the third
         let chunks = ramp_model(160_000, UNARY_ROW);
@@ -1643,14 +1637,14 @@ mod tests {
             let mut s = session();
             s.handle_line("CREATE DB t");
             s.handle_line("USE t");
-            s.state.metrics().set_profile_capacity(4);
+            s.state.set_profile_capacity(4);
             for (a, b) in &pairs {
                 s.handle_line(&format!("INSERT Edge({a}, {b})"));
             }
             let r = s.handle_line("ANSWERS q(x, y) :- Edge(x, y)").unwrap();
             prop_assert!(r.is_ok(), "{}", r.terminal);
             let emitted = r.data.len() as u64;
-            let traces = s.state.metrics().recent_traces("t");
+            let traces = s.state.tenant("t").unwrap().metrics().recent_traces();
             let tr = traces.last().expect("the ANSWERS query was traced");
             let mut stream_rows = None;
             tr.visit(|_, sp| {
@@ -1667,7 +1661,7 @@ mod tests {
             let counted: u64 =
                 r.terminal.strip_prefix("OK ").unwrap().parse().unwrap();
             prop_assert_eq!(counted, emitted, "COUNT agrees with the drain");
-            let traces = s.state.metrics().recent_traces("t");
+            let traces = s.state.tenant("t").unwrap().metrics().recent_traces();
             let tr = traces.last().expect("the COUNT query was traced");
             let mut exec_rows = None;
             tr.visit(|_, sp| {

@@ -6,7 +6,6 @@
 
 use super::query::{AnswerFlow, BatchItem, CursorEntry};
 use super::stmt::Statements;
-use crate::metrics::SessionMetrics;
 use crate::protocol::{parse_command, Command, ErrKind, Reply};
 use crate::state::{ServerState, StateError, Tenant};
 use cq_data::Val;
@@ -52,22 +51,32 @@ pub(super) enum Mode {
 }
 
 /// Which tenant a verb addresses: what the gate resolves before the
-/// handler runs, and which metric scope counts the command.
+/// handler runs, and which tenant's metrics count the command.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(super) enum Addr {
     /// The server as a whole — no tenant; counted in the `server` scope.
     Server,
     /// The session's `USE`d tenant (`ERR no-db` without one, `ERR
-    /// no-such-db` once it was dropped); counted in its `db.<name>`
-    /// scope.
+    /// no-such-db` once it was dropped); counted by that tenant.
     Current,
-    /// An open cursor of this session (`FETCH`/`SEEK`/`CLOSE`): the
-    /// cursor pins its own tenant and answers for its staleness, so the
-    /// gate resolves nothing; counted like [`Addr::Current`].
+    /// An open cursor of this session (`FETCH`/`SEEK`/`CLOSE`), named by
+    /// its id: the cursor pins its own tenant and answers for its
+    /// staleness, so the gate resolves nothing. Counted by the cursor's
+    /// tenant — whichever tenant the session uses now, and whether or
+    /// not that one was dropped since — and, for an id the session has
+    /// no cursor under, like [`Addr::Current`].
     Cursor,
     /// A tenant named in the command (`ERR no-such-db` for an unknown
     /// name); counted in the `server` scope.
     Named,
+}
+
+/// What a row's request names beside its arguments: the tenant of an
+/// [`Addr::Named`] row, the cursor of an [`Addr::Cursor`] row.
+#[derive(Clone, Copy, Debug)]
+pub(super) enum Target<'a> {
+    Named(&'a str),
+    Cursor(u64),
 }
 
 /// What a verb does to what it addresses — which gates it must pass.
@@ -99,11 +108,12 @@ pub(super) struct Verb {
 /// The verb table. One row per verb:
 ///
 /// ```text
-/// <command pattern> => <slug>, <Addr>[(<name>)], <Access>, |s[, t]| <handler>;
+/// <command pattern> => <slug>, <Addr>[(<target>)], <Access>, |s[, t]| <handler>;
 /// ```
 ///
-/// `Named` rows give the expression naming their tenant; rows that
-/// address a tenant (`Current`, `Named`) bind it as `t`. A verb whose
+/// `Named` rows give the expression naming their tenant, `Cursor` rows
+/// the cursor id ([`Target`]); rows that address a tenant (`Current`,
+/// `Named`) bind it as `t`. A verb whose
 /// name is optional (`STATS`, `METRICS`, `SHIP`) is two rows: the bare
 /// form addresses the server, the named form a tenant. The macro
 /// expands to [`VERBS`] (the rows as data, for block completion and the
@@ -111,7 +121,7 @@ pub(super) struct Verb {
 /// through [`Session::serve`] — a verb cannot be added without stating
 /// its gates, and cannot run without passing them.
 macro_rules! verb_table {
-    ($($cmd:pat => $slug:literal, $addr:ident $(($name:expr))?, $access:ident,
+    ($($cmd:pat => $slug:literal, $addr:ident $(($target:expr))?, $access:ident,
         |$s:ident $(, $t:ident)?| $handler:expr;)+) => {
         /// Every row of the verb table, in table order.
         pub(super) const VERBS: &[Verb] =
@@ -124,8 +134,8 @@ macro_rules! verb_table {
                     $cmd => {
                         let verb =
                             Verb { slug: $slug, addr: Addr::$addr, access: Access::$access };
-                        let name = None$(.or(Some::<&str>($name)))?;
-                        self.serve(verb, name, line, |$s, _tenant| {
+                        let target = None$(.or(Some(Target::$addr($target))))?;
+                        self.serve(verb, target, line, |$s, _tenant| {
                             $(let $t = _tenant.expect("the gate resolved this verb's tenant");)?
                             $handler
                         })
@@ -161,19 +171,19 @@ verb_table! {
         |s, t| s.explain_analyze(t, task, &src);
     Command::Cursor { task, src } => "cursor", Current, Read,
         |s, t| s.open_cursor(t, task, &src);
-    Command::Fetch { id, n } => "fetch", Cursor, Read, |s| s.fetch(id, n);
-    Command::SeekCursor { id, k } => "seek", Cursor, Read, |s| s.seek_cursor(id, k);
-    Command::CloseCursor { id } => "close", Cursor, Read, |s| s.close_cursor(id);
+    Command::Fetch { id, n } => "fetch", Cursor(id), Read, |s| s.fetch(id, n);
+    Command::SeekCursor { id, k } => "seek", Cursor(id), Read, |s| s.seek_cursor(id, k);
+    Command::CloseCursor { id } => "close", Cursor(id), Read, |s| s.close_cursor(id);
     Command::Batch => "batch", Current, Read, |s, _t| s.open_batch();
     Command::Stats { db: None } => "stats", Server, Read, |s| s.stats_summary();
     Command::Stats { db: Some(db) } => "stats", Named(&db), Read, |s, t| s.stats_detail(t);
     Command::Metrics { db: None } => "metrics", Server, Read, |s| s.metrics_dump(None);
     Command::Metrics { db: Some(db) } => "metrics", Named(&db), Read,
-        |s, t| s.metrics_dump(Some(t.name()));
+        |s, t| s.metrics_dump(Some(t));
     Command::MetricsRate { db: None, window_s } => "metrics-rate", Server, Read,
         |s| s.metrics_rate(None, window_s);
     Command::MetricsRate { db: Some(db), window_s } => "metrics-rate", Named(&db), Read,
-        |s, t| s.metrics_rate(Some(t.name()), window_s);
+        |s, t| s.metrics_rate(Some(t), window_s);
     Command::Profile { db } => "profile", Named(&db), Traces, |s, t| s.profile(t);
     Command::SetBudget { db, setting } => "set-budget", Named(&db), Write,
         |s, t| s.set_budget(t, setting);
@@ -193,9 +203,6 @@ pub struct Session {
     pub(super) current: Option<Arc<Tenant>>,
     pub(super) mode: Mode,
     finished: bool,
-    /// Cached metric handles (see [`SessionMetrics`]); recording on
-    /// the warm path is lock-free.
-    pub(super) metrics: SessionMetrics,
     /// Connection-liveness probe polled during evaluation: `true`
     /// means the client is gone and in-flight work should be cancelled.
     pub(super) cancel_probe: Option<Arc<dyn Fn() -> bool + Send + Sync>>,
@@ -214,13 +221,11 @@ pub struct Session {
 impl Session {
     /// A fresh session over shared server state.
     pub fn new(state: Arc<ServerState>) -> Session {
-        let metrics = SessionMetrics::new(Arc::clone(state.metrics()));
         Session {
             state,
             current: None,
             mode: Mode::Idle,
             finished: false,
-            metrics,
             cancel_probe: None,
             cursors: HashMap::new(),
             next_cursor_id: 0,
@@ -320,7 +325,7 @@ impl Session {
     /// (`LOAD`/`BATCH` `END`), stream terminals, and panics included.
     pub(super) fn count_error(&self, reply: &Reply) {
         if let Some(kind) = reply.err_kind() {
-            self.metrics.shared().record_error(kind.as_str());
+            self.state.metrics().record_error(kind);
         }
     }
 
@@ -369,53 +374,53 @@ impl Session {
     /// verb to its handler. Resolves the tenant and applies the gates
     /// ([`Session::gate`]), runs tenant-scoped verbs under a fresh
     /// trace sink when the server profiles, and counts the command and
-    /// its error in the scope the row's addressing names.
+    /// its error in the tenant the row's addressing names.
     fn serve(
         &mut self,
         verb: Verb,
-        name: Option<&str>,
+        to: Option<Target>,
         line: &str,
         handler: impl FnOnce(&mut Session, Option<&Arc<Tenant>>) -> Handled,
     ) -> Reply {
         let start = Instant::now();
+        // taken before the handler, which may close or evict the cursor
+        let cursor_tenant = match to {
+            Some(Target::Cursor(id)) => self.cursors.get(&id).map(|c| c.tenant.clone()),
+            _ => None,
+        };
         let run = |s: &mut Session| {
-            s.gate(verb, name).and_then(|t| handler(s, t.as_ref())).unwrap_or_else(|e| e)
+            s.gate(verb, to).and_then(|t| handler(s, t.as_ref())).unwrap_or_else(|e| e)
         };
         // when the server profiles (`cqd --profile N`), tenant-scoped
         // commands run under a fresh trace sink; the finished trace
         // lands in the tenant's PROFILE ring. With profiling off the
         // sink is never installed and every span is a no-op.
         let tenant_scoped = matches!(verb.addr, Addr::Current | Addr::Cursor);
-        let reply = if tenant_scoped && self.metrics.shared().profiling() {
-            let sink = TraceSink::enabled();
-            let reply = trace::with(&sink, || run(self));
-            // a streamed reply keeps its spans open until the drain
-            // drops the stream, so the flow (which captured this sink
-            // at construction) finishes the trace instead — see
-            // `pump_flow`
-            if self.pending_flow.is_none() {
-                if let Some(t) = &self.current {
-                    if let Some(tr) = sink.finish(t.name(), line) {
-                        self.metrics.shared().push_trace(tr);
-                    }
-                }
-            }
-            reply
-        } else {
-            run(self)
+        let traced = tenant_scoped && self.state.metrics().profiling();
+        let sink = if traced { TraceSink::enabled() } else { TraceSink::disabled() };
+        let reply = if traced { trace::with(&sink, || run(self)) } else { run(self) };
+        // tenant-addressed commands count in their tenant (QPS per
+        // command per database) — the current one as the gate left it,
+        // which lets go of a dropped tenant — the rest in the server
+        // scope
+        let tenant = cursor_tenant.as_ref().or(self.current.as_ref());
+        let Some(tenant) = tenant.filter(|_| tenant_scoped) else {
+            self.state.metrics().record_cmd(verb.slug, start.elapsed());
+            return reply;
         };
-        // tenant-addressed commands count in the tenant's scope (QPS
-        // per command per database); the rest in the server scope
-        let db = match (&self.current, tenant_scoped) {
-            (Some(t), true) => {
-                if !reply.is_ok() {
-                    self.metrics.count(t.name(), "errors");
-                }
-                Some(t.name())
+        let metrics = tenant.metrics();
+        // a streamed reply keeps its spans open until the drain drops
+        // the stream, so the flow (which captured this sink at
+        // construction) finishes the trace instead — see `pump_flow`
+        if self.pending_flow.is_none() {
+            if let Some(tr) = sink.finish(tenant.name(), line) {
+                self.state.metrics().push_trace(metrics, tr);
             }
-            _ => None,
-        };
-        self.metrics.record_cmd(db, verb.slug, start.elapsed());
+        }
+        if !reply.is_ok() {
+            metrics.errors.inc();
+        }
+        metrics.record_cmd(verb.slug, start.elapsed());
         reply
     }
 
@@ -436,7 +441,7 @@ impl Session {
     pub(super) fn gate(
         &mut self,
         verb: Verb,
-        name: Option<&str>,
+        target: Option<Target>,
     ) -> Result<Option<Arc<Tenant>>, Reply> {
         match verb.access {
             Access::Write | Access::Repair => {
@@ -450,7 +455,7 @@ impl Session {
                     ));
                 }
             }
-            Access::Traces if !self.metrics.shared().profiling() => {
+            Access::Traces if !self.state.metrics().profiling() => {
                 return Err(Reply::err(
                     ErrKind::TracingOff,
                     "per-query tracing is off; start cqd with --profile <n>",
@@ -479,7 +484,9 @@ impl Session {
                 Some(t) => Arc::clone(t),
             },
             Addr::Named => {
-                let name = name.expect("Named rows name their tenant");
+                let Some(Target::Named(name)) = target else {
+                    unreachable!("Named rows name their tenant")
+                };
                 self.state.tenant(name).map_err(|e| state_error(name, e))?
             }
         };
@@ -516,7 +523,7 @@ impl Drop for Session {
         // a vanished connection releases its cursors — the open-cursor
         // gauge must not count the dead
         for (_, entry) in std::mem::take(&mut self.cursors) {
-            self.metrics.record_cursor_closed(entry.tenant.name(), false);
+            entry.tenant.metrics().cursor_closed(false);
         }
     }
 }
@@ -693,7 +700,7 @@ mod tests {
         for verb in VERBS.iter().filter(|v| matches!(v.addr, Addr::Current | Addr::Named))
         {
             let state = state_with_t();
-            state.metrics().set_profile_capacity(1); // PROFILE's own gate
+            state.set_profile_capacity(1); // PROFILE's own gate
             state.tenant("t").unwrap().set_degraded("wal append failed: disk full");
             let mut s = Session::new(state);
             s.handle_line("USE t");
@@ -720,7 +727,7 @@ mod tests {
                 // the one gate that outranks name resolution
                 let reply = ask(&mut s, verb, "nosuch");
                 assert_eq!(reply.err_kind(), Some(ErrKind::TracingOff), "{verb:?}");
-                s.state.metrics().set_profile_capacity(1);
+                s.state.set_profile_capacity(1);
             }
             assert_eq!(
                 ask(&mut s, verb, "nosuch").terminal,
@@ -733,7 +740,7 @@ mod tests {
     #[test]
     fn every_verb_is_counted_once_in_the_scope_its_addressing_names() {
         let state = state_with_t();
-        state.metrics().set_profile_capacity(1);
+        state.set_profile_capacity(1);
         let mut s = Session::new(Arc::clone(&state));
         s.handle_line("USE t");
         // DROP DB forgets the tenant's scope and QUIT ends the session:
@@ -750,6 +757,84 @@ mod tests {
             assert_eq!([after[0] - before[0], after[1] - before[1]], want, "{verb:?}");
         }
         assert!(s.finished());
+    }
+
+    /// The `METRICS` lines of tenant scope `db.<db>`.
+    fn scope_lines(state: &Arc<ServerState>, db: &str) -> Vec<String> {
+        let r = Session::new(Arc::clone(state)).handle_line("METRICS").unwrap();
+        let prefix = format!("db.{db} ");
+        r.data.into_iter().filter(|l| l.starts_with(&prefix)).collect()
+    }
+
+    #[test]
+    fn a_recreated_tenant_counts_the_commands_of_a_session_that_used_its_namesake() {
+        let state = state_with_t();
+        let mut s = Session::new(Arc::clone(&state));
+        for line in ["USE t", "INSERT R(1, 2)", "DROP DB t", "CREATE DB t", "USE t"] {
+            assert!(s.handle_line(line).unwrap().is_ok(), "{line}");
+        }
+        assert!(s.handle_line("INSERT R(1, 2)").unwrap().is_ok());
+        let lines = scope_lines(&state, "t");
+        assert!(lines.iter().any(|l| l == "db.t cmd.insert.calls=1"), "{lines:?}");
+    }
+
+    #[test]
+    fn a_cursor_of_a_dropped_tenant_brings_no_scope_back() {
+        let state = state_with_t();
+        let mut s = Session::new(Arc::clone(&state));
+        s.handle_line("USE t");
+        for id in 0..2 {
+            let r = s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)").unwrap();
+            assert_eq!(r.terminal, format!("OK cursor {id}"));
+        }
+        Session::new(Arc::clone(&state)).handle_line("DROP DB t");
+        let r = s.handle_line("FETCH 0 1").unwrap();
+        assert_eq!(r.err_kind(), Some(ErrKind::StaleCursor), "{}", r.terminal);
+        assert_eq!(scope_lines(&state, "t"), Vec::<String>::new());
+        // a session ending with a cursor open releases it into its tenant
+        drop(s);
+        assert_eq!(scope_lines(&state, "t"), Vec::<String>::new());
+        let stats = Session::new(Arc::clone(&state)).handle_line("STATS").unwrap();
+        assert_eq!(stats.data[0], "tenants: 0");
+    }
+
+    #[test]
+    fn a_command_refused_on_a_tenant_another_session_dropped_brings_no_scope_back() {
+        let state = state_with_t();
+        let mut s = Session::new(Arc::clone(&state));
+        s.handle_line("USE t");
+        Session::new(Arc::clone(&state)).handle_line("DROP DB t");
+        for line in ["FETCH 7 1", "SEEK 7 0", "CLOSE 7"] {
+            let r = s.handle_line(line).unwrap();
+            assert_eq!(
+                r.err_kind(),
+                Some(ErrKind::NoSuchCursor),
+                "{line}: {}",
+                r.terminal
+            );
+        }
+        assert_eq!(scope_lines(&state, "t"), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_cursor_verb_counts_in_the_cursors_tenant_whichever_the_session_uses() {
+        let state = state_with_t();
+        let mut s = Session::new(Arc::clone(&state));
+        s.handle_line("USE t");
+        s.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)");
+        for line in ["CREATE DB u", "USE u", "FETCH 0 1"] {
+            assert!(s.handle_line(line).unwrap().is_ok(), "{line}");
+        }
+        // enumeration has no random access: a refusal, counted in `t` too
+        let r = s.handle_line("SEEK 0 0").unwrap();
+        assert_eq!(r.err_kind(), Some(ErrKind::Unsupported), "{}", r.terminal);
+        assert!(s.handle_line("CLOSE 0").unwrap().is_ok());
+        for verb in ["fetch", "seek", "close"] {
+            let counted = [calls(&state, "db.t", verb), calls(&state, "db.u", verb)];
+            assert_eq!(counted, [1, 0], "{verb}");
+        }
+        let errors = |db: &str| state.tenant(db).unwrap().metrics().errors.get();
+        assert_eq!([errors("t"), errors("u")], [1, 0]);
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //! and flagged, so sessions still holding it get a structured error
 //! instead of mutating a ghost.
 
-use crate::metrics::ServerMetrics;
+use crate::metrics::{ServerMetrics, TenantMetrics};
 use cq_data::{CatalogStats, Database, IndexCatalog};
 use cq_storage::{
     Applied, ArityConflict, GroupGate, Store, StoreError, TenantLimits, WalRecord,
@@ -82,6 +82,9 @@ pub struct Tenant {
     /// Group-commit gate: coalesces concurrent committers' fsyncs when
     /// the server's [`WritePolicy`] asks for durable acks.
     group: GroupGate,
+    /// The tenant's own metrics scope, handles and `PROFILE` ring:
+    /// whoever holds the tenant records through it.
+    metrics: TenantMetrics,
     slot: RwLock<TenantDb>,
 }
 
@@ -137,7 +140,12 @@ impl TenantDb {
 }
 
 impl Tenant {
-    fn new(name: &str, db: Database, wal: Option<WalWriter>) -> Tenant {
+    fn new(
+        name: &str,
+        db: Database,
+        wal: Option<WalWriter>,
+        obs: &ServerMetrics,
+    ) -> Self {
         Tenant {
             name: name.to_string(),
             dropped: AtomicBool::new(false),
@@ -146,6 +154,7 @@ impl Tenant {
             timeout_ms: AtomicU64::new(TenantLimits::UNSET),
             degraded: Mutex::new(None),
             group: GroupGate::new(),
+            metrics: obs.register_tenant(name),
             slot: RwLock::new(TenantDb { db, catalog: IndexCatalog::new(), wal }),
         }
     }
@@ -153,6 +162,12 @@ impl Tenant {
     /// The tenant's name.
     pub fn name(&self) -> &str {
         &self.name
+    }
+
+    /// The tenant's metrics: its `db.<name>` scope and the handles every
+    /// command, cursor and stream of the tenant records through.
+    pub fn metrics(&self) -> &TenantMetrics {
+        &self.metrics
     }
 
     /// The current admission-control budget.
@@ -509,7 +524,7 @@ pub struct ServerState {
     /// `Some` iff the server runs with a data directory.
     store: Option<Arc<Store>>,
     /// Process-wide metrics registry and slow-query log.
-    metrics: Arc<ServerMetrics>,
+    metrics: ServerMetrics,
     /// Group-commit and auto-checkpoint knobs; set at boot, read per
     /// mutation.
     policy: RwLock<WritePolicy>,
@@ -528,17 +543,18 @@ impl Default for ServerState {
 impl ServerState {
     /// An empty in-memory registry (no durability).
     pub fn new() -> ServerState {
-        ServerState::over(BTreeMap::new(), None)
+        ServerState::over(BTreeMap::new(), None, ServerMetrics::new())
     }
 
     fn over(
         tenants: BTreeMap<String, Arc<Tenant>>,
         store: Option<Arc<Store>>,
+        metrics: ServerMetrics,
     ) -> ServerState {
         ServerState {
             tenants: RwLock::new(tenants),
             store,
-            metrics: Arc::new(ServerMetrics::new()),
+            metrics,
             policy: RwLock::default(),
             replica_of: RwLock::default(),
         }
@@ -552,6 +568,7 @@ impl ServerState {
         store: Store,
     ) -> Result<(ServerState, Vec<RecoveredTenant>), StoreError> {
         let store = Arc::new(store);
+        let metrics = ServerMetrics::new();
         let mut tenants = BTreeMap::new();
         let mut report = Vec::new();
         for name in store.tenant_names()? {
@@ -565,7 +582,7 @@ impl ServerState {
                 torn_bytes: recovery.torn_bytes,
                 stale_records: recovery.stale_records,
             });
-            let tenant = Arc::new(Tenant::new(&name, db, Some(wal)));
+            let tenant = Arc::new(Tenant::new(&name, db, Some(wal), &metrics));
             // persisted `SET BUDGET` / `SET TIMEOUT` limits survive
             // the restart
             if let Some(limits) = recovery.limits {
@@ -573,7 +590,7 @@ impl ServerState {
             }
             tenants.insert(name.clone(), tenant);
         }
-        Ok((ServerState::over(tenants, Some(store)), report))
+        Ok((ServerState::over(tenants, Some(store), metrics), report))
     }
 
     /// The backing store, when the server is persistent.
@@ -582,7 +599,7 @@ impl ServerState {
     }
 
     /// The server's metrics registry and slow-query log.
-    pub fn metrics(&self) -> &Arc<ServerMetrics> {
+    pub fn metrics(&self) -> &ServerMetrics {
         &self.metrics
     }
 
@@ -631,7 +648,7 @@ impl ServerState {
             ),
             None => None,
         };
-        let t = Arc::new(Tenant::new(name, Database::new(), wal));
+        let t = Arc::new(Tenant::new(name, Database::new(), wal, &self.metrics));
         map.insert(name.to_string(), Arc::clone(&t));
         Ok(t)
     }
@@ -641,12 +658,13 @@ impl ServerState {
     /// delete its directory. In-flight evaluations on other sessions
     /// finish safely on their `Arc`.
     pub fn drop_db(&self, name: &str) -> Result<(), StateError> {
-        let tenant = {
-            let mut map = self.tenants.write().unwrap_or_else(|p| p.into_inner());
-            map.remove(name).ok_or(StateError::NoSuchDb)?
-        };
+        let mut map = self.tenants.write().unwrap_or_else(|p| p.into_inner());
+        let tenant = map.remove(name).ok_or(StateError::NoSuchDb)?;
+        // under the map's lock, so a namesake created next registers
+        // after this scope is gone
+        self.metrics.drop_tenant(&tenant.metrics);
+        drop(map);
         tenant.dropped.store(true, Ordering::SeqCst);
-        self.metrics.drop_tenant(name);
         if let Some(store) = &self.store {
             // registry removal already happened; a disk error leaves
             // stale files behind but the tenant is gone either way
@@ -673,6 +691,16 @@ impl ServerState {
     /// Number of tenants.
     pub fn n_tenants(&self) -> usize {
         self.map().len()
+    }
+
+    /// Enable (or resize) per-tenant trace retention for `PROFILE`.
+    /// Shrinking evicts each tenant's oldest traces; 0 turns tracing
+    /// back off and clears every ring.
+    pub fn set_profile_capacity(&self, cap: usize) {
+        self.metrics.set_profile_capacity(cap);
+        for tenant in self.tenants() {
+            tenant.metrics.trim_traces(cap);
+        }
     }
 }
 

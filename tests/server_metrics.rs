@@ -1,6 +1,7 @@
 //! Metrics correctness: replay a random command sequence through a
 //! session and check the `METRICS` counters against an independently
-//! computed tally. (The companion concurrency guarantee — hammered
+//! computed tally — a query counted in the tenant the session uses, a
+//! cursor verb in the cursor's tenant, whichever one the session uses. (The companion concurrency guarantee — hammered
 //! counters lose no increments — is tested inside `cq-obs` itself.)
 
 use cq_server::server::Session;
@@ -31,16 +32,21 @@ fn metrics_map(session: &mut Session) -> BTreeMap<String, u64> {
     map
 }
 
-/// The replayable commands: wire line, scope it is counted under, and
-/// counter name. Picks 3/4 additionally execute a plan (one `op.*`
-/// call); pick 2 additionally draws one `errors.no-such-db`.
-const CMDS: [(&str, &str, &str); 6] = [
+/// The replayable commands: wire line, scope it is counted under
+/// (`current`: the tenant the session uses), and counter name. Picks 3/4
+/// additionally execute a plan (one `op.*` call); pick 2 additionally
+/// draws one `errors.no-such-db`; picks 6/7 switch the session's tenant;
+/// pick 8 pages the cursor the prelude opened on `p`.
+const CMDS: [(&str, &str, &str); 9] = [
     ("PING", "server", "cmd.ping.calls"),
     ("STATS", "server", "cmd.stats.calls"),
     ("USE nope", "server", "cmd.use.calls"),
-    ("COUNT q(x, y) :- R(x, y)", "db.p", "cmd.count.calls"),
-    ("DECIDE q() :- R(x, y)", "db.p", "cmd.decide.calls"),
-    ("EXPLAIN COUNT q(x, y) :- R(x, y)", "db.p", "cmd.explain.calls"),
+    ("COUNT q(x, y) :- R(x, y)", "current", "cmd.count.calls"),
+    ("DECIDE q() :- R(x, y)", "current", "cmd.decide.calls"),
+    ("EXPLAIN COUNT q(x, y) :- R(x, y)", "current", "cmd.explain.calls"),
+    ("USE o", "server", "cmd.use.calls"),
+    ("USE p", "server", "cmd.use.calls"),
+    ("FETCH 0 1", "db.p", "cmd.fetch.calls"),
 ];
 
 proptest! {
@@ -56,25 +62,33 @@ proptest! {
             *tally.entry(format!("{scope} {name}")).or_insert(0) += 1;
         };
 
-        // fixed prelude: one tenant with one relation
-        session.handle_line("CREATE DB p");
-        session.handle_line("USE p");
-        session.handle_line("INSERT R(1, 2)");
-        bump(&mut tally, "server", "cmd.create-db.calls");
-        bump(&mut tally, "server", "cmd.use.calls");
-        bump(&mut tally, "db.p", "cmd.insert.calls");
+        // fixed prelude: two tenants with one relation each, and a
+        // cursor open on `p`, which the session uses
+        for db in ["o", "p"] {
+            session.handle_line(&format!("CREATE DB {db}"));
+            session.handle_line(&format!("USE {db}"));
+            session.handle_line("INSERT R(1, 2)");
+            bump(&mut tally, "server", "cmd.create-db.calls");
+            bump(&mut tally, "server", "cmd.use.calls");
+            bump(&mut tally, &format!("db.{db}"), "cmd.insert.calls");
+        }
+        let cursor = session.handle_line("CURSOR ANSWERS q(x, y) :- R(x, y)");
+        prop_assert_eq!(cursor.expect("CURSOR replies").terminal, "OK cursor 0");
+        bump(&mut tally, "db.p", "cmd.cursor.calls");
+        let mut current = "db.p";
 
-        let mut executed_plans = 0u64;
+        let mut executed_plans = 1u64; // the cursor's
         for &i in &picks {
             let (line, scope, name) = CMDS[i];
             let reply = session.handle_line(line).expect("command replies");
             prop_assert_eq!(reply.terminal.starts_with("ERR "), i == 2, "{}", reply.terminal);
-            bump(&mut tally, scope, name);
-            if i == 2 {
-                bump(&mut tally, "server", "errors.no-such-db");
-            }
-            if i == 3 || i == 4 {
-                executed_plans += 1;
+            bump(&mut tally, if scope == "current" { current } else { scope }, name);
+            match i {
+                2 => bump(&mut tally, "server", "errors.no-such-db"),
+                3 | 4 => executed_plans += 1,
+                6 => current = "db.o",
+                7 => current = "db.p",
+                _ => {}
             }
         }
 
@@ -85,7 +99,7 @@ proptest! {
         // each executed query records exactly one per-operator call
         let op_calls: u64 = seen
             .iter()
-            .filter(|(k, _)| k.starts_with("db.p op.") && k.ends_with(".calls"))
+            .filter(|(k, _)| k.starts_with("db.") && k.contains(" op.") && k.ends_with(".calls"))
             .map(|(_, &v)| v)
             .sum();
         prop_assert_eq!(op_calls, executed_plans);

@@ -4,25 +4,19 @@
 //! failures degrading one tenant to read-only without touching its
 //! neighbors, sessions racing `SET BUDGET` against `SET TIMEOUT` and
 //! recovering the limits the live tenant had, the acceptor shedding
-//! connections with `ERR busy` once every session slot is taken, a
-//! client that hangs up mid-`COUNT` having its evaluation cancelled, and
-//! a client that never sends a newline being refused instead of
-//! buffered.
+//! connections with `ERR busy` once every session slot is taken, and a
+//! client that hangs up mid-`COUNT` having its evaluation cancelled. (A
+//! client that never sends a newline is refused instead of buffered:
+//! `crates/server/tests/request_line_cap.rs` measures that on a `cqd`
+//! process of its own.)
 
 use cq_server::client::Client;
 use cq_server::protocol::BudgetSetting;
-use cq_server::server::{Server, MAX_REQUEST_LINE_BYTES};
+use cq_server::server::Server;
 use cq_server::state::ServerState;
 use cq_storage::{FaultPlan, FaultPoint, Store};
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
-use std::sync::{Arc, Barrier, RwLock};
+use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
-
-/// Resident-set size is process-wide state, and the tests of this file
-/// share a process: each holds this for reading, and the one that
-/// measures it holds it for writing while it does.
-static QUIET: RwLock<()> = RwLock::new(());
 
 fn triangle_load(c: &mut Client) {
     // edges a → a+2 (mod 6) close the triangles {0,2,4} and {1,3,5};
@@ -40,7 +34,6 @@ const TRI: &str = "DECIDE q() :- R1(x, y), R2(y, z), R3(z, x)";
 
 #[test]
 fn timeout_over_the_wire_cites_the_lower_bound() {
-    let _quiet = QUIET.read().unwrap_or_else(|p| p.into_inner());
     let server = Server::bind("127.0.0.1:0", 2).expect("bind ephemeral");
     let addr = server.local_addr();
     let mut c = Client::connect(addr).unwrap();
@@ -81,7 +74,6 @@ fn timeout_over_the_wire_cites_the_lower_bound() {
 
 #[test]
 fn degraded_tenant_leaves_neighbors_read_write() {
-    let _quiet = QUIET.read().unwrap_or_else(|p| p.into_inner());
     let dir =
         std::env::temp_dir().join(format!("cq_robust_degrade_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -130,7 +122,6 @@ fn degraded_tenant_leaves_neighbors_read_write() {
 
 #[test]
 fn racing_limit_changes_recover_as_the_live_tenant_had_them() {
-    let _quiet = QUIET.read().unwrap_or_else(|p| p.into_inner());
     let dir =
         std::env::temp_dir().join(format!("cq_robust_limits_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
@@ -171,7 +162,6 @@ fn racing_limit_changes_recover_as_the_live_tenant_had_them() {
 
 #[test]
 fn saturated_acceptor_sheds_with_err_busy() {
-    let _quiet = QUIET.read().unwrap_or_else(|p| p.into_inner());
     // 1 worker: 9 live sessions at most
     let server = Server::bind("127.0.0.1:0", 1).expect("bind ephemeral");
     let addr = server.local_addr();
@@ -227,7 +217,6 @@ const ENDS: &str = "COUNT q(x, z) :- R(x, y), R(y, z)";
 
 #[test]
 fn a_client_hanging_up_mid_count_is_cancelled_by_the_socket_peek() {
-    let _quiet = QUIET.read().unwrap_or_else(|p| p.into_inner());
     let server = Server::bind("127.0.0.1:0", 2).expect("bind ephemeral");
     let addr = server.local_addr();
     let mut c = Client::connect(addr).unwrap();
@@ -277,74 +266,5 @@ fn a_client_hanging_up_mid_count_is_cancelled_by_the_socket_peek() {
     assert!(noticed < full / 2, "cancelled after {noticed:?} of a {full:?} run");
 
     let _ = c.quit();
-    server.shutdown();
-}
-
-/// This process's resident set, in bytes (`VmRSS` of `/proc/self/status`).
-fn resident_bytes() -> usize {
-    let status = std::fs::read_to_string("/proc/self/status").expect("procfs");
-    let line = status.lines().find(|l| l.starts_with("VmRSS:")).expect("VmRSS line");
-    let kb: usize = line.split_whitespace().nth(1).unwrap().parse().unwrap();
-    kb * 1024
-}
-
-#[test]
-fn an_over_long_request_line_is_refused_not_buffered() {
-    let server = Server::bind("127.0.0.1:0", 1).expect("bind ephemeral");
-    let mut wire = TcpStream::connect(server.local_addr()).unwrap();
-    let mut replies = BufReader::new(wire.try_clone().unwrap());
-    let mut reply = || {
-        let mut line = String::new();
-        replies.read_line(&mut line).unwrap();
-        line
-    };
-    // a line four times the cap, written in pieces so this side never
-    // holds it either
-    let piece = [b'x'; 64 << 10];
-    let send_over_long = |wire: &mut TcpStream| {
-        for _ in 0..4 * MAX_REQUEST_LINE_BYTES / piece.len() {
-            wire.write_all(&piece).unwrap();
-        }
-        wire.write_all(b"\n").unwrap();
-    };
-    let too_long =
-        format!("ERR usage: request line exceeds {MAX_REQUEST_LINE_BYTES} bytes\n");
-
-    wire.write_all(b"PING\n").unwrap();
-    assert_eq!(reply(), "OK pong\n", "the session is up before the baseline");
-    let quiet = QUIET.write().unwrap_or_else(|p| p.into_inner());
-    let before = resident_bytes();
-    send_over_long(&mut wire);
-    assert_eq!(reply(), too_long);
-    // the same connection keeps serving...
-    wire.write_all(b"PING\n").unwrap();
-    assert_eq!(reply(), "OK pong\n");
-    // ...and the server (this process) never held the line
-    let grown = resident_bytes().saturating_sub(before);
-    assert!(
-        grown < MAX_REQUEST_LINE_BYTES,
-        "resident set grew {grown} bytes over a {} byte line",
-        4 * MAX_REQUEST_LINE_BYTES
-    );
-    drop(quiet);
-
-    // inside a LOAD block the refusal is the block's error — one reply,
-    // at END, like any bad row — so pipelined framing stays intact
-    wire.write_all(b"CREATE DB t\nUSE t\nLOAD R 1\n1\n").unwrap();
-    send_over_long(&mut wire);
-    wire.write_all(b"2\nEND\nPING\n").unwrap();
-    assert_eq!(reply(), "OK created t\n");
-    assert_eq!(reply(), "OK using t\n");
-    assert_eq!(reply(), "OK loading; rows until END\n");
-    assert_eq!(reply(), too_long);
-    assert_eq!(reply(), "OK pong\n");
-    // ...and inside a BATCH it is that item's error
-    wire.write_all(b"BATCH\n").unwrap();
-    send_over_long(&mut wire);
-    wire.write_all(b"END\nQUIT\n").unwrap();
-    assert_eq!(reply(), "OK batching; DECIDE|COUNT|ANSWERS items until END\n");
-    assert_eq!(reply(), format!("* 0 {too_long}"));
-    assert_eq!(reply(), "OK batch of 1 items\n");
-    assert_eq!(reply(), "OK bye\n");
     server.shutdown();
 }

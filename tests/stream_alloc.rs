@@ -366,20 +366,32 @@ fn enumeration_steps_per_answer_are_bounded_by_the_query_alone() {
     }
 }
 
-/// Recording a warm command's metrics allocates nothing: a session
-/// caches each counter/histogram pair on its first use, keyed on the
-/// `'static` verb or plan operator and on the tenant, whose scope name
-/// it keeps. So a second warm `PING` allocates for its parse and its
-/// reply and for nothing else, and the recordings a second warm `COUNT`
-/// makes — its verb and its operator, in its tenant's scope — allocate
-/// nothing once cached.
+/// Recording a warm command's metrics allocates nothing: a tenant
+/// caches each counter/histogram pair of its scope on its first use,
+/// keyed on the `'static` verb or plan operator, and the server does the
+/// same for its own scope. So a second warm `PING` allocates for its
+/// parse and its reply and for nothing else, and the recordings a second
+/// warm `COUNT` makes — its verb and its operator, in its tenant's scope
+/// — allocate nothing once cached.
 #[test]
 fn a_warm_command_records_its_metrics_without_allocating() {
     let state = Arc::new(ServerState::new());
     let mut s = Session::new(Arc::clone(&state));
     s.handle_line("CREATE DB t");
     s.handle_line("USE t");
-    state.tenant("t").unwrap().mutate(|db| *db = cross_database(50, 50));
+    let tenant = state.tenant("t").unwrap();
+    tenant.mutate(|db| *db = cross_database(50, 50));
+
+    let op = PlanOp::CountingDp.name();
+    let record = || {
+        let elapsed = std::time::Duration::from_micros(1);
+        tenant.metrics().record_cmd("count", elapsed);
+        tenant.metrics().record_op(op, elapsed);
+        state.metrics().record_cmd("ping", elapsed);
+    };
+    let (first, _) = allocations(record);
+    assert!(first > 0, "a miss names its metrics");
+    assert_eq!(allocations(record).0, 0, "a hit allocates nothing");
 
     let (parse, _) = allocations(|| cq_server::protocol::parse_command("PING"));
     let (reply, _) = allocations(|| cq_server::protocol::Reply::ok("pong"));
@@ -397,17 +409,6 @@ fn a_warm_command_records_its_metrics_without_allocating() {
         n
     });
     assert_eq!(second, third, "a warm COUNT allocates the same each time");
-    let op = PlanOp::CountingDp.name();
-    let mut sm = cq_server::SessionMetrics::new(Arc::clone(state.metrics()));
-    let record = |sm: &mut cq_server::SessionMetrics| {
-        let elapsed = std::time::Duration::from_micros(1);
-        sm.record_cmd(Some("t"), "count", elapsed);
-        sm.record_op("t", op, elapsed);
-        sm.record_cmd(None, "ping", elapsed);
-    };
-    let (first, _) = allocations(|| record(&mut sm));
-    assert!(first > 0, "a miss names its metrics");
-    assert_eq!(allocations(|| record(&mut sm)).0, 0, "a hit allocates nothing");
     let scope = state.metrics().registry().scope("db.t");
     assert_eq!(scope.counter_value("cmd.count.calls"), Some(5));
     assert_eq!(scope.counter_value("op.counting-dp-over-join-tree.calls"), Some(5));

@@ -67,7 +67,10 @@
 # the engine needs no matrix crate. And a tenant owns its metrics: its
 # scope, handles and PROFILE ring live in its `Tenant`, and every site
 # records through the tenant it holds, never a per-session cache or a
-# lookup by the tenant's name.
+# lookup by the tenant's name. And one construction for ordered access:
+# `LexDirectAccess::build` refuses an order with a disruptive trio and
+# builds the layered tree of any other (Thm 3.24), so no search over
+# reroots or flattened trees for a compatible one grows back beside it.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -208,14 +211,12 @@ forbid "the hash-set semijoin or links::keep_linked (the one semijoin is the fol
     ls crates/engine/src/semijoin.rs 2>/dev/null
     grep -rnE 'fn keep_linked\b' crates/engine/src
 )"
-# one fold: a walk from the leaves up over a tree's rows is `sum_product`'s;
-# only direct_access.rs' two walks over scope masks sit beside it
+# one fold: a walk from the leaves up over a tree's rows is `sum_product`'s
 forbid "a second bottom-up pass in cq-engine (the one fold is count::sum_product):" "$(
     grep -rnE 'fn (semijoin_up|kids_of)\b' crates/engine/src
     for f in crates/engine/src/*.rs; do
         case "$f" in
             */count.rs) allowed='sum_product' ;;
-            */direct_access.rs) allowed='is_compatible|from_reduced' ;;
             *) allowed='' ;;
         esac
         non_test "$f" | outside_fns 'bottom_up\(|nodes[^;]*\.rev\(\)' "$allowed"
@@ -229,6 +230,9 @@ forbid "a per-row weight or a row read in count::sum_product (every tuple weighs
                inside { print }
                inside && /^[^:]*:\}/ { inside = 0 }' \
         | grep -E '\.row\(|&\[Val\]|\bRelation\b|\bweight\b'
+)"
+forbid "a search for a ⪯-compatible tree (build constructs the layered tree of Thm 3.24):" "$(
+    grep -nHE 'fn (is_compatible|flatten)\b|\.rerooted\(' crates/engine/src/direct_access.rs
 )"
 forbid "a counting product in direct_access.rs (it is CountingSemiring's):" "$(
     grep -n 'saturating_mul' crates/engine/src/direct_access.rs

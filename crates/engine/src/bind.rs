@@ -24,8 +24,9 @@ pub enum EvalError {
     NotFreeConnex,
     /// The algorithm requires a join query (all variables free).
     NotJoinQuery,
-    /// The requested structure does not exist (e.g. no compatible join
-    /// tree for a lexicographic order).
+    /// The requested structure does not exist (e.g. no efficient
+    /// direct access in a lexicographic order with a disruptive trio,
+    /// Thm 3.24).
     Unsupported(String),
     /// Evaluation was cancelled before completion — a
     /// [`CancelToken`](crate::cancel::CancelToken) tripped (deadline

@@ -4,35 +4,41 @@
 //!
 //! Goal: after preprocessing, return the `i`-th answer of a query in the
 //! lexicographic order induced by a variable order `⪯`, in Õ(log m) per
-//! access. The structure keeps, per node of a `⪯`-compatible rooted join
-//! tree — one where (a) every node's newly introduced variables come
-//! after all variables of its parent's scope and (b) each subtree's
-//! introduced variables form a contiguous block of `⪯` — in preorder,
-//! *rows + links*: the fully reduced rows as a [`cq_data::Relation`]
-//! with the parent key's columns first, then the rest by `⪯` (so sorted
-//! that way); the first row of each parent-key group; and per row of the
-//! parent the group it joins (the `EdgeLinks` of the edge, over the
-//! sorted rows). That is *the* product of the linear preprocessing of
-//! Thm 3.17 / 3.18 / 3.24, and nothing searches it by key: the
-//! constant-delay walk of [`crate::enumerate`] steps through the nodes
-//! as an odometer, a move into a child being two array reads, and an
-//! access descends them by binary search on subtree-count prefix sums
-//! *within the group it was handed*, plus mixed-radix decomposition
-//! across independent subtrees (O(log m) per access). A node without
-//! children weighs 1 per row, so it keeps no prefix sums and an access
-//! into it is one index. The prefix sums are the only part the walk does
-//! not need, so they are built on first `len` / `access` (or up front by
-//! a public builder, which is where an overflowing count and a deadline
-//! surface).
+//! access. The structure keeps the nodes of a rooted join tree in
+//! *access order* — every parent before its children, and the variables
+//! the nodes introduce (those not in the parent's scope) concatenating
+//! to `⪯` — and per node *rows + links*: the fully reduced rows as a
+//! [`cq_data::Relation`] with the parent key's columns first, then the
+//! rest by `⪯` (so sorted that way); the first row of each parent-key
+//! group; and per row of the parent the group it joins (the `EdgeLinks`
+//! of the edge, over the sorted rows). The array is then the answers
+//! ordered by their rows, node by node, so it is sorted by `⪯`. That is
+//! *the* product of the linear preprocessing of Thm 3.17 / 3.18 / 3.24,
+//! and nothing searches it by key: the constant-delay walk of
+//! [`crate::enumerate`] steps through the nodes as an odometer, a move
+//! into a child being two array reads, and an access is one pass over
+//! the nodes with a running radix — the number of answers that extend
+//! the rows picked so far — picking per node, by binary search on
+//! subtree-count prefix sums *within the group its parent's row hands
+//! it*, the row whose answers hold the index (O(log m) per access). A
+//! node without children weighs 1 per row, so it keeps no prefix sums
+//! and a pick in it is one index. The prefix sums are the only part the
+//! walk does not need, so they are built on first `len` / `access` (or
+//! up front by a public builder, which is where an overflowing count and
+//! a deadline surface).
 //!
 //! Every builder ends in the one indexing step, `from_reduced`:
 //!
-//! * [`LexDirectAccess::build`] (Thm 3.24) searches a join query's
-//!   reroots for a `⪯`-compatible tree; on the paper's example families
-//!   it succeeds exactly on the trio-free orders, and otherwise reports
-//!   failure;
+//! * [`LexDirectAccess::build`] (Thm 3.24 \[27\]) refuses an order with a
+//!   disruptive trio and otherwise builds the *layered* tree of the
+//!   order: one node per variable `vᵢ`, its scope `vᵢ` and `N<(vᵢ)` (its
+//!   neighbours before it in `⪯` — a clique, since no trio disrupts it,
+//!   so some atom of the acyclic body covers the scope and the node's
+//!   rows are that reduced atom's projection), hung from the latest
+//!   earlier node whose scope holds `N<(vᵢ)`;
 //! * [`LexDirectAccess::free_connex`] (Thm 3.18, in
-//!   [`crate::fc_direct_access`]) indexes `q′` on its own join tree;
+//!   [`crate::fc_direct_access`]) indexes `q′` on its own join tree, in
+//!   DFS preorder;
 //! * [`LexDirectAccess::materialized`] (Lem 3.9 / 3.23) serves every
 //!   query and every order as one node: generic join's answers, sorted —
 //!   the superlinear baseline whose cost gap is the content of Lemma
@@ -47,6 +53,7 @@ use crate::ctx::ExecCtx;
 use crate::generic_join;
 use crate::links::{Edge, EdgeLinks, JoinLinks, NONE};
 use crate::yannakakis::{full_reduce, join_tree_of_atoms};
+use cq_core::disruptive_trio::find_disruptive_trio;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, Relation, Val};
@@ -65,9 +72,9 @@ pub trait DirectAccess {
     fn len(&self) -> u64;
     /// Write the `i`-th answer (0-based) over `out`'s previous contents
     /// and return `true`; past the end — the paper's "error" case —
-    /// return `false` (leaving `out` unspecified). Once `out` has grown
-    /// to the structure's row width a call allocates nothing, which is
-    /// what lets a stream over the structure reuse one row buffer.
+    /// return `false` (leaving `out` unspecified). Once `out` has served
+    /// one call, a call allocates nothing, which is what lets a stream
+    /// over the structure reuse one row buffer.
     fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool;
     /// The `i`-th answer as an owned row, or `None` past the end.
     fn access(&self, i: u64) -> Option<Vec<Val>> {
@@ -90,7 +97,7 @@ pub(crate) struct Node {
     n_key: usize,
     /// output slots the non-key columns write, in column order
     out_slots: Vec<usize>,
-    /// the parent (a position in the preorder node list; the root's own)
+    /// the parent (an earlier position in the node list; the root's own)
     pub(crate) parent: usize,
     /// per row of the parent: the parent-key group of this node it joins
     /// (no row of the root's)
@@ -141,11 +148,11 @@ fn weight(cumw: &[u128], r: Range<usize>) -> u128 {
 /// [`LexDirectAccess::order`] — the reduced, sorted nodes plus, once
 /// something asks for a position, their subtree weights.
 pub struct LexDirectAccess {
-    /// preorder, children in ⪯-block order: the root is node 0, and
-    /// walking the list as an odometer visits the answers in access order
+    /// access order: the root is node 0, every parent comes before its
+    /// children, and walking the list as an odometer visits the answers
+    /// in array order
     nodes: Vec<Node>,
-    /// the tree over positions in `nodes`: each node's children ascend,
-    /// so they are in ⪯-block order
+    /// the tree over positions in `nodes`
     tree: JoinTree,
     /// the output row: slot `i` holds `schema[i]`
     schema: Vec<Var>,
@@ -154,81 +161,53 @@ pub struct LexDirectAccess {
     weights: OnceLock<Weights>,
 }
 
-/// Check the two compatibility conditions of a rooted tree w.r.t. an
-/// order.
-fn is_compatible(tree: &JoinTree, order: &[Var]) -> bool {
-    let pos_of = |v: usize| -> usize {
-        order.iter().position(|u| u.index() == v).expect("order must cover variables")
-    };
-    let n = tree.n_nodes();
-    let intro: Vec<u64> = (0..n).map(|u| tree.scope(u) & !tree.key_mask(u)).collect();
-    // condition A: intro(u) after all of scope(parent)
-    for (u, &iu) in intro.iter().enumerate() {
-        if let Some(p) = tree.parent(u) {
-            let pmax = mask_vertices(tree.scope(p)).map(&pos_of).max();
-            let imin = mask_vertices(iu).map(&pos_of).min();
-            if let (Some(pmax), Some(imin)) = (pmax, imin) {
-                if imin < pmax {
-                    return false;
-                }
-            }
-        }
+/// The layered tree of a trio-free `order` (Thm 3.24 \[27\]) over the
+/// fully reduced `atoms`, nodes in access order: node `i` introduces
+/// `order[i]` = `vᵢ`. Its scope is `vᵢ` and `N<(vᵢ)`, `vᵢ`'s neighbours
+/// before it — a clique, since no trio disrupts the order, so an atom of
+/// the acyclic body covers it (α-acyclic hypergraphs are conformal) and
+/// the node's rows are that atom's projection, which full reduction
+/// makes the projection of the answers. Its parent is the latest earlier
+/// node whose scope holds `N<(vᵢ)` (the node of `N<(vᵢ)`'s last variable
+/// qualifies), so a variable's nodes hang from its own: running
+/// intersection.
+fn layered(atoms: &[Cow<'_, BoundAtom>], order: &[Var]) -> (Vec<BoundAtom>, JoinTree) {
+    let (mut layers, mut scopes, mut parents) = (vec![], Vec::<u64>::new(), vec![]);
+    let mut earlier = 0;
+    for &v in order {
+        let touching = atoms.iter().map(|a| a.scope()).filter(|s| s & v.mask() != 0);
+        let before = touching.fold(0, |m, s| m | s) & earlier;
+        let scope = before | v.mask();
+        let a = (atoms.iter().find(|a| scope & !a.scope() == 0))
+            .expect("a trio-free order's earlier neighbours are covered by an atom");
+        let vars: Vec<Var> = mask_vertices(scope).map(|v| Var(v as u32)).collect();
+        let cols = vars.iter().map(|&v| a.col_of(v).expect("the atom covers the scope"));
+        let cols: Vec<usize> = cols.collect();
+        layers.push(BoundAtom { vars, rel: a.rel.project(&cols) });
+        parents.push(scopes.iter().rposition(|&s| before & !s == 0));
+        scopes.push(scope);
+        earlier |= v.mask();
     }
-    // condition B: subtree intro masks are contiguous position blocks
-    let mut subtree = intro;
-    for &u in &tree.bottom_up() {
-        if let Some(p) = tree.parent(u) {
-            subtree[p] |= subtree[u];
-        }
-    }
-    (0..n).filter(|&u| tree.parent(u).is_some()).all(|u| {
-        let positions: Vec<usize> = mask_vertices(subtree[u]).map(&pos_of).collect();
-        let (lo, hi) = (positions.iter().min(), positions.iter().max());
-        lo.zip(hi).is_none_or(|(lo, hi)| hi - lo + 1 == positions.len())
-    })
-}
-
-/// Re-parent every node as high (close to the root) as possible while
-/// keeping running intersection: node u may hang from any ancestor whose
-/// scope contains `key(u)`. Flattening stars gives more orders a
-/// compatible tree (e.g. q̂*_k with z first).
-fn flatten(tree: &JoinTree) -> JoinTree {
-    let n = tree.n_nodes();
-    let mut parent: Vec<Option<usize>> = (0..n).map(|u| tree.parent(u)).collect();
-    for u in tree.top_down() {
-        let key = tree.key_mask(u);
-        // walk ancestors from the root down: the highest ancestor whose
-        // scope covers key(u)
-        let mut chain = Vec::new();
-        let mut a = parent[u];
-        while let Some(p) = a {
-            chain.push(p);
-            a = parent[p];
-        }
-        chain.reverse(); // root first
-        for &anc in &chain {
-            if key & !tree.scope(anc) == 0 {
-                parent[u] = Some(anc);
-                break;
-            }
-        }
-    }
-    JoinTree::from_parents(tree.scopes().to_vec(), parent, tree.root())
+    let tree = JoinTree::from_parents(scopes, parents, 0);
+    debug_assert!(tree.validate_running_intersection());
+    (layers, tree)
 }
 
 impl LexDirectAccess {
-    /// Try to build the efficient structure for join query `q` and the
+    /// Build the efficient structure for join query `q` and the
     /// lexicographic order `order` (Thm 3.24), over all variables in
-    /// interning order. Fails with `Unsupported` when no ⪯-compatible
-    /// tree is found (disrupted orders; fall back to
+    /// interning order: the body is bound and fully reduced along its
+    /// GYO tree, then indexed on the order's layered tree (see the module
+    /// doc). Fails with `NotAcyclic` on a cyclic body, with `Unsupported`
+    /// naming the trio when `order` has a disruptive trio (fall back to
     /// [`LexDirectAccess::materialized`]), and with `CountOverflow` when
     /// the simulated array would have more than `u64::MAX` positions.
     ///
-    /// Memoized in the catalog: the O(m log m) preprocessing (tree
-    /// search, reduction, sorts, links, prefix sums) runs once per
-    /// database state; repeated `access` calls pay Õ(log m) each and
-    /// nothing else. The reduction's rows visited plus links followed are
-    /// the `steps` of the `op.lex-access.build` span, 0 on a warm hit.
+    /// Memoized in the catalog: the O(m log m) preprocessing (reduction,
+    /// projections, sorts, links, prefix sums) runs once per database
+    /// state; repeated `access` calls pay Õ(log m) each and nothing else.
+    /// The reduction's rows visited plus links followed are the `steps`
+    /// of the `op.lex-access.build` span, 0 on a warm hit.
     pub fn build(
         ctx: &ExecCtx,
         q: &ConjunctiveQuery,
@@ -244,36 +223,31 @@ impl LexDirectAccess {
         let mut steps = 0;
         let da = ctx.catalog().artifact(db, "lex_da", &key, q.relations(), || {
             let mut atoms: Vec<_> = bind(q, db)?.into_iter().map(Cow::Owned).collect();
-            let base =
+            let tree =
                 join_tree_of_atoms(&atoms, q.n_vars()).ok_or(EvalError::NotAcyclic)?;
-            // search: every reroot, flattened and plain
-            let tree = (0..base.n_nodes())
-                .map(|r| base.rerooted(r))
-                .flat_map(|t| [flatten(&t), t])
-                .find(|cand| is_compatible(cand, order))
-                .ok_or_else(|| {
-                    EvalError::Unsupported(format!(
-                        "no ⪯-compatible join tree for order {:?} (disruptive trio: {:?})",
-                        order
-                            .iter()
-                            .map(|&v| q.var_name(v).to_string())
-                            .collect::<Vec<_>>(),
-                        cq_core::disruptive_trio::find_disruptive_trio(q, order).map(
-                            |t| {
-                                format!(
-                                    "({}, {}, {})",
-                                    q.var_name(t.y1),
-                                    q.var_name(t.y2),
-                                    q.var_name(t.y3)
-                                )
-                            }
-                        )
-                    ))
-                })?;
+            if let Some(t) = find_disruptive_trio(q, order) {
+                let names = |vs: &[Var]| {
+                    vs.iter().map(|&v| q.var_name(v)).collect::<Vec<_>>().join(", ")
+                };
+                return Err(EvalError::Unsupported(format!(
+                    "no ⪯-compatible join tree for order ({}): it has the disruptive \
+                     trio ({}) (Thm 3.24)",
+                    names(order),
+                    names(&[t.y1, t.y2, t.y3])
+                )));
+            }
             // full reduction → every tuple participates in an answer
             let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
             steps = full_reduce(ctx.cancel(), &mut atoms, &links)?;
-            Self::from_reduced(ctx.cancel(), &atoms, &tree, q.vars().collect(), order.to_vec())
+            let schema = q.vars().collect();
+            if order.is_empty() {
+                // nullary atoms only: the body's decision
+                let unit = Relation::nullary(!atoms[0].rel.is_empty());
+                return Self::one_node(ctx.cancel(), unit, schema, vec![]);
+            }
+            let (layers, tree) = layered(&atoms, order);
+            let all: Vec<usize> = (0..layers.len()).collect();
+            Self::from_reduced(ctx.cancel(), &layers, &tree, &all, schema, order.to_vec())
         })?;
         da.weights(ctx.cancel())?;
         span.attr("steps", steps);
@@ -313,55 +287,35 @@ impl LexDirectAccess {
     ) -> Result<Self, EvalError> {
         let atom = BoundAtom { vars: schema.clone(), rel };
         let tree = JoinTree::from_parents(vec![atom.scope()], vec![None], 0);
-        Self::from_reduced(cancel, &[atom], &tree, schema, order)
+        Self::from_reduced(cancel, &[atom], &tree, &[0], schema, order)
     }
 
-    /// Index fully reduced `atoms` over their ⪯-compatible join tree:
-    /// **the** place a reduced node is sorted by its parent key and
-    /// linked to its parent's sorted rows. Rows are reported over
-    /// `schema`, which must hold exactly the variables of the atoms — as
-    /// must `order`. No weights yet. The token is polled per node.
+    /// Index fully reduced `atoms` over their join `tree`: **the** place a
+    /// reduced node is sorted by its parent key and linked to its
+    /// parent's sorted rows. `visit` lists the tree's nodes in access
+    /// order: parents first, the variables they introduce concatenating
+    /// to `order`. Rows are reported over `schema`, which must hold
+    /// exactly the variables of the atoms — as must `order`. No weights
+    /// yet. The token is polled per node.
     pub(crate) fn from_reduced(
         cancel: &CancelToken,
         atoms: &[impl Borrow<BoundAtom>],
         tree: &JoinTree,
+        visit: &[usize],
         schema: Vec<Var>,
         order: Vec<Var>,
     ) -> Result<Self, EvalError> {
         let pos_of = |v: Var| order.iter().position(|&u| u == v).unwrap();
         let slot_of = |v: Var| schema.iter().position(|&u| u == v).unwrap();
-        // where each subtree's block of ⪯ starts
-        let mut block: Vec<usize> = (0..tree.n_nodes())
-            .map(|u| {
-                mask_vertices(tree.scope(u) & !tree.key_mask(u))
-                    .map(|v| pos_of(Var(v as u32)))
-                    .min()
-                    .unwrap_or(usize::MAX)
-            })
-            .collect();
-        for &u in &tree.bottom_up() {
-            if let Some(p) = tree.parent(u) {
-                block[p] = block[p].min(block[u]);
-            }
-        }
-        // preorder, children in block order
-        let mut preorder = Vec::with_capacity(tree.n_nodes());
-        let mut stack = vec![tree.root()];
-        while let Some(u) = stack.pop() {
-            preorder.push(u);
-            let mut kids = tree.children(u).to_vec();
-            kids.sort_by_key(|&c| block[c]);
-            stack.extend(kids.into_iter().rev());
-        }
-        let mut position = vec![0; preorder.len()];
-        for (i, &u) in preorder.iter().enumerate() {
+        let mut position = vec![0; visit.len()];
+        for (i, &u) in visit.iter().enumerate() {
             position[u] = i;
         }
 
-        let mut nodes: Vec<Node> = Vec::with_capacity(preorder.len());
+        let mut nodes: Vec<Node> = Vec::with_capacity(visit.len());
         // per node, the variable of each column of its rows
-        let mut row_vars: Vec<Vec<Var>> = Vec::with_capacity(preorder.len());
-        for &u in &preorder {
+        let mut row_vars: Vec<Vec<Var>> = Vec::with_capacity(visit.len());
+        for &u in visit {
             cancel.check_now()?;
             let a: &BoundAtom = atoms[u].borrow();
             // key columns (mask order), then the rest sorted by ⪯
@@ -403,8 +357,8 @@ impl LexDirectAccess {
             nodes.push(Node { rows, n_key, out_slots, parent, link, starts });
             row_vars.push(vars);
         }
-        let scopes = preorder.iter().map(|&u| tree.scope(u)).collect();
-        let parents = preorder.iter().map(|&u| tree.parent(u).map(|p| position[p]));
+        let scopes = visit.iter().map(|&u| tree.scope(u)).collect();
+        let parents = visit.iter().map(|&u| tree.parent(u).map(|p| position[p]));
         let tree = JoinTree::from_parents(scopes, parents.collect(), 0);
         Ok(LexDirectAccess { nodes, tree, schema, order, weights: OnceLock::new() })
     }
@@ -421,7 +375,7 @@ impl LexDirectAccess {
         &self.order
     }
 
-    /// The reduced, sorted nodes in preorder — what the constant-delay
+    /// The reduced, sorted nodes in access order — what the constant-delay
     /// walk steps through.
     pub(crate) fn nodes(&self) -> &[Node] {
         &self.nodes
@@ -478,43 +432,6 @@ impl LexDirectAccess {
     fn ready(&self) -> Option<&Weights> {
         self.weights.get().or_else(|| self.weights(&CancelToken::never()).ok())
     }
-
-    /// Write the `idx`-th answer of `u`'s subtree under the parent-key
-    /// group `range` of its rows.
-    fn access_rec(
-        &self,
-        w: &Weights,
-        u: usize,
-        range: Range<usize>,
-        idx: u128,
-        out: &mut [Val],
-    ) {
-        let (node, cumw) = (&self.nodes[u], &w.cumw[u]);
-        // the row the answer extends, and its index among that row's
-        let (row, mut residual) = if cumw.is_empty() {
-            (range.start + idx as usize, 0)
-        } else {
-            let target = weight(cumw, 0..range.start) + idx;
-            // the first row of the group whose running sum passes it
-            let row = range.start + cumw[range].partition_point(|&c| c <= target);
-            (row, target - weight(cumw, 0..row))
-        };
-        node.write(row, out);
-        // mixed-radix over children: the row's weight is the product
-        // of its children's factors (that is how `weights` weighed it),
-        // so dividing a child's factor out leaves the radix of the
-        // children after it.
-        let mut radix = weight(cumw, row..row + 1);
-        for &c in self.tree.children(u) {
-            let r = self.nodes[c].rows_of(row);
-            radix /= weight(&w.cumw[c], r.clone());
-            let idx_c = residual / radix;
-            residual %= radix;
-            self.access_rec(w, c, r, idx_c, out);
-        }
-        // every factor divided out of the weight exactly, nothing left
-        debug_assert_eq!((radix, residual), (1, 0));
-    }
 }
 
 impl DirectAccess for LexDirectAccess {
@@ -522,11 +439,42 @@ impl DirectAccess for LexDirectAccess {
         self.ready().map_or(0, |w| w.total)
     }
 
+    /// One pass over the nodes in access order. `radix` counts the
+    /// answers that extend the rows picked so far: the product, over the
+    /// nodes not yet visited whose parent is, of the weight of the group
+    /// the parent's row hands them. The next node is one of those, so
+    /// dividing its group's weight out leaves the count each of its rows'
+    /// answers is multiplied by. The picked rows ride in `out` past the
+    /// schema's slots.
     fn access_into(&self, i: u64, out: &mut Vec<Val>) -> bool {
         let Some(w) = self.ready().filter(|w| i < w.total) else { return false };
+        let width = self.schema.len();
         out.clear();
-        out.resize(self.schema.len(), 0);
-        self.access_rec(w, 0, 0..self.nodes[0].rows.len(), u128::from(i), out);
+        out.resize(width + self.nodes.len(), 0);
+        let (slots, picked) = out.split_at_mut(width);
+        let (mut idx, mut radix) = (u128::from(i), u128::from(w.total));
+        for (u, (node, cumw)) in self.nodes.iter().zip(&w.cumw).enumerate() {
+            let group = match u {
+                0 => 0..node.rows.len(),
+                _ => node.rows_of(picked[node.parent] as usize),
+            };
+            radix /= weight(cumw, group.clone());
+            let target = idx / radix;
+            // the first row of the group whose running sum passes it
+            let row = if cumw.is_empty() {
+                group.start + target as usize
+            } else {
+                let target = weight(cumw, 0..group.start) + target;
+                group.start + cumw[group.clone()].partition_point(|&c| c <= target)
+            };
+            idx -= weight(cumw, group.start..row) * radix;
+            radix *= weight(cumw, row..row + 1);
+            node.write(row, slots);
+            picked[u] = row as Val;
+        }
+        // every radix divided out exactly, nothing left of the index
+        debug_assert_eq!((idx, radix), (0, 1));
+        out.truncate(width);
         true
     }
 }
@@ -614,6 +562,30 @@ mod tests {
             let order = vars_by_name(&q, &names);
             assert_matches_materialized(&q, &db, &order);
         }
+    }
+
+    #[test]
+    fn independent_atoms_interleaved() {
+        // a and c live in R, b and d in S: the order interleaves two
+        // independent subtrees, which no reroot of a two-atom tree keeps
+        // as contiguous blocks
+        let mut db = Database::new();
+        let mut rng = seeded_rng(11);
+        db.insert("R", cq_data::generate::random_pairs(20, 6, &mut rng));
+        db.insert("S", cq_data::generate::random_pairs(20, 6, &mut rng));
+        let q = cq_core::parse_query("q(a, b, c, d) :- R(a, c), S(b, d)").unwrap();
+        assert_matches_materialized(&q, &db, &vars_by_name(&q, &["a", "b", "c", "d"]));
+    }
+
+    #[test]
+    fn ternary_atom_split_by_its_neighbour() {
+        // w, introduced by S, comes between T's y and z
+        let mut db = Database::new();
+        let mut rng = seeded_rng(12);
+        db.insert("T", cq_data::generate::random_relation(3, 40, 4, &mut rng));
+        db.insert("S", cq_data::generate::random_pairs(12, 4, &mut rng));
+        let q = cq_core::parse_query("q(x, y, z, w) :- T(x, y, z), S(y, w)").unwrap();
+        assert_matches_materialized(&q, &db, &vars_by_name(&q, &["x", "y", "w", "z"]));
     }
 
     #[test]
@@ -705,6 +677,24 @@ mod tests {
         let tree = crate::enumerate::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
         assert!(crate::Answers::walk(Arc::clone(&tree)).next().unwrap().is_some());
         assert_eq!((tree.len(), tree.access(0)), (0, None));
+    }
+
+    #[test]
+    fn nullary_body_is_its_decision() {
+        let mut b = cq_core::QueryBuilder::new("q");
+        b.atom("R", &[]);
+        b.atom("S", &[]);
+        let q = b.build().unwrap();
+        for truth in [true, false] {
+            let mut db = Database::new();
+            db.insert("R", Relation::nullary(true));
+            db.insert("S", Relation::nullary(truth));
+            let da = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &[]).unwrap();
+            assert_eq!(
+                (da.len(), da.access(0)),
+                (u64::from(truth), truth.then(Vec::new))
+            );
+        }
     }
 
     #[test]

@@ -90,7 +90,8 @@ pub(crate) struct Walk {
     /// The row buffer `next` hands out; slots are keyed by the schema.
     current: Vec<Val>,
     state: State,
-    /// Levels the odometer tried to advance plus `descend` calls.
+    /// Levels the odometer tried to advance plus `descend` calls, since
+    /// the stream last reported them.
     pub(crate) steps: u64,
 }
 

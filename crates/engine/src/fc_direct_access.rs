@@ -9,10 +9,9 @@
 //! (`count::free_links`) turns the query into an acyclic *join* query
 //! `q'` over exactly the free variables, and the reduced, sorted tree of
 //! [`LexDirectAccess`] serves `q'` — reduced along the links `COUNT`
-//! folds over — on its own join tree under that tree's DFS order — an
-//! order that is compatible *by construction* (each node's variables are
-//! introduced right after its parent's, and subtree blocks are
-//! contiguous), so no tree search is needed. An empty `q'` is one node
+//! folds over — on its own join tree, its nodes in DFS preorder and the
+//! order the variables they introduce in that preorder, so the nodes
+//! arrive in access order by construction. An empty `q'` is one node
 //! without rows, a Boolean query the one node of its decision. The
 //! product is memoized once per query and shared:
 //! [`crate::Answers::walk`] walks the very same nodes, which is why
@@ -60,13 +59,13 @@ impl LexDirectAccess {
                 msgs.iter().map(|m| Cow::Borrowed(&**m)).collect();
             let steps = full_reduce(ctx.cancel(), &mut atoms, links)?;
             let tree = links.tree();
-            let order: Vec<Var> = tree
-                .top_down()
-                .into_iter()
-                .flat_map(|u| mask_vertices(tree.scope(u) & !tree.key_mask(u)))
+            let visit = tree.top_down();
+            let order: Vec<Var> = (visit.iter())
+                .flat_map(|&u| mask_vertices(tree.scope(u) & !tree.key_mask(u)))
                 .map(|v| Var(v as u32))
                 .collect();
-            let da = Self::from_reduced(ctx.cancel(), &atoms, tree, schema, order)?;
+            let da =
+                Self::from_reduced(ctx.cancel(), &atoms, tree, &visit, schema, order)?;
             *built = Some(steps);
             Ok(da)
         })

@@ -31,14 +31,20 @@
 //! preprocessing, so callers who need normalized output collect and
 //! sort (`eval::answers*` does exactly that).
 //!
-//! Tracing: a stream captures the thread's current
-//! [`TraceSink`](cq_obs::TraceSink) at construction (construction
-//! happens inside the executor's `trace::with` scope; draining usually
-//! does not) and records one span over its whole lifetime —
+//! Tracing: a stream records one span per *pull window* —
 //! `stream.enumerate`, `stream.direct-access` or `stream.relation` —
-//! tagged with the rows it actually emitted (a walk adds its `steps`)
-//! and the cancel polls it absorbed. With tracing off — the default —
-//! the capture is a thread-local read and the span guard is inert.
+//! tagged with the rows it emitted in the window (a walk adds its
+//! `steps`) and the polls of the window's token. A window begins at
+//! construction and at each [`Answers::set_cancel`] — which is how a
+//! request hands the stream its token — and ends at the next one or at
+//! drop. Its span opens at the window's first pull, in the thread's
+//! current [`TraceSink`] as of the window's begin (construction happens
+//! inside the executor's `trace::with` scope; draining usually does
+//! not). So a drain records one span into the trace of the statement
+//! that built the stream, and a cursor, which each `FETCH` hands a token
+//! and takes it back from, one per `FETCH` into that `FETCH`'s trace.
+//! With tracing off — the default — the capture is a thread-local read
+//! and the span guard is inert.
 
 use crate::bind::EvalError;
 use crate::cancel::CancelToken;
@@ -46,7 +52,7 @@ use crate::direct_access::{DirectAccess, LexDirectAccess};
 use crate::enumerate::Walk;
 use cq_core::Var;
 use cq_data::{Relation, Val};
-use cq_obs::trace::{self, SpanGuard};
+use cq_obs::trace::{self, SpanGuard, TraceSink};
 use std::sync::Arc;
 
 /// A pull-driven stream of answer rows over a fixed schema.
@@ -63,9 +69,17 @@ pub struct Answers {
     /// small.
     source: Box<Source>,
     cancel: CancelToken,
-    /// Rows emitted so far: the span's `rows`.
+    /// Rows emitted in the current pull window: its span's `rows`.
     rows: u64,
-    span: SpanGuard,
+    window: Window,
+}
+
+/// The trace span of the current pull window.
+enum Window {
+    /// No pull yet: the span will open in this sink.
+    Pending(TraceSink),
+    /// Pulled from: the span records when the window ends.
+    Open(SpanGuard),
 }
 
 /// Where an [`Answers`] stream's rows come from.
@@ -91,9 +105,8 @@ impl Source {
 
 impl Answers {
     fn new(schema: Vec<Var>, source: Source) -> Answers {
-        let span = trace::current().span(source.span_name());
-        let source = Box::new(source);
-        Answers { schema, source, cancel: CancelToken::never(), rows: 0, span }
+        let (source, window) = (Box::new(source), Window::Pending(trace::current()));
+        Answers { schema, source, cancel: CancelToken::never(), rows: 0, window }
     }
 
     /// The constant-delay walk of `tree` — the preprocessing
@@ -128,6 +141,9 @@ impl Answers {
     /// express.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<&[Val]>, EvalError> {
+        if let Window::Pending(sink) = &self.window {
+            self.window = Window::Open(sink.span(self.source.span_name()));
+        }
         self.cancel.check()?;
         let row = match &mut *self.source {
             Source::Walk(walk) => walk.next(),
@@ -166,9 +182,26 @@ impl Answers {
         Ok(())
     }
 
-    /// Install the cancel token polled by [`Answers::next`].
+    /// Install the cancel token polled by [`Answers::next`]: a new pull
+    /// window begins, in the thread's current trace sink, and the last
+    /// one's span, if it pulled, records.
     pub fn set_cancel(&mut self, cancel: CancelToken) {
+        self.end_window(trace::current());
         self.cancel = cancel;
+    }
+
+    /// End the pull window: tag its span, if it opened, with what the
+    /// window did and record it, and leave the next one pending in
+    /// `next`.
+    fn end_window(&mut self, next: TraceSink) {
+        if let Window::Open(span) = &mut self.window {
+            span.attr("rows", std::mem::take(&mut self.rows));
+            if let Source::Walk(walk) = &mut *self.source {
+                span.attr("steps", std::mem::take(&mut walk.steps));
+            }
+            span.attr("cancel-polls", self.cancel.polls());
+        }
+        self.window = Window::Pending(next);
     }
 
     /// Total number of answers, when the source knows it without
@@ -196,11 +229,7 @@ impl Answers {
 
 impl Drop for Answers {
     fn drop(&mut self) {
-        self.span.attr("rows", self.rows);
-        if let Source::Walk(walk) = &*self.source {
-            self.span.attr("steps", walk.steps);
-        }
-        self.span.attr("cancel-polls", self.cancel.polls());
+        self.end_window(TraceSink::disabled());
     }
 }
 

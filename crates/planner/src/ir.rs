@@ -48,8 +48,9 @@ pub enum PlanOp {
         /// Planner-chosen global variable order.
         order: Vec<Var>,
     },
-    /// Lexicographic direct access through a ⪯-compatible join tree and
-    /// mixed-radix navigation (Thm 3.24).
+    /// Lexicographic direct access for a trio-free order: the order's
+    /// layered join tree, one node per variable, and one pass over its
+    /// nodes with a running radix per access (Thm 3.24).
     LexDirectAccess {
         /// The lexicographic variable order accessed.
         order: Vec<Var>,

@@ -501,6 +501,8 @@ impl Session {
     /// how many came and whether the stream is done (`OK <k> rows
     /// eof`). Each FETCH runs under a fresh tenant deadline; a trip
     /// leaves the cursor open with the already-pulled rows delivered.
+    /// The stream gets the deadline for this FETCH only, so its span of
+    /// the pulls lands in this FETCH's trace.
     pub(super) fn fetch(&mut self, id: u64, n: u64) -> Handled {
         let tenant = Arc::clone(&self.live_cursor(id)?.tenant);
         let watch = self.watch(&tenant);
@@ -511,6 +513,7 @@ impl Session {
             render_row_into(&mut lines, row);
             lines.push(b'\n');
         });
+        entry.answers.set_cancel(CancelToken::never());
         let data: Vec<String> = rendered_lines(&lines).map(str::to_string).collect();
         tenant.metrics().answer_rows.add(data.len() as u64);
         match outcome {
@@ -1131,6 +1134,46 @@ mod tests {
         assert!(r.terminal.contains("constant-delay enumeration"), "{}", r.terminal);
         // the cursor survives the refused SEEK
         assert_eq!(s.handle_line("FETCH 1 100").unwrap().terminal, "OK 3 rows eof");
+    }
+
+    #[test]
+    fn each_fetch_traces_the_stream_work_it_did() {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        s.state.set_profile_capacity(64);
+        drive(&mut s, &["LOAD R1 2", "1 10", "2 10", "3 11", "END"]);
+        drive(&mut s, &["LOAD R2 2", "10 7", "10 8", "11 8", "END"]);
+        let q = "q(x, y, z) :- R1(x, y), R2(y, z)";
+        for (id, verb, span) in
+            [(0, "ANSWERS", "stream.enumerate"), (1, "ACCESS", "stream.direct-access")]
+        {
+            let r = s.handle_line(&format!("CURSOR {verb} {q}")).unwrap();
+            assert_eq!(r.terminal, format!("OK cursor {id}"));
+            let mut fetched = vec![];
+            for line in [format!("FETCH {id} 2"), format!("FETCH {id} 1")]
+                .into_iter()
+                .chain((verb == "ACCESS").then(|| format!("SEEK {id} 3")))
+                .chain([format!("FETCH {id} 9"), format!("CLOSE {id}")])
+            {
+                let r = s.handle_line(&line).unwrap();
+                assert!(r.is_ok(), "{line}: {}", r.terminal);
+                if line.starts_with("FETCH") {
+                    fetched.push((line, r.data.len() as u64));
+                }
+            }
+            assert_eq!(fetched.iter().map(|f| f.1).collect::<Vec<_>>(), [2, 1, 2]);
+            let traces = s.state.tenant("t").unwrap().metrics().recent_traces();
+            for (line, rows) in fetched {
+                let tr = traces.iter().rev().find(|t| t.query == line).expect(&line);
+                let mut spans = vec![];
+                tr.visit(|_, sp| spans.push((sp.name.clone(), sp.attr("rows"))));
+                assert_eq!(spans, [(span.to_string(), Some(rows))], "{line}");
+                let mut steps = None;
+                tr.visit(|_, sp| steps = sp.attr("steps"));
+                assert_eq!(steps.is_some(), verb == "ANSWERS", "{line}: a walk's steps");
+            }
+        }
     }
 
     #[test]

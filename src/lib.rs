@@ -44,7 +44,8 @@
 //! ## Serving over the wire: `cqd` and `cqsh`
 //!
 //! The [`server`] crate puts the whole pipeline behind a multi-tenant
-//! line-based text protocol (std-only: `TcpListener` + a thread pool).
+//! line-based text protocol (std-only: `TcpListener`, and a thread per
+//! connection under one admission cap).
 //! Boot the daemon and talk to it from the shell:
 //!
 //! ```text

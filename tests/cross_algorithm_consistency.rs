@@ -536,8 +536,9 @@ fn enumeration_order_is_the_direct_access_order() {
 /// moved: on the shapes that lean on the links — a disconnected body
 /// (a nullary key: one group), dangling rows on both sides of an edge
 /// (rows the reduction must drop before a group is a run), and a
-/// lexicographic order only the flattened tree serves (a child linked to
-/// its grandparent's rows) — the walk, `access(0..n)` and the rows the
+/// lexicographic order that interleaves the star's spokes (its layered
+/// tree links each spoke to the one before by the hub) — the walk,
+/// `access(0..n)` and the rows the
 /// key-searching tree produced (recorded at the commit before it went)
 /// are one sequence.
 #[test]
@@ -578,8 +579,8 @@ fn the_linked_tree_walks_and_accesses_the_recorded_rows() {
         assert_eq!(array_of(&*da), Out::Array(walked.clone()), "{src}");
         assert_eq!(walked, want, "{src}");
     }
-    // q̂*_3 under (z, x1, x3, x2): the GYO tree is a chain, the order
-    // needs the star
+    // q̂*_3 under (z, x1, x3, x2): one layer per variable, each spoke
+    // keyed by z
     let mut db = Database::new();
     db.insert("R", Relation::from_pairs(vec![(1, 0), (2, 0), (3, 1), (4, 1)]));
     let q = zoo::star_full(3);

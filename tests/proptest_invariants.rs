@@ -174,25 +174,53 @@ proptest! {
         }
     }
 
-    /// Lexicographic direct access, when the builder accepts an order,
-    /// and the materialized structure under the same order are the
-    /// brute-force answers sorted by it, at every index.
+    /// Lexicographic direct access on the join version of an acyclic
+    /// draw, in a random order: the builder accepts exactly the orders
+    /// without a disruptive trio (Thm 3.24), a refusal names the trio,
+    /// and what it builds and the materialized structure under the same
+    /// order are the brute-force answers sorted by it, at every index.
     #[test]
     fn direct_access_matches_materialized(q in query_strategy(), seed in 0u64..500) {
-        if !q.is_join_query() || !q.hypergraph().is_acyclic() {
+        let q = q.join_version();
+        if !q.hypergraph().is_acyclic() {
             return Ok(());
         }
         let db = random_db_for(&q, seed, 10);
-        let order: Vec<Var> = q.vars().collect();
+        let mut order: Vec<Var> = q.vars().collect();
+        let mut x = seed;
+        for i in (1..order.len()).rev() {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            order.swap(i, (x >> 33) as usize % (i + 1));
+        }
+        let names = |vs: &[Var]| vs.iter().map(|&v| q.var_name(v)).collect::<Vec<_>>();
         let want = sorted_by(&q, &db, &order);
         let ctx = ExecCtx::cold();
-        use cq_engine::{DirectAccess, LexDirectAccess};
-        let lex = LexDirectAccess::build(&ctx, &q, &db, &order).ok();
+        use cq_engine::{DirectAccess, EvalError, LexDirectAccess};
+        let lex = match cq_core::disruptive_trio::find_disruptive_trio(&q, &order) {
+            None => Some(LexDirectAccess::build(&ctx, &q, &db, &order).unwrap_or_else(|e| {
+                panic!("{q} in trio-free order {:?}: {e}", names(&order))
+            })),
+            Some(t) => {
+                let trio = format!("({})", names(&[t.y1, t.y2, t.y3]).join(", "));
+                match LexDirectAccess::build(&ctx, &q, &db, &order) {
+                    Err(EvalError::Unsupported(msg)) => {
+                        prop_assert!(msg.contains(&trio), "{} does not name {}", msg, trio);
+                    }
+                    other => prop_assert!(
+                        false, "{} in order {:?}: {:?}", q, names(&order), other.map(|d| d.len())
+                    ),
+                }
+                None
+            }
+        };
         let mat = LexDirectAccess::materialized(&ctx, &q, &db, &order).unwrap();
         for da in lex.iter().chain([&mat]) {
-            prop_assert_eq!(da.len(), want.len() as u64);
+            prop_assert_eq!(da.len(), want.len() as u64, "{} in order {:?}", q, names(&order));
             for i in 0..da.len().min(200) {
-                prop_assert_eq!(da.access(i), Some(want[i as usize].clone()), "index {}", i);
+                prop_assert_eq!(
+                    da.access(i), Some(want[i as usize].clone()),
+                    "{} in order {:?}, index {}", q, names(&order), i
+                );
             }
         }
     }

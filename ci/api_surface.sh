@@ -23,7 +23,7 @@
 # semijoin and the per-row key searches of `SortedView` stay deleted. And one
 # statement of the dichotomy: `cq_core::classify::verdict` attaches
 # hypotheses and renders witnesses, the planner maps its verdict to an
-# operator, and the facade's catalog is one value, not a registry. And one
+# operator, and a catalog is a value its caller holds, not a registry. And one
 # word-parallel layout: the ranked bitmaps of every level of a view, one
 # type in `index.rs`, intersected by portable safe Rust. And a view is its
 # trie: `SortedView` keeps no row copy of its own, the rows the reduced tree
@@ -71,6 +71,12 @@
 # `LexDirectAccess::build` refuses an order with a disruptive trio and
 # builds the layered tree of any other (Thm 3.24), so no search over
 # reroots or flattened trees for a compatible one grows back beside it.
+# And no process-wide catalog: `EvalCtx` is the planner's one way to
+# evaluate, cold on a throwaway catalog unless its caller hands it one,
+# so whether a call pays for its preprocessing is decided by the call's
+# own arguments and no static holds catalog entries nobody can hit again.
+# And one random-query generator for the property tests, valid by
+# construction, in `tests/queries/mod.rs`.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -373,10 +379,22 @@ forbid "hypotheses attached in the planner (cq_core::classify::verdict decides):
 exactly_one "witness renderer (\`fn witness_text\`)" "$(
     grep -rnE 'fn witness_text\b' crates
 )"
+# (`EvalCtx::with_catalog` is the setter that hands a context its catalog)
 forbid "caller-less planner entry points (a catalog registry, cache clearing):" "$(
     grep -rnE 'fn (with_catalog|catalog_for|registry|peek|clear|clear_cache)\b' \
-        crates/planner/src/eval.rs crates/planner/src/planner.rs
+        crates/planner/src | grep -vE '^crates/planner/src/ctx\.rs:[0-9]+: *pub fn with_catalog<'
     grep -rnE 'CatalogRegistry|CATALOG_REGISTRY_CAP' crates/planner/src
+)"
+# no process-wide catalog: a context without one runs cold, so no static
+# keeps entries for databases long dropped, and the facade over such a
+# static, the cold twin of `EvalCtx::execute` and the second door into
+# its dispatch table stay deleted
+forbid "a process-wide catalog or a second way to evaluate (EvalCtx is the one; hand it a catalog to run warm):" "$(
+    grep -rnE 'OnceLock<IndexCatalog>|static\b.*IndexCatalog' crates src
+    grep -nE '\bmod eval\b' crates/planner/src/lib.rs | sed 's|^|crates/planner/src/lib.rs:|'
+    grep -rn 'eval::' crates src tests examples
+    grep -nE 'pub fn (execute|build_lex_access)\(' crates/planner/src/execute.rs \
+        | sed 's|^|crates/planner/src/execute.rs:|'
 )"
 # one evaluation path: a `BATCH` item runs down the statement path and the
 # server admits every plan, so the planner's batch pool, its budget and
@@ -408,7 +426,7 @@ forbid "the shape cache, its canonicalizer or the global planner (a session keep
     grep -rnE 'canonical_shape|CanonicalShape|PlanCache|with_global_planner|cache_counters' \
         crates src tests examples
 )"
-forbid "a lock in the planner (it holds no state; the catalog's OnceLock is not a lock):" "$(
+forbid "a lock in the planner (it holds no state):" "$(
     for f in crates/planner/src/*.rs; do non_test "$f"; done | grep -F 'Mutex'
 )"
 
@@ -454,6 +472,11 @@ forbid "exponent fits outside tests/exponents/mod.rs (add a row to its table):" 
 )"
 forbid "work harnesses outside tests/exponents/mod.rs (add a row to its table):" "$(
     grep -rnE 'fn (traced|join_count)\b' tests | grep -v '^tests/exponents/mod\.rs:'
+)"
+# ... and one random-query generator, which never falls back to a fixed
+# query: the properties that draw from it share its coverage
+exactly_one "random-query generator under tests/ (\`fn query_strategy\` in tests/queries/mod.rs)" "$(
+    grep -rnE 'fn query_strategy\b' tests
 )"
 
 exit $status

@@ -29,7 +29,7 @@
 //! order for materialized relations. Lemma 3.23 shows sorted emission
 //! for disrupted orders is impossible without superlinear
 //! preprocessing, so callers who need normalized output collect and
-//! sort (`eval::answers*` does exactly that).
+//! sort (`EvalCtx::answers` in cq-planner does exactly that).
 //!
 //! Tracing: a stream records one span per *pull window* —
 //! `stream.enumerate`, `stream.direct-access` or `stream.relation` —

@@ -1,13 +1,16 @@
 //! Evaluation options as a value: [`EvalCtx`].
 //!
-//! An [`EvalCtx`] carries the options of an evaluation — index catalog
-//! and cancel token — and one method per task consumes it, so a new
-//! cross-cutting concern is a new field, not a new function suffix. Both
-//! are the operators' business and reach them as the [`ExecCtx`] this
-//! type builds per execution. Admission is its caller's: the server
-//! checks [`EvalBudget::violation`] between planning and execution. A
-//! trace follows the thread: an execution records into whatever sink
-//! [`trace::with`] installed around it.
+//! An [`EvalCtx`] is the planner's one way to evaluate. It carries the
+//! options of an evaluation — index catalog and cancel token — and one
+//! method per task consumes it, so a new cross-cutting concern is a new
+//! field, not a new function suffix. Both are the operators' business
+//! and reach them as the [`ExecCtx`] this type builds per execution.
+//! Whether a call pays for its preprocessing is the caller's choice: a
+//! context given no catalog runs every call cold, on a throwaway
+//! catalog; a context given one runs warm on it. Admission is its
+//! caller's: the server checks [`EvalBudget::violation`] between
+//! planning and execution. A trace follows the thread: an execution
+//! records into whatever sink [`trace::with`] installed around it.
 //!
 //! ```
 //! use cq_planner::EvalCtx;
@@ -23,7 +26,6 @@
 //! assert_eq!(n, 1);
 //! ```
 
-use crate::eval;
 use crate::execute::{execute_in, Output};
 use crate::ir::{QueryPlan, Task};
 use crate::planner::Planner;
@@ -79,10 +81,8 @@ impl EvalBudget {
 /// with [`EvalCtx::new`] and the `with_*` setters, then call a task
 /// method.
 ///
-/// Defaults: no explicit catalog (task methods fall back to the
-/// process-wide [`eval::catalog`], [`EvalCtx::execute`] to a throwaway
-/// cold catalog — exactly the defaults of the suffix-free facade
-/// functions) and a never-tripping token.
+/// Defaults: no catalog, so every method runs cold on a catalog of its
+/// own, dropped when it returns; and a never-tripping token.
 #[derive(Clone)]
 pub struct EvalCtx<'a> {
     catalog: Option<&'a IndexCatalog>,
@@ -96,13 +96,13 @@ impl Default for EvalCtx<'_> {
 }
 
 impl<'a> EvalCtx<'a> {
-    /// The default context: process-wide catalog, never cancelled.
+    /// The default context: cold, never cancelled.
     pub fn new() -> EvalCtx<'static> {
         EvalCtx { catalog: None, cancel: CancelToken::never() }
     }
 
-    /// Run against an explicit catalog (e.g. one pinned per server
-    /// tenant) instead of the process-wide one.
+    /// Run warm against `catalog` (e.g. the one pinned per server
+    /// tenant): what a call builds there, a later call reuses.
     pub fn with_catalog<'b>(self, catalog: &'b IndexCatalog) -> EvalCtx<'b> {
         EvalCtx { catalog: Some(catalog), cancel: self.cancel }
     }
@@ -120,17 +120,27 @@ impl<'a> EvalCtx<'a> {
     }
 
     /// Execute an already-made `plan` under this context's options.
-    /// With no explicit catalog this is the *cold* path (a throwaway
-    /// catalog, like [`execute`](crate::execute::execute)).
+    ///
+    /// # Errors
+    /// Propagates the engine's [`EvalError`]s (missing relations, arity
+    /// mismatches, structure violations, cancellation). Returns
+    /// [`EvalError::Unsupported`] if the plan's operator cannot serve
+    /// the plan's task (a planner bug, not a data condition).
     pub fn execute(
         &self,
         plan: &QueryPlan,
         q: &ConjunctiveQuery,
         db: &Database,
     ) -> Result<Output, EvalError> {
+        self.on_catalog(|catalog| self.execute_traced(plan, q, db, catalog))
+    }
+
+    /// Run `f` on this context's catalog or, given none, on a throwaway
+    /// one: a context without a catalog runs cold.
+    fn on_catalog<T>(&self, f: impl FnOnce(&IndexCatalog) -> T) -> T {
         match self.catalog {
-            Some(cat) => self.execute_traced(plan, q, db, cat),
-            None => self.execute_traced(plan, q, db, &IndexCatalog::new()),
+            Some(catalog) => f(catalog),
+            None => f(&IndexCatalog::new()),
         }
     }
 
@@ -164,12 +174,6 @@ impl<'a> EvalCtx<'a> {
             _ => {}
         }
         out
-    }
-
-    /// The catalog task methods run against: the explicit one, or the
-    /// process-wide one.
-    fn resolve_catalog(&self) -> &'a IndexCatalog {
-        self.catalog.unwrap_or_else(|| eval::catalog())
     }
 
     /// Plan and run [`Task::Decide`]: is `q(D)` non-empty? Returns the
@@ -213,10 +217,11 @@ impl<'a> EvalCtx<'a> {
         db: &Database,
         task: Task,
     ) -> Result<(Output, QueryPlan), EvalError> {
-        let catalog = self.resolve_catalog();
-        let plan = Planner::new().plan(q, task, &catalog.stats(db));
-        let out = self.execute_traced(&plan, q, db, catalog)?;
-        Ok((out, plan))
+        self.on_catalog(|catalog| {
+            let plan = Planner::new().plan(q, task, &catalog.stats(db));
+            let out = self.execute_traced(&plan, q, db, catalog)?;
+            Ok((out, plan))
+        })
     }
 }
 
@@ -225,16 +230,19 @@ mod tests {
     use super::*;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, random_pairs, seeded_rng, triangle_database};
+    use cq_data::DataStats;
+    use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
     use cq_obs::trace::TraceSink;
 
     #[test]
     fn task_methods_agree_with_the_facade() {
+        // a warm context's task methods agree with a cold one's
         let db = path_database(3, 40, &mut seeded_rng(31));
         let q = zoo::path_join(3);
         let catalog = IndexCatalog::new();
         let ctx = EvalCtx::new().with_catalog(&catalog);
         let (n, plan) = ctx.count(&q, &db).unwrap();
-        let (want, _) = crate::eval::count(&q, &db).unwrap();
+        let (want, _) = EvalCtx::new().count(&q, &db).unwrap();
         assert_eq!(n, want);
         assert_eq!(plan.op.name(), "counting DP over join tree");
         // the boolean variant has the same body: non-empty iff count > 0
@@ -244,19 +252,116 @@ mod tests {
         assert_eq!(rel.len() as u64, n);
     }
 
+    /// A context without a catalog builds on every call; one given a
+    /// catalog builds nothing on a repeat.
     #[test]
-    fn default_catalog_is_the_process_wide_one() {
-        // with no explicit catalog, repeated ctx calls share the
-        // process-wide warm catalog — same as the suffix-free facade
-        let mut db = cq_data::Database::new();
-        db.insert("CtxA", cq_data::generate::random_pairs(25, 25, &mut seeded_rng(34)));
-        db.insert("CtxB", cq_data::generate::random_pairs(25, 25, &mut seeded_rng(35)));
-        let q = cq_core::parse_query("q(a, b, c) :- CtxA(a, b), CtxB(b, c)").unwrap();
+    fn no_catalog_runs_cold_and_a_catalog_runs_warm() {
+        let db = path_database(2, 25, &mut seeded_rng(34));
+        let q = zoo::path_join(2);
+        let builds = |ctx: &EvalCtx| {
+            let sink = TraceSink::enabled();
+            trace::with(&sink, || ctx.answers(&q, &db)).unwrap();
+            let mut builds = None;
+            sink.finish("test", "answers").expect("enabled").visit(|_, span| {
+                if span.name == "execute" {
+                    builds = span.attr("catalog-builds");
+                }
+            });
+            builds.expect("a root span")
+        };
+        let cold = EvalCtx::new();
+        builds(&cold);
+        assert!(builds(&cold) > 0, "a context without a catalog runs cold");
+
+        let catalog = IndexCatalog::new();
+        let warm = EvalCtx::new().with_catalog(&catalog);
+        builds(&warm);
+        let built = catalog.snapshot().misses;
+        assert_eq!(builds(&warm), 0);
+        assert_eq!(catalog.snapshot().misses, built, "a repeat on a catalog is warm");
+    }
+
+    #[test]
+    fn facade_matches_brute_force_and_reports_plans() {
         let ctx = EvalCtx::new();
+        let db = path_database(3, 40, &mut seeded_rng(1));
+        let q = zoo::path_boolean(3);
+        let (res, plan) = ctx.decide(&q, &db).unwrap();
+        assert_eq!(res, brute_force_decide(&q, &db).unwrap());
+        assert_eq!(plan.op.name(), "Yannakakis semijoin sweep");
+
+        let q = zoo::path_join(3);
+        let (n, plan) = ctx.count(&q, &db).unwrap();
+        assert_eq!(n, brute_force_count(&q, &db).unwrap());
+        assert_eq!(plan.op.name(), "counting DP over join tree");
+
+        let db = triangle_database(&random_pairs(40, 10, &mut seeded_rng(2)));
+        let q = zoo::triangle_join();
+        let (rel, plan) = ctx.answers(&q, &db).unwrap();
+        assert_eq!(rel, brute_force_answers(&q, &db).unwrap());
+        assert_eq!(plan.op.name(), "generic join + projection");
+    }
+
+    #[test]
+    fn facade_is_mutation_safe() {
+        // the warm path must never serve indexes of a previous state
+        let catalog = IndexCatalog::new();
+        let ctx = EvalCtx::new().with_catalog(&catalog);
+        let mut db = path_database(2, 30, &mut seeded_rng(7));
+        let q = zoo::path_join(2);
+        let (first, _) = ctx.answers(&q, &db).unwrap();
+        assert_eq!(first, brute_force_answers(&q, &db).unwrap());
+        // repeat on the unchanged database: same result, warm catalog
+        let (again, _) = ctx.answers(&q, &db).unwrap();
+        assert_eq!(first, again);
+        // mutate and re-evaluate: R2's version moved, its indexes rebuild
+        db.insert("R2", Relation::from_pairs(vec![(1, 2)]));
+        let (after, _) = ctx.answers(&q, &db).unwrap();
+        assert_eq!(after, brute_force_answers(&q, &db).unwrap());
+    }
+
+    #[test]
+    fn facade_reuses_catalog_across_calls() {
+        let db = path_database(3, 25, &mut seeded_rng(8));
+        let q = zoo::path_join(3);
+        let catalog = IndexCatalog::new();
+        let ctx = EvalCtx::new().with_catalog(&catalog);
         let _ = ctx.answers(&q, &db).unwrap();
-        let repeat = || drop(ctx.answers(&q, &db).unwrap());
-        let builds = crate::eval::builds_in_a_quiet_window(repeat);
-        assert_eq!(builds, 0, "second call must be warm");
+        let _ = ctx.count(&q, &db).unwrap();
+        let built = catalog.snapshot().misses;
+        assert!(built > 0, "the calls built into the context's catalog");
+        let _ = ctx.answers(&q, &db).unwrap();
+        let _ = ctx.count(&q, &db).unwrap();
+        assert_eq!(catalog.snapshot().misses, built, "warm calls rebuilt");
+    }
+
+    #[test]
+    fn explain_facade_renders() {
+        let db = triangle_database(&random_pairs(20, 8, &mut seeded_rng(4)));
+        let q = zoo::triangle_boolean();
+        let plan = Planner::new().plan(&q, Task::Decide, &DataStats::collect(&db));
+        let text = crate::explain::render(&plan, &q);
+        assert!(text.contains("generic join"));
+        assert!(text.contains("Hypothesis"));
+    }
+
+    #[test]
+    fn boolean_answers_are_the_nullary_relation() {
+        let ctx = EvalCtx::new();
+        let db = triangle_database(&random_pairs(20, 8, &mut seeded_rng(5)));
+        let q = zoo::triangle_boolean();
+        let (rel, plan) = ctx.answers(&q, &db).unwrap();
+        assert_eq!(rel.arity(), 0);
+        assert_eq!(plan.op.name(), "generic join (worst-case optimal)");
+        // the answer relation distinguishes true ({()}) from false ({})
+        let want = brute_force_decide(&q, &db).unwrap();
+        assert_eq!(rel.len(), usize::from(want));
+        assert_eq!(rel, brute_force_answers(&q, &db).unwrap());
+        // acyclic Boolean route agrees
+        let db = path_database(2, 30, &mut seeded_rng(6));
+        let q = zoo::path_boolean(2);
+        let (rel, _) = ctx.answers(&q, &db).unwrap();
+        assert_eq!(rel.len(), usize::from(brute_force_decide(&q, &db).unwrap()));
     }
 
     /// The root `execute` span counts the polls of every thread the

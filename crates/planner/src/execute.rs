@@ -1,5 +1,7 @@
 //! The plan executor: dispatch a [`QueryPlan`] to the `cq-engine`
-//! algorithm it names.
+//! algorithm it names. Its one caller is
+//! [`EvalCtx::execute`](crate::EvalCtx::execute), which hands it the
+//! caller's catalog, or a throwaway one, and token as an [`ExecCtx`].
 //!
 //! Execution is strict about the plan/task pairing — a plan produced
 //! for [`Task::Count`] cannot be executed as enumeration — but
@@ -7,7 +9,7 @@
 //! number of times, against any database (the plan stays *correct* on
 //! other databases; only its cost estimate and trivial-empty
 //! short-circuit are tied to the statistics it was planned with, which
-//! is why [`execute`] re-checks nothing and `TrivialEmpty` plans should
+//! is why execution re-checks nothing and `TrivialEmpty` plans should
 //! only be replayed against the database they were planned for).
 
 use crate::ir::{PlanOp, QueryPlan, Task};
@@ -54,25 +56,6 @@ impl Output {
             _ => None,
         }
     }
-}
-
-/// Execute `plan` for `q` on `db` one-shot — [`ExecCtx::cold`]: a
-/// throwaway catalog, never cancelled. Anything worth keeping warm, or
-/// bounding, goes through [`EvalCtx::execute`](crate::EvalCtx::execute),
-/// which runs the same dispatch table under the caller's catalog and
-/// token.
-///
-/// # Errors
-/// Propagates the underlying engine's [`EvalError`]s (missing
-/// relations, arity mismatches, structure violations). Returns
-/// [`EvalError::Unsupported`] if the plan's operator cannot serve the
-/// plan's task (a planner bug, not a data condition).
-pub fn execute(
-    plan: &QueryPlan,
-    q: &ConjunctiveQuery,
-    db: &Database,
-) -> Result<Output, EvalError> {
-    execute_in(&ExecCtx::cold(), plan, q, db)
 }
 
 /// **The** dispatch table: `plan.task` to the operator arms, every
@@ -183,7 +166,7 @@ fn answers_task(
 /// access — is paid once per database state; repeated builds hand back
 /// the shared structure and `access` calls pay their Õ(log m) only. A
 /// cold build polls `ctx`'s token and memoizes nothing when cancelled.
-pub fn build_lex_access(
+pub(crate) fn build_lex_access(
     ctx: &ExecCtx,
     plan: &QueryPlan,
     q: &ConjunctiveQuery,
@@ -206,6 +189,7 @@ mod tests {
     use super::*;
     use crate::ir::Task;
     use crate::planner::Planner;
+    use crate::EvalCtx;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, random_pairs, seeded_rng, triangle_database};
     use cq_data::DataStats;
@@ -220,19 +204,19 @@ mod tests {
 
         let q = zoo::path_boolean(3);
         let plan = p.plan(&q, Task::Decide, &stats);
-        let got = execute(&plan, &q, &db).unwrap().as_decision().unwrap();
+        let got = EvalCtx::new().execute(&plan, &q, &db).unwrap().as_decision().unwrap();
         assert_eq!(got, brute_force_decide(&q, &db).unwrap());
 
         let q = zoo::path_join(3);
         let plan = p.plan(&q, Task::Count, &stats);
-        let got = execute(&plan, &q, &db).unwrap().as_count().unwrap();
+        let got = EvalCtx::new().execute(&plan, &q, &db).unwrap().as_count().unwrap();
         assert_eq!(got, brute_force_count(&q, &db).unwrap());
 
         let db = triangle_database(&random_pairs(30, 10, &mut seeded_rng(2)));
         let stats = DataStats::collect(&db);
         let q = zoo::triangle_join();
         let plan = p.plan(&q, Task::Answers, &stats);
-        let Output::Answers(got) = execute(&plan, &q, &db).unwrap() else {
+        let Output::Answers(got) = EvalCtx::new().execute(&plan, &q, &db).unwrap() else {
             panic!("answers task must yield an answer stream");
         };
         let got = got.collect().unwrap();
@@ -246,7 +230,10 @@ mod tests {
         let q = zoo::path_join(2);
         let count_plan = Planner::new().plan(&q, Task::Count, &stats);
         let wrong = QueryPlan { task: Task::Decide, ..count_plan };
-        assert!(matches!(execute(&wrong, &q, &db), Err(EvalError::Unsupported(_))));
+        assert!(matches!(
+            EvalCtx::new().execute(&wrong, &q, &db),
+            Err(EvalError::Unsupported(_))
+        ));
     }
 
     #[test]
@@ -260,7 +247,7 @@ mod tests {
         for task in [Task::Decide, Task::Count, Task::Answers] {
             let plan = p.plan(&q, task, &stats);
             assert_eq!(plan.op, PlanOp::TrivialEmpty);
-            match execute(&plan, &q, &db).unwrap() {
+            match EvalCtx::new().execute(&plan, &q, &db).unwrap() {
                 Output::Decision(b) => assert!(!b),
                 Output::Count(c) => assert_eq!(c, 0),
                 Output::Answers(a) => assert!(a.collect().unwrap().is_empty()),
@@ -274,7 +261,10 @@ mod tests {
         let stats = DataStats::collect(&db);
         let q = zoo::path_join(2);
         let plan = Planner::new().plan(&q, Task::Count, &stats);
-        assert!(matches!(execute(&plan, &q, &db), Err(EvalError::MissingRelation(_))));
+        assert!(matches!(
+            EvalCtx::new().execute(&plan, &q, &db),
+            Err(EvalError::MissingRelation(_))
+        ));
     }
 
     #[test]
@@ -317,7 +307,8 @@ mod tests {
         let da = build_lex_access(&ExecCtx::cold(), &plan, &q, &db).unwrap();
         let n = da.len();
         assert!(n > 0);
-        let Output::Answers(mut a) = execute(&plan, &q, &db).unwrap() else {
+        let Output::Answers(mut a) = EvalCtx::new().execute(&plan, &q, &db).unwrap()
+        else {
             panic!("access task must yield an answer stream");
         };
         assert_eq!(a.size_hint(), Some(n));
@@ -329,7 +320,6 @@ mod tests {
 
     #[test]
     fn access_builds_are_bounded_by_the_context_token() {
-        use crate::EvalCtx;
         use std::sync::atomic::{AtomicUsize, Ordering};
         use std::sync::Arc;
 
@@ -383,7 +373,8 @@ mod tests {
         let q = zoo::path_join(2);
         let plan = Planner::new().plan(&q, Task::Answers, &stats);
         assert_eq!(plan.op, PlanOp::ConstantDelayEnumeration);
-        let Output::Answers(mut a) = execute(&plan, &q, &db).unwrap() else {
+        let Output::Answers(mut a) = EvalCtx::new().execute(&plan, &q, &db).unwrap()
+        else {
             panic!("answers task must yield an answer stream");
         };
         assert_eq!(a.size_hint(), None, "a walk does not know its length");

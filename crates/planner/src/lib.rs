@@ -24,16 +24,17 @@
 //! * [`mod@execute`] — the executor dispatching plans to `cq-engine`.
 //! * [`explain`] — EXPLAIN rendering with theorem citations and the
 //!   hypothesis ruling out anything faster.
-//! * [`eval`] — the one-call facade (`decide` / `count` / `answers` /
-//!   `explain`) used by the facade crate and the examples.
-//! * [`ctx`] — [`EvalCtx`], the options struct (catalog, cancel token)
-//!   behind the facade, and [`EvalBudget`], the caps a caller admits a
-//!   plan against.
+//! * [`ctx`] — [`EvalCtx`], the one way to evaluate: plan and run a
+//!   task (`decide` / `count` / `answers`), or run a plan already made
+//!   (`execute`). It runs cold, on a throwaway catalog, unless its
+//!   caller hands it an [`IndexCatalog`](cq_data::IndexCatalog) to run
+//!   warm on. [`EvalBudget`] holds the caps a caller admits a plan
+//!   against.
 //!
 //! ## Example
 //!
 //! ```
-//! use cq_planner::{eval, Task};
+//! use cq_planner::{explain, EvalCtx};
 //! use cq_core::query::zoo;
 //! use cq_data::{Database, Relation};
 //!
@@ -42,21 +43,20 @@
 //! for r in ["R1", "R2", "R3"] {
 //!     db.insert(r, Relation::from_pairs(vec![(1, 2), (2, 3)]));
 //! }
-//! let (nonempty, _plan) = eval::decide(&q, &db).unwrap();
+//! let (nonempty, plan) = EvalCtx::new().decide(&q, &db).unwrap();
 //! assert!(!nonempty);
 //! // the plan knows what ran and why nothing faster exists:
-//! let text = eval::explain(&q, &db, Task::Decide);
+//! let text = explain::render(&plan, &q);
 //! assert!(text.contains("generic join"));
 //! ```
 
 pub mod ctx;
-pub mod eval;
 pub mod execute;
 pub mod explain;
 pub mod ir;
 pub mod planner;
 
 pub use ctx::{EvalBudget, EvalCtx};
-pub use execute::{build_lex_access, execute, Output};
+pub use execute::Output;
 pub use ir::{CostEstimate, PlanOp, QueryPlan, Task, Verdict};
 pub use planner::{choose, Planner};

@@ -76,7 +76,8 @@ pub fn build(g: &Graph, k: usize, kprime: usize) -> (ConjunctiveQuery, Database)
 /// `has_dominating_set = answers < total = n^{k′}`.
 pub fn kds_via_star_counting(g: &Graph, k: usize, kprime: usize) -> (bool, u64, u64) {
     let (q, db) = build(g, k, kprime);
-    let (count, _) = cq_planner::eval::count(&q, &db).expect("instance must bind");
+    let (count, _) =
+        cq_planner::EvalCtx::new().count(&q, &db).expect("instance must bind");
     let total = (g.n() as u64).pow(kprime as u32);
     (count < total, count, total)
 }

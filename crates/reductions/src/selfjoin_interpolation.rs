@@ -66,7 +66,8 @@ pub fn colorful_count_by_inclusion_exclusion(
         union.normalize();
         let mut db = Database::new();
         db.insert(symbol, union);
-        let (count, _) = cq_planner::eval::count(q, &db).expect("instance must bind");
+        let (count, _) =
+            cq_planner::EvalCtx::new().count(q, &db).expect("instance must bind");
         let sign =
             if (t - mask.count_ones() as usize).is_multiple_of(2) { 1 } else { -1 };
         total += sign * count as i64;
@@ -82,7 +83,8 @@ pub fn selfjoin_free_count(q: &ConjunctiveQuery, parts: &[Relation]) -> u64 {
     for (i, atom) in q.atoms().iter().enumerate() {
         db.insert(&format!("{}__{}", atom.relation, i), parts[i].clone());
     }
-    let (count, _) = cq_planner::eval::count(&qf, &db).expect("instance must bind");
+    let (count, _) =
+        cq_planner::EvalCtx::new().count(&qf, &db).expect("instance must bind");
     count
 }
 

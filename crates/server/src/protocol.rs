@@ -828,7 +828,7 @@ pub fn render_row(row: &[Val]) -> String {
 /// relation's order. `ANSWERS` streams rows in the *plan's*
 /// deterministic order (enumeration / direct-access order), so tests
 /// compare a sorted copy of the server payload against this rendering
-/// of normalized `eval::answers` results — same set, byte-for-byte,
+/// of normalized `EvalCtx::answers` results — same set, byte-for-byte,
 /// modulo order.
 pub fn render_rows(rel: &Relation) -> Vec<String> {
     rel.iter().map(render_row).collect()

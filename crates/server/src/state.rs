@@ -3,10 +3,9 @@
 //!
 //! Tenancy model: one [`Database`] plus one [`IndexCatalog`] per named
 //! tenant. The catalog is *pinned* to the tenant for the tenant's whole
-//! life (not looked up through the facade's generation-keyed registry),
-//! so a tenant's working set of sorted views and preprocessing
-//! artifacts can never be evicted by traffic on other
-//! tenants — and survives the tenant's own writes: catalog entries
+//! life and handed to each of its evaluations, so a tenant's working set
+//! of sorted views and preprocessing artifacts can never be evicted by
+//! traffic on other tenants — and survives the tenant's own writes: catalog entries
 //! validate against the versions of the relations they read
 //! ([`Database::version_of`]), so a mutation costs the entries built
 //! from the written relation and nothing else. Those are swept under

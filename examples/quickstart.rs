@@ -2,6 +2,7 @@
 //!
 //! Run with `cargo run --release --example quickstart`.
 
+use cq_lower_bounds::planner::explain;
 use cq_lower_bounds::prelude::*;
 
 fn main() {
@@ -29,11 +30,11 @@ fn main() {
     db.insert("Follows", Relation::from_pairs(vec![(1, 2), (1, 3), (2, 3), (4, 1)]));
     db.insert("Follows2", Relation::from_pairs(vec![(2, 5), (3, 5), (3, 6)]));
 
-    let (count, plan) = eval::count(&q, &db).unwrap();
+    let (count, plan) = EvalCtx::new().count(&q, &db).unwrap();
     println!("=== evaluation ===\n");
     println!("{q}");
     println!("  |answers| = {count}   (operator: {})", plan.op.name());
-    print!("{}", eval::explain(&q, &db, Task::Count));
+    print!("{}", explain::render(&plan, &q));
 
     let mut e = Answers::walk(enumerate::preprocess(&ExecCtx::cold(), &q, &db).unwrap());
     println!("  constant-delay enumeration:");

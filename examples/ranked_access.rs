@@ -38,8 +38,7 @@ fn main() {
     let plan = Planner::plan_lex_access(&q, &order, &stats);
     println!("\n{}", cq_lower_bounds::planner::explain::render(&plan, &q));
     let t0 = std::time::Instant::now();
-    let da = cq_lower_bounds::planner::build_lex_access(&ExecCtx::cold(), &plan, &q, &db)
-        .unwrap();
+    let da = LexDirectAccess::build(&ExecCtx::cold(), &q, &db, &order).unwrap();
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let total = da.len();
     println!(

@@ -3,6 +3,7 @@
 //!
 //! Run with `cargo run --release --example social_network`.
 
+use cq_lower_bounds::planner::explain;
 use cq_lower_bounds::prelude::*;
 use cq_lower_bounds::problems::triangle;
 use cq_lower_bounds::problems::Graph;
@@ -49,7 +50,7 @@ fn main() {
     println!("\n{}", classify(&q));
 
     let t0 = Instant::now();
-    let (pairs, plan) = eval::answers(&q, &db).unwrap();
+    let (pairs, plan) = EvalCtx::new().answers(&q, &db).unwrap();
     println!(
         "\ncommon-interest pairs: {} (operator: {}, {:.1} ms — the output can be \
          quadratic, which is exactly why Thm 3.16 forbids constant delay)",
@@ -58,7 +59,7 @@ fn main() {
         t0.elapsed().as_secs_f64() * 1e3
     );
     println!("\nEXPLAIN says why nothing faster exists:");
-    print!("{}", eval::explain(&q, &db, Task::Answers));
+    print!("{}", explain::render(&plan, &q));
 
     // The full version q̂*_2 (interest kept in the output) IS free-connex:
     let q_full = parse_query("common(u1, u2, i) :- L1(u1, i), L2(u2, i)").unwrap();

@@ -28,15 +28,16 @@
 //! assert!(profile.decision.is_easy());   // Yannakakis, Thm 3.1
 //! assert!(profile.counting.is_hard());   // SETH, Thm 3.12
 //!
-//! // evaluate on data: plan → execute, one call
+//! // evaluate on data: plan → execute, one call (cold: a context
+//! // given no catalog builds its indexes afresh and drops them)
 //! let mut db = Database::new();
 //! db.insert("R", Relation::from_pairs(vec![(1, 10), (2, 10)]));
 //! db.insert("S", Relation::from_pairs(vec![(10, 7)]));
-//! let (n, plan) = eval::count(&q, &db).unwrap();
+//! let (n, plan) = EvalCtx::new().count(&q, &db).unwrap();
 //! assert_eq!(n, 2); // (1,7) and (2,7)
 //!
 //! // the plan explains itself: operator, citation, lower bound
-//! let text = eval::explain(&q, &db, Task::Count);
+//! let text = cq_lower_bounds::planner::explain::render(&plan, &q);
 //! assert!(text.contains("generic join"));
 //! assert!(text.contains(plan.algorithm_reference));
 //! ```
@@ -280,7 +281,7 @@ pub mod prelude {
     pub use cq_data::{DataStats, Database, IndexCatalog, Relation, Val};
     pub use cq_engine::direct_access::{DirectAccess, LexDirectAccess};
     pub use cq_engine::{enumerate, Answers, EvalError, ExecCtx};
-    pub use cq_planner::{eval, PlanOp, Planner, QueryPlan, Task};
+    pub use cq_planner::{EvalCtx, PlanOp, Planner, QueryPlan, Task};
     pub use cq_reductions::sum_order::SumOrderAccess;
 }
 
@@ -296,7 +297,7 @@ mod tests {
         let mut db = Database::new();
         db.insert("R", Relation::from_pairs(vec![(1, 10), (2, 10)]));
         db.insert("S", Relation::from_pairs(vec![(10, 7)]));
-        let (n, plan) = eval::count(&q, &db).unwrap();
+        let (n, plan) = EvalCtx::new().count(&q, &db).unwrap();
         assert_eq!(n, 2);
         // this query is acyclic but not free-connex: the planner must
         // take the materialization baseline and cite SETH

@@ -10,7 +10,7 @@ use cq_core::{parse_query, ConjunctiveQuery};
 use cq_data::{DataStats, Database, IndexCatalog, Relation, SortedView, Val};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_engine::{generic_join, ExecCtx};
-use cq_planner::{eval, EvalCtx};
+use cq_planner::EvalCtx;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -353,20 +353,21 @@ fn diverging_clones_share_one_catalog_safely() {
     assert_ne!(brute_force_answers(&q, &a).unwrap(), common);
 }
 
-/// The same staleness argument for the facade's one process-wide
-/// catalog: entries validate against per-relation versions, so facade
-/// calls can never see a previous state's indexes — and a write keeps
-/// warm what it did not touch. (No other test of this binary uses the
-/// process-wide catalog, so its counters are this test's own.)
+/// The same staleness argument for task methods over one catalog:
+/// entries validate against per-relation versions, so a warm call can
+/// never see a previous state's indexes — and a write keeps warm what it
+/// did not touch.
 #[test]
 fn facade_registry_interleaving() {
+    let catalog = IndexCatalog::new();
+    let ctx = EvalCtx::new().with_catalog(&catalog);
     let q = zoo::path_join(2);
     let mut db = Database::new();
     db.insert("R1", random_rel(2, 8, 1));
     db.insert("R2", random_rel(2, 8, 2));
     db.insert("Log", random_rel(2, 8, 3));
     for round in 0..20u64 {
-        let (got, _) = eval::answers(&q, &db).unwrap();
+        let (got, _) = ctx.answers(&q, &db).unwrap();
         assert_eq!(got, brute_force_answers(&q, &db).unwrap(), "round {round}");
         if round % 3 == 0 {
             db.insert("R1", random_rel(2, 4 + round as usize % 9, 100 + round));
@@ -377,11 +378,11 @@ fn facade_registry_interleaving() {
     }
     // a write to a relation the query does not read moves the database's
     // generation and nothing the query's evaluation was built from
-    let (want, _) = eval::count(&q, &db).unwrap();
-    let built = eval::catalog().snapshot().misses;
+    let (want, _) = ctx.count(&q, &db).unwrap();
+    let built = catalog.snapshot().misses;
     db.get_mut("Log").unwrap().insert_row(&[1, 1]);
-    let (got, _) = eval::count(&q, &db).unwrap();
+    let (got, _) = ctx.count(&q, &db).unwrap();
     assert_eq!(got, want);
-    let rebuilt = eval::catalog().snapshot().misses - built;
+    let rebuilt = catalog.snapshot().misses - built;
     assert_eq!(rebuilt, 1, "only the statistics (of `Log`) are collected again");
 }

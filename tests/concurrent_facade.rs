@@ -1,17 +1,16 @@
-//! Facade concurrency stress: many threads interleave `decide` /
-//! `count` / `answers` over one shared database through the
-//! process-global registry catalog, and every result must equal the
-//! brute-force oracle. Rounds mutate the database between bursts, so
-//! the threads also race warm-up of fresh generations, registry
-//! eviction, and each other's index builds — the lock discipline of
-//! the internally-locked [`cq_data::IndexCatalog`] under real
-//! contention.
+//! Concurrency stress for the task methods: many threads interleave
+//! `decide` / `count` / `answers` over one shared database through one
+//! shared [`IndexCatalog`] — as every session of a server tenant does —
+//! and every result must equal the brute-force oracle. Rounds mutate the
+//! database between bursts, so the threads also race warm-up of fresh
+//! relation versions and each other's index builds — the lock
+//! discipline of the internally-locked catalog under real contention.
 
 use cq_core::query::zoo;
 use cq_core::ConjunctiveQuery;
-use cq_data::{Database, Relation, Val};
+use cq_data::{Database, IndexCatalog, Relation, Val};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
-use cq_planner::eval;
+use cq_planner::EvalCtx;
 
 fn random_rel(rows: usize, seed: u64) -> Relation {
     use rand::Rng;
@@ -43,12 +42,12 @@ impl Expected {
         }
     }
 
-    fn check(&self, db: &Database, thread: usize, rep: usize) {
-        let (got, _) = eval::decide(&self.q, db).unwrap();
+    fn check(&self, ctx: &EvalCtx, db: &Database, thread: usize, rep: usize) {
+        let (got, _) = ctx.decide(&self.q, db).unwrap();
         assert_eq!(got, self.decide, "decide {} (thread {thread} rep {rep})", self.q);
-        let (got, _) = eval::count(&self.q, db).unwrap();
+        let (got, _) = ctx.count(&self.q, db).unwrap();
         assert_eq!(got, self.count, "count {} (thread {thread} rep {rep})", self.q);
-        let (got, _) = eval::answers(&self.q, db).unwrap();
+        let (got, _) = ctx.answers(&self.q, db).unwrap();
         assert_eq!(got, self.answers, "answers {} (thread {thread} rep {rep})", self.q);
     }
 }
@@ -71,12 +70,14 @@ fn concurrent_facade_matches_brute_force_under_mutation() {
     const THREADS: usize = 8;
     const REPS: usize = 3;
     let shapes = shapes();
+    let catalog = IndexCatalog::new();
+    let ctx = EvalCtx::new().with_catalog(&catalog);
     let mut db = Database::new();
     for (i, name) in ["R1", "R2", "R3"].iter().enumerate() {
         db.insert(name, random_rel(8, i as u64));
     }
     for round in 0..6u64 {
-        // mutate between bursts: fresh generation, fresh registry slot
+        // mutate between bursts: fresh versions of the written relations
         db.insert(
             &format!("R{}", 1 + round % 3),
             random_rel(5 + round as usize, 100 + round),
@@ -90,13 +91,13 @@ fn concurrent_facade_matches_brute_force_under_mutation() {
         std::thread::scope(|s| {
             for t in 0..THREADS {
                 let expected = &expected;
-                let db = &db;
+                let (ctx, db) = (&ctx, &db);
                 s.spawn(move || {
                     for rep in 0..REPS {
                         // stagger starting points so threads collide on
                         // different shapes' first (cold) builds
                         for i in 0..expected.len() {
-                            expected[(i + t) % expected.len()].check(db, t, rep);
+                            expected[(i + t) % expected.len()].check(ctx, db, t, rep);
                         }
                     }
                 });

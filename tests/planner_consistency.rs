@@ -6,9 +6,11 @@
 
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_lower_bounds::prelude::*;
-use cq_planner::choose;
-use cq_planner::execute::{execute, Output};
+use cq_planner::{choose, explain, Output};
 use proptest::prelude::*;
+use queries::query_strategy;
+
+mod queries;
 
 /// Every query family the paper names, at small sizes.
 fn zoo_suite() -> Vec<ConjunctiveQuery> {
@@ -55,7 +57,8 @@ fn zoo_decide_count_answers_match_oracle() {
             let stats = DataStats::collect(&db);
 
             let plan = planner.plan(&q, Task::Decide, &stats);
-            let got = execute(&plan, &q, &db).unwrap().as_decision().unwrap();
+            let got =
+                EvalCtx::new().execute(&plan, &q, &db).unwrap().as_decision().unwrap();
             assert_eq!(
                 got,
                 brute_force_decide(&q, &db).unwrap(),
@@ -63,11 +66,11 @@ fn zoo_decide_count_answers_match_oracle() {
             );
 
             let plan = planner.plan(&q, Task::Count, &stats);
-            let got = execute(&plan, &q, &db).unwrap().as_count().unwrap();
+            let got = EvalCtx::new().execute(&plan, &q, &db).unwrap().as_count().unwrap();
             assert_eq!(got, brute_force_count(&q, &db).unwrap(), "count {q} seed {seed}");
 
             let plan = planner.plan(&q, Task::Answers, &stats);
-            match execute(&plan, &q, &db).unwrap() {
+            match EvalCtx::new().execute(&plan, &q, &db).unwrap() {
                 Output::Answers(a) => {
                     assert_eq!(
                         a.collect().unwrap(),
@@ -90,8 +93,8 @@ fn zoo_cached_plans_execute_identically() {
         for task in [Task::Decide, Task::Count, Task::Answers] {
             let cold = planner.plan(&q, task, &stats);
             let warm = planner.plan(&q, task, &stats);
-            let a = execute(&cold, &q, &db).unwrap();
-            let b = execute(&warm, &q, &db).unwrap();
+            let a = EvalCtx::new().execute(&cold, &q, &db).unwrap();
+            let b = EvalCtx::new().execute(&warm, &q, &db).unwrap();
             // Output carries live streams now: compare by materializing
             match (a, b) {
                 (Output::Decision(a), Output::Decision(b)) => {
@@ -183,47 +186,11 @@ fn explain_triangle_acceptance() {
     // join and cites the BMM / hyperclique lower-bound hypotheses.
     let q = zoo::triangle_boolean();
     let db = db_for(&q, 3, 30);
-    let text = eval::explain(&q, &db, Task::Decide);
+    let plan = Planner::new().plan(&q, Task::Decide, &DataStats::collect(&db));
+    let text = explain::render(&plan, &q);
     for needle in ["generic join", "BMM", "Hyperclique", "Triangle Hypothesis"] {
         assert!(text.contains(needle), "EXPLAIN missing {needle:?}:\n{text}");
     }
-}
-
-/// Random-query strategy mirroring `proptest_invariants`.
-fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
-    (2usize..=5, 2usize..=5, any::<u64>()).prop_map(|(nv, na, bits)| {
-        let mut b = QueryBuilder::new("q");
-        let vars: Vec<Var> = (0..nv).map(|i| b.var(&format!("v{i}"))).collect();
-        let mut x = bits;
-        let mut next = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (x >> 33) as usize
-        };
-        for i in 0..na {
-            let a = vars[next() % nv];
-            let c = vars[next() % nv];
-            b.atom(&format!("R{i}"), &[a, c]);
-        }
-        let fm = next();
-        let free: Vec<Var> = vars
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| fm >> i & 1 == 1)
-            .map(|(_, v)| v)
-            .collect();
-        b.free(&free);
-        match b.build() {
-            Ok(q) => q,
-            Err(_) => {
-                let mut b = QueryBuilder::new("q");
-                let x0 = b.var("v0");
-                let x1 = b.var("v1");
-                b.atom("R0", &[x0, x1]);
-                b.build().unwrap()
-            }
-        }
-    })
 }
 
 proptest! {
@@ -233,7 +200,7 @@ proptest! {
     #[test]
     fn random_queries_count_matches_oracle(q in query_strategy(), seed in 0u64..1000) {
         let db = db_for(&q, seed, 12);
-        let (got, _) = eval::count(&q, &db).unwrap();
+        let (got, _) = EvalCtx::new().count(&q, &db).unwrap();
         prop_assert_eq!(got, brute_force_count(&q, &db).unwrap(), "query {}", q);
     }
 
@@ -241,7 +208,7 @@ proptest! {
     #[test]
     fn random_queries_decide_matches_oracle(q in query_strategy(), seed in 0u64..1000) {
         let db = db_for(&q, seed, 12);
-        let (got, _) = eval::decide(&q, &db).unwrap();
+        let (got, _) = EvalCtx::new().decide(&q, &db).unwrap();
         prop_assert_eq!(got, brute_force_decide(&q, &db).unwrap(), "query {}", q);
     }
 
@@ -252,7 +219,7 @@ proptest! {
             return Ok(());
         }
         let db = db_for(&q, seed, 10);
-        let (got, _) = eval::answers(&q, &db).unwrap();
+        let (got, _) = EvalCtx::new().answers(&q, &db).unwrap();
         prop_assert_eq!(got, brute_force_answers(&q, &db).unwrap(), "query {}", q);
     }
 

@@ -1,12 +1,15 @@
 //! Property-based tests on the structural core and the engine.
 
 use cq_core::hypergraph::Hypergraph;
-use cq_core::{ConjunctiveQuery, QueryBuilder, Var};
+use cq_core::{ConjunctiveQuery, Var};
 use cq_data::{Database, Relation, Val};
 use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
 use cq_engine::ExecCtx;
 use proptest::prelude::*;
+use queries::query_strategy;
 use std::collections::BTreeSet;
+
+mod queries;
 
 /// The brute-force answers of `q` over its free variables, sorted by
 /// `order` restricted to them: the array direct access in that order
@@ -27,48 +30,6 @@ fn hypergraph_strategy() -> impl Strategy<Value = Hypergraph> {
         let full = Hypergraph::full_mask(n);
         proptest::collection::vec(1u64..=full, 1..=6)
             .prop_map(move |edges| Hypergraph::new(n, edges))
-    })
-}
-
-/// Strategy: a random binary-relations query with 2..=5 atoms over
-/// 2..=5 variables, random free set.
-fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
-    (2usize..=5, 2usize..=5, any::<u64>()).prop_map(|(nv, na, bits)| {
-        let mut b = QueryBuilder::new("q");
-        let vars: Vec<Var> = (0..nv).map(|i| b.var(&format!("v{i}"))).collect();
-        let mut x = bits;
-        let mut next = || {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            (x >> 33) as usize
-        };
-        for i in 0..na {
-            let a = vars[next() % nv];
-            let c = vars[next() % nv];
-            b.atom(&format!("R{i}"), &[a, c]);
-        }
-        // free set: random subset of the variables
-        let fm = next();
-        let free: Vec<Var> = vars
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|(i, _)| fm >> i & 1 == 1)
-            .map(|(_, v)| v)
-            .collect();
-        b.free(&free);
-        // the builder rejects queries where some var is unused; retry by
-        // dropping unused vars is complex — instead only keep atoms' vars
-        match b.build() {
-            Ok(q) => q,
-            Err(_) => {
-                // fall back: a guaranteed-valid query
-                let mut b = QueryBuilder::new("q");
-                let x0 = b.var("v0");
-                let x1 = b.var("v1");
-                b.atom("R0", &[x0, x1]);
-                b.build().unwrap()
-            }
-        }
     })
 }
 
@@ -149,7 +110,7 @@ proptest! {
     fn count_matches_brute_force(q in query_strategy(), seed in 0u64..1000) {
         let db = random_db_for(&q, seed, 12);
         let expected = brute_force_count(&q, &db).unwrap();
-        let (got, _) = cq_planner::eval::count(&q, &db).unwrap();
+        let (got, _) = cq_planner::EvalCtx::new().count(&q, &db).unwrap();
         prop_assert_eq!(got, expected, "query {}", q);
     }
 
@@ -158,7 +119,7 @@ proptest! {
     fn decide_matches_brute_force(q in query_strategy(), seed in 0u64..1000) {
         let db = random_db_for(&q, seed, 12);
         let expected = brute_force_decide(&q, &db).unwrap();
-        let (got, _) = cq_planner::eval::decide(&q, &db).unwrap();
+        let (got, _) = cq_planner::EvalCtx::new().decide(&q, &db).unwrap();
         prop_assert_eq!(got, expected, "query {}", q);
     }
 

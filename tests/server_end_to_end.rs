@@ -1,7 +1,7 @@
 //! End-to-end server test: boot `cqd`'s [`Server`] on an ephemeral
 //! port, load two tenant databases over the wire, then drive ≥4
 //! concurrent clients and check every `ANSWERS`/`COUNT`/`DECIDE` reply
-//! **byte-matches** the direct `eval::*` result on an identical
+//! **byte-matches** the direct [`EvalCtx`] result on an identical
 //! in-process mirror database.
 
 use cq_lower_bounds::prelude::*;
@@ -71,7 +71,7 @@ fn setup(addr: SocketAddr) -> Client {
 }
 
 /// The expected wire replies for one tenant's workload, computed from
-/// direct `eval::*` calls on the mirror database.
+/// direct [`EvalCtx`] calls on the mirror database.
 #[derive(Clone)]
 struct Expected {
     answers_data: Vec<String>,
@@ -83,9 +83,10 @@ struct Expected {
 fn expected(db: &Database, query: &str, bool_query: &str) -> Expected {
     let q = parse_query(query).unwrap();
     let qb = parse_query(bool_query).unwrap();
-    let (rel, _) = eval::answers(&q, db).unwrap();
-    let (n, _) = eval::count(&q, db).unwrap();
-    let (b, _) = eval::decide(&qb, db).unwrap();
+    let ctx = EvalCtx::new();
+    let (rel, _) = ctx.answers(&q, db).unwrap();
+    let (n, _) = ctx.count(&q, db).unwrap();
+    let (b, _) = ctx.decide(&qb, db).unwrap();
     assert!(n > 0, "workloads must be non-trivial");
     Expected {
         answers_data: render_rows(&rel),
@@ -154,8 +155,8 @@ fn batch_matches_direct_batch_eval() {
 
     let db = alpha_mirror();
     let q = parse_query(ALPHA_Q).unwrap();
-    let (n, _) = eval::count(&q, &db).unwrap();
-    let (rel, _) = eval::answers(&q, &db).unwrap();
+    let (n, _) = EvalCtx::new().count(&q, &db).unwrap();
+    let (rel, _) = EvalCtx::new().answers(&q, &db).unwrap();
     assert_eq!(reply.data[0], format!("0 OK {n}"));
     assert_eq!(reply.data[1], format!("1 OK {} rows", rel.len()));
     assert_eq!(reply.data[2], "2 OK true");
@@ -183,7 +184,7 @@ fn mutations_are_visible_and_tenant_isolated() {
     db.insert("R", r);
 
     let q = parse_query(ALPHA_Q).unwrap();
-    let (rel, _) = eval::answers(&q, &db).unwrap();
+    let (rel, _) = EvalCtx::new().answers(&q, &db).unwrap();
     let reply = admin.request(&format!("ANSWERS {ALPHA_Q}")).unwrap();
     assert_eq!(reply.data, render_rows(&rel), "post-mutation answers byte-match");
 

@@ -19,7 +19,7 @@ use cq_data::generate::{random_pairs, seeded_rng, triangle_database};
 use cq_data::{Database, IndexCatalog, Relation};
 use cq_engine::{count, enumerate, generic_join, yannakakis, Answers, ExecCtx};
 use cq_obs::trace::{self, TraceSink};
-use cq_planner::{eval, EvalCtx, Output, PlanOp, Planner, Task};
+use cq_planner::{EvalCtx, Output, PlanOp, Planner, Task};
 use cq_server::protocol::render_row_into;
 use cq_server::server::{Action, Session, STREAM_MAX_CHUNK_BYTES};
 use cq_server::state::ServerState;
@@ -356,7 +356,7 @@ fn enumeration_steps_per_answer_are_bounded_by_the_query_alone() {
                     }
                 });
                 let (rows, steps) = (rows.expect("rows"), steps.expect("steps"));
-                assert_eq!(rows, eval::count(&q, &db).unwrap().0, "{q} m={m}");
+                assert_eq!(rows, EvalCtx::new().count(&q, &db).unwrap().0, "{q} m={m}");
                 assert!(
                     steps <= 2 * levels * rows,
                     "{q} m={m}: {steps} steps for {rows} answers over {levels} levels"

@@ -1,7 +1,7 @@
 //! Streaming consistency: the pull-driven answer pipeline must be a
 //! pure refactor of the materialized path. For random data and page
 //! sizes, the one-shot `ANSWERS` wire data, a `CURSOR`/`FETCH`-paged
-//! drain, and the direct [`eval::answers`] result must all agree —
+//! drain, and the direct [`EvalCtx::answers`] result must all agree —
 //! byte-exact where the order contract promises it, as sets otherwise.
 //! Also covers seek-resume mid-stream on direct-access cursors, cursor
 //! invalidation after a mutation of a relation the cursor reads, cursor
@@ -85,7 +85,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// FETCH-paged cursor drains byte-match one-shot ANSWERS, and both
-    /// carry exactly the materialized `eval::answers` rows.
+    /// carry exactly the materialized `EvalCtx::answers` rows.
     #[test]
     fn paged_fetch_matches_one_shot_and_materialized(
         r in pairs_strategy(),
@@ -105,7 +105,7 @@ proptest! {
         // and the stream is the materialized result, up to the order
         // contract (streams emit plan-native order, eval normalizes)
         let q = parse_query(Q).unwrap();
-        let (rel, _) = eval::answers(&q, &db).unwrap();
+        let (rel, _) = EvalCtx::new().answers(&q, &db).unwrap();
         let mut sorted = paged.clone();
         sorted.sort();
         let mut want = render_rows(&rel);

@@ -12,13 +12,17 @@
 # `bench/` (cqbench), a complexity claim is asserted on a work counter by
 # `cargo test`, and the wall-clock experiment tables and criterion benches
 # that were a second, unrecorded system stay deleted. And one preprocessing
-# for the easy side: `q'` is derived by `count::free_links` alone, the
-# reduced tree `LexDirectAccess::from_reduced` sorts is the one structure
-# enumeration walks and direct access descends, the planner names engine
-# structures without defining any, and aggregation runs under an ExecCtx
-# like every other operator. And one index for the join-tree folds: the
-# memoized links of `cq_engine::links` — the hash index, its catalog memo
-# and the per-request hash-map messages they replaced stay deleted; the
+# for the easy side: `q'` is derived by `count::free_links` alone, and
+# every easy-side verb reads it — `DECIDE` asks whether the Boolean
+# version has one, `COUNT` folds over it (a join query's is its atoms, read
+# in place), and the reduced tree `LexDirectAccess::from_reduced` sorts
+# from it is the one structure enumeration walks and direct access
+# descends; the planner names engine structures without defining any, and
+# aggregation runs under an ExecCtx like every other operator. And one index
+# for the join-tree folds: the links of `q'`'s tree and of the subtrees its
+# elimination folds, memoized per edge by `cq_engine::links` — the body join
+# index, the hash index, its catalog memo and the per-request hash-map
+# messages they replaced stay deleted; the
 # reduced tree of `ANSWERS` / `ACCESS` is rows + links too, so the boxed-key
 # semijoin and the per-row key searches of `SortedView` stay deleted. And one
 # statement of the dichotomy: `cq_core::classify::verdict` attaches
@@ -113,7 +117,7 @@ forbid "pub fn eliminate_projections (count::free_links is the one, memoized, de
 )"
 forbid "artifact kinds of deleted structures:" "$(
     grep -rn -A3 -F '.artifact(' crates/engine/src crates/planner/src crates/reductions/src \
-        | grep -E '"(enumerator|proj_mat_da|sum_cover|elim_msgs)"'
+        | grep -E '"(enumerator|proj_mat_da|sum_cover|elim_msgs|join_index)"'
 )"
 forbid "access structures defined in the planner (build the engine's):" "$(
     grep -rnE 'struct \w*Access\b' crates/planner/src
@@ -198,6 +202,13 @@ server_module() {
 # type, and no hash map keyed by boxed values rebuilt per request
 forbid "the hash index (the join-tree folds read cq_engine::links):" "$(
     grep -rnE 'HashIndex|hash_index|semijoin_indexed' crates
+)"
+# ... nor a second memo of a query body beside `q'`: `DECIDE` and `COUNT`
+# read `q'`, so the body join index, its fold and its counting twin stay
+# deleted
+forbid "the body join index (DECIDE and COUNT read q' of count::free_links):" "$(
+    grep -rnE 'fn (join_index|fold_body|count_acyclic_join)\b|struct JoinIndex\b' \
+        crates/engine/src
 )"
 # (the one boxed-key table left dedups a projection on the hard side, in
 # generic_join.rs: ROADMAP item 3)

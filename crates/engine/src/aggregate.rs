@@ -11,19 +11,15 @@
 //! links alone — never reading a row — a block of rows at a time: per
 //! block it gathers the first child's messages through that child's
 //! links, ⊗-multiplies each further child's in a pass of its own, and
-//! ⊕-adds the block's products into the node's groups. [`fold_body`]
-//! runs it over the memoized join index under an [`ExecCtx`]. The same
-//! loop, keeping its per-row products, is every semijoin (Boolean) and
-//! the direct-access weights (counting). The tropical (min, +)
-//! aggregate of Example 4.3 weighs tuples by their values; it is a
-//! reduction's concern and lives beside it, in `cq-reductions`.
+//! ⊕-adds the block's products into the node's groups. It runs at the
+//! Boolean semiring over the subtrees projection elimination reduces —
+//! which is `DECIDE` — and at the counting one over `q'`; keeping its
+//! per-row products, it is every semijoin (Boolean) and the
+//! direct-access weights (counting). The tropical (min, +) aggregate of
+//! Example 4.3 weighs tuples by their values; it is a reduction's
+//! concern and lives beside it, in `cq-reductions`.
 
 use crate::bind::EvalError;
-use crate::count::{sum_product, Folded};
-use crate::ctx::ExecCtx;
-use crate::links::join_index;
-use cq_core::ConjunctiveQuery;
-use cq_data::Database;
 
 /// A commutative semiring.
 pub trait Semiring {
@@ -107,25 +103,11 @@ impl Semiring for CountingSemiring {
     }
 }
 
-/// The sum-product fold over the memoized join index of `q`'s body —
-/// whatever the head: the aggregate and the fold's `steps` (it keeps no
-/// row's product).
-pub(crate) fn fold_body<S: Semiring>(
-    ctx: &ExecCtx,
-    q: &ConjunctiveQuery,
-    db: &Database,
-    sr: &S,
-) -> Result<Folded<S::T>, EvalError> {
-    let index = join_index(ctx, q, db)?;
-    let (rels, links) = (index.rels(q, db), index.links());
-    let node = |u: usize| (rels[u].len(), links.edge(u));
-    sum_product(ctx.cancel(), links.tree(), node, sr, |_| false)
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::bind::brute_force_count;
+    use crate::count::count_free_connex;
+    use crate::ExecCtx;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, seeded_rng};
 
@@ -134,7 +116,6 @@ mod tests {
         let db = path_database(3, 60, &mut seeded_rng(1));
         let q = zoo::path_join(3);
         let n = brute_force_count(&q, &db).unwrap();
-        let folded = fold_body(&ExecCtx::cold(), &q, &db, &CountingSemiring);
-        assert_eq!(folded.unwrap().0, u128::from(n));
+        assert_eq!(count_free_connex(&ExecCtx::cold(), &q, &db), Ok(n));
     }
 }

@@ -60,16 +60,18 @@ impl fmt::Display for EvalError {
 impl std::error::Error for EvalError {}
 
 /// An atom bound to data: distinct variables (first-occurrence order) and
-/// the filtered, collapsed relation instance.
+/// the filtered, collapsed relation instance — borrowed where it is the
+/// stored relation (or a memoized one) as it stands, owned once an
+/// algorithm drops rows of it.
 #[derive(Clone, Debug)]
-pub(crate) struct BoundAtom {
+pub(crate) struct BoundAtom<'a> {
     /// Distinct variables in first-occurrence order.
     pub vars: Vec<Var>,
     /// Rows over exactly `vars` (arity = vars.len()), sorted + deduped.
-    pub rel: Relation,
+    pub rel: Cow<'a, Relation>,
 }
 
-impl BoundAtom {
+impl BoundAtom<'_> {
     /// Variable bitmask.
     pub fn scope(&self) -> u64 {
         self.vars.iter().fold(0, |m, v| m | v.mask())
@@ -144,25 +146,23 @@ pub(crate) fn collapse_rel(atom_vars: &[Var], vars: &[Var], rel: &Relation) -> R
 pub(crate) fn bind_atom<'a>(
     atom: &Atom,
     db: &'a Database,
-) -> Result<(Vec<Var>, Cow<'a, Relation>), EvalError> {
+) -> Result<BoundAtom<'a>, EvalError> {
     let rel = validate_atom(&atom.relation, &atom.vars, db)?;
     let vars = distinct_vars(&atom.vars);
     let rel = match vars.len() == atom.vars.len() {
         true => Cow::Borrowed(rel),
         false => Cow::Owned(collapse_rel(&atom.vars, &vars, rel)),
     };
-    Ok((vars, rel))
+    Ok(BoundAtom { vars, rel })
 }
 
 /// Bind all atoms of `q` against `db`.
-pub(crate) fn bind(
+pub(crate) fn bind<'a>(
     q: &ConjunctiveQuery,
-    db: &Database,
-) -> Result<Vec<BoundAtom>, EvalError> {
+    db: &'a Database,
+) -> Result<Vec<BoundAtom<'a>>, EvalError> {
     let _span = cq_obs::trace::span("op.bind");
-    let owned =
-        |(vars, rel): (_, Cow<Relation>)| BoundAtom { vars, rel: rel.into_owned() };
-    q.atoms().iter().map(|atom| bind_atom(atom, db).map(owned)).collect()
+    q.atoms().iter().map(|atom| bind_atom(atom, db)).collect()
 }
 
 /// Brute-force evaluation by backtracking over the variables — the
@@ -266,7 +266,8 @@ mod tests {
     #[test]
     fn bind_plain() {
         let q = parse_query("q(x,y) :- R(x,y)").unwrap();
-        let b = bind(&q, &db_simple()).unwrap();
+        let db = db_simple();
+        let b = bind(&q, &db).unwrap();
         assert_eq!(b[0].rel.len(), 3);
         assert_eq!(b[0].vars.len(), 2);
     }
@@ -274,7 +275,8 @@ mod tests {
     #[test]
     fn bind_repeated_var_filters_diagonal() {
         let q = parse_query("q(x) :- R(x,x)").unwrap();
-        let b = bind(&q, &db_simple()).unwrap();
+        let db = db_simple();
+        let b = bind(&q, &db).unwrap();
         // only (3,3) survives, collapsed to (3)
         assert_eq!(b[0].rel.len(), 1);
         assert_eq!(b[0].rel.row(0), &[3]);

@@ -1,38 +1,35 @@
-//! Counting query answers (Theorems 3.8 and 3.13) — and `q'`, the first
-//! stage of the whole easy side.
+//! Counting query answers (Theorems 3.8 and 3.13) — and `q'`, the one
+//! product the whole easy side runs on.
 //!
-//! * [`count_acyclic_join`] — the counting Yannakakis DP for acyclic
-//!   *join* queries: weights propagate bottom-up along the join tree in
-//!   O(m) (Thm 3.8). The DP is the sum-product fold of §4.1.2 at the
-//!   counting semiring, the loop `DECIDE` runs at the Boolean one;
-//! * `free_links` — projection elimination for free-connex queries:
-//!   eliminate the quantified variables along a join tree of
-//!   `H ∪ {free}` rooted at the virtual free-edge, producing `q'`, an
-//!   acyclic join query over exactly the free variables (see the
-//!   discussion in [14, §4.1]), with the links of its join tree. Each
-//!   child of the virtual root sends its rows that join its subtree —
-//!   found by the upward pass of the full reduction, which is the one
-//!   fold, `sum_product`, at the Boolean semiring — projected onto its
-//!   key. Derived once, memoized per subtree, and read three ways:
-//!   [`count_free_connex`] runs the DP over it (Thm 3.13), and
-//!   [`crate::LexDirectAccess::free_connex`] reduces and sorts it into
-//!   the tree that enumeration walks (Thm 3.17) and direct access
-//!   descends (Thm 3.18).
+//! `free_links` is projection elimination: it eliminates the quantified
+//! variables along a join tree of `H ∪ {free}` rooted at the virtual
+//! free edge, producing `q'`, an acyclic join query over exactly the
+//! free variables (see the discussion in [14, §4.1]), with the links of
+//! its join tree. Each child of the virtual root sends its rows that
+//! join its subtree — found by the upward pass of the full reduction,
+//! which is the one fold, `sum_product`, at the Boolean semiring —
+//! projected onto its key; a child that keeps every row over all of its
+//! variables is its atom's relation, read in place. `q'` is derived
+//! once, memoized, and read four ways: `DECIDE` (Thm 3.1,
+//! [`crate::yannakakis::decide_acyclic`]) asks whether the Boolean
+//! version has one — its free edge is empty, so every message is
+//! nullary; [`count_free_connex`] runs the counting DP over it, for a
+//! join query (Thm 3.8, whose `q'` is its atoms) and a projection
+//! (Thm 3.13) alike; and [`crate::LexDirectAccess::free_connex`] reduces
+//! and sorts it into the tree that enumeration walks (Thm 3.17) and
+//! direct access descends (Thm 3.18).
 //!
-//! Cross-algorithm dispatch (formerly a `count_answers` facade here)
-//! lives in `cq-planner`, which picks between these entry points and
-//! the generic-join materialization baseline of Lemma 3.9 / Cor 3.11
-//! from the query's classification.
+//! Cross-algorithm dispatch lives in `cq-planner`, which picks between
+//! these entry points and the generic-join materialization baseline of
+//! Lemma 3.9 / Cor 3.11 from the query's classification.
 
-use crate::aggregate::{fold_body, BooleanSemiring, CountingSemiring, Semiring};
-use crate::bind::{bind_atom, validate_atom, BoundAtom, EvalError};
+use crate::aggregate::{BooleanSemiring, CountingSemiring, Semiring};
+use crate::bind::{bind_atom, distinct_vars, validate_atom, EvalError};
 use crate::cancel::{CancelToken, STRIDE};
 use crate::ctx::ExecCtx;
-use crate::links::{Edge, JoinLinks};
-use crate::yannakakis;
-use cq_core::hypergraph::mask_vertices;
-use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::Database;
+use crate::links::{Edge, JoinLinks, Named};
+use cq_core::{ConjunctiveQuery, Hypergraph, JoinTree, Var};
+use cq_data::{Database, Relation};
 use std::borrow::Cow;
 use std::mem::take;
 use std::sync::Arc;
@@ -139,42 +136,23 @@ fn at<T: Copy>(msg: &[T], g: u32) -> T {
     msg[(g as usize).min(msg.len() - 1)]
 }
 
-/// Count answers of an acyclic *join* query in O(m) (Theorem 3.8): the
-/// aggregate of unit weights at the counting semiring, whose `finish`
-/// refuses what does not fit u64. The join index is memoized, so
-/// repeated counts of the same body pay for the array passes only.
-pub fn count_acyclic_join(
-    ctx: &ExecCtx,
-    q: &ConjunctiveQuery,
-    db: &Database,
-) -> Result<u64, EvalError> {
-    if !q.is_join_query() {
-        return Err(EvalError::NotJoinQuery);
-    }
-    let mut span = cq_obs::trace::span("op.count-acyclic");
-    let (n, _, steps) = fold_body(ctx, q, db, &CountingSemiring)?;
-    span.attr("rows", n as u64);
-    span.attr("steps", steps);
-    span.attr("cancel-polls", ctx.cancel().polls());
-    Ok(n as u64)
-}
-
 /// The join tree projection elimination runs on: `H ∪ {free}` rooted at
-/// the virtual free edge (node `q.atoms().len()`, the tree's root).
+/// the virtual free edge (node `q.atoms().len()`, the tree's root) —
+/// empty for a Boolean query, which GYO hangs the whole body from.
 /// Every atom is validated first, in atom order, so a missing relation
 /// or an arity mismatch is reported exactly as [`bind`] reports it.
+///
+/// [`bind`]: crate::bind::bind
 fn elimination_tree(q: &ConjunctiveQuery, db: &Database) -> Result<JoinTree, EvalError> {
     for atom in q.atoms() {
         validate_atom(&atom.relation, &atom.vars, db)?;
     }
-    let free = q.free_mask();
-    assert!(free != 0, "projection elimination needs free variables");
     let h = q.hypergraph();
     if !h.is_acyclic() {
         return Err(EvalError::NotAcyclic);
     }
     let virt = q.atoms().len();
-    match cq_core::gyo::join_tree(&h.with_edge(free)) {
+    match cq_core::gyo::join_tree(&h.with_edge(q.free_mask())) {
         Some(t) => Ok(t.rerooted(virt)),
         None => Err(EvalError::NotFreeConnex),
     }
@@ -191,143 +169,220 @@ fn subtree(tree: &JoinTree, c: usize) -> Vec<usize> {
     nodes
 }
 
+/// A node of `q'`: what the child `atom` of the elimination tree's root
+/// sends it — its rows over `vars`, or `None` when they are the atom's
+/// stored relation, read in place.
+#[derive(Debug)]
+pub(crate) struct Msg {
+    atom: usize,
+    pub(crate) vars: Vec<Var>,
+    rel: Option<Relation>,
+}
+
+impl Msg {
+    /// The message's rows: its own, or its atom's relation in `db` — the
+    /// database `q'` was just looked up for.
+    pub(crate) fn rel<'a>(
+        &'a self,
+        q: &ConjunctiveQuery,
+        db: &'a Database,
+    ) -> &'a Relation {
+        let stored = || db.expect(&q.atoms()[self.atom].relation);
+        self.rel.as_ref().unwrap_or_else(stored)
+    }
+
+    fn scope(&self) -> u64 {
+        self.vars.iter().fold(0, |m, v| m | v.mask())
+    }
+}
+
 /// The message the elimination tree's root child `nodes[0]` sends the
-/// virtual root: the atoms of its subtree `nodes`, bound and linked along
-/// the subtree, reduced by the fold at the Boolean semiring, and the
-/// child's live rows — the products the fold kept of the subtree's root —
+/// virtual root, with the steps of the fold it ran and of the links it
+/// built. The atoms of its subtree `nodes` are bound, linked along the
+/// subtree and reduced by the fold at the Boolean semiring; the child's
+/// live rows — the products the fold kept of the subtree's root — are
 /// projected onto its key, the free variables it shares with the root.
 /// (The reduction's downward pass would move no row of the child, so it
-/// is not run.) A nullary key gives the nullary relation, `{()}` iff the
-/// subtree has an answer; an **empty** message means the query has none.
-/// With the fold's steps; the token is polled on its schedule.
+/// is not run; nor is the fold of a lone leaf, whose rows all live.) A
+/// child that keeps every row over all of its variables sends its bound
+/// relation: `None`, the stored one, unless it repeats a variable. A
+/// nullary key gives the nullary relation, `{()}` iff the subtree has an
+/// answer — the fold stops at the first; an **empty** message means the
+/// query has none. The token is polled on the fold's schedule.
 fn root_child_message(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
     tree: &JoinTree,
     nodes: &[usize],
-) -> Result<(BoundAtom, u64), EvalError> {
+) -> Result<(Msg, u64, u64), EvalError> {
     ctx.cancel().check_now()?;
     let bound = nodes.iter().map(|&u| bind_atom(&q.atoms()[u], db));
-    let (vars, rels): (Vec<_>, Vec<_>) =
-        bound.collect::<Result<Vec<_>, _>>()?.into_iter().unzip();
-    let local = |u: usize| nodes.iter().position(|&x| x == u);
-    let parents = nodes.iter().map(|&u| tree.parent(u).and_then(local)).collect();
-    let scopes = nodes.iter().map(|&u| tree.scope(u)).collect();
-    let sub = JoinTree::from_parents(scopes, parents, 0);
-    let links = JoinLinks::of(&sub, |i| (&vars[i], &rels[i]));
-    // the upward pass of the reduction, keeping which of the child's
-    // rows joined
-    let node = |u: usize| (rels[u].len(), links.edge(u));
-    let (_, live, steps) =
-        sum_product(ctx.cancel(), &sub, node, &BooleanSemiring, |u| u == 0)?;
-    let key: Vec<Var> =
-        mask_vertices(tree.key_mask(nodes[0])).map(|v| Var(v as u32)).collect();
-    let cols: Vec<usize> = key
-        .iter()
-        .map(|v| vars[0].iter().position(|x| x == v).expect("key ⊆ scope"))
-        .collect();
-    // the child's rows that join its subtree: all of them unless one died
-    let joined = match live[0].contains(&false) {
-        true => {
-            let mut live = live[0].iter();
-            Cow::Owned(rels[0].filter(|_| *live.next().expect("one flag per row")))
+    let mut atoms = bound.collect::<Result<Vec<_>, _>>()?;
+    let (c, key) = (nodes[0], tree.key_mask(nodes[0]));
+    let (mut truth, mut live) = (!atoms[0].rel.is_empty(), Vec::new());
+    let (mut folded, mut linked) = (0, 0);
+    if nodes.len() > 1 {
+        let local = |u: usize| nodes.iter().position(|&x| x == u);
+        let parents = nodes.iter().map(|&u| tree.parent(u).and_then(local)).collect();
+        let scopes = nodes.iter().map(|&u| tree.scope(u)).collect();
+        let sub = JoinTree::from_parents(scopes, parents, 0);
+        let named = |i: usize| Named::atom(q, nodes[i], &atoms[i]);
+        let (links, built) = JoinLinks::memoized(ctx, db, &sub, named)?;
+        let node = |u: usize| (atoms[u].rel.len(), links.edge(u));
+        let keep = |u: usize| u == 0 && key != 0;
+        let (any, mut kept, steps) =
+            sum_product(ctx.cancel(), &sub, node, &BooleanSemiring, keep)?;
+        (truth, live, folded, linked) = (any, take(&mut kept[0]), steps, built);
+    }
+    let child = atoms.swap_remove(0);
+    let cols: Vec<usize> =
+        (0..child.vars.len()).filter(|&i| key & child.vars[i].mask() != 0).collect();
+    let vars: Vec<Var> = cols.iter().map(|&i| child.vars[i]).collect();
+    let rel = if key == 0 {
+        Some(Relation::nullary(truth))
+    } else {
+        // the child's rows that join its subtree, then onto its key
+        let joined = match live.contains(&false) {
+            true => {
+                let mut live = live.iter();
+                Cow::Owned(child.rel.filter(|_| *live.next().expect("one flag per row")))
+            }
+            false => child.rel,
+        };
+        match (joined, cols.len() == child.vars.len()) {
+            (Cow::Borrowed(_), true) => None,
+            (joined, true) => Some(joined.into_owned()),
+            (joined, false) => Some(joined.project(&cols)),
         }
-        false => Cow::Borrowed(&*rels[0]),
     };
-    Ok((BoundAtom { rel: joined.project(&cols), vars: key }, steps))
+    Ok((Msg { atom: c, vars, rel }, folded, linked))
 }
 
-/// `q'`, the product of projection elimination — bound atoms over
-/// *exactly the free variables* whose join equals `q(D)` (`q'` is an
-/// acyclic join query, [14, §4.1]) — with the links of its join tree;
-/// `None` if the query is unsatisfiable (some subtree has no answer).
-pub(crate) type FreeLinks = Option<(Vec<Arc<BoundAtom>>, JoinLinks)>;
+/// `q'`, the product of projection elimination — its atoms, bound over
+/// *exactly the free variables* so that their join equals `q(D)` (`q'`
+/// is an acyclic join query, [14, §4.1]; a Boolean query's has none),
+/// and the links of their join tree, `None` without atoms — or `None` if
+/// the query is unsatisfiable (some subtree has no answer).
+pub(crate) type FreeLinks = Option<(Vec<Arc<Msg>>, Option<JoinLinks>)>;
 
-/// **The** projection elimination, shared by counting, enumeration and
-/// direct access for (non-Boolean) free-connex queries, memoized with
-/// the links of `q'`'s tree: what `COUNT` folds over and what the tree
-/// of `ANSWERS` / `ACCESS` is reduced along. Construction: the join tree
-/// of `H ∪ {free}` rooted at the virtual free edge; each child of that
-/// root sends [`root_child_message`]; the messages are the atoms of
-/// `q'`, satisfied nullary ones dropped.
+/// **The** projection elimination, shared by decision, counting,
+/// enumeration and direct access of every acyclic query (free-connex,
+/// unless Boolean), memoized with the links of `q'`'s tree: what `COUNT`
+/// folds over and what the tree of `ANSWERS` / `ACCESS` is reduced
+/// along. Construction: the join tree of `H ∪ {free}` rooted at the
+/// virtual free edge; each child of that root sends
+/// [`root_child_message`]; the messages are the atoms of `q'`, satisfied
+/// nullary ones dropped.
 ///
-/// Each message is memoized on its own, depending on the relations of
-/// its subtree only. The semijoins (the bulk of the linear-time
-/// preprocessing) therefore run once per state of *those* relations,
-/// whichever of the three verbs asks first: a write to `R1` re-assembles
-/// `q'` from one rebuilt message and the memoized others. A build
-/// reports the semijoins' rows visited plus links followed as the
-/// `steps` of its `op.free-connex.eliminate` span (0 when every message
-/// is memoized; a hit opens no span), and sets `*cold` when it derived a
-/// message (what the callers' spans report as `cold-build`).
+/// A message that costs work is memoized on its own, depending on the
+/// relations of its subtree only, and so is each edge of `q'`'s tree
+/// and of the subtrees (see [`JoinLinks::memoized`]). The semijoins (the
+/// bulk of the linear-time preprocessing) therefore run once per state
+/// of *those* relations, whichever verb asks first: a write to `R1`
+/// re-assembles `q'` from one rebuilt message and the memoized others,
+/// and relinks `R1`'s edges only. A build reports the folds' rows
+/// visited plus links followed, and the rows the edges it built visited,
+/// as the `steps` of its `op.free-connex.eliminate` span (a hit opens no
+/// span), and sets `*built` to the folds' part when it derived anything.
 pub(crate) fn free_links(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
-    cold: &mut bool,
+    built: &mut Option<u64>,
 ) -> Result<Arc<FreeLinks>, EvalError> {
     let catalog = ctx.catalog();
     let text = q.to_string();
     catalog.artifact(db, "free_links", &text, q.relations(), || {
         let mut span = cq_obs::trace::span("op.free-connex.eliminate");
         let tree = elimination_tree(q, db)?;
-        let (mut msgs, mut covered, mut steps) = (Vec::new(), 0u64, 0u64);
+        let (mut folded, mut linked) = (0u64, 0u64);
+        // per atom of q': the message, its name and what it reads
+        let (mut msgs, mut names) = (Vec::new(), Vec::new());
         for &c in tree.children(tree.root()) {
             let nodes = subtree(&tree, c);
-            let reads = nodes.iter().map(|&u| q.atoms()[u].relation.as_str());
-            let key = format!("{text}|{c}");
-            let msg = catalog.artifact(db, "elim_msg", &key, reads, || {
-                *cold = true;
-                let built = root_child_message(ctx, q, db, &tree, &nodes);
-                built.map(|(msg, reduced)| {
-                    steps += reduced;
-                    msg
-                })
-            })?;
-            span.attr("steps", steps);
-            if msg.rel.is_empty() {
+            let reads: Vec<&str> =
+                nodes.iter().map(|&u| q.atoms()[u].relation.as_str()).collect();
+            let atom = &q.atoms()[c];
+            // a lone leaf over all of its variables, none repeated, sends
+            // its stored relation: nothing to derive
+            let whole = nodes.len() == 1
+                && tree.key_mask(c) == tree.scope(c)
+                && distinct_vars(&atom.vars).len() == atom.vars.len();
+            let msg = match whole {
+                true => Arc::new(Msg { atom: c, vars: atom.vars.clone(), rel: None }),
+                false => {
+                    let derive = || {
+                        let (msg, f, l) = root_child_message(ctx, q, db, &tree, &nodes)?;
+                        (folded, linked) = (folded + f, linked + l);
+                        Ok::<_, EvalError>(msg)
+                    };
+                    let (key, reads) = (format!("{text}|{c}"), reads.iter().copied());
+                    catalog.artifact(db, "elim_msg", &key, reads, derive)?
+                }
+            };
+            span.attr("steps", folded + linked);
+            if msg.rel(q, db).is_empty() {
+                *built = Some(folded);
                 return Ok(None);
             }
             if !msg.vars.is_empty() {
-                covered |= msg.scope();
+                // rows read in place are named, and read, as their relation
+                names.push(match msg.rel {
+                    None => (atom.relation.clone(), vec![atom.relation.as_str()]),
+                    Some(_) => (format!("{text}|{c}"), reads),
+                });
                 msgs.push(msg);
             }
         }
-        debug_assert_eq!(
-            covered,
-            q.free_mask(),
-            "messages must cover all free variables"
-        );
-        let tree = yannakakis::join_tree_of_atoms(&msgs, q.n_vars())
-            .ok_or(EvalError::NotFreeConnex)?;
-        let links = JoinLinks::of(&tree, |u| (&msgs[u].vars, &msgs[u].rel));
+        let links = match msgs.is_empty() {
+            true => None,
+            false => {
+                let scopes = msgs.iter().map(|m| m.scope()).collect();
+                let tree = cq_core::gyo::join_tree(&Hypergraph::new(q.n_vars(), scopes))
+                    .ok_or(EvalError::NotFreeConnex)?;
+                let named = |u: usize| {
+                    let (id, reads) = &names[u];
+                    let (vars, rel) = (&msgs[u].vars, msgs[u].rel(q, db));
+                    Named { id: id.clone(), reads: reads.clone(), vars, rel }
+                };
+                let (links, l) = JoinLinks::memoized(ctx, db, &tree, named)?;
+                linked += l;
+                Some(links)
+            }
+        };
+        span.attr("steps", folded + linked);
+        *built = Some(folded);
         Ok(Some((msgs, links)))
     })
 }
 
-/// Count answers of a free-connex query in O(m) (Theorem 3.13): the
-/// counting DP over `q'` and the links of its tree, memoized by
-/// `free_links` — repeated counts pay for the array passes over the
-/// (typically smaller) messages only. Both phases poll the token.
+/// Count answers of an acyclic query in O(m) — a join query (Thm 3.8)
+/// and a free-connex projection (Thm 3.13) alike: the counting DP over
+/// `q'` and the links of its tree, memoized by `free_links`; a join
+/// query's `q'` is its atoms, read in place. Repeated counts pay for the
+/// array passes only. The counting semiring's `finish` refuses what does
+/// not fit u64. Both phases poll the token.
 pub fn count_free_connex(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
 ) -> Result<u64, EvalError> {
-    if q.is_boolean() {
-        return Ok(u64::from(yannakakis::decide_acyclic(ctx, q, db)?));
-    }
     let mut span = cq_obs::trace::span("op.count-free-connex");
-    let mut cold = false;
-    let linked = free_links(ctx, q, db, &mut cold)?;
-    span.attr("cold-build", u64::from(cold));
-    let (n, _, steps) = match &*linked {
-        Some((msgs, links)) => {
-            let node = |u: usize| (msgs[u].rel.len(), links.edge(u));
-            sum_product(ctx.cancel(), links.tree(), node, &CountingSemiring, |_| false)?
+    let mut built = None;
+    let linked = free_links(ctx, q, db, &mut built)?;
+    span.attr("cold-build", u64::from(built.is_some()));
+    let (n, steps) = match &*linked {
+        None => (0, 0),
+        // a satisfied Boolean query: the empty join has one answer
+        Some((_, None)) => (1, 0),
+        Some((msgs, Some(links))) => {
+            let node = |u: usize| (msgs[u].rel(q, db).len(), links.edge(u));
+            let sr = &CountingSemiring;
+            let (n, _, steps) =
+                sum_product(ctx.cancel(), links.tree(), node, sr, |_| false)?;
+            (n, steps)
         }
-        None => (0, vec![], 0),
     };
     // `CountingSemiring::finish` refused what does not fit
     let n = n as u64;
@@ -362,7 +417,7 @@ mod tests {
             let db = path_database(k, 60, &mut seeded_rng(k as u64));
             let q = zoo::path_join(k);
             assert_eq!(
-                count_acyclic_join(&ExecCtx::cold(), &q, &db).unwrap(),
+                count_free_connex(&ExecCtx::cold(), &q, &db).unwrap(),
                 brute_force_count(&q, &db).unwrap(),
                 "k={k}"
             );
@@ -374,18 +429,19 @@ mod tests {
         let db = star_database(3, 100, 6, &mut seeded_rng(9));
         let q = zoo::star_full(3);
         assert_eq!(
-            count_acyclic_join(&ExecCtx::cold(), &q, &db).unwrap(),
+            count_free_connex(&ExecCtx::cold(), &q, &db).unwrap(),
             brute_force_count(&q, &db).unwrap()
         );
     }
 
+    /// The 2-star's endpoints are acyclic but not free-connex: their
+    /// count is the hard side's, which `q'` does not reach.
     #[test]
     fn count_join_rejects_projection() {
         let db = star_database(2, 10, 2, &mut seeded_rng(1));
         assert_eq!(
-            count_acyclic_join(&ExecCtx::cold(), &zoo::star_selfjoin(2), &db)
-                .unwrap_err(),
-            EvalError::NotJoinQuery
+            count_free_connex(&ExecCtx::cold(), &zoo::star_selfjoin(2), &db).unwrap_err(),
+            EvalError::NotFreeConnex
         );
     }
 
@@ -482,11 +538,11 @@ mod tests {
             parse_query("q(a,b,c,d,e,z) :- R1(a,z), R2(b,z), R3(c,z), R4(d,z), R5(e,z)")
                 .unwrap();
         let ctx = ExecCtx::cold();
-        assert_eq!(count_acyclic_join(&ctx, &q, &db), Err(EvalError::CountOverflow));
+        assert_eq!(count_free_connex(&ctx, &q, &db), Err(EvalError::CountOverflow));
         // one spoke fewer fits: 2^52
         let q4 =
             parse_query("q(a,b,c,d,z) :- R1(a,z), R2(b,z), R3(c,z), R4(d,z)").unwrap();
-        assert_eq!(count_acyclic_join(&ctx, &q4, &db), Ok(1 << 52));
+        assert_eq!(count_free_connex(&ctx, &q4, &db), Ok(1 << 52));
         // ten spokes saturate the u128 accumulator itself (2^130): still
         // an error, and a dangling hub above the saturated subtree still
         // counts zero
@@ -502,9 +558,9 @@ mod tests {
             db.insert(&format!("S{i}"), spokes.clone());
         }
         db.insert("T", Relation::from_pairs(vec![(0, 7)]));
-        assert_eq!(count_acyclic_join(&ctx, &q10, &db), Err(EvalError::CountOverflow));
+        assert_eq!(count_free_connex(&ctx, &q10, &db), Err(EvalError::CountOverflow));
         db.insert("T", Relation::from_pairs(vec![(1, 7)]));
-        assert_eq!(count_acyclic_join(&ctx, &q10, &db), Ok(0));
+        assert_eq!(count_free_connex(&ctx, &q10, &db), Ok(0));
     }
 
     #[test]
@@ -514,7 +570,7 @@ mod tests {
         db.insert("R1", Relation::from_pairs(vec![(1, 2), (9, 9)]));
         db.insert("R2", Relation::from_pairs(vec![(2, 3)]));
         let q = zoo::path_join(2);
-        assert_eq!(count_acyclic_join(&ExecCtx::cold(), &q, &db).unwrap(), 1);
+        assert_eq!(count_free_connex(&ExecCtx::cold(), &q, &db).unwrap(), 1);
     }
 
     #[test]
@@ -561,12 +617,12 @@ mod tests {
             let tree = elimination_tree(&q, &db).unwrap();
             for &c in tree.children(tree.root()) {
                 let nodes = subtree(&tree, c);
-                let (msg, _) =
+                let (msg, _, _) =
                     root_child_message(&ExecCtx::cold(), &q, &db, &tree, &nodes).unwrap();
-                // the subtree's atoms, headed by the key in index order
+                // the subtree's atoms, headed by the message's variables
                 let mut b = QueryBuilder::new("m");
-                let key = mask_vertices(tree.key_mask(c)).map(|v| Var(v as u32));
-                let head: Vec<Var> = key.map(|v| b.var(q.var_name(v))).collect();
+                let head: Vec<Var> =
+                    msg.vars.iter().map(|&v| b.var(q.var_name(v))).collect();
                 for &u in &nodes {
                     let atom = &q.atoms()[u];
                     let vars: Vec<Var> =
@@ -575,11 +631,12 @@ mod tests {
                 }
                 b.free(&head);
                 let want = brute_force_answers(&b.build().unwrap(), &db).unwrap();
-                assert_eq!(msg.rel, want, "{src}: the message of atom {c}");
-                assert_eq!(msg.vars.len(), msg.rel.arity(), "{src}: atom {c}");
+                let rel = msg.rel(&q, &db);
+                assert_eq!(rel, &want, "{src}: the message of atom {c}");
+                assert_eq!(msg.vars.len(), rel.arity(), "{src}: atom {c}");
                 assert_eq!(msg.scope(), tree.key_mask(c), "{src}: atom {c}");
                 widths.insert(msg.vars.len());
-                empty += usize::from(msg.rel.is_empty());
+                empty += usize::from(rel.is_empty());
             }
         }
         assert!(widths.is_superset(&HashSet::from([0, 1, 2])), "{widths:?}");
@@ -588,15 +645,17 @@ mod tests {
 
     /// One preprocessing for the easy side: over one catalog `COUNT`,
     /// `ANSWERS` and `ACCESS` of a projected free-connex query — in every
-    /// order of the three — derive each elimination message and `q'` with the
-    /// links of its tree once (`COUNT` folds over them, the other two reduce
-    /// along them), and sort the reduced tree once, which the stream and the
-    /// access structure then both hold; a write to one relation rebuilds
-    /// exactly its subtree's message and what is assembled from it.
+    /// order of the three — derive each elimination message that costs
+    /// work, `q'` and each link of its tree once (`COUNT` folds over them,
+    /// the other two reduce along them), and sort the reduced tree once,
+    /// which the stream and the access structure then both hold; a write
+    /// to one relation rebuilds exactly its subtree's message, its edge and
+    /// what is assembled from them.
     #[test]
     fn count_answers_and_access_share_one_elimination_and_one_tree() {
         const VERBS: [&str; 3] = ["COUNT", "ANSWERS", "ACCESS"];
-        // q' has one message per atom: {a, b} from R1, {a} from R2, {b} from R3
+        // q' has one node per atom: R1 itself, in place, and the messages
+        // {a} from R2 and {b} from R3, each linked to R1
         let q = parse_query("q(a, b) :- R1(a, b), R2(a, c), R3(b, d)").unwrap();
         let mut db = Database::new();
         db.insert("R1", Relation::from_pairs(vec![(1, 1), (2, 1), (3, 2), (4, 2)]));
@@ -631,50 +690,104 @@ mod tests {
                     assert_eq!(run(verb, &ctx, &db), 2, "{verb} in {order:?}");
                     built.push(catalog.snapshot().misses - before);
                 }
-                // three messages and q' with its links for whoever comes first,
-                // the tree for the first of ANSWERS / ACCESS, and nothing
-                // otherwise
+                // two messages, q' and its two links for whoever comes
+                // first, the tree for the first of ANSWERS / ACCESS, and
+                // nothing otherwise
                 let tree_at = order.iter().position(|&v| v != "COUNT").unwrap();
                 let mut want = [0; 3];
-                want[0] = 4;
+                want[0] = 5;
                 want[tree_at] += 1;
                 assert_eq!(built, want, "misses per verb of {order:?}");
-                assert_eq!(catalog.snapshot().artifacts, 5, "{order:?}");
+                assert_eq!(catalog.snapshot().artifacts, 6, "{order:?}");
 
                 // the walk and the array are one structure
                 let tree = enumerate::preprocess(&ctx, &q, &db).unwrap();
                 let da = LexDirectAccess::free_connex(&ctx, &q, &db).unwrap();
                 assert!(Arc::ptr_eq(&tree, &da), "{order:?}");
                 let warm = catalog.snapshot();
-                assert_eq!(warm.misses, 5, "{order:?}: the lookups above are hits");
+                assert_eq!(warm.misses, 6, "{order:?}: the lookups above are hits");
 
-                // a write to R2 re-derives R2's message, q' with its links
-                // and the tree
+                // a write to R2 re-derives R2's message, its link, q' and
+                // the tree
                 let mut db = db.clone();
-                let old = count::free_links(&ctx, &q, &db, &mut false).unwrap();
+                let old = count::free_links(&ctx, &q, &db, &mut None).unwrap();
                 db.get_mut("R2").unwrap().insert_row(&[3, 9]);
                 for verb in order {
                     assert_eq!(run(verb, &ctx, &db), 3, "{verb} after the write");
                 }
                 let rebuilt = catalog.snapshot();
-                assert_eq!(rebuilt.misses, warm.misses + 3, "{order:?}");
-                assert_eq!(rebuilt.invalidations, warm.invalidations + 3, "{order:?}");
-                assert_eq!(rebuilt.artifacts, 5, "{order:?}: rebuilt entries replace");
-                let new = count::free_links(&ctx, &q, &db, &mut false).unwrap();
-                let (Some((old, _)), Some((new, _))) = (&*old, &*new) else {
+                assert_eq!(rebuilt.misses, warm.misses + 4, "{order:?}");
+                assert_eq!(rebuilt.invalidations, warm.invalidations + 4, "{order:?}");
+                assert_eq!(rebuilt.artifacts, 6, "{order:?}: rebuilt entries replace");
+                let new = count::free_links(&ctx, &q, &db, &mut None).unwrap();
+                let (Some((old, Some(was))), Some((new, Some(now)))) = (&*old, &*new)
+                else {
                     panic!("q' is satisfiable before and after the write");
                 };
                 let r2 = db.get("R2").unwrap().project(&[0]);
-                for (o, n) in old.iter().zip(new) {
-                    assert_eq!(
-                        Arc::ptr_eq(o, n),
-                        n.rel != r2,
-                        "{order:?}: only R2's moved"
-                    );
+                let moved: Vec<bool> = new
+                    .iter()
+                    .map(|n| n.rel.is_some() && n.rel(&q, &db) == &r2)
+                    .collect();
+                assert_eq!(moved.iter().filter(|&&m| m).count(), 1);
+                for (u, (o, n)) in old.iter().zip(new).enumerate() {
+                    match n.rel {
+                        None => {
+                            assert!(std::ptr::eq(n.rel(&q, &db), db.get("R1").unwrap()))
+                        }
+                        Some(_) => assert_eq!(Arc::ptr_eq(o, n), !moved[u], "{order:?}"),
+                    }
+                    // a memoized edge is the same array, or a new one
+                    let own = |l: &JoinLinks| l.edge(u).map(|e| e.own.as_ptr());
+                    if let Some(p) = now.tree().parent(u) {
+                        let same = own(was) == own(now);
+                        assert_eq!(
+                            same,
+                            !moved[u] && !moved[p],
+                            "{order:?}: edge {p}→{u}"
+                        );
+                    }
                 }
                 let da_now = LexDirectAccess::free_connex(&ctx, &q, &db).unwrap();
                 assert!(!Arc::ptr_eq(&da, &da_now), "{order:?}: the tree was rebuilt");
             }
+        }
+    }
+
+    /// A join query's `q'` is its atoms read in place: every node is the
+    /// database's own relation, so no copy of a relation is kept beside
+    /// the sorted tree — also where an atom's subtree holds a smaller atom
+    /// that removes none of its rows, and for a self-join.
+    #[test]
+    fn a_join_querys_q_prime_reads_every_relation_in_place() {
+        let queries = [
+            zoo::path_join(3),
+            zoo::star_full(3),
+            zoo::star_selfjoin_free(3).join_version(),
+            parse_query("q(x, y, u, v) :- R(x, y), S(u, v)").unwrap(),
+            parse_query("q(x, y, z) :- R(x, y), R(y, z)").unwrap(),
+            parse_query("q(x, y) :- R(x, y), U(x)").unwrap(),
+        ];
+        for q in queries {
+            let mut db = Database::new();
+            for (i, atom) in q.atoms().iter().enumerate() {
+                let rel = match atom.arity() {
+                    1 => Relation::from_values((0..8).collect::<Vec<Val>>()),
+                    _ => random_pairs(40, 8, &mut seeded_rng(i as u64)),
+                };
+                db.insert(&atom.relation, rel);
+            }
+            let ctx = ExecCtx::cold();
+            let linked = free_links(&ctx, &q, &db, &mut None).unwrap();
+            let Some((msgs, _)) = &*linked else { panic!("{q}: satisfiable") };
+            for m in msgs {
+                let stored = db.get(&q.atoms()[m.atom].relation).unwrap();
+                assert!(std::ptr::eq(m.rel(&q, &db), stored), "{q}: atom {}", m.atom);
+            }
+            let covered = msgs.iter().fold(0, |mask, m| mask | m.scope());
+            assert_eq!(covered, q.free_mask(), "{q}");
+            let n = count_free_connex(&ctx, &q, &db).unwrap();
+            assert_eq!(n, brute_force_count(&q, &db).unwrap(), "{q}");
         }
     }
 }

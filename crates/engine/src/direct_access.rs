@@ -51,13 +51,13 @@ use crate::cancel::CancelToken;
 use crate::count::sum_product;
 use crate::ctx::ExecCtx;
 use crate::generic_join;
-use crate::links::{Edge, EdgeLinks, JoinLinks, NONE};
-use crate::yannakakis::{full_reduce, join_tree_of_atoms};
+use crate::links::{Edge, EdgeLinks, JoinLinks, Named, NONE};
+use crate::yannakakis::{full_reduce, join_tree_of};
 use cq_core::disruptive_trio::find_disruptive_trio;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, Relation, Val};
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 use std::iter::repeat_n;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
@@ -171,7 +171,10 @@ pub struct LexDirectAccess {
 /// node whose scope holds `N<(vᵢ)` (the node of `N<(vᵢ)`'s last variable
 /// qualifies), so a variable's nodes hang from its own: running
 /// intersection.
-fn layered(atoms: &[Cow<'_, BoundAtom>], order: &[Var]) -> (Vec<BoundAtom>, JoinTree) {
+fn layered(
+    atoms: &[BoundAtom<'_>],
+    order: &[Var],
+) -> (Vec<BoundAtom<'static>>, JoinTree) {
     let (mut layers, mut scopes, mut parents) = (vec![], Vec::<u64>::new(), vec![]);
     let mut earlier = 0;
     for &v in order {
@@ -183,7 +186,7 @@ fn layered(atoms: &[Cow<'_, BoundAtom>], order: &[Var]) -> (Vec<BoundAtom>, Join
         let vars: Vec<Var> = mask_vertices(scope).map(|v| Var(v as u32)).collect();
         let cols = vars.iter().map(|&v| a.col_of(v).expect("the atom covers the scope"));
         let cols: Vec<usize> = cols.collect();
-        layers.push(BoundAtom { vars, rel: a.rel.project(&cols) });
+        layers.push(BoundAtom { vars, rel: Cow::Owned(a.rel.project(&cols)) });
         parents.push(scopes.iter().rposition(|&s| before & !s == 0));
         scopes.push(scope);
         earlier |= v.mask();
@@ -222,9 +225,8 @@ impl LexDirectAccess {
         let mut span = cq_obs::trace::span("op.lex-access.build");
         let mut steps = 0;
         let da = ctx.catalog().artifact(db, "lex_da", &key, q.relations(), || {
-            let mut atoms: Vec<_> = bind(q, db)?.into_iter().map(Cow::Owned).collect();
-            let tree =
-                join_tree_of_atoms(&atoms, q.n_vars()).ok_or(EvalError::NotAcyclic)?;
+            let mut atoms = bind(q, db)?;
+            let tree = join_tree_of(q)?;
             if let Some(t) = find_disruptive_trio(q, order) {
                 let names = |vs: &[Var]| {
                     vs.iter().map(|&v| q.var_name(v)).collect::<Vec<_>>().join(", ")
@@ -237,7 +239,8 @@ impl LexDirectAccess {
                 )));
             }
             // full reduction → every tuple participates in an answer
-            let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
+            let named = |u: usize| Named::atom(q, u, &atoms[u]);
+            let (links, _) = JoinLinks::memoized(ctx, db, &tree, named)?;
             steps = full_reduce(ctx.cancel(), &mut atoms, &links)?;
             let schema = q.vars().collect();
             if order.is_empty() {
@@ -285,7 +288,7 @@ impl LexDirectAccess {
         schema: Vec<Var>,
         order: Vec<Var>,
     ) -> Result<Self, EvalError> {
-        let atom = BoundAtom { vars: schema.clone(), rel };
+        let atom = BoundAtom { vars: schema.clone(), rel: Cow::Owned(rel) };
         let tree = JoinTree::from_parents(vec![atom.scope()], vec![None], 0);
         Self::from_reduced(cancel, &[atom], &tree, &[0], schema, order)
     }
@@ -299,7 +302,7 @@ impl LexDirectAccess {
     /// yet. The token is polled per node.
     pub(crate) fn from_reduced(
         cancel: &CancelToken,
-        atoms: &[impl Borrow<BoundAtom>],
+        atoms: &[BoundAtom<'_>],
         tree: &JoinTree,
         visit: &[usize],
         schema: Vec<Var>,
@@ -317,7 +320,7 @@ impl LexDirectAccess {
         let mut row_vars: Vec<Vec<Var>> = Vec::with_capacity(visit.len());
         for &u in visit {
             cancel.check_now()?;
-            let a: &BoundAtom = atoms[u].borrow();
+            let a = &atoms[u];
             // key columns (mask order), then the rest sorted by ⪯
             let mut cols: Vec<usize> = mask_vertices(tree.key_mask(u))
                 .map(|v| a.col_of(Var(v as u32)).unwrap())

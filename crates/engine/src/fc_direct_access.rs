@@ -49,14 +49,19 @@ impl LexDirectAccess {
         }
         ctx.catalog().artifact(db, "fc_da", &q.to_string(), q.relations(), || {
             let schema: Vec<Var> = q.free_vars();
-            let linked = free_links(ctx, q, db, &mut false)?;
+            let linked = free_links(ctx, q, db, &mut None)?;
             let Some((msgs, links)) = &*linked else {
                 *built = Some(0);
                 let empty = Relation::new(schema.len());
                 return Self::one_node(ctx.cancel(), empty, schema.clone(), schema);
             };
-            let mut atoms: Vec<Cow<'_, BoundAtom>> =
-                msgs.iter().map(|m| Cow::Borrowed(&**m)).collect();
+            let links = links.as_ref().expect("free variables give q' atoms");
+            let mut atoms: Vec<BoundAtom> = (msgs.iter())
+                .map(|m| BoundAtom {
+                    vars: m.vars.clone(),
+                    rel: Cow::Borrowed(m.rel(q, db)),
+                })
+                .collect();
             let steps = full_reduce(ctx.cancel(), &mut atoms, links)?;
             let tree = links.tree();
             let visit = tree.top_down();

@@ -849,11 +849,20 @@ fn close_span(
     }
 }
 
+/// The fewest rows a projection buffers before it deduplicates: a sort
+/// of fewer costs more per row than it saves, and 4 096 rows of a few
+/// columns still fit in a core's L2 cache.
+const DEDUP_FLOOR: usize = 4_096;
+
 /// All answers of `q` (distinct projections onto the free variables),
 /// computed by generic join + projection under the caller-chosen (e.g.
 /// planner-chosen) global variable `order`. Worst-case optimal for join
 /// queries; for projections this is the *materialization baseline* the
-/// paper's counting/enumeration lower bounds are about.
+/// paper's counting/enumeration lower bounds are about. A join query's
+/// paths are its answers, distinct by construction; a projection's
+/// repeat them, so its buffer is deduplicated whenever it reaches twice
+/// the larger of the distinct rows so far and 4 096: it holds about
+/// twice the answers at most, not every path.
 pub fn answers(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
@@ -864,9 +873,15 @@ pub fn answers(
     let free_pos = free_positions(q, order);
     let mut out = Relation::new(free_pos.len());
     let mut buf: Vec<Val> = vec![0; free_pos.len()];
+    let dedups = !q.is_join_query();
+    let mut limit = 2 * DEDUP_FLOOR;
     let mut push = |assignment: &[Val]| {
         project(assignment, &free_pos, &mut buf);
         out.push_row(&buf);
+        if dedups && out.len() >= limit {
+            out.normalize();
+            limit = 2 * out.len().max(DEDUP_FLOOR);
+        }
         true
     };
     let work = run_visit(ctx, q, db, order, &mut push)?;

@@ -5,9 +5,9 @@
 //!
 //! | Task | Algorithm | Paper | Entry point |
 //! |---|---|---|---|
-//! | Boolean decision (acyclic) | Yannakakis' upward sweep: the fold over the join-tree links at the Boolean semiring | Thm 3.1 | [`yannakakis::decide_acyclic`] |
+//! | Boolean decision (acyclic) | Yannakakis' upward sweep: does the Boolean version's `q'` exist — each subtree's fold over its join-tree links at the Boolean semiring, stopping at its first live root row | Thm 3.1 | [`yannakakis::decide_acyclic`] |
 //! | Boolean decision (cyclic) | worst-case optimal generic join | §2.1 / Ex 3.4 | [`generic_join::decide`] |
-//! | Counting (acyclic join) | the fold over the links at the counting semiring | Thm 3.8 | [`count::count_acyclic_join`] |
+//! | Counting (acyclic join) | the fold over the links of `q'` — the query's atoms, read in place — at the counting semiring | Thm 3.8 | [`count::count_free_connex`] |
 //! | Counting (free-connex) | the same DP over `q'`, the acyclic join over the free variables that projection elimination leaves: per subtree of the virtual free edge, the upward semijoin pass of the full reduction, projected onto the subtree's key | Thm 3.13 | [`count::count_free_connex`] |
 //! | Counting / answers (hard side) | generic join + projection | Lem 3.9 | [`generic_join::count_distinct`], [`generic_join::answers`] |
 //! | Enumeration | the constant-delay in-order walk of the reduced tree, each move into a child two array reads | Thm 3.17 | [`enumerate::preprocess`], walked by [`Answers::walk`] |

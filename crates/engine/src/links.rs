@@ -9,18 +9,20 @@
 //! ([`crate::count`]) is then array passes with no hashing and no key
 //! copies, at 4 bytes per row per edge end.
 //!
-//! [`join_index`] memoizes one [`JoinIndex`] per query *body* (`COUNT`
-//! and `DECIDE` of one body share it). It holds `Arc`s to one artifact
-//! per tree edge, each reading only the two relations of its edge: a
-//! write to a relation outside the body invalidates nothing, a write to
-//! `R1` rebuilds the edges `R1` is an end of.
+//! [`JoinLinks::memoized`] keeps one artifact per tree edge, keyed by
+//! the names of its two ends' rows and read from their relations only:
+//! the links of `q'`, of the subtrees projection elimination folds
+//! (`count::free_links`) and of the body tree an ordered direct access
+//! reduces are built once per edge, `COUNT` and `DECIDE` of one body
+//! share the edges they have in common, and a write to `R1` rebuilds the
+//! edges `R1` is an end of.
 
-use crate::bind::{collapse_rel, distinct_vars, validate_atom, EvalError};
+use crate::bind::{BoundAtom, EvalError};
 use crate::ctx::ExecCtx;
-use crate::yannakakis::{join_tree_of, shared_cols_of};
+use crate::yannakakis::shared_cols_of;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, FxHashMap, Relation, Val};
-use std::fmt::Write;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// The link of a parent row that joins no row of the child.
@@ -101,19 +103,38 @@ pub(crate) struct JoinLinks {
 }
 
 impl JoinLinks {
-    /// The links of `tree` whose node `u` has the distinct variables and
-    /// the rows `node(u)`, built now and kept by nobody (a body's memoized
-    /// links are [`join_index`]'s).
-    pub(crate) fn of<'a>(
+    /// The links of `tree` whose node `u` is `node(u)`, each edge looked
+    /// up in — or built into — `ctx`'s catalog, keyed by the names of its
+    /// ends' rows and their key columns, and reading their relations.
+    /// With the rows the edges built here visited (a parent's and a
+    /// child's per edge). The token is polled per edge.
+    pub(crate) fn memoized<'a>(
+        ctx: &ExecCtx,
+        db: &Database,
         tree: &JoinTree,
-        node: impl Fn(usize) -> (&'a [Var], &'a Relation),
-    ) -> Self {
-        let edge = |c: usize| {
-            let ((pvars, prel), (cvars, crel)) = (node(tree.parent(c)?), node(c));
-            let (pcols, ccols) = shared_cols_of(pvars, cvars);
-            Some(Arc::new(EdgeLinks::build(prel, &pcols, crel, &ccols)))
-        };
-        JoinLinks { edges: (0..tree.n_nodes()).map(edge).collect(), tree: tree.clone() }
+        node: impl Fn(usize) -> Named<'a>,
+    ) -> Result<(Self, u64), EvalError> {
+        let mut steps = 0;
+        let mut edges = Vec::with_capacity(tree.n_nodes());
+        for c in 0..tree.n_nodes() {
+            let Some(p) = tree.parent(c) else {
+                edges.push(None);
+                continue;
+            };
+            ctx.cancel().check_now()?;
+            let (parent, child) = (node(p), node(c));
+            let (pcols, ccols) = shared_cols_of(parent.vars, child.vars);
+            let key = format!("{}{pcols:?}>{}{ccols:?}", parent.id, child.id);
+            let reads = parent.reads.iter().chain(&child.reads).copied();
+            let edge = ctx.catalog().artifact(db, "join_link", &key, reads, || {
+                steps += (parent.rel.len() + child.rel.len()) as u64;
+                Ok::<_, EvalError>(EdgeLinks::build(
+                    parent.rel, &pcols, child.rel, &ccols,
+                ))
+            })?;
+            edges.push(Some(edge));
+        }
+        Ok((JoinLinks { tree: tree.clone(), edges }, steps))
     }
 
     /// The tree the links run along.
@@ -129,122 +150,43 @@ impl JoinLinks {
     }
 }
 
-/// The memoized join index of a query body: its join tree, the links of
-/// every edge, and the collapsed relation of each atom with repeated
-/// variables. Atoms without repeats read the stored relation in place.
-#[derive(Debug)]
-pub(crate) struct JoinIndex {
-    links: JoinLinks,
-    collapsed: Vec<Option<Arc<Relation>>>,
+/// A tree node as [`JoinLinks::memoized`] names it: `id` names its rows
+/// — a stored relation, or a product derived from the relations `reads`
+/// — which are `rel`, over the distinct variables `vars`.
+pub(crate) struct Named<'a> {
+    pub(crate) id: String,
+    pub(crate) reads: Vec<&'a str>,
+    pub(crate) vars: &'a [Var],
+    pub(crate) rel: &'a Relation,
 }
 
-impl JoinIndex {
-    /// The tree and its links.
-    pub(crate) fn links(&self) -> &JoinLinks {
-        &self.links
+impl<'a> Named<'a> {
+    /// Atom `u` of `q`, bound as `atom`: named by its relation, and a
+    /// collapse of one by the atom's variables too.
+    pub(crate) fn atom(q: &'a ConjunctiveQuery, u: usize, atom: &'a BoundAtom) -> Self {
+        let a = &q.atoms()[u];
+        let id = match atom.rel {
+            Cow::Borrowed(_) => a.relation.clone(),
+            Cow::Owned(_) => format!("{}|{:?}", a.relation, a.vars),
+        };
+        Named { id, reads: vec![a.relation.as_str()], vars: &atom.vars, rel: &atom.rel }
     }
-
-    /// The bound relation of every atom of `q`, in atom order, over
-    /// `db` — the database this index was just looked up for, so every
-    /// atom is present.
-    pub(crate) fn rels<'a>(
-        &'a self,
-        q: &ConjunctiveQuery,
-        db: &'a Database,
-    ) -> Vec<&'a Relation> {
-        bound_rels(&self.collapsed, q, db)
-    }
-}
-
-fn bound_rels<'a>(
-    collapsed: &'a [Option<Arc<Relation>>],
-    q: &ConjunctiveQuery,
-    db: &'a Database,
-) -> Vec<&'a Relation> {
-    let stored =
-        |atom: &cq_core::Atom| db.get(&atom.relation).expect("validated at build");
-    let bound = collapsed.iter().zip(q.atoms());
-    bound.map(|(c, atom)| c.as_deref().unwrap_or_else(|| stored(atom))).collect()
-}
-
-/// The [`JoinIndex`] of `q`'s body over `db`, memoized in `ctx`'s
-/// catalog: a warm call is one lookup. Atoms are validated in atom
-/// order first, so a missing relation or an arity mismatch is reported
-/// exactly as [`crate::bind()`] reports it; a cyclic body is
-/// [`EvalError::NotAcyclic`].
-pub(crate) fn join_index(
-    ctx: &ExecCtx,
-    q: &ConjunctiveQuery,
-    db: &Database,
-) -> Result<Arc<JoinIndex>, EvalError> {
-    let catalog = ctx.catalog();
-    // the body with variables by index: what the tree and the key
-    // columns are functions of
-    let mut body = String::new();
-    for atom in q.atoms() {
-        let _ = write!(body, "{}{:?}", atom.relation, atom.vars);
-    }
-    catalog.artifact(db, "join_index", &body, q.relations(), || {
-        // per atom: what names its rows in an edge key, its distinct
-        // variables, and its collapsed relation if it repeats one
-        let mut ids: Vec<String> = Vec::new();
-        let mut vars_of: Vec<Vec<Var>> = Vec::new();
-        let mut collapsed: Vec<Option<Arc<Relation>>> = Vec::new();
-        for atom in q.atoms() {
-            let rel = validate_atom(&atom.relation, &atom.vars, db)?;
-            let vars = distinct_vars(&atom.vars);
-            if vars.len() == atom.vars.len() {
-                ids.push(atom.relation.clone());
-                collapsed.push(None);
-            } else {
-                let id = format!("{}|{:?}", atom.relation, atom.vars);
-                let reads = [atom.relation.as_str()];
-                let bound = catalog.artifact(db, "bound_rel", &id, reads, || {
-                    Ok::<_, EvalError>(collapse_rel(&atom.vars, &vars, rel))
-                })?;
-                ids.push(id);
-                collapsed.push(Some(bound));
-            }
-            vars_of.push(vars);
-        }
-        let tree = join_tree_of(q)?;
-        let rels = bound_rels(&collapsed, q, db);
-        let mut edges = Vec::with_capacity(rels.len());
-        for c in 0..rels.len() {
-            let Some(p) = tree.parent(c) else {
-                edges.push(None);
-                continue;
-            };
-            ctx.cancel().check_now()?;
-            let (pcols, ccols) = shared_cols_of(&vars_of[p], &vars_of[c]);
-            let key = format!("{}{pcols:?}>{}{ccols:?}", ids[p], ids[c]);
-            let reads = [q.atoms()[p].relation.as_str(), q.atoms()[c].relation.as_str()];
-            let edge = catalog.artifact(db, "join_link", &key, reads, || {
-                Ok::<_, EvalError>(EdgeLinks::build(rels[p], &pcols, rels[c], &ccols))
-            })?;
-            edges.push(Some(edge));
-        }
-        Ok(JoinIndex { links: JoinLinks { tree, edges }, collapsed })
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::{
-        bind, brute_force_answers, brute_force_count, brute_force_decide, BoundAtom,
-    };
+    use crate::bind::{bind, brute_force_answers, brute_force_count, brute_force_decide};
     use crate::cancel::{CancelToken, STRIDE};
-    use crate::count::{self, count_acyclic_join, count_free_connex};
-    use crate::yannakakis::{decide_acyclic, full_reduce};
-    use cq_core::parse_query;
+    use crate::count::{count_free_connex, free_links, FreeLinks};
+    use crate::yannakakis::{decide_acyclic, full_reduce, join_tree_of};
+    use cq_core::{parse_query, ConjunctiveQuery};
     use cq_data::IndexCatalog;
-    use std::borrow::Cow;
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU32, Ordering};
 
-    /// `COUNT` (of a join query) and `DECIDE` of `src` over `db` equal
-    /// brute force: one-shot, then cold and warm over one catalog; and
+    /// `COUNT` and `DECIDE` of `src` over `db` equal brute force:
+    /// one-shot, then cold and warm over one catalog; and
     /// the full reduction along the body's tree keeps exactly the rows
     /// of each atom that extend to an answer of the join.
     fn check(src: &str, db: &Database) {
@@ -256,20 +198,16 @@ mod tests {
         let catalog = IndexCatalog::new();
         for ctx in [ExecCtx::cold(), ExecCtx::warm(&catalog), ExecCtx::warm(&catalog)] {
             assert_eq!(decide_acyclic(&ctx, &boolean, db), Ok(truth), "{src}");
-            if q.is_join_query() {
-                assert_eq!(count_acyclic_join(&ctx, &q, db), Ok(n), "{src}");
-            } else {
-                assert_eq!(count_free_connex(&ctx, &q, db), Ok(n), "{src}");
-            }
+            assert_eq!(count_free_connex(&ctx, &q, db), Ok(n), "{src}");
         }
         let built = catalog.snapshot().misses;
         assert!(decide_acyclic(&ExecCtx::warm(&catalog), &boolean, db).is_ok());
         assert_eq!(catalog.snapshot().misses, built, "{src}: a warm fold builds nothing");
 
-        let mut atoms: Vec<Cow<BoundAtom>> =
-            bind(&join, db).unwrap().into_iter().map(Cow::Owned).collect();
+        let mut atoms = bind(&join, db).unwrap();
         let tree = join_tree_of(&join).unwrap();
-        let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
+        let named = |u: usize| Named::atom(&join, u, &atoms[u]);
+        let (links, _) = JoinLinks::memoized(&ExecCtx::cold(), db, &tree, named).unwrap();
         full_reduce(&CancelToken::never(), &mut atoms, &links).unwrap();
         let free = join.free_vars();
         for atom in &atoms {
@@ -466,6 +404,13 @@ mod tests {
         }
     }
 
+    /// The `q'` of `src` over `db`, satisfiable and with atoms.
+    fn q_prime(ctx: &ExecCtx, q: &ConjunctiveQuery, db: &Database) -> Arc<FreeLinks> {
+        let linked = free_links(ctx, q, db, &mut None).unwrap();
+        assert!(matches!(&*linked, Some((_, Some(_)))), "{q}: q' has atoms");
+        linked
+    }
+
     #[test]
     fn repeated_variables_link_over_the_collapsed_relation() {
         let data = db(&[
@@ -476,13 +421,21 @@ mod tests {
         check("q(x, y) :- R(x, x), R(x, y)", &data);
         check("q(x, y) :- R(x, y), S(y, y)", &data);
         check("q(x) :- R(x, x), S(x, x)", &data);
-        // the stored relation is read in place, the collapsed one is not it
+        // R(x, x) under S: S's message is S ⋉ R(x, x), which drops (9, 9)
+        let ctx = ExecCtx::cold();
         let q = parse_query("q(x, y) :- R(x, x), S(x, y)").unwrap();
-        let catalog = IndexCatalog::new();
-        let index = join_index(&ExecCtx::warm(&catalog), &q, &data).unwrap();
-        let rels = index.rels(&q, &data);
-        assert_eq!(rels[0].len(), 3, "R(x, x) keeps (1), (2), (4)");
-        assert!(std::ptr::eq(rels[1], data.get("S").unwrap()));
+        let linked = q_prime(&ctx, &q, &data);
+        let Some((msgs, _)) = &*linked else { unreachable!() };
+        assert_eq!(msgs.len(), 1);
+        assert_eq!(msgs[0].rel(&q, &data).len(), 3);
+        // both children of the free edge: S is read in place, R(x, x) as
+        // its collapse, (1), (2), (4)
+        let q = parse_query("q(x, y) :- S(x, y), R(x, x)").unwrap();
+        let linked = q_prime(&ctx, &q, &data);
+        let Some((msgs, _)) = &*linked else { unreachable!() };
+        let rels: Vec<&Relation> = msgs.iter().map(|m| m.rel(&q, &data)).collect();
+        assert!(std::ptr::eq(rels[0], data.get("S").unwrap()));
+        assert_eq!(rels[1], &Relation::from_values(vec![1, 2, 4]));
     }
 
     #[test]
@@ -504,8 +457,8 @@ mod tests {
         check("q(a, b, c) :- R1(a, b), R2(b, c)", &data);
         check("q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)", &data);
         let q = parse_query("q(a, b, c) :- R1(a, b), R2(b, c)").unwrap();
-        let index = join_index(&ExecCtx::cold(), &q, &data).unwrap();
-        let links = index.links();
+        let linked = q_prime(&ExecCtx::cold(), &q, &data);
+        let Some((_, Some(links))) = &*linked else { unreachable!() };
         let child = (0..2).find(|&u| links.tree().parent(u).is_some()).unwrap();
         assert!(links.edge(child).unwrap().link.iter().all(|&g| g == NONE));
     }
@@ -568,13 +521,13 @@ mod tests {
         let data = db(&[("R1", chain()), ("R2", chain()), ("R3", chain())]);
         let q = parse_query("q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
         let catalog = IndexCatalog::new();
-        assert_eq!(count_acyclic_join(&ExecCtx::warm(&catalog), &q, &data), Ok(rows));
+        assert_eq!(count_free_connex(&ExecCtx::warm(&catalog), &q, &data), Ok(rows));
         for budget in [0u32, 1, 5, 17, 29] {
             let consulted = AtomicU32::new(0);
             let token = CancelToken::never()
                 .with_probe(move || consulted.fetch_add(1, Ordering::Relaxed) >= budget);
             let ctx = ExecCtx::new(&catalog, &token);
-            assert_eq!(count_acyclic_join(&ctx, &q, &data), Err(EvalError::Cancelled));
+            assert_eq!(count_free_connex(&ctx, &q, &data), Err(EvalError::Cancelled));
             // at most one block of rows was polled past the trip
             let polled = token.polls();
             assert!(
@@ -586,75 +539,86 @@ mod tests {
         // the same passes run to the end under a token that never trips
         let token = CancelToken::never();
         let ctx = ExecCtx::new(&catalog, &token);
-        assert_eq!(count_acyclic_join(&ctx, &q, &data), Ok(rows));
+        assert_eq!(count_free_connex(&ctx, &q, &data), Ok(rows));
         assert_eq!(token.polls(), 3 * rows);
         assert_eq!(decide_acyclic(&ctx, &q.boolean_version(), &data), Ok(true));
     }
 
-    /// The join index of a body is one entry holding one link artifact per
-    /// tree edge, each reading the two relations of its edge only: `COUNT`
-    /// and `DECIDE` of one body share the entry, a write to a relation
-    /// outside the body moves nothing, and a write to `R1` rebuilds the
-    /// edge `R1` is an end of — the other stays pointer-equal.
+    /// Every edge of `q'`'s tree and of the subtrees elimination folds is
+    /// an artifact of its own, reading the two relations of its edge only:
+    /// `COUNT` and `DECIDE` of one body share the edges they have in
+    /// common, a write to a relation outside the body builds nothing, and a
+    /// write to `R1` rebuilds `q'`, the message of `R1`'s subtree and
+    /// `R1`'s edge — the other edge stays pointer-equal.
     #[test]
     fn a_write_rebuilds_only_the_links_of_the_edges_it_touches() {
         let count = parse_query("q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
-        let decide = parse_query("q() :- R1(a, b), R2(b, c), R3(c, d)").unwrap();
-        let mut db = Database::new();
+        let decide = count.boolean_version();
+        let mut data = Database::new();
         for (i, name) in ["R1", "R2", "R3"].into_iter().enumerate() {
-            db.insert(name, random_rel(2, 30, 40 + i as u64));
+            data.insert(name, random_rel(2, 30, 40 + i as u64));
         }
-        db.insert("Log", Relation::new(2));
-        let catalog = IndexCatalog::new();
-        let ctx = ExecCtx::warm(&catalog);
-        // the link artifact between two atoms' relations, whichever is parent
-        let link = |db: &Database, a: &str, b: &str| -> Arc<EdgeLinks> {
-            let index = join_index(&ctx, &count, db).unwrap();
-            let links = index.links();
-            let name = |u: usize| count.atoms()[u].relation.as_str();
-            let edge = (0..3).find(|&u| {
-                let ends = links.tree().parent(u).map(|p| [name(p), name(u)]);
-                ends.is_some_and(|ends| ends == [a, b] || ends == [b, a])
-            });
-            let edge = edge.expect("a path's neighbours share an edge");
-            Arc::clone(links.edges[edge].as_ref().unwrap())
-        };
-        let check = |db: &Database| {
+        data.insert("Log", Relation::new(2));
+        // the links of q' for COUNT: R1 under R2 under R3, in place
+        let edges = |ctx: &ExecCtx, db: &Database| -> [Arc<EdgeLinks>; 2] {
+            let linked = q_prime(ctx, &count, db);
+            let Some((_, Some(links))) = &*linked else { unreachable!() };
             assert_eq!(
-                count::count_acyclic_join(&ctx, &count, db).unwrap(),
-                brute_force_count(&count, db).unwrap()
+                (links.tree().parent(0), links.tree().parent(1)),
+                (Some(1), Some(2))
             );
-            assert_eq!(
-                crate::yannakakis::decide_acyclic(&ctx, &decide, db).unwrap(),
-                brute_force_decide(&decide, db).unwrap()
-            );
+            [0, 1].map(|u| Arc::clone(links.edges[u].as_ref().unwrap()))
         };
-        check(&db);
-        let cold = catalog.snapshot();
-        assert_eq!((cold.misses, cold.artifacts), (3, 3), "one body entry, two edges");
-        let whole = join_index(&ctx, &decide, &db).unwrap();
-        assert!(Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
-        let (r12, r23) = (link(&db, "R1", "R2"), link(&db, "R2", "R3"));
+        // COUNT: q' and its two edges; DECIDE: q', the message of the one
+        // subtree, and the same two edges; both: the edges once. After a
+        // write to R1 each rebuilds q', DECIDE its message, and R1's edge
+        // is rebuilt once.
+        for (verbs, cold, rebuilt) in
+            [(&["COUNT"][..], 3, 2), (&["DECIDE"], 4, 3), (&["COUNT", "DECIDE"], 5, 4)]
+        {
+            let mut db = data.clone();
+            let catalog = IndexCatalog::new();
+            let ctx = ExecCtx::warm(&catalog);
+            let run = |db: &Database| {
+                for &verb in verbs {
+                    match verb {
+                        "COUNT" => assert_eq!(
+                            count_free_connex(&ctx, &count, db),
+                            brute_force_count(&count, db)
+                        ),
+                        _ => assert_eq!(
+                            decide_acyclic(&ctx, &decide, db),
+                            brute_force_decide(&decide, db)
+                        ),
+                    }
+                }
+            };
+            run(&db);
+            let built = catalog.snapshot();
+            assert_eq!((built.misses, built.artifacts as u64), (cold, cold), "{verbs:?}");
+            let [r12, r23] = edges(&ExecCtx::warm(&catalog), &db);
+            let before = catalog.snapshot();
 
-        db.get_mut("Log").unwrap().insert_row(&[1, 1]);
-        check(&db);
-        assert!(Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
-        assert!(Arc::ptr_eq(&r12, &link(&db, "R1", "R2")));
-        assert!(Arc::ptr_eq(&r23, &link(&db, "R2", "R3")));
-        assert_eq!(
-            catalog.snapshot().misses,
-            cold.misses,
-            "a `Log` write builds nothing"
-        );
+            db.get_mut("Log").unwrap().insert_row(&[1, 1]);
+            run(&db);
+            assert_eq!(
+                catalog.snapshot().misses,
+                before.misses,
+                "{verbs:?}: a `Log` write"
+            );
 
-        db.get_mut("R1").unwrap().insert_row(&[7, 7]);
-        check(&db);
-        assert!(!Arc::ptr_eq(&whole, &join_index(&ctx, &count, &db).unwrap()));
-        assert!(!Arc::ptr_eq(&r12, &link(&db, "R1", "R2")));
-        assert!(Arc::ptr_eq(&r23, &link(&db, "R2", "R3")));
-        let rebuilt = catalog.snapshot();
-        assert_eq!(rebuilt.misses, cold.misses + 2, "the body entry and R1's edge");
-        assert_eq!(rebuilt.artifacts, 3, "rebuilt entries replace");
+            db.get_mut("R1").unwrap().insert_row(&[7, 7]);
+            run(&db);
+            let after = catalog.snapshot();
+            assert_eq!(after.misses, before.misses + rebuilt, "{verbs:?}");
+            assert_eq!(
+                after.artifacts, before.artifacts,
+                "{verbs:?}: rebuilt entries replace"
+            );
+            let [n12, n23] = edges(&ExecCtx::warm(&catalog), &db);
+            assert!(!Arc::ptr_eq(&r12, &n12), "{verbs:?}: R1's edge is rebuilt");
+            assert!(Arc::ptr_eq(&r23, &n23), "{verbs:?}: R2–R3 is untouched");
+        }
     }
 
     fn random_rel(arity: usize, rows: usize, seed: u64) -> Relation {

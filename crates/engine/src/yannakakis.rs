@@ -7,20 +7,22 @@
 //! (`full_reduce`), the starting point for enumeration and direct
 //! access. Both run over the join-tree links of `crate::links`, and
 //! both sweep upward by the one sum-product fold at the Boolean
-//! semiring: the reduction keeping which rows live, decision — which
-//! needs only the verdict — stopping at the first live root row
-//! ([`decide_acyclic`]), materialising no relation.
+//! semiring. Decision is projection elimination with no free variable
+//! ([`decide_acyclic`]): each subtree of the virtual root sends it a
+//! nullary message, its upward sweep stopping at the first live root
+//! row, and the query holds iff none is empty — memoized as the Boolean
+//! query's `q'`, so a repeated decision is one lookup.
 
-use crate::aggregate::{fold_body, BooleanSemiring};
+use crate::aggregate::BooleanSemiring;
 use crate::bind::{BoundAtom, EvalError};
 use crate::cancel::CancelToken;
-use crate::count::sum_product;
+use crate::count::{free_links, sum_product};
 use crate::ctx::ExecCtx;
 use crate::links::JoinLinks;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::Database;
-use std::borrow::{Borrow, Cow};
+use std::borrow::Cow;
 
 /// Shared key columns between two variable lists (each distinct): for
 /// each shared variable, the column index in `a` and in `b`.
@@ -42,31 +44,20 @@ pub(crate) fn join_tree_of(q: &ConjunctiveQuery) -> Result<JoinTree, EvalError> 
     cq_core::gyo::join_tree(&q.hypergraph()).ok_or(EvalError::NotAcyclic)
 }
 
-/// The join tree of bound atoms over `n_vars` variables — how the
-/// messages of projection elimination (an acyclic join query over the
-/// free variables) get theirs. `None` if their hypergraph is cyclic.
-pub(crate) fn join_tree_of_atoms(
-    atoms: &[impl Borrow<BoundAtom>],
-    n_vars: usize,
-) -> Option<JoinTree> {
-    let scopes: Vec<u64> = atoms.iter().map(|a| a.borrow().scope()).collect();
-    cq_core::gyo::join_tree(&cq_core::Hypergraph::new(n_vars, scopes))
-}
-
 /// Full Yannakakis reduction of bound atoms along the `links` of their
 /// join tree, in place: up — the fold at the Boolean semiring, keeping
 /// every row's product: a row lives iff each of its links lands in a
 /// child group holding a live row — then down — a group lives iff a live
 /// parent row links to it, and a row dies with its group — and one
 /// filter per node. After both, every remaining tuple participates in at
-/// least one answer (global consistency). Borrowed atoms (memoized
-/// messages) are read where they are: only a node that loses a row is
-/// owned. Returns the `steps` of the two passes, counted as the fold
+/// least one answer (global consistency). Borrowed rows (a stored
+/// relation, a memoized message) are read where they are: only a node
+/// that loses a row is owned. Returns the `steps` of the two passes, counted as the fold
 /// counts its own: rows visited plus links followed. The token is polled
 /// on the fold's schedule, and once per node on the way down.
 pub(crate) fn full_reduce(
     cancel: &CancelToken,
-    atoms: &mut [Cow<'_, BoundAtom>],
+    atoms: &mut [BoundAtom<'_>],
     links: &JoinLinks,
 ) -> Result<u64, EvalError> {
     let tree = links.tree();
@@ -97,7 +88,7 @@ pub(crate) fn full_reduce(
         if live.contains(&false) {
             let mut live = live.iter();
             let rel = atom.rel.filter(|_| *live.next().expect("one flag per row"));
-            *atom = Cow::Owned(BoundAtom { vars: atom.vars.clone(), rel });
+            atom.rel = Cow::Owned(rel);
         }
     }
     Ok(steps)
@@ -106,21 +97,31 @@ pub(crate) fn full_reduce(
 /// Decide a Boolean acyclic query in O(m) (Theorem 3.1). Works for any
 /// acyclic query (free variables are irrelevant to decision).
 ///
-/// The upward sweep as a fold: a row is `true` iff each of its links
-/// leads to a child group holding a `true` row, and the query is true
-/// iff some root row is — the pass over the root stops at the first.
-/// The links come from the memoized join index of the body (shared
-/// with `COUNT` of the same body), so nothing is cloned, hashed or
-/// materialised per call.
+/// The query holds iff the `q'` of its Boolean version exists: the
+/// upward sweep of each subtree of the virtual root as a fold — a row is
+/// `true` iff each of its links leads to a child group holding a `true`
+/// row, and the subtree is satisfiable iff some root row is, the pass
+/// over the root stopping at the first. `q'` is memoized, so a repeated
+/// decision on unchanged relations folds nothing; the span's `steps` are
+/// the sweeps' rows visited plus links followed, 0 on a hit.
 pub fn decide_acyclic(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
     db: &Database,
 ) -> Result<bool, EvalError> {
     let mut span = cq_obs::trace::span("op.yannakakis.decide");
-    let (truth, _, steps) = fold_body(ctx, q, db, &BooleanSemiring)?;
+    let boolean;
+    let q = match q.is_boolean() {
+        true => q,
+        false => {
+            boolean = q.boolean_version();
+            &boolean
+        }
+    };
+    let mut built = None;
+    let truth = free_links(ctx, q, db, &mut built)?.is_some();
     span.attr("rows", u64::from(truth));
-    span.attr("steps", steps);
+    span.attr("steps", built.unwrap_or(0));
     span.attr("cancel-polls", ctx.cancel().polls());
     Ok(truth)
 }
@@ -129,22 +130,20 @@ pub fn decide_acyclic(
 mod tests {
     use super::*;
     use crate::bind::{bind, brute_force_decide};
-    use crate::links::JoinLinks;
+    use crate::links::{JoinLinks, Named};
     use cq_core::parse_query;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, seeded_rng, star_database};
     use cq_data::Relation;
+    use cq_obs::trace::{self, TraceSink};
 
     /// The atoms of `q` over `db`, fully reduced along links built for
     /// the call over `q`'s join tree rooted at atom 0, with the steps.
-    fn reduced(
-        q: &ConjunctiveQuery,
-        db: &Database,
-    ) -> (Vec<Cow<'static, BoundAtom>>, u64) {
-        let mut atoms: Vec<Cow<BoundAtom>> =
-            bind(q, db).unwrap().into_iter().map(Cow::Owned).collect();
+    fn reduced<'a>(q: &ConjunctiveQuery, db: &'a Database) -> (Vec<BoundAtom<'a>>, u64) {
+        let mut atoms = bind(q, db).unwrap();
         let tree = join_tree_of(q).unwrap().rerooted(0);
-        let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
+        let named = |u: usize| Named::atom(q, u, &atoms[u]);
+        let (links, _) = JoinLinks::memoized(&ExecCtx::cold(), db, &tree, named).unwrap();
         let steps = full_reduce(&CancelToken::never(), &mut atoms, &links).unwrap();
         (atoms, steps)
     }
@@ -244,13 +243,10 @@ mod tests {
         assert_eq!(steps, 2 * (2 * 2 + 3 * 2 + 2));
         // a node that loses nothing is read where it is
         db.insert("C", Relation::from_pairs(vec![(3, 9)]));
-        let bound = bind(&q, &db).unwrap();
-        let mut atoms: Vec<_> = bound.iter().map(Cow::Borrowed).collect();
-        let tree = join_tree_of(&q).unwrap().rerooted(0);
-        let links = JoinLinks::of(&tree, |u| (&atoms[u].vars, &atoms[u].rel));
-        full_reduce(&CancelToken::never(), &mut atoms, &links).unwrap();
+        let (atoms, _) = reduced(&q, &db);
         assert!(
-            matches!(atoms[2], Cow::Borrowed(_)) && matches!(atoms[1], Cow::Owned(_))
+            matches!(atoms[2].rel, Cow::Borrowed(_))
+                && matches!(atoms[1].rel, Cow::Owned(_))
         );
     }
 
@@ -333,6 +329,34 @@ mod tests {
                 brute_force_decide(&q, &db).unwrap(),
                 "trial {trial}"
             );
+        }
+    }
+
+    /// A warm decision is one lookup of its memoized `q'`: it reports 0
+    /// steps and misses nothing in the catalog, whatever the head.
+    #[test]
+    fn a_warm_decision_is_one_lookup() {
+        let db = path_database(3, 200, &mut seeded_rng(1));
+        for q in [zoo::path_boolean(3), zoo::path_join(3), zoo::star_selfjoin_free(2)] {
+            let catalog = cq_data::IndexCatalog::new();
+            let ctx = ExecCtx::warm(&catalog);
+            let decide = || {
+                let sink = TraceSink::enabled();
+                let truth = trace::with(&sink, || decide_acyclic(&ctx, &q, &db).unwrap());
+                let mut steps = None;
+                sink.finish("test", "decide").expect("enabled").visit(|_, span| {
+                    if span.name == "op.yannakakis.decide" {
+                        steps = span.attr("steps");
+                    }
+                });
+                (truth, steps.expect("the span reports its steps"))
+            };
+            let (truth, cold) = decide();
+            assert_eq!(truth, brute_force_decide(&q, &db).unwrap(), "{q}");
+            assert!(cold > 0, "{q}: a cold decision folds");
+            let misses = catalog.snapshot().misses;
+            assert_eq!(decide(), (truth, 0), "{q}: a warm decision folds nothing");
+            assert_eq!(catalog.snapshot().misses, misses, "{q}: and builds nothing");
         }
     }
 }

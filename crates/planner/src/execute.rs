@@ -121,8 +121,10 @@ fn count_task(
         PlanOp::SemijoinSweep | PlanOp::GenericJoin { .. } if q.is_boolean() => {
             decide_task(ctx, plan, q, db).map(u64::from)
         }
-        PlanOp::CountingDp => count::count_acyclic_join(ctx, q, db),
-        PlanOp::ProjectionEliminationDp => count::count_free_connex(ctx, q, db),
+        // one fold over `q'`: a join query's is its atoms, read in place
+        PlanOp::CountingDp | PlanOp::ProjectionEliminationDp => {
+            count::count_free_connex(ctx, q, db)
+        }
         // a join query's count never materializes an answer: the engine
         // adds up last-depth intersection sizes
         PlanOp::CountDistinctProject { order } => {

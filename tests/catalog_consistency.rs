@@ -152,8 +152,8 @@ proptest! {
         drive(&chain, &["R1", "R2", "R3"], &steps)?;
     }
 
-    /// Self-joins and repeated-variable atoms: the `bound_rel` /
-    /// `join_link` (join-tree folds) and `bound_view` (generic join)
+    /// Self-joins and repeated-variable atoms: the `elim_msg` /
+    /// `join_link` (`q'` and its links) and `bound_view` (generic join)
     /// artifacts, whose keys name a relation more than once or not at
     /// all in the query text's first atom.
     #[test]

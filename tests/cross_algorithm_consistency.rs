@@ -10,6 +10,9 @@ use cq_engine::CancelToken;
 use cq_engine::{count, generic_join, yannakakis};
 use cq_lower_bounds::prelude::*;
 use cq_reductions::sum_order::SumOrderAccess;
+use queries::sorted_by;
+
+mod queries;
 
 /// The query suite: one representative per dichotomy class.
 fn suite() -> Vec<ConjunctiveQuery> {
@@ -114,19 +117,6 @@ fn array_of(da: &dyn DirectAccess) -> Out {
     Out::Array((0..da.len()).map(|i| da.access(i).unwrap()).collect())
 }
 
-/// The brute-force answers of `q` over its free variables, sorted by
-/// `order` restricted to them: the array direct access in that order
-/// simulates.
-fn sorted_by(q: &ConjunctiveQuery, db: &Database, order: &[Var]) -> Vec<Vec<Val>> {
-    let free = q.free_vars();
-    let slots: Vec<usize> =
-        order.iter().filter_map(|v| free.iter().position(|f| f == v)).collect();
-    let mut rows: Vec<Vec<Val>> =
-        brute_force_answers(q, db).unwrap().iter().map(<[Val]>::to_vec).collect();
-    rows.sort_by_key(|row| slots.iter().map(|&s| row[s]).collect::<Vec<_>>());
-    rows
-}
-
 /// The weight of a domain value in the sum-order rows.
 fn weight(v: Val) -> i64 {
     (v as i64 * 7) % 5
@@ -224,12 +214,6 @@ fn entry_points() -> Vec<EntryPoint> {
                 Ok(Out::Set(Relation::from_rows(free.len(), rows)))
             },
             oracle: set_oracle,
-        },
-        EntryPoint {
-            name: "count::count_acyclic_join",
-            serves: acyclic_join,
-            run: |ctx, q, db| count::count_acyclic_join(ctx, q, db).map(Out::Count),
-            oracle: count_oracle,
         },
         EntryPoint {
             name: "count::count_free_connex",

@@ -14,10 +14,11 @@
 //! its upper bound is asserted; the answers span adds the rows handed
 //! over, which no word takes below m^ρ* on AGM-tight instances.
 //!
-//! The operators that run over `q'` — counting, enumerating and accessing
-//! a free-connex query — first derive it, on a cold build, under an
-//! `op.free-connex.eliminate` span: its `steps` are fitted on each of
-//! their rows too, at most m^1 plus the slack and under `4 · Σ|Rᵢ|`.
+//! The operators that run over `q'` — deciding an acyclic query, and
+//! counting, enumerating and accessing a free-connex one — first derive
+//! it, on a cold build, under an `op.free-connex.eliminate` span: its
+//! `steps` are fitted on each of their rows too, at most m^1 plus the
+//! slack and under `4 · Σ|Rᵢ|`.
 //!
 //! One test runs each operator's rows, named in [`probe`]: [`run`] is
 //! all a test file calls.
@@ -71,8 +72,9 @@ fn probe(op: &PlanOp) -> Option<Probe> {
     Some(match op {
         // answers in O(1): no operator runs
         PlanOp::TrivialEmpty => return None,
-        PlanOp::SemijoinSweep => ("op.yannakakis.decide", STEPS, false, FOLDS),
-        PlanOp::CountingDp => ("op.count-acyclic", STEPS, false, FOLDS),
+        // a decision is the Boolean `q'`: memoized, a warm one is a lookup
+        PlanOp::SemijoinSweep => ("op.yannakakis.decide", STEPS, true, FOLDS),
+        PlanOp::CountingDp => ("op.count-free-connex", STEPS, false, FOLDS),
         PlanOp::ProjectionEliminationDp => {
             ("op.count-free-connex", STEPS, false, FREE_CONNEX)
         }
@@ -104,12 +106,16 @@ type Probe = (&'static str, &'static [&'static str], bool, &'static str);
 const ELIMINATE: &str = "op.free-connex.eliminate";
 
 /// Whether the operator runs over `q'`, derived by projection
-/// elimination (a free-connex join query's too).
+/// elimination (a join query's too, and a Boolean query's).
 fn derives_q_prime(op: &PlanOp) -> bool {
     use PlanOp::*;
     matches!(
         op,
-        ProjectionEliminationDp | ConstantDelayEnumeration | FreeConnexDirectAccess
+        SemijoinSweep
+            | CountingDp
+            | ProjectionEliminationDp
+            | ConstantDelayEnumeration
+            | FreeConnexDirectAccess
     )
 }
 

@@ -1,28 +1,15 @@
 //! Property-based tests on the structural core and the engine.
 
 use cq_core::hypergraph::Hypergraph;
-use cq_core::{ConjunctiveQuery, Var};
-use cq_data::{Database, Relation, Val};
-use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
+use cq_core::Var;
+use cq_data::{Relation, Val};
+use cq_engine::bind::brute_force_answers;
 use cq_engine::ExecCtx;
 use proptest::prelude::*;
-use queries::query_strategy;
+use queries::{query_strategy, random_db, sorted_by};
 use std::collections::BTreeSet;
 
 mod queries;
-
-/// The brute-force answers of `q` over its free variables, sorted by
-/// `order` restricted to them: the array direct access in that order
-/// simulates.
-fn sorted_by(q: &ConjunctiveQuery, db: &Database, order: &[Var]) -> Vec<Vec<Val>> {
-    let free = q.free_vars();
-    let slots: Vec<usize> =
-        order.iter().filter_map(|v| free.iter().position(|f| f == v)).collect();
-    let mut rows: Vec<Vec<Val>> =
-        brute_force_answers(q, db).unwrap().iter().map(<[Val]>::to_vec).collect();
-    rows.sort_by_key(|row| slots.iter().map(|&s| row[s]).collect::<Vec<_>>());
-    rows
-}
 
 /// Strategy: a random hypergraph as (n, edges as masks).
 fn hypergraph_strategy() -> impl Strategy<Value = Hypergraph> {
@@ -31,18 +18,6 @@ fn hypergraph_strategy() -> impl Strategy<Value = Hypergraph> {
         proptest::collection::vec(1u64..=full, 1..=6)
             .prop_map(move |edges| Hypergraph::new(n, edges))
     })
-}
-
-fn random_db_for(q: &ConjunctiveQuery, seed: u64, m: usize) -> Database {
-    let mut rng = cq_data::generate::seeded_rng(seed);
-    let mut db = Database::new();
-    for atom in q.atoms() {
-        db.insert(
-            &atom.relation,
-            cq_data::generate::random_relation(atom.vars.len(), m, 6, &mut rng),
-        );
-    }
-    db
 }
 
 proptest! {
@@ -105,29 +80,11 @@ proptest! {
         }
     }
 
-    /// Engine counting always equals brute force on random queries + data.
-    #[test]
-    fn count_matches_brute_force(q in query_strategy(), seed in 0u64..1000) {
-        let db = random_db_for(&q, seed, 12);
-        let expected = brute_force_count(&q, &db).unwrap();
-        let (got, _) = cq_planner::EvalCtx::new().count(&q, &db).unwrap();
-        prop_assert_eq!(got, expected, "query {}", q);
-    }
-
-    /// Engine decision always equals brute force.
-    #[test]
-    fn decide_matches_brute_force(q in query_strategy(), seed in 0u64..1000) {
-        let db = random_db_for(&q, seed, 12);
-        let expected = brute_force_decide(&q, &db).unwrap();
-        let (got, _) = cq_planner::EvalCtx::new().decide(&q, &db).unwrap();
-        prop_assert_eq!(got, expected, "query {}", q);
-    }
-
     /// Free-connex enumeration equals brute force.
     #[test]
     fn enumeration_matches_brute_force(q in query_strategy(), seed in 0u64..1000) {
         if cq_core::free_connex::is_free_connex(&q) {
-            let db = random_db_for(&q, seed, 12);
+            let db = random_db(&q, seed, 12, 6);
             let expected = brute_force_answers(&q, &db).unwrap();
             let tree = cq_engine::enumerate::preprocess(&ExecCtx::cold(), &q, &db).unwrap();
             let got = cq_engine::Answers::walk(tree).collect().unwrap();
@@ -146,7 +103,7 @@ proptest! {
         if !q.hypergraph().is_acyclic() {
             return Ok(());
         }
-        let db = random_db_for(&q, seed, 10);
+        let db = random_db(&q, seed, 10, 6);
         let mut order: Vec<Var> = q.vars().collect();
         let mut x = seed;
         for i in (1..order.len()).rev() {

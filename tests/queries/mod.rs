@@ -1,10 +1,16 @@
-//! The random-query generator the property tests share.
+//! What the property and consistency tests share: the random-query
+//! generator, the random database for a query, and the sorted answers an
+//! ordered direct access must serve.
 //!
 //! A query is valid by construction: the atoms' variable slots are drawn
 //! first and the variables are numbered in order of first use, so every
 //! variable occurs in an atom and `QueryBuilder::build` cannot fail.
 
+#![allow(dead_code)] // each test file uses its own part
+
 use cq_core::{ConjunctiveQuery, QueryBuilder, Var};
+use cq_data::{Database, Val};
+use cq_engine::bind::brute_force_answers;
 use proptest::prelude::*;
 
 /// Strategy: 2..=5 binary atoms over fresh relations `R0`, `R1`, …,
@@ -41,4 +47,30 @@ pub fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
         b.free(&free);
         b.build().expect("every variable occurs in an atom")
     })
+}
+
+/// A database for `q`, seeded: per atom, `rows` random rows of its arity
+/// over the values `0..domain`, under its relation's name.
+pub fn random_db(q: &ConjunctiveQuery, seed: u64, rows: usize, domain: u64) -> Database {
+    let mut rng = cq_data::generate::seeded_rng(seed);
+    let mut db = Database::new();
+    for atom in q.atoms() {
+        let rel =
+            cq_data::generate::random_relation(atom.vars.len(), rows, domain, &mut rng);
+        db.insert(&atom.relation, rel);
+    }
+    db
+}
+
+/// The brute-force answers of `q` over its free variables, sorted by
+/// `order` restricted to them: the array direct access in that order
+/// simulates.
+pub fn sorted_by(q: &ConjunctiveQuery, db: &Database, order: &[Var]) -> Vec<Vec<Val>> {
+    let free = q.free_vars();
+    let slots: Vec<usize> =
+        order.iter().filter_map(|v| free.iter().position(|f| f == v)).collect();
+    let mut rows: Vec<Vec<Val>> =
+        brute_force_answers(q, db).unwrap().iter().map(<[Val]>::to_vec).collect();
+    rows.sort_by_key(|row| slots.iter().map(|&s| row[s]).collect::<Vec<_>>());
+    rows
 }

@@ -80,7 +80,11 @@
 # so whether a call pays for its preprocessing is decided by the call's
 # own arguments and no static holds catalog entries nobody can hit again.
 # And one random-query generator for the property tests, valid by
-# construction, in `tests/queries/mod.rs`.
+# construction, in `tests/queries/mod.rs`. And one reduction: every reduced
+# tree is reduced from q' — `yannakakis::reduce_q_prime` fully reduces the
+# `q'` of `count::free_links` along its links for the free-connex tree and
+# for the layered tree of an ordered access alike, so no second join tree
+# of a query body is bound, linked and reduced beside it.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -248,6 +252,11 @@ forbid "a per-row weight or a row read in count::sum_product (every tuple weighs
                inside && /^[^:]*:\}/ { inside = 0 }' \
         | grep -E '\.row\(|&\[Val\]|\bRelation\b|\bweight\b'
 )"
+# every reduced tree is reduced from q': the body's own GYO tree is never
+# built, and the one full reduction runs in `reduce_q_prime`
+forbid "a join tree of the query body (every reduced tree is reduced from q' of count::free_links):" "$(
+    grep -rnE 'fn join_tree_of\b' crates/engine/src
+)"
 forbid "a search for a ⪯-compatible tree (build constructs the layered tree of Thm 3.24):" "$(
     grep -nHE 'fn (is_compatible|flatten)\b|\.rerooted\(' crates/engine/src/direct_access.rs
 )"
@@ -330,6 +339,10 @@ exactly_one "replica gate (\`.replica_of()\` outside the STATS line in admin.rs)
 # the liveness peek is three syscalls, and an evaluation consults its
 # probe every 256 polls: it runs behind `PeekGate::consult`, which spaces
 # the peeks by 100× their cost, and nowhere else
+exactly_one "call of \`full_reduce(\` in cq-engine (in \`reduce_q_prime\`: every reduced tree is reduced from q')" "$(
+    for f in crates/engine/src/*.rs; do non_test "$f"; done \
+        | grep -F 'full_reduce(' | grep -v 'fn full_reduce('
+)"
 exactly_one "call of \`connection_gone(\`, inside \`PeekGate::consult\`'s closure" "$(
     grep -rn 'connection_gone(' crates/server/src | grep -v 'fn connection_gone('
 )"

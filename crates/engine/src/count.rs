@@ -10,14 +10,16 @@
 //! which is the one fold, `sum_product`, at the Boolean semiring —
 //! projected onto its key; a child that keeps every row over all of its
 //! variables is its atom's relation, read in place. `q'` is derived
-//! once, memoized, and read four ways: `DECIDE` (Thm 3.1,
+//! once, memoized, and read five ways: `DECIDE` (Thm 3.1,
 //! [`crate::yannakakis::decide_acyclic`]) asks whether the Boolean
 //! version has one — its free edge is empty, so every message is
 //! nullary; [`count_free_connex`] runs the counting DP over it, for a
 //! join query (Thm 3.8, whose `q'` is its atoms) and a projection
-//! (Thm 3.13) alike; and [`crate::LexDirectAccess::free_connex`] reduces
+//! (Thm 3.13) alike; [`crate::LexDirectAccess::free_connex`] reduces
 //! and sorts it into the tree that enumeration walks (Thm 3.17) and
-//! direct access descends (Thm 3.18).
+//! direct access descends (Thm 3.18); and [`crate::LexDirectAccess::build`]
+//! reduces a join query's the same way, sorting it into its order's
+//! layered tree (Thm 3.24).
 //!
 //! Cross-algorithm dispatch lives in `cq-planner`, which picks between
 //! these entry points and the generic-join materialization baseline of

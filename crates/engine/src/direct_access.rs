@@ -27,13 +27,16 @@
 //! up front by a public builder, which is where an overflowing count and
 //! a deadline surface).
 //!
-//! Every builder ends in the one indexing step, `from_reduced`:
+//! Every builder ends in the one indexing step, `from_reduced`, and the
+//! two linear ones start from the one reduction, `reduce_q_prime`: `q'`
+//! of `count::free_links`, fully reduced along its links — for a join
+//! query its atoms, read in place, less those another atom covers.
 //!
 //! * [`LexDirectAccess::build`] (Thm 3.24 \[27\]) refuses an order with a
 //!   disruptive trio and otherwise builds the *layered* tree of the
 //!   order: one node per variable `vᵢ`, its scope `vᵢ` and `N<(vᵢ)` (its
 //!   neighbours before it in `⪯` — a clique, since no trio disrupts it,
-//!   so some atom of the acyclic body covers the scope and the node's
+//!   so some atom of the acyclic `q'` covers the scope and the node's
 //!   rows are that reduced atom's projection), hung from the latest
 //!   earlier node whose scope holds `N<(vᵢ)`;
 //! * [`LexDirectAccess::free_connex`] (Thm 3.18, in
@@ -46,13 +49,13 @@
 //!   same one-node tree.
 
 use crate::aggregate::{CountingSemiring, Semiring};
-use crate::bind::{bind, BoundAtom, EvalError};
+use crate::bind::{BoundAtom, EvalError};
 use crate::cancel::CancelToken;
-use crate::count::sum_product;
+use crate::count::{free_links, sum_product};
 use crate::ctx::ExecCtx;
 use crate::generic_join;
-use crate::links::{Edge, EdgeLinks, JoinLinks, Named, NONE};
-use crate::yannakakis::{full_reduce, join_tree_of};
+use crate::links::{Edge, EdgeLinks, NONE};
+use crate::yannakakis::reduce_q_prime;
 use cq_core::disruptive_trio::find_disruptive_trio;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
@@ -162,12 +165,14 @@ pub struct LexDirectAccess {
 }
 
 /// The layered tree of a trio-free `order` (Thm 3.24 \[27\]) over the
-/// fully reduced `atoms`, nodes in access order: node `i` introduces
-/// `order[i]` = `vᵢ`. Its scope is `vᵢ` and `N<(vᵢ)`, `vᵢ`'s neighbours
-/// before it — a clique, since no trio disrupts the order, so an atom of
-/// the acyclic body covers it (α-acyclic hypergraphs are conformal) and
-/// the node's rows are that atom's projection, which full reduction
-/// makes the projection of the answers. Its parent is the latest earlier
+/// fully reduced `atoms` of a join query's `q'`, nodes in access order:
+/// node `i` introduces `order[i]` = `vᵢ`. Its scope is `vᵢ` and
+/// `N<(vᵢ)`, `vᵢ`'s neighbours before it — a clique, since no trio
+/// disrupts the order, so an atom of `q'` covers it (`q'` is acyclic,
+/// each body atom lies inside one of its atoms, so the two have the same
+/// neighbours, and α-acyclic hypergraphs are conformal) and the node's
+/// rows are that atom's projection, which full reduction makes the
+/// projection of the answers. Its parent is the latest earlier
 /// node whose scope holds `N<(vᵢ)` (the node of `N<(vᵢ)`'s last variable
 /// qualifies), so a variable's nodes hang from its own: running
 /// intersection.
@@ -199,18 +204,22 @@ fn layered(
 impl LexDirectAccess {
     /// Build the efficient structure for join query `q` and the
     /// lexicographic order `order` (Thm 3.24), over all variables in
-    /// interning order: the body is bound and fully reduced along its
-    /// GYO tree, then indexed on the order's layered tree (see the module
-    /// doc). Fails with `NotAcyclic` on a cyclic body, with `Unsupported`
-    /// naming the trio when `order` has a disruptive trio (fall back to
+    /// interning order: `q'` — the query's atoms, read in place, less
+    /// those another atom covers — fully reduced along its links as every
+    /// reduced tree is, then indexed on the order's layered tree (see the
+    /// module doc); a Boolean body is its decision's one node. Fails with
+    /// `NotAcyclic` on a cyclic body, with `Unsupported` naming the trio
+    /// when `order` has a disruptive trio (fall back to
     /// [`LexDirectAccess::materialized`]), and with `CountOverflow` when
     /// the simulated array would have more than `u64::MAX` positions.
     ///
     /// Memoized in the catalog: the O(m log m) preprocessing (reduction,
     /// projections, sorts, links, prefix sums) runs once per database
-    /// state; repeated `access` calls pay Õ(log m) each and nothing else.
-    /// The reduction's rows visited plus links followed are the `steps`
-    /// of the `op.lex-access.build` span, 0 on a warm hit.
+    /// state, and `q'` and its links are those `COUNT`, `DECIDE` and
+    /// `ANSWERS` of the query share; repeated `access` calls pay Õ(log m)
+    /// each and nothing else. The reduction's rows visited plus links
+    /// followed are the `steps` of the `op.lex-access.build` span, 0 on a
+    /// warm hit.
     pub fn build(
         ctx: &ExecCtx,
         q: &ConjunctiveQuery,
@@ -224,34 +233,28 @@ impl LexDirectAccess {
         let key = format!("{q}|{order:?}");
         let mut span = cq_obs::trace::span("op.lex-access.build");
         let mut steps = 0;
-        let da = ctx.catalog().artifact(db, "lex_da", &key, q.relations(), || {
-            let mut atoms = bind(q, db)?;
-            let tree = join_tree_of(q)?;
-            if let Some(t) = find_disruptive_trio(q, order) {
-                let names = |vs: &[Var]| {
-                    vs.iter().map(|&v| q.var_name(v)).collect::<Vec<_>>().join(", ")
-                };
-                return Err(EvalError::Unsupported(format!(
-                    "no ⪯-compatible join tree for order ({}): it has the disruptive \
-                     trio ({}) (Thm 3.24)",
-                    names(order),
-                    names(&[t.y1, t.y2, t.y3])
-                )));
-            }
-            // full reduction → every tuple participates in an answer
-            let named = |u: usize| Named::atom(q, u, &atoms[u]);
-            let (links, _) = JoinLinks::memoized(ctx, db, &tree, named)?;
-            steps = full_reduce(ctx.cancel(), &mut atoms, &links)?;
-            let schema = q.vars().collect();
-            if order.is_empty() {
-                // nullary atoms only: the body's decision
-                let unit = Relation::nullary(!atoms[0].rel.is_empty());
-                return Self::one_node(ctx.cancel(), unit, schema, vec![]);
-            }
-            let (layers, tree) = layered(&atoms, order);
-            let all: Vec<usize> = (0..layers.len()).collect();
-            Self::from_reduced(ctx.cancel(), &layers, &tree, &all, schema, order.to_vec())
-        })?;
+        let da = match q.is_boolean() {
+            true => Self::shared(ctx, q, db, &mut None)?,
+            false => ctx.catalog().artifact(db, "lex_da", &key, q.relations(), || {
+                let linked = free_links(ctx, q, db, &mut None)?;
+                if let Some(t) = find_disruptive_trio(q, order) {
+                    let names = |vs: &[Var]| {
+                        vs.iter().map(|&v| q.var_name(v)).collect::<Vec<_>>().join(", ")
+                    };
+                    let (order, trio) = (names(order), names(&[t.y1, t.y2, t.y3]));
+                    return Err(EvalError::Unsupported(format!(
+                        "no ⪯-compatible join tree for order ({order}): it has the \
+                         disruptive trio ({trio}) (Thm 3.24)"
+                    )));
+                }
+                let (atoms, _, s) = reduce_q_prime(ctx.cancel(), q, db, &linked)?;
+                steps = s;
+                let (layers, tree) = layered(&atoms, order);
+                let all: Vec<usize> = (0..layers.len()).collect();
+                let (schema, order) = (q.vars().collect(), order.to_vec());
+                Self::from_reduced(ctx.cancel(), &layers, &tree, &all, schema, order)
+            })?,
+        };
         da.weights(ctx.cancel())?;
         span.attr("steps", steps);
         Ok(da)

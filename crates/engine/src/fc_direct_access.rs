@@ -9,23 +9,25 @@
 //! (`count::free_links`) turns the query into an acyclic *join* query
 //! `q'` over exactly the free variables, and the reduced, sorted tree of
 //! [`LexDirectAccess`] serves `q'` — reduced along the links `COUNT`
-//! folds over — on its own join tree, its nodes in DFS preorder and the
-//! order the variables they introduce in that preorder, so the nodes
-//! arrive in access order by construction. An empty `q'` is one node
+//! folds over, by `yannakakis::reduce_q_prime`, the one reduction every
+//! reduced tree starts from (an ordered access of a join query reduces
+//! the same `q'` and lays it out on its order's layered tree instead) —
+//! on its own join tree, its nodes in DFS preorder and the order the
+//! variables they introduce in that preorder, so the nodes arrive in
+//! access order by construction. An empty `q'` is one node
 //! without rows, a Boolean query the one node of its decision. The
 //! product is memoized once per query and shared:
 //! [`crate::Answers::walk`] walks the very same nodes, which is why
 //! enumeration order *is* this structure's order.
 
-use crate::bind::{BoundAtom, EvalError};
+use crate::bind::EvalError;
 use crate::count::free_links;
 use crate::ctx::ExecCtx;
 use crate::direct_access::LexDirectAccess;
-use crate::yannakakis::{decide_acyclic, full_reduce};
+use crate::yannakakis::{decide_acyclic, reduce_q_prime};
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, Var};
 use cq_data::{Database, Relation};
-use std::borrow::Cow;
 use std::sync::Arc;
 
 impl LexDirectAccess {
@@ -48,29 +50,15 @@ impl LexDirectAccess {
             return Ok(Arc::new(Self::one_node(ctx.cancel(), unit, vec![], vec![])?));
         }
         ctx.catalog().artifact(db, "fc_da", &q.to_string(), q.relations(), || {
-            let schema: Vec<Var> = q.free_vars();
             let linked = free_links(ctx, q, db, &mut None)?;
-            let Some((msgs, links)) = &*linked else {
-                *built = Some(0);
-                let empty = Relation::new(schema.len());
-                return Self::one_node(ctx.cancel(), empty, schema.clone(), schema);
-            };
-            let links = links.as_ref().expect("free variables give q' atoms");
-            let mut atoms: Vec<BoundAtom> = (msgs.iter())
-                .map(|m| BoundAtom {
-                    vars: m.vars.clone(),
-                    rel: Cow::Borrowed(m.rel(q, db)),
-                })
-                .collect();
-            let steps = full_reduce(ctx.cancel(), &mut atoms, links)?;
-            let tree = links.tree();
+            let (atoms, tree, steps) = reduce_q_prime(ctx.cancel(), q, db, &linked)?;
             let visit = tree.top_down();
             let order: Vec<Var> = (visit.iter())
                 .flat_map(|&u| mask_vertices(tree.scope(u) & !tree.key_mask(u)))
                 .map(|v| Var(v as u32))
                 .collect();
-            let da =
-                Self::from_reduced(ctx.cancel(), &atoms, tree, &visit, schema, order)?;
+            let (cancel, schema) = (ctx.cancel(), q.free_vars());
+            let da = Self::from_reduced(cancel, &atoms, &tree, &visit, schema, order)?;
             *built = Some(steps);
             Ok(da)
         })

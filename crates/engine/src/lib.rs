@@ -11,7 +11,7 @@
 //! | Counting (free-connex) | the same DP over `q'`, the acyclic join over the free variables that projection elimination leaves: per subtree of the virtual free edge, the upward semijoin pass of the full reduction, projected onto the subtree's key | Thm 3.13 | [`count::count_free_connex`] |
 //! | Counting / answers (hard side) | generic join + projection | Lem 3.9 | [`generic_join::count_distinct`], [`generic_join::answers`] |
 //! | Enumeration | the constant-delay in-order walk of the reduced tree, each move into a child two array reads | Thm 3.17 | [`enumerate::preprocess`], walked by [`Answers::walk`] |
-//! | Direct access, lex order | [`LexDirectAccess`], the one direct-access structure: the reduced tree as rows + links — nodes sorted by parent key, then ⪯, each parent row linked to the child group it joins; for a trio-free ⪯ the layered tree, one node per variable; an access is one pass over the nodes with a running radix over lazy subtree weights | Thm 3.24 | [`LexDirectAccess::build`] |
+//! | Direct access, lex order | [`LexDirectAccess`], the one direct-access structure: the reduced tree as rows + links — nodes sorted by parent key, then ⪯, each parent row linked to the child group it joins; for a trio-free ⪯ the layered tree over the join query's fully reduced `q'`, one node per variable; an access is one pass over the nodes with a running radix over lazy subtree weights | Thm 3.24 | [`LexDirectAccess::build`] |
 //! | Direct access, free-connex + projections | that tree over `q'` in its DFS order | Thm 3.18 | [`LexDirectAccess::free_connex`] |
 //! | Direct access (hard side) | that tree as one node: generic join's answers, sorted | Lem 3.9 / 3.23 | [`LexDirectAccess::materialized`] |
 //!

@@ -11,11 +11,11 @@
 //!
 //! [`JoinLinks::memoized`] keeps one artifact per tree edge, keyed by
 //! the names of its two ends' rows and read from their relations only:
-//! the links of `q'`, of the subtrees projection elimination folds
-//! (`count::free_links`) and of the body tree an ordered direct access
-//! reduces are built once per edge, `COUNT` and `DECIDE` of one body
-//! share the edges they have in common, and a write to `R1` rebuilds the
-//! edges `R1` is an end of.
+//! the links of `q'` and of the subtrees projection elimination folds
+//! (`count::free_links`) are built once per edge, every verb over `q'` —
+//! `DECIDE`, `COUNT`, `ANSWERS` and `ACCESS` in any order — shares the
+//! edges it has in common with the others, and a write to `R1` rebuilds
+//! the edges `R1` is an end of.
 
 use crate::bind::{BoundAtom, EvalError};
 use crate::ctx::ExecCtx;
@@ -176,19 +176,19 @@ impl<'a> Named<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::{bind, brute_force_answers, brute_force_count, brute_force_decide};
+    use crate::bind::{brute_force_answers, brute_force_count, brute_force_decide};
     use crate::cancel::{CancelToken, STRIDE};
     use crate::count::{count_free_connex, free_links, FreeLinks};
-    use crate::yannakakis::{decide_acyclic, full_reduce, join_tree_of};
+    use crate::yannakakis::{decide_acyclic, reduce_q_prime};
     use cq_core::{parse_query, ConjunctiveQuery};
     use cq_data::IndexCatalog;
     use std::collections::BTreeSet;
     use std::sync::atomic::{AtomicU32, Ordering};
 
     /// `COUNT` and `DECIDE` of `src` over `db` equal brute force:
-    /// one-shot, then cold and warm over one catalog; and
-    /// the full reduction along the body's tree keeps exactly the rows
-    /// of each atom that extend to an answer of the join.
+    /// one-shot, then cold and warm over one catalog; and the full
+    /// reduction of the join's `q'` keeps exactly the rows of each of its
+    /// atoms that extend to an answer of the join.
     fn check(src: &str, db: &Database) {
         let q = parse_query(src).unwrap();
         let (boolean, join) = (q.boolean_version(), q.join_version());
@@ -204,11 +204,9 @@ mod tests {
         assert!(decide_acyclic(&ExecCtx::warm(&catalog), &boolean, db).is_ok());
         assert_eq!(catalog.snapshot().misses, built, "{src}: a warm fold builds nothing");
 
-        let mut atoms = bind(&join, db).unwrap();
-        let tree = join_tree_of(&join).unwrap();
-        let named = |u: usize| Named::atom(&join, u, &atoms[u]);
-        let (links, _) = JoinLinks::memoized(&ExecCtx::cold(), db, &tree, named).unwrap();
-        full_reduce(&CancelToken::never(), &mut atoms, &links).unwrap();
+        let linked = free_links(&ExecCtx::cold(), &join, db, &mut None).unwrap();
+        let (atoms, _, _) =
+            reduce_q_prime(&CancelToken::never(), &join, db, &linked).unwrap();
         let free = join.free_vars();
         for atom in &atoms {
             let cols: Vec<usize> = (atom.vars.iter())
@@ -490,11 +488,6 @@ mod tests {
     fn every_block_fill_folds_like_brute_force() {
         let path = "q(a, b, c, d) :- R1(a, b), R2(b, c), R3(c, d)";
         let star = "q(x, y, z, a, b, c) :- A(x, a), B(y, b), D(z, c), C(x, y, z)";
-        let kids = |src: &str| {
-            let tree = join_tree_of(&parse_query(src).unwrap()).unwrap();
-            (0..tree.n_nodes()).map(|u| tree.children(u).len()).max()
-        };
-        assert_eq!(kids(star), Some(3), "the centre is the root");
         for m in [1, 255, 256, 257, 5_000] {
             let mut data = Database::new();
             for (r, name) in ["R1", "R2", "R3", "A", "B", "D"].into_iter().enumerate() {
@@ -502,6 +495,16 @@ mod tests {
             }
             data.insert("C", cored(6, 3, m, 10));
             assert!(data.iter().all(|(_, rel)| rel.len() == m));
+            if m == 1 {
+                // one row of zeros each: everything joins, and the centre
+                // of the star is the root of q''s tree
+                let q = parse_query(star).unwrap();
+                let linked = q_prime(&ExecCtx::cold(), &q, &data);
+                let Some((_, Some(links))) = &*linked else { unreachable!() };
+                let tree = links.tree();
+                let kids = (0..tree.n_nodes()).map(|u| tree.children(u).len()).max();
+                assert_eq!(kids, Some(3));
+            }
             check(path, &data);
             check(star, &data);
             data.insert("R2", cored(1, 2, m, 0));

@@ -4,8 +4,9 @@
 //! decide the query in time O(m): the upward sweep filters each parent by
 //! its children; the query is true iff the root stays non-empty. A
 //! downward sweep afterwards makes every relation globally consistent
-//! (`full_reduce`), the starting point for enumeration and direct
-//! access. Both run over the join-tree links of `crate::links`, and
+//! (`full_reduce`): `reduce_q_prime` runs it on `q'`, the starting point
+//! of every reduced tree — enumeration and direct access, in any order.
+//! Both run over the join-tree links of `crate::links`, and
 //! both sweep upward by the one sum-product fold at the Boolean
 //! semiring. Decision is projection elimination with no free variable
 //! ([`decide_acyclic`]): each subtree of the virtual root sends it a
@@ -16,12 +17,12 @@
 use crate::aggregate::BooleanSemiring;
 use crate::bind::{BoundAtom, EvalError};
 use crate::cancel::CancelToken;
-use crate::count::{free_links, sum_product};
+use crate::count::{free_links, sum_product, FreeLinks};
 use crate::ctx::ExecCtx;
 use crate::links::JoinLinks;
 use cq_core::hypergraph::mask_vertices;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
-use cq_data::Database;
+use cq_data::{Database, Relation};
 use std::borrow::Cow;
 
 /// Shared key columns between two variable lists (each distinct): for
@@ -39,11 +40,6 @@ pub(crate) fn shared_cols_of(a: &[Var], b: &[Var]) -> (Vec<usize>, Vec<usize>) {
     (ca, cb)
 }
 
-/// Build the join tree of `q`'s hypergraph (`Err(NotAcyclic)` if cyclic).
-pub(crate) fn join_tree_of(q: &ConjunctiveQuery) -> Result<JoinTree, EvalError> {
-    cq_core::gyo::join_tree(&q.hypergraph()).ok_or(EvalError::NotAcyclic)
-}
-
 /// Full Yannakakis reduction of bound atoms along the `links` of their
 /// join tree, in place: up — the fold at the Boolean semiring, keeping
 /// every row's product: a row lives iff each of its links lands in a
@@ -55,7 +51,7 @@ pub(crate) fn join_tree_of(q: &ConjunctiveQuery) -> Result<JoinTree, EvalError> 
 /// that loses a row is owned. Returns the `steps` of the two passes, counted as the fold
 /// counts its own: rows visited plus links followed. The token is polled
 /// on the fold's schedule, and once per node on the way down.
-pub(crate) fn full_reduce(
+fn full_reduce(
     cancel: &CancelToken,
     atoms: &mut [BoundAtom<'_>],
     links: &JoinLinks,
@@ -94,6 +90,33 @@ pub(crate) fn full_reduce(
     Ok(steps)
 }
 
+/// **The** reduction behind every reduced tree: `q'` — `linked`, which
+/// [`free_links`] derived for `q` over `db` — bound as its messages' rows,
+/// read where they are, and fully reduced along the links of its tree.
+/// Returns the reduced atoms, that tree and the reduction's steps; a `q`
+/// without answers reduces to one empty atom over its free variables.
+/// `q` has some: a Boolean query's `q'` has no atoms, and its tree is its
+/// decision.
+pub(crate) fn reduce_q_prime<'a>(
+    cancel: &CancelToken,
+    q: &ConjunctiveQuery,
+    db: &'a Database,
+    linked: &'a FreeLinks,
+) -> Result<(Vec<BoundAtom<'a>>, JoinTree, u64), EvalError> {
+    let Some((msgs, links)) = linked else {
+        let vars = q.free_vars();
+        let rel = Cow::Owned(Relation::new(vars.len()));
+        let tree = JoinTree::from_parents(vec![q.free_mask()], vec![None], 0);
+        return Ok((vec![BoundAtom { vars, rel }], tree, 0));
+    };
+    let links = links.as_ref().expect("free variables give q' atoms");
+    let mut atoms: Vec<BoundAtom> = (msgs.iter())
+        .map(|m| BoundAtom { vars: m.vars.clone(), rel: Cow::Borrowed(m.rel(q, db)) })
+        .collect();
+    let steps = full_reduce(cancel, &mut atoms, links)?;
+    Ok((atoms, links.tree().clone(), steps))
+}
+
 /// Decide a Boolean acyclic query in O(m) (Theorem 3.1). Works for any
 /// acyclic query (free variables are irrelevant to decision).
 ///
@@ -129,23 +152,29 @@ pub fn decide_acyclic(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bind::{bind, brute_force_decide};
-    use crate::links::{JoinLinks, Named};
+    use crate::bind::brute_force_decide;
     use cq_core::parse_query;
     use cq_core::query::zoo;
     use cq_data::generate::{path_database, seeded_rng, star_database};
     use cq_data::Relation;
     use cq_obs::trace::{self, TraceSink};
 
-    /// The atoms of `q` over `db`, fully reduced along links built for
-    /// the call over `q`'s join tree rooted at atom 0, with the steps.
-    fn reduced<'a>(q: &ConjunctiveQuery, db: &'a Database) -> (Vec<BoundAtom<'a>>, u64) {
-        let mut atoms = bind(q, db).unwrap();
-        let tree = join_tree_of(q).unwrap().rerooted(0);
-        let named = |u: usize| Named::atom(q, u, &atoms[u]);
-        let (links, _) = JoinLinks::memoized(&ExecCtx::cold(), db, &tree, named).unwrap();
-        let steps = full_reduce(&CancelToken::never(), &mut atoms, &links).unwrap();
-        (atoms, steps)
+    /// `f` of the atoms of `q'` of `q` over `db`, fully reduced, of their
+    /// tree and of the reduction's steps.
+    fn reduced<T>(
+        q: &ConjunctiveQuery,
+        db: &Database,
+        f: impl FnOnce(&[BoundAtom], &JoinTree, u64) -> T,
+    ) -> T {
+        let linked = free_links(&ExecCtx::cold(), q, db, &mut None).unwrap();
+        let (atoms, tree, steps) =
+            reduce_q_prime(&CancelToken::never(), q, db, &linked).unwrap();
+        f(&atoms, &tree, steps)
+    }
+
+    /// The reduced atom of `q'` over `vars`.
+    fn over<'a>(atoms: &'a [BoundAtom<'a>], vars: &[Var]) -> &'a BoundAtom<'a> {
+        atoms.iter().find(|a| a.vars == vars).expect("an atom of q' over the variables")
     }
 
     #[test]
@@ -190,84 +219,102 @@ mod tests {
         db.insert("S", Relation::from_pairs(vec![(2, 3), (9, 9)]));
         let q = parse_query("q() :- R(x,y), S(y,z)").unwrap();
         assert!(decide_acyclic(&ExecCtx::cold(), &q, &db).unwrap());
-        let (atoms, _) = reduced(&q, &db);
-        // after full reduction: R keeps (1,2) only; S keeps (2,3) only
-        let r = &atoms[0].rel;
-        let s = &atoms[1].rel;
-        assert_eq!(r.len(), 1);
-        assert!(r.contains(&[1, 2]));
-        assert_eq!(s.len(), 1);
-        assert!(s.contains(&[2, 3]));
+        // after full reduction of the join's q': R keeps (1,2) only; S
+        // keeps (2,3) only
+        let join = q.join_version();
+        let kept = reduced(&join, &db, |atoms, _, _| {
+            [0, 1].map(|i| over(atoms, &join.atoms()[i].vars).rel.clone().into_owned())
+        });
+        assert_eq!(
+            kept,
+            [Relation::from_pairs(vec![(1, 2)]), Relation::from_pairs(vec![(2, 3)])]
+        );
     }
 
     #[test]
     fn full_reduce_global_consistency_random() {
         let db = path_database(4, 150, &mut seeded_rng(5));
         let q = zoo::path_join(4);
-        let (atoms, _) = reduced(&q, &db);
         let answers = crate::bind::brute_force_answers(&q, &db).unwrap();
+        let free: Vec<_> = q.free_vars();
         // every remaining tuple appears in some answer
-        for (i, a) in atoms.iter().enumerate() {
-            let free: Vec<_> = q.free_vars();
-            for row in a.rel.iter() {
-                let participates = answers.iter().any(|ans| {
-                    a.vars.iter().enumerate().all(|(c, v)| {
-                        let pos = free.iter().position(|f| f == v).unwrap();
-                        ans[pos] == row[c]
-                    })
-                });
-                assert!(participates, "atom {i} row {row:?} is dangling");
+        let check = |atoms: &[BoundAtom], _: &JoinTree, _| {
+            for (i, a) in atoms.iter().enumerate() {
+                for row in a.rel.iter() {
+                    let participates = answers.iter().any(|ans| {
+                        a.vars.iter().enumerate().all(|(c, v)| {
+                            let pos = free.iter().position(|f| f == v).unwrap();
+                            ans[pos] == row[c]
+                        })
+                    });
+                    assert!(participates, "atom {i} row {row:?} is dangling");
+                }
             }
-        }
+        };
+        assert!(!answers.is_empty(), "the instance has answers");
+        reduced(&q, &db, check);
     }
 
     #[test]
     fn a_row_can_die_in_the_downward_pass_only() {
-        // rooted at A the tree is the chain A → B → C. C is a leaf: no
-        // link of its rows can fail, so all of C survives the upward
-        // pass. B(7,8) joins C(8,0) and survives it too; both die only
-        // when no live row of A links to B's group y = 7
+        // q''s tree is the chain C → B → A, rooted at C. A is a leaf: no
+        // link of its rows can fail, so all of A survives the upward
+        // pass. B(8,7) joins A(0,8) and survives it too; both die only
+        // when no live row of C links to B's group z = 7
         let mut db = Database::new();
-        db.insert("A", Relation::from_pairs(vec![(1, 2), (4, 5)]));
-        db.insert("B", Relation::from_pairs(vec![(2, 3), (5, 6), (7, 8)]));
-        db.insert("C", Relation::from_pairs(vec![(3, 9), (8, 0)]));
+        db.insert("A", Relation::from_pairs(vec![(9, 3), (0, 8)]));
+        db.insert("B", Relation::from_pairs(vec![(3, 2), (6, 5), (8, 7)]));
+        db.insert("C", Relation::from_pairs(vec![(2, 1), (5, 4)]));
         let q = parse_query("q(x, y, z, w) :- A(x, y), B(y, z), C(z, w)").unwrap();
-        let (atoms, steps) = reduced(&q, &db);
-        let rows = |i: usize| atoms[i].rel.iter().map(<[_]>::to_vec).collect::<Vec<_>>();
-        assert_eq!(
-            (rows(0), rows(1), rows(2)),
-            (vec![vec![1, 2]], vec![vec![2, 3]], vec![vec![3, 9]])
-        );
+        let [a, b, c] = [0, 1, 2].map(|i| q.atoms()[i].vars.clone());
+        let (rows, steps) = reduced(&q, &db, |atoms, tree, steps| {
+            let node = |vars: &[Var]| atoms.iter().position(|a| a.vars == vars);
+            let (a, b, c) = (node(&a).unwrap(), node(&b).unwrap(), node(&c).unwrap());
+            assert_eq!(
+                (tree.root(), tree.parent(b), tree.parent(a)),
+                (c, Some(c), Some(b))
+            );
+            let rows =
+                |u: usize| atoms[u].rel.iter().map(<[_]>::to_vec).collect::<Vec<_>>();
+            ((rows(a), rows(b), rows(c)), steps)
+        });
+        assert_eq!(rows, (vec![vec![9, 3]], vec![vec![3, 2]], vec![vec![2, 1]]));
         // two passes, each visiting a row once and following its links:
-        // A and B have one child, C none
+        // C and B have one child, A none
         assert_eq!(steps, 2 * (2 * 2 + 3 * 2 + 2));
         // a node that loses nothing is read where it is
-        db.insert("C", Relation::from_pairs(vec![(3, 9)]));
-        let (atoms, _) = reduced(&q, &db);
-        assert!(
-            matches!(atoms[2].rel, Cow::Borrowed(_))
-                && matches!(atoms[1].rel, Cow::Owned(_))
-        );
+        db.insert("A", Relation::from_pairs(vec![(9, 3)]));
+        let read_in_place = reduced(&q, &db, |atoms, _, _| {
+            [&a, &b].map(|vars| matches!(over(atoms, vars).rel, Cow::Borrowed(_)))
+        });
+        assert_eq!(read_in_place, [true, false]);
     }
 
     #[test]
     fn a_reduction_with_no_answer_empties_every_node() {
-        // B and C join, A and B do not: rooted at A, B and C survive the
+        // A and B join, B and C do not: rooted at C, A and B survive the
         // upward pass whole and the downward pass empties them
         let mut db = Database::new();
-        db.insert("A", Relation::from_pairs(vec![(1, 2)]));
-        db.insert("B", Relation::from_pairs(vec![(3, 4), (5, 4)]));
-        db.insert("C", Relation::from_pairs(vec![(4, 5)]));
+        db.insert("A", Relation::from_pairs(vec![(5, 4)]));
+        db.insert("B", Relation::from_pairs(vec![(4, 3), (4, 5)]));
+        db.insert("C", Relation::from_pairs(vec![(2, 1)]));
         let q = parse_query("q(x, y, z, w) :- A(x, y), B(y, z), C(z, w)").unwrap();
-        assert!(reduced(&q, &db).0.iter().all(|a| a.rel.is_empty()));
-        // ... and so does an empty relation anywhere, a disconnected
-        // component included
-        db.insert("A", Relation::from_pairs(vec![(1, 3)]));
-        assert!(reduced(&q, &db).0.iter().all(|a| !a.rel.is_empty()));
+        let emptied = |atoms: &[BoundAtom], _: &JoinTree, _| {
+            atoms.iter().map(|a| a.rel.is_empty()).collect::<Vec<_>>()
+        };
+        assert_eq!(reduced(&q, &db, emptied), vec![true; 3]);
+        db.insert("C", Relation::from_pairs(vec![(3, 1)]));
+        assert_eq!(reduced(&q, &db, emptied), vec![false; 3]);
+        // an empty relation anywhere, a disconnected component included,
+        // leaves no q' to reduce: one empty atom over the free variables
+        // stands for it, reduced in no step
         db.insert("D", Relation::new(2));
         let q = parse_query("q(x, y, z, w, u, v) :- A(x, y), B(y, z), C(z, w), D(u, v)")
             .unwrap();
-        assert!(reduced(&q, &db).0.iter().all(|a| a.rel.is_empty()));
+        let empty = reduced(&q, &db, |atoms, tree, steps| {
+            (atoms.len(), atoms[0].vars == q.free_vars(), tree.n_nodes(), steps)
+        });
+        assert_eq!((empty, reduced(&q, &db, emptied)), ((1, true, 1, 0), vec![true]));
     }
 
     #[test]

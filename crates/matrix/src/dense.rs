@@ -1,12 +1,12 @@
 //! Dense Boolean matrix multiplication.
 //!
 //! Over the Boolean semiring, `C[i][j] = ⋁_k A[i][k] ∧ B[k][j]`
-//! (paper §2.3). Three implementations with different constants:
+//! (paper §2.3). Two implementations with different constants:
 //!
 //! * [`multiply_naive`] — bit-at-a-time O(n³), the correctness reference;
 //! * [`multiply_rowwise`] — for every 1 in `A`'s row, OR the matching row
-//!   of `B` into the output row: O(n³ / 64) word-parallel, the default;
-//! * [`multiply_blocked`] — the same with L2-friendly row blocking.
+//!   of `B` into the output row: O(n³ / 64) word-parallel, what triangle
+//!   BMM and the heavy part of the sparse product run.
 
 use crate::bitmat::BitMatrix;
 
@@ -50,49 +50,6 @@ pub fn multiply_rowwise(a: &BitMatrix, b: &BitMatrix) -> BitMatrix {
     c
 }
 
-/// Blocked variant of [`multiply_rowwise`]: processes `B` in horizontal
-/// stripes of `block` rows so the stripe stays cache-resident across many
-/// rows of `A`.
-pub fn multiply_blocked(a: &BitMatrix, b: &BitMatrix, block: usize) -> BitMatrix {
-    assert_eq!(a.cols(), b.rows(), "dimension mismatch");
-    assert!(block >= 1);
-    let mut c = BitMatrix::zero(a.rows(), b.cols());
-    let n_k = a.cols();
-    let mut k0 = 0;
-    while k0 < n_k {
-        let k1 = (k0 + block).min(n_k);
-        for i in 0..a.rows() {
-            // walk only the words overlapping [k0, k1)
-            let w_start = k0 / 64;
-            let w_end = k1.div_ceil(64);
-            for wi in w_start..w_end.min(a.row_words(i).len()) {
-                let mut w = a.row_words(i)[wi];
-                // mask to the [k0, k1) range
-                let lo = wi * 64;
-                if k0 > lo {
-                    w &= !0u64 << (k0 - lo);
-                }
-                if k1 < lo + 64 {
-                    w &= (1u64 << (k1 - lo)) - 1;
-                }
-                while w != 0 {
-                    let k = wi * 64 + w.trailing_zeros() as usize;
-                    w &= w - 1;
-                    c.or_row_from(i, b, k);
-                }
-            }
-        }
-        k0 = k1;
-    }
-    c
-}
-
-/// Boolean matrix *squaring* with the diagonal cleared — used by the
-/// triangle detectors: `G` has a triangle iff `A² ∧ A ≠ 0`.
-pub fn square(a: &BitMatrix) -> BitMatrix {
-    multiply_rowwise(a, a)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,16 +67,6 @@ mod tests {
             let a = random(n, n as u64, 0.1);
             let b = random(n, n as u64 + 1, 0.1);
             assert_eq!(multiply_rowwise(&a, &b), multiply_naive(&a, &b), "n={n}");
-        }
-    }
-
-    #[test]
-    fn blocked_matches_rowwise() {
-        let a = random(130, 1, 0.05);
-        let b = random(130, 2, 0.05);
-        let want = multiply_rowwise(&a, &b);
-        for block in [1usize, 17, 64, 100, 1000] {
-            assert_eq!(multiply_blocked(&a, &b, block), want, "block={block}");
         }
     }
 
@@ -148,7 +95,7 @@ mod tests {
     fn square_triangle_detection() {
         // path 0-1-2: A² has (0,2) via 1, but A ∧ A² empty → no triangle
         let path = BitMatrix::from_entries(3, 3, &[(0, 1), (1, 0), (1, 2), (2, 1)]);
-        let sq = square(&path);
+        let sq = multiply_rowwise(&path, &path);
         assert!(sq.get(0, 2));
         // triangle 0-1-2-0: A ∧ A² nonzero
         let tri = BitMatrix::from_entries(
@@ -156,7 +103,7 @@ mod tests {
             3,
             &[(0, 1), (1, 0), (1, 2), (2, 1), (0, 2), (2, 0)],
         );
-        assert!(square(&tri).intersects(&tri));
+        assert!(multiply_rowwise(&tri, &tri).intersects(&tri));
     }
 
     #[test]

@@ -7,8 +7,7 @@
 //! what those three run on, from scratch:
 //!
 //! * [`BitMatrix`] — dense Boolean matrices, one bit per entry;
-//! * [`dense`] — naive cubic, word-parallel row-OR (n³/64), and blocked
-//!   multiplies;
+//! * [`dense`] — naive cubic and word-parallel row-OR (n³/64) multiplies;
 //! * [`sparse`] — sparse Boolean matrices with a hash SpGEMM and the
 //!   **heavy/light output-sensitive algorithm** whose m^{4/3} shape is
 //!   exactly what Hypothesis 1 conjectures optimal;

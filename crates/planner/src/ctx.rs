@@ -281,6 +281,31 @@ mod tests {
         assert_eq!(catalog.snapshot().misses, built, "a repeat on a catalog is warm");
     }
 
+    /// An ordered `ACCESS` of a join query reduces the `q'` a `COUNT` of
+    /// it derived: over one catalog it then builds its own tree and
+    /// nothing else — no second collapse of `R(x, x, y)`, no link of its
+    /// own.
+    #[test]
+    fn an_ordered_access_after_a_count_builds_only_its_tree() {
+        let q = cq_core::parse_query("q(x, y) :- R(x, x, y), S(y)").unwrap();
+        let mut db = Database::new();
+        let r = vec![vec![1, 1, 2], vec![1, 2, 2], vec![3, 3, 4], vec![5, 5, 6]];
+        db.insert("R", Relation::from_rows(3, r));
+        db.insert("S", Relation::from_values(vec![2, 6, 7]));
+        let catalog = IndexCatalog::new();
+        let ctx = EvalCtx::new().with_catalog(&catalog);
+        assert_eq!(ctx.count(&q, &db).unwrap().0, 2);
+        let order: Vec<_> = q.vars().collect();
+        let plan = Planner::plan_lex_access(&q, &order, &catalog.stats(&db));
+        assert_eq!(plan.op, crate::ir::PlanOp::LexDirectAccess { order });
+        let misses = catalog.snapshot().misses;
+        let Output::Answers(answers) = ctx.execute(&plan, &q, &db).unwrap() else {
+            panic!("an access plan streams answers")
+        };
+        assert_eq!(catalog.snapshot().misses, misses + 1, "the lex_da tree only");
+        assert_eq!(answers.collect().unwrap(), brute_force_answers(&q, &db).unwrap());
+    }
+
     #[test]
     fn facade_matches_brute_force_and_reports_plans() {
         let ctx = EvalCtx::new();

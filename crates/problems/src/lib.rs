@@ -9,7 +9,7 @@
 //! | Triangle detection | Hyp 2 | [`triangle`] (edge-iterator, BMM, AYZ degree split) |
 //! | k-Clique | Hyp 6–8 | [`clique`] (backtracking, Nešetřil–Poljak via triangles) |
 //! | (k,h)-Hyperclique | Hyp 3 | [`hyperclique`] |
-//! | 3SUM | Hyp 5 | [`three_sum`] (n³, sort+two-pointer n², hashing n²) |
+//! | 3SUM | Hyp 5 | [`three_sum`] (n³, sort+two-pointer n²) |
 //! | k-Dominating Set | via SETH (Thm 3.10) | [`dominating_set`] |
 //! | k-SAT | Hyp 4 (SETH) | [`sat`] (DPLL with unit propagation) |
 //! | Max-k-SAT | context for Hyp 3 (§3.1.2) | [`max_sat`] (2ⁿ enumeration, branch & bound) |

@@ -2,12 +2,11 @@
 //!
 //! Given lists `A`, `B`, `C` of `n` integers in `{−n⁴, …, n⁴}`: decide
 //! whether there are `a ∈ A`, `b ∈ B`, `c ∈ C` with `a + b = c`. The
-//! paper's easy Õ(n²) algorithm ([`three_sum_sorted`]) and a hashing
-//! variant are implemented, plus the cubic reference; the 3SUM Hypothesis
-//! says the quadratic ones are essentially optimal, which is what makes
-//! sum-order direct access hard (Lemma 3.25).
+//! paper's easy Õ(n²) algorithm ([`three_sum_sorted`]) is implemented,
+//! plus the cubic reference; the 3SUM Hypothesis says the quadratic one
+//! is essentially optimal, which is what makes sum-order direct access
+//! hard (Lemma 3.25).
 
-use cq_data::FxHashSet;
 use rand::rngs::StdRng;
 use rand::Rng;
 
@@ -88,19 +87,6 @@ pub fn three_sum_sorted(inst: &ThreeSumInstance) -> Option<Witness> {
     None
 }
 
-/// Hashing Õ(n²): put `C` in a hash set, test all `a + b`.
-pub fn three_sum_hashing(inst: &ThreeSumInstance) -> Option<Witness> {
-    let cset: FxHashSet<i64> = inst.c.iter().copied().collect();
-    for &a in &inst.a {
-        for &b in &inst.b {
-            if cset.contains(&(a + b)) {
-                return Some((a, b, a + b));
-            }
-        }
-    }
-    None
-}
-
 /// Validate a witness against the instance.
 pub fn check_witness(inst: &ThreeSumInstance, w: Witness) -> bool {
     let (a, b, c) = w;
@@ -120,7 +106,6 @@ mod tests {
             for (name, f) in [
                 ("naive", three_sum_naive as fn(&ThreeSumInstance) -> Option<Witness>),
                 ("sorted", three_sum_sorted as fn(&ThreeSumInstance) -> Option<Witness>),
-                ("hash", three_sum_hashing as fn(&ThreeSumInstance) -> Option<Witness>),
             ] {
                 let w =
                     f(&inst).unwrap_or_else(|| panic!("{name} missed planted solution"));
@@ -136,7 +121,6 @@ mod tests {
             let inst = ThreeSumInstance::random(25, 50, false, &mut rng);
             let expected = three_sum_naive(&inst).is_some();
             assert_eq!(three_sum_sorted(&inst).is_some(), expected);
-            assert_eq!(three_sum_hashing(&inst).is_some(), expected);
         }
     }
 
@@ -147,14 +131,12 @@ mod tests {
             ThreeSumInstance { a: vec![100, 200], b: vec![300, 400], c: vec![0, 1, 2] };
         assert!(three_sum_naive(&inst).is_none());
         assert!(three_sum_sorted(&inst).is_none());
-        assert!(three_sum_hashing(&inst).is_none());
     }
 
     #[test]
     fn negatives_handled() {
         let inst = ThreeSumInstance { a: vec![-5], b: vec![3], c: vec![-2] };
         assert!(three_sum_sorted(&inst).is_some());
-        assert!(three_sum_hashing(&inst).is_some());
     }
 
     #[test]

@@ -7,64 +7,19 @@
 //! is that durability survives *process death*, which only an external
 //! kill can exercise honestly.
 
+mod daemon;
+
 use cq_server::client::Client;
 use cq_server::protocol::Reply;
+use daemon::Daemon;
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
-use std::time::Duration;
 
-/// A running `cqd --data-dir` child plus a connected client.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn boot(data_dir: &Path, tag: &str) -> Daemon {
-        Daemon::boot_with_env(data_dir, tag, &[])
-    }
-
-    /// [`Daemon::boot`] with extra environment variables — the chaos
-    /// entry point (`CQ_FAULT_PLAN=…` arms storage fault injection in
-    /// the child).
-    fn boot_with_env(data_dir: &Path, tag: &str, envs: &[(&str, &str)]) -> Daemon {
-        let port_file = data_dir.with_extension(format!("{tag}.addr"));
-        let _ = std::fs::remove_file(&port_file);
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_cqd"));
-        cmd.args(["--addr", "127.0.0.1:0", "--workers", "2"])
-            .arg("--port-file")
-            .arg(&port_file)
-            .arg("--data-dir")
-            .arg(data_dir)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        for (k, v) in envs {
-            cmd.env(k, v);
-        }
-        let child = cmd.spawn().expect("spawn cqd");
-        let deadline = std::time::Instant::now() + Duration::from_secs(20);
-        let addr = loop {
-            if let Ok(s) = std::fs::read_to_string(&port_file) {
-                if !s.is_empty() {
-                    break s;
-                }
-            }
-            assert!(std::time::Instant::now() < deadline, "cqd never wrote its address");
-            std::thread::sleep(Duration::from_millis(20));
-        };
-        Daemon { child, addr }
-    }
-
-    fn client(&self) -> Client {
-        Client::connect_with_retry(self.addr.as_str(), Duration::from_secs(10))
-            .expect("connect to cqd")
-    }
-
-    /// SIGKILL — no shutdown hooks, no flushes, the crash case.
-    fn kill(mut self) {
-        self.child.kill().expect("kill cqd");
-        self.child.wait().expect("reap cqd");
-    }
+/// A `cqd --data-dir data_dir` child, under `envs` — `CQ_FAULT_PLAN=…`
+/// arms storage fault injection in it.
+fn durable(data_dir: &Path, envs: &[(&str, &str)]) -> Daemon {
+    let dir = OsString::from(data_dir);
+    Daemon::boot(&["--workers".into(), "2".into(), "--data-dir".into(), dir], envs)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -102,7 +57,7 @@ fn schema_lines(c: &mut Client, db: &str) -> Vec<String> {
 fn sigkill_between_mutation_and_checkpoint_loses_nothing() {
     let dir = temp_dir("kill");
     let pre_kill = {
-        let daemon = Daemon::boot(&dir, "first");
+        let daemon = durable(&dir, &[]);
         let mut c = daemon.client();
         ok(c.create_db("social"));
         ok(c.use_db("social"));
@@ -123,7 +78,7 @@ fn sigkill_between_mutation_and_checkpoint_loses_nothing() {
         replies
     };
     {
-        let daemon = Daemon::boot(&dir, "second");
+        let daemon = durable(&dir, &[]);
         let mut c = daemon.client();
         let post_kill = (transcript(&mut c, "social"), schema_lines(&mut c, "social"));
         assert_eq!(pre_kill, post_kill, "recovered ANSWERS must be byte-identical");
@@ -148,7 +103,7 @@ fn sigkill_between_mutation_and_checkpoint_loses_nothing() {
 fn torn_wal_tail_is_a_warning_not_a_boot_failure() {
     let dir = temp_dir("torn");
     let pre = {
-        let daemon = Daemon::boot(&dir, "first");
+        let daemon = durable(&dir, &[]);
         let mut c = daemon.client();
         ok(c.create_db("t"));
         ok(c.use_db("t"));
@@ -168,7 +123,7 @@ fn torn_wal_tail_is_a_warning_not_a_boot_failure() {
     bytes.extend_from_slice(&torn[..torn.len() - 3]);
     std::fs::write(&wal, &bytes).unwrap();
     {
-        let daemon = Daemon::boot(&dir, "second");
+        let daemon = durable(&dir, &[]);
         let mut c = daemon.client();
         let post = transcript(&mut c, "t");
         assert_eq!(pre, post, "intact mutations survive; the torn one is dropped");
@@ -178,7 +133,7 @@ fn torn_wal_tail_is_a_warning_not_a_boot_failure() {
         daemon.kill();
     }
     {
-        let daemon = Daemon::boot(&dir, "third");
+        let daemon = durable(&dir, &[]);
         let mut c = daemon.client();
         ok(c.use_db("t"));
         let r = ok(c.request("ANSWERS q(x, y) :- Follows(x, y)"));
@@ -194,8 +149,7 @@ fn fault_degraded_tenant_reboots_read_write_with_intact_records() {
     {
         // the 4th WAL append (and every one after) fails: two inserts
         // and a SET TIMEOUT land, then the tenant degrades mid-flight
-        let daemon =
-            Daemon::boot_with_env(&dir, "first", &[("CQ_FAULT_PLAN", "wal-append:4:*")]);
+        let daemon = durable(&dir, &[("CQ_FAULT_PLAN", "wal-append:4:*")]);
         let mut c = daemon.client();
         ok(c.create_db("t"));
         ok(c.use_db("t"));
@@ -216,7 +170,7 @@ fn fault_degraded_tenant_reboots_read_write_with_intact_records() {
     {
         // reboot WITHOUT the fault plan: recovery replays exactly the
         // intact records and the tenant is read-write again
-        let daemon = Daemon::boot(&dir, "second");
+        let daemon = durable(&dir, &[]);
         let mut c = daemon.client();
         ok(c.use_db("t"));
         let st = ok(c.stats(Some("t")));
@@ -251,7 +205,7 @@ fn fault_degraded_tenant_reboots_read_write_with_intact_records() {
 fn save_then_kill_recovers_from_snapshot_alone() {
     let dir = temp_dir("save");
     let pre = {
-        let daemon = Daemon::boot(&dir, "first");
+        let daemon = durable(&dir, &[]);
         let mut c = daemon.client();
         ok(c.create_db("t"));
         ok(c.use_db("t"));
@@ -270,13 +224,13 @@ fn save_then_kill_recovers_from_snapshot_alone() {
         "a checkpointed wal is just its header"
     );
     assert!(dir.join("t").join("snapshot.cqs").exists());
-    let daemon = Daemon::boot(&dir, "second");
+    let daemon = durable(&dir, &[]);
     let mut c = daemon.client();
     assert_eq!(pre, transcript(&mut c, "t"));
     // lifecycle over the wire post-recovery: drop the db, reboot, gone
     ok(c.request("DROP DB t"));
     daemon.kill();
-    let daemon = Daemon::boot(&dir, "third");
+    let daemon = durable(&dir, &[]);
     let mut c = daemon.client();
     let r = c.use_db("t").expect("io");
     assert!(r.terminal.starts_with("ERR no-such-db"), "{}", r.terminal);

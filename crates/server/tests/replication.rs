@@ -10,68 +10,27 @@
 //! exports, so the test is deterministic under every matrix leg):
 //! interrupted segment reads must delay convergence, never corrupt it.
 
+mod daemon;
+
 use cq_server::client::Client;
 use cq_server::protocol::{ErrKind, Reply};
+use daemon::Daemon;
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// A running `cqd` child plus its published address.
-struct Daemon {
-    child: Child,
-    addr: String,
+/// A `cqd` child with two workers and `extra` flags, under `envs`.
+fn boot(extra: &[OsString], envs: &[(&str, &str)]) -> Daemon {
+    let args = [&["--workers".into(), "2".into()], extra].concat();
+    Daemon::boot(&args, envs)
 }
 
-impl Daemon {
-    /// Spawn `cqd` with `extra` flags appended after the common
-    /// `--addr/--workers/--port-file` trio, under `envs`.
-    fn boot(tag: &str, extra: &[OsString], envs: &[(&str, &str)]) -> Daemon {
-        let port_file = std::env::temp_dir()
-            .join(format!("cq_repl_e2e_{tag}_{}.addr", std::process::id()));
-        let _ = std::fs::remove_file(&port_file);
-        let mut cmd = Command::new(env!("CARGO_BIN_EXE_cqd"));
-        cmd.args(["--addr", "127.0.0.1:0", "--workers", "2"])
-            .arg("--port-file")
-            .arg(&port_file)
-            .args(extra)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null());
-        for (k, v) in envs {
-            cmd.env(k, v);
-        }
-        let child = cmd.spawn().expect("spawn cqd");
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let addr = loop {
-            if let Ok(s) = std::fs::read_to_string(&port_file) {
-                if !s.is_empty() {
-                    break s;
-                }
-            }
-            assert!(Instant::now() < deadline, "cqd never wrote its address");
-            std::thread::sleep(Duration::from_millis(20));
-        };
-        Daemon { child, addr }
-    }
+fn boot_primary(data_dir: &Path) -> Daemon {
+    boot(&[OsString::from("--data-dir"), data_dir.into()], &[])
+}
 
-    fn primary(data_dir: &Path, tag: &str) -> Daemon {
-        Daemon::boot(tag, &[OsString::from("--data-dir"), data_dir.into()], &[])
-    }
-
-    fn replica(primary_addr: &str, tag: &str) -> Daemon {
-        Daemon::boot(tag, &[OsString::from("--replica-of"), primary_addr.into()], &[])
-    }
-
-    fn client(&self) -> Client {
-        Client::connect_with_retry(self.addr.as_str(), Duration::from_secs(10))
-            .expect("connect to cqd")
-    }
-
-    /// SIGKILL — the crash case, no shutdown hooks.
-    fn kill(mut self) {
-        self.child.kill().expect("kill cqd");
-        self.child.wait().expect("reap cqd");
-    }
+fn boot_replica(primary_addr: &str) -> Daemon {
+    boot(&[OsString::from("--replica-of"), primary_addr.into()], &[])
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -119,7 +78,7 @@ fn await_catch_up(replica: &Daemon, db: &str, want: &[Reply]) {
 #[test]
 fn replica_attaches_mid_stream_byte_matches_and_reconverges_after_restart() {
     let dir = temp_dir("attach");
-    let primary = Daemon::primary(&dir, "primary");
+    let primary = boot_primary(&dir);
     let mut p = primary.client();
     ok(p.create_db("social"));
     ok(p.use_db("social"));
@@ -128,7 +87,7 @@ fn replica_attaches_mid_stream_byte_matches_and_reconverges_after_restart() {
 
     // attach the replica mid-stream: writes keep landing on the
     // primary while the replica bootstraps and tails the WAL
-    let replica = Daemon::replica(&primary.addr, "replica");
+    let replica = boot_replica(&primary.addr);
     for i in 40..120u64 {
         ok(p.request(&format!("INSERT Follows({i}, {})", i + 1)));
     }
@@ -175,7 +134,7 @@ fn replica_attaches_mid_stream_byte_matches_and_reconverges_after_restart() {
     ok(p.save()); // epoch 2
     ok(p.request("INSERT Follows(500, 501)")); // post-checkpoint tail
     let want = transcript(&mut p, "social");
-    let replica = Daemon::replica(&primary.addr, "replica2");
+    let replica = boot_replica(&primary.addr);
     await_catch_up(&replica, "social", &want);
 
     replica.kill();
@@ -186,13 +145,13 @@ fn replica_attaches_mid_stream_byte_matches_and_reconverges_after_restart() {
 #[test]
 fn replica_tracks_tenant_creation_and_limits() {
     let dir = temp_dir("tenants");
-    let primary = Daemon::primary(&dir, "primary");
+    let primary = boot_primary(&dir);
     let mut p = primary.client();
     ok(p.create_db("a"));
     ok(p.use_db("a"));
     ok(p.request("INSERT R(1, 2)"));
 
-    let replica = Daemon::replica(&primary.addr, "replica");
+    let replica = boot_replica(&primary.addr);
     let want = transcript_r(&mut p);
     await_r(&replica, &want);
 
@@ -247,8 +206,7 @@ fn chaos_group_commit_acked_mutations_survive_sigkill() {
     // the empty plan pins fault injection OFF even when the CI chaos
     // matrix exports one — this leg is about crash durability, and an
     // ambient wal fault would turn acked OKs into expected ERRs
-    let first = Daemon::boot(
-        "group_first",
+    let first = boot(
         &[
             OsString::from("--data-dir"),
             dir.clone().into(),
@@ -279,7 +237,7 @@ fn chaos_group_commit_acked_mutations_survive_sigkill() {
     }
     first.kill();
 
-    let second = Daemon::primary(&dir, "group_second");
+    let second = boot_primary(&dir);
     let mut c = second.client();
     ok(c.use_db("social"));
     let count = ok(c.request("COUNT q(x, y) :- Follows(x, y)"));
@@ -291,8 +249,7 @@ fn chaos_group_commit_acked_mutations_survive_sigkill() {
 #[test]
 fn chaos_group_commit_never_acks_when_the_shared_sync_fails() {
     let dir = temp_dir("group_nack");
-    let daemon = Daemon::boot(
-        "group_nack",
+    let daemon = boot(
         &[
             OsString::from("--data-dir"),
             dir.clone().into(),
@@ -314,8 +271,7 @@ fn chaos_group_commit_never_acks_when_the_shared_sync_fails() {
 
     // reboot clean: whatever landed must be a prefix of what was NOT
     // acked — and the unacked rows are allowed to be absent
-    let second = Daemon::boot(
-        "group_nack2",
+    let second = boot(
         &[OsString::from("--data-dir"), dir.clone().into()],
         &[("CQ_FAULT_PLAN", "")],
     );
@@ -338,8 +294,7 @@ fn chaos_ship_interrupts_delay_but_never_corrupt_convergence() {
     // replica must ride through the refusals and still byte-match.
     // The explicit plan overrides the CI matrix's CQ_FAULT_PLAN, so
     // this test behaves identically under every matrix leg.
-    let primary = Daemon::boot(
-        "chaos_primary",
+    let primary = boot(
         &[OsString::from("--data-dir"), dir.clone().into()],
         &[("CQ_FAULT_PLAN", "ship-read:1:8")],
     );
@@ -353,7 +308,7 @@ fn chaos_ship_interrupts_delay_but_never_corrupt_convergence() {
     }
     let want = transcript(&mut p, "social");
 
-    let replica = Daemon::replica(&primary.addr, "chaos_replica");
+    let replica = boot_replica(&primary.addr);
     await_catch_up(&replica, "social", &want);
 
     replica.kill();

@@ -8,66 +8,17 @@
 //! nothing but what this connection made it allocate — not the heaps
 //! another test of the same binary left behind.
 
+mod daemon;
+
 use cq_server::server::MAX_REQUEST_LINE_BYTES;
+use daemon::Daemon;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::process::{Child, Command, Stdio};
-use std::time::{Duration, Instant};
-
-/// A running `cqd` on an ephemeral port.
-struct Daemon {
-    child: Child,
-    addr: String,
-}
-
-impl Daemon {
-    fn boot() -> Daemon {
-        let port_file = std::env::temp_dir()
-            .join(format!("cq_request_line_cap_{}.addr", std::process::id()));
-        let _ = std::fs::remove_file(&port_file);
-        let child = Command::new(env!("CARGO_BIN_EXE_cqd"))
-            .args(["--addr", "127.0.0.1:0", "--workers", "1"])
-            .arg("--port-file")
-            .arg(&port_file)
-            .stdout(Stdio::null())
-            .stderr(Stdio::null())
-            .spawn()
-            .expect("spawn cqd");
-        let deadline = Instant::now() + Duration::from_secs(20);
-        let addr = loop {
-            if let Ok(s) = std::fs::read_to_string(&port_file) {
-                if !s.is_empty() {
-                    break s;
-                }
-            }
-            assert!(Instant::now() < deadline, "cqd never wrote its address");
-            std::thread::sleep(Duration::from_millis(20));
-        };
-        let _ = std::fs::remove_file(&port_file);
-        Daemon { child, addr }
-    }
-
-    /// The daemon's resident set, in bytes (`VmRSS` of its
-    /// `/proc/<pid>/status`).
-    fn resident_bytes(&self) -> usize {
-        let status = std::fs::read_to_string(format!("/proc/{}/status", self.child.id()))
-            .expect("procfs");
-        let line = status.lines().find(|l| l.starts_with("VmRSS:")).expect("VmRSS line");
-        let kb: usize = line.split_whitespace().nth(1).unwrap().parse().unwrap();
-        kb * 1024
-    }
-}
-
-impl Drop for Daemon {
-    fn drop(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
-    }
-}
+use std::time::Duration;
 
 #[test]
 fn an_over_long_request_line_is_refused_not_buffered() {
-    let daemon = Daemon::boot();
+    let daemon = Daemon::boot(&["--workers".into(), "1".into()], &[]);
     let mut wire = TcpStream::connect(daemon.addr.as_str()).unwrap();
     wire.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
     let mut replies = BufReader::new(wire.try_clone().unwrap());

@@ -14,9 +14,10 @@
 //! its upper bound is asserted; the answers span adds the rows handed
 //! over, which no word takes below m^ρ* on AGM-tight instances.
 //!
-//! The operators that run over `q'` — deciding an acyclic query, and
-//! counting, enumerating and accessing a free-connex one — first derive
-//! it, on a cold build, under an `op.free-connex.eliminate` span: its
+//! The operators that run over `q'` — deciding an acyclic query,
+//! counting, enumerating and accessing a free-connex one, and accessing a
+//! join query in a trio-free order — first derive it, on a cold build,
+//! under an `op.free-connex.eliminate` span: its
 //! `steps` are fitted on each of their rows too, at most m^1 plus the
 //! slack and under `4 · Σ|Rᵢ|`.
 //!
@@ -116,6 +117,7 @@ fn derives_q_prime(op: &PlanOp) -> bool {
             | ProjectionEliminationDp
             | ConstantDelayEnumeration
             | FreeConnexDirectAccess
+            | LexDirectAccess { .. }
     )
 }
 

@@ -84,7 +84,10 @@
 # tree is reduced from q' — `yannakakis::reduce_q_prime` fully reduces the
 # `q'` of `count::free_links` along its links for the free-connex tree and
 # for the layered tree of an ordered access alike, so no second join tree
-# of a query body is bound, linked and reduced beside it.
+# of a query body is bound, linked and reduced beside it. And a request ends
+# in one place: `Session::end_request` counts a terminal's error and hands
+# the request's trace to PROFILE, for a verb's reply, a block's `END`, a
+# stream's last line and a caught panic alike.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -380,6 +383,15 @@ forbid "per-session metric caches (record through Tenant::metrics):" "$(
 )"
 forbid "tenant scopes looked up by name (record through the Tenant the site holds):" "$(
     grep -rnF 'tenant_scope(' crates/server/src/server crates/server/src/replica.rs
+)"
+# a request ends in one place, whoever made its terminal: a handler
+# returns its stream as the transport's `Action`, and the drain ends it,
+# so no stream is stashed beside a placeholder reply for a second end
+forbid "the stashed stream (a handler returns its Action; the drain ends a stream):" "$(
+    grep -rnE 'pending_flow|Reply::ok\("streaming"\)' crates/server/src
+)"
+forbid "errors counted outside Session::end_request (a request ends in one place):" "$(
+    server_module | outside_fns 'record_error[(]|errors[.]inc[(][)]' 'end_request'
 )"
 
 # ... and Thm 3.2's AYZ is cq-problems' `find_triangle_ayz`, not an

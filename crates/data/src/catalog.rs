@@ -60,7 +60,7 @@
 //! evaluation just built stay warm. Cap evictions are counted
 //! separately from invalidations in [`CatalogStats`].
 
-use crate::database::Database;
+use crate::database::{Database, VersionPin};
 use crate::hasher::FxHashMap;
 use crate::index::SortedView;
 use crate::stats::{DataStats, RelationStats};
@@ -92,17 +92,11 @@ impl MemoKey {
 /// One memoized product and what it was built from.
 struct Entry {
     value: Arc<dyn Any + Send + Sync>,
-    /// The relations the build read, each with the version it saw.
-    reads: Box<[(String, u64)]>,
+    /// The relations the build read, each with the version it saw: the
+    /// entry is current while they are.
+    reads: VersionPin,
     /// Insertion sequence number: the smallest is the oldest entry.
     seq: u64,
-}
-
-impl Entry {
-    /// Was this entry built from exactly `db`'s current content?
-    fn is_current(&self, db: &Database) -> bool {
-        self.reads.iter().all(|(name, version)| db.version_of(name) == *version)
-    }
 }
 
 /// Upper bound on memoized entries (views + artifacts)
@@ -162,7 +156,7 @@ impl Memo {
         key: &MemoKey,
         db: &Database,
     ) -> Option<Arc<T>> {
-        let entry = self.entries.get(key).filter(|e| e.is_current(db))?;
+        let entry = self.entries.get(key).filter(|e| e.reads.is_current(db))?;
         Arc::clone(&entry.value).downcast::<T>().ok()
     }
 
@@ -206,16 +200,13 @@ impl Memo {
         reads: impl IntoIterator<Item = &'r str>,
     ) {
         match self.entries.get(&key) {
-            Some(old) => self.invalidations += u64::from(!old.is_current(db)),
+            Some(old) => self.invalidations += u64::from(!old.reads.is_current(db)),
             None => {
                 self.ensure_capacity();
                 self.counts[key.kind()] += 1;
             }
         }
-        let reads = reads
-            .into_iter()
-            .map(|name| (name.to_string(), db.version_of(name)))
-            .collect();
+        let reads = VersionPin::of(db, reads);
         self.entries.insert(key, Entry { value, reads, seq: self.next_seq });
         self.next_seq += 1;
     }
@@ -392,7 +383,7 @@ impl IndexCatalog {
         let before = m.entries.len();
         let counts = &mut m.counts;
         m.entries.retain(|key, entry| {
-            let keep = entry.is_current(db);
+            let keep = entry.reads.is_current(db);
             if !keep {
                 counts[key.kind()] -= 1;
             }

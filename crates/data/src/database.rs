@@ -10,9 +10,10 @@
 //!   pin, the catalog's memoized [`crate::DataStats`]).
 //! * [`Database::version_of`] — per relation, the generation value of
 //!   *that relation's* last mutation. A write to `R` moves `R`'s version
-//!   (and the generation) and nobody else's. [`crate::IndexCatalog`]
-//!   entries record the versions of exactly the relations they were
-//!   built from, so everything a write did not touch stays warm.
+//!   (and the generation) and nobody else's. A [`VersionPin`] records
+//!   the versions of exactly the relations something was built from —
+//!   an [`crate::IndexCatalog`] entry, a server cursor's stream — so
+//!   everything a write did not touch stays warm.
 
 use crate::hasher::FxHashMap;
 use crate::relation::Relation;
@@ -162,6 +163,24 @@ impl Database {
         vs.sort_unstable();
         vs.dedup();
         vs
+    }
+}
+
+/// The versions some relations of a database had when something was
+/// built from them. While [`is_current`](VersionPin::is_current) holds,
+/// each of those relations is byte-identical to what the build read.
+#[derive(Debug)]
+pub struct VersionPin(Box<[(String, u64)]>);
+
+impl VersionPin {
+    /// The current versions of `db`'s relations `names` (0 for absent).
+    pub fn of<'r>(db: &Database, names: impl IntoIterator<Item = &'r str>) -> VersionPin {
+        VersionPin(names.into_iter().map(|n| (n.to_string(), db.version_of(n))).collect())
+    }
+
+    /// Is every pinned relation of `db` still at its pinned version?
+    pub fn is_current(&self, db: &Database) -> bool {
+        self.0.iter().all(|(name, version)| db.version_of(name) == *version)
     }
 }
 

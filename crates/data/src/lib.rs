@@ -21,7 +21,7 @@ pub mod stats;
 pub mod value;
 
 pub use catalog::{CatalogStats, IndexCatalog};
-pub use database::Database;
+pub use database::{Database, VersionPin};
 pub use hasher::{FxHashMap, FxHashSet};
 pub use index::{LevelBitmaps, SortedView};
 pub use relation::Relation;

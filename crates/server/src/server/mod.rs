@@ -11,7 +11,8 @@
 //!   inside `BATCH`) and the **verb table**: one row per verb naming
 //!   its metric slug, the tenant it addresses and whether it writes,
 //!   dispatched through the one gate that resolves the tenant and
-//!   refuses writes on a replica or a degraded tenant.
+//!   refuses writes on a replica or a degraded tenant — and the one end
+//!   of every request, where its error and its trace are booked.
 //! * `query` — everything that evaluates: `DECIDE`/`COUNT`/`ANSWERS`,
 //!   `EXPLAIN [ANALYZE]`, cursors, `BATCH`, the streaming pump, and the
 //!   one verdict that attributes a cancelled evaluation to the tenant's

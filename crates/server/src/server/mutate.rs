@@ -382,6 +382,20 @@ mod tests {
         assert!(replies[2].as_ref().unwrap().terminal.starts_with("ERR bad-value"));
     }
 
+    /// A block's `END` ends its request: an `ERR` there counts in the
+    /// tenant the block addressed, like any verb's.
+    #[test]
+    fn a_load_refused_at_end_counts_in_its_tenants_errors() {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        let replies = drive(&mut s, &["LOAD R 2", "1 2 3", "END"]);
+        let done = replies[2].as_ref().unwrap();
+        assert!(done.terminal.starts_with("ERR arity-mismatch"), "{}", done.terminal);
+        let m = s.handle_line("METRICS t").unwrap();
+        assert!(m.data.iter().any(|l| l == "db.t errors=1"), "{:?}", m.data);
+    }
+
     #[test]
     fn noop_mutations_keep_the_warm_catalog() {
         let state = Arc::new(ServerState::new());

@@ -4,13 +4,13 @@
 //! cancelled evaluation is attributed to.
 
 use super::admin::push_span_lines;
-use super::session::{Handled, Mode, Session};
+use super::session::{Action, Handled, Mode, Session};
 use crate::protocol::{
     query_task, render_row_into, split_word, ErrKind, Reply, DATA_PREFIX, END_KEYWORD,
 };
 use crate::state::Tenant;
 use cq_core::ConjunctiveQuery;
-use cq_data::{Database, IndexCatalog, Val};
+use cq_data::{Database, IndexCatalog, Val, VersionPin};
 use cq_engine::{CancelToken, EvalError};
 use cq_obs::trace::{self, TraceSink};
 use cq_obs::SlowQuery;
@@ -108,30 +108,13 @@ impl Watch {
 /// leaves it open.
 pub(super) struct CursorEntry {
     pub tenant: Arc<Tenant>,
-    pin: CursorPin,
+    /// The database generation the stream was built on (what `ERR
+    /// stale-cursor` cites) and the versions of the relations it reads,
+    /// both read under the execution's tenant read lock.
+    generation: u64,
+    reads: VersionPin,
     plan: QueryPlan,
     answers: Answers,
-}
-
-/// What a cursor's stream was built on, read under the same tenant read
-/// lock as the execution.
-struct CursorPin {
-    /// The database generation (what `ERR stale-cursor` cites).
-    generation: u64,
-    /// Each relation the query reads, at the version the stream saw.
-    reads: Vec<(String, u64)>,
-}
-
-impl CursorPin {
-    fn of(q: &ConjunctiveQuery, db: &Database) -> CursorPin {
-        let reads = q.relations().map(|r| (r.to_string(), db.version_of(r))).collect();
-        CursorPin { generation: db.generation(), reads }
-    }
-
-    /// Did a relation the cursor reads mutate since it was pinned?
-    fn is_stale(&self, db: &Database) -> bool {
-        self.reads.iter().any(|(r, version)| db.version_of(r) != *version)
-    }
 }
 
 /// A streamed `ANSWERS` response in flight: the evaluated stream plus
@@ -187,7 +170,8 @@ impl Session {
     /// per chunk up to [`STREAM_MAX_CHUNK_BYTES`] — and once more at the
     /// end. No allocation per row: the buffer grows to the budget and
     /// is reused. Then close the flow out — rows and bytes served, time
-    /// in the sink, the error count, the trace. Returns the terminal:
+    /// in the sink — and end the request ([`Session::end_request`]):
+    /// its terminal, its trace. Returns the terminal:
     /// `OK <n> rows`, or the `ERR` a mid-stream failure maps to (chunks
     /// already emitted stay emitted). An `emit` failure abandons the
     /// flow — counted as a cancellation, with the rows the sink did
@@ -245,18 +229,11 @@ impl Session {
                 Err(io)
             }
         };
-        if let Ok(terminal) = &result {
-            self.count_error(terminal);
-        }
         // drop the stream first (its span records itself on drop, exec
-        // and drain both visible), then finish the sink into the
-        // tenant's PROFILE ring; a disabled sink (profiling off)
-        // finishes to `None` and nothing is retained
+        // and drain both visible), then end the request
         let AnswerFlow { answers, trace, tenant, query, .. } = flow;
         drop(answers);
-        if let Some(tr) = trace.finish(tenant.name(), &query) {
-            self.state.metrics().push_trace(tenant.metrics(), tr);
-        }
+        self.end_request(Some(&tenant), result.as_ref().ok(), Some((&trace, &query)));
         result
     }
 
@@ -325,33 +302,33 @@ impl Session {
         Watch { token, deadline, timeout, started }
     }
 
+    /// `DECIDE`/`COUNT`/`ANSWERS`: a scalar's reply, or the stream of
+    /// answers itself, for the transport to drain.
     pub(super) fn eval_query(
         &mut self,
         tenant: &Arc<Tenant>,
         task: Task,
         src: &str,
-    ) -> Handled {
+    ) -> Result<Action, Reply> {
         debug_assert!(task != Task::Access, "the protocol layer never builds this");
         let q = self.statements.query(src)?;
         let watch = self.watch(tenant);
-        match self.plan_and_execute(tenant, task, src, &q, &watch, |_| ())? {
-            (Output::Answers(answers), plan, ()) => {
-                // hand the stream to the transport: preprocessing is
-                // done, the tenant read lock is released (the stream
-                // holds only Arc'd artifacts), and rows go out — or
-                // into a cursorless collect — pull by pull
-                self.pending_flow = Some(AnswerFlow {
-                    answers,
-                    tenant: Arc::clone(tenant),
-                    plan,
-                    watch,
-                    trace: trace::current(),
-                    query: src.to_string(),
-                });
-                Ok(Reply::ok("streaming")) // placeholder, replaced by the drain
-            }
-            (out, _plan, ()) => Ok(render_output(out)),
-        }
+        let (out, plan, ()) =
+            self.plan_and_execute(tenant, task, src, &q, &watch, |_| ())?;
+        let Output::Answers(answers) = out else {
+            return Ok(Action::Reply(render_output(out)));
+        };
+        // preprocessing is done, the tenant read lock is released (the
+        // stream holds only Arc'd artifacts), and rows go out — or into a
+        // cursorless collect — pull by pull
+        Ok(Action::Stream(Box::new(AnswerFlow {
+            answers,
+            tenant: Arc::clone(tenant),
+            plan,
+            watch,
+            trace: trace::current(),
+            query: src.to_string(),
+        })))
     }
 
     /// [`Session::execute_locked`] under the tenant's read lock, plus
@@ -450,9 +427,9 @@ impl Session {
         }
         let q = self.statements.query(src)?;
         let watch = self.watch(tenant);
-        let (out, plan, pin) =
+        let (out, plan, (generation, reads)) =
             self.plan_and_execute(tenant, task, src, &q, &watch, |db| {
-                CursorPin::of(&q, db)
+                (db.generation(), VersionPin::of(db, q.relations()))
             })?;
         let Output::Answers(mut answers) = out else {
             unreachable!("ANSWERS/ACCESS tasks always execute to a stream")
@@ -464,7 +441,7 @@ impl Session {
         self.next_cursor_id += 1;
         tenant.metrics().cursors_open().add(1);
         let tenant = Arc::clone(tenant);
-        self.cursors.insert(id, CursorEntry { tenant, pin, plan, answers });
+        self.cursors.insert(id, CursorEntry { tenant, generation, reads, plan, answers });
         Ok(Reply::ok(format!("cursor {id}")))
     }
 
@@ -476,7 +453,7 @@ impl Session {
             None => return Err(no_such_cursor(id)),
             Some(entry) => {
                 entry.tenant.is_dropped()
-                    || entry.tenant.read(|db, _| entry.pin.is_stale(db))
+                    || !entry.tenant.read(|db, _| entry.reads.is_current(db))
             }
         };
         if stale {
@@ -489,7 +466,7 @@ impl Session {
                      generation {}; the cursor is closed — re-open to see the new \
                      data",
                     entry.tenant.name(),
-                    entry.pin.generation
+                    entry.generation
                 ),
             ));
         }
@@ -565,12 +542,12 @@ impl Session {
     }
 
     /// `EXPLAIN ANALYZE <task> <query>`: the EXPLAIN plan rendering,
-    /// then the query actually executed under a one-shot trace sink —
-    /// the reply appends measured wall-clock, the observed row count
-    /// against the planner's predicted `m^e` worst case, and the
-    /// per-operator span tree (time plus recorded attributes). Answer
-    /// streams are drained server-side: this command measures, it does
-    /// not stream.
+    /// then the query actually executed under a trace sink, with
+    /// tracing on or off — the reply appends measured wall-clock, the
+    /// observed row count against the planner's predicted `m^e` worst
+    /// case, and the per-operator span tree (time plus recorded
+    /// attributes). Answer streams are drained server-side: this command
+    /// measures, it does not stream.
     pub(super) fn explain_analyze(
         &mut self,
         tenant: &Tenant,
@@ -580,7 +557,11 @@ impl Session {
         debug_assert!(task != Task::Access, "the protocol layer never builds this");
         let q = self.statements.query(src)?;
         let watch = self.watch(tenant);
-        let sink = TraceSink::enabled();
+        // the request's own sink when the server profiles — its end
+        // hands the trace to PROFILE — else a one-shot sink for the reply
+        let sink = Some(trace::current())
+            .filter(TraceSink::is_enabled)
+            .unwrap_or_else(TraceSink::enabled);
         let (out, plan, ()) = trace::with(&sink, || {
             self.plan_and_execute(tenant, task, src, &q, &watch, |_| ())
         })?;
@@ -608,7 +589,7 @@ impl Session {
             plan.cost.exponent,
             plan.cost.operations()
         ));
-        if let Some(tr) = sink.finish(tenant.name(), src) {
+        if let Some(tr) = sink.snapshot(tenant.name(), src) {
             push_span_lines(&mut data, &tr, |depth, sp| {
                 format!(
                     "{}{} time={:.3}ms",
@@ -617,7 +598,6 @@ impl Session {
                     sp.elapsed.as_secs_f64() * 1e3
                 )
             });
-            self.state.metrics().push_trace(tenant.metrics(), tr);
         }
         Ok(Reply::ok_with(data, "analyzed"))
     }
@@ -1391,6 +1371,8 @@ mod tests {
         let served = 2 * (20_000 + shipped);
         assert!(has(format!("db.t answers.rows={served}")), "{:?}", m.data);
         assert!(has("db.t cancellations=2".to_string()), "{:?}", m.data);
+        // each mid-drain `ERR timeout` is an error of the tenant's
+        assert!(has("db.t errors=2".to_string()), "{:?}", m.data);
     }
 
     #[test]

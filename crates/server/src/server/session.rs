@@ -2,7 +2,9 @@
 //! every verb's metric slug, tenant addressing and access class are
 //! declared in one row, and [`Session::serve`] is the only place a
 //! tenant is resolved, a write is refused, a profile sink is installed
-//! or a command is counted.
+//! or a command is counted. Every request — a verb, a block's `END`, a
+//! stream's last line, a caught panic — ends in
+//! [`Session::end_request`], where its error and its trace are booked.
 
 use super::query::{AnswerFlow, BatchItem, CursorEntry};
 use super::stmt::Statements;
@@ -29,9 +31,16 @@ pub enum Action {
     Stream(Box<AnswerFlow>),
 }
 
+impl From<Reply> for Action {
+    fn from(reply: Reply) -> Action {
+        Action::Reply(reply)
+    }
+}
+
 /// What a verb's handler returns: the reply, or — `Err`, so handlers
 /// can `?` their way out — the refusal that takes its place. The client
-/// is sent whichever it is.
+/// is sent whichever it is. (`ANSWERS` returns the stream itself, an
+/// [`Action`], in place of the reply.)
 pub(super) type Handled = Result<Reply, Reply>;
 
 /// What a session is currently reading.
@@ -129,7 +138,7 @@ macro_rules! verb_table {
 
         impl Session {
             /// Route one parsed command through its row.
-            fn dispatch(&mut self, cmd: Command, line: &str) -> Reply {
+            fn dispatch(&mut self, cmd: Command, line: &str) -> Action {
                 match cmd {$(
                     $cmd => {
                         let verb =
@@ -137,7 +146,7 @@ macro_rules! verb_table {
                         let target = None$(.or(Some(Target::$addr($target))))?;
                         self.serve(verb, target, line, |$s, _tenant| {
                             $(let $t = _tenant.expect("the gate resolved this verb's tenant");)?
-                            $handler
+                            $handler.map(Action::from)
                         })
                     }
                 )+}
@@ -210,9 +219,6 @@ pub struct Session {
     pub(super) cursors: HashMap<u64, CursorEntry>,
     /// The next cursor id (session-scoped, never reused).
     pub(super) next_cursor_id: u64,
-    /// A streamed response produced by the current command, picked up
-    /// by [`Session::handle_action`] after dispatch returns.
-    pub(super) pending_flow: Option<AnswerFlow>,
     /// The statements this session served: each text's parse, and its
     /// plans while the statistics they were made against are current.
     pub(super) statements: Statements,
@@ -229,7 +235,6 @@ impl Session {
             cancel_probe: None,
             cursors: HashMap::new(),
             next_cursor_id: 0,
-            pending_flow: None,
             statements: Statements::default(),
         }
     }
@@ -269,26 +274,16 @@ impl Session {
     /// (`server panics`), the session resets to idle, and the client
     /// gets `ERR internal`.
     pub fn handle_action(&mut self, raw: &[u8]) -> Option<Action> {
-        let reply = match std::panic::catch_unwind(AssertUnwindSafe(|| self.step(raw))) {
-            Ok(reply) => reply,
-            Err(_) => {
-                self.state.metrics().server_scope().counter("panics").inc();
-                self.mode = Mode::Idle;
-                self.pending_flow = None;
-                Some(Reply::err(
-                    ErrKind::Internal,
-                    "command handler panicked; session reset to idle",
-                ))
-            }
-        };
-        if let Some(flow) = self.pending_flow.take() {
-            // the dispatch reply is a placeholder; the real terminal is
-            // written (and error-counted) when the drain finishes
-            return Some(Action::Stream(Box::new(flow)));
-        }
-        let reply = reply?;
-        self.count_error(&reply);
-        Some(Action::Reply(reply))
+        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| self.step(raw)));
+        caught.unwrap_or_else(|_| {
+            self.state.metrics().server_scope().counter("panics").inc();
+            // idle again, so the refusal is answered at once
+            self.mode = Mode::Idle;
+            self.refuse_line(Reply::err(
+                ErrKind::Internal,
+                "command handler panicked; session reset to idle",
+            ))
+        })
     }
 
     /// [`Session::handle_action`] with any streamed response collected
@@ -313,23 +308,43 @@ impl Session {
     /// usage` when idle, the block's own error report at `END` inside
     /// a `LOAD`/`BATCH` — and keep serving.
     pub fn handle_oversized(&mut self) -> Option<Action> {
-        let reply = self.refuse_line(Reply::err(
+        self.refuse_line(Reply::err(
             ErrKind::Usage,
             format!("request line exceeds {} bytes", super::MAX_REQUEST_LINE_BYTES),
-        ))?;
-        self.count_error(&reply);
-        Some(Action::Reply(reply))
+        ))
     }
 
-    /// Count one error reply, by wire kind — block completions
-    /// (`LOAD`/`BATCH` `END`), stream terminals, and panics included.
-    pub(super) fn count_error(&self, reply: &Reply) {
-        if let Some(kind) = reply.err_kind() {
-            self.state.metrics().record_error(kind);
+    /// The one end of a request, wherever its terminal is made: a verb's
+    /// framed reply ([`Session::serve`]), a `LOAD`/`BATCH` block's `END`
+    /// reply, a streamed response's last line (the drain's), a refused
+    /// line's and a caught panic's. An `ERR` terminal is counted by wire
+    /// kind server-wide (`errors.<kind>`) and once in `tenant`'s
+    /// `errors` — the tenant the request addressed; `None` for a verb
+    /// counted in the server scope, a line that never parsed, or a
+    /// panic. A `None` terminal is a drain whose client hung up: nobody
+    /// reads one, so nothing is counted. The request's `trace`, its sink
+    /// and label, lands in the tenant's `PROFILE` ring; a disabled sink
+    /// (profiling off) finishes to nothing.
+    pub(super) fn end_request(
+        &self,
+        tenant: Option<&Tenant>,
+        terminal: Option<&Reply>,
+        trace: Option<(&TraceSink, &str)>,
+    ) {
+        let metrics = self.state.metrics();
+        if let Some(kind) = terminal.and_then(Reply::err_kind) {
+            metrics.record_error(kind);
+            if let Some(tenant) = tenant {
+                tenant.metrics().errors.inc();
+            }
+        }
+        let Some((tenant, (sink, label))) = tenant.zip(trace) else { return };
+        if let Some(tr) = sink.finish(tenant.name(), label) {
+            metrics.push_trace(tenant.metrics(), tr);
         }
     }
 
-    fn step(&mut self, raw: &[u8]) -> Option<Reply> {
+    fn step(&mut self, raw: &[u8]) -> Option<Action> {
         let Ok(text) = std::str::from_utf8(raw) else {
             let what = match self.mode {
                 Mode::Idle => "request",
@@ -345,23 +360,30 @@ impl Session {
         if line.is_empty() {
             return None; // blank lines are fine, between rows and items too
         }
-        match self.mode {
-            Mode::Idle => Some(match parse_command(line) {
-                Ok(cmd) => self.dispatch(cmd, line),
-                Err(reply) => reply,
-            }),
-            Mode::Loading { .. } => self.load_line(line),
-            Mode::Batching { .. } => self.batch_line(line),
-        }
+        let reply = match self.mode {
+            Mode::Idle => match parse_command(line) {
+                Ok(cmd) => return Some(self.dispatch(cmd, line)),
+                Err(reply) => return self.refuse_line(reply),
+            },
+            Mode::Loading { .. } => self.load_line(line)?,
+            Mode::Batching { .. } => self.batch_line(line)?,
+        };
+        // a block's `END`: its request is the block, which addressed the
+        // current tenant (as the `END` gate left it)
+        self.end_request(self.current.as_deref(), Some(&reply), None);
+        Some(Action::Reply(reply))
     }
 
     /// A line that cannot be served at all, answered as the session's
-    /// mode demands: at once when idle; inside a `LOAD` as the block's
-    /// error (the first one wins, reported at `END`); inside a `BATCH`
-    /// as that item's error.
-    fn refuse_line(&mut self, reply: Reply) -> Option<Reply> {
+    /// mode demands: at once when idle, as a request that addressed no
+    /// tenant; inside a `LOAD` as the block's error (the first one wins,
+    /// reported at `END`); inside a `BATCH` as that item's error.
+    fn refuse_line(&mut self, reply: Reply) -> Option<Action> {
         match &mut self.mode {
-            Mode::Idle => return Some(reply),
+            Mode::Idle => {
+                self.end_request(None, Some(&reply), None);
+                return Some(Action::Reply(reply));
+            }
             Mode::Loading { error, .. } => {
                 error.get_or_insert(reply);
             }
@@ -373,15 +395,17 @@ impl Session {
     /// Serve one command through its table row — the only path from a
     /// verb to its handler. Resolves the tenant and applies the gates
     /// ([`Session::gate`]), runs tenant-scoped verbs under a fresh
-    /// trace sink when the server profiles, and counts the command and
-    /// its error in the tenant the row's addressing names.
+    /// trace sink when the server profiles, ends the request
+    /// ([`Session::end_request`]) in the tenant the row's addressing
+    /// names, and counts the command there. A stream is ended by its
+    /// drain instead, which writes its terminal.
     fn serve(
         &mut self,
         verb: Verb,
         to: Option<Target>,
         line: &str,
-        handler: impl FnOnce(&mut Session, Option<&Arc<Tenant>>) -> Handled,
-    ) -> Reply {
+        handler: impl FnOnce(&mut Session, Option<&Arc<Tenant>>) -> Result<Action, Reply>,
+    ) -> Action {
         let start = Instant::now();
         // taken before the handler, which may close or evict the cursor
         let cursor_tenant = match to {
@@ -389,7 +413,9 @@ impl Session {
             _ => None,
         };
         let run = |s: &mut Session| {
-            s.gate(verb, to).and_then(|t| handler(s, t.as_ref())).unwrap_or_else(|e| e)
+            s.gate(verb, to)
+                .and_then(|t| handler(s, t.as_ref()))
+                .unwrap_or_else(Action::Reply)
         };
         // when the server profiles (`cqd --profile N`), tenant-scoped
         // commands run under a fresh trace sink; the finished trace
@@ -398,30 +424,24 @@ impl Session {
         let tenant_scoped = matches!(verb.addr, Addr::Current | Addr::Cursor);
         let traced = tenant_scoped && self.state.metrics().profiling();
         let sink = if traced { TraceSink::enabled() } else { TraceSink::disabled() };
-        let reply = if traced { trace::with(&sink, || run(self)) } else { run(self) };
+        let action = if traced { trace::with(&sink, || run(self)) } else { run(self) };
         // tenant-addressed commands count in their tenant (QPS per
         // command per database) — the current one as the gate left it,
         // which lets go of a dropped tenant — the rest in the server
         // scope
         let tenant = cursor_tenant.as_ref().or(self.current.as_ref());
-        let Some(tenant) = tenant.filter(|_| tenant_scoped) else {
-            self.state.metrics().record_cmd(verb.slug, start.elapsed());
-            return reply;
-        };
-        let metrics = tenant.metrics();
-        // a streamed reply keeps its spans open until the drain drops
-        // the stream, so the flow (which captured this sink at
-        // construction) finishes the trace instead — see `pump_flow`
-        if self.pending_flow.is_none() {
-            if let Some(tr) = sink.finish(tenant.name(), line) {
-                self.state.metrics().push_trace(metrics, tr);
-            }
+        let tenant = tenant.filter(|_| tenant_scoped).map(Arc::as_ref);
+        // a stream keeps its spans open until the drain drops it, so the
+        // flow (which captured this sink) ends the request instead — see
+        // `pump_flow`
+        if let Action::Reply(reply) = &action {
+            self.end_request(tenant, Some(reply), Some((&sink, line)));
         }
-        if !reply.is_ok() {
-            metrics.errors.inc();
+        match tenant {
+            Some(tenant) => tenant.metrics().record_cmd(verb.slug, start.elapsed()),
+            None => self.state.metrics().record_cmd(verb.slug, start.elapsed()),
         }
-        metrics.record_cmd(verb.slug, start.elapsed());
-        reply
+        action
     }
 
     /// The one gate between a verb and its handler; also re-checked by

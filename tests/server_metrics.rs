@@ -32,12 +32,14 @@ fn metrics_map(session: &mut Session) -> BTreeMap<String, u64> {
     map
 }
 
-/// The replayable commands: wire line, scope it is counted under
+/// The replayable commands: wire lines, scope they are counted under
 /// (`current`: the tenant the session uses), and counter name. Picks 3/4
 /// additionally execute a plan (one `op.*` call); pick 2 additionally
 /// draws one `errors.no-such-db`; picks 6/7 switch the session's tenant;
-/// pick 8 pages the cursor the prelude opened on `p`.
-const CMDS: [(&str, &str, &str); 9] = [
+/// pick 8 pages the cursor the prelude opened on `p`; pick 9 is a `LOAD`
+/// block refused at its `END`, one `errors` of the current tenant and one
+/// `errors.arity-mismatch`.
+const CMDS: [(&str, &str, &str); 10] = [
     ("PING", "server", "cmd.ping.calls"),
     ("STATS", "server", "cmd.stats.calls"),
     ("USE nope", "server", "cmd.use.calls"),
@@ -47,6 +49,7 @@ const CMDS: [(&str, &str, &str); 9] = [
     ("USE o", "server", "cmd.use.calls"),
     ("USE p", "server", "cmd.use.calls"),
     ("FETCH 0 1", "db.p", "cmd.fetch.calls"),
+    ("LOAD R 2\n1\nEND", "current", "cmd.load.calls"),
 ];
 
 proptest! {
@@ -79,12 +82,19 @@ proptest! {
 
         let mut executed_plans = 1u64; // the cursor's
         for &i in &picks {
-            let (line, scope, name) = CMDS[i];
-            let reply = session.handle_line(line).expect("command replies");
-            prop_assert_eq!(reply.terminal.starts_with("ERR "), i == 2, "{}", reply.terminal);
+            let (lines, scope, name) = CMDS[i];
+            // a block's lines answer nothing until its `END`
+            let reply = lines.lines().filter_map(|l| session.handle_line(l)).last();
+            let reply = reply.expect("command replies");
+            let errs = matches!(i, 2 | 9);
+            prop_assert_eq!(reply.terminal.starts_with("ERR "), errs, "{}", reply.terminal);
             bump(&mut tally, if scope == "current" { current } else { scope }, name);
             match i {
                 2 => bump(&mut tally, "server", "errors.no-such-db"),
+                9 => {
+                    bump(&mut tally, current, "errors");
+                    bump(&mut tally, "server", "errors.arity-mismatch");
+                }
                 3 | 4 => executed_plans += 1,
                 6 => current = "db.o",
                 7 => current = "db.p",

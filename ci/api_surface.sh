@@ -50,7 +50,10 @@
 # executed like a statement of its own, so the planner keeps no batch entry
 # point and no budget or trace plumbing, and the engine no over-budget error.
 # And one exponent table: a plan's cost exponent is checked through the
-# planner, on its operator's work counter, by one table keyed by `PlanOp`.
+# planner, on its operator's work counter, by one table keyed by (source,
+# task). And a plan is a source and the task read off it: the executor has
+# one arm per source and one task end per arm, and one check at its top
+# refuses a task the operator's output cannot widen to.
 # And one fold: `count::sum_product` is the only pass over a join tree's rows
 # from the leaves up — `DECIDE`, `COUNT`, the semijoin of `q'` and of every
 # full reduction, and the direct-access weights run it at their semirings —
@@ -430,6 +433,12 @@ forbid "a process-wide catalog or a second way to evaluate (EvalCtx is the one; 
     grep -nE '\bmod eval\b' crates/planner/src/lib.rs | sed 's|^|crates/planner/src/lib.rs:|'
     grep -rn 'eval::' crates src tests examples
     grep -nE 'pub fn (execute|build_lex_access)\(' crates/planner/src/execute.rs \
+        | sed 's|^|crates/planner/src/execute.rs:|'
+)"
+# a plan is `Op { source, task }`: every pair has its end in the executor,
+# so no per-task function falls back to refusing pairs no planner forms
+forbid "fallbacks in the executor (one check at the top of execute_in refuses a task the operator cannot widen to):" "$(
+    grep -nE 'fn unsupported|Err\(unsupported|_ => Err\(' crates/planner/src/execute.rs \
         | sed 's|^|crates/planner/src/execute.rs:|'
 )"
 # one evaluation path: a `BATCH` item runs down the statement path and the

@@ -19,7 +19,7 @@ pub struct SlowQuery {
     pub db: String,
     /// Original query text.
     pub query: String,
-    /// Plan operator chosen by the planner (stable `PlanOp::name()` string).
+    /// Plan operator chosen by the planner (its stable `Op::name()`).
     pub plan_op: String,
     /// Cost exponent from the plan's `CostEstimate`.
     pub exponent: f64,

@@ -297,7 +297,8 @@ mod tests {
         assert_eq!(ctx.count(&q, &db).unwrap().0, 2);
         let order: Vec<_> = q.vars().collect();
         let plan = Planner::plan_lex_access(&q, &order, &catalog.stats(&db));
-        assert_eq!(plan.op, crate::ir::PlanOp::LexDirectAccess { order });
+        let source = crate::ir::Source::QPrime { join_query: true, order: Some(order) };
+        assert_eq!(plan.op, crate::ir::Op { source, task: Task::Access });
         let misses = catalog.snapshot().misses;
         let Output::Answers(answers) = ctx.execute(&plan, &q, &db).unwrap() else {
             panic!("an access plan streams answers")

@@ -20,7 +20,7 @@
 //!   witness:     induced cycle on {x, y, z} (embeds triangle finding) [Thm 3.7]
 //! ```
 
-use crate::ir::{PlanOp, QueryPlan, Verdict};
+use crate::ir::{QueryPlan, Source, Verdict};
 use cq_core::{ConjunctiveQuery, Hypothesis};
 use std::fmt::Write as _;
 
@@ -86,19 +86,13 @@ pub fn render(plan: &QueryPlan, q: &ConjunctiveQuery) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "PLAN for {q}");
     let _ = writeln!(out, "  task:        {}", plan.task);
-    match plan.op.order() {
-        Some(order) if !matches!(plan.op, PlanOp::TrivialEmpty) => {
-            let _ = writeln!(
-                out,
-                "  operator:    {}, order {}",
-                plan.op.name(),
-                QueryPlan::render_order(q, order)
-            );
-        }
-        _ => {
-            let _ = writeln!(out, "  operator:    {}", plan.op.name());
-        }
+    let _ = write!(out, "  operator:    {}", plan.op.name());
+    if let Source::GenericJoin { order } | Source::QPrime { order: Some(order), .. } =
+        &plan.op.source
+    {
+        let _ = write!(out, ", order {}", QueryPlan::render_order(q, order));
     }
+    let _ = writeln!(out);
     let _ = writeln!(out, "  upper bound: {} [{}]", plan.cost, plan.algorithm_reference);
     match &plan.lower_bound {
         Verdict::Easy { reference, .. } => {

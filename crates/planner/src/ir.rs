@@ -1,8 +1,8 @@
 //! The plan intermediate representation.
 //!
 //! A [`QueryPlan`] is the planner's contract with the executor and with
-//! the user: *which* physical operator runs (one per upper-bound theorem
-//! implemented in `cq-engine`), *what it costs* on this database, and
+//! the user: *which* operator runs — a source and the task read off it,
+//! one `cq-engine` algorithm per pair — *what it costs* on this database, and
 //! *why nothing asymptotically faster exists* (the [`Verdict`] of the
 //! paper's dichotomies, decided in `cq_core::classify`). Plans are plain
 //! data — they can be cached, compared, rendered by
@@ -12,88 +12,76 @@ pub use cq_core::classify::{Task, Verdict};
 use cq_core::{ConjunctiveQuery, Var};
 use std::fmt;
 
-/// A physical operator, each backed by one `cq-engine` algorithm.
+/// Where a plan's answers come from: the structure a task is read off.
 #[derive(Clone, PartialEq, Debug)]
-pub enum PlanOp {
+pub enum Source {
     /// The database makes the answer trivially empty (some body relation
-    /// has no tuples): answer in O(1) without touching the engine.
-    TrivialEmpty,
-    /// Yannakakis semijoin sweeps over a join tree (Thm 3.1).
-    SemijoinSweep,
-    /// Worst-case optimal generic join with the given global variable
-    /// order, with early stop for decision (§2.1, Ex 3.4).
+    /// has no tuples): every task is answered in O(1) without touching
+    /// the engine.
+    Empty,
+    /// `q'`, the fully reduced join tree of an acyclic query (of
+    /// `H ∪ {free}` for a free-connex projection): its decision is the
+    /// semijoin sweep (Thm 3.1), its count the counting DP (Thm 3.8, with
+    /// projection elimination Thm 3.13), its answers constant-delay
+    /// enumeration (Thm 3.17), its access Thm 3.18's — or, given an
+    /// order, the order's layered tree with a running radix (Thm 3.24).
+    QPrime {
+        /// The query is a join query: Thm 3.8 counts its atoms as they
+        /// are, where a projection's count eliminates first (Thm 3.13).
+        join_query: bool,
+        /// The lexicographic order a direct access follows (Thm 3.24);
+        /// `None` lets the reduced tree choose (Thm 3.18).
+        order: Option<Vec<Var>>,
+    },
+    /// Worst-case optimal generic join (§2.1, Ex 3.4): early stop for a
+    /// decision, and the baseline of every other task on the hard side —
+    /// a distinct-projection count (Lemma 3.9), materialized answers, and
+    /// those answers sorted for access.
     GenericJoin {
-        /// Planner-chosen global variable order (cheapest column first).
-        order: Vec<Var>,
-    },
-    /// Counting DP over a join tree of an acyclic join query (Thm 3.8).
-    CountingDp,
-    /// Projection elimination along a join tree of `H ∪ {free}`, then
-    /// the counting DP — free-connex counting (Thm 3.13).
-    ProjectionEliminationDp,
-    /// Generic join counting the distinct free-variable projections, for
-    /// counting on the hard side (Lemma 3.9 baseline): a join query's
-    /// full assignments are counted as found, a projection's answers
-    /// through a materialized set.
-    CountDistinctProject {
-        /// Planner-chosen global variable order.
-        order: Vec<Var>,
-    },
-    /// Free-connex constant-delay enumeration: linear preprocessing,
-    /// constant delay per answer (Thm 3.17).
-    ConstantDelayEnumeration,
-    /// Generic join + distinct projection — the materialization baseline
-    /// for answer production on the hard side.
-    MaterializeProject {
-        /// Planner-chosen global variable order.
-        order: Vec<Var>,
-    },
-    /// Lexicographic direct access for a trio-free order: the order's
-    /// layered join tree, one node per variable, and one pass over its
-    /// nodes with a running radix per access (Thm 3.24).
-    LexDirectAccess {
-        /// The lexicographic variable order accessed.
-        order: Vec<Var>,
-    },
-    /// Free-connex direct access in a query-chosen order (Thm 3.18).
-    FreeConnexDirectAccess,
-    /// Materialize-and-sort fallback for direct access on the hard side.
-    MaterializedDirectAccess {
-        /// The order materialized.
+        /// Planner-chosen global variable order (cheapest column first);
+        /// the access order of a materialized access.
         order: Vec<Var>,
     },
 }
 
-impl PlanOp {
+/// A physical operator: a source and the task it answers, each pair
+/// backed by one `cq-engine` algorithm. `task` is the task the plan's
+/// task comes down to on the query (`Structure::effective_task`): a
+/// Boolean query's count, and its answers when cyclic, are its decision.
+#[derive(Clone, PartialEq, Debug)]
+pub struct Op {
+    /// The structure the task is read off.
+    pub source: Source,
+    /// The task the source answers.
+    pub task: Task,
+}
+
+impl Op {
     /// Human-readable operator name (stable across releases; EXPLAIN
-    /// output and tests key on it).
+    /// output, the `op.<slug>` metrics and the slow log key on it).
     pub fn name(&self) -> &'static str {
-        match self {
-            PlanOp::TrivialEmpty => "trivial-empty short-circuit",
-            PlanOp::SemijoinSweep => "Yannakakis semijoin sweep",
-            PlanOp::GenericJoin { .. } => "generic join (worst-case optimal)",
-            PlanOp::CountingDp => "counting DP over join tree",
-            PlanOp::ProjectionEliminationDp => "projection elimination + counting DP",
-            PlanOp::CountDistinctProject { .. } => {
+        match (&self.source, self.task) {
+            (Source::Empty, _) => "trivial-empty short-circuit",
+            (Source::QPrime { .. }, Task::Decide) => "Yannakakis semijoin sweep",
+            (Source::QPrime { join_query: true, .. }, Task::Count) => {
+                "counting DP over join tree"
+            }
+            (Source::QPrime { .. }, Task::Count) => {
+                "projection elimination + counting DP"
+            }
+            (Source::QPrime { .. }, Task::Answers) => "constant-delay enumeration",
+            (Source::QPrime { order: Some(_), .. }, Task::Access) => {
+                "ordered join tree + mixed-radix access"
+            }
+            (Source::QPrime { .. }, Task::Access) => "free-connex direct access",
+            (Source::GenericJoin { .. }, Task::Decide) => {
+                "generic join (worst-case optimal)"
+            }
+            (Source::GenericJoin { .. }, Task::Count) => {
                 "generic join + distinct-projection count"
             }
-            PlanOp::ConstantDelayEnumeration => "constant-delay enumeration",
-            PlanOp::MaterializeProject { .. } => "generic join + projection",
-            PlanOp::LexDirectAccess { .. } => "ordered join tree + mixed-radix access",
-            PlanOp::FreeConnexDirectAccess => "free-connex direct access",
-            PlanOp::MaterializedDirectAccess { .. } => "materialize + sort access",
-        }
-    }
-
-    /// The planner-chosen variable order, when the operator has one.
-    pub fn order(&self) -> Option<&[Var]> {
-        match self {
-            PlanOp::GenericJoin { order }
-            | PlanOp::CountDistinctProject { order }
-            | PlanOp::MaterializeProject { order }
-            | PlanOp::LexDirectAccess { order }
-            | PlanOp::MaterializedDirectAccess { order } => Some(order),
-            _ => None,
+            (Source::GenericJoin { .. }, Task::Answers) => "generic join + projection",
+            (Source::GenericJoin { .. }, Task::Access) => "materialize + sort access",
         }
     }
 }
@@ -138,7 +126,7 @@ pub struct QueryPlan {
     /// The task this plan answers.
     pub task: Task,
     /// The physical operator.
-    pub op: PlanOp,
+    pub op: Op,
     /// Paper reference for the algorithm (upper bound).
     pub algorithm_reference: &'static str,
     /// Estimated cost on the planned database.
@@ -162,23 +150,21 @@ mod tests {
 
     #[test]
     fn op_names_are_distinct() {
-        let ops = [
-            PlanOp::TrivialEmpty,
-            PlanOp::SemijoinSweep,
-            PlanOp::GenericJoin { order: vec![] },
-            PlanOp::CountingDp,
-            PlanOp::ProjectionEliminationDp,
-            PlanOp::CountDistinctProject { order: vec![] },
-            PlanOp::ConstantDelayEnumeration,
-            PlanOp::MaterializeProject { order: vec![] },
-            PlanOp::LexDirectAccess { order: vec![] },
-            PlanOp::FreeConnexDirectAccess,
-            PlanOp::MaterializedDirectAccess { order: vec![] },
+        let sources = [
+            Source::Empty,
+            Source::QPrime { join_query: true, order: None },
+            Source::QPrime { join_query: false, order: Some(vec![]) },
+            Source::GenericJoin { order: vec![] },
         ];
-        let mut names: Vec<&str> = ops.iter().map(|o| o.name()).collect();
+        let tasks = [Task::Decide, Task::Count, Task::Answers, Task::Access];
+        let mut names: Vec<&str> = (sources.iter())
+            .flat_map(|s| tasks.map(|task| Op { source: s.clone(), task }.name()))
+            .collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), ops.len());
+        // one name for the empty source, and the two counts and accesses
+        // over `q'` that the bits above split
+        assert_eq!(names.len(), 1 + 4 + 4 + 2);
     }
 
     #[test]
@@ -188,12 +174,5 @@ mod tests {
         let tri = CostEstimate { m: 100, exponent: 1.5 };
         assert!(tri.to_string().contains("m^1.50"));
         assert!((tri.operations() - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn order_accessor() {
-        let op = PlanOp::GenericJoin { order: vec![Var(1), Var(0)] };
-        assert_eq!(op.order(), Some(&[Var(1), Var(0)][..]));
-        assert_eq!(PlanOp::SemijoinSweep.order(), None);
     }
 }

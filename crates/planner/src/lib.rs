@@ -11,9 +11,10 @@
 //! ```
 //!
 //! * [`ir`] — the plan intermediate representation: [`QueryPlan`] over
-//!   physical operators ([`PlanOp`]), each backed by one `cq-engine`
-//!   algorithm and annotated with its cost estimate and the dichotomy's
-//!   [`Verdict`] for the query and task.
+//!   a physical operator [`Op`], a [`Source`] — the empty answer, the
+//!   reduced tree `q'` or generic join — and the task it answers, each
+//!   pair backed by one `cq-engine` algorithm, annotated with its cost
+//!   estimate and the dichotomy's [`Verdict`] for the query and task.
 //! * [`planner`] — [`choose`]: maps the verdict over a query's
 //!   [`Structure`](cq_core::classify::Structure) to the operator
 //!   implementing its side, and adds what the data statistics
@@ -21,7 +22,8 @@
 //!   trivial-empty short-circuit. [`Planner`] computes the structure
 //!   and calls it; a caller that plans one query again keeps the
 //!   structure and calls [`choose`] alone.
-//! * [`mod@execute`] — the executor dispatching plans to `cq-engine`.
+//! * [`mod@execute`] — the executor: one arm per source, one task end
+//!   per arm, and a Boolean query's decision widened to the task asked.
 //! * [`explain`] — EXPLAIN rendering with theorem citations and the
 //!   hypothesis ruling out anything faster.
 //! * [`ctx`] — [`EvalCtx`], the one way to evaluate: plan and run a
@@ -58,5 +60,5 @@ pub mod planner;
 
 pub use ctx::{EvalBudget, EvalCtx};
 pub use execute::Output;
-pub use ir::{CostEstimate, PlanOp, QueryPlan, Task, Verdict};
+pub use ir::{CostEstimate, Op, QueryPlan, Source, Task, Verdict};
 pub use planner::{choose, Planner};

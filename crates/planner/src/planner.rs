@@ -12,7 +12,7 @@
 //! that plans one query again — the server's statement memo, after a
 //! write — keeps it and runs only [`choose`].
 
-use crate::ir::{CostEstimate, PlanOp, QueryPlan, Task, Verdict};
+use crate::ir::{CostEstimate, Op, QueryPlan, Source, Task, Verdict};
 use cq_core::classify::{classify_direct_access_lex, verdict, Structure};
 use cq_core::{ConjunctiveQuery, Var};
 use cq_data::DataStats;
@@ -58,20 +58,20 @@ impl Planner {
         let m = stats.m();
         let structure = Structure::of(q);
         let lower_bound = classify_direct_access_lex(q, &structure, order);
-        let (op, algorithm_reference, cost) = if lower_bound.is_easy() {
-            (
-                PlanOp::LexDirectAccess { order: order.to_vec() },
-                "Thm 3.24 [27]",
-                CostEstimate { m, exponent: 1.0 },
-            )
+        let (source, algorithm_reference, exponent) = if lower_bound.is_easy() {
+            let join_query = structure.join_query;
+            let order = Some(order.to_vec());
+            (Source::QPrime { join_query, order }, "Thm 3.24 [27]", 1.0)
         } else {
             // hard or out-of-scope orders: materialize + sort
             (
-                PlanOp::MaterializedDirectAccess { order: order.to_vec() },
+                Source::GenericJoin { order: order.to_vec() },
                 "materialization baseline (Lemma 3.9)",
-                CostEstimate { m, exponent: structure.agm_exponent },
+                structure.agm_exponent,
             )
         };
+        let op = Op { source, task: Task::Access };
+        let cost = CostEstimate { m, exponent };
         QueryPlan { task: Task::Access, op, algorithm_reference, cost, lower_bound }
     }
 }
@@ -152,9 +152,12 @@ pub fn choose(
         lower_bound,
     };
 
-    // Data-driven short-circuit: an empty body relation empties q(D).
+    // the task the query comes down to, answered by the empty source when
+    // an empty body relation empties q(D), else on the easy side by `q'`
+    // and on the other by the generic-join baseline
+    let task_end = structure.effective_task(task);
     if trivially_empty(q, stats) {
-        let op = PlanOp::TrivialEmpty;
+        let op = Op { source: Source::Empty, task: task_end };
         let lower_bound = Verdict::Easy {
             algorithm: op.name(),
             reference: "O(1): some relation is empty",
@@ -163,53 +166,36 @@ pub fn choose(
     }
 
     let lower_bound = verdict(q, structure, task);
-    let agm = structure.agm_exponent;
-    let order = || variable_order(q, stats);
-    // the easy side runs the theorem's algorithm, the other side the
-    // generic-join baseline for the task the query comes down to
-    let (op, algorithm_reference, exponent) =
-        match (structure.effective_task(task), lower_bound.is_easy()) {
-            (Task::Decide, true) => (PlanOp::SemijoinSweep, "Thm 3.1 (Yannakakis)", 1.0),
-            (Task::Decide, false) => (
-                PlanOp::GenericJoin { order: order() },
-                "§2.1 / Ex 3.4 (AGM-optimal generic join, early stop)",
-                agm,
-            ),
-            (Task::Count, true) if structure.join_query => {
-                (PlanOp::CountingDp, "Thm 3.8 (counting DP over join tree)", 1.0)
-            }
-            (Task::Count, true) => (
-                PlanOp::ProjectionEliminationDp,
-                "Thm 3.13 (projection elimination + counting DP)",
-                1.0,
-            ),
-            (Task::Count, false) => (
-                PlanOp::CountDistinctProject { order: order() },
-                "Lemma 3.9 / Cor 3.11 (materialization baseline)",
-                agm.max(structure.star_size.max(1) as f64),
-            ),
-            (Task::Answers, true) => (
-                PlanOp::ConstantDelayEnumeration,
-                "Thm 3.17 [BDG07] (constant delay after linear preprocessing)",
-                1.0,
-            ),
-            (Task::Answers, false) => (
-                PlanOp::MaterializeProject { order: order() },
-                "materialization baseline (generic join + projection)",
-                agm,
-            ),
-            (Task::Access, true) => (
-                PlanOp::FreeConnexDirectAccess,
-                "Thm 3.18 [19, 27] (linear preprocessing, log access)",
-                1.0,
-            ),
-            (Task::Access, false) => (
-                PlanOp::MaterializedDirectAccess { order: order() },
-                "materialization baseline (Lemma 3.9)",
-                agm,
-            ),
-        };
-    plan(op, algorithm_reference, exponent, lower_bound)
+    let (easy, agm) = (lower_bound.is_easy(), structure.agm_exponent);
+    let (algorithm_reference, exponent) = match (task_end, easy) {
+        (Task::Decide, true) => ("Thm 3.1 (Yannakakis)", 1.0),
+        (Task::Decide, false) => {
+            ("§2.1 / Ex 3.4 (AGM-optimal generic join, early stop)", agm)
+        }
+        (Task::Count, true) if structure.join_query => {
+            ("Thm 3.8 (counting DP over join tree)", 1.0)
+        }
+        (Task::Count, true) => ("Thm 3.13 (projection elimination + counting DP)", 1.0),
+        (Task::Count, false) => (
+            "Lemma 3.9 / Cor 3.11 (materialization baseline)",
+            agm.max(structure.star_size.max(1) as f64),
+        ),
+        (Task::Answers, true) => {
+            ("Thm 3.17 [BDG07] (constant delay after linear preprocessing)", 1.0)
+        }
+        (Task::Answers, false) => {
+            ("materialization baseline (generic join + projection)", agm)
+        }
+        (Task::Access, true) => {
+            ("Thm 3.18 [19, 27] (linear preprocessing, log access)", 1.0)
+        }
+        (Task::Access, false) => ("materialization baseline (Lemma 3.9)", agm),
+    };
+    let source = match easy {
+        true => Source::QPrime { join_query: structure.join_query, order: None },
+        false => Source::GenericJoin { order: variable_order(q, stats) },
+    };
+    plan(Op { source, task: task_end }, algorithm_reference, exponent, lower_bound)
 }
 
 #[cfg(test)]
@@ -229,7 +215,8 @@ mod tests {
         let db = path_database(3, 30, &mut seeded_rng(1));
         let plan =
             Planner::new().plan(&zoo::path_boolean(3), Task::Decide, &stats_for(&db));
-        assert_eq!(plan.op, PlanOp::SemijoinSweep);
+        let sweep = Source::QPrime { join_query: false, order: None };
+        assert_eq!(plan.op, Op { source: sweep, task: Task::Decide });
         assert!(matches!(plan.lower_bound, Verdict::Easy { .. }));
     }
 
@@ -238,7 +225,7 @@ mod tests {
         let db = triangle_database(&random_pairs(30, 10, &mut seeded_rng(2)));
         let plan =
             Planner::new().plan(&zoo::triangle_boolean(), Task::Decide, &stats_for(&db));
-        assert!(matches!(plan.op, PlanOp::GenericJoin { .. }));
+        assert!(matches!(plan.op.source, Source::GenericJoin { .. }));
         assert!((plan.cost.exponent - 1.5).abs() < 1e-9, "triangle AGM is 3/2");
         match &plan.lower_bound {
             Verdict::Hard { hypotheses, .. } => {
@@ -269,15 +256,13 @@ mod tests {
         let db = path_database(2, 20, &mut seeded_rng(3));
         let stats = stats_for(&db);
         let mut p = Planner::new();
-        assert_eq!(
-            p.plan(&zoo::path_join(2), Task::Count, &stats).op,
-            PlanOp::CountingDp
-        );
+        let mut name = |q: &ConjunctiveQuery| p.plan(q, Task::Count, &stats).op.name();
+        assert_eq!(name(&zoo::path_join(2)), "counting DP over join tree");
         let fc = cq_core::parse_query("q(x0, x1) :- R1(x0,x1), R2(x1,x2)").unwrap();
-        assert_eq!(p.plan(&fc, Task::Count, &stats).op, PlanOp::ProjectionEliminationDp);
+        assert_eq!(name(&fc), "projection elimination + counting DP");
         let star = zoo::star_selfjoin_free(2);
         let plan = p.plan(&star, Task::Count, &stats);
-        assert!(matches!(plan.op, PlanOp::CountDistinctProject { .. }));
+        assert_eq!(plan.op.name(), "generic join + distinct-projection count");
         match plan.lower_bound {
             Verdict::Hard { ref hypotheses, exponent, .. } => {
                 assert_eq!(hypotheses, &vec![Hypothesis::Seth]);
@@ -293,7 +278,8 @@ mod tests {
         let mut p = Planner::new();
         let plan = p.plan(&zoo::path_boolean(3), Task::Count, &stats_for(&db));
         assert_eq!(plan.task, Task::Count);
-        assert_eq!(plan.op, PlanOp::SemijoinSweep);
+        let sweep = Source::QPrime { join_query: false, order: None };
+        assert_eq!(plan.op, Op { source: sweep, task: Task::Decide });
     }
 
     #[test]
@@ -301,9 +287,9 @@ mod tests {
         let db = path_database(2, 20, &mut seeded_rng(5));
         let mut p = Planner::new();
         let plan = p.plan(&zoo::path_join(2), Task::Answers, &stats_for(&db));
-        assert_eq!(plan.op, PlanOp::ConstantDelayEnumeration);
+        assert_eq!(plan.op.name(), "constant-delay enumeration");
         let plan = p.plan(&zoo::matmul_projection(), Task::Answers, &stats_for(&db));
-        assert!(matches!(plan.op, PlanOp::MaterializeProject { .. }));
+        assert_eq!(plan.op.name(), "generic join + projection");
         match plan.lower_bound {
             Verdict::Hard { ref hypotheses, .. } => {
                 assert_eq!(hypotheses, &vec![Hypothesis::SparseBmm])
@@ -319,12 +305,12 @@ mod tests {
         db.insert("R2", Relation::new(2)); // present but empty
         let mut p = Planner::new();
         let plan = p.plan(&zoo::path_join(2), Task::Count, &stats_for(&db));
-        assert_eq!(plan.op, PlanOp::TrivialEmpty);
+        assert_eq!(plan.op.source, Source::Empty);
         // missing relations must NOT short-circuit (the executor should
         // report the error exactly like the unplanned engine would)
         let db2 = Database::new();
         let plan = p.plan(&zoo::path_join(2), Task::Count, &stats_for(&db2));
-        assert_ne!(plan.op, PlanOp::TrivialEmpty);
+        assert_ne!(plan.op.source, Source::Empty);
     }
 
     #[test]
@@ -453,9 +439,13 @@ mod tests {
         let x2 = q.var_by_name("x2").unwrap();
         let z = q.var_by_name("z").unwrap();
         let good = Planner::plan_lex_access(&q, &[z, x1, x2], &stats);
-        assert!(matches!(good.op, PlanOp::LexDirectAccess { .. }));
+        let order = Some(vec![z, x1, x2]);
+        let lex =
+            Op { source: Source::QPrime { join_query: true, order }, task: Task::Access };
+        assert_eq!(good.op, lex);
         let bad = Planner::plan_lex_access(&q, &[x1, x2, z], &stats);
-        assert!(matches!(bad.op, PlanOp::MaterializedDirectAccess { .. }));
+        let materialized = Source::GenericJoin { order: vec![x1, x2, z] };
+        assert_eq!(bad.op, Op { source: materialized, task: Task::Access });
         match bad.lower_bound {
             Verdict::Hard { ref hypotheses, .. } => {
                 assert!(hypotheses.contains(&Hypothesis::Triangle))

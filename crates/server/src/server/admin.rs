@@ -286,8 +286,8 @@ mod tests {
             r.data.iter().filter(|l| l.starts_with("trace db=t ")).collect();
         assert_eq!(headers.len(), 2, "{:?}", r.data);
         assert!(
-            headers[0].contains("query=\"q(x, y) :- R(x, y)\""),
-            "oldest retained is the ANSWERS flow (labelled by its query text): {}",
+            headers[0].contains("query=\"ANSWERS q(x, y) :- R(x, y)\""),
+            "oldest retained is the ANSWERS flow (labelled by its line): {}",
             headers[0]
         );
         assert!(headers[1].contains("query=\"DECIDE q() :- R(x, y)\""), "{}", headers[1]);

@@ -121,7 +121,7 @@ pub(super) struct CursorEntry {
 /// everything the transport needs to finish the reply on its own —
 /// the plan and the watch (for timeout attribution in the terminal,
 /// and the receipt time behind the time-to-first-row metric).
-pub struct AnswerFlow {
+pub struct AnswerFlow<'a> {
     answers: Answers,
     /// The tenant the response reads, and records its rows, bytes,
     /// failures and trace in.
@@ -130,10 +130,11 @@ pub struct AnswerFlow {
     watch: Watch,
     /// The per-query trace this flow's spans record into (disabled
     /// unless the server profiles). Finished — stream spans included —
-    /// only after the drain drops the stream.
+    /// only after the drain drops the stream, and labelled by `line`.
     trace: TraceSink,
-    /// The command line that opened the flow (trace labelling).
-    query: String,
+    /// The request line that opened the flow, which labels its trace as
+    /// [`Session::serve`] labels every other request's.
+    line: &'a str,
 }
 
 /// One item of an open `BATCH` block: a task and its query text, parsed
@@ -178,7 +179,7 @@ impl Session {
     /// accept — and is returned.
     fn pump_flow(
         &mut self,
-        mut flow: AnswerFlow,
+        mut flow: AnswerFlow<'_>,
         mut emit: impl FnMut(&[u8]) -> std::io::Result<()>,
     ) -> std::io::Result<Reply> {
         let metrics = flow.tenant.metrics();
@@ -231,9 +232,9 @@ impl Session {
         };
         // drop the stream first (its span records itself on drop, exec
         // and drain both visible), then end the request
-        let AnswerFlow { answers, trace, tenant, query, .. } = flow;
+        let AnswerFlow { answers, trace, tenant, line, .. } = flow;
         drop(answers);
-        self.end_request(Some(&tenant), result.as_ref().ok(), Some((&trace, &query)));
+        self.end_request(Some(&tenant), result.as_ref().ok(), Some((&trace, line)));
         result
     }
 
@@ -245,7 +246,7 @@ impl Session {
     /// by the `ERR` terminal.
     pub fn drain_flow(
         &mut self,
-        flow: AnswerFlow,
+        flow: AnswerFlow<'_>,
         out: &mut impl Write,
     ) -> std::io::Result<()> {
         let mut reader_waits = true;
@@ -270,7 +271,7 @@ impl Session {
     /// in-process bridge used by [`Session::handle_raw`], which splits
     /// the chunks back into data lines. Partial rows pulled before a
     /// mid-stream failure are kept, like the wire form.
-    pub(super) fn collect_flow(&mut self, flow: AnswerFlow) -> Reply {
+    pub(super) fn collect_flow(&mut self, flow: AnswerFlow<'_>) -> Reply {
         let mut data = Vec::new();
         let terminal = self
             .pump_flow(flow, |chunk| {
@@ -303,13 +304,15 @@ impl Session {
     }
 
     /// `DECIDE`/`COUNT`/`ANSWERS`: a scalar's reply, or the stream of
-    /// answers itself, for the transport to drain.
-    pub(super) fn eval_query(
+    /// answers itself, for the transport to drain; `line` is the request
+    /// that asked for it.
+    pub(super) fn eval_query<'a>(
         &mut self,
         tenant: &Arc<Tenant>,
         task: Task,
         src: &str,
-    ) -> Result<Action, Reply> {
+        line: &'a str,
+    ) -> Result<Action<'a>, Reply> {
         debug_assert!(task != Task::Access, "the protocol layer never builds this");
         let q = self.statements.query(src)?;
         let watch = self.watch(tenant);
@@ -327,7 +330,7 @@ impl Session {
             plan,
             watch,
             trace: trace::current(),
-            query: src.to_string(),
+            line,
         })))
     }
 
@@ -1263,7 +1266,7 @@ mod tests {
     }
 
     /// The flow a successful `ANSWERS` hands the transport.
-    fn stream_of(s: &mut Session, line: &str) -> AnswerFlow {
+    fn stream_of<'a>(s: &mut Session, line: &'a str) -> AnswerFlow<'a> {
         match s.handle_action(line.as_bytes()) {
             Some(Action::Stream(flow)) => *flow,
             _ => panic!("a successful ANSWERS must stream, not materialize a reply"),

@@ -22,17 +22,18 @@ use std::time::Instant;
 /// What the transport should do with one request's result: write a
 /// framed reply, or drain an answer stream to the wire incrementally
 /// (rows in bounded chunks, then the terminal).
-pub enum Action {
+/// A stream borrows the request line (`'a`) that labels its trace.
+pub enum Action<'a> {
     /// An ordinary framed reply.
     Reply(Reply),
     /// A streamed `ANSWERS` response; hand it to
     /// [`Session::drain_flow`]. Boxed: a flow carries its plan and
     /// stream, far bigger than the everyday `Reply`.
-    Stream(Box<AnswerFlow>),
+    Stream(Box<AnswerFlow<'a>>),
 }
 
-impl From<Reply> for Action {
-    fn from(reply: Reply) -> Action {
+impl From<Reply> for Action<'_> {
+    fn from(reply: Reply) -> Self {
         Action::Reply(reply)
     }
 }
@@ -117,12 +118,13 @@ pub(super) struct Verb {
 /// The verb table. One row per verb:
 ///
 /// ```text
-/// <command pattern> => <slug>, <Addr>[(<target>)], <Access>, |s[, t]| <handler>;
+/// <command pattern> => <slug>, <Addr>[(<target>)], <Access>, |s[, t[, line]]| <handler>;
 /// ```
 ///
 /// `Named` rows give the expression naming their tenant, `Cursor` rows
 /// the cursor id ([`Target`]); rows that address a tenant (`Current`,
-/// `Named`) bind it as `t`. A verb whose
+/// `Named`) bind it as `t`, and the request line as `line` if they
+/// need it. A verb whose
 /// name is optional (`STATS`, `METRICS`, `SHIP`) is two rows: the bare
 /// form addresses the server, the named form a tenant. The macro
 /// expands to [`VERBS`] (the rows as data, for block completion and the
@@ -131,21 +133,24 @@ pub(super) struct Verb {
 /// its gates, and cannot run without passing them.
 macro_rules! verb_table {
     ($($cmd:pat => $slug:literal, $addr:ident $(($target:expr))?, $access:ident,
-        |$s:ident $(, $t:ident)?| $handler:expr;)+) => {
+        |$s:ident $(, $t:ident $(, $line:ident)?)?| $handler:expr;)+) => {
         /// Every row of the verb table, in table order.
         pub(super) const VERBS: &[Verb] =
             &[$(Verb { slug: $slug, addr: Addr::$addr, access: Access::$access }),+];
 
         impl Session {
             /// Route one parsed command through its row.
-            fn dispatch(&mut self, cmd: Command, line: &str) -> Action {
+            fn dispatch<'a>(&mut self, cmd: Command, line: &'a str) -> Action<'a> {
                 match cmd {$(
                     $cmd => {
                         let verb =
                             Verb { slug: $slug, addr: Addr::$addr, access: Access::$access };
                         let target = None$(.or(Some(Target::$addr($target))))?;
                         self.serve(verb, target, line, |$s, _tenant| {
-                            $(let $t = _tenant.expect("the gate resolved this verb's tenant");)?
+                            $(
+                                let $t = _tenant.expect("the gate resolved this verb's tenant");
+                                $(let $line = line;)?
+                            )?
                             $handler.map(Action::from)
                         })
                     }
@@ -169,11 +174,11 @@ verb_table! {
         |s, t| s.mutate(t, WalRecord::DropRelation { relation });
     Command::Save => "save", Current, Write, |s, t| s.save(t);
     Command::Query { task: Task::Decide, src } => "decide", Current, Read,
-        |s, t| s.eval_query(t, Task::Decide, &src);
+        |s, t, line| s.eval_query(t, Task::Decide, &src, line);
     Command::Query { task: Task::Count, src } => "count", Current, Read,
-        |s, t| s.eval_query(t, Task::Count, &src);
+        |s, t, line| s.eval_query(t, Task::Count, &src, line);
     Command::Query { task, src } => "answers", Current, Read,
-        |s, t| s.eval_query(t, task, &src);
+        |s, t, line| s.eval_query(t, task, &src, line);
     Command::Explain { task, src } => "explain", Current, Read,
         |s, t| s.explain(t, task, &src);
     Command::ExplainAnalyze { task, src } => "explain-analyze", Current, Read,
@@ -222,6 +227,10 @@ pub struct Session {
     /// The statements this session served: each text's parse, and its
     /// plans while the statistics they were made against are current.
     pub(super) statements: Statements,
+    /// The request [`Session::serve`] is running: its verb's slug, when
+    /// it began and the tenant it counts in, so that a handler's panic is
+    /// booked where its reply would have been.
+    serving: Option<(&'static str, Instant, Option<Arc<Tenant>>)>,
 }
 
 impl Session {
@@ -236,6 +245,7 @@ impl Session {
             cursors: HashMap::new(),
             next_cursor_id: 0,
             statements: Statements::default(),
+            serving: None,
         }
     }
 
@@ -272,17 +282,24 @@ impl Session {
     ///
     /// Never panics: a panicking handler is caught and counted
     /// (`server panics`), the session resets to idle, and the client
-    /// gets `ERR internal`.
-    pub fn handle_action(&mut self, raw: &[u8]) -> Option<Action> {
+    /// gets `ERR internal` — an error, and a call of its verb, in the
+    /// tenant the request addressed.
+    pub fn handle_action<'a>(&mut self, raw: &'a [u8]) -> Option<Action<'a>> {
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| self.step(raw)));
         caught.unwrap_or_else(|_| {
             self.state.metrics().server_scope().counter("panics").inc();
             // idle again, so the refusal is answered at once
             self.mode = Mode::Idle;
-            self.refuse_line(Reply::err(
+            let reply = Reply::err(
                 ErrKind::Internal,
                 "command handler panicked; session reset to idle",
-            ))
+            );
+            let Some((slug, start, tenant)) = self.serving.take() else {
+                return self.refuse_line(reply);
+            };
+            self.end_request(tenant.as_deref(), Some(&reply), None);
+            self.record_cmd(tenant.as_deref(), slug, start);
+            Some(Action::Reply(reply))
         })
     }
 
@@ -307,7 +324,7 @@ impl Session {
     /// refuse it like any other malformed line — an immediate `ERR
     /// usage` when idle, the block's own error report at `END` inside
     /// a `LOAD`/`BATCH` — and keep serving.
-    pub fn handle_oversized(&mut self) -> Option<Action> {
+    pub fn handle_oversized(&mut self) -> Option<Action<'static>> {
         self.refuse_line(Reply::err(
             ErrKind::Usage,
             format!("request line exceeds {} bytes", super::MAX_REQUEST_LINE_BYTES),
@@ -321,10 +338,11 @@ impl Session {
     /// kind server-wide (`errors.<kind>`) and once in `tenant`'s
     /// `errors` — the tenant the request addressed; `None` for a verb
     /// counted in the server scope, a line that never parsed, or a
-    /// panic. A `None` terminal is a drain whose client hung up: nobody
-    /// reads one, so nothing is counted. The request's `trace`, its sink
-    /// and label, lands in the tenant's `PROFILE` ring; a disabled sink
-    /// (profiling off) finishes to nothing.
+    /// panic outside a verb's handler. A `None` terminal is a drain
+    /// whose client hung up: nobody reads one, so nothing is counted.
+    /// The request's `trace`, its sink and label, lands in the tenant's
+    /// `PROFILE` ring; a disabled sink (profiling off) finishes to
+    /// nothing.
     pub(super) fn end_request(
         &self,
         tenant: Option<&Tenant>,
@@ -344,7 +362,7 @@ impl Session {
         }
     }
 
-    fn step(&mut self, raw: &[u8]) -> Option<Action> {
+    fn step<'a>(&mut self, raw: &'a [u8]) -> Option<Action<'a>> {
         let Ok(text) = std::str::from_utf8(raw) else {
             let what = match self.mode {
                 Mode::Idle => "request",
@@ -378,7 +396,7 @@ impl Session {
     /// mode demands: at once when idle, as a request that addressed no
     /// tenant; inside a `LOAD` as the block's error (the first one wins,
     /// reported at `END`); inside a `BATCH` as that item's error.
-    fn refuse_line(&mut self, reply: Reply) -> Option<Action> {
+    fn refuse_line(&mut self, reply: Reply) -> Option<Action<'static>> {
         match &mut self.mode {
             Mode::Idle => {
                 self.end_request(None, Some(&reply), None);
@@ -399,49 +417,56 @@ impl Session {
     /// ([`Session::end_request`]) in the tenant the row's addressing
     /// names, and counts the command there. A stream is ended by its
     /// drain instead, which writes its terminal.
-    fn serve(
+    fn serve<'a>(
         &mut self,
         verb: Verb,
         to: Option<Target>,
         line: &str,
-        handler: impl FnOnce(&mut Session, Option<&Arc<Tenant>>) -> Result<Action, Reply>,
-    ) -> Action {
+        handler: impl FnOnce(&mut Session, Option<&Arc<Tenant>>) -> Result<Action<'a>, Reply>,
+    ) -> Action<'a> {
         let start = Instant::now();
         // taken before the handler, which may close or evict the cursor
         let cursor_tenant = match to {
             Some(Target::Cursor(id)) => self.cursors.get(&id).map(|c| c.tenant.clone()),
             _ => None,
         };
+        let tenant_scoped = matches!(verb.addr, Addr::Current | Addr::Cursor);
         let run = |s: &mut Session| {
-            s.gate(verb, to)
-                .and_then(|t| handler(s, t.as_ref()))
-                .unwrap_or_else(Action::Reply)
+            let gated = s.gate(verb, to);
+            // tenant-addressed commands count in their tenant (QPS per
+            // command per database) — the cursor's, else the current one
+            // as the gate left it, which lets go of a dropped tenant — the
+            // rest in the server scope
+            let tenant = cursor_tenant.or_else(|| s.current.clone());
+            s.serving = Some((verb.slug, start, tenant.filter(|_| tenant_scoped)));
+            gated.and_then(|t| handler(s, t.as_ref())).unwrap_or_else(Action::Reply)
         };
         // when the server profiles (`cqd --profile N`), tenant-scoped
         // commands run under a fresh trace sink; the finished trace
         // lands in the tenant's PROFILE ring. With profiling off the
         // sink is never installed and every span is a no-op.
-        let tenant_scoped = matches!(verb.addr, Addr::Current | Addr::Cursor);
         let traced = tenant_scoped && self.state.metrics().profiling();
         let sink = if traced { TraceSink::enabled() } else { TraceSink::disabled() };
         let action = if traced { trace::with(&sink, || run(self)) } else { run(self) };
-        // tenant-addressed commands count in their tenant (QPS per
-        // command per database) — the current one as the gate left it,
-        // which lets go of a dropped tenant — the rest in the server
-        // scope
-        let tenant = cursor_tenant.as_ref().or(self.current.as_ref());
-        let tenant = tenant.filter(|_| tenant_scoped).map(Arc::as_ref);
+        let (_, _, tenant) = self.serving.take().expect("the run resolved the tenant");
+        let tenant = tenant.as_deref();
         // a stream keeps its spans open until the drain drops it, so the
         // flow (which captured this sink) ends the request instead — see
         // `pump_flow`
         if let Action::Reply(reply) = &action {
             self.end_request(tenant, Some(reply), Some((&sink, line)));
         }
-        match tenant {
-            Some(tenant) => tenant.metrics().record_cmd(verb.slug, start.elapsed()),
-            None => self.state.metrics().record_cmd(verb.slug, start.elapsed()),
-        }
+        self.record_cmd(tenant, verb.slug, start);
         action
+    }
+
+    /// Count a call of the verb `slug`, begun at `start`, in `tenant`, or
+    /// in the server scope without one.
+    fn record_cmd(&self, tenant: Option<&Tenant>, slug: &'static str, start: Instant) {
+        match tenant {
+            Some(tenant) => tenant.metrics().record_cmd(slug, start.elapsed()),
+            None => self.state.metrics().record_cmd(slug, start.elapsed()),
+        }
     }
 
     /// The one gate between a verb and its handler; also re-checked by
@@ -645,8 +670,9 @@ mod tests {
         state
     }
 
-    /// A panicking handler is caught: the client gets `ERR internal` and
-    /// the `server panics` counter counts it.
+    /// A panicking handler is caught: the client gets `ERR internal`, the
+    /// `server panics` counter counts it, and its tenant counts the error
+    /// and the call.
     #[test]
     fn a_caught_panic_replies_err_internal_and_is_counted() {
         let state = state_with_t();
@@ -658,6 +684,9 @@ mod tests {
         let reply = s.handle_line("COUNT q(x, y) :- R(x, y)").unwrap();
         assert!(reply.terminal.starts_with("ERR internal"), "{}", reply.terminal);
         assert_eq!(panics(), 1);
+        // booked where the COUNT was addressed: an error and a call of t's
+        let errors = state.metrics().registry().scope("db.t").counter("errors").get();
+        assert_eq!((errors, calls(&state, "db.t", "count")), (1, 1));
     }
 
     fn calls(state: &ServerState, scope: &str, slug: &str) -> u64 {

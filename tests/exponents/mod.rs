@@ -29,10 +29,9 @@
 use cq_engine::{generic_join, ExecCtx};
 use cq_lower_bounds::prelude::*;
 use cq_obs::trace::{self, Span, TraceSink};
-use cq_planner::{choose, EvalCtx, Output};
+use cq_planner::{choose, EvalCtx, Op, Output, Source};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::mem::{discriminant, Discriminant};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// One instance of a row's query per size parameter, with its answer
@@ -47,7 +46,7 @@ pub struct Row {
     pub query: ConjunctiveQuery,
     pub task: Task,
     order: Option<Vec<Var>>,
-    op: PlanOp,
+    op: Op,
     c: f64,
     family: Family,
     sizes: &'static [u64],
@@ -59,7 +58,7 @@ pub struct Row {
 /// that runs its rows. Exhaustive: a new operator does not compile
 /// without an arm here, and then needs a row. `steps` grow within 0.05
 /// of the plan's exponent, `seeks` within 0.1.
-fn probe(op: &PlanOp) -> Option<Probe> {
+fn probe(op: &Op) -> Option<Probe> {
     const STEPS: &[&str] = &["steps"];
     const SEEKS: &[&str] = &["seeks"];
     // the work of handing every answer over
@@ -70,30 +69,38 @@ fn probe(op: &PlanOp) -> Option<Probe> {
     const PREPROCESS: &str = "enumeration_preprocessing_takes_linear_steps";
     const AGM: &str = "seeks_stay_within_the_agm_bound";
     const EVERY: &str = "every_plan_meets_its_exponent";
-    Some(match op {
+    Some(match (&op.source, op.task) {
         // answers in O(1): no operator runs
-        PlanOp::TrivialEmpty => return None,
+        (Source::Empty, _) => return None,
         // a decision is the Boolean `q'`: memoized, a warm one is a lookup
-        PlanOp::SemijoinSweep => ("op.yannakakis.decide", STEPS, true, FOLDS),
-        PlanOp::CountingDp => ("op.count-free-connex", STEPS, false, FOLDS),
-        PlanOp::ProjectionEliminationDp => {
+        (Source::QPrime { .. }, Task::Decide) => {
+            ("op.yannakakis.decide", STEPS, true, FOLDS)
+        }
+        (Source::QPrime { join_query: true, .. }, Task::Count) => {
+            ("op.count-free-connex", STEPS, false, FOLDS)
+        }
+        (Source::QPrime { .. }, Task::Count) => {
             ("op.count-free-connex", STEPS, false, FREE_CONNEX)
         }
-        PlanOp::ConstantDelayEnumeration => {
+        (Source::QPrime { .. }, Task::Answers) => {
             ("op.enumerate.preprocess", STEPS, true, PREPROCESS)
         }
-        PlanOp::LexDirectAccess { .. } => {
+        (Source::QPrime { order: Some(_), .. }, Task::Access) => {
             ("op.lex-access.build", STEPS, true, PREPROCESS)
         }
-        PlanOp::FreeConnexDirectAccess => ("op.fc-access.build", STEPS, true, PREPROCESS),
-        PlanOp::GenericJoin { .. } => ("op.generic-join.decide", SEEKS, false, EVERY),
-        PlanOp::CountDistinctProject { .. } => {
+        (Source::QPrime { .. }, Task::Access) => {
+            ("op.fc-access.build", STEPS, true, PREPROCESS)
+        }
+        (Source::GenericJoin { .. }, Task::Decide) => {
+            ("op.generic-join.decide", SEEKS, false, EVERY)
+        }
+        (Source::GenericJoin { .. }, Task::Count) => {
             ("op.generic-join.count", SEEKS, false, AGM)
         }
-        PlanOp::MaterializeProject { .. } => {
+        (Source::GenericJoin { .. }, Task::Answers) => {
             ("op.generic-join.answers", ANSWERS, false, AGM)
         }
-        PlanOp::MaterializedDirectAccess { .. } => {
+        (Source::GenericJoin { .. }, Task::Access) => {
             ("op.generic-join.answers", ANSWERS, true, EVERY)
         }
     })
@@ -108,17 +115,8 @@ const ELIMINATE: &str = "op.free-connex.eliminate";
 
 /// Whether the operator runs over `q'`, derived by projection
 /// elimination (a join query's too, and a Boolean query's).
-fn derives_q_prime(op: &PlanOp) -> bool {
-    use PlanOp::*;
-    matches!(
-        op,
-        SemijoinSweep
-            | CountingDp
-            | ProjectionEliminationDp
-            | ConstantDelayEnumeration
-            | FreeConnexDirectAccess
-            | LexDirectAccess { .. }
-    )
+fn derives_q_prime(op: &Op) -> bool {
+    matches!(op.source, Source::QPrime { .. })
 }
 
 /// Run `f` under a trace sink: its result and, per name, the one span of
@@ -186,7 +184,7 @@ pub fn measure(
         None => choose(q, row.task, &Structure::of(q), stats),
     };
     let (m, e) = (plan.cost.m as f64, plan.cost.exponent);
-    assert_eq!(discriminant(&plan.op), discriminant(&row.op), "{name}: {plan:?}");
+    assert_eq!(plan.op.name(), row.op.name(), "{name}: {plan:?}");
     let (op_span, attrs, memoized, _) = probe(&plan.op).expect("a row's operator runs");
     let work = |span: &Span| attrs.iter().map(|a| span.attr(a).unwrap()).sum::<u64>();
     // the answers, the operator's span and the elimination's steps
@@ -354,9 +352,12 @@ pub fn table() -> Vec<Row> {
     let joining: Family = |q, m| (random(q, m, 0), None);
     let disjoint: Family = |q, m| (random(q, m, m), Some(0));
     let mut rows = Vec::new();
-    let mut add = |name, query, task, op, c, family: Family, sizes, tight| {
+    let mut add = |name, query, task, source, c, family: Family, sizes, tight| {
+        let op = Op { source, task };
         rows.push(Row { name, query, task, order: None, op, c, family, sizes, tight })
     };
+    let q_prime = |join_query| Source::QPrime { join_query, order: None };
+    let generic_join = || Source::GenericJoin { order: vec![] };
     let star = |k| zoo::star_selfjoin_free(k).join_version();
     let prefix = parse_query("q(x0, x1) :- R1(x0, x1), R2(x1, x2), R3(x2, x3)").unwrap();
     let (path3, star3) = (zoo::path_join(3), star(3));
@@ -368,26 +369,22 @@ pub fn table() -> Vec<Row> {
         ])
     {
         // a false instance reads everything; a true one stops early
-        let (yes, sweep) = (q.boolean_version(), PlanOp::SemijoinSweep);
+        let (yes, sweep) = (q.boolean_version(), q_prime(false));
         add(name, yes.clone(), Task::Decide, sweep.clone(), 2.0, disjoint, LINEAR, true);
         add(name, yes, Task::Decide, sweep, 2.0, joining, &[500, 1_000, 2_000], false);
-        add(name, q, Task::Count, PlanOp::CountingDp, 2.0, joining, LINEAR, true);
+        add(name, q, Task::Count, q_prime(true), 2.0, joining, LINEAR, true);
     }
-    let (fc, p) = (PlanOp::ProjectionEliminationDp, "path3 prefix");
-    add(p, prefix.clone(), Task::Count, fc, 2.0, joining, LINEAR, true);
-    let access = PlanOp::FreeConnexDirectAccess;
-    add(p, prefix.clone(), Task::Access, access, 4.0, joining, LINEAR, true);
-    for (name, q) in [("path3", path3), ("star3", star3), (p, prefix)] {
-        let enumerate = PlanOp::ConstantDelayEnumeration;
-        add(name, q, Task::Answers, enumerate, 4.0, joining, LINEAR, true);
+    let p = "path3 prefix";
+    add(p, prefix.clone(), Task::Count, q_prime(false), 2.0, joining, LINEAR, true);
+    add(p, prefix.clone(), Task::Access, q_prime(false), 4.0, joining, LINEAR, true);
+    for (name, q, join) in
+        [("path3", path3, true), ("star3", star3, true), (p, prefix, false)]
+    {
+        add(name, q, Task::Answers, q_prime(join), 4.0, joining, LINEAR, true);
     }
 
     let lw = |k| zoo::loomis_whitney_boolean(k).join_version();
     let triangle = parse_query("q(x, y, z) :- E(x, y), E(y, z), E(z, x)").unwrap();
-    let (distinct, project) = (
-        PlanOp::CountDistinctProject { order: vec![] },
-        PlanOp::MaterializeProject { order: vec![] },
-    );
     // the constants of the count — per relation as before, over Σ|Rᵢ| now:
     // c / n^ρ* for n equal relations — and of the answers
     let agm: [(_, _, Family, &[u64], _); 9] = [
@@ -402,23 +399,22 @@ pub fn table() -> Vec<Row> {
         ("q_mm", zoo::matmul_projection(), four_hubs, &[200, 400, 800], (0.075, 0.13)),
     ];
     for (name, q, family, sizes, (count, answers)) in agm {
-        add(name, q.clone(), Task::Count, distinct.clone(), count, family, sizes, false);
-        add(name, q, Task::Answers, project.clone(), answers, family, sizes, true);
+        add(name, q.clone(), Task::Count, generic_join(), count, family, sizes, false);
+        add(name, q, Task::Answers, generic_join(), answers, family, sizes, true);
     }
-    let decide = PlanOp::GenericJoin { order: vec![] };
-    let tri = zoo::triangle_boolean();
+    let (tri, decide) = (zoo::triangle_boolean(), generic_join());
     add("triangle", tri, Task::Decide, decide, 0.01, bipartite, &[32, 64, 128], false);
 
     // ordered access, in the interning order: trio-free for a path, and
     // disrupted by (x1, x2, z) for the full 2-star
-    let ordered = |name, query: ConjunctiveQuery, op, c, family, sizes| {
-        let order = Some(query.vars().collect());
+    let ordered = |name, query: ConjunctiveQuery, source, c, family, sizes| {
+        let (order, op) =
+            (Some(query.vars().collect()), Op { source, task: Task::Access });
         Row { name, query, task: Task::Access, order, op, c, family, sizes, tight: true }
     };
-    let lex = PlanOp::LexDirectAccess { order: vec![] };
+    let lex = Source::QPrime { join_query: true, order: Some(vec![]) };
     rows.push(ordered("path3", zoo::path_join(3), lex, 4.0, joining, LINEAR));
-    let materialized = PlanOp::MaterializedDirectAccess { order: vec![] };
-    let star2 = zoo::star_full(2);
+    let (star2, materialized) = (zoo::star_full(2), generic_join());
     rows.push(ordered("star2", star2, materialized, 4.2, one_hub, &[50, 100, 200]));
     rows
 }
@@ -440,7 +436,7 @@ pub fn run(test: &str) {
     assert!(ran > 0, "`{test}` runs no row");
 }
 
-/// The operators the table has rows for.
-pub fn operators() -> HashSet<Discriminant<PlanOp>> {
-    table().iter().map(|row| discriminant(&row.op)).collect()
+/// The operators the table has rows for, by name.
+pub fn operators() -> HashSet<&'static str> {
+    table().iter().map(|row| row.op.name()).collect()
 }

@@ -144,10 +144,37 @@ mod tests {
     use crate::planner::Planner;
     use crate::EvalCtx;
     use cq_core::query::zoo;
-    use cq_data::generate::{path_database, random_pairs, seeded_rng};
+    use cq_data::generate::{path_database, random_pairs, seeded_rng, triangle_database};
     use cq_data::DataStats;
     use cq_engine::bind::{brute_force_answers, brute_force_count, brute_force_decide};
     use cq_engine::DirectAccess;
+
+    #[test]
+    fn executes_each_operator_kind() {
+        let mut p = Planner::new();
+        let db = path_database(3, 40, &mut seeded_rng(1));
+        let stats = DataStats::collect(&db);
+
+        let q = zoo::path_boolean(3);
+        let plan = p.plan(&q, Task::Decide, &stats);
+        let got = EvalCtx::new().execute(&plan, &q, &db).unwrap().as_decision().unwrap();
+        assert_eq!(got, brute_force_decide(&q, &db).unwrap());
+
+        let q = zoo::path_join(3);
+        let plan = p.plan(&q, Task::Count, &stats);
+        let got = EvalCtx::new().execute(&plan, &q, &db).unwrap().as_count().unwrap();
+        assert_eq!(got, brute_force_count(&q, &db).unwrap());
+
+        let db = triangle_database(&random_pairs(30, 10, &mut seeded_rng(2)));
+        let stats = DataStats::collect(&db);
+        let q = zoo::triangle_join();
+        let plan = p.plan(&q, Task::Answers, &stats);
+        let Output::Answers(got) = EvalCtx::new().execute(&plan, &q, &db).unwrap() else {
+            panic!("answers task must yield an answer stream");
+        };
+        let got = got.collect().unwrap();
+        assert_eq!(got, brute_force_answers(&q, &db).unwrap());
+    }
 
     /// A plan for `task` running `source`'s end for `op_task`, made by
     /// hand: no planner decides which pairs exist.
@@ -166,8 +193,7 @@ mod tests {
     /// and a Boolean query — generic join's and the empty source's on the
     /// triangle too, the empty source where a relation is empty. The
     /// Boolean query's decision also serves as its count, answers and
-    /// access. A task an operator's output cannot widen to is refused
-    /// before any work.
+    /// access.
     #[test]
     fn every_source_answers_every_task_like_brute_force() {
         let tasks = [Task::Decide, Task::Count, Task::Answers, Task::Access];
@@ -239,10 +265,23 @@ mod tests {
         // the join query 9 + 13, the projection 8 + 12, the Boolean query
         // 14 + 21 and the triangle 4 + 8, on the full and the emptied database
         assert_eq!(pairs, 89, "every pair ran");
+    }
 
-        // an operator's output widens from a Boolean query's decision only
+    /// A task an operator's output cannot widen to is refused before any
+    /// work: an operator's output widens from a Boolean query's decision
+    /// only.
+    #[test]
+    fn task_op_mismatch_is_an_error() {
         let db = path_database(2, 10, &mut seeded_rng(3));
+        let stats = DataStats::collect(&db);
         let q = zoo::path_join(2);
+        let count_plan = Planner::new().plan(&q, Task::Count, &stats);
+        let wrong = QueryPlan { task: Task::Decide, ..count_plan };
+        assert!(matches!(
+            EvalCtx::new().execute(&wrong, &q, &db),
+            Err(EvalError::Unsupported(_))
+        ));
+
         let sweep = Source::QPrime { join_query: true, order: None };
         for (op_task, task) in [(Task::Count, Task::Decide), (Task::Decide, Task::Count)]
         {

@@ -20,7 +20,7 @@
 //!   witness:     induced cycle on {x, y, z} (embeds triangle finding) [Thm 3.7]
 //! ```
 
-use crate::ir::{QueryPlan, Source, Verdict};
+use crate::ir::{QueryPlan, Verdict};
 use cq_core::{ConjunctiveQuery, Hypothesis};
 use std::fmt::Write as _;
 
@@ -87,9 +87,7 @@ pub fn render(plan: &QueryPlan, q: &ConjunctiveQuery) -> String {
     let _ = writeln!(out, "PLAN for {q}");
     let _ = writeln!(out, "  task:        {}", plan.task);
     let _ = write!(out, "  operator:    {}", plan.op.name());
-    if let Source::GenericJoin { order } | Source::QPrime { order: Some(order), .. } =
-        &plan.op.source
-    {
+    if let Some(order) = plan.op.source.order() {
         let _ = write!(out, ", order {}", QueryPlan::render_order(q, order));
     }
     let _ = writeln!(out);

@@ -44,6 +44,18 @@ pub enum Source {
     },
 }
 
+impl Source {
+    /// The planner-chosen variable order, when the source has one.
+    pub fn order(&self) -> Option<&[Var]> {
+        match self {
+            Source::GenericJoin { order } | Source::QPrime { order: Some(order), .. } => {
+                Some(order)
+            }
+            _ => None,
+        }
+    }
+}
+
 /// A physical operator: a source and the task it answers, each pair
 /// backed by one `cq-engine` algorithm. `task` is the task the plan's
 /// task comes down to on the query (`Structure::effective_task`): a
@@ -174,5 +186,15 @@ mod tests {
         let tri = CostEstimate { m: 100, exponent: 1.5 };
         assert!(tri.to_string().contains("m^1.50"));
         assert!((tri.operations() - 1000.0).abs() < 1e-6);
+    }
+
+    #[test]
+    fn order_accessor() {
+        let op = Source::GenericJoin { order: vec![Var(1), Var(0)] };
+        assert_eq!(op.order(), Some(&[Var(1), Var(0)][..]));
+        let lex = Source::QPrime { join_query: true, order: Some(vec![Var(0)]) };
+        assert_eq!(lex.order(), Some(&[Var(0)][..]));
+        assert_eq!(Source::QPrime { join_query: true, order: None }.order(), None);
+        assert_eq!(Source::Empty.order(), None);
     }
 }

@@ -90,7 +90,10 @@
 # of a query body is bound, linked and reduced beside it. And a request ends
 # in one place: `Session::end_request` counts a terminal's error and hands
 # the request's trace to PROFILE, for a verb's reply, a block's `END`, a
-# stream's last line and a caught panic alike.
+# stream's last line and a caught panic alike. And every verdict is
+# classify's, and a plan is correct on every database: the planner reads
+# `cq_core::classify::verdict` for every query, and the statistics choose
+# only a plan's generic-join order and its cost.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -414,6 +417,40 @@ forbid "hypotheses attached in the planner (cq_core::classify::verdict decides):
     for f in crates/planner/src/*.rs; do
         case "$f" in */explain.rs) ;; *) non_test "$f" ;; esac
     done | grep -F 'Hypothesis::'
+)"
+# ... and every verdict is classify's: elsewhere `Verdict::X {` opens a
+# pattern — inside `matches!(`, after `let`, or closed right before `=>`,
+# `|` or a guard — never a value, so no plan cites a bound of its own
+forbid "verdicts built outside cq_core::classify (take \`verdict\`'s):" "$(
+    find crates/*/src -name '*.rs' -not -path crates/core/src/classify.rs | sort \
+        | while read -r f; do
+            sed '/^#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
+                function close_at(s,   i, c) {
+                    for (i = 1; i <= length(s); i++) {
+                        c = substr(s, i, 1)
+                        if (c == "{") depth++
+                        if (c == "}" && --depth == 0) return i
+                    }
+                    return 0
+                }
+                function judge(tail) {
+                    if (pre !~ /matches!\([^()]*$|let *$/ && tail !~ /^ *(=>|\||if )/)
+                        print f ":" at ":" text
+                }
+                /^ *\/\// { next }
+                open { if (i = close_at($0)) { open = 0; judge(substr($0, i + 1)) }; next }
+                match($0, /Verdict::(Easy|Hard|Open) *\{/) {
+                    pre = substr($0, 1, RSTART - 1); at = FNR; text = $0; depth = 0
+                    rest = substr($0, RSTART)
+                    if (i = close_at(rest)) judge(substr(rest, i + 1)); else open = 1
+                }'
+        done
+)"
+# ... and a plan is correct on every database: no source answers from the
+# statistics it was planned on, the operators return early on an empty
+# relation themselves
+forbid "a source that answers from planning-time statistics (the operators exit on an empty relation):" "$(
+    grep -rnE 'Source::Empt[y]\b|trivially_empt[y]' crates src tests examples
 )"
 exactly_one "witness renderer (\`fn witness_text\`)" "$(
     grep -rnE 'fn witness_text\b' crates

@@ -265,7 +265,8 @@ fn root_child_message(
 /// *exactly the free variables* so that their join equals `q(D)` (`q'`
 /// is an acyclic join query, [14, §4.1]; a Boolean query's has none),
 /// and the links of their join tree, `None` without atoms — or `None` if
-/// the query is unsatisfiable (some subtree has no answer).
+/// the query is unsatisfiable (a body relation is empty, or some subtree
+/// has no answer).
 pub(crate) type FreeLinks = Option<(Vec<Arc<Msg>>, Option<JoinLinks>)>;
 
 /// **The** projection elimination, shared by decision, counting,
@@ -298,6 +299,10 @@ pub(crate) fn free_links(
     catalog.artifact(db, "free_links", &text, q.relations(), || {
         let mut span = cq_obs::trace::span("op.free-connex.eliminate");
         let tree = elimination_tree(q, db)?;
+        // an empty body relation empties `q'` before any fold: O(#atoms)
+        if q.relations().any(|r| db.get(r).is_some_and(Relation::is_empty)) {
+            return Ok(None);
+        }
         let (mut folded, mut linked) = (0u64, 0u64);
         // per atom of q': the message, its name and what it reads
         let (mut msgs, mut names) = (Vec::new(), Vec::new());

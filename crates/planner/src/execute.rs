@@ -7,11 +7,10 @@
 //! Execution is strict about the plan/task pairing — a plan produced
 //! for [`Task::Count`] cannot be executed as enumeration — but
 //! deliberately forgiving about *re-use*: a plan can be executed any
-//! number of times, against any database (the plan stays *correct* on
-//! other databases; only its cost estimate and the empty source are
-//! tied to the statistics it was planned with, which is why execution
-//! re-checks nothing and [`Source::Empty`] plans should only be
-//! replayed against the database they were planned for).
+//! number of times, against any database, and is correct on every one;
+//! only its cost estimate and its generic-join order depend on the
+//! statistics it was planned with, which is why execution re-checks
+//! nothing.
 
 use crate::ir::{Op, QueryPlan, Source, Task};
 use cq_core::ConjunctiveQuery;
@@ -88,11 +87,6 @@ pub(crate) fn execute_in(
     ctx.cancel().check_now()?;
     let rows = |rel| Output::Answers(Answers::rows(q.free_vars(), rel));
     let out = match source {
-        Source::Empty => match task {
-            Task::Decide => Output::Decision(false),
-            Task::Count => Output::Count(0),
-            Task::Answers | Task::Access => rows(Relation::new(q.free_vars().len())),
-        },
         // one fold over `q'` per scalar task: a join query's is its
         // atoms, read in place; only the (memoized, linear) preprocessing
         // of a stream happens here, its answers are pulled one at a time
@@ -190,10 +184,9 @@ mod tests {
 
     /// Every (source, task) pair answers what brute force answers:
     /// `q'`'s on acyclic queries — a join query, a free-connex projection
-    /// and a Boolean query — generic join's and the empty source's on the
-    /// triangle too, the empty source where a relation is empty. The
-    /// Boolean query's decision also serves as its count, answers and
-    /// access.
+    /// and a Boolean query — and generic join's on the triangle too, on a
+    /// database and on one where a relation is empty. The Boolean query's
+    /// decision also serves as its count, answers and access.
     #[test]
     fn every_source_answers_every_task_like_brute_force() {
         let tasks = [Task::Decide, Task::Count, Task::Answers, Task::Access];
@@ -216,12 +209,11 @@ mod tests {
             let order: Vec<_> = q.vars().collect();
             let qprime = |order| Source::QPrime { join_query: q.is_join_query(), order };
             let widens = |from, to| from == to || from == Task::Decide && q.is_boolean();
-            for (db, empty) in [(&full, false), (&emptied, true)] {
+            for db in [&full, &emptied] {
                 let mut runs = Vec::new();
                 let generic_join = Source::GenericJoin { order: order.clone() };
                 let sources = [Some(generic_join), acyclic.then(|| qprime(None))];
-                let sources = sources.into_iter().chain([empty.then_some(Source::Empty)]);
-                for source in sources.flatten() {
+                for source in sources.into_iter().flatten() {
                     for (op_task, task) in
                         tasks.into_iter().flat_map(|t| tasks.map(|u| (t, u)))
                     {
@@ -262,9 +254,9 @@ mod tests {
                 }
             }
         }
-        // the join query 9 + 13, the projection 8 + 12, the Boolean query
-        // 14 + 21 and the triangle 4 + 8, on the full and the emptied database
-        assert_eq!(pairs, 89, "every pair ran");
+        // the join query 9, the projection 8, the Boolean query 14 and the
+        // triangle 4, on the full and on the emptied database
+        assert_eq!(pairs, 2 * (9 + 8 + 14 + 4), "every pair ran");
     }
 
     /// A task an operator's output cannot widen to is refused before any
@@ -293,22 +285,79 @@ mod tests {
         }
     }
 
+    /// The answer of `plan` on `db` under `ctx` — a decision as the
+    /// nullary relation, a count `n` as the values `0..n` — and the work
+    /// its operator spans report (`steps`, `seeks`).
+    fn traced_answer(
+        ctx: &EvalCtx,
+        plan: &QueryPlan,
+        q: &ConjunctiveQuery,
+        db: &Database,
+    ) -> (Relation, Vec<u64>) {
+        use cq_obs::trace::{self, TraceSink};
+        let sink = TraceSink::enabled();
+        let answer = trace::with(&sink, || match ctx.execute(plan, q, db).unwrap() {
+            Output::Decision(truth) => Relation::nullary(truth),
+            Output::Count(n) => Relation::from_values(0..n),
+            Output::Answers(answers) => answers.collect().unwrap(),
+        });
+        let mut work = Vec::new();
+        if let Some(trace) = sink.finish("test", "execute") {
+            trace.visit(|_, span| {
+                work.extend(["steps", "seeks"].iter().filter_map(|a| span.attr(a)))
+            });
+        }
+        (answer, work)
+    }
+
+    /// A body relation without rows: the plans the planner makes for an
+    /// easy and a hard shape under every task — on its statistics — answer
+    /// like brute force without any operator work, and the same plans
+    /// answer like brute force again once a write fills the relation,
+    /// while the other relations hold 1 000 rows each.
     #[test]
-    fn trivial_empty_plans_execute_in_constant_time() {
-        let mut db = cq_data::Database::new();
-        db.insert("R1", cq_data::Relation::new(2));
-        db.insert("R2", cq_data::Relation::from_pairs(vec![(1, 2)]));
+    fn an_empty_relation_costs_no_work_and_its_plans_stay_correct() {
+        let mut rng = seeded_rng(5);
+        let mut db = Database::new();
+        db.insert("R1", Relation::new(2));
+        for r in ["R2", "R3"] {
+            db.insert(r, random_pairs(1_000, 40, &mut rng));
+        }
         let stats = DataStats::collect(&db);
-        let q = zoo::path_join(2);
-        let mut p = Planner::new();
-        for task in [Task::Decide, Task::Count, Task::Answers] {
-            let plan = p.plan(&q, task, &stats);
-            assert_eq!(plan.op.source, Source::Empty);
-            match EvalCtx::new().execute(&plan, &q, &db).unwrap() {
-                Output::Decision(b) => assert!(!b),
-                Output::Count(c) => assert_eq!(c, 0),
-                Output::Answers(a) => assert!(a.collect().unwrap().is_empty()),
+        let tasks = [Task::Decide, Task::Count, Task::Answers, Task::Access];
+        let mut plans = Vec::new();
+        for (q, easy) in [(zoo::path_join(2), true), (zoo::triangle_join(), false)] {
+            for task in tasks {
+                let plan = Planner::new().plan(&q, task, &stats);
+                assert_eq!(matches!(plan.op.source, Source::QPrime { .. }), easy, "{q}");
+                plans.push((q.clone(), plan));
             }
+        }
+        let brute = |q: &ConjunctiveQuery, task, db: &Database| match task {
+            Task::Decide => Relation::nullary(brute_force_decide(q, db).unwrap()),
+            Task::Count => Relation::from_values(0..brute_force_count(q, db).unwrap()),
+            Task::Answers | Task::Access => brute_force_answers(q, db).unwrap(),
+        };
+        let catalog = cq_data::IndexCatalog::new();
+        let ctx = EvalCtx::new().with_catalog(&catalog);
+        for (q, plan) in &plans {
+            let name = format!("{q} {} by `{}`", plan.task, plan.op.name());
+            let (answer, work) = traced_answer(&ctx, plan, q, &db);
+            assert_eq!(answer, brute(q, plan.task, &db), "{name}");
+            assert!(!work.is_empty() && work.iter().all(|&w| w == 0), "{name}: {work:?}");
+        }
+        // R1(x, y) closes a triangle over R2(y, z) and R3(z, x)
+        let (r2, r3) = (db.expect("R2"), db.expect("R3"));
+        let (y, x) = (r2.iter())
+            .find_map(|yz| r3.iter().find(|zx| zx[0] == yz[1]).map(|zx| (yz[0], zx[1])))
+            .expect("some R2 row meets an R3 row");
+        db.get_mut("R1").unwrap().insert_row(&[x, y]);
+        for (q, plan) in &plans {
+            let name =
+                format!("{q} {} by `{}` after the write", plan.task, plan.op.name());
+            let want = brute(q, plan.task, &db);
+            assert!(!want.is_empty(), "{name}");
+            assert_eq!(traced_answer(&ctx, plan, q, &db).0, want, "{name}");
         }
     }
 

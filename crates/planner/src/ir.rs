@@ -6,19 +6,19 @@
 //! *why nothing asymptotically faster exists* (the [`Verdict`] of the
 //! paper's dichotomies, decided in `cq_core::classify`). Plans are plain
 //! data — they can be cached, compared, rendered by
-//! `cq_planner::explain`, and executed any number of times.
+//! `cq_planner::explain`, and executed any number of times, against any
+//! database: only the cost and the generic-join order depend on the
+//! statistics a plan was made with.
 
 pub use cq_core::classify::{Task, Verdict};
 use cq_core::{ConjunctiveQuery, Var};
 use std::fmt;
 
-/// Where a plan's answers come from: the structure a task is read off.
+/// Where a plan's answers come from: the structure a task is read off,
+/// the side of the query's dichotomy. Either source returns before it
+/// reads a row when a body relation is empty.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Source {
-    /// The database makes the answer trivially empty (some body relation
-    /// has no tuples): every task is answered in O(1) without touching
-    /// the engine.
-    Empty,
     /// `q'`, the fully reduced join tree of an acyclic query (of
     /// `H ∪ {free}` for a free-connex projection): its decision is the
     /// semijoin sweep (Thm 3.1), its count the counting DP (Thm 3.8, with
@@ -73,7 +73,6 @@ impl Op {
     /// output, the `op.<slug>` metrics and the slow log key on it).
     pub fn name(&self) -> &'static str {
         match (&self.source, self.task) {
-            (Source::Empty, _) => "trivial-empty short-circuit",
             (Source::QPrime { .. }, Task::Decide) => "Yannakakis semijoin sweep",
             (Source::QPrime { join_query: true, .. }, Task::Count) => {
                 "counting DP over join tree"
@@ -163,7 +162,6 @@ mod tests {
     #[test]
     fn op_names_are_distinct() {
         let sources = [
-            Source::Empty,
             Source::QPrime { join_query: true, order: None },
             Source::QPrime { join_query: false, order: Some(vec![]) },
             Source::GenericJoin { order: vec![] },
@@ -174,9 +172,8 @@ mod tests {
             .collect();
         names.sort_unstable();
         names.dedup();
-        // one name for the empty source, and the two counts and accesses
-        // over `q'` that the bits above split
-        assert_eq!(names.len(), 1 + 4 + 4 + 2);
+        // the two counts and accesses over `q'` that the bits above split
+        assert_eq!(names.len(), 4 + 4 + 2);
     }
 
     #[test]
@@ -195,6 +192,5 @@ mod tests {
         let lex = Source::QPrime { join_query: true, order: Some(vec![Var(0)]) };
         assert_eq!(lex.order(), Some(&[Var(0)][..]));
         assert_eq!(Source::QPrime { join_query: true, order: None }.order(), None);
-        assert_eq!(Source::Empty.order(), None);
     }
 }

@@ -11,17 +11,18 @@
 //! ```
 //!
 //! * [`ir`] — the plan intermediate representation: [`QueryPlan`] over
-//!   a physical operator [`Op`], a [`Source`] — the empty answer, the
-//!   reduced tree `q'` or generic join — and the task it answers, each
-//!   pair backed by one `cq-engine` algorithm, annotated with its cost
-//!   estimate and the dichotomy's [`Verdict`] for the query and task.
+//!   a physical operator [`Op`], a [`Source`] — the reduced tree `q'` or
+//!   generic join — and the task it answers, each pair backed by one
+//!   `cq-engine` algorithm, annotated with its cost estimate and the
+//!   dichotomy's [`Verdict`] for the query and task.
 //! * [`planner`] — [`choose`]: maps the verdict over a query's
 //!   [`Structure`](cq_core::classify::Structure) to the operator
 //!   implementing its side, and adds what the data statistics
-//!   ([`cq_data::DataStats`]) decide — variable order, cost, the
-//!   trivial-empty short-circuit. [`Planner`] computes the structure
-//!   and calls it; a caller that plans one query again keeps the
-//!   structure and calls [`choose`] alone.
+//!   ([`cq_data::DataStats`]) decide — the generic-join order and the
+//!   cost, nothing a plan's answers depend on, so a plan is correct on
+//!   any database. [`Planner`] computes the structure and calls it; a
+//!   caller that plans one query again keeps the structure and calls
+//!   [`choose`] alone.
 //! * [`mod@execute`] — the executor: one arm per source, one task end
 //!   per arm, and a Boolean query's decision widened to the task asked.
 //! * [`explain`] — EXPLAIN rendering with theorem citations and the

@@ -3,16 +3,16 @@
 //! [`choose`] turns (query, task, structure, statistics) into a
 //! [`QueryPlan`]. Which side of the dichotomy the pair is on — and which
 //! hypothesis rules out anything faster — is `cq_core::classify`'s
-//! [`verdict`] over the query's [`Structure`]; the planner adds what only
-//! it knows: the operator implementing that side, and the physical side
-//! (generic-join variable order, trivial-empty short-circuits, cost
-//! estimates) from the per-database [`DataStats`]. Planning is
-//! deterministic: the same query, task, and statistics always produce
-//! the same plan. The structure depends on the query alone, so a caller
-//! that plans one query again — the server's statement memo, after a
-//! write — keeps it and runs only [`choose`].
+//! [`verdict`] over the query's [`Structure`]; the planner adds the
+//! operator implementing that side, and from the per-database
+//! [`DataStats`] the generic-join variable order and the cost estimate —
+//! all a plan takes from the data, so a plan is correct on any database.
+//! Planning is deterministic: the same query, task, and statistics always
+//! produce the same plan. The structure depends on the query alone, so a
+//! caller that plans one query again — the server's statement memo, after
+//! a write — keeps it and runs only [`choose`].
 
-use crate::ir::{CostEstimate, Op, QueryPlan, Source, Task, Verdict};
+use crate::ir::{CostEstimate, Op, QueryPlan, Source, Task};
 use cq_core::classify::{classify_direct_access_lex, verdict, Structure};
 use cq_core::{ConjunctiveQuery, Var};
 use cq_data::DataStats;
@@ -123,16 +123,6 @@ fn variable_order(q: &ConjunctiveQuery, stats: &DataStats) -> Vec<Var> {
     order
 }
 
-/// Is some body relation present (with the right arity) but empty, so
-/// the answer is trivially empty? Missing relations and arity
-/// mismatches are *not* short-circuited: those must surface as the
-/// executor's `EvalError`, identically to an unplanned evaluation.
-fn trivially_empty(q: &ConjunctiveQuery, stats: &DataStats) -> bool {
-    q.atoms().iter().any(|a| {
-        stats.relation(&a.relation).is_some_and(|r| r.rows == 0 && r.arity == a.arity())
-    })
-}
-
 /// Plan `task` for `q`, whose structure is `structure`
 /// (`Structure::of(q)`), against a database summarized by `stats`: the
 /// verdict-to-operator table, plus the data-driven choices.
@@ -143,28 +133,9 @@ pub fn choose(
     structure: &Structure,
     stats: &DataStats,
 ) -> QueryPlan {
-    let m = stats.m();
-    let plan = |op, algorithm_reference, exponent, lower_bound| QueryPlan {
-        task,
-        op,
-        algorithm_reference,
-        cost: CostEstimate { m, exponent },
-        lower_bound,
-    };
-
-    // the task the query comes down to, answered by the empty source when
-    // an empty body relation empties q(D), else on the easy side by `q'`
+    // the task the query comes down to, answered on the easy side by `q'`
     // and on the other by the generic-join baseline
     let task_end = structure.effective_task(task);
-    if trivially_empty(q, stats) {
-        let op = Op { source: Source::Empty, task: task_end };
-        let lower_bound = Verdict::Easy {
-            algorithm: op.name(),
-            reference: "O(1): some relation is empty",
-        };
-        return plan(op, "empty body relation", 0.0, lower_bound);
-    }
-
     let lower_bound = verdict(q, structure, task);
     let (easy, agm) = (lower_bound.is_easy(), structure.agm_exponent);
     let (algorithm_reference, exponent) = match (task_end, easy) {
@@ -195,12 +166,15 @@ pub fn choose(
         true => Source::QPrime { join_query: structure.join_query, order: None },
         false => Source::GenericJoin { order: variable_order(q, stats) },
     };
-    plan(Op { source, task: task_end }, algorithm_reference, exponent, lower_bound)
+    let op = Op { source, task: task_end };
+    let cost = CostEstimate { m: stats.m(), exponent };
+    QueryPlan { task, op, algorithm_reference, cost, lower_bound }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ir::Verdict;
     use cq_core::query::zoo;
     use cq_core::Hypothesis;
     use cq_data::generate::{path_database, random_pairs, seeded_rng, triangle_database};
@@ -237,7 +211,7 @@ mod tests {
 
     #[test]
     fn lw5_decision_cites_hyperclique() {
-        let db = Database::new(); // stats only; no short-circuit w/o relations
+        let db = Database::new(); // stats only
         let plan = Planner::new().plan(
             &zoo::loomis_whitney_boolean(5),
             Task::Decide,
@@ -296,21 +270,6 @@ mod tests {
             }
             ref other => panic!("{other:?}"),
         }
-    }
-
-    #[test]
-    fn empty_relation_short_circuits() {
-        let mut db = Database::new();
-        db.insert("R1", Relation::from_pairs(vec![(1, 2)]));
-        db.insert("R2", Relation::new(2)); // present but empty
-        let mut p = Planner::new();
-        let plan = p.plan(&zoo::path_join(2), Task::Count, &stats_for(&db));
-        assert_eq!(plan.op.source, Source::Empty);
-        // missing relations must NOT short-circuit (the executor should
-        // report the error exactly like the unplanned engine would)
-        let db2 = Database::new();
-        let plan = p.plan(&zoo::path_join(2), Task::Count, &stats_for(&db2));
-        assert_ne!(plan.op.source, Source::Empty);
     }
 
     #[test]

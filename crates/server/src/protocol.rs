@@ -453,6 +453,13 @@ pub fn parse_command(line: &str) -> Result<Command, Reply> {
                     cols_txt.trim()
                 ))
             })?;
+            // the log stores an arity in 32 bits
+            if u32::try_from(cols).is_err() {
+                return Err(usage(format!(
+                    "LOAD column count {cols} exceeds {}",
+                    u32::MAX
+                )));
+            }
             Ok(Command::Load { relation: valid_relation_name(relation)?, cols })
         }
         "DECIDE" | "COUNT" | "ANSWERS" => {
@@ -851,6 +858,10 @@ mod tests {
             parse_command("LOAD Edge 2").unwrap(),
             Command::Load { relation: "Edge".into(), cols: 2 }
         );
+        // a column count the log cannot store is refused before the block
+        assert!(parse_command("LOAD Edge 4294967295").is_ok());
+        let e = parse_command("LOAD Edge 4294967296").unwrap_err();
+        assert!(e.terminal.starts_with("ERR usage:"), "{}", e.terminal);
         assert_eq!(parse_command("batch").unwrap(), Command::Batch);
         assert_eq!(parse_command("STATS").unwrap(), Command::Stats { db: None });
         assert_eq!(parse_command("save").unwrap(), Command::Save);

@@ -396,6 +396,29 @@ mod tests {
         assert!(m.data.iter().any(|l| l == "db.t errors=1"), "{:?}", m.data);
     }
 
+    /// A `LOAD` whose column count the log cannot store is refused on
+    /// the wire: nothing is applied unlogged, nothing panics, and `SAVE`
+    /// still writes the tenant.
+    #[test]
+    fn a_load_wider_than_the_log_stores_is_a_usage_error() {
+        let dir = std::env::temp_dir()
+            .join(format!("cq_server_load_arity_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = cq_storage::Store::open_dir(&dir).unwrap();
+        let state = Arc::new(ServerState::recover(store).unwrap().0);
+        let mut s = Session::new(Arc::clone(&state));
+        s.handle_line("CREATE DB d");
+        s.handle_line("USE d");
+        let replies = drive(&mut s, &["LOAD R 4294967296", "END"]);
+        let refused = replies[0].as_ref().unwrap();
+        assert!(refused.terminal.starts_with("ERR usage:"), "{}", refused.terminal);
+        assert!(s.handle_line("INSERT R(1, 2)").unwrap().is_ok(), "R was not made");
+        let saved = s.handle_line("SAVE").unwrap();
+        assert!(saved.is_ok(), "{}", saved.terminal);
+        assert_eq!(state.metrics().server_scope().counter("panics").get(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn noop_mutations_keep_the_warm_catalog() {
         let state = Arc::new(ServerState::new());

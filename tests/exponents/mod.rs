@@ -58,7 +58,7 @@ pub struct Row {
 /// that runs its rows. Exhaustive: a new operator does not compile
 /// without an arm here, and then needs a row. `steps` grow within 0.05
 /// of the plan's exponent, `seeks` within 0.1.
-fn probe(op: &Op) -> Option<Probe> {
+fn probe(op: &Op) -> Probe {
     const STEPS: &[&str] = &["steps"];
     const SEEKS: &[&str] = &["seeks"];
     // the work of handing every answer over
@@ -69,9 +69,7 @@ fn probe(op: &Op) -> Option<Probe> {
     const PREPROCESS: &str = "enumeration_preprocessing_takes_linear_steps";
     const AGM: &str = "seeks_stay_within_the_agm_bound";
     const EVERY: &str = "every_plan_meets_its_exponent";
-    Some(match (&op.source, op.task) {
-        // answers in O(1): no operator runs
-        (Source::Empty, _) => return None,
+    match (&op.source, op.task) {
         // a decision is the Boolean `q'`: memoized, a warm one is a lookup
         (Source::QPrime { .. }, Task::Decide) => {
             ("op.yannakakis.decide", STEPS, true, FOLDS)
@@ -103,7 +101,7 @@ fn probe(op: &Op) -> Option<Probe> {
         (Source::GenericJoin { .. }, Task::Access) => {
             ("op.generic-join.answers", ANSWERS, true, EVERY)
         }
-    })
+    }
 }
 
 /// An operator's span, work attributes, memoization and test.
@@ -185,7 +183,7 @@ pub fn measure(
     };
     let (m, e) = (plan.cost.m as f64, plan.cost.exponent);
     assert_eq!(plan.op.name(), row.op.name(), "{name}: {plan:?}");
-    let (op_span, attrs, memoized, _) = probe(&plan.op).expect("a row's operator runs");
+    let (op_span, attrs, memoized, _) = probe(&plan.op);
     let work = |span: &Span| attrs.iter().map(|a| span.attr(a).unwrap()).sum::<u64>();
     // the answers, the operator's span and the elimination's steps
     let run = |catalog: &IndexCatalog| {
@@ -266,7 +264,7 @@ fn fit(row: &Row) -> (f64, f64, Option<f64>) {
     };
     let xy: Vec<_> = points.iter().map(|&(m, work, _)| (m, work)).collect();
     let fit = fit_of(&xy);
-    let slack = if probe(&row.op).unwrap().1 == ["steps"] { 0.05 } else { 0.1 };
+    let slack = if probe(&row.op).1 == ["steps"] { 0.05 } else { 0.1 };
     assert!(fit <= e + slack, "{name}: work grows as m^{fit:.3}, plan m^{e}");
     assert!(!row.tight || fit >= e - slack, "{name}: m^{fit:.3} < plan m^{e}");
     let eliminate = (!eliminations.is_empty()).then(|| fit_of(&eliminations));
@@ -422,7 +420,7 @@ pub fn table() -> Vec<Row> {
 /// Fit every row whose operator [`probe`] assigns to the test named
 /// `test`.
 pub fn run(test: &str) {
-    let rows = table().into_iter().filter(|row| probe(&row.op).unwrap().3 == test);
+    let rows = table().into_iter().filter(|row| probe(&row.op).3 == test);
     let mut ran = 0;
     for row in rows {
         let (fit, e, eliminate) = fit(&row);

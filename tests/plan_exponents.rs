@@ -16,7 +16,7 @@ use exponents::{every_atom, full, measure, table};
 fn every_plan_meets_its_exponent() {
     exponents::run("every_plan_meets_its_exponent");
     let covered = exponents::operators().len();
-    assert_eq!(covered, 10, "every operator but the empty source's has a row");
+    assert_eq!(covered, 10, "every operator has a row");
 }
 
 /// The word as work, not wall-clock: where every last-column node is

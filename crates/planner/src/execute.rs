@@ -312,11 +312,12 @@ mod tests {
 
     /// A body relation without rows: the plans the planner makes for an
     /// easy and a hard shape under every task — on its statistics — answer
-    /// like brute force without any operator work, and the same plans
-    /// answer like brute force again once a write fills the relation,
-    /// while the other relations hold 1 000 rows each.
+    /// like brute force without any operator work (the operators' early
+    /// exit, whatever the other relations hold: 1 000 rows each here), and
+    /// the same plans answer like brute force again once a write fills the
+    /// relation.
     #[test]
-    fn an_empty_relation_costs_no_work_and_its_plans_stay_correct() {
+    fn trivial_empty_plans_execute_in_constant_time() {
         let mut rng = seeded_rng(5);
         let mut db = Database::new();
         db.insert("R1", Relation::new(2));

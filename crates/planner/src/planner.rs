@@ -272,6 +272,37 @@ mod tests {
         }
     }
 
+    /// An empty body relation changes nothing the planner decides but the
+    /// cost's `m`: the plan and its verdict are classify's, as once the
+    /// relation holds a row, and the short-circuit is the operator's. A
+    /// missing relation is planned the same way; its error surfaces at
+    /// execution, exactly like the unplanned engine's.
+    #[test]
+    fn empty_relation_short_circuits() {
+        let q = zoo::path_join(2);
+        let mut db = Database::new();
+        db.insert("R1", Relation::from_pairs(vec![(1, 2)]));
+        db.insert("R2", Relation::new(2)); // present but empty
+        let mut filled = db.clone();
+        filled.get_mut("R2").unwrap().insert_row(&[2, 3]);
+        let mut p = Planner::new();
+        let plan = p.plan(&q, Task::Count, &stats_for(&db));
+        let full = p.plan(&q, Task::Count, &stats_for(&filled));
+        assert_eq!(plan.op.name(), "counting DP over join tree");
+        assert_eq!((&plan.op, &plan.lower_bound), (&full.op, &full.lower_bound));
+        let ctx = crate::EvalCtx::new();
+        let count = |plan, db| match ctx.execute(plan, &q, db) {
+            Ok(crate::Output::Count(n)) => Ok(n),
+            other => Err(format!("{other:?}")),
+        };
+        assert_eq!(count(&plan, &db), Ok(0));
+        assert_eq!(count(&plan, &filled), Ok(1));
+        let missing = Database::new();
+        let plan = p.plan(&q, Task::Count, &stats_for(&missing));
+        assert_eq!(plan.op, full.op);
+        assert!(count(&plan, &missing).is_err());
+    }
+
     #[test]
     fn variable_order_prefers_small_columns() {
         let mut db = Database::new();

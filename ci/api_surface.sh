@@ -93,7 +93,10 @@
 # stream's last line and a caught panic alike. And every verdict is
 # classify's, and a plan is correct on every database: the planner reads
 # `cq_core::classify::verdict` for every query, and the statistics choose
-# only a plan's generic-join order and its cost.
+# only a plan's generic-join order and its cost. And statistics are catalog
+# entries: each relation's `RelationStats` is an ordinary artifact of the
+# catalog's one memo, with its version pin, sweep and cap, and a session
+# keeps a plan by the database generation it was made at, not by statistics.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -451,6 +454,21 @@ forbid "verdicts built outside cq_core::classify (take \`verdict\`'s):" "$(
 # relation themselves
 forbid "a source that answers from planning-time statistics (the operators exit on an empty relation):" "$(
     grep -rnE 'Source::Empt[y]\b|trivially_empt[y]' crates src tests examples
+)"
+# statistics are catalog entries: no second memo with its own version
+# table and race beside the one map, whose one insert path is `Memo::insert`
+forbid "a second memo in the catalog (statistics are the artifact (\"stats\", name)):" "$(
+    non_test crates/data/src/catalog.rs | grep -E 'relation_stats|stats_of|counts\['
+)"
+exactly_one "insert into the catalog's map (\`Memo::insert\`)" "$(
+    non_test crates/data/src/catalog.rs | grep -F 'entries.insert('
+)"
+# ... and a session keeps a plan by the generation it was made at: the
+# statement memo names the statistics only as what its lazy \`stats\`
+# argument returns, asked for on a replan
+forbid "statistics kept in the statement memo (key a plan by Database::generation):" "$(
+    non_test crates/server/src/server/stmt.rs | grep -E 'Arc::ptr_eq|DataStats' \
+        | grep -vF 'stats: impl FnOnce() -> Arc<cq_data::DataStats>,'
 )"
 exactly_one "witness renderer (\`fn witness_text\`)" "$(
     grep -rnE 'fn witness_text\b' crates

@@ -17,7 +17,7 @@
 //! [`k5_into_c5`] is the worked Example 4.2 / **Figure 1** of the paper,
 //! and [`render_figure1`] reprints the figure from the data structure.
 
-use crate::hypergraph::{mask_vertices, Hypergraph};
+use crate::hypergraph::Hypergraph;
 
 /// A clique embedding ψ from `K_ℓ` into a hypergraph.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -149,23 +149,6 @@ pub fn identity_embedding(l: usize) -> (Hypergraph, CliqueEmbedding) {
     (h, CliqueEmbedding { psi })
 }
 
-/// Pretty-print an embedding's images as `x_i -> {v...}` lines, through a
-/// vertex naming function.
-pub fn render_embedding(
-    emb: &CliqueEmbedding,
-    vertex_name: impl Fn(usize) -> String,
-) -> String {
-    emb.psi
-        .iter()
-        .enumerate()
-        .map(|(i, &img)| {
-            let vs: Vec<String> = mask_vertices(img).map(&vertex_name).collect();
-            format!("x{} -> {{{}}}", i + 1, vs.join(", "))
-        })
-        .collect::<Vec<_>>()
-        .join("\n")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,12 +227,5 @@ mod tests {
             assert!(s.contains(&format!("v{v}:")), "{s}");
         }
         assert!(s.contains("power = 1.25"));
-    }
-
-    #[test]
-    fn render_embedding_text() {
-        let (_, emb) = k5_into_c5();
-        let s = render_embedding(&emb, |v| format!("v{}", v + 1));
-        assert!(s.contains("x1 -> {v1, v2, v3}"));
     }
 }

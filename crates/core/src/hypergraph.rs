@@ -83,11 +83,6 @@ impl Hypergraph {
         self.edges.iter().any(|&e| e & m == m)
     }
 
-    /// Is the hypergraph `h`-uniform (every edge has exactly `h` vertices)?
-    pub fn is_uniform(&self, h: usize) -> bool {
-        self.edges.iter().all(|e| e.count_ones() as usize == h)
-    }
-
     /// The sub-hypergraph induced by the vertex set `s` (a mask): each edge
     /// is intersected with `s`; empty intersections are dropped; duplicate
     /// induced edges are dropped.
@@ -353,14 +348,6 @@ mod tests {
         // LW_3 is the triangle's hypergraph? No: LW_3 has edges of size 2:
         // {x2,x3}, {x1,x3}, {x1,x2} — exactly a triangle, cyclic.
         assert!(!zoo::loomis_whitney_boolean(3).hypergraph().is_acyclic());
-    }
-
-    #[test]
-    fn uniformity() {
-        let q = zoo::loomis_whitney_boolean(4);
-        assert!(q.hypergraph().is_uniform(3));
-        assert!(!triangle().is_uniform(3));
-        assert!(triangle().is_uniform(2));
     }
 
     #[test]

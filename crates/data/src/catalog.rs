@@ -1,4 +1,4 @@
-//! The per-database index catalog: memoized secondary indexes,
+//! The per-database index catalog: one memo of secondary indexes,
 //! statistics and preprocessing artifacts, each validated against the
 //! versions of exactly the relations it was built from.
 //!
@@ -9,14 +9,15 @@
 //! work. The catalog memoizes:
 //!
 //! * [`SortedView`]s keyed by `(relation name, key-column permutation)`;
-//! * [`DataStats`] (the planner's input), assembled from per-relation
-//!   [`RelationStats`] so a write re-collects one relation, not all;
 //! * arbitrary **artifacts** — opaque preprocessing products keyed by
 //!   `(kind, key)` strings, used by the engine for query-level
 //!   structures that are derived from the data but not addressable by a
 //!   single `(relation, columns)` pair: join-tree links, projection
 //!   elimination messages, the reduced trees enumeration and direct
-//!   access share.
+//!   access share. Statistics are catalog entries too: each relation's
+//!   [`RelationStats`] is the artifact `("stats", name)`, reading only
+//!   that relation, and [`IndexCatalog::stats`] assembles them into the
+//!   planner's [`DataStats`], so a write re-collects one relation, not all.
 //!
 //! # Consistency
 //!
@@ -37,28 +38,19 @@
 //!
 //! The catalog is **internally locked**: every accessor takes `&self`,
 //! so one catalog can be shared across threads directly (or behind a
-//! plain `Arc`). The lock discipline keeps the critical sections to
-//! hash-map lookups only — acquire, clone the `Arc`, release:
-//!
-//! * a **hit** holds the lock for a map probe, a version compare per
-//!   relation read, and an `Arc` clone;
-//! * a **miss** releases the lock, builds the index *outside* it, then
-//!   re-locks to insert — concurrent evaluations of different shapes
-//!   never serialize behind each other's index builds, and a builder
-//!   may itself consult the same catalog without deadlocking. Two
-//!   threads racing to build the same entry both build; the first
-//!   insert wins and every caller ends up sharing one `Arc`.
-//!
-//! Executions therefore never hold any catalog lock while joining —
-//! they operate on the `Arc`ed indexes they were handed.
+//! plain `Arc`). A hit holds the lock for a map probe, a version compare
+//! per relation read, and an `Arc` clone. A miss builds *outside* the
+//! lock and re-locks to insert, so evaluations of different shapes never
+//! serialize behind each other's builds and a builder may consult the
+//! catalog itself; of two threads racing to build one entry, the first
+//! insert wins and both share its `Arc`.
 //!
 //! # Eviction
 //!
-//! The memo is bounded by [`MEMO_CAP`] entries. When an insert would
-//! exceed the cap, the *oldest* entries (FIFO over insertion order) are
-//! evicted — just enough to make room — so the views an in-flight
-//! evaluation just built stay warm. Cap evictions are counted
-//! separately from invalidations in [`CatalogStats`].
+//! The memo is bounded by [`MEMO_CAP`] entries. An insert into a full
+//! memo evicts the *oldest* entry (FIFO over insertion order), so the
+//! entries an in-flight evaluation just built stay warm. Cap evictions
+//! are counted separately from invalidations in [`CatalogStats`].
 
 use crate::database::{Database, VersionPin};
 use crate::hasher::FxHashMap;
@@ -77,16 +69,6 @@ use std::sync::{Arc, Mutex, MutexGuard};
 enum MemoKey {
     View(String, Vec<usize>),
     Artifact(&'static str, String),
-}
-
-impl MemoKey {
-    /// Index into [`Memo::counts`].
-    fn kind(&self) -> usize {
-        match self {
-            MemoKey::View(..) => 0,
-            MemoKey::Artifact(..) => 1,
-        }
-    }
 }
 
 /// One memoized product and what it was built from.
@@ -124,7 +106,7 @@ pub struct CatalogStats {
     pub cap_evictions: u64,
     /// Currently memoized sorted views.
     pub views: usize,
-    /// Currently memoized artifacts.
+    /// Currently memoized artifacts (statistics included).
     pub artifacts: usize,
     /// Heap bytes of every memoized [`SortedView`]
     /// ([`SortedView::heap_bytes`]: trie levels and their bitmaps).
@@ -136,13 +118,7 @@ pub struct CatalogStats {
 #[derive(Default)]
 struct Memo {
     entries: FxHashMap<MemoKey, Entry>,
-    /// Live entries per [`MemoKey::kind`].
-    counts: [usize; 2],
     next_seq: u64,
-    /// The last assembled statistics and the generation they describe.
-    stats: Option<(u64, Arc<DataStats>)>,
-    /// Per relation: the version its statistics were collected at.
-    relation_stats: FxHashMap<String, (u64, RelationStats)>,
     hits: u64,
     misses: u64,
     invalidations: u64,
@@ -160,38 +136,11 @@ impl Memo {
         Arc::clone(&entry.value).downcast::<T>().ok()
     }
 
-    /// The assembled statistics, if they describe `db`'s generation.
-    fn stats_of(&self, db: &Database) -> Option<Arc<DataStats>> {
-        let (generation, stats) = self.stats.as_ref()?;
-        (*generation == db.generation()).then(|| Arc::clone(stats))
-    }
-
-    fn remove(&mut self, key: &MemoKey) {
-        if self.entries.remove(key).is_some() {
-            self.counts[key.kind()] -= 1;
-        }
-    }
-
-    /// Keep the memo bounded: evict the *oldest* entries until there is
-    /// room for one more, so a pathological stream of distinct shapes
-    /// cannot grow memory without bound — and, unlike a full clear,
-    /// cannot evict the entries the in-flight evaluation just built.
-    fn ensure_capacity(&mut self) {
-        if self.entries.len() < MEMO_CAP {
-            return;
-        }
-        self.cap_evictions += 1;
-        while self.entries.len() >= MEMO_CAP {
-            let oldest = self.entries.iter().min_by_key(|(_, e)| e.seq);
-            let key = oldest.expect("a full memo has entries").0.clone();
-            self.remove(&key);
-        }
-    }
-
     /// Store `value`, built from `db`'s relations `reads`, under `key`.
     /// An entry already there is stale (or, after a `(kind, key)`
     /// collision, of another type): it is replaced, so a rebuilt
-    /// product never sits beside its predecessor.
+    /// product never sits beside its predecessor. A new key in a full
+    /// memo evicts the oldest entry, never the ones just built.
     fn insert<'r>(
         &mut self,
         key: MemoKey,
@@ -201,10 +150,13 @@ impl Memo {
     ) {
         match self.entries.get(&key) {
             Some(old) => self.invalidations += u64::from(!old.reads.is_current(db)),
-            None => {
-                self.ensure_capacity();
-                self.counts[key.kind()] += 1;
+            None if self.entries.len() >= MEMO_CAP => {
+                self.cap_evictions += 1;
+                let oldest = self.entries.iter().min_by_key(|(_, e)| e.seq);
+                let oldest = oldest.expect("a full memo has entries").0.clone();
+                self.entries.remove(&oldest);
             }
+            None => {}
         }
         let reads = VersionPin::of(db, reads);
         self.entries.insert(key, Entry { value, reads, seq: self.next_seq });
@@ -240,7 +192,7 @@ impl IndexCatalog {
         self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The one lookup-or-build behind views and artifacts:
+    /// The one lookup-or-build behind views, statistics and artifacts:
     /// serve the entry under `key` if it is current for `db`, else run
     /// `build` outside the lock and memoize its product as having read
     /// `reads`. First insert wins a race.
@@ -273,59 +225,29 @@ impl IndexCatalog {
         Ok(t)
     }
 
-    /// The memoized [`DataStats`] of `db`. Statistics are kept per
-    /// relation and validated per relation, so after a write only the
-    /// written relation is re-collected; the assembled whole is kept
-    /// for the generation it describes. One call is one lookup: a hit
-    /// if nothing had to be collected.
+    /// [`IndexCatalog::memoized`] of a build that cannot fail.
+    fn built<T: Any + Send + Sync>(
+        &self,
+        db: &Database,
+        key: MemoKey,
+        name: &str,
+        build: impl FnOnce() -> T,
+    ) -> Arc<T> {
+        let build = || Ok::<_, Infallible>(build());
+        self.memoized(db, key, [name], build).unwrap_or_else(|never| match never {})
+    }
+
+    /// The [`DataStats`] of `db`, assembled from each relation's
+    /// memoized [`RelationStats`] (the artifact `("stats", name)`, which
+    /// reads that relation only): after a write only the written
+    /// relation is collected again. One lookup per relation.
     pub fn stats(&self, db: &Database) -> Arc<DataStats> {
-        let parts: Vec<Option<RelationStats>> = {
-            let mut guard = self.lock();
-            let m = &mut *guard;
-            if let Some(s) = m.stats_of(db) {
-                m.hits += 1;
-                return s;
-            }
-            let parts: Vec<_> = db
-                .iter_versioned()
-                .map(|(name, _, version)| {
-                    let (at, s) = m.relation_stats.get(name)?;
-                    (*at == version).then(|| s.clone())
-                })
-                .collect();
-            if parts.iter().all(Option::is_some) {
-                m.hits += 1;
-            } else {
-                m.misses += 1;
-            }
-            parts
-        };
-        // collect what is missing outside the lock
-        let mut fresh: Vec<(u64, RelationStats)> = Vec::new();
-        let relations = db
-            .iter_versioned()
-            .zip(parts)
-            .map(|((name, rel, version), part)| {
-                part.unwrap_or_else(|| {
-                    let s = RelationStats::collect(name, rel);
-                    fresh.push((version, s.clone()));
-                    s
-                })
-            })
-            .collect();
-        let stats = Arc::new(DataStats::from_relations(relations));
-        let mut m = self.lock();
-        if let Some(s) = m.stats_of(db) {
-            return s; // lost a race: share the winner's
-        }
-        for (version, s) in fresh {
-            m.relation_stats.insert(s.name.clone(), (version, s));
-        }
-        if m.relation_stats.len() > db.n_relations() {
-            m.relation_stats.retain(|name, _| db.version_of(name) != 0);
-        }
-        m.stats = Some((db.generation(), Arc::clone(&stats)));
-        stats
+        let relations = db.iter().map(|(name, rel)| {
+            let key = MemoKey::Artifact("stats", name.to_string());
+            let stats = self.built(db, key, name, || RelationStats::collect(name, rel));
+            RelationStats::clone(&stats)
+        });
+        Arc::new(DataStats::from_relations(relations.collect()))
     }
 
     /// The memoized [`SortedView`] of relation `name` keyed on
@@ -339,8 +261,7 @@ impl IndexCatalog {
     ) -> Option<Arc<SortedView>> {
         let rel = db.get(name)?;
         let key = MemoKey::View(name.to_string(), key_cols.to_vec());
-        let build = || Ok::<_, Infallible>(SortedView::new(rel, key_cols));
-        Some(self.memoized(db, key, [name], build).unwrap_or_else(|never| match never {}))
+        Some(self.built(db, key, name, || SortedView::new(rel, key_cols)))
     }
 
     /// The memoized artifact of `(kind, key)`, building with `build` on
@@ -378,34 +299,32 @@ impl IndexCatalog {
     /// invalidated products back now instead of holding old and new
     /// side by side until each shape is asked for again.
     pub fn sweep(&self, db: &Database) {
-        let mut guard = self.lock();
-        let m = &mut *guard;
+        let mut m = self.lock();
         let before = m.entries.len();
-        let counts = &mut m.counts;
-        m.entries.retain(|key, entry| {
-            let keep = entry.reads.is_current(db);
-            if !keep {
-                counts[key.kind()] -= 1;
-            }
-            keep
-        });
+        m.entries.retain(|_, entry| entry.reads.is_current(db));
         m.invalidations += (before - m.entries.len()) as u64;
     }
 
     /// Current counters and memo sizes.
     pub fn snapshot(&self) -> CatalogStats {
         let m = self.lock();
-        let views =
-            m.entries.values().filter_map(|e| e.value.downcast_ref::<SortedView>());
-        CatalogStats {
-            view_bytes: views.map(SortedView::heap_bytes).sum(),
+        let mut snap = CatalogStats {
             hits: m.hits,
             misses: m.misses,
             invalidations: m.invalidations,
             cap_evictions: m.cap_evictions,
-            views: m.counts[0],
-            artifacts: m.counts[1],
+            ..CatalogStats::default()
+        };
+        for (key, entry) in &m.entries {
+            match (key, entry.value.downcast_ref::<SortedView>()) {
+                (MemoKey::View(..), Some(view)) => {
+                    snap.views += 1;
+                    snap.view_bytes += view.heap_bytes();
+                }
+                _ => snap.artifacts += 1,
+            }
         }
+        snap
     }
 }
 
@@ -521,13 +440,14 @@ mod tests {
         let mut db = db();
         let cat = IndexCatalog::new();
         let s1 = cat.stats(&db);
-        assert_eq!(cat.snapshot().misses, 1);
+        assert_eq!(cat.snapshot().misses, 2, "one lookup per relation");
         db.get_mut("S").unwrap().insert_row(&[9]);
         let s2 = cat.stats(&db);
         assert_eq!(*s2, DataStats::collect(&db));
         assert_eq!(s2.relation("R"), s1.relation("R"));
         assert_eq!(s2.rows("S"), 3);
-        assert_eq!(cat.snapshot().misses, 2, "one lookup, one miss");
+        let snap = cat.snapshot();
+        assert_eq!((snap.hits, snap.misses), (1, 3), "R served, S collected again");
         // a clone shares every version: reassembling collects nothing
         let mut other = db.clone();
         other.remove("S");
@@ -539,12 +459,28 @@ mod tests {
     }
 
     #[test]
+    fn a_write_sweeps_only_the_written_relations_stats() {
+        let mut db = db();
+        let cat = IndexCatalog::new();
+        let _ = cat.stats(&db);
+        db.get_mut("S").unwrap().insert_row(&[9]);
+        cat.sweep(&db);
+        let swept = cat.snapshot();
+        assert_eq!((swept.invalidations, swept.artifacts), (1, 1), "S's entry only");
+        assert_eq!(*cat.stats(&db), DataStats::collect(&db));
+        let after = cat.snapshot();
+        assert_eq!(after.hits, swept.hits + 1, "R's statistics are served");
+        assert_eq!(after.misses, swept.misses + 1, "S's alone are collected");
+    }
+
+    #[test]
     fn stats_memoize_and_a_missing_relation_has_no_view() {
         let db = db();
         let cat = IndexCatalog::new();
         let s1 = cat.stats(&db);
         let s2 = cat.stats(&db);
-        assert!(Arc::ptr_eq(&s1, &s2));
+        assert_eq!(s1, s2);
+        assert_eq!(cat.snapshot().artifacts, 2, "one entry per relation");
         assert_eq!(s1.m(), 5);
         assert!(cat.sorted_view(&db, "missing", &[0]).is_none());
     }
@@ -671,18 +607,20 @@ mod tests {
             }
             let results: Vec<_> =
                 handles.into_iter().map(|h| h.join().unwrap()).collect();
-            // all threads end up with the same shared artifacts
+            // all threads end up with the same shared entries (and equal
+            // statistics, assembled per call)
             for w in results.windows(2) {
                 assert!(Arc::ptr_eq(&w[0].0, &w[1].0));
                 assert!(Arc::ptr_eq(&w[0].1, &w[1].1));
-                assert!(Arc::ptr_eq(&w[0].2, &w[1].2));
+                assert_eq!(w[0].2, w[1].2);
                 assert!(Arc::ptr_eq(&w[0].3, &w[1].3));
             }
         });
-        // post-race, the memo holds exactly one entry per key
+        // post-race, the memo holds exactly one entry per key: the
+        // artifact and one set of statistics per relation
         let snap = cat.snapshot();
         assert_eq!(snap.views, 2);
-        assert_eq!(snap.artifacts, 1);
-        assert_eq!(snap.hits + snap.misses, 32);
+        assert_eq!(snap.artifacts, 1 + 2);
+        assert_eq!(snap.hits + snap.misses, 8 * (2 + 2 + 1));
     }
 }

@@ -7,7 +7,7 @@
 //! * [`Database::generation`] — the stamp of the *whole content*. Every
 //!   mutation moves it; clones keep it. Used where "did anything
 //!   change?" is the question (`STATS`, the slow-query log, a cursor's
-//!   pin, the catalog's memoized [`crate::DataStats`]).
+//!   pin, the plan a server session keeps per statement).
 //! * [`Database::version_of`] — per relation, the generation value of
 //!   *that relation's* last mutation. A write to `R` moves `R`'s version
 //!   (and the generation) and nobody else's. A [`VersionPin`] records
@@ -137,11 +137,6 @@ impl Database {
     /// Iterate (name, relation) pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> {
         self.relations.iter().map(|(k, v)| (k.as_str(), &v.rel))
-    }
-
-    /// [`Database::iter`] with each relation's [`Database::version_of`].
-    pub(crate) fn iter_versioned(&self) -> impl Iterator<Item = (&str, &Relation, u64)> {
-        self.relations.iter().map(|(k, v)| (k.as_str(), &v.rel, v.version))
     }
 
     /// Iterate (name, relation) pairs in ascending name order — the

@@ -1,11 +1,11 @@
 //! Lightweight data statistics for cost-aware planning.
 //!
 //! The planner in `cq-planner` chooses between dichotomy-equivalent
-//! physical alternatives (e.g. the generic-join variable order, or
-//! whether a relation is small enough to materialize eagerly) using the
-//! statistics collected here. Collection is a single O(m) pass over the
-//! database — cheap enough to run per query, and cacheable by the
-//! caller across queries on the same database.
+//! physical alternatives (the generic-join variable order) and states a
+//! plan's cost in `m` using the statistics collected here. Collecting a
+//! relation's statistics is O(rows · arity) time and O(rows) extra
+//! space; `cq_data::IndexCatalog::stats` memoizes them per relation, so
+//! a write re-collects only the relation it wrote.
 
 use crate::database::Database;
 use crate::hasher::FxHashSet;
@@ -22,25 +22,27 @@ pub struct RelationStats {
     /// Arity.
     pub arity: usize,
     /// Number of distinct values per column (an upper bound on the
-    /// selectivity denominator of equi-joins through that column).
+    /// selectivity denominator of equi-joins through that column);
+    /// empty for an empty relation, whose every column has 0.
     pub distinct_per_column: Vec<usize>,
 }
 
 impl RelationStats {
-    /// Collect the statistics of `rel` (stored under `name`) in one pass.
+    /// Collect the statistics of `rel` (stored under `name`), one column
+    /// at a time: the space it takes is O(rows), never O(arity) for an
+    /// empty relation of any width.
     pub fn collect(name: &str, rel: &Relation) -> RelationStats {
         let arity = rel.arity();
-        let mut cols: Vec<FxHashSet<Val>> = vec![FxHashSet::default(); arity];
-        for row in rel.iter() {
-            for (c, &v) in row.iter().enumerate() {
-                cols[c].insert(v);
-            }
-        }
+        let distinct = |c: usize| {
+            let column = rel.raw().iter().copied().skip(c).step_by(arity);
+            column.collect::<FxHashSet<Val>>().len()
+        };
+        let columns = if rel.is_empty() { 0 } else { arity };
         RelationStats {
             name: name.to_string(),
             rows: rel.len(),
             arity,
-            distinct_per_column: cols.iter().map(|s| s.len()).collect(),
+            distinct_per_column: (0..columns).map(distinct).collect(),
         }
     }
 
@@ -125,5 +127,13 @@ mod tests {
         let r = stats.relation("R").unwrap();
         assert_eq!(r.distinct(0), 2);
         assert_eq!(r.distinct(7), 2); // falls back to rows
+    }
+
+    #[test]
+    fn an_empty_relation_of_any_width_has_no_per_column_counts() {
+        let r = RelationStats::collect("R", &Relation::new(1 << 20));
+        assert_eq!((r.rows, r.arity), (0, 1 << 20));
+        assert!(r.distinct_per_column.is_empty());
+        assert_eq!(r.distinct(7), 0);
     }
 }

@@ -419,6 +419,21 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// An empty relation of a million columns costs its statistics
+    /// nothing per column: the next query on the tenant answers.
+    #[test]
+    fn a_wide_empty_load_leaves_the_next_query_answering() {
+        let mut s = session();
+        s.handle_line("CREATE DB w");
+        s.handle_line("USE w");
+        assert!(s.handle_line("INSERT S(1)").unwrap().is_ok());
+        let replies = drive(&mut s, &["LOAD R 1048576", "END"]);
+        let loaded = replies[1].as_ref().unwrap();
+        assert!(loaded.is_ok(), "{}", loaded.terminal);
+        assert_eq!(s.handle_line("COUNT q(x) :- S(x)").unwrap().terminal, "OK 1");
+        assert_eq!(s.state.metrics().server_scope().counter("panics").get(), 0);
+    }
+
     #[test]
     fn noop_mutations_keep_the_warm_catalog() {
         let state = Arc::new(ServerState::new());
@@ -429,7 +444,8 @@ mod tests {
         s.handle_line("COUNT q(x, y) :- R(x, y)"); // warm the pinned catalog
         let t = state.tenant("t").unwrap();
         let warm = t.read_meta().0;
-        assert_eq!(warm.artifacts, 1, "the count must have built into the catalog");
+        // the count's artifact and R's statistics
+        assert_eq!(warm.artifacts, 2, "the count must have built into the catalog");
         // duplicate INSERT: honest reply, no version moves, catalog kept
         let r = s.handle_line("INSERT R(1, 2)").unwrap();
         assert_eq!(r.terminal, "OK duplicate ignored in R (1 total)");
@@ -444,7 +460,7 @@ mod tests {
         // a real insert into R invalidates what was built from R
         s.handle_line("INSERT R(9, 9)");
         let after = t.read_meta().0;
-        assert_eq!((after.artifacts, after.invalidations), (0, 1));
+        assert_eq!((after.artifacts, after.invalidations), (0, 2));
         assert_eq!(after.misses, warm.misses, "the counters run on across the write");
         assert_eq!(s.handle_line("COUNT q(x, y) :- R(x, y)").unwrap().terminal, "OK 2");
     }
@@ -484,10 +500,11 @@ mod tests {
         s.handle_line("INSERT S(3)");
         s.handle_line("COUNT q(x) :- S(x)");
         let t = state.tenant("t").unwrap();
-        assert_eq!(t.read_meta().0.artifacts, 2);
+        // per relation: its count's artifact and its statistics
+        assert_eq!(t.read_meta().0.artifacts, 4);
         s.handle_line("DROP R");
         let after = t.read_meta().0;
-        assert_eq!((after.artifacts, after.invalidations), (1, 1), "S's entry stays");
+        assert_eq!((after.artifacts, after.invalidations), (2, 2), "S's entries stay");
     }
 
     #[test]

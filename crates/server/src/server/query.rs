@@ -369,7 +369,7 @@ impl Session {
         q: &ConjunctiveQuery,
         watch: &Watch,
     ) -> Result<(Output, QueryPlan), Reply> {
-        let plan = self.statements.plan(src, task, &catalog.stats(db));
+        let plan = self.statements.plan(src, task, db.generation(), || catalog.stats(db));
         // admission control: reject over-budget plans before any
         // execution work, citing the lower bound that justifies it
         if let Some(reason) = tenant.budget().violation(&plan) {
@@ -538,7 +538,7 @@ impl Session {
         let q = self.statements.query(src)?;
         let statements = &mut self.statements;
         tenant.read(|db, catalog| {
-            let plan = statements.plan(src, task, &catalog.stats(db));
+            let plan = statements.plan(src, task, db.generation(), || catalog.stats(db));
             let text = cq_planner::explain::render(&plan, &q);
             Ok(Reply::ok_with(text.lines().map(str::to_string).collect(), ""))
         })
@@ -954,7 +954,7 @@ mod tests {
         drive(&mut s, &["LOAD R 2", "1 2", "2 3", "END"]);
         s.handle_line("SET BUDGET b MAX-EXPONENT 0");
         let tenant = s.state.tenant("b").unwrap();
-        // warm the stats memo, so a miss now would be an execution
+        // warm the statistics entries, so a miss now would be an execution
         // artifact (an index, a reduced tree)
         let misses = || {
             tenant.read(|db, cat| {

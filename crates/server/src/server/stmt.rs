@@ -1,18 +1,18 @@
 //! The session's statement memo: query text → its parse, its
-//! [`Structure`], and per task the plan made against one [`DataStats`].
+//! [`Structure`], and per task the plan made at one database generation.
 //!
 //! A client that repeats a query repeats its text byte for byte, and
 //! redoing the parse and the plan choice for it cost more than a warm
 //! small query's execution. So a session keeps the last
 //! [`MAX_STATEMENTS`] texts it served, each with its parsed
 //! [`ConjunctiveQuery`] and, per task, the [`QueryPlan`] together with
-//! the `Arc<DataStats>` it was planned against. A plan is served again
-//! only while the tenant's catalog hands out that same `Arc`: the
-//! catalog assembles a new one for every generation of the database, and
-//! the memo holds a clone, so the pointer cannot be reused for other
-//! statistics while the plan is kept. Planning is deterministic in
+//! the [`Database::generation`](cq_data::Database::generation) it was
+//! made at. A plan is served again only at that generation: generations
+//! are process-unique and never reused, and equal ones mean equal
+//! content, hence equal statistics. Planning is deterministic in
 //! (query, task, structure, statistics), so a reused plan is the plan
-//! the planner would choose.
+//! the planner would choose — and a warm statement asks the catalog
+//! for nothing to plan it.
 //!
 //! The structure depends on the text alone, so it is computed once, at
 //! the statement's first plan, and kept: a replan after a write, or
@@ -23,7 +23,6 @@
 use crate::protocol::{ErrKind, Reply};
 use cq_core::classify::Structure;
 use cq_core::{parse_query, ConjunctiveQuery};
-use cq_data::DataStats;
 use cq_planner::{choose, QueryPlan, Task};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -48,9 +47,8 @@ struct Statement {
 }
 
 struct Planned {
-    /// What the plan was made against; it is valid while the catalog
-    /// answers with this very `Arc`.
-    stats: Arc<DataStats>,
+    /// The generation of the database the plan was made against.
+    generation: u64,
     plan: QueryPlan,
 }
 
@@ -82,25 +80,27 @@ impl Statements {
     }
 
     /// The plan of `task` for the statement `src`, just parsed by
-    /// [`Statements::query`], against `stats`: the memoized one while
-    /// `stats` is the `Arc` it was made against, else one chosen over
-    /// the statement's kept structure and kept in its place.
+    /// [`Statements::query`], on the database at `generation`: the
+    /// memoized one if it was made at that generation, else one chosen
+    /// over the statement's kept structure and the statistics `stats`
+    /// hands out (asked for only then), and kept in its place.
     pub(super) fn plan(
         &mut self,
         src: &str,
         task: Task,
-        stats: &Arc<DataStats>,
+        generation: u64,
+        stats: impl FnOnce() -> Arc<cq_data::DataStats>,
     ) -> QueryPlan {
         let stmt = self.by_text.get_mut(src).expect("Statements::query memoized src");
         let slot = stmt.plans.iter().position(|p| p.plan.task == task);
         if let Some(kept) = slot.map(|i| &stmt.plans[i]) {
-            if Arc::ptr_eq(&kept.stats, stats) {
+            if kept.generation == generation {
                 return kept.plan.clone();
             }
         }
         let structure = stmt.structure.get_or_insert_with(|| Structure::of(&stmt.query));
-        let plan = choose(&stmt.query, task, structure, stats);
-        let kept = Planned { stats: Arc::clone(stats), plan: plan.clone() };
+        let plan = choose(&stmt.query, task, structure, &stats());
+        let kept = Planned { generation, plan: plan.clone() };
         match slot {
             Some(i) => stmt.plans[i] = kept,
             None => stmt.plans.push(kept),
@@ -114,25 +114,20 @@ mod tests {
     use super::*;
     use crate::server::testkit::{drive, session};
     use crate::server::Session;
-    use cq_data::{Database, Relation};
+    use cq_data::{DataStats, Database, Relation};
 
     const PATH: &str = "q(x, z) :- R(x, y), R(y, z)";
 
-    fn stats_of(rows: &[(u64, u64)]) -> Arc<DataStats> {
+    fn db_of(rows: &[(u64, u64)]) -> Database {
         let mut db = Database::new();
         db.insert("R", Relation::from_pairs(rows.to_vec()));
-        Arc::new(DataStats::collect(&db))
+        db
     }
 
-    /// Plan `src` for `task` through `memo`.
-    fn plan_of(
-        memo: &mut Statements,
-        src: &str,
-        task: Task,
-        stats: &Arc<DataStats>,
-    ) -> QueryPlan {
+    /// Plan `src` for `task` through `memo`, on `db`.
+    fn plan_of(memo: &mut Statements, src: &str, task: Task, db: &Database) -> QueryPlan {
         memo.query(src).unwrap();
-        memo.plan(src, task, stats)
+        memo.plan(src, task, db.generation(), || Arc::new(DataStats::collect(db)))
     }
 
     /// Mark the plan `memo` keeps for `src` and `task`: a plan served
@@ -146,11 +141,11 @@ mod tests {
     #[test]
     fn a_repeated_text_is_parsed_and_planned_once() {
         let mut memo = Statements::default();
-        let stats = stats_of(&[(1, 2), (2, 3)]);
+        let db = db_of(&[(1, 2), (2, 3)]);
         let first = memo.query(PATH).unwrap();
-        let cold = plan_of(&mut memo, PATH, Task::Count, &stats);
+        let cold = plan_of(&mut memo, PATH, Task::Count, &db);
         mark_kept_plan(&mut memo, PATH, Task::Count);
-        let warm = plan_of(&mut memo, PATH, Task::Count, &stats);
+        let warm = plan_of(&mut memo, PATH, Task::Count, &db);
         assert!(Arc::ptr_eq(&first, &memo.query(PATH).unwrap()), "parsed once");
         assert_eq!(
             warm,
@@ -158,7 +153,7 @@ mod tests {
             "planned once"
         );
         // another task of the same text is its own plan
-        let decide = plan_of(&mut memo, PATH, Task::Decide, &stats);
+        let decide = plan_of(&mut memo, PATH, Task::Decide, &db);
         assert_eq!(decide.task, Task::Decide);
         assert_ne!(decide.algorithm_reference, "kept");
         assert_eq!(memo.by_text.len(), 1);
@@ -166,18 +161,25 @@ mod tests {
     }
 
     #[test]
-    fn a_plan_is_kept_only_for_the_stats_it_was_made_against() {
+    fn a_plan_is_kept_only_for_the_generation_it_was_made_at() {
         let mut memo = Statements::default();
-        let stats = stats_of(&[(1, 2)]);
-        plan_of(&mut memo, PATH, Task::Count, &stats);
+        let db = db_of(&[(1, 2)]);
+        plan_of(&mut memo, PATH, Task::Count, &db);
         mark_kept_plan(&mut memo, PATH, Task::Count);
-        // equal statistics in another allocation are not the same stats
-        let twin = stats_of(&[(1, 2)]);
+        // equal content at another generation is not the same database
+        let twin = db_of(&[(1, 2)]);
         let replanned = plan_of(&mut memo, PATH, Task::Count, &twin);
         assert_ne!(replanned.algorithm_reference, "kept");
         mark_kept_plan(&mut memo, PATH, Task::Count);
         let again = plan_of(&mut memo, PATH, Task::Count, &twin);
         assert_eq!(again.algorithm_reference, "kept", "the replacement is kept");
+        // a clone keeps the generation: its plan is served without
+        // asking for statistics
+        let clone = twin.clone();
+        let served = memo.plan(PATH, Task::Count, clone.generation(), || {
+            unreachable!("a kept plan asks for no statistics")
+        });
+        assert_eq!(served.algorithm_reference, "kept");
     }
 
     fn session_on(db: &str, r: Relation) -> Session {
@@ -238,6 +240,28 @@ mod tests {
         assert!(s.handle_line("INSERT R(1, 1)").unwrap().is_ok());
         assert_eq!(s.handle_line(&count).unwrap().terminal, "OK 1");
         assert_eq!(planned_m(&mut s, &count), "1");
+    }
+
+    /// A warm statement is planned without the catalog: a repeated
+    /// `EXPLAIN` makes no lookup, and a write to a relation the query
+    /// does not read still replans it, for the new `m`.
+    #[test]
+    fn a_warm_statement_plans_without_a_catalog_lookup() {
+        let mut s = session_on("t", Relation::from_pairs(vec![(1, 2), (2, 3)]));
+        assert!(s.handle_line("INSERT S(7)").unwrap().is_ok());
+        let count = format!("COUNT {PATH}");
+        assert_eq!(planned_m(&mut s, &count), "3");
+        let lookups = |s: &Session| {
+            let catalog = s.state.tenant("t").unwrap().read_meta().0;
+            catalog.hits + catalog.misses
+        };
+        let before = lookups(&s);
+        for _ in 0..3 {
+            assert_eq!(planned_m(&mut s, &count), "3");
+        }
+        assert_eq!(lookups(&s), before, "the kept plan is served");
+        assert!(s.handle_line("INSERT S(8)").unwrap().is_ok());
+        assert_eq!(planned_m(&mut s, &count), "4");
     }
 
     #[test]

@@ -97,6 +97,9 @@
 # entries: each relation's `RelationStats` is an ordinary artifact of the
 # catalog's one memo, with its version pin, sweep and cap, and a session
 # keeps a plan by the database generation it was made at, not by statistics.
+# And a warm scalar is one lookup: a count, and generic join's decision, is
+# the catalog artifact `ExecCtx::scalar` memoizes under the versions of the
+# relations its query reads, so no operator memoizes an answer beside it.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -469,6 +472,17 @@ exactly_one "insert into the catalog's map (\`Memo::insert\`)" "$(
 forbid "statistics kept in the statement memo (key a plan by Database::generation):" "$(
     non_test crates/server/src/server/stmt.rs | grep -E 'Arc::ptr_eq|DataStats' \
         | grep -vF 'stats: impl FnOnce() -> Arc<cq_data::DataStats>,'
+)"
+# a warm scalar is one lookup: every scalar answer is stored by the one
+# `.artifact(` call that takes its kind from its caller, in
+# `ExecCtx::scalar`, and a scalar kind is named only as its argument
+exactly_one "catalog artifact of a caller's kind (\`ExecCtx::scalar\` stores every scalar answer)" "$(
+    for f in crates/*/src/*.rs crates/*/src/*/*.rs; do non_test "$f"; done \
+        | grep -E '\.artifact\([^"]*\bkind\b'
+)"
+forbid "scalar kinds outside a call of ExecCtx::scalar (memoize an answer through it):" "$(
+    for f in crates/*/src/*.rs crates/*/src/*/*.rs; do non_test "$f"; done \
+        | grep -E '"(fc_count|gj_count|gj_decide)"' | grep -vF '.scalar(db, "'
 )"
 exactly_one "witness renderer (\`fn witness_text\`)" "$(
     grep -rnE 'fn witness_text\b' crates

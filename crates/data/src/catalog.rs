@@ -18,6 +18,9 @@
 //!   [`RelationStats`] is the artifact `("stats", name)`, reading only
 //!   that relation, and [`IndexCatalog::stats`] assembles them into the
 //!   planner's [`DataStats`], so a write re-collects one relation, not all.
+//!   So are scalar answers: a count, or a decision by generic join, is
+//!   the artifact `(kind, query text)`, reading the query's relations,
+//!   so a warm `COUNT` is one lookup.
 //!
 //! # Consistency
 //!

@@ -367,8 +367,10 @@ pub(crate) fn free_links(
 /// Count answers of an acyclic query in O(m) — a join query (Thm 3.8)
 /// and a free-connex projection (Thm 3.13) alike: the counting DP over
 /// `q'` and the links of its tree, memoized by `free_links`; a join
-/// query's `q'` is its atoms, read in place. Repeated counts pay for the
-/// array passes only. The counting semiring's `finish` refuses what does
+/// query's `q'` is its atoms, read in place. The count itself is
+/// memoized (`ExecCtx::scalar`): a repeat on unchanged relations is
+/// one lookup, and its span reports the count as `rows` with 0 `steps`
+/// and no cold build. The counting semiring's `finish` refuses what does
 /// not fit u64. Both phases poll the token.
 pub fn count_free_connex(
     ctx: &ExecCtx,
@@ -376,23 +378,25 @@ pub fn count_free_connex(
     db: &Database,
 ) -> Result<u64, EvalError> {
     let mut span = cq_obs::trace::span("op.count-free-connex");
-    let mut built = None;
-    let linked = free_links(ctx, q, db, &mut built)?;
+    let (mut built, mut steps) = (None, 0);
+    let n = ctx.scalar(db, "fc_count", q, || {
+        let n = match &*free_links(ctx, q, db, &mut built)? {
+            None => 0,
+            // a satisfied Boolean query: the empty join has one answer
+            Some((_, None)) => 1,
+            Some((msgs, Some(links))) => {
+                let node = |u: usize| (msgs[u].rel(q, db).len(), links.edge(u));
+                let sr = &CountingSemiring;
+                let (n, _, folded) =
+                    sum_product(ctx.cancel(), links.tree(), node, sr, |_| false)?;
+                steps = folded;
+                n
+            }
+        };
+        // `CountingSemiring::finish` refused what does not fit
+        Ok(n as u64)
+    })?;
     span.attr("cold-build", u64::from(built.is_some()));
-    let (n, steps) = match &*linked {
-        None => (0, 0),
-        // a satisfied Boolean query: the empty join has one answer
-        Some((_, None)) => (1, 0),
-        Some((msgs, Some(links))) => {
-            let node = |u: usize| (msgs[u].rel(q, db).len(), links.edge(u));
-            let sr = &CountingSemiring;
-            let (n, _, steps) =
-                sum_product(ctx.cancel(), links.tree(), node, sr, |_| false)?;
-            (n, steps)
-        }
-    };
-    // `CountingSemiring::finish` refused what does not fit
-    let n = n as u64;
     span.attr("rows", n);
     span.attr("steps", steps);
     span.attr("cancel-polls", ctx.cancel().polls());
@@ -698,24 +702,26 @@ mod tests {
                     built.push(catalog.snapshot().misses - before);
                 }
                 // two messages, q' and its two links for whoever comes
-                // first, the tree for the first of ANSWERS / ACCESS, and
-                // nothing otherwise
+                // first, the tree for the first of ANSWERS / ACCESS, the
+                // count for COUNT, and nothing otherwise
                 let tree_at = order.iter().position(|&v| v != "COUNT").unwrap();
+                let count_at = order.iter().position(|&v| v == "COUNT").unwrap();
                 let mut want = [0; 3];
                 want[0] = 5;
                 want[tree_at] += 1;
+                want[count_at] += 1;
                 assert_eq!(built, want, "misses per verb of {order:?}");
-                assert_eq!(catalog.snapshot().artifacts, 6, "{order:?}");
+                assert_eq!(catalog.snapshot().artifacts, 7, "{order:?}");
 
                 // the walk and the array are one structure
                 let tree = enumerate::preprocess(&ctx, &q, &db).unwrap();
                 let da = LexDirectAccess::free_connex(&ctx, &q, &db).unwrap();
                 assert!(Arc::ptr_eq(&tree, &da), "{order:?}");
                 let warm = catalog.snapshot();
-                assert_eq!(warm.misses, 6, "{order:?}: the lookups above are hits");
+                assert_eq!(warm.misses, 7, "{order:?}: the lookups above are hits");
 
-                // a write to R2 re-derives R2's message, its link, q' and
-                // the tree
+                // a write to R2 re-derives R2's message, its link, q', the
+                // tree and the count
                 let mut db = db.clone();
                 let old = count::free_links(&ctx, &q, &db, &mut None).unwrap();
                 db.get_mut("R2").unwrap().insert_row(&[3, 9]);
@@ -723,9 +729,9 @@ mod tests {
                     assert_eq!(run(verb, &ctx, &db), 3, "{verb} after the write");
                 }
                 let rebuilt = catalog.snapshot();
-                assert_eq!(rebuilt.misses, warm.misses + 4, "{order:?}");
-                assert_eq!(rebuilt.invalidations, warm.invalidations + 4, "{order:?}");
-                assert_eq!(rebuilt.artifacts, 6, "{order:?}: rebuilt entries replace");
+                assert_eq!(rebuilt.misses, warm.misses + 5, "{order:?}");
+                assert_eq!(rebuilt.invalidations, warm.invalidations + 5, "{order:?}");
+                assert_eq!(rebuilt.artifacts, 7, "{order:?}: rebuilt entries replace");
                 let new = count::free_links(&ctx, &q, &db, &mut None).unwrap();
                 let (Some((old, Some(was))), Some((new, Some(now)))) = (&*old, &*new)
                 else {

@@ -891,7 +891,9 @@ pub fn answers(
 }
 
 /// Boolean decision by generic join with early stop — the fallback for
-/// cyclic queries (runtime = AGM bound of the query).
+/// cyclic queries (runtime = AGM bound of the query). The decision is
+/// memoized (`ExecCtx::scalar`): a repeat on unchanged relations is one
+/// lookup, and its span reports the verdict as `rows` with 0 `seeks`.
 pub fn decide(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
@@ -899,12 +901,16 @@ pub fn decide(
     order: &[Var],
 ) -> Result<bool, EvalError> {
     let mut span = cq_obs::trace::span("op.generic-join.decide");
-    let mut found = false;
-    let mut stop_at_first = |_: &[Val]| {
-        found = true;
-        false
-    };
-    let work = run_visit(ctx, q, db, order, &mut stop_at_first)?;
+    let mut work = JoinWork::default();
+    let found = ctx.scalar(db, "gj_decide", q, || {
+        let mut found = false;
+        let mut stop_at_first = |_: &[Val]| {
+            found = true;
+            false
+        };
+        work = run_visit(ctx, q, db, order, &mut stop_at_first)?;
+        Ok(found)
+    })?;
     close_span(&mut span, u64::from(found), &work, ctx);
     Ok(found)
 }
@@ -914,7 +920,10 @@ pub fn decide(
 /// counted where the last intersection finds them — and for a
 /// projection by materializing the projection set during the join: the
 /// generic counting baseline (m^k-shaped for q*_k; Lemma 3.9 says this
-/// is essentially optimal).
+/// is essentially optimal). The count is memoized (`ExecCtx::scalar`):
+/// a repeat on unchanged relations is one lookup that spawns no helper,
+/// and its span reports the count as `rows` with 0 `seeks` and no
+/// morsels or workers.
 pub fn count_distinct(
     ctx: &ExecCtx,
     q: &ConjunctiveQuery,
@@ -922,28 +931,32 @@ pub fn count_distinct(
     order: &[Var],
 ) -> Result<u64, EvalError> {
     let mut span = cq_obs::trace::span("op.generic-join.count");
-    let work = if q.is_join_query() {
-        run(ctx, q, db, order, |plan| {
-            let morsels = plan.morsels();
-            plan.count(ctx, &morsels, idle_cores().min(morsels.len() - 1))
-        })?
-    } else {
-        let free_pos = free_positions(q, order);
-        let mut set: FxHashSet<Box<[Val]>> = FxHashSet::default();
-        let mut buf: Vec<Val> = vec![0; free_pos.len()];
-        let mut collect = |assignment: &[Val]| {
-            project(assignment, &free_pos, &mut buf);
-            if !set.contains(buf.as_slice()) {
-                set.insert(buf.as_slice().into());
-            }
-            true
+    let mut work = JoinWork::default();
+    let count = ctx.scalar(db, "gj_count", q, || {
+        work = if q.is_join_query() {
+            run(ctx, q, db, order, |plan| {
+                let morsels = plan.morsels();
+                plan.count(ctx, &morsels, idle_cores().min(morsels.len() - 1))
+            })?
+        } else {
+            let free_pos = free_positions(q, order);
+            let mut set: FxHashSet<Box<[Val]>> = FxHashSet::default();
+            let mut buf: Vec<Val> = vec![0; free_pos.len()];
+            let mut collect = |assignment: &[Val]| {
+                project(assignment, &free_pos, &mut buf);
+                if !set.contains(buf.as_slice()) {
+                    set.insert(buf.as_slice().into());
+                }
+                true
+            };
+            let mut work = run_visit(ctx, q, db, order, &mut collect)?;
+            work.count = set.len() as u64;
+            work
         };
-        let mut work = run_visit(ctx, q, db, order, &mut collect)?;
-        work.count = set.len() as u64;
-        work
-    };
-    close_span(&mut span, work.count, &work, ctx);
-    Ok(work.count)
+        Ok(work.count)
+    })?;
+    close_span(&mut span, count, &work, ctx);
+    Ok(count)
 }
 
 #[cfg(test)]

@@ -444,8 +444,8 @@ mod tests {
         s.handle_line("COUNT q(x, y) :- R(x, y)"); // warm the pinned catalog
         let t = state.tenant("t").unwrap();
         let warm = t.read_meta().0;
-        // the count's artifact and R's statistics
-        assert_eq!(warm.artifacts, 2, "the count must have built into the catalog");
+        // the count's q', the count itself and R's statistics
+        assert_eq!(warm.artifacts, 3, "the count must have built into the catalog");
         // duplicate INSERT: honest reply, no version moves, catalog kept
         let r = s.handle_line("INSERT R(1, 2)").unwrap();
         assert_eq!(r.terminal, "OK duplicate ignored in R (1 total)");
@@ -460,7 +460,7 @@ mod tests {
         // a real insert into R invalidates what was built from R
         s.handle_line("INSERT R(9, 9)");
         let after = t.read_meta().0;
-        assert_eq!((after.artifacts, after.invalidations), (0, 2));
+        assert_eq!((after.artifacts, after.invalidations), (0, 3));
         assert_eq!(after.misses, warm.misses, "the counters run on across the write");
         assert_eq!(s.handle_line("COUNT q(x, y) :- R(x, y)").unwrap().terminal, "OK 2");
     }
@@ -500,11 +500,11 @@ mod tests {
         s.handle_line("INSERT S(3)");
         s.handle_line("COUNT q(x) :- S(x)");
         let t = state.tenant("t").unwrap();
-        // per relation: its count's artifact and its statistics
-        assert_eq!(t.read_meta().0.artifacts, 4);
+        // per relation: its count's q', the count and its statistics
+        assert_eq!(t.read_meta().0.artifacts, 6);
         s.handle_line("DROP R");
         let after = t.read_meta().0;
-        assert_eq!((after.artifacts, after.invalidations), (2, 2), "S's entries stay");
+        assert_eq!((after.artifacts, after.invalidations), (3, 3), "S's entries stay");
     }
 
     #[test]

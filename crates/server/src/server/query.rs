@@ -1522,6 +1522,48 @@ mod tests {
         assert!(r.terminal.starts_with("ERR no-such-db"), "{}", r.terminal);
     }
 
+    /// A warm `COUNT` is one catalog lookup, on the hard side too: a
+    /// repeat of its text is one hit and no build, a write to a relation
+    /// the query does not read keeps it served, a write to one it reads
+    /// answers the new count, and a count its deadline cut off leaves
+    /// nothing behind for the next one to read.
+    #[test]
+    fn a_warm_count_is_one_catalog_lookup_until_what_it_reads_is_written() {
+        let state = Arc::new(ServerState::new());
+        let mut s = Session::new(Arc::clone(&state));
+        load_triangle(&mut s, "t");
+        let tenant = state.tenant("t").unwrap();
+        let lookups = || {
+            let snap = tenant.read_meta().0;
+            (snap.hits, snap.misses)
+        };
+        let tri = "COUNT q(x, y, z) :- R1(x, y), R2(y, z), R3(z, x)";
+        let mut count = |line: &str| s.handle_line(line).unwrap().terminal;
+        assert_eq!(count(tri), "OK 1");
+        let (hits, misses) = lookups();
+        assert_eq!(count(tri), "OK 1");
+        assert_eq!(lookups(), (hits + 1, misses), "a repeat is one hit");
+        // the write moves the generation, so the statement is planned
+        // again: `Other`'s statistics are collected, R1–R3's are served,
+        // and so is the count
+        assert!(count("INSERT Other(1)").starts_with("OK"));
+        assert_eq!(count(tri), "OK 1");
+        assert_eq!(lookups(), (hits + 1 + 3 + 1, misses + 1), "only Other's statistics");
+        // a write to what the count reads is a new count
+        assert!(count("INSERT R3(3, 4)").starts_with("OK"));
+        assert!(count("INSERT R1(4, 2)").starts_with("OK"));
+        assert_eq!(count(tri), "OK 2");
+        assert!(count("INSERT R1(5, 2)").starts_with("OK"));
+        assert!(count("INSERT R3(3, 5)").starts_with("OK"));
+        assert!(count("SET TIMEOUT t 0").starts_with("OK"));
+        assert!(count(tri).starts_with("ERR timeout:"));
+        assert!(count("SET TIMEOUT t NONE").starts_with("OK"));
+        assert_eq!(count(tri), "OK 3");
+        let (hits, misses) = lookups();
+        assert_eq!(count(tri), "OK 3");
+        assert_eq!(lookups(), (hits + 1, misses), "the count after a timeout is kept");
+    }
+
     #[test]
     fn timeout_applies_to_batch_items() {
         let mut s = session();

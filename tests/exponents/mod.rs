@@ -70,15 +70,16 @@ fn probe(op: &Op) -> Probe {
     const AGM: &str = "seeks_stay_within_the_agm_bound";
     const EVERY: &str = "every_plan_meets_its_exponent";
     match (&op.source, op.task) {
-        // a decision is the Boolean `q'`: memoized, a warm one is a lookup
+        // a decision is the Boolean `q'`, and a count a scalar entry of
+        // its own: memoized, a warm one is a lookup
         (Source::QPrime { .. }, Task::Decide) => {
             ("op.yannakakis.decide", STEPS, true, FOLDS)
         }
         (Source::QPrime { join_query: true, .. }, Task::Count) => {
-            ("op.count-free-connex", STEPS, false, FOLDS)
+            ("op.count-free-connex", STEPS, true, FOLDS)
         }
         (Source::QPrime { .. }, Task::Count) => {
-            ("op.count-free-connex", STEPS, false, FREE_CONNEX)
+            ("op.count-free-connex", STEPS, true, FREE_CONNEX)
         }
         (Source::QPrime { .. }, Task::Answers) => {
             ("op.enumerate.preprocess", STEPS, true, PREPROCESS)
@@ -90,10 +91,10 @@ fn probe(op: &Op) -> Probe {
             ("op.fc-access.build", STEPS, true, PREPROCESS)
         }
         (Source::GenericJoin { .. }, Task::Decide) => {
-            ("op.generic-join.decide", SEEKS, false, EVERY)
+            ("op.generic-join.decide", SEEKS, true, EVERY)
         }
         (Source::GenericJoin { .. }, Task::Count) => {
-            ("op.generic-join.count", SEEKS, false, AGM)
+            ("op.generic-join.count", SEEKS, true, AGM)
         }
         (Source::GenericJoin { .. }, Task::Answers) => {
             ("op.generic-join.answers", ANSWERS, false, AGM)

@@ -287,7 +287,7 @@ fn clustered_triangles(blocks: u64, per_block: usize) -> Database {
     triangle_database(&Relation::from_pairs(edges))
 }
 
-/// A warm generic-join `COUNT`, traced: its allocations on this thread,
+/// A generic-join `COUNT`, traced: its allocations on this thread,
 /// the count, and the span's morsels and workers (1 and 1 unsplit).
 struct TracedCount {
     allocs: u64,
@@ -318,9 +318,16 @@ fn traced_count(ctx: &ExecCtx, q: &ConjunctiveQuery, db: &Database) -> TracedCou
 /// allocate nothing: ten times the edges in sixteen morsels, the same
 /// allocations as one morsel. A helper thread's state is its own; what
 /// starting one costs the calling thread is a constant per helper.
+///
+/// A count is memoized under its query's text, so the counts measured
+/// warm are of a second spelling of the triangle: the same join over the
+/// views the first one built.
 #[test]
 fn a_warm_bitmap_count_allocates_per_join_not_per_node() {
-    let q = zoo::triangle_join();
+    let spelled = |k: usize| {
+        parse_query(&format!("t{k}(x, y, z) :- R1(x, y), R2(y, z), R3(z, x)")).unwrap()
+    };
+    let (q, again) = (spelled(0), spelled(1));
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     let alone = |db: &Database| {
         let catalog = IndexCatalog::new();
@@ -333,7 +340,7 @@ fn a_warm_bitmap_count_allocates_per_join_not_per_node() {
         assert!(!view.bitmaps(0).of(0).1.is_empty(), "the root is ranked");
         // as many other evaluations as cores: no core is idle
         let others: Vec<ExecCtx> = (0..cores).map(|_| ExecCtx::cold()).collect();
-        let warm = traced_count(&ctx, &q, db);
+        let warm = traced_count(&ctx, &again, db);
         drop(others);
         assert_eq!((warm.count, warm.workers), (cold.count, 1));
         warm
@@ -341,7 +348,11 @@ fn a_warm_bitmap_count_allocates_per_join_not_per_node() {
     let large_db = clustered_triangles(16, 1_250);
     let (small, large) = (alone(&clustered_triangles(2, 1_000)), alone(&large_db));
     assert_eq!((small.morsels, large.morsels), (1, 16));
-    assert!(small.allocs < 40, "COUNT {q}: {} allocations at m = 2 000", small.allocs);
+    assert!(
+        small.allocs < 40 + MEMO_MISS,
+        "COUNT {q}: {} allocations at m = 2 000",
+        small.allocs
+    );
     assert!(
         large.allocs <= small.allocs + SLACK,
         "COUNT {q}: one morsel of m = 2 000 took {} allocations, 16 of m = 20 000 {}",
@@ -354,12 +365,14 @@ fn a_warm_bitmap_count_allocates_per_join_not_per_node() {
     if cores < 2 {
         return;
     }
-    let catalog = IndexCatalog::new();
-    let ctx = ExecCtx::warm(&catalog);
-    traced_count(&ctx, &q, &large_db);
     // other tests of this binary evaluate now and then: wait for a core
     let split = (0..1_000)
-        .map(|_| traced_count(&ctx, &q, &large_db))
+        .map(|_| {
+            let catalog = IndexCatalog::new();
+            let ctx = ExecCtx::warm(&catalog);
+            traced_count(&ctx, &q, &large_db);
+            traced_count(&ctx, &again, &large_db)
+        })
         .find(|c| c.workers > 1)
         .expect("a core idle for one count in a thousand");
     assert_eq!(split.count, large.count);
@@ -374,6 +387,11 @@ fn a_warm_bitmap_count_allocates_per_join_not_per_node() {
 
 /// What starting one helper thread allocates on the calling thread.
 const PER_HELPER: u64 = 8;
+
+/// What memoizing a count allocates beside its join: the key, the query's
+/// text, grown to its length and copied into the catalog; the version pin
+/// of its three relations, one name each; and the shared answer.
+const MEMO_MISS: u64 = 10;
 
 /// Thm 3.17 as a work invariant: per answer the odometer tries at most
 /// `levels` cursors and re-descends at most `levels − 1`, whatever `m` —

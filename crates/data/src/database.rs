@@ -20,6 +20,7 @@ use crate::relation::Relation;
 use crate::value::Val;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Process-global generation source: every fresh or mutated [`Database`]
 /// gets a value no other database state in this process has ever had, so
@@ -47,7 +48,9 @@ struct Versioned {
 /// [`active_domain`]: Database::active_domain
 #[derive(Clone, Debug)]
 pub struct Database {
-    relations: FxHashMap<String, Versioned>,
+    /// Keyed by shared names, which a [`VersionPin`] clones rather than
+    /// copies.
+    relations: FxHashMap<Arc<str>, Versioned>,
     /// Content identity stamp, process-unique per mutation (see
     /// [`Database::generation`]).
     generation: u64,
@@ -69,7 +72,7 @@ impl Database {
     pub fn insert(&mut self, name: &str, rel: Relation) -> &mut Self {
         self.generation = next_generation();
         self.relations
-            .insert(name.to_string(), Versioned { rel, version: self.generation });
+            .insert(Arc::from(name), Versioned { rel, version: self.generation });
         self
     }
 
@@ -136,7 +139,7 @@ impl Database {
 
     /// Iterate (name, relation) pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &Relation)> {
-        self.relations.iter().map(|(k, v)| (k.as_str(), &v.rel))
+        self.relations.iter().map(|(k, v)| (&**k, &v.rel))
     }
 
     /// Iterate (name, relation) pairs in ascending name order — the
@@ -165,12 +168,18 @@ impl Database {
 /// built from them. While [`is_current`](VersionPin::is_current) holds,
 /// each of those relations is byte-identical to what the build read.
 #[derive(Debug)]
-pub struct VersionPin(Box<[(String, u64)]>);
+pub struct VersionPin(Box<[(Arc<str>, u64)]>);
 
 impl VersionPin {
     /// The current versions of `db`'s relations `names` (0 for absent).
+    /// A present relation's name is shared with `db`, so pinning it
+    /// copies no text.
     pub fn of<'r>(db: &Database, names: impl IntoIterator<Item = &'r str>) -> VersionPin {
-        VersionPin(names.into_iter().map(|n| (n.to_string(), db.version_of(n))).collect())
+        let pin = |n: &str| match db.relations.get_key_value(n) {
+            Some((name, v)) => (Arc::clone(name), v.version),
+            None => (Arc::from(n), 0),
+        };
+        VersionPin(names.into_iter().map(pin).collect())
     }
 
     /// Is every pinned relation of `db` still at its pinned version?

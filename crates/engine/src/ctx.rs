@@ -22,6 +22,8 @@ use crate::bind::EvalError;
 use crate::cancel::CancelToken;
 use cq_core::ConjunctiveQuery;
 use cq_data::{Database, IndexCatalog};
+use std::cell::Cell;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
@@ -39,6 +41,12 @@ impl<T> Held<'_, T> {
             Held::Owned(t) => t,
         }
     }
+}
+
+thread_local! {
+    /// The text [`ExecCtx::scalar`] keys its lookup by, kept between
+    /// calls so that a warm lookup formats its query without allocating.
+    static KEY: Cell<String> = const { Cell::new(String::new()) };
 }
 
 /// Threads evaluating right now: one per live [`ExecCtx`], one per
@@ -128,7 +136,9 @@ impl<'a> ExecCtx<'a> {
     /// the relations of `q` (an absent one at version 0): a warm answer
     /// is one lookup, served until one of them is written, and `build`
     /// runs only on a miss. An error, cancellation included, is not
-    /// memoized, so the next call runs `build` again.
+    /// memoized, so the next call runs `build` again. A
+    /// [`cold`](ExecCtx::cold) context's catalog dies with it, so there
+    /// `build` just runs.
     pub(crate) fn scalar<T: Copy + Send + Sync + 'static>(
         &self,
         db: &Database,
@@ -136,8 +146,15 @@ impl<'a> ExecCtx<'a> {
         q: &ConjunctiveQuery,
         build: impl FnOnce() -> Result<T, EvalError>,
     ) -> Result<T, EvalError> {
-        let key = q.to_string();
-        self.catalog().artifact(db, kind, &key, q.relations(), build).map(|t| *t)
+        let Held::Borrowed(catalog) = self.catalog else { return build() };
+        // `q`'s text, written into this thread's buffer; taken out while
+        // in use, so a `build` that asks for a scalar itself gets its own
+        let mut key = KEY.take();
+        key.clear();
+        write!(key, "{q}").expect("a query's text formats");
+        let answer = catalog.artifact(db, kind, &key, q.relations(), build);
+        KEY.set(key);
+        answer.map(|t| *t)
     }
 
     /// Add a finished helper thread's polls to [`ExecCtx::polls`].
@@ -252,5 +269,23 @@ mod tests {
             assert_eq!(Ok(n), oracle(&ExecCtx::cold(), &db), "{name} after an R2 write");
             assert!(span.attr(work).unwrap() > 0, "{name}: works again");
         }
+    }
+
+    /// A cold context's catalog is dropped with it, so its scalars are
+    /// not stored there: only the views the join read are.
+    #[test]
+    fn a_cold_scalar_is_not_stored() {
+        let db = triangle_database(&random_pairs(100, 20, &mut seeded_rng(5)));
+        let tri = zoo::triangle_join();
+        let ctx = ExecCtx::cold();
+        let n = generic_join::count_distinct(
+            &ctx,
+            &tri,
+            &db,
+            &generic_join::default_order(&tri),
+        );
+        assert_eq!(n, brute_force_count(&tri, &db));
+        let snap = ctx.catalog().snapshot();
+        assert_eq!((snap.views, snap.artifacts), (3, 0));
     }
 }

@@ -1524,9 +1524,8 @@ mod tests {
 
     /// A warm `COUNT` is one catalog lookup, on the hard side too: a
     /// repeat of its text is one hit and no build, a write to a relation
-    /// the query does not read keeps it served, a write to one it reads
-    /// answers the new count, and a count its deadline cut off leaves
-    /// nothing behind for the next one to read.
+    /// the query does not read keeps it served, and a write to one it
+    /// reads answers the new count, which is kept in turn.
     #[test]
     fn a_warm_count_is_one_catalog_lookup_until_what_it_reads_is_written() {
         let state = Arc::new(ServerState::new());
@@ -1553,15 +1552,68 @@ mod tests {
         assert!(count("INSERT R3(3, 4)").starts_with("OK"));
         assert!(count("INSERT R1(4, 2)").starts_with("OK"));
         assert_eq!(count(tri), "OK 2");
-        assert!(count("INSERT R1(5, 2)").starts_with("OK"));
-        assert!(count("INSERT R3(3, 5)").starts_with("OK"));
-        assert!(count("SET TIMEOUT t 0").starts_with("OK"));
-        assert!(count(tri).starts_with("ERR timeout:"));
-        assert!(count("SET TIMEOUT t NONE").starts_with("OK"));
-        assert_eq!(count(tri), "OK 3");
         let (hits, misses) = lookups();
-        assert_eq!(count(tri), "OK 3");
-        assert_eq!(lookups(), (hits + 1, misses), "the count after a timeout is kept");
+        assert_eq!(count(tri), "OK 2");
+        assert_eq!(lookups(), (hits + 1, misses), "the new count is kept");
+    }
+
+    /// A `COUNT` cut off inside its join — here by a liveness probe
+    /// reporting the client gone — stores no answer: the next `COUNT`
+    /// joins again and answers in full, and that answer is kept.
+    #[test]
+    fn a_count_cut_off_mid_join_leaves_nothing_behind() {
+        let mut s = session();
+        s.handle_line("CREATE DB t");
+        s.handle_line("USE t");
+        // R1 = R2 = R3 = every pair over 0..30: 27 000 triangles
+        let full =
+            Relation::from_pairs((0..30).flat_map(|a| (0..30).map(move |b| (a, b))));
+        let tenant = s.state.tenant("t").unwrap();
+        tenant.mutate(|db| {
+            for name in ["R1", "R2", "R3"] {
+                db.insert(name, full.clone());
+            }
+        });
+        // the probe reports the client gone from its `trip_at`-th call on
+        let calls = Arc::new(AtomicUsize::new(0));
+        let trip_at = Arc::new(AtomicUsize::new(usize::MAX));
+        let (n, at) = (Arc::clone(&calls), Arc::clone(&trip_at));
+        s.set_cancel_probe(move || {
+            n.fetch_add(1, Ordering::SeqCst) >= at.load(Ordering::SeqCst)
+        });
+        let tri = "COUNT q(x, y, z) :- R1(x, y), R2(y, z), R3(z, x)";
+        let mut probed = |line: &str| {
+            calls.store(0, Ordering::SeqCst);
+            let terminal = s.handle_line(line).unwrap().terminal;
+            (terminal, calls.load(Ordering::SeqCst))
+        };
+        let (answer, built) = probed(tri);
+        assert_eq!(answer, "OK 27000");
+        let (answer, served) = probed(tri);
+        assert_eq!(answer, "OK 27000");
+        assert!(
+            built >= served + 4,
+            "the join polls: {built} calls built, {served} served"
+        );
+        // R1(30, 0) and R3(0, 30) close one more triangle
+        assert!(probed("INSERT R1(30, 0)").0.starts_with("OK"));
+        assert!(probed("INSERT R3(0, 30)").0.starts_with("OK"));
+        // halfway through the calls of a build: inside the join
+        trip_at.store(served + (built - served) / 2, Ordering::SeqCst);
+        let (answer, _) = probed(tri);
+        assert!(answer.starts_with("ERR timeout:"), "{answer}");
+        assert!(answer.contains("client disconnected"), "{answer}");
+        trip_at.store(usize::MAX, Ordering::SeqCst);
+        let (answer, rebuilt) = probed(tri);
+        assert_eq!(answer, "OK 27001", "nothing of the cut-off count is served");
+        assert!(rebuilt >= served + 4, "joined again: {rebuilt} calls");
+        let lookups = || {
+            let snap = tenant.read_meta().0;
+            (snap.hits, snap.misses)
+        };
+        let (hits, misses) = lookups();
+        assert_eq!(probed(tri).0, "OK 27001");
+        assert_eq!(lookups(), (hits + 1, misses), "the full count is kept");
     }
 
     #[test]

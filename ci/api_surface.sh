@@ -98,8 +98,12 @@
 # catalog's one memo, with its version pin, sweep and cap, and a session
 # keeps a plan by the database generation it was made at, not by statistics.
 # And a warm scalar is one lookup: a count, and generic join's decision, is
-# the catalog artifact `ExecCtx::scalar` memoizes under the versions of the
+# the catalog artifact `ExecCtx::memo` memoizes under the versions of the
 # relations its query reads, so no operator memoizes an answer beside it.
+# And the catalog names its own entries: it writes every key into its own
+# reused buffer, so the engine formats no key into a string of its own and
+# keeps no thread-local buffer, and every product of one query is named,
+# and pinned to the query's relations, by that one helper.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 
@@ -473,16 +477,27 @@ forbid "statistics kept in the statement memo (key a plan by Database::generatio
     non_test crates/server/src/server/stmt.rs | grep -E 'Arc::ptr_eq|DataStats' \
         | grep -vF 'stats: impl FnOnce() -> Arc<cq_data::DataStats>,'
 )"
-# a warm scalar is one lookup: every scalar answer is stored by the one
-# `.artifact(` call that takes its kind from its caller, in
-# `ExecCtx::scalar`, and a scalar kind is named only as its argument
-exactly_one "catalog artifact of a caller's kind (\`ExecCtx::scalar\` stores every scalar answer)" "$(
+# a warm scalar is one lookup: every product of one query is stored by
+# the one `.artifact(` call that takes its kind from its caller, in
+# `ExecCtx::memo`, and a per-query kind is named only as its argument
+exactly_one "catalog artifact of a caller's kind (\`ExecCtx::memo\` stores every product of one query)" "$(
     for f in crates/*/src/*.rs crates/*/src/*/*.rs; do non_test "$f"; done \
         | grep -E '\.artifact\([^"]*\bkind\b'
 )"
-forbid "scalar kinds outside a call of ExecCtx::scalar (memoize an answer through it):" "$(
+forbid "per-query kinds outside a call of ExecCtx::memo (memoize a query's product through it):" "$(
     for f in crates/*/src/*.rs crates/*/src/*/*.rs; do non_test "$f"; done \
-        | grep -E '"(fc_count|gj_count|gj_decide)"' | grep -vF '.scalar(db, "'
+        | grep -E '"(free_links|fc_da|lex_da|mat_da|fc_count|gj_count|gj_decide)"' \
+        | grep -vF '.memo(db, "'
+)"
+# ... and the catalog writes every key: no thread-local buffer in the
+# engine, and no key formatted into a string of its own (five lines above
+# an `.artifact(` call, or on it) — hand the catalog the parts instead
+forbid "thread_local! in cq-engine (the catalog writes keys into its own buffer):" "$(
+    grep -rn 'thread_local!' crates/engine/src
+)"
+forbid "a catalog key formatted into a String (pass format_args! or the parts):" "$(
+    for f in crates/engine/src/*.rs; do non_test "$f" | grep -B5 -F '.artifact('; done \
+        | grep -E 'format!\(|\.to_string\(\)'
 )"
 exactly_one "witness renderer (\`fn witness_text\`)" "$(
     grep -rnE 'fn witness_text\b' crates

@@ -8,19 +8,28 @@
 //! on repeated query shapes that preprocessing dwarfs the actual join
 //! work. The catalog memoizes:
 //!
-//! * [`SortedView`]s keyed by `(relation name, key-column permutation)`;
-//! * arbitrary **artifacts** — opaque preprocessing products keyed by
-//!   `(kind, key)` strings, used by the engine for query-level
-//!   structures that are derived from the data but not addressable by a
-//!   single `(relation, columns)` pair: join-tree links, projection
+//! * [`SortedView`]s of a relation under a key-column permutation;
+//! * arbitrary **artifacts** — opaque preprocessing products of a
+//!   `kind`, used by the engine for query-level structures that are
+//!   derived from the data but not addressable by a single
+//!   `(relation, columns)` pair: join-tree links, projection
 //!   elimination messages, the reduced trees enumeration and direct
 //!   access share. Statistics are catalog entries too: each relation's
 //!   [`RelationStats`] is the artifact `("stats", name)`, reading only
 //!   that relation, and [`IndexCatalog::stats`] assembles them into the
 //!   planner's [`DataStats`], so a write re-collects one relation, not all.
 //!   So are scalar answers: a count, or a decision by generic join, is
-//!   the artifact `(kind, query text)`, reading the query's relations,
-//!   so a warm `COUNT` is one lookup.
+//!   an artifact keyed by the query's text, reading the query's
+//!   relations, so a warm `COUNT` is one lookup.
+//!
+//! # Keys
+//!
+//! The catalog writes every key itself: the entry's kind, `:`, and the
+//! caller's key, any [`Display`] value (a `&str`, or `format_args!` of
+//! the parts that name the product). It writes them into one buffer of
+//! its own that every lookup reuses, so a hit allocates nothing; a miss
+//! copies the key once, into the map. A view's kind is `view`, its key
+//! the column permutation then the relation's name.
 //!
 //! # Consistency
 //!
@@ -41,19 +50,22 @@
 //!
 //! The catalog is **internally locked**: every accessor takes `&self`,
 //! so one catalog can be shared across threads directly (or behind a
-//! plain `Arc`). A hit holds the lock for a map probe, a version compare
-//! per relation read, and an `Arc` clone. A miss builds *outside* the
-//! lock and re-locks to insert, so evaluations of different shapes never
-//! serialize behind each other's builds and a builder may consult the
-//! catalog itself; of two threads racing to build one entry, the first
-//! insert wins and both share its `Arc`.
+//! plain `Arc`). A hit holds the lock for writing the key, a map probe,
+//! a version compare per relation read, and an `Arc` clone. A miss
+//! builds *outside* the lock and re-locks to insert, so evaluations of
+//! different shapes never serialize behind each other's builds and a
+//! builder may consult the catalog itself; of two threads racing to
+//! build one entry, the first insert wins and both share its `Arc`.
 //!
 //! # Eviction
 //!
 //! The memo is bounded by [`MEMO_CAP`] entries. An insert into a full
-//! memo evicts the *oldest* entry (FIFO over insertion order), so the
-//! entries an in-flight evaluation just built stay warm. Cap evictions
-//! are counted separately from invalidations in [`CatalogStats`].
+//! memo evicts the *least recently used* entry: an insert and every hit
+//! stamp their entry as the most recent, so the views and links each
+//! evaluation reads stay warm however many one-shot answers pass
+//! through, and the entries an in-flight evaluation just built are the
+//! last to go. Cap evictions are counted separately from invalidations
+//! in [`CatalogStats`].
 
 use crate::database::{Database, VersionPin};
 use crate::hasher::FxHashMap;
@@ -61,26 +73,23 @@ use crate::index::SortedView;
 use crate::stats::{DataStats, RelationStats};
 use std::any::Any;
 use std::convert::Infallible;
+use std::fmt::{Display, Write};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-/// Key of one memo entry. Views are addressed by relation name +
-/// key-column permutation; artifacts by `(kind, key)` —
-/// `kind` namespaces the stored type (e.g. `"fc_da"`), `key`
-/// identifies the instance (typically the query's text, `q.to_string()`,
-/// plus any parameters).
-#[derive(Clone, PartialEq, Eq, Hash)]
-enum MemoKey {
-    View(String, Vec<usize>),
-    Artifact(&'static str, String),
-}
+/// The kind of a [`SortedView`] entry, the one kind
+/// [`CatalogStats::views`] counts.
+const VIEW: &str = "view";
 
 /// One memoized product and what it was built from.
 struct Entry {
     value: Arc<dyn Any + Send + Sync>,
+    /// The kind its key was written with.
+    kind: &'static str,
     /// The relations the build read, each with the version it saw: the
     /// entry is current while they are.
     reads: VersionPin,
-    /// Insertion sequence number: the smallest is the oldest entry.
+    /// Use stamp, set at insert and at every hit: the smallest is the
+    /// least recently used entry.
     seq: u64,
 }
 
@@ -88,7 +97,7 @@ struct Entry {
 /// per catalog. Entries can be O(m)-sized, so without a bound a stream
 /// of distinct query shapes against one long-lived database
 /// would grow memory linearly in the number of shapes seen. Reaching
-/// the cap evicts the oldest entries (counted in
+/// the cap evicts the least recently used entries (counted in
 /// [`CatalogStats::cap_evictions`]) — correctness never depends on the
 /// memo's contents.
 pub const MEMO_CAP: usize = 512;
@@ -105,7 +114,8 @@ pub struct CatalogStats {
     /// Entries dropped (by [`IndexCatalog::sweep`]) or replaced by a
     /// rebuild because a relation they were built from had mutated.
     pub invalidations: u64,
-    /// Times the size cap forced eviction of the oldest entries.
+    /// Times the size cap forced eviction of the least recently used
+    /// entry.
     pub cap_evictions: u64,
     /// Currently memoized sorted views.
     pub views: usize,
@@ -120,7 +130,10 @@ pub struct CatalogStats {
 /// the catalog's mutex.
 #[derive(Default)]
 struct Memo {
-    entries: FxHashMap<MemoKey, Entry>,
+    /// Every entry, under its kind, `:` and its caller's key.
+    entries: FxHashMap<String, Entry>,
+    /// The key of the lookup in progress, reused by every lookup.
+    key: String,
     next_seq: u64,
     hits: u64,
     misses: u64,
@@ -129,41 +142,63 @@ struct Memo {
 }
 
 impl Memo {
-    /// The entry under `key`, if it is current for `db` and holds a `T`.
-    fn current<T: Any + Send + Sync>(
-        &self,
-        key: &MemoKey,
+    /// The entry of `kind` under `key`, if it is current for `db` and
+    /// holds a `T`: a hit, stamped as the most recently used entry. A
+    /// miss returns the key, copied out of the buffer it was written in.
+    fn lookup<T: Any + Send + Sync>(
+        &mut self,
         db: &Database,
-    ) -> Option<Arc<T>> {
-        let entry = self.entries.get(key).filter(|e| e.reads.is_current(db))?;
-        Arc::clone(&entry.value).downcast::<T>().ok()
+        kind: &str,
+        key: impl Display,
+    ) -> Result<Arc<T>, String> {
+        self.key.clear();
+        write!(self.key, "{kind}:{key}").expect("a catalog key formats");
+        let entry = self.entries.get_mut(self.key.as_str());
+        if let Some(entry) = entry.filter(|e| e.reads.is_current(db)) {
+            if let Ok(t) = Arc::clone(&entry.value).downcast::<T>() {
+                (entry.seq, self.next_seq) = (self.next_seq, self.next_seq + 1);
+                self.hits += 1;
+                return Ok(t);
+            }
+        }
+        self.misses += 1;
+        Err(self.key.clone())
     }
 
-    /// Store `value`, built from `db`'s relations `reads`, under `key`.
-    /// An entry already there is stale (or, after a `(kind, key)`
-    /// collision, of another type): it is replaced, so a rebuilt
-    /// product never sits beside its predecessor. A new key in a full
-    /// memo evicts the oldest entry, never the ones just built.
-    fn insert<'r>(
+    /// Store `value`, built from `db`'s relations `reads`, under `key`,
+    /// unless a racing build stored a current `T` there first: that one
+    /// is served instead. An entry there that is stale (or, after a key
+    /// collision, of another type) is replaced, so a rebuilt product
+    /// never sits beside its predecessor. A new key in a full memo
+    /// evicts the least recently used entry, never the one just built.
+    fn insert<'r, T: Any + Send + Sync>(
         &mut self,
-        key: MemoKey,
+        key: String,
+        kind: &'static str,
         db: &Database,
-        value: Arc<dyn Any + Send + Sync>,
+        value: T,
         reads: impl IntoIterator<Item = &'r str>,
-    ) {
+    ) -> Arc<T> {
         match self.entries.get(&key) {
-            Some(old) => self.invalidations += u64::from(!old.reads.is_current(db)),
+            Some(old) if old.reads.is_current(db) => {
+                if let Ok(first) = Arc::clone(&old.value).downcast::<T>() {
+                    return first;
+                }
+            }
+            Some(_) => self.invalidations += 1,
             None if self.entries.len() >= MEMO_CAP => {
                 self.cap_evictions += 1;
-                let oldest = self.entries.iter().min_by_key(|(_, e)| e.seq);
-                let oldest = oldest.expect("a full memo has entries").0.clone();
-                self.entries.remove(&oldest);
+                let lru = self.entries.values().map(|e| e.seq).min();
+                self.entries.retain(|_, e| Some(e.seq) != lru);
             }
             None => {}
         }
-        let reads = VersionPin::of(db, reads);
-        self.entries.insert(key, Entry { value, reads, seq: self.next_seq });
+        let (value, reads) = (Arc::new(value), VersionPin::of(db, reads));
+        let entry =
+            Entry { value: Arc::clone(&value) as _, kind, reads, seq: self.next_seq };
+        self.entries.insert(key, entry);
         self.next_seq += 1;
+        value
     }
 }
 
@@ -195,60 +230,15 @@ impl IndexCatalog {
         self.inner.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
     }
 
-    /// The one lookup-or-build behind views, statistics and artifacts:
-    /// serve the entry under `key` if it is current for `db`, else run
-    /// `build` outside the lock and memoize its product as having read
-    /// `reads`. First insert wins a race.
-    fn memoized<'r, T, E>(
-        &self,
-        db: &Database,
-        key: MemoKey,
-        reads: impl IntoIterator<Item = &'r str>,
-        build: impl FnOnce() -> Result<T, E>,
-    ) -> Result<Arc<T>, E>
-    where
-        T: Any + Send + Sync,
-    {
-        {
-            let mut m = self.lock();
-            if let Some(t) = m.current::<T>(&key, db) {
-                m.hits += 1;
-                return Ok(t);
-            }
-            m.misses += 1;
-        }
-        let t = Arc::new(build()?);
-        let mut m = self.lock();
-        if let Some(existing) = m.current::<T>(&key, db) {
-            return Ok(existing);
-        }
-        // `db` is borrowed for the whole call, so the versions it
-        // reports now are the ones the build saw
-        m.insert(key, db, Arc::clone(&t) as _, reads);
-        Ok(t)
-    }
-
-    /// [`IndexCatalog::memoized`] of a build that cannot fail.
-    fn built<T: Any + Send + Sync>(
-        &self,
-        db: &Database,
-        key: MemoKey,
-        name: &str,
-        build: impl FnOnce() -> T,
-    ) -> Arc<T> {
-        let build = || Ok::<_, Infallible>(build());
-        self.memoized(db, key, [name], build).unwrap_or_else(|never| match never {})
-    }
-
     /// The [`DataStats`] of `db`, assembled from each relation's
     /// memoized [`RelationStats`] (the artifact `("stats", name)`, which
     /// reads that relation only): after a write only the written
     /// relation is collected again. One lookup per relation.
     pub fn stats(&self, db: &Database) -> Arc<DataStats> {
         let relations = db.iter().map(|(name, rel)| {
-            let key = MemoKey::Artifact("stats", name.to_string());
-            let stats = self.built(db, key, name, || RelationStats::collect(name, rel));
-            RelationStats::clone(&stats)
+            let collect = || Ok::<_, Infallible>(RelationStats::collect(name, rel));
+            let stats = self.artifact(db, "stats", name, [name], collect);
+            RelationStats::clone(&stats.unwrap_or_else(|never| match never {}))
         });
         Arc::new(DataStats::from_relations(relations.collect()))
     }
@@ -263,12 +253,15 @@ impl IndexCatalog {
         key_cols: &[usize],
     ) -> Option<Arc<SortedView>> {
         let rel = db.get(name)?;
-        let key = MemoKey::View(name.to_string(), key_cols.to_vec());
-        Some(self.built(db, key, name, || SortedView::new(rel, key_cols)))
+        let key = format_args!("{key_cols:?}{name}");
+        let build = || Ok::<_, Infallible>(SortedView::new(rel, key_cols));
+        let view = self.artifact(db, VIEW, key, [name], build);
+        Some(view.unwrap_or_else(|never| match never {}))
     }
 
     /// The memoized artifact of `(kind, key)`, building with `build` on
-    /// first use. `reads` names every relation of `db` the build
+    /// first use: the one lookup-or-build behind views, statistics and
+    /// artifacts. `reads` names every relation of `db` the build
     /// consults (for a query-level artifact: the query's atoms); the
     /// artifact is served until one of *those* relations mutates, and a
     /// name left out would let a stale artifact be served. Build
@@ -277,14 +270,16 @@ impl IndexCatalog {
     ///
     /// `kind` should be a fixed string per stored type; if a key
     /// collision ever yields a stored value of the wrong type, the
-    /// artifact is rebuilt and replaced rather than served. `build`
-    /// runs outside the catalog lock, so it may itself acquire catalog
-    /// entries (re-entrancy is deadlock-free).
+    /// artifact is rebuilt and replaced rather than served. `key` is
+    /// written only into the catalog's own buffer (see the module docs).
+    /// `build` runs outside the catalog lock, so it may itself acquire
+    /// catalog entries (re-entrancy is deadlock-free); of two racing
+    /// builds, the first insert wins.
     pub fn artifact<'r, T, E, F>(
         &self,
         db: &Database,
         kind: &'static str,
-        key: &str,
+        key: impl Display,
         reads: impl IntoIterator<Item = &'r str>,
         build: F,
     ) -> Result<Arc<T>, E>
@@ -292,7 +287,15 @@ impl IndexCatalog {
         T: Any + Send + Sync,
         F: FnOnce() -> Result<T, E>,
     {
-        self.memoized(db, MemoKey::Artifact(kind, key.to_string()), reads, build)
+        // the lock is held for this statement only: not while building
+        let key = match self.lock().lookup::<T>(db, kind, key) {
+            Ok(t) => return Ok(t),
+            Err(key) => key,
+        };
+        let value = build()?;
+        // `db` is borrowed for the whole call, so the versions it
+        // reports now are the ones the build saw
+        Ok(self.lock().insert(key, kind, db, value, reads))
     }
 
     /// Drop every entry that is not current for `db` (counted in
@@ -318,13 +321,14 @@ impl IndexCatalog {
             cap_evictions: m.cap_evictions,
             ..CatalogStats::default()
         };
-        for (key, entry) in &m.entries {
-            match (key, entry.value.downcast_ref::<SortedView>()) {
-                (MemoKey::View(..), Some(view)) => {
+        for entry in m.entries.values() {
+            let view = entry.value.downcast_ref::<SortedView>();
+            match view.filter(|_| entry.kind == VIEW) {
+                Some(view) => {
                     snap.views += 1;
                     snap.view_bytes += view.heap_bytes();
                 }
-                _ => snap.artifacts += 1,
+                None => snap.artifacts += 1,
             }
         }
         snap
@@ -517,7 +521,7 @@ mod tests {
         let cat = IndexCatalog::new();
         for i in 0..(2 * MEMO_CAP) {
             let _: Arc<u64> = cat
-                .artifact(&db, "spam", &format!("k{i}"), [], || Ok::<_, ()>(i as u64))
+                .artifact(&db, "spam", format!("k{i}"), [], || Ok::<_, ()>(i as u64))
                 .unwrap();
             assert!(cat.snapshot().artifacts < MEMO_CAP + 1, "memo must stay bounded");
         }
@@ -537,7 +541,7 @@ mod tests {
         let early = cat.sorted_view(&db, "R", &[0]).unwrap();
         for i in 0..(MEMO_CAP - 1) {
             let _: Arc<u64> = cat
-                .artifact(&db, "fill", &format!("k{i}"), [], || Ok::<_, ()>(0))
+                .artifact(&db, "fill", format!("k{i}"), [], || Ok::<_, ()>(0))
                 .unwrap();
         }
         assert_eq!(cat.snapshot().cap_evictions, 0);
@@ -554,7 +558,7 @@ mod tests {
         let _: Arc<u64> =
             cat.artifact(&db, "fill", "trip", [], || Ok::<_, ()>(2)).unwrap();
         let _: Arc<u64> = cat
-            .artifact(&db, "fill", &format!("k{}", MEMO_CAP - 2), [], || Ok::<_, ()>(3))
+            .artifact(&db, "fill", format!("k{}", MEMO_CAP - 2), [], || Ok::<_, ()>(3))
             .unwrap();
         assert_eq!(cat.snapshot().misses, before, "recent entries must stay memoized");
         // the evicted view rebuilds on demand (and is not the old Arc)

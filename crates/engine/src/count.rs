@@ -29,7 +29,7 @@ use crate::aggregate::{BooleanSemiring, CountingSemiring, Semiring};
 use crate::bind::{bind_atom, distinct_vars, validate_atom, EvalError};
 use crate::cancel::{CancelToken, STRIDE};
 use crate::ctx::ExecCtx;
-use crate::links::{Edge, JoinLinks, Named};
+use crate::links::{Edge, Id, JoinLinks, Named};
 use cq_core::{ConjunctiveQuery, Hypergraph, JoinTree, Var};
 use cq_data::{Database, Relation};
 use std::borrow::Cow;
@@ -294,9 +294,7 @@ pub(crate) fn free_links(
     db: &Database,
     built: &mut Option<u64>,
 ) -> Result<Arc<FreeLinks>, EvalError> {
-    let catalog = ctx.catalog();
-    let text = q.to_string();
-    catalog.artifact(db, "free_links", &text, q.relations(), || {
+    ctx.memo(db, "free_links", q, &[], || {
         let mut span = cq_obs::trace::span("op.free-connex.eliminate");
         let tree = elimination_tree(q, db)?;
         // an empty body relation empties `q'` before any fold: O(#atoms)
@@ -324,8 +322,8 @@ pub(crate) fn free_links(
                         (folded, linked) = (folded + f, linked + l);
                         Ok::<_, EvalError>(msg)
                     };
-                    let (key, reads) = (format!("{text}|{c}"), reads.iter().copied());
-                    catalog.artifact(db, "elim_msg", &key, reads, derive)?
+                    let (id, reads) = (Id::Msg(q, c), reads.iter().copied());
+                    ctx.catalog().artifact(db, "elim_msg", id, reads, derive)?
                 }
             };
             span.attr("steps", folded + linked);
@@ -336,8 +334,8 @@ pub(crate) fn free_links(
             if !msg.vars.is_empty() {
                 // rows read in place are named, and read, as their relation
                 names.push(match msg.rel {
-                    None => (atom.relation.clone(), vec![atom.relation.as_str()]),
-                    Some(_) => (format!("{text}|{c}"), reads),
+                    None => (Id::Stored(&atom.relation), vec![atom.relation.as_str()]),
+                    Some(_) => (Id::Msg(q, c), reads),
                 });
                 msgs.push(msg);
             }
@@ -351,7 +349,7 @@ pub(crate) fn free_links(
                 let named = |u: usize| {
                     let (id, reads) = &names[u];
                     let (vars, rel) = (&msgs[u].vars, msgs[u].rel(q, db));
-                    Named { id: id.clone(), reads: reads.clone(), vars, rel }
+                    Named { id: *id, reads: reads.clone(), vars, rel }
                 };
                 let (links, l) = JoinLinks::memoized(ctx, db, &tree, named)?;
                 linked += l;
@@ -368,7 +366,7 @@ pub(crate) fn free_links(
 /// and a free-connex projection (Thm 3.13) alike: the counting DP over
 /// `q'` and the links of its tree, memoized by `free_links`; a join
 /// query's `q'` is its atoms, read in place. The count itself is
-/// memoized (`ExecCtx::scalar`): a repeat on unchanged relations is
+/// memoized (`ExecCtx::memo`): a repeat on unchanged relations is
 /// one lookup, and its span reports the count as `rows` with 0 `steps`
 /// and no cold build. The counting semiring's `finish` refuses what does
 /// not fit u64. Both phases poll the token.
@@ -379,7 +377,7 @@ pub fn count_free_connex(
 ) -> Result<u64, EvalError> {
     let mut span = cq_obs::trace::span("op.count-free-connex");
     let (mut built, mut steps) = (None, 0);
-    let n = ctx.scalar(db, "fc_count", q, || {
+    let n = *ctx.memo(db, "fc_count", q, &[], || {
         let n = match &*free_links(ctx, q, db, &mut built)? {
             None => 0,
             // a satisfied Boolean query: the empty join has one answer

@@ -8,9 +8,11 @@
 //! not a second code path — it is [`ExecCtx::cold`], the same operator
 //! over a catalog nobody keeps.
 //!
-//! A scalar answer — a count, or generic join's decision — is a catalog
-//! entry too (`ExecCtx::scalar`): a warm one is one lookup, served
-//! until a write to a relation its query reads.
+//! Every product of one query — `q′` and its links, the reduced trees,
+//! the counts and decisions — is a catalog entry made through one
+//! helper, `ExecCtx::memo`, keyed by the query's text and read from the
+//! query's relations: a warm one is one lookup, served until a write to
+//! one of them, cold or warm alike.
 //!
 //! A live context is also one unit of the process-wide *busy* gauge:
 //! an operator that can split its work (generic join's `COUNT`) hands
@@ -20,12 +22,11 @@
 
 use crate::bind::EvalError;
 use crate::cancel::CancelToken;
-use cq_core::ConjunctiveQuery;
+use cq_core::{ConjunctiveQuery, Var};
 use cq_data::{Database, IndexCatalog};
-use std::cell::Cell;
-use std::fmt::Write;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 /// A field the context either borrows from its caller or owns itself
 /// (the throwaway halves of [`ExecCtx::cold`] / [`ExecCtx::warm`]).
@@ -41,12 +42,6 @@ impl<T> Held<'_, T> {
             Held::Owned(t) => t,
         }
     }
-}
-
-thread_local! {
-    /// The text [`ExecCtx::scalar`] keys its lookup by, kept between
-    /// calls so that a warm lookup formats its query without allocating.
-    static KEY: Cell<String> = const { Cell::new(String::new()) };
 }
 
 /// Threads evaluating right now: one per live [`ExecCtx`], one per
@@ -131,30 +126,27 @@ impl<'a> ExecCtx<'a> {
         self.cancel().polls() + self.helper_polls.load(Ordering::Relaxed)
     }
 
-    /// The scalar answer of one operator over `q` — a count or a
-    /// decision — memoized as the catalog artifact `(kind, q)`, read from
-    /// the relations of `q` (an absent one at version 0): a warm answer
-    /// is one lookup, served until one of them is written, and `build`
-    /// runs only on a miss. An error, cancellation included, is not
-    /// memoized, so the next call runs `build` again. A
-    /// [`cold`](ExecCtx::cold) context's catalog dies with it, so there
-    /// `build` just runs.
-    pub(crate) fn scalar<T: Copy + Send + Sync + 'static>(
+    /// The product `kind` of `q` — under `order`, when the product
+    /// depends on one — memoized in the catalog under `q`'s text (and
+    /// `order`, when non-empty), read from the relations of `q` (an
+    /// absent one at version 0): a warm product is one lookup, served
+    /// until one of them is written, and `build` runs only on a miss. An
+    /// error, cancellation included, is not memoized, so the next call
+    /// runs `build` again.
+    pub(crate) fn memo<T: Send + Sync + 'static>(
         &self,
         db: &Database,
         kind: &'static str,
         q: &ConjunctiveQuery,
+        order: &[Var],
         build: impl FnOnce() -> Result<T, EvalError>,
-    ) -> Result<T, EvalError> {
-        let Held::Borrowed(catalog) = self.catalog else { return build() };
-        // `q`'s text, written into this thread's buffer; taken out while
-        // in use, so a `build` that asks for a scalar itself gets its own
-        let mut key = KEY.take();
-        key.clear();
-        write!(key, "{q}").expect("a query's text formats");
-        let answer = catalog.artifact(db, kind, &key, q.relations(), build);
-        KEY.set(key);
-        answer.map(|t| *t)
+    ) -> Result<Arc<T>, EvalError> {
+        let order = fmt::from_fn(|f| match order {
+            [] => Ok(()),
+            _ => write!(f, "|{order:?}"),
+        });
+        let key = format_args!("{q}{order}");
+        self.catalog().artifact(db, kind, key, q.relations(), build)
     }
 
     /// Add a finished helper thread's polls to [`ExecCtx::polls`].
@@ -271,21 +263,21 @@ mod tests {
         }
     }
 
-    /// A cold context's catalog is dropped with it, so its scalars are
-    /// not stored there: only the views the join read are.
+    /// A cold context is the same code over a catalog nobody keeps: its
+    /// scalar is memoized there beside the views the join read, and a
+    /// repeat on that context is one lookup.
     #[test]
-    fn a_cold_scalar_is_not_stored() {
+    fn a_cold_scalar_is_memoized_in_its_own_catalog() {
         let db = triangle_database(&random_pairs(100, 20, &mut seeded_rng(5)));
         let tri = zoo::triangle_join();
+        let order = generic_join::default_order(&tri);
         let ctx = ExecCtx::cold();
-        let n = generic_join::count_distinct(
-            &ctx,
-            &tri,
-            &db,
-            &generic_join::default_order(&tri),
-        );
+        let n = generic_join::count_distinct(&ctx, &tri, &db, &order);
         assert_eq!(n, brute_force_count(&tri, &db));
         let snap = ctx.catalog().snapshot();
-        assert_eq!((snap.views, snap.artifacts), (3, 0));
+        assert_eq!((snap.views, snap.artifacts), (3, 1));
+        assert_eq!(generic_join::count_distinct(&ctx, &tri, &db, &order), n);
+        let again = ctx.catalog().snapshot();
+        assert_eq!((again.hits, again.misses), (snap.hits + 1, snap.misses));
     }
 }

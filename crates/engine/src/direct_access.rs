@@ -230,12 +230,11 @@ impl LexDirectAccess {
             return Err(EvalError::NotJoinQuery);
         }
         assert_eq!(order.len(), q.n_vars(), "order must cover all variables");
-        let key = format!("{q}|{order:?}");
         let mut span = cq_obs::trace::span("op.lex-access.build");
         let mut steps = 0;
         let da = match q.is_boolean() {
             true => Self::shared(ctx, q, db, &mut None)?,
-            false => ctx.catalog().artifact(db, "lex_da", &key, q.relations(), || {
+            false => ctx.memo(db, "lex_da", q, order, || {
                 let linked = free_links(ctx, q, db, &mut None)?;
                 if let Some(t) = find_disruptive_trio(q, order) {
                     let names = |vs: &[Var]| {
@@ -274,8 +273,7 @@ impl LexDirectAccess {
         db: &Database,
         order: &[Var],
     ) -> Result<Arc<Self>, EvalError> {
-        let key = format!("{q}|{order:?}");
-        ctx.catalog().artifact(db, "mat_da", &key, q.relations(), || {
+        ctx.memo(db, "mat_da", q, order, || {
             let rel = generic_join::answers(ctx, q, db, order)?;
             let free = q.free_vars();
             let order = order.iter().filter(|v| free.contains(v)).copied().collect();

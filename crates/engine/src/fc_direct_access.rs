@@ -49,7 +49,7 @@ impl LexDirectAccess {
             let unit = Relation::nullary(decide_acyclic(ctx, q, db)?);
             return Ok(Arc::new(Self::one_node(ctx.cancel(), unit, vec![], vec![])?));
         }
-        ctx.catalog().artifact(db, "fc_da", &q.to_string(), q.relations(), || {
+        ctx.memo(db, "fc_da", q, &[], || {
             let linked = free_links(ctx, q, db, &mut None)?;
             let (atoms, tree, steps) = reduce_q_prime(ctx.cancel(), q, db, &linked)?;
             let visit = tree.top_down();

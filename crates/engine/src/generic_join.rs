@@ -762,11 +762,11 @@ fn run(
         } else {
             // repeated variables: the view is over the collapsed
             // relation, memoized per (relation, pattern, permutation)
-            let key = format!("{}|{:?}|{cols:?}", atom.relation, atom.vars);
+            let key = format_args!("{}|{:?}|{cols:?}", atom.relation, atom.vars);
             ctx.catalog().artifact(
                 db,
                 "bound_view",
-                &key,
+                key,
                 [atom.relation.as_str()],
                 || {
                     let bound = collapse_rel(&atom.vars, &vars, rel);
@@ -892,7 +892,7 @@ pub fn answers(
 
 /// Boolean decision by generic join with early stop — the fallback for
 /// cyclic queries (runtime = AGM bound of the query). The decision is
-/// memoized (`ExecCtx::scalar`): a repeat on unchanged relations is one
+/// memoized (`ExecCtx::memo`): a repeat on unchanged relations is one
 /// lookup, and its span reports the verdict as `rows` with 0 `seeks`.
 pub fn decide(
     ctx: &ExecCtx,
@@ -902,7 +902,7 @@ pub fn decide(
 ) -> Result<bool, EvalError> {
     let mut span = cq_obs::trace::span("op.generic-join.decide");
     let mut work = JoinWork::default();
-    let found = ctx.scalar(db, "gj_decide", q, || {
+    let found = *ctx.memo(db, "gj_decide", q, &[], || {
         let mut found = false;
         let mut stop_at_first = |_: &[Val]| {
             found = true;
@@ -920,7 +920,7 @@ pub fn decide(
 /// counted where the last intersection finds them — and for a
 /// projection by materializing the projection set during the join: the
 /// generic counting baseline (m^k-shaped for q*_k; Lemma 3.9 says this
-/// is essentially optimal). The count is memoized (`ExecCtx::scalar`):
+/// is essentially optimal). The count is memoized (`ExecCtx::memo`):
 /// a repeat on unchanged relations is one lookup that spawns no helper,
 /// and its span reports the count as `rows` with 0 `seeks` and no
 /// morsels or workers.
@@ -932,7 +932,7 @@ pub fn count_distinct(
 ) -> Result<u64, EvalError> {
     let mut span = cq_obs::trace::span("op.generic-join.count");
     let mut work = JoinWork::default();
-    let count = ctx.scalar(db, "gj_count", q, || {
+    let count = *ctx.memo(db, "gj_count", q, &[], || {
         work = if q.is_join_query() {
             run(ctx, q, db, order, |plan| {
                 let morsels = plan.morsels();

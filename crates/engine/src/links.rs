@@ -23,6 +23,7 @@ use crate::yannakakis::shared_cols_of;
 use cq_core::{ConjunctiveQuery, JoinTree, Var};
 use cq_data::{Database, FxHashMap, Relation, Val};
 use std::borrow::Cow;
+use std::fmt;
 use std::sync::Arc;
 
 /// The link of a parent row that joins no row of the child.
@@ -124,9 +125,9 @@ impl JoinLinks {
             ctx.cancel().check_now()?;
             let (parent, child) = (node(p), node(c));
             let (pcols, ccols) = shared_cols_of(parent.vars, child.vars);
-            let key = format!("{}{pcols:?}>{}{ccols:?}", parent.id, child.id);
+            let key = format_args!("{}{pcols:?}>{}{ccols:?}", parent.id, child.id);
             let reads = parent.reads.iter().chain(&child.reads).copied();
-            let edge = ctx.catalog().artifact(db, "join_link", &key, reads, || {
+            let edge = ctx.catalog().artifact(db, "join_link", key, reads, || {
                 steps += (parent.rel.len() + child.rel.len()) as u64;
                 Ok::<_, EvalError>(EdgeLinks::build(
                     parent.rel, &pcols, child.rel, &ccols,
@@ -154,7 +155,7 @@ impl JoinLinks {
 /// — a stored relation, or a product derived from the relations `reads`
 /// — which are `rel`, over the distinct variables `vars`.
 pub(crate) struct Named<'a> {
-    pub(crate) id: String,
+    pub(crate) id: Id<'a>,
     pub(crate) reads: Vec<&'a str>,
     pub(crate) vars: &'a [Var],
     pub(crate) rel: &'a Relation,
@@ -166,10 +167,31 @@ impl<'a> Named<'a> {
     pub(crate) fn atom(q: &'a ConjunctiveQuery, u: usize, atom: &'a BoundAtom) -> Self {
         let a = &q.atoms()[u];
         let id = match atom.rel {
-            Cow::Borrowed(_) => a.relation.clone(),
-            Cow::Owned(_) => format!("{}|{:?}", a.relation, a.vars),
+            Cow::Borrowed(_) => Id::Stored(&a.relation),
+            Cow::Owned(_) => Id::Collapse(&a.relation, &a.vars),
         };
         Named { id, reads: vec![a.relation.as_str()], vars: &atom.vars, rel: &atom.rel }
+    }
+}
+
+/// What a node's rows are, as the keys of its edges' links name them.
+#[derive(Clone, Copy)]
+pub(crate) enum Id<'a> {
+    /// A stored relation, read in place.
+    Stored(&'a str),
+    /// A relation collapsed by an atom's repeated variables.
+    Collapse(&'a str, &'a [Var]),
+    /// The message of child `.1` of the elimination tree's root of `.0`.
+    Msg(&'a ConjunctiveQuery, usize),
+}
+
+impl fmt::Display for Id<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Id::Stored(name) => f.write_str(name),
+            Id::Collapse(name, vars) => write!(f, "{name}|{vars:?}"),
+            Id::Msg(q, c) => write!(f, "{q}|{c}"),
+        }
     }
 }
 

@@ -828,6 +828,37 @@ mod tests {
         assert_eq!(misses_after_repeat, misses_after_first, "second batch is warm");
     }
 
+    /// One-shot `COUNT` texts keep warm the views they all read: each
+    /// text's count takes a memo slot, and a full memo evicts the least
+    /// recently used entry — an old count, never a view every count
+    /// reads — so 600 distinct texts over two 50-row relations build
+    /// each view once.
+    #[test]
+    fn one_shot_counts_keep_the_views_they_read_warm() {
+        use cq_data::generate::{random_pairs, seeded_rng};
+        let state = Arc::new(ServerState::new());
+        let mut s = Session::new(Arc::clone(&state));
+        drive(&mut s, &["CREATE DB t", "USE t"]);
+        let tenant = state.tenant("t").unwrap();
+        tenant.mutate(|db| {
+            db.insert("R", random_pairs(50, 10, &mut seeded_rng(1)));
+            db.insert("S", random_pairs(50, 10, &mut seeded_rng(2)));
+        });
+        let mut count = |i: usize| {
+            let line = format!("COUNT q{i}(x, z) :- R(x, y), S(y, z)");
+            let reply = s.handle_line(&line).unwrap();
+            assert!(reply.is_ok(), "{line}: {}", reply.terminal);
+        };
+        count(0);
+        let first = tenant.read(|_, cat| cat.snapshot());
+        assert_eq!(first.views, 2, "generic join reads a view of R and of S");
+        (1..600).for_each(&mut count);
+        let last = tenant.read(|_, cat| cat.snapshot());
+        assert!(last.cap_evictions > 0, "600 counts fill the memo");
+        assert_eq!(last.misses, first.misses + 599, "each text builds its count only");
+        assert_eq!(last.views, 2);
+    }
+
     #[test]
     fn explain_and_stats_render() {
         let mut s = session();

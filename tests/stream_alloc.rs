@@ -15,9 +15,11 @@
 
 use cq_core::query::zoo;
 use cq_core::{parse_query, ConjunctiveQuery};
-use cq_data::generate::{random_pairs, seeded_rng, triangle_database};
+use cq_data::generate::{path_database, random_pairs, seeded_rng, triangle_database};
 use cq_data::{Database, IndexCatalog, Relation};
-use cq_engine::{count, enumerate, generic_join, yannakakis, Answers, ExecCtx};
+use cq_engine::{
+    count, enumerate, generic_join, yannakakis, Answers, ExecCtx, LexDirectAccess,
+};
 use cq_obs::trace::{self, TraceSink};
 use cq_planner::{EvalCtx, Output, Planner, Task};
 use cq_server::protocol::render_row_into;
@@ -251,6 +253,46 @@ fn a_warm_count_or_decide_allocates_per_tree_node_not_per_row() {
                 "{verb} {q}: m = 1 000 took {small} allocations, m = 10 000 took {large}"
             );
         }
+    }
+}
+
+/// A warm product of one query is one catalog lookup, and the catalog
+/// writes the lookup's key into a buffer of its own: a warm free-connex
+/// `COUNT`, generic-join `COUNT` and `DECIDE`, free-connex direct access
+/// and a sorted view allocate nothing at all.
+#[test]
+fn a_warm_catalog_hit_allocates_nothing() {
+    let path = zoo::path_join(3);
+    let path_db = path_database(3, 2_000, &mut seeded_rng(1));
+    let tri = zoo::triangle_join();
+    let tri_db = triangle_database(&random_pairs(2_000, 200, &mut seeded_rng(2)));
+    let order = generic_join::default_order(&tri);
+    let catalog = IndexCatalog::new();
+    let ctx = ExecCtx::warm(&catalog);
+    let hits: [(&str, &dyn Fn()); 5] = [
+        ("free-connex COUNT", &|| {
+            count::count_free_connex(&ctx, &path, &path_db).unwrap();
+        }),
+        ("generic-join COUNT", &|| {
+            generic_join::count_distinct(&ctx, &tri, &tri_db, &order).unwrap();
+        }),
+        ("generic-join DECIDE", &|| {
+            generic_join::decide(&ctx, &tri, &tri_db, &order).unwrap();
+        }),
+        ("LexDirectAccess::free_connex", &|| {
+            LexDirectAccess::free_connex(&ctx, &path, &path_db).unwrap();
+        }),
+        ("sorted_view", &|| {
+            catalog.sorted_view(&tri_db, "R2", &[1, 0]).unwrap();
+        }),
+    ];
+    for (what, hit) in hits {
+        hit();
+        let before = catalog.snapshot();
+        assert_eq!(allocations(hit).0, 0, "a warm {what}");
+        let after = catalog.snapshot();
+        assert_eq!(after.misses, before.misses, "a warm {what} builds nothing");
+        assert!(after.hits > before.hits, "a warm {what} is a catalog hit");
     }
 }
 
